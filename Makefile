@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint docstrings serve-smoke cluster-smoke chaos-smoke backend-smoke verify-disk bench bench-full bench-interp bench-server bench-cluster bench-backend forensics-smoke explore-smoke examples table1 table1-par table2 clean
+.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-backend forensics-smoke explore-smoke examples table1 table1-par table2 clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -23,33 +23,6 @@ docstrings:
 serve-smoke:
 	PYTHONPATH=src $(PY) -m repro serve --clients 16 --crashes 3
 
-# The multi-kernel cluster smoke: 2 shards under a rolling storm (zero
-# lost acks, storm acks == calm acks), cross-engine digest equality,
-# and the 64-client perf floor (the cliff stays dead).
-cluster-smoke:
-	$(PY) scripts/cluster_smoke.py
-
-# The chaos capability matrix smoke: a seeded 16-client chaos storm
-# (every fault capability armed, forced crashes on top), zero lost
-# acks, every capability fired, and campaign digests bit-identical
-# across execution engines and worker counts.
-chaos-smoke:
-	$(PY) scripts/chaos_smoke.py
-
-# The tiered backing-store smoke: a tiered crash storm keeps every ack
-# and passes the remote-only audit, an object-store outage across a
-# reboot defers then reconciles under one --batch pass, and the tiered
-# campaign digests are bit-identical across execution engines.
-backend-smoke:
-	$(PY) scripts/backend_smoke.py
-
-# Independent on-disk-format verification: clean image dissects clean,
-# injected damage is found, the constructed divergent image fires a
-# DivergenceReport, and a mini crash campaign's fsck verdicts all agree
-# with the dissect second opinion.
-verify-disk:
-	$(PY) scripts/verify_disk.py
-
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
@@ -63,18 +36,18 @@ bench-interp:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/bench_interpreter.py -q -s
 
 # File-service scaling grid (1..64 clients, calm + 3-crash storm);
-# regenerates the checked-in benchmarks/results/server_throughput.txt.
+# writes benchmarks/results/server_throughput.txt (gitignored).
 bench-server:
 	$(PY) -m pytest benchmarks/bench_server.py --benchmark-only -q -s
 
 # Cluster scaling grid at the paper-scale population (1024 clients over
-# 1..8 shards, calm + rolling storm); regenerates the checked-in
-# benchmarks/results/cluster_throughput.txt.
+# 1..8 shards, calm + rolling storm); writes
+# benchmarks/results/cluster_throughput.txt (gitignored).
 bench-cluster:
 	RIO_BENCH_CLUSTER_CLIENTS=1024 $(PY) -m pytest benchmarks/bench_cluster.py --benchmark-only -q -s
 
 # Backing-store tier cost grid (throughput per backend flavour, dedup
-# rate); regenerates benchmarks/results/backend_throughput.txt.
+# rate); regenerates the tracked benchmarks/results/backend_throughput.txt.
 bench-backend:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/bench_backend.py --benchmark-only -q -s
 
@@ -125,9 +98,8 @@ table1-par:
 table2:
 	$(PY) -m repro table2
 
-# benchmarks/results holds checked-in artifacts (server_throughput.txt,
-# cluster_throughput.txt) — regenerate with bench-server/bench-cluster,
-# never delete them here.
+# benchmarks/results is left alone: it is gitignored scratch output
+# except backend_throughput.txt, which is tracked.
 clean:
 	rm -rf .pytest_cache .hypothesis
 	rm -rf forensics-smoke.jsonl forensics-smoke.jsonl.traces explore-smoke.out

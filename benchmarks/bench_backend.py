@@ -40,8 +40,7 @@ def _run(backend):
 
 def _dedup_rate():
     """Upload 24 blocks of identical content; count distinct objects."""
-    from repro.reliability.campaign import system_spec_for
-    from repro.system import build_system
+    from repro.system import build_system, system_spec_for
 
     spec = system_spec_for("rio_prot", fs_blocks=256, backend="tiered")
     system = build_system(spec)

@@ -19,19 +19,23 @@ import pytest
 
 from repro.reliability import (
     ChaosCampaignConfig,
+    TrafficConfig,
     format_chaos_report,
     run_chaos_campaign,
 )
+from repro.server import LoadSpec
 
 CLIENTS = int(os.environ.get("RIO_BENCH_CHAOS_CLIENTS", "16"))
 OPS = int(os.environ.get("RIO_BENCH_CHAOS_OPS", "30"))
 SEED = 11
 
 
-def _config(**overrides):
-    params = dict(clients=CLIENTS, ops_per_client=OPS, crashes=2, seed=SEED)
+def _config(ops_per_client=OPS, **overrides):
+    params = dict(clients=CLIENTS, crashes=2, seed=SEED)
     params.update(overrides)
-    return ChaosCampaignConfig(**params)
+    return ChaosCampaignConfig(
+        base=TrafficConfig(load=LoadSpec(ops_per_client=ops_per_client), **params)
+    )
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from repro.reliability import ClusterTrafficConfig, run_cluster_campaign
+from repro.reliability import TrafficConfig, run_traffic_campaign
 from repro.server import LoadSpec
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -51,12 +51,12 @@ LOAD = LoadSpec(
 
 
 def _run(shards: int, crashes_per_shard: int):
-    return run_cluster_campaign(
-        ClusterTrafficConfig(
+    return run_traffic_campaign(
+        TrafficConfig(
             shards=shards,
             system="rio_prot",
             clients=CLIENTS,
-            crashes_per_shard=crashes_per_shard,
+            crashes=crashes_per_shard,
             seed=7,
             router_mode="dir",
             jobs=1 if shards == 1 else min(shards, os.cpu_count() or 1),

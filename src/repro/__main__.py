@@ -320,101 +320,76 @@ def cmd_lint(_args) -> int:
     return 0
 
 
-def _traffic_config(args, crashes: int):
-    """Build a TrafficConfig from the shared serve/loadgen flags."""
+def _traffic_config(args, **fields):
+    """The TrafficConfig the shared load flags describe, plus the
+    command's own ``fields``."""
     from repro.reliability import TrafficConfig
     from repro.server import LoadSpec
 
-    config = TrafficConfig(
+    return TrafficConfig(
         system=args.system,
         clients=args.clients,
-        crashes=crashes,
         seed=args.seed,
-        storm=args.storm,
         load=LoadSpec(ops_per_client=args.ops, pipeline=args.pipeline),
+        **fields,
+    )
+
+
+def _emit(result, args, formatter) -> int:
+    """Print ``result`` as JSON (``--json``) or through ``formatter``;
+    the exit status is the result's zero-lost-acks verdict."""
+    if args.json:
+        import json
+
+        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+    else:
+        print(formatter(result))
+    return 0 if result.ok else 1
+
+
+def cmd_serve(args) -> int:
+    """``serve``: the file service under a crash storm; ``loadgen``: the
+    same deterministic load with no storm.  Exit 1 if any ack was lost."""
+    from repro.reliability import format_traffic_report, run_traffic_campaign
+
+    config = _traffic_config(
+        args,
+        crashes=max(0, args.crashes),
+        storm=args.storm,
         repair=args.repair,
         backend=args.backend,
     )
     if args.faults:
         config.fault_type = _parse_fault_types(args.faults)[0]
-    return config
-
-
-def cmd_serve(args) -> int:
-    """File service under a crash storm; exit 1 if any ack was lost."""
-    from repro.reliability import format_traffic_report, run_traffic_campaign
-
-    config = _traffic_config(args, crashes=max(0, args.crashes))
-    print(
-        f"serving {config.clients} clients on {config.system} through "
-        f"{config.crashes} {config.storm} crash(es) ...",
-        file=sys.stderr,
-    )
-    result = run_traffic_campaign(config)
-    if args.json:
-        import json
-
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+    if args.command == "serve":
+        banner = (
+            f"serving {config.clients} clients on {config.system} through "
+            f"{config.crashes} {config.storm} crash(es) ..."
+        )
     else:
-        print(format_traffic_report(result))
-    return 0 if result.ok else 1
-
-
-def cmd_loadgen(args) -> int:
-    """Deterministic multi-client load, no crashes: a pure measurement."""
-    from repro.reliability import format_traffic_report, run_traffic_campaign
-
-    config = _traffic_config(args, crashes=0)
-    print(
-        f"load-generating: {config.clients} clients on {config.system} ...",
-        file=sys.stderr,
-    )
-    result = run_traffic_campaign(config)
-    if args.json:
-        import json
-
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_traffic_report(result))
-    return 0 if result.ok else 1
+        banner = f"load-generating: {config.clients} clients on {config.system} ..."
+    print(banner, file=sys.stderr)
+    return _emit(run_traffic_campaign(config), args, format_traffic_report)
 
 
 def cmd_cluster(args) -> int:
     """The multi-kernel cluster under seeded load, optionally with a
     rolling crash storm; exit 1 if any acknowledged op was lost."""
-    from repro.reliability import (
-        ClusterTrafficConfig,
-        format_cluster_report,
-        run_cluster_campaign,
-    )
-    from repro.server import LoadSpec
+    from repro.reliability import format_traffic_report, run_traffic_campaign
 
-    config = ClusterTrafficConfig(
+    config = _traffic_config(
+        args,
         shards=args.shards,
-        system=args.system,
-        clients=args.clients,
-        crashes_per_shard=(
-            args.crashes_per_shard if args.storm == "rolling" else 0
-        ),
-        seed=args.seed,
+        crashes=args.crashes_per_shard if args.storm == "rolling" else 0,
         router_mode=args.router,
         jobs=args.jobs,
-        load=LoadSpec(ops_per_client=args.ops, pipeline=args.pipeline),
-        fast_path=args.fast_path,
     )
     print(
         f"clustering: {config.clients} clients over {config.shards} "
         f"{config.system} shard(s), storm={args.storm} ...",
         file=sys.stderr,
     )
-    result = run_cluster_campaign(config)
-    if args.json:
-        import json
-
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_cluster_report(result))
-    return 0 if result.ok else 1
+    return _emit(run_traffic_campaign(config), args, format_traffic_report)
 
 
 def cmd_chaos(args) -> int:
@@ -426,13 +401,7 @@ def cmd_chaos(args) -> int:
     )
 
     config = ChaosCampaignConfig(
-        system=args.system,
-        clients=args.clients,
-        crashes=max(0, args.crashes),
-        seed=args.seed,
-        jobs=args.jobs,
-        ops_per_client=args.ops,
-        fast_path=args.fast_path,
+        base=_traffic_config(args, crashes=max(0, args.crashes), jobs=args.jobs)
     )
     if args.trials:
         wanted = [name.strip() for name in args.trials.split(",")]
@@ -443,29 +412,11 @@ def cmd_chaos(args) -> int:
             raise SystemExit(f"unknown trial {unknown[0]!r}; known: {known}")
         config.matrix = tuple((name, by_name[name]) for name in wanted)
     print(
-        f"chaos matrix: {len(config.matrix)} trial(s) x {config.clients} "
-        f"clients on {config.system}, {config.jobs} job(s) ...",
+        f"chaos matrix: {len(config.matrix)} trial(s) x {args.clients} "
+        f"clients on {args.system}, {args.jobs} job(s) ...",
         file=sys.stderr,
     )
-    result = run_chaos_campaign(config)
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "digest": result.digest,
-                    "ok": result.ok,
-                    "trials": [trial.to_json_dict() for trial in result.trials],
-                    "quarantined": result.quarantined,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(format_chaos_report(result))
-    return 0 if result.ok else 1
+    return _emit(run_chaos_campaign(config), args, format_chaos_report)
 
 
 def cmd_explore(args) -> int:
@@ -600,8 +551,7 @@ def _age_filesystem(system, *, ops: int, seed: int, prefix: str = "/aged") -> No
 def cmd_dump_disk(args) -> int:
     """Build a file system, optionally age it, flush, and dump the image."""
     from repro.fs.dissect import dump_image, snapshot
-    from repro.reliability.campaign import system_spec_for
-    from repro.system import build_system
+    from repro.system import build_system, system_spec_for
 
     system = build_system(system_spec_for(args.system, fs_blocks=args.blocks))
     if args.age:
@@ -643,8 +593,7 @@ def cmd_fsck_remote(args) -> int:
     from repro.backend.audit import mount_materialized
     from repro.backend.fsck_remote import fsck_remote
     from repro.fs.dissect import compare_verdicts, dissect_image
-    from repro.reliability.campaign import system_spec_for
-    from repro.system import build_system
+    from repro.system import build_system, system_spec_for
 
     say = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     spec = system_spec_for(
@@ -775,7 +724,8 @@ def cmd_load_disk(args) -> int:
     return 0 if divergence.agreed else 1
 
 
-def _add_traffic_flags(parser, *, crashes: int | None) -> None:
+def _add_load_flags(parser, *, pipeline: bool = True) -> None:
+    """The flags ``serve``/``loadgen``/``cluster``/``chaos`` share."""
     parser.add_argument(
         "--system",
         default="rio_prot",
@@ -785,10 +735,18 @@ def _add_traffic_flags(parser, *, crashes: int | None) -> None:
     parser.add_argument(
         "--ops", type=int, default=30, help="programs per client (default 30)"
     )
-    parser.add_argument(
-        "--pipeline", type=int, default=4, help="requests each client keeps in flight"
-    )
+    if pipeline:
+        parser.add_argument(
+            "--pipeline", type=int, default=4, help="requests each client keeps in flight"
+        )
+    else:
+        parser.set_defaults(pipeline=4)
     parser.add_argument("--seed", type=int, default=1, help="campaign seed")
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _add_storm_flags(parser) -> None:
+    """The single-service storm flags (``serve`` and ``loadgen``)."""
     parser.add_argument(
         "--storm",
         default="forced",
@@ -813,14 +771,6 @@ def _add_traffic_flags(parser, *, crashes: int | None) -> None:
         "remote-tier reconciles at every recovery plus the final "
         "remote-only audit",
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    if crashes is not None:
-        parser.add_argument(
-            "--crashes",
-            type=int,
-            default=crashes,
-            help=f"mid-traffic kernel crashes (default {crashes})",
-        )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -887,27 +837,21 @@ def main(argv: list[str] | None = None) -> int:
     ps = sub.add_parser(
         "serve", help="file service under a crash storm (exit 1 on lost acks)"
     )
-    _add_traffic_flags(ps, crashes=3)
+    _add_load_flags(ps)
+    _add_storm_flags(ps)
+    ps.add_argument(
+        "--crashes", type=int, default=3, help="mid-traffic kernel crashes (default 3)"
+    )
     pl = sub.add_parser("loadgen", help="deterministic load, no crashes")
-    _add_traffic_flags(pl, crashes=None)
+    _add_load_flags(pl)
+    _add_storm_flags(pl)
+    pl.set_defaults(crashes=0)
     pc = sub.add_parser(
         "cluster",
         help="multi-kernel sharded service under load (exit 1 on lost acks)",
     )
+    _add_load_flags(pc)
     pc.add_argument("--shards", type=int, default=2, help="kernel shards (default 2)")
-    pc.add_argument(
-        "--system",
-        default="rio_prot",
-        help="disk | rio_noprot | rio_prot (default rio_prot)",
-    )
-    pc.add_argument("--clients", type=int, default=16, help="concurrent clients")
-    pc.add_argument(
-        "--ops", type=int, default=30, help="programs per client (default 30)"
-    )
-    pc.add_argument(
-        "--pipeline", type=int, default=4, help="requests each client keeps in flight"
-    )
-    pc.add_argument("--seed", type=int, default=1, help="campaign seed")
     pc.add_argument(
         "--jobs",
         type=int,
@@ -933,34 +877,17 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="crashes per shard under --storm rolling (default 1)",
     )
-    pc.add_argument(
-        "--fast-path",
-        type=lambda v: v not in ("0", "false", "no"),
-        default=None,
-        metavar="0|1",
-        help="pin the execution engine on every shard (default: machine default)",
-    )
-    pc.add_argument("--json", action="store_true", help="machine-readable output")
     pch = sub.add_parser(
         "chaos",
         help="chaos capability matrix over the service (exit 1 on SLO violations)",
     )
-    pch.add_argument(
-        "--system",
-        default="rio_prot",
-        help="disk | rio_noprot | rio_prot (default rio_prot)",
-    )
-    pch.add_argument("--clients", type=int, default=16, help="concurrent clients")
-    pch.add_argument(
-        "--ops", type=int, default=30, help="programs per client (default 30)"
-    )
+    _add_load_flags(pch, pipeline=False)
     pch.add_argument(
         "--crashes",
         type=int,
         default=2,
         help="forced crashes per trial (default 2; 0 = no storm)",
     )
-    pch.add_argument("--seed", type=int, default=1, help="campaign seed")
     pch.add_argument(
         "--jobs",
         type=int,
@@ -973,14 +900,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated subset of the matrix, e.g. baseline,slow_io "
         "(default: every trial)",
     )
-    pch.add_argument(
-        "--fast-path",
-        type=lambda v: v not in ("0", "false", "no"),
-        default=None,
-        metavar="0|1",
-        help="pin the execution engine (default: machine default)",
-    )
-    pch.add_argument("--json", action="store_true", help="machine-readable output")
     pe = sub.add_parser(
         "explore",
         help="exhaustive crash-point sweep against the spec (exit 1 on violations)",
@@ -1128,7 +1047,7 @@ def main(argv: list[str] | None = None) -> int:
         "analyze": cmd_analyze,
         "lint": cmd_lint,
         "serve": cmd_serve,
-        "loadgen": cmd_loadgen,
+        "loadgen": cmd_serve,
         "cluster": cmd_cluster,
         "chaos": cmd_chaos,
         "explore": cmd_explore,

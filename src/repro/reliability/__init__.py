@@ -40,15 +40,10 @@ from repro.reliability.journal import (
     JournalWarning,
 )
 from repro.reliability.traffic import (
-    ClusterTrafficConfig,
-    ClusterTrafficResult,
     TrafficConfig,
     TrafficResult,
-    format_cluster_report,
     format_traffic_report,
     rolling_crash_points,
-    run_chaos_campaign,
-    run_cluster_campaign,
     run_traffic_campaign,
 )
 from repro.reliability.chaos import (
@@ -58,6 +53,7 @@ from repro.reliability.chaos import (
     ChaosSpec,
     ChaosTrialResult,
     format_chaos_report,
+    run_chaos_campaign,
 )
 from repro.reliability.propagation import (
     PropagationSummary,
@@ -85,15 +81,10 @@ __all__ = [
     "CampaignJournal",
     "CampaignResumeError",
     "JournalWarning",
-    "ClusterTrafficConfig",
-    "ClusterTrafficResult",
     "TrafficConfig",
     "TrafficResult",
-    "format_cluster_report",
     "format_traffic_report",
     "rolling_crash_points",
-    "run_chaos_campaign",
-    "run_cluster_campaign",
     "run_traffic_campaign",
     "DEFAULT_MATRIX",
     "ChaosCampaignConfig",
@@ -101,6 +92,7 @@ __all__ = [
     "ChaosSpec",
     "ChaosTrialResult",
     "format_chaos_report",
+    "run_chaos_campaign",
     "PropagationSummary",
     "format_propagation",
     "summarize_propagation",

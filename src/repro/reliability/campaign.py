@@ -17,12 +17,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core import RioConfig
 from repro.errors import FileSystemError, KernelPanic, SystemCrash
 from repro.faults import FaultInjector, FaultType
 from repro.faults.injector import FaultParams
 from repro.hw.clock import NS_PER_SEC
-from repro.system import SystemSpec, build_system
+# SYSTEM_NAMES / system_spec_for live in repro.system; re-exported here
+# because this is the path campaigns and bench/ import them from.
+from repro.system import SYSTEM_NAMES, build_system, system_spec_for  # noqa: F401
 from repro.util.prng import DeterministicRandom, pattern_bytes
 from repro.workloads.andrew import AndrewBenchmark, AndrewParams
 from repro.workloads.memtest import (
@@ -32,25 +33,8 @@ from repro.workloads.memtest import (
     verify_against_model,
 )
 
-SYSTEM_NAMES = ("disk", "rio_noprot", "rio_prot")
-
 _STATIC_KEY = 0x57A71C
 _STATIC_BYTES = 32 * 1024
-
-
-def system_spec_for(name: str, **overrides) -> SystemSpec:
-    """The SystemSpec for one of Table 1's three systems."""
-    if name == "disk":
-        return SystemSpec(fs_type="ufs", policy="ufs", rio=None, **overrides)
-    if name == "rio_noprot":
-        return SystemSpec(
-            fs_type="ufs", policy="rio", rio=RioConfig.without_protection(), **overrides
-        )
-    if name == "rio_prot":
-        return SystemSpec(
-            fs_type="ufs", policy="rio", rio=RioConfig.with_protection(), **overrides
-        )
-    raise ValueError(f"unknown system {name!r}; know {SYSTEM_NAMES}")
 
 
 @dataclass

@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Tuple
+
+from repro.reliability.engine import ParallelMap
+from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
 
 
 @dataclass(frozen=True)
@@ -76,18 +79,11 @@ DEFAULT_MATRIX: Tuple[Tuple[str, Tuple[ChaosSpec, ...]], ...] = (
 class ChaosCampaignConfig:
     """One chaos campaign: the shared trial shape plus the matrix."""
 
-    system: str = "rio_prot"
-    clients: int = 16
-    #: Forced crashes per trial — every trial exercises recovery, so the
-    #: recovery-time SLO is never vacuous.
-    crashes: int = 2
-    seed: int = 1
-    #: Worker processes for the trial fan-out (1 = inline).
-    jobs: int = 1
-    ops_per_client: int = 30
-    fs_blocks: int = 2048
-    #: Pin the execution engine (None keeps the machine default).
-    fast_path: Optional[bool] = None
+    #: The trial every matrix row runs, minus its ``chaos`` specs.  Two
+    #: forced crashes by default — every trial exercises recovery, so
+    #: the recovery-time SLO is never vacuous.  ``base.jobs`` is the
+    #: trial fan-out (1 = inline).
+    base: TrafficConfig = field(default_factory=lambda: TrafficConfig(crashes=2))
     #: ``(trial_name, (ChaosSpec, ...))`` pairs; order fixes the digest.
     matrix: Tuple[Tuple[str, Tuple[ChaosSpec, ...]], ...] = DEFAULT_MATRIX
 
@@ -175,50 +171,68 @@ class ChaosCampaignResult:
             h.update(b"\n")
         return h.hexdigest()
 
+    def to_json_dict(self) -> dict:
+        """The ``repro chaos --json`` report."""
+        return {
+            "digest": self.digest,
+            "ok": self.ok,
+            "trials": [trial.to_json_dict() for trial in self.trials],
+            "quarantined": self.quarantined,
+        }
 
-def trial_payload(
-    config: ChaosCampaignConfig, trial: str, specs: Tuple[ChaosSpec, ...]
-) -> dict:
-    """The JSON task one :func:`_chaos_trial_entry` worker consumes."""
-    return {
-        "trial": trial,
-        "system": config.system,
-        "clients": config.clients,
-        "crashes": config.crashes,
-        "seed": config.seed,
-        "ops_per_client": config.ops_per_client,
-        "fs_blocks": config.fs_blocks,
-        "fast_path": config.fast_path,
-        "chaos": [spec.to_json_dict() for spec in specs],
-    }
+
+def run_chaos_campaign(config: ChaosCampaignConfig) -> ChaosCampaignResult:
+    """Run a chaos capability matrix: one traffic trial per armed set.
+
+    Each ``(trial, specs)`` row of the matrix becomes ``config.base``
+    with those capabilities armed, fanned out through
+    :class:`~repro.reliability.engine.ParallelMap`.  Trials are pure
+    functions of their configs, so the campaign digest is bit-identical
+    at any ``jobs`` count and on either execution engine.
+    """
+    pmap = ParallelMap(
+        "repro.reliability.chaos:_chaos_trial_entry", jobs=config.base.jobs
+    )
+    tasks = [
+        (
+            trial,
+            {
+                "trial": trial,
+                "config": replace(
+                    config.base,
+                    chaos=tuple(spec.to_json_dict() for spec in specs),
+                ),
+            },
+        )
+        for trial, specs in config.matrix
+    ]
+    raw = pmap.run(tasks)
+    result = ChaosCampaignResult(config=config)
+    for trial, _specs in config.matrix:
+        summary = raw.get(trial)
+        if summary is None:
+            # A worker died on this trial (quarantined by the engine).
+            result.quarantined.append(trial)
+            continue
+        result.trials.append(ChaosTrialResult.from_json_dict(summary))
+    result.digest = result.compute_digest()
+    return result
 
 
 def _chaos_trial_entry(payload: dict) -> dict:
     """ParallelMap entry point: run one chaos trial, return its summary.
 
-    A pure function of ``payload`` (every input is in it, every output
-    comes back as a JSON-safe dict), which is what makes the campaign
-    digest independent of the worker count.
+    A pure function of ``payload`` (the trial's whole
+    :class:`TrafficConfig` is in it, every output comes back as a
+    JSON-safe dict), which is what makes the campaign digest
+    independent of the worker count.
     """
-    from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
-    from repro.server import LoadSpec
-
-    config = TrafficConfig(
-        system=payload["system"],
-        clients=payload["clients"],
-        crashes=payload["crashes"],
-        seed=payload["seed"],
-        storm="forced",
-        fs_blocks=payload["fs_blocks"],
-        load=LoadSpec(ops_per_client=payload["ops_per_client"]),
-        fast_path=payload["fast_path"],
-        chaos=tuple(payload["chaos"]),
-    )
+    config = payload["config"]
     result = run_traffic_campaign(config)
     load = result.load
     return ChaosTrialResult(
         trial=payload["trial"],
-        capabilities=tuple(sorted({spec["name"] for spec in payload["chaos"]})),
+        capabilities=tuple(sorted({spec["name"] for spec in config.chaos})),
         acked=load.acked,
         failed=load.failed,
         rejected=load.rejected,
@@ -240,11 +254,11 @@ def _chaos_trial_entry(payload: dict) -> dict:
 
 def format_chaos_report(result: ChaosCampaignResult) -> str:
     """Human-readable SLO report for one chaos campaign."""
-    config = result.config
+    config = result.config.base
     lines = [
         "chaos capability matrix",
         f"  system          {config.system}  (seed={config.seed}, jobs={config.jobs})",
-        f"  clients         {config.clients} x {config.ops_per_client} programs, "
+        f"  clients         {config.clients} x {config.load.ops_per_client} programs, "
         f"{config.crashes} forced crashes per trial",
         "",
         f"  {'trial':<18} {'fires':>5} {'acked':>6} {'p50 ms':>8} {'p99 ms':>8} "

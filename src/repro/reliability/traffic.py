@@ -2,20 +2,23 @@
 
 Table 1 crashes a kernel under a single-threaded workload.  This module
 is the same experiment at service scale: N deterministic clients drive
-the :class:`~repro.server.FileService` while a *crash storm* brings the
-kernel down M times mid-traffic.  After every crash the service warm
-reboots, audits its acknowledged-write journal against the recovered
-cache, re-binds every session, and resumes the interrupted batch.  The
-campaign's claim is the paper's, restated for a server: **no
-acknowledged operation is ever lost on Rio** — and the whole run,
-crashes included, is a pure function of its seed, so one
-``(system, clients, seed)`` triple produces one ack digest on either
-execution engine.
+a :class:`~repro.server.FileService` — or, with ``shards`` set, a
+:class:`~repro.server.ClusterService` of that many kernels — while a
+*crash storm* brings kernels down mid-traffic.  After every crash the
+service warm reboots, audits its acknowledged-write journal against the
+recovered cache, re-binds every session, and resumes the interrupted
+batch.  The campaign's claim is the paper's, restated for a server:
+**no acknowledged operation is ever lost on Rio** — and the whole run,
+crashes included, is a pure function of its seed, so one config
+produces one set of digests on either execution engine and at any
+``jobs``.
 
-Two storm flavours:
+Every storm is a :class:`~repro.server.CrashPoints` hook fed by a
+schedule of executed-request counts:
 
-* ``forced`` — administrative crashes at evenly spaced points in the
-  executed-request stream (deterministic, always fires M times);
+* ``forced`` — administrative crashes at evenly spaced points
+  (deterministic, always fires ``crashes`` times); on a cluster,
+  staggered so one shard is down at a time (:func:`rolling_crash_points`);
 * ``faults`` — the Table 1 fault injector corrupts the running kernel
   at the same points; if a corruption stays latent past the watchdog
   budget the storm forces the crash (the paper's time budget, restated
@@ -28,30 +31,32 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultType
-from repro.reliability.campaign import system_spec_for
+from repro.fs.ondisk import INODES_PER_BLOCK
 from repro.server import (
     ClusterConfig,
-    ClusterLoadReport,
     ClusterService,
+    CrashPoints,
     FileService,
     LoadClient,
     LoadReport,
     LoadSpec,
     ServiceConfig,
-    run_cluster_load,
     run_load,
 )
-from repro.system import build_system
+from repro.system import build_system, system_spec_for
 
 
 @dataclass
 class TrafficConfig:
-    """One traffic-under-faults run."""
+    """One traffic-under-faults run, against one kernel or a cluster."""
 
     #: "disk" | "rio_noprot" | "rio_prot" (Table 1's three systems).
     system: str = "rio_prot"
     clients: int = 16
+    #: Mid-traffic crashes *per kernel*: the whole storm for a single
+    #: service, per shard for a cluster.
     crashes: int = 3
     seed: int = 1
     #: "forced" (administrative crashes) or "faults" (injected faults
@@ -62,11 +67,13 @@ class TrafficConfig:
     #: Executed requests a latent fault may ride before the watchdog
     #: forces the crash ("faults" storm only).
     watchdog_budget: int = 200
-    #: Root file system size in 8 KB blocks (64 clients need room).
+    #: Root file system size in 8 KB blocks, per kernel (64 clients
+    #: need room).
     fs_blocks: int = 2048
     #: Per-client load shape.
     load: LoadSpec = field(default_factory=LoadSpec)
-    #: Service tunables (queue depth, batch size, quotas).
+    #: Single-service tunables (queue depth, batch size, quotas); a
+    #: cluster's shard services take theirs from :class:`ClusterConfig`.
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Re-apply lost journal entries during recovery (meaningful on the
     #: disk system; a Rio run never has anything to repair).
@@ -76,12 +83,34 @@ class TrafficConfig:
     #: backend armed the campaign reconciles the remote tier at every
     #: storm recovery and finishes with the remote-only audit.
     backend: Optional[str] = None
-    #: Pin the execution engine (None keeps the machine default).
+    #: Pin the execution engine on every kernel (None keeps the machine
+    #: default).
     fast_path: Optional[bool] = None
     #: Chaos capability specs to arm — a tuple of JSON-safe dicts whose
     #: keys match :meth:`ChaosRegistry.enable` (``name`` plus knobs and
     #: scope fields).  Empty means no chaos.
     chaos: tuple = ()
+    #: Kernel shards behind a consistent-hash router, or None for a
+    #: bare :class:`FileService`.  Cluster storms are forced and
+    #: rolling; ``chaos``, ``backend``, ``repair`` and the "faults"
+    #: storm are not wired through the shards yet and are rejected with
+    #: a :class:`ConfigurationError`.
+    shards: Optional[int] = None
+    #: Worker processes the campaign may use (1 = everything inline):
+    #: a cluster hosts one shard per worker, a chaos matrix fans its
+    #: trials out.  Digests must not depend on this.
+    jobs: int = 1
+    # -- cluster geometry (read only when ``shards`` is set) -----------
+    #: Router key mode ("dir" colocates directories; "hash" scatters).
+    router_mode: str = "dir"
+    #: Per-shard inode area (None: sized from the client count).
+    inode_blocks: Optional[int] = None
+    #: Per-shard machine memory override (None: the default 16 MB).
+    memory_bytes: Optional[int] = None
+    #: Requests per front-end scheduling batch (None: ClusterConfig
+    #: default; raise at high client counts so every shard sees a
+    #: full per-step batch).
+    batch_size: Optional[int] = None
 
 
 @dataclass
@@ -98,6 +127,7 @@ class TrafficResult:
     rebinds: int = 0
     rebind_failures: int = 0
     transparent_retries: int = 0
+    #: The final durability audit — the service's, or every shard's.
     final_audit_ok: bool = False
     #: Virtual time spent in recovery (reboot + audit), summed.
     recovery_ns: int = 0
@@ -105,7 +135,7 @@ class TrafficResult:
     #: (:meth:`ChaosRegistry.snapshot`) when chaos was armed.
     chaos_fires: int = 0
     chaos_snapshot: list = field(default_factory=list)
-    load: Optional[LoadReport] = None
+    load: LoadReport = field(default_factory=LoadReport)
     #: Independent-verifier second opinions: one dissect scan after each
     #: storm recovery (post-fsck) plus one of the final flushed image.
     dissect_scans: int = 0
@@ -124,6 +154,11 @@ class TrafficResult:
     remote_audit: Optional[dict] = None
     #: :meth:`TieredStats.to_json_dict` snapshot (uploads, dedup hits...).
     remote_stats: Optional[dict] = None
+    #: Cluster only: the cross-shard rename intent audit
+    #: (:meth:`ClusterService.audit_intents`) and the cluster digest
+    #: taken after it.
+    intent_audit: Optional[dict] = None
+    cluster_digest: str = ""
 
     @property
     def remote_ok(self) -> bool:
@@ -134,19 +169,30 @@ class TrafficResult:
 
     @property
     def ok(self) -> bool:
-        """The zero-lost-acks guarantee, including the final audit (and
-        the remote-only audit when a backend is armed)."""
-        return self.lost_acks == 0 and self.final_audit_ok and self.remote_ok
+        """The zero-lost-acks guarantee, including the final audit (plus
+        the remote-only audit when a backend is armed, and the settled
+        intent log on a cluster)."""
+        intents_ok = self.intent_audit is None or bool(self.intent_audit.get("ok"))
+        return self.lost_acks == 0 and self.final_audit_ok and self.remote_ok and intents_ok
 
     @property
     def ack_digest(self) -> str:
-        """Digest of the ordered ack log (determinism fixture)."""
-        return self.load.ack_digest if self.load else ""
+        """Digest of the ordered ack log (single-service fixture)."""
+        return self.load.digests.get("ack_digest", "")
 
     @property
     def state_digest(self) -> str:
-        """Digest of the expected post-run state."""
-        return self.load.state_digest if self.load else ""
+        """Digest of the expected post-run state (single service)."""
+        return self.load.digests.get("state_digest", "")
+
+    #: Attributes a single-service JSON report carries verbatim.
+    _SERVICE_KEYS = (
+        "faults_injected", "watchdog_fired", "repaired_acks", "rebinds",
+        "rebind_failures", "recovery_ns", "chaos_fires", "chaos_snapshot",
+        "ack_digest", "state_digest", "dissect_scans", "dissect_divergences",
+        "divergence_details", "final_image_sha256", "final_dissect_findings",
+        "final_dissect_clean",
+    )
 
     def to_json_dict(self) -> dict:
         """JSON-serializable summary (drops the live objects).
@@ -155,79 +201,106 @@ class TrafficResult:
         so backend-less campaigns (and the chaos digests derived from
         them) serialize exactly as before.
         """
+        config, load = self.config, self.load
         data = {
-            "system": self.config.system,
-            "clients": self.config.clients,
-            "crashes": self.config.crashes,
-            "storm": self.config.storm,
-            "seed": self.config.seed,
+            "system": config.system,
+            "clients": config.clients,
+            "crashes": config.crashes,
+            "storm": config.storm,
+            "seed": config.seed,
             "crashes_observed": self.crashes_observed,
             "recoveries": self.recoveries,
-            "faults_injected": self.faults_injected,
-            "watchdog_fired": self.watchdog_fired,
             "lost_acks": self.lost_acks,
-            "repaired_acks": self.repaired_acks,
-            "rebinds": self.rebinds,
-            "rebind_failures": self.rebind_failures,
             "transparent_retries": self.transparent_retries,
-            "recovery_ns": self.recovery_ns,
-            "chaos_fires": self.chaos_fires,
-            "chaos_snapshot": list(self.chaos_snapshot),
-            "acked": self.load.acked if self.load else 0,
-            "failed": self.load.failed if self.load else 0,
-            "rejected": self.load.rejected if self.load else 0,
+            "acked": load.acked,
+            "failed": load.failed,
+            "rejected": load.rejected,
+            "throughput_ops_per_vsec": load.throughput_ops_per_vsec,
+            "wall_virtual_ns": load.wall_virtual_ns,
             "ok": self.ok,
-            "ack_digest": self.ack_digest,
-            "state_digest": self.state_digest,
-            "dissect_scans": self.dissect_scans,
-            "dissect_divergences": self.dissect_divergences,
-            "divergence_details": list(self.divergence_details),
-            "final_image_sha256": self.final_image_sha256,
-            "final_dissect_findings": self.final_dissect_findings,
-            "final_dissect_clean": self.final_dissect_clean,
         }
-        if self.config.backend is not None:
-            data["backend"] = self.config.backend
-            data["remote_reconciles"] = self.remote_reconciles
-            data["remote_repairs"] = self.remote_repairs
-            data["remote_deferred"] = self.remote_deferred
-            data["remote_ok"] = self.remote_ok
-            data["remote_audit"] = self.remote_audit
-            data["remote_stats"] = self.remote_stats
+        if config.shards is not None:
+            intents = self.intent_audit or {}
+            data.update(
+                shards=config.shards,
+                crashes_per_shard=config.crashes,
+                router_mode=config.router_mode,
+                jobs=config.jobs,
+                cross_renames=intents.get("intents", 0),
+                shard_audits_ok=self.final_audit_ok,
+                intent_audit=dict(intents),
+                cluster_digest=self.cluster_digest,
+            )
+            return data
+        data.update({key: getattr(self, key) for key in self._SERVICE_KEYS})
+        if config.backend is not None:
+            data["backend"] = config.backend
+            for key in ("reconciles", "repairs", "deferred", "ok", "audit", "stats"):
+                data[f"remote_{key}"] = getattr(self, f"remote_{key}")
         return data
 
 
-class _CrashStorm:
-    """The ``before_execute`` hook bringing the kernel down mid-traffic.
+def rolling_crash_points(config: TrafficConfig) -> Dict[int, Tuple[int, ...]]:
+    """Staggered per-shard crash schedule: one shard down at a time.
 
-    Crash points are evenly spaced over the estimated executed-request
-    stream.  The "forced" flavour crashes the machine outright; the
-    "faults" flavour injects one Table 1 fault and arms a watchdog that
-    forces the crash if the corruption stays latent too long.
+    Each shard executes roughly ``1/shards`` of the estimated request
+    stream, so its crash points live on a per-shard executed axis.
+    The axis estimate is deliberately *half* the even-split share:
+    consistent hashing skews the real split (the lightest shard can
+    carry ~half the average at high shard counts), and a crash point
+    beyond a shard's actual traffic would silently never fire.  Crash
+    ``j`` of shard ``i`` lands at fraction
+    ``(j * shards + i + 1) / (total + 1)`` of that axis — interleaving
+    the shards so the storm *rolls* across the cluster instead of
+    taking it down wholesale.
     """
-
-    def __init__(self, system, config: TrafficConfig) -> None:
-        self.system = system
-        self.config = config
-        total = config.clients * (
-            config.load.files_per_client + int(config.load.ops_per_client * 1.4)
+    if config.crashes <= 0:
+        return {}
+    per_shard = config.clients * (
+        config.load.files_per_client + config.load.ops_per_client
+    ) // (2 * max(1, config.shards))
+    total = config.shards * config.crashes
+    points: Dict[int, Tuple[int, ...]] = {}
+    for shard in range(config.shards):
+        shard_points: List[int] = []
+        for crash in range(config.crashes):
+            fraction = (crash * config.shards + shard + 1) / (total + 1)
+            candidate = max(1, int(per_shard * fraction))
+            if shard_points and candidate <= shard_points[-1]:
+                # Short axis: successive fractions truncate to the same
+                # executed count, which would collapse distinct crashes
+                # into one point.  Bump monotonically so every configured
+                # crash keeps its own firing point.
+                candidate = shard_points[-1] + 1
+            shard_points.append(candidate)
+        assert len(set(shard_points)) == config.crashes, (
+            f"shard {shard}: {len(set(shard_points))} distinct crash points "
+            f"for {config.crashes} configured crashes"
         )
-        step = max(1, total // (config.crashes + 1))
-        self.points: List[int] = [step * (i + 1) for i in range(config.crashes)]
-        self.fired = 0
+        points[shard] = tuple(shard_points)
+    return points
+
+
+class _FaultStorm(CrashPoints):
+    """The "faults" flavour: a due point injects one Table 1 fault and
+    arms a watchdog that forces the crash if the corruption stays
+    latent past ``watchdog_budget`` executed requests."""
+
+    def __init__(self, system, points, config: TrafficConfig) -> None:
+        super().__init__(system, points)
+        self.config = config
         self.faults_injected = 0
         self.watchdog_fired = 0
         self._armed_at: Optional[int] = None
         self._armed_kernel = None
 
     def __call__(self, executed: int) -> None:
-        config = self.config
         if self._armed_at is not None:
             if self.system.kernel is not self._armed_kernel:
                 # The fault crashed the kernel on its own (the system
                 # has rebooted since arming): disarm the watchdog.
                 self._armed_at = self._armed_kernel = None
-            elif executed - self._armed_at >= config.watchdog_budget:
+            elif executed - self._armed_at >= self.config.watchdog_budget:
                 # Latent corruption past the budget; force the crash.
                 self._armed_at = self._armed_kernel = None
                 self.watchdog_fired += 1
@@ -237,30 +310,43 @@ class _CrashStorm:
                 return
             else:
                 return
-        if self.fired >= len(self.points) or executed < self.points[self.fired]:
+        if not self.due(executed):
             return
-        self.fired += 1
-        if config.storm == "forced":
-            self.system.machine.crash(
-                f"traffic storm crash {self.fired}/{config.crashes}",
-                kind="forced",
-            )
-        else:
-            # A fresh injector every time: the kernel object is replaced
-            # by each reboot.
-            injector = FaultInjector(
-                self.system.kernel, seed=config.seed * 1000 + self.fired
-            )
-            injector.inject(config.fault_type)
-            self.faults_injected += 1
-            self._armed_at = executed
-            self._armed_kernel = self.system.kernel
+        # A fresh injector every time: the kernel object is replaced
+        # by each reboot.
+        injector = FaultInjector(
+            self.system.kernel, seed=self.config.seed * 1000 + self.fired
+        )
+        injector.inject(self.config.fault_type)
+        self.faults_injected += 1
+        self._armed_at = executed
+        self._armed_kernel = self.system.kernel
 
 
 def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
     """Run one traffic-under-faults campaign; returns its result."""
     if config.storm not in ("forced", "faults"):
         raise ValueError(f"unknown storm {config.storm!r}")
+    if config.shards is not None:
+        unwired = [name for name in ("chaos", "backend", "repair") if getattr(config, name)]
+        if config.storm == "faults":
+            unwired.append('storm="faults"')
+        if unwired:
+            raise ConfigurationError(
+                f"shards={config.shards} with {', '.join(unwired)}: these axes "
+                "are not wired through the cluster's shards yet"
+            )
+    clients = [
+        LoadClient(client_id, seed=config.seed, spec=config.load)
+        for client_id in range(config.clients)
+    ]
+    if config.shards is None:
+        return _run_on_service(config, clients)
+    return _run_on_cluster(config, clients)
+
+
+def _run_on_service(config: TrafficConfig, clients: List[LoadClient]) -> TrafficResult:
+    """One kernel: build it, storm it, audit + dissect + remote audit."""
     spec = system_spec_for(config.system, fs_blocks=config.fs_blocks)
     if config.backend is not None:
         spec = replace(spec, backend=config.backend, backend_seed=config.seed)
@@ -276,7 +362,16 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
         system.install_chaos(registry)
     service_config = replace(config.service, repair_on_recover=config.repair)
     service = FileService(system, service_config)
-    storm = _CrashStorm(system, config)
+    # One kernel's schedule: evenly spaced over the estimated request stream.
+    total = config.clients * (
+        config.load.files_per_client + int(config.load.ops_per_client * 1.4)
+    )
+    step = max(1, total // (config.crashes + 1))
+    points = [step * (i + 1) for i in range(config.crashes)]
+    if config.storm == "forced":
+        storm = CrashPoints(system, points, label="traffic storm")
+    else:
+        storm = _FaultStorm(system, points, config)
     service.before_execute = storm
 
     # Second opinion after every storm recovery: the reboot hook runs at
@@ -288,9 +383,8 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
     remote_reconciles: List = []
 
     def dissect_after_recovery(sys_, report) -> None:
-        remote = getattr(report, "remote", None)
-        if remote is not None:
-            remote_reconciles.append(remote)
+        if report.remote is not None:
+            remote_reconciles.append(report.remote)
         if sys_.disk is None or report.fsck is None:
             return
         scan = dissect_image(snapshot(sys_.disk))
@@ -303,16 +397,13 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
         )
 
     system.add_reboot_hook(dissect_after_recovery)
-    clients = [
-        LoadClient(client_id, seed=config.seed, spec=config.load)
-        for client_id in range(config.clients)
-    ]
     load = run_load(service, clients)
     result = TrafficResult(config=config, load=load)
     result.crashes_observed = service.stats.crashes_detected
     result.recoveries = service.stats.recoveries
-    result.faults_injected = storm.faults_injected
-    result.watchdog_fired = storm.watchdog_fired
+    if config.storm == "faults":
+        result.faults_injected = storm.faults_injected
+        result.watchdog_fired = storm.watchdog_fired
     result.lost_acks = service.stats.lost_acks
     result.repaired_acks = service.stats.repaired_acks
     result.transparent_retries = service.stats.transparent_retries
@@ -360,235 +451,8 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
     return result
 
 
-def format_traffic_report(result: TrafficResult) -> str:
-    """Human-readable summary of one traffic campaign."""
-    config = result.config
-    load = result.load
-    lines = [
-        "traffic-under-faults campaign",
-        f"  system          {config.system}  (storm={config.storm}, seed={config.seed})",
-        f"  clients         {config.clients} x {config.load.ops_per_client} programs",
-        f"  crashes         {result.crashes_observed} observed / {config.crashes} requested",
-    ]
-    if config.storm == "faults":
-        lines.append(
-            f"  faults          {result.faults_injected} injected "
-            f"({config.fault_type.value}), watchdog fired {result.watchdog_fired}"
-        )
-    if result.config.chaos:
-        armed = ",".join(sorted({cap["name"] for cap in result.config.chaos}))
-        lines.append(
-            f"  chaos           {armed}: {result.chaos_fires} fires"
-        )
-    lines += [
-        f"  acked           {load.acked} "
-        f"(failed {load.failed}, rejected {load.rejected}, retried {load.retried})",
-        f"  transparent     {result.transparent_retries} requests re-run across crashes",
-        f"  rebinds         {result.rebinds} fds re-bound, {result.rebind_failures} stale",
-        f"  lost acks       {result.lost_acks}"
-        + (f"  (repaired {result.repaired_acks})" if result.repaired_acks else ""),
-        f"  throughput      {load.throughput_ops_per_vsec:,.0f} ops/vsec",
-        f"  latency p50/p99 {load.latency_percentile(0.50) / 1e6:.2f} / "
-        f"{load.latency_percentile(0.99) / 1e6:.2f} ms (virtual)",
-        f"  ack digest      {result.ack_digest[:16]}",
-        f"  state digest    {result.state_digest[:16]}",
-        f"  dissect         {result.dissect_scans} scans, "
-        f"{result.dissect_divergences} fsck divergences, final image "
-        + ("CLEAN" if result.final_dissect_clean else f"{result.final_dissect_findings} findings")
-        + f" ({result.final_image_sha256[:16]})",
-    ]
-    if config.backend is not None:
-        audit = result.remote_audit or {}
-        lines.append(
-            f"  remote tier     backend={config.backend}: "
-            f"{result.remote_reconciles} reconciles "
-            f"({result.remote_repairs} repairs, "
-            f"{result.remote_deferred} deferred), final audit "
-            + ("OK" if result.remote_ok else "FAILED")
-            + (
-                f" (image {str(audit.get('image_sha256', ''))[:16]})"
-                if audit.get("image_sha256")
-                else ""
-            )
-        )
-    lines += [
-        f"  verdict         {'ZERO LOST ACKS' if result.ok else 'ACKS LOST'}",
-    ]
-    for detail in result.divergence_details[:5]:
-        lines.append(f"  divergence      {detail}")
-    return "\n".join(lines)
-
-
-def run_chaos_campaign(config) -> "object":
-    """Run a chaos capability matrix: one traffic trial per armed set.
-
-    ``config`` is a :class:`~repro.reliability.chaos.ChaosCampaignConfig`;
-    each ``(trial, specs)`` row of its matrix becomes one seeded
-    traffic-under-faults run with those capabilities armed, fanned out
-    through :class:`~repro.reliability.engine.ParallelMap`.  Trials are
-    pure functions of their payloads, so the campaign digest is
-    bit-identical at any ``jobs`` count and on either execution engine.
-    Returns a :class:`~repro.reliability.chaos.ChaosCampaignResult`.
-    """
-    from repro.reliability.chaos import (
-        ChaosCampaignResult,
-        ChaosTrialResult,
-        trial_payload,
-    )
-    from repro.reliability.engine import ParallelMap
-
-    pmap = ParallelMap(
-        "repro.reliability.chaos:_chaos_trial_entry", jobs=config.jobs
-    )
-    tasks = [
-        (trial, trial_payload(config, trial, specs))
-        for trial, specs in config.matrix
-    ]
-    raw = pmap.run(tasks)
-    result = ChaosCampaignResult(config=config)
-    for trial, _specs in config.matrix:
-        summary = raw.get(trial)
-        if summary is None:
-            # A worker died on this trial (quarantined by the engine).
-            result.quarantined.append(trial)
-            continue
-        result.trials.append(ChaosTrialResult.from_json_dict(summary))
-    result.digest = result.compute_digest()
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Cluster traffic: rolling crash storms against the multi-kernel cluster.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClusterTrafficConfig:
-    """One traffic campaign against a sharded cluster."""
-
-    shards: int = 2
-    system: str = "rio_prot"
-    clients: int = 16
-    #: Forced kernel crashes per shard, staggered so at most one shard
-    #: is down at a time (the *rolling* storm).
-    crashes_per_shard: int = 1
-    seed: int = 1
-    #: Router key mode ("dir" colocates directories; "hash" scatters).
-    router_mode: str = "dir"
-    #: Shard hosting: 1 = all shards in-process, >1 = one worker
-    #: process per shard.  Digests must not depend on this.
-    jobs: int = 1
-    #: Per-shard file system geometry.
-    fs_blocks: int = 2048
-    #: Per-shard inode area (None: sized from the client count).
-    inode_blocks: Optional[int] = None
-    #: Per-shard machine memory override (None: the default 16 MB).
-    memory_bytes: Optional[int] = None
-    #: Requests per front-end scheduling batch (None: ClusterConfig
-    #: default; raise at high client counts so every shard sees a
-    #: full per-step batch).
-    batch_size: Optional[int] = None
-    load: LoadSpec = field(default_factory=LoadSpec)
-    #: Pin the execution engine on every shard.
-    fast_path: Optional[bool] = None
-
-
-@dataclass
-class ClusterTrafficResult:
-    """What one cluster traffic campaign observed."""
-
-    config: ClusterTrafficConfig
-    crashes_observed: int = 0
-    recoveries: int = 0
-    lost_acks: int = 0
-    transparent_retries: int = 0
-    shard_audits_ok: bool = False
-    intent_audit: dict = field(default_factory=dict)
-    cluster_digest: str = ""
-    load: Optional[ClusterLoadReport] = None
-
-    @property
-    def ok(self) -> bool:
-        """Zero lost acks, every shard audit clean, intents settled."""
-        return (
-            self.lost_acks == 0
-            and self.shard_audits_ok
-            and bool(self.intent_audit.get("ok"))
-        )
-
-    def to_json_dict(self) -> dict:
-        """JSON-serializable summary (drops the live objects)."""
-        load = self.load
-        return {
-            "shards": self.config.shards,
-            "system": self.config.system,
-            "clients": self.config.clients,
-            "crashes_per_shard": self.config.crashes_per_shard,
-            "seed": self.config.seed,
-            "router_mode": self.config.router_mode,
-            "jobs": self.config.jobs,
-            "crashes_observed": self.crashes_observed,
-            "recoveries": self.recoveries,
-            "lost_acks": self.lost_acks,
-            "transparent_retries": self.transparent_retries,
-            "acked": load.acked if load else 0,
-            "failed": load.failed if load else 0,
-            "rejected": load.rejected if load else 0,
-            "throughput_ops_per_vsec": (
-                load.throughput_ops_per_vsec if load else 0.0
-            ),
-            "wall_virtual_ns": load.wall_virtual_ns if load else 0,
-            "cross_renames": self.intent_audit.get("intents", 0),
-            "shard_audits_ok": self.shard_audits_ok,
-            "intent_audit": dict(self.intent_audit),
-            "ok": self.ok,
-            "cluster_digest": self.cluster_digest,
-        }
-
-
-def rolling_crash_points(config: ClusterTrafficConfig) -> Dict[int, Tuple[int, ...]]:
-    """Staggered per-shard crash schedule: one shard down at a time.
-
-    Each shard executes roughly ``1/shards`` of the estimated request
-    stream, so its crash points live on a per-shard executed axis.
-    The axis estimate is deliberately *half* the even-split share:
-    consistent hashing skews the real split (the lightest shard can
-    carry ~half the average at high shard counts), and a crash point
-    beyond a shard's actual traffic would silently never fire.  Crash
-    ``j`` of shard ``i`` lands at fraction
-    ``(j * shards + i + 1) / (total + 1)`` of that axis — interleaving
-    the shards so the storm *rolls* across the cluster instead of
-    taking it down wholesale.
-    """
-    if config.crashes_per_shard <= 0:
-        return {}
-    per_shard = config.clients * (
-        config.load.files_per_client + config.load.ops_per_client
-    ) // (2 * max(1, config.shards))
-    total = config.shards * config.crashes_per_shard
-    points: Dict[int, Tuple[int, ...]] = {}
-    for shard in range(config.shards):
-        shard_points: List[int] = []
-        for crash in range(config.crashes_per_shard):
-            fraction = (crash * config.shards + shard + 1) / (total + 1)
-            candidate = max(1, int(per_shard * fraction))
-            if shard_points and candidate <= shard_points[-1]:
-                # Short axis: successive fractions truncate to the same
-                # executed count, which would collapse distinct crashes
-                # into one point.  Bump monotonically so every configured
-                # crash keeps its own firing point.
-                candidate = shard_points[-1] + 1
-            shard_points.append(candidate)
-        assert len(set(shard_points)) == config.crashes_per_shard, (
-            f"shard {shard}: {len(set(shard_points))} distinct crash points "
-            f"for {config.crashes_per_shard} configured crashes"
-        )
-        points[shard] = tuple(shard_points)
-    return points
-
-
-def _cluster_inode_blocks(config: ClusterTrafficConfig) -> int:
-    """Per-shard inode area sized for the client population.
+def _cluster_inode_blocks(config: TrafficConfig) -> int:
+    """Per-shard inode area: as configured, else sized for the clients.
 
     Every client owns a home directory (replicated nowhere — it lives
     on the shards its session touches) plus ``files_per_client`` files
@@ -596,77 +460,138 @@ def _cluster_inode_blocks(config: ClusterTrafficConfig) -> int:
     shard and the hash spread is uneven, so each shard is provisioned
     for the full population rather than ``1/shards`` of it.
     """
-    from repro.fs.ondisk import INODES_PER_BLOCK
-
+    if config.inode_blocks is not None:
+        return config.inode_blocks
     inodes = config.clients * (config.load.files_per_client + 4) + 16
     return max(8, math.ceil(inodes / INODES_PER_BLOCK))
 
 
-def run_cluster_campaign(config: ClusterTrafficConfig) -> ClusterTrafficResult:
-    """Drive seeded load through a cluster under a rolling crash storm."""
-    inode_blocks = (
-        config.inode_blocks
-        if config.inode_blocks is not None
-        else _cluster_inode_blocks(config)
-    )
+def _run_on_cluster(config: TrafficConfig, clients: List[LoadClient]) -> TrafficResult:
+    """``shards`` kernels under a rolling storm: shard audits, the
+    intent audit, and the cluster digest."""
     cluster_config = ClusterConfig(
         shards=config.shards,
         system=config.system,
         router_mode=config.router_mode,
         fs_blocks=config.fs_blocks,
-        inode_blocks=inode_blocks,
+        inode_blocks=_cluster_inode_blocks(config),
         memory_bytes=config.memory_bytes,
         fast_path=config.fast_path,
         crash_points=rolling_crash_points(config),
     )
     if config.batch_size is not None:
         cluster_config = replace(cluster_config, batch_size=config.batch_size)
-    cluster = ClusterService(cluster_config, jobs=config.jobs)
-    try:
-        clients = [
-            LoadClient(client_id, seed=config.seed, spec=config.load)
-            for client_id in range(config.clients)
-        ]
-        load = run_cluster_load(cluster, clients)
-        result = ClusterTrafficResult(config=config, load=load)
-        for snap in load.shard_snapshots:
+    with ClusterService(cluster_config, jobs=config.jobs) as cluster:
+        load = run_load(cluster, clients)
+        result = TrafficResult(config=config, load=load)
+        for snap in cluster.snapshots():
             result.crashes_observed += snap["crashes_detected"]
             result.recoveries += snap["recoveries"]
             result.lost_acks += snap["lost_acks"]
             result.transparent_retries += snap["transparent_retries"]
         audits = cluster.audits()
-        result.shard_audits_ok = all(audit["ok"] for audit in audits)
+        result.final_audit_ok = all(audit["ok"] for audit in audits)
         result.lost_acks += sum(len(audit["lost"]) for audit in audits)
         result.intent_audit = cluster.audit_intents()
         result.cluster_digest = cluster.cluster_digest()
-    finally:
-        cluster.close()
     return result
 
 
-def format_cluster_report(result: ClusterTrafficResult) -> str:
-    """Human-readable summary of one cluster traffic campaign."""
-    config = result.config
-    load = result.load
-    lines = [
-        "cluster traffic campaign",
-        f"  shards          {config.shards} x {config.system}  "
-        f"(router={config.router_mode}, jobs={config.jobs}, seed={config.seed})",
-        f"  clients         {config.clients} x {config.load.ops_per_client} programs",
-        f"  storm           rolling, {config.crashes_per_shard} crashes/shard "
-        f"({result.crashes_observed} observed, {result.recoveries} recoveries)",
-        f"  acked           {load.acked} "
-        f"(failed {load.failed}, rejected {load.rejected}, retried {load.retried})",
-        f"  transparent     {result.transparent_retries} requests re-run across crashes",
-        f"  cross renames   {result.intent_audit.get('intents', 0)} "
-        f"(rolled forward {result.intent_audit.get('rolled_forward', 0)}, "
-        f"back {result.intent_audit.get('rolled_back', 0)})",
-        f"  lost acks       {result.lost_acks}",
-        f"  throughput      {load.throughput_ops_per_vsec:,.0f} ops/vsec "
-        f"(cluster wall = slowest shard)",
-        f"  latency p50/p99 {load.latency_percentile(0.50) / 1e6:.2f} / "
-        f"{load.latency_percentile(0.99) / 1e6:.2f} ms (virtual)",
-        f"  cluster digest  {result.cluster_digest[:16]}",
-        f"  verdict         {'ZERO LOST ACKS' if result.ok else 'ACKS LOST'}",
+def format_traffic_report(result: TrafficResult) -> str:
+    """Human-readable summary of one traffic campaign."""
+    config, load = result.config, result.load
+    clustered = config.shards is not None
+    intents = result.intent_audit or {}
+    remote = result.remote_audit or {}
+    # Rows that do not apply to this run evaluate falsy and are dropped.
+    rows = [
+        (
+            "shards",
+            f"{config.shards} x {config.system}  "
+            f"(router={config.router_mode}, jobs={config.jobs}, seed={config.seed})",
+        )
+        if clustered
+        else ("system", f"{config.system}  (storm={config.storm}, seed={config.seed})"),
+        ("clients", f"{config.clients} x {config.load.ops_per_client} programs"),
+        (
+            "storm",
+            f"rolling, {config.crashes} crashes/shard "
+            f"({result.crashes_observed} observed, {result.recoveries} recoveries)",
+        )
+        if clustered
+        else ("crashes", f"{result.crashes_observed} observed / {config.crashes} requested"),
+        config.storm == "faults"
+        and (
+            "faults",
+            f"{result.faults_injected} injected ({config.fault_type.value}), "
+            f"watchdog fired {result.watchdog_fired}",
+        ),
+        config.chaos
+        and (
+            "chaos",
+            ",".join(sorted({cap["name"] for cap in config.chaos}))
+            + f": {result.chaos_fires} fires",
+        ),
+        (
+            "acked",
+            f"{load.acked} (failed {load.failed}, rejected {load.rejected}, "
+            f"retried {load.retried})",
+        ),
+        ("transparent", f"{result.transparent_retries} requests re-run across crashes"),
+        (
+            "cross renames",
+            f"{intents.get('intents', 0)} (rolled forward "
+            f"{intents.get('rolled_forward', 0)}, back {intents.get('rolled_back', 0)})",
+        )
+        if clustered
+        else ("rebinds", f"{result.rebinds} fds re-bound, {result.rebind_failures} stale"),
+        (
+            "lost acks",
+            f"{result.lost_acks}"
+            + (f"  (repaired {result.repaired_acks})" if result.repaired_acks else ""),
+        ),
+        (
+            "throughput",
+            f"{load.throughput_ops_per_vsec:,.0f} ops/vsec"
+            + (" (cluster wall = slowest shard)" if clustered else ""),
+        ),
+        (
+            "latency p50/p99",
+            f"{load.latency_percentile(0.50) / 1e6:.2f} / "
+            f"{load.latency_percentile(0.99) / 1e6:.2f} ms (virtual)",
+        ),
+        clustered and ("cluster digest", result.cluster_digest[:16]),
+        not clustered and ("ack digest", result.ack_digest[:16]),
+        not clustered and ("state digest", result.state_digest[:16]),
+        not clustered
+        and (
+            "dissect",
+            f"{result.dissect_scans} scans, {result.dissect_divergences} fsck "
+            "divergences, final image "
+            + (
+                "CLEAN"
+                if result.final_dissect_clean
+                else f"{result.final_dissect_findings} findings"
+            )
+            + f" ({result.final_image_sha256[:16]})",
+        ),
+        config.backend is not None
+        and (
+            "remote tier",
+            f"backend={config.backend}: {result.remote_reconciles} reconciles "
+            f"({result.remote_repairs} repairs, {result.remote_deferred} deferred), "
+            "final audit "
+            + ("OK" if result.remote_ok else "FAILED")
+            + (
+                f" (image {str(remote['image_sha256'])[:16]})"
+                if remote.get("image_sha256")
+                else ""
+            ),
+        ),
+        ("verdict", "ZERO LOST ACKS" if result.ok else "ACKS LOST"),
+        *(("divergence", detail) for detail in result.divergence_details[:5]),
     ]
-    return "\n".join(lines)
+    title = "cluster traffic campaign" if clustered else "traffic-under-faults campaign"
+    return "\n".join(
+        [title] + [f"  {label:<15} {value}" for label, value in filter(None, rows)]
+    )

@@ -23,8 +23,8 @@ The pieces (one module each):
   server: admission control, request execution, crash detection,
   warm-reboot recovery, session re-binding and the audit.
 * :mod:`repro.server.loadgen` — the deterministic multi-client load
-  generator and the shared driver loop behind ``repro loadgen``,
-  the traffic-under-faults campaign and the server benchmarks.
+  generator and the one driver loop (:func:`run_load`) that drives a
+  :class:`FileService` or a :class:`ClusterService` alike.
 * :mod:`repro.server.router` — the deterministic consistent-hash
   router mapping absolute paths to shards.
 * :mod:`repro.server.cluster` — the multi-kernel cluster: N
@@ -45,7 +45,7 @@ from repro.server.protocol import (
 from repro.server.session import FdState, Session, SessionManager
 from repro.server.journal import AckJournal, AuditReport
 from repro.server.scheduler import RequestScheduler
-from repro.server.service import FileService, ServiceConfig, ServiceStats
+from repro.server.service import CrashPoints, FileService, ServiceConfig, ServiceStats
 from repro.server.loadgen import (
     LoadClient,
     LoadReport,
@@ -57,12 +57,10 @@ from repro.server.router import Router
 from repro.server.cluster import (
     ClusterConfig,
     ClusterIntentLog,
-    ClusterLoadReport,
     ClusterService,
     RenameIntent,
     Shard,
     ShardSpec,
-    run_cluster_load,
 )
 
 __all__ = [
@@ -79,6 +77,7 @@ __all__ = [
     "AckJournal",
     "AuditReport",
     "RequestScheduler",
+    "CrashPoints",
     "FileService",
     "ServiceConfig",
     "ServiceStats",
@@ -90,10 +89,8 @@ __all__ = [
     "Router",
     "ClusterConfig",
     "ClusterIntentLog",
-    "ClusterLoadReport",
     "ClusterService",
     "RenameIntent",
     "Shard",
     "ShardSpec",
-    "run_cluster_load",
 ]

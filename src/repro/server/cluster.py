@@ -58,8 +58,9 @@ from repro.server.protocol import (
 )
 from repro.server.router import Router
 from repro.server.scheduler import RequestScheduler
-from repro.server.service import FileService, ServiceConfig
+from repro.server.service import CrashPoints, FileService, ServiceConfig
 from repro.server.session import resolve_path
+from repro.system import build_system, system_spec_for
 
 #: Reserved client id for cluster-internal traffic (fan-out sub-requests
 #: and cross-shard rename copies).  Real clients are numbered from 0;
@@ -100,35 +101,6 @@ class ShardSpec:
     trace_events: bool = False
 
 
-def _shard_system_spec(spec: ShardSpec):
-    """Build the :class:`~repro.system.SystemSpec` for one shard.
-
-    Mirrors :func:`repro.reliability.campaign.system_spec_for` without
-    importing ``repro.reliability`` (whose package init imports
-    ``repro.server`` — a cycle).
-    """
-    from repro.core import RioConfig
-    from repro.system import SystemSpec
-
-    if spec.system == "disk":
-        base = SystemSpec(fs_type="ufs", policy="ufs", rio=None)
-    elif spec.system == "rio_noprot":
-        base = SystemSpec(
-            fs_type="ufs", policy="rio", rio=RioConfig.without_protection()
-        )
-    elif spec.system == "rio_prot":
-        base = SystemSpec(fs_type="ufs", policy="rio", rio=RioConfig.with_protection())
-    else:
-        raise ClusterError(f"unknown system {spec.system!r}")
-    base = replace(base, fs_blocks=spec.fs_blocks, inode_blocks=spec.inode_blocks)
-    machine = base.machine
-    if spec.memory_bytes is not None:
-        machine = replace(machine, memory_bytes=spec.memory_bytes)
-    if spec.fast_path is not None:
-        machine = replace(machine, fast_path=spec.fast_path)
-    return replace(base, machine=machine)
-
-
 class Shard:
     """One kernel's worth of the cluster: a system plus its service.
 
@@ -141,29 +113,25 @@ class Shard:
     """
 
     def __init__(self, spec: ShardSpec) -> None:
-        from repro.system import build_system
-
+        system_spec = system_spec_for(
+            spec.system, fs_blocks=spec.fs_blocks, inode_blocks=spec.inode_blocks
+        )
+        machine = system_spec.machine
+        if spec.memory_bytes is not None:
+            machine = replace(machine, memory_bytes=spec.memory_bytes)
+        if spec.fast_path is not None:
+            machine = replace(machine, fast_path=spec.fast_path)
         self.spec = spec
-        self.system = build_system(_shard_system_spec(spec))
+        self.system = build_system(replace(system_spec, machine=machine))
         self.service = FileService(self.system, replace(spec.service))
-        self._points = sorted(spec.crash_points)
-        self._fired = 0
-        self.service.before_execute = self._storm_hook
+        self.service.before_execute = CrashPoints(
+            self.system, spec.crash_points, label=f"shard {spec.shard_id} storm"
+        )
         if spec.trace_events:
             recorder = getattr(self.system.machine, "recorder", None)
             if recorder is not None:
                 recorder.static_tags["shard"] = spec.shard_id
                 recorder.start()
-
-    def _storm_hook(self, executed: int) -> None:
-        """Force a kernel crash at each configured executed count."""
-        if self._fired < len(self._points) and executed >= self._points[self._fired]:
-            self._fired += 1
-            self.system.machine.crash(
-                f"shard {self.spec.shard_id} storm crash "
-                f"{self._fired}/{len(self._points)}",
-                kind="forced",
-            )
 
     def open_session(self, client_id: int) -> None:
         """Create the client's shard session (idempotent)."""
@@ -1137,97 +1105,12 @@ class ClusterService:
         h.update(self.intents.digest().encode())
         return h.hexdigest()
 
-
-# ---------------------------------------------------------------------------
-# The cluster load driver.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClusterLoadReport:
-    """The outcome of one :func:`run_cluster_load` drive."""
-
-    shards: int = 0
-    clients: int = 0
-    acked: int = 0
-    failed: int = 0
-    retried: int = 0
-    rejected: int = 0
-    rounds: int = 0
-    #: Max per-shard elapsed virtual time (shards run concurrently, so
-    #: the cluster is done when its slowest shard is).
-    wall_virtual_ns: int = 0
-    latencies_ns: List[int] = field(default_factory=list)
-    shard_snapshots: List[Dict[str, Any]] = field(default_factory=list)
-    cluster_digest: str = ""
-    intent_digest: str = ""
-
-    @property
-    def throughput_ops_per_vsec(self) -> float:
-        """Acknowledged operations per virtual second (cluster-wide)."""
-        if self.wall_virtual_ns <= 0:
-            return 0.0
-        return self.acked / (self.wall_virtual_ns / 1e9)
-
-    def latency_percentile(self, fraction: float) -> int:
-        """The request-latency percentile at ``fraction`` (0..1), in ns."""
-        from repro.server.loadgen import percentile
-
-        return percentile(self.latencies_ns, fraction)
-
-
-def run_cluster_load(
-    cluster: ClusterService,
-    clients,
-    *,
-    max_rounds: int = 1_000_000,
-) -> ClusterLoadReport:
-    """Drive load clients against a cluster until all are done.
-
-    The same round structure as :func:`repro.server.run_load` — top up
-    every pipeline in client-id order, pump one batch, deliver — so a
-    ``(seed, clients, ops)`` triple is exactly as deterministic here as
-    against a single service.
-    """
-    report = ClusterLoadReport(shards=cluster.config.shards, clients=len(clients))
-    by_id = {client.client_id: client for client in clients}
-    for client in clients:
-        cluster.open_session(client.client_id)
-    starts = {snap["shard"]: snap["clock_ns"] for snap in cluster.snapshots()}
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        idle = True
-        for client in clients:
-            while True:
-                request = client.next_request()
-                if request is None:
-                    break
-                idle = False
-                rejection = cluster.submit(request)
-                if rejection is not None:
-                    client.on_response(rejection)
-                    break
-        for response in cluster.pump():
-            idle = False
-            owner = by_id.get(response.client_id)
-            if owner is not None:
-                owner.on_response(response)
-        if idle and cluster.backlog() == 0:
-            if all(client.done for client in clients):
-                break
-    report.rounds = rounds
-    report.shard_snapshots = cluster.snapshots()
-    report.wall_virtual_ns = max(
-        snap["clock_ns"] - starts[snap["shard"]] for snap in report.shard_snapshots
-    )
-    for client in clients:
-        stats = client.stats
-        report.acked += stats.acked
-        report.failed += stats.failed
-        report.retried += stats.retried
-        report.rejected += stats.rejected
-        report.latencies_ns.extend(stats.latencies_ns)
-    report.cluster_digest = cluster.cluster_digest()
-    report.intent_digest = cluster.intents.digest()
-    return report
+    def load_mark(self) -> Tuple[Tuple[int, ...], Dict[str, str]]:
+        """The :meth:`FileService.load_mark` answer for a cluster: one
+        virtual clock per shard, and the cluster + intent-log digests."""
+        clocks = tuple(snap["clock_ns"] for snap in self.snapshots())
+        digests = {
+            "cluster_digest": self.cluster_digest(),
+            "intent_digest": self.intents.digest(),
+        }
+        return clocks, digests

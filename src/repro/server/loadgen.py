@@ -11,9 +11,9 @@ produces one ack log, bit for bit, crash storms included — the
 determinism the traffic campaign asserts across runs *and* across
 execution engines.
 
-:func:`run_load` is the shared driver loop behind ``repro loadgen``,
-``repro serve``, the traffic-under-faults campaign and the server
-benchmarks.
+:func:`run_load` is the one driver loop — behind ``repro loadgen``,
+``repro serve``, ``repro cluster``, the traffic campaign and the
+explorer's traffic workload — for a single service and a cluster alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.server.protocol import Request, Response
-from repro.server.service import FileService
 from repro.util.prng import DeterministicRandom, pattern_bytes
 
 
@@ -234,12 +233,13 @@ class LoadClient:
         # Non-retryable: record, and self-heal the common cases.
         self.stats.failed += 1
         index = self._pending_opens.pop(response.req_id, None)
-        if index is not None:
+        if index is not None and response.error != "ENOSPC":
             # The re-open after a cycle/rename failed (e.g. the unlink
-            # landed un-acked before a crash): create it afresh.
+            # landed un-acked before a crash): create it afresh.  A full
+            # inode table is not healed by asking again — every retry
+            # would fail the same way, forever — so on ENOSPC the slot
+            # stays closed and programs drawing it degrade to ``stat``.
             self._plan_open(index)
-        elif request.op == "unlink" and response.error == "ENOENT":
-            pass  # the unlink itself landed pre-crash; nothing to do
 
     @property
     def done(self) -> bool:
@@ -261,11 +261,15 @@ class LoadReport:
     retried: int = 0
     rejected: int = 0
     rounds: int = 0
+    #: Elapsed virtual time; behind a cluster, the slowest shard's
+    #: (shards run concurrently, so the run is done when it is).
     wall_virtual_ns: int = 0
     latencies_ns: List[int] = field(default_factory=list)
     per_client: List[ClientStats] = field(default_factory=list)
-    ack_digest: str = ""
-    state_digest: str = ""
+    #: The target's end-of-run digests (see its ``load_mark``):
+    #: ``ack_digest``/``state_digest`` for a :class:`FileService`,
+    #: ``cluster_digest``/``intent_digest`` for a cluster.
+    digests: Dict[str, str] = field(default_factory=dict)
 
     @property
     def throughput_ops_per_vsec(self) -> float:
@@ -280,22 +284,26 @@ class LoadReport:
 
 
 def run_load(
-    service: FileService,
+    target,
     clients: List[LoadClient],
     *,
-    max_rounds: int = 100_000,
+    max_rounds: int = 1_000_000,
 ) -> LoadReport:
-    """Drive ``clients`` against ``service`` until all are done.
+    """Drive ``clients`` against ``target`` until all are done.
 
-    One round = every client tops up its pipeline (in client-id order),
-    then the service executes one scheduled batch and the responses are
-    delivered.  Entirely deterministic for fixed seeds.
+    ``target`` is a :class:`~repro.server.FileService` or a
+    :class:`~repro.server.ClusterService` — anything with
+    ``open_session``/``submit``/``pump``, a ``scheduler`` and a
+    ``load_mark``.  One round = every client tops up its pipeline (in
+    client-id order), then the target executes one scheduled batch and
+    the responses are delivered.  Entirely deterministic for fixed
+    seeds.
     """
     report = LoadReport(clients=len(clients))
     by_id = {client.client_id: client for client in clients}
     for client in clients:
-        service.open_session(client.client_id)
-    start_ns = service.system.clock.now_ns
+        target.open_session(client.client_id)
+    start_clocks, _ = target.load_mark()
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
@@ -306,21 +314,23 @@ def run_load(
                 if request is None:
                     break
                 idle = False
-                rejection = service.submit(request)
+                rejection = target.submit(request)
                 if rejection is not None:
                     client.on_response(rejection)
                     break
-        responses = service.pump()
-        for response in responses:
+        for response in target.pump():
             idle = False
             owner = by_id.get(response.client_id)
             if owner is not None:
                 owner.on_response(response)
-        if idle and service.scheduler.backlog() == 0:
+        if idle and target.scheduler.backlog() == 0:
             if all(client.done for client in clients):
                 break
     report.rounds = rounds
-    report.wall_virtual_ns = service.system.clock.now_ns - start_ns
+    clocks, report.digests = target.load_mark()
+    report.wall_virtual_ns = max(
+        now - then for now, then in zip(clocks, start_clocks)
+    )
     for client in clients:
         stats = client.stats
         report.acked += stats.acked
@@ -329,6 +339,4 @@ def run_load(
         report.rejected += stats.rejected
         report.latencies_ns.extend(stats.latencies_ns)
         report.per_client.append(stats)
-    report.ack_digest = service.journal.ack_digest()
-    report.state_digest = service.journal.state_digest()
     return report

@@ -15,7 +15,7 @@ per-request durability audit proves it after every crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     CrashedMachineError,
@@ -88,6 +88,36 @@ class ServiceStats:
     #: chaos campaign reports.
     recovery_ns: int = 0
     audits: List[AuditReport] = field(default_factory=list)
+
+
+class CrashPoints:
+    """A ``before_execute`` hook forcing a kernel crash at fixed points.
+
+    ``points`` are executed-request counts; each fires once, in
+    ascending order, the first time ``executed`` reaches it.  Every
+    forced storm is this hook fed by a schedule (evenly spaced for one
+    kernel, rolling across a cluster's shards); the fault-injecting
+    storm overrides what a due point does.
+    """
+
+    def __init__(self, system, points, label: str = "storm") -> None:
+        self.system = system
+        self.points = tuple(sorted(points))
+        self.label = label
+        self.fired = 0
+
+    def due(self, executed: int) -> bool:
+        """Consume the next point if ``executed`` has reached it."""
+        if self.fired < len(self.points) and executed >= self.points[self.fired]:
+            self.fired += 1
+            return True
+        return False
+
+    def __call__(self, executed: int) -> None:
+        if self.due(executed):
+            self.system.machine.crash(
+                f"{self.label} crash {self.fired}/{len(self.points)}", kind="forced"
+            )
 
 
 class FileService:
@@ -372,6 +402,17 @@ class FileService:
         audit = self.journal.audit(self.system.vfs)
         self.last_audit = audit
         return audit
+
+    def load_mark(self) -> Tuple[Tuple[int, ...], Dict[str, str]]:
+        """What :func:`~repro.server.loadgen.run_load` asks of a target:
+        the virtual clock of every kernel behind it (a run's elapsed
+        time is the slowest kernel's) and the digests naming the
+        acknowledged history so far."""
+        digests = {
+            "ack_digest": self.journal.ack_digest(),
+            "state_digest": self.journal.state_digest(),
+        }
+        return (self._now,), digests
 
     def _on_reboot(self, system, report) -> None:
         """Reboot hook: reconstruct every session on the fresh VFS."""

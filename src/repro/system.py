@@ -74,6 +74,26 @@ class SystemSpec:
         return f"{self.fs_type}/{self.policy}/{rio}"
 
 
+#: Table 1's three systems, by the names every campaign and CLI uses.
+SYSTEM_NAMES = ("disk", "rio_noprot", "rio_prot")
+
+
+def system_spec_for(name: str, **overrides) -> SystemSpec:
+    """The SystemSpec for one of Table 1's three systems (described in
+    :mod:`repro.reliability.campaign`); ``overrides`` are SystemSpec
+    fields.  Unknown names raise ``ValueError``."""
+    if name == "disk":
+        rio = None
+    elif name == "rio_noprot":
+        rio = RioConfig.without_protection()
+    elif name == "rio_prot":
+        rio = RioConfig.with_protection()
+    else:
+        raise ValueError(f"unknown system {name!r}; know {SYSTEM_NAMES}")
+    policy = "ufs" if rio is None else "rio"
+    return SystemSpec(fs_type="ufs", policy=policy, rio=rio, **overrides)
+
+
 @dataclass
 class RebootReport:
     """What happened during one reboot."""

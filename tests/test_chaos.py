@@ -16,7 +16,6 @@ from repro.faults import ChaosRegistry
 from repro.reliability import (
     ChaosCampaignConfig,
     ChaosSpec,
-    ClusterTrafficConfig,
     TrafficConfig,
     format_chaos_report,
     rolling_crash_points,
@@ -245,17 +244,17 @@ def test_namespace_ops_submit_exclusively():
 def test_rolling_crash_points_are_unique_even_on_short_storms():
     # A storm so short the naive fraction spacing would emit duplicate
     # (clustered) crash points.
-    config = ClusterTrafficConfig(
+    config = TrafficConfig(
         shards=2,
         clients=2,
-        crashes_per_shard=4,
+        crashes=4,
         load=LoadSpec(ops_per_client=2),
     )
     points = rolling_crash_points(config)
     assert set(points) == {0, 1}
     for shard_points in points.values():
-        assert len(shard_points) == config.crashes_per_shard
-        assert len(set(shard_points)) == config.crashes_per_shard
+        assert len(shard_points) == config.crashes
+        assert len(set(shard_points)) == config.crashes
         assert list(shard_points) == sorted(shard_points)
 
 
@@ -264,12 +263,12 @@ def test_rolling_crash_points_are_unique_even_on_short_storms():
 # ---------------------------------------------------------------------------
 
 
-def _small_campaign(**overrides):
-    params = dict(
-        clients=4, ops_per_client=10, crashes=1, seed=7, fs_blocks=2048
-    )
+def _small_campaign(ops_per_client=10, **overrides):
+    params = dict(clients=4, crashes=1, seed=7, fs_blocks=2048)
     params.update(overrides)
-    return ChaosCampaignConfig(**params)
+    return ChaosCampaignConfig(
+        base=TrafficConfig(load=LoadSpec(ops_per_client=ops_per_client), **params)
+    )
 
 
 def test_matrix_zero_lost_acks_and_every_capability_wired():
@@ -285,6 +284,9 @@ def test_matrix_zero_lost_acks_and_every_capability_wired():
         assert trial.lost_acks == 0
         assert trial.crashes_observed == 1
         assert trial.recovery_ns > 0
+        # Every armed capability actually struck: the hooks are wired,
+        # not decorative.
+        assert trial.chaos_fires > 0 or trial.trial == "baseline", trial.trial
     # slow_io stretches IO but denies nothing, so nothing fails.
     assert by_name["slow_io"].chaos_fires > 0
     assert by_name["slow_io"].failed == 0

@@ -16,17 +16,19 @@ from repro.obs.events import FlightRecorder
 from repro.server import (
     ClusterConfig,
     ClusterService,
+    FileService,
     LoadClient,
     LoadSpec,
     Request,
     Router,
-    run_cluster_load,
+    run_load,
 )
 from repro.reliability import (
-    ClusterTrafficConfig,
+    TrafficConfig,
     rolling_crash_points,
-    run_cluster_campaign,
+    run_traffic_campaign,
 )
+from repro.system import build_system, system_spec_for
 
 LIGHT = LoadSpec(ops_per_client=15, files_per_client=2)
 
@@ -91,7 +93,7 @@ def test_router_rejects_bad_config():
 def test_cluster_serves_load_with_zero_failures():
     with ClusterService(ClusterConfig(shards=2, router_mode="dir")) as cluster:
         clients = [LoadClient(c, seed=11, spec=LIGHT) for c in range(6)]
-        report = run_cluster_load(cluster, clients)
+        report = run_load(cluster, clients)
         assert report.failed == 0
         assert report.acked > 0
         audits = cluster.audits()
@@ -100,16 +102,31 @@ def test_cluster_serves_load_with_zero_failures():
 
 
 def test_cluster_matches_single_service_ack_count():
-    """Sharding changes placement, never outcomes: the same seeded load
-    acks the same number of operations as on one shard."""
-    counts = []
-    for shards in (1, 3):
+    """One driver, any target: ``run_load`` drives a bare FileService
+    and clusters of 1, 2 and 3 shards to completion, and sharding
+    changes placement, never outcomes — the same seeded load acks the
+    same number of operations everywhere."""
+
+    def drive(target):
+        clients = [LoadClient(c, seed=5, spec=LIGHT) for c in range(4)]
+        report = run_load(target, clients)
+        assert all(client.done for client in clients)
+        assert report.failed == 0
+        assert report.wall_virtual_ns > 0
+        return report
+
+    single = drive(FileService(build_system(system_spec_for("rio_prot", fs_blocks=2048))))
+    assert set(single.digests) == {"ack_digest", "state_digest"}
+    counts = [single.acked]
+    for shards in (1, 2, 3):
         with ClusterService(
             ClusterConfig(shards=shards, router_mode="hash")
         ) as cluster:
-            clients = [LoadClient(c, seed=5, spec=LIGHT) for c in range(4)]
-            counts.append(run_cluster_load(cluster, clients).acked)
-    assert counts[0] == counts[1], counts
+            report = drive(cluster)
+            assert set(report.digests) == {"cluster_digest", "intent_digest"}
+            assert report.digests["cluster_digest"] == cluster.cluster_digest()
+            counts.append(report.acked)
+    assert len(set(counts)) == 1, counts
 
 
 def test_readdir_fans_out_and_merges_sorted_union():
@@ -141,11 +158,11 @@ def test_readdir_fans_out_and_merges_sorted_union():
 
 
 def _campaign(jobs=1, fast_path=None, crashes=0):
-    return run_cluster_campaign(
-        ClusterTrafficConfig(
+    return run_traffic_campaign(
+        TrafficConfig(
             shards=2,
             clients=6,
-            crashes_per_shard=crashes,
+            crashes=crashes,
             seed=11,
             router_mode="hash",
             jobs=jobs,
@@ -186,9 +203,7 @@ def test_rolling_storm_loses_nothing_and_acks_match_calm():
 
 
 def test_rolling_crash_points_stagger_one_shard_at_a_time():
-    config = ClusterTrafficConfig(
-        shards=4, clients=32, crashes_per_shard=2, load=LIGHT
-    )
+    config = TrafficConfig(shards=4, clients=32, crashes=2, load=LIGHT)
     points = rolling_crash_points(config)
     assert set(points) == {0, 1, 2, 3}
     # Interleaved: sorting every (point, shard) pair by point must
@@ -457,7 +472,7 @@ def test_cluster_events_carry_shard_tags():
     )
     with cluster:
         clients = [LoadClient(c, seed=3, spec=LIGHT) for c in range(2)]
-        run_cluster_load(cluster, clients)
+        run_load(cluster, clients)
         for shard in range(2):
             events = cluster._shard_call(shard, "events")
             assert events, f"shard {shard} recorded nothing"

@@ -8,9 +8,11 @@ engine.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.faults import FaultType
 from repro.reliability import TrafficConfig, format_traffic_report, run_traffic_campaign
-from repro.server import LoadSpec
+from repro.server import FileService, LoadClient, LoadSpec, run_load
+from repro.system import build_system, system_spec_for
 
 
 def small_load(ops=12):
@@ -113,3 +115,60 @@ def test_disk_system_loses_acks_and_repair_heals():
 def test_unknown_storm_rejected():
     with pytest.raises(ValueError):
         run_traffic_campaign(TrafficConfig(storm="hurricane"))
+
+
+def test_sixty_four_clients_stay_within_ten_x_of_sixteen():
+    # The 64-client cliff stays dead: the seed repo collapsed ~158x here
+    # (a fixed 48-page buffer cache plus one synchronous disk flush per
+    # eviction); clustered LRU eviction and the auto-sized cache hold
+    # calm throughput at 64 clients within 10x of 16 clients.
+    def calm_throughput(clients):
+        result = run_traffic_campaign(
+            TrafficConfig(
+                system="rio_prot", clients=clients, crashes=0, seed=7, load=small_load(10)
+            )
+        )
+        assert result.ok, result.to_json_dict()
+        return result.load.throughput_ops_per_vsec
+
+    thr_16, thr_64 = calm_throughput(16), calm_throughput(64)
+    assert thr_64 * 10.0 > thr_16, (thr_16, thr_64)
+
+
+def test_full_inode_table_fails_opens_instead_of_livelocking():
+    # 14 clients want 14 homes + 56 files out of one inode block (64
+    # inodes).  A client whose open hits ENOSPC used to re-plan the
+    # same doomed open forever; now the slot stays closed, the failure
+    # is counted, and the run terminates with every ack intact.
+    system = build_system(system_spec_for("rio_prot", fs_blocks=512, inode_blocks=1))
+    service = FileService(system)
+    clients = [LoadClient(c, seed=3, spec=small_load(12)) for c in range(14)]
+    report = run_load(service, clients, max_rounds=200)
+    assert all(client.done for client in clients), report.rounds
+    assert report.failed > 0
+    assert report.acked > 0
+    audit = service.audit()
+    assert audit.ok and not audit.lost
+    assert service.stats.lost_acks == 0
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [
+        dict(chaos=({"name": "slow_io"},)),
+        dict(backend="tiered"),
+        dict(repair=True),
+        dict(storm="faults"),
+    ],
+    ids=["chaos", "backend", "repair", "faults"],
+)
+def test_cluster_rejects_axes_not_wired_through_shards(axis, monkeypatch):
+    # Expressible, not implemented: a typed error naming the
+    # combination, raised before any system is built.
+    def no_systems(*_args, **_kwargs):
+        raise AssertionError("a system was built before the rejection")
+
+    monkeypatch.setattr("repro.server.cluster.build_system", no_systems)
+    monkeypatch.setattr("repro.reliability.traffic.build_system", no_systems)
+    with pytest.raises(ConfigurationError, match=next(iter(axis))):
+        run_traffic_campaign(TrafficConfig(shards=2, **axis))
