@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-backend forensics-smoke explore-smoke examples table1 table1-par table2 clean
+.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-backend bench-compare forensics-smoke explore-smoke examples table1 table1-par table2 clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -50,6 +50,13 @@ bench-cluster:
 # rate); regenerates the tracked benchmarks/results/backend_throughput.txt.
 bench-backend:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/bench_backend.py --benchmark-only -q -s
+
+# Diff two tracked trajectories of the repository benchmark
+# (BENCH_<pr>.json at the repo root, written by `python3 -m bench
+# --repeat 5 --out ...`): make bench-compare OLD=BENCH_12.json
+# NEW=BENCH_13.json.  Exits 1 on a regression beyond the compare bounds.
+bench-compare:
+	$(PY) -m bench --compare $(OLD) $(NEW)
 
 # Flight-recorder smoke: a tiny traced 2-job campaign (disk/pointer
 # corrupts within its first attempts under the default seed schedule),

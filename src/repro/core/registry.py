@@ -94,17 +94,12 @@ class RegistryEntry:
 
     @classmethod
     def from_bytes(cls, slot: int, data: bytes) -> "RegistryEntry":
-        (
-            phys_addr,
-            dev,
-            ino,
-            file_offset,
-            size,
-            flags,
-            disk_block,
-            checksum,
-            _pad,
-        ) = _ENTRY_FMT.unpack(data[:ENTRY_SIZE])
+        return cls.from_fields(slot, _ENTRY_FMT.unpack_from(data))
+
+    @classmethod
+    def from_fields(cls, slot: int, fields: tuple) -> "RegistryEntry":
+        """Build an entry from one unpacked ``_ENTRY_FMT`` record."""
+        phys_addr, dev, ino, file_offset, size, flags, disk_block, checksum, _pad = fields
         return cls(
             slot=slot,
             phys_addr=phys_addr,
@@ -164,9 +159,15 @@ class Registry:
                 REGISTRY_MAGIC, self.capacity, ENTRY_SIZE, self.base_paddr
             )
             self.bus.store(self.base_vaddr, header, _REG_CTX)
-            zero = b"\x00" * ENTRY_SIZE
-            for slot in range(self.capacity):
-                self.bus.store(self.entry_vaddr(slot), zero, _REG_CTX)
+            # One store per registry page, through the bus: a page that
+            # is protected outside a window still traps.
+            page_size = self.bus.memory.page_size
+            addr = self.base_vaddr + HEADER_SIZE
+            end = addr + self.capacity * ENTRY_SIZE
+            while addr < end:
+                take = min(end - addr, page_size - addr % page_size)
+                self.bus.store(addr, bytes(take), _REG_CTX)
+                addr += take
         self._free_slots = list(range(self.capacity - 1, -1, -1))
 
     # -- slot management ----------------------------------------------------------
@@ -226,7 +227,9 @@ class Registry:
 # -- post-crash access (raw memory image, no kernel required) -----------------
 
 
-def find_registry_in_image(image: bytes, page_size: int) -> tuple[int, int] | None:
+def find_registry_in_image(
+    image: bytes | bytearray | memoryview, page_size: int
+) -> tuple[int, int] | None:
     """Locate the registry in a raw memory image.
 
     Scans page-aligned offsets from the top of memory down (the registry
@@ -237,20 +240,22 @@ def find_registry_in_image(image: bytes, page_size: int) -> tuple[int, int] | No
     for offset in range(len(image) - page_size, -1, -page_size):
         if len(image) - offset < HEADER_SIZE:
             continue
-        magic, capacity, entry_size, base_paddr = _HEADER_FMT.unpack(
-            image[offset : offset + _HEADER_FMT.size]
-        )
+        magic, capacity, entry_size, base_paddr = _HEADER_FMT.unpack_from(image, offset)
         if magic == REGISTRY_MAGIC and entry_size == ENTRY_SIZE and base_paddr == offset:
             return offset, capacity
     return None
 
 
-def read_entries_from_image(image: bytes, base_offset: int, capacity: int) -> list[RegistryEntry]:
+def read_entries_from_image(
+    image: bytes | bytearray | memoryview, base_offset: int, capacity: int
+) -> list[RegistryEntry]:
     """Decode all valid entries from a raw memory image."""
+    start = base_offset + HEADER_SIZE
+    region = memoryview(image)[start : start + capacity * ENTRY_SIZE]
+    if len(region) != capacity * ENTRY_SIZE:
+        raise struct.error("registry entries extend past the memory image")
     entries = []
-    for slot in range(capacity):
-        start = base_offset + HEADER_SIZE + slot * ENTRY_SIZE
-        entry = RegistryEntry.from_bytes(slot, image[start : start + ENTRY_SIZE])
-        if entry.valid:
-            entries.append(entry)
+    for slot, fields in enumerate(_ENTRY_FMT.iter_unpack(region)):
+        if fields[5] & FLAG_VALID:  # flags
+            entries.append(RegistryEntry.from_fields(slot, fields))
     return entries

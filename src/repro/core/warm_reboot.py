@@ -53,6 +53,7 @@ class WarmRebootReport:
 
 def audit_checksums(image: bytes, entries: list[RegistryEntry], report: WarmRebootReport) -> None:
     """Compare each valid entry's recorded checksum against the dump."""
+    image = memoryview(image)  # pages are checksummed in place, not sliced out
     for entry in entries:
         if entry.changing:
             # Mid-write at crash time: cannot be classified by checksum.
@@ -102,13 +103,14 @@ def dump_and_recover_metadata(
                 changing=report.changing_entries,
             )
 
+    view = memoryview(image)
     for entry in entries:
         if not entry.is_metadata or entry.disk_block is None or not entry.dirty:
             continue
         disk = block_devices.get(entry.dev)
         if disk is None:
             continue
-        data = image[entry.phys_addr : entry.phys_addr + BLOCK_SIZE]
+        data = view[entry.phys_addr : entry.phys_addr + BLOCK_SIZE]
         disk.write(entry.disk_block * SECTORS_PER_BLOCK, data, sync=True)
         report.metadata_restored += 1
     if rec is not None:
@@ -123,6 +125,7 @@ def restore_ubc(fs, image: bytes, entries: list[RegistryEntry], report: WarmRebo
     ``write_by_ino(ino, offset, data)`` — the by-inode equivalents of the
     open/write syscalls the paper's restore process uses.
     """
+    image = memoryview(image)
     for entry in entries:
         if entry.is_metadata:
             continue

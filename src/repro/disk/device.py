@@ -1,5 +1,11 @@
 """The simulated disk: sector store, request queue, crash semantics.
 
+The platter is a dict of lazily allocated fixed-size **extents**
+(``bytearray``s of :data:`EXTENT_SECTORS` sectors keyed by extent index):
+every store operation is a handful of slice copies however many sectors
+it spans, and an extent nobody wrote anything but zeros to is never
+materialised — it reads as zeros and costs no memory.
+
 Write handling is the part that matters for the paper's experiments:
 
 * A write is *applied to the sector store immediately* (so later reads see
@@ -27,6 +33,12 @@ from typing import Callable, Optional
 from repro.errors import ConfigurationError, MachineCheck
 from repro.disk.model import DiskParameters
 from repro.hw.clock import Clock
+
+#: Sectors per extent: 64 KiB at 512-byte sectors — eight file-system
+#: blocks, so a block access never straddles extents and a whole-memory
+#: dump is a few hundred slice copies, while a sparse image (mkfs, a few
+#: files, the backup superblock in the last block) stays a few extents.
+EXTENT_SECTORS = 128
 
 
 @dataclass
@@ -76,7 +88,10 @@ class SimulatedDisk:
         self.params = params or DiskParameters()
         self.num_sectors = num_sectors
         self.sector_size = self.params.sector_size
-        self._sectors: dict[int, bytes] = {}
+        self._extent_bytes = EXTENT_SECTORS * self.sector_size
+        self._extents: dict[int, bytearray] = {}
+        #: Stands in for every unmaterialised extent on the read side.
+        self._zero_extent = bytes(self._extent_bytes)
         self._clock: Clock | None = None
         self._pending: list[DiskRequest] = []
         self._busy_until_ns = 0
@@ -115,24 +130,49 @@ class SimulatedDisk:
                 f"disk {self.name}: sectors [{sector}, {sector + count}) out of range"
             )
 
+    def _spans(self, sector: int, nbytes: int):
+        """``(extent index, offset, length)`` of each piece of a byte run
+        starting at ``sector``, cut at extent boundaries."""
+        size = self._extent_bytes
+        index, off = divmod(sector * self.sector_size, size)
+        while nbytes > 0:
+            take = min(nbytes, size - off)
+            yield index, off, take
+            nbytes -= take
+            index += 1
+            off = 0
+
     def peek(self, sector: int, count: int) -> bytes:
         """Read sectors without consuming virtual time."""
         self._check_range(sector, count)
-        out = bytearray()
-        for s in range(sector, sector + count):
-            out += self._sectors.get(s, b"\x00" * self.sector_size)
-        return bytes(out)
+        nbytes = count * self.sector_size
+        extents, zeros = self._extents, self._zero_extent
+        parts = [
+            memoryview(extents.get(index, zeros))[off : off + take]
+            for index, off, take in self._spans(sector, nbytes)
+        ]
+        if len(parts) > 1 and all(part.obj is zeros for part in parts):
+            # A long never-written run (the first dump's ``old_data``):
+            # fresh zeros cost no copy and, untouched, no resident memory.
+            return bytes(nbytes)
+        return b"".join(parts)
 
-    def poke(self, sector: int, data: bytes) -> None:
+    def poke(self, sector: int, data: bytes | bytearray | memoryview) -> None:
         """Write sectors without queueing or consuming time (mkfs, tests)."""
-        if len(data) % self.sector_size:
+        view = memoryview(data).cast("B")
+        if len(view) % self.sector_size:
             raise ValueError("poke data must be whole sectors")
-        count = len(data) // self.sector_size
-        self._check_range(sector, count)
-        for i in range(count):
-            self._sectors[sector + i] = bytes(
-                data[i * self.sector_size : (i + 1) * self.sector_size]
-            )
+        self._check_range(sector, len(view) // self.sector_size)
+        pos = 0
+        for index, off, take in self._spans(sector, len(view)):
+            chunk = view[pos : pos + take]
+            pos += take
+            extent = self._extents.get(index)
+            if extent is None:
+                if bytes(chunk) == bytes(take):
+                    continue  # zeros over zeros (most of a memory dump)
+                extent = self._extents[index] = bytearray(self._extent_bytes)
+            extent[off : off + take] = chunk
 
     # -- timed operations ----------------------------------------------------
 
@@ -162,15 +202,16 @@ class SimulatedDisk:
     def write(
         self,
         sector: int,
-        data: bytes,
+        data: bytes | bytearray | memoryview,
         *,
         sync: bool,
         on_complete: Optional[Callable[[DiskRequest], None]] = None,
     ) -> DiskRequest:
         """Write sectors; ``sync=True`` blocks until the platter has them."""
-        if len(data) % self.sector_size:
+        nbytes = memoryview(data).nbytes
+        if nbytes % self.sector_size:
             raise ValueError("write data must be whole sectors")
-        count = len(data) // self.sector_size
+        count = nbytes // self.sector_size
         self._check_range(sector, count)
         clock = self._require_clock()
         start = max(clock.now_ns, self._busy_until_ns)
@@ -265,7 +306,7 @@ class SimulatedDisk:
         done = min(request.nsectors, max(0, int(request.nsectors * fraction)))
         # Sectors beyond the head position retain their old contents.
         if done + 1 < request.nsectors:
-            tail = request.old_data[(done + 1) * self.sector_size :]
+            tail = memoryview(request.old_data)[(done + 1) * self.sector_size :]
             self.poke(request.sector + done + 1, tail)
         if done < request.nsectors:
             # The sector under the head is torn: a deterministic scramble

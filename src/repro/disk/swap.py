@@ -23,14 +23,26 @@ class SwapPartition:
         self.num_sectors = num_sectors
         self.size_bytes = num_sectors * disk.sector_size
 
-    def dump_memory_image(self, image: bytes, *, sync: bool = True) -> None:
+    def dump_memory_image(
+        self, image: bytes | bytearray | memoryview, *, sync: bool = True
+    ) -> None:
         """Write a physical-memory image to swap (timed, like the real dump)."""
-        if len(image) > self.size_bytes:
+        view = memoryview(image).cast("B")
+        if len(view) > self.size_bytes:
             raise ConfigurationError(
-                f"memory image ({len(image)} B) exceeds swap ({self.size_bytes} B)"
+                f"memory image ({len(view)} B) exceeds swap ({self.size_bytes} B)"
             )
-        padded = image + b"\x00" * (-len(image) % self.disk.sector_size)
-        self.disk.write(self.start_sector, padded, sync=sync)
+        sector_size = self.disk.sector_size
+        body = len(view) - len(view) % sector_size
+        if body:
+            self.disk.write(self.start_sector, view[:body], sync=sync)
+        if body < len(view):
+            # A ragged image (none of the shipped geometries produces
+            # one: memory is whole pages, pages are whole sectors) pads
+            # only its tail sector, written as a second, sequential
+            # request — never a padded copy of the whole image.
+            tail = bytes(view[body:]).ljust(sector_size, b"\x00")
+            self.disk.write(self.start_sector + body // sector_size, tail, sync=sync)
 
     def read_memory_image(self, nbytes: int) -> bytes:
         """Read back the dumped image (used by the user-level restore)."""

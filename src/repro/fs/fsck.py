@@ -75,6 +75,10 @@ class _RawFs:
     def __init__(self, disk) -> None:
         self.disk = disk
         self.sb: Superblock | None = None
+        #: The inode-table block read last, ``(block_no, bytes)``: an
+        #: inode pass walks slots in order, so one read serves a block's
+        #: worth of them.  :meth:`write_block` keeps it current.
+        self._table: tuple[int, bytes] = (-1, b"")
 
     def read_block(self, block_no: int) -> bytes:
         return self.disk.peek(block_no * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK)
@@ -82,34 +86,33 @@ class _RawFs:
     def write_block(self, block_no: int, data: bytes) -> None:
         assert len(data) == BLOCK_SIZE
         self.disk.poke(block_no * SECTORS_PER_BLOCK, data)
+        if block_no == self._table[0]:
+            self._table = (block_no, data)
 
-    def read_inode(self, ino: int) -> Inode:
-        block = self.sb.inode_start + ino // INODES_PER_BLOCK
-        offset = (ino % INODES_PER_BLOCK) * INODE_SIZE
-        raw = self.read_block(block)[offset : offset + INODE_SIZE]
+    def _table_block(self, ino: int) -> tuple[int, bytes, int]:
+        """``(block_no, block bytes, byte offset)`` of inode ``ino``'s slot."""
+        block_no = self.sb.inode_start + ino // INODES_PER_BLOCK
+        if block_no != self._table[0]:
+            self._table = (block_no, self.read_block(block_no))
+        return block_no, self._table[1], (ino % INODES_PER_BLOCK) * INODE_SIZE
+
+    def read_inode(self, ino: int) -> Inode | None:
+        """The inode in slot ``ino``; None if it is mangled.  A never-used
+        (all-zero) slot is a valid free inode."""
+        _, block, offset = self._table_block(ino)
+        raw = block[offset : offset + INODE_SIZE]
+        if raw == b"\x00" * INODE_SIZE:
+            return Inode(ino=ino)
         try:
             return Inode.from_bytes(ino, raw, strict=True)
         except CorruptStructure:
-            return Inode(ino=ino)  # treated as free; caller records the fix
-
-    def inode_is_mangled(self, ino: int) -> bool:
-        block = self.sb.inode_start + ino // INODES_PER_BLOCK
-        offset = (ino % INODES_PER_BLOCK) * INODE_SIZE
-        raw = self.read_block(block)[offset : offset + INODE_SIZE]
-        if raw == b"\x00" * INODE_SIZE:
-            return False  # a never-used slot is a valid free inode
-        try:
-            Inode.from_bytes(ino, raw, strict=True)
-            return False
-        except CorruptStructure:
-            return True
+            return None
 
     def write_inode(self, inode: Inode) -> None:
-        block = self.sb.inode_start + inode.ino // INODES_PER_BLOCK
-        offset = (inode.ino % INODES_PER_BLOCK) * INODE_SIZE
-        data = bytearray(self.read_block(block))
+        block_no, block, offset = self._table_block(inode.ino)
+        data = bytearray(block)
         data[offset : offset + INODE_SIZE] = inode.to_bytes()
-        self.write_block(block, bytes(data))
+        self.write_block(block_no, bytes(data))
 
 
 def _valid_data_block(sb: Superblock, block_no: int) -> bool:
@@ -148,11 +151,11 @@ def fsck(disk) -> FsckReport:
     claimed: dict[int, int] = {}  # block -> first claiming ino
     for ino in range(1, sb.num_inodes):
         report.inodes_checked += 1
-        if raw.inode_is_mangled(ino):
+        inode = raw.read_inode(ino)
+        if inode is None:
             report.fix(f"inode {ino}: mangled; cleared")
             raw.write_inode(Inode(ino=ino))
             continue
-        inode = raw.read_inode(ino)
         if not inode.is_allocated:
             continue
         changed = False

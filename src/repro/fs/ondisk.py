@@ -324,6 +324,20 @@ class Inode:
         )
 
 
+_INODE_TAG_FMT = struct.Struct(f"<HB{INODE_SIZE - 3}x")  # one slot's magic, type
+_LIVE_TYPES = frozenset(int(t) for t in FileType if t is not FileType.FREE)
+
+
+def allocated_slots(block: bytes | bytearray | memoryview) -> list[bool]:
+    """Per inode slot of one inode-table block: would a non-strict decode
+    (bad magic or bad type reads as free) find the inode allocated?  The
+    mount-time free-inode scan's question, answered a block at a time."""
+    return [
+        magic == INODE_MAGIC and ftype in _LIVE_TYPES
+        for magic, ftype in _INODE_TAG_FMT.iter_unpack(block)
+    ]
+
+
 @dataclass(frozen=True)
 class DirEntry:
     """A fixed-size directory record (32 bytes)."""

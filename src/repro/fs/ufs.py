@@ -44,6 +44,7 @@ from repro.fs.ondisk import (
     INODE_SIZE,
     Inode,
     Superblock,
+    allocated_slots,
 )
 from repro.fs.types import (
     BLOCK_SIZE,
@@ -207,13 +208,20 @@ class UFS:
         self.write_meta(0, 0, self.sb.to_bytes(), meta_class="super")
 
     def _scan_free_inodes(self) -> None:
+        """Rebuild the free list: one metadata read per inode-table block,
+        last block first — the order in which a descending per-inode walk
+        first touches them, so the buffer cache's LRU order is the same."""
         self._free_inos = []
-        for ino in range(self.sb.num_inodes - 1, ROOT_INO, -1):
-            if ino == LOST_FOUND_INO:
-                continue
-            inode = self._iget_raw(ino, strict=False)
-            if not inode.is_allocated:
-                self._free_inos.append(ino)
+        num_inodes = self.sb.num_inodes
+        for index in range((num_inodes - 1) // INODES_PER_BLOCK, -1, -1):
+            allocated = allocated_slots(
+                self.read_meta(self.sb.inode_start + index, 0, BLOCK_SIZE, meta_class="inode")
+            )
+            base = index * INODES_PER_BLOCK
+            last = min(num_inodes, base + INODES_PER_BLOCK) - 1
+            for ino in range(last, max(base, ROOT_INO + 1) - 1, -1):
+                if ino != LOST_FOUND_INO and not allocated[ino - base]:
+                    self._free_inos.append(ino)
 
     # ------------------------------------------------------------------
     # metadata access through the buffer cache

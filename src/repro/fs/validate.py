@@ -75,10 +75,15 @@ def validate(disk) -> ValidationReport:
     except CorruptStructure:
         report.note("backup superblock unreadable")
 
+    table = (-1, b"")  # the inode-table block read last: one read per block
+
     def read_inode(ino: int) -> Inode | None:
+        nonlocal table
         block = sb.inode_start + ino // INODES_PER_BLOCK
+        if block != table[0]:
+            table = (block, _read_block(disk, block))
         offset = (ino % INODES_PER_BLOCK) * INODE_SIZE
-        raw = _read_block(disk, block)[offset : offset + INODE_SIZE]
+        raw = table[1][offset : offset + INODE_SIZE]
         if raw == b"\x00" * INODE_SIZE:
             return Inode(ino=ino)
         try:

@@ -167,6 +167,7 @@ class MemoryBus:
         self.fast_path = fast_path
         self._page_size = mmu.memory.page_size
         self._pages = mmu.memory._pages
+        self._zero_page = mmu.memory._zero_page  # loads never allocate
         #: Soft TLB: (virtual page base, write) -> (physical page base, pfn).
         self._tlb: dict[tuple[int, bool], tuple[int, int]] = {}
         self._tlb_gen = -1
@@ -232,10 +233,7 @@ class MemoryBus:
             off = vaddr % self._page_size
             if off + length <= self._page_size:
                 _, pfn = self._fast_page(vaddr, off, False)
-                page = self._pages.get(pfn)
-                if page is None:
-                    page = self.memory.page(pfn)
-                return bytes(page[off : off + length])
+                return bytes(self._pages.get(pfn, self._zero_page)[off : off + length])
         out = bytearray()
         for paddr, take in self.mmu.translate_range(vaddr, length, write=False):
             out += self.memory.read(paddr, take)
@@ -250,9 +248,7 @@ class MemoryBus:
             stats.loads += 1
             stats.bytes_loaded += 8
             _, pfn = self._fast_page(vaddr, off, False)
-            page = self._pages.get(pfn)
-            if page is None:
-                page = self.memory.page(pfn)
+            page = self._pages.get(pfn, self._zero_page)
             return int.from_bytes(page[off : off + 8], "little")
         return int.from_bytes(self.load(vaddr, 8, ctx), "little")
 
@@ -264,10 +260,7 @@ class MemoryBus:
             stats.bytes_loaded += 1
             off = vaddr % self._page_size
             _, pfn = self._fast_page(vaddr, off, False)
-            page = self._pages.get(pfn)
-            if page is None:
-                page = self.memory.page(pfn)
-            return page[off]
+            return self._pages.get(pfn, self._zero_page)[off]
         return self.load(vaddr, 1, ctx)[0]
 
     # -- stores ---------------------------------------------------------

@@ -19,7 +19,9 @@ DEFAULT_PAGE_SIZE = 8192  # the paper's 8 KB file-cache page
 class PhysicalMemory:
     """Byte-addressable physical memory of ``size`` bytes.
 
-    Pages are allocated on first touch and initialised to zero.  The object
+    Pages are allocated on first *write* and initialised to zero; reads of
+    an untouched frame see a shared zero page and leave it unallocated, so
+    dumping or checksumming memory never grows it.  The object
     deliberately has no notion of protection — that is the MMU's job; code
     with a raw reference to :class:`PhysicalMemory` models hardware-level
     access (e.g. the crash-dump path and corruption detectors).
@@ -32,6 +34,8 @@ class PhysicalMemory:
         self.page_size = page_size
         self.num_pages = size // page_size
         self._pages: dict[int, bytearray] = {}
+        #: What every never-written frame reads as (immutable, shared).
+        self._zero_page = bytes(page_size)
         #: Per-frame write-generation counters.  Every mutation of a frame
         #: (``write``, ``fill``, ``flip_bit``, ``erase``, ``load_image``)
         #: bumps its counter; the interpreter's predecode cache and other
@@ -43,7 +47,8 @@ class PhysicalMemory:
     # -- page helpers -------------------------------------------------
 
     def page(self, pfn: int) -> bytearray:
-        """Return the backing store for physical frame ``pfn``."""
+        """Return the (mutable) backing store for physical frame ``pfn``,
+        allocating it on first touch — the mutators' accessor."""
         if not 0 <= pfn < self.num_pages:
             raise MachineCheck(f"physical frame {pfn} out of range")
         store = self._pages.get(pfn)
@@ -52,8 +57,15 @@ class PhysicalMemory:
             self._pages[pfn] = store
         return store
 
+    def frame(self, pfn: int) -> bytearray | bytes:
+        """Read-only view of frame ``pfn``: its backing store if anything
+        ever wrote it, else the shared zero page.  Never allocates."""
+        if not 0 <= pfn < self.num_pages:
+            raise MachineCheck(f"physical frame {pfn} out of range")
+        return self._pages.get(pfn, self._zero_page)
+
     def page_checksum(self, pfn: int) -> int:
-        return fletcher32(self.page(pfn))
+        return fletcher32(self.frame(pfn))
 
     def generation(self, pfn: int) -> int:
         """Write-generation of frame ``pfn`` (bumped on every mutation)."""
@@ -72,19 +84,26 @@ class PhysicalMemory:
             )
 
     def read(self, addr: int, length: int) -> bytes:
-        """Hardware-level read of physical bytes (no MMU involved)."""
+        """Hardware-level read of physical bytes (no MMU involved).
+
+        Allocates nothing: a multi-frame read is one join over the
+        resident frames and the shared zero page.
+        """
         self._check_range(addr, length)
-        pfn, off = divmod(addr, self.page_size)
-        if off + length <= self.page_size:  # common case: one frame
-            return bytes(self.page(pfn)[off : off + length])
-        out = bytearray()
+        page_size = self.page_size
+        pfn, off = divmod(addr, page_size)
+        pages, zero = self._pages, self._zero_page
+        if off + length <= page_size:  # common case: one frame
+            return bytes(pages.get(pfn, zero)[off : off + length])
+        parts = []
         while length > 0:
-            pfn, off = divmod(addr, self.page_size)
-            take = min(length, self.page_size - off)
-            out += self.page(pfn)[off : off + take]
-            addr += take
+            take = min(length, page_size - off)
+            store = pages.get(pfn, zero)
+            parts.append(store if take == page_size else memoryview(store)[off : off + take])
             length -= take
-        return bytes(out)
+            pfn += 1
+            off = 0
+        return b"".join(parts)
 
     def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
         """Hardware-level write of physical bytes (no MMU involved).

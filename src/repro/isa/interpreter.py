@@ -456,7 +456,7 @@ class Interpreter:
         if cached is not None and cached[0] == pfn and cached[1] == mem_gen:
             entries = cached[2]
         else:
-            words = struct.unpack(f"<{ps // WORD_BYTES}I", memory.page(pfn))
+            words = struct.unpack(f"<{ps // WORD_BYTES}I", memory.frame(pfn))
             entries = _predecode_words(words)
             if len(self._predecode) >= self._predecode_cap:
                 self._predecode.clear()

@@ -26,9 +26,9 @@ def fletcher32(data: bytes | bytearray | memoryview) -> int:
     identical results to the word-at-a-time loop while letting the
     per-word work happen in C (``struct.unpack`` + ``accumulate``).
     """
-    buf = bytes(data)
+    buf = memoryview(data).cast("B")  # contiguous input is read in place
     if len(buf) % 2:
-        buf += b"\x00"
+        buf = bytes(buf) + b"\x00"
     length = len(buf) // 2
     sum1 = 0xFFFF
     sum2 = 0xFFFF

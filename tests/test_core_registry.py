@@ -1,5 +1,7 @@
 """Tests for the Rio registry: format, entries, post-crash discovery."""
 
+import struct
+
 import pytest
 
 from repro.core.registry import (
@@ -8,13 +10,14 @@ from repro.core.registry import (
     FLAG_DIRTY,
     FLAG_META,
     FLAG_VALID,
+    HEADER_SIZE,
     Registry,
     RegistryEntry,
     capacity_for,
     find_registry_in_image,
     read_entries_from_image,
 )
-from repro.errors import NoSpace
+from repro.errors import NoSpace, ProtectionTrap
 from repro.hw import Machine, MachineConfig
 
 PAGE = 8192
@@ -112,7 +115,55 @@ class TestLiveRegistry:
         assert {e.slot for e in registry.valid_entries()} == set(slots[:2])
 
 
+class TestFormat:
+    def test_zeroes_every_entry_with_one_store_per_page(self, machine, registry):
+        base, size = registry.base_paddr, registry.region_bytes
+        machine.memory.write(base, b"\xa5" * size)  # a previous boot's debris
+        stores = machine.bus.stats.stores
+        registry.format()
+        assert machine.bus.stats.stores - stores == 1 + size // PAGE  # header + pages
+        region = machine.memory.read(base, size)
+        entries_end = HEADER_SIZE + registry.capacity * ENTRY_SIZE
+        assert find_registry_in_image(machine.memory.dump_image(), PAGE) == (base, registry.capacity)
+        assert region[HEADER_SIZE:entries_end] == bytes(entries_end - HEADER_SIZE)
+        assert region[entries_end:] == b"\xa5" * (size - entries_end)  # slack: not ours
+        assert registry.valid_entries() == []
+
+    def test_protected_page_outside_a_window_still_traps(self, machine, registry):
+        machine.mmu.kseg_through_tlb = True
+        machine.mmu.set_kseg_writable(machine.memory.num_pages - 1, False)
+        with pytest.raises(ProtectionTrap):
+            registry.format()  # this registry's window opens nothing
+
+
 class TestPostCrashDiscovery:
+    def test_image_decode_matches_per_slot_oracle(self, machine, registry):
+        for slot in (0, 1, 169, registry.capacity - 1):  # 169 straddles the page edge
+            registry.write_entry(
+                RegistryEntry(
+                    slot=slot, phys_addr=slot * PAGE, ino=slot + 2, size=PAGE,
+                    flags=FLAG_VALID | (FLAG_DIRTY if slot % 2 else 0),
+                    disk_block=None if slot else 9, checksum=slot * 3,
+                )
+            )
+        registry.write_entry(RegistryEntry(slot=5, ino=99))  # flags=0: skipped
+        image = machine.memory.dump_image()
+        start = registry.base_paddr + HEADER_SIZE
+        oracle = [
+            entry
+            for slot in range(registry.capacity)
+            if (
+                entry := RegistryEntry.from_bytes(
+                    slot, image[start + slot * ENTRY_SIZE : start + (slot + 1) * ENTRY_SIZE]
+                )
+            ).valid
+        ]
+        assert [e.slot for e in oracle] == [0, 1, 169, registry.capacity - 1]
+        for buffer in (image, bytearray(image), memoryview(image)):
+            assert read_entries_from_image(buffer, registry.base_paddr, registry.capacity) == oracle
+        with pytest.raises(struct.error):  # a capacity the image cannot hold
+            read_entries_from_image(image, registry.base_paddr, registry.capacity + 1)
+
     def test_find_in_image(self, machine, registry):
         image = machine.memory.dump_image()
         found = find_registry_in_image(image, PAGE)

@@ -180,9 +180,24 @@ class TestSwapPartition:
         clock = Clock()
         disk = make_disk(sectors=4096, clock=clock)
         swap = SwapPartition(disk, start_sector=1024, num_sectors=2048)
-        image = bytes(range(256)) * 100  # 25600 bytes, not sector aligned
+        image = bytes(range(256)) * 100  # 25600 bytes: exactly 50 sectors
         swap.dump_memory_image(image)
         assert swap.read_memory_image(len(image)) == image
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize("nbytes", [100, 50 * SS + 37])
+    def test_non_aligned_image_pads_only_its_tail_sector(self, wrap, nbytes):
+        disk = make_disk(sectors=4096)
+        swap = SwapPartition(disk, start_sector=1024, num_sectors=2048)
+        nsectors = -(-nbytes // SS)
+        disk.poke(1024, b"\xee" * (nsectors + 1) * SS)  # stale swap contents
+        image = (bytes(range(1, 256)) * 200)[:nbytes]
+        swap.dump_memory_image(wrap(image))
+        assert swap.read_memory_image(nbytes) == image
+        on_disk = disk.peek(1024, nsectors + 1)
+        assert on_disk[nbytes : nsectors * SS] == bytes(nsectors * SS - nbytes)
+        assert on_disk[nsectors * SS :] == b"\xee" * SS  # nothing past the tail sector
+        assert disk.stats.sectors_written == nsectors
 
     def test_rejects_oversized_image(self):
         disk = make_disk(sectors=64)

@@ -24,6 +24,7 @@ from repro.fs.ondisk import (
     SUPERBLOCK_CHECKSUM_OFFSET,
     SUPERBLOCK_HEADER_SIZE,
     Superblock,
+    allocated_slots,
     pack_dirents,
     parse_dirents,
 )
@@ -255,6 +256,27 @@ class TestInode:
         parsed = Inode.from_bytes(5, packed)
         assert parsed == inode
         assert parsed.to_bytes() == packed
+
+
+class TestAllocatedSlots:
+    """The block-at-a-time scan must agree with a per-inode non-strict decode."""
+
+    #: Good inodes of every type, a bad magic, a bad type, never-used, noise.
+    slot_st = st.one_of(
+        st.sampled_from(list(FileType)).map(lambda t: Inode(ino=0, ftype=t, nlink=1).to_bytes()),
+        st.just(b"\xff\xff" + Inode(ino=0, ftype=FileType.REGULAR).to_bytes()[2:]),
+        st.integers(4, 255).map(
+            lambda t: Inode(ino=0).to_bytes()[:2] + bytes([t]) + bytes(INODE_SIZE - 3)
+        ),
+        st.just(bytes(INODE_SIZE)),
+        st.binary(min_size=INODE_SIZE, max_size=INODE_SIZE),
+    )
+
+    @given(st.lists(slot_st, min_size=BLOCK_SIZE // INODE_SIZE, max_size=BLOCK_SIZE // INODE_SIZE))
+    def test_matches_per_inode_oracle(self, slots):
+        oracle = [Inode.from_bytes(i, raw, strict=False).is_allocated for i, raw in enumerate(slots)]
+        assert allocated_slots(b"".join(slots)) == oracle
+        assert allocated_slots(memoryview(bytearray(b"".join(slots)))) == oracle
 
 
 class TestDirEntry:

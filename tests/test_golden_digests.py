@@ -1,0 +1,218 @@
+"""Cross-commit golden digests: "same behaviour as the parent commit".
+
+Every other digest assertion in the suite is relative (serial vs
+``--jobs``, fast vs reference engine).  These are absolute: each value
+below was captured on the commit *before* the bulk data plane landed
+(PR 12, 2f6d615) and must never move under a change that claims to be
+behaviour-neutral.  A PR that changes behaviour on purpose updates the
+value and says why in CHANGES.md.
+
+The observations are small fixed configs of every seeded digest the
+repo has — explorer (enumeration stream + per-boundary verdicts), a
+traffic storm (acks, expected state, virtual time, final image), a
+Table 1 campaign — plus the two pieces of boot state the bulk boot scans
+rebuild: the free-inode list and the registry region's bytes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+
+import pytest
+
+from repro.explore import ExploreConfig, explore
+from repro.faults.types import FaultType
+from repro.fs.fsck import LOST_FOUND_INO, FsckReport
+from repro.fs.ondisk import INODES_PER_BLOCK, INODE_SIZE, Inode
+from repro.fs.types import FileType, ROOT_INO, SECTORS_PER_BLOCK
+from repro.reliability.campaign import system_spec_for
+from repro.reliability.report import run_table1_campaign, table1_digest
+from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
+from repro.server import LoadSpec
+from repro.system import build_system
+
+GOLDEN = {
+    "explore": {
+        "boundaries": 146,
+        "enumeration_digest": "ae88c6a61edbf13322d89ab9a2e3f37cf4519af1dc0387bd1312160e31e95b36",
+        "report_digest": "2361fa0753646c7a2482c03fc2351350526b763b576a695c71e764c3fe4956dd",
+    },
+    "traffic": {
+        "ack_digest": "2cda5709683f86b1f61d804586e309545ba3def72a2e46c7954b61518ed411cb",
+        "state_digest": "f2cd5034670b26abd15a24780ec96e0c5509e1384e63cf176e40a4a54767081a",
+        "virtual_ns": 101061389695,
+        "recovery_ns": 101008872700,
+        "final_image_sha256": "0646460c8e88a5a97591c88837cd356db8adfe37fb60a8b5266a4dc98019ba73",
+    },
+    "table1": "48c199392bbb89bfee45487615c7bc7726e23c2ed0c9670d806a5f141891a90e",
+    "boot": {
+        "cold": {
+            "free_inodes": 508,
+            "free_inodes_sha256": "c621ee140f6c5a75b59dc00b59adea07fc819a4115d9667b19305d998c844c32",
+            "registry_sha256": "b7305e32ca59e54302147cb52c381665db6a930ce9d24bb5120863c581754448",
+            "now_ns": 138426740,
+        },
+        "warm_unchecked": {
+            "free_inodes": 505,
+            "free_inodes_sha256": "cefe907d204d7a3c5377df0341bf04e676a4d2005f101bf87c1b396e5d6a9e27",
+            "registry_sha256": "e248fd133bd19c4fb2700fd9c0a7177a9825ce8d2b8e4ae21e0711fd8d0a0817",
+            "now_ns": 33613844200,
+        },
+        "warm_fsck": {
+            "free_inodes": 505,
+            "free_inodes_sha256": "cefe907d204d7a3c5377df0341bf04e676a4d2005f101bf87c1b396e5d6a9e27",
+            "registry_sha256": "dee5ccbb8e6db0601ebfcc0d576f4f4a7cede346f12c0b629562aadceb2e64f0",
+            "now_ns": 67027768540,
+            "fsck_fixes": "9f7c2dab1a5364de9ce2e2da55653237b06be83a5a322cc667e98145a22bdbc7",
+        },
+    },
+}
+
+#: (bus loads, bus stores) of one boot on this geometry — the one thing the
+#: bulk boot scans move on purpose, so not a parent value: PR 12 read
+#: (534, 2405) cold and (554, 2423) warm.  The free-inode scan loads each
+#: of the 8 inode-table blocks once instead of each of 508 inodes (-500),
+#: and ``Registry.format`` zeroes its 2 217 entries with one store per
+#: registry page instead of one per entry (-2 204).
+BOOT_BUS = {"cold": (34, 201), "warm_unchecked": (54, 219), "warm_fsck": (54, 219)}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# -- observations (also run by hand on a parent checkout to re-capture) ------
+
+
+def observe_explore() -> dict:
+    """Traffic workload, rio_prot, 1 client x 2 programs: every boundary."""
+    report = explore(
+        ExploreConfig("traffic", "rio_prot", seed=11, clients=1, ops_per_client=2)
+    )
+    return {
+        "boundaries": report.boundaries_total,
+        "enumeration_digest": report.enumeration_digest,
+        "report_digest": report.report_digest(),
+    }
+
+
+def observe_traffic() -> dict:
+    """A forced three-crash storm under eight clients."""
+    result = run_traffic_campaign(
+        TrafficConfig(
+            system="rio_prot", clients=8, crashes=3, seed=5,
+            load=LoadSpec(ops_per_client=20),
+        )
+    )
+    assert result.ok
+    return {
+        "ack_digest": result.ack_digest,
+        "state_digest": result.state_digest,
+        "virtual_ns": result.load.wall_virtual_ns,
+        "recovery_ns": result.recovery_ns,
+        "final_image_sha256": result.final_image_sha256,
+    }
+
+
+def observe_table1() -> str:
+    """Two counted crashes in each of two fault cells on rio_prot."""
+    table = run_table1_campaign(
+        crashes_per_cell=2,
+        systems=("rio_prot",),
+        fault_types=(FaultType.KERNEL_TEXT, FaultType.POINTER),
+        base_seed=1000,
+    )
+    return table1_digest(table)
+
+
+def _boot_state(system) -> dict:
+    registry = system.rio.registry
+    free = system.fs._free_inos
+    return {
+        "free_inodes": len(free),
+        "free_inodes_sha256": _sha(struct.pack(f"<{len(free)}I", *free)),
+        "registry_sha256": _sha(
+            system.machine.memory.read(registry.base_paddr, registry.region_bytes)
+        ),
+        "now_ns": system.clock.now_ns,
+        "bus": (system.machine.bus.stats.loads, system.machine.bus.stats.stores),
+    }
+
+
+def _read_kept(system) -> bytes:
+    fd = system.vfs.open("/kept")
+    try:
+        return system.vfs.read(fd, 1 << 16)
+    finally:
+        system.vfs.close(fd)
+
+
+def _poke_inode(disk, inode_start: int, ino: int, raw: bytes) -> None:
+    sector = (inode_start + ino // INODES_PER_BLOCK) * SECTORS_PER_BLOCK
+    block = bytearray(disk.peek(sector, SECTORS_PER_BLOCK))
+    off = (ino % INODES_PER_BLOCK) * INODE_SIZE
+    block[off : off + INODE_SIZE] = raw
+    disk.poke(sector, bytes(block))
+
+
+def observe_boot(monkeypatch) -> dict:
+    """Free-inode list + registry bytes: cold boot, then two warm reboots
+    over an image holding a bad-magic inode, a bad-type inode and an
+    allocated orphan in an inode-table block no live file shares (the
+    scan also passes ``LOST_FOUND_INO``).  The first reboot stubs fsck out
+    so the mount-time scan itself meets the mangled inodes; the second
+    runs the real chain, so fsck's and the scan's views both feed it."""
+    system = build_system(system_spec_for("rio_prot", fs_blocks=512))
+    out = {"cold": _boot_state(system)}
+    assert ROOT_INO < LOST_FOUND_INO < system.fs.sb.num_inodes
+
+    fd = system.vfs.open("/kept", create=True)
+    system.vfs.write(fd, b"golden" * 500)
+    system.vfs.close(fd)
+    system.vfs.mkdir("/d")
+
+    def mangle() -> None:
+        good = Inode(ino=72, ftype=FileType.REGULAR, nlink=1).to_bytes()
+        inode_start = system.fs.sb.inode_start
+        _poke_inode(system.disk, inode_start, 70, b"\xff\xff" + good[2:])
+        _poke_inode(system.disk, inode_start, 71, good[:2] + b"\x7f" + good[3:])
+        _poke_inode(system.disk, inode_start, 72, good)
+
+    system.crash("golden: unchecked image")
+    mangle()
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.system.fsck", lambda disk: FsckReport())
+        system.reboot()
+    assert {70, 71} <= set(system.fs._free_inos) and 72 not in system.fs._free_inos
+    out["warm_unchecked"] = _boot_state(system)
+    assert _read_kept(system) == b"golden" * 500
+
+    system.crash("golden: checked image")
+    mangle()
+    report = system.reboot()
+    out["warm_fsck"] = _boot_state(system)
+    out["warm_fsck"]["fsck_fixes"] = _sha("\n".join(report.fsck.fixes).encode())
+    assert _read_kept(system) == b"golden" * 500
+    return out
+
+
+# -- the assertions ------------------------------------------------------------
+
+
+def test_explore_digests_match_parent():
+    assert observe_explore() == GOLDEN["explore"]
+
+
+def test_traffic_storm_digests_match_parent():
+    assert observe_traffic() == GOLDEN["traffic"]
+
+
+def test_table1_digest_matches_parent():
+    assert observe_table1() == GOLDEN["table1"]
+
+
+def test_boot_state_matches_parent(monkeypatch):
+    observed = observe_boot(monkeypatch)
+    assert {phase: state.pop("bus") for phase, state in observed.items()} == BOOT_BUS
+    assert observed == GOLDEN["boot"]

@@ -114,3 +114,64 @@ class TestImageOps:
         before = mem.page_checksum(0)
         mem.write(8, b"x")
         assert mem.page_checksum(0) != before
+
+
+PAGE = 8192
+
+mutation_st = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 8 * PAGE - 1), st.binary(min_size=1, max_size=3 * PAGE)),
+    st.tuples(st.just("flip"), st.integers(0, 8 * PAGE - 1), st.integers(0, 7)),
+    st.tuples(st.just("erase")),
+)
+
+
+class TestReadsDoNotAllocate:
+    """Only mutators make a frame resident; reads see a shared zero page."""
+
+    def test_reads_of_untouched_memory_leave_it_unallocated(self):
+        mem = make_mem(pages=64)
+        mem.write(5 * PAGE + 10, b"one resident frame")
+        gens = [mem.generation(pfn) for pfn in range(64)]
+        assert mem.dump_image() == mem.read(0, mem.size)
+        assert mem.read(7 * PAGE - 3, 2 * PAGE + 6) == bytes(2 * PAGE + 6)
+        assert mem.read(9 * PAGE, 16) == bytes(16)
+        assert mem.page_checksum(11) == mem.page_checksum(12)
+        assert mem.read_u64(13 * PAGE) == 0
+        assert sorted(mem._pages) == [5]
+        assert [mem.generation(pfn) for pfn in range(64)] == gens
+
+    def test_frame_is_read_only_for_untouched_frames(self):
+        mem = make_mem()
+        assert mem.frame(2) == bytes(PAGE) and isinstance(mem.frame(2), bytes)
+        mem.write(2 * PAGE, b"x")
+        assert mem.frame(2) is mem.page(2)
+        with pytest.raises(MachineCheck):
+            mem.frame(4)
+
+    @given(
+        st.lists(mutation_st, max_size=12),
+        st.lists(st.tuples(st.integers(0, 8 * PAGE), st.integers(0, 8 * PAGE)), max_size=6),
+    )
+    def test_dump_image_matches_a_flat_shadow(self, mutations, reads):
+        mem = make_mem(pages=8)
+        shadow = bytearray(8 * PAGE)
+        touched: set[int] = set()
+        for op in mutations:
+            if op[0] == "write":
+                data = op[2][: 8 * PAGE - op[1]]
+                mem.write(op[1], data)
+                shadow[op[1] : op[1] + len(data)] = data
+                touched.update(range(op[1] // PAGE, (op[1] + len(data) - 1) // PAGE + 1))
+            elif op[0] == "flip":
+                mem.flip_bit(op[1], op[2])
+                shadow[op[1]] ^= 1 << op[2]
+                touched.add(op[1] // PAGE)
+            else:
+                mem.erase()
+                shadow[:] = bytes(len(shadow))
+                touched.clear()
+        assert mem.dump_image() == shadow
+        for addr, length in reads:
+            length = min(length, 8 * PAGE - addr)
+            assert mem.read(addr, length) == shadow[addr : addr + length]
+        assert set(mem._pages) == touched
