@@ -74,13 +74,19 @@ forensics-smoke:
 # Exhaustive crash-point sweep on a clean kernel: every boundary of a
 # small workload crashed at --jobs 2; requires 100% coverage and zero
 # spec violations (the command exits 1 on violations, 2 if incomplete).
+# Then the same sweep again over the journal the first one wrote:
+# resuming a finished sweep must re-run nothing.
 explore-smoke:
-	rm -rf explore-smoke.out
+	rm -rf explore-smoke.out explore-smoke.jsonl
 	PYTHONPATH=src $(PY) -m repro explore basic --ops 0 --jobs 2 \
-		| tee explore-smoke.out
+		--resume explore-smoke.jsonl | tee explore-smoke.out
 	grep -q "(100.0%)" explore-smoke.out
 	grep -q "violations: none" explore-smoke.out
-	rm -rf explore-smoke.out
+	PYTHONPATH=src $(PY) -m repro explore basic --ops 0 --jobs 2 \
+		--resume explore-smoke.jsonl | tee explore-smoke.out
+	grep -q "trials: 0 run, " explore-smoke.out
+	grep -q "(100.0%)" explore-smoke.out
+	rm -rf explore-smoke.out explore-smoke.jsonl
 
 examples:
 	$(PY) examples/quickstart.py
@@ -109,5 +115,6 @@ table2:
 # except backend_throughput.txt, which is tracked.
 clean:
 	rm -rf .pytest_cache .hypothesis
-	rm -rf forensics-smoke.jsonl forensics-smoke.jsonl.traces explore-smoke.out
+	rm -rf forensics-smoke.jsonl forensics-smoke.jsonl.traces
+	rm -rf explore-smoke.out explore-smoke.jsonl
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -40,12 +40,17 @@ def _config(ops_per_client=OPS, **overrides):
 
 @pytest.fixture(scope="module")
 def campaigns():
-    return {
+    out = {
         "serial": run_chaos_campaign(_config(jobs=1)),
         "fanned": run_chaos_campaign(_config(jobs=4)),
-        "reference": run_chaos_campaign(_config(jobs=4, fast_path=False)),
-        "hot": run_chaos_campaign(_config(jobs=4, fast_path=True)),
     }
+    # The engine is a property of the machine: pinned by RIO_FAST_PATH,
+    # which every worker process inherits.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for name, flag in (("reference", "0"), ("hot", "1")):
+            monkeypatch.setenv("RIO_FAST_PATH", flag)
+            out[name] = run_chaos_campaign(_config(jobs=4))
+    return out
 
 
 def test_chaos_slos(benchmark, campaigns, record_result):

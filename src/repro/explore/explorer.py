@@ -18,14 +18,14 @@ random fault and sees where the system lands.  The explorer *sweeps* it:
    counterexample replayable by ``(seed, event_index)``.
 
 Per-boundary trials are pure functions of ``(ExploreConfig,
-Boundary)``, so they fan across cores through the campaign engine's
-:class:`~repro.reliability.engine.ParallelMap` with **no** sequential
+Boundary)``, so they fan across cores through the shared worker pool's
+:class:`~repro.reliability.pool.ParallelMap` with **no** sequential
 coupling: the keyed verdict map — and therefore the whole report and
 its digest — is bit-identical at any ``--jobs`` and on either
 execution engine.  Finished trials checkpoint into a
 :class:`~repro.reliability.journal.CampaignJournal` keyed
-``(workload, "boundary", event_index)`` so an interrupted sweep
-resumes where it stopped.
+``(workload, "boundary", event_index)`` the moment they land, so an
+interrupted sweep resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import SystemCrash
 from repro.obs.events import events_digest
 from repro.obs.forensics import build_forensic_report, format_forensic_report
-from repro.reliability.engine import ParallelMap
+from repro.reliability.pool import ParallelMap
 from repro.reliability.journal import CampaignJournal
 
 from repro.explore.boundaries import Boundary, boundary_census, enumerate_boundaries
@@ -354,7 +354,7 @@ class ExploreReport:
         both execution engines) produce the same digest.
         """
         body = {
-            "config": self.config.fingerprint(),
+            "config": self.config.to_json_dict(),
             "enumeration_digest": self.enumeration_digest,
             "total_events": self.total_events,
             "census": self.census,
@@ -405,7 +405,7 @@ def explore(
     cache: Dict[Any, Any] = {}
     if checkpoint:
         journal = CampaignJournal(
-            checkpoint, {"explore": 1, "config": config.fingerprint()}
+            checkpoint, {"explore": 1, "config": config.to_json_dict()}
         )
         cache = journal.load()  # raises CampaignResumeError on mismatch
         journal.open_for_append()
@@ -437,9 +437,10 @@ def explore(
         "repro.explore.explorer:run_trial_task", jobs=jobs, progress=progress
     )
     try:
-        results = pmap.run(tasks) if tasks else {}
-        for key in sorted(results, key=lambda k: k[2]):
-            result_dict = results[key]
+        # Journal each verdict as it lands: the journal is keyed and
+        # last-wins, so arrival order is free, and an interrupted sweep
+        # keeps every trial that finished.
+        for key, result_dict in pmap.stream(tasks):
             if result_dict is None:
                 continue  # quarantined after repeated worker deaths
             verdict_dicts[key[2]] = result_dict

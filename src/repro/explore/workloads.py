@@ -79,8 +79,6 @@ class ExploreConfig:
     #: enumeration also yields ``backend/upload``/``backend/commit``
     #: boundaries and the spec's remote-tier clause engages.
     backend: Optional[str] = None
-    #: Pin the execution engine (None = the process default).
-    fast_path: Optional[bool] = None
     #: Recorder ring capacity; enumeration requires zero eviction.
     event_cap: int = 1 << 20
 
@@ -96,7 +94,6 @@ class ExploreConfig:
             "ops_per_client": self.ops_per_client,
             "plant_ack_bug": self.plant_ack_bug,
             "backend": self.backend,
-            "fast_path": self.fast_path,
             "event_cap": self.event_cap,
         }
 
@@ -104,13 +101,6 @@ class ExploreConfig:
     def from_json_dict(cls, data: Dict[str, Any]) -> "ExploreConfig":
         """Inverse of :meth:`to_json_dict`."""
         return cls(**data)
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """The journal fingerprint: everything but the engine pin (the
-        streams are engine-identical, so cached verdicts are too)."""
-        out = self.to_json_dict()
-        out.pop("fast_path")
-        return out
 
 
 class _RunBase:
@@ -122,10 +112,6 @@ class _RunBase:
         if config.backend is not None:
             spec = replace(
                 spec, backend=config.backend, backend_seed=config.seed
-            )
-        if config.fast_path is not None:
-            spec = replace(
-                spec, machine=replace(spec.machine, fast_path=config.fast_path)
             )
         self.system = build_system(spec)
         self.recorder = self.system.machine.recorder

@@ -238,10 +238,6 @@ class Interpreter:
         #: Address of the code patcher's descriptor quadword, loaded into
         #: ``gp`` (r29) at every call — see :mod:`repro.isa.analysis.patch`.
         self.global_pointer = 0
-        #: Per-interpreter override of the hot-path engine; AND-ed with the
-        #: bus-level (machine config) flag.  Differential tests flip this
-        #: to run the reference engine against the same machine.
-        self.fast_path = True
         #: Predecode cache: virtual page base -> (pfn, frame generation,
         #: entries).  Entries revalidate against the frame's
         #: ``PhysicalMemory`` generation on every fetch, so a bit flipped
@@ -295,8 +291,7 @@ class Interpreter:
         sequence), and needs word-aligned pages for the predecode index."""
         bus = self.bus
         if (
-            self.fast_path
-            and bus.fast_path
+            bus.fast_path
             and not bus._tracing
             and bus.memory.page_size % WORD_BYTES == 0
         ):

@@ -28,12 +28,8 @@ from repro.reliability.report import (
     seed_for,
     table1_digest,
 )
-from repro.reliability.engine import (
-    CampaignEngine,
-    CampaignWorkerError,
-    EngineStats,
-    run_table1_campaign_parallel,
-)
+from repro.reliability.engine import CampaignEngine, EngineStats
+from repro.reliability.pool import CampaignWorkerError, ParallelMap, WorkerPool
 from repro.reliability.journal import (
     CampaignJournal,
     CampaignResumeError,
@@ -77,7 +73,8 @@ __all__ = [
     "CampaignEngine",
     "CampaignWorkerError",
     "EngineStats",
-    "run_table1_campaign_parallel",
+    "ParallelMap",
+    "WorkerPool",
     "CampaignJournal",
     "CampaignResumeError",
     "JournalWarning",

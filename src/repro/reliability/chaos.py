@@ -13,7 +13,7 @@ reports the service-tier SLOs:
 * **recovery time** — virtual ns spent in warm reboot + audit.
 
 Trials are pure functions of their payload, so the matrix fans out
-through :class:`~repro.reliability.engine.ParallelMap` and the campaign
+through :class:`~repro.reliability.pool.ParallelMap` and the campaign
 digest — a hash over every trial's ack/state digests and fire counts in
 matrix order — is bit-identical at any ``--jobs`` and on either
 execution engine.  ``repro chaos`` is the CLI; ``benchmarks/
@@ -27,7 +27,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from repro.reliability.engine import ParallelMap
+from repro.reliability.pool import ParallelMap
 from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
 
 
@@ -186,7 +186,7 @@ def run_chaos_campaign(config: ChaosCampaignConfig) -> ChaosCampaignResult:
 
     Each ``(trial, specs)`` row of the matrix becomes ``config.base``
     with those capabilities armed, fanned out through
-    :class:`~repro.reliability.engine.ParallelMap`.  Trials are pure
+    :class:`~repro.reliability.pool.ParallelMap`.  Trials are pure
     functions of their configs, so the campaign digest is bit-identical
     at any ``jobs`` count and on either execution engine.
     """

@@ -41,23 +41,20 @@ a warning and their trials re-run.
 Worker death
 ------------
 
-A worker that dies mid-trial (OOM-kill, SIGKILL, a bug that takes down
-the interpreter) is detected by liveness polling; the trial it held is
-recorded as a ``worker_crashed`` outcome and retried once on a fresh
-worker.  If it kills a second worker it is **quarantined**: a synthetic
-discarded result (``crash_kind="worker_crashed"``) takes its slot so the
-campaign can finish, and the key is listed in ``stats.quarantined``.
-(Quarantine is the one case where parallel output can differ from
-serial — the trial genuinely could not be run.)
+Trials run on the package's one worker pool
+(:class:`repro.reliability.pool.WorkerPool`), which retries a trial
+whose worker died once and then **quarantines** it.  For a quarantined
+trial a synthetic discarded result (``crash_kind="worker_crashed"``)
+takes its slot so the campaign can finish, and the key is listed in
+``stats.quarantined``.  (Quarantine is the one case where parallel
+output can differ from serial — the trial genuinely could not be run.)
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
-import queue as queue_mod
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -72,25 +69,19 @@ from repro.reliability.campaign import (
     run_crash_test,
 )
 from repro.reliability.journal import CampaignJournal, JournalWarning, TrialKey
+# ParallelMap is re-exported: bench/workloads.py imports it from here.
+from repro.reliability.pool import ParallelMap, PoolStats, WorkerPool  # noqa: F401
 from repro.reliability.report import CampaignCell, Table1, seed_for
 
 
-class CampaignWorkerError(RuntimeError):
-    """A worker hit an exception inside the simulation (a bug, not a
-    simulated crash); determinism means retrying would fail identically,
-    so the campaign aborts loudly."""
-
-
 @dataclass
-class EngineStats:
+class EngineStats(PoolStats):
     """What one engine invocation did (host-side bookkeeping only —
-    nothing here feeds back into trial outcomes)."""
+    nothing here feeds back into trial outcomes).  ``executed``,
+    ``worker_crashes`` and ``quarantined`` are counted by the pool."""
 
-    executed: int = 0  #: trials actually run this invocation
     from_checkpoint: int = 0  #: trials satisfied from the journal
-    wasted_speculation: int = 0  #: finished past the serial stopping point
-    worker_crashes: int = 0  #: worker deaths observed
-    quarantined: list = field(default_factory=list)  #: keys given up on
+    wasted_speculation: int = 0  #: run (or in flight) past the serial stopping point
     checkpoint_lines_skipped: int = 0  #: corrupt journal lines skipped
     wall_seconds: float = 0.0
 
@@ -113,266 +104,9 @@ class _CellState:
         return (self.system, self.fault_type.value, attempt)
 
 
-@dataclass
-class _WorkerHandle:
-    proc: multiprocessing.Process
-    #: Shared ``Value('i')``: the task id the worker is executing, -1 if
-    #: idle.  Shared memory, not a queue message: a queue put is flushed
-    #: by a background feeder thread, so a worker killed right after
-    #: claiming could die with the claim unsent — the claim slot write
-    #: is synchronous and survives any death.
-    claim_slot: object = None
-
-
-# -- worker process ----------------------------------------------------------
-
-
-def _test_kill_hook(key: TrialKey) -> None:
-    """Deterministic worker-death injection for the engine's own tests.
-
-    ``RIO_ENGINE_TEST_KILL=system|fault value|attempt|times|counter_dir``
-    kills the worker (hard, no cleanup) the first ``times`` times the
-    named trial is claimed; the cross-process count lives in
-    ``counter_dir`` because each death spawns a fresh worker.
-    """
-    spec = os.environ.get("RIO_ENGINE_TEST_KILL")
-    if not spec:
-        return
-    system, fault, attempt, times, counter_dir = spec.split("|")
-    if key != (system, fault, int(attempt)):
-        return
-    os.makedirs(counter_dir, exist_ok=True)
-    marker = os.path.join(counter_dir, "kills")
-    count = 0
-    if os.path.exists(marker):
-        count = int(open(marker).read() or "0")
-    if count >= int(times):
-        return
-    with open(marker, "w") as fh:
-        fh.write(str(count + 1))
-    os._exit(17)
-
-
-def _map_worker_main(worker_id: int, fn_path: str, task_q, result_q, claim_slot) -> None:
-    """Worker loop for :class:`ParallelMap`: claim, import, run, ship.
-
-    Same claim-slot discipline as :func:`_worker_main` — the slot write
-    precedes execution so a dead worker's task is identifiable — but
-    the task body is a named function resolved by import path, so any
-    subsystem (the crash-point explorer in particular) can fan plain
-    JSON tasks across the pool.
-    """
-    import importlib
-
-    module_name, _, func_name = fn_path.partition(":")
-    fn = getattr(importlib.import_module(module_name), func_name)
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        task_id, key, payload = task
-        claim_slot.value = task_id
-        _test_kill_hook(key)
-        try:
-            result_q.put(("done", worker_id, key, fn(payload)))
-        except BaseException as exc:  # ship the bug home, don't hang
-            result_q.put(("fail", worker_id, key, f"{type(exc).__name__}: {exc}"))
-
-
-def _worker_main(worker_id: int, task_q, result_q, claim_slot) -> None:
-    """Worker loop: claim a trial, run it, ship the JSON result back.
-
-    The claim-slot write *precedes* execution so the orchestrator knows
-    which trial a dead worker was holding.
-    """
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        task_id, key, config_dict = task
-        claim_slot.value = task_id
-        _test_kill_hook(key)
-        try:
-            config = CrashTestConfig.from_json_dict(config_dict)
-            result = run_crash_test(config)
-            result_q.put(("done", worker_id, key, result.to_json_dict()))
-        except BaseException as exc:  # ship the bug home, don't hang
-            result_q.put(("fail", worker_id, key, f"{type(exc).__name__}: {exc}"))
-
-
-# -- generic claim-slot pool -------------------------------------------------
-
-
-@dataclass
-class MapStats:
-    """Host-side bookkeeping for one :meth:`ParallelMap.run`."""
-
-    executed: int = 0  #: tasks that produced a result
-    worker_crashes: int = 0  #: worker deaths observed
-    quarantined: list = field(default_factory=list)  #: keys given up on
-
-
-class ParallelMap:
-    """The campaign engine's worker/claim-slot machinery, generalized.
-
-    Runs a named pure function (``"module.path:function"``, dict in /
-    JSON-safe dict out) over a list of keyed tasks on a pool of worker
-    processes.  Reuses the engine's reliability discipline — the
-    synchronous claim-slot write that survives worker death, liveness
-    polling, retry-then-quarantine — but drops the speculative
-    scheduler: these tasks have **no sequential stopping rule**, so the
-    keyed result map is identical for any job count and any completion
-    order by construction.  The crash-point explorer fans its
-    per-boundary trials through this.
-
-    ``jobs == 1`` runs inline in-process (no subprocess), calling the
-    same imported function on the same payload dicts, so the serial
-    path exercises the identical wire format.
-    """
-
-    #: Worker deaths tolerated per task before quarantine.
-    worker_retry_limit = 1
-
-    def __init__(
-        self,
-        fn_path: str,
-        jobs: int = 1,
-        progress: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        self.fn_path = fn_path
-        self.jobs = max(1, jobs)
-        self.progress = progress
-        self.stats = MapStats()
-
-    def _say(self, line: str) -> None:
-        if self.progress is not None:
-            self.progress(line)
-
-    def _resolve(self):
-        import importlib
-
-        module_name, _, func_name = self.fn_path.partition(":")
-        return getattr(importlib.import_module(module_name), func_name)
-
-    def run(self, tasks: list) -> dict:
-        """Execute ``tasks`` — ``(key, payload_dict)`` pairs, keys unique
-        hashable tuples — and return ``{key: result_dict}``.  A task
-        whose worker died past the retry limit maps to ``None`` and its
-        key lands in ``stats.quarantined``.  A task that *raises* (a
-        deterministic bug, not a worker death) aborts the whole map
-        with :class:`CampaignWorkerError`.
-        """
-        if self.jobs == 1:
-            fn = self._resolve()
-            out = {}
-            for key, payload in tasks:
-                out[key] = fn(payload)
-                self.stats.executed += 1
-            return out
-        return self._run_pool(tasks)
-
-    def _run_pool(self, tasks: list) -> dict:
-        ctx = multiprocessing.get_context()
-        task_q, result_q = ctx.Queue(), ctx.Queue()
-        workers: dict = {}
-        tid_key: dict = {}
-        retries: dict = {}
-        next_ids = {"wid": 0, "tid": 0}
-        out: dict = {}
-        outstanding = {}  # key -> payload (for retries)
-        last_activity = time.monotonic()
-
-        def spawn() -> None:
-            wid = next_ids["wid"]
-            next_ids["wid"] += 1
-            claim_slot = ctx.Value("i", -1)
-            proc = ctx.Process(
-                target=_map_worker_main,
-                args=(wid, self.fn_path, task_q, result_q, claim_slot),
-                daemon=True,
-                name=f"rio-map-{wid}",
-            )
-            proc.start()
-            workers[wid] = _WorkerHandle(proc=proc, claim_slot=claim_slot)
-
-        def put(key, payload) -> None:
-            tid = next_ids["tid"]
-            next_ids["tid"] += 1
-            tid_key[tid] = key
-            task_q.put((tid, key, payload))
-
-        def claimed_keys() -> set:
-            keys = set()
-            for worker in workers.values():
-                tid = worker.claim_slot.value
-                if tid >= 0 and tid in tid_key:
-                    keys.add(tid_key[tid])
-            return keys
-
-        def strike(key: str, why: str) -> None:
-            self.stats.worker_crashes += 1
-            count = retries.get(key, 0) + 1
-            retries[key] = count
-            if count <= self.worker_retry_limit:
-                self._say(f"{why} on {key}; retrying once")
-                put(key, outstanding[key])
-                return
-            self._say(f"{why} again on {key}; quarantining the task")
-            self.stats.quarantined.append(key)
-            out[key] = None
-            del outstanding[key]
-
-        for _ in range(self.jobs):
-            spawn()
-        for key, payload in tasks:
-            outstanding[key] = payload
-            put(key, payload)
-        try:
-            while outstanding:
-                try:
-                    message = result_q.get(timeout=0.2)
-                except queue_mod.Empty:
-                    for wid, worker in list(workers.items()):
-                        if worker.proc.is_alive():
-                            continue
-                        del workers[wid]
-                        tid = worker.claim_slot.value
-                        key = tid_key.get(tid) if tid >= 0 else None
-                        if key is not None and key in outstanding:
-                            strike(key, "worker died")
-                        spawn()
-                    if (
-                        outstanding
-                        and time.monotonic() - last_activity > 5.0
-                        and task_q.empty()
-                    ):
-                        # A worker died between queue get and claim write.
-                        claimed = claimed_keys()
-                        for key in [k for k in outstanding if k not in claimed]:
-                            strike(key, "task lost in flight")
-                        last_activity = time.monotonic()
-                    continue
-                last_activity = time.monotonic()
-                kind, _wid, key, payload = message
-                if kind == "fail":
-                    raise CampaignWorkerError(
-                        f"worker exception on task {key}: {payload}"
-                    )
-                if key not in outstanding:
-                    continue  # a retry raced its original; result unneeded
-                out[key] = payload
-                del outstanding[key]
-                self.stats.executed += 1
-        finally:
-            for worker in workers.values():
-                if worker.proc.is_alive():
-                    worker.proc.terminate()
-            for worker in workers.values():
-                worker.proc.join(timeout=2)
-            for q in (task_q, result_q):
-                q.cancel_join_thread()
-                q.close()
-        return out
+def run_trial_json(config_dict: dict) -> dict:
+    """The pool task: one Table 1 trial, JSON in, JSON out."""
+    return run_crash_test(CrashTestConfig.from_json_dict(config_dict)).to_json_dict()
 
 
 # -- the engine --------------------------------------------------------------
@@ -381,8 +115,6 @@ class ParallelMap:
 class CampaignEngine:
     """One campaign invocation; see the module docstring for design."""
 
-    #: Worker deaths tolerated per trial before quarantine.
-    worker_retry_limit = 1
     #: Speculative attempts scheduled per crash still needed (the paper
     #: discards "about half" of runs, so 2x is the natural oversubscription).
     speculation = 2
@@ -429,36 +161,32 @@ class CampaignEngine:
         ]
         self._cache: dict = {}
         self._journal: Optional[CampaignJournal] = None
+        self._pool: Optional[WorkerPool] = None
         self._outstanding: dict = {}  # key -> (cell state, attempt)
-        self._cancelled: set = set()
-        self._requeue: list = []  # (cell state, attempt) awaiting retry
-        self._retries: dict = {}  # key -> worker-death count
-        self._tid_key: dict = {}  # task id -> key (pool mode)
-        self._next_tid = 0
         self._scheduled_exec = 0
-        self._budget_stop = False
         self._rr = 0
-        self._next_wid = 0
-        self._workers: dict = {}
         self._t0 = 0.0
         self._last_progress = 0.0
-        self._last_activity = 0.0
 
     # -- public entry point ------------------------------------------------
 
     def run(self) -> Table1:
-        self._t0 = self._last_progress = self._last_activity = time.monotonic()
+        self._t0 = self._last_progress = time.monotonic()
         if self.checkpoint:
             self._journal = CampaignJournal(self.checkpoint, self._fingerprint())
             self._cache = self._journal.load()  # raises on fingerprint mismatch
             self.stats.checkpoint_lines_skipped = self._journal.skipped_lines
             self._journal.open_for_append()
+        self._pool = WorkerPool(
+            "repro.reliability.engine:run_trial_json", self.jobs, self._say, self.stats
+        )
         try:
             if self.jobs == 1:
                 self._run_inline()
             else:
-                self._run_pool()
+                self._run_speculative()
         finally:
+            self._pool.close()
             if self._journal is not None:
                 self._journal.close()
         self.stats.wall_seconds = time.monotonic() - self._t0
@@ -547,8 +275,9 @@ class CampaignEngine:
             cs.buffer.clear()
             for key, (other, _attempt) in list(self._outstanding.items()):
                 if other is cs:
-                    self._cancelled.add(key)
                     del self._outstanding[key]
+                    self._pool.cancel(key)
+                    self.stats.wasted_speculation += 1
             self._emit_cell_line(cs)
 
     def _write_trace_artifact(
@@ -586,12 +315,43 @@ class CampaignEngine:
             for ev in result.trace_events:
                 fh.write(json.dumps(ev, sort_keys=True, separators=(",", ":")) + "\n")
 
-    # -- inline (jobs == 1) ------------------------------------------------
+    def _land(self, kind: str, key: TrialKey, payload: Optional[dict]) -> _CellState:
+        """One pool event: journal the trial's result and hand it to its
+        cell's buffer; returns the cell."""
+        cs, attempt = self._outstanding.pop(key)
+        if kind == "quarantined":
+            # The trial killed every worker that tried it: record a
+            # synthetic discarded outcome so the campaign can finish
+            # instead of relaunching a worker-killer forever.
+            result = CrashTestResult(
+                config=CrashTestConfig.from_json_dict(self._config_json(cs, attempt)),
+                discarded=True,
+                crash_kind="worker_crashed",
+                crash_reason=f"trial killed {WorkerPool.retry_limit + 1} workers; quarantined",
+            )
+        else:
+            result = CrashTestResult.from_json_dict(payload)
+        if self._journal is not None:
+            self._journal.append_trial(key, result.config.seed, result.to_json_dict())
+        cs.buffer[attempt] = result
+        return cs
+
+    def _submit(self, cs: _CellState, attempt: int) -> None:
+        self._scheduled_exec += 1
+        self._outstanding[cs.key(attempt)] = (cs, attempt)
+        self._pool.submit(cs.key(attempt), self._config_json(cs, attempt))
+
+    # -- serial schedule (jobs == 1) ---------------------------------------
 
     def _run_inline(self) -> None:
-        """Strict serial order, same code path as the pool otherwise:
-        configs and results round-trip through JSON so jobs=1 exercises
-        the identical wire format."""
+        """Strict serial order — one cell at a time, one attempt at a
+        time, nothing speculative — on the pool's in-process mode, so
+        configs and results still round-trip through JSON and jobs=1
+        exercises the identical wire format.  Not folded into
+        :meth:`_run_speculative`: its round-robin would interleave the
+        cells (another journal line order, another set of trials inside
+        a ``max_trials`` budget) and it merges before it reports, which
+        moves every ``[engine]`` progress line."""
         for cs in self._cells:
             while True:
                 self._merge(cs)
@@ -602,65 +362,29 @@ class CampaignEngine:
                 if result is None:
                     if not self._may_execute():
                         return
-                    self._scheduled_exec += 1
-                    config = CrashTestConfig.from_json_dict(
-                        self._config_json(cs, attempt)
-                    )
-                    result = CrashTestResult.from_json_dict(
-                        run_crash_test(config).to_json_dict()
-                    )
-                    self.stats.executed += 1
-                    if self._journal is not None:
-                        self._journal.append_trial(
-                            cs.key(attempt), config.seed, result.to_json_dict()
-                        )
+                    self._submit(cs, attempt)
+                    (event,) = self._pool.next_events()
+                    self._land(*event)
                 else:
                     self.stats.from_checkpoint += 1
+                    cs.buffer[attempt] = result
                 cs.next_attempt = attempt + 1
-                cs.buffer[attempt] = result
                 self._emit_progress()
 
-    # -- worker pool (jobs > 1) --------------------------------------------
+    # -- speculative schedule (jobs > 1) -----------------------------------
 
-    def _run_pool(self) -> None:
-        ctx = multiprocessing.get_context()
-        self._task_q = ctx.Queue()
-        self._result_q = ctx.Queue()
-        for _ in range(self.jobs):
-            self._spawn_worker(ctx)
-        try:
-            while not all(cs.done for cs in self._cells):
-                self._dispatch()
-                if self._budget_stop and not self._outstanding:
-                    return
-                if not self._outstanding and not self._requeue:
-                    # nothing in flight and nothing dispatchable: the
-                    # remaining cells completed from cache in _dispatch
-                    continue
-                try:
-                    message = self._result_q.get(timeout=0.2)
-                except queue_mod.Empty:
-                    self._check_workers(ctx)
-                    self._emit_progress()
-                    continue
-                self._last_activity = time.monotonic()
-                self._handle(message)
-                self._emit_progress()
-        finally:
-            self._shutdown_pool()
-
-    def _spawn_worker(self, ctx) -> None:
-        wid = self._next_wid
-        self._next_wid += 1
-        claim_slot = ctx.Value("i", -1)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(wid, self._task_q, self._result_q, claim_slot),
-            daemon=True,
-            name=f"rio-campaign-{wid}",
-        )
-        proc.start()
-        self._workers[wid] = _WorkerHandle(proc=proc, claim_slot=claim_slot)
+    def _run_speculative(self) -> None:
+        while not all(cs.done for cs in self._cells):
+            self._dispatch()
+            if not self._outstanding:
+                if not self._may_execute():
+                    return  # the max_trials budget is spent
+                # nothing in flight and nothing dispatchable: the
+                # remaining cells completed from cache in _dispatch
+                continue
+            for event in self._pool.next_events():
+                self._merge(self._land(*event))
+            self._emit_progress()
 
     def _next_task(self) -> Optional[tuple]:
         """Round-robin over incomplete cells, bounded by each cell's
@@ -681,123 +405,19 @@ class CampaignEngine:
 
     def _dispatch(self) -> None:
         while len(self._outstanding) < self.jobs + 2:
-            if self._requeue:
-                cs, attempt = self._requeue.pop(0)
-                if cs.done:
-                    continue
-            else:
-                task = self._next_task()
-                if task is None:
-                    return
-                cs, attempt = task
-                cached = self._take_cached(cs, attempt)
-                if cached is not None:
-                    self.stats.from_checkpoint += 1
-                    cs.buffer[attempt] = cached
-                    self._merge(cs)
-                    continue
-            if not self._may_execute():
-                self._budget_stop = True
+            task = self._next_task()
+            if task is None:
                 return
-            self._scheduled_exec += 1
-            key = cs.key(attempt)
-            tid = self._next_tid
-            self._next_tid += 1
-            self._tid_key[tid] = key
-            self._outstanding[key] = (cs, attempt)
-            self._task_q.put((tid, key, self._config_json(cs, attempt)))
-            self._last_activity = time.monotonic()
-
-    def _handle(self, message: tuple) -> None:
-        kind, wid, key, payload = message
-        if kind == "fail":
-            raise CampaignWorkerError(f"worker exception on trial {key}: {payload}")
-        if kind != "done":
-            return
-        self.stats.executed += 1
-        entry = self._outstanding.pop(key, None)
-        if entry is None:
-            # cancelled after its cell completed, or a retry raced its
-            # original: the work is real but the result is unneeded.
-            self._cancelled.discard(key)
-            self.stats.wasted_speculation += 1
-            return
-        cs, attempt = entry
-        result = CrashTestResult.from_json_dict(payload)
-        if self._journal is not None:
-            self._journal.append_trial(key, result.config.seed, payload)
-        cs.buffer[attempt] = result
-        self._merge(cs)
-
-    def _claimed_key(self, worker: _WorkerHandle) -> Optional[TrialKey]:
-        tid = worker.claim_slot.value
-        return self._tid_key.get(tid) if tid >= 0 else None
-
-    def _check_workers(self, ctx) -> None:
-        for wid, worker in list(self._workers.items()):
-            if worker.proc.is_alive():
+            cs, attempt = task
+            cached = self._take_cached(cs, attempt)
+            if cached is not None:
+                self.stats.from_checkpoint += 1
+                cs.buffer[attempt] = cached
+                self._merge(cs)
                 continue
-            del self._workers[wid]
-            key = self._claimed_key(worker)
-            if key is not None and key in self._outstanding:
-                self._handle_worker_crash(key, "worker died")
-            self._spawn_worker(ctx)
-        self._sweep_lost_tasks()
-
-    def _handle_worker_crash(self, key: TrialKey, why: str) -> None:
-        """One worker-death (or task-loss) strike against a trial:
-        retry up to ``worker_retry_limit`` times, then quarantine —
-        record a synthetic discarded ``worker_crashed`` outcome so the
-        campaign can finish instead of relaunching a worker-killer
-        forever."""
-        self.stats.worker_crashes += 1
-        cs, attempt = self._outstanding.pop(key)
-        count = self._retries.get(key, 0) + 1
-        self._retries[key] = count
-        label = "/".join(map(str, key))
-        if count <= self.worker_retry_limit:
-            self._say(f"{why} on {label} (worker_crashed); retrying once")
-            self._requeue.append((cs, attempt))
-            return
-        self._say(f"{why} again on {label}; quarantining the trial")
-        self.stats.quarantined.append(key)
-        seed = seed_for(self.base_seed, cs.system, cs.fault_type, attempt)
-        synthetic = CrashTestResult(
-            config=CrashTestConfig.from_json_dict(self._config_json(cs, attempt)),
-            discarded=True,
-            crash_kind="worker_crashed",
-            crash_reason=f"trial killed {count} workers; quarantined",
-        )
-        if self._journal is not None:
-            self._journal.append_trial(key, seed, synthetic.to_json_dict())
-        cs.buffer[attempt] = synthetic
-        self._merge(cs)
-
-    def _sweep_lost_tasks(self) -> None:
-        """Strike trials that are outstanding but neither queued nor
-        claimed by any live worker (a worker died in the window between
-        queue get and claim-slot write)."""
-        if not self._outstanding:
-            return
-        if time.monotonic() - self._last_activity < 5.0:
-            return
-        claimed = {self._claimed_key(w) for w in self._workers.values()}
-        lost = [k for k in self._outstanding if k not in claimed]
-        if lost and self._task_q.empty():
-            for key in lost:
-                self._handle_worker_crash(key, "trial lost in flight")
-        self._last_activity = time.monotonic()
-
-    def _shutdown_pool(self) -> None:
-        for worker in self._workers.values():
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-        for worker in self._workers.values():
-            worker.proc.join(timeout=2)
-        for q in (self._task_q, self._result_q):
-            q.cancel_join_thread()
-            q.close()
-        self._workers.clear()
+            if not self._may_execute():
+                return
+            self._submit(cs, attempt)
 
     # -- progress ----------------------------------------------------------
 
@@ -849,40 +469,3 @@ class CampaignEngine:
             )  # paper: "about half the time" a run survives and is discarded
             remaining += min(needed / max(rate, 0.1), cs.max_attempts - cs.merged_upto)
         return f"~{remaining / throughput:.0f}s"
-
-
-def run_table1_campaign_parallel(
-    crashes_per_cell: int = 10,
-    systems: tuple = SYSTEM_NAMES,
-    fault_types: tuple = ALL_FAULT_TYPES,
-    base_seed: int = 1000,
-    max_attempts_factor: int = 5,
-    config_overrides: Optional[dict] = None,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    max_trials: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    progress_interval_s: float = 5.0,
-) -> Table1:
-    """Drop-in parallel replacement for ``run_table1_campaign``.
-
-    Same parameters plus ``jobs`` (worker processes; 1 = in-process),
-    ``checkpoint`` (JSONL journal path for resume), ``max_trials`` (stop
-    scheduling new trials after this many — an interrupted-campaign
-    budget; the journal keeps what finished).  Output is bit-identical
-    to the serial campaign for the same parameters.
-    """
-    engine = CampaignEngine(
-        crashes_per_cell=crashes_per_cell,
-        systems=systems,
-        fault_types=fault_types,
-        base_seed=base_seed,
-        max_attempts_factor=max_attempts_factor,
-        config_overrides=config_overrides,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        max_trials=max_trials,
-        progress=progress,
-        progress_interval_s=progress_interval_s,
-    )
-    return engine.run()

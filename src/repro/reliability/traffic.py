@@ -83,9 +83,6 @@ class TrafficConfig:
     #: backend armed the campaign reconciles the remote tier at every
     #: storm recovery and finishes with the remote-only audit.
     backend: Optional[str] = None
-    #: Pin the execution engine on every kernel (None keeps the machine
-    #: default).
-    fast_path: Optional[bool] = None
     #: Chaos capability specs to arm — a tuple of JSON-safe dicts whose
     #: keys match :meth:`ChaosRegistry.enable` (``name`` plus knobs and
     #: scope fields).  Empty means no chaos.
@@ -350,8 +347,6 @@ def _run_on_service(config: TrafficConfig, clients: List[LoadClient]) -> Traffic
     spec = system_spec_for(config.system, fs_blocks=config.fs_blocks)
     if config.backend is not None:
         spec = replace(spec, backend=config.backend, backend_seed=config.seed)
-    if config.fast_path is not None:
-        spec = replace(spec, machine=replace(spec.machine, fast_path=config.fast_path))
     system = build_system(spec)
     if config.chaos:
         from repro.faults.capabilities import ChaosRegistry
@@ -476,7 +471,6 @@ def _run_on_cluster(config: TrafficConfig, clients: List[LoadClient]) -> Traffic
         fs_blocks=config.fs_blocks,
         inode_blocks=_cluster_inode_blocks(config),
         memory_bytes=config.memory_bytes,
-        fast_path=config.fast_path,
         crash_points=rolling_crash_points(config),
     )
     if config.batch_size is not None:

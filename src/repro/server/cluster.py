@@ -91,8 +91,6 @@ class ShardSpec:
     inode_blocks: int = 8
     #: Machine memory override in bytes (None keeps the default 16 MB).
     memory_bytes: Optional[int] = None
-    #: Pin the execution engine (None keeps the machine default).
-    fast_path: Optional[bool] = None
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Executed-request counts at which this shard force-crashes (the
     #: rolling-storm schedule; each point fires once, in order).
@@ -119,8 +117,6 @@ class Shard:
         machine = system_spec.machine
         if spec.memory_bytes is not None:
             machine = replace(machine, memory_bytes=spec.memory_bytes)
-        if spec.fast_path is not None:
-            machine = replace(machine, fast_path=spec.fast_path)
         self.spec = spec
         self.system = build_system(replace(system_spec, machine=machine))
         self.service = FileService(self.system, replace(spec.service))
@@ -426,8 +422,6 @@ class ClusterConfig:
     #: Per-shard machine memory override (None: the default 16 MB).
     memory_bytes: Optional[int] = None
     home_prefix: str = "/srv"
-    #: Pin the execution engine on every shard.
-    fast_path: Optional[bool] = None
     #: Rolling-storm schedule: shard id -> executed-count crash points.
     crash_points: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     #: Shard-side service tunables.  The shard queue must swallow a
@@ -491,7 +485,6 @@ class ClusterService:
                 fs_blocks=self.config.fs_blocks,
                 inode_blocks=self.config.inode_blocks,
                 memory_bytes=self.config.memory_bytes,
-                fast_path=self.config.fast_path,
                 service=shard_service,
                 crash_points=tuple(self.config.crash_points.get(shard, ())),
                 trace_events=self.config.trace_events,

@@ -143,6 +143,10 @@ class FileService:
         #: bring the kernel down mid-traffic.
         self.before_execute: Optional[Callable[[int], None]] = None
         self.last_audit: Optional[AuditReport] = None
+        #: The request the last mid-request crash interrupted.  The pump
+        #: re-executes that very object after recovery, so identity tells
+        #: :meth:`_dispatch` that what it runs is a retry across a crash.
+        self._interrupted: Optional[Request] = None
         system.add_reboot_hook(self._on_reboot)
         try:
             self.system.vfs.mkdir(self.config.home_prefix)
@@ -315,6 +319,7 @@ class FileService:
                         # a namespace op that did land surfaces as an
                         # ordinary POSIX error on the retry.
                         inflight = self._describe_inflight(request)
+                        self._interrupted = request
                         self.stats.transparent_retries += 1
                         self.scheduler.requeue_front(batch[index:])
                         break
@@ -596,6 +601,17 @@ class FileService:
             old = session.resolve(request.path)
             new = session.resolve(request.new_path)
             vfs.rename(old, new)
+            if request is self._interrupted and old != new and vfs.exists(old):
+                # The first attempt died between UFS.rename's dir_add and
+                # dir_remove, leaving both names on one inode, and the
+                # kernel's rename of two links to one file is a POSIX
+                # no-op.  The protocol has no link op, so inside the
+                # service this can only be that interrupted rename:
+                # finish it before it is acknowledged.  (Recovery's fsck
+                # has already counted the second name into nlink.  A
+                # directory cannot be finished this way — EISDIR fails
+                # the request honestly instead of acking a non-event.)
+                vfs.unlink(old)
             self.journal.record(
                 session.client_id, request.req_id, "rename", old, new_path=new
             )

@@ -421,8 +421,9 @@ class TestTrafficRemote:
 
         assert digests(None) == digests("local")
 
-    def test_tiered_campaign_engine_pure(self):
+    def test_tiered_campaign_engine_pure(self, monkeypatch):
         def run(fast_path):
+            monkeypatch.setenv("RIO_FAST_PATH", "1" if fast_path else "0")
             return run_traffic_campaign(
                 TrafficConfig(
                     system="rio_prot",
@@ -431,7 +432,6 @@ class TestTrafficRemote:
                     seed=33,
                     load=LoadSpec(ops_per_client=8),
                     backend="tiered",
-                    fast_path=fast_path,
                 )
             )
 

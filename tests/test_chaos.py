@@ -302,9 +302,11 @@ def test_campaign_digest_is_jobs_independent():
     assert serial.ok and fanned.ok
 
 
-def test_campaign_digest_is_engine_independent():
-    reference = run_chaos_campaign(_small_campaign(fast_path=False))
-    hot = run_chaos_campaign(_small_campaign(fast_path=True))
+def test_campaign_digest_is_engine_independent(monkeypatch):
+    monkeypatch.setenv("RIO_FAST_PATH", "0")
+    reference = run_chaos_campaign(_small_campaign())
+    monkeypatch.setenv("RIO_FAST_PATH", "1")
+    hot = run_chaos_campaign(_small_campaign())
     assert reference.digest == hot.digest
     assert reference.ok
 

@@ -157,7 +157,7 @@ def test_readdir_fans_out_and_merges_sorted_union():
 # -- determinism -------------------------------------------------------
 
 
-def _campaign(jobs=1, fast_path=None, crashes=0):
+def _campaign(jobs=1, crashes=0):
     return run_traffic_campaign(
         TrafficConfig(
             shards=2,
@@ -167,7 +167,6 @@ def _campaign(jobs=1, fast_path=None, crashes=0):
             router_mode="hash",
             jobs=jobs,
             load=LIGHT,
-            fast_path=fast_path,
         )
     )
 
@@ -180,9 +179,11 @@ def test_digest_identical_across_jobs():
     assert inline.ok and processes.ok
 
 
-def test_digest_identical_across_engines():
-    reference = _campaign(fast_path=False, crashes=1)
-    hot = _campaign(fast_path=True, crashes=1)
+def test_digest_identical_across_engines(monkeypatch):
+    monkeypatch.setenv("RIO_FAST_PATH", "0")
+    reference = _campaign(crashes=1)
+    monkeypatch.setenv("RIO_FAST_PATH", "1")
+    hot = _campaign(crashes=1)
     assert reference.cluster_digest == hot.cluster_digest
     assert reference.ok and hot.ok
 

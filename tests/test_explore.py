@@ -190,13 +190,14 @@ class TestEnumeration:
         assert Boundary.from_json_dict(boundary.to_json_dict()) == boundary
         assert boundary.key() == "shadow/end-write"
 
-    def test_enumeration_golden_across_engines(self):
+    def test_enumeration_golden_across_engines(self, monkeypatch):
         """Both execution engines enumerate the identical crash-point
         list for one seed: same stream digest, same census — the
         foundation of the (seed, event_index) replay identity."""
         results = {}
         for fast in (True, False):
-            config = ExploreConfig(workload="basic", ops=1, seed=5, fast_path=fast)
+            monkeypatch.setenv("RIO_FAST_PATH", "1" if fast else "0")
+            config = ExploreConfig(workload="basic", ops=1, seed=5)
             enumeration = run_enumeration(config)
             results[fast] = (
                 enumeration.digest,
@@ -243,3 +244,14 @@ class TestEndToEnd:
         assert resumed.executed == 0
         assert resumed.from_checkpoint == serial.boundaries_total
         assert resumed.report_digest() == serial.report_digest()
+
+    def test_acknowledged_rename_survives_every_crash_point(self):
+        """Seed 40's clean run acknowledges a ``rename``.  A crash between
+        the rename's two directory updates used to be retried into a POSIX
+        no-op and acknowledged with the old name still there (5
+        ``acked-data-durable`` violations); the service now finishes the
+        interrupted rename before it acks."""
+        config = ExploreConfig("traffic", clients=1, ops_per_client=2, seed=40)
+        report = explore(config, jobs=2)
+        assert report.complete and report.coverage_percent == 100.0
+        assert report.violations == []

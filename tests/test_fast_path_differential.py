@@ -195,14 +195,17 @@ def test_explore_verdicts_identical_across_engines(seed, ops):
 
     outputs = {}
     for fast in (True, False):
-        config = ExploreConfig(workload="basic", ops=ops, seed=seed, fast_path=fast)
-        enumeration = run_enumeration(config)
-        boundaries = enumeration.boundaries
-        picks = sorted(
-            {boundaries[0], boundaries[len(boundaries) // 2], boundaries[-1]},
-            key=lambda b: b.index,
-        )
-        verdicts = [run_boundary_trial(config, b) for b in picks]
+        config = ExploreConfig(workload="basic", ops=ops, seed=seed)
+        # (not the monkeypatch fixture: hypothesis re-runs this body)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("RIO_FAST_PATH", "1" if fast else "0")
+            enumeration = run_enumeration(config)
+            boundaries = enumeration.boundaries
+            picks = sorted(
+                {boundaries[0], boundaries[len(boundaries) // 2], boundaries[-1]},
+                key=lambda b: b.index,
+            )
+            verdicts = [run_boundary_trial(config, b) for b in picks]
         report = ExploreReport(
             config=config,
             total_events=len(enumeration.events),

@@ -20,7 +20,6 @@ from repro.faults import FaultType
 from repro.reliability import (
     CampaignEngine,
     run_table1_campaign,
-    run_table1_campaign_parallel,
     table1_digest,
 )
 from repro.workloads.memtest import MemTestParams
@@ -62,7 +61,7 @@ def serial_oracle():
 class TestEquivalence:
     def test_jobs_1_matches_serial(self, serial_oracle):
         _, want = serial_oracle
-        table = run_table1_campaign_parallel(**MINI_CAMPAIGN, jobs=1)
+        table = CampaignEngine(**MINI_CAMPAIGN, jobs=1).run()
         assert table1_digest(table) == want
 
     def test_jobs_4_matches_serial(self, serial_oracle):
@@ -79,7 +78,7 @@ class TestEquivalence:
 
     def test_cell_counters_match_serial_cell_by_cell(self, serial_oracle):
         oracle, _ = serial_oracle
-        table = run_table1_campaign_parallel(**MINI_CAMPAIGN, jobs=4)
+        table = CampaignEngine(**MINI_CAMPAIGN, jobs=4).run()
         for key, cell in oracle.cells.items():
             other = table.cells[key]
             assert (
@@ -157,9 +156,9 @@ class TestWorkerDeath:
 class TestEngineSurface:
     def test_progress_lines_emitted(self):
         lines = []
-        run_table1_campaign_parallel(
+        CampaignEngine(
             **ONE_CELL, jobs=1, progress=lines.append, progress_interval_s=0.0
-        )
+        ).run()
         assert any("crashes counted" in line for line in lines)
         assert any("rio_prot/kernel text:" in line for line in lines)
 

@@ -257,6 +257,56 @@ def test_crash_mid_batch_retries_in_order():
     assert service.stats.lost_acks == 0
 
 
+def crash_at_next_preemption_point(system):
+    """Arm a one-shot machine crash at the kernel's next preemption point
+    — inside ``UFS.rename`` that is exactly between ``dir_add`` (new name
+    in) and ``dir_remove`` (old name out)."""
+    kernel, original = system.kernel, system.kernel.preemption_point
+
+    def crash_once():
+        kernel.preemption_point = original
+        system.machine.crash("mid-rename", kind="forced")
+        original()
+
+    kernel.preemption_point = crash_once
+
+
+def test_rename_interrupted_between_its_two_dirents_is_finished_by_the_retry():
+    service = make_service()
+    system = service.system
+    service.open_session(0)
+    fd = ok(service, Request(client_id=0, req_id=1, op="open", path="f0", create=True)).value
+    ok(service, Request(client_id=0, req_id=2, op="write", fd=fd, offset=0, data=b"payload"))
+    ok(service, Request(client_id=0, req_id=3, op="close", fd=fd))
+
+    crash_at_next_preemption_point(system)
+    # One transparent retry: the client sees a single ok response.
+    ok(service, Request(client_id=0, req_id=4, op="rename", path="f0", new_path="r0"))
+    assert service.stats.transparent_retries == 1 and service.stats.recoveries == 1
+
+    vfs = system.vfs
+    assert not vfs.exists("/srv/c000/f0"), "acknowledged rename left the old name behind"
+    assert vfs.stat("/srv/c000/r0").nlink == 1
+    fd = ok(service, Request(client_id=0, req_id=5, op="open", path="r0")).value
+    read = ok(service, Request(client_id=0, req_id=6, op="read", fd=fd, offset=0, length=7))
+    assert read.value == b"payload"
+    assert service.audit().ok and service.stats.lost_acks == 0
+
+
+def test_interrupted_directory_rename_fails_honestly_instead_of_acking():
+    # POSIX has no call that drops one name of a directory, so the retry
+    # cannot finish this one; what it must not do is acknowledge it.
+    service = make_service()
+    service.open_session(0)
+    ok(service, Request(client_id=0, req_id=1, op="mkdir", path="d0"))
+    crash_at_next_preemption_point(service.system)
+    service.submit(Request(client_id=0, req_id=2, op="rename", path="d0", new_path="d1"))
+    [response] = service.drain()
+    assert not response.ok and response.error == "EISDIR"
+    assert service.system.vfs.exists("/srv/c000/d0")
+    assert service.audit().ok
+
+
 def test_rebind_restores_offsets_across_crash():
     service = make_service()
     system = service.system

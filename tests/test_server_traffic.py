@@ -53,13 +53,15 @@ def test_storm_is_deterministic_across_runs():
     assert first.ok and second.ok
 
 
-def test_storm_digests_are_engine_independent():
+def test_storm_digests_are_engine_independent(monkeypatch):
     # The PR3 guarantee, load-bearing at service scale: the reference
     # and hot-path engines must produce the same acks, the same crash
     # points, the same recoveries — down to the virtual clock.
     config = dict(system="rio_prot", clients=5, crashes=2, seed=33, load=small_load(10))
-    reference = run_traffic_campaign(TrafficConfig(fast_path=False, **config))
-    hot = run_traffic_campaign(TrafficConfig(fast_path=True, **config))
+    monkeypatch.setenv("RIO_FAST_PATH", "0")
+    reference = run_traffic_campaign(TrafficConfig(**config))
+    monkeypatch.setenv("RIO_FAST_PATH", "1")
+    hot = run_traffic_campaign(TrafficConfig(**config))
     assert digest_tuple(reference) == digest_tuple(hot)
     assert reference.ok
 
