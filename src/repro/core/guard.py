@@ -43,10 +43,10 @@ class RioGuard(CacheGuard):
         self.registry = registry
         self.protection = protection
         self.config = config
-        #: page key -> (shadow_pfn, original window exit) for in-flight
-        #: shadowed metadata writes.
+        #: page key -> shadow_pfn for in-flight shadowed metadata writes.
         self._shadows: dict[tuple, int] = {}
-        self._open_windows: dict[tuple, object] = {}
+        #: page key -> the page whose protection window is open.
+        self._open_windows: dict[tuple, CachePage] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -97,9 +97,8 @@ class RioGuard(CacheGuard):
         return rec if rec is not None and rec.enabled else None
 
     def begin_write(self, page: CachePage) -> None:
-        window = self.protection.page_window(page)
-        window.__enter__()
-        self._open_windows[page.key] = window
+        self.protection.open_page_window(page)
+        self._open_windows[page.key] = page
         if page.kind == "meta" and self.config.shadow_metadata:
             # Shadow page: preserve the pre-image and point the registry
             # at it for the duration of the update.
@@ -145,9 +144,9 @@ class RioGuard(CacheGuard):
         else:
             self.registry.update_fields(page.registry_slot, checksum=page.checksum)
             self.registry.update_flags(page.registry_slot, clear_flags=FLAG_CHANGING)
-        window = self._open_windows.pop(page.key, None)
-        if window is not None:
-            window.__exit__(None, None, None)
+        opened = self._open_windows.pop(page.key, None)
+        if opened is not None:
+            self.protection.close_page_window(opened)
 
     def on_dirty_changed(self, page: CachePage) -> None:
         if page.registry_slot is None:

@@ -27,8 +27,6 @@ written, and disks have the same vulnerability."
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from repro.core.config import ProtectionMode, RioConfig
 from repro.errors import ProtectionTrap
 from repro.fs.cache import CachePage
@@ -77,8 +75,7 @@ class ProtectionManager:
             self.kernel.mmu.kseg_through_tlb = True
         else:
             self._install_code_patching()
-        for pfn in self._registry_pfns:
-            self._set_pfn_protected(pfn, True)
+        self._set_registry_protected(True)
 
     def _install_code_patching(self) -> None:
         """Rewrite the kernel text with inline store checks.
@@ -132,33 +129,46 @@ class ProtectionManager:
     def unprotect_page(self, page: CachePage) -> None:
         self._set_page_protected(page, False)
 
-    @contextmanager
-    def page_window(self, page: CachePage):
-        """Open a write window over one page.
+    # -- write windows ----------------------------------------------------
+    #
+    # A window is an ``open_*`` call, the legitimate stores, then the
+    # matching ``close_*`` call.  Deliberately *not* exception-safe: if
+    # the system crashes while a window is open, ``close_*`` never runs
+    # and the page stays writable — the same vulnerability a disk sector
+    # being written at crash time has.
 
-        Deliberately *not* exception-safe: if the system crashes while the
-        window is open, the page stays writable — the same vulnerability a
-        disk sector being written at crash time has.
-        """
+    def open_page_window(self, page: CachePage) -> None:
+        """Open a write window over one cache page."""
         self.stat_windows += 1
         rec = self._recorder()
         if rec is not None:
             rec.emit("prot", "page-window", page=str(page.key), kind=page.kind)
         self.unprotect_page(page)
-        yield
+
+    def close_page_window(self, page: CachePage) -> None:
+        """Close the window :meth:`open_page_window` opened over ``page``."""
         self.protect_page(page)
 
-    @contextmanager
-    def registry_window(self):
+    def open_registry_window(self) -> None:
+        """Open a write window over every registry frame."""
         self.stat_windows += 1
         rec = self._recorder()
         if rec is not None:
             rec.emit("prot", "registry-window")
-        for pfn in self._registry_pfns:
-            self._set_pfn_protected(pfn, False)
-        yield
-        for pfn in self._registry_pfns:
-            self._set_pfn_protected(pfn, True)
+        self._set_registry_protected(False)
+
+    def close_registry_window(self) -> None:
+        """Re-protect every registry frame."""
+        self._set_registry_protected(True)
+
+    def _set_registry_protected(self, protected: bool) -> None:
+        if self.mode is ProtectionMode.VM_KSEG:
+            self.kernel.mmu.set_kseg_writable_run(self._registry_pfns, not protected)
+        elif self.mode is ProtectionMode.CODE_PATCHING:
+            if protected:
+                self._patched_pfns.update(self._registry_pfns)
+            else:
+                self._patched_pfns.difference_update(self._registry_pfns)
 
     # -- the code-patching store checker -------------------------------------------
 

@@ -23,9 +23,8 @@ the recovery path reads it straight out of the raw memory image.
 from __future__ import annotations
 
 import struct
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError, NoSpace
 from repro.hw.bus import AccessContext, MemoryBus
@@ -113,6 +112,10 @@ class RegistryEntry:
         )
 
 
+def _no_window() -> None:
+    """Window operation of a registry whose frames nothing protects."""
+
+
 def capacity_for(region_bytes: int) -> int:
     """How many entries fit in a registry region of this size."""
     return (region_bytes - HEADER_SIZE) // ENTRY_SIZE
@@ -126,7 +129,7 @@ class Registry:
         bus: MemoryBus,
         base_paddr: int,
         region_bytes: int,
-        window: Callable[[], ContextManager] | None = None,
+        protection=None,
     ) -> None:
         self.bus = bus
         self.base_paddr = base_paddr
@@ -134,9 +137,16 @@ class Registry:
         self.capacity = capacity_for(region_bytes)
         if self.capacity <= 0:
             raise ConfigurationError("registry region too small")
-        #: Context manager factory that opens a protection window over the
-        #: registry frames; installed by the protection manager.
-        self.window = window or (lambda: nullcontext())
+        # Every registry store happens between these two calls.  They are
+        # the protection manager's ``open_registry_window`` /
+        # ``close_registry_window`` (a registry nothing protects gets
+        # no-ops) and, like them, not exception-safe: a store that crashes
+        # the machine leaves the window open.
+        if protection is None:
+            self._open_window = self._close_window = _no_window
+        else:
+            self._open_window = protection.open_registry_window
+            self._close_window = protection.close_registry_window
         self._free_slots: list[int] = list(range(self.capacity - 1, -1, -1))
 
     # -- addressing --------------------------------------------------------
@@ -154,20 +164,21 @@ class Registry:
 
     def format(self) -> None:
         """Write the header and zero all entries (boot of a cold system)."""
-        with self.window():
-            header = _HEADER_FMT.pack(
-                REGISTRY_MAGIC, self.capacity, ENTRY_SIZE, self.base_paddr
-            )
-            self.bus.store(self.base_vaddr, header, _REG_CTX)
-            # One store per registry page, through the bus: a page that
-            # is protected outside a window still traps.
-            page_size = self.bus.memory.page_size
-            addr = self.base_vaddr + HEADER_SIZE
-            end = addr + self.capacity * ENTRY_SIZE
-            while addr < end:
-                take = min(end - addr, page_size - addr % page_size)
-                self.bus.store(addr, bytes(take), _REG_CTX)
-                addr += take
+        self._open_window()
+        header = _HEADER_FMT.pack(
+            REGISTRY_MAGIC, self.capacity, ENTRY_SIZE, self.base_paddr
+        )
+        self.bus.store(self.base_vaddr, header, _REG_CTX)
+        # One store per registry page, through the bus: a page that is
+        # protected outside a window still traps.
+        page_size = self.bus.memory.page_size
+        addr = self.base_vaddr + HEADER_SIZE
+        end = addr + self.capacity * ENTRY_SIZE
+        while addr < end:
+            take = min(end - addr, page_size - addr % page_size)
+            self.bus.store(addr, bytes(take), _REG_CTX)
+            addr += take
+        self._close_window()
         self._free_slots = list(range(self.capacity - 1, -1, -1))
 
     # -- slot management ----------------------------------------------------------
@@ -195,8 +206,9 @@ class Registry:
                 slot=entry.slot, flags=entry.flags,
                 phys_addr=entry.phys_addr, checksum=entry.checksum,
             )
-        with self.window():
-            self.bus.store(self.entry_vaddr(entry.slot), entry.to_bytes(), _REG_CTX)
+        self._open_window()
+        self.bus.store(self.entry_vaddr(entry.slot), entry.to_bytes(), _REG_CTX)
+        self._close_window()
 
     def read_entry(self, slot: int) -> RegistryEntry:
         """Parse the entry stored in ``slot``."""

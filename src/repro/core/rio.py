@@ -36,7 +36,7 @@ class RioFileCache:
             kernel.bus,
             base_paddr,
             region_bytes,
-            window=self.protection.registry_window,
+            protection=self.protection,
         )
         self.guard = RioGuard(kernel, self.registry, self.protection, self.config)
         self.registry.format()

@@ -82,7 +82,7 @@ class PhoenixFileCache:
             kernel.bus,
             base_paddr,
             len(frames) * kernel.page_size,
-            window=self.protection.registry_window,
+            protection=self.protection,
         )
         self.guard = PhoenixGuard(kernel, self.registry, self.protection, self.config, self)
         self.registry.format()

@@ -359,19 +359,31 @@ class DirEntry:
         record too mangled to interpret."""
         if len(data) < DIRENT_SIZE:
             return None
-        ino, name_len, raw = _DIRENT_FMT.unpack(data[:DIRENT_SIZE])
+        ino, name_len, raw = _DIRENT_FMT.unpack_from(data)
         if ino == 0:
             return None
-        if name_len == 0 or name_len > MAX_NAME:
-            return None
-        raw = raw[:name_len]
-        if b"\x00" in raw:
-            return None
-        try:
-            name = raw.decode()
-        except UnicodeDecodeError:
-            return None
-        return cls(ino=ino, name=name)
+        name = _dirent_name(name_len, raw)
+        return None if name is None else cls(ino=ino, name=name)
+
+
+def _dirent_name(name_len: int, raw: bytes) -> str | None:
+    """The name held by a non-empty record's ``(name_len, name field)``,
+    or None when the record is too mangled to interpret."""
+    if name_len == 0 or name_len > MAX_NAME:
+        return None
+    raw = raw[:name_len]
+    if b"\x00" in raw:
+        return None
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        return None
+
+
+def _dirent_records(data: bytes | bytearray | memoryview):
+    """``(ino, name_len, name field)`` of every whole record in ``data``."""
+    whole = len(data) - len(data) % DIRENT_SIZE
+    return _DIRENT_FMT.iter_unpack(data if whole == len(data) else data[:whole])
 
 
 def pack_dirents(entries: list[DirEntry], nblocks: int) -> bytes:
@@ -388,8 +400,28 @@ def pack_dirents(entries: list[DirEntry], nblocks: int) -> bytes:
 def parse_dirents(data: bytes) -> list[DirEntry]:
     """Parse every valid record out of directory content bytes."""
     entries = []
-    for off in range(0, len(data) - DIRENT_SIZE + 1, DIRENT_SIZE):
-        entry = DirEntry.from_bytes(data[off : off + DIRENT_SIZE])
-        if entry is not None:
-            entries.append(entry)
+    for ino, name_len, raw in _dirent_records(data):
+        if ino and (name := _dirent_name(name_len, raw)) is not None:
+            entries.append(DirEntry(ino=ino, name=name))
     return entries
+
+
+def find_dirent(data: bytes, name: str) -> tuple[int, DirEntry] | None:
+    """``(byte offset, record)`` of the first valid record named ``name``
+    in directory content bytes, or None.
+
+    Compares the encoded name and builds a :class:`DirEntry` only for the
+    hit.  A record equal to a well-formed encoded name is itself valid
+    (length in range, no NUL, decodable), and a mangled one matches
+    nothing, so the outcome is that of parsing every record first.
+    """
+    want = name.encode()
+    size = len(want)
+    if not 0 < size <= MAX_NAME or b"\x00" in want:
+        return None
+    offset = 0
+    for ino, name_len, raw in _dirent_records(data):
+        if ino and name_len == size and raw[:size] == want:
+            return offset, DirEntry(ino=ino, name=name)
+        offset += DIRENT_SIZE
+    return None

@@ -45,6 +45,8 @@ from repro.fs.ondisk import (
     Inode,
     Superblock,
     allocated_slots,
+    find_dirent,
+    parse_dirents,
 )
 from repro.fs.types import (
     BLOCK_SIZE,
@@ -422,11 +424,9 @@ class UFS:
         for block_no in self._dir_blocks(dinode):
             if block_no == 0:
                 continue
-            data = self.read_meta(block_no, 0, BLOCK_SIZE, meta_class="dir")
-            for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
-                entry = DirEntry.from_bytes(data[off : off + DIRENT_SIZE])
-                if entry is not None:
-                    entries.append(entry)
+            entries += parse_dirents(
+                self.read_meta(block_no, 0, BLOCK_SIZE, meta_class="dir")
+            )
         return entries
 
     def _find_dirent(self, dinode: Inode, name: str) -> tuple[int, int, DirEntry] | None:
@@ -434,11 +434,11 @@ class UFS:
         for block_no in self._dir_blocks(dinode):
             if block_no == 0:
                 continue
-            data = self.read_meta(block_no, 0, BLOCK_SIZE, meta_class="dir")
-            for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
-                entry = DirEntry.from_bytes(data[off : off + DIRENT_SIZE])
-                if entry is not None and entry.name == name:
-                    return block_no, off, entry
+            found = find_dirent(
+                self.read_meta(block_no, 0, BLOCK_SIZE, meta_class="dir"), name
+            )
+            if found is not None:
+                return block_no, *found
         return None
 
     def dir_lookup(self, dinode: Inode, name: str) -> int | None:

@@ -18,22 +18,39 @@ Hot path
 --------
 
 When :attr:`MemoryBus.fast_path` is on (the default, see
-``MachineConfig.fast_path``), accesses that fit inside one page take a
-zero-copy route: the ``(virtual page base, write)`` pair is looked up in a
-software TLB that caches the physical page base of each successful MMU
-translation, and the bytes are read/written directly in the frame's
-backing ``bytearray``.  The soft TLB is invalidated wholesale whenever
-:attr:`MMU.generation` changes — any ``map``/``unmap``, any PTE or KSEG
-writability toggle, and any flip of the ABOX ``kseg_through_tlb`` bit —
-so protection changes take effect on the very next access, exactly as on
-the slow path.  Misses, page-crossing accesses, traced runs, and (for
-stores) an installed store checker all fall back to the original
-translate-everything path, which keeps trap types, messages, ordering and
-every :class:`BusStats` counter identical between the two routes.
+``MachineConfig.fast_path``), an access that fits inside one page is one
+flat function body, in the order every route keeps — *crash guard, stats
+bump, translate*:
+
+* **Inline.**  The crash guard reads :attr:`MemoryBus.crashed`, a plain
+  flag (it *is* the machine's crash state; ``Machine.crashed`` is a
+  property over it).  The soft TLB — one ``virtual page base -> pfn``
+  table per access kind — is probed in place.  A word is read or written
+  straight in the frame's ``bytearray`` with ``struct`` (``unpack_from``
+  / ``pack_into``): a never-written frame reads the shared zero page and
+  allocates nothing, a store bumps the frame's write generation.
+* **The miss handler owns every trap.**  A failed probe calls
+  :meth:`MemoryBus._fast_page`, which runs :meth:`MMU.translate` itself,
+  so each MachineCheck / ProtectionTrap, each trap event and each
+  ``stat_protection_traps`` bump is the reference route's own, raised
+  after the stats bump exactly as there; only a successful translation
+  is cached.  Both tables are emptied whenever :attr:`MMU.generation`
+  changes — any ``map``/``unmap``, any PTE or KSEG writability toggle,
+  any flip of the ABOX ``kseg_through_tlb`` bit — so a protection change
+  takes effect on the very next access.
+* **The reference route, untouched,** takes everything else: tracing on,
+  a store checker installed (stores), a page-crossing access,
+  ``fast_path=False``.  Trap types, messages, ordering and every
+  :class:`BusStats` counter are identical between the two routes.
+
+The kernel's native walkers (``isa/routines.py``) still issue one bus call
+per word: the load/store counts, and the exact access at which a
+corrupted pointer traps, are observable.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,6 +59,8 @@ from repro.errors import CrashedMachineError
 from repro.hw.mmu import MMU
 
 _MASK64 = (1 << 64) - 1
+_U64 = struct.Struct("<Q")
+_CRASHED = "memory access on crashed machine"
 
 
 @dataclass
@@ -160,21 +179,23 @@ class MemoryBus:
         #: recorder through here.  ``None`` for standalone buses.
         self.recorder = None
         self.store_checker: Optional[StoreChecker] = None
-        self._crashed_check: Callable[[], bool] = lambda: False
+        #: The machine is down: every access raises
+        #: :class:`CrashedMachineError`.  This flag *is* the machine's
+        #: crash state (``Machine.crashed`` reads and writes it), so the
+        #: access paths test it without a call.
+        self.crashed = False
         self._tracing = False
         #: Engage the soft TLB + zero-copy word paths (and, transitively,
         #: the interpreter's predecode engine).  Off = reference path.
         self.fast_path = fast_path
         self._page_size = mmu.memory.page_size
         self._pages = mmu.memory._pages
+        self._page_gens = mmu.memory._page_gens
         self._zero_page = mmu.memory._zero_page  # loads never allocate
-        #: Soft TLB: (virtual page base, write) -> (physical page base, pfn).
-        self._tlb: dict[tuple[int, bool], tuple[int, int]] = {}
+        #: Soft TLB, one table per access kind: virtual page base -> pfn.
+        self._tlb_loads: dict[int, int] = {}
+        self._tlb_stores: dict[int, int] = {}
         self._tlb_gen = -1
-
-    def attach_crash_check(self, check: Callable[[], bool]) -> None:
-        """Install the machine's "am I crashed" predicate."""
-        self._crashed_check = check
 
     def enable_tracing(self, enabled: bool = True, cap: int | None = None) -> None:
         """Record (kind, vaddr, length, procedure) tuples — for tests.
@@ -191,39 +212,35 @@ class MemoryBus:
         if not enabled:
             self.stats.trace.clear()
 
-    def _guard(self) -> None:
-        if self._crashed_check():
-            raise CrashedMachineError("memory access on crashed machine")
-
     # -- the soft TLB ---------------------------------------------------
 
-    def _fast_page(self, vaddr: int, off: int, write: bool) -> tuple[int, int]:
-        """Translate the page holding ``vaddr`` via the soft TLB.
+    def _fast_page(self, vaddr: int, off: int, write: bool) -> int:
+        """The soft TLB's miss handler: translate the page holding
+        ``vaddr`` and return its pfn.
 
-        Returns ``(physical page base, pfn)``; misses consult
-        :meth:`MMU.translate` (so every MachineCheck / ProtectionTrap and
-        every ``stat_protection_traps`` bump is the slow path's own) and
-        only successful translations are cached.
+        The access paths probe the TLB inline and come here only when the
+        probe fails (or :attr:`MMU.generation` moved, which empties both
+        tables).  The translation is :meth:`MMU.translate`'s own — so is
+        every MachineCheck / ProtectionTrap and every
+        ``stat_protection_traps`` bump — and only a successful one is
+        cached.
         """
         mmu = self.mmu
         gen = mmu.generation
         if gen != self._tlb_gen:
-            self._tlb.clear()
+            self._tlb_loads.clear()
+            self._tlb_stores.clear()
             self._tlb_gen = gen
-        key = (vaddr - off, write)
-        hit = self._tlb.get(key)
-        if hit is None:
-            paddr = mmu.translate(vaddr, write=write)
-            pbase = paddr - off
-            hit = (pbase, pbase // self._page_size)
-            self._tlb[key] = hit
-        return hit
+        pfn = (mmu.translate(vaddr, write=write) - off) // self._page_size
+        (self._tlb_stores if write else self._tlb_loads)[vaddr - off] = pfn
+        return pfn
 
     # -- loads ----------------------------------------------------------
 
     def load(self, vaddr: int, length: int, ctx: AccessContext = KERNEL_CONTEXT) -> bytes:
         """Kernel load through the MMU (may machine-check)."""
-        self._guard()
+        if self.crashed:
+            raise CrashedMachineError(_CRASHED)
         stats = self.stats
         stats.loads += 1
         stats.bytes_loaded += length
@@ -232,7 +249,13 @@ class MemoryBus:
         elif self.fast_path and length:
             off = vaddr % self._page_size
             if off + length <= self._page_size:
-                _, pfn = self._fast_page(vaddr, off, False)
+                pfn = (
+                    self._tlb_loads.get(vaddr - off)
+                    if self.mmu.generation == self._tlb_gen
+                    else None
+                )
+                if pfn is None:
+                    pfn = self._fast_page(vaddr, off, False)
                 return bytes(self._pages.get(pfn, self._zero_page)[off : off + length])
         out = bytearray()
         for paddr, take in self.mmu.translate_range(vaddr, length, write=False):
@@ -240,26 +263,38 @@ class MemoryBus:
         return bytes(out)
 
     def load_u64(self, vaddr: int, ctx: AccessContext = KERNEL_CONTEXT) -> int:
-        ps = self._page_size
-        off = vaddr % ps
-        if self.fast_path and not self._tracing and off <= ps - 8:
-            self._guard()
+        off = vaddr % self._page_size
+        if self.fast_path and not self._tracing and off <= self._page_size - 8:
+            if self.crashed:
+                raise CrashedMachineError(_CRASHED)
             stats = self.stats
             stats.loads += 1
             stats.bytes_loaded += 8
-            _, pfn = self._fast_page(vaddr, off, False)
-            page = self._pages.get(pfn, self._zero_page)
-            return int.from_bytes(page[off : off + 8], "little")
+            pfn = (
+                self._tlb_loads.get(vaddr - off)
+                if self.mmu.generation == self._tlb_gen
+                else None
+            )
+            if pfn is None:
+                pfn = self._fast_page(vaddr, off, False)
+            return _U64.unpack_from(self._pages.get(pfn, self._zero_page), off)[0]
         return int.from_bytes(self.load(vaddr, 8, ctx), "little")
 
     def load_u8(self, vaddr: int, ctx: AccessContext = KERNEL_CONTEXT) -> int:
         if self.fast_path and not self._tracing:
-            self._guard()
+            if self.crashed:
+                raise CrashedMachineError(_CRASHED)
             stats = self.stats
             stats.loads += 1
             stats.bytes_loaded += 1
             off = vaddr % self._page_size
-            _, pfn = self._fast_page(vaddr, off, False)
+            pfn = (
+                self._tlb_loads.get(vaddr - off)
+                if self.mmu.generation == self._tlb_gen
+                else None
+            )
+            if pfn is None:
+                pfn = self._fast_page(vaddr, off, False)
             return self._pages.get(pfn, self._zero_page)[off]
         return self.load(vaddr, 1, ctx)[0]
 
@@ -273,7 +308,8 @@ class MemoryBus:
     ) -> None:
         """Kernel store through the MMU and (when installed) the
         code-patching store checker; may trap or machine-check."""
-        self._guard()
+        if self.crashed:
+            raise CrashedMachineError(_CRASHED)
         if not isinstance(data, (bytes, bytearray, memoryview)):
             data = bytes(data)
         n = len(data)
@@ -288,11 +324,17 @@ class MemoryBus:
         elif self.fast_path and n and self.store_checker is None:
             off = vaddr % self._page_size
             if off + n <= self._page_size:
-                _, pfn = self._fast_page(vaddr, off, True)
+                pfn = (
+                    self._tlb_stores.get(vaddr - off)
+                    if self.mmu.generation == self._tlb_gen
+                    else None
+                )
+                if pfn is None:
+                    pfn = self._fast_page(vaddr, off, True)
                 page = self._pages.get(pfn)
                 if page is None:
                     page = self.memory.page(pfn)
-                self.memory._page_gens[pfn] += 1
+                self._page_gens[pfn] += 1
                 page[off : off + n] = data
                 return
         runs = self.mmu.translate_range(vaddr, n, write=True)
@@ -306,39 +348,52 @@ class MemoryBus:
                 pos += take
 
     def store_u64(self, vaddr: int, value: int, ctx: AccessContext = KERNEL_CONTEXT) -> None:
-        ps = self._page_size
-        off = vaddr % ps
+        off = vaddr % self._page_size
         if (
             self.fast_path
             and not self._tracing
             and self.store_checker is None
-            and off <= ps - 8
+            and off <= self._page_size - 8
         ):
-            self._guard()
+            if self.crashed:
+                raise CrashedMachineError(_CRASHED)
             stats = self.stats
             stats.stores += 1
             stats.bytes_stored += 8
-            _, pfn = self._fast_page(vaddr, off, True)
+            pfn = (
+                self._tlb_stores.get(vaddr - off)
+                if self.mmu.generation == self._tlb_gen
+                else None
+            )
+            if pfn is None:
+                pfn = self._fast_page(vaddr, off, True)
             page = self._pages.get(pfn)
             if page is None:
                 page = self.memory.page(pfn)
-            self.memory._page_gens[pfn] += 1
-            page[off : off + 8] = (value & _MASK64).to_bytes(8, "little")
+            self._page_gens[pfn] += 1
+            _U64.pack_into(page, off, value & _MASK64)
             return
         self.store(vaddr, (value & _MASK64).to_bytes(8, "little"), ctx)
 
     def store_u8(self, vaddr: int, value: int, ctx: AccessContext = KERNEL_CONTEXT) -> None:
         if self.fast_path and not self._tracing and self.store_checker is None:
-            self._guard()
+            if self.crashed:
+                raise CrashedMachineError(_CRASHED)
             stats = self.stats
             stats.stores += 1
             stats.bytes_stored += 1
             off = vaddr % self._page_size
-            _, pfn = self._fast_page(vaddr, off, True)
+            pfn = (
+                self._tlb_stores.get(vaddr - off)
+                if self.mmu.generation == self._tlb_gen
+                else None
+            )
+            if pfn is None:
+                pfn = self._fast_page(vaddr, off, True)
             page = self._pages.get(pfn)
             if page is None:
                 page = self.memory.page(pfn)
-            self.memory._page_gens[pfn] += 1
+            self._page_gens[pfn] += 1
             page[off] = value & 0xFF
             return
         self.store(vaddr, bytes([value & 0xFF]), ctx)

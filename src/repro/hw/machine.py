@@ -85,18 +85,31 @@ class Machine:
             raise ValueError("transplanted memory board does not fit this machine")
         self.memory = memory or PhysicalMemory(self.config.memory_bytes, self.config.page_size)
         self.disks: dict[str, object] = {}
-        self.crashed = False
         self.crash_log: list[CrashRecord] = []
         #: The flight recorder (see :mod:`repro.obs`): one per machine,
         #: disabled by default, surviving resets so a single stream spans
         #: a crash and the warm reboot that recovers from it.
         self.recorder = FlightRecorder(self.clock)
+        self._power_on_cpu()
+        self.reset_count = 0
+
+    def _power_on_cpu(self) -> None:
+        """Build a fresh MMU and bus (up, not crashed) on the memory board
+        and wire the flight recorder to both."""
         self.mmu = MMU(self.memory)
         self.bus = MemoryBus(self.mmu, fast_path=self.config.fast_path)
-        self.bus.attach_crash_check(lambda: self.crashed)
         self.mmu.recorder = self.recorder
         self.bus.recorder = self.recorder
-        self.reset_count = 0
+
+    @property
+    def crashed(self) -> bool:
+        """Is the machine down?  The state lives on the bus, where every
+        access tests it (``MemoryBus.crashed``)."""
+        return self.bus.crashed
+
+    @crashed.setter
+    def crashed(self, value: bool) -> None:
+        self.bus.crashed = value
 
     # -- device management ------------------------------------------------
 
@@ -141,18 +154,13 @@ class Machine:
             # A first boot on a fresh machine is fine; subsequent resets
             # normally follow a crash but an administrative reboot is legal.
             pass
-        self.crashed = False
         self.reset_count += 1
         if not preserve_memory:
             self.memory.erase()
         # CPU state (the MMU, including the ABOX bit) does not survive reset.
         # The flight recorder does: it is observer state, not machine state,
         # and a trial's stream must span the crash and the recovery.
-        self.mmu = MMU(self.memory)
-        self.bus = MemoryBus(self.mmu, fast_path=self.config.fast_path)
-        self.bus.attach_crash_check(lambda: self.crashed)
-        self.mmu.recorder = self.recorder
-        self.bus.recorder = self.recorder
+        self._power_on_cpu()
         for disk in self.disks.values():
             disk.reset()
         self.clock.consume(self.config.boot_time_ns)

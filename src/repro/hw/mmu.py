@@ -60,6 +60,7 @@ class MMU:
     def __init__(self, memory: PhysicalMemory) -> None:
         self.memory = memory
         self.page_size = memory.page_size
+        self._num_pages = memory.num_pages
         self._page_table: dict[int, PageTableEntry] = {}
         self._kseg_writable: dict[int, bool] = {}
         self._kseg_through_tlb = False
@@ -130,16 +131,46 @@ class MMU:
         method expands the page tables "to map these KSEG addresses to
         their corresponding physical address" with controllable protection.
         """
-        if not 0 <= pfn < self.memory.num_pages:
+        if not 0 <= pfn < self._num_pages:
             raise MachineCheck(f"kseg protection on nonexistent frame {pfn}")
-        previous = self._kseg_writable.get(pfn, True)
-        if previous != writable:
-            self._kseg_writable[pfn] = writable
+        table = self._kseg_writable
+        if table.get(pfn, True) != writable:
+            table[pfn] = writable
             self.stat_pte_toggles += 1
             self.generation += 1
             rec = self.recorder
             if rec is not None and rec.enabled:
                 rec.emit("mmu", "kseg-protect", pfn=pfn, writable=writable)
+
+    def set_kseg_writable_run(self, pfns, writable: bool) -> None:
+        """Toggle KSEG write permission over a run of frames.
+
+        Observably equal to calling :meth:`set_kseg_writable` on each
+        frame in order: same table, same ``stat_pte_toggles``,
+        ``generation`` moved iff a frame toggled, a :class:`MachineCheck`
+        at the first nonexistent frame with the earlier frames already
+        applied, and — recorder on — one ``mmu/kseg-protect`` event per
+        toggled frame, emitted before the next frame is touched (an armed
+        crash fires from inside ``emit``).  The per-frame work is a dict
+        probe instead of a call.
+        """
+        rec = self.recorder
+        recording = rec is not None and rec.enabled
+        table = self._kseg_writable
+        num_pages = self._num_pages
+        toggles = 0
+        try:
+            for pfn in pfns:
+                if not 0 <= pfn < num_pages:
+                    raise MachineCheck(f"kseg protection on nonexistent frame {pfn}")
+                if table.get(pfn, True) != writable:
+                    table[pfn] = writable
+                    toggles += 1
+                    if recording:
+                        rec.emit("mmu", "kseg-protect", pfn=pfn, writable=writable)
+        finally:
+            self.stat_pte_toggles += toggles
+            self.generation += toggles
 
     def kseg_writable(self, pfn: int) -> bool:
         """Current KSEG write permission of a frame (default True)."""

@@ -697,7 +697,6 @@ class Interpreter:
         fetches = 0
         stores_before = stats.stores
         page_gens = memory._page_gens
-        crashed = bus._crashed_check
         page_lo = 0
         page_hi = 0
         pfn = 0
@@ -720,7 +719,7 @@ class Interpreter:
                 else:
                     # Same order as a reference fetch through bus.load:
                     # crash guard, then the stats bump, then translation.
-                    if crashed():
+                    if bus.crashed:
                         raise CrashedMachineError("memory access on crashed machine")
                     fetches += 1
                     page_lo, page_hi, pfn, mem_gen, mmu_gen, entries = (

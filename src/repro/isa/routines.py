@@ -279,25 +279,32 @@ def _checksum_steps(args: list[int]) -> int:
     return 4 + 6 * (args[1] // 8)
 
 
+# The two walkers issue one bus call per word, like the text they stand in
+# for: the load/store counts and the exact access at which a corrupted
+# pointer traps are observable.
+
+
 def _native_sched_tick(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    node = bus.load_u64(args[0], ctx)
+    load_u64, store_u64 = bus.load_u64, bus.store_u64
+    node = load_u64(args[0], ctx)
     while node:
-        if bus.load_u64(node, ctx) != PROC_MAGIC:
+        if load_u64(node, ctx) != PROC_MAGIC:
             raise KernelPanic(PANIC_MESSAGES[31], code=31)
-        bus.store_u64(node + 16, bus.load_u64(node + 16, ctx) + 1, ctx)
-        node = bus.load_u64(node + 8, ctx)
+        store_u64(node + 16, load_u64(node + 16, ctx) + 1, ctx)
+        node = load_u64(node + 8, ctx)
     return 0
 
 
 def _native_vnode_scan(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
+    load_u64, store_u64 = bus.load_u64, bus.store_u64
     table, nbuckets = args[0], args[1]
     for bucket in range(nbuckets):
-        node = bus.load_u64(table + 8 * bucket, ctx)
+        node = load_u64(table + 8 * bucket, ctx)
         while node:
-            if bus.load_u64(node, ctx) != VNODE_MAGIC:
+            if load_u64(node, ctx) != VNODE_MAGIC:
                 raise KernelPanic(PANIC_MESSAGES[33], code=33)
-            bus.store_u64(node + 16, bus.load_u64(node + 16, ctx) + 1, ctx)
-            node = bus.load_u64(node + 8, ctx)
+            store_u64(node + 16, load_u64(node + 16, ctx) + 1, ctx)
+            node = load_u64(node + 8, ctx)
     return 0
 
 

@@ -19,6 +19,12 @@ from repro.isa.routines import PROC_MAGIC, VNODE_MAGIC
 PROC_NODE_BYTES = 32
 VNODE_BYTES = 32
 
+# Who a tick's accesses are attributed to (contexts are read-only labels).
+_CONTEXT_SWITCH = AccessContext(procedure="context_switch")
+_SCHED_TICK = AccessContext(procedure="sched_tick")
+_VNODE_SCAN = AccessContext(procedure="vnode_scan")
+_NET_SOFTINTR = AccessContext(procedure="net_softintr")
+
 
 class BackgroundActivity:
     """Builds and exercises the background kernel data structures."""
@@ -84,20 +90,13 @@ class BackgroundActivity:
     def run_once(self) -> None:
         """One quantum of background kernel work."""
         klib = self.kernel.klib
-        ctx = AccessContext(procedure="context_switch")
+        bus = self.kernel.bus
         # "Context switch": reload the walkers' base pointers from the
         # saved context on the kernel stack.
-        runqueue_head = self.kernel.bus.load_u64(self.saved_context, ctx)
-        vnode_table = self.kernel.bus.load_u64(self.saved_context + 8, ctx)
-        klib.sched_tick(runqueue_head, AccessContext(procedure="sched_tick"))
-        klib.vnode_scan(
-            vnode_table, self.num_buckets, AccessContext(procedure="vnode_scan")
-        )
+        runqueue_head = bus.load_u64(self.saved_context, _CONTEXT_SWITCH)
+        vnode_table = bus.load_u64(self.saved_context + 8, _CONTEXT_SWITCH)
+        klib.sched_tick(runqueue_head, _SCHED_TICK)
+        klib.vnode_scan(vnode_table, self.num_buckets, _VNODE_SCAN)
         if self.bcopy_every and self.ticks_run % self.bcopy_every == 0:
-            klib.bcopy(
-                self.scratch_src,
-                self.scratch_dst,
-                160,
-                AccessContext(procedure="net_softintr"),
-            )
+            klib.bcopy(self.scratch_src, self.scratch_dst, 160, _NET_SOFTINTR)
         self.ticks_run += 1

@@ -165,12 +165,23 @@ class TrafficResult:
         return bool(self.remote_audit and self.remote_audit.get("ok"))
 
     @property
+    def failed_checks(self) -> List[str]:
+        """Names of the checks behind :attr:`ok` that did not hold."""
+        intents_ok = self.intent_audit is None or bool(self.intent_audit.get("ok"))
+        checks = (
+            ("lost acks", self.lost_acks == 0),
+            ("final audit", self.final_audit_ok),
+            ("remote audit", self.remote_ok),
+            ("intent audit", intents_ok),
+        )
+        return [name for name, held in checks if not held]
+
+    @property
     def ok(self) -> bool:
         """The zero-lost-acks guarantee, including the final audit (plus
         the remote-only audit when a backend is armed, and the settled
         intent log on a cluster)."""
-        intents_ok = self.intent_audit is None or bool(self.intent_audit.get("ok"))
-        return self.lost_acks == 0 and self.final_audit_ok and self.remote_ok and intents_ok
+        return not self.failed_checks
 
     @property
     def ack_digest(self) -> str:
@@ -582,7 +593,13 @@ def format_traffic_report(result: TrafficResult) -> str:
                 else ""
             ),
         ),
-        ("verdict", "ZERO LOST ACKS" if result.ok else "ACKS LOST"),
+        (
+            "verdict",
+            "ZERO LOST ACKS"
+            if result.ok
+            else "FAILED: " + ", ".join(result.failed_checks),
+        ),
+        *(("intent audit", detail) for detail in intents.get("violations", [])[:5]),
         *(("divergence", detail) for detail in result.divergence_details[:5]),
     ]
     title = "cluster traffic campaign" if clustered else "traffic-under-faults campaign"

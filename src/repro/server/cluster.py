@@ -468,6 +468,12 @@ class ClusterService:
         #: "pre-unlink" during a cross-shard rename, so the suite can
         #: land a shard crash exactly inside the two-phase window.
         self.rename_hook: Optional[Callable[[str, RenameIntent], None]] = None
+        #: The post-conditions of ``done`` intents that still bind: path
+        #: -> id of the intent that put a file there / took one away.  A
+        #: later acknowledged namespace operation on the path lifts the
+        #: condition (:meth:`_namespace_changed`).
+        self._must_exist: Dict[str, int] = {}
+        self._must_be_absent: Dict[str, int] = {}
         self._shard_sessions: Set[Tuple[int, int]] = set()
         self._next_internal_req = 1
         shard_service = ServiceConfig(
@@ -702,8 +708,16 @@ class ClusterService:
             shard = self.router.shard_for(path)
             translated = replace(request, path=path)
 
-            def finisher(response: Response, _session=session, _shard=shard, _path=path):
+            def finisher(
+                response: Response,
+                _session=session,
+                _shard=shard,
+                _path=path,
+                _create=request.create,
+            ):
                 if response.ok:
+                    if _create:
+                        self._namespace_changed(created=_path)
                     entry = ClusterFd(
                         cfd=_session.next_cfd,
                         shard=_shard,
@@ -731,7 +745,15 @@ class ClusterService:
         if op in ("stat", "unlink"):
             path = resolve_path(session.cwd, request.path)
             shard = self.router.shard_for(path)
-            return "shard", (shard, replace(request, path=path), None)
+            finisher = None
+            if op == "unlink":
+
+                def finisher(response: Response, _path=path):
+                    if response.ok:
+                        self._namespace_changed(removed=_path)
+                    return response
+
+            return "shard", (shard, replace(request, path=path), finisher)
 
         if op == "rename":
             old = resolve_path(session.cwd, request.path)
@@ -743,6 +765,7 @@ class ClusterService:
 
                 def finisher(response: Response, _old=old, _new=new):
                     if response.ok:
+                        self._namespace_changed(removed=_old, created=_new)
                         self._repoint_fds(_old, _new, stale=False)
                     return response
 
@@ -755,6 +778,28 @@ class ClusterService:
         return "local", Response.failure(
             request, SessionError(f"unknown op {request.op!r}")
         )
+
+    def _namespace_changed(
+        self, *, removed: Optional[str] = None, created: Optional[str] = None
+    ) -> None:
+        """An acknowledged operation took the name ``removed`` away and/or
+        brought the name ``created`` into being: an earlier ``done``
+        intent no longer promises that the one exists or the other is
+        absent.  Only what the front-end acknowledged counts — a name
+        that changes behind its back stays a violation."""
+        if removed is not None:
+            self._must_exist.pop(removed, None)
+        if created is not None:
+            self._must_be_absent.pop(created, None)
+
+    def _intent_done(self, intent: RenameIntent) -> None:
+        """Settle ``intent`` as ``done``: the rename is itself a namespace
+        change, and its own post-conditions bind from here on."""
+        self.intents.advance(intent, "done")
+        self._namespace_changed(removed=intent.old, created=intent.new)
+        self._must_exist[intent.new] = intent.intent_id
+        self._must_be_absent[intent.old] = intent.intent_id
+        self._repoint_fds(intent.old, intent.new, stale=True)
 
     def _repoint_fds(self, old: str, new: str, *, stale: bool) -> None:
         """Update every cluster fd open on ``old`` after a rename.
@@ -867,6 +912,8 @@ class ClusterService:
         if failed:
             return self._merged_failure(request, failed[0])
         value = None
+        if request.op == "mkdir":
+            self._namespace_changed(created=path)
         if request.op == "readdir":
             names: Set[str] = set()
             for sub in subs:
@@ -995,8 +1042,7 @@ class ClusterService:
         # Phase 3: drop the source; ENOENT means someone beat us to it.
         gone = self._run_internal(src, self._internal_request("unlink", path=old))
         if gone.ok or gone.error == "ENOENT":
-            self.intents.advance(intent, "done")
-            self._repoint_fds(old, new, stale=True)
+            self._intent_done(intent)
             return Response(
                 client_id=request.client_id,
                 req_id=request.req_id,
@@ -1015,8 +1061,11 @@ class ClusterService:
         """Audit the intent log against the shards; repair open records.
 
         A ``done`` intent must hold — destination present, source
-        absent; a violation is reported (it would mean a shard lost an
-        acknowledged operation, which its own audit also flags).  An
+        absent — for as long as no later acknowledged operation renamed,
+        unlinked or re-created the name (those lift the condition, see
+        :meth:`_namespace_changed`); a violation is reported (it would
+        mean a shard lost an acknowledged operation, which its own audit
+        also flags).  An
         intent caught mid-flight is repaired: rolled *forward* from
         ``copied`` (the destination's bytes are acknowledged — finish
         the unlink), rolled *back* from ``begin`` (drop any partial
@@ -1030,8 +1079,7 @@ class ClusterService:
                     intent.src_shard, self._internal_request("unlink", path=intent.old)
                 )
                 if gone.ok or gone.error == "ENOENT":
-                    self.intents.advance(intent, "done")
-                    self._repoint_fds(intent.old, intent.new, stale=True)
+                    self._intent_done(intent)
                     rolled_forward += 1
                 else:
                     violations.append(
@@ -1053,12 +1101,18 @@ class ClusterService:
             src = self._run_internal(
                 intent.src_shard, self._internal_request("stat", path=intent.old)
             )
-            if not (dst.ok and dst.value.get("exists")):
+            if self._must_exist.get(intent.new) == intent.intent_id and not (
+                dst.ok and dst.value.get("exists")
+            ):
                 violations.append(
                     f"intent {intent.intent_id}: destination {intent.new} "
                     "missing after completion"
                 )
-            if src.ok and src.value.get("exists"):
+            if (
+                self._must_be_absent.get(intent.old) == intent.intent_id
+                and src.ok
+                and src.value.get("exists")
+            ):
                 violations.append(
                     f"intent {intent.intent_id}: source {intent.old} "
                     "resurrected after completion"

@@ -88,6 +88,19 @@ class DeterministicRandom:
         return DeterministicRandom(self._state ^ (tag * 0x9E3779B97F4A7C15) ^ 0xA5A5A5A5)
 
 
+#: Blocks (8-byte words) generated per step of :func:`pattern_bytes`; the
+#: step's temporaries are a few integers of ``16 * _RUN`` bytes each.
+_RUN = 1024
+_LANE_BYTES = 16
+#: One 128-bit lane per block: all-ones in each lane's low 64 bits, the
+#: value 1 in every lane, and the lane index 0, 1, 2, ... in every lane.
+_LOW64 = int.from_bytes((b"\xff" * 8).ljust(_LANE_BYTES, b"\0") * _RUN, "little")
+_ONES = int.from_bytes(b"\x01".ljust(_LANE_BYTES, b"\0") * _RUN, "little")
+_RAMP = int.from_bytes(
+    b"".join(i.to_bytes(_LANE_BYTES, "little") for i in range(_RUN)), "little"
+)
+
+
 def pattern_bytes(file_key: int, offset: int, length: int) -> bytes:
     """Deterministic file contents used by memTest.
 
@@ -95,19 +108,34 @@ def pattern_bytes(file_key: int, offset: int, length: int) -> bytes:
     so the expected contents of any byte range can be recomputed at any time
     without storing the data — exactly the property memTest needs to check a
     restored file cache image against ground truth.
+
+    Block ``b`` (bytes ``8b .. 8b+7``) is the SplitMix64 output for state
+    ``file_key * 0x100000001B3 + b``, little-endian.  The states of a run
+    of blocks are consecutive integers, so a run is mixed at once: each
+    state sits in the low half of its own 128-bit lane of one big integer.
+    A 64-bit value times a 64-bit constant cannot carry out of a 128-bit
+    lane, so one multiplication multiplies every lane; masking with
+    ``_LOW64`` is the ``& (2**64 - 1)`` of every lane (including the wrap
+    of a state past ``2**64``) and clears what a right shift drags in from
+    the lane above.  The low halves are then gathered with a strided copy.
     """
     if length <= 0:
         return b""
-    out = bytearray(length)
-    # Generate 8 bytes at a time from a hash of (file_key, block index).
-    start_block = offset // 8
-    end_block = (offset + length - 1) // 8
-    pos = 0
-    for block in range(start_block, end_block + 1):
-        _, word = _splitmix64((file_key * 0x100000001B3 + block) & _MASK64)
-        chunk = word.to_bytes(8, "little")
-        lo = max(offset, block * 8)
-        hi = min(offset + length, block * 8 + 8)
-        out[pos : pos + (hi - lo)] = chunk[lo - block * 8 : hi - block * 8]
-        pos += hi - lo
-    return bytes(out)
+    first = offset // 8
+    blocks = (offset + length - 1) // 8 - first + 1
+    state = file_key * 0x100000001B3 + 0x9E3779B97F4A7C15 + first
+    low, ones, ramp = _LOW64, _ONES, _RAMP
+    out = bytearray(blocks * 8)
+    for done in range(0, blocks, _RUN):
+        run = min(_RUN, blocks - done)
+        if run < _RUN:  # the last, short run: that many lanes only
+            keep = (1 << 8 * _LANE_BYTES * run) - 1
+            low, ones, ramp = low & keep, ones & keep, ramp & keep
+        z = (ones * ((state + done) & _MASK64) + ramp) & low
+        z = ((z ^ (z >> 30) & low) * 0xBF58476D1CE4E5B9) & low
+        z = ((z ^ (z >> 27) & low) * 0x94D049BB133111EB) & low
+        z ^= (z >> 31) & low
+        lanes = memoryview(z.to_bytes(_LANE_BYTES * run, "little")).cast("Q")
+        out[done * 8 : (done + run) * 8] = lanes[::2].tobytes()
+    skip = offset - first * 8
+    return bytes(memoryview(out)[skip : skip + length])

@@ -350,6 +350,147 @@ def test_cross_shard_rename_survives_crash_in_two_phase_window():
         assert cluster.audit_intents()["ok"]
 
 
+def _rename_across_shards(cluster, client_id=0):
+    """Create a file, move it across shards; returns the two absolute
+    paths and their shards with the intent settled ``done``."""
+    src, dst, src_shard, dst_shard = _cross_shard_pair(cluster, client_id)
+    responses = _drive(
+        cluster,
+        [client_id],
+        [Request(client_id=client_id, req_id=1, op="open", path=src, create=True)],
+    )
+    responses = _drive(
+        cluster,
+        [client_id],
+        [
+            Request(client_id=client_id, req_id=2, op="close", fd=responses[(client_id, 1)].value),
+            Request(client_id=client_id, req_id=3, op="rename", path=src, new_path=dst),
+        ],
+    )
+    assert responses[(client_id, 3)].ok
+    assert [i.state for i in cluster.intents.records] == ["done"]
+    home = f"/srv/c{client_id:03d}"
+    return f"{home}/{src}", f"{home}/{dst}", src_shard, dst_shard
+
+
+@pytest.mark.parametrize(
+    "later",
+    [
+        pytest.param(lambda src, dst: [dict(op="unlink", path=dst)], id="unlink-destination"),
+        pytest.param(
+            lambda src, dst: [dict(op="rename", path=dst, new_path=dst + "-again")],
+            id="rename-destination-away",
+        ),
+        pytest.param(
+            lambda src, dst: [dict(op="open", path=src, create=True)], id="recreate-source"
+        ),
+        pytest.param(
+            lambda src, dst: [dict(op="rename", path=dst, new_path=src)], id="rename-back"
+        ),
+        pytest.param(lambda src, dst: [dict(op="mkdir", path=src)], id="mkdir-at-source"),
+    ],
+)
+def test_done_intent_is_not_audited_past_a_later_acknowledged_change(later):
+    """The hash-router false alarm: a ``done`` rename's post-condition
+    describes the namespace at completion, not for ever.  Once the
+    front-end acknowledges an operation that removes the destination or
+    re-creates the source, the final namespace no longer owes it."""
+    cluster = ClusterService(ClusterConfig(shards=2, router_mode="hash"))
+    with cluster:
+        cluster.open_session(0)
+        src, dst, _, _ = _rename_across_shards(cluster)
+        assert cluster.audit_intents()["ok"]  # binds while nothing touched it
+        requests = [
+            Request(client_id=0, req_id=10 + n, **fields)
+            for n, fields in enumerate(later(src, dst))
+        ]
+        responses = _drive(cluster, [0], requests)
+        assert all(r.ok for r in responses.values()), responses
+        audit = cluster.audit_intents()
+        assert audit["ok"], audit["violations"]
+        assert all(shard_audit["ok"] for shard_audit in cluster.audits())
+
+
+def test_change_behind_the_front_ends_back_is_still_a_violation():
+    """Only what the front-end acknowledged lifts a post-condition."""
+    cluster = ClusterService(ClusterConfig(shards=2, router_mode="hash"))
+    with cluster:
+        cluster.open_session(0)
+        src, dst, src_shard, dst_shard = _rename_across_shards(cluster)
+        # Straight on the shards, bypassing pump() and its finishers.
+        assert cluster._run_internal(
+            dst_shard, cluster._internal_request("unlink", path=dst)
+        ).ok
+        assert cluster._run_internal(
+            src_shard, cluster._internal_request("open", path=src, create=True)
+        ).ok
+        audit = cluster.audit_intents()
+        assert not audit["ok"]
+        assert audit["violations"] == [
+            f"intent 0: destination {dst} missing after completion",
+            f"intent 0: source {src} resurrected after completion",
+        ]
+
+
+def test_failed_later_operation_lifts_nothing():
+    cluster = ClusterService(ClusterConfig(shards=2, router_mode="hash"))
+    with cluster:
+        cluster.open_session(0)
+        src, dst, _, dst_shard = _rename_across_shards(cluster)
+        refused = _drive(
+            cluster, [0], [Request(client_id=0, req_id=10, op="unlink", path=src)]
+        )[(0, 10)]
+        assert not refused.ok  # the source is gone: ENOENT, nothing acknowledged
+        cluster._run_internal(dst_shard, cluster._internal_request("unlink", path=dst))
+        assert not cluster.audit_intents()["ok"]
+
+
+def test_hash_router_clean_run_reports_zero_lost_acks():
+    """`repro cluster --shards 4 --clients 64 --ops 16 --router hash
+    --jobs 1 --seed 7`: client 11 renames f0 -> r1_0 across shards and
+    later r1_0 -> r2_0; that used to end `ACKS LOST` with 0 lost acks."""
+    from repro.reliability import format_traffic_report
+
+    result = run_traffic_campaign(
+        TrafficConfig(
+            shards=4,
+            clients=64,
+            crashes=0,
+            seed=7,
+            router_mode="hash",
+            jobs=1,
+            load=LoadSpec(ops_per_client=16),
+        )
+    )
+    assert result.crashes_observed == 0 and result.lost_acks == 0
+    assert result.intent_audit["intents"] == 20
+    assert result.intent_audit["ok"], result.intent_audit["violations"]
+    assert result.ok and result.failed_checks == []
+    assert "ZERO LOST ACKS" in format_traffic_report(result)
+
+
+def test_verdict_names_the_audit_that_failed():
+    from repro.reliability import format_traffic_report
+    from repro.reliability.traffic import TrafficResult
+
+    result = TrafficResult(
+        config=TrafficConfig(shards=2, clients=2, router_mode="hash"),
+        final_audit_ok=True,
+        intent_audit={
+            "intents": 1,
+            "ok": False,
+            "violations": ["intent 0: destination /srv/c000/x missing after completion"],
+        },
+    )
+    assert not result.ok and result.failed_checks == ["intent audit"]
+    report = format_traffic_report(result)
+    assert "verdict         FAILED: intent audit" in report
+    assert "intent 0: destination /srv/c000/x missing after completion" in report
+    assert "ACKS LOST" not in report
+    result.lost_acks = 2
+    assert result.failed_checks == ["lost acks", "intent audit"]
+
+
 def test_intent_audit_rolls_forward_interrupted_rename():
     """The front-end dies after the copy but before the unlink: the
     intent is stuck at "copied" and the audit finishes the job."""

@@ -207,3 +207,67 @@ class TestGuardBookkeeping:
         slot = page.registry_slot
         kernel.ubc.drop(page)
         assert not rio.registry.read_entry(slot).valid
+
+
+class TestWindowProtocol:
+    """Windows are two plain calls — ``open_*`` then ``close_*`` — and a
+    registry window toggles every registry frame in one MMU operation."""
+
+    def test_registry_window_toggles_every_frame_once_each_way(self):
+        kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG)
+        frames = kernel.registry_frames
+        toggles, windows = kernel.mmu.stat_pte_toggles, rio.protection.stat_windows
+        rio.protection.open_registry_window()
+        assert all(kernel.mmu.kseg_writable(pfn) for pfn in frames)
+        kernel.bus.store(rio.registry.base_vaddr + 64, b"\x00" * 8)  # no trap
+        rio.protection.close_registry_window()
+        assert not any(kernel.mmu.kseg_writable(pfn) for pfn in frames)
+        assert kernel.mmu.stat_pte_toggles - toggles == 2 * len(frames)
+        assert rio.protection.stat_windows - windows == 1
+
+    def test_code_patching_registry_window(self):
+        kernel, rio = make_rio_kernel(ProtectionMode.CODE_PATCHING)
+        frames = set(kernel.registry_frames)
+        assert frames <= rio.protection._patched_pfns
+        rio.protection.open_registry_window()
+        assert not frames & rio.protection._patched_pfns
+        kernel.bus.store(rio.registry.base_vaddr + 64, b"\x00" * 8)  # no trap
+        rio.protection.close_registry_window()
+        assert frames <= rio.protection._patched_pfns
+        with pytest.raises(ProtectionTrap):
+            kernel.bus.store(rio.registry.base_vaddr + 64, b"\x00" * 8)
+
+    def test_unprotected_mode_still_counts_windows(self):
+        kernel, rio = make_rio_kernel(ProtectionMode.NONE)
+        before = rio.protection.stat_windows
+        rio.registry.update_flags(rio.registry.alloc_slot(), set_flags=1)
+        assert rio.protection.stat_windows - before == 1
+        assert kernel.mmu.stat_pte_toggles == 0
+
+    def test_crash_inside_a_registry_window_leaves_it_open(self):
+        """Not exception-safe, on purpose: a store that takes the machine
+        down mid-window never reaches ``close_registry_window``."""
+        kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG)
+        slot = rio.registry.alloc_slot()
+        original = kernel.bus.store
+
+        def dying_store(vaddr, data, ctx=None):
+            raise ProtectionTrap("machine dies mid-store", address=vaddr)
+
+        kernel.bus.store = dying_store
+        with pytest.raises(ProtectionTrap):
+            rio.registry.update_flags(slot, set_flags=1)
+        kernel.bus.store = original
+        assert all(kernel.mmu.kseg_writable(pfn) for pfn in kernel.registry_frames)
+
+    def test_page_window_pairs_by_page_key(self):
+        kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG, shadow_metadata=False)
+        page = kernel.ubc.get(("data", 0, 1, 0), file_id=FileId(0, 1))
+        rio.guard.begin_write(page)
+        assert kernel.mmu.kseg_writable(page.pfn)
+        rio.guard.end_write(page)
+        assert not kernel.mmu.kseg_writable(page.pfn)
+        toggles = kernel.mmu.stat_pte_toggles
+        rio.guard.end_write(page)  # no window open: nothing to close
+        assert not kernel.mmu.kseg_writable(page.pfn)
+        assert kernel.mmu.stat_pte_toggles - toggles == 2 * len(kernel.registry_frames) * 2

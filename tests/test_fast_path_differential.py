@@ -131,6 +131,245 @@ def test_engines_identical_under_protection_toggles(routine, length, protect):
     assert observations[0] == observations[1]
 
 
+# -- the bus word paths, access by access -------------------------------------
+
+
+def bus_script(env, script, prepare=None):
+    """Apply ``script`` — ``(method, *args)`` tuples — to ``env.bus`` and
+    capture each outcome plus every counter the two routes must agree on."""
+    from repro.errors import CrashedMachineError
+
+    if prepare is not None:
+        prepare(env)
+    outcomes = []
+    for method, *args in script:
+        try:
+            outcomes.append(("ok", getattr(env.bus, method)(*args)))
+        except (SystemCrash, CrashedMachineError) as exc:
+            outcomes.append((type(exc).__name__, str(exc), getattr(exc, "address", None)))
+    stats = env.bus.stats
+    return (
+        outcomes,
+        (stats.loads, stats.stores, stats.bytes_loaded, stats.bytes_stored,
+         stats.checked_stores, list(stats.trace)),
+        (env.mmu.stat_protection_traps, env.mmu.stat_pte_toggles),
+        {pfn: bytes(page) for pfn, page in env.memory._pages.items()},
+        list(env.memory._page_gens),
+    )
+
+
+def both_routes(script, prepare=None):
+    fast = bus_script(build_env(True), script, prepare)
+    assert fast == bus_script(build_env(False), script, prepare)
+    return fast
+
+
+PAGE = 8192
+HEAP = 32 * PAGE
+KSEG = 1 << 42
+
+
+def test_words_at_the_page_edge():
+    """``page_size - 8`` is the last in-page word (fast route);
+    ``page_size - 7`` crosses into the next page (reference route)."""
+    outcomes, *_ = both_routes(
+        [
+            ("store_u64", HEAP + PAGE - 8, 0x1122334455667788),
+            ("store_u64", HEAP + PAGE - 7, 0xA1A2A3A4A5A6A7A8),
+            ("load_u64", HEAP + PAGE - 8),
+            ("load_u64", HEAP + PAGE - 7),
+            ("load_u64", HEAP + PAGE),
+            ("load", HEAP + PAGE - 3, 6),
+            ("store", HEAP + PAGE - 3, b"abcdef"),
+            ("load_u8", HEAP + PAGE - 1),
+            ("store_u8", HEAP + PAGE, 0x1FF),  # truncated to a byte
+            ("load_u64", HEAP + 40 * PAGE),  # unmapped: machine check
+        ]
+    )
+    assert outcomes[3] == ("ok", 0xA1A2A3A4A5A6A7A8)
+    assert outcomes[-1][0] == "MachineCheck"
+
+
+def test_loads_of_untouched_frames_allocate_nothing():
+    _, _, _, pages, gens = both_routes(
+        [
+            ("load_u64", HEAP + 8),
+            ("load_u8", HEAP + PAGE + 1),
+            ("load", HEAP + 2 * PAGE, 64),
+            ("load", HEAP + 3 * PAGE - 4, 8),  # crossing
+            ("load_u64", KSEG + 9 * PAGE),
+        ]
+    )
+    assert pages.keys() == set(range(1, 1 + len(pages)))  # kernel text only
+    assert gens[32:36] == [0, 0, 0, 0]
+
+
+def test_registry_frame_inside_and_outside_a_window():
+    frames = [200, 201, 202]
+
+    def protect(env):
+        env.mmu.kseg_through_tlb = True
+        env.mmu.set_kseg_writable_run(frames, False)
+
+    def window(env, is_open):
+        env.mmu.set_kseg_writable_run(frames, is_open)
+
+    for route in (True, False):
+        env = build_env(route)
+        protect(env)
+        with pytest.raises(SystemCrash):
+            env.bus.store_u64(KSEG + 201 * PAGE + 16, 7)
+        window(env, True)
+        env.bus.store_u64(KSEG + 201 * PAGE + 16, 7)
+        window(env, False)
+        with pytest.raises(SystemCrash):
+            env.bus.store(KSEG + 201 * PAGE + 16, b"x" * 8)
+        assert env.bus.load_u64(KSEG + 201 * PAGE + 16) == 7
+
+    script = [
+        ("store_u64", KSEG + 201 * PAGE + 16, 7),  # protected: traps
+        ("store_u8", KSEG + 202 * PAGE, 1),
+        ("store", KSEG + 200 * PAGE + PAGE - 2, b"wxyz"),  # crossing two protected frames
+        ("load_u64", KSEG + 201 * PAGE + 16),  # reads are allowed
+        ("store_u64", KSEG + 199 * PAGE, 5),  # the unprotected neighbour
+    ]
+    outside = both_routes(script, protect)
+    assert [o[0] for o in outside[0]] == [
+        "ProtectionTrap", "ProtectionTrap", "ProtectionTrap", "ok", "ok",
+    ]
+    assert outside[0][0][2] == KSEG + 201 * PAGE + 16
+    assert outside[2][0] == 3  # stat_protection_traps
+
+    def protect_then_open(env):
+        protect(env)
+        window(env, True)
+
+    inside = both_routes(script, protect_then_open)
+    assert [o[0] for o in inside[0]] == ["ok"] * 5
+    assert inside[2] == (0, 6)  # no traps; three frames toggled twice
+
+
+def test_crashed_machine_raises_before_the_stats_bump():
+    def crash(env):
+        env.bus.store_u64(HEAP, 1)
+        env.machine.crash("test")
+
+    outcomes, stats, *_ = both_routes(
+        [
+            ("load_u64", HEAP),
+            ("load_u8", HEAP),
+            ("load", HEAP, 16),
+            ("store_u64", HEAP, 2),
+            ("store_u8", HEAP, 2),
+            ("store", HEAP, b"zz"),
+            ("load_u64", HEAP + PAGE - 7),
+        ],
+        crash,
+    )
+    assert {o[0] for o in outcomes} == {"CrashedMachineError"}
+    assert stats[:4] == (0, 1, 0, 8)  # only the store made before the crash
+    for route in (True, False):  # the flag is the machine's state, both ways round
+        env = build_env(route)
+        env.machine.crashed = True
+        assert env.bus.crashed
+        env.machine.reset()  # builds a new bus; the old one stays down
+        assert not env.machine.crashed and not env.machine.bus.crashed
+        assert env.bus is not env.machine.bus and env.bus.crashed
+
+
+def test_store_checker_sees_every_store():
+    from repro.errors import ProtectionTrap
+
+    def install(env):
+        seen = env.seen = []
+
+        def checker(vaddr, length, ctx):
+            seen.append((vaddr, length, ctx.procedure))
+            if vaddr == HEAP + 64:
+                raise ProtectionTrap("checker says no", address=vaddr)
+
+        env.bus.store_checker = checker
+
+    script = [
+        ("store_u64", HEAP, 1),
+        ("store_u8", HEAP + 9, 2),
+        ("store", HEAP + 16, b"abc"),
+        ("store_u64", HEAP + 64, 3),  # vetoed before the stats bump
+        ("store_u64", HEAP + PAGE - 7, 4),
+        ("load_u64", HEAP),
+    ]
+    outcomes, stats, *_ = both_routes(script, install)
+    assert outcomes[3][0] == "ProtectionTrap"
+    assert stats[1] == 4 and stats[4] == 5  # stores, checked_stores
+    fast = build_env(True)
+    install(fast)
+    bus_script(fast, script)
+    assert [entry[:2] for entry in fast.seen] == [
+        (HEAP, 8), (HEAP + 9, 1), (HEAP + 16, 3), (HEAP + 64, 8), (HEAP + PAGE - 7, 8),
+    ]
+
+
+def test_tracing_records_the_reference_sequence():
+    script = [
+        ("store_u64", HEAP, 1),
+        ("load_u64", HEAP),
+        ("load_u8", HEAP + 1),
+        ("store_u8", HEAP + 2, 3),
+        ("load", HEAP + PAGE - 2, 4),
+        ("store_u64", HEAP + 60 * PAGE, 1),  # traps, still traced
+    ]
+    _, stats, *_ = both_routes(script, lambda env: env.bus.enable_tracing())
+    assert [entry[:3] for entry in stats[5]] == [
+        ("store", HEAP, 8),
+        ("load", HEAP, 8),
+        ("load", HEAP + 1, 1),
+        ("store", HEAP + 2, 1),
+        ("load", HEAP + PAGE - 2, 4),
+        ("store", HEAP + 60 * PAGE, 8),
+    ]
+
+
+@given(
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(("load_u64", "load_u8", "store_u64", "store_u8")),
+            st.one_of(
+                st.integers(HEAP - 16, HEAP + 2 * PAGE + 16),
+                st.integers(KSEG + 199 * PAGE - 16, KSEG + 201 * PAGE + 16),
+                st.sampled_from((-8, 5 * PAGE, KSEG + 256 * PAGE)),
+            ),
+            st.integers(0, (1 << 64) - 1),
+            st.booleans(),
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_random_word_traffic_with_window_toggles(script):
+    """Random word/byte traffic over mapped, KSEG, protected and illegal
+    addresses, with the KSEG run toggled between accesses (so the soft
+    TLB is invalidated mid-stream)."""
+
+    def prepare(env):
+        env.mmu.kseg_through_tlb = True
+        env.mmu.set_kseg_writable_run([200, 201], False)
+
+    def play(env):
+        outcomes = []
+        for method, addr, value, toggle in script:
+            if toggle:
+                env.mmu.set_kseg_writable_run(
+                    [200, 201], not env.mmu.kseg_writable(200)
+                )
+            args = (addr, value) if method.startswith("store") else (addr,)
+            outcomes.append(bus_script(env, [(method, *args)])[0])
+        return outcomes, bus_script(env, [])
+
+    fast, ref = build_env(True), build_env(False)
+    prepare(fast), prepare(ref)
+    assert play(fast) == play(ref)
+
+
 def test_obs_streams_identical_across_engines(monkeypatch):
     """Tentpole acceptance: a traced corrupting crash trial produces
     byte-identical flight-recorder streams — and therefore identical

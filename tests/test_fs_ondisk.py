@@ -26,6 +26,7 @@ from repro.fs.ondisk import (
     Superblock,
     allocated_slots,
     pack_dirents,
+    find_dirent,
     parse_dirents,
 )
 from repro.fs.types import BLOCK_SIZE, FileType, N_DIRECT
@@ -337,3 +338,54 @@ class TestDirEntry:
     def test_parse_skips_holes(self):
         data = DirEntry(1, "a").to_bytes() + b"\x00" * DIRENT_SIZE + DirEntry(2, "b").to_bytes()
         assert [e.name for e in parse_dirents(data)] == ["a", "b"]
+
+
+class TestDirentScans:
+    """``parse_dirents`` / ``find_dirent`` scan a block in one pass; their
+    oracle is ``DirEntry.from_bytes`` applied slot by slot."""
+
+    @staticmethod
+    def _slotwise(data):
+        return [
+            (off, entry)
+            for off in range(0, len(data) - DIRENT_SIZE + 1, DIRENT_SIZE)
+            if (entry := DirEntry.from_bytes(bytes(data[off : off + DIRENT_SIZE]))) is not None
+        ]
+
+    # Records drawn from: empty, well-formed (few distinct names, so
+    # duplicates occur), and raw noise (bad lengths, NULs, bad UTF-8).
+    record_st = st.one_of(
+        st.just(bytes(DIRENT_SIZE)),
+        st.builds(
+            lambda ino, name: DirEntry(ino, name).to_bytes(),
+            st.integers(1, 9),
+            st.sampled_from(["a", "ab", "b", "é", "y" * 27]),
+        ),
+        st.binary(min_size=DIRENT_SIZE, max_size=DIRENT_SIZE),
+        st.builds(
+            lambda ino, size, raw: ino.to_bytes(4, "little") + bytes([size]) + raw,
+            st.integers(0, 3),
+            st.integers(0, 30),
+            st.sampled_from([b"ab" + bytes(25), b"a\x00b" + bytes(24), b"\xff\xfe" + bytes(25)]),
+        ),
+    )
+
+    @given(st.lists(record_st, max_size=24), st.integers(0, DIRENT_SIZE - 1))
+    def test_scans_match_the_slotwise_oracle(self, records, ragged):
+        data = b"".join(records) + b"\x01" * ragged  # a trailing partial record is ignored
+        oracle = self._slotwise(data)
+        for buffer in (data, bytearray(data), memoryview(data)):
+            assert parse_dirents(buffer) == [entry for _, entry in oracle]
+        for name in ("a", "ab", "b", "é", "y" * 27, "absent", "", "a\x00b", "z" * 28):
+            expected = next(((off, e) for off, e in oracle if e.name == name), None)
+            assert find_dirent(data, name) == expected
+
+    def test_mangled_record_is_skipped_not_raised(self):
+        good = DirEntry(7, "ab").to_bytes()
+        bad_len = bytearray(good)
+        bad_len[4] = 200
+        spans_nul = bytearray(good)
+        spans_nul[4] = 10
+        data = bytes(bad_len) + bytes(spans_nul) + good
+        assert parse_dirents(data) == [DirEntry(7, "ab")]
+        assert find_dirent(data, "ab") == (2 * DIRENT_SIZE, DirEntry(7, "ab"))

@@ -125,3 +125,84 @@ class TestTranslateRange:
         mmu.map(1, 1, writable=False)
         with pytest.raises(ProtectionTrap):
             mmu.translate_range(PAGE - 4, 8, write=True)
+
+
+class TestKsegRunToggle:
+    """``set_kseg_writable_run`` must be observably equal to the loop of
+    ``set_kseg_writable`` it replaces in the registry window."""
+
+    @staticmethod
+    def _observe(apply, *, record: bool, arm_at: int | None = None):
+        from repro.obs.events import FlightRecorder
+
+        mmu = MMU(PhysicalMemory(8 * PAGE, PAGE))
+        mmu.recorder = FlightRecorder()
+        mmu.set_kseg_writable(2, False)  # a pre-existing mix of states
+        mmu.set_kseg_writable(5, False)
+        before = mmu.generation
+        if record:
+            mmu.recorder.start()
+        if arm_at is not None:
+
+            def die(event):
+                raise RuntimeError(f"armed at {event.payload['pfn']}")
+
+            mmu.recorder.arm_crash(arm_at, die)
+        raised = None
+        try:
+            apply(mmu)
+        except (MachineCheck, RuntimeError) as exc:
+            raised = (type(exc).__name__, str(exc))
+        return (
+            dict(mmu._kseg_writable),
+            mmu.stat_pte_toggles,
+            mmu.generation - before,
+            [(e.seq, e.kind, e.op, dict(e.payload)) for e in mmu.recorder.events()],
+            raised,
+        )
+
+    @staticmethod
+    def _both(pfns, writable, **kwargs):
+        def loop(mmu):
+            for pfn in pfns:
+                mmu.set_kseg_writable(pfn, writable)
+
+        run = TestKsegRunToggle._observe(
+            lambda mmu: mmu.set_kseg_writable_run(pfns, writable), **kwargs
+        )
+        assert run == TestKsegRunToggle._observe(loop, **kwargs)
+        return run
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("writable", [False, True])
+    @pytest.mark.parametrize(
+        "pfns", [[], [3], [1, 2, 3, 4, 5, 6], [6, 2, 2, 5], range(0, 8)]
+    )
+    def test_equals_the_loop(self, pfns, writable, record):
+        table, toggles, moved, events, raised = self._both(pfns, writable, record=record)
+        assert raised is None
+        assert (moved > 0) == (toggles > 2)  # generation moves iff a frame toggled
+        assert len(events) == (toggles - 2 if record else 0)
+        if record:  # one event per toggled frame, in frame order
+            assert [e[3]["pfn"] for e in events] == [
+                pfn for pfn in dict.fromkeys(pfns) if (pfn in (2, 5)) == writable
+            ]
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_nonexistent_frame_mid_run(self, record):
+        table, toggles, _moved, events, raised = self._both(
+            [1, 2, 99, 3], False, record=record
+        )
+        assert raised == ("MachineCheck", "kseg protection on nonexistent frame 99")
+        assert table == {1: False, 2: False, 5: False}  # 1 applied, 3 never reached
+        assert toggles == 3
+
+    def test_armed_crash_fires_between_frames(self):
+        """The explorer crashes *inside* ``emit``: the frames after the
+        armed event must not have been touched yet."""
+        table, toggles, _moved, events, raised = self._both(
+            [1, 3, 4], False, record=True, arm_at=1
+        )
+        assert raised == ("RuntimeError", "armed at 3")
+        assert table == {1: False, 2: False, 3: False, 5: False}
+        assert [e[3]["pfn"] for e in events] == [1, 3]
