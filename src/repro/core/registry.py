@@ -44,6 +44,18 @@ _HEADER_FMT = struct.Struct("<QIIQ")  # magic, capacity, entry_size, base_paddr
 _ENTRY_FMT = struct.Struct("<QIIQIIQII")
 # phys_addr, dev, ino, file_offset, size, flags, disk_block, checksum, pad
 
+#: The stored fields of an entry, in ``_ENTRY_FMT`` order — what
+#: :meth:`Registry.update_fields` accepts.
+ENTRY_FIELDS = (
+    "phys_addr", "dev", "ino", "file_offset", "size", "flags", "disk_block", "checksum",
+)
+_FIELD_INDEX = {name: index for index, name in enumerate(ENTRY_FIELDS)}
+_PHYS_ADDR = _FIELD_INDEX["phys_addr"]
+_FLAGS = _FIELD_INDEX["flags"]
+_DISK_BLOCK = _FIELD_INDEX["disk_block"]
+_CHECKSUM = _FIELD_INDEX["checksum"]
+_PAD = len(ENTRY_FIELDS)
+
 _REG_CTX = AccessContext(procedure="registry_update")
 
 
@@ -77,19 +89,16 @@ class RegistryEntry:
     def is_metadata(self) -> bool:
         return bool(self.flags & FLAG_META)
 
-    def to_bytes(self) -> bytes:
+    def fields(self) -> tuple:
+        """The entry as one ``_ENTRY_FMT`` record (see :data:`ENTRY_FIELDS`)."""
         disk_block = NO_DISK_BLOCK if self.disk_block is None else self.disk_block
-        return _ENTRY_FMT.pack(
-            self.phys_addr,
-            self.dev,
-            self.ino,
-            self.file_offset,
-            self.size,
-            self.flags,
-            disk_block,
-            self.checksum,
-            0,
+        return (
+            self.phys_addr, self.dev, self.ino, self.file_offset, self.size,
+            self.flags, disk_block, self.checksum, 0,
         )
+
+    def to_bytes(self) -> bytes:
+        return _ENTRY_FMT.pack(*self.fields())
 
     @classmethod
     def from_bytes(cls, slot: int, data: bytes) -> "RegistryEntry":
@@ -199,15 +208,21 @@ class Registry:
 
     def write_entry(self, entry: RegistryEntry) -> None:
         """Serialize an entry through the protection window."""
-        rec = getattr(self.bus, "recorder", None)
+        self._store_fields(entry.slot, self.entry_vaddr(entry.slot), entry.fields())
+
+    def _store_fields(self, slot: int, vaddr: int, fields) -> None:
+        """Every entry store: pack the record, emit ``registry/update``,
+        then one window around one 48-byte bus store."""
+        raw = _ENTRY_FMT.pack(*fields)
+        rec = self.bus.recorder
         if rec is not None and rec.enabled:
             rec.emit(
                 "registry", "update",
-                slot=entry.slot, flags=entry.flags,
-                phys_addr=entry.phys_addr, checksum=entry.checksum,
+                slot=slot, flags=fields[_FLAGS],
+                phys_addr=fields[_PHYS_ADDR], checksum=fields[_CHECKSUM],
             )
         self._open_window()
-        self.bus.store(self.entry_vaddr(entry.slot), entry.to_bytes(), _REG_CTX)
+        self.bus.store(vaddr, raw, _REG_CTX)
         self._close_window()
 
     def read_entry(self, slot: int) -> RegistryEntry:
@@ -216,20 +231,37 @@ class Registry:
             slot, self.bus.load(self.entry_vaddr(slot), ENTRY_SIZE, _REG_CTX)
         )
 
+    # Read-modify-write in place: one 48-byte load, the unpacked record
+    # edited by index, one pack, one store — no RegistryEntry on the way.
+
+    def _load_fields(self, vaddr: int) -> list:
+        fields = list(_ENTRY_FMT.unpack(self.bus.load(vaddr, ENTRY_SIZE, _REG_CTX)))
+        fields[_PAD] = 0  # as RegistryEntry.to_bytes writes it
+        return fields
+
     def update_flags(self, slot: int, *, set_flags: int = 0, clear_flags: int = 0) -> None:
         """Read-modify-write of an entry's flag bits."""
-        entry = self.read_entry(slot)
-        entry.flags = (entry.flags | set_flags) & ~clear_flags
-        self.write_entry(entry)
+        vaddr = self.entry_vaddr(slot)
+        fields = self._load_fields(vaddr)
+        fields[_FLAGS] = (fields[_FLAGS] | set_flags) & ~clear_flags
+        self._store_fields(slot, vaddr, fields)
 
-    def update_fields(self, slot: int, **fields) -> None:
-        """Read-modify-write of named entry fields."""
-        entry = self.read_entry(slot)
-        for name, value in fields.items():
-            if not hasattr(entry, name):
-                raise ConfigurationError(f"no registry field {name!r}")
-            setattr(entry, name, value)
-        self.write_entry(entry)
+    def update_fields(self, slot: int, /, **fields) -> None:
+        """Read-modify-write of stored entry fields, by name: any of
+        :data:`ENTRY_FIELDS` (``disk_block=None`` stores
+        :data:`NO_DISK_BLOCK`); anything else is a
+        :class:`ConfigurationError` and changes nothing."""
+        vaddr = self.entry_vaddr(slot)
+        try:
+            edits = [(_FIELD_INDEX[name], value) for name, value in fields.items()]
+        except KeyError as exc:
+            raise ConfigurationError(f"no registry field {exc.args[0]!r}") from None
+        record = self._load_fields(vaddr)
+        for index, value in edits:
+            record[index] = value
+        if record[_DISK_BLOCK] is None:
+            record[_DISK_BLOCK] = NO_DISK_BLOCK
+        self._store_fields(slot, vaddr, record)
 
     def valid_entries(self) -> list[RegistryEntry]:
         """All entries with the VALID flag set."""

@@ -298,7 +298,7 @@ class Inode:
     def from_bytes(cls, ino: int, data: bytes, *, strict: bool = True) -> "Inode":
         if len(data) < _INODE_FMT.size:
             raise CorruptStructure(f"inode {ino} truncated")
-        fields = _INODE_FMT.unpack(data[: _INODE_FMT.size])
+        fields = _INODE_FMT.unpack_from(data)
         magic, ftype_raw, nlink, size, mtime = fields[:5]
         direct = list(fields[5 : 5 + N_DIRECT])
         indirect, generation = fields[5 + N_DIRECT :]
@@ -306,11 +306,10 @@ class Inode:
             if strict:
                 raise CorruptStructure(f"inode {ino}: bad magic {magic:#x}")
             ftype_raw = FileType.FREE
-        try:
-            ftype = FileType(ftype_raw)
-        except ValueError:
+        ftype = _FILE_TYPES.get(ftype_raw)
+        if ftype is None:
             if strict:
-                raise CorruptStructure(f"inode {ino}: bad type {ftype_raw}") from None
+                raise CorruptStructure(f"inode {ino}: bad type {ftype_raw}")
             ftype = FileType.FREE
         return cls(
             ino=ino,
@@ -324,6 +323,7 @@ class Inode:
         )
 
 
+_FILE_TYPES = {int(t): t for t in FileType}  # raw type byte -> FileType
 _INODE_TAG_FMT = struct.Struct(f"<HB{INODE_SIZE - 3}x")  # one slot's magic, type
 _LIVE_TYPES = frozenset(int(t) for t in FileType if t is not FileType.FREE)
 

@@ -25,27 +25,47 @@ bump, translate*:
 * **Inline.**  The crash guard reads :attr:`MemoryBus.crashed`, a plain
   flag (it *is* the machine's crash state; ``Machine.crashed`` is a
   property over it).  The soft TLB — one ``virtual page base -> pfn``
-  table per access kind — is probed in place.  A word is read or written
-  straight in the frame's ``bytearray`` with ``struct`` (``unpack_from``
-  / ``pack_into``): a never-written frame reads the shared zero page and
-  allocates nothing, a store bumps the frame's write generation.
+  table per access kind — is probed in place, one ``dict.get`` and
+  nothing else.  A word is read or written straight in the frame's
+  ``bytearray`` with ``struct`` (``unpack_from`` / ``pack_into``): a
+  never-written frame reads the shared zero page and allocates nothing,
+  a store bumps the frame's write generation.
+* **The tables are the MMU's.**  They live in :class:`MMU`
+  (``tlb_loads`` / ``tlb_stores``; the bus only binds them) because an
+  entry is dropped by the mutation that can change it and by no other:
+  ``set_writable`` / ``set_kseg_writable`` / ``set_kseg_writable_run``
+  drop the *store* entry of a page that just lost write permission
+  (granting it drops nothing: a non-writable page has no store entry),
+  ``map`` / ``unmap`` drop that page's two entries, a flip of the ABOX
+  ``kseg_through_tlb`` bit empties both tables.  A protection change
+  therefore takes effect on the very next access to that page, and a
+  registry window — every registry frame unprotected and re-protected
+  around one store — costs the next access to the heap, the stack or any
+  other cache page nothing.
 * **The miss handler owns every trap.**  A failed probe calls
   :meth:`MemoryBus._fast_page`, which runs :meth:`MMU.translate` itself,
   so each MachineCheck / ProtectionTrap, each trap event and each
   ``stat_protection_traps`` bump is the reference route's own, raised
   after the stats bump exactly as there; only a successful translation
-  is cached.  Both tables are emptied whenever :attr:`MMU.generation`
-  changes — any ``map``/``unmap``, any PTE or KSEG writability toggle,
-  any flip of the ABOX ``kseg_through_tlb`` bit — so a protection change
-  takes effect on the very next access.
+  is cached.  ``BusStats.tlb_misses`` counts its calls — work done on
+  the slow path only.
+* **The page port** (:attr:`MemoryBus.flat`, :meth:`MemoryBus.load_frame`,
+  :meth:`MemoryBus.store_frame`, :meth:`MemoryBus.settle`) hands a caller
+  the live frame behind a virtual address through the same tables and
+  the same miss handler, and takes the caller's own access counts
+  afterwards.  The kernel's native walkers (``isa/routines.py``) are
+  built on it: they no longer make one bus call per word.  What they
+  preserve is everything that could be seen when they did — the
+  load/store/byte totals, also when the walk ends in a trap or panic
+  (the faulting access counted, nothing after it); the trap itself,
+  type, message and ``address``, because the port is asked about the
+  faulting word; the bytes in memory; a moved write generation on every
+  frame stored to.
 * **The reference route, untouched,** takes everything else: tracing on,
   a store checker installed (stores), a page-crossing access,
-  ``fast_path=False``.  Trap types, messages, ordering and every
-  :class:`BusStats` counter are identical between the two routes.
-
-The kernel's native walkers (``isa/routines.py``) still issue one bus call
-per word: the load/store counts, and the exact access at which a
-corrupted pointer traps, are observable.
+  ``fast_path=False`` — and, in the walkers, the word-by-word bodies do.
+  Trap types, messages, ordering and the load / store / byte counters of
+  :class:`BusStats` are identical between the two routes.
 """
 
 from __future__ import annotations
@@ -164,6 +184,8 @@ class BusStats:
     bytes_loaded: int = 0
     bytes_stored: int = 0
     checked_stores: int = 0
+    #: Calls of the soft TLB's miss handler (none on the reference route).
+    tlb_misses: int = 0
     trace: TraceRing = field(default_factory=TraceRing)
 
 
@@ -192,10 +214,10 @@ class MemoryBus:
         self._pages = mmu.memory._pages
         self._page_gens = mmu.memory._page_gens
         self._zero_page = mmu.memory._zero_page  # loads never allocate
-        #: Soft TLB, one table per access kind: virtual page base -> pfn.
-        self._tlb_loads: dict[int, int] = {}
-        self._tlb_stores: dict[int, int] = {}
-        self._tlb_gen = -1
+        #: The soft TLB is the MMU's (it invalidates per page); bound here
+        #: so a probe is one attribute and one ``dict.get``.
+        self._tlb_loads = mmu.tlb_loads
+        self._tlb_stores = mmu.tlb_stores
 
     def enable_tracing(self, enabled: bool = True, cap: int | None = None) -> None:
         """Record (kind, vaddr, length, procedure) tuples — for tests.
@@ -219,21 +241,66 @@ class MemoryBus:
         ``vaddr`` and return its pfn.
 
         The access paths probe the TLB inline and come here only when the
-        probe fails (or :attr:`MMU.generation` moved, which empties both
-        tables).  The translation is :meth:`MMU.translate`'s own — so is
-        every MachineCheck / ProtectionTrap and every
+        probe fails.  The translation is :meth:`MMU.translate`'s own — so
+        is every MachineCheck / ProtectionTrap and every
         ``stat_protection_traps`` bump — and only a successful one is
-        cached.
+        cached.  ``stats.tlb_misses`` counts the calls (trapping ones
+        too); a hit does no such work.
         """
-        mmu = self.mmu
-        gen = mmu.generation
-        if gen != self._tlb_gen:
-            self._tlb_loads.clear()
-            self._tlb_stores.clear()
-            self._tlb_gen = gen
-        pfn = (mmu.translate(vaddr, write=write) - off) // self._page_size
+        self.stats.tlb_misses += 1
+        pfn = (self.mmu.translate(vaddr, write=write) - off) // self._page_size
         (self._tlb_stores if write else self._tlb_loads)[vaddr - off] = pfn
         return pfn
+
+    # -- the page port --------------------------------------------------
+
+    @property
+    def flat(self) -> bool:
+        """May a caller use the page port?  True when nothing needs to
+        see each access: fast path on, tracing off, no store checker."""
+        return self.fast_path and not self._tracing and self.store_checker is None
+
+    def load_frame(self, vaddr: int) -> bytes | bytearray:
+        """Page port, load side: the live frame of the page holding
+        ``vaddr`` (the shared zero page if nothing ever wrote it).
+
+        Same soft TLB, same miss handler — hence the same MachineCheck,
+        raised for ``vaddr`` itself — as :meth:`load_u64`, but no crash
+        guard and no stats: a counted word run (``isa/routines.py``)
+        guards first, counts each access where its assembly issues it
+        and hands the totals to :meth:`settle`.  Only while :attr:`flat`.
+        """
+        off = vaddr % self._page_size
+        pfn = self._tlb_loads.get(vaddr - off)
+        if pfn is None:
+            pfn = self._fast_page(vaddr, off, False)
+        return self._pages.get(pfn, self._zero_page)
+
+    def store_frame(self, vaddr: int) -> bytearray:
+        """Page port, store side: the frame of the page holding ``vaddr``,
+        allocated and its write generation bumped, ready for one
+        ``pack_into``.  Traps as :meth:`store_u64` would for ``vaddr``;
+        otherwise as :meth:`load_frame`."""
+        off = vaddr % self._page_size
+        pfn = self._tlb_stores.get(vaddr - off)
+        if pfn is None:
+            pfn = self._fast_page(vaddr, off, True)
+        page = self._pages.get(pfn)
+        if page is None:
+            page = self.memory.page(pfn)
+        self._page_gens[pfn] += 1
+        return page
+
+    def settle(
+        self, loads: int = 0, stores: int = 0, bytes_loaded: int = 0, bytes_stored: int = 0
+    ) -> None:
+        """Add a batch of accesses a caller counted itself to the stats —
+        from a ``finally``, so a run that traps settles what it issued."""
+        stats = self.stats
+        stats.loads += loads
+        stats.stores += stores
+        stats.bytes_loaded += bytes_loaded
+        stats.bytes_stored += bytes_stored
 
     # -- loads ----------------------------------------------------------
 
@@ -249,11 +316,7 @@ class MemoryBus:
         elif self.fast_path and length:
             off = vaddr % self._page_size
             if off + length <= self._page_size:
-                pfn = (
-                    self._tlb_loads.get(vaddr - off)
-                    if self.mmu.generation == self._tlb_gen
-                    else None
-                )
+                pfn = self._tlb_loads.get(vaddr - off)
                 if pfn is None:
                     pfn = self._fast_page(vaddr, off, False)
                 return bytes(self._pages.get(pfn, self._zero_page)[off : off + length])
@@ -270,11 +333,7 @@ class MemoryBus:
             stats = self.stats
             stats.loads += 1
             stats.bytes_loaded += 8
-            pfn = (
-                self._tlb_loads.get(vaddr - off)
-                if self.mmu.generation == self._tlb_gen
-                else None
-            )
+            pfn = self._tlb_loads.get(vaddr - off)
             if pfn is None:
                 pfn = self._fast_page(vaddr, off, False)
             return _U64.unpack_from(self._pages.get(pfn, self._zero_page), off)[0]
@@ -288,11 +347,7 @@ class MemoryBus:
             stats.loads += 1
             stats.bytes_loaded += 1
             off = vaddr % self._page_size
-            pfn = (
-                self._tlb_loads.get(vaddr - off)
-                if self.mmu.generation == self._tlb_gen
-                else None
-            )
+            pfn = self._tlb_loads.get(vaddr - off)
             if pfn is None:
                 pfn = self._fast_page(vaddr, off, False)
             return self._pages.get(pfn, self._zero_page)[off]
@@ -324,11 +379,7 @@ class MemoryBus:
         elif self.fast_path and n and self.store_checker is None:
             off = vaddr % self._page_size
             if off + n <= self._page_size:
-                pfn = (
-                    self._tlb_stores.get(vaddr - off)
-                    if self.mmu.generation == self._tlb_gen
-                    else None
-                )
+                pfn = self._tlb_stores.get(vaddr - off)
                 if pfn is None:
                     pfn = self._fast_page(vaddr, off, True)
                 page = self._pages.get(pfn)
@@ -360,11 +411,7 @@ class MemoryBus:
             stats = self.stats
             stats.stores += 1
             stats.bytes_stored += 8
-            pfn = (
-                self._tlb_stores.get(vaddr - off)
-                if self.mmu.generation == self._tlb_gen
-                else None
-            )
+            pfn = self._tlb_stores.get(vaddr - off)
             if pfn is None:
                 pfn = self._fast_page(vaddr, off, True)
             page = self._pages.get(pfn)
@@ -383,11 +430,7 @@ class MemoryBus:
             stats.stores += 1
             stats.bytes_stored += 1
             off = vaddr % self._page_size
-            pfn = (
-                self._tlb_stores.get(vaddr - off)
-                if self.mmu.generation == self._tlb_gen
-                else None
-            )
+            pfn = self._tlb_stores.get(vaddr - off)
             if pfn is None:
                 pfn = self._fast_page(vaddr, off, True)
             page = self._pages.get(pfn)

@@ -71,9 +71,20 @@ class MMU:
         self.recorder = None
         #: Translation generation: bumped by anything that can change the
         #: outcome of :meth:`translate` (``map``/``unmap``, writability
-        #: toggles, the ABOX bit).  The memory bus keys its software TLB
-        #: on this counter, so a stale cached translation is never used.
+        #: toggles, the ABOX bit).  The interpreter keys its predecoded
+        #: text pages on this counter.
         self.generation = 0
+        #: The soft TLB the memory bus probes, one table per access kind:
+        #: ``virtual page base -> pfn`` of translations that succeeded.
+        #: The tables live here because only the MMU knows what a mutation
+        #: can change, and each mutator drops exactly that: a page that
+        #: stops being writable loses its store entry, ``map``/``unmap``
+        #: drop the page's two entries, the ABOX flip empties both tables.
+        #: Gaining write permission drops nothing — a non-writable page
+        #: never had a store entry — and no writability change can alter
+        #: a load translation or another page's store translation.
+        self.tlb_loads: dict[int, int] = {}
+        self.tlb_stores: dict[int, int] = {}
         #: Counts of protection-relevant events, for the evaluation.
         self.stat_protection_traps = 0
         self.stat_pte_toggles = 0
@@ -89,6 +100,8 @@ class MMU:
         if value != self._kseg_through_tlb:
             self._kseg_through_tlb = value
             self.generation += 1
+            self.tlb_loads.clear()
+            self.tlb_stores.clear()
             rec = self.recorder
             if rec is not None and rec.enabled:
                 rec.emit("mmu", "kseg-tlb", enabled=value)
@@ -101,11 +114,18 @@ class MMU:
             raise MachineCheck(f"mapping to nonexistent frame {pfn}")
         self._page_table[vpn] = PageTableEntry(pfn=pfn, writable=writable)
         self.generation += 1
+        self._tlb_drop(vpn)
 
     def unmap(self, vpn: int) -> None:
         """Drop a PTE (subsequent accesses machine-check)."""
         if self._page_table.pop(vpn, None) is not None:
             self.generation += 1
+            self._tlb_drop(vpn)
+
+    def _tlb_drop(self, vpn: int) -> None:
+        vbase = vpn * self.page_size
+        self.tlb_loads.pop(vbase, None)
+        self.tlb_stores.pop(vbase, None)
 
     def pte_for(self, vpn: int) -> PageTableEntry | None:
         """The PTE mapped at ``vpn``, if any."""
@@ -120,6 +140,8 @@ class MMU:
             pte.writable = writable
             self.stat_pte_toggles += 1
             self.generation += 1
+            if not writable:
+                self.tlb_stores.pop(vpn * self.page_size, None)
             rec = self.recorder
             if rec is not None and rec.enabled:
                 rec.emit("mmu", "pte-protect", vpn=vpn, writable=writable)
@@ -138,6 +160,8 @@ class MMU:
             table[pfn] = writable
             self.stat_pte_toggles += 1
             self.generation += 1
+            if not writable:
+                self.tlb_stores.pop(KSEG_BASE + pfn * self.page_size, None)
             rec = self.recorder
             if rec is not None and rec.enabled:
                 rec.emit("mmu", "kseg-protect", pfn=pfn, writable=writable)
@@ -149,15 +173,18 @@ class MMU:
         frame in order: same table, same ``stat_pte_toggles``,
         ``generation`` moved iff a frame toggled, a :class:`MachineCheck`
         at the first nonexistent frame with the earlier frames already
-        applied, and — recorder on — one ``mmu/kseg-protect`` event per
-        toggled frame, emitted before the next frame is touched (an armed
-        crash fires from inside ``emit``).  The per-frame work is a dict
-        probe instead of a call.
+        applied, a re-protected frame's soft-TLB store entry dropped, and
+        — recorder on — one ``mmu/kseg-protect`` event per toggled frame,
+        emitted before the next frame is touched (an armed crash fires
+        from inside ``emit``).  The per-frame work is a dict probe instead
+        of a call.
         """
         rec = self.recorder
         recording = rec is not None and rec.enabled
         table = self._kseg_writable
         num_pages = self._num_pages
+        page_size = self.page_size
+        tlb_stores = self.tlb_stores
         toggles = 0
         try:
             for pfn in pfns:
@@ -166,6 +193,8 @@ class MMU:
                 if table.get(pfn, True) != writable:
                     table[pfn] = writable
                     toggles += 1
+                    if not writable:
+                        tlb_stores.pop(KSEG_BASE + pfn * page_size, None)
                     if recording:
                         rec.emit("mmu", "kseg-protect", pfn=pfn, writable=writable)
         finally:

@@ -738,5 +738,4 @@ class Interpreter:
             # The reference engine pays one 4-byte bus load per fetch;
             # settle the identical totals in one batch (also on the
             # exception path, so a crashing run's stats match too).
-            stats.loads += fetches
-            stats.bytes_loaded += fetches * WORD_BYTES
+            bus.settle(loads=fetches, bytes_loaded=fetches * WORD_BYTES)

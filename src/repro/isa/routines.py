@@ -28,6 +28,8 @@ interpreter (corrupted text) — only speed differs.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import KernelPanic
 from repro.hw.bus import AccessContext, MemoryBus
 from repro.isa.interpreter import PANIC_MESSAGES
@@ -279,33 +281,90 @@ def _checksum_steps(args: list[int]) -> int:
     return 4 + 6 * (args[1] // 8)
 
 
-# The two walkers issue one bus call per word, like the text they stand in
-# for: the load/store counts and the exact access at which a corrupted
-# pointer traps are observable.
+# The two walkers are one loop: ``sched_tick`` is ``vnode_scan`` over a
+# one-slot table with its own magic and panic.  While the bus is ``flat``
+# the loop is a *counted word run*: it takes pages from the bus's page
+# port, reads a node with one unpack and bumps its counter with one
+# ``pack_into`` on the frame, counts every access at the program point
+# where the assembly issues it (so a MachineCheck, ProtectionTrap or panic
+# leaves the counts of the word-by-word walk: the faulting access counted,
+# nothing after it) and settles the totals on the way out.  The page port
+# is asked about the faulting word's own address, so each trap is
+# ``MMU.translate``'s own.  The one frame the run holds on to is the page
+# it last stored to — allocated, so it is the live frame for loads too,
+# and known writable until the run ends; a page it has only read is
+# fetched again per access, because a store may yet allocate the frame
+# behind a zero page.  One bus call per word — :func:`_visit_words` and
+# ``bus.load_u64`` — remains the route when the bus is not flat (tracing,
+# a store checker, ``fast_path=False``) or is down, and for a head slot or
+# a node that straddles a page.
+
+_U64 = struct.Struct("<Q")
+_NODE = struct.Struct("<QQQ")  # magic, next, counter
+
+
+def _visit_words(bus: MemoryBus, node: int, magic: int, code: int, ctx: AccessContext) -> int:
+    """Check and bump one node, one bus call per word; returns ``next``."""
+    if bus.load_u64(node, ctx) != magic:
+        raise KernelPanic(PANIC_MESSAGES[code], code=code)
+    bus.store_u64(node + 16, bus.load_u64(node + 16, ctx) + 1, ctx)
+    return bus.load_u64(node + 8, ctx)
+
+
+def _walk_chains(
+    bus: MemoryBus, slot: int, nslots: int, magic: int, code: int, ctx: AccessContext
+) -> int:
+    """Walk the chain hanging off each of ``nslots`` head words at ``slot``."""
+    # On a downed machine the first access goes to the bus, which raises.
+    flat = bus.flat and not bus.crashed
+    load_frame, store_frame = bus.load_frame, bus.store_frame
+    unpack_node, pack_word = _NODE.unpack_from, _U64.pack_into
+    page_size = bus.memory.page_size
+    word_room = page_size - 8
+    node_room = page_size - _NODE.size
+    held_base = -1  # virtual base of the page last stored to, and its frame
+    held = None
+    loads = stores = 0
+    try:
+        for _ in range(nslots):
+            off = slot % page_size
+            if flat and off <= word_room:
+                loads += 1
+                node = _U64.unpack_from(load_frame(slot), off)[0]
+            else:
+                node = bus.load_u64(slot, ctx)
+            while node:
+                off = node % page_size
+                if flat and off <= node_room:
+                    stored_here = node - off == held_base
+                    loads += 1  # ldq magic
+                    frame = held if stored_here else load_frame(node)
+                    node_magic, nxt, count = unpack_node(frame, off)
+                    if node_magic != magic:
+                        raise KernelPanic(PANIC_MESSAGES[code], code=code)
+                    loads += 1  # ldq counter
+                    stores += 1  # stq counter
+                    if not stored_here:
+                        held = frame = store_frame(node + 16)
+                        held_base = node - off
+                    pack_word(frame, off + 16, (count + 1) & MASK64)
+                    loads += 1  # ldq next
+                    node = nxt
+                else:
+                    node = _visit_words(bus, node, magic, code, ctx)
+            slot += 8
+    finally:
+        if loads:
+            bus.settle(loads, stores, 8 * loads, 8 * stores)
+    return 0
 
 
 def _native_sched_tick(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    load_u64, store_u64 = bus.load_u64, bus.store_u64
-    node = load_u64(args[0], ctx)
-    while node:
-        if load_u64(node, ctx) != PROC_MAGIC:
-            raise KernelPanic(PANIC_MESSAGES[31], code=31)
-        store_u64(node + 16, load_u64(node + 16, ctx) + 1, ctx)
-        node = load_u64(node + 8, ctx)
-    return 0
+    return _walk_chains(bus, args[0], 1, PROC_MAGIC, 31, ctx)
 
 
 def _native_vnode_scan(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    load_u64, store_u64 = bus.load_u64, bus.store_u64
-    table, nbuckets = args[0], args[1]
-    for bucket in range(nbuckets):
-        node = load_u64(table + 8 * bucket, ctx)
-        while node:
-            if load_u64(node, ctx) != VNODE_MAGIC:
-                raise KernelPanic(PANIC_MESSAGES[33], code=33)
-            store_u64(node + 16, load_u64(node + 16, ctx) + 1, ctx)
-            node = load_u64(node + 8, ctx)
-    return 0
+    return _walk_chains(bus, args[0], args[1], VNODE_MAGIC, 33, ctx)
 
 
 def _const_steps(value: int):

@@ -196,3 +196,151 @@ class TestPostCrashDiscovery:
         image = machine.memory.dump_image()
         entries = read_entries_from_image(image, registry.base_paddr, registry.capacity)
         assert entries[0].ino == 3
+
+
+# -- in-place read-modify-write ------------------------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.core.registry import ENTRY_FIELDS, NO_DISK_BLOCK  # noqa: E402
+from repro.errors import ConfigurationError  # noqa: E402
+
+
+class CountingWindows:
+    """A protection manager's registry window, reduced to what the
+    registry sees: KSEG write permission over its frames, and a count."""
+
+    def __init__(self, mmu, pfns):
+        self.mmu, self.pfns = mmu, pfns
+        self.opened = self.closed = 0
+        mmu.kseg_through_tlb = True
+        mmu.set_kseg_writable_run(pfns, False)
+
+    def open_registry_window(self):
+        self.opened += 1
+        self.mmu.set_kseg_writable_run(self.pfns, True)
+
+    def close_registry_window(self):
+        self.closed += 1
+        self.mmu.set_kseg_writable_run(self.pfns, False)
+
+
+class ReadModifyWriteRegistry(Registry):
+    """The oracle: ``update_*`` as decode, ``setattr``, ``write_entry``."""
+
+    def update_flags(self, slot, *, set_flags=0, clear_flags=0):
+        entry = self.read_entry(slot)
+        entry.flags = (entry.flags | set_flags) & ~clear_flags
+        self.write_entry(entry)
+
+    def update_fields(self, slot, /, **fields):
+        entry = self.read_entry(slot)
+        for name, value in fields.items():
+            setattr(entry, name, value)
+        self.write_entry(entry)
+
+
+def protected_registry(cls):
+    machine = Machine(MachineConfig(memory_bytes=32 * PAGE, boot_time_ns=0))
+    pfns = [machine.memory.num_pages - 2, machine.memory.num_pages - 1]
+    windows = CountingWindows(machine.mmu, pfns)
+    reg = cls(machine.bus, pfns[0] * PAGE, 2 * PAGE, protection=windows)
+    reg.format()
+    machine.recorder.start()
+    return machine, reg, windows
+
+
+def registry_state(machine, reg, windows):
+    stats = machine.bus.stats
+    return (
+        machine.memory.read(reg.base_paddr, reg.region_bytes),
+        (stats.loads, stats.stores, stats.bytes_loaded, stats.bytes_stored),
+        (windows.opened, windows.closed, machine.mmu.stat_pte_toggles),
+        [(e.seq, e.kind, e.op, dict(e.payload)) for e in machine.recorder.events()],
+    )
+
+
+U32, U64 = st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 64) - 2)
+FIELD_VALUES = {
+    "phys_addr": U64, "dev": U32, "ino": U32, "file_offset": U64, "size": U32,
+    "flags": st.integers(0, 15), "disk_block": st.one_of(st.none(), U64), "checksum": U32,
+}
+SLOTS = st.sampled_from([0, 1, 169, 339])  # 169 straddles the registry's page edge
+UPDATE = st.one_of(
+    st.tuples(st.just("write_entry"), SLOTS, st.fixed_dictionaries(FIELD_VALUES)),
+    st.tuples(st.just("update_flags"), SLOTS, st.integers(0, 15), st.integers(0, 15)),
+    st.tuples(st.just("update_fields"), SLOTS, st.fixed_dictionaries({}, optional=FIELD_VALUES)),
+    st.tuples(st.just("crash_at_event"), SLOTS, st.integers(0, 15)),
+)
+
+
+def apply_update(machine, reg, update):
+    op, slot, *args = update
+    if op == "write_entry":
+        reg.write_entry(RegistryEntry(slot=slot, **args[0]))
+    elif op == "update_flags":
+        reg.update_flags(slot, set_flags=args[0], clear_flags=args[1])
+    elif op == "update_fields":
+        reg.update_fields(slot, **args[0])
+    else:
+        # Armed at the registry/update event: the machine dies after the
+        # event and before the window opens, so nothing is stored.
+        def die(event):
+            raise RuntimeError(f"armed at {event.kind}/{event.op}")
+
+        machine.recorder.arm_crash(len(machine.recorder.events()), die)
+        with pytest.raises(RuntimeError, match="armed at registry/update"):
+            reg.update_flags(slot, set_flags=args[0])
+
+
+class TestInPlaceUpdates:
+    @given(updates=st.lists(UPDATE, min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_same_as_decode_modify_write_entry(self, updates):
+        in_place = protected_registry(Registry)
+        oracle = protected_registry(ReadModifyWriteRegistry)
+        for update in updates:
+            apply_update(in_place[0], in_place[1], update)
+            apply_update(oracle[0], oracle[1], update)
+            assert registry_state(*in_place) == registry_state(*oracle), update
+
+    def test_one_load_one_window_one_store(self):
+        machine, reg, windows = protected_registry(Registry)
+        reg.write_entry(RegistryEntry(slot=3, ino=7, flags=FLAG_VALID, disk_block=None))
+        before = registry_state(machine, reg, windows)
+        reg.update_fields(3, phys_addr=5 * PAGE, checksum=0xBEEF, disk_block=12)
+        after = registry_state(machine, reg, windows)
+        assert [b - a for a, b in zip(before[1], after[1])] == [1, 1, ENTRY_SIZE, ENTRY_SIZE]
+        assert (after[2][0] - before[2][0], after[2][1] - before[2][1]) == (1, 1)
+        update = [e for e in after[3][len(before[3]):] if e[1] == "registry"]
+        assert [(e[2], e[3]) for e in update] == [
+            ("update", {"slot": 3, "flags": FLAG_VALID, "phys_addr": 5 * PAGE, "checksum": 0xBEEF})
+        ]
+        assert reg.read_entry(3) == RegistryEntry(
+            slot=3, phys_addr=5 * PAGE, ino=7, flags=FLAG_VALID, disk_block=12, checksum=0xBEEF
+        )
+        reg.update_fields(3, disk_block=None)
+        raw = machine.memory.read(reg.base_paddr + HEADER_SIZE + 3 * ENTRY_SIZE, ENTRY_SIZE)
+        assert struct.unpack_from("<Q", raw, 32)[0] == NO_DISK_BLOCK
+
+    def test_stale_pad_bytes_are_rewritten_as_zero(self, machine, registry):
+        vaddr = registry.entry_vaddr(2)
+        machine.bus.store(vaddr + ENTRY_SIZE - 4, b"\xff\xff\xff\xff")
+        registry.update_flags(2, set_flags=FLAG_VALID)
+        expected = RegistryEntry(slot=2, flags=FLAG_VALID, disk_block=0).to_bytes()
+        assert machine.bus.load(vaddr, ENTRY_SIZE) == expected
+
+    @pytest.mark.parametrize("bad", [{"slot": 5}, {"valid": True}, {"to_bytes": 1}, {"ino": 1, "pad": 0}])
+    def test_only_stored_fields_are_accepted(self, machine, registry, bad):
+        """Any attribute of ``RegistryEntry`` used to pass: ``slot=5`` was
+        a ``setattr`` away from storing the entry into slot 5, and
+        ``valid=True`` died with a bare AttributeError."""
+        registry.write_entry(RegistryEntry(slot=1, ino=42, flags=FLAG_VALID))
+        image, stats = machine.memory.dump_image(), (machine.bus.stats.loads, machine.bus.stats.stores)
+        with pytest.raises(ConfigurationError, match="no registry field"):
+            registry.update_fields(1, **bad)
+        assert machine.memory.dump_image() == image
+        assert (machine.bus.stats.loads, machine.bus.stats.stores) == stats
+        assert set(ENTRY_FIELDS) == {
+            "phys_addr", "dev", "ino", "file_offset", "size", "flags", "disk_block", "checksum",
+        }

@@ -209,6 +209,21 @@ class TestInode:
         with pytest.raises(CorruptStructure):
             Inode.from_bytes(1, bytes(data), strict=True)
 
+    def test_every_type_byte_from_any_buffer(self):
+        """All 256 raw type bytes, read in place out of a larger buffer."""
+        block = bytearray(b"\xee" * INODE_SIZE + Inode(ino=1).to_bytes() + b"\xee" * 8)
+        for raw in range(256):
+            block[INODE_SIZE + 2] = raw
+            for data in (memoryview(block)[INODE_SIZE:], bytes(block[INODE_SIZE:])):
+                lenient = Inode.from_bytes(1, data, strict=False)
+                if raw in tuple(FileType):
+                    assert lenient.ftype is FileType(raw)
+                    assert Inode.from_bytes(1, data).ftype is FileType(raw)
+                else:
+                    assert lenient.ftype is FileType.FREE
+                    with pytest.raises(CorruptStructure, match=f"inode 1: bad type {raw}$"):
+                        Inode.from_bytes(1, data)
+
     def test_truncated_raises(self):
         data = Inode(ino=1, ftype=FileType.REGULAR).to_bytes()
         for cut in (0, 1, 79):
