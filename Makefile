@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-backend bench-compare forensics-smoke explore-smoke examples table1 table1-par table2 clean
+.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-backend bench-compare profile forensics-smoke explore-smoke examples table1 table1-par table2 clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -57,6 +57,15 @@ bench-backend:
 # NEW=BENCH_13.json.  Exits 1 on a regression beyond the compare bounds.
 bench-compare:
 	$(PY) -m bench --compare $(OLD) $(NEW)
+
+# Where one bench workload's host time goes: a round in process under
+# cProfile, self time by module and by function (make profile
+# W=serve_storm).  explore_traffic works in pool children the profiler
+# cannot see, so TRIALS=N profiles every N-th boundary trial in process
+# instead (make profile W=explore_traffic TRIALS=4; add WALL=1 for plain
+# wall-clock ms per trial, no profiler).
+profile:
+	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall)
 
 # Flight-recorder smoke: a tiny traced 2-job campaign (disk/pointer
 # corrupts within its first attempts under the default seed schedule),

@@ -271,31 +271,38 @@ class Registry:
 # -- post-crash access (raw memory image, no kernel required) -----------------
 
 
-def find_registry_in_image(
-    image: bytes | bytearray | memoryview, page_size: int
-) -> tuple[int, int] | None:
+def find_registry_in_image(image, page_size: int) -> tuple[int, int] | None:
     """Locate the registry in a raw memory image.
 
-    Scans page-aligned offsets from the top of memory down (the registry
-    lives in reserved top frames).  Returns ``(base_offset, capacity)`` or
-    None if no registry is present (e.g. a non-Rio system, or a PC that
-    scrubbed memory during reset).
+    ``image`` is anything with ``len`` and ``bytes``-style slicing: flat
+    bytes or a :class:`~repro.util.sparse.SparseBytes` snapshot.  Scans
+    page-aligned offsets from the top of memory down (the registry lives
+    in reserved top frames).  Returns ``(base_offset, capacity)`` or None
+    if no registry is present (e.g. a non-Rio system, or a PC that
+    scrubbed memory during reset).  A header whose capacity cannot fit
+    between it and the end of memory is corruption, not a registry.
     """
-    for offset in range(len(image) - page_size, -1, -page_size):
-        if len(image) - offset < HEADER_SIZE:
+    size = len(image)
+    for offset in range(size - page_size, -1, -page_size):
+        header = image[offset : offset + _HEADER_FMT.size]
+        if len(header) < _HEADER_FMT.size:
             continue
-        magic, capacity, entry_size, base_paddr = _HEADER_FMT.unpack_from(image, offset)
-        if magic == REGISTRY_MAGIC and entry_size == ENTRY_SIZE and base_paddr == offset:
+        magic, capacity, entry_size, base_paddr = _HEADER_FMT.unpack(header)
+        if (
+            magic == REGISTRY_MAGIC
+            and entry_size == ENTRY_SIZE
+            and base_paddr == offset
+            and offset + HEADER_SIZE + capacity * ENTRY_SIZE <= size
+        ):
             return offset, capacity
     return None
 
 
-def read_entries_from_image(
-    image: bytes | bytearray | memoryview, base_offset: int, capacity: int
-) -> list[RegistryEntry]:
-    """Decode all valid entries from a raw memory image."""
+def read_entries_from_image(image, base_offset: int, capacity: int) -> list[RegistryEntry]:
+    """Decode all valid entries from a raw memory image (flat or sparse,
+    see :func:`find_registry_in_image`)."""
     start = base_offset + HEADER_SIZE
-    region = memoryview(image)[start : start + capacity * ENTRY_SIZE]
+    region = image[start : start + capacity * ENTRY_SIZE]
     if len(region) != capacity * ENTRY_SIZE:
         raise struct.error("registry entries extend past the memory image")
     entries = []

@@ -17,6 +17,13 @@ Two-step flow, exactly as in the paper:
 The checksum audit of the dump image — detection, not recovery — also
 lives here so reliability campaigns can distinguish intact, corrupt and
 mid-write ("changing") buffers.
+
+The image every function here takes is anything with ``len`` and
+``bytes``-style slicing: the machine's sparse
+:meth:`~repro.hw.memory.PhysicalMemory.snapshot` on the reboot path, flat
+bytes in tests and tools.  Its contents are outside input — on a system
+without protection a wild store can have rewritten the registry — so an
+entry is only acted on if what it points at exists.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from repro.disk.swap import SwapPartition
 from repro.fs.types import BLOCK_SIZE, SECTORS_PER_BLOCK
 from repro.hw.machine import Machine
 from repro.util.checksum import fletcher32
+from repro.util.sparse import SparseBytes
 
 
 @dataclass
@@ -49,11 +57,14 @@ class WarmRebootReport:
     #: Registry slots whose page bytes no longer match their checksum —
     #: direct corruption caught by the detection apparatus.
     checksum_mismatches: list[int] = field(default_factory=list)
+    #: Registry slots of dirty entries that were not restored because the
+    #: entry itself is impossible: its page range leaves memory, or (for
+    #: metadata) its disk block leaves the device.
+    invalid_entries: list[int] = field(default_factory=list)
 
 
-def audit_checksums(image: bytes, entries: list[RegistryEntry], report: WarmRebootReport) -> None:
+def audit_checksums(image, entries: list[RegistryEntry], report: WarmRebootReport) -> None:
     """Compare each valid entry's recorded checksum against the dump."""
-    image = memoryview(image)  # pages are checksummed in place, not sliced out
     for entry in entries:
         if entry.changing:
             # Mid-write at crash time: cannot be classified by checksum.
@@ -70,14 +81,14 @@ def dump_and_recover_metadata(
     block_devices: dict[int, object],
     *,
     audit: bool = True,
-) -> tuple[bytes, list[RegistryEntry], WarmRebootReport]:
+) -> tuple[SparseBytes, list[RegistryEntry], WarmRebootReport]:
     """Step 1 of the warm reboot (run on the freshly reset machine,
     before any kernel state is rebuilt over the old memory image)."""
     report = WarmRebootReport()
     rec = getattr(machine, "recorder", None)
     if rec is None or not rec.enabled:
         rec = None
-    image = machine.memory.dump_image()
+    image = machine.memory.snapshot()
     report.dumped_bytes = len(image)
     swap.dump_memory_image(image)
     if rec is not None:
@@ -103,35 +114,54 @@ def dump_and_recover_metadata(
                 changing=report.changing_entries,
             )
 
-    view = memoryview(image)
+    invalid = []
     for entry in entries:
         if not entry.is_metadata or entry.disk_block is None or not entry.dirty:
             continue
         disk = block_devices.get(entry.dev)
         if disk is None:
             continue
-        data = view[entry.phys_addr : entry.phys_addr + BLOCK_SIZE]
+        if (
+            entry.phys_addr + max(entry.size, BLOCK_SIZE) > len(image)
+            or (entry.disk_block + 1) * SECTORS_PER_BLOCK > disk.num_sectors
+        ):
+            invalid.append(entry.slot)
+            continue
+        data = image[entry.phys_addr : entry.phys_addr + BLOCK_SIZE]
         disk.write(entry.disk_block * SECTORS_PER_BLOCK, data, sync=True)
         report.metadata_restored += 1
     if rec is not None:
         rec.emit("reboot", "metadata-restore", restored=report.metadata_restored)
+    _note_invalid(report, rec, "metadata", invalid)
     return image, entries, report
 
 
-def restore_ubc(fs, image: bytes, entries: list[RegistryEntry], report: WarmRebootReport) -> None:
+def _note_invalid(report: WarmRebootReport, rec, step: str, slots: list[int]) -> None:
+    """Book the entries one restore step refused.  The event exists only
+    when there are any, so a healthy reboot's stream is unchanged."""
+    if slots:
+        report.invalid_entries += slots
+        if rec is not None and rec.enabled:
+            rec.emit("reboot", "invalid-entries", step=step, slots=slots)
+
+
+def restore_ubc(fs, image, entries: list[RegistryEntry], report: WarmRebootReport) -> None:
     """Step 2: the user-level restore of dirty UBC pages.
 
     ``fs`` must provide ``inode_exists(ino)``, ``inode_size(ino)`` and
     ``write_by_ino(ino, offset, data)`` — the by-inode equivalents of the
     open/write syscalls the paper's restore process uses.
     """
-    image = memoryview(image)
+    invalid = []
     for entry in entries:
         if entry.is_metadata:
             continue
         report.ubc_entries += 1
         if not entry.dirty:
             continue  # the disk copy is current
+        if entry.phys_addr + entry.size > len(image):
+            invalid.append(entry.slot)
+            continue
         if not fs.inode_exists(entry.ino):
             # The file died before the crash reached it (e.g. unlinked but
             # its registry entry was mid-flight) — nothing to restore into.
@@ -153,3 +183,4 @@ def restore_ubc(fs, image: bytes, entries: list[RegistryEntry], report: WarmRebo
             restored=report.ubc_restored,
             skipped=report.ubc_skipped,
         )
+    _note_invalid(report, rec, "ubc", invalid)

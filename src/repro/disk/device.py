@@ -4,7 +4,11 @@ The platter is a dict of lazily allocated fixed-size **extents**
 (``bytearray``s of :data:`EXTENT_SECTORS` sectors keyed by extent index):
 every store operation is a handful of slice copies however many sectors
 it spans, and an extent nobody wrote anything but zeros to is never
-materialised — it reads as zeros and costs no memory.
+materialised — it reads as zeros and costs no memory.  A payload may also
+be a :class:`~repro.util.sparse.SparseBytes` (the warm reboot's memory
+dump): it is one request priced by its full length like any other, but
+the store only visits the payload's runs and the extents its gaps cover,
+and the request's saved prior contents are sparse in the same way.
 
 Write handling is the part that matters for the paper's experiments:
 
@@ -33,6 +37,7 @@ from typing import Callable, Optional
 from repro.errors import ConfigurationError, MachineCheck
 from repro.disk.model import DiskParameters
 from repro.hw.clock import Clock
+from repro.util.sparse import SparseBytes
 
 #: Sectors per extent: 64 KiB at 512-byte sectors — eight file-system
 #: blocks, so a block access never straddles extents and a whole-memory
@@ -51,7 +56,8 @@ class DiskRequest:
     submit_ns: int
     start_ns: int
     completion_ns: int
-    old_data: Optional[bytes] = None  # original contents (writes only)
+    #: Original contents (writes only); sparse when the payload was.
+    old_data: bytes | SparseBytes | None = None
     on_complete: Optional[Callable[["DiskRequest"], None]] = None
     retired: bool = False
 
@@ -130,11 +136,11 @@ class SimulatedDisk:
                 f"disk {self.name}: sectors [{sector}, {sector + count}) out of range"
             )
 
-    def _spans(self, sector: int, nbytes: int):
-        """``(extent index, offset, length)`` of each piece of a byte run
-        starting at ``sector``, cut at extent boundaries."""
+    def _spans(self, pos: int, nbytes: int):
+        """``(extent index, offset, length)`` of each piece of the byte
+        run ``[pos, pos + nbytes)``, cut at extent boundaries."""
         size = self._extent_bytes
-        index, off = divmod(sector * self.sector_size, size)
+        index, off = divmod(pos, size)
         while nbytes > 0:
             take = min(nbytes, size - off)
             yield index, off, take
@@ -149,7 +155,7 @@ class SimulatedDisk:
         extents, zeros = self._extents, self._zero_extent
         parts = [
             memoryview(extents.get(index, zeros))[off : off + take]
-            for index, off, take in self._spans(sector, nbytes)
+            for index, off, take in self._spans(sector * self.sector_size, nbytes)
         ]
         if len(parts) > 1 and all(part.obj is zeros for part in parts):
             # A long never-written run (the first dump's ``old_data``):
@@ -157,22 +163,60 @@ class SimulatedDisk:
             return bytes(nbytes)
         return b"".join(parts)
 
-    def poke(self, sector: int, data: bytes | bytearray | memoryview) -> None:
+    def _peek_sparse(self, pos: int, nbytes: int) -> SparseBytes:
+        """Platter bytes ``[pos, pos + nbytes)`` as a sparse value: a copy
+        of each materialised extent in range, a gap for the rest."""
+        runs, done = [], 0
+        for index, off, take in self._spans(pos, nbytes):
+            extent = self._extents.get(index)
+            if extent is not None:
+                runs.append((done, bytes(memoryview(extent)[off : off + take])))
+            done += take
+        return SparseBytes(nbytes, runs)
+
+    def poke(self, sector: int, data: bytes | bytearray | memoryview | SparseBytes) -> None:
         """Write sectors without queueing or consuming time (mkfs, tests)."""
-        view = memoryview(data).cast("B")
-        if len(view) % self.sector_size:
+        sparse = isinstance(data, SparseBytes)
+        if not sparse:
+            data = memoryview(data).cast("B")
+        if len(data) % self.sector_size:
             raise ValueError("poke data must be whole sectors")
-        self._check_range(sector, len(view) // self.sector_size)
-        pos = 0
-        for index, off, take in self._spans(sector, len(view)):
-            chunk = view[pos : pos + take]
-            pos += take
+        self._check_range(sector, len(data) // self.sector_size)
+        (self._store_sparse if sparse else self._store)(sector * self.sector_size, data)
+
+    def _store(self, pos: int, view: memoryview) -> None:
+        """Copy ``view`` onto the platter from byte ``pos``."""
+        done = 0
+        for index, off, take in self._spans(pos, len(view)):
+            chunk = view[done : done + take]
+            done += take
             extent = self._extents.get(index)
             if extent is None:
                 if bytes(chunk) == bytes(take):
-                    continue  # zeros over zeros (most of a memory dump)
+                    continue  # zeros over zeros
                 extent = self._extents[index] = bytearray(self._extent_bytes)
             extent[off : off + take] = chunk
+
+    def _store_sparse(self, pos: int, payload: SparseBytes) -> None:
+        """Store a sparse payload from byte ``pos``: its runs as any flat
+        bytes; a gap does nothing to an unmaterialised extent, drops a
+        materialised one it wholly covers (it reads as zeros again) and
+        zero-fills in place the part of one it partly covers."""
+        size, extents = self._extent_bytes, self._extents
+        for start, stop in payload.gaps():
+            start += pos
+            stop += pos
+            for index in range(start // size, (stop - 1) // size + 1):
+                extent = extents.get(index)
+                if extent is None:
+                    continue
+                lo, hi = max(start - index * size, 0), min(stop - index * size, size)
+                if hi - lo == size:
+                    del extents[index]
+                else:
+                    extent[lo:hi] = bytes(hi - lo)
+        for offset, chunk in payload.runs():
+            self._store(pos + offset, memoryview(chunk))
 
     # -- timed operations ----------------------------------------------------
 
@@ -202,17 +246,21 @@ class SimulatedDisk:
     def write(
         self,
         sector: int,
-        data: bytes | bytearray | memoryview,
+        data: bytes | bytearray | memoryview | SparseBytes,
         *,
         sync: bool,
         on_complete: Optional[Callable[[DiskRequest], None]] = None,
     ) -> DiskRequest:
         """Write sectors; ``sync=True`` blocks until the platter has them."""
-        nbytes = memoryview(data).nbytes
+        sparse = isinstance(data, SparseBytes)
+        if not sparse:
+            data = memoryview(data).cast("B")
+        nbytes = len(data)
         if nbytes % self.sector_size:
             raise ValueError("write data must be whole sectors")
         count = nbytes // self.sector_size
         self._check_range(sector, count)
+        pos = sector * self.sector_size
         clock = self._require_clock()
         start = max(clock.now_ns, self._busy_until_ns)
         service = self._service_ns(
@@ -226,10 +274,11 @@ class SimulatedDisk:
             submit_ns=clock.now_ns,
             start_ns=start,
             completion_ns=completion,
-            old_data=self.peek(sector, count),
+            old_data=self._peek_sparse(pos, nbytes) if sparse else self.peek(sector, count),
             on_complete=on_complete,
         )
-        self.poke(sector, data)  # visible to subsequent reads immediately
+        # Visible to subsequent reads immediately.
+        (self._store_sparse if sparse else self._store)(pos, data)
         self._pending.append(request)
         self._busy_until_ns = completion
         self._note_position(sector, count)
@@ -306,7 +355,7 @@ class SimulatedDisk:
         done = min(request.nsectors, max(0, int(request.nsectors * fraction)))
         # Sectors beyond the head position retain their old contents.
         if done + 1 < request.nsectors:
-            tail = memoryview(request.old_data)[(done + 1) * self.sector_size :]
+            tail = request.old_data[(done + 1) * self.sector_size :]
             self.poke(request.sector + done + 1, tail)
         if done < request.nsectors:
             # The sector under the head is torn: a deterministic scramble
@@ -314,7 +363,7 @@ class SimulatedDisk:
             new = self.peek(request.sector + done, 1)
             old = request.old_data[done * self.sector_size : (done + 1) * self.sector_size]
             half = self.sector_size // 2
-            torn = bytes(b ^ 0xA5 for b in new[:half]) + old[half:]
+            torn = bytes(b ^ 0xA5 for b in new[:half]) + bytes(old[half:])
             self.poke(request.sector + done, torn)
             self.stats.torn_sectors += 1
 

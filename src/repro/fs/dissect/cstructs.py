@@ -14,6 +14,11 @@ for the FreeBSD UFS layout) and compiles it, once, into a
     record = SUPERBLOCK.unpack(data)
     record.magic, record.direct[3], SUPERBLOCK.offset_of("version")
 
+An array of records (a directory block, an inode table) is walked with
+:meth:`CStruct.iter_unpack`, which yields each slot's raw field tuple so
+a scan can test one field (:meth:`CStruct.index_of`) before it pays for
+a :class:`Record` (:meth:`CStruct.record`).
+
 Design constraints, because this backs an *independent* verifier:
 
 * pure stdlib — no imports from the kernel-side ``repro.fs`` modules
@@ -124,10 +129,37 @@ class CStruct:
         )
         assert self._struct.size == self.size
         self._by_name = {f.name: f for f in self.fields}
+        # Where each named field sits in the flat tuple ``struct`` yields:
+        # (name, first index, end index for an array else None).
+        self._plan = []
+        cursor = 0
+        for f in self.fields:
+            array = f.is_array and f.ctype != "char"  # char[n] is one bytes value
+            width = f.count if array else 1
+            if not f.name.startswith("pad"):
+                self._plan.append((f.name, cursor, cursor + width if array else None))
+            cursor += width
 
     def offset_of(self, field_name: str) -> int:
         """Byte offset of a field within the record."""
         return self._by_name[field_name].offset
+
+    def index_of(self, field_name: str) -> int:
+        """Position of a field (its first element, for an array) in the
+        flat tuples :meth:`iter_unpack` yields."""
+        for name, start, _stop in self._plan:
+            if name == field_name:
+                return start
+        raise KeyError(field_name)
+
+    def record(self, flat: tuple) -> Record:
+        """Lift one flat field tuple into a :class:`Record`."""
+        return Record(
+            {
+                name: flat[start] if stop is None else flat[start:stop]
+                for name, start, stop in self._plan
+            }
+        )
 
     def unpack(self, data: bytes | bytearray | memoryview) -> Record:
         """Parse one record; raises :class:`TruncatedRecord` when short."""
@@ -135,22 +167,15 @@ class CStruct:
             raise TruncatedRecord(
                 f"{self.name}: need {self.size} bytes, have {len(data)}"
             )
-        flat = self._struct.unpack(bytes(data[: self.size]))
-        values: dict = {}
-        cursor = 0
-        for field in self.fields:
-            if field.ctype == "char":
-                values[field.name] = flat[cursor]
-                cursor += 1
-            elif field.is_array:
-                values[field.name] = tuple(flat[cursor : cursor + field.count])
-                cursor += field.count
-            else:
-                values[field.name] = flat[cursor]
-                cursor += 1
-        for pad_name in [n for n in values if n.startswith("pad")]:
-            del values[pad_name]
-        return Record(values)
+        return self.record(self._struct.unpack_from(data))
+
+    def iter_unpack(self, data: bytes | bytearray | memoryview):
+        """The flat field tuple of every whole record in ``data``, in
+        order (an array of records decoded in one call; a ragged tail is
+        ignored).  ``record(flat)`` is what ``unpack`` of that slot
+        returns."""
+        whole = len(data) - len(data) % self.size
+        return self._struct.iter_unpack(data if whole == len(data) else data[:whole])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CStruct({self.name!r}, size={self.size})"

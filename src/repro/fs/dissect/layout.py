@@ -136,10 +136,14 @@ DIRENT = CStruct(
     """,
 )
 
+#: A single-indirect block: one array of block pointers, 0 = unmapped.
+INDIRECT = CStruct("indirect", f"uint32 ptr[{PTRS_PER_INDIRECT}];")
+
 assert SUPERBLOCK.size == REGION_SUMMARY_OFFSET
 assert REGION_SUMMARY.size == REGION_SUMMARY_SIZE
 assert INODE.size == 80 and INODE.size <= INODE_SIZE
 assert DIRENT.size == DIRENT_SIZE
+assert INDIRECT.size == BLOCK_SIZE
 
 
 def fletcher32(data: bytes) -> int:

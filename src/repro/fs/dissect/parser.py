@@ -21,6 +21,8 @@ from repro.fs.dissect import layout
 from repro.fs.dissect.cstructs import TruncatedRecord
 from repro.fs.dissect.findings import DissectReport, Finding, FindingKind
 
+_DIRENT_INO = layout.DIRENT.index_of("ino")
+
 
 def dissect_image(data: bytes) -> DissectReport:
     """Statically analyze one raw disk image; never raises on content."""
@@ -78,39 +80,41 @@ def _scan(data: bytes, report: DissectReport) -> None:
     report.walk_completed = True
 
     # -- phase 2: inode region scan --------------------------------------
-    num_inodes = sb.inode_blocks * layout.INODES_PER_BLOCK
     inodes: dict = {}
     claims: dict = {}  # block -> (claiming ino, file block index or None)
-    for ino in range(1, num_inodes):
-        block_no = sb.inode_start + ino // layout.INODES_PER_BLOCK
-        offset = (ino % layout.INODES_PER_BLOCK) * layout.INODE_SIZE
-        raw = read_block(block_no)[offset : offset + layout.INODE_SIZE]
-        report.inodes_scanned += 1
-        if raw == b"\x00" * layout.INODE_SIZE:
-            continue  # never-used slot
-        try:
-            record = layout.INODE.unpack(raw)
-        except TruncatedRecord:  # cannot happen for a whole slot; be safe
-            record = None
-        if (
-            record is None
-            or record.magic != layout.INODE_MAGIC
-            or record.ftype not in layout.FTYPE_NAMES
-        ):
-            report.add(
-                Finding(
-                    FindingKind.MANGLED_INODE,
-                    f"inode {ino}",
-                    "slot is neither free nor a valid inode record",
-                    block=block_no,
+    for table_index in range(sb.inode_blocks):
+        block_no = sb.inode_start + table_index
+        block = read_block(block_no)
+        first = table_index * layout.INODES_PER_BLOCK
+        for ino in range(max(first, 1), first + layout.INODES_PER_BLOCK):
+            offset = (ino - first) * layout.INODE_SIZE
+            raw = block[offset : offset + layout.INODE_SIZE]
+            report.inodes_scanned += 1
+            if raw == b"\x00" * layout.INODE_SIZE:
+                continue  # never-used slot
+            try:
+                record = layout.INODE.unpack(raw)
+            except TruncatedRecord:  # cannot happen for a whole slot; be safe
+                record = None
+            if (
+                record is None
+                or record.magic != layout.INODE_MAGIC
+                or record.ftype not in layout.FTYPE_NAMES
+            ):
+                report.add(
+                    Finding(
+                        FindingKind.MANGLED_INODE,
+                        f"inode {ino}",
+                        "slot is neither free nor a valid inode record",
+                        block=block_no,
+                    )
                 )
-            )
-            continue
-        if record.ftype == layout.FTYPE_FREE:
-            continue
-        report.inodes_allocated += 1
-        inodes[ino] = record
-        _check_inode_blocks(sb, ino, record, claims, read_block, report)
+                continue
+            if record.ftype == layout.FTYPE_FREE:
+                continue
+            report.inodes_allocated += 1
+            inodes[ino] = record
+            _check_inode_blocks(sb, ino, record, claims, read_block, report)
 
     # -- phases 3+4: directory walk from the root ------------------------
     reachable = _walk_directories(sb, inodes, read_block, report)
@@ -290,9 +294,7 @@ def _check_inode_blocks(sb, ino, record, claims, read_block, report) -> None:
         before = record.indirect in claims or not _valid_data_block(sb, record.indirect)
         claim(record.indirect, None, "indirect pointer")
         if not before:
-            ind = read_block(record.indirect)
-            for i in range(layout.PTRS_PER_INDIRECT):
-                entry = int.from_bytes(ind[i * 4 : (i + 1) * 4], "little")
+            for i, entry in enumerate(layout.INDIRECT.unpack(read_block(record.indirect)).ptr):
                 if entry:
                     claim(entry, layout.N_DIRECT + i, f"indirect[{i}]")
 
@@ -351,19 +353,17 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
         record = inodes[dir_ino]
         blocks = [b for b in record.direct if b and _valid_data_block(sb, b)]
         if record.indirect and _valid_data_block(sb, record.indirect):
-            ind = read_block(record.indirect)
-            for i in range(layout.PTRS_PER_INDIRECT):
-                entry = int.from_bytes(ind[i * 4 : (i + 1) * 4], "little")
+            for entry in layout.INDIRECT.unpack(read_block(record.indirect)).ptr:
                 if entry and _valid_data_block(sb, entry):
                     blocks.append(entry)
         seen_dot = seen_dotdot = False
         for block_no in blocks:
-            block = read_block(block_no)
-            for off in range(0, layout.BLOCK_SIZE, layout.DIRENT_SIZE):
-                slot = block[off : off + layout.DIRENT_SIZE]
-                entry = layout.DIRENT.unpack(slot)
-                if entry.ino == 0:
+            off = -layout.DIRENT_SIZE
+            for flat in layout.DIRENT.iter_unpack(read_block(block_no)):
+                off += layout.DIRENT_SIZE
+                if flat[_DIRENT_INO] == 0:
                     continue  # empty slot (fsck zeroes only the ino word)
+                entry = layout.DIRENT.record(flat)
                 name_raw = entry.name[: entry.name_len]
                 if (
                     entry.name_len == 0

@@ -35,13 +35,15 @@ from repro.fs.ondisk import (
     INODE_SIZE,
     Inode,
     Superblock,
+    free_dirent_offset,
+    indirect_pointers,
+    scan_dirents,
 )
 from repro.fs.types import (
     BLOCK_SIZE,
     FileType,
     MAX_FILE_SIZE,
     N_DIRECT,
-    PTRS_PER_INDIRECT,
     ROOT_INO,
     SECTORS_PER_BLOCK,
 )
@@ -199,8 +201,7 @@ def fsck(disk) -> FsckReport:
                 claimed[inode.indirect] = ino
                 ind = bytearray(raw.read_block(inode.indirect))
                 ind_changed = False
-                for i in range(PTRS_PER_INDIRECT):
-                    block = int.from_bytes(ind[i * 4 : (i + 1) * 4], "little")
+                for i, block in enumerate(indirect_pointers(ind)):
                     if block == 0:
                         continue
                     if not _valid_data_block(sb, block) or block in claimed:
@@ -284,9 +285,7 @@ def fsck(disk) -> FsckReport:
 def _dir_block_list(raw: _RawFs, dinode: Inode) -> list[int]:
     blocks = [b for b in dinode.direct if b and _valid_data_block(raw.sb, b)]
     if dinode.indirect and _valid_data_block(raw.sb, dinode.indirect):
-        ind = raw.read_block(dinode.indirect)
-        for i in range(PTRS_PER_INDIRECT):
-            block = int.from_bytes(ind[i * 4 : (i + 1) * 4], "little")
+        for block in indirect_pointers(raw.read_block(dinode.indirect)):
             if block and _valid_data_block(raw.sb, block):
                 blocks.append(block)
     return blocks
@@ -296,11 +295,7 @@ def _claimed_blocks(raw: _RawFs, inode: Inode) -> list[int]:
     blocks = [b for b in inode.direct if b]
     if inode.indirect:
         blocks.append(inode.indirect)
-        ind = raw.read_block(inode.indirect)
-        for i in range(PTRS_PER_INDIRECT):
-            block = int.from_bytes(ind[i * 4 : (i + 1) * 4], "little")
-            if block:
-                blocks.append(block)
+        blocks += [b for b in indirect_pointers(raw.read_block(inode.indirect)) if b]
     return blocks
 
 
@@ -321,12 +316,12 @@ def _walk_tree(raw: _RawFs, inodes: dict[int, Inode], report: FsckReport):
         blocks = _dir_block_list(raw, dinode)
         seen_dot = seen_dotdot = False
         for block_no in blocks:
-            data = bytearray(raw.read_block(block_no))
+            block = raw.read_block(block_no)
+            data = bytearray(block)  # repaired in place as the scan goes
             block_changed = False
-            for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
-                entry = DirEntry.from_bytes(bytes(data[off : off + DIRENT_SIZE]))
+            for off, ino_word, entry in scan_dirents(block):
                 if entry is None:
-                    if data[off : off + 4] != b"\x00\x00\x00\x00":
+                    if ino_word:
                         data[off : off + DIRENT_SIZE] = b"\x00" * DIRENT_SIZE
                         block_changed = True
                         report.fix(f"dir {dir_ino}: garbled entry cleared")
@@ -389,13 +384,13 @@ def _walk_tree(raw: _RawFs, inodes: dict[int, Inode], report: FsckReport):
 
 def _insert_dirent(raw: _RawFs, blocks: list[int], entry: DirEntry) -> bool:
     """Write a directory record into the first free slot; False if full."""
+    record = entry.to_bytes()
     for block_no in blocks:
-        data = bytearray(raw.read_block(block_no))
-        for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
-            if data[off : off + 4] == b"\x00\x00\x00\x00":
-                data[off : off + DIRENT_SIZE] = entry.to_bytes()
-                raw.write_block(block_no, bytes(data))
-                return True
+        data = raw.read_block(block_no)
+        off = free_dirent_offset(data)
+        if off is not None:
+            raw.write_block(block_no, data[:off] + record + data[off + DIRENT_SIZE :])
+            return True
     return False
 
 
@@ -405,13 +400,7 @@ def _reconnect(raw: _RawFs, inodes: dict[int, Inode], ino: int, report: FsckRepo
     if lost_found is None or lost_found.ftype != FileType.DIRECTORY:
         return False
     name = f"#{ino}"
-    record = DirEntry(ino, name).to_bytes()
-    for block_no in _dir_block_list(raw, lost_found):
-        data = bytearray(raw.read_block(block_no))
-        for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
-            if data[off : off + 4] == b"\x00\x00\x00\x00":
-                data[off : off + DIRENT_SIZE] = record
-                raw.write_block(block_no, bytes(data))
-                report.fix(f"inode {ino}: orphan reconnected as lost+found/{name}")
-                return True
+    if _insert_dirent(raw, _dir_block_list(raw, lost_found), DirEntry(ino, name)):
+        report.fix(f"inode {ino}: orphan reconnected as lost+found/{name}")
+        return True
     return False

@@ -34,6 +34,7 @@ from repro.fs.types import (
     FileType,
     MAX_NAME,
     N_DIRECT,
+    PTRS_PER_INDIRECT,
     ROOT_INO,
 )
 from repro.util.checksum import fletcher32
@@ -65,6 +66,7 @@ _SB_HEADER_FMT = struct.Struct("<IHH" + "I" * 9 + "BBBB" + "I" + "12x")
 _SB_SUMMARY_FMT = struct.Struct("<HBxIII")
 _INODE_FMT = struct.Struct("<HBxHxxQQ" + "I" * N_DIRECT + "II")
 _DIRENT_FMT = struct.Struct("<IB27s")
+_INDIRECT_FMT = struct.Struct(f"<{PTRS_PER_INDIRECT}I")
 
 assert _SB_HEADER_FMT.size == REGION_SUMMARY_OFFSET
 assert _SB_SUMMARY_FMT.size == REGION_SUMMARY_SIZE
@@ -404,6 +406,34 @@ def parse_dirents(data: bytes) -> list[DirEntry]:
         if ino and (name := _dirent_name(name_len, raw)) is not None:
             entries.append(DirEntry(ino=ino, name=name))
     return entries
+
+
+def scan_dirents(data: bytes | bytearray | memoryview):
+    """Every whole slot of directory content bytes, in order, as
+    ``(byte offset, ino word, record)``.  ``record`` is None for an empty
+    slot (``ino == 0``) and for one too mangled to interpret — which a
+    repairing caller tells apart by the ino word."""
+    offset = 0
+    for ino, name_len, raw in _dirent_records(data):
+        name = _dirent_name(name_len, raw) if ino else None
+        yield offset, ino, None if name is None else DirEntry(ino=ino, name=name)
+        offset += DIRENT_SIZE
+
+
+def free_dirent_offset(data: bytes | bytearray | memoryview) -> int | None:
+    """Byte offset of the first empty (``ino == 0``) slot in directory
+    content bytes, or None when every whole slot is taken."""
+    for index, record in enumerate(_dirent_records(data)):
+        if record[0] == 0:
+            return index * DIRENT_SIZE
+    return None
+
+
+def indirect_pointers(block: bytes | bytearray | memoryview) -> tuple[int, ...]:
+    """The block numbers held by one single-indirect block (0 = unmapped)."""
+    if len(block) < BLOCK_SIZE:
+        raise CorruptStructure("indirect block truncated")
+    return _INDIRECT_FMT.unpack_from(block)
 
 
 def find_dirent(data: bytes, name: str) -> tuple[int, DirEntry] | None:

@@ -46,6 +46,8 @@ from repro.fs.ondisk import (
     Superblock,
     allocated_slots,
     find_dirent,
+    free_dirent_offset,
+    indirect_pointers,
     parse_dirents,
 )
 from repro.fs.types import (
@@ -56,7 +58,6 @@ from repro.fs.types import (
     MAX_FILE_SIZE,
     MAX_NAME,
     N_DIRECT,
-    PTRS_PER_INDIRECT,
     ROOT_INO,
     SECTORS_PER_BLOCK,
 )
@@ -396,10 +397,7 @@ class UFS:
         blocks = [b for b in inode.direct if b]
         if inode.indirect:
             raw = self.read_meta(inode.indirect, 0, BLOCK_SIZE, meta_class="indirect")
-            for i in range(PTRS_PER_INDIRECT):
-                block = int.from_bytes(raw[i * 4 : (i + 1) * 4], "little")
-                if block:
-                    blocks.append(block)
+            blocks += [b for b in indirect_pointers(raw) if b]
         return blocks
 
     def _free_file_blocks(self, inode: Inode) -> None:
@@ -453,11 +451,12 @@ class UFS:
             for block_no in self._dir_blocks(dinode):
                 if block_no == 0:
                     continue
-                data = self.read_meta(block_no, 0, BLOCK_SIZE, meta_class="dir")
-                for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
-                    if data[off : off + 4] == b"\x00\x00\x00\x00":
-                        self.write_meta(block_no, off, record, meta_class="dir")
-                        return
+                off = free_dirent_offset(
+                    self.read_meta(block_no, 0, BLOCK_SIZE, meta_class="dir")
+                )
+                if off is not None:
+                    self.write_meta(block_no, off, record, meta_class="dir")
+                    return
             # Directory full: grow it by one block.
             file_block = dinode.size // BLOCK_SIZE
             block_no = self.bmap(dinode, file_block, allocate=True)

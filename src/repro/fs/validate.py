@@ -25,18 +25,16 @@ from dataclasses import dataclass, field
 
 from repro.fs.ondisk import (
     CorruptStructure,
-    DIRENT_SIZE,
-    DirEntry,
     INODES_PER_BLOCK,
     INODE_SIZE,
     Inode,
     Superblock,
+    indirect_pointers,
+    scan_dirents,
 )
 from repro.fs.types import (
-    BLOCK_SIZE,
     FileType,
     MAX_FILE_SIZE,
-    PTRS_PER_INDIRECT,
     ROOT_INO,
     SECTORS_PER_BLOCK,
 )
@@ -113,11 +111,8 @@ def validate(disk) -> ValidationReport:
                 report.note(f"inode {ino}: bad indirect pointer {inode.indirect}")
             else:
                 blocks.append(inode.indirect)
-                raw = _read_block(disk, inode.indirect)
-                for i in range(PTRS_PER_INDIRECT):
-                    block = int.from_bytes(raw[i * 4 : (i + 1) * 4], "little")
-                    if block:
-                        blocks.append(block)
+                pointers = indirect_pointers(_read_block(disk, inode.indirect))
+                blocks += [b for b in pointers if b]
         for block in blocks:
             if not valid_block(block):
                 report.note(f"inode {ino}: bad block pointer {block}")
@@ -147,11 +142,9 @@ def validate(disk) -> ValidationReport:
         seen_dot = seen_dotdot = False
         names: set[str] = set()
         for block in [b for b in dinode.direct if b and valid_block(b)]:
-            data = _read_block(disk, block)
-            for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
-                entry = DirEntry.from_bytes(data[off : off + DIRENT_SIZE])
+            for off, ino_word, entry in scan_dirents(_read_block(disk, block)):
                 if entry is None:
-                    if data[off : off + 4] != b"\x00\x00\x00\x00":
+                    if ino_word:
                         report.note(f"dir {dir_ino}: garbled entry at offset {off}")
                     continue
                 if entry.name in names:

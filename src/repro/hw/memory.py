@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.errors import MachineCheck
 from repro.util.checksum import fletcher32
+from repro.util.sparse import SparseBytes
 
 DEFAULT_PAGE_SIZE = 8192  # the paper's 8 KB file-cache page
 
@@ -144,8 +145,22 @@ class PhysicalMemory:
 
     # -- whole-image operations ----------------------------------------
 
+    def snapshot(self) -> SparseBytes:
+        """The full memory image as a sparse value: one run per resident
+        frame, every never-written frame a gap (what the warm reboot
+        dumps to swap and recovers from).  The runs are *copies*, so the
+        snapshot stays what memory held now whatever is written later —
+        the booting kernel reuses these frames before the user-level
+        restore reads the image."""
+        page_size = self.page_size
+        return SparseBytes(
+            self.size,
+            [(pfn * page_size, bytes(store)) for pfn, store in sorted(self._pages.items())],
+        )
+
     def dump_image(self) -> bytes:
-        """Return the full memory image (used for the crash dump to swap)."""
+        """The full memory image as flat ``bytes`` (tests and tools; the
+        recovery path takes :meth:`snapshot`)."""
         return self.read(0, self.size)
 
     def load_image(self, image: bytes) -> None:

@@ -20,6 +20,7 @@ Displacements may be decimal (optionally negative) or ``0x`` hex.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.errors import ReproError
@@ -66,8 +67,17 @@ def assemble(source: str) -> tuple[list[int], dict[str, int]]:
     """Assemble ``source``; return ``(words, labels)``.
 
     ``labels`` maps label name to instruction index (word offset from the
-    start of the assembled block).
+    start of the assembled block).  Both are the caller's own to rewrite
+    and extend (the code patcher and :class:`KernelText` do): assembly is
+    a pure function of the text, so the build product is kept frozen per
+    source and copied out — every boot assembles the same six routines.
     """
+    words, labels = _assemble(source)
+    return list(words), dict(labels)
+
+
+@functools.lru_cache(maxsize=64)
+def _assemble(source: str) -> tuple[tuple[int, ...], tuple[tuple[str, int], ...]]:
     # Pass 1: strip comments, collect labels and raw statements.
     statements: list[tuple[int, str, str]] = []  # (line_no, mnemonic, rest)
     labels: dict[str, int] = {}
@@ -98,7 +108,7 @@ def assemble(source: str) -> tuple[list[int], dict[str, int]]:
     words: list[int] = []
     for index, (line_no, mnemonic, rest) in enumerate(statements):
         words.append(encode(_encode_statement(index, line_no, mnemonic, rest, labels)))
-    return words, labels
+    return tuple(words), tuple(labels.items())
 
 
 def _encode_statement(

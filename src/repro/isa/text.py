@@ -12,6 +12,7 @@ interpreter rather than any registered native fast path.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -103,8 +104,7 @@ class KernelText:
 
     def load(self, memory: PhysicalMemory, base_paddr: int, base_vaddr: int) -> None:
         """Copy the image into physical memory and record its placement."""
-        image = b"".join(word.to_bytes(WORD_BYTES, "little") for word in self.words)
-        memory.write(base_paddr, image)
+        memory.write(base_paddr, struct.pack(f"<{len(self.words)}I", *self.words))
         self.base_paddr = base_paddr
         self.base_vaddr = base_vaddr
         self._memory = memory

@@ -316,3 +316,230 @@ def test_range_and_length_errors_are_the_typed_ones():
         with pytest.raises(ValueError):
             call()
     assert not disk._extents and disk.pending_writes == 0 and disk.stats == DiskStats()
+
+
+# -- sparse payloads: one request, priced by length, stored by content ------------
+#
+# A ``SparseBytes`` payload (the warm reboot's memory dump) must be
+# indistinguishable from the flat write of ``bytes(payload)``: the real
+# disk gets the sparse value, the sector-dict model its flat expansion.
+
+from repro.util.sparse import SparseBytes  # noqa: E402
+
+EXTENT_BYTES = EXTENT_SECTORS * SS
+
+
+def sparse_runs(seeds, nbytes: int) -> SparseBytes:
+    """Runs laid out from ``(gap, size, fill)`` triples, clipped to
+    ``nbytes``; ``fill == 0`` makes an all-zero run (stored, not skipped)."""
+    runs, pos = [], 0
+    for gap, size, fill in seeds:
+        pos += gap
+        size = min(size, nbytes - pos)
+        if size <= 0:
+            break
+        runs.append((pos, bytes((fill * (i + 1)) & 0xFF for i in range(size)) if fill else bytes(size)))
+        pos += size
+    return SparseBytes(nbytes, runs)
+
+
+#: Gaps and runs shorter than a sector, about a sector, and longer than an extent.
+span_st = st.one_of(st.integers(0, 2 * SS), st.integers(0, EXTENT_BYTES + 3 * SS))
+run_seed_st = st.tuples(span_st, st.one_of(st.integers(1, 2 * SS), span_st), st.integers(0, 255))
+sparse_step_st = st.one_of(
+    st.tuples(st.just("flat"), sector_st, count_st, st.integers(1, 255)),
+    st.tuples(st.just("sparse-poke"), sector_st, count_st, st.lists(run_seed_st, max_size=5)),
+    # A sparse write; or an async one crashed with the head over its k-th
+    # sector, or just before / after the next extent edge, or over the
+    # first / last sector of its first run, or the sector before / after it.
+    st.tuples(
+        st.just("sparse-write"), sector_st, count_st, st.lists(run_seed_st, max_size=5), st.booleans(),
+        st.one_of(
+            st.none(), st.integers(0, 12),
+            st.sampled_from(["before-edge", "after-edge", "run-first", "run-last", "before-run", "after-run"]),
+        ),
+    ),
+    st.tuples(st.just("advance"), st.integers(0, 40_000_000)),
+    st.tuples(st.sampled_from(["drain", "crash", "reset"])),
+)
+
+
+def assert_same_with_old_data(real: SimulatedDisk, model: SectorDictDisk) -> None:
+    assert_same(real, model)
+    assert [bytes(r.old_data) for r in real._pending] == [old for _, _, _, old in model.pending]
+    assert [(r.start_ns, r.completion_ns, r.sector) for r in real._pending] == [
+        r[:3] for r in model.pending
+    ]
+
+
+def steer_crash(real, model, head: int, count: int) -> None:
+    """Crash both with the head half-way over the newest request's
+    ``head``-th sector."""
+    request = real._pending[-1]
+    service = request.completion_ns - request.start_ns
+    at = request.start_ns + service * (2 * head + 1) // (2 * count)
+    real._clock.advance_to(at)
+    model.clock.advance_to(at)
+    real.crash()
+    model.crash()
+
+
+@given(program=st.lists(sparse_step_st, min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_sparse_payloads_match_flat_writes_on_the_sector_dict_model(program):
+    real, model = make_pair(SECTORS, SS)
+    for step in program:
+        op = step[0]
+        if op == "flat":
+            data = payload(step[3], step[1], step[2], SS)
+            both(real, model, lambda d: d.poke(step[1], data))
+        elif op == "sparse-poke":
+            sparse = sparse_runs(step[3], step[2] * SS)
+            flat = bytes(sparse)
+            assert both(real, model, lambda d: d.poke(step[1], sparse if d is real else flat))
+        elif op == "sparse-write":
+            sector, count = step[1], step[2]
+            sparse = sparse_runs(step[3], count * SS)
+            flat, head = bytes(sparse), step[5]
+            sync = step[4] and head is None
+            outcome = both(
+                real, model,
+                lambda d: d.write(sector, sparse if d is real else flat, sync=sync) and None,
+            )
+            if outcome[0] == "ok" and count:
+                request = real._pending[-1] if real._pending else None
+                if request is not None and not sync:
+                    assert isinstance(request.old_data, SparseBytes)
+                    assert len(request.old_data) == count * SS
+            if head is not None and outcome[0] == "ok" and count:
+                first_run = next(iter(sparse.runs()), (0, b"\x00"))
+                if head in ("before-edge", "after-edge"):
+                    head = EXTENT_SECTORS - sector % EXTENT_SECTORS - (head == "before-edge")
+                elif isinstance(head, str):
+                    start, stop = first_run[0] // SS, (first_run[0] + len(first_run[1]) - 1) // SS
+                    head = {"run-first": start, "run-last": stop, "before-run": start - 1, "after-run": stop + 1}[head]
+                steer_crash(real, model, max(head, 0), count)
+        elif op == "advance":
+            real._clock.consume(step[1])
+            model.clock.consume(step[1])
+        else:
+            getattr(real, op)()
+            getattr(model, op)()
+        assert_same_with_old_data(real, model)
+
+
+def dump_pair(resident, *, sector_size=512, extents=16):
+    """Twin disks and a sparse 'memory image' over all of them whose
+    resident 'frames' (``{offset: bytes}``) are the only content."""
+    real, model = make_pair(extents * EXTENT_SECTORS, sector_size)
+    image = SparseBytes(extents * EXTENT_SECTORS * sector_size, sorted(resident.items()))
+    return real, model, image
+
+
+def test_a_sparse_dump_is_one_request_priced_by_its_length():
+    frame = payload(7, 0, 16, 512)  # 8 KiB
+    real, model, image = dump_pair({3 * 65536 + 8192: frame, 9 * 65536: frame})
+    real.write(0, image, sync=True)
+    model.write(0, bytes(image), sync=True)
+    assert_same(real, model)
+    assert real.stats.writes == real.stats.sync_writes == 1
+    assert real.stats.sectors_written == real.num_sectors
+    assert real.stats.busy_ns == real.params.service_ns(len(image), sequential=False)
+    assert real._clock.now_ns == real.busy_until_ns == real.stats.sync_wait_ns
+    assert sorted(real._extents) == [3, 9]  # what is resident, not what exists
+
+
+def test_second_dump_over_a_first_drops_zero_fills_and_overwrites():
+    frame = payload(7, 0, 16, 512)
+    other = payload(8, 0, 16, 512)
+    real, model, first = dump_pair({3 * 65536 + 8192: frame, 9 * 65536: frame, 12 * 65536 + 512: frame})
+    # The second image: extent 3 gone (wholly a gap now), extent 9 rewritten
+    # in place, extent 12 partly covered by a shorter run, extent 5 new.
+    second = SparseBytes(
+        len(first), [(5 * 65536, other), (9 * 65536, other), (12 * 65536 + 1024, other[:1024])]
+    )
+    for disk, one, two in ((real, first, second), (model, bytes(first), bytes(second))):
+        disk.write(0, one, sync=True)
+        disk.write(0, two, sync=False)
+    assert_same_with_old_data(real, model)
+    assert sorted(real._extents) == [5, 9, 12]
+    old = real._pending[0].old_data
+    assert [offset for offset, _ in old.runs()] == [3 * 65536, 9 * 65536, 12 * 65536]  # materialised only
+    assert all(len(data) == 65536 for _, data in old.runs())
+    for disk in (real, model):
+        disk.drain()
+    assert_same(real, model)
+    assert real.peek(0, real.num_sectors) == bytes(second)
+
+
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_crash_before_or_after_a_sparse_request(when):
+    frame = payload(7, 0, 16, 512)
+    real, model, image = dump_pair({2 * 65536: frame, 65536 - 512: frame[:1024]})
+    stale = payload(3, 0, 4 * EXTENT_SECTORS, 512)
+    for disk, data in ((real, image), (model, bytes(image))):
+        disk.poke(EXTENT_SECTORS, stale)  # extents 1..4 hold something else
+        disk.write(8 * EXTENT_SECTORS, bytes(512), sync=False)  # keeps the head busy...
+        disk.write(0, data, sync=False)  # ...so the dump queues behind it
+    clocks = (real._clock, model.clock)
+    if when == "before":
+        for clock in clocks:
+            clock.consume(1)  # the blocker is in flight; the dump never started
+    else:
+        for clock in clocks:
+            clock.advance_to(real.busy_until_ns)
+    real.crash()
+    model.crash()
+    assert_same(real, model)
+    if when == "before":
+        assert real.stats.lost_writes == 2 and real.peek(EXTENT_SECTORS, 4 * EXTENT_SECTORS) == stale
+    else:
+        assert real.stats.lost_writes == 0
+        assert real.peek(0, 8 * EXTENT_SECTORS) == bytes(image)[: 8 * 65536]  # stale extents zeroed
+
+
+@pytest.mark.parametrize(
+    "torn",
+    [
+        EXTENT_SECTORS - 1, EXTENT_SECTORS,  # either side of an extent edge, inside a gap
+        2 * EXTENT_SECTORS + 15, 2 * EXTENT_SECTORS + 16,  # last sector of a run, first of the gap after
+        2 * EXTENT_SECTORS - 1, 2 * EXTENT_SECTORS,  # last of a gap, first sector of a run
+        5 * EXTENT_SECTORS + 3,  # inside a run that straddles nothing
+    ],
+)
+def test_torn_sector_at_extent_and_run_edges_of_a_sparse_request(torn):
+    frame = payload(7, 0, 16, 512)
+    real, model, image = dump_pair({2 * 65536: frame, 5 * 65536 + 1024: frame})
+    stale = payload(3, 0, 7 * EXTENT_SECTORS, 512)
+    for disk, data in ((real, image), (model, bytes(image))):
+        disk.poke(0, stale)  # extents 0..6 materialised: gaps must zero them, then give them back
+        disk.write(0, data, sync=False)
+    assert sorted(real._extents) == [2, 5]
+    steer_crash(real, model, torn, real.num_sectors)
+    assert_same(real, model)
+    assert real.stats.torn_sectors == 1 and real.stats.lost_writes == 1
+    got, new = real.peek(0, real.num_sectors), bytes(image)
+    assert got[: torn * 512] == new[: torn * 512]  # behind the head: the dump landed
+    assert got[(torn + 1) * 512 : 7 * 65536] == stale[(torn + 1) * 512 :]  # beyond: old contents
+    sector = got[torn * 512 : (torn + 1) * 512]
+    assert sector[:256] == bytes(b ^ 0xA5 for b in new[torn * 512 : torn * 512 + 256])
+    assert sector[256:] == stale[torn * 512 + 256 : (torn + 1) * 512]
+
+
+def test_sparse_and_flat_length_errors_are_the_same_typed_ones():
+    disk, _ = make_pair(2 * EXTENT_SECTORS)
+    ragged = SparseBytes(513, [(0, b"x")])
+    for call in (lambda: disk.poke(0, ragged), lambda: disk.write(0, ragged, sync=True)):
+        with pytest.raises(ValueError):
+            call()
+    whole = SparseBytes(1024, [(600, b"x")])
+    for call in (
+        lambda: disk.poke(disk.num_sectors - 1, whole),
+        lambda: disk.write(disk.num_sectors - 1, whole, sync=False),
+    ):
+        with pytest.raises(MachineCheck):
+            call()
+    assert not disk._extents and disk.pending_writes == 0 and disk.stats == DiskStats()
+    disk.poke(0, SparseBytes(0))
+    disk.write(5, SparseBytes(0), sync=True)
+    assert not disk._extents and disk.stats.writes == 1 and disk.stats.sectors_written == 0
