@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-backend bench-compare profile forensics-smoke explore-smoke examples table1 table1-par table2 clean
+.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-compare profile forensics-smoke explore-smoke examples table1 table1-par table2 clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -45,11 +45,6 @@ bench-server:
 # benchmarks/results/cluster_throughput.txt (gitignored).
 bench-cluster:
 	RIO_BENCH_CLUSTER_CLIENTS=1024 $(PY) -m pytest benchmarks/bench_cluster.py --benchmark-only -q -s
-
-# Backing-store tier cost grid (throughput per backend flavour, dedup
-# rate); regenerates the tracked benchmarks/results/backend_throughput.txt.
-bench-backend:
-	PYTHONPATH=src $(PY) -m pytest benchmarks/bench_backend.py --benchmark-only -q -s
 
 # Diff two tracked trajectories of the repository benchmark
 # (BENCH_<pr>.json at the repo root, written by `python3 -m bench
@@ -120,8 +115,7 @@ table1-par:
 table2:
 	$(PY) -m repro table2
 
-# benchmarks/results is left alone: it is gitignored scratch output
-# except backend_throughput.txt, which is tracked.
+# benchmarks/results is left alone: it is gitignored scratch output.
 clean:
 	rm -rf .pytest_cache .hypothesis
 	rm -rf forensics-smoke.jsonl forensics-smoke.jsonl.traces

@@ -19,6 +19,19 @@ Keys are flat strings namespaced by convention (``obj/<sha256>``,
 listing order is digest material and must not depend on insertion
 history.
 
+**The link.**  A store reached over a link (:class:`DictBackend` and
+everything built on it) has the disk's request model: the link serves
+one request at a time on its own busy-until timeline, so a request
+issued at ``now`` starts at ``max(now, link_free_ns)`` and completes one
+service time later.  A *waited* request (every read, and a write with
+``sync=True``) advances the machine clock to its completion.  A
+*posted* write (``sync=False``) returns at once: it is visible to every
+later request — they queue behind it, FIFO is the only ordering rule —
+but it has *landed* only once virtual time passes its completion, and a
+machine crash before that instant means it never happened
+(:meth:`DictBackend.sever`).  Admission (outage, chaos, seeded failure)
+is decided when a request is issued, before any link time is taken.
+
 Determinism contract: a backend's observable behavior (service times,
 transient failures, outage windows) is a pure function of its
 construction seed and its call stream.  No wall clock, no ambient
@@ -28,8 +41,9 @@ randomness — the simulated machine clock is the only time source.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 
 class BackendError(Exception):
@@ -58,8 +72,16 @@ class BackendStats:
     transient_errors: int = 0
     #: Requests rejected because the store was down.
     outage_rejections: int = 0
-    #: Total virtual time charged for service (ns).
+    #: Total virtual time the link was busy serving requests (ns).
     service_ns: int = 0
+    #: Machine-clock time spent stopped on the link (ns): waited
+    #: requests, queueing behind posted writes included, plus
+    #: :meth:`DictBackend.drain` back-pressure.
+    waited_ns: int = 0
+    #: Writes issued without waiting for them to land.
+    posted_writes: int = 0
+    #: Posted writes a machine crash caught before they landed.
+    severed_writes: int = 0
 
     def to_json_dict(self) -> Dict[str, int]:
         """JSON-safe counter summary for reports and digests."""
@@ -70,8 +92,8 @@ class Backend:
     """Abstract object store; subclasses implement the four verbs.
 
     Subclasses override the underscore hooks (``_get``/``_put``/
-    ``_delete``/``_list``/``_contains``); the public verbs validate
-    keys, keep the counters, and are the only entry points callers use.
+    ``_delete``/``_list``); the public verbs validate keys, keep the
+    counters, and are the only entry points callers use.
     """
 
     name = "abstract"
@@ -82,7 +104,7 @@ class Backend:
         #: implementations consult it per request (see objectstore).
         self.chaos = None
 
-    # -- the four verbs (plus contains) --------------------------------
+    # -- the four verbs --------------------------------------------------
 
     def get(self, key: str) -> bytes:
         """Return the blob at ``key``; raises :class:`KeyError` if absent."""
@@ -92,44 +114,47 @@ class Backend:
         self.stats.bytes_out += len(data)
         return data
 
-    def put(self, key: str, data: bytes) -> None:
-        """Store ``data`` at ``key``, overwriting any previous blob."""
+    def put(self, key: str, data: bytes, *, sync: bool = True) -> None:
+        """Store ``data`` at ``key``, overwriting any previous blob;
+        ``sync=False`` posts the write instead of waiting for it."""
         self._check_key(key)
         self.stats.puts += 1
         self.stats.bytes_in += len(data)
-        self._put(key, bytes(data))
+        self._put(key, bytes(data), sync)
 
-    def delete(self, key: str) -> None:
-        """Remove ``key`` (idempotent: absent keys delete silently)."""
+    def delete(self, key: str, *, sync: bool = True) -> None:
+        """Remove ``key`` (idempotent: absent keys delete silently);
+        ``sync=False`` posts the delete instead of waiting for it."""
         self._check_key(key)
         self.stats.deletes += 1
-        self._delete(key)
+        self._delete(key, sync)
 
     def list(self, prefix: str = "") -> List[str]:
         """Every key starting with ``prefix``, sorted."""
         self.stats.lists += 1
         return self._list(prefix)
 
-    def contains(self, key: str) -> bool:
-        """True when ``key`` holds a blob (charged like a metadata get)."""
-        self._check_key(key)
-        return self._contains(key)
+    def drain(self) -> None:
+        """Block until every posted write has landed (nothing to wait
+        for on a store that lands writes at once)."""
+
+    def sever(self, crash_ns: int) -> int:
+        """The machine died at ``crash_ns``: undo the posted writes that
+        had not landed by then and return how many there were."""
+        return 0
 
     # -- subclass hooks -------------------------------------------------
 
     def _get(self, key: str) -> bytes:
         raise NotImplementedError
 
-    def _put(self, key: str, data: bytes) -> None:
+    def _put(self, key: str, data: bytes, sync: bool) -> None:
         raise NotImplementedError
 
-    def _delete(self, key: str) -> None:
+    def _delete(self, key: str, sync: bool) -> None:
         raise NotImplementedError
 
     def _list(self, prefix: str) -> List[str]:
-        raise NotImplementedError
-
-    def _contains(self, key: str) -> bool:
         raise NotImplementedError
 
     # -- shared plumbing ------------------------------------------------
@@ -156,29 +181,104 @@ class Backend:
 
 
 class DictBackend(Backend):
-    """Shared in-memory blob map the concrete backends build on."""
+    """In-memory blob map behind a link (see the module docstring).
 
-    def __init__(self) -> None:
+    Concrete backends override :meth:`_service_ns` — admission and the
+    price of one request; the verbs, the link timeline and the crash
+    semantics of posted writes live here once.
+    """
+
+    def __init__(self, *, clock=None) -> None:
         super().__init__()
         self._blobs: Dict[str, bytes] = {}
+        self._clock = clock
+        #: When the link finishes the last request issued on it (ns).
+        self.link_free_ns = 0
+        # Posted writes not yet seen to have landed, oldest first:
+        # (completion_ns, key, the blob the write replaced or None).
+        self._posted: Deque[Tuple[int, str, Optional[bytes]]] = deque()
+
+    def attach(self, clock) -> None:
+        """Point the backend at the machine clock (idempotent)."""
+        self._clock = clock
+
+    def _service_ns(self, nbytes: int) -> int:
+        """Admit one request and price it (ns); raise to reject it."""
+        return 0
+
+    def _request(self, nbytes: int, post: Optional[str] = None) -> None:
+        """Issue one request on the link; ``post`` names the key of a
+        posted write (whose undo image is taken here, before the caller
+        applies it), None a request the machine waits for."""
+        service = self._service_ns(nbytes)  # may reject: no link time taken
+        stats = self.stats
+        stats.service_ns += service
+        clock = self._clock
+        if clock is None:
+            return  # no timeline: every request lands as it is issued
+        now = clock.now_ns
+        done = max(now, self.link_free_ns) + service
+        self.link_free_ns = done
+        if post is None:
+            self._wait(done)
+        else:
+            posted = self._posted
+            while posted and posted[0][0] <= now:
+                posted.popleft()
+            posted.append((done, post, self._blobs.get(post)))
+            stats.posted_writes += 1
+
+    def _wait(self, until_ns: int) -> None:
+        """Stop the machine until ``until_ns``, a completion on the link:
+        FIFO, so every write posted before it has landed by then."""
+        clock = self._clock
+        if until_ns > clock.now_ns:
+            self.stats.waited_ns += until_ns - clock.now_ns
+            clock.advance_to(until_ns)
+        self._posted.clear()
+
+    def drain(self) -> None:
+        """Stop the machine until the link is idle: every posted write
+        has landed (the store's back-pressure)."""
+        if self._clock is not None:
+            self._wait(self.link_free_ns)
+
+    def sever(self, crash_ns: int) -> int:
+        """Undo, newest first, every posted write completing after
+        ``crash_ns``: what landed is a prefix of the issued stream."""
+        posted, severed = self._posted, 0
+        while posted and posted[-1][0] > crash_ns:
+            _, key, previous = posted.pop()
+            if previous is None:
+                self._blobs.pop(key, None)
+            else:
+                self._blobs[key] = previous
+            severed += 1
+        posted.clear()
+        self.link_free_ns = min(self.link_free_ns, crash_ns)
+        self.stats.severed_writes += severed
+        return severed
 
     def _get(self, key: str) -> bytes:
-        try:
-            return self._blobs[key]
-        except KeyError:
-            raise KeyError(f"no such backend object: {key}") from None
+        blob = self._blobs.get(key)
+        # Issued before absence is reported: during an outage you cannot
+        # know a key is missing, so the outage wins.
+        self._request(len(blob) if blob is not None else 0)
+        if blob is None:
+            raise KeyError(f"no such backend object: {key}")
+        return blob
 
-    def _put(self, key: str, data: bytes) -> None:
+    def _put(self, key: str, data: bytes, sync: bool) -> None:
+        self._request(len(data), None if sync else key)
         self._blobs[key] = data
 
-    def _delete(self, key: str) -> None:
+    def _delete(self, key: str, sync: bool) -> None:
+        self._request(0, None if sync else key)
         self._blobs.pop(key, None)
 
     def _list(self, prefix: str) -> List[str]:
+        self._request(0)
         return sorted(k for k in self._blobs if k.startswith(prefix))
-
-    def _contains(self, key: str) -> bool:
-        return key in self._blobs
 
     def object_count(self) -> int:
         """Number of stored blobs (observability)."""

@@ -26,31 +26,8 @@ class LocalBackend(DictBackend):
     name = "local"
 
     def __init__(self, *, clock=None, latency_ns: int = 0) -> None:
-        super().__init__()
-        self._clock = clock
+        super().__init__(clock=clock)
         self.latency_ns = latency_ns
 
-    def attach(self, clock) -> None:
-        """Point the backend at the machine clock (idempotent)."""
-        self._clock = clock
-
-    def _charge(self) -> None:
-        if self._clock is not None and self.latency_ns:
-            self.stats.service_ns += self.latency_ns
-            self._clock.consume(self.latency_ns)
-
-    def _get(self, key: str) -> bytes:
-        self._charge()
-        return super()._get(key)
-
-    def _put(self, key: str, data: bytes) -> None:
-        self._charge()
-        super()._put(key, data)
-
-    def _delete(self, key: str) -> None:
-        self._charge()
-        super()._delete(key)
-
-    def _list(self, prefix: str):
-        self._charge()
-        return super()._list(prefix)
+    def _service_ns(self, nbytes: int) -> int:
+        return self.latency_ns

@@ -4,8 +4,8 @@ Everything a real object store does to you, deterministically:
 
 * **latency + bandwidth** — each request costs a flat per-request
   latency plus payload-size over bandwidth, plus a seeded jitter draw,
-  charged against the simulated machine clock (virtual time, the only
-  clock in the repo);
+  taken on the link's timeline in virtual time (the only clock in the
+  repo; :mod:`repro.backend.common` says who waits for it);
 * **transient failures** — a seeded percentage of requests raise
   :class:`TransientBackendError` (the retryable 5xx of the model);
 * **outage windows** — :meth:`set_down` / :meth:`fail_for` make every
@@ -53,16 +53,11 @@ class ObjectStoreBackend(DictBackend):
     name = "objectstore"
 
     def __init__(self, config: ObjectStoreConfig | None = None, *, clock=None) -> None:
-        super().__init__()
+        super().__init__(clock=clock)
         self.config = config or ObjectStoreConfig()
-        self._clock = clock
         self._rng = DeterministicRandom(self.config.seed ^ 0x0B15C0DE)
         self._down = False
         self._down_until_ns: int | None = None
-
-    def attach(self, clock) -> None:
-        """Point the backend at the machine clock (idempotent)."""
-        self._clock = clock
 
     # -- outage control -------------------------------------------------
 
@@ -92,12 +87,12 @@ class ObjectStoreBackend(DictBackend):
 
     # -- the per-request gate -------------------------------------------
 
-    def _gate(self, nbytes: int) -> None:
-        """Outage/failure checks, then the service-time charge.
+    def _service_ns(self, nbytes: int) -> int:
+        """Outage/failure checks, then the service time of the request.
 
-        Evaluated in a fixed order (outage, chaos outage, chaos fail,
-        seeded fail, service charge) so the PRNG draw sequence is a pure
-        function of the call stream.
+        Evaluated when the request is issued, in a fixed order (outage,
+        chaos outage, chaos fail, seeded fail, jitter draw) so the PRNG
+        draw sequence is a pure function of the call stream.
         """
         if self.down:
             self.stats.outage_rejections += 1
@@ -122,29 +117,4 @@ class ObjectStoreBackend(DictBackend):
             service += self._rng.randrange(config.jitter_ns)
         if chaos is not None:
             service = chaos.io_service_ns(service)
-        self.stats.service_ns += service
-        if self._clock is not None:
-            self._clock.consume(service)
-
-    # -- the verbs, gated -----------------------------------------------
-
-    def _get(self, key: str) -> bytes:
-        blob = self._blobs.get(key)
-        # Gate before reporting absence: during an outage you cannot
-        # know a key is missing, so the outage wins.
-        self._gate(len(blob) if blob is not None else 0)
-        if blob is None:
-            raise KeyError(f"no such backend object: {key}")
-        return blob
-
-    def _put(self, key: str, data: bytes) -> None:
-        self._gate(len(data))
-        super()._put(key, data)
-
-    def _delete(self, key: str) -> None:
-        self._gate(0)
-        super()._delete(key)
-
-    def _list(self, prefix: str):
-        self._gate(0)
-        return super()._list(prefix)
+        return service

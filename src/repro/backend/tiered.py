@@ -22,6 +22,16 @@ When the set reaches ``dirty_threshold`` — or a durability point
 (sync/fsync/close under a write-through policy) drains explicitly —
 :meth:`drain_uploads` uploads the dirty blocks to the remote tier.
 
+**An ack never waits for an upload.**  On a write-back store
+(``dirty_threshold > 1``) those two drains *post* their batch
+(``sync=False``): every request of the upload transaction is issued on
+the object-store link in order and the CPU goes back to work while the
+link carries them (see :mod:`repro.backend.common`).  One batch is in
+flight while the next accumulates — a posting drain first waits for
+the previous one to land, the only back-pressure there is.  A
+write-through store, every explicit ``drain_uploads()`` and every
+``fsck_remote`` repair wait request by request.
+
 **The snapshot-once invariant.**  A drain snapshots the dirty set
 *once* and uploads exactly that batch.  Blocks re-dirtied while a slow
 (possibly remote) drain is in flight are *not* appended to the running
@@ -32,7 +42,9 @@ no-ops.
 
 **Crash semantics.**  The dirty queue, the map/refcount mirrors, and
 the read-ahead buffer are ordinary kernel memory: a machine crash
-(:meth:`on_machine_crash`) discards them all.  Recovery rebuilds the
+(:meth:`on_machine_crash`) discards them all, and posted writes that
+had not landed at the crash instant never happened — the remote tier
+holds a prefix of the issued request stream.  Recovery rebuilds the
 mirrors from a remote listing and re-reconciles remote against the
 local disk (:func:`repro.backend.fsck_remote.fsck_remote`) — the local
 tier is always the recovery authority, so a crash between the
@@ -49,6 +61,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
+from heapq import nsmallest
 from typing import Dict, List, Optional
 
 from repro.backend.common import Backend, BackendOutage, TransientBackendError
@@ -174,15 +188,18 @@ class TieredStore:
         if attach is not None:
             attach(clock)
 
-    def on_machine_crash(self) -> None:
-        """The machine died: every in-memory structure here dies with it.
+    def on_machine_crash(self, crash_ns: int) -> None:
+        """The machine died at ``crash_ns``: every in-memory structure
+        here dies with it.
 
         The dirty queue, the map/refcount mirrors, and the read-ahead
         buffer are ordinary kernel heap — none of it survives a crash.
-        The remote tier keeps whatever uploads committed; reconciling
+        The remote tier keeps whatever writes had landed by the crash
+        instant (posted ones still on the link are severed); reconciling
         it against the surviving local disk is recovery's job
         (:func:`repro.backend.fsck_remote.fsck_remote`).
         """
+        self.remote.sever(crash_ns)
         self._dirty.clear()
         self._readahead.clear()
         self._map.clear()
@@ -221,9 +238,9 @@ class TieredStore:
             not self._draining
             and len(self._dirty) >= self.config.dirty_threshold
         ):
-            self.drain_uploads()
+            self.drain_uploads(sync=False)
 
-    def drain_uploads(self) -> bool:
+    def drain_uploads(self, *, sync: bool = True) -> bool:
         """Upload every *currently* dirty block, in flush order.
 
         The dirty set is snapshotted **once**; blocks re-dirtied while
@@ -231,6 +248,11 @@ class TieredStore:
         docstring for why).  Returns True when the batch fully
         committed; False when an outage deferred part of it (the
         deferred blocks stay dirty).
+
+        ``sync=False`` (the threshold and the policy durability points)
+        posts the batch on a write-back store — committed then means
+        issued — after waiting out the previous posted batch; a
+        write-through store waits for every request regardless.
 
         A drain never writes the seal: an empty queue only means this
         store uploaded everything *it* was told about, not that the
@@ -243,16 +265,19 @@ class TieredStore:
             return False
         self._draining = True
         self.stats.drains += 1
+        sync = sync or self.config.dirty_threshold <= 1
         try:
+            if not sync:
+                self.remote.drain()  # one posted batch in flight, no more
             batch = list(self._dirty)  # the one and only snapshot
             for block in batch:
-                if not self._upload_block(block):
+                if not self._upload_block(block, sync):
                     return False
             return True
         finally:
             self._draining = False
 
-    def _upload_block(self, block: int) -> bool:
+    def _upload_block(self, block: int, sync: bool) -> bool:
         """Drain one block: pop it from the dirty set, then upload.
 
         Popping first means a concurrent re-dirty re-queues the block
@@ -260,12 +285,14 @@ class TieredStore:
         re-queues it too (at the tail) and stops the drain.
         """
         self._dirty.pop(block, None)
-        if self.upload_now(block):
+        if self.upload_now(block, sync=sync):
             return True
         self._dirty[block] = None
         return False
 
-    def upload_now(self, block: int, *, force: bool = False) -> bool:
+    def upload_now(
+        self, block: int, *, force: bool = False, sync: bool = True
+    ) -> bool:
         """Upload ``block``'s current local content to the remote tier.
 
         The upload transaction, in order: the ``backend/upload``
@@ -280,7 +307,7 @@ class TieredStore:
         (or an exhausted retry budget) returns False and the caller
         keeps the block dirty.  ``force`` re-puts the blob even when
         the map already holds the current hash (fsck's missing-object
-        repair).
+        repair); ``sync=False`` posts the transaction's writes.
         """
         data = self.disk.peek(block * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK)
         digest = content_hash(data)
@@ -289,7 +316,9 @@ class TieredStore:
             self.stats.unchanged_skips += 1
             return True
         try:
-            fresh_blob = self._commit_with_retries(block, digest, data, old, force)
+            fresh_blob = self._commit_with_retries(
+                block, digest, data, old, force, sync
+            )
         except BackendOutage:
             self.stats.outage_deferrals += 1
             return False
@@ -300,7 +329,8 @@ class TieredStore:
         return True
 
     def _commit_with_retries(
-        self, block: int, digest: str, data: bytes, old: Optional[str], force: bool
+        self, block: int, digest: str, data: bytes, old: Optional[str],
+        force: bool, sync: bool,
     ) -> bool:
         """Retry loop around one upload transaction.
 
@@ -312,7 +342,7 @@ class TieredStore:
         attempts = 0
         while True:
             try:
-                return self._commit_once(block, digest, data, old, force)
+                return self._commit_once(block, digest, data, old, force, sync)
             except BackendOutage:
                 raise
             except TransientBackendError:
@@ -329,16 +359,21 @@ class TieredStore:
                     )
 
     def _commit_once(
-        self, block: int, digest: str, data: bytes, old: Optional[str], force: bool
+        self, block: int, digest: str, data: bytes, old: Optional[str],
+        force: bool, sync: bool,
     ) -> bool:
         """One attempt at the upload transaction; returns blob freshness.
 
         Boundary events are emitted *before* the remote writes they
         announce, mirroring the store/flush boundary discipline — an
         armed crash at the event sequence number dies with the remote
-        untouched by this attempt's writes.
+        untouched by this attempt's writes.  The writes are waited for
+        or posted as one (``sync``); posted, the link's FIFO order is
+        what keeps blob -> map -> refs in transaction order.
         """
-        remote = self.remote
+        put, delete = self.remote.put, self.remote.delete
+        if not sync:
+            put, delete = partial(put, sync=False), partial(delete, sync=False)
         refs = self._refs
         fresh_blob = refs.get(digest, 0) == 0
         rec = self.recorder
@@ -348,22 +383,20 @@ class TieredStore:
                 block=block, content=digest[:16], bytes=len(data),
             )
         if fresh_blob or force:
-            remote.put(obj_key(digest), data)
+            put(obj_key(digest), data)
         if rec is not None and rec.enabled:
             rec.emit("backend", "commit", block=block, content=digest[:16])
-        remote.put(map_key(block), digest.encode("ascii"))
+        put(map_key(block), digest.encode("ascii"))
         if old != digest:
-            remote.put(
-                ref_key(digest), str(refs.get(digest, 0) + 1).encode("ascii")
-            )
+            put(ref_key(digest), str(refs.get(digest, 0) + 1).encode("ascii"))
             old_count = refs.get(old, 1) - 1 if old is not None else 0
             if old is not None:
                 if old_count <= 0:
-                    remote.delete(obj_key(old))
-                    remote.delete(ref_key(old))
+                    delete(obj_key(old))
+                    delete(ref_key(old))
                 else:
-                    remote.put(ref_key(old), str(old_count).encode("ascii"))
-            # Every remote write landed: fold the result into the mirror.
+                    put(ref_key(old), str(old_count).encode("ascii"))
+            # Every remote write was issued: fold the result into the mirror.
             refs[digest] = refs.get(digest, 0) + 1
             if old is not None:
                 if old_count <= 0:
@@ -395,8 +428,7 @@ class TieredStore:
         self.stats.remote_reads += 1
         window = self.config.readahead
         if window:
-            ahead = sorted(b for b in self._map if b > block)[:window]
-            for nxt in ahead:
+            for nxt in nsmallest(window, (b for b in self._map if b > block)):
                 if nxt not in self._readahead:
                     self._readahead[nxt] = self.remote.get(
                         obj_key(self._map[nxt])
@@ -480,7 +512,8 @@ class TieredStore:
         return sorted(self._map)
 
     def to_json_dict(self) -> Dict[str, object]:
-        """Stats + queue depth summary for reports."""
+        """Stats + queue depth summary for reports; ``remote_stats``
+        carries link busy (``service_ns``) against waited time."""
         return {
             "backend": self.remote.name,
             "dirty": len(self._dirty),

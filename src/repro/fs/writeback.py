@@ -40,7 +40,9 @@ def _drain_backend(fs) -> None:
 
     The flush boundary is the upload boundary: wherever a policy makes
     data locally permanent (sync, fsync, write-through close), the
-    remote tier gets the same batch.  The drain snapshots the dirty set
+    remote tier gets the same batch — issued, not awaited: the call
+    promises the *local* tier, so a write-back store posts the batch and
+    only a write-through one waits.  The drain snapshots the dirty set
     *once* per call — the flushes issued just above may still be
     retiring, and any page re-dirtied while a slow remote drain is in
     flight waits for the *next* durability point instead of extending
@@ -52,7 +54,7 @@ def _drain_backend(fs) -> None:
     """
     backing = getattr(getattr(fs, "kernel", None), "backing", None)
     if backing is not None:
-        backing.drain_uploads()
+        backing.drain_uploads(sync=False)
 
 
 class WritePolicy:

@@ -149,7 +149,8 @@ class TrafficResult:
     remote_repairs: int = 0
     remote_deferred: int = 0
     remote_audit: Optional[dict] = None
-    #: :meth:`TieredStats.to_json_dict` snapshot (uploads, dedup hits...).
+    #: :meth:`TieredStats.to_json_dict` snapshot (uploads, dedup hits...)
+    #: with the link's :class:`BackendStats` under ``"link"``.
     remote_stats: Optional[dict] = None
     #: Cluster only: the cross-shard rename intent audit
     #: (:meth:`ClusterService.audit_intents`) and the cluster digest
@@ -453,7 +454,10 @@ def _run_on_service(config: TrafficConfig, clients: List[LoadClient]) -> Traffic
         result.remote_audit = remote_recovery_audit(
             system, service.journal
         ).to_json_dict()
-        result.remote_stats = system.backing.stats.to_json_dict()
+        result.remote_stats = {
+            **system.backing.stats.to_json_dict(),
+            "link": system.backing.remote.stats.to_json_dict(),
+        }
     return result
 
 
@@ -508,6 +512,7 @@ def format_traffic_report(result: TrafficResult) -> str:
     clustered = config.shards is not None
     intents = result.intent_audit or {}
     remote = result.remote_audit or {}
+    link = (result.remote_stats or {}).get("link", {})
     # Rows that do not apply to this run evaluate falsy and are dropped.
     rows = [
         (
@@ -591,6 +596,12 @@ def format_traffic_report(result: TrafficResult) -> str:
                 f" (image {str(remote['image_sha256'])[:16]})"
                 if remote.get("image_sha256")
                 else ""
+            )
+            + "; link busy {:.2f} s, waited {:.2f} s ({} posted, {} severed)".format(
+                link.get("service_ns", 0) / 1e9,
+                link.get("waited_ns", 0) / 1e9,
+                link.get("posted_writes", 0),
+                link.get("severed_writes", 0),
             ),
         ),
         (

@@ -219,11 +219,20 @@ class System:
     def reboot(self, *, preserve_memory: bool = True) -> RebootReport:
         """Reboot after a crash, running the configured recovery chain."""
         report = RebootReport(cold=not preserve_memory)
-        self.machine.reset(preserve_memory=preserve_memory)
+        machine = self.machine
+        # The instant the machine stopped, not this one: the reset below
+        # spends the boot time, by which every posted upload would have
+        # landed.  (An administrative reboot stops it now; so does a
+        # transplanted board, which arrives down with no log.)
+        down_ns = self.clock.now_ns
+        if machine.crashed and machine.crash_log:
+            down_ns = machine.crash_log[-1].time_ns
+        machine.reset(preserve_memory=preserve_memory)
         if self.backing is not None:
             # The upload queue and remote-map mirrors were kernel heap:
-            # the crash destroyed them with everything else.
-            self.backing.on_machine_crash()
+            # the crash destroyed them with everything else, uploads
+            # still on the link included.
+            self.backing.on_machine_crash(down_ns)
 
         image = entries = None
         warm_enabled = (

@@ -455,6 +455,59 @@ class TestTrafficRemote:
             journal.audit_remote(store)
 
 
+class TestTierCost:
+    """The tier's design claims, priced where the tier *is* on the
+    request path: the ``disk`` policy flushes (and so uploads) as it
+    goes; ``rio_prot`` never flushes before the final drain."""
+
+    def test_flavour_cost_shape(self):
+        def run(backend):
+            result = run_traffic_campaign(
+                TrafficConfig(
+                    system="disk",
+                    clients=4,
+                    crashes=0,
+                    seed=9,
+                    load=LoadSpec(ops_per_client=15),
+                    backend=backend,
+                )
+            )
+            assert result.ok, result.to_json_dict()
+            return result
+
+        grid = {b: run(b) for b in (None, "local", "objectstore", "tiered")}
+        virt = {b: r.load.wall_virtual_ns for b, r in grid.items()}
+        # The local tier is free, to the nanosecond.
+        assert virt["local"] == virt[None]
+        # Write-back beats write-through: posted uploads overlap
+        # execution, so the tiered store sits nearer to no backend at
+        # all than to the store that waits for every round trip.
+        assert virt[None] <= virt["tiered"] < virt["objectstore"]
+        assert virt["tiered"] - virt[None] < virt["objectstore"] - virt["tiered"]
+        for backend in ("objectstore", "tiered"):
+            assert grid[backend].remote_stats["uploads"] > 0
+        link = grid["tiered"].remote_stats["link"]
+        assert link["posted_writes"] > 0
+        assert link["waited_ns"] < link["service_ns"]
+        link = grid["objectstore"].remote_stats["link"]
+        assert link["posted_writes"] == 0
+        assert link["waited_ns"] == link["service_ns"]
+
+    def test_identical_files_share_one_object(self):
+        system = _tiered_system(system="disk")
+        store = system.backing
+        body = b"same bytes in every file" * 300
+        for i in range(24):
+            fd = system.vfs.open(f"/dup{i}", create=True)
+            system.vfs.write(fd, body)
+            system.vfs.close(fd)
+        _flush(system)
+        store.drain_uploads()
+        objects = len(store.remote.list("obj/"))
+        assert store.stats.dedup_hits > 0
+        assert objects < len(store.mapped_blocks())
+
+
 class TestExploreBackend:
     def test_every_upload_boundary_survives(self):
         """The acceptance criterion: crash at every backend/upload and
