@@ -55,12 +55,15 @@ bench-compare:
 
 # Where one bench workload's host time goes: a round in process under
 # cProfile, self time by module and by function (make profile
-# W=serve_storm).  explore_traffic works in pool children the profiler
-# cannot see, so TRIALS=N profiles every N-th boundary trial in process
-# instead (make profile W=explore_traffic TRIALS=4; add WALL=1 for plain
-# wall-clock ms per trial, no profiler).
+# W=serve_storm).  SAMPLE=1 swaps cProfile for the ITIMER_PROF stack
+# sampler — self time by innermost repro/ frame and inclusive time, C
+# time included, no per-call tax: the table to start a perf issue from.
+# explore_traffic works in pool children the profiler cannot see, so
+# TRIALS=N profiles every N-th boundary trial in process instead (make
+# profile W=explore_traffic TRIALS=4; add WALL=1 for plain wall-clock ms
+# per trial, no profiler).
 profile:
-	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall)
+	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample)
 
 # Flight-recorder smoke: a tiny traced 2-job campaign (disk/pointer
 # corrupts within its first attempts under the default seed schedule),

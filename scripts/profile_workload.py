@@ -15,7 +15,22 @@ and seed rule), profiled; ``--wall`` drops the profiler and prints the
 plain wall-clock cost per trial.
 
 cProfile taxes every Python call and nothing inside C, which shifts the
-shares: use it to find candidates, then measure with ``python3 -m bench``.
+shares — and hides exactly the functions that are a few long C calls.
+``--sample`` runs the same round (or ``--trials``) under a stack sampler
+instead: ``signal.setitimer(ITIMER_PROF)`` interrupts every millisecond of
+CPU time and the handler walks the stack, charging *self* time to the
+innermost frame under ``src/repro/`` (C calls made from it included; a
+stack with no such frame goes to its innermost frame) and *inclusive*
+time to every function on the stack.  Nothing is taxed per call.  The
+kernel's timer tick bounds the rate (250 samples per CPU second here,
+whatever interval is asked for), and a signal is handled at the next
+bytecode that checks for one — a call or a loop's back-edge — so a long C
+operation can be charged a line, rarely a frame, late.
+Measured distortion, PR 18's tree, ``serve_calm``, seed 7:
+``util/checksum.py fletcher32`` is 5.5 % of cProfile's self time and
+15.8 % of the sampler's — 24 % of the timed work, the first line of the
+profile — so start from the sampler's table, and still measure with
+``python3 -m bench``.
 """
 
 from __future__ import annotations
@@ -25,10 +40,15 @@ import cProfile
 import collections
 import os
 import pstats
+import signal
 import sys
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _module(path: str) -> str:
+    return "/".join(path.split("/")[-2:])
 
 
 def report(profile: cProfile.Profile, top: int) -> None:
@@ -37,7 +57,7 @@ def report(profile: cProfile.Profile, top: int) -> None:
     by_module: collections.Counter = collections.Counter()
     by_function: collections.Counter = collections.Counter()
     for (path, line, name), (_cc, _nc, self_time, _cum, _callers) in stats.items():
-        module = "/".join(path.split("/")[-2:])
+        module = _module(path)
         by_module[module] += self_time
         by_function[f"{module}:{line} {name}"] += self_time
     total = sum(by_module.values())
@@ -46,6 +66,57 @@ def report(profile: cProfile.Profile, top: int) -> None:
         print()
         for key, seconds in table.most_common(top):
             print(f"{key:56} {seconds / total:6.1%} {seconds:8.3f} s")
+
+
+class StackSampler:
+    """Every ``interval`` seconds of this process's CPU time (or timer
+    tick, if that is longer), charge one sample to the running stack
+    (module docstring).  Main thread only — where a bench round runs."""
+
+    def __init__(self, interval: float = 0.001) -> None:
+        self.interval = interval
+        self.samples = 0
+        self.cpu_s = 0.0
+        self.self_samples: collections.Counter = collections.Counter()
+        self.inclusive_samples: collections.Counter = collections.Counter()
+
+    def _sample(self, _signum, frame) -> None:
+        self.samples += 1
+        innermost = owner = None
+        on_stack = set()
+        while frame is not None:
+            code = frame.f_code
+            if innermost is None:
+                innermost = code
+            if owner is None and "/src/repro/" in code.co_filename:
+                owner = code
+            on_stack.add(code)
+            frame = frame.f_back
+        self.self_samples[owner or innermost] += 1
+        self.inclusive_samples.update(on_stack)
+
+    def runcall(self, func, *args):
+        """Run ``func(*args)`` sampled; nests with earlier calls' counts."""
+        previous = signal.signal(signal.SIGPROF, self._sample)
+        began = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
+        try:
+            return func(*args)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+            self.cpu_s += time.process_time() - began
+
+    def report(self, top: int) -> None:
+        """Self time by innermost ``repro/`` frame, then inclusive time."""
+        total = self.samples or 1
+        # The kernel's timer tick, not the interval asked for, sets the rate.
+        print(f"{self.samples} samples over {self.cpu_s:.2f} s of CPU time")
+        for title, table in (("self", self.self_samples), ("inclusive", self.inclusive_samples)):
+            print(f"\n{title}")
+            for code, count in table.most_common(top):
+                label = f"{_module(code.co_filename)}:{code.co_firstlineno} {code.co_name}"
+                print(f"{label:64} {count / total:6.1%} {count:7d}")
 
 
 def explore_trials(seed: int, every: int):
@@ -81,6 +152,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--wall", action="store_true", help="with --trials: no profiler, wall ms per trial"
     )
+    parser.add_argument(
+        "--sample", action="store_true",
+        help="stack sampler instead of cProfile: self time by innermost repro/ "
+        "frame and inclusive time, C time included, no per-call tax",
+    )
     args = parser.parse_args(argv)
 
     sys.path.insert(0, REPO)
@@ -89,7 +165,7 @@ def main(argv=None) -> int:
 
     require_src()
     seed = derive_seed(args.seed, args.workload)
-    profile = cProfile.Profile()
+    profile = StackSampler() if args.sample else cProfile.Profile()
 
     if args.trials:
         if args.workload != "explore_traffic":
@@ -117,6 +193,9 @@ def main(argv=None) -> int:
 
         record = profile.runcall(run, args.workload, seed, 1.0, "")
         print(f"{args.workload}: {record['ops']} ops, timed {record['timed_wall_s']:.2f} s wall")
+    if args.sample:
+        profile.report(args.top)
+        return 0 if profile.samples else 1  # no samples: the sampler is broken
     report(profile, args.top)
     return 0
 

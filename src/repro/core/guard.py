@@ -11,11 +11,37 @@ Per cache event:
   recovers a consistent version (section 2.3).  For data pages, set the
   CHANGING flag — blocks being modified at crash time "cannot be
   identified as corrupt or intact by the checksum mechanism".
-* **end write** — recompute the detection checksum, point the registry
-  back at the (now updated) original, clear CHANGING, close the window.
+* **end write** — bring the detection checksum up to date, point the
+  registry back at the (now updated) original, clear CHANGING, close the
+  window.
 * **dirty / placement changes** — keep the registry entry current.  "Registry
   information changes relatively infrequently during normal operation, so
   the overhead of maintaining it is low."
+
+The detection checksum costs what the write touched
+-----------------------------------------------------
+
+Fletcher-32 is linear in the words it covers, so after a write to a known
+range the page's checksum can be *adjusted* from the old and the new
+content of that range (:func:`~repro.util.checksum.fletcher32_adjust`) —
+bit-identical to checksumming the page again.  The guard does so only
+when the lowest layer proves the range is all that changed:
+
+* at ``begin_write`` the frame's write generation still equals the one
+  recorded when ``page.checksum`` was last computed — nothing touched the
+  frame since, so the stored checksum is the pre-image's — and the range
+  is at most half a page (two partial passes must beat one full pass);
+  the guard then sums the pre-image range and *watches* the frame
+  (:meth:`~repro.hw.memory.PhysicalMemory.watch`);
+* at ``end_write`` the generation moved exactly as often as the frame
+  accounted a ranged mutation, and their extent lies inside the range.
+  The new sums are read from the frame as it is now, never from the
+  caller's data.
+
+Anything else — a wild store, a flipped bit, an overrun, a copy sent
+astray by a corrupted header pointer, a word-by-word interpreted copy, a
+fill — fails one of those tests and takes the full recompute, which
+absorbs the foreign bytes exactly as it always did.
 """
 
 from __future__ import annotations
@@ -32,7 +58,8 @@ from repro.core.registry import (
 )
 from repro.errors import ConfigurationError
 from repro.fs.cache import CacheGuard, CachePage
-from repro.util.checksum import fletcher32
+from repro.fs.types import BLOCK_SIZE
+from repro.util.checksum import fletcher32_adjust, fletcher_sums
 
 
 class RioGuard(CacheGuard):
@@ -47,6 +74,10 @@ class RioGuard(CacheGuard):
         self._shadows: dict[tuple, int] = {}
         #: page key -> the page whose protection window is open.
         self._open_windows: dict[tuple, CachePage] = {}
+        #: page key -> ``(watch record, generation, lo, hi, pre-image
+        #: sums)`` of an open window whose checksum can be adjusted.
+        self._adjustable: dict[tuple, tuple] = {}
+        self._recorder = getattr(kernel, "recorder", None)
 
     # -- helpers ----------------------------------------------------------
 
@@ -72,16 +103,55 @@ class RioGuard(CacheGuard):
         )
 
     def _page_checksum(self, page: CachePage) -> int:
-        return fletcher32(
-            self.kernel.memory.read(page.pfn * self._page_size(), self._page_size())
-        )
+        return self.kernel.memory.page_checksum(page.pfn)
+
+    def _watch_range(self, page: CachePage, offset: int, length: int) -> None:
+        """If the write of ``[offset, offset + length)`` about to begin
+        qualifies (module docstring), sum the range's pre-image and start
+        accounting the frame's mutations."""
+        memory = self.kernel.memory
+        pfn, page_size = page.pfn, memory.page_size
+        generation = memory.generation(pfn)
+        if 2 * length > page_size or generation != page.checksum_gen:
+            # Not left to a window that never reached ``end_write``.
+            self._adjustable.pop(page.key, None)
+            return
+        lo = offset & ~1  # widened to whole 16-bit words, inside the page
+        hi = min(page_size, (offset + length + 1) & ~1)
+        pre = fletcher_sums(memory.frame(pfn)[lo:hi])
+        self._adjustable[page.key] = (memory.watch(pfn), generation, lo, hi, pre)
+
+    def _update_checksum(self, page: CachePage) -> None:
+        """Make ``page.checksum`` that of the frame as it is now: adjusted
+        when the accounting of an open window proves that only the
+        announced range changed, recomputed in full otherwise."""
+        memory = self.kernel.memory
+        pfn = page.pfn
+        memory.unwatch(pfn)
+        now = memory.generation(pfn)
+        window = self._adjustable.pop(page.key, None)
+        if window is not None:
+            (mutations, first, last), generation, lo, hi, pre = window
+            if now - generation != mutations or first < lo or last > hi:
+                window = None  # (an empty extent, ``(page_size, 0)``, passes)
+        if window is None:
+            page.checksum = self._page_checksum(page)
+        else:
+            page.checksum = fletcher32_adjust(
+                page.checksum,
+                (memory.page_size + 1) >> 1,
+                lo >> 1,
+                pre,
+                fletcher_sums(memory.frame(pfn)[lo:hi]),
+            )
+        page.checksum_gen = now
 
     # -- CacheGuard interface ------------------------------------------------
 
     def on_attach(self, page: CachePage) -> None:
         page.registry_slot = self.registry.alloc_slot()
         if self.config.maintain_checksums:
-            page.checksum = self._page_checksum(page)
+            self._update_checksum(page)  # no window yet: a full pass
         self.registry.write_entry(self._entry_for(page))
         self.protection.protect_page(page)
 
@@ -92,11 +162,7 @@ class RioGuard(CacheGuard):
         page.registry_slot = None
         self.protection.unprotect_page(page)
 
-    def _recorder(self):
-        rec = getattr(self.kernel, "recorder", None)
-        return rec if rec is not None and rec.enabled else None
-
-    def begin_write(self, page: CachePage) -> None:
+    def begin_write(self, page: CachePage, offset: int = 0, length: int = BLOCK_SIZE) -> None:
         self.protection.open_page_window(page)
         self._open_windows[page.key] = page
         if page.kind == "meta" and self.config.shadow_metadata:
@@ -104,11 +170,11 @@ class RioGuard(CacheGuard):
             # at it for the duration of the update.
             shadow_pfn = self.kernel.frames.alloc()
             page_size = self._page_size()
-            pre_image = self.kernel.memory.read(page.pfn * page_size, page_size)
-            self.kernel.memory.write(shadow_pfn * page_size, pre_image)
+            memory = self.kernel.memory
+            memory.write(shadow_pfn * page_size, memory.frame(page.pfn))
             self._shadows[page.key] = shadow_pfn
-            rec = self._recorder()
-            if rec is not None:
+            rec = self._recorder
+            if rec is not None and rec.enabled:
                 rec.emit(
                     "shadow", "begin-write",
                     page=str(page.key), shadow_pfn=shadow_pfn, pfn=page.pfn,
@@ -118,12 +184,16 @@ class RioGuard(CacheGuard):
             )
         else:
             self.registry.update_flags(page.registry_slot, set_flags=FLAG_CHANGING)
+        if self.config.maintain_checksums:
+            # Last, so the watch sees the caller's stores and not the
+            # registry's (which go to other frames anyway).
+            self._watch_range(page, offset, length)
 
     def end_write(self, page: CachePage) -> None:
         if self.config.maintain_checksums:
-            page.checksum = self._page_checksum(page)
-        rec = self._recorder()
-        if rec is not None:
+            self._update_checksum(page)
+        rec = self._recorder
+        if rec is not None and rec.enabled:
             # The page-content checksum is engine-independent and is what
             # lets forensics see *data* divergence at page granularity.
             rec.emit(

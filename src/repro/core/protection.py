@@ -43,7 +43,11 @@ class ProtectionManager:
         self.kernel = kernel
         self.config = config
         self.mode = config.protection
-        self._registry_pfns: list[int] = []
+        #: The registry's frames: one immutable run, so the MMU can know
+        #: it again (``MMU.set_kseg_writable_run``).
+        self._registry_pfns: tuple[int, ...] = ()
+        #: The machine's flight recorder, if it has one (fixed per kernel).
+        self._recorder = getattr(kernel, "recorder", None)
         # Code-patching bookkeeping: which pages are currently protected.
         self._patched_vpns: set[int] = set()
         self._patched_pfns: set[int] = set()
@@ -55,18 +59,13 @@ class ProtectionManager:
         self.stat_windows = 0
         self.stat_patch_traps = 0
 
-    def _recorder(self):
-        """The machine's flight recorder, when one is attached and live."""
-        rec = getattr(self.kernel, "recorder", None)
-        return rec if rec is not None and rec.enabled else None
-
     # -- installation ----------------------------------------------------
 
     def install(self, registry_pfns: list[int]) -> None:
         """Engage the mechanism on the booted kernel."""
-        self._registry_pfns = list(registry_pfns)
-        rec = self._recorder()
-        if rec is not None:
+        self._registry_pfns = tuple(registry_pfns)
+        rec = self._recorder
+        if rec is not None and rec.enabled:
             rec.emit("prot", "install", mode=self.mode.name, registry_pfns=len(registry_pfns))
         if self.mode is ProtectionMode.NONE:
             return
@@ -140,8 +139,8 @@ class ProtectionManager:
     def open_page_window(self, page: CachePage) -> None:
         """Open a write window over one cache page."""
         self.stat_windows += 1
-        rec = self._recorder()
-        if rec is not None:
+        rec = self._recorder
+        if rec is not None and rec.enabled:
             rec.emit("prot", "page-window", page=str(page.key), kind=page.kind)
         self.unprotect_page(page)
 
@@ -152,8 +151,8 @@ class ProtectionManager:
     def open_registry_window(self) -> None:
         """Open a write window over every registry frame."""
         self.stat_windows += 1
-        rec = self._recorder()
-        if rec is not None:
+        rec = self._recorder
+        if rec is not None and rec.enabled:
             rec.emit("prot", "registry-window")
         self._set_registry_protected(False)
 
@@ -183,8 +182,8 @@ class ProtectionManager:
             for pfn in range(first, last + 1):
                 if pfn in self._patched_pfns:
                     self.stat_patch_traps += 1
-                    rec = self._recorder()
-                    if rec is not None:
+                    rec = self._recorder
+                    if rec is not None and rec.enabled:
                         rec.emit("trap", "patch", pfn=pfn, address=vaddr)
                     raise ProtectionTrap(
                         f"code patch: store to protected frame {pfn}", address=vaddr
@@ -195,8 +194,8 @@ class ProtectionManager:
             for vpn in range(first, last + 1):
                 if vpn in self._patched_vpns:
                     self.stat_patch_traps += 1
-                    rec = self._recorder()
-                    if rec is not None:
+                    rec = self._recorder
+                    if rec is not None and rec.enabled:
                         rec.emit("trap", "patch", vpn=vpn, address=vaddr)
                     raise ProtectionTrap(
                         f"code patch: store to protected page {vpn}", address=vaddr

@@ -252,13 +252,12 @@ class Registry:
         :data:`NO_DISK_BLOCK`); anything else is a
         :class:`ConfigurationError` and changes nothing."""
         vaddr = self.entry_vaddr(slot)
-        try:
-            edits = [(_FIELD_INDEX[name], value) for name, value in fields.items()]
-        except KeyError as exc:
-            raise ConfigurationError(f"no registry field {exc.args[0]!r}") from None
+        if not fields.keys() <= _FIELD_INDEX.keys():
+            unknown = next(name for name in fields if name not in _FIELD_INDEX)
+            raise ConfigurationError(f"no registry field {unknown!r}")
         record = self._load_fields(vaddr)
-        for index, value in edits:
-            record[index] = value
+        for name, value in fields.items():
+            record[_FIELD_INDEX[name]] = value
         if record[_DISK_BLOCK] is None:
             record[_DISK_BLOCK] = NO_DISK_BLOCK
         self._store_fields(slot, vaddr, record)

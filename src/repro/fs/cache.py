@@ -66,8 +66,12 @@ class CachePage:
     #: Byte ranges written since the journal last saw this page; AdvFS
     #: logs these extents rather than whole 8 KB images.
     journal_extents: list = field(default_factory=list)
-    #: Populated by the guard when checksums are maintained.
+    #: Populated by the guard when checksums are maintained: the frame's
+    #: detection checksum, and the frame's write generation
+    #: (``PhysicalMemory.generation``) when it was computed — equal
+    #: generations mean ``checksum`` is still that of the frame's content.
     checksum: int = 0
+    checksum_gen: int = -1
 
     def pin(self) -> None:
         self.pin_count += 1
@@ -87,8 +91,9 @@ class CacheGuard:
     def on_detach(self, page: CachePage) -> None:
         pass
 
-    def begin_write(self, page: CachePage) -> None:
-        pass
+    def begin_write(self, page: CachePage, offset: int = 0, length: int = BLOCK_SIZE) -> None:
+        """A write of ``[offset, offset + length)`` of the page (default:
+        all of it) is about to happen."""
 
     def end_write(self, page: CachePage) -> None:
         pass
@@ -307,7 +312,7 @@ class PageCache:
         # the protection window stays open and the registry CHANGING flag
         # (or shadow redirection) stays set — exactly the crash-time state
         # the warm reboot and the checksum detector must see.
-        self.guard.begin_write(page)
+        self.guard.begin_write(page, offset, len(data))
         if self.kind == "data":
             # UBC path: uiomove/copyin — plain bcopy to the address
             # read out of the buffer header (overrun hook applies).

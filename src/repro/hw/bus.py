@@ -29,7 +29,12 @@ bump, translate*:
   nothing else.  A word is read or written straight in the frame's
   ``bytearray`` with ``struct`` (``unpack_from`` / ``pack_into``): a
   never-written frame reads the shared zero page and allocates nothing,
-  a store bumps the frame's write generation.
+  a store bumps the frame's write generation.  A *ranged* store
+  (:meth:`MemoryBus.store`) of a frame someone watches also accounts its
+  extent (``PhysicalMemory.watch``): one truth test of a dict that is
+  empty outside a guarded cache write.  The word stores and the page
+  port do not — a moved generation with nothing accounted is how the
+  watcher learns that a store it cannot place happened.
 * **The tables are the MMU's.**  They live in :class:`MMU`
   (``tlb_loads`` / ``tlb_stores``; the bus only binds them) because an
   entry is dropped by the mutation that can change it and by no other:
@@ -213,6 +218,7 @@ class MemoryBus:
         self._page_size = mmu.memory.page_size
         self._pages = mmu.memory._pages
         self._page_gens = mmu.memory._page_gens
+        self._watched = mmu.memory._watched  # mutation accounting, see there
         self._zero_page = mmu.memory._zero_page  # loads never allocate
         #: The soft TLB is the MMU's (it invalidates per page); bound here
         #: so a probe is one attribute and one ``dict.get``.
@@ -387,6 +393,8 @@ class MemoryBus:
                     page = self.memory.page(pfn)
                 self._page_gens[pfn] += 1
                 page[off : off + n] = data
+                if self._watched:
+                    self.memory.account(pfn, off, off + n)
                 return
         runs = self.mmu.translate_range(vaddr, n, write=True)
         if len(runs) == 1:

@@ -96,6 +96,7 @@ class Machine:
     def _power_on_cpu(self) -> None:
         """Build a fresh MMU and bus (up, not crashed) on the memory board
         and wire the flight recorder to both."""
+        self.memory.unwatch_all()  # a crashed write window leaves its watch
         self.mmu = MMU(self.memory)
         self.bus = MemoryBus(self.mmu, fast_path=self.config.fast_path)
         self.mmu.recorder = self.recorder

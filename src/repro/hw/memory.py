@@ -44,6 +44,18 @@ class PhysicalMemory:
         #: stable for the lifetime of the object (hot loops hold a direct
         #: reference), so it is mutated in place, never rebound.
         self._page_gens: list[int] = [0] * self.num_pages
+        #: Mutation accounting (see :meth:`watch`): ``pfn -> [mutations,
+        #: lo, hi]`` for the frames being watched.  The contract, next to
+        #: the generations': *every* mutation bumps the generation; every
+        #: *ranged* mutation of a watched frame — the per-frame loop of
+        #: :meth:`write` and the one-page store of the memory bus, the two
+        #: places that bump a generation for a byte range — is also
+        #: accounted here.  The word paths (``flip_bit``, ``erase``, the
+        #: bus's word and page-port stores) move the generation only, so
+        #: ``generation delta != mutations`` is how a watcher learns that
+        #: something it cannot place touched the frame.  Same aliasing
+        #: rule as ``_page_gens``; empty unless a frame is being watched.
+        self._watched: dict[int, list[int]] = {}
 
     # -- page helpers -------------------------------------------------
 
@@ -73,6 +85,39 @@ class PhysicalMemory:
         if not 0 <= pfn < self.num_pages:
             raise MachineCheck(f"physical frame {pfn} out of range")
         return self._page_gens[pfn]
+
+    def watch(self, pfn: int) -> list[int]:
+        """Start accounting the ranged mutations of frame ``pfn``; returns
+        the live record ``[mutations, lo, hi]``: how many there were and
+        the byte extent ``[lo, hi)`` within the frame that they covered
+        (``lo = page_size``, ``hi = 0`` while there was none).  Together
+        with :meth:`generation` a watcher can tell "the frame changed
+        only inside this range" from "something else touched it"."""
+        if not 0 <= pfn < self.num_pages:
+            raise MachineCheck(f"physical frame {pfn} out of range")
+        record = self._watched[pfn] = [0, self.page_size, 0]
+        return record
+
+    def unwatch(self, pfn: int) -> None:
+        """Stop accounting frame ``pfn`` (a no-op if it is not watched)."""
+        self._watched.pop(pfn, None)
+
+    def unwatch_all(self) -> None:
+        """Drop every watch — they are bookkeeping of the running kernel
+        and die with it (:meth:`repro.hw.Machine.reset`)."""
+        self._watched.clear()
+
+    def account(self, pfn: int, lo: int, hi: int) -> None:
+        """Fold one ranged mutation ``[lo, hi)`` of frame ``pfn`` into its
+        watch record, if it has one.  For the two mutators named at
+        ``_watched``, after they test that the dict is not empty."""
+        record = self._watched.get(pfn)
+        if record is not None:
+            record[0] += 1
+            if lo < record[1]:
+                record[1] = lo
+            if hi > record[2]:
+                record[2] = hi
 
     # -- byte-granular access ------------------------------------------
 
@@ -116,7 +161,7 @@ class PhysicalMemory:
             data = bytes(data)
         n = len(data)
         self._check_range(addr, n)
-        gens = self._page_gens
+        gens, watched = self._page_gens, self._watched
         pos = 0
         while pos < n:
             pfn, off = divmod(addr + pos, self.page_size)
@@ -125,6 +170,8 @@ class PhysicalMemory:
                 data if pos == 0 and take == n else data[pos : pos + take]
             )
             gens[pfn] += 1
+            if watched:
+                self.account(pfn, off, off + take)
             pos += take
 
     def read_u64(self, addr: int) -> int:

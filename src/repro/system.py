@@ -243,8 +243,12 @@ class System:
         if warm_enabled:
             # Step 1 (before any kernel state is rebuilt): dump memory to
             # swap and restore metadata to disk from the registry.
+            # The checksum audit is meaningful only if the crashed kernel
+            # kept checksums: where it did not, every stored one is 0 and
+            # every intact page would be reported corrupt.
             image, entries, warm = dump_and_recover_metadata(
-                self.machine, self.swap, {ROOT_DEV: self.disk}
+                self.machine, self.swap, {ROOT_DEV: self.disk},
+                audit=(self.phoenix or self.rio).config.maintain_checksums,
             )
             report.warm = warm
 

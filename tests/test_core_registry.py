@@ -57,6 +57,7 @@ class TestEntryCodec:
         """The paper says ~40 bytes per 8 KB page; ours is 48."""
         assert ENTRY_SIZE == 48
         assert len(RegistryEntry(slot=0).to_bytes()) == 48
+        assert ENTRY_SIZE <= 64 and ENTRY_SIZE / 8192 < 0.01  # 0.59 % of the page
 
     def test_none_disk_block_roundtrip(self):
         entry = RegistryEntry(slot=0, flags=FLAG_VALID, disk_block=None)

@@ -118,6 +118,26 @@ class TestWarmRebootEndToEnd:
         report = system.reboot()
         assert page.registry_slot in report.warm.checksum_mismatches
 
+    @pytest.mark.parametrize("kind", ["rio", "rio-no-checksums", "phoenix"])
+    def test_audit_only_where_checksums_were_maintained(self, kind):
+        """A cache that keeps no checksums (every Rio row of Table 2,
+        Phoenix) stores 0 in each entry: auditing those reported every
+        intact page corrupt, and campaigns, the explorer and forensics all
+        read that list."""
+        if kind == "phoenix":
+            system = build_system(SystemSpec(policy="rio", phoenix=True))
+        else:
+            rio = RioConfig.with_protection(maintain_checksums=kind == "rio")
+            system = build_system(SystemSpec(policy="rio", rio=rio))
+        fd = system.vfs.open("/f", create=True)
+        system.vfs.write(fd, b"x" * 20 * 1024)
+        if kind == "phoenix":
+            system.phoenix.checkpoint()
+        system.crash("boom")
+        warm = system.reboot().warm
+        assert warm.valid_entries >= 3
+        assert warm.checksum_mismatches == []
+
     def test_rio_protection_also_guards_during_reboot_gap(self):
         """Protection state is CPU state: after reset it is off until the
         new Rio engages; but memory content was already dumped."""
@@ -137,6 +157,38 @@ class TestWarmRebootEndToEnd:
         )
         with pytest.raises(ProtectionTrap):
             system.kernel.bus.store(new_page.vaddr, b"wild")
+
+
+class TestWarmRebootCost:
+    """Section 2.2: "our first priority ... is ease of implementation,
+    rather than reboot speed" — the warm reboot is a reset, a dump of all
+    of memory and a registry-driven restore, and costs exactly that."""
+
+    def test_two_megabytes_dirty_breakdown(self):
+        system = rio_system()
+        for i in range(16):
+            fd = system.vfs.open(f"/file{i:03d}", create=True)
+            system.vfs.write(fd, pattern_bytes(i, 0, 128 * 1024))
+            system.vfs.close(fd)
+        system.crash("boom")
+        swap_disk = system.swap.disk
+        began, swap_busy = system.clock.now_ns, swap_disk.stats.busy_ns
+        report = system.reboot()
+        total = system.clock.now_ns - began
+        assert report.warm.ubc_restored >= 16
+        assert report.fsck.fix_count == 0
+        # The reset, then one request that carries all of memory to swap
+        # (16 MiB at 5 MiB/s: 3.2 s of transfer), then the restore —
+        # metadata to disk, fsck, mount, dirty pages through the fs.
+        boot = system.machine.config.boot_time_ns
+        dump = swap_disk.stats.busy_ns - swap_busy
+        memory_bytes = system.machine.memory.size
+        assert report.warm.dumped_bytes == memory_bytes
+        assert dump == swap_disk.params.service_ns(memory_bytes, sequential=False)
+        assert dump >= swap_disk.params.transfer_ns(memory_bytes) == 3_200_000_000
+        restore = total - boot - dump
+        assert 0 < restore < dump < boot
+        assert boot == 30_000_000_000 and boot + dump > 0.95 * total
 
 
 class TestRepeatedCrashes:

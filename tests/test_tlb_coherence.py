@@ -49,6 +49,7 @@ STEP = st.one_of(
     st.tuples(st.just("set_writable"), VPN, FLAG),
     st.tuples(st.just("set_kseg_writable"), PFN, FLAG),
     st.tuples(st.just("set_kseg_writable_run"), st.lists(PFN, max_size=3), FLAG),
+    st.tuples(st.just("window_run"), FLAG),
     st.tuples(st.just("abox"), FLAG),
     st.tuples(st.just("load"), ADDRESS, st.sampled_from([0, 1, 8, 24])),
     st.tuples(st.just("load_u64"), ADDRESS),
@@ -57,6 +58,12 @@ STEP = st.one_of(
     st.tuples(st.just("store_u64"), ADDRESS, st.integers(0, (1 << 64) - 1)),
     st.tuples(st.just("store_u8"), ADDRESS, st.integers(0, 255)),
 )
+
+
+#: One tuple toggled there and back, as a registry window does: the run
+#: the fast machine's MMU remembers and toggles as one ``dict.update``.
+#: The reference machine toggles it frame by frame.
+WINDOW_RUN = tuple(PFNS)
 
 
 def build(fast_path: bool, abox: bool = False) -> Machine:
@@ -75,6 +82,13 @@ def apply(machine: Machine, step):
         if op == "abox":
             mmu.kseg_through_tlb = args[0]
             return "ok", None
+        if op == "window_run":
+            if bus.fast_path:
+                mmu.set_kseg_writable_run(WINDOW_RUN, args[0])
+            else:
+                for pfn in WINDOW_RUN:
+                    mmu.set_kseg_writable(pfn, args[0])
+            return "ok", None
         target = bus if op.startswith(("load", "store")) else mmu
         return "ok", getattr(target, op)(*args)
     except SystemCrash as exc:
@@ -87,6 +101,7 @@ def observe(machine: Machine):
         (stats.loads, stats.stores, stats.bytes_loaded, stats.bytes_stored),
         (mmu.stat_protection_traps, mmu.stat_pte_toggles, mmu.generation),
         {pfn: bytes(page) for pfn, page in machine.memory._pages.items()},
+        mmu._kseg_writable,
     )
 
 
@@ -141,6 +156,27 @@ def test_reprotect_drops_only_that_pages_store_entry():
     assert bus.stats.tlb_misses == 8  # invalidation is not a miss; the next access is
     bus.load_u64(0)
     assert bus.stats.tlb_misses == 9
+
+
+def test_remembered_run_reprotect_drops_its_store_entries_only():
+    """The run toggled as one (the MMU remembers the tuple after its first
+    full cycle) invalidates exactly what the per-frame loop would."""
+    machine = build(True, abox=True)
+    mmu, bus = machine.mmu, machine.bus
+    for flag in (False, True, False):
+        mmu.set_kseg_writable_run(WINDOW_RUN, flag)
+    assert mmu._run is WINDOW_RUN and not mmu.tlb_stores
+    bus.store_u64(0, 1)
+    bus.store_u64(KSEG_BASE + 4 * PAGE, 1)  # a frame outside the run
+    kept = dict(mmu.tlb_stores)
+    for _ in range(3):  # a window: open, one store inside, close
+        mmu.set_kseg_writable_run(WINDOW_RUN, True)
+        assert mmu.tlb_stores == kept  # granting drops nothing
+        bus.store_u64(KSEG_BASE + 3 * PAGE, 1)
+        assert mmu.tlb_stores == {**kept, KSEG_BASE + 3 * PAGE: 3}
+        mmu.set_kseg_writable_run(WINDOW_RUN, False)
+        assert mmu.tlb_stores == kept
+        assert_entries_current(machine)
 
 
 def test_rio_prot_write_syscalls_refill_only_reprotected_pages():
