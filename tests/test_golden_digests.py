@@ -11,9 +11,11 @@ The observations are small fixed configs of every seeded digest the
 repo has — explorer (enumeration stream + per-boundary verdicts), a
 traffic storm (acks, expected state, virtual time, final image), the
 same on the ``disk`` policy behind each backend flavour (remote image and
-upload count too; see the note on ``GOLDEN["backend"]``), a Table 1
-campaign — plus the two pieces of boot state the bulk boot scans
-rebuild: the free-inode list and the registry region's bytes.
+upload count too; see the note on ``GOLDEN["backend"]``), the service
+tier's other axes (a two-shard cluster under each router, the chaos
+matrix, a fault storm, a repairing ``disk`` run; see ``GOLDEN["cluster"]``),
+a Table 1 campaign — plus the two pieces of boot state the bulk boot
+scans rebuild: the free-inode list and the registry region's bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.fs.fsck import LOST_FOUND_INO, FsckReport
 from repro.fs.ondisk import INODES_PER_BLOCK, INODE_SIZE, Inode
 from repro.fs.types import FileType, ROOT_INO, SECTORS_PER_BLOCK
 from repro.reliability.campaign import system_spec_for
+from repro.reliability.chaos import ChaosCampaignConfig, run_chaos_campaign
 from repro.reliability.report import run_table1_campaign, table1_digest
 from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
 from repro.server import LoadSpec
@@ -75,6 +78,44 @@ GOLDEN = {
             "virtual_ns": 32008023075,
             "uploads": 75,
         },
+    },
+    # The service tier's axes, recorded on the parent of PR 20 (b2ffda4)
+    # before that PR folded the two campaign paths into one.
+    "cluster": {
+        "dir": {
+            "cluster_digest": "0073682890b18126680910fb557d4eac9953c8b65d986be7ae2ccf6e9eadef97",
+            "intent_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "virtual_ns": 33525975165,
+            "acked": 90,
+            "recoveries": 2,
+            "intents": 0,
+        },
+        "hash": {
+            "cluster_digest": "6d14b06b976f5236c883ac1c2625fd15cd62fd8c44326fda832ac4997c582046",
+            "intent_digest": "21f201213ae3c534a68317b1c7b4be36de3d2475c17cee0cb2b93b8de235c037",
+            "virtual_ns": 33534891015,
+            "acked": 90,
+            "recoveries": 2,
+            "intents": 1,
+        },
+    },
+    "chaos": {
+        "digest": "64de0b4008114be460dfe46753d289a02811485b9f6c35abc1f888f852181d38",
+        "fires": 17,
+    },
+    "fault_storm": {
+        "ack_digest": "de6b6c5f0cfcc1341ae18ed95e80a41d32b71b664fc90bfd0c7ccef75fe04d03",
+        "state_digest": "6471bcc4542d73739301997df1af7dfbc81ca836e95a09286e77642eb99ec125",
+        "faults_injected": 2,
+        "watchdog_fired": 0,
+        "virtual_ns": 67191435155,
+    },
+    "repair": {
+        "ack_digest": "0ccc74a21fa1ee1852dec73120e86f5298897196588dd628533729063e6af273",
+        "lost_acks": 24,
+        "repaired_acks": 24,
+        "final_audit_ok": True,
+        "virtual_ns": 63755514070,
     },
     "boot": {
         "cold": {
@@ -160,6 +201,78 @@ def observe_backend(flavour: str) -> dict:
         "remote_image_sha256": result.remote_audit["image_sha256"],
         "virtual_ns": result.load.wall_virtual_ns,
         "uploads": result.remote_stats["uploads"],
+    }
+
+
+#: Small enough that the five service-tier observations take about a second.
+LIGHT = LoadSpec(
+    ops_per_client=10, files_per_client=2, max_file_bytes=4096, write_bytes=(64, 512)
+)
+
+
+def observe_cluster(router_mode: str) -> dict:
+    """Two shards, one rolling crash each; ``hash`` moves one file across."""
+    result = run_traffic_campaign(
+        TrafficConfig(
+            shards=2, clients=6, crashes=1, seed=11, router_mode=router_mode, load=LIGHT
+        )
+    )
+    assert result.ok
+    return {
+        "cluster_digest": result.cluster_digest,
+        "intent_digest": result.load.digests["intent_digest"],
+        "virtual_ns": result.load.wall_virtual_ns,
+        "acked": result.load.acked,
+        "recoveries": result.recoveries,
+        "intents": result.intent_audit["intents"],
+    }
+
+
+def observe_chaos() -> dict:
+    """The default capability matrix over a one-crash storm."""
+    result = run_chaos_campaign(
+        ChaosCampaignConfig(
+            base=TrafficConfig(
+                clients=4, crashes=1, seed=11, load=LoadSpec(ops_per_client=10)
+            )
+        )
+    )
+    assert result.ok
+    return {"digest": result.digest, "fires": result.total_fires}
+
+
+def observe_fault_storm() -> dict:
+    """Two Table 1 faults injected mid-traffic, a 60-request watchdog."""
+    result = run_traffic_campaign(
+        TrafficConfig(
+            system="rio_prot", clients=6, crashes=2, seed=9, storm="faults",
+            fault_type=FaultType.KERNEL_STACK, watchdog_budget=60,
+            load=LoadSpec(ops_per_client=15),
+        )
+    )
+    return {
+        "ack_digest": result.ack_digest,
+        "state_digest": result.state_digest,
+        "faults_injected": result.faults_injected,
+        "watchdog_fired": result.watchdog_fired,
+        "virtual_ns": result.load.wall_virtual_ns,
+    }
+
+
+def observe_repair() -> dict:
+    """The ``disk`` policy loses acks to a storm; repair re-applies them."""
+    result = run_traffic_campaign(
+        TrafficConfig(
+            system="disk", clients=6, crashes=2, seed=4, repair=True,
+            load=LoadSpec(ops_per_client=15),
+        )
+    )
+    return {
+        "ack_digest": result.ack_digest,
+        "lost_acks": result.lost_acks,
+        "repaired_acks": result.repaired_acks,
+        "final_audit_ok": result.final_audit_ok,
+        "virtual_ns": result.load.wall_virtual_ns,
     }
 
 
@@ -276,6 +389,23 @@ def test_posted_uploads_keep_the_remote_tier_consistent_at_every_boundary():
     assert report.complete and report.coverage_percent == 100.0
     assert {v.clause for v in report.violations} == {"acked-data-durable"}
     assert sum(1 for verdict in report.verdicts if verdict.violations) == 69
+
+
+@pytest.mark.parametrize("router_mode", sorted(GOLDEN["cluster"]))
+def test_cluster_digests_match_parent(router_mode):
+    assert observe_cluster(router_mode) == GOLDEN["cluster"][router_mode]
+
+
+def test_chaos_campaign_digest_matches_parent():
+    assert observe_chaos() == GOLDEN["chaos"]
+
+
+def test_fault_storm_digests_match_parent():
+    assert observe_fault_storm() == GOLDEN["fault_storm"]
+
+
+def test_repairing_disk_run_matches_parent():
+    assert observe_repair() == GOLDEN["repair"]
 
 
 def test_table1_digest_matches_parent():
