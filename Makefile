@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-server bench-cluster bench-compare profile forensics-smoke explore-smoke examples table1 table1-par table2 clean
+.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-cluster bench-compare profile forensics-smoke explore-smoke examples table1 table1-par table2 clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -34,11 +34,6 @@ bench-full:
 # (plain timing, no pytest-benchmark needed; fails below RIO_MIN_SPEEDUP).
 bench-interp:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/bench_interpreter.py -q -s
-
-# File-service scaling grid (1..64 clients, calm + 3-crash storm);
-# writes benchmarks/results/server_throughput.txt (gitignored).
-bench-server:
-	$(PY) -m pytest benchmarks/bench_server.py --benchmark-only -q -s
 
 # Cluster scaling grid at the paper-scale population (1024 clients over
 # 1..8 shards, calm + rolling storm); writes

@@ -26,11 +26,12 @@ Commands:
   finishes with the remote-only audit (the local disk thrown away).
 * ``loadgen`` — the same deterministic multi-client load with no storm:
   a pure throughput/latency measurement of the service.
-* ``cluster`` — the multi-kernel cluster: N independent Machine+Kernel
-  shards behind a deterministic consistent-hash router, in-process or
-  one worker process per shard (``--jobs``), optionally under a
-  *rolling* crash storm (one shard down at a time); exit 1 if any
-  acknowledged op was lost.
+* ``cluster`` — ``serve`` behind a sharded front-end: N independent
+  Machine+Kernel shards behind a deterministic consistent-hash router,
+  in-process or one worker process per shard (``--jobs``).  Takes
+  ``serve``'s storm flags, per shard (``--crashes`` defaults to 0; the
+  storm *rolls*, one shard down at a time); exit 1 if any acknowledged
+  op was lost.
 * ``chaos``   — the chaos capability matrix: one traffic-under-faults
   trial per fault capability (allocation denials, queue overflows,
   disk-full, slow IO, fail-Nth), reporting p99-under-chaos, recovery
@@ -349,7 +350,8 @@ def _emit(result, args, formatter) -> int:
 
 def cmd_serve(args) -> int:
     """``serve``: the file service under a crash storm; ``loadgen``: the
-    same deterministic load with no storm.  Exit 1 if any ack was lost."""
+    same deterministic load with no storm; ``cluster``: ``serve`` behind
+    a sharded front-end.  Exit 1 if any ack was lost."""
     from repro.reliability import format_traffic_report, run_traffic_campaign
 
     config = _traffic_config(
@@ -361,34 +363,18 @@ def cmd_serve(args) -> int:
     )
     if args.faults:
         config.fault_type = _parse_fault_types(args.faults)[0]
-    if args.command == "serve":
+    storm = f"{config.crashes} {config.storm} crash(es)"
+    if args.command == "cluster":
+        config.shards, config.router_mode, config.jobs = args.shards, args.router, args.jobs
         banner = (
-            f"serving {config.clients} clients on {config.system} through "
-            f"{config.crashes} {config.storm} crash(es) ..."
+            f"clustering: {config.clients} clients over {config.shards} "
+            f"{config.system} shard(s) through {storm} per shard ..."
         )
+    elif args.command == "serve":
+        banner = f"serving {config.clients} clients on {config.system} through {storm} ..."
     else:
         banner = f"load-generating: {config.clients} clients on {config.system} ..."
     print(banner, file=sys.stderr)
-    return _emit(run_traffic_campaign(config), args, format_traffic_report)
-
-
-def cmd_cluster(args) -> int:
-    """The multi-kernel cluster under seeded load, optionally with a
-    rolling crash storm; exit 1 if any acknowledged op was lost."""
-    from repro.reliability import format_traffic_report, run_traffic_campaign
-
-    config = _traffic_config(
-        args,
-        shards=args.shards,
-        crashes=args.crashes_per_shard if args.storm == "rolling" else 0,
-        router_mode=args.router,
-        jobs=args.jobs,
-    )
-    print(
-        f"clustering: {config.clients} clients over {config.shards} "
-        f"{config.system} shard(s), storm={args.storm} ...",
-        file=sys.stderr,
-    )
     return _emit(run_traffic_campaign(config), args, format_traffic_report)
 
 
@@ -745,13 +731,25 @@ def _add_load_flags(parser, *, pipeline: bool = True) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _add_storm_flags(parser) -> None:
-    """The single-service storm flags (``serve`` and ``loadgen``)."""
+def _add_storm_flags(parser, *, crashes: int | None) -> None:
+    """The storm flags ``serve``, ``loadgen`` and ``cluster`` share;
+    ``crashes`` is the command's ``--crashes`` default (None: no flag,
+    never a crash)."""
+    if crashes is None:
+        parser.set_defaults(crashes=0)
+    else:
+        parser.add_argument(
+            "--crashes",
+            type=int,
+            default=crashes,
+            help=f"mid-traffic crashes per kernel (default {crashes})",
+        )
     parser.add_argument(
         "--storm",
         default="forced",
         choices=("forced", "faults"),
-        help="crash storm flavour (serve only; loadgen never crashes)",
+        help="crash storm flavour (loadgen never crashes; a cluster's storm "
+        "rolls, one shard down at a time)",
     )
     parser.add_argument(
         "--faults",
@@ -838,19 +836,16 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="file service under a crash storm (exit 1 on lost acks)"
     )
     _add_load_flags(ps)
-    _add_storm_flags(ps)
-    ps.add_argument(
-        "--crashes", type=int, default=3, help="mid-traffic kernel crashes (default 3)"
-    )
+    _add_storm_flags(ps, crashes=3)
     pl = sub.add_parser("loadgen", help="deterministic load, no crashes")
     _add_load_flags(pl)
-    _add_storm_flags(pl)
-    pl.set_defaults(crashes=0)
+    _add_storm_flags(pl, crashes=None)
     pc = sub.add_parser(
         "cluster",
         help="multi-kernel sharded service under load (exit 1 on lost acks)",
     )
     _add_load_flags(pc)
+    _add_storm_flags(pc, crashes=0)
     pc.add_argument("--shards", type=int, default=2, help="kernel shards (default 2)")
     pc.add_argument(
         "--jobs",
@@ -864,18 +859,6 @@ def main(argv: list[str] | None = None) -> int:
         default="dir",
         choices=("dir", "hash"),
         help="routing key: parent directory (colocates) or full path (scatters)",
-    )
-    pc.add_argument(
-        "--storm",
-        default="none",
-        choices=("none", "rolling"),
-        help="rolling = forced kernel crashes staggered one shard at a time",
-    )
-    pc.add_argument(
-        "--crashes-per-shard",
-        type=int,
-        default=1,
-        help="crashes per shard under --storm rolling (default 1)",
     )
     pch = sub.add_parser(
         "chaos",
@@ -1048,7 +1031,7 @@ def main(argv: list[str] | None = None) -> int:
         "lint": cmd_lint,
         "serve": cmd_serve,
         "loadgen": cmd_serve,
-        "cluster": cmd_cluster,
+        "cluster": cmd_serve,
         "chaos": cmd_chaos,
         "explore": cmd_explore,
         "dissect": cmd_dissect,

@@ -16,8 +16,7 @@ Trials are pure functions of their payload, so the matrix fans out
 through :class:`~repro.reliability.pool.ParallelMap` and the campaign
 digest — a hash over every trial's ack/state digests and fire counts in
 matrix order — is bit-identical at any ``--jobs`` and on either
-execution engine.  ``repro chaos`` is the CLI; ``benchmarks/
-bench_chaos.py`` records the SLO artifact.
+execution engine.  ``repro chaos`` is the CLI.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.reliability.pool import ParallelMap
 from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
 
@@ -190,6 +190,12 @@ def run_chaos_campaign(config: ChaosCampaignConfig) -> ChaosCampaignResult:
     functions of their configs, so the campaign digest is bit-identical
     at any ``jobs`` count and on either execution engine.
     """
+    if config.base.shards is not None:
+        # A trial's identity is one kernel's ack/state digests; a cluster
+        # takes ``chaos`` through its TrafficConfig, not through the matrix.
+        raise ConfigurationError(
+            f"the chaos matrix runs single-kernel trials, not shards={config.base.shards}"
+        )
     pmap = ParallelMap(
         "repro.reliability.chaos:_chaos_trial_entry", jobs=config.base.jobs
     )

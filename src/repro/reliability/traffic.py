@@ -2,16 +2,20 @@
 
 Table 1 crashes a kernel under a single-threaded workload.  This module
 is the same experiment at service scale: N deterministic clients drive
-a :class:`~repro.server.FileService` — or, with ``shards`` set, a
-:class:`~repro.server.ClusterService` of that many kernels — while a
-*crash storm* brings kernels down mid-traffic.  After every crash the
-service warm reboots, audits its acknowledged-write journal against the
-recovered cache, re-binds every session, and resumes the interrupted
-batch.  The campaign's claim is the paper's, restated for a server:
-**no acknowledged operation is ever lost on Rio** — and the whole run,
-crashes included, is a pure function of its seed, so one config
-produces one set of digests on either execution engine and at any
-``jobs``.
+one kernel under traffic — a :class:`~repro.server.Shard`, built from
+its :class:`~repro.server.ShardSpec` and judged by its
+:meth:`~repro.server.Shard.verdict` — or, with ``shards`` set, a
+:class:`~repro.server.ClusterService` over that many of them, while a
+*crash storm* brings kernels down mid-traffic.  Every axis (storm
+flavour, backend, chaos, repair) is applied where a kernel is built, so
+it means the same thing on one kernel and on every shard.  After every
+crash the service warm reboots, audits its acknowledged-write journal
+against the recovered cache, re-binds every session, and resumes the
+interrupted batch.  The campaign's claim is the paper's, restated for a
+server: **no acknowledged operation is ever lost on Rio** — and the
+whole run, crashes included, is a pure function of its seed, so one
+config produces one set of digests on either execution engine and at
+any ``jobs``.
 
 Every storm is a :class:`~repro.server.CrashPoints` hook fed by a
 schedule of executed-request counts:
@@ -28,24 +32,22 @@ schedule of executed-request counts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-from repro.faults import FaultInjector, FaultType
+from repro.faults import FaultType
 from repro.fs.ondisk import INODES_PER_BLOCK
 from repro.server import (
     ClusterConfig,
     ClusterService,
-    CrashPoints,
-    FileService,
     LoadClient,
     LoadReport,
     LoadSpec,
     ServiceConfig,
+    Shard,
+    ShardSpec,
     run_load,
 )
-from repro.system import build_system, system_spec_for
 
 
 @dataclass
@@ -70,11 +72,10 @@ class TrafficConfig:
     #: Root file system size in 8 KB blocks, per kernel (64 clients
     #: need room).
     fs_blocks: int = 2048
+    #: Per-kernel machine memory override (None: the default 16 MB).
+    memory_bytes: Optional[int] = None
     #: Per-client load shape.
     load: LoadSpec = field(default_factory=LoadSpec)
-    #: Single-service tunables (queue depth, batch size, quotas); a
-    #: cluster's shard services take theirs from :class:`ClusterConfig`.
-    service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Re-apply lost journal entries during recovery (meaningful on the
     #: disk system; a Rio run never has anything to repair).
     repair: bool = False
@@ -87,11 +88,9 @@ class TrafficConfig:
     #: keys match :meth:`ChaosRegistry.enable` (``name`` plus knobs and
     #: scope fields).  Empty means no chaos.
     chaos: tuple = ()
-    #: Kernel shards behind a consistent-hash router, or None for a
-    #: bare :class:`FileService`.  Cluster storms are forced and
-    #: rolling; ``chaos``, ``backend``, ``repair`` and the "faults"
-    #: storm are not wired through the shards yet and are rejected with
-    #: a :class:`ConfigurationError`.
+    #: Kernel shards behind a consistent-hash router, or None for one
+    #: kernel served alone.  A cluster's storm rolls: the schedule is
+    #: staggered so one shard is down at a time.
     shards: Optional[int] = None
     #: Worker processes the campaign may use (1 = everything inline):
     #: a cluster hosts one shard per worker, a chaos matrix fans its
@@ -100,10 +99,6 @@ class TrafficConfig:
     # -- cluster geometry (read only when ``shards`` is set) -----------
     #: Router key mode ("dir" colocates directories; "hash" scatters).
     router_mode: str = "dir"
-    #: Per-shard inode area (None: sized from the client count).
-    inode_blocks: Optional[int] = None
-    #: Per-shard machine memory override (None: the default 16 MB).
-    memory_bytes: Optional[int] = None
     #: Requests per front-end scheduling batch (None: ClusterConfig
     #: default; raise at high client counts so every shard sees a
     #: full per-step batch).
@@ -112,9 +107,19 @@ class TrafficConfig:
 
 @dataclass
 class TrafficResult:
-    """What one traffic campaign observed."""
+    """What one traffic campaign observed.
+
+    The per-kernel fields are folded from :attr:`kernels` by
+    :func:`_fold`: one kernel's verdict as it stands; several kernels'
+    counters summed, verdict booleans ``all()``-ed, lists concatenated in
+    shard order.  What does neither — the final image hash, the
+    remote-only audit, the remote tier's stats — is one kernel's fact and
+    stays in :attr:`kernels` when there are several.
+    """
 
     config: TrafficConfig
+    #: :meth:`Shard.verdict` of every kernel, in shard order.
+    kernels: List[dict] = field(default_factory=list)
     crashes_observed: int = 0
     recoveries: int = 0
     faults_injected: int = 0
@@ -124,7 +129,7 @@ class TrafficResult:
     rebinds: int = 0
     rebind_failures: int = 0
     transparent_retries: int = 0
-    #: The final durability audit — the service's, or every shard's.
+    #: The final durability audit, of every kernel.
     final_audit_ok: bool = False
     #: Virtual time spent in recovery (reboot + audit), summed.
     recovery_ns: int = 0
@@ -160,10 +165,12 @@ class TrafficResult:
 
     @property
     def remote_ok(self) -> bool:
-        """The remote tier's verdict (vacuously True without a backend)."""
+        """Every kernel's remote-only audit held (vacuously True without
+        a backend)."""
         if self.config.backend is None:
             return True
-        return bool(self.remote_audit and self.remote_audit.get("ok"))
+        audits = [kernel.get("remote_audit") for kernel in self.kernels]
+        return bool(audits) and all(audit and audit.get("ok") for audit in audits)
 
     @property
     def failed_checks(self) -> List[str]:
@@ -194,8 +201,9 @@ class TrafficResult:
         """Digest of the expected post-run state (single service)."""
         return self.load.digests.get("state_digest", "")
 
-    #: Attributes a single-service JSON report carries verbatim.
-    _SERVICE_KEYS = (
+    #: Attributes the JSON report carries verbatim.
+    _VERBATIM_KEYS = (
+        "crashes_observed", "recoveries", "lost_acks", "transparent_retries",
         "faults_injected", "watchdog_fired", "repaired_acks", "rebinds",
         "rebind_failures", "recovery_ns", "chaos_fires", "chaos_snapshot",
         "ack_digest", "state_digest", "dissect_scans", "dissect_divergences",
@@ -208,7 +216,9 @@ class TrafficResult:
 
         Remote-tier keys appear only when ``config.backend`` is armed,
         so backend-less campaigns (and the chaos digests derived from
-        them) serialize exactly as before.
+        them) serialize exactly as before; the cluster keys (the
+        per-kernel verdicts among them) only when ``config.shards`` is
+        set.
         """
         config, load = self.config, self.load
         data = {
@@ -217,10 +227,6 @@ class TrafficResult:
             "crashes": config.crashes,
             "storm": config.storm,
             "seed": config.seed,
-            "crashes_observed": self.crashes_observed,
-            "recoveries": self.recoveries,
-            "lost_acks": self.lost_acks,
-            "transparent_retries": self.transparent_retries,
             "acked": load.acked,
             "failed": load.failed,
             "rejected": load.rejected,
@@ -228,6 +234,11 @@ class TrafficResult:
             "wall_virtual_ns": load.wall_virtual_ns,
             "ok": self.ok,
         }
+        data.update({key: getattr(self, key) for key in self._VERBATIM_KEYS})
+        if config.backend is not None:
+            data["backend"] = config.backend
+            for key in ("reconciles", "repairs", "deferred", "ok", "audit", "stats"):
+                data[f"remote_{key}"] = getattr(self, f"remote_{key}")
         if config.shards is not None:
             intents = self.intent_audit or {}
             data.update(
@@ -239,14 +250,24 @@ class TrafficResult:
                 shard_audits_ok=self.final_audit_ok,
                 intent_audit=dict(intents),
                 cluster_digest=self.cluster_digest,
+                kernels=self.kernels,
             )
-            return data
-        data.update({key: getattr(self, key) for key in self._SERVICE_KEYS})
-        if config.backend is not None:
-            data["backend"] = config.backend
-            for key in ("reconciles", "repairs", "deferred", "ok", "audit", "stats"):
-                data[f"remote_{key}"] = getattr(self, f"remote_{key}")
         return data
+
+
+def _fold(values: list):
+    """One per-kernel fact over all kernels (see :class:`TrafficResult`);
+    None where several kernels' facts neither sum nor concatenate."""
+    first = values[0]
+    if len(values) == 1:
+        return first
+    if isinstance(first, bool):
+        return all(values)
+    if isinstance(first, int):
+        return sum(values)
+    if isinstance(first, list):
+        return [item for value in values for item in value]
+    return None
 
 
 def rolling_crash_points(config: TrafficConfig) -> Dict[int, Tuple[int, ...]]:
@@ -290,179 +311,8 @@ def rolling_crash_points(config: TrafficConfig) -> Dict[int, Tuple[int, ...]]:
     return points
 
 
-class _FaultStorm(CrashPoints):
-    """The "faults" flavour: a due point injects one Table 1 fault and
-    arms a watchdog that forces the crash if the corruption stays
-    latent past ``watchdog_budget`` executed requests."""
-
-    def __init__(self, system, points, config: TrafficConfig) -> None:
-        super().__init__(system, points)
-        self.config = config
-        self.faults_injected = 0
-        self.watchdog_fired = 0
-        self._armed_at: Optional[int] = None
-        self._armed_kernel = None
-
-    def __call__(self, executed: int) -> None:
-        if self._armed_at is not None:
-            if self.system.kernel is not self._armed_kernel:
-                # The fault crashed the kernel on its own (the system
-                # has rebooted since arming): disarm the watchdog.
-                self._armed_at = self._armed_kernel = None
-            elif executed - self._armed_at >= self.config.watchdog_budget:
-                # Latent corruption past the budget; force the crash.
-                self._armed_at = self._armed_kernel = None
-                self.watchdog_fired += 1
-                self.system.machine.crash(
-                    "traffic storm watchdog: latent fault", kind="watchdog"
-                )
-                return
-            else:
-                return
-        if not self.due(executed):
-            return
-        # A fresh injector every time: the kernel object is replaced
-        # by each reboot.
-        injector = FaultInjector(
-            self.system.kernel, seed=self.config.seed * 1000 + self.fired
-        )
-        injector.inject(self.config.fault_type)
-        self.faults_injected += 1
-        self._armed_at = executed
-        self._armed_kernel = self.system.kernel
-
-
-def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
-    """Run one traffic-under-faults campaign; returns its result."""
-    if config.storm not in ("forced", "faults"):
-        raise ValueError(f"unknown storm {config.storm!r}")
-    if config.shards is not None:
-        unwired = [name for name in ("chaos", "backend", "repair") if getattr(config, name)]
-        if config.storm == "faults":
-            unwired.append('storm="faults"')
-        if unwired:
-            raise ConfigurationError(
-                f"shards={config.shards} with {', '.join(unwired)}: these axes "
-                "are not wired through the cluster's shards yet"
-            )
-    clients = [
-        LoadClient(client_id, seed=config.seed, spec=config.load)
-        for client_id in range(config.clients)
-    ]
-    if config.shards is None:
-        return _run_on_service(config, clients)
-    return _run_on_cluster(config, clients)
-
-
-def _run_on_service(config: TrafficConfig, clients: List[LoadClient]) -> TrafficResult:
-    """One kernel: build it, storm it, audit + dissect + remote audit."""
-    spec = system_spec_for(config.system, fs_blocks=config.fs_blocks)
-    if config.backend is not None:
-        spec = replace(spec, backend=config.backend, backend_seed=config.seed)
-    system = build_system(spec)
-    if config.chaos:
-        from repro.faults.capabilities import ChaosRegistry
-
-        registry = ChaosRegistry(seed=config.seed)
-        for cap in config.chaos:
-            registry.enable(**dict(cap))
-        system.install_chaos(registry)
-    service_config = replace(config.service, repair_on_recover=config.repair)
-    service = FileService(system, service_config)
-    # One kernel's schedule: evenly spaced over the estimated request stream.
-    total = config.clients * (
-        config.load.files_per_client + int(config.load.ops_per_client * 1.4)
-    )
-    step = max(1, total // (config.crashes + 1))
-    points = [step * (i + 1) for i in range(config.crashes)]
-    if config.storm == "forced":
-        storm = CrashPoints(system, points, label="traffic storm")
-    else:
-        storm = _FaultStorm(system, points, config)
-    service.before_execute = storm
-
-    # Second opinion after every storm recovery: the reboot hook runs at
-    # the end of System.reboot, when fsck has just blessed the disk — the
-    # one mid-campaign point where the on-disk state claims consistency.
-    from repro.fs.dissect import compare_verdicts, dissect_image, snapshot
-
-    scans: List = []
-    remote_reconciles: List = []
-
-    def dissect_after_recovery(sys_, report) -> None:
-        if report.remote is not None:
-            remote_reconciles.append(report.remote)
-        if sys_.disk is None or report.fsck is None:
-            return
-        scan = dissect_image(snapshot(sys_.disk))
-        scans.append(
-            compare_verdicts(
-                fsck_unrecoverable=report.fsck.unrecoverable,
-                fsck_fix_count=report.fsck.fix_count,
-                report=scan,
-            )
-        )
-
-    system.add_reboot_hook(dissect_after_recovery)
-    load = run_load(service, clients)
-    result = TrafficResult(config=config, load=load)
-    result.crashes_observed = service.stats.crashes_detected
-    result.recoveries = service.stats.recoveries
-    if config.storm == "faults":
-        result.faults_injected = storm.faults_injected
-        result.watchdog_fired = storm.watchdog_fired
-    result.lost_acks = service.stats.lost_acks
-    result.repaired_acks = service.stats.repaired_acks
-    result.transparent_retries = service.stats.transparent_retries
-    result.recovery_ns = service.stats.recovery_ns
-    if system.chaos is not None:
-        result.chaos_snapshot = system.chaos.snapshot()
-        result.chaos_fires = sum(cap["fires"] for cap in result.chaos_snapshot)
-    for session in service.sessions.sessions.values():
-        result.rebinds += session.rebinds
-        result.rebind_failures += session.rebind_failures
-    final = service.audit()
-    result.final_audit_ok = final.ok
-    result.lost_acks += len(final.lost)
-
-    # Final second opinion: flush everything, then dissect the quiesced
-    # image (mid-run the Rio disk is legitimately stale, so only a fully
-    # flushed image is expected to parse clean).
-    result.dissect_scans = len(scans)
-    result.dissect_divergences = sum(1 for d in scans if not d.agreed)
-    for d in scans:
-        result.divergence_details.extend(d.details)
-    if system.disk is not None:
-        system.fs.flush_data(sync=True)
-        system.fs.flush_metadata(sync=True)
-        system.drain_disks()
-        final_scan = dissect_image(snapshot(system.disk))
-        result.dissect_scans += 1
-        result.final_image_sha256 = final_scan.image_sha256
-        result.final_dissect_findings = len(final_scan.findings)
-        result.final_dissect_clean = final_scan.clean
-
-    # Remote tier verdict: the storm reconciles already ran inside each
-    # reboot; the campaign finishes with the remote-only audit — the
-    # object store alone, local disk thrown away, must pay every ack.
-    if config.backend is not None and system.backing is not None:
-        from repro.backend.audit import remote_recovery_audit
-
-        result.remote_reconciles = len(remote_reconciles)
-        result.remote_repairs = sum(r.repairs for r in remote_reconciles)
-        result.remote_deferred = sum(1 for r in remote_reconciles if r.deferred)
-        result.remote_audit = remote_recovery_audit(
-            system, service.journal
-        ).to_json_dict()
-        result.remote_stats = {
-            **system.backing.stats.to_json_dict(),
-            "link": system.backing.remote.stats.to_json_dict(),
-        }
-    return result
-
-
 def _cluster_inode_blocks(config: TrafficConfig) -> int:
-    """Per-shard inode area: as configured, else sized for the clients.
+    """Per-shard inode area, sized for the clients.
 
     Every client owns a home directory (replicated nowhere — it lives
     on the shards its session touches) plus ``files_per_client`` files
@@ -470,39 +320,61 @@ def _cluster_inode_blocks(config: TrafficConfig) -> int:
     shard and the hash spread is uneven, so each shard is provisioned
     for the full population rather than ``1/shards`` of it.
     """
-    if config.inode_blocks is not None:
-        return config.inode_blocks
     inodes = config.clients * (config.load.files_per_client + 4) + 16
     return max(8, math.ceil(inodes / INODES_PER_BLOCK))
 
 
-def _run_on_cluster(config: TrafficConfig, clients: List[LoadClient]) -> TrafficResult:
-    """``shards`` kernels under a rolling storm: shard audits, the
-    intent audit, and the cluster digest."""
-    cluster_config = ClusterConfig(
-        shards=config.shards,
+def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
+    """Run one traffic-under-faults campaign; returns its result."""
+    if config.storm not in ("forced", "faults"):
+        raise ValueError(f"unknown storm {config.storm!r}")
+    clients = [
+        LoadClient(client_id, seed=config.seed, spec=config.load)
+        for client_id in range(config.clients)
+    ]
+    # The per-kernel half of the campaign, as KernelSpec fields.
+    kernel = dict(
         system=config.system,
-        router_mode=config.router_mode,
         fs_blocks=config.fs_blocks,
-        inode_blocks=_cluster_inode_blocks(config),
         memory_bytes=config.memory_bytes,
-        crash_points=rolling_crash_points(config),
+        service=ServiceConfig(repair_on_recover=config.repair),
+        storm=config.storm,
+        fault_type=config.fault_type,
+        watchdog_budget=config.watchdog_budget,
+        backend=config.backend,
+        chaos=config.chaos,
+        seed=config.seed,
     )
-    if config.batch_size is not None:
-        cluster_config = replace(cluster_config, batch_size=config.batch_size)
-    with ClusterService(cluster_config, jobs=config.jobs) as cluster:
-        load = run_load(cluster, clients)
-        result = TrafficResult(config=config, load=load)
-        for snap in cluster.snapshots():
-            result.crashes_observed += snap["crashes_detected"]
-            result.recoveries += snap["recoveries"]
-            result.lost_acks += snap["lost_acks"]
-            result.transparent_retries += snap["transparent_retries"]
-        audits = cluster.audits()
-        result.final_audit_ok = all(audit["ok"] for audit in audits)
-        result.lost_acks += sum(len(audit["lost"]) for audit in audits)
-        result.intent_audit = cluster.audit_intents()
-        result.cluster_digest = cluster.cluster_digest()
+    result = TrafficResult(config=config)
+    if config.shards is None:
+        # One kernel's schedule: evenly spaced over the estimated request stream.
+        total = config.clients * (
+            config.load.files_per_client + int(config.load.ops_per_client * 1.4)
+        )
+        step = max(1, total // (config.crashes + 1))
+        points = tuple(step * (i + 1) for i in range(config.crashes))
+        shard = Shard(ShardSpec(**kernel, crash_points=points))
+        result.load = run_load(shard.service, clients)
+        result.kernels = [shard.verdict()]
+    else:
+        cluster_config = ClusterConfig(
+            **kernel,
+            shards=config.shards,
+            router_mode=config.router_mode,
+            inode_blocks=_cluster_inode_blocks(config),
+            crash_points=rolling_crash_points(config),
+        )
+        if config.batch_size is not None:
+            cluster_config.batch_size = config.batch_size
+        with ClusterService(cluster_config, jobs=config.jobs) as cluster:
+            result.load = run_load(cluster, clients)
+            result.kernels = cluster.verdicts()
+            result.intent_audit = cluster.audit_intents()
+            result.cluster_digest = cluster.cluster_digest()
+    for key in result.kernels[0]:
+        folded = _fold([verdict[key] for verdict in result.kernels])
+        if folded is not None:
+            setattr(result, key, folded)
     return result
 
 
@@ -512,7 +384,11 @@ def format_traffic_report(result: TrafficResult) -> str:
     clustered = config.shards is not None
     intents = result.intent_audit or {}
     remote = result.remote_audit or {}
-    link = (result.remote_stats or {}).get("link", {})
+    links = [(kernel.get("remote_stats") or {}).get("link", {}) for kernel in result.kernels]
+    link = {
+        key: sum(stats.get(key, 0) for stats in links)
+        for key in ("service_ns", "waited_ns", "posted_writes", "severed_writes")
+    }
     # Rows that do not apply to this run evaluate falsy and are dropped.
     rows = [
         (
@@ -598,10 +474,10 @@ def format_traffic_report(result: TrafficResult) -> str:
                 else ""
             )
             + "; link busy {:.2f} s, waited {:.2f} s ({} posted, {} severed)".format(
-                link.get("service_ns", 0) / 1e9,
-                link.get("waited_ns", 0) / 1e9,
-                link.get("posted_writes", 0),
-                link.get("severed_writes", 0),
+                link["service_ns"] / 1e9,
+                link["waited_ns"] / 1e9,
+                link["posted_writes"],
+                link["severed_writes"],
             ),
         ),
         (

@@ -27,10 +27,11 @@ The pieces (one module each):
   :class:`FileService` or a :class:`ClusterService` alike.
 * :mod:`repro.server.router` — the deterministic consistent-hash
   router mapping absolute paths to shards.
-* :mod:`repro.server.cluster` — the multi-kernel cluster: N
-  independent Machine+Kernel shards (in-process or one worker process
-  each) behind one router, with per-shard crash transparency and
-  two-phase cross-shard renames audited by an intent log.
+* :mod:`repro.server.cluster` — :class:`Shard`, one kernel under
+  traffic built from its :class:`ShardSpec` (the unit every campaign is
+  made of), and the multi-kernel cluster: N shards (in-process or one
+  worker process each) behind one router, with per-shard crash
+  transparency and two-phase cross-shard renames audited by an intent log.
 """
 
 from repro.server.protocol import (
@@ -56,8 +57,10 @@ from repro.server.loadgen import (
 from repro.server.router import Router
 from repro.server.cluster import (
     ClusterConfig,
+    ClusterError,
     ClusterIntentLog,
     ClusterService,
+    KernelSpec,
     RenameIntent,
     Shard,
     ShardSpec,
@@ -88,8 +91,10 @@ __all__ = [
     "run_load",
     "Router",
     "ClusterConfig",
+    "ClusterError",
     "ClusterIntentLog",
     "ClusterService",
+    "KernelSpec",
     "RenameIntent",
     "Shard",
     "ShardSpec",

@@ -37,7 +37,8 @@ must take the same intent-log route.
 
 Process death is *not* in scope: Rio's stable store is the machine's
 memory, which lives inside the shard process.  Killing the process is
-a power failure, which the paper's Rio explicitly does not survive.
+a power failure, which the paper's Rio explicitly does not survive (it
+reaches the caller as a :class:`ClusterError` naming the shard).
 Kernel crashes — the paper's subject — are recovered warm, in line.
 """
 
@@ -45,10 +46,11 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
+from repro.faults import ChaosRegistry, FaultType
 from repro.server.protocol import (
     Backpressure,
     QuotaExceeded,
@@ -58,7 +60,13 @@ from repro.server.protocol import (
 )
 from repro.server.router import Router
 from repro.server.scheduler import RequestScheduler
-from repro.server.service import CrashPoints, FileService, ServiceConfig
+from repro.server.service import (
+    HOME_PREFIX,
+    CrashPoints,
+    FaultStorm,
+    FileService,
+    ServiceConfig,
+)
 from repro.server.session import resolve_path
 from repro.system import build_system, system_spec_for
 
@@ -81,26 +89,56 @@ class ClusterError(ReproError):
 
 
 @dataclass
-class ShardSpec:
-    """Everything needed to build one shard (picklable: it crosses the
-    pipe to worker processes, which build the shard from scratch)."""
+class KernelSpec:
+    """One kernel under traffic, described once.
 
-    shard_id: int
+    :class:`ShardSpec` (this description + an id + a crash schedule) and
+    :class:`ClusterConfig` (this description, N times over) both extend
+    it, so every per-kernel axis is one field, and the only copy is
+    :meth:`ClusterConfig.shard_spec`.
+    """
+
     system: str = "rio_prot"
     fs_blocks: int = 2048
     inode_blocks: int = 8
     #: Machine memory override in bytes (None keeps the default 16 MB).
     memory_bytes: Optional[int] = None
+    #: The kernel's :class:`FileService` tunables.
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: Executed-request counts at which this shard force-crashes (the
-    #: rolling-storm schedule; each point fires once, in order).
-    crash_points: Tuple[int, ...] = ()
-    #: Start the flight recorder with shard-tagged events.
+    #: What fires at a crash point: "forced" (an administrative crash)
+    #: or "faults" (one Table 1 ``fault_type`` injection, crashed by a
+    #: watchdog if still latent ``watchdog_budget`` requests later).
+    storm: str = "forced"
+    fault_type: FaultType = FaultType.KERNEL_STACK
+    watchdog_budget: int = 200
+    #: Tiered backing store behind the disk ("local" | "objectstore" |
+    #: "tiered"), or None for the single-tier stack.
+    backend: Optional[str] = None
+    #: Chaos capabilities to arm: :meth:`ChaosRegistry.enable` kwargs.
+    chaos: tuple = ()
+    #: What the chaos registry, the backend's latency model and the
+    #: fault injector draw from.
+    seed: int = 1
+    #: Start the flight recorder (shard-tagged events behind a cluster).
     trace_events: bool = False
 
 
+@dataclass
+class ShardSpec(KernelSpec):
+    """Everything needed to build one shard (picklable: it crosses the
+    pipe to worker processes, which build the shard from scratch)."""
+
+    #: Position behind the front-end; None for a kernel served alone.
+    shard_id: Optional[int] = None
+    #: Executed-request counts at which this kernel's storm fires (each
+    #: point once, in order).
+    crash_points: Tuple[int, ...] = ()
+
+
 class Shard:
-    """One kernel's worth of the cluster: a system plus its service.
+    """One kernel under traffic: built from its spec, judged by
+    :meth:`verdict` — the single service of ``repro serve`` and every
+    kernel of a cluster alike.
 
     ``step`` is the whole shard-facing API: submit a batch of
     translated requests and drain them to completion.  A configured
@@ -114,20 +152,59 @@ class Shard:
         system_spec = system_spec_for(
             spec.system, fs_blocks=spec.fs_blocks, inode_blocks=spec.inode_blocks
         )
-        machine = system_spec.machine
+        if spec.backend is not None:
+            system_spec = replace(
+                system_spec, backend=spec.backend, backend_seed=spec.seed
+            )
         if spec.memory_bytes is not None:
-            machine = replace(machine, memory_bytes=spec.memory_bytes)
+            system_spec = replace(
+                system_spec,
+                machine=replace(system_spec.machine, memory_bytes=spec.memory_bytes),
+            )
         self.spec = spec
-        self.system = build_system(replace(system_spec, machine=machine))
+        self.system = build_system(system_spec)
+        if spec.chaos:
+            registry = ChaosRegistry(seed=spec.seed)
+            for capability in spec.chaos:
+                registry.enable(**dict(capability))
+            self.system.install_chaos(registry)
+        # The service's session-rebind hook registers before the second
+        # opinion below, and its /srv mkdir is journaled.
         self.service = FileService(self.system, replace(spec.service))
-        self.service.before_execute = CrashPoints(
-            self.system, spec.crash_points, label=f"shard {spec.shard_id} storm"
+        label = (
+            "traffic storm" if spec.shard_id is None else f"shard {spec.shard_id} storm"
         )
+        if spec.storm == "forced":
+            self.storm = CrashPoints(self.system, spec.crash_points, label)
+        else:
+            self.storm = FaultStorm(self.system, spec.crash_points, label, spec)
+        self.service.before_execute = self.storm
+        #: fsck-vs-dissect comparisons, one per storm recovery, and the
+        #: remote-tier reconciles those recoveries ran.
+        self._second_opinions: List[Any] = []
+        self._remote_reconciles: List[Any] = []
+        self.system.add_reboot_hook(self._second_opinion)
         if spec.trace_events:
             recorder = getattr(self.system.machine, "recorder", None)
             if recorder is not None:
-                recorder.static_tags["shard"] = spec.shard_id
+                if spec.shard_id is not None:
+                    recorder.static_tags["shard"] = spec.shard_id
                 recorder.start()
+
+    def _second_opinion(self, system, report) -> None:
+        """Reboot hook: dissect the image fsck has just blessed — the one
+        mid-run point where the on-disk state claims consistency."""
+        from repro.fs import dissect
+
+        if report.remote is not None:
+            self._remote_reconciles.append(report.remote)
+        self._second_opinions.append(
+            dissect.compare_verdicts(
+                fsck_unrecoverable=report.fsck.unrecoverable,
+                fsck_fix_count=report.fsck.fix_count,
+                report=dissect.dissect_image(dissect.snapshot(system.disk)),
+            )
+        )
 
     def open_session(self, client_id: int) -> None:
         """Create the client's shard session (idempotent)."""
@@ -173,6 +250,66 @@ class Shard:
             "absent_checked": report.absent_checked,
         }
 
+    def verdict(self) -> Dict[str, Any]:
+        """Judge the finished run: counters, the final durability audit,
+        the second opinions, the remote-only audit (JSON-safe).
+
+        Unlike :meth:`snapshot` and :meth:`audit` this *flushes* the
+        file system — mid-run the Rio disk is legitimately stale, so
+        only a fully flushed image is expected to dissect clean — and so
+        moves the virtual clock: call it once, after the load.
+        """
+        from repro.fs import dissect
+
+        system, service, stats = self.system, self.service, self.service.stats
+        sessions = service.sessions.sessions.values()
+        chaos = system.chaos.snapshot() if system.chaos is not None else []
+        final = service.audit()
+        system.fs.flush_data(sync=True)
+        system.fs.flush_metadata(sync=True)
+        system.drain_disks()
+        scan = dissect.dissect_image(dissect.snapshot(system.disk))
+        opinions = self._second_opinions
+        verdict = {
+            "crashes_observed": stats.crashes_detected,
+            "recoveries": stats.recoveries,
+            "faults_injected": getattr(self.storm, "faults_injected", 0),
+            "watchdog_fired": getattr(self.storm, "watchdog_fired", 0),
+            "lost_acks": stats.lost_acks + len(final.lost),
+            "repaired_acks": stats.repaired_acks,
+            "rebinds": sum(session.rebinds for session in sessions),
+            "rebind_failures": sum(session.rebind_failures for session in sessions),
+            "transparent_retries": stats.transparent_retries,
+            "final_audit_ok": final.ok,
+            "recovery_ns": stats.recovery_ns,
+            "chaos_fires": sum(capability["fires"] for capability in chaos),
+            "chaos_snapshot": chaos,
+            "dissect_scans": len(opinions) + 1,
+            "dissect_divergences": sum(1 for d in opinions if not d.agreed),
+            "divergence_details": [line for d in opinions for line in d.details],
+            "final_image_sha256": scan.image_sha256,
+            "final_dissect_findings": len(scan.findings),
+            "final_dissect_clean": scan.clean,
+        }
+        if system.backing is not None:
+            # The storm reconciles already ran inside each reboot; the
+            # run finishes with the remote-only audit — the object store
+            # alone, local disk thrown away, must pay every ack.
+            from repro.backend.audit import remote_recovery_audit
+
+            reconciles = self._remote_reconciles
+            verdict.update(
+                remote_reconciles=len(reconciles),
+                remote_repairs=sum(r.repairs for r in reconciles),
+                remote_deferred=sum(1 for r in reconciles if r.deferred),
+                remote_audit=remote_recovery_audit(system, service.journal).to_json_dict(),
+                remote_stats={
+                    **system.backing.stats.to_json_dict(),
+                    "link": system.backing.remote.stats.to_json_dict(),
+                },
+            )
+        return verdict
+
     def events(self) -> List[Dict[str, Any]]:
         """The shard's flight-recorder stream (empty when untraced)."""
         recorder = getattr(self.system.machine, "recorder", None)
@@ -186,12 +323,8 @@ class Shard:
             return self.step(payload)
         if command == "session":
             return self.open_session(payload)
-        if command == "snapshot":
-            return self.snapshot()
-        if command == "audit":
-            return self.audit()
-        if command == "events":
-            return self.events()
+        if command in ("snapshot", "audit", "verdict", "events"):
+            return getattr(self, command)()
         raise ClusterError(f"unknown shard command {command!r}")
 
 
@@ -240,30 +373,39 @@ class ProcessShardHost:
 
     ``cast`` enqueues without waiting (the pipe is the per-shard
     serialization), so the front-end can keep several shards' steps in
-    flight at once; ``collect`` returns replies in cast order.
+    flight at once; ``collect`` returns replies in cast order.  A worker
+    that is gone (killed, crashed outside the service's error paths)
+    surfaces as a :class:`ClusterError` naming the shard.
     """
 
     def __init__(self, spec: ShardSpec, ctx=None) -> None:
         ctx = ctx or multiprocessing.get_context()
+        self._shard_id = spec.shard_id
         self._conn, child = ctx.Pipe()
         self._process = ctx.Process(
             target=_shard_worker, args=(child, spec), daemon=True
         )
         self._process.start()
         child.close()
-        self._pending = 0
+
+    def _died(self, exc: Exception) -> ClusterError:
+        return ClusterError(f"shard {self._shard_id} worker died: {type(exc).__name__}")
 
     def cast(self, command: str, payload: Any = None) -> None:
         """Send the command down the pipe without waiting for a reply."""
-        self._conn.send((command, payload))
-        self._pending += 1
+        try:
+            self._conn.send((command, payload))
+        except OSError as exc:
+            raise self._died(exc) from exc
 
     def collect(self) -> Any:
         """Receive the next reply (cast order); raise on worker errors."""
-        self._pending -= 1
-        ok, result = self._conn.recv()
+        try:
+            ok, result = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died(exc) from exc
         if not ok:
-            raise ClusterError(f"shard worker failed: {result}")
+            raise ClusterError(f"shard {self._shard_id} worker failed: {result}")
         return result
 
     def close(self) -> None:
@@ -272,7 +414,7 @@ class ProcessShardHost:
             try:
                 self._conn.send(("close", None))
                 self._conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
+            except (EOFError, OSError):
                 pass
         self._conn.close()
         self._process.join(timeout=10)
@@ -397,39 +539,55 @@ class ClusterSession:
     next_cfd: int = 3
 
 
+#: Virtual ring points per shard; more points, less arc-length
+#: imbalance (the scaling curve's enemy at high shard counts).
+_VNODES = 128
+
+#: Front-end admission: per-client queue depth, round-robin quantum and
+#: open-descriptor quota — a single :class:`FileService`'s defaults,
+#: enforced once for the whole cluster.
+_QUEUE_DEPTH = 32
+_QUANTUM = 4
+_MAX_OPEN_FDS = 16
+
+#: What a shard's own service runs with instead: its queue must swallow
+#: a whole front-end batch plus fan-out traffic, and its fd quota is off
+#: because the front-end enforces the real one.
+_SHARD_QUEUE_DEPTH = 512
+_SHARD_MAX_OPEN_FDS = 1_000_000_000
+
+
 @dataclass
-class ClusterConfig:
-    """Tunables of one cluster."""
+class ClusterConfig(KernelSpec):
+    """One cluster: the per-kernel description every shard is built
+    from, plus what only the front-end knows."""
 
     shards: int = 2
-    system: str = "rio_prot"
     #: Router key mode: "dir" colocates a directory's entries on one
     #: shard (client homes land whole); "hash" scatters by full path.
     router_mode: str = "dir"
-    #: Virtual ring points per shard; more points, less arc-length
-    #: imbalance (the scaling curve's enemy at high shard counts).
-    vnodes: int = 128
-    #: Cluster-level per-client admission queue depth.
-    queue_depth: int = 32
     #: Requests per front-end scheduling batch.
     batch_size: int = 32
-    quantum: int = 4
-    #: Cluster-wide per-client open-descriptor quota.
-    max_open_fds: int = 16
-    #: Per-shard file system geometry.
-    fs_blocks: int = 2048
-    inode_blocks: int = 8
-    #: Per-shard machine memory override (None: the default 16 MB).
-    memory_bytes: Optional[int] = None
-    home_prefix: str = "/srv"
-    #: Rolling-storm schedule: shard id -> executed-count crash points.
+    #: The storm schedule: shard id -> executed-count crash points.
     crash_points: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    #: Shard-side service tunables.  The shard queue must swallow a
-    #: whole front-end batch plus fan-out traffic; shard-side quotas
-    #: are disabled because the front-end enforces the real ones.
-    shard_queue_depth: int = 512
-    shard_batch_size: int = 16
-    trace_events: bool = False
+
+    def shard_spec(self, shard: int) -> ShardSpec:
+        """Kernel ``shard`` of this cluster: the shared description, the
+        shard-side admission limits, its own crash points — and its own
+        seed, mixed from ``(seed, shard)`` so that no two shards replay
+        one chaos, backend or fault-injection stream."""
+        kernel = {f.name: getattr(self, f.name) for f in fields(KernelSpec)}
+        kernel["service"] = replace(
+            self.service,
+            queue_depth=_SHARD_QUEUE_DEPTH,
+            max_open_fds=_SHARD_MAX_OPEN_FDS,
+        )
+        kernel["seed"] = self.seed ^ ((shard + 1) * 0x9E3779B9)
+        return ShardSpec(
+            **kernel,
+            shard_id=shard,
+            crash_points=tuple(self.crash_points.get(shard, ())),
+        )
 
 
 @dataclass
@@ -456,11 +614,9 @@ class ClusterService:
     def __init__(self, config: Optional[ClusterConfig] = None, *, jobs: int = 1) -> None:
         self.config = config or ClusterConfig()
         self.router = Router(
-            self.config.shards,
-            mode=self.config.router_mode,
-            vnodes=self.config.vnodes,
+            self.config.shards, mode=self.config.router_mode, vnodes=_VNODES
         )
-        self.scheduler = RequestScheduler(self.config.queue_depth)
+        self.scheduler = RequestScheduler(_QUEUE_DEPTH)
         self.sessions: Dict[int, ClusterSession] = {}
         self.intents = ClusterIntentLog()
         self.stats = ClusterStats()
@@ -476,38 +632,20 @@ class ClusterService:
         self._must_be_absent: Dict[str, int] = {}
         self._shard_sessions: Set[Tuple[int, int]] = set()
         self._next_internal_req = 1
-        shard_service = ServiceConfig(
-            queue_depth=self.config.shard_queue_depth,
-            batch_size=self.config.shard_batch_size,
-            quantum=self.config.quantum,
-            max_open_fds=1_000_000_000,
-            auto_recover=True,
-            home_prefix=self.config.home_prefix,
-        )
-        specs = [
-            ShardSpec(
-                shard_id=shard,
-                system=self.config.system,
-                fs_blocks=self.config.fs_blocks,
-                inode_blocks=self.config.inode_blocks,
-                memory_bytes=self.config.memory_bytes,
-                service=shard_service,
-                crash_points=tuple(self.config.crash_points.get(shard, ())),
-                trace_events=self.config.trace_events,
-            )
-            for shard in range(self.config.shards)
-        ]
-        if jobs > 1:
-            self.hosts: List[Any] = [ProcessShardHost(spec) for spec in specs]
-        else:
-            self.hosts = [InlineShardHost(spec) for spec in specs]
         self.jobs = jobs
-        # The internal session exists on every shard from the start so
-        # fan-out and rename machinery never races session creation.
-        for host in self.hosts:
-            host.cast("session", INTERNAL_CLIENT)
-        for host in self.hosts:
-            host.collect()
+        host_type = ProcessShardHost if jobs > 1 else InlineShardHost
+        self.hosts: List[Any] = []
+        try:
+            for shard in range(self.config.shards):
+                self.hosts.append(host_type(self.config.shard_spec(shard)))
+            # The internal session exists on every shard from the start
+            # so fan-out and rename machinery never races session creation.
+            self._gather("session", INTERNAL_CLIENT)
+        except BaseException:
+            # A host that failed to start must not strand the workers
+            # already running.
+            self.close()
+            raise
 
     # -- plumbing ------------------------------------------------------
 
@@ -532,13 +670,17 @@ class ClusterService:
         self._next_internal_req += 1
         return request
 
-    def _shard_call(self, shard: int, command: str, payload: Any = None) -> Any:
-        host = self.hosts[shard]
-        host.cast(command, payload)
-        return host.collect()
+    def _gather(self, command: str, payload: Any = None) -> List[Any]:
+        """One command to every shard, overlapped; replies in shard order."""
+        for host in self.hosts:
+            host.cast(command, payload)
+        return [host.collect() for host in self.hosts]
 
     def _internal_step(self, shard: int, request: Request) -> Response:
-        return self._shard_call(shard, "step", [request])[0]
+        """One internal sub-request on one shard, run to completion."""
+        host = self.hosts[shard]
+        host.cast("step", [request])
+        return host.collect()[0]
 
     def _ensure_session(self, client_id: int, shard: int, casts: List) -> None:
         """Queue a shard session-open for the client if missing."""
@@ -570,7 +712,7 @@ class ClusterService:
         created lazily, on the first request routed to each shard)."""
         if client_id in self.sessions:
             return self.sessions[client_id]
-        home = f"{self.config.home_prefix}/c{client_id:03d}"
+        home = f"{HOME_PREFIX}/c{client_id:03d}"
         session = ClusterSession(client_id=client_id, cwd=home)
         self.sessions[client_id] = session
         return session
@@ -617,7 +759,7 @@ class ClusterService:
         per segment, shards ascending, each shard's responses in its
         service's execution order.
         """
-        batch = self.scheduler.next_batch(self.config.batch_size, self.config.quantum)
+        batch = self.scheduler.next_batch(self.config.batch_size, _QUANTUM)
         if not batch:
             return []
         out: List[Response] = []
@@ -697,12 +839,12 @@ class ClusterService:
 
         if op == "open":
             path = resolve_path(session.cwd, request.path)
-            if len(session.fds) >= self.config.max_open_fds:
+            if len(session.fds) >= _MAX_OPEN_FDS:
                 return "local", Response.failure(
                     request,
                     QuotaExceeded(
                         f"client {request.client_id}: open-fd quota "
-                        f"({self.config.max_open_fds}) exhausted"
+                        f"({_MAX_OPEN_FDS}) exhausted"
                     ),
                 )
             shard = self.router.shard_for(path)
@@ -846,30 +988,18 @@ class ClusterService:
                 out.append(finisher(response) if finisher else response)
         return out
 
-    def _run_internal(self, shard: int, request: Request) -> Response:
-        """One internal sub-request, sessions guaranteed."""
-        return self._internal_step(shard, request)
-
     # -- barriers ------------------------------------------------------
 
     def _merged_failure(self, request: Request, sub: Response) -> Response:
         """A client response carrying a sub-response's failure."""
-        return Response(
-            client_id=request.client_id,
-            req_id=request.req_id,
-            op=request.op,
-            ok=False,
-            error=sub.error,
-            retryable=sub.retryable,
-            submitted_ns=sub.submitted_ns,
-            completed_ns=sub.completed_ns,
+        return Response.answer(
+            request, error=sub.error, retryable=sub.retryable, timed_by=sub
         )
 
     def _fanout_step(self, op: str, path: str) -> List[Response]:
         """One internal request per shard, overlapped; shard order."""
-        for shard in range(self.config.shards):
-            sub = self._internal_request(op, path=path)
-            self.hosts[shard].cast("step", [sub])
+        for host in self.hosts:
+            host.cast("step", [self._internal_request(op, path=path)])
         return [host.collect()[0] for host in self.hosts]
 
     def _fanout(self, request: Request) -> Response:
@@ -896,16 +1026,7 @@ class ClusterService:
                 return self._merged_failure(request, failed[0])
             blocked = [r for r in probes if r.value]
             if blocked:
-                return Response(
-                    client_id=request.client_id,
-                    req_id=request.req_id,
-                    op=request.op,
-                    ok=False,
-                    error="ENOTEMPTY",
-                    retryable=False,
-                    submitted_ns=blocked[0].submitted_ns,
-                    completed_ns=blocked[0].completed_ns,
-                )
+                return Response.answer(request, error="ENOTEMPTY", timed_by=blocked[0])
         subs = self._fanout_step(request.op, path)
         slowest = max(subs, key=lambda r: r.latency_ns)
         failed = [r for r in subs if not r.ok]
@@ -919,15 +1040,7 @@ class ClusterService:
             for sub in subs:
                 names.update(sub.value or [])
             value = sorted(names)
-        return Response(
-            client_id=request.client_id,
-            req_id=request.req_id,
-            op=request.op,
-            ok=True,
-            value=value,
-            submitted_ns=slowest.submitted_ns,
-            completed_ns=slowest.completed_ns,
-        )
+        return Response.answer(request, value=value, timed_by=slowest)
 
     def _chdir(self, request: Request) -> Response:
         """Resolve and validate a chdir front-side (cwd is front-end
@@ -936,122 +1049,104 @@ class ClusterService:
         path = resolve_path(session.cwd, request.path)
         shard = self.router.shard_for(path)
         self._ensure_sessions_sync(request.client_id, (shard,))
-        probe = self._run_internal(shard, self._internal_request("stat", path=path))
+        probe = self._internal_step(shard, self._internal_request("stat", path=path))
         if probe.ok and probe.value.get("exists"):
             session.cwd = path
-            return Response(
-                client_id=request.client_id,
-                req_id=request.req_id,
-                op=request.op,
-                ok=True,
-                value=path,
-                submitted_ns=probe.submitted_ns,
-                completed_ns=probe.completed_ns,
-            )
-        return Response(
-            client_id=request.client_id,
-            req_id=request.req_id,
-            op=request.op,
-            ok=False,
-            error="ENOENT",
-            retryable=False,
-            submitted_ns=probe.submitted_ns,
-            completed_ns=probe.completed_ns,
-        )
+            return Response.answer(request, value=path, timed_by=probe)
+        return Response.answer(request, error="ENOENT", timed_by=probe)
 
     # -- the hard case: cross-shard rename ------------------------------
+
+    def _copy_across(self, old: str, new: str, src: int, dst: int) -> Optional[Response]:
+        """Copy ``old`` on shard ``src`` to ``new`` on shard ``dst``, each
+        side through its shard's normal acknowledged service path.
+
+        Returns ``None`` once the destination holds every byte, else the
+        first sub-response that failed — with whatever this opened closed
+        again, a partial destination unlinked and the source untouched.
+        """
+
+        def step(shard: int, op: str, **kwargs) -> Response:
+            return self._internal_step(shard, self._internal_request(op, **kwargs))
+
+        probe = step(src, "stat", path=old)
+        if probe.ok and not probe.value.get("exists"):
+            probe = replace(probe, ok=False, error="ENOENT")
+        if not probe.ok:
+            return probe
+        size = probe.value.get("size") or 0
+        opened = step(src, "open", path=old)
+        if not opened.ok:
+            return opened
+        chunks: List[bytes] = []
+        failed = None
+        offset = 0
+        while offset < size and failed is None:
+            got = step(
+                src, "read", fd=opened.value, offset=offset,
+                length=min(_COPY_CHUNK, size - offset),
+            )
+            if not got.ok:
+                failed = got
+            elif not got.value:
+                break
+            else:
+                chunks.append(got.value)
+                offset += len(got.value)
+        step(src, "close", fd=opened.value)
+        if failed is not None:
+            return failed
+        created = step(dst, "open", path=new, create=True)
+        if not created.ok:
+            return created
+        data = b"".join(chunks)
+        wrote = step(dst, "truncate", fd=created.value)
+        if wrote.ok and data:
+            wrote = step(dst, "write", fd=created.value, offset=0, data=data)
+        closed = step(dst, "close", fd=created.value)
+        if wrote.ok and closed.ok:
+            return None
+        step(dst, "unlink", path=new)
+        return closed if wrote.ok else wrote
 
     def _cross_rename(
         self, request: Request, old: str, new: str, src: int, dst: int
     ) -> Response:
         """Move a file between kernels under a two-phase intent record.
 
-        Phase 1 reads the source through the source shard's normal
-        service path; phase 2 writes the destination through the
-        destination shard's path (create + truncate + write, all
-        acknowledged into *that* shard's journal) and advances the
-        intent to ``copied``; phase 3 unlinks the source (acknowledged
-        into the *source* shard's journal) and marks the intent
-        ``done``.  A shard crash inside any phase is recovered by that
-        shard in line — the sub-request is requeued and re-executed —
-        so the phases always complete; the intent log exists to make
-        the window *auditable* and to drive roll-forward/back if the
-        front-end is ever interrupted between phases
-        (:meth:`audit_intents`).
+        Phase 1 (:meth:`_copy_across`) reads the source through the
+        source shard's normal service path and writes the destination
+        through the destination shard's (create + truncate + write, all
+        acknowledged into *that* shard's journal), then advances the
+        intent to ``copied``; a step that fails on the way — a full
+        destination, a chaos-denied read — aborts the intent with the
+        source intact and hands the client that step's error.  Phase 2
+        unlinks the source (acknowledged into the *source* shard's
+        journal) and marks the intent ``done``.  A shard crash inside
+        either phase is recovered by that shard in line — the
+        sub-request is requeued and re-executed — so the phases always
+        complete; the intent log exists to make the window *auditable*
+        and to drive roll-forward/back if the front-end is ever
+        interrupted between phases (:meth:`audit_intents`).
         """
         self.stats.cross_renames += 1
         self._ensure_sessions_sync(request.client_id, (src, dst))
         intent = self.intents.begin(request.client_id, request.req_id, old, new, src, dst)
         if self.rename_hook is not None:
             self.rename_hook("pre-copy", intent)
-        # Phase 1: read the whole source file.
-        probe = self._run_internal(src, self._internal_request("stat", path=old))
-        if not probe.ok or not probe.value.get("exists"):
+        failed = self._copy_across(old, new, src, dst)
+        if failed is not None:
             self.intents.advance(intent, "aborted")
             self.stats.cross_rename_failures += 1
-            return Response(
-                client_id=request.client_id,
-                req_id=request.req_id,
-                op=request.op,
-                ok=False,
-                error="ENOENT",
-                retryable=False,
-                submitted_ns=probe.submitted_ns,
-                completed_ns=probe.completed_ns,
-            )
-        size = probe.value.get("size") or 0
-        opened = self._run_internal(src, self._internal_request("open", path=old))
-        if not opened.ok:
-            self.intents.advance(intent, "aborted")
-            self.stats.cross_rename_failures += 1
-            return self._merged_failure(request, opened)
-        src_fd = opened.value
-        chunks: List[bytes] = []
-        offset = 0
-        while offset < size:
-            got = self._run_internal(
-                src,
-                self._internal_request(
-                    "read", fd=src_fd, offset=offset, length=min(_COPY_CHUNK, size - offset)
-                ),
-            )
-            if not got.ok or not got.value:
-                break
-            chunks.append(got.value)
-            offset += len(got.value)
-        self._run_internal(src, self._internal_request("close", fd=src_fd))
-        data = b"".join(chunks)
-        # Phase 2: write the destination through its own journaled path.
-        created = self._run_internal(
-            dst, self._internal_request("open", path=new, create=True)
-        )
-        if not created.ok:
-            self.intents.advance(intent, "aborted")
-            self.stats.cross_rename_failures += 1
-            return self._merged_failure(request, created)
-        dst_fd = created.value
-        self._run_internal(dst, self._internal_request("truncate", fd=dst_fd))
-        if data:
-            self._run_internal(
-                dst, self._internal_request("write", fd=dst_fd, offset=0, data=data)
-            )
-        self._run_internal(dst, self._internal_request("close", fd=dst_fd))
+            return self._merged_failure(request, failed)
         self.intents.advance(intent, "copied")
         if self.rename_hook is not None:
             self.rename_hook("pre-unlink", intent)
-        # Phase 3: drop the source; ENOENT means someone beat us to it.
-        gone = self._run_internal(src, self._internal_request("unlink", path=old))
+        # Drop the source; ENOENT means someone beat us to it.
+        gone = self._internal_step(src, self._internal_request("unlink", path=old))
         if gone.ok or gone.error == "ENOENT":
             self._intent_done(intent)
-            return Response(
-                client_id=request.client_id,
-                req_id=request.req_id,
-                op=request.op,
-                ok=True,
-                value=None,
-                submitted_ns=gone.submitted_ns,
-                completed_ns=gone.completed_ns,
-            )
+            return Response.answer(request, timed_by=gone)
         self.stats.cross_rename_failures += 1
         return self._merged_failure(request, gone)
 
@@ -1075,7 +1170,7 @@ class ClusterService:
         rolled_forward = rolled_back = 0
         for intent in self.intents.open_intents():
             if intent.state == "copied":
-                gone = self._run_internal(
+                gone = self._internal_step(
                     intent.src_shard, self._internal_request("unlink", path=intent.old)
                 )
                 if gone.ok or gone.error == "ENOENT":
@@ -1087,7 +1182,7 @@ class ClusterService:
                         f"{intent.old} failed ({gone.error})"
                     )
             else:  # "begin": nothing acknowledged at the destination yet
-                self._run_internal(
+                self._internal_step(
                     intent.dst_shard, self._internal_request("unlink", path=intent.new)
                 )
                 self.intents.advance(intent, "aborted")
@@ -1095,10 +1190,10 @@ class ClusterService:
         for intent in self.intents.records:
             if intent.state != "done":
                 continue
-            dst = self._run_internal(
+            dst = self._internal_step(
                 intent.dst_shard, self._internal_request("stat", path=intent.new)
             )
-            src = self._run_internal(
+            src = self._internal_step(
                 intent.src_shard, self._internal_request("stat", path=intent.old)
             )
             if self._must_exist.get(intent.new) == intent.intent_id and not (
@@ -1128,15 +1223,16 @@ class ClusterService:
 
     def snapshots(self) -> List[Dict[str, Any]]:
         """One scalar snapshot per shard, in shard order."""
-        for host in self.hosts:
-            host.cast("snapshot")
-        return [host.collect() for host in self.hosts]
+        return self._gather("snapshot")
 
     def audits(self) -> List[Dict[str, Any]]:
         """One durability-audit report per shard, in shard order."""
-        for host in self.hosts:
-            host.cast("audit")
-        return [host.collect() for host in self.hosts]
+        return self._gather("audit")
+
+    def verdicts(self) -> List[Dict[str, Any]]:
+        """One :meth:`Shard.verdict` per shard, in shard order (flushes
+        every shard: call once, after the load)."""
+        return self._gather("verdict")
 
     def cluster_digest(self) -> str:
         """sha256 over every shard's ack+state digest plus the intent log.

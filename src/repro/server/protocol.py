@@ -148,15 +148,42 @@ class Response:
         return self.completed_ns - self.submitted_ns
 
     @classmethod
-    def failure(cls, request: Request, exc: ServerError, now_ns: int = 0) -> "Response":
-        """Build an error response for ``request`` from a typed error."""
+    def answer(
+        cls,
+        request: Request,
+        *,
+        value: Any = None,
+        error: Optional[str] = None,
+        retryable: bool = False,
+        now_ns: int = 0,
+        timed_by: Optional["Response"] = None,
+    ) -> "Response":
+        """Answer ``request``: its identity, ``ok`` unless ``error`` is set.
+
+        The answer spans the request's admission to ``now_ns`` — or,
+        where a cluster front-end merges a shard's sub-response into the
+        client's answer, that sub-response's span (``timed_by``): the
+        only clocks a cluster has are its shards'.
+        """
         return cls(
             client_id=request.client_id,
             req_id=request.req_id,
             op=request.op,
-            ok=False,
-            error=exc.code,
-            retryable=exc.retryable,
-            submitted_ns=request.submitted_ns,
-            completed_ns=now_ns,
+            ok=error is None,
+            value=value,
+            error=error,
+            retryable=retryable,
+            submitted_ns=(timed_by or request).submitted_ns,
+            completed_ns=now_ns if timed_by is None else timed_by.completed_ns,
         )
+
+    @classmethod
+    def failure(cls, request: Request, exc: ReproError, now_ns: int = 0) -> "Response":
+        """Build an error response for ``request`` from a typed error: a
+        :class:`ServerError`'s code and retryability, or a POSIX
+        :class:`~repro.errors.FileSystemError`'s errno name (final)."""
+        if isinstance(exc, ServerError):
+            return cls.answer(
+                request, error=exc.code, retryable=exc.retryable, now_ns=now_ns
+            )
+        return cls.answer(request, error=exc.errno_name, now_ns=now_ns)

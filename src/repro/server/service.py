@@ -24,6 +24,7 @@ from repro.errors import (
     FileSystemError,
     SystemCrash,
 )
+from repro.faults import FaultInjector
 from repro.server.journal import AckJournal, AuditReport
 from repro.server.protocol import (
     ChaosInjected,
@@ -35,6 +36,10 @@ from repro.server.protocol import (
 )
 from repro.server.scheduler import RequestScheduler
 from repro.server.session import Session, SessionManager
+
+
+#: Directory under which per-client homes are created.
+HOME_PREFIX = "/srv"
 
 
 @dataclass
@@ -49,14 +54,10 @@ class ServiceConfig:
     quantum: int = 4
     #: Per-client open-descriptor quota (QuotaExceeded beyond it).
     max_open_fds: int = 16
-    #: Run recovery automatically when a batch hits a crash.
-    auto_recover: bool = True
     #: Re-apply lost journal entries during the post-crash audit.
     #: Pointless on Rio (nothing is ever lost); it lets the service
     #: degrade gracefully on disk-backed systems instead of lying.
     repair_on_recover: bool = False
-    #: Directory under which per-client homes are created.
-    home_prefix: str = "/srv"
     #: PLANTED ORDERING BUG — off by default, switched on only by the
     #: crash-point explorer's counterexample tests.  When set, a write
     #: is journaled, acknowledged and answered *before* it executes; a
@@ -120,6 +121,50 @@ class CrashPoints:
             )
 
 
+class FaultStorm(CrashPoints):
+    """The "faults" flavour: a due point injects one Table 1 fault and
+    arms a watchdog that forces the crash if the corruption stays
+    latent past ``watchdog_budget`` executed requests.  ``spec`` (a
+    :class:`~repro.server.ShardSpec`) names the ``fault_type``, that
+    budget, and the ``seed`` the injector draws from."""
+
+    def __init__(self, system, points, label: str, spec) -> None:
+        super().__init__(system, points, label)
+        self.spec = spec
+        self.faults_injected = 0
+        self.watchdog_fired = 0
+        self._armed_at: Optional[int] = None
+        self._armed_kernel = None
+
+    def __call__(self, executed: int) -> None:
+        if self._armed_at is not None:
+            if self.system.kernel is not self._armed_kernel:
+                # The fault crashed the kernel on its own (the system
+                # has rebooted since arming): disarm the watchdog.
+                self._armed_at = self._armed_kernel = None
+            elif executed - self._armed_at >= self.spec.watchdog_budget:
+                # Latent corruption past the budget; force the crash.
+                self._armed_at = self._armed_kernel = None
+                self.watchdog_fired += 1
+                self.system.machine.crash(
+                    f"{self.label} watchdog: latent fault", kind="watchdog"
+                )
+                return
+            else:
+                return
+        if not self.due(executed):
+            return
+        # A fresh injector every time: the kernel object is replaced
+        # by each reboot.
+        injector = FaultInjector(
+            self.system.kernel, seed=self.spec.seed * 1000 + self.fired
+        )
+        injector.inject(self.spec.fault_type)
+        self.faults_injected += 1
+        self._armed_at = executed
+        self._armed_kernel = self.system.kernel
+
+
 class FileService:
     """A concurrent multi-client file service over one simulated system."""
 
@@ -149,11 +194,11 @@ class FileService:
         self._interrupted: Optional[Request] = None
         system.add_reboot_hook(self._on_reboot)
         try:
-            self.system.vfs.mkdir(self.config.home_prefix)
+            self.system.vfs.mkdir(HOME_PREFIX)
         except FileExists:
             pass
         else:
-            self.journal.record(-1, 0, "mkdir", self.config.home_prefix)
+            self.journal.record(-1, 0, "mkdir", HOME_PREFIX)
 
     # -- plumbing ------------------------------------------------------
 
@@ -176,7 +221,7 @@ class FileService:
         """
         if client_id in self.sessions.sessions:
             return self.sessions.get(client_id)
-        home = f"{self.config.home_prefix}/c{client_id:03d}"
+        home = f"{HOME_PREFIX}/c{client_id:03d}"
         try:
             self.system.vfs.mkdir(home)
         except FileExists:
@@ -230,15 +275,12 @@ class FileService:
         requests keep their (already journaled) acknowledgements, while
         the dying request and the batch's unstarted remainder return to
         the front of their queues in order — the client never sees the
-        crash, only the recovery latency.  With ``auto_recover`` the
-        warm reboot, audit and session re-bind all happen before this
-        call returns.
+        crash, only the recovery latency: the warm reboot, audit and
+        session re-bind all happen before this call returns.
         """
         if self.system.machine.crashed:
             # The machine went down outside any batch (an administrative
             # crash, a storm firing between pumps).  Recover first.
-            if not self.config.auto_recover:
-                return []
             self.stats.crashes_detected += 1
             self.recover(None)
         batch = self.scheduler.next_batch(self.config.batch_size, self.config.quantum)
@@ -248,55 +290,39 @@ class FileService:
         inflight: Optional[dict] = None
         rec = self._recorder()
         vfs = self.system.vfs
+        #: The client has (or will get, when pump returns) the current
+        #: request's response.
+        answered = False
+
+        def ack(request: Request, value: Any) -> None:
+            # ``answered`` is set the moment the response is appended,
+            # *before* the ack event is emitted, so a crash landing on
+            # the ack emission still delivers.
+            nonlocal answered
+            self.stats.executed += 1
+            self.stats.acked += 1
+            responses.append(Response.answer(request, value=value, now_ns=self._now))
+            answered = True
+            if rec is not None:
+                rec.emit(
+                    "server", "ack",
+                    client=request.client_id, req=request.req_id, op=request.op,
+                )
+
         try:
             with vfs.batch():
                 for index, request in enumerate(batch):
                     if self.before_execute is not None:
                         self.before_execute(self.stats.executed)
-                    #: The client has (or will get, when pump returns)
-                    #: this request's response — set the moment it is
-                    #: appended, *before* the ack event is emitted, so a
-                    #: crash landing on the ack emission still delivers.
                     answered = False
-                    pre_acked = False
                     try:
                         if self.config.ack_before_execute and request.op == "write":
-                            pre_ack = self._pre_ack(request)
-                            if pre_ack is not None:
-                                self.stats.executed += 1
-                                self.stats.acked += 1
-                                responses.append(pre_ack)
-                                answered = pre_acked = True
-                                if rec is not None:
-                                    rec.emit(
-                                        "server", "ack",
-                                        client=request.client_id,
-                                        req=request.req_id,
-                                        op=request.op,
-                                    )
-                        value = self._execute(request, journal=not pre_acked)
-                        if not pre_acked:
-                            self.stats.executed += 1
-                            self.stats.acked += 1
-                            responses.append(
-                                Response(
-                                    client_id=request.client_id,
-                                    req_id=request.req_id,
-                                    op=request.op,
-                                    ok=True,
-                                    value=value,
-                                    submitted_ns=request.submitted_ns,
-                                    completed_ns=self._now,
-                                )
-                            )
-                            answered = True
-                            if rec is not None:
-                                rec.emit(
-                                    "server", "ack",
-                                    client=request.client_id,
-                                    req=request.req_id,
-                                    op=request.op,
-                                )
+                            promised = self._pre_ack(request)
+                            if promised is not None:
+                                ack(request, promised)
+                        value = self._execute(request, journal=not answered)
+                        if not answered:
+                            ack(request, value)
                     except (SystemCrash, CrashedMachineError):
                         if answered:
                             # The request was already answered.  Either it
@@ -323,27 +349,11 @@ class FileService:
                         self.stats.transparent_retries += 1
                         self.scheduler.requeue_front(batch[index:])
                         break
-                    except ServerError as exc:
-                        if not pre_acked:
+                    except (ServerError, FileSystemError) as exc:
+                        if not answered:
                             self.stats.executed += 1
                             self.stats.failed += 1
                             responses.append(Response.failure(request, exc, self._now))
-                    except FileSystemError as exc:
-                        if not pre_acked:
-                            self.stats.executed += 1
-                            self.stats.failed += 1
-                            responses.append(
-                                Response(
-                                    client_id=request.client_id,
-                                    req_id=request.req_id,
-                                    op=request.op,
-                                    ok=False,
-                                    error=exc.errno_name,
-                                    retryable=False,
-                                    submitted_ns=request.submitted_ns,
-                                    completed_ns=self._now,
-                                )
-                            )
         except (SystemCrash, CrashedMachineError):
             # A crash escaping outside request execution (e.g. raised by
             # the batch epilogue) is handled like a mid-request crash
@@ -353,8 +363,7 @@ class FileService:
             self.stats.crashes_detected += 1
             if rec is not None:
                 rec.emit("server", "crash-detected", backlog=self.scheduler.backlog())
-            if self.config.auto_recover:
-                self.recover(inflight)
+            self.recover(inflight)
         return responses
 
     def drain(self, max_batches: int = 100_000) -> List[Response]:
@@ -447,14 +456,14 @@ class FileService:
                 info["new_path"] = session.resolve(request.new_path)
         return info
 
-    def _pre_ack(self, request: Request) -> Optional[Response]:
+    def _pre_ack(self, request: Request) -> Optional[int]:
         """The ``ack_before_execute`` planted bug: promise, then do.
 
-        Journals and answers a write before a single byte reaches the
-        cache (the caller appends the response and emits the ack event).
-        Returns the premature response, or ``None`` when the request
-        cannot be resolved (bad session/fd — it then takes the normal
-        path and fails honestly).
+        Journals a write before a single byte reaches the cache and
+        returns the byte count it promised (the pump answers the client
+        and emits the ack event on the spot), or ``None`` when the
+        request cannot be resolved (bad session/fd — it then takes the
+        normal path and fails honestly).
         """
         try:
             session = self.sessions.get(request.client_id)
@@ -467,15 +476,7 @@ class FileService:
             session.client_id, request.req_id, "write",
             state.path, offset=offset, data=data,
         )
-        return Response(
-            client_id=request.client_id,
-            req_id=request.req_id,
-            op=request.op,
-            ok=True,
-            value=len(data),
-            submitted_ns=request.submitted_ns,
-            completed_ns=self._now,
-        )
+        return len(data)
 
     def _execute(self, request: Request, *, journal: bool = True) -> Any:
         """Run one request against the VFS; journal it if it mutates.

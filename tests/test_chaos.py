@@ -295,6 +295,12 @@ def test_matrix_zero_lost_acks_and_every_capability_wired():
     assert "ZERO LOST ACKS UNDER CHAOS" in report
 
 
+def test_matrix_refuses_a_sharded_base():
+    # The campaign digest is built from one kernel's ack/state digests.
+    with pytest.raises(ConfigurationError, match="shards=2"):
+        run_chaos_campaign(_small_campaign(shards=2))
+
+
 def test_campaign_digest_is_jobs_independent():
     serial = run_chaos_campaign(_small_campaign(jobs=1))
     fanned = run_chaos_campaign(_small_campaign(jobs=4))

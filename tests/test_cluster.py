@@ -10,11 +10,17 @@ settles its intent record, and survives crashes landed inside its
 two-phase window.
 """
 
+import multiprocessing
+import os
+import signal
+from dataclasses import replace
+
 import pytest
 
 from repro.obs.events import FlightRecorder
 from repro.server import (
     ClusterConfig,
+    ClusterError,
     ClusterService,
     FileService,
     LoadClient,
@@ -280,6 +286,92 @@ def test_cross_shard_rename_moves_bytes_and_settles_intent():
         assert all(audit["ok"] for audit in cluster.audits())
 
 
+def _fill_shard(cluster, shard, first_req_id):
+    """Write filler files routed to ``shard`` until it answers ENOSPC."""
+    names = (f"fill{n}" for n in range(1000))
+    req_id = first_req_id
+    while True:
+        name = next(n for n in names if cluster.router.shard_for(f"/srv/c000/{n}") == shard)
+        opened = _drive(
+            cluster, [0], [Request(client_id=0, req_id=req_id, op="open", path=name, create=True)]
+        )[(0, req_id)]
+        req_id += 1
+        offset = 0
+        while opened.ok:
+            wrote = _drive(
+                cluster, [0],
+                [Request(client_id=0, req_id=req_id, op="write", fd=opened.value,
+                         offset=offset, data=b"\xaa" * 65536)],
+            )[(0, req_id)]
+            req_id += 1
+            if not wrote.ok:
+                assert wrote.error == "ENOSPC"
+                break
+            offset += 65536
+        if offset == 0:
+            return req_id
+
+
+@pytest.mark.parametrize(
+    "config, error, retryable",
+    [
+        pytest.param(dict(fs_blocks=192), "ENOSPC", False, id="destination-full"),
+        pytest.param(
+            dict(chaos=(dict(name="fail_nth_syscall", routine="read", nth=2, times=1),)),
+            "ECHAOS", True, id="source-read-denied",
+        ),
+    ],
+)
+def test_failed_cross_shard_copy_leaves_the_source_intact(config, error, retryable):
+    """A copy step that fails before ``copied`` — the destination's write
+    hitting a full disk, the second of four source reads denied by chaos
+    — used to be ignored: the rename answered ``ok``, unlinked the source
+    and left an empty (or 64 KiB) destination, every audit clean."""
+    cluster = ClusterService(ClusterConfig(shards=2, router_mode="hash", **config))
+    with cluster:
+        cluster.open_session(0)
+        src, dst, _, dst_shard = _cross_shard_pair(cluster)
+        payload = bytes(range(256)) * 1024
+        fd = _drive(
+            cluster, [0], [Request(client_id=0, req_id=1, op="open", path=src, create=True)]
+        )[(0, 1)].value
+        wrote = _drive(
+            cluster, [0],
+            [
+                Request(client_id=0, req_id=2, op="write", fd=fd, offset=0, data=payload),
+                Request(client_id=0, req_id=3, op="close", fd=fd),
+            ],
+        )
+        assert wrote[(0, 2)].ok
+        req_id = _fill_shard(cluster, dst_shard, 10) if error == "ENOSPC" else 10
+        rename = Request(client_id=0, req_id=req_id, op="rename", path=src, new_path=dst)
+        refused = _drive(cluster, [0], [rename])[(0, req_id)]
+        assert (refused.ok, refused.error, refused.retryable) == (False, error, retryable)
+        assert [i.state for i in cluster.intents.records] == ["aborted"]
+        assert cluster.stats.cross_rename_failures == 1
+        checks = _drive(
+            cluster, [0],
+            [
+                Request(client_id=0, req_id=req_id + 1, op="stat", path=dst),
+                Request(client_id=0, req_id=req_id + 2, op="open", path=src),
+            ],
+        )
+        assert checks[(0, req_id + 1)].value == {"exists": False}
+        read = Request(
+            client_id=0, req_id=req_id + 3, op="read", offset=0, length=len(payload),
+            fd=checks[(0, req_id + 2)].value,
+        )
+        assert _drive(cluster, [0], [read])[(0, req_id + 3)].value == payload
+        assert cluster.audit_intents()["ok"]
+        assert all(audit["ok"] for audit in cluster.audits())
+        if retryable:
+            again = replace(rename, req_id=req_id + 4)
+            assert _drive(cluster, [0], [again])[(0, req_id + 4)].ok
+            moved = Request(client_id=0, req_id=req_id + 5, op="stat", path=dst)
+            assert _drive(cluster, [0], [moved])[(0, req_id + 5)].value["size"] == len(payload)
+            assert cluster.audit_intents()["ok"]
+
+
 def test_cross_shard_rename_stales_open_descriptors():
     cluster = ClusterService(ClusterConfig(shards=2, router_mode="hash"))
     with cluster:
@@ -418,10 +510,10 @@ def test_change_behind_the_front_ends_back_is_still_a_violation():
         cluster.open_session(0)
         src, dst, src_shard, dst_shard = _rename_across_shards(cluster)
         # Straight on the shards, bypassing pump() and its finishers.
-        assert cluster._run_internal(
+        assert cluster._internal_step(
             dst_shard, cluster._internal_request("unlink", path=dst)
         ).ok
-        assert cluster._run_internal(
+        assert cluster._internal_step(
             src_shard, cluster._internal_request("open", path=src, create=True)
         ).ok
         audit = cluster.audit_intents()
@@ -441,7 +533,7 @@ def test_failed_later_operation_lifts_nothing():
             cluster, [0], [Request(client_id=0, req_id=10, op="unlink", path=src)]
         )[(0, 10)]
         assert not refused.ok  # the source is gone: ENOENT, nothing acknowledged
-        cluster._run_internal(dst_shard, cluster._internal_request("unlink", path=dst))
+        cluster._internal_step(dst_shard, cluster._internal_request("unlink", path=dst))
         assert not cluster.audit_intents()["ok"]
 
 
@@ -591,6 +683,31 @@ def test_intent_audit_rolls_back_unstarted_rename():
         assert check[(0, 6)].value == {"exists": False}
 
 
+# -- worker death ------------------------------------------------------
+
+
+def test_dead_shard_worker_is_a_typed_error():
+    """Process death is a power failure, which Rio does not survive — but
+    it reaches the caller as a ClusterError naming the shard, not as a
+    raw BrokenPipeError/EOFError, and nothing is left running."""
+    cluster = ClusterService(ClusterConfig(shards=2), jobs=2)
+    try:
+        victim = cluster.hosts[1]._process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        with pytest.raises(ClusterError, match="shard 1 worker died"):
+            cluster.snapshots()
+    finally:
+        cluster.close()
+        cluster.close()  # idempotent, dead worker or not
+    # A worker that cannot even build its shard: the constructor fails
+    # typed and reaps the workers it had already started.
+    with pytest.raises(ClusterError, match="worker died"):
+        ClusterService(ClusterConfig(shards=2, system="no-such-system"), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
 # -- observability -----------------------------------------------------
 
 
@@ -615,8 +732,7 @@ def test_cluster_events_carry_shard_tags():
     with cluster:
         clients = [LoadClient(c, seed=3, spec=LIGHT) for c in range(2)]
         run_load(cluster, clients)
-        for shard in range(2):
-            events = cluster._shard_call(shard, "events")
+        for shard, events in enumerate(cluster._gather("events")):
             assert events, f"shard {shard} recorded nothing"
             assert all(
                 event["payload"].get("shard") == shard for event in events

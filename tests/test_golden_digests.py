@@ -99,6 +99,19 @@ GOLDEN = {
             "intents": 1,
         },
     },
+    # New in PR 20 (the parent refused the combination), acknowledged.
+    "composed": {
+        "cluster_digest": "835f9344b89c8d811c93d67a1e1b0415364abf79661618e14c229f6189d4d33e",
+        "virtual_ns": 34006249976,
+        "acked": 90,
+        "recoveries": 2,
+        "faults_injected": 2,
+        "chaos_fires": [8, 6],
+        "final_images": [
+            "14d2f012e558169bf6536dda583f2d8ddce2304658d5484925d411c5065f1504",
+            "509d508ceda8c5b2a6316d4ba29aa311e47d2807dd974a7e7429ae682f30cf7f",
+        ],
+    },
     "chaos": {
         "digest": "64de0b4008114be460dfe46753d289a02811485b9f6c35abc1f888f852181d38",
         "fires": 17,
@@ -225,6 +238,34 @@ def observe_cluster(router_mode: str) -> dict:
         "acked": result.load.acked,
         "recoveries": result.recoveries,
         "intents": result.intent_audit["intents"],
+    }
+
+
+def observe_composed(jobs: int) -> dict:
+    """Every axis at once on two shards: a fault storm under chaos, on the
+    tiered backend, with repair armed (and, on Rio, nothing to repair)."""
+    result = run_traffic_campaign(
+        TrafficConfig(
+            shards=2, clients=6, crashes=1, seed=11, router_mode="hash", jobs=jobs,
+            storm="faults", watchdog_budget=20, backend="tiered", repair=True,
+            chaos=(
+                {"name": "slow_io", "interval": 6, "times": 20},
+                {"name": "fail_nth_syscall", "nth": 9, "times": 4},
+            ),
+            load=LIGHT,
+        )
+    )
+    assert result.ok and result.lost_acks == 0
+    for kernel in result.kernels:  # the object store alone rebuilds the image
+        assert kernel["remote_audit"]["image_sha256"] == kernel["final_image_sha256"]
+    return {
+        "cluster_digest": result.cluster_digest,
+        "virtual_ns": result.load.wall_virtual_ns,
+        "acked": result.load.acked,
+        "recoveries": result.recoveries,
+        "faults_injected": result.faults_injected,
+        "chaos_fires": [kernel["chaos_fires"] for kernel in result.kernels],
+        "final_images": [kernel["final_image_sha256"] for kernel in result.kernels],
     }
 
 
@@ -394,6 +435,12 @@ def test_posted_uploads_keep_the_remote_tier_consistent_at_every_boundary():
 @pytest.mark.parametrize("router_mode", sorted(GOLDEN["cluster"]))
 def test_cluster_digests_match_parent(router_mode):
     assert observe_cluster(router_mode) == GOLDEN["cluster"][router_mode]
+
+
+def test_composed_cluster_is_pinned_and_jobs_independent():
+    observed = observe_composed(jobs=1)
+    assert observed == observe_composed(jobs=2)
+    assert observed == GOLDEN["composed"]
 
 
 def test_chaos_campaign_digest_matches_parent():
