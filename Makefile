@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint docstrings serve-smoke bench bench-full bench-interp bench-cluster bench-compare profile forensics-smoke explore-smoke examples table1 table1-par table2 clean
+.PHONY: install test lint docstrings serve-smoke bench-compare profile forensics-smoke explore-smoke examples table1 table1-par table2 clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -22,24 +22,6 @@ docstrings:
 # kernel crashes, exit 1 if a single acknowledged op is lost.
 serve-smoke:
 	PYTHONPATH=src $(PY) -m repro serve --clients 16 --crashes 3
-
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
-
-# The paper-scale campaign: 50 counted crashes per Table 1 cell.
-bench-full:
-	RIO_BENCH_CRASHES=50 $(PY) -m pytest benchmarks/ --benchmark-only
-
-# Interpreter microbenchmark: hot-path engine vs reference engine
-# (plain timing, no pytest-benchmark needed; fails below RIO_MIN_SPEEDUP).
-bench-interp:
-	PYTHONPATH=src $(PY) -m pytest benchmarks/bench_interpreter.py -q -s
-
-# Cluster scaling grid at the paper-scale population (1024 clients over
-# 1..8 shards, calm + rolling storm); writes
-# benchmarks/results/cluster_throughput.txt (gitignored).
-bench-cluster:
-	RIO_BENCH_CLUSTER_CLIENTS=1024 $(PY) -m pytest benchmarks/bench_cluster.py --benchmark-only -q -s
 
 # Diff two tracked trajectories of the repository benchmark
 # (BENCH_<pr>.json at the repo root, written by `python3 -m bench
@@ -113,7 +95,6 @@ table1-par:
 table2:
 	$(PY) -m repro table2
 
-# benchmarks/results is left alone: it is gitignored scratch output.
 clean:
 	rm -rf .pytest_cache .hypothesis
 	rm -rf forensics-smoke.jsonl forensics-smoke.jsonl.traces

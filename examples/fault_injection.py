@@ -4,8 +4,8 @@
 Injects three fault types into the three systems of the paper's
 reliability study, a few crashes per cell, and prints the corruption
 counts the way Table 1 does.  Scale ``CRASHES_PER_CELL`` up (the paper
-used 50) for tighter statistics; the full-scale run lives in
-``benchmarks/bench_table1_reliability.py``.
+used 50) for tighter statistics; the full-scale run is
+``python -m repro table1 --scale 50 --jobs N --resume table1.jsonl``.
 
 Run:  python examples/fault_injection.py
 """

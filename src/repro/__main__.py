@@ -107,14 +107,9 @@ def _parse_fault_types(text: str):
 
 
 def cmd_table1(args) -> int:
-    """Run the Table 1 reliability campaign (serial or parallel)."""
+    """Run the Table 1 reliability campaign."""
     from repro.faults.types import ALL_FAULT_TYPES
-    from repro.reliability import (
-        SYSTEM_NAMES,
-        CampaignEngine,
-        format_table1,
-        run_table1_campaign,
-    )
+    from repro.reliability import SYSTEM_NAMES, CampaignEngine, format_table1
 
     crashes = max(1, args.scale)
     systems = tuple(args.systems.split(",")) if args.systems else SYSTEM_NAMES
@@ -127,18 +122,6 @@ def cmd_table1(args) -> int:
             "--trace-corruptions needs --resume PATH: the per-trial traces "
             "are written next to the checkpoint journal"
         )
-    overrides = {"trace_events": True} if args.trace_corruptions else None
-    progress = lambda line: print("  " + line, file=sys.stderr)  # noqa: E731
-    if args.jobs == 1 and args.resume is None:
-        print(f"running the Table 1 campaign ({crashes} crashes/cell; paper used 50) ...")
-        table = run_table1_campaign(
-            crashes_per_cell=crashes,
-            systems=systems,
-            fault_types=fault_types,
-            progress=progress,
-        )
-        print(format_table1(table, systems=systems))
-        return 0
     print(
         f"running the Table 1 campaign ({crashes} crashes/cell; paper used 50) "
         f"on {args.jobs} worker(s)"
@@ -149,10 +132,10 @@ def cmd_table1(args) -> int:
         crashes_per_cell=crashes,
         systems=systems,
         fault_types=fault_types,
-        config_overrides=overrides,
+        config_overrides={"trace_events": True} if args.trace_corruptions else None,
         jobs=args.jobs,
         checkpoint=args.resume,
-        progress=progress,
+        progress=lambda line: print("  " + line, file=sys.stderr),
     )
     table = engine.run()
     print(format_table1(table, systems=systems))
@@ -544,9 +527,7 @@ def cmd_dump_disk(args) -> int:
         _age_filesystem(system, ops=args.age, seed=args.seed)
     # Only a fully flushed image is expected to parse clean: on Rio the
     # disk is legitimately stale between flushes.
-    system.fs.flush_data(sync=True)
-    system.fs.flush_metadata(sync=True)
-    system.drain_disks()
+    system.settle()
     digest = dump_image(
         args.out,
         snapshot(system.disk),
@@ -593,9 +574,7 @@ def cmd_fsck_remote(args) -> int:
 
     # Phase 1: seeded churn, drained and sealed — the healthy baseline.
     _age_filesystem(system, ops=args.age, seed=args.seed)
-    system.fs.flush_data(sync=True)
-    system.fs.flush_metadata(sync=True)
-    system.drain_disks()
+    system.settle()
     store.drain_uploads()
     baseline = fsck_remote(store, batch=True)
     say(
@@ -612,9 +591,7 @@ def cmd_fsck_remote(args) -> int:
 
     store.config = _replace(store.config, dirty_threshold=10**9)
     _age_filesystem(system, ops=args.age, seed=args.seed + 1, prefix="/aged2")
-    system.fs.flush_data(sync=True)
-    system.fs.flush_metadata(sync=True)
-    system.drain_disks()
+    system.settle()
     say(
         f"crashing with {len(store._dirty)} block(s) dirty in the "
         "upload queue (kernel memory: the queue dies with the machine)"
@@ -782,7 +759,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the campaign engine (default 1: serial)",
+        help="worker processes for the campaign engine (default 1: in process)",
     )
     p1.add_argument(
         "--resume",

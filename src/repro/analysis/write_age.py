@@ -8,20 +8,14 @@ eventually be written through to disk under this policy".
 This module traces byte-writes and deletions/overwrites on a running
 system and computes the survival function of write age: what fraction of
 written bytes is still live (not deleted, not overwritten) after T
-seconds.  It backs the `bench_write_age` experiment, which shows why a
-30-second delay buys limited traffic reduction while Rio's
-delay-until-overflow lets the maximum number of files "die in memory".
+seconds — why a 30-second delay buys limited traffic reduction while
+Rio's delay-until-overflow lets the maximum number of files "die in
+memory".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass
-class _Extent:
-    born_ns: int
-    length: int
 
 
 @dataclass
@@ -62,9 +56,6 @@ class WriteAgeTrace:
             if lifetime >= age_ns:
                 survived += length
         return survived / judged if judged else 0.0
-
-    def total_written(self) -> int:
-        return sum(length for _, _, length in self.extents)
 
     def bytes_dead_within(self, age_seconds: float) -> int:
         """Bytes that died (deleted/overwritten) within ``age_seconds`` —

@@ -123,9 +123,7 @@ def remote_recovery_audit(system, journal) -> RemoteCheck:
     check = RemoteCheck()
     try:
         if system.disk is not None:
-            system.fs.flush_data(sync=True)
-            system.fs.flush_metadata(sync=True)
-            system.drain_disks()
+            system.settle()
         store.drain_uploads()
         check.reconcile = fsck_remote(store, batch=True, force=True)
         if check.reconcile.deferred:

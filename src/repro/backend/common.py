@@ -279,11 +279,3 @@ class DictBackend(Backend):
     def _list(self, prefix: str) -> List[str]:
         self._request(0)
         return sorted(k for k in self._blobs if k.startswith(prefix))
-
-    def object_count(self) -> int:
-        """Number of stored blobs (observability)."""
-        return len(self._blobs)
-
-    def total_bytes(self) -> int:
-        """Total stored payload bytes (observability)."""
-        return sum(len(v) for v in self._blobs.values())

@@ -49,8 +49,10 @@ from typing import Callable, Dict, List
 
 from repro.backend.common import BackendOutage, TransientBackendError
 from repro.backend.tiered import (
+    MAX_RETRIES,
     OBJ_PREFIX,
     REF_PREFIX,
+    RETRY_BACKOFF_NS,
     TieredStore,
     content_hash,
     obj_key,
@@ -159,10 +161,10 @@ def _with_retries(store: TieredStore, op: Callable[[], object]) -> object:
             raise
         except TransientBackendError:
             attempts += 1
-            if attempts > store.config.max_retries:
+            if attempts > MAX_RETRIES:
                 raise BackendOutage("remote fsck exhausted its retry budget")
             if store.clock is not None:
-                store.clock.consume(store.config.retry_backoff_ns << (attempts - 1))
+                store.clock.consume(RETRY_BACKOFF_NS << (attempts - 1))
 
 
 def fsck_remote(

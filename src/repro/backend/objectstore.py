@@ -31,6 +31,10 @@ from repro.backend.common import BackendOutage, DictBackend, TransientBackendErr
 from repro.util.prng import DeterministicRandom
 
 
+#: Upper bound of the seeded uniform per-request jitter (ns).
+JITTER_NS = 500_000
+
+
 @dataclass(frozen=True)
 class ObjectStoreConfig:
     """The deterministic performance/failure model of one object store."""
@@ -39,8 +43,6 @@ class ObjectStoreConfig:
     latency_ns: int = 2_000_000
     #: Payload transfer rate (bytes per virtual second).
     bandwidth_bytes_per_sec: int = 20_000_000
-    #: Upper bound of the seeded uniform per-request jitter (ns).
-    jitter_ns: int = 500_000
     #: Percent of requests that fail retryably (0 = reliable).
     transient_fail_pct: int = 0
     #: Seed for the jitter/failure PRNG.
@@ -113,8 +115,7 @@ class ObjectStoreBackend(DictBackend):
         service = config.latency_ns
         if nbytes and config.bandwidth_bytes_per_sec:
             service += (nbytes * 1_000_000_000) // config.bandwidth_bytes_per_sec
-        if config.jitter_ns:
-            service += self._rng.randrange(config.jitter_ns)
+        service += self._rng.randrange(JITTER_NS)
         if chaos is not None:
             service = chaos.io_service_ns(service)
         return service

@@ -100,20 +100,22 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: Retries per upload on :class:`TransientBackendError` before the block
+#: is deferred to the next drain.
+MAX_RETRIES = 3
+#: Virtual-time backoff charged per retry (doubles per attempt).
+RETRY_BACKOFF_NS = 1_000_000
+
+
 @dataclass(frozen=True)
 class TieredConfig:
-    """Write-back and retry policy of one tiered store."""
+    """Write-back policy of one tiered store."""
 
     #: Dirty blocks accumulated before a drain triggers automatically.
     #: 1 makes the store write-through (every flush uploads immediately).
     dirty_threshold: int = 8
     #: Blocks prefetched after each remote read (0 disables read-ahead).
     readahead: int = 2
-    #: Retries per upload on :class:`TransientBackendError` before the
-    #: block is deferred to the next drain.
-    max_retries: int = 3
-    #: Virtual-time backoff charged per retry (doubles per attempt).
-    retry_backoff_ns: int = 1_000_000
 
 
 @dataclass
@@ -348,15 +350,12 @@ class TieredStore:
             except TransientBackendError:
                 attempts += 1
                 self.stats.retries += 1
-                if attempts > self.config.max_retries:
+                if attempts > MAX_RETRIES:
                     raise BackendOutage(
-                        f"upload of block {block} exhausted "
-                        f"{self.config.max_retries} retries"
+                        f"upload of block {block} exhausted {MAX_RETRIES} retries"
                     )
                 if self.clock is not None:
-                    self.clock.consume(
-                        self.config.retry_backoff_ns << (attempts - 1)
-                    )
+                    self.clock.consume(RETRY_BACKOFF_NS << (attempts - 1))
 
     def _commit_once(
         self, block: int, digest: str, data: bytes, old: Optional[str],

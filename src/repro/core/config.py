@@ -35,11 +35,6 @@ class RioConfig:
     #: Maintain per-buffer detection checksums in the registry (the
     #: experimental apparatus of section 3.2; off for performance runs).
     maintain_checksums: bool = True
-    #: Run the check-elision optimizer when patching kernel text (drop
-    #: address checks on stores the dataflow analysis proves safe, and
-    #: pick dead scratch registers instead of spilling — the [Wahbe93]
-    #: optimizations).  Off = the naive patch-every-store rewrite.
-    code_patch_optimize: bool = True
 
     @classmethod
     def without_protection(cls, **overrides) -> "RioConfig":

@@ -87,7 +87,7 @@ class ProtectionManager:
         protected cache pages.
         """
         kernel = self.kernel
-        patcher = CodePatcher(optimize=self.config.code_patch_optimize)
+        patcher = CodePatcher()
         kernel.install_kernel_text(build_kernel_text(transform=patcher))
         self.patch_reports = patcher.reports
         self.patch_threshold = (

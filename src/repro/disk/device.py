@@ -61,10 +61,6 @@ class DiskRequest:
     on_complete: Optional[Callable[["DiskRequest"], None]] = None
     retired: bool = False
 
-    @property
-    def end_sector(self) -> int:
-        return self.sector + self.nsectors
-
 
 @dataclass
 class DiskStats:

@@ -14,34 +14,38 @@ from dataclasses import dataclass
 from repro.hw.clock import NS_PER_MS, NS_PER_SEC
 
 
+#: Average seek time for a random access.
+SEEK_MS = 8.0
+#: Average rotational latency (half a revolution at 5400 rpm).
+ROTATIONAL_MS = 5.5
+#: Sustained media bandwidth.
+BANDWIDTH_BYTES_PER_SEC = 5 * 1024 * 1024
+#: Fixed controller/driver overhead per request.
+OVERHEAD_MS = 0.3
+
+_POSITIONING_NS = int((SEEK_MS + ROTATIONAL_MS) * NS_PER_MS)
+_OVERHEAD_NS = int(OVERHEAD_MS * NS_PER_MS)
+
+
 @dataclass
 class DiskParameters:
-    """Timing parameters for :class:`~repro.disk.device.SimulatedDisk`."""
+    """Geometry of a :class:`~repro.disk.device.SimulatedDisk`, and the
+    timing model over the constants above."""
 
     sector_size: int = 512
-    #: Average seek time for a random access.
-    seek_ms: float = 8.0
-    #: Average rotational latency (half a revolution at 5400 rpm).
-    rotational_ms: float = 5.5
-    #: Sustained media bandwidth.
-    bandwidth_bytes_per_sec: int = 5 * 1024 * 1024
-    #: Fixed controller/driver overhead per request.
-    overhead_ms: float = 0.3
 
     def positioning_ns(self, *, sequential: bool) -> int:
         """Head positioning cost: waived when the access continues the
         previous one (the property journaling and LFS exploit)."""
-        if sequential:
-            return 0
-        return int((self.seek_ms + self.rotational_ms) * NS_PER_MS)
+        return 0 if sequential else _POSITIONING_NS
 
     def transfer_ns(self, nbytes: int) -> int:
-        return int(nbytes * NS_PER_SEC / self.bandwidth_bytes_per_sec)
+        return int(nbytes * NS_PER_SEC / BANDWIDTH_BYTES_PER_SEC)
 
     def service_ns(self, nbytes: int, *, sequential: bool) -> int:
         """Total service time for one request of ``nbytes``."""
         return (
-            int(self.overhead_ms * NS_PER_MS)
+            _OVERHEAD_NS
             + self.positioning_ns(sequential=sequential)
             + self.transfer_ns(nbytes)
         )

@@ -144,9 +144,7 @@ class _RunBase:
         """
         if self.system.backing is None or self.system.disk is None:
             return
-        self.system.fs.flush_data(sync=True)
-        self.system.fs.flush_metadata(sync=True)
-        self.system.drain_disks()
+        self.system.settle()
         self.system.backing.drain_uploads()
 
     def _remote_check(self) -> None:
@@ -186,9 +184,7 @@ class _RunBase:
         fsck = getattr(self.reboot, "fsck", None)
         if self.system.disk is None or fsck is None:
             return
-        self.system.fs.flush_data(sync=True)
-        self.system.fs.flush_metadata(sync=True)
-        self.system.drain_disks()
+        self.system.settle()
         self.image = snapshot(self.system.disk)
         self.dissect = dissect_image(self.image)
         fixes = list(getattr(fsck, "fixes", None) or [])

@@ -107,10 +107,6 @@ class Superblock:
     def num_inodes(self) -> int:
         return self.inode_blocks * INODES_PER_BLOCK
 
-    @property
-    def data_blocks(self) -> int:
-        return self.total_blocks - self.data_start
-
     def region_summaries(self) -> list[tuple[RegionKind, int, int]]:
         """The (kind, start, blocks) summary records this geometry implies.
 

@@ -50,12 +50,6 @@ class CFG:
     #: routine (into whatever follows in the text image).
     falls_off_end: bool = False
 
-    def block_of(self, index: int) -> BasicBlock:
-        for block in self.blocks.values():
-            if block.start <= index < block.end:
-                return block
-        raise KeyError(index)
-
     def reachable(self) -> set[int]:
         """Start indices of blocks reachable from the entry."""
         seen: set[int] = set()

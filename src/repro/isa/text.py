@@ -125,18 +125,6 @@ class KernelText:
         self._require_loaded()
         return self.base_vaddr
 
-    def contains_vaddr(self, vaddr: int) -> bool:
-        return (
-            self.base_vaddr is not None
-            and self.base_vaddr <= vaddr < self.base_vaddr + self.size_bytes
-        )
-
-    def word_index_of_vaddr(self, vaddr: int) -> int:
-        self._require_loaded()
-        if not self.contains_vaddr(vaddr):
-            raise ConfigurationError(f"vaddr {vaddr:#x} not in kernel text")
-        return (vaddr - self.base_vaddr) // WORD_BYTES
-
     def routine_at_index(self, word_index: int) -> Routine | None:
         for routine in self.routines.values():
             if routine.contains_index(word_index):

@@ -57,12 +57,6 @@ class KernelConfig:
     #: its copy path stalled on memory, so the effective per-instruction
     #: cost is well above one cycle.
     ns_per_instruction: float = 20.0
-    #: Fixed CPU cost of entering a system call.
-    syscall_overhead_ns: int = 25_000
-    #: Reduced entry cost for syscalls after the first inside a
-    #: :meth:`Kernel.begin_batch` scope (trap taken once, warm caches):
-    #: the file service's batched submission path relies on this.
-    batch_syscall_overhead_ns: int = 2_500
     #: Charge CPU time at all (reliability campaigns turn this off).
     charge_time: bool = True
     #: The update daemon's flush interval ("once every 30 seconds").
@@ -70,11 +64,16 @@ class KernelConfig:
     #: Default Unix panic behaviour: flush dirty buffers on the way down.
     #: Rio disables this (section 2.3).
     panic_syncs_dirty: bool = True
-    #: Run one quantum of background kernel activity every N syscalls.
-    background_interval_ops: int = 1
-    #: Frames the UBC must leave free for the rest of the kernel.
-    ubc_reserve_frames: int = 16
 
+
+#: Fixed CPU cost of entering a system call.
+SYSCALL_OVERHEAD_NS = 25_000
+#: Reduced entry cost for syscalls after the first inside a
+#: :meth:`Kernel.begin_batch` scope (trap taken once, warm caches): the
+#: file service's batched submission path relies on this.
+BATCH_SYSCALL_OVERHEAD_NS = 2_500
+#: Frames the UBC must leave free for the rest of the kernel.
+_UBC_RESERVE_FRAMES = 16
 
 CRASH_KINDS = {
     MachineCheck: "machine_check",
@@ -150,7 +149,6 @@ class Kernel:
 
         self._next_update_ns = self.clock.now_ns + self.config.update_interval_ns
         self._in_update = False
-        self._op_counter = 0
         self.stat_syscalls = 0
         self.stat_update_runs = 0
         self.stat_batched_syscalls = 0
@@ -216,9 +214,7 @@ class Kernel:
         # in the frame pool (plus the reserve for transient allocations).
         ubc_capacity = max(
             8,
-            self.frames.free_count
-            - meta_capacity
-            - self.config.ubc_reserve_frames,
+            self.frames.free_count - meta_capacity - _UBC_RESERVE_FRAMES,
         )
         self.ubc = UnifiedBufferCache(self, ubc_capacity, self.guard)
 
@@ -274,8 +270,8 @@ class Kernel:
         """Enter a batched-syscall scope (nestable).
 
         The first syscall inside the scope pays the full
-        ``syscall_overhead_ns`` prologue; subsequent ones pay the
-        reduced ``batch_syscall_overhead_ns`` — one trap, warm
+        ``SYSCALL_OVERHEAD_NS`` prologue; subsequent ones pay the
+        reduced ``BATCH_SYSCALL_OVERHEAD_NS`` — one trap, warm
         entry path.  Only the fixed entry cost changes; per-byte and
         per-instruction costs are charged as usual.
         """
@@ -293,18 +289,14 @@ class Kernel:
         let the update daemon fire if its deadline passed."""
         self.machine.require_up()
         self.stat_syscalls += 1
-        self._op_counter += 1
         if self.config.charge_time:
             if self._batch_depth > 0 and self._batch_first_charged:
                 self.stat_batched_syscalls += 1
-                self.clock.consume(self.config.batch_syscall_overhead_ns)
+                self.clock.consume(BATCH_SYSCALL_OVERHEAD_NS)
             else:
                 self._batch_first_charged = True
-                self.clock.consume(self.config.syscall_overhead_ns)
-        if self.config.background_interval_ops and (
-            self._op_counter % self.config.background_interval_ops == 0
-        ):
-            self.background.run_once()
+                self.clock.consume(SYSCALL_OVERHEAD_NS)
+        self.background.run_once()
         self.maybe_run_update()
 
     def maybe_run_update(self) -> None:

@@ -112,10 +112,6 @@ class Regions:
     staging_frames: list[int] = field(default_factory=list)
     registry_frames: list[int] = field(default_factory=list)
 
-    @property
-    def heap_base(self) -> int:
-        return KHEAP_BASE
-
     def stack_top(self, page_size: int) -> int:
         """Initial stack pointer (stacks grow down; a small redzone is left)."""
         return KSTACK_BASE + len(self.stack_frames) * page_size - 64

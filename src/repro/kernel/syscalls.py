@@ -101,8 +101,8 @@ class VFS:
         """Scope in which syscalls share one trap's fixed entry cost.
 
         The first syscall inside the scope pays the kernel's full
-        ``syscall_overhead_ns`` prologue; the rest pay the reduced
-        ``batch_syscall_overhead_ns``.  Semantics are unchanged —
+        ``SYSCALL_OVERHEAD_NS`` prologue; the rest pay the reduced
+        ``BATCH_SYSCALL_OVERHEAD_NS``.  Semantics are unchanged —
         errors and crashes propagate exactly as unbatched — only the
         fixed per-call CPU charge drops.  The file service wraps each
         scheduled batch in one of these scopes.
@@ -157,10 +157,6 @@ class VFS:
             return fd
 
         return self._run(body, "open")
-
-    def creat(self, path: str) -> int:
-        """Create (or open an existing) file; returns a descriptor."""
-        return self.open(path, create=True, truncate=False)
 
     def close(self, fd: int) -> None:
         """Close a descriptor (runs the policy's close hook — the moment

@@ -9,12 +9,6 @@ timed on the virtual clock.
 from repro.perf.systems import TABLE2_SYSTEMS, Table2System, spec_for_row
 from repro.perf.runner import WorkloadResult, run_workload, run_table2
 from repro.perf.report import Table2, format_table2, ratio_summary
-from repro.perf.sweeps import (
-    format_sweep,
-    sweep_disk_bandwidth,
-    sweep_update_interval,
-    sweep_working_set,
-)
 
 __all__ = [
     "TABLE2_SYSTEMS",
@@ -26,8 +20,4 @@ __all__ = [
     "Table2",
     "format_table2",
     "ratio_summary",
-    "format_sweep",
-    "sweep_disk_bandwidth",
-    "sweep_update_interval",
-    "sweep_working_set",
 ]

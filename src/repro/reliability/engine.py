@@ -1,10 +1,10 @@
-"""Parallel fault-injection campaign engine.
+"""The Table 1 fault-injection campaign engine.
 
 The paper crashed a live system 1,950 times for Table 1 ("6
-machine-months").  :func:`repro.reliability.report.run_table1_campaign`
-replays that serially in one process; this engine shards the same
-campaign across a pool of worker processes while keeping the output
-**bit-identical** to the serial path.
+machine-months").  This engine is the one runner of that campaign — at
+``jobs=1`` in process, at ``jobs=N`` sharded across a pool of worker
+processes — and its output is **bit-identical** at every job count
+(:func:`repro.reliability.report.table1_digest`).
 
 How equivalence survives parallelism
 ------------------------------------
@@ -12,22 +12,23 @@ How equivalence survives parallelism
 Every trial is a pure function of its :class:`CrashTestConfig`, and the
 campaign's seed schedule (:func:`repro.reliability.report.seed_for`) is
 a pure function of ``(base_seed, cell, attempt)``.  The only sequential
-coupling in the serial loop is the *stopping rule*: a cell stops once it
-has counted ``crashes_per_cell`` crashes, so whether attempt ``k`` runs
-depends on the outcomes of attempts ``0..k-1``.  The engine therefore:
+coupling is the *stopping rule*: a cell stops once it has counted
+``crashes_per_cell`` crashes, so whether attempt ``k`` counts depends on
+the outcomes of attempts ``0..k-1``.  The engine therefore:
 
 1. runs attempts **speculatively** out of order across workers (bounded
    per cell by a speculation window sized to the crashes still needed);
 2. buffers finished results per ``(cell, attempt)``;
 3. **merges** each cell's buffer in attempt order, re-evaluating the
-   serial stopping rule before consuming each attempt — exactly the
-   check the serial loop makes before running it;
+   stopping rule before consuming each attempt;
 4. discards (as "wasted speculation") any buffered attempt past the
-   point where the serial loop would have stopped.
+   point where the cell stopped.
 
-The merged :class:`Table1` is then identical to the serial one for any
-job count and any completion order; ``results`` lists stay in serial
-order via ``CampaignCell.record(..., order=attempt)``.
+The merged :class:`Table1` is then identical for any job count and any
+completion order; ``results`` lists stay in attempt order via
+``CampaignCell.record(..., order=attempt)``.  ``jobs=1`` takes the same
+schedule on the pool's in-process mode, so configs and results still
+round-trip through JSON and exercise the identical wire format.
 
 Checkpoint / resume
 -------------------
@@ -46,8 +47,8 @@ Trials run on the package's one worker pool
 whose worker died once and then **quarantines** it.  For a quarantined
 trial a synthetic discarded result (``crash_kind="worker_crashed"``)
 takes its slot so the campaign can finish, and the key is listed in
-``stats.quarantined``.  (Quarantine is the one case where parallel
-output can differ from serial — the trial genuinely could not be run.)
+``stats.quarantined``.  (Quarantine is the one case where output can
+differ between runs — the trial genuinely could not be run.)
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class EngineStats(PoolStats):
     ``worker_crashes`` and ``quarantined`` are counted by the pool."""
 
     from_checkpoint: int = 0  #: trials satisfied from the journal
-    wasted_speculation: int = 0  #: run (or in flight) past the serial stopping point
+    wasted_speculation: int = 0  #: run (or in flight) past the cell's stopping point
     checkpoint_lines_skipped: int = 0  #: corrupt journal lines skipped
     wall_seconds: float = 0.0
 
@@ -96,8 +97,8 @@ class _CellState:
     target: int
     max_attempts: int
     next_attempt: int = 0  #: next attempt index not yet scheduled
-    merged_upto: int = 0  #: attempts consumed by the serial-order merge
-    done: bool = False  #: serial stopping rule has fired
+    merged_upto: int = 0  #: attempts consumed by the attempt-order merge
+    done: bool = False  #: the stopping rule has fired
     buffer: dict = field(default_factory=dict)  #: attempt -> CrashTestResult
 
     def key(self, attempt: int) -> TrialKey:
@@ -181,10 +182,17 @@ class CampaignEngine:
             "repro.reliability.engine:run_trial_json", self.jobs, self._say, self.stats
         )
         try:
-            if self.jobs == 1:
-                self._run_inline()
-            else:
-                self._run_speculative()
+            while not all(cs.done for cs in self._cells):
+                self._dispatch()
+                if not self._outstanding:
+                    if not self._may_execute():
+                        break  # the max_trials budget is spent
+                    # nothing in flight and nothing dispatchable: the
+                    # remaining cells completed from cache in _dispatch
+                    continue
+                for event in self._pool.next_events():
+                    self._merge(self._land(*event))
+                self._emit_progress()
         finally:
             self._pool.close()
             if self._journal is not None:
@@ -194,7 +202,7 @@ class CampaignEngine:
         self._emit_progress(force=True)
         return self.table
 
-    # -- shared machinery --------------------------------------------------
+    # -- trials: identity, cache, merge ------------------------------------
 
     def _fingerprint(self) -> dict:
         overrides = {}
@@ -253,11 +261,11 @@ class CampaignEngine:
         return self.max_trials is None or self._scheduled_exec < self.max_trials
 
     def _merge(self, cs: _CellState) -> None:
-        """Replay the serial loop over buffered attempts, in order.
+        """Consume buffered attempts in attempt order.
 
-        Mirrors ``run_table1_campaign``'s ``while cell.crashes < N and
-        attempt < N * factor`` — checked before consuming each attempt,
-        so the cutoff lands on exactly the same attempt index.
+        The stopping rule — ``cell.crashes < N and attempt < N * factor``
+        — is checked before consuming each attempt, so the cutoff lands
+        on the same attempt index whatever order results arrived in.
         """
         was_done = cs.done
         while True:
@@ -285,7 +293,7 @@ class CampaignEngine:
     ) -> None:
         """Drop a per-corrupting-trial JSONL trace next to the journal.
 
-        Written only for consumed (serial-order-merged) trials that were
+        Written only for consumed (attempt-order-merged) trials that were
         traced, crashed, *and* corrupted — one ``<checkpoint>.traces/
         <system>__<fault>__<attempt>.jsonl`` each, a header line followed
         by one serialized event per line.  ``repro forensics`` reads
@@ -341,50 +349,7 @@ class CampaignEngine:
         self._outstanding[cs.key(attempt)] = (cs, attempt)
         self._pool.submit(cs.key(attempt), self._config_json(cs, attempt))
 
-    # -- serial schedule (jobs == 1) ---------------------------------------
-
-    def _run_inline(self) -> None:
-        """Strict serial order — one cell at a time, one attempt at a
-        time, nothing speculative — on the pool's in-process mode, so
-        configs and results still round-trip through JSON and jobs=1
-        exercises the identical wire format.  Not folded into
-        :meth:`_run_speculative`: its round-robin would interleave the
-        cells (another journal line order, another set of trials inside
-        a ``max_trials`` budget) and it merges before it reports, which
-        moves every ``[engine]`` progress line."""
-        for cs in self._cells:
-            while True:
-                self._merge(cs)
-                if cs.done:
-                    break
-                attempt = cs.next_attempt
-                result = self._take_cached(cs, attempt)
-                if result is None:
-                    if not self._may_execute():
-                        return
-                    self._submit(cs, attempt)
-                    (event,) = self._pool.next_events()
-                    self._land(*event)
-                else:
-                    self.stats.from_checkpoint += 1
-                    cs.buffer[attempt] = result
-                cs.next_attempt = attempt + 1
-                self._emit_progress()
-
-    # -- speculative schedule (jobs > 1) -----------------------------------
-
-    def _run_speculative(self) -> None:
-        while not all(cs.done for cs in self._cells):
-            self._dispatch()
-            if not self._outstanding:
-                if not self._may_execute():
-                    return  # the max_trials budget is spent
-                # nothing in flight and nothing dispatchable: the
-                # remaining cells completed from cache in _dispatch
-                continue
-            for event in self._pool.next_events():
-                self._merge(self._land(*event))
-            self._emit_progress()
+    # -- the schedule -----------------------------------------------------
 
     def _next_task(self) -> Optional[tuple]:
         """Round-robin over incomplete cells, bounded by each cell's

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.faults.types import ALL_FAULT_TYPES, FaultType
-from repro.reliability.campaign import (
-    CrashTestConfig,
-    CrashTestResult,
-    SYSTEM_NAMES,
-    run_crash_test,
-)
+from repro.reliability.campaign import CrashTestResult, SYSTEM_NAMES
 
 SYSTEM_LABELS = {
     "disk": "Disk-Based",
@@ -52,12 +47,12 @@ class CampaignCell:
     def record(self, result: CrashTestResult, order: Optional[int] = None) -> None:
         """Count one finished trial.
 
-        ``order`` is the trial's position in the campaign's serial
-        schedule (the attempt index).  The parallel engine records
-        results as workers deliver them — possibly out of order — and the
-        key keeps ``results`` in the exact order the serial campaign
-        would have produced, so formatted tables and digests match
-        bit-for-bit.  The counters are order-independent sums.
+        ``order`` is the trial's position in the campaign's seed
+        schedule (the attempt index).  The engine records results as
+        workers deliver them — possibly out of order — and the key keeps
+        ``results`` in attempt order, so formatted tables and digests
+        match bit-for-bit at every job count.  The counters are
+        order-independent sums.
         """
         if order is None:
             self.results.append(result)
@@ -149,7 +144,7 @@ def table1_digest(table: Table1) -> str:
     """SHA-256 over the canonical JSON form.
 
     Two campaigns over the same seed schedule are equivalent iff their
-    digests match — the serial≡parallel acceptance check.
+    digests match — the acceptance check across job counts.
     """
     canon = json.dumps(table.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -158,9 +153,8 @@ def table1_digest(table: Table1) -> str:
 def seed_for(base_seed: int, system: str, fault_type: FaultType, attempt: int) -> int:
     """The campaign's deterministic seed schedule.
 
-    One seed per (cell, attempt); both the serial campaign and the
-    parallel engine draw from this function, which is what makes their
-    outputs comparable at all.
+    One seed per (cell, attempt): a trial's seed never depends on
+    which worker runs it or when.
     """
     return base_seed + hash_cell(system, fault_type) * 10_000 + attempt
 
@@ -174,37 +168,23 @@ def run_table1_campaign(
     config_overrides: Optional[dict] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Table1:
-    """Run the full campaign.
+    """Run the full campaign in process: the engine at ``jobs=1``.
 
     ``crashes_per_cell`` is the number of *counted* crashes per cell (the
     paper used 50); discarded runs do not count but do consume attempts,
     bounded by ``crashes_per_cell * max_attempts_factor``.
     """
-    table = Table1(crashes_per_cell=crashes_per_cell)
-    overrides = config_overrides or {}
-    for system in systems:
-        for fault_type in fault_types:
-            cell = table.cell(system, fault_type)
-            attempt = 0
-            while (
-                cell.crashes < crashes_per_cell
-                and attempt < crashes_per_cell * max_attempts_factor
-            ):
-                seed = seed_for(base_seed, system, fault_type, attempt)
-                config = CrashTestConfig(
-                    system=system, fault_type=fault_type, seed=seed, **overrides
-                )
-                cell.record(run_crash_test(config))
-                attempt += 1
-            if progress is not None:
-                line = (
-                    f"{system}/{fault_type.value}: {cell.crashes} crashes, "
-                    f"{cell.corruptions} corruptions, {cell.discarded} discarded"
-                )
-                if cell.divergences:
-                    line += f", {cell.divergences} fsck/dissect divergences"
-                progress(line)
-    return table
+    from repro.reliability.engine import CampaignEngine  # engine imports this module
+
+    return CampaignEngine(
+        crashes_per_cell=crashes_per_cell,
+        systems=systems,
+        fault_types=fault_types,
+        base_seed=base_seed,
+        max_attempts_factor=max_attempts_factor,
+        config_overrides=config_overrides,
+        progress=progress,
+    ).run()
 
 
 def hash_cell(system: str, fault_type: FaultType) -> int:

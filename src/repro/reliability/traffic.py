@@ -72,8 +72,6 @@ class TrafficConfig:
     #: Root file system size in 8 KB blocks, per kernel (64 clients
     #: need room).
     fs_blocks: int = 2048
-    #: Per-kernel machine memory override (None: the default 16 MB).
-    memory_bytes: Optional[int] = None
     #: Per-client load shape.
     load: LoadSpec = field(default_factory=LoadSpec)
     #: Re-apply lost journal entries during recovery (meaningful on the
@@ -99,10 +97,6 @@ class TrafficConfig:
     # -- cluster geometry (read only when ``shards`` is set) -----------
     #: Router key mode ("dir" colocates directories; "hash" scatters).
     router_mode: str = "dir"
-    #: Requests per front-end scheduling batch (None: ClusterConfig
-    #: default; raise at high client counts so every shard sees a
-    #: full per-step batch).
-    batch_size: Optional[int] = None
 
 
 @dataclass
@@ -336,7 +330,6 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
     kernel = dict(
         system=config.system,
         fs_blocks=config.fs_blocks,
-        memory_bytes=config.memory_bytes,
         service=ServiceConfig(repair_on_recover=config.repair),
         storm=config.storm,
         fault_type=config.fault_type,
@@ -364,8 +357,6 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
             inode_blocks=_cluster_inode_blocks(config),
             crash_points=rolling_crash_points(config),
         )
-        if config.batch_size is not None:
-            cluster_config.batch_size = config.batch_size
         with ClusterService(cluster_config, jobs=config.jobs) as cluster:
             result.load = run_load(cluster, clients)
             result.kernels = cluster.verdicts()

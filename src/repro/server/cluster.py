@@ -101,8 +101,6 @@ class KernelSpec:
     system: str = "rio_prot"
     fs_blocks: int = 2048
     inode_blocks: int = 8
-    #: Machine memory override in bytes (None keeps the default 16 MB).
-    memory_bytes: Optional[int] = None
     #: The kernel's :class:`FileService` tunables.
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: What fires at a crash point: "forced" (an administrative crash)
@@ -155,11 +153,6 @@ class Shard:
         if spec.backend is not None:
             system_spec = replace(
                 system_spec, backend=spec.backend, backend_seed=spec.seed
-            )
-        if spec.memory_bytes is not None:
-            system_spec = replace(
-                system_spec,
-                machine=replace(system_spec.machine, memory_bytes=spec.memory_bytes),
             )
         self.spec = spec
         self.system = build_system(system_spec)
@@ -265,9 +258,7 @@ class Shard:
         sessions = service.sessions.sessions.values()
         chaos = system.chaos.snapshot() if system.chaos is not None else []
         final = service.audit()
-        system.fs.flush_data(sync=True)
-        system.fs.flush_metadata(sync=True)
-        system.drain_disks()
+        system.settle()
         scan = dissect.dissect_image(dissect.snapshot(system.disk))
         opinions = self._second_opinions
         verdict = {
@@ -549,6 +540,8 @@ _VNODES = 128
 _QUEUE_DEPTH = 32
 _QUANTUM = 4
 _MAX_OPEN_FDS = 16
+#: Requests per front-end scheduling batch.
+_BATCH_SIZE = 32
 
 #: What a shard's own service runs with instead: its queue must swallow
 #: a whole front-end batch plus fan-out traffic, and its fd quota is off
@@ -566,8 +559,6 @@ class ClusterConfig(KernelSpec):
     #: Router key mode: "dir" colocates a directory's entries on one
     #: shard (client homes land whole); "hash" scatters by full path.
     router_mode: str = "dir"
-    #: Requests per front-end scheduling batch.
-    batch_size: int = 32
     #: The storm schedule: shard id -> executed-count crash points.
     crash_points: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
@@ -759,7 +750,7 @@ class ClusterService:
         per segment, shards ascending, each shard's responses in its
         service's execution order.
         """
-        batch = self.scheduler.next_batch(self.config.batch_size, _QUANTUM)
+        batch = self.scheduler.next_batch(_BATCH_SIZE, _QUANTUM)
         if not batch:
             return []
         out: List[Response] = []

@@ -61,17 +61,19 @@ class LoadSpec:
     max_file_bytes: int = 16 * 1024
     #: Requests a client keeps in flight at once.
     pipeline: int = 4
-    #: Relative weights of the program mix.
-    mix: tuple = (
-        ("write", 50),
-        ("read", 20),
-        ("fsync", 8),
-        ("readdir", 4),
-        ("stat", 4),
-        ("cycle", 8),
-        ("mkdir", 3),
-        ("rename", 3),
-    )
+
+
+#: The program mix and its relative weights.
+_KINDS, _WEIGHTS = zip(
+    ("write", 50),
+    ("read", 20),
+    ("fsync", 8),
+    ("readdir", 4),
+    ("stat", 4),
+    ("cycle", 8),
+    ("mkdir", 3),
+    ("rename", 3),
+)
 
 
 @dataclass
@@ -135,9 +137,7 @@ class LoadClient:
         spec = self.spec
         index = self.rng.randrange(spec.files_per_client)
         fd = self.fds[index]
-        kinds = [kind for kind, _ in spec.mix]
-        weights = [weight for _, weight in spec.mix]
-        kind = self.rng.weighted_choice(kinds, weights)
+        kind = self.rng.weighted_choice(_KINDS, _WEIGHTS)
         if fd is None and kind in ("write", "read", "fsync", "cycle", "rename"):
             kind = "stat"  # file mid-reopen; run a cheap op instead
         if kind == "write":

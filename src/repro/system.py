@@ -328,6 +328,14 @@ class System:
         for disk in self.machine.disks.values():
             disk.drain()
 
+    def settle(self) -> None:
+        """Make the platter current: file data, then the metadata that
+        points at it, then every queued disk request — in that order, so
+        no metadata ever reaches the disk ahead of the blocks it names."""
+        self.fs.flush_data(sync=True)
+        self.fs.flush_metadata(sync=True)
+        self.drain_disks()
+
     def enable_reliability_writes(self) -> None:
         """Administrative toggle (the paper's footnote 1): "a way for a
         system administrator to easily enable and disable reliability disk
@@ -340,9 +348,7 @@ class System:
 
         if self.disk is None:
             return
-        self.fs.flush_data(sync=True)
-        self.fs.flush_metadata(sync=True)
-        self.drain_disks()
+        self.settle()
         self.fs.policy = make_policy("ufs_delayed")
         self.kernel.reliability_writes_off = False
         self.kernel.config.panic_syncs_dirty = True
@@ -368,9 +374,7 @@ class System:
         kernel.config.charge_time = False
         kernel.klib.charge_time = False
         try:
-            self.fs.flush_data(sync=True)
-            self.fs.flush_metadata(sync=True)
-            self.drain_disks()
+            self.settle()
             for cache in (kernel.ubc, kernel.buffer_cache):
                 for page in list(cache.pages.values()):
                     cache.drop(page)

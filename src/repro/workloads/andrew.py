@@ -17,22 +17,23 @@ from repro.hw.clock import NS_PER_MS
 from repro.util.prng import DeterministicRandom, pattern_bytes
 
 
+#: Size of every source file — and of the object file compiled from it.
+_FILE_BYTES = 8 * 1024
+#: Compiler output is written in small chunks, one write() each — under
+#: a "sync" mount every chunk is a synchronous disk write, which is what
+#: separates write-through-on-write from write-through-on-close in
+#: Table 2.
+_WRITE_CHUNK = 512
+
+
 @dataclass
 class AndrewParams:
     root: str = "/andrew"
     dirs: int = 4
     files_per_dir: int = 6
-    file_bytes: int = 8 * 1024
     #: CPU time to "compile" one source file (the dominant cost; the
     #: paper's Andrew is "dominated by CPU-intensive compilation").
     compile_ms_per_file: int = 120
-    #: Object file size as a fraction of source size (numerator/denominator).
-    object_ratio: tuple = (1, 1)
-    #: Compiler output is written in small chunks, one write() each —
-    #: under a "sync" mount every chunk is a synchronous disk write,
-    #: which is what separates write-through-on-write from
-    #: write-through-on-close in Table 2.
-    write_chunk: int = 512
     seed: int = 1234
 
 
@@ -83,9 +84,9 @@ class AndrewBenchmark:
             for name in self._files(d):
                 path = f"{self._src_dir(d)}/{name}"
                 fd = self.vfs.open(path, create=True)
-                data = pattern_bytes(self._file_key(d, name), 0, p.file_bytes)
-                for start in range(0, len(data), p.write_chunk):
-                    self.vfs.write(fd, data[start : start + p.write_chunk])
+                data = pattern_bytes(self._file_key(d, name), 0, _FILE_BYTES)
+                for start in range(0, len(data), _WRITE_CHUNK):
+                    self.vfs.write(fd, data[start : start + _WRITE_CHUNK])
                 self.vfs.close(fd)
 
     def phase_copy(self) -> None:
@@ -93,7 +94,7 @@ class AndrewBenchmark:
         for d in range(p.dirs):
             for name in self._files(d):
                 src = self.vfs.open(f"{self._src_dir(d)}/{name}")
-                data = self.vfs.read(src, p.file_bytes)
+                data = self.vfs.read(src, _FILE_BYTES)
                 self.vfs.close(src)
                 dst = self.vfs.open(f"{self._copy_dir(d)}/{name}", create=True)
                 self.vfs.write(dst, data)
@@ -122,17 +123,15 @@ class AndrewBenchmark:
         for d in range(p.dirs):
             for name in self._files(d):
                 fd = self.vfs.open(f"{self._copy_dir(d)}/{name}")
-                source = self.vfs.read(fd, p.file_bytes)
+                source = self.vfs.read(fd, _FILE_BYTES)
                 self.vfs.close(fd)
                 if self.kernel.config.charge_time:
                     self.kernel.clock.consume(p.compile_ms_per_file * NS_PER_MS)
-                num, den = p.object_ratio
-                obj = source[: len(source) * num // den]
                 out = self.vfs.open(
                     f"{p.root}/obj/{name}.d{d}.o".replace("file", "f"), create=True
                 )
-                for start in range(0, len(obj), p.write_chunk):
-                    self.vfs.write(out, obj[start : start + p.write_chunk])
+                for start in range(0, len(source), _WRITE_CHUNK):
+                    self.vfs.write(out, source[start : start + _WRITE_CHUNK])
                 self.vfs.close(out)
 
     # -- drivers ---------------------------------------------------------------------
@@ -183,11 +182,11 @@ class AndrewBenchmark:
             key = self._file_key(d, name)
             if not self.vfs.exists(path):
                 fd = self.vfs.open(path, create=True)
-                self.vfs.write(fd, pattern_bytes(key, 0, self.params.file_bytes))
+                self.vfs.write(fd, pattern_bytes(key, 0, _FILE_BYTES))
                 self.vfs.close(fd)
             else:
                 fd = self.vfs.open(path)
-                self.vfs.read(fd, self.params.file_bytes)
+                self.vfs.read(fd, _FILE_BYTES)
                 self.vfs.close(fd)
 
         return op

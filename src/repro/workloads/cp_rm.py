@@ -27,10 +27,6 @@ class CpRmParams:
     mean_file_bytes: int = 32 * 1024
     seed: int = 77
 
-    @property
-    def approx_total_bytes(self) -> int:
-        return self.dirs * self.files_per_dir * self.mean_file_bytes
-
 
 @dataclass
 class CpRmResult:

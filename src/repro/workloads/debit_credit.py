@@ -25,13 +25,13 @@ from repro.util.prng import DeterministicRandom
 
 RECORD = struct.Struct("<QQQ")  # account id, balance, update count
 RECORD_SIZE = 64  # padded, like a real slotted record
+_HISTORY_BYTES = 48  # one appended history record
 
 
 @dataclass
 class DebitCreditParams:
     accounts: int = 256
     transactions: int = 400
-    history_bytes: int = 48
     seed: int = 31415
 
 
@@ -95,9 +95,9 @@ class DebitCreditWorkload:
         acct_id, balance, updates = RECORD.unpack(raw)
         record = RECORD.pack(acct_id, (balance + delta) & (1 << 64) - 1, updates + 1)
         self.vfs.pwrite(self._accounts_fd, record, offset)
-        history = record[:16] + self.rng.bytes(self.params.history_bytes - 16)
+        history = record[:16] + self.rng.bytes(_HISTORY_BYTES - 16)
         self.vfs.pwrite(self._history_fd, history, self._history_off)
-        self._history_off += self.params.history_bytes
+        self._history_off += _HISTORY_BYTES
         # Commit: the transaction is durable only when fsync returns.
         self.vfs.fsync(self._accounts_fd)
         self.vfs.fsync(self._history_fd)

@@ -18,17 +18,19 @@ from repro.hw.clock import NS_PER_MS
 from repro.util.prng import DeterministicRandom, pattern_bytes
 
 
+_FILE_BYTES = 8 * 1024
+_EDITS_PER_FILE = 2
+#: CPU charge per "compile" step.
+_COMPILE_MS = 40
+#: Writes are issued in editor/compiler-sized chunks.
+_WRITE_CHUNK = 512
+
+
 @dataclass
 class SdetParams:
     root: str = "/sdet"
     scripts: int = 5
     files_per_script: int = 10
-    file_bytes: int = 8 * 1024
-    edits_per_file: int = 2
-    #: CPU charge per "compile" step.
-    compile_ms: int = 40
-    #: Writes are issued in editor/compiler-sized chunks.
-    write_chunk: int = 512
     seed: int = 2024
 
 
@@ -51,17 +53,17 @@ class SdetWorkload:
 
             def create(path=path, key=key):
                 fd = self.vfs.open(path, create=True)
-                data = pattern_bytes(key, 0, p.file_bytes)
-                for start in range(0, len(data), p.write_chunk):
-                    self.vfs.write(fd, data[start : start + p.write_chunk])
+                data = pattern_bytes(key, 0, _FILE_BYTES)
+                for start in range(0, len(data), _WRITE_CHUNK):
+                    self.vfs.write(fd, data[start : start + _WRITE_CHUNK])
                 self.vfs.close(fd)
 
             yield create
-            for edit in range(p.edits_per_file):
+            for edit in range(_EDITS_PER_FILE):
 
                 def edit_op(path=path, key=key, edit=edit, rng=rng):
                     fd = self.vfs.open(path)
-                    offset = rng.randrange(p.file_bytes)
+                    offset = rng.randrange(_FILE_BYTES)
                     self.vfs.pwrite(fd, pattern_bytes(key ^ edit, offset, 512), offset)
                     self.vfs.close(fd)
 
@@ -69,14 +71,14 @@ class SdetWorkload:
 
             def compile_op(path=path, script=script, f=f):
                 fd = self.vfs.open(path)
-                data = self.vfs.read(fd, p.file_bytes)
+                data = self.vfs.read(fd, _FILE_BYTES)
                 self.vfs.close(fd)
                 if self.kernel.config.charge_time:
-                    self.kernel.clock.consume(p.compile_ms * NS_PER_MS)
+                    self.kernel.clock.consume(_COMPILE_MS * NS_PER_MS)
                 out = self.vfs.open(f"{home}/prog{f}.o", create=True)
                 obj = data[: len(data) // 2]
-                for start in range(0, len(obj), p.write_chunk):
-                    self.vfs.write(out, obj[start : start + p.write_chunk])
+                for start in range(0, len(obj), _WRITE_CHUNK):
+                    self.vfs.write(out, obj[start : start + _WRITE_CHUNK])
                 self.vfs.close(out)
 
             yield compile_op

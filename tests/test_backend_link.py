@@ -32,6 +32,7 @@ from repro.backend import (
     TransientBackendError,
 )
 from repro.backend.audit import remote_recovery_audit
+from repro.backend.objectstore import JITTER_NS
 from repro.hw.clock import NS_PER_SEC, Clock
 from repro.reliability.campaign import system_spec_for
 from repro.server import AckJournal, CrashPoints, FileService, LoadClient, LoadSpec, run_load
@@ -67,7 +68,7 @@ class LinkModel:
         if config.transient_fail_pct and self.rng.randrange(100) < config.transient_fail_pct:
             stats.transient_errors += 1
             raise TransientBackendError("seeded")
-        service = config.latency_ns + self.rng.randrange(config.jitter_ns)
+        service = config.latency_ns + self.rng.randrange(JITTER_NS)
         if nbytes:
             service += nbytes * NS_PER_SEC // config.bandwidth_bytes_per_sec
         now = self.clock.now_ns

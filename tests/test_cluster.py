@@ -209,6 +209,35 @@ def test_rolling_storm_loses_nothing_and_acks_match_calm():
     assert storm.cluster_digest == calm.cluster_digest
 
 
+def test_virtual_throughput_grows_with_the_shard_count():
+    """N shards each execute ~1/N of the requests, so the slowest
+    shard's virtual clock — the cluster's elapsed time — advances ~1/N
+    as far.  The floors sit well below linear: 64 directory keys over
+    the ring leave keys-to-bins imbalance (measured 1.77x / 2.75x /
+    4.10x)."""
+    throughput = {}
+    for shards in (1, 2, 4, 8):
+        result = run_traffic_campaign(
+            TrafficConfig(
+                shards=shards,
+                clients=64,
+                crashes=0,
+                seed=7,
+                fs_blocks=4096,
+                load=LoadSpec(
+                    ops_per_client=6,
+                    files_per_client=2,
+                    max_file_bytes=4096,
+                    write_bytes=(64, 512),
+                ),
+            )
+        )
+        assert result.ok, result.to_json_dict()
+        throughput[shards] = result.load.throughput_ops_per_vsec
+    for shards, floor in {2: 1.3, 4: 2.0, 8: 2.5}.items():
+        assert throughput[shards] > floor * throughput[1], throughput
+
+
 def test_rolling_crash_points_stagger_one_shard_at_a_time():
     config = TrafficConfig(shards=4, clients=32, crashes=2, load=LIGHT)
     points = rolling_crash_points(config)

@@ -74,6 +74,19 @@ class TestWarmRebootEndToEnd:
         assert report.warm is None or not report.warm.registry_found
         assert not system.vfs.exists("/volatile")
 
+    def test_write_avoidance_without_warm_reboot_is_data_loss(self):
+        """DESIGN.md D4: reliability writes off and no warm reboot —
+        the two mechanisms only work together."""
+        system = build_system(
+            SystemSpec(policy="rio", rio=RioConfig.with_protection(warm_reboot=False))
+        )
+        fd = system.vfs.open("/precious", create=True)
+        system.vfs.write(fd, b"only copy")
+        system.vfs.close(fd)
+        system.crash("boom")
+        system.reboot()
+        assert not system.vfs.exists("/precious")
+
     def test_warm_reboot_without_rio_registry(self):
         """A non-Rio system has no registry: reboot is fsck-only."""
         system = build_system(SystemSpec(policy="ufs"))

@@ -4,11 +4,13 @@
   in one namespace — the tutorial cannot drift from the code;
 * every relative link in README.md and docs/*.md resolves;
 * docs/ARCHITECTURE.md names every package under src/repro/;
+* every tier-1 test id DESIGN.md's experiment index names exists;
 * the docstring-coverage gate (scripts/check_docstrings.py) passes.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import pathlib
 import re
@@ -69,6 +71,30 @@ def test_architecture_covers_request_lifecycle():
     text = (DOCS / "ARCHITECTURE.md").read_text()
     for phrase in ("Request lifecycle", "vfs.batch", "rebind_all", "journal.audit"):
         assert phrase in text, f"lifecycle section lost {phrase!r}"
+
+
+def test_design_experiment_index_names_real_tests():
+    """DESIGN.md section 4's "Verified by" column: every
+    ``tests/<file>.py::[Class::]test`` id resolves to a definition, and
+    no row is left without one of the three kinds of home."""
+    text = (REPO / "DESIGN.md").read_text()
+    section = text[text.index("## 4. Experiment index"):text.index("## 5.")]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    assert len(rows) >= 15, "the experiment index lost its rows"
+    for row in rows:
+        verified_by = row.rstrip("|").rsplit("|", 1)[1]
+        assert re.search(r"tests/|`bench`|`repro ", verified_by), row
+    ids = re.findall(r"`(tests/\w+\.py)((?:::\w+)*)`", section)
+    assert ids
+    for path, names in ids:
+        scope = ast.parse((REPO / path).read_text()).body
+        for name in names.split("::")[1:]:
+            found = [
+                node for node in scope
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+            ]
+            assert found, f"DESIGN.md names {path}{names}, which does not exist"
+            scope = found[0].body
 
 
 def test_docstring_gate():

@@ -1,7 +1,9 @@
 """Smoke tests: the shipped examples must run end to end.
 
 (The two campaign-style examples — fault_injection and performance_table —
-are exercised by the benchmarks instead; they take minutes.)
+are not run here: they take a minute or more, and the campaign and
+Table 2 code they call is held by test_parallel_campaign.py and
+test_perf_analysis.py.)
 """
 
 import importlib.util

@@ -131,6 +131,21 @@ class TestDebitCredit:
         assert rio_result.tps > 5 * wt_result.tps
         assert rio.disk.stats.writes == 0
 
+    def test_vm_protection_overhead_is_negligible(self):
+        """Section 6: expose-page [Sullivan91a] costs 7% on debit/credit;
+        "the overhead of Rio's protection mechanism ... is negligible" —
+        in-kernel toggles, page-sized windows.  Virtual time."""
+        seconds = {}
+        for rio in (RioConfig.without_protection(), RioConfig.with_protection()):
+            system = self.make("rio", rio)
+            bench = DebitCreditWorkload(
+                system.vfs, system.kernel, DebitCreditParams(accounts=32, transactions=60)
+            )
+            bench.setup()
+            seconds[rio.protection] = bench.run().seconds
+        unprotected, protected = seconds.values()
+        assert protected / unprotected - 1.0 < 0.03
+
     def test_committed_transactions_survive_crash_on_rio(self):
         system = self.make("rio", RioConfig.with_protection())
         bench = DebitCreditWorkload(

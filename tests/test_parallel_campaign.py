@@ -1,11 +1,12 @@
-"""Serial ≡ parallel: the campaign engine's defining property.
+"""One table at every job count: the campaign engine's defining property.
 
-A 3-system × 3-fault mini-campaign is run once serially (the oracle)
-and then through the engine at ``jobs=1``, ``jobs=4``, and with a forced
-mid-campaign interruption and resume.  Every variant must produce a
-``Table1`` whose canonical digest — every cell's crashes, corruptions,
-trap saves, discards, and per-trial results, in serial order — equals
-the oracle's.
+A 3-system × 3-fault mini-campaign is run once through
+``run_table1_campaign`` (the engine in process; the absolute oracle is
+the digest pinned in ``test_golden_digests.py``) and then through the
+engine at ``jobs=1``, ``jobs=4``, and with a forced mid-campaign
+interruption and resume.  Every variant must produce a ``Table1`` whose
+canonical digest — every cell's crashes, corruptions, trap saves,
+discards, and per-trial results, in attempt order — is the same.
 
 The trial configs are shrunk (small memTest, tight post-injection
 budget) so the whole module stays in tier-1 time; equivalence does not
@@ -16,12 +17,14 @@ import os
 
 import pytest
 
+from repro.__main__ import main
 from repro.faults import FaultType
 from repro.reliability import (
     CampaignEngine,
     run_table1_campaign,
     table1_digest,
 )
+from repro.reliability.journal import read_trials
 from repro.workloads.memtest import MemTestParams
 
 MINI_CAMPAIGN = dict(
@@ -114,6 +117,48 @@ class TestEquivalence:
         table3 = resumed_again.run()
         assert table1_digest(table3) == want
         assert resumed_again.stats.executed == 0, "a finished campaign must resume for free"
+
+
+    def test_journals_agree_on_every_consumed_trial(self, tmp_path):
+        """Line order and speculation past a cell's stopping point are
+        free; the trials the table consumed are not."""
+        entries = {}
+        for jobs in (1, 4):
+            journal = str(tmp_path / f"jobs{jobs}.jsonl")
+            table = CampaignEngine(**MINI_CAMPAIGN, jobs=jobs, checkpoint=journal).run()
+            consumed = {
+                (system, fault.value, attempt)
+                for (system, fault), cell in table.cells.items()
+                for attempt in range(len(cell.results))
+            }
+            trials = read_trials(journal)
+            assert consumed <= set(trials)
+            entries[jobs] = {key: trials[key] for key in consumed}
+        assert entries[1] == entries[4]
+
+
+class TestCli:
+    def test_one_path_whatever_the_flags(self, tmp_path, capsys):
+        """``repro table1`` prints the same table in process and through
+        two checkpointing workers, and resuming a finished journal runs
+        nothing."""
+        journal = str(tmp_path / "table1.jsonl")
+        argv = ["table1", "--scale", "1", "--systems", "rio_prot", "--faults", "kernel text"]
+
+        def table(out: str) -> str:
+            return out[out.index("Fault Type"):]
+
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--jobs", "2", "--resume", journal]) == 0
+        parallel = capsys.readouterr()
+        assert table(plain.out) == table(parallel.out)
+        assert "0 from checkpoint" in plain.err
+
+        assert main(argv + ["--jobs", "2", "--resume", journal]) == 0
+        resumed = capsys.readouterr()
+        assert table(resumed.out) == table(plain.out)
+        assert "(0 trials run, " in resumed.err
 
 
 class TestWorkerDeath:

@@ -1,11 +1,12 @@
 """Tests for the crash-test campaign (Table 1 harness).
 
-Full campaigns are benchmark territory; these tests exercise single runs
-and a miniature campaign to validate the machinery.
+Full campaigns are ``repro table1 --scale N`` territory; these tests
+exercise single runs and a miniature campaign to validate the machinery.
 """
 
 import pytest
 
+from repro.analysis import mttf_table
 from repro.faults import FaultType
 from repro.reliability import (
     CrashTestConfig,
@@ -135,11 +136,29 @@ class TestMiniCampaign:
         assert table.corruption_rate("disk") == pytest.approx(0.04)
         assert table.total_corruptions("disk") == 2
 
-    def test_unique_crash_messages_counted(self):
-        table = run_table1_campaign(
+    @pytest.fixture(scope="class")
+    def disk_table(self):
+        return run_table1_campaign(
             crashes_per_cell=2,
             systems=("disk",),
             fault_types=(FaultType.KERNEL_TEXT, FaultType.DELETE_BRANCH),
             base_seed=700,
         )
-        assert table.unique_crash_messages() >= 1
+
+    def test_unique_crash_messages_counted(self, disk_table):
+        assert disk_table.unique_crash_messages() >= 1
+
+    def test_mini_campaign_has_table1_shape(self, disk_table):
+        """What the paper-scale run is held to, at a scale tier-1 can
+        afford: crashes come in several kinds, corruption is rare, and
+        the section 3.3 MTTF computed from *measured* counts is
+        plausible (a few crashes often measure zero -> infinite, so the
+        bound is one-sided)."""
+        kinds = set()
+        for cell in disk_table.cells.values():
+            kinds.update(cell.crash_kinds)
+        assert {"panic", "machine_check"} <= kinds
+        assert disk_table.corruption_rate("disk") < 0.20
+        crashes = disk_table.total_crashes("disk")
+        mttf = mttf_table({"disk": (disk_table.total_corruptions("disk"), crashes)})
+        assert crashes == 4 and mttf["disk"] > 0.3

@@ -7,6 +7,7 @@ campaigns live in test_server_traffic.py.
 import pytest
 
 from repro import RioConfig, SystemSpec, build_system
+from repro.kernel.kernel import BATCH_SYSCALL_OVERHEAD_NS, SYSCALL_OVERHEAD_NS
 from repro.server import (
     AckJournal,
     Backpressure,
@@ -363,8 +364,7 @@ def test_vfs_batch_prices_prologue_once():
     assert kernel.stat_batched_syscalls == 7
     # Eight batched writes must cost far less than eight unbatched ones.
     assert batched < 8 * single
-    full, cheap = kernel.config.syscall_overhead_ns, kernel.config.batch_syscall_overhead_ns
-    assert batched >= full + 7 * cheap
+    assert batched >= SYSCALL_OVERHEAD_NS + 7 * BATCH_SYSCALL_OVERHEAD_NS
 
 
 def test_vfs_run_batch_collects_errors():
