@@ -10,8 +10,7 @@ means not underscore-prefixed; ``__init__`` is exempt when its class is
 documented, property setters and ``@overload`` stubs are exempt, and a
 nested function is private by construction.
 
-Wired to ``make docstrings`` and the CI docs job; tests/test_docs.py
-runs it as a test as well.
+tests/test_docs.py runs it as a tier-1 test.
 """
 
 from __future__ import annotations

@@ -1,65 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``demo``    — the quickstart: write, crash, warm reboot, read back.
-* ``table1``  — run the reliability campaign (Table 1) and print it.
-  ``--jobs N`` fans trials out across N worker processes (same output,
-  bit for bit); ``--resume PATH`` checkpoints finished trials to a JSONL
-  journal and resumes from it; ``--systems``/``--faults`` select a
-  subset of the grid; ``--trace-corruptions`` (needs ``--resume``)
-  records every trial's flight-recorder stream and drops per-corrupting-
-  trial JSONL traces next to the journal.
-* ``forensics`` — per-trial crash forensics over a traced journal:
-  injection -> first divergent store -> crash -> detector evidence.
-* ``table2``  — run the performance grid (Table 2) and print it.
-* ``mttf``    — the section 3.3 MTTF illustration from the paper's rates.
-* ``analyze`` — static analysis of the kernel text: disassembly, CFG,
-  lint findings and the code-patching plan for one routine (or all).
-* ``lint``    — run the lint suite over every kernel routine; exits
-  non-zero on findings (used by ``make lint``).
-* ``serve``   — the crash-transparent file service under a crash storm:
-  N clients, M mid-traffic kernel crashes, warm reboots, and the
-  zero-lost-acks durability audit (exit 1 if any ack was lost).
-  ``--backend tiered`` puts a write-back object-store tier behind the
-  disk: every recovery reconciles the remote tier, and the campaign
-  finishes with the remote-only audit (the local disk thrown away).
-* ``loadgen`` — the same deterministic multi-client load with no storm:
-  a pure throughput/latency measurement of the service.
-* ``cluster`` — ``serve`` behind a sharded front-end: N independent
-  Machine+Kernel shards behind a deterministic consistent-hash router,
-  in-process or one worker process per shard (``--jobs``).  Takes
-  ``serve``'s storm flags, per shard (``--crashes`` defaults to 0; the
-  storm *rolls*, one shard down at a time); exit 1 if any acknowledged
-  op was lost.
-* ``chaos``   — the chaos capability matrix: one traffic-under-faults
-  trial per fault capability (allocation denials, queue overflows,
-  disk-full, slow IO, fail-Nth), reporting p99-under-chaos, recovery
-  time and the zero-lost-acks SLO.  ``--jobs N`` fans trials across
-  workers (bit-identical campaign digest at any N); ``--trials``
-  selects a subset of the matrix.  Exit 1 on any SLO violation.
-* ``explore`` — the exhaustive crash-point explorer: enumerate every
-  store/flush/shadow-flip boundary in one workload run, crash at each,
-  and hold the recovery to the declared crash-consistency spec.
-  ``--jobs N`` fans boundaries across workers (identical report at any
-  N); ``--resume PATH`` checkpoints verdicts; ``--replay INDEX``
-  re-runs one counterexample by its event index.  Exits 1 on spec
-  violations, 2 on an incomplete sweep.
-* ``dissect`` — the independent on-disk-format verifier: statically
-  analyze a disk image (``RIOIMG1`` container or raw bytes) and print
-  typed findings; exits non-zero when the image is not clean.
-* ``dump-disk`` — build a file system, optionally age it with seeded
-  churn, flush, and dump the disk to an image container.
-* ``load-disk`` — install a dumped image onto a fresh disk, run both
-  fsck and dissect over it, and report whether their verdicts agree
-  (exit 1 on divergence).
-* ``fsck-remote`` — the worked outage-recovery scenario: crash a
-  tiered stack with the upload queue still dirty (``--outage`` holds
-  the object store down through the reboot), then reconcile the remote
-  tier under the s3ql-style ``--batch``/``--force`` switches and
-  cross-check the materialized image with the independent verifier.
-
-Each accepts ``--scale`` to trade time for statistics.
+Every command is one row of :data:`COMMANDS` — name, help, flags,
+handler — and the parser, the dispatch, ``repro --help`` and
+``tests/test_cli.py`` all read that list.  Exit statuses and the flags
+several commands share are documented in ``docs/API.md`` ("Command-line
+interface"); everything else is ``repro <command> --help``.
 """
 
 from __future__ import annotations
@@ -151,20 +96,14 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _result_corrupted(result: dict) -> bool:
-    """Mirror of ``CrashTestResult.corrupted`` over the wire format."""
-    return bool(
-        result.get("memtest_problems")
-        or result.get("checksum_mismatches")
-        or result.get("static_copy_mismatch")
-        or result.get("recovery_failed")
-    )
-
-
 def cmd_forensics(args) -> int:
     """Per-trial crash forensics over a traced campaign journal."""
     from repro.obs import build_forensic_report, format_forensic_report
-    from repro.reliability.campaign import CrashTestConfig, run_baseline_trace
+    from repro.reliability.campaign import (
+        CrashTestConfig,
+        CrashTestResult,
+        run_baseline_trace,
+    )
     from repro.reliability.journal import read_trials
 
     try:
@@ -193,7 +132,9 @@ def cmd_forensics(args) -> int:
         ):
             continue
         _seed, result = entries[key]
-        if wanted is None and not (result.get("crashed") and _result_corrupted(result)):
+        if wanted is None and not (
+            result.get("crashed") and CrashTestResult.from_json_dict(result).corrupted
+        ):
             continue
         selected.append((key, result))
 
@@ -287,20 +228,6 @@ def cmd_analyze(args) -> int:
             f"+{report.added_words} words"
         )
         print()
-    return 0
-
-
-def cmd_lint(_args) -> int:
-    """Lint every kernel routine; exit non-zero on findings."""
-    from repro.isa.analysis import lint_routines
-
-    findings = lint_routines()
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(f"{len(findings)} finding(s)")
-        return 1
-    print("kernel text lint: clean")
     return 0
 
 
@@ -559,7 +486,7 @@ def cmd_fsck_remote(args) -> int:
     """
     from repro.backend.audit import mount_materialized
     from repro.backend.fsck_remote import fsck_remote
-    from repro.fs.dissect import compare_verdicts, dissect_image
+    from repro.fs.dissect import second_opinion
     from repro.system import build_system, system_spec_for
 
     say = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
@@ -624,13 +551,8 @@ def cmd_fsck_remote(args) -> int:
 
     # Second opinion: the remote tier alone must reproduce an image both
     # judges bless.
-    scratch, scratch_report, image = mount_materialized(store)
-    scan = dissect_image(image)
-    divergence = compare_verdicts(
-        fsck_unrecoverable=scratch_report.fsck.unrecoverable,
-        fsck_fix_count=scratch_report.fsck.fix_count,
-        report=scan,
-    )
+    _scratch, scratch_report, image = mount_materialized(store)
+    scan, divergence = second_opinion(image, scratch_report.fsck)
     print(
         f"materialized image {scan.image_sha256[:16]}: "
         f"{len(scan.findings)} dissect finding(s), "
@@ -659,7 +581,7 @@ def cmd_load_disk(args) -> int:
     """Install an image onto a fresh disk, fsck it, and cross-check with
     the independent verifier; exit 1 when their verdicts diverge."""
     from repro.disk.device import SimulatedDisk
-    from repro.fs.dissect import compare_verdicts, dissect_image, install
+    from repro.fs.dissect import install, second_opinion
     from repro.fs.dissect.layout import SECTOR_SIZE
     from repro.fs.fsck import fsck
 
@@ -668,16 +590,12 @@ def cmd_load_disk(args) -> int:
         raise SystemExit(
             f"image is {len(payload)} bytes: not a whole number of sectors"
         )
-    # Dissect first — fsck repairs in place and would hide the evidence.
-    scan = dissect_image(payload)
     disk = SimulatedDisk("image", num_sectors=len(payload) // SECTOR_SIZE)
     install(disk, payload)
     report = fsck(disk)
-    divergence = compare_verdicts(
-        fsck_unrecoverable=report.unrecoverable,
-        fsck_fix_count=report.fix_count,
-        report=scan,
-    )
+    # Dissect the payload, not the disk: fsck repaired that in place and
+    # would have hidden the evidence.
+    scan, divergence = second_opinion(payload, report)
     print(scan.format())
     print(
         f"fsck: {report.fix_count} fix(es), "
@@ -687,13 +605,17 @@ def cmd_load_disk(args) -> int:
     return 0 if divergence.agreed else 1
 
 
-def _add_load_flags(parser, *, pipeline: bool = True) -> None:
-    """The flags ``serve``/``loadgen``/``cluster``/``chaos`` share."""
+def _add_system_flag(parser) -> None:
     parser.add_argument(
         "--system",
         default="rio_prot",
         help="disk | rio_noprot | rio_prot (default rio_prot)",
     )
+
+
+def _add_load_flags(parser, *, pipeline: bool = True) -> None:
+    """The flags ``serve``/``loadgen``/``cluster``/``chaos`` share."""
+    _add_system_flag(parser)
     parser.add_argument("--clients", type=int, default=16, help="concurrent clients")
     parser.add_argument(
         "--ops", type=int, default=30, help="programs per client (default 30)"
@@ -748,274 +670,319 @@ def _add_storm_flags(parser, *, crashes: int | None) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch to one command."""
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("demo", help="write, crash, warm reboot, read back")
-    p1 = sub.add_parser("table1", help="run the reliability campaign")
-    p1.add_argument("--scale", type=int, default=2, help="crashes per cell (paper: 50)")
-    p1.add_argument(
+def _flags_table1(p) -> None:
+    p.add_argument("--scale", type=int, default=2, help="crashes per cell (paper: 50)")
+    p.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the campaign engine (default 1: in process)",
+        help="worker processes for the campaign engine (default 1: in process; "
+        "the same table, bit for bit, at any N)",
     )
-    p1.add_argument(
+    p.add_argument(
         "--resume",
         metavar="PATH",
         default=None,
         help="JSONL checkpoint journal: created if missing, resumed if "
         "present; finished trials are never re-run",
     )
-    p1.add_argument(
+    p.add_argument(
         "--systems",
         default=None,
         help="comma-separated subset of disk,rio_noprot,rio_prot (default: all)",
     )
-    p1.add_argument(
+    p.add_argument(
         "--faults",
         default=None,
         help='comma-separated fault types, e.g. "kernel text,pointer" (default: all 13)',
     )
-    p1.add_argument(
+    p.add_argument(
         "--trace-corruptions",
         action="store_true",
         help="record flight-recorder streams for every trial and write "
         "per-corrupting-trial JSONL traces next to the --resume journal",
     )
-    pf = sub.add_parser(
-        "forensics", help="per-trial crash forensics over a traced journal"
-    )
-    pf.add_argument("journal", help="JSONL checkpoint journal from table1 --resume")
-    pf.add_argument(
+
+
+def _flags_forensics(p) -> None:
+    p.add_argument("journal", help="JSONL checkpoint journal from table1 --resume")
+    p.add_argument(
         "--trial",
         default=None,
         metavar="SYSTEM/FAULT/ATTEMPT",
         help='one trial to report on, e.g. "rio_noprot/kernel_text/3" '
         "(default: every corrupting trial)",
     )
-    pf.add_argument(
+    p.add_argument(
         "--no-baseline",
         action="store_true",
         help="skip the injection-suppressed baseline re-run and use the "
         "documented heuristic attribution instead",
     )
-    sub.add_parser("table2", help="run the performance grid")
-    sub.add_parser("mttf", help="the section 3.3 MTTF illustration")
-    pa = sub.add_parser("analyze", help="static analysis of a kernel routine")
-    pa.add_argument("routine", nargs="?", help="routine name (default: all)")
-    pa.add_argument(
-        "--naive", action="store_true", help="show the unoptimized patch plan"
-    )
-    sub.add_parser("lint", help="lint the kernel text (exit 1 on findings)")
-    ps = sub.add_parser(
-        "serve", help="file service under a crash storm (exit 1 on lost acks)"
-    )
-    _add_load_flags(ps)
-    _add_storm_flags(ps, crashes=3)
-    pl = sub.add_parser("loadgen", help="deterministic load, no crashes")
-    _add_load_flags(pl)
-    _add_storm_flags(pl, crashes=None)
-    pc = sub.add_parser(
-        "cluster",
-        help="multi-kernel sharded service under load (exit 1 on lost acks)",
-    )
-    _add_load_flags(pc)
-    _add_storm_flags(pc, crashes=0)
-    pc.add_argument("--shards", type=int, default=2, help="kernel shards (default 2)")
-    pc.add_argument(
+
+
+def _flags_analyze(p) -> None:
+    p.add_argument("routine", nargs="?", help="routine name (default: all)")
+    p.add_argument("--naive", action="store_true", help="show the unoptimized patch plan")
+
+
+def _flags_serve(p) -> None:
+    _add_load_flags(p)
+    _add_storm_flags(p, crashes=3)
+
+
+def _flags_loadgen(p) -> None:
+    _add_load_flags(p)
+    _add_storm_flags(p, crashes=None)
+
+
+def _flags_cluster(p) -> None:
+    _add_load_flags(p)
+    _add_storm_flags(p, crashes=0)
+    p.add_argument("--shards", type=int, default=2, help="kernel shards (default 2)")
+    p.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="1: all shards in-process; >1: one worker process per shard "
         "(identical digests either way)",
     )
-    pc.add_argument(
+    p.add_argument(
         "--router",
         default="dir",
         choices=("dir", "hash"),
         help="routing key: parent directory (colocates) or full path (scatters)",
     )
-    pch = sub.add_parser(
-        "chaos",
-        help="chaos capability matrix over the service (exit 1 on SLO violations)",
-    )
-    _add_load_flags(pch, pipeline=False)
-    pch.add_argument(
+
+
+def _flags_chaos(p) -> None:
+    _add_load_flags(p, pipeline=False)
+    p.add_argument(
         "--crashes",
         type=int,
         default=2,
         help="forced crashes per trial (default 2; 0 = no storm)",
     )
-    pch.add_argument(
+    p.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes for the trial fan-out (identical digests at any N)",
     )
-    pch.add_argument(
+    p.add_argument(
         "--trials",
         default=None,
         help="comma-separated subset of the matrix, e.g. baseline,slow_io "
         "(default: every trial)",
     )
-    pe = sub.add_parser(
-        "explore",
-        help="exhaustive crash-point sweep against the spec (exit 1 on violations)",
-    )
-    pe.add_argument(
+
+
+def _flags_explore(p) -> None:
+    p.add_argument(
         "workload",
         nargs="?",
         default="basic",
         help="basic | traffic (default basic)",
     )
-    pe.add_argument(
-        "--system",
-        default="rio_prot",
-        help="disk | rio_noprot | rio_prot (default rio_prot)",
-    )
-    pe.add_argument("--seed", type=int, default=1, help="workload seed")
-    pe.add_argument(
+    _add_system_flag(p)
+    p.add_argument("--seed", type=int, default=1, help="workload seed")
+    p.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the sweep (default 1: serial)",
+        help="worker processes for the sweep (default 1: serial; identical "
+        "report at any N)",
     )
-    pe.add_argument(
-        "--ops", type=int, default=8, help="basic: seeded write rounds (default 8)"
-    )
-    pe.add_argument(
-        "--clients", type=int, default=2, help="traffic: clients (default 2)"
-    )
-    pe.add_argument(
+    p.add_argument("--ops", type=int, default=8, help="basic: seeded write rounds (default 8)")
+    p.add_argument("--clients", type=int, default=2, help="traffic: clients (default 2)")
+    p.add_argument(
         "--ops-per-client",
         type=int,
         default=4,
         help="traffic: programs per client (default 4)",
     )
-    pe.add_argument(
+    p.add_argument(
         "--plant-ack-bug",
         action="store_true",
         help="traffic: switch on the planted ack-before-execute ordering bug",
     )
-    pe.add_argument(
+    p.add_argument(
         "--backend",
         default=None,
         choices=("local", "objectstore", "tiered"),
         help="tiered backing store: enumerates backend/upload and "
         "backend/commit boundaries and arms the remote-tier spec clause",
     )
-    pe.add_argument(
+    p.add_argument(
         "--resume",
         metavar="PATH",
         default=None,
         help="JSONL checkpoint journal: created if missing, resumed if present",
     )
-    pe.add_argument(
+    p.add_argument(
         "--artifacts",
         metavar="DIR",
         default=None,
         help="directory for counterexample images + forensics reports",
     )
-    pe.add_argument(
+    p.add_argument(
         "--replay",
         type=int,
         default=None,
         metavar="INDEX",
         help="re-run exactly one counterexample by its event index",
     )
-    pe.add_argument("--json", action="store_true", help="machine-readable report")
-    pd = sub.add_parser(
-        "dissect", help="static analysis of a disk image (exit 1 on findings)"
-    )
-    pd.add_argument("image", help="RIOIMG1 container or raw image file")
-    pd.add_argument("--json", action="store_true", help="machine-readable report")
-    pdd = sub.add_parser("dump-disk", help="build and dump a disk image")
-    pdd.add_argument("out", help="output path (RIOIMG1 container)")
-    pdd.add_argument(
-        "--system",
-        default="rio_prot",
-        help="disk | rio_noprot | rio_prot (default rio_prot)",
-    )
-    pdd.add_argument(
-        "--blocks", type=int, default=256, help="file system size in 8 KB blocks"
-    )
-    pdd.add_argument(
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+
+
+def _flags_dissect(p) -> None:
+    p.add_argument("image", help="RIOIMG1 container or raw image file")
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+
+
+def _flags_dump_disk(p) -> None:
+    p.add_argument("out", help="output path (RIOIMG1 container)")
+    _add_system_flag(p)
+    p.add_argument("--blocks", type=int, default=256, help="file system size in 8 KB blocks")
+    p.add_argument(
         "--age",
         type=int,
         default=0,
         metavar="OPS",
         help="seeded churn operations to run before dumping (default 0)",
     )
-    pdd.add_argument("--seed", type=int, default=1, help="churn seed")
-    pld = sub.add_parser(
-        "load-disk", help="fsck + dissect an image; exit 1 on divergence"
-    )
-    pld.add_argument("image", help="image produced by dump-disk")
-    pfr = sub.add_parser(
-        "fsck-remote",
-        help="crash a tiered stack mid-upload, reconcile the remote tier "
-        "(exit 1 if repairs still pend or the second opinion diverges)",
-    )
-    pfr.add_argument(
-        "--system",
-        default="rio_prot",
-        help="disk | rio_noprot | rio_prot (default rio_prot)",
-    )
-    pfr.add_argument(
+    p.add_argument("--seed", type=int, default=1, help="churn seed")
+
+
+def _flags_load_disk(p) -> None:
+    p.add_argument("image", help="image produced by dump-disk")
+
+
+def _flags_fsck_remote(p) -> None:
+    _add_system_flag(p)
+    p.add_argument(
         "--backend",
         default="tiered",
         choices=("local", "objectstore", "tiered"),
         help="backing-store flavour (default tiered)",
     )
-    pfr.add_argument(
-        "--blocks", type=int, default=256, help="file system size in 8 KB blocks"
-    )
-    pfr.add_argument(
+    p.add_argument("--blocks", type=int, default=256, help="file system size in 8 KB blocks")
+    p.add_argument(
         "--age",
         type=int,
         default=25,
         metavar="OPS",
         help="seeded churn operations per phase (default 25)",
     )
-    pfr.add_argument("--seed", type=int, default=1, help="scenario seed")
-    pfr.add_argument(
+    p.add_argument("--seed", type=int, default=1, help="scenario seed")
+    p.add_argument(
         "--batch",
         action="store_true",
         help="apply repairs instead of only reporting them (s3ql --batch)",
     )
-    pfr.add_argument(
+    p.add_argument(
         "--force",
         action="store_true",
         help="full rescan even when the seal says local and remote match",
     )
-    pfr.add_argument(
+    p.add_argument(
         "--outage",
         action="store_true",
         help="hold the object store down through the reboot: the mount-time "
         "reconcile defers, the explicit pass runs after the heal",
     )
-    pfr.add_argument("--json", action="store_true", help="machine-readable report")
-    args = parser.parse_args(argv)
-    return {
-        "demo": cmd_demo,
-        "table1": cmd_table1,
-        "forensics": cmd_forensics,
-        "table2": cmd_table2,
-        "mttf": cmd_mttf,
-        "analyze": cmd_analyze,
-        "lint": cmd_lint,
-        "serve": cmd_serve,
-        "loadgen": cmd_serve,
-        "cluster": cmd_serve,
-        "chaos": cmd_chaos,
-        "explore": cmd_explore,
-        "dissect": cmd_dissect,
-        "dump-disk": cmd_dump_disk,
-        "load-disk": cmd_load_disk,
-        "fsck-remote": cmd_fsck_remote,
-    }[args.command](args)
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+
+
+#: Every command, declared once: ``(name, help, add_flags, handler)``.
+#: ``add_flags`` is None for a command that takes no arguments.
+COMMANDS = (
+    ("demo", "the quickstart: write, crash, warm reboot, read back", None, cmd_demo),
+    ("table1", "run the reliability campaign (Table 1) and print it", _flags_table1, cmd_table1),
+    (
+        "forensics",
+        "per-trial crash forensics over a traced table1 journal: injection -> "
+        "first divergent store -> crash -> detector evidence",
+        _flags_forensics,
+        cmd_forensics,
+    ),
+    ("table2", "run the performance grid (Table 2) and its ratio summary", None, cmd_table2),
+    ("mttf", "the section 3.3 MTTF illustration from the paper's rates", None, cmd_mttf),
+    (
+        "analyze",
+        "static analysis of the kernel text: disassembly, CFG, lint findings "
+        "and the code-patching plan for one routine (or all)",
+        _flags_analyze,
+        cmd_analyze,
+    ),
+    (
+        "serve",
+        "the file service under a crash storm: N clients, M mid-traffic "
+        "kernel crashes, warm reboots, zero-lost-acks audit (exit 1 on lost acks)",
+        _flags_serve,
+        cmd_serve,
+    ),
+    ("loadgen", "the same deterministic multi-client load, no crashes", _flags_loadgen, cmd_serve),
+    (
+        "cluster",
+        "serve behind a sharded front-end: N kernels behind a deterministic "
+        "router, the storm rolling one shard at a time (exit 1 on lost acks)",
+        _flags_cluster,
+        cmd_serve,
+    ),
+    (
+        "chaos",
+        "the chaos capability matrix: one traffic-under-faults trial per "
+        "fault capability (exit 1 on SLO violations)",
+        _flags_chaos,
+        cmd_chaos,
+    ),
+    (
+        "explore",
+        "exhaustive crash-point sweep: crash at every store/flush/shadow-flip "
+        "boundary and hold recovery to the spec (exit 1 on violations, 2 if incomplete)",
+        _flags_explore,
+        cmd_explore,
+    ),
+    (
+        "dissect",
+        "the independent on-disk-format verifier over a disk image (exit 1 on findings)",
+        _flags_dissect,
+        cmd_dissect,
+    ),
+    ("dump-disk", "build a file system, optionally age it, dump the disk image", _flags_dump_disk, cmd_dump_disk),
+    (
+        "load-disk",
+        "install a dumped image, run fsck and dissect over it (exit 1 if they diverge)",
+        _flags_load_disk,
+        cmd_load_disk,
+    ),
+    (
+        "fsck-remote",
+        "the worked outage drill: crash a tiered stack mid-upload, reconcile the "
+        "remote tier (exit 1 if repairs still pend or the second opinion diverges)",
+        _flags_fsck_remote,
+        cmd_fsck_remote,
+    ),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subparser per :data:`COMMANDS` row."""
+    parser = argparse.ArgumentParser(prog="repro", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True, metavar="<command>")
+    for name, help_text, add_flags, handler in COMMANDS:
+        command = sub.add_parser(name, help=help_text, description=help_text)
+        if add_flags is not None:
+            add_flags(command)
+        command.set_defaults(handler=handler)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Parse arguments and dispatch to one command."""
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Pluggable tiered backing stores behind the simulated disk.
 
 The Rio paper has exactly one persistence tier — the local SCSI disk.
-This package adds the s3ql axis: an abstract object-store protocol
-(:mod:`repro.backend.common`), a free local implementation
-(:mod:`repro.backend.local`), a deterministic remote model with
+This package adds the s3ql axis: an object store behind a link, free
+and infallible as it stands (:mod:`repro.backend.common`), a
+deterministic remote model that prices and fails its requests with
 latency/bandwidth/outage weather (:mod:`repro.backend.objectstore`),
 and the tiered write-back cache that glues one of them behind the disk
 (:mod:`repro.backend.tiered`).  Reconciliation and verification live in
@@ -28,15 +28,13 @@ from repro.backend.audit import (
     remote_recovery_audit,
 )
 from repro.backend.common import (
-    Backend,
     BackendError,
     BackendOutage,
     BackendStats,
-    DictBackend,
+    LocalBackend,
     TransientBackendError,
 )
 from repro.backend.fsck_remote import RemoteFsckReport, fsck_remote
-from repro.backend.local import LocalBackend
 from repro.backend.objectstore import ObjectStoreBackend, ObjectStoreConfig
 from repro.backend.tiered import TieredConfig, TieredStats, TieredStore
 
@@ -78,11 +76,9 @@ def make_backing_store(
 
 __all__ = [
     "BACKEND_NAMES",
-    "Backend",
     "BackendError",
     "BackendOutage",
     "BackendStats",
-    "DictBackend",
     "LocalBackend",
     "ObjectStoreBackend",
     "ObjectStoreConfig",

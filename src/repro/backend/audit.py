@@ -10,17 +10,15 @@ a dirty block that never uploaded: the remote tier alone reconstructs
 every promise.
 
 The dissect second opinion rides along, exactly as in the local
-campaigns: the materialized image is dissected *before* the scratch
-mount, the scratch fsck's verdict is compared against it
-(:func:`~repro.fs.dissect.compare_verdicts`), and findings fsck itself
-disclosed at the same location are filtered as agreement-with-
-disclosure (:func:`~repro.fs.dissect.fsck_acknowledged`).
+campaigns: the materialized image (not the scratch disk fsck repaired)
+is dissected and compared with the scratch fsck's verdict, findings fsck
+itself disclosed filtered out (:func:`~repro.fs.dissect.second_opinion`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.backend.common import BackendOutage
@@ -117,7 +115,7 @@ def remote_recovery_audit(system, journal) -> RemoteCheck:
     spec treats a deferral during a declared outage window as
     legitimate, an undeclared one as a violation.
     """
-    store = getattr(system, "backing", None)
+    store = system.backing
     if store is None:
         return RemoteCheck(error="system has no backing store installed")
     check = RemoteCheck()
@@ -135,23 +133,11 @@ def remote_recovery_audit(system, journal) -> RemoteCheck:
         return check
     check.image_sha256 = hashlib.sha256(image).hexdigest()
 
-    from repro.fs.dissect import compare_verdicts, dissect_image, fsck_acknowledged
+    from repro.fs.dissect import second_opinion
 
-    scan = dissect_image(image)
     scratch, reboot_report = _mount_image(image)
-    fsck_report = reboot_report.fsck
-    check.image_fsck_fixes = fsck_report.fix_count if fsck_report is not None else 0
-    fixes = list(getattr(fsck_report, "fixes", None) or [])
-    undisclosed = [
-        finding
-        for finding in scan.findings
-        if not fsck_acknowledged(str(getattr(finding, "where", "")), fixes)
-    ]
-    check.divergence = compare_verdicts(
-        fsck_unrecoverable=fsck_report.unrecoverable if fsck_report else False,
-        fsck_fix_count=fsck_report.fix_count if fsck_report else 0,
-        report=replace(scan, findings=undisclosed),
-    )
+    check.image_fsck_fixes = reboot_report.fsck.fix_count
+    _scan, check.divergence = second_opinion(image, reboot_report.fsck, disclosed=True)
     audit = journal.audit(scratch.vfs)
     check.lost = list(audit.lost)
     return check

@@ -1,4 +1,4 @@
-"""The object-store protocol every backing tier implements.
+"""The object store every backing tier is built on.
 
 An s3ql-style store: named immutable blobs behind four verbs —
 ``get``/``put``/``delete``/``list`` — plus a typed error taxonomy that
@@ -19,7 +19,7 @@ Keys are flat strings namespaced by convention (``obj/<sha256>``,
 listing order is digest material and must not depend on insertion
 history.
 
-**The link.**  A store reached over a link (:class:`DictBackend` and
+**The link.**  A store reached over a link (:class:`LocalBackend` and
 everything built on it) has the disk's request model: the link serves
 one request at a time on its own busy-until timeline, so a request
 issued at ``now`` starts at ``max(now, link_free_ns)`` and completes one
@@ -29,7 +29,7 @@ service time later.  A *waited* request (every read, and a write with
 later request — they queue behind it, FIFO is the only ordering rule —
 but it has *landed* only once virtual time passes its completion, and a
 machine crash before that instant means it never happened
-(:meth:`DictBackend.sever`).  Admission (outage, chaos, seeded failure)
+(:meth:`LocalBackend.sever`).  Admission (outage, chaos, seeded failure)
 is decided when a request is issued, before any link time is taken.
 
 Determinism contract: a backend's observable behavior (service times,
@@ -76,7 +76,7 @@ class BackendStats:
     service_ns: int = 0
     #: Machine-clock time spent stopped on the link (ns): waited
     #: requests, queueing behind posted writes included, plus
-    #: :meth:`DictBackend.drain` back-pressure.
+    #: :meth:`LocalBackend.drain` back-pressure.
     waited_ns: int = 0
     #: Writes issued without waiting for them to land.
     posted_writes: int = 0
@@ -88,108 +88,25 @@ class BackendStats:
         return dict(self.__dict__)
 
 
-class Backend:
-    """Abstract object store; subclasses implement the four verbs.
+class LocalBackend:
+    """The object store every tier is built on: an in-memory blob map
+    behind a link (see the module docstring).
 
-    Subclasses override the underscore hooks (``_get``/``_put``/
-    ``_delete``/``_list``); the public verbs validate keys, keep the
-    counters, and are the only entry points callers use.
-    """
-
-    name = "abstract"
-
-    def __init__(self) -> None:
-        self.stats = BackendStats()
-        #: Optional :class:`~repro.faults.capabilities.ChaosRegistry`;
-        #: implementations consult it per request (see objectstore).
-        self.chaos = None
-
-    # -- the four verbs --------------------------------------------------
-
-    def get(self, key: str) -> bytes:
-        """Return the blob at ``key``; raises :class:`KeyError` if absent."""
-        self._check_key(key)
-        self.stats.gets += 1
-        data = self._get(key)
-        self.stats.bytes_out += len(data)
-        return data
-
-    def put(self, key: str, data: bytes, *, sync: bool = True) -> None:
-        """Store ``data`` at ``key``, overwriting any previous blob;
-        ``sync=False`` posts the write instead of waiting for it."""
-        self._check_key(key)
-        self.stats.puts += 1
-        self.stats.bytes_in += len(data)
-        self._put(key, bytes(data), sync)
-
-    def delete(self, key: str, *, sync: bool = True) -> None:
-        """Remove ``key`` (idempotent: absent keys delete silently);
-        ``sync=False`` posts the delete instead of waiting for it."""
-        self._check_key(key)
-        self.stats.deletes += 1
-        self._delete(key, sync)
-
-    def list(self, prefix: str = "") -> List[str]:
-        """Every key starting with ``prefix``, sorted."""
-        self.stats.lists += 1
-        return self._list(prefix)
-
-    def drain(self) -> None:
-        """Block until every posted write has landed (nothing to wait
-        for on a store that lands writes at once)."""
-
-    def sever(self, crash_ns: int) -> int:
-        """The machine died at ``crash_ns``: undo the posted writes that
-        had not landed by then and return how many there were."""
-        return 0
-
-    # -- subclass hooks -------------------------------------------------
-
-    def _get(self, key: str) -> bytes:
-        raise NotImplementedError
-
-    def _put(self, key: str, data: bytes, sync: bool) -> None:
-        raise NotImplementedError
-
-    def _delete(self, key: str, sync: bool) -> None:
-        raise NotImplementedError
-
-    def _list(self, prefix: str) -> List[str]:
-        raise NotImplementedError
-
-    # -- shared plumbing ------------------------------------------------
-
-    @staticmethod
-    def _check_key(key: str) -> None:
-        """Reject keys the protocol cannot represent."""
-        if not key or "\n" in key or len(key) > 256:
-            raise BackendError(f"malformed backend key {key!r}")
-
-    def digest(self) -> str:
-        """sha256 over the sorted ``key -> sha256(content)`` map.
-
-        The determinism fixture: two stores with identical contents have
-        identical digests regardless of operation history.
-        """
-        h = hashlib.sha256()
-        for key in self.list():
-            h.update(key.encode())
-            h.update(b"\x00")
-            h.update(hashlib.sha256(self._get(key)).digest())
-            h.update(b"\n")
-        return h.hexdigest()
-
-
-class DictBackend(Backend):
-    """In-memory blob map behind a link (see the module docstring).
-
-    Concrete backends override :meth:`_service_ns` — admission and the
-    price of one request; the verbs, the link timeline and the crash
+    As it stands it is the ``local`` flavour — the null object of the
+    family: requests never fail and cost nothing, so a tiered store
+    mounted over it behaves exactly like the local-disk-only stack while
+    every remote-tier code path (upload boundaries, fsck-remote, the
+    materialized-image audit) still runs.  A remote model overrides
+    :meth:`_service_ns` — admission and the price of one request; the
+    verbs, key validation, counters, the link timeline and the crash
     semantics of posted writes live here once.
     """
 
     def __init__(self, *, clock=None) -> None:
-        super().__init__()
+        self.stats = BackendStats()
+        #: Optional :class:`~repro.faults.capabilities.ChaosRegistry`,
+        #: consulted per request by the remote model (see objectstore).
+        self.chaos = None
         self._blobs: Dict[str, bytes] = {}
         self._clock = clock
         #: When the link finishes the last request issued on it (ns).
@@ -201,6 +118,46 @@ class DictBackend(Backend):
     def attach(self, clock) -> None:
         """Point the backend at the machine clock (idempotent)."""
         self._clock = clock
+
+    # -- the four verbs --------------------------------------------------
+
+    def get(self, key: str) -> bytes:
+        """Return the blob at ``key``; raises :class:`KeyError` if absent."""
+        self._check_key(key)
+        self.stats.gets += 1
+        blob = self._blobs.get(key)
+        # Issued before absence is reported: during an outage you cannot
+        # know a key is missing, so the outage wins.
+        self._request(len(blob) if blob is not None else 0)
+        if blob is None:
+            raise KeyError(f"no such backend object: {key}")
+        self.stats.bytes_out += len(blob)
+        return blob
+
+    def put(self, key: str, data: bytes, *, sync: bool = True) -> None:
+        """Store ``data`` at ``key``, overwriting any previous blob;
+        ``sync=False`` posts the write instead of waiting for it."""
+        self._check_key(key)
+        self.stats.puts += 1
+        self.stats.bytes_in += len(data)
+        self._request(len(data), None if sync else key)
+        self._blobs[key] = bytes(data)
+
+    def delete(self, key: str, *, sync: bool = True) -> None:
+        """Remove ``key`` (idempotent: absent keys delete silently);
+        ``sync=False`` posts the delete instead of waiting for it."""
+        self._check_key(key)
+        self.stats.deletes += 1
+        self._request(0, None if sync else key)
+        self._blobs.pop(key, None)
+
+    def list(self, prefix: str = "") -> List[str]:
+        """Every key starting with ``prefix``, sorted."""
+        self.stats.lists += 1
+        self._request(0)
+        return sorted(k for k in self._blobs if k.startswith(prefix))
+
+    # -- the link --------------------------------------------------------
 
     def _service_ns(self, nbytes: int) -> int:
         """Admit one request and price it (ns); raise to reject it."""
@@ -244,8 +201,9 @@ class DictBackend(Backend):
             self._wait(self.link_free_ns)
 
     def sever(self, crash_ns: int) -> int:
-        """Undo, newest first, every posted write completing after
-        ``crash_ns``: what landed is a prefix of the issued stream."""
+        """The machine died at ``crash_ns``: undo, newest first, every
+        posted write completing after it (what landed is a prefix of the
+        issued stream) and return how many there were."""
         posted, severed = self._posted, 0
         while posted and posted[-1][0] > crash_ns:
             _, key, previous = posted.pop()
@@ -259,23 +217,24 @@ class DictBackend(Backend):
         self.stats.severed_writes += severed
         return severed
 
-    def _get(self, key: str) -> bytes:
-        blob = self._blobs.get(key)
-        # Issued before absence is reported: during an outage you cannot
-        # know a key is missing, so the outage wins.
-        self._request(len(blob) if blob is not None else 0)
-        if blob is None:
-            raise KeyError(f"no such backend object: {key}")
-        return blob
+    # -- shared plumbing ------------------------------------------------
 
-    def _put(self, key: str, data: bytes, sync: bool) -> None:
-        self._request(len(data), None if sync else key)
-        self._blobs[key] = data
+    @staticmethod
+    def _check_key(key: str) -> None:
+        """Reject keys the protocol cannot represent."""
+        if not key or "\n" in key or len(key) > 256:
+            raise BackendError(f"malformed backend key {key!r}")
 
-    def _delete(self, key: str, sync: bool) -> None:
-        self._request(0, None if sync else key)
-        self._blobs.pop(key, None)
+    def digest(self) -> str:
+        """sha256 over the sorted ``key -> sha256(content)`` map.
 
-    def _list(self, prefix: str) -> List[str]:
-        self._request(0)
-        return sorted(k for k in self._blobs if k.startswith(prefix))
+        The determinism fixture: two stores with identical contents have
+        identical digests regardless of operation history.
+        """
+        h = hashlib.sha256()
+        for key in self.list():
+            h.update(key.encode())
+            h.update(b"\x00")
+            h.update(hashlib.sha256(self._blobs[key]).digest())
+            h.update(b"\n")
+        return h.hexdigest()

@@ -41,8 +41,6 @@ s3ql refusing to fsck an unreachable bucket.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
@@ -113,12 +111,6 @@ class RemoteFsckReport:
             "unrepaired": self.unrepaired,
             "findings": list(self.findings),
         }
-
-    def digest(self) -> str:
-        """sha256 of the canonical JSON form."""
-        return hashlib.sha256(
-            json.dumps(self.to_json_dict(), sort_keys=True).encode("utf-8")
-        ).hexdigest()
 
     def format(self) -> str:
         """Human-readable transcript (the CLI's output)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend.common import BackendOutage, DictBackend, TransientBackendError
+from repro.backend.common import BackendOutage, LocalBackend, TransientBackendError
 from repro.util.prng import DeterministicRandom
 
 
@@ -49,10 +49,8 @@ class ObjectStoreConfig:
     seed: int = 0
 
 
-class ObjectStoreBackend(DictBackend):
+class ObjectStoreBackend(LocalBackend):
     """Blob map behind a seeded latency, bandwidth and failure model."""
-
-    name = "objectstore"
 
     def __init__(self, config: ObjectStoreConfig | None = None, *, clock=None) -> None:
         super().__init__(clock=clock)

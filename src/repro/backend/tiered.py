@@ -2,7 +2,7 @@
 
 s3ql's ``block_cache`` translated into this repo's vocabulary.  The
 local simulated disk stays the first persistence tier and the
-authority; behind it sits a :class:`~repro.backend.common.Backend`
+authority; behind it sits a :class:`~repro.backend.common.LocalBackend`
 holding one immutable blob per distinct block *content*:
 
 * ``obj/<sha256>`` — the 8 KiB block payload, stored once per distinct
@@ -65,7 +65,7 @@ from functools import partial
 from heapq import nsmallest
 from typing import Dict, List, Optional
 
-from repro.backend.common import Backend, BackendOutage, TransientBackendError
+from repro.backend.common import BackendOutage, LocalBackend, TransientBackendError
 from repro.fs.types import BLOCK_SIZE, SECTORS_PER_BLOCK
 
 #: Key namespaces of the remote schema (see module docstring).
@@ -154,7 +154,7 @@ class TieredStore:
     def __init__(
         self,
         disk,
-        remote: Backend,
+        remote: LocalBackend,
         *,
         clock=None,
         config: Optional[TieredConfig] = None,
@@ -186,9 +186,7 @@ class TieredStore:
     def attach(self, clock) -> None:
         """Point the store (and its backend) at the machine clock."""
         self.clock = clock
-        attach = getattr(self.remote, "attach", None)
-        if attach is not None:
-            attach(clock)
+        self.remote.attach(clock)
 
     def on_machine_crash(self, crash_ns: int) -> None:
         """The machine died at ``crash_ns``: every in-memory structure
@@ -509,13 +507,3 @@ class TieredStore:
         """Every block with a remote map entry, sorted."""
         self._ensure_mirror()
         return sorted(self._map)
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """Stats + queue depth summary for reports; ``remote_stats``
-        carries link busy (``service_ns``) against waited time."""
-        return {
-            "backend": self.remote.name,
-            "dirty": len(self._dirty),
-            "stats": self.stats.to_json_dict(),
-            "remote_stats": self.remote.stats.to_json_dict(),
-        }

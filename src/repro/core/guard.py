@@ -77,7 +77,7 @@ class RioGuard(CacheGuard):
         #: page key -> ``(watch record, generation, lo, hi, pre-image
         #: sums)`` of an open window whose checksum can be adjusted.
         self._adjustable: dict[tuple, tuple] = {}
-        self._recorder = getattr(kernel, "recorder", None)
+        self._recorder = kernel.recorder
 
     # -- helpers ----------------------------------------------------------
 
@@ -174,7 +174,7 @@ class RioGuard(CacheGuard):
             memory.write(shadow_pfn * page_size, memory.frame(page.pfn))
             self._shadows[page.key] = shadow_pfn
             rec = self._recorder
-            if rec is not None and rec.enabled:
+            if rec.enabled:
                 rec.emit(
                     "shadow", "begin-write",
                     page=str(page.key), shadow_pfn=shadow_pfn, pfn=page.pfn,
@@ -193,7 +193,7 @@ class RioGuard(CacheGuard):
         if self.config.maintain_checksums:
             self._update_checksum(page)
         rec = self._recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             # The page-content checksum is engine-independent and is what
             # lets forensics see *data* divergence at page granularity.
             rec.emit(

@@ -46,8 +46,8 @@ class ProtectionManager:
         #: The registry's frames: one immutable run, so the MMU can know
         #: it again (``MMU.set_kseg_writable_run``).
         self._registry_pfns: tuple[int, ...] = ()
-        #: The machine's flight recorder, if it has one (fixed per kernel).
-        self._recorder = getattr(kernel, "recorder", None)
+        #: The machine's flight recorder (fixed per kernel).
+        self._recorder = kernel.recorder
         # Code-patching bookkeeping: which pages are currently protected.
         self._patched_vpns: set[int] = set()
         self._patched_pfns: set[int] = set()
@@ -65,7 +65,7 @@ class ProtectionManager:
         """Engage the mechanism on the booted kernel."""
         self._registry_pfns = tuple(registry_pfns)
         rec = self._recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             rec.emit("prot", "install", mode=self.mode.name, registry_pfns=len(registry_pfns))
         if self.mode is ProtectionMode.NONE:
             return
@@ -140,7 +140,7 @@ class ProtectionManager:
         """Open a write window over one cache page."""
         self.stat_windows += 1
         rec = self._recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             rec.emit("prot", "page-window", page=str(page.key), kind=page.kind)
         self.unprotect_page(page)
 
@@ -152,7 +152,7 @@ class ProtectionManager:
         """Open a write window over every registry frame."""
         self.stat_windows += 1
         rec = self._recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             rec.emit("prot", "registry-window")
         self._set_registry_protected(False)
 
@@ -183,7 +183,7 @@ class ProtectionManager:
                 if pfn in self._patched_pfns:
                     self.stat_patch_traps += 1
                     rec = self._recorder
-                    if rec is not None and rec.enabled:
+                    if rec.enabled:
                         rec.emit("trap", "patch", pfn=pfn, address=vaddr)
                     raise ProtectionTrap(
                         f"code patch: store to protected frame {pfn}", address=vaddr
@@ -195,7 +195,7 @@ class ProtectionManager:
                 if vpn in self._patched_vpns:
                     self.stat_patch_traps += 1
                     rec = self._recorder
-                    if rec is not None and rec.enabled:
+                    if rec.enabled:
                         rec.emit("trap", "patch", vpn=vpn, address=vaddr)
                     raise ProtectionTrap(
                         f"code patch: store to protected page {vpn}", address=vaddr

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.config import ProtectionMode, RioConfig
+from repro.core.config import RioConfig
 from repro.core.guard import RioGuard
 from repro.core.protection import ProtectionManager
 from repro.core.registry import Registry
@@ -46,7 +46,3 @@ class RioFileCache:
             # "we modify the panic procedure to avoid writing dirty data
             # back to disk before a crash" (section 2.3).
             kernel.config.panic_syncs_dirty = False
-
-    @property
-    def protected(self) -> bool:
-        return self.config.protection is not ProtectionMode.NONE

@@ -85,29 +85,27 @@ def dump_and_recover_metadata(
     """Step 1 of the warm reboot (run on the freshly reset machine,
     before any kernel state is rebuilt over the old memory image)."""
     report = WarmRebootReport()
-    rec = getattr(machine, "recorder", None)
-    if rec is None or not rec.enabled:
-        rec = None
+    rec = machine.recorder
     image = machine.memory.snapshot()
     report.dumped_bytes = len(image)
     swap.dump_memory_image(image)
-    if rec is not None:
+    if rec.enabled:
         rec.emit("reboot", "dump", bytes=report.dumped_bytes)
 
     location = find_registry_in_image(image, machine.memory.page_size)
     if location is None:
-        if rec is not None:
+        if rec.enabled:
             rec.emit("reboot", "registry-scan", found=False)
         return image, [], report
     report.registry_found = True
     base_offset, capacity = location
     entries = read_entries_from_image(image, base_offset, capacity)
     report.valid_entries = len(entries)
-    if rec is not None:
+    if rec.enabled:
         rec.emit("reboot", "registry-scan", found=True, valid_entries=len(entries))
     if audit:
         audit_checksums(image, entries, report)
-        if rec is not None:
+        if rec.enabled:
             rec.emit(
                 "reboot", "audit",
                 mismatched_slots=list(report.checksum_mismatches),
@@ -130,7 +128,7 @@ def dump_and_recover_metadata(
         data = image[entry.phys_addr : entry.phys_addr + BLOCK_SIZE]
         disk.write(entry.disk_block * SECTORS_PER_BLOCK, data, sync=True)
         report.metadata_restored += 1
-    if rec is not None:
+    if rec.enabled:
         rec.emit("reboot", "metadata-restore", restored=report.metadata_restored)
     _note_invalid(report, rec, "metadata", invalid)
     return image, entries, report
@@ -141,7 +139,7 @@ def _note_invalid(report: WarmRebootReport, rec, step: str, slots: list[int]) ->
     when there are any, so a healthy reboot's stream is unchanged."""
     if slots:
         report.invalid_entries += slots
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             rec.emit("reboot", "invalid-entries", step=step, slots=slots)
 
 
@@ -175,8 +173,8 @@ def restore_ubc(fs, image, entries: list[RegistryEntry], report: WarmRebootRepor
         data = image[entry.phys_addr : entry.phys_addr + length]
         fs.write_by_ino(entry.ino, entry.file_offset, data)
         report.ubc_restored += 1
-    rec = getattr(getattr(fs, "kernel", None), "recorder", None)
-    if rec is not None and rec.enabled:
+    rec = fs.kernel.recorder
+    if rec.enabled:
         rec.emit(
             "reboot", "ubc-restore",
             entries=report.ubc_entries,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from repro.errors import SystemCrash
@@ -233,7 +233,7 @@ def _dump_counterexample(
 
         dump_image(image_path, run.image, meta=dump_meta)
         verdict.artifact_image = image_path
-    warm = getattr(run.reboot, "warm", None)
+    warm = run.reboot.warm if run.reboot is not None else None
     synthetic_result = {
         "config": {
             "system": config.system,
@@ -241,9 +241,7 @@ def _dump_counterexample(
             "seed": config.seed,
         },
         "recovery_failed": run.recovery_error is not None,
-        "checksum_mismatches": len(
-            getattr(warm, "checksum_mismatches", None) or []
-        ),
+        "checksum_mismatches": len(warm.checksum_mismatches) if warm is not None else 0,
         "image_sha256": verdict.image_sha256,
         "dissect_findings": [
             f.to_json_dict() for f in run.dissect.findings
@@ -495,20 +493,29 @@ def replay(
 # -- rendering ---------------------------------------------------------------
 
 
+#: ExploreConfig fields ``repro explore`` has no flag for; every other
+#: field ``name`` is the flag ``--name`` (underscores dashed) and the
+#: workload is the positional.
+_NO_FLAG = ("fs_blocks", "event_cap")
+
+
 def replay_command(config: ExploreConfig, event_index: int) -> str:
     """The ``repro explore`` argument string that replays one
     counterexample — every non-default config knob spelled out, so the
-    printed command is the complete replayable identity."""
-    defaults = ExploreConfig()
-    parts = [config.workload, f"--system {config.system}", f"--seed {config.seed}"]
-    if config.ops != defaults.ops:
-        parts.append(f"--ops {config.ops}")
-    if config.clients != defaults.clients:
-        parts.append(f"--clients {config.clients}")
-    if config.ops_per_client != defaults.ops_per_client:
-        parts.append(f"--ops-per-client {config.ops_per_client}")
-    if config.plant_ack_bug:
-        parts.append("--plant-ack-bug")
+    printed command is the complete replayable identity.  A config the
+    command line cannot express raises instead of printing a lie."""
+    parts = [config.workload]
+    for f in fields(ExploreConfig):
+        value = getattr(config, f.name)
+        if f.name == "workload" or (value == f.default and f.name not in ("system", "seed")):
+            continue
+        if f.name in _NO_FLAG:
+            raise ExploreError(
+                f"{f.name}={value!r} has no `repro explore` flag: "
+                "this run cannot be replayed from the command line"
+            )
+        flag = "--" + f.name.replace("_", "-")
+        parts.append(flag if value is True else f"{flag} {value}")
     parts.append(f"--replay {event_index}")
     return " ".join(parts)
 

@@ -135,7 +135,7 @@ class RecoverySucceeds(SpecClause):
         details: List[str] = []
         if ctx.recovery_error is not None:
             details.append(f"recovery failed: {ctx.recovery_error}")
-        fsck = getattr(ctx.reboot, "fsck", None)
+        fsck = ctx.reboot.fsck if ctx.reboot is not None else None
         if fsck is not None and fsck.unrecoverable:
             details.append("fsck declared the file system unrecoverable")
         return details
@@ -159,7 +159,7 @@ class MetadataAtomic(SpecClause):
     def check(self, ctx: CrashContext) -> List[str]:
         """BFS-walks the recovered namespace; fires on any failed
         readdir/stat (and on a runaway walk past :data:`MAX_WALK_DIRS`)."""
-        if ctx.system is None or getattr(ctx.system, "vfs", None) is None:
+        if ctx.system is None:
             return []
         vfs = ctx.system.vfs
         details: List[str] = []
@@ -204,10 +204,10 @@ class ShadowPagesNeverTorn(SpecClause):
 
     def check(self, ctx: CrashContext) -> List[str]:
         """Fires when the warm reboot saw checksum-mismatched slots."""
-        warm = getattr(ctx.reboot, "warm", None)
-        mismatches = getattr(warm, "checksum_mismatches", None) or []
-        if not mismatches:
+        warm = ctx.reboot.warm if ctx.reboot is not None else None
+        if warm is None or not warm.checksum_mismatches:
             return []
+        mismatches = warm.checksum_mismatches
         slots = ", ".join(str(slot) for slot in mismatches)
         return [
             f"warm reboot found {len(mismatches)} torn page(s) "

@@ -28,12 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CrashedMachineError, FileSystemError, SystemCrash
-from repro.fs.dissect import (
-    compare_verdicts,
-    dissect_image,
-    fsck_acknowledged,
-    snapshot,
-)
+from repro.fs.dissect import second_opinion, snapshot
 from repro.reliability.campaign import system_spec_for
 from repro.server.journal import AckJournal
 from repro.server.loadgen import LoadClient, LoadSpec, run_load
@@ -44,16 +39,6 @@ from repro.util.prng import DeterministicRandom, pattern_bytes
 from repro.explore.spec import CrashContext
 
 WORKLOAD_NAMES = ("basic", "traffic")
-
-
-def _fsck_acknowledged(finding, fixes) -> bool:
-    """Agreement-with-disclosure filter over one dissect finding.
-
-    The prefix-match logic is shared with the remote-tier audit and
-    lives in :func:`repro.fs.dissect.fsck_acknowledged`; this wrapper
-    just extracts the finding's location string.
-    """
-    return fsck_acknowledged(str(getattr(finding, "where", "")), fixes)
 
 
 @dataclass(frozen=True)
@@ -178,27 +163,15 @@ class _RunBase:
         what the recovered reality would persist.  Any anomaly in *that*
         image is a genuine inconsistency in the recovered state — unless
         fsck's own fix list already disclosed the damage at the same
-        location (see :func:`_fsck_acknowledged`), in which case the two
-        judges agree and only the full report records the defect.
+        location (``second_opinion(..., disclosed=True)``), in which case
+        the two judges agree and only the full report records the defect.
         """
-        fsck = getattr(self.reboot, "fsck", None)
+        fsck = self.reboot.fsck
         if self.system.disk is None or fsck is None:
             return
         self.system.settle()
         self.image = snapshot(self.system.disk)
-        self.dissect = dissect_image(self.image)
-        fixes = list(getattr(fsck, "fixes", None) or [])
-        undisclosed = [
-            finding
-            for finding in self.dissect.findings
-            if not _fsck_acknowledged(finding, fixes)
-        ]
-        for_verdict = replace(self.dissect, findings=undisclosed)
-        self.divergence = compare_verdicts(
-            fsck_unrecoverable=fsck.unrecoverable,
-            fsck_fix_count=fsck.fix_count,
-            report=for_verdict,
-        )
+        self.dissect, self.divergence = second_opinion(self.image, fsck, disclosed=True)
 
     def context(self, event_index: int, kind: str = "?", op: str = "?") -> CrashContext:
         self._remote_check()

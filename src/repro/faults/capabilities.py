@@ -254,10 +254,6 @@ class ChaosRegistry:
         self._caps.setdefault(name, []).append(cap)
         return cap
 
-    def disable(self, name: str) -> None:
-        """Disarm every capability registered under ``name``."""
-        self._caps.pop(name, None)
-
     def capabilities(self) -> List[ChaosCapability]:
         """Every armed capability, in arming order per name."""
         return [cap for name in sorted(self._caps) for cap in self._caps[name]]

@@ -91,11 +91,6 @@ class FaultInjector:
         self._pending_frees: list[tuple[int, int]] = []  # (due_ns, addr)
         self._clock_hooked = False
 
-    def _recorder(self):
-        """The machine's flight recorder, when attached and running."""
-        rec = getattr(self.kernel, "recorder", None)
-        return rec if rec is not None and rec.enabled else None
-
     # -- dispatch ----------------------------------------------------------
 
     def inject(self, fault_type: FaultType) -> InjectionRecord:
@@ -117,8 +112,8 @@ class FaultInjector:
             FaultType.SYNCHRONIZATION: self._inject_synchronization,
         }[fault_type]
         handler(record)
-        rec = self._recorder()
-        if rec is not None:
+        rec = self.kernel.recorder
+        if rec.enabled:
             rec.emit(
                 "fault", "inject",
                 fault_type=str(fault_type.value),
@@ -335,8 +330,8 @@ class FaultInjector:
         self._pending_frees = [item for item in self._pending_frees if item[0] > now_ns]
         for _, addr in due:
             if self.kernel.heap.is_live(addr):
-                rec = self._recorder()
-                if rec is not None:
+                rec = self.kernel.recorder
+                if rec.enabled:
                     rec.emit("fault", "premature-free", addr=addr)
                 try:
                     self.kernel.heap.kfree(addr)  # the premature free
@@ -364,8 +359,8 @@ class FaultInjector:
                 extra = self.rng.randint(2, 1024)
             else:
                 extra = self.rng.randint(2048, 4096)
-            rec = self._recorder()
-            if rec is not None:
+            rec = self.kernel.recorder
+            if rec.enabled:
                 rec.emit("fault", "overrun", length=length, extra=extra)
             return length + extra
 
@@ -384,8 +379,8 @@ class FaultInjector:
             # never occur.
             elide = rng.randrange(interval) == 0
             if elide:
-                rec = self._recorder()
-                if rec is not None:
+                rec = self.kernel.recorder
+                if rec.enabled:
                     rec.emit("fault", "lock-elision", op=op)
             return elide
 

@@ -64,7 +64,7 @@ class BlockAllocator:
         kernel lock leaks it (that is a crash path in this kernel), and
         running out of blocks is an ordinary error, not a crash.
         """
-        chaos = getattr(self.fs.kernel, "chaos", None)
+        chaos = self.fs.kernel.chaos
         if chaos is not None and chaos.should_fail("fail_disk_full"):
             # Denied before the bitmap is touched: the fs looks exactly
             # as if it had genuinely run out of blocks.

@@ -121,7 +121,7 @@ class PageCache:
         self.stat_flushes = 0
         #: Clustered eviction write-back sweeps (see :meth:`_clean_cluster`).
         self.stat_clean_sweeps = 0
-        self._recorder = getattr(kernel, "recorder", None)
+        self._recorder = kernel.recorder
 
     # -- subclass hooks ---------------------------------------------------
 
@@ -155,7 +155,7 @@ class PageCache:
             self.stat_hits += 1
             return page
         self.stat_misses += 1
-        chaos = getattr(self.kernel, "chaos", None)
+        chaos = self.kernel.chaos
         if (
             chaos is not None
             and not self.kernel.locks.any_held()
@@ -301,7 +301,7 @@ class PageCache:
             return
         kernel = self.kernel
         rec = self._recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             rec.emit(
                 "cache", "write",
                 page=str(page.key), kind=self.kind,
@@ -332,7 +332,7 @@ class PageCache:
         if len(data) != BLOCK_SIZE:
             raise ConfigurationError("fill requires a whole page")
         rec = self._recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             rec.emit("cache", "fill", page=str(page.key), kind=self.kind)
         self.guard.begin_write(page)
         self.kernel.bus.store(page.vaddr, data, IO_CONTEXT)
@@ -380,7 +380,7 @@ class PageCache:
         generation = page.write_generation
         self.stat_flushes += 1
         rec = self._recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             # The content checksum makes corrupted flushes visible in the
             # event stream without shipping page images around.
             rec.emit(
@@ -405,7 +405,7 @@ class PageCache:
         # upload the moment its local write is issued.  The disk poked
         # the new content synchronously above, so an upload triggered
         # here reads exactly what this flush wrote.
-        backing = getattr(kernel, "backing", None)
+        backing = kernel.backing
         if backing is not None and backing.disk is disk:
             backing.note_flush(page.disk_block)
         return request

@@ -17,8 +17,8 @@ Public surface:
 
 * :func:`dissect_image` — bytes in, typed :class:`DissectReport` out;
   never raises on image content;
-* :func:`compare_verdicts` / :class:`DivergenceReport` — the
-  fsck-vs-dissect second-opinion protocol;
+* :func:`second_opinion` / :func:`compare_verdicts` /
+  :class:`DivergenceReport` — the fsck-vs-dissect second-opinion protocol;
 * :func:`snapshot` / :func:`install` / :func:`dump_image` /
   :func:`load_image` — disk images as digest-verified artifacts.
 """
@@ -26,7 +26,7 @@ Public surface:
 from repro.fs.dissect.divergence import (
     DivergenceReport,
     compare_verdicts,
-    fsck_acknowledged,
+    second_opinion,
 )
 from repro.fs.dissect.findings import (
     DissectReport,
@@ -55,10 +55,10 @@ __all__ = [
     "MAX_FINDINGS",
     "compare_verdicts",
     "dissect_image",
-    "fsck_acknowledged",
     "dump_image",
     "image_sha256",
     "install",
     "load_image",
+    "second_opinion",
     "snapshot",
 ]

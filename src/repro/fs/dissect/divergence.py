@@ -18,9 +18,10 @@ To preserve the verifier's independence this module never imports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.fs.dissect.findings import DissectReport
+from repro.fs.dissect.parser import dissect_image
 
 
 @dataclass
@@ -140,3 +141,30 @@ def compare_verdicts(
         image_sha256=report.image_sha256,
         details=details,
     )
+
+
+def second_opinion(image: bytes, fsck, *, disclosed: bool = False):
+    """Dissect ``image`` as fsck left it and compare the two verdicts.
+
+    ``fsck`` is fsck's report, read by attribute (``unrecoverable``,
+    ``fix_count``, ``fixes``) so this package still never imports
+    ``repro.fs.fsck``.  With ``disclosed``, findings at a location fsck's
+    own fix list names (:func:`fsck_acknowledged`) do not count against
+    it.  Returns ``(DissectReport, DivergenceReport)``; the report always
+    carries every finding.
+    """
+    report = dissect_image(image)
+    judged = report
+    if disclosed:
+        undisclosed = [
+            finding
+            for finding in report.findings
+            if not fsck_acknowledged(finding.where, fsck.fixes)
+        ]
+        judged = replace(report, findings=undisclosed)
+    divergence = compare_verdicts(
+        fsck_unrecoverable=fsck.unrecoverable,
+        fsck_fix_count=fsck.fix_count,
+        report=judged,
+    )
+    return report, divergence

@@ -38,10 +38,6 @@ class _MemNode:
     def size(self) -> int:
         return len(self.data)
 
-    @property
-    def is_allocated(self) -> bool:
-        return True
-
 
 class MemoryFileSystem:
     """A purely memory-resident file system with the UFS operation surface."""

@@ -818,7 +818,7 @@ class UFS:
         """
         if disk_block == pre_block:
             return
-        chaos = getattr(self.kernel, "chaos", None)
+        chaos = self.kernel.chaos
         with chaos.calm() if chaos is not None else nullcontext():
             if file_block < N_DIRECT:
                 inode.direct[file_block] = pre_block

@@ -30,8 +30,8 @@ def _emit(fs, op: str, **payload) -> None:
     The per-page flush events come from the cache layer; these record
     *why* a flush happened (threshold, fsync, the 30-second daemon).
     """
-    rec = getattr(getattr(fs, "kernel", None), "recorder", None)
-    if rec is not None and rec.enabled:
+    rec = fs.kernel.recorder
+    if rec.enabled:
         rec.emit("wb", op, **payload)
 
 
@@ -52,7 +52,7 @@ def _drain_backend(fs) -> None:
     No-op (one attribute read) on systems without a backing store, so
     the classic single-tier stack is byte-for-byte unchanged.
     """
-    backing = getattr(getattr(fs, "kernel", None), "backing", None)
+    backing = fs.kernel.backing
     if backing is not None:
         backing.drain_uploads(sync=False)
 

@@ -28,10 +28,6 @@ class Clock:
     def now_ns(self) -> int:
         return self._now_ns
 
-    @property
-    def now_seconds(self) -> float:
-        return self._now_ns / NS_PER_SEC
-
     def consume(self, ns: int) -> None:
         """Advance the clock by ``ns`` nanoseconds of CPU work."""
         if ns < 0:
@@ -62,4 +58,4 @@ class Clock:
             callback(self._now_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Clock({self.now_seconds:.6f}s)"
+        return f"Clock({self._now_ns / NS_PER_SEC:.6f}s)"

@@ -119,9 +119,6 @@ class Machine:
         self.disks[name] = disk
         disk.attach(self.clock)
 
-    def disk(self, name: str):
-        return self.disks[name]
-
     # -- crash / reset lifecycle -------------------------------------------
 
     def crash(self, reason: str, kind: str = "panic") -> None:
@@ -137,7 +134,7 @@ class Machine:
         self.crashed = True
         self.crash_log.append(CrashRecord(self.clock.now_ns, reason, kind))
         rec = self.recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             # ``go_down`` emits the richer classified event (with
             # panic_code) first; this one marks the machine actually
             # stopping, after any dying-kernel sync activity.

@@ -13,7 +13,8 @@ The pipeline layers, bottom to top:
   address check injected before every store, with liveness-chosen
   scratch registers and dataflow-proven check elision;
 * :mod:`~repro.isa.analysis.lint` — consistency checks over the same IR,
-  run by ``make lint`` and the ``repro lint`` CLI.
+  printed per routine by ``repro analyze`` and held clean over the
+  shipped text by tier-1.
 
 See ``docs/INTERNALS.md`` ("ISA static analysis & code patching").
 """

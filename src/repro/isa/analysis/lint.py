@@ -2,7 +2,7 @@
 
 Each pass runs on the disassembly/CFG/dataflow of one routine and yields
 :class:`Finding`\\ s.  The suite must run clean over every shipped routine
-(``make lint`` fails the build otherwise) — the passes encode the
+(``tests/test_isa_analysis.py::TestLint`` holds it to that) — the passes encode the
 invariants the interpreter, the patcher and the crash model rely on:
 
 * ``unreachable``       — basic blocks no path from the entry reaches;

@@ -100,10 +100,6 @@ class RoutinePatchReport:
     decisions: list[StoreDecision] = field(default_factory=list)
 
     @property
-    def elided(self) -> int:
-        return self.elided_stack + self.elided_rewalk
-
-    @property
     def added_words(self) -> int:
         return self.patched_words - self.original_words
 

@@ -101,9 +101,8 @@ class Kernel:
         self.mmu = machine.mmu
         self.bus = machine.bus
         self.clock = machine.clock
-        #: Flight recorder convenience handle (see :mod:`repro.obs`);
-        #: ``None``-safe so hand-rolled machine doubles keep working.
-        self.recorder = getattr(machine, "recorder", None)
+        #: Flight recorder convenience handle (see :mod:`repro.obs`).
+        self.recorder = machine.recorder
         self.config.layout.validate(self.page_size)
 
         layout = self.config.layout
@@ -142,6 +141,9 @@ class Kernel:
         self.ubc: UnifiedBufferCache | None = None
         self.guard: CacheGuard | None = None
         self.reliability_writes_off = False
+        #: Chaos capability registry, installed (and re-installed on
+        #: every boot) by the owning System; ``None`` means calm.
+        self.chaos = None
         #: Tiered backing store behind the root disk (see
         #: :mod:`repro.backend`), re-pointed by the owning System on
         #: every boot; ``None`` means the local disk is the only tier.
@@ -335,7 +337,7 @@ class Kernel:
             return
         kind = CRASH_KINDS.get(type(exc), "panic")
         rec = self.recorder
-        if rec is not None and rec.enabled:
+        if rec.enabled:
             rec.emit(
                 "crash",
                 kind,

@@ -74,9 +74,6 @@ class KLib:
             length = self.overrun_hook(length)
         return self._run("bcopy", [src, dst, length], ctx).value
 
-    def bzero(self, dst: int, length: int, ctx: AccessContext = KERNEL_CONTEXT) -> int:
-        return self._run("bzero", [dst, length], ctx).value
-
     def cache_copy(
         self,
         hdr: int,
@@ -87,9 +84,6 @@ class KLib:
     ) -> int:
         """Copy through a buffer header (magic + bounds checked in the ISA)."""
         return self._run("cache_copy", [hdr, src, offset, length], ctx).value
-
-    def checksum_block(self, addr: int, length: int, ctx: AccessContext = KERNEL_CONTEXT) -> int:
-        return self._run("checksum_block", [addr, length], ctx).value
 
     def sched_tick(self, head_ptr: int, ctx: AccessContext = KERNEL_CONTEXT) -> None:
         self._run("sched_tick", [head_ptr], ctx, max_steps=100_000)

@@ -62,10 +62,6 @@ class Lock:
         if not isinstance(exc[1], BaseException):
             self.release()
 
-    @property
-    def racing(self) -> bool:
-        return self.elided
-
 
 class LockManager:
     """Creates locks and hosts the fault-injection elision hook."""

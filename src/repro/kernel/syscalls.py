@@ -75,8 +75,8 @@ class VFS:
         error) leaves no exit event, so an open entry marks the syscall
         the system died inside.
         """
-        rec = getattr(self.kernel, "recorder", None)
-        trace = rec is not None and rec.enabled
+        rec = self.kernel.recorder
+        trace = rec.enabled
         if trace:
             rec.emit("syscall", name, phase="enter")
         try:

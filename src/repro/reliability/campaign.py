@@ -53,8 +53,8 @@ class CrashTestConfig:
     memtest: MemTestParams = field(default_factory=MemTestParams)
     faults: FaultParams = field(default_factory=FaultParams)
     #: Keep the recovered ``System`` on the result for white-box
-    #: inspection.  Off by default: a live system is unpicklable, and the
-    #: parallel campaign engine ships results between processes.
+    #: inspection.  Off by default: the parallel campaign engine ships
+    #: results between processes as JSON, which cannot carry one.
     keep_system: bool = False
     #: Record the flight-recorder event stream for the trial and attach
     #: it (serialized, with a digest) to the result.  Off by default —
@@ -154,7 +154,7 @@ class CrashTestResult:
     divergence: Optional[dict] = None
     #: The recovered System (populated after recovery only when the
     #: config sets ``keep_system``; white-box tests inspect it).  Never
-    #: serialized: ``detach``/``__getstate__`` strip it.
+    #: serialized: ``to_json_dict`` leaves it out, ``detach`` drops it.
     _system: object = None
 
     @property
@@ -176,14 +176,6 @@ class CrashTestResult:
         """Drop the live ``_system`` back-reference; returns ``self``."""
         self._system = None
         return self
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_system"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     def to_json_dict(self) -> dict:
         """A pure-JSON description; the journal/worker wire format."""
@@ -258,18 +250,14 @@ def dissect_second_opinion(system, reboot, result: CrashTestResult) -> None:
     caches) — because on a live Rio system the disk is *legitimately*
     stale between flushes and a mid-run scan would prove nothing.
     """
-    from repro.fs.dissect import compare_verdicts, dissect_image, snapshot
+    from repro.fs.dissect import second_opinion, snapshot
 
     if system.disk is None or reboot.fsck is None:
         return
-    report = dissect_image(snapshot(system.disk))
+    report, divergence = second_opinion(snapshot(system.disk), reboot.fsck)
     result.image_sha256 = report.image_sha256
     result.dissect_findings = [f.to_json_dict() for f in report.findings]
-    result.divergence = compare_verdicts(
-        fsck_unrecoverable=reboot.fsck.unrecoverable,
-        fsck_fix_count=reboot.fsck.fix_count,
-        report=report,
-    ).to_json_dict()
+    result.divergence = divergence.to_json_dict()
 
 
 def run_crash_test(
@@ -292,13 +280,13 @@ def run_crash_test(
     system = build_system(spec)
     vfs, kernel = system.vfs, system.kernel
 
-    recorder = getattr(system.machine, "recorder", None)
-    if config.trace_events and recorder is not None:
+    recorder = system.machine.recorder
+    if config.trace_events:
         recorder.start()
 
     def finish(res: CrashTestResult) -> CrashTestResult:
         """Capture the event stream onto the result (all return paths)."""
-        if config.trace_events and recorder is not None:
+        if config.trace_events:
             res.trace_events = recorder.to_json_list()
             res.event_digest = events_digest(res.trace_events)
             recorder.stop()
@@ -345,7 +333,7 @@ def run_crash_test(
                 result.discarded = True  # survived the budget: discard
                 break
         if baseline_stop is None and op_index == inject_at:
-            if recorder is not None and recorder.enabled:
+            if recorder.enabled:
                 recorder.emit(
                     "trial",
                     "inject",

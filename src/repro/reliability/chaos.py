@@ -54,11 +54,6 @@ class ChaosSpec:
         """The enable-kwargs dict (JSON-safe)."""
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChaosSpec":
-        """Rebuild a spec from its dict form."""
-        return cls(**data)
-
 
 #: The default capability matrix: one trial per capability plus a calm
 #: baseline.  Knobs are deliberately *bounded* (finite ``times``, sparse

@@ -178,11 +178,10 @@ class Shard:
         self._remote_reconciles: List[Any] = []
         self.system.add_reboot_hook(self._second_opinion)
         if spec.trace_events:
-            recorder = getattr(self.system.machine, "recorder", None)
-            if recorder is not None:
-                if spec.shard_id is not None:
-                    recorder.static_tags["shard"] = spec.shard_id
-                recorder.start()
+            recorder = self.system.machine.recorder
+            if spec.shard_id is not None:
+                recorder.static_tags["shard"] = spec.shard_id
+            recorder.start()
 
     def _second_opinion(self, system, report) -> None:
         """Reboot hook: dissect the image fsck has just blessed — the one
@@ -191,13 +190,8 @@ class Shard:
 
         if report.remote is not None:
             self._remote_reconciles.append(report.remote)
-        self._second_opinions.append(
-            dissect.compare_verdicts(
-                fsck_unrecoverable=report.fsck.unrecoverable,
-                fsck_fix_count=report.fsck.fix_count,
-                report=dissect.dissect_image(dissect.snapshot(system.disk)),
-            )
-        )
+        _scan, divergence = dissect.second_opinion(dissect.snapshot(system.disk), report.fsck)
+        self._second_opinions.append(divergence)
 
     def open_session(self, client_id: int) -> None:
         """Create the client's shard session (idempotent)."""
@@ -264,8 +258,8 @@ class Shard:
         verdict = {
             "crashes_observed": stats.crashes_detected,
             "recoveries": stats.recoveries,
-            "faults_injected": getattr(self.storm, "faults_injected", 0),
-            "watchdog_fired": getattr(self.storm, "watchdog_fired", 0),
+            "faults_injected": self.storm.faults_injected,
+            "watchdog_fired": self.storm.watchdog_fired,
             "lost_acks": stats.lost_acks + len(final.lost),
             "repaired_acks": stats.repaired_acks,
             "rebinds": sum(session.rebinds for session in sessions),
@@ -303,10 +297,7 @@ class Shard:
 
     def events(self) -> List[Dict[str, Any]]:
         """The shard's flight-recorder stream (empty when untraced)."""
-        recorder = getattr(self.system.machine, "recorder", None)
-        if recorder is None:
-            return []
-        return recorder.to_json_list()
+        return self.system.machine.recorder.to_json_list()
 
     def handle(self, command: str, payload: Any) -> Any:
         """Dispatch one host command (shared by both host kinds)."""

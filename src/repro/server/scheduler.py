@@ -97,11 +97,6 @@ class RequestScheduler:
             return len(self._queues.get(client_id, ()))
         return sum(len(q) for q in self._queues.values())
 
-    @property
-    def clients(self) -> List[int]:
-        """Client ids with a queue (sorted; may be empty queues)."""
-        return sorted(self._queues)
-
     # -- batching ------------------------------------------------------
 
     def next_batch(self, batch_size: int, quantum: int = 4) -> List[Request]:

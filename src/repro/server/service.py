@@ -106,6 +106,8 @@ class CrashPoints:
         self.points = tuple(sorted(points))
         self.label = label
         self.fired = 0
+        #: Counted by the fault-injecting flavour; a forced storm has none.
+        self.faults_injected = self.watchdog_fired = 0
 
     def due(self, executed: int) -> bool:
         """Consume the next point if ``executed`` has reached it."""
@@ -131,8 +133,6 @@ class FaultStorm(CrashPoints):
     def __init__(self, system, points, label: str, spec) -> None:
         super().__init__(system, points, label)
         self.spec = spec
-        self.faults_injected = 0
-        self.watchdog_fired = 0
         self._armed_at: Optional[int] = None
         self._armed_kernel = None
 
@@ -168,9 +168,7 @@ class FaultStorm(CrashPoints):
 class FileService:
     """A concurrent multi-client file service over one simulated system."""
 
-    def __init__(
-        self, system, config: Optional[ServiceConfig] = None, chaos=None
-    ) -> None:
+    def __init__(self, system, config: Optional[ServiceConfig] = None) -> None:
         self.system = system
         self.config = config or ServiceConfig()
         self.sessions = SessionManager()
@@ -180,7 +178,7 @@ class FileService:
         #: scope: every executed request is bracketed with its
         #: client/session/routine identity so capabilities down the
         #: stack (cache, allocator, disk) can target it.
-        self.chaos = chaos if chaos is not None else getattr(system, "chaos", None)
+        self.chaos = system.chaos
         self.scheduler.chaos = self.chaos
         self.stats = ServiceStats()
         #: Optional hook called with the running executed-request count
@@ -206,11 +204,6 @@ class FileService:
     def _now(self) -> int:
         return self.system.clock.now_ns
 
-    def _recorder(self):
-        """The machine's flight recorder, when attached and running."""
-        rec = getattr(self.system.machine, "recorder", None)
-        return rec if rec is not None and rec.enabled else None
-
     # -- sessions ------------------------------------------------------
 
     def open_session(self, client_id: int) -> Session:
@@ -228,14 +221,10 @@ class FileService:
             pass
         self.journal.record(client_id, 0, "mkdir", home)
         session = self.sessions.open_session(client_id, cwd=home)
-        rec = self._recorder()
-        if rec is not None:
+        rec = self.system.machine.recorder
+        if rec.enabled:
             rec.emit("server", "session-open", client=client_id, home=home)
         return session
-
-    def close_session(self, client_id: int) -> None:
-        """Close a client's backing descriptors and drop the session."""
-        self.sessions.close_session(client_id, self.system.vfs)
 
     # -- admission -----------------------------------------------------
 
@@ -255,8 +244,8 @@ class FileService:
         except ServerError as exc:
             self.stats.submitted -= 1
             self.stats.rejected += 1
-            rec = self._recorder()
-            if rec is not None:
+            rec = self.system.machine.recorder
+            if rec.enabled:
                 rec.emit(
                     "server", "reject",
                     client=request.client_id, req=request.req_id, error=exc.code,
@@ -288,7 +277,7 @@ class FileService:
             return []
         responses: List[Response] = []
         inflight: Optional[dict] = None
-        rec = self._recorder()
+        rec = self.system.machine.recorder
         vfs = self.system.vfs
         #: The client has (or will get, when pump returns) the current
         #: request's response.
@@ -303,7 +292,7 @@ class FileService:
             self.stats.acked += 1
             responses.append(Response.answer(request, value=value, now_ns=self._now))
             answered = True
-            if rec is not None:
+            if rec.enabled:
                 rec.emit(
                     "server", "ack",
                     client=request.client_id, req=request.req_id, op=request.op,
@@ -361,7 +350,7 @@ class FileService:
             inflight = inflight or {}
         if inflight is not None:
             self.stats.crashes_detected += 1
-            if rec is not None:
+            if rec.enabled:
                 rec.emit("server", "crash-detected", backlog=self.scheduler.backlog())
             self.recover(inflight)
         return responses
@@ -401,8 +390,8 @@ class FileService:
         self.stats.repaired_acks += audit.repaired
         self.stats.audits.append(audit)
         self.last_audit = audit
-        rec = self._recorder()
-        if rec is not None:
+        rec = self.system.machine.recorder
+        if rec.enabled:
             rec.emit(
                 "server", "recovered",
                 lost=len(audit.lost),
@@ -430,7 +419,7 @@ class FileService:
 
     def _on_reboot(self, system, report) -> None:
         """Reboot hook: reconstruct every session on the fresh VFS."""
-        self.sessions.rebind_all(system.vfs, recorder=self._recorder())
+        self.sessions.rebind_all(system.vfs, system.machine.recorder)
 
     # -- request execution ---------------------------------------------
 
@@ -631,7 +620,7 @@ class FileService:
                 node = vfs.stat(path)
             except FileNotFound:
                 return {"exists": False}
-            return {"exists": True, "size": getattr(node, "size", None)}
+            return {"exists": True, "size": node.size}
 
         if op == "chdir":
             path = session.resolve(request.path)

@@ -135,19 +135,7 @@ class SessionManager:
             raise SessionError(f"no session for client {client_id}")
         return self.sessions[client_id]
 
-    def close_session(self, client_id: int, vfs) -> None:
-        """Close every backing fd and forget the session."""
-        session = self.sessions.pop(client_id, None)
-        if session is None:
-            return
-        for state in session.fds.values():
-            if not state.stale:
-                try:
-                    vfs.close(state.backing_fd)
-                except Exception:
-                    pass  # backing fd may already be gone mid-crash
-
-    def rebind_all(self, vfs, recorder=None) -> tuple[int, int]:
+    def rebind_all(self, vfs, recorder) -> tuple[int, int]:
         """Reconstruct every session's fd table on a fresh VFS.
 
         Re-opens each client fd's path and keeps the session offset
@@ -168,7 +156,7 @@ class SessionManager:
                     state.backing_fd = FdState.STALE
                     session.rebind_failures += 1
                     failed += 1
-            if recorder is not None and recorder.enabled:
+            if recorder.enabled:
                 recorder.emit(
                     "server",
                     "rebind",

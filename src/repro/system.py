@@ -141,6 +141,8 @@ class System:
         self.rio: Optional[RioFileCache] = None
         self.fs = None
         self.vfs: Optional[VFS] = None
+        #: Chaos capability registry (see :meth:`install_chaos`), or None.
+        self.chaos = None
         #: Tiered backing store behind the root disk, or None (see
         #: :meth:`install_backend`).
         self.backing = None
@@ -159,8 +161,6 @@ class System:
         #: :meth:`add_reboot_hook`); services layered on the system use
         #: them to reconstruct state the reboot invalidated.
         self._reboot_hooks: list = []
-        #: Chaos capability registry (see :meth:`install_chaos`), or None.
-        self.chaos = None
         self._boot_stack(first=True)
 
     # -- boot ------------------------------------------------------------
@@ -171,11 +171,11 @@ class System:
         self.kernel = Kernel(self.machine, replace(spec.kernel))
         # Chaos survives warm reboots: the registry lives on the System,
         # and every freshly booted kernel gets re-pointed at it.
-        self.kernel.chaos = getattr(self, "chaos", None)
+        self.kernel.chaos = self.chaos
         # So does the backing store: the remote tier outlives the
         # machine (that is the point), so each new kernel is re-pointed
         # at the same store object.
-        self.kernel.backing = getattr(self, "backing", None)
+        self.kernel.backing = self.backing
         guard = None
         self.phoenix = None
         if spec.phoenix:
@@ -306,7 +306,7 @@ class System:
         self.backing = store
         store.attach(self.machine.clock)
         store.recorder = self.machine.recorder
-        if getattr(self, "chaos", None) is not None:
+        if self.chaos is not None:
             store.remote.chaos = self.chaos
         if self.kernel is not None:
             self.kernel.backing = store

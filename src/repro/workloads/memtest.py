@@ -328,6 +328,6 @@ def _walk(fs, root: str) -> set[str]:
             except FileSystemError:
                 continue
             node = fs.iget(ino) if hasattr(fs, "iget") else fs.stat(path)
-            if getattr(node, "ftype", None) is not None and node.ftype.name == "DIRECTORY":
+            if node.ftype.name == "DIRECTORY":
                 stack.append(path)
     return seen

@@ -2,7 +2,7 @@
 
 Four layers of coverage:
 
-* the :class:`Backend` protocol itself — key validation, the typed
+* the :class:`LocalBackend` protocol itself — key validation, the typed
   transient/outage error split, the deterministic failure model of the
   simulated object store;
 * the write-back tier — upload batching, content-hash dedup with
@@ -24,7 +24,6 @@ import pytest
 from repro.backend import (
     BackendError,
     BackendOutage,
-    DictBackend,
     LocalBackend,
     ObjectStoreBackend,
     ObjectStoreConfig,
@@ -83,7 +82,7 @@ def _release_queue(store):
 
 class TestBackendProtocol:
     def test_key_validation(self):
-        backend = DictBackend()
+        backend = LocalBackend()
         for bad in ("", "a\nb", "x" * 300):
             with pytest.raises(BackendError):
                 backend.put(bad, b"data")
@@ -91,7 +90,7 @@ class TestBackendProtocol:
                 backend.get(bad)
 
     def test_dict_roundtrip_and_digest(self):
-        a, b = DictBackend(), DictBackend()
+        a, b = LocalBackend(), LocalBackend()
         for backend in (a, b):
             backend.put("obj/x", b"one")
             backend.put("map/1", b"two")

@@ -1,6 +1,6 @@
 """The object-store link: posted writes, FIFO landing, crash severing.
 
-``DictBackend`` gives every store the disk's request model — a link with
+``LocalBackend`` gives every store the disk's request model — a link with
 its own busy-until timeline, waited requests that stop the machine until
 they complete, posted writes that return at once, land later and vanish
 if the machine dies first.  The reference model below restates it

@@ -6,7 +6,6 @@ JournalWarning and their trials re-run; nothing corrupt is ever counted.
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -61,14 +60,6 @@ def crash_result():
 
 
 class TestResultSerialization:
-    def test_pickle_round_trip_drops_system(self, crash_result):
-        clone = pickle.loads(pickle.dumps(crash_result))
-        assert clone._system is None
-        assert crash_result._system is not None, "pickling must not mutate the original"
-        assert clone.to_json_dict() == crash_result.to_json_dict()
-        assert clone.crash_kind == crash_result.crash_kind
-        assert clone.config.seed == crash_result.config.seed
-
     def test_json_round_trip(self, crash_result):
         wire = json.loads(json.dumps(crash_result.to_json_dict()))
         clone = CrashTestResult.from_json_dict(wire)

@@ -53,6 +53,21 @@ def test_relative_links_resolve(path):
     assert not broken, f"{path.name}: broken relative links: {broken}"
 
 
+def test_every_documented_command_is_registered():
+    """``python -m repro <cmd>`` / `` `repro <cmd>` `` in the docs must
+    name a subcommand the CLI still has."""
+    from repro.__main__ import COMMANDS
+
+    registered = {name for name, *_ in COMMANDS}
+    stale = {
+        f"{path.name}: repro {command}"
+        for path in _markdown_files()
+        for command in re.findall(r"(?:-m repro|`repro) ([a-z][a-z0-9-]*)", path.read_text())
+        if command not in registered
+    }
+    assert not stale, sorted(stale)
+
+
 def test_architecture_names_every_package():
     text = (DOCS / "ARCHITECTURE.md").read_text()
     packages = sorted(

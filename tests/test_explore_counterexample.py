@@ -20,6 +20,7 @@ The contract under test:
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields, replace
 
 import pytest
 
@@ -93,6 +94,25 @@ class TestPlantedBugIsFound:
         assert "acked-data-durable" in report_text
         assert replay_command(BUGGED, boundary.index) in report_text
         assert "--plant-ack-bug" in report_text  # the hint must reproduce
+
+    def test_replay_command_rebuilds_the_config_it_names(self):
+        """The printed line parsed by the real CLI gives back the config:
+        ``--backend`` used to be dropped, so a counterexample found under
+        a tiered backend replayed a different run."""
+        from repro.explore import ExploreError
+
+        config = ExploreConfig("basic", backend="tiered", ops=3)
+        line = replay_command(config, 17)
+        assert line == "basic --system rio_prot --seed 1 --ops 3 --backend tiered --replay 17"
+        from repro.__main__ import build_parser
+
+        args = build_parser().parse_args(["explore", *line.split()])
+        flagged = {f.name: getattr(args, f.name) for f in fields(config) if hasattr(args, f.name)}
+        assert ExploreConfig(**flagged) == config and args.replay == 17
+        # No flag sets fs_blocks: refuse rather than print a line that
+        # replays some other run.
+        with pytest.raises(ExploreError, match="fs_blocks"):
+            replay_command(replace(config, fs_blocks=64), 17)
 
     def test_replay_rejects_a_non_boundary_index(self):
         from repro.explore import ExploreError

@@ -57,6 +57,37 @@ class TestAdvFSJournal:
         assert report.journal_records_applied == 0
         assert s.vfs.exists("/cp")
 
+    def test_fsync_commits_the_journal(self, advfs_system):
+        """An acknowledged fsync is the policy's durability point: the
+        file's data is on disk and the log is forced, so a crash the
+        instant it returns replays the metadata and keeps the bytes."""
+        s = advfs_system
+        fd = s.vfs.open("/synced", create=True)
+        s.vfs.write(fd, b"acknowledged")
+        s.vfs.fsync(fd)
+        s.crash("the instant fsync returned")
+        report = s.reboot()
+        assert report.journal_records_applied > 0
+        assert s.vfs.read(s.vfs.open("/synced"), 16) == b"acknowledged"
+
+    def test_update_daemon_checkpoints_the_journal(self, advfs_system):
+        """The 30-second daemon flushes delayed data and checkpoints:
+        metadata lands in place and the log restarts in a new epoch, so
+        recovery has nothing left to replay."""
+        s = advfs_system
+        fd = s.vfs.open("/delayed", create=True)
+        s.vfs.write(fd, b"thirty seconds later")
+        s.vfs.close(fd)
+        epoch = s.fs._epoch
+        s.clock.consume(31 * 10**9)
+        s.kernel.maybe_run_update()
+        assert s.fs._epoch == epoch + 1
+        s.drain_disks()
+        s.crash("after the daemon ran")
+        report = s.reboot()
+        assert report.journal_records_applied == 0
+        assert s.vfs.read(s.vfs.open("/delayed"), 32) == b"thirty seconds later"
+
     def test_torn_record_ends_replay(self, advfs_system):
         s = advfs_system
         for i in range(5):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fs.fsck import fsck
+from repro.fs.fsck import LOST_FOUND_INO, fsck
 from repro.fs.ondisk import DIRENT_SIZE, DirEntry, INODE_SIZE, Inode
 from repro.fs.types import BLOCK_SIZE, FileType, ROOT_INO, SECTORS_PER_BLOCK
 from repro.system import SystemSpec, build_system
@@ -168,6 +168,38 @@ class TestDirectoryRepair:
         system.reboot()
         assert system.fs.exists(f"/lost+found/#{ino}")
         assert system.fs.read(system.fs.namei(f"/lost+found/#{ino}"), 0, 16) == b"orphan data"
+
+    def test_orphan_freed_when_lost_found_cannot_take_it(self, system):
+        """With lost+found no longer a directory the orphan cannot be
+        reconnected: fsck frees the inode and releases its blocks."""
+        ino = system.fs.create("/doomed")
+        system.fs.write(ino, 0, b"orphan data")
+        settle(system)
+        data_block = read_disk_inode(system, ino).direct[0]
+        root_block = read_disk_inode(system, ROOT_INO).direct[0]
+        raw = bytearray(system.disk.peek(root_block * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK))
+        for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
+            entry = DirEntry.from_bytes(bytes(raw[off : off + DIRENT_SIZE]))
+            if entry is not None and entry.name == "doomed":
+                raw[off : off + DIRENT_SIZE] = b"\x00" * DIRENT_SIZE
+        system.disk.poke(root_block * SECTORS_PER_BLOCK, bytes(raw))
+        lost_found = read_disk_inode(system, LOST_FOUND_INO)
+        lost_found.ftype = FileType.REGULAR
+        block, offset = inode_disk_location(system, LOST_FOUND_INO)
+        write_disk_bytes(system, block, offset, lost_found.to_bytes())
+
+        def bitmap_bit(block_no):
+            start = system.fs.sb.bitmap_start * SECTORS_PER_BLOCK
+            bitmap = system.disk.peek(start, SECTORS_PER_BLOCK)
+            return bitmap[block_no // 8] >> (block_no % 8) & 1
+
+        assert bitmap_bit(data_block) == 1
+        report = fsck(system.disk)
+        assert report.orphans_freed == 1 and report.orphans_reconnected == 0
+        assert f"inode {ino}: orphan freed" in report.fixes
+        assert not read_disk_inode(system, ino).is_allocated
+        assert bitmap_bit(data_block) == 0
+        assert fsck(system.disk).fix_count == 0
 
     def test_link_count_repaired(self, system):
         ino = system.fs.create("/miscounted")

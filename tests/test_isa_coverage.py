@@ -9,9 +9,10 @@ from repro.hw import Machine, MachineConfig
 PAGE = 8192
 
 
-def run_program(source: str, args=(), heap_init=b""):
-    """Assemble a one-routine program, run it, return (value, machine)."""
-    machine = Machine(MachineConfig(memory_bytes=64 * PAGE, boot_time_ns=0))
+def run_program(source: str, args=(), heap_init=b"", **engine):
+    """Assemble a one-routine program, run it, return (value, machine);
+    ``fast_path=`` pins the execution engine."""
+    machine = Machine(MachineConfig(memory_bytes=64 * PAGE, boot_time_ns=0, **engine))
     text = KernelText({"prog": source})
     pages = -(-text.size_bytes // PAGE)
     text.load(machine.memory, PAGE, PAGE)
@@ -140,30 +141,23 @@ class TestBranches:
         assert value == 30
 
     def test_jsr_and_ret_through_register(self):
+        """Call a label's address through ``pv``; the callee returns
+        through the ``ra`` that ``jsr`` linked.  On both engines."""
         source = """
-            lda pv, 0(a0)
+            bis ra, ra, t1          ; jsr is about to overwrite ra
+            br t0, anchor           ; t0 <- address of anchor
+        anchor:
+            lda pv, 16(t0)          ; callee sits four words past anchor
             jsr ra, (pv)
-            lda v0, 1(v0)
+            lda v0, 1(v0)           ; back from the call: 41 -> 42
+            ret (t1)
+        callee:
+            lda v0, 41(zero)
             ret
         """
-        # a0 points at a tiny "function": lda v0, 41(zero); ret — we place
-        # it by jumping into our own text: instead test jsr to a label
-        # via computed address is covered by wild-jump tests; here ensure
-        # jsr to own entry works (recursion depth 1 via flag).
-        # Simpler: jump to the address of the final 'ret' (nop call).
-        value, machine = run_program(
-            """
-            lda t5, 0(zero)
-            bne t5, skip
-            br v0, here
-        here:
-            lda v0, 41(zero)
-        skip:
-            lda v0, 1(v0)
-            ret
-            """,
-        )
-        assert value == 42
+        for fast_path in (True, False):
+            value, _ = run_program(source, fast_path=fast_path)
+            assert value == 42
 
 
 class TestMemoryOps:

@@ -1,6 +1,8 @@
 """Unit tests for the warm-reboot module internals (dump, audit, restore
 functions in isolation, complementing the end-to-end tests)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.registry import (
@@ -15,6 +17,7 @@ from repro.core.warm_reboot import (
     audit_checksums,
     restore_ubc,
 )
+from repro.obs import FlightRecorder
 from repro.util.checksum import fletcher32
 
 PAGE = 8192
@@ -68,6 +71,7 @@ class _FakeFs:
     def __init__(self, sizes):
         self.sizes = sizes
         self.writes = []
+        self.kernel = SimpleNamespace(recorder=FlightRecorder())
 
     def inode_exists(self, ino):
         return ino in self.sizes
