@@ -31,7 +31,6 @@ from repro.fs.writeback import (
     make_policy,
 )
 from repro.fs.cache import BufferCache, CachePage, UnifiedBufferCache
-from repro.fs.validate import ValidationReport, validate
 
 __all__ = [
     "BLOCK_SIZE",
@@ -54,6 +53,4 @@ __all__ = [
     "BufferCache",
     "CachePage",
     "UnifiedBufferCache",
-    "ValidationReport",
-    "validate",
 ]

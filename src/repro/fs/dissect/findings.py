@@ -47,6 +47,11 @@ class FindingKind(enum.Enum):
     GARBLED_DIRENT = "garbled_dirent"
     #: "." or ".." missing or pointing at the wrong inode.
     BAD_DOT_ENTRY = "bad_dot_entry"
+    #: Two live entries of one directory carry the same name.
+    DUPLICATE_NAME = "duplicate_name"
+    #: An inode's ``nlink`` differs from the directory entries the walk
+    #: found referencing it (compared only when at least one was found).
+    LINK_COUNT_MISMATCH = "link_count_mismatch"
     #: The directory graph revisits an inode (a cycle or an illegal
     #: hard-linked directory).
     DIRECTORY_CYCLE = "directory_cycle"

@@ -117,7 +117,7 @@ def _scan(data: bytes, report: DissectReport) -> None:
             _check_inode_blocks(sb, ino, record, claims, read_block, report)
 
     # -- phases 3+4: directory walk from the root ------------------------
-    reachable = _walk_directories(sb, inodes, read_block, report)
+    reachable, references = _walk_directories(sb, inodes, read_block, report)
     for ino in sorted(inodes):
         if ino not in reachable:
             report.add(
@@ -126,6 +126,15 @@ def _scan(data: bytes, report: DissectReport) -> None:
                     f"inode {ino}",
                     f"allocated {layout.FTYPE_NAMES[inodes[ino].ftype]} inode "
                     "unreachable from the root directory",
+                )
+            )
+        found = references.get(ino, 0)
+        if found and inodes[ino].nlink != found:
+            report.add(
+                Finding(
+                    FindingKind.LINK_COUNT_MISMATCH,
+                    f"inode {ino}",
+                    f"nlink {inodes[ino].nlink}, the walk found {found} references",
                 )
             )
 
@@ -320,10 +329,13 @@ def _check_inode_blocks(sb, ino, record, claims, read_block, report) -> None:
         )
 
 
-def _walk_directories(sb, inodes, read_block, report) -> set:
+def _walk_directories(sb, inodes, read_block, report) -> tuple:
     """Bounded, cycle-safe BFS over the directory tree; returns the set
-    of inodes reachable from the root."""
+    of inodes reachable from the root and ``{ino: directory entries that
+    reference it}`` ("." and ".." included — they are what ``nlink``
+    counts on a directory)."""
     reachable: set = set()
+    references: dict = {}
     visited: set = set()
     root = inodes.get(sb.root_ino)
     if root is None or root.ftype != layout.FTYPE_DIRECTORY:
@@ -334,7 +346,7 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                 f"root inode {sb.root_ino} is not an allocated directory",
             )
         )
-        return reachable
+        return reachable, references
     queue = [(sb.root_ino, sb.root_ino)]
     reachable.add(sb.root_ino)
     while queue:
@@ -357,6 +369,7 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                 if entry and _valid_data_block(sb, entry):
                     blocks.append(entry)
         seen_dot = seen_dotdot = False
+        names: set = set()
         for block_no in blocks:
             off = -layout.DIRENT_SIZE
             for flat in layout.DIRENT.iter_unpack(read_block(block_no)):
@@ -381,6 +394,17 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                     )
                     continue
                 name = name_raw.decode()
+                if name in names:
+                    report.add(
+                        Finding(
+                            FindingKind.DUPLICATE_NAME,
+                            f"dir {dir_ino}",
+                            f"two live entries are named {name!r}",
+                            block=block_no,
+                        )
+                    )
+                names.add(name)
+                references[entry.ino] = references.get(entry.ino, 0) + 1
                 if name == ".":
                     seen_dot = True
                     if entry.ino != dir_ino:
@@ -426,7 +450,7 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                         f"{label} entry missing",
                     )
                 )
-    return reachable
+    return reachable, references
 
 
 def _decodable(raw: bytes) -> bool:

@@ -55,11 +55,8 @@ LOST_FOUND_INO = 3
 class FsckReport:
     """What fsck found and fixed."""
 
-    was_clean: bool = False
     unrecoverable: bool = False
     fixes: list[str] = field(default_factory=list)
-    inodes_checked: int = 0
-    directories_walked: int = 0
     orphans_reconnected: int = 0
     orphans_freed: int = 0
 
@@ -146,13 +143,11 @@ def fsck(disk) -> FsckReport:
             report.fix("superblock: backup copy also corrupt; cannot proceed")
             return report
     raw.sb = sb
-    report.was_clean = sb.clean
 
     # -- phase 2: inode scan ----------------------------------------------------
     inodes: dict[int, Inode] = {}
     claimed: dict[int, int] = {}  # block -> first claiming ino
     for ino in range(1, sb.num_inodes):
-        report.inodes_checked += 1
         inode = raw.read_inode(ino)
         if inode is None:
             report.fix(f"inode {ino}: mangled; cleared")
@@ -222,9 +217,25 @@ def fsck(disk) -> FsckReport:
     # Real fsck iterates: reconnecting an orphaned directory makes a new
     # subtree reachable, which must itself be walked (and may surface more
     # problems), so walk/reconnect repeats until a pass finds no orphans.
-    if ROOT_INO not in inodes or inodes[ROOT_INO].ftype != FileType.DIRECTORY:
-        report.fix("root directory missing; recreating an empty root")
-        root = Inode(ino=ROOT_INO, ftype=FileType.DIRECTORY, nlink=2, size=0)
+    root = inodes.get(ROOT_INO)
+    if root is None or root.ftype != FileType.DIRECTORY:
+        # Rebuild the root as mkfs lays it out — ".", ".." and lost+found in
+        # one block — so the orphan pass below has a reachable lost+found to
+        # hang everything else on.  Whatever sat in the slot gives its
+        # blocks back first.
+        claimed = {block: ino for block, ino in claimed.items() if ino != ROOT_INO}
+        free = [b for b in range(sb.data_start, sb.total_blocks - 1) if b not in claimed]
+        if not free:
+            report.unrecoverable = True
+            report.fix("root directory missing; no free block to recreate it in")
+            return report
+        report.fix("root directory missing; recreated with lost+found")
+        names = ((ROOT_INO, "."), (ROOT_INO, ".."), (LOST_FOUND_INO, "lost+found"))
+        entries = b"".join(DirEntry(ino, name).to_bytes() for ino, name in names)
+        raw.write_block(free[0], entries.ljust(BLOCK_SIZE, b"\x00"))
+        root = Inode(ino=ROOT_INO, ftype=FileType.DIRECTORY, nlink=2, size=BLOCK_SIZE)
+        root.direct[0] = free[0]
+        claimed[free[0]] = ROOT_INO
         raw.write_inode(root)
         inodes[ROOT_INO] = root
 
@@ -311,7 +322,6 @@ def _walk_tree(raw: _RawFs, inodes: dict[int, Inode], report: FsckReport):
         if dir_ino in reachable:
             continue
         reachable.add(dir_ino)
-        report.directories_walked += 1
         dinode = inodes[dir_ino]
         blocks = _dir_block_list(raw, dinode)
         seen_dot = seen_dotdot = False

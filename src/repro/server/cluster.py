@@ -612,6 +612,9 @@ class ClusterService:
         #: condition (:meth:`_namespace_changed`).
         self._must_exist: Dict[str, int] = {}
         self._must_be_absent: Dict[str, int] = {}
+        #: Directories whose fan-out ``mkdir`` was acknowledged: renaming
+        #: one moves a shell on every shard, not a file on one.
+        self._dirs: Set[str] = set()
         self._shard_sessions: Set[Tuple[int, int]] = set()
         self._next_internal_req = 1
         self.jobs = jobs
@@ -882,6 +885,8 @@ class ClusterService:
         if op == "rename":
             old = resolve_path(session.cwd, request.path)
             new = resolve_path(session.cwd, request.new_path)
+            if old in self._dirs:
+                return "fanout", request
             src = self.router.shard_for(old)
             dst = self.router.shard_for(new)
             if src == dst:
@@ -978,14 +983,15 @@ class ClusterService:
             request, error=sub.error, retryable=sub.retryable, timed_by=sub
         )
 
-    def _fanout_step(self, op: str, path: str) -> List[Response]:
+    def _fanout_step(self, op: str, path: str, new_path: Optional[str] = None) -> List[Response]:
         """One internal request per shard, overlapped; shard order."""
         for host in self.hosts:
-            host.cast("step", [self._internal_request(op, path=path)])
+            host.cast("step", [self._internal_request(op, path=path, new_path=new_path)])
         return [host.collect()[0] for host in self.hosts]
 
     def _fanout(self, request: Request) -> Response:
-        """Run mkdir/rmdir (and hash-mode readdir) on every shard.
+        """Run mkdir/rmdir, a directory rename (and hash-mode readdir) on
+        every shard.
 
         Directory *shells* are replicated: a directory exists on every
         shard so any shard can hold files under it.  ``readdir`` is
@@ -996,20 +1002,26 @@ class ClusterService:
         shard's listing *first* and only deletes once all report empty
         — a one-shot fan-out would strip the shells from the empty
         shards while the shard holding files refuses, leaving the
-        directory sets diverged.
+        directory sets diverged.  A directory ``rename`` probes the same
+        way and moves only an empty shell: what lives under a populated
+        one is placed by its *path*, so renaming the shells would leave
+        every entry on a shard the new name no longer routes to —
+        ``EXDEV``, as for any move the kernels cannot do in place.
         """
         session = self.sessions[request.client_id]
         path = resolve_path(session.cwd, request.path)
+        new = resolve_path(session.cwd, request.new_path) if request.op == "rename" else None
         self._ensure_sessions_sync(request.client_id, range(self.config.shards))
-        if request.op == "rmdir":
+        if request.op in ("rmdir", "rename"):
             probes = self._fanout_step("readdir", path)
             failed = [r for r in probes if not r.ok]
             if failed:
                 return self._merged_failure(request, failed[0])
             blocked = [r for r in probes if r.value]
             if blocked:
-                return Response.answer(request, error="ENOTEMPTY", timed_by=blocked[0])
-        subs = self._fanout_step(request.op, path)
+                error = "ENOTEMPTY" if request.op == "rmdir" else "EXDEV"
+                return Response.answer(request, error=error, timed_by=blocked[0])
+        subs = self._fanout_step(request.op, path, new)
         slowest = max(subs, key=lambda r: r.latency_ns)
         failed = [r for r in subs if not r.ok]
         if failed:
@@ -1017,11 +1029,15 @@ class ClusterService:
         value = None
         if request.op == "mkdir":
             self._namespace_changed(created=path)
-        if request.op == "readdir":
-            names: Set[str] = set()
-            for sub in subs:
-                names.update(sub.value or [])
-            value = sorted(names)
+            self._dirs.add(path)
+        elif request.op == "rmdir":
+            self._dirs.discard(path)
+        elif request.op == "rename":
+            self._namespace_changed(removed=path, created=new)
+            self._dirs.discard(path)
+            self._dirs.add(new)
+        else:  # readdir
+            value = sorted(set().union(*(sub.value or [] for sub in subs)))
         return Response.answer(request, value=value, timed_by=slowest)
 
     def _chdir(self, request: Request) -> Response:

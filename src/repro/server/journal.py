@@ -75,6 +75,14 @@ class AuditReport:
         return not self.lost
 
 
+def renamed(path: str, old: str, new: str) -> str:
+    """Where ``path`` lives once ``old`` has been renamed to ``new``:
+    ``old`` itself and everything under ``old/`` moves, the rest stays."""
+    if path == old or path.startswith(old + "/"):
+        return new + path[len(old):]
+    return path
+
+
 def _sha16(data: bytes) -> str:
     """Short content hash used in ack-log entries."""
     return hashlib.sha256(bytes(data)).hexdigest()[:16]
@@ -152,13 +160,25 @@ class AckJournal:
             self.files.pop(path, None)
             self.absent.add(path)
         elif op == "rename":
-            content = self.files.pop(path, None)
-            if content is not None:
-                self.files[entry.new_path] = content
-            self.absent.add(path)
-            self.absent.discard(entry.new_path)
+            self._rename(path, entry.new_path)
         else:
             raise ValueError(f"non-mutating op journaled: {op!r}")
+
+    def _rename(self, old: str, new: str) -> None:
+        """Move ``old`` to ``new``; ``old`` is then promised absent."""
+        if old in self.files:  # a file: nothing lives under it
+            self.files[new] = self.files.pop(old)
+        else:  # a directory moves with everything the model holds under it
+            for path, moved in [(p, renamed(p, old, new)) for p in self.files]:
+                if moved != path:
+                    self.files[moved] = self.files.pop(path)
+            self.dirs = {renamed(p, old, new) for p in self.dirs}
+            # Promised absences under ``old/`` move too, except where the
+            # move has just put something.
+            absent = {renamed(p, old, new) for p in self.absent}
+            self.absent = absent - self.files.keys() - self.dirs
+        self.absent.add(old)
+        self.absent.discard(new)
 
     # -- digests -------------------------------------------------------
 
@@ -245,9 +265,7 @@ class AckJournal:
         elif op == "rename":
             new = inflight.get("new_path")
             if new and not vfs.exists(path) and vfs.exists(new):
-                content = self.files.pop(path, None)
-                if content is not None:
-                    self.files[new] = content
+                self._rename(path, new)
         elif op == "truncate" and path in self.files:
             try:
                 fd = vfs.open(path)
@@ -330,23 +348,3 @@ class AckJournal:
                         except FileSystemError:
                             pass
         return report
-
-    def audit_remote(self, store, *, repair: bool = False) -> AuditReport:
-        """Audit the promise ledger against the remote tier *alone*.
-
-        The hard version of :meth:`audit`: the local disk is thrown
-        away.  The full device image is materialized from the object
-        store behind ``store`` (a
-        :class:`~repro.backend.tiered.TieredStore`), installed on a
-        scratch machine, taken through cold recovery (fsck + mount),
-        and the ordinary audit replays against that scratch VFS.
-        ``report.ok`` therefore means: no acknowledged operation
-        depends on a dirty block that never uploaded — the remote tier
-        by itself reconstructs every promise.  Raises
-        :class:`~repro.backend.common.BackendOutage` when the store is
-        unreachable.
-        """
-        from repro.backend.audit import mount_materialized
-
-        scratch, _report, _image = mount_materialized(store)
-        return self.audit(scratch.vfs, repair=repair)

@@ -25,7 +25,7 @@ from repro.errors import (
     SystemCrash,
 )
 from repro.faults import FaultInjector
-from repro.server.journal import AckJournal, AuditReport
+from repro.server.journal import AckJournal, AuditReport, renamed
 from repro.server.protocol import (
     ChaosInjected,
     QuotaExceeded,
@@ -607,8 +607,7 @@ class FileService:
             )
             for other in self.sessions.sessions.values():
                 for state in other.fds.values():
-                    if state.path == old:
-                        state.path = new
+                    state.path = renamed(state.path, old, new)
             return None
 
         if op == "readdir":

@@ -142,7 +142,7 @@ def _scan(data: bytes, report: DissectReport) -> None:
         _check_inode_blocks(sb, ino, record, claims, read_block, report)
 
     # -- phases 3+4: directory walk from the root ------------------------
-    reachable = _walk_directories(sb, inodes, read_block, report)
+    reachable, references = _walk_directories(sb, inodes, read_block, report)
     for ino in sorted(inodes):
         if ino not in reachable:
             report.add(
@@ -151,6 +151,15 @@ def _scan(data: bytes, report: DissectReport) -> None:
                     f"inode {ino}",
                     f"allocated {layout.FTYPE_NAMES[inodes[ino].ftype]} inode "
                     "unreachable from the root directory",
+                )
+            )
+        found = references.count(ino)
+        if found and inodes[ino].nlink != found:
+            report.add(
+                Finding(
+                    FindingKind.LINK_COUNT_MISMATCH,
+                    f"inode {ino}",
+                    f"nlink {inodes[ino].nlink}, the walk found {found} references",
                 )
             )
 
@@ -223,10 +232,12 @@ def _check_inode_blocks(sb, ino, record, claims, read_block, report) -> None:
         )
 
 
-def _walk_directories(sb, inodes, read_block, report) -> set:
+def _walk_directories(sb, inodes, read_block, report) -> tuple:
     """Bounded, cycle-safe BFS over the directory tree; returns the set
-    of inodes reachable from the root."""
+    of inodes reachable from the root and the list of every inode number
+    a parsed entry named (one element per entry, dot entries included)."""
     reachable: set = set()
+    references: list = []
     visited: set = set()
     root = inodes.get(sb.root_ino)
     if root is None or root.ftype != layout.FTYPE_DIRECTORY:
@@ -237,7 +248,7 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                 f"root inode {sb.root_ino} is not an allocated directory",
             )
         )
-        return reachable
+        return reachable, references
     queue = [(sb.root_ino, sb.root_ino)]
     reachable.add(sb.root_ino)
     while queue:
@@ -262,6 +273,7 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                 if entry and _valid_data_block(sb, entry):
                     blocks.append(entry)
         seen_dot = seen_dotdot = False
+        names: list = []
         for block_no in blocks:
             block = read_block(block_no)
             for off in range(0, layout.BLOCK_SIZE, layout.DIRENT_SIZE):
@@ -286,6 +298,17 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                     )
                     continue
                 name = name_raw.decode()
+                if name in names:
+                    report.add(
+                        Finding(
+                            FindingKind.DUPLICATE_NAME,
+                            f"dir {dir_ino}",
+                            f"two live entries are named {name!r}",
+                            block=block_no,
+                        )
+                    )
+                names.append(name)
+                references.append(entry.ino)
                 if name == ".":
                     seen_dot = True
                     if entry.ino != dir_ino:
@@ -331,7 +354,7 @@ def _walk_directories(sb, inodes, read_block, report) -> set:
                         f"{label} entry missing",
                     )
                 )
-    return reachable
+    return reachable, references
 
 
 # -- fsck: the directory pass before the block decoders ----------------------
@@ -365,7 +388,6 @@ def _walk_tree(raw: _RawFs, inodes: dict[int, Inode], report: FsckReport):
         if dir_ino in reachable:
             continue
         reachable.add(dir_ino)
-        report.directories_walked += 1
         dinode = inodes[dir_ino]
         blocks = _dir_block_list(raw, dinode)
         seen_dot = seen_dotdot = False

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fs.advfs import advfs_recover
-from repro.fs.validate import validate
+from repro.fs.dissect import dissect_image, snapshot
 from repro.system import SystemSpec, build_system
 
 
@@ -26,8 +26,8 @@ class TestJournalCrashWindows:
         system.fs.journal_checkpoint()  # async flushes + header reset queued
         system.crash("mid checkpoint")
         system.reboot()
-        report = validate(system.disk)
-        assert report.consistent, report.problems[:6]
+        report = dissect_image(snapshot(system.disk))
+        assert report.clean, report.findings[:6]
 
     def test_epoch_prevents_stale_replay(self, system):
         """Records from an older epoch must not be replayed after a
@@ -67,7 +67,7 @@ class TestJournalCrashWindows:
         system.fs.flush_data(sync=True)
         system.crash("x")
         system.reboot()
-        assert validate(system.disk).consistent
+        assert dissect_image(snapshot(system.disk)).clean
         for i in range(10):
             assert system.vfs.exists(f"/mix{i}")
 

@@ -442,16 +442,19 @@ class TestTrafficRemote:
         )
 
     def test_audit_remote_raises_on_outage(self):
+        """With the store unreachable the remote audit defers (never
+        ``ok``); the raw mount underneath it raises."""
         system = _tiered_system()
         store = system.backing
         _churn(system, "/a", count=4)
         store.drain_uploads()
         from repro.server.journal import AckJournal
 
-        journal = AckJournal()
         store.remote.set_down(True)
+        check = remote_recovery_audit(system, AckJournal())
+        assert check.deferred and not check.ok and check.lost == []
         with pytest.raises(BackendOutage):
-            journal.audit_remote(store)
+            mount_materialized(store)
 
 
 class TestTierCost:

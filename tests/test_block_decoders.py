@@ -1,8 +1,8 @@
 """Block-at-a-time decoders against the per-slot loops they replaced.
 
-The three judges of a recovered disk (``dissect``, ``fsck``, the
-validator) decode directory blocks, inode-table blocks and indirect
-blocks in one call each.  The loops they replaced — one slice and one
+The two judges of a recovered disk (``dissect`` and ``fsck``) decode
+directory blocks, inode-table blocks and indirect blocks in one call
+each.  The loops they replaced — one slice and one
 unpack per slot — live on in ``tests/per_slot_oracles.py``; here both run
 over the same bytes and must agree on every report field, finding order,
 fix message and repaired byte.  The kernel-text build cache gets the same
@@ -34,7 +34,13 @@ from repro.fs.types import PTRS_PER_INDIRECT, SECTORS_PER_BLOCK
 from repro.reliability.campaign import system_spec_for
 from repro.system import build_system
 from tests.per_slot_oracles import dissect_image_per_slot, fsck_per_slot, slot_unpack
-from tests.test_dissect import inode_offset, read_sb
+from tests.test_dissect import (
+    add_root_dirent,
+    inode_offset,
+    read_sb,
+    root_entry_ino,
+    smash_nlink,
+)
 from tests.test_dissect_fuzz import base_image, corrupt
 
 LAYOUT_RECORDS = [
@@ -127,6 +133,21 @@ def test_dissect_matches_per_slot_walker_on_clean_and_degenerate_images():
         b"\xff" * (4 * BLOCK_SIZE), b"\xa5" * (2 * BLOCK_SIZE + 17),
     ):
         assert_same_report(image)
+
+
+def test_both_walkers_count_links_and_names_alike():
+    image = bytearray(base_image())
+    sb = read_sb(image)
+    ino = root_entry_ino(image, sb, "hello")
+    add_root_dirent(image, sb, DirEntry(ino, "hello"))
+    smash_nlink(image, sb, root_entry_ino(image, sb, "sub"), 9)
+    assert dissect_image(bytes(image)).counts_by_kind() == {
+        "duplicate_name": 1, "link_count_mismatch": 2,
+    }
+    assert_same_report(bytes(image))
+    # The indirect image hard-links one file thirteen times behind a
+    # directory's indirect block without touching its nlink.
+    assert dissect_image(indirect_image()).counts_by_kind() == {"link_count_mismatch": 1}
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -11,6 +11,7 @@ a new subcommand without a scenario fails tier-1.
 from __future__ import annotations
 
 import argparse
+import json
 
 import pytest
 
@@ -88,6 +89,37 @@ def test_scenario(scenario, tmp_path, capsys):
         out = capsys.readouterr().out
         for text in expected:
             assert text in out, (argv, text)
+
+
+def test_explore_prints_a_counterexample_whose_replay_line_reproduces_it(tmp_path, capsys):
+    """What a user sees when a sweep finds a bug: the clause, the event,
+    the dumped artifacts and a ``replay:`` line that — fed back through
+    ``main`` verbatim — violates the spec again."""
+    sweep = ["explore", "traffic", "--plant-ack-bug", "--clients", "1", "--ops-per-client", "3",
+             "--jobs", "1", "--artifacts", str(tmp_path)]
+    assert main(sweep) == 1
+    out = capsys.readouterr().out
+    assert "violations: none" not in out and "[acked-data-durable] lost acknowledgement" in out
+    assert f"image:  {tmp_path}" in out and f"report: {tmp_path}" in out and "more" in out
+    (line,) = [text for text in out.splitlines() if "replay the first counterexample" in text]
+    replay = ["explore", *line.split("repro explore ", 1)[1].split()]
+    assert "--plant-ack-bug" in replay and "--replay" in replay
+    event = replay[-1]
+    assert f"event #{event} (server/ack)" in out
+
+    assert main(replay + ["--artifacts", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"event {event} (server/ack): SPEC VIOLATED" in out
+    assert "[acked-data-durable] lost acknowledgement" in out
+    assert f"image: {tmp_path}" in out and f"forensics: {tmp_path}" in out
+
+    assert main(replay + ["--json"]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["boundary"] == {"index": int(event), "kind": "server", "op": "ack"}
+    assert {v["clause"] for v in verdict["violations"]} == {"acked-data-durable"}
+
+    with pytest.raises(SystemExit, match="event 0 is not a boundary"):
+        main(replay[:-1] + ["0"])
 
 
 def test_every_registered_subcommand_is_exercised():

@@ -160,6 +160,135 @@ def test_readdir_fans_out_and_merges_sorted_union():
         assert listing.value == ["alpha", "beta", "gamma"]
 
 
+# -- directories: rmdir, chdir, rename ----------------------------------
+
+ROUTER_MODES = pytest.mark.parametrize("mode", Router.MODES)
+
+
+def _shells(cluster, path):
+    """Which shards hold ``path`` (asked of each kernel directly)."""
+    probes = cluster._fanout_step("stat", path)
+    return [probe.value["exists"] for probe in probes]
+
+
+@ROUTER_MODES
+def test_rmdir_probes_every_shard_before_it_removes_any_shell(mode):
+    with ClusterService(ClusterConfig(shards=3, router_mode=mode)) as cluster:
+        setup = _drive(
+            cluster,
+            [0],
+            [
+                Request(client_id=0, req_id=1, op="mkdir", path="d"),
+                Request(client_id=0, req_id=2, op="open", path="d/f", create=True),
+                Request(client_id=0, req_id=3, op="rmdir", path="d"),
+            ],
+        )
+        assert setup[(0, 1)].ok and setup[(0, 2)].ok
+        refused = setup[(0, 3)]
+        assert not refused.ok and refused.error == "ENOTEMPTY"
+        # One shard holds the file; the shells on the other two survive.
+        assert _shells(cluster, "/srv/c000/d") == [True, True, True]
+
+        emptied = _drive(
+            cluster,
+            [0],
+            [
+                Request(client_id=0, req_id=4, op="close", fd=setup[(0, 2)].value),
+                Request(client_id=0, req_id=5, op="unlink", path="d/f"),
+                Request(client_id=0, req_id=6, op="rmdir", path="d"),
+                Request(client_id=0, req_id=7, op="rmdir", path="d"),
+            ],
+        )
+        assert emptied[(0, 6)].ok
+        assert _shells(cluster, "/srv/c000/d") == [False, False, False]
+        assert emptied[(0, 7)].error == "ENOENT"
+        assert all(audit["ok"] for audit in cluster.audits())
+
+
+@ROUTER_MODES
+def test_chdir_is_front_end_state_checked_against_the_owning_shard(mode):
+    with ClusterService(ClusterConfig(shards=3, router_mode=mode)) as cluster:
+        responses = _drive(
+            cluster,
+            [0],
+            [
+                Request(client_id=0, req_id=1, op="mkdir", path="d"),
+                Request(client_id=0, req_id=2, op="chdir", path="d"),
+                Request(client_id=0, req_id=3, op="open", path="f", create=True),
+                Request(client_id=0, req_id=4, op="chdir", path="nowhere"),
+                Request(client_id=0, req_id=5, op="stat", path="f"),
+            ],
+        )
+        assert responses[(0, 2)].ok and responses[(0, 2)].value == "/srv/c000/d"
+        assert responses[(0, 3)].ok
+        assert responses[(0, 4)].error == "ENOENT"
+        assert cluster.sessions[0].cwd == "/srv/c000/d"
+        assert responses[(0, 5)].value == {"exists": True, "size": 0}
+        owner = cluster.router.shard_for("/srv/c000/d/f")
+        assert _shells(cluster, "/srv/c000/d/f") == [s == owner for s in range(3)]
+
+
+def test_front_end_admission_rejects_strangers_and_full_queues():
+    with ClusterService(ClusterConfig(shards=2)) as cluster:
+        stranger = cluster.submit(Request(client_id=9, req_id=1, op="stat", path="x"))
+        assert stranger.error == "EBADSESSION" and not stranger.retryable
+        cluster.open_session(0)
+        depth = cluster.scheduler.queue_depth
+        for n in range(depth):
+            assert cluster.submit(Request(client_id=0, req_id=n, op="stat", path="x")) is None
+        full = cluster.submit(Request(client_id=0, req_id=depth, op="stat", path="x"))
+        assert full.error == "EAGAIN" and full.retryable
+        assert cluster.stats.rejected == 2 and cluster.stats.submitted == depth
+        assert len(cluster.drain()) == depth
+        assert cluster.submit(Request(client_id=0, req_id=depth + 1, op="stat", path="x")) is None
+
+
+@ROUTER_MODES
+def test_directory_rename_moves_empty_shells_in_lock_step_and_refuses_populated_ones(mode):
+    """Entries are placed by their path, so renaming a populated
+    directory's shells would strand them on shards the new name does not
+    route to: the front-end refuses (``EXDEV``) instead of acknowledging."""
+    with ClusterService(ClusterConfig(shards=2, router_mode=mode)) as cluster:
+        setup = _drive(
+            cluster,
+            [1],
+            [
+                Request(client_id=1, req_id=1, op="mkdir", path="d"),
+                Request(client_id=1, req_id=2, op="open", path="d/f", create=True),
+            ],
+        )
+        fd = setup[(1, 2)].value
+        responses = _drive(
+            cluster,
+            [1],
+            [
+                Request(client_id=1, req_id=3, op="write", fd=fd, offset=0, data=b"stays"),
+                Request(client_id=1, req_id=4, op="rename", path="d", new_path="e"),
+                Request(client_id=1, req_id=5, op="read", fd=fd, offset=0, length=5),
+                Request(client_id=1, req_id=6, op="mkdir", path="g"),
+                Request(client_id=1, req_id=7, op="rename", path="g", new_path="h"),
+                Request(client_id=1, req_id=8, op="open", path="h/x", create=True),
+                Request(client_id=1, req_id=9, op="readdir", path="."),
+                Request(client_id=1, req_id=10, op="rename", path="h", new_path="i"),
+            ],
+        )
+        assert responses[(1, 4)].error == "EXDEV"
+        assert responses[(1, 5)].value == b"stays"
+        assert _shells(cluster, "/srv/c001/d") == [True, True]
+        assert _shells(cluster, "/srv/c001/e") == [False, False]
+
+        assert responses[(1, 7)].ok
+        assert _shells(cluster, "/srv/c001/g") == [False, False]
+        assert _shells(cluster, "/srv/c001/h") == [True, True]
+        assert responses[(1, 8)].ok  # the renamed shell takes files on its owner
+        assert responses[(1, 9)].value == ["d", "h"]
+        assert responses[(1, 10)].error == "EXDEV"  # ... and is a directory still
+
+        audits = cluster.audits()
+        assert all(audit["ok"] and audit["lost"] == [] for audit in audits), audits
+        assert cluster.audit_intents()["ok"]
+
+
 # -- determinism -------------------------------------------------------
 
 

@@ -3,15 +3,15 @@
 The central invariant: *no matter where a crash lands, the recovery chain
 leaves a consistent file system.*  We drive a workload, crash at an
 arbitrary operation index, run the system's recovery (journal replay /
-fsck / warm reboot), and then judge the disk with the independent
-validator — which shares no code with fsck's repair logic.
+fsck / warm reboot), and then judge the disk with ``fs.dissect`` — which
+shares no code with fsck or the kernel it judges.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import RioConfig
-from repro.fs.validate import validate
+from repro.fs.dissect import dissect_image, snapshot
 from repro.system import SystemSpec, build_system
 from repro.workloads.memtest import MemTest, MemTestParams
 
@@ -38,7 +38,7 @@ def crash_recover_validate(config_name: str, seed: int, crash_after: int):
         memtest.step()
     system.crash("property-test crash")
     system.reboot()
-    report = validate(system.disk)
+    report = dissect_image(snapshot(system.disk))
     return system, memtest, report
 
 
@@ -46,7 +46,7 @@ class TestValidatorBaseline:
     def test_fresh_fs_is_consistent(self):
         system = build_system(SystemSpec(policy="ufs", fs_blocks=512))
         system.fs.unmount()
-        assert validate(system.disk).consistent
+        assert dissect_image(snapshot(system.disk)).clean
 
     def test_validator_catches_planted_damage(self):
         from repro.fs.ondisk import INODE_SIZE
@@ -62,8 +62,7 @@ class TestValidatorBaseline:
         offset = (ino % (8192 // INODE_SIZE)) * INODE_SIZE
         raw[offset : offset + INODE_SIZE] = b"\x00" * INODE_SIZE
         system.disk.poke(block * SECTORS_PER_BLOCK, bytes(raw))
-        report = validate(system.disk)
-        assert not report.consistent
+        assert not dissect_image(snapshot(system.disk)).clean
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
@@ -76,7 +75,7 @@ class TestCrashConsistencyPerConfig:
     @given(seed=st.integers(1, 10_000), crash_after=st.integers(0, 120))
     def test_recovery_leaves_consistent_fs(self, config_name, seed, crash_after):
         system, _memtest, report = crash_recover_validate(config_name, seed, crash_after)
-        assert report.consistent, report.problems[:8]
+        assert report.clean, report.findings[:8]
 
     @settings(
         max_examples=4,
@@ -107,7 +106,7 @@ class TestRioStrongConsistency:
         from repro.workloads.memtest import MemTestModel, verify_against_model
 
         system, memtest, report = crash_recover_validate("rio", seed, crash_after)
-        assert report.consistent, report.problems[:8]
+        assert report.clean, report.findings[:8]
         model, in_flight = MemTestModel.replay(seed, memtest.progress, FAST_MEMTEST)
         problems = verify_against_model(system.fs, model, in_flight)
         assert problems == []

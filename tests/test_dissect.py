@@ -28,6 +28,7 @@ from repro.fs.dissect import (
     image_sha256,
     install,
     load_image,
+    second_opinion,
     snapshot,
 )
 from repro.fs.dissect import layout
@@ -156,6 +157,21 @@ def add_ghost_inode(
     set_bitmap_bit(image, sb, block, 1)
     add_root_dirent(image, sb, DirEntry(ino, "ghost"))
     return ino
+
+
+def root_entry_ino(image: bytearray, sb: Superblock, name: str) -> int:
+    base = read_inode(image, sb, sb.root_ino).direct[0] * BLOCK_SIZE
+    for off in range(base, base + BLOCK_SIZE, DIRENT_SIZE):
+        entry = DirEntry.from_bytes(bytes(image[off : off + DIRENT_SIZE]))
+        if entry is not None and entry.name == name:
+            return entry.ino
+    raise AssertionError(f"no /{name} in the test image")
+
+
+def smash_nlink(image: bytearray, sb: Superblock, ino: int, nlink: int) -> None:
+    inode = read_inode(image, sb, ino)
+    inode.nlink = nlink
+    write_inode(image, sb, inode)
 
 
 def kinds(report: DissectReport) -> set:
@@ -382,6 +398,39 @@ class TestParser:
                 image[off : off + DIRENT_SIZE] = DirEntry(sb.root_ino, ".").to_bytes()
         report = dissect_image(bytes(image))
         assert FindingKind.BAD_DOT_ENTRY in kinds(report)
+
+    @pytest.mark.parametrize("name,right", [("hello", 1), ("sub", 2)])
+    def test_link_count_mismatch(self, image, name, right):
+        """A file is counted by its names; a directory by its name, its
+        own "." and each child's ".."."""
+        sb = read_sb(image)
+        ino = root_entry_ino(image, sb, name)
+        assert read_inode(image, sb, ino).nlink == right
+        smash_nlink(image, sb, ino, right + 3)
+        [finding] = dissect_image(bytes(image)).findings
+        assert finding.kind is FindingKind.LINK_COUNT_MISMATCH
+        assert finding.where == f"inode {ino}"
+        assert f"nlink {right + 3}" in finding.detail and f"found {right}" in finding.detail
+
+    def test_link_count_is_judged_only_where_a_reference_was_found(self, image):
+        """fsck repairs a count only against references it found; an
+        orphan's nlink is not a second finding on top of unreachable."""
+        sb = read_sb(image)
+        ino = find_free_ino(image, sb)
+        write_inode(image, sb, Inode(ino=ino, ftype=FileType.REGULAR, nlink=7, size=0))
+        assert kinds(dissect_image(bytes(image))) == {FindingKind.UNREACHABLE_INODE}
+
+    def test_duplicate_name(self, image):
+        sb = read_sb(image)
+        ino = root_entry_ino(image, sb, "hello")
+        add_root_dirent(image, sb, DirEntry(ino, "hello"))
+        report = dissect_image(bytes(image))
+        # Two entries are two references: the count is off as well.
+        assert kinds(report) == {FindingKind.DUPLICATE_NAME, FindingKind.LINK_COUNT_MISMATCH}
+        smash_nlink(image, sb, ino, 2)
+        [finding] = dissect_image(bytes(image)).findings
+        assert finding.kind is FindingKind.DUPLICATE_NAME
+        assert finding.where == f"dir {sb.root_ino}" and "'hello'" in finding.detail
 
     def test_directory_cycle(self, image):
         sb = read_sb(image)
@@ -666,6 +715,37 @@ class TestSecondOpinionEndToEnd:
         assert not verdict.agreed
         assert verdict.fsck_consistent and not verdict.dissect_clean
         assert "size_mismatch" in verdict.details[0]
+
+    def test_wrong_nlink_on_a_blessed_image_diverges_unless_fsck_disclosed_it(self, image):
+        """The one structural property fsck repairs that no independent
+        judge used to look at: an image fsck blessed with a wrong link
+        count is a divergence — unless fsck's own "link count a -> b"
+        fix names the inode (agreement with disclosure)."""
+        from repro.disk.device import SimulatedDisk
+        from repro.fs.fsck import fsck
+
+        disk = SimulatedDisk("img", num_sectors=len(image) // 512)
+        install(disk, bytes(image))
+        report = fsck(disk)
+        assert report.fixes == [] and second_opinion(snapshot(disk), report)[1].agreed
+
+        sb = read_sb(image)
+        ino = root_entry_ino(image, sb, "hello")
+        smash_nlink(image, sb, ino, 4)
+        scan, verdict = second_opinion(bytes(image), report)
+        assert kinds(scan) == {FindingKind.LINK_COUNT_MISMATCH}
+        assert not verdict.agreed and "link_count_mismatch x1" in verdict.details[0]
+        assert not second_opinion(bytes(image), report, disclosed=True)[1].agreed
+
+        report.fix(f"inode {ino}: link count 4 -> 1")
+        scan, verdict = second_opinion(bytes(image), report, disclosed=True)
+        assert verdict.agreed and not scan.clean  # disclosed, never hidden
+        assert not second_opinion(bytes(image), report)[1].agreed
+
+        install(disk, bytes(image))
+        repaired = fsck(disk)
+        assert repaired.fixes == [f"inode {ino}: link count 4 -> 1"]
+        assert second_opinion(snapshot(disk), repaired)[1].agreed
 
     def test_crash_trials_carry_agreeing_second_opinions(self):
         """Seeded crash trials: every trial that recovered carries a

@@ -12,7 +12,7 @@ remain usable.
 import pytest
 
 from repro.faults import FaultType
-from repro.fs.validate import validate
+from repro.fs.dissect import dissect_image, snapshot
 from repro.reliability import CrashTestConfig, run_crash_test
 
 CASES = [
@@ -40,8 +40,8 @@ def test_structure_survives_fault_induced_crash(system_name, fault_type):
             continue
         crashes_seen += 1
         system = result._system
-        report = validate(system.disk)
-        assert report.consistent, (seed, report.problems[:6])
+        report = dissect_image(snapshot(system.disk))
+        assert report.clean, (seed, report.findings[:6])
         # The recovered system is usable.
         fd = system.vfs.open("/post-fault-probe", create=True)
         system.vfs.write(fd, b"still alive")

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.fs.dissect import second_opinion, snapshot
 from repro.fs.fsck import LOST_FOUND_INO, fsck
 from repro.fs.ondisk import DIRENT_SIZE, DirEntry, INODE_SIZE, Inode
-from repro.fs.types import BLOCK_SIZE, FileType, ROOT_INO, SECTORS_PER_BLOCK
+from repro.fs.types import BLOCK_SIZE, FileType, N_DIRECT, ROOT_INO, SECTORS_PER_BLOCK
 from repro.system import SystemSpec, build_system
 
 
@@ -38,6 +39,26 @@ def write_disk_bytes(system, block, offset, data):
     raw = bytearray(system.disk.peek(block * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK))
     raw[offset : offset + len(data)] = data
     system.disk.poke(block * SECTORS_PER_BLOCK, bytes(raw))
+
+
+def patch_disk_inode(system, ino, mutate):
+    inode = read_disk_inode(system, ino)
+    mutate(inode)
+    block, offset = inode_disk_location(system, ino)
+    write_disk_bytes(system, block, offset, inode.to_bytes())
+
+
+def fsck_and_second_opinion(system):
+    """Run fsck, then hold its verdict against the independent judge: the
+    repaired image must dissect clean with nothing left to disclose, and
+    a second fsck must find nothing more to fix."""
+    report = fsck(system.disk)
+    assert not report.unrecoverable
+    scan, divergence = second_opinion(snapshot(system.disk), report)
+    assert divergence.agreed, divergence.format()
+    assert scan.clean, scan.format()
+    assert fsck(system.disk).fixes == []
+    return report
 
 
 class TestCleanFilesystem:
@@ -224,3 +245,110 @@ class TestDirectoryRepair:
         write_disk_bytes(system, block, offset, inode.to_bytes())
         report = fsck(system.disk)
         assert any("bitmap" in fix for fix in report.fixes)
+
+
+class TestRepairArmsAgainstTheSecondOpinion:
+    """The rarely-reached repair arms, one hand-smashed image each; every
+    one must end with dissect agreeing the image is clean."""
+
+    TWO_INDIRECT = b"x" * BLOCK_SIZE * (N_DIRECT + 2)
+
+    def test_bad_indirect_pointer_cleared(self, system):
+        ino = system.fs.create("/big")
+        system.fs.write(ino, 0, self.TWO_INDIRECT)
+        settle(system)
+        beyond = system.fs.sb.total_blocks + 7
+        patch_disk_inode(system, ino, lambda i: setattr(i, "indirect", beyond))
+        report = fsck_and_second_opinion(system)
+        assert f"inode {ino}: bad indirect pointer {beyond}; cleared" in report.fixes
+        assert read_disk_inode(system, ino).indirect == 0
+
+    def test_doubly_claimed_indirect_block_cleared(self, system):
+        first = system.fs.create("/first")
+        big = system.fs.create("/big")
+        system.fs.write(first, 0, b"owner")
+        system.fs.write(big, 0, self.TWO_INDIRECT)
+        settle(system)
+        taken = read_disk_inode(system, first).direct[0]
+        patch_disk_inode(system, big, lambda i: setattr(i, "indirect", taken))
+        report = fsck_and_second_opinion(system)
+        assert f"inode {big}: indirect block doubly claimed; cleared" in report.fixes
+        assert read_disk_inode(system, big).indirect == 0
+        assert read_disk_inode(system, first).direct[0] == taken  # first claimant wins
+
+    def test_bad_and_duplicate_indirect_entries_cleared(self, system):
+        ino = system.fs.create("/big")
+        system.fs.write(ino, 0, b"x" * BLOCK_SIZE * (N_DIRECT + 3))
+        settle(system)
+        inode = read_disk_inode(system, ino)
+        beyond = system.fs.sb.total_blocks + 9
+        write_disk_bytes(system, inode.indirect, 0, beyond.to_bytes(4, "little"))
+        write_disk_bytes(system, inode.indirect, 4, inode.direct[0].to_bytes(4, "little"))
+        report = fsck_and_second_opinion(system)
+        for entry in (beyond, inode.direct[0]):
+            assert f"inode {ino}: bad/duplicate indirect entry {entry}; cleared" in report.fixes
+        pointers = system.disk.peek(inode.indirect * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK)
+        assert pointers[:8] == b"\x00" * 8 and pointers[8:12] != b"\x00" * 4
+
+    @pytest.mark.parametrize("smash", ["retyped", "zeroed"])
+    def test_missing_root_recreated_with_a_reachable_lost_found(self, system, smash):
+        """An empty, block-less root could take no entry, so nothing could
+        be reconnected: fsck said "repaired" over a tree with no reachable
+        inode.  The recreated root now carries ``.``, ``..`` and
+        ``lost+found``, and the orphan pass hangs the old tree there."""
+        keep = system.fs.create("/keep")
+        system.fs.write(keep, 0, b"survives")
+        system.fs.mkdir("/d")
+        d = system.fs.namei("/d")
+        nested = system.fs.create("/d/nested")
+        settle(system)
+        if smash == "retyped":
+            patch_disk_inode(system, ROOT_INO, lambda i: setattr(i, "ftype", FileType.REGULAR))
+        else:
+            block, offset = inode_disk_location(system, ROOT_INO)
+            write_disk_bytes(system, block, offset, b"\x00" * INODE_SIZE)
+        report = fsck_and_second_opinion(system)
+        assert "root directory missing; recreated with lost+found" in report.fixes
+        assert report.orphans_reconnected >= 2 and report.orphans_freed == 0
+        system.crash("root was smashed")
+        system.reboot()
+        fs = system.fs
+        assert fs.read(fs.namei(f"/lost+found/#{keep}"), 0, 8) == b"survives"
+        assert fs.namei(f"/lost+found/#{d}/nested") == nested
+
+    def test_missing_root_on_a_full_disk_is_unrecoverable_not_blessed(self):
+        """No block left to hold the new root's entries: fsck says so
+        instead of blessing a tree nothing is reachable in."""
+        from repro.errors import NoSpace
+
+        system = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=64))
+        fill = system.fs.create("/fill")
+        with pytest.raises(NoSpace):
+            for index in range(64):
+                system.fs.write(fill, index * BLOCK_SIZE, b"f" * BLOCK_SIZE)
+        settle(system)
+        root_block = read_disk_inode(system, ROOT_INO).direct[0]
+        block, offset = inode_disk_location(system, ROOT_INO)
+        write_disk_bytes(system, block, offset, b"\x00" * INODE_SIZE)
+        # The one block the dead root gave back is claimed by the file.
+        inode = read_disk_inode(system, fill)
+        spare = (inode.size // BLOCK_SIZE - N_DIRECT) * 4  # first unused indirect slot
+        write_disk_bytes(system, inode.indirect, spare, root_block.to_bytes(4, "little"))
+        report = fsck(system.disk)
+        assert report.unrecoverable
+        assert report.fixes[-1] == "root directory missing; no free block to recreate it in"
+        assert second_opinion(snapshot(system.disk), report)[1].agreed  # both: unusable
+
+    def test_bad_dot_entry_fixed(self, system):
+        system.fs.mkdir("/d")
+        other = system.fs.create("/other")
+        settle(system)
+        d = system.fs.namei("/d")
+        block = read_disk_inode(system, d).direct[0]
+        raw = system.disk.peek(block * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK)
+        for off in range(0, BLOCK_SIZE, DIRENT_SIZE):
+            entry = DirEntry.from_bytes(bytes(raw[off : off + DIRENT_SIZE]))
+            if entry is not None and entry.name == ".":
+                write_disk_bytes(system, block, off, DirEntry(other, ".").to_bytes())
+        report = fsck_and_second_opinion(system)
+        assert report.fixes == [f"dir {d}: bad '.'; fixed"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import RioConfig
 from repro.errors import FileExists, FileNotFound, InvalidArgument, IsADirectory
-from repro.fs.validate import validate
+from repro.fs.dissect import dissect_image, snapshot
 from repro.system import SystemSpec, build_system
 
 
@@ -154,5 +154,5 @@ class TestLinksAcrossCrash:
         vfs.link("/f", "/g")
         vfs.symlink("/f", "/s")
         system.fs.unmount()
-        report = validate(system.disk)
-        assert report.consistent, report.problems
+        report = dissect_image(snapshot(system.disk))
+        assert report.clean, report.findings

@@ -1,10 +1,10 @@
-"""Tests for the independent consistency validator."""
+"""The read-only consistency judge (``fs.dissect``) on hand-planted damage."""
 
 import pytest
 
+from repro.fs.dissect import FindingKind, dissect_image, snapshot
 from repro.fs.ondisk import DIRENT_SIZE, DirEntry, INODE_SIZE, Inode
-from repro.fs.types import BLOCK_SIZE, FileType, ROOT_INO, SECTORS_PER_BLOCK
-from repro.fs.validate import validate
+from repro.fs.types import BLOCK_SIZE, FileType, SECTORS_PER_BLOCK
 from repro.system import SystemSpec, build_system
 
 
@@ -18,6 +18,14 @@ def settle(system):
     system.fs.flush_data(sync=True)
     system.fs.flush_metadata(sync=True)
     system.drain_disks()
+
+
+def judge(system):
+    return dissect_image(snapshot(system.disk))
+
+
+def kinds(system):
+    return {finding.kind for finding in judge(system).findings}
 
 
 def patch_inode(system, ino, mutate):
@@ -35,7 +43,7 @@ def patch_inode(system, ino, mutate):
 class TestValidator:
     def test_fresh_fs_consistent(self, system):
         settle(system)
-        assert validate(system.disk).consistent
+        assert judge(system).clean
 
     def test_populated_fs_consistent(self, system):
         fs = system.fs
@@ -45,15 +53,14 @@ class TestValidator:
         fs.symlink("/d/f", "/s")
         fs.link("/d/f", "/hard")
         settle(system)
-        report = validate(system.disk)
-        assert report.consistent, report.problems
+        report = judge(system)
+        assert report.clean, report.findings
 
     def test_detects_bad_nlink(self, system):
         ino = system.fs.create("/f")
         settle(system)
         patch_inode(system, ino, lambda i: setattr(i, "nlink", 9))
-        report = validate(system.disk)
-        assert any("nlink" in p for p in report.problems)
+        assert kinds(system) == {FindingKind.LINK_COUNT_MISMATCH}
 
     def test_detects_duplicate_claim(self, system):
         a = system.fs.create("/a")
@@ -64,12 +71,9 @@ class TestValidator:
         block_of_a = []
         patch_inode(system, a, lambda i: block_of_a.append(i.direct[0]))
         patch_inode(system, b, lambda i: i.direct.__setitem__(0, block_of_a[0]))
-        report = validate(system.disk)
-        assert any("claimed by both" in p for p in report.problems)
+        assert FindingKind.DUPLICATE_CLAIM in kinds(system)
 
     def test_detects_unreachable_inode(self, system):
-        from repro.fs.ondisk import Superblock
-
         settle(system)
         # Allocate an inode directly on disk with no directory entry.
         patch_inode(
@@ -77,8 +81,7 @@ class TestValidator:
             40,
             lambda i: (setattr(i, "ftype", FileType.REGULAR), setattr(i, "nlink", 1)),
         )
-        report = validate(system.disk)
-        assert any("unreachable" in p for p in report.problems)
+        assert kinds(system) == {FindingKind.UNREACHABLE_INODE}
 
     def test_detects_bitmap_leak(self, system):
         settle(system)
@@ -87,8 +90,9 @@ class TestValidator:
         victim = sb.data_start + 50
         raw[victim // 8] |= 1 << (victim % 8)
         system.disk.poke(sb.bitmap_start * SECTORS_PER_BLOCK, bytes(raw))
-        report = validate(system.disk)
-        assert any("marked used but unclaimed" in p for p in report.problems)
+        report = judge(system)
+        assert [f.kind for f in report.findings] == [FindingKind.BITMAP_DISAGREEMENT]
+        assert "claimed by no inode" in report.findings[0].detail
 
     def test_detects_missing_dot(self, system):
         system.fs.mkdir("/d")
@@ -103,18 +107,20 @@ class TestValidator:
             if entry is not None and entry.name == ".":
                 raw[off : off + DIRENT_SIZE] = b"\x00" * DIRENT_SIZE
         system.disk.poke(block * SECTORS_PER_BLOCK, bytes(raw))
-        report = validate(system.disk)
-        assert any("missing '.'" in p for p in report.problems)
+        assert any(
+            f.kind is FindingKind.BAD_DOT_ENTRY and "'.' entry missing" in f.detail
+            for f in judge(system).findings
+        )
 
     def test_fsck_fixes_what_validator_flags(self, system):
-        """fsck and the validator must agree: anything fsck repairs should
-        validate cleanly afterwards."""
+        """fsck and the judge must agree: anything fsck repairs should
+        dissect clean afterwards."""
         from repro.fs.fsck import fsck
 
         ino = system.fs.create("/broken")
         settle(system)
         patch_inode(system, ino, lambda i: setattr(i, "nlink", 5))
-        assert not validate(system.disk).consistent
+        assert not judge(system).clean
         fsck(system.disk)
-        report = validate(system.disk)
-        assert report.consistent, report.problems
+        report = judge(system)
+        assert report.clean, report.findings

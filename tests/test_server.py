@@ -94,6 +94,43 @@ def test_open_fd_quota():
     assert not response.ok and response.error == "EQUOTA" and response.retryable
 
 
+def test_rmdir_refuses_a_populated_directory_and_removes_an_empty_one():
+    service = make_service()
+    service.open_session(0)
+    ok(service, Request(client_id=0, req_id=1, op="mkdir", path="d"))
+    fd = ok(service, Request(client_id=0, req_id=2, op="open", path="d/f", create=True)).value
+    service.submit(Request(client_id=0, req_id=3, op="rmdir", path="d"))
+    [refused] = service.drain()
+    assert not refused.ok and refused.error == "ENOTEMPTY" and not refused.retryable
+    assert service.system.vfs.exists("/srv/c000/d/f")
+    assert "/srv/c000/d" in service.journal.dirs
+
+    ok(service, Request(client_id=0, req_id=4, op="close", fd=fd))
+    ok(service, Request(client_id=0, req_id=5, op="unlink", path="d/f"))
+    ok(service, Request(client_id=0, req_id=6, op="rmdir", path="d"))
+    assert not service.system.vfs.exists("/srv/c000/d")
+    assert "/srv/c000/d" in service.journal.absent
+    assert "/srv/c000/d" not in service.journal.dirs
+    assert service.audit().ok
+
+
+def test_chdir_moves_the_base_of_relative_paths():
+    service = make_service()
+    service.open_session(0)
+    ok(service, Request(client_id=0, req_id=1, op="mkdir", path="d"))
+    moved = ok(service, Request(client_id=0, req_id=2, op="chdir", path="d"))
+    assert moved.value == "/srv/c000/d" == service.sessions.get(0).cwd
+    ok(service, Request(client_id=0, req_id=3, op="open", path="f", create=True))
+    assert service.system.vfs.exists("/srv/c000/d/f")
+
+    service.submit(Request(client_id=0, req_id=4, op="chdir", path="nowhere"))
+    [missing] = service.drain()
+    assert not missing.ok and missing.error == "ENOENT"
+    assert service.sessions.get(0).cwd == "/srv/c000/d"
+    ok(service, Request(client_id=0, req_id=5, op="chdir", path=".."))
+    assert service.sessions.get(0).cwd == "/srv/c000"
+
+
 # -- scheduler ----------------------------------------------------------
 
 
@@ -306,6 +343,68 @@ def test_interrupted_directory_rename_fails_honestly_instead_of_acking():
     assert not response.ok and response.error == "EISDIR"
     assert service.system.vfs.exists("/srv/c000/d0")
     assert service.audit().ok
+
+
+def _renamed_directory_with_an_open_file(service):
+    """``mkdir d; open d/f (create); write; mkdir d/sub; rename d e`` —
+    all acknowledged; returns the still-open fd."""
+    service.open_session(1)
+    ok(service, Request(client_id=1, req_id=1, op="mkdir", path="d"))
+    fd = ok(service, Request(client_id=1, req_id=2, op="open", path="d/f", create=True)).value
+    ok(service, Request(client_id=1, req_id=3, op="write", fd=fd, offset=0, data=b"moved"))
+    ok(service, Request(client_id=1, req_id=4, op="mkdir", path="d/sub"))
+    ok(service, Request(client_id=1, req_id=5, op="rename", path="d", new_path="e"))
+    return fd
+
+
+def test_directory_rename_moves_everything_under_it_in_the_promise_ledger():
+    service = make_service()
+    _renamed_directory_with_an_open_file(service)
+    journal = service.journal
+    assert {"/srv/c001/e", "/srv/c001/e/sub"} <= journal.dirs
+    assert bytes(journal.files["/srv/c001/e/f"]) == b"moved"
+    assert not any(p.startswith("/srv/c001/d") for p in [*journal.files, *journal.dirs])
+    # Only the old name itself is promised absent; nothing is promised
+    # about paths under a directory that no longer exists.
+    assert {p for p in journal.absent if p.startswith("/srv/c001/")} == {"/srv/c001/d"}
+    audit = service.audit()
+    assert audit.ok and audit.lost == []
+
+
+def test_open_fd_under_a_renamed_directory_rebinds_after_a_crash():
+    service = make_service()
+    fd = _renamed_directory_with_an_open_file(service)
+    assert service.sessions.get(1).fds[fd].path == "/srv/c001/e/f"
+
+    service.system.machine.crash("after the directory rename", kind="forced")
+    read = ok(service, Request(client_id=1, req_id=6, op="read", fd=fd, offset=0, length=5))
+    assert read.value == b"moved"
+    session = service.sessions.get(1)
+    assert session.rebinds == 1 and session.rebind_failures == 0
+    assert service.stats.recoveries == 1 and service.stats.lost_acks == 0
+    audit = service.audit()
+    assert audit.ok and audit.lost == []
+
+
+def test_journal_rename_replaces_the_destination_and_rekeys_absences():
+    journal = AckJournal()
+    journal.record(0, 1, "mkdir", "/a")
+    journal.record(0, 2, "write", "/a/x", offset=0, data=b"x")
+    journal.record(0, 3, "write", "/a/y", offset=0, data=b"y")
+    journal.record(0, 4, "unlink", "/a/y")
+    journal.record(0, 5, "write", "/ab", offset=0, data=b"sibling")
+    journal.record(0, 6, "unlink", "/b/x")  # a promise under the new name
+    journal.record(0, 7, "rename", "/a", new_path="/b")
+    assert journal.dirs == {"/b"}
+    # "/ab" shares the prefix "/a" but is not under "/a/": it stays.
+    assert {p: bytes(c) for p, c in journal.files.items()} == {"/b/x": b"x", "/ab": b"sibling"}
+    assert journal.absent == {"/a", "/b/y"}
+    # A file renamed over another takes its place, whatever the dict order.
+    journal.record(0, 8, "rename", "/ab", new_path="/b/x")
+    assert {p: bytes(c) for p, c in journal.files.items()} == {"/b/x": b"sibling"}
+    journal.record(0, 9, "write", "/c", offset=0, data=b"c")
+    journal.record(0, 10, "rename", "/b/x", new_path="/c")
+    assert {p: bytes(c) for p, c in journal.files.items()} == {"/c": b"sibling"}
 
 
 def test_rebind_restores_offsets_across_crash():
