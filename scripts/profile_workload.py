@@ -12,7 +12,10 @@ top functions.
 see, so ``--trials N`` instead runs ``run_boundary_trial`` in process
 over every N-th boundary of the workload's enumeration (the bench sizes
 and seed rule), profiled; ``--wall`` drops the profiler and prints the
-plain wall-clock cost per trial.
+plain wall-clock cost per trial.  Either way it then prints what the
+median-cost trial emitted into the flight recorder, counted by
+``kind/op`` — explore_traffic is the one recorder-on workload, and a
+recorder-path issue should start from those counts.
 
 cProfile taxes every Python call and nothing inside C, which shifts the
 shares — and hides exactly the functions that are a few long C calls.
@@ -140,6 +143,24 @@ def explore_trials(seed: int, every: int):
         seed += 1
 
 
+def emission_census(config, boundary) -> collections.Counter:
+    """``kind/op`` counts of the events one boundary trial emits: the
+    workload up to the armed crash, then the recovery it absorbs."""
+    from repro.errors import SystemCrash
+    from repro.explore.workloads import build_run
+
+    def crash(event) -> None:
+        raise SystemCrash(f"census: armed crash at boundary {boundary.index}")
+
+    run = build_run(config)
+    rec = run.recorder
+    rec.start(cap=config.event_cap)
+    rec.arm_crash(boundary.index, crash)
+    run.execute()
+    rec.stop()
+    return collections.Counter(f"{event.kind}/{event.op}" for event in rec.events())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
@@ -181,11 +202,18 @@ def main(argv=None) -> int:
             else:
                 profile.runcall(run_boundary_trial, config, boundary)
             costs.append(time.perf_counter() - began)
-        costs.sort()
+        median_cost, median = sorted(zip(costs, range(len(costs))))[len(costs) // 2]
         print(
-            f"{len(costs)} trials: median {costs[len(costs) // 2] * 1e3:.1f} ms, "
+            f"{len(costs)} trials: median {median_cost * 1e3:.1f} ms, "
             f"mean {sum(costs) / len(costs) * 1e3:.1f} ms"
         )
+        census = emission_census(config, boundaries[median])
+        print(
+            f"median trial (boundary {boundaries[median].index}, "
+            f"{boundaries[median].key()}) emitted {sum(census.values())} events"
+        )
+        for key, count in census.most_common():
+            print(f"  {key:32} {count:6d}")
         if args.wall:
             return 0
     else:

@@ -43,8 +43,8 @@ class ProtectionManager:
         self.kernel = kernel
         self.config = config
         self.mode = config.protection
-        #: The registry's frames: one immutable run, so the MMU can know
-        #: it again (``MMU.set_kseg_writable_run``).
+        #: Every registry frame (protected at install, opened whole by
+        #: ``Registry.format``).
         self._registry_pfns: tuple[int, ...] = ()
         #: The machine's flight recorder (fixed per kernel).
         self._recorder = kernel.recorder
@@ -74,7 +74,7 @@ class ProtectionManager:
             self.kernel.mmu.kseg_through_tlb = True
         else:
             self._install_code_patching()
-        self._set_registry_protected(True)
+        self._set_frames_protected(self._registry_pfns, True)
 
     def _install_code_patching(self) -> None:
         """Rewrite the kernel text with inline store checks.
@@ -148,26 +148,28 @@ class ProtectionManager:
         """Close the window :meth:`open_page_window` opened over ``page``."""
         self.protect_page(page)
 
-    def open_registry_window(self) -> None:
-        """Open a write window over every registry frame."""
+    def open_registry_window(self, pfns=None) -> None:
+        """Open a write window over the registry frames ``pfns`` — the one
+        or two an entry store touches; every registry frame when omitted
+        (``Registry.format``, once per boot).  The others stay protected."""
         self.stat_windows += 1
         rec = self._recorder
         if rec.enabled:
             rec.emit("prot", "registry-window")
-        self._set_registry_protected(False)
+        self._set_frames_protected(self._registry_pfns if pfns is None else pfns, False)
 
-    def close_registry_window(self) -> None:
-        """Re-protect every registry frame."""
-        self._set_registry_protected(True)
+    def close_registry_window(self, pfns=None) -> None:
+        """Re-protect the frames :meth:`open_registry_window` opened."""
+        self._set_frames_protected(self._registry_pfns if pfns is None else pfns, True)
 
-    def _set_registry_protected(self, protected: bool) -> None:
+    def _set_frames_protected(self, pfns, protected: bool) -> None:
         if self.mode is ProtectionMode.VM_KSEG:
-            self.kernel.mmu.set_kseg_writable_run(self._registry_pfns, not protected)
+            self.kernel.mmu.set_kseg_writable_run(pfns, not protected)
         elif self.mode is ProtectionMode.CODE_PATCHING:
             if protected:
-                self._patched_pfns.update(self._registry_pfns)
+                self._patched_pfns.update(pfns)
             else:
-                self._patched_pfns.difference_update(self._registry_pfns)
+                self._patched_pfns.difference_update(pfns)
 
     # -- the code-patching store checker -------------------------------------------
 

@@ -121,7 +121,7 @@ class RegistryEntry:
         )
 
 
-def _no_window() -> None:
+def _no_window(pfns=None) -> None:
     """Window operation of a registry whose frames nothing protects."""
 
 
@@ -146,16 +146,18 @@ class Registry:
         self.capacity = capacity_for(region_bytes)
         if self.capacity <= 0:
             raise ConfigurationError("registry region too small")
-        # Every registry store happens between these two calls.  They are
-        # the protection manager's ``open_registry_window`` /
+        # Every registry store happens between these two calls, over the
+        # frames it touches (``format``: all of them).  They are the
+        # protection manager's ``open_registry_window`` /
         # ``close_registry_window`` (a registry nothing protects gets
         # no-ops) and, like them, not exception-safe: a store that crashes
-        # the machine leaves the window open.
+        # the machine leaves exactly those frames open.
         if protection is None:
             self._open_window = self._close_window = _no_window
         else:
             self._open_window = protection.open_registry_window
             self._close_window = protection.close_registry_window
+        self._page_size = bus.memory.page_size
         self._free_slots: list[int] = list(range(self.capacity - 1, -1, -1))
 
     # -- addressing --------------------------------------------------------
@@ -180,7 +182,7 @@ class Registry:
         self.bus.store(self.base_vaddr, header, _REG_CTX)
         # One store per registry page, through the bus: a page that is
         # protected outside a window still traps.
-        page_size = self.bus.memory.page_size
+        page_size = self._page_size
         addr = self.base_vaddr + HEADER_SIZE
         end = addr + self.capacity * ENTRY_SIZE
         while addr < end:
@@ -212,7 +214,8 @@ class Registry:
 
     def _store_fields(self, slot: int, vaddr: int, fields) -> None:
         """Every entry store: pack the record, emit ``registry/update``,
-        then one window around one 48-byte bus store."""
+        then one window — over the frame the entry lies in, two when the
+        slot straddles a page edge — around one 48-byte bus store."""
         raw = _ENTRY_FMT.pack(*fields)
         rec = self.bus.recorder
         if rec is not None and rec.enabled:
@@ -221,9 +224,13 @@ class Registry:
                 slot=slot, flags=fields[_FLAGS],
                 phys_addr=fields[_PHYS_ADDR], checksum=fields[_CHECKSUM],
             )
-        self._open_window()
+        paddr = vaddr - KSEG_BASE
+        first = paddr // self._page_size
+        last = (paddr + ENTRY_SIZE - 1) // self._page_size
+        pfns = (first,) if first == last else (first, last)
+        self._open_window(pfns)
         self.bus.store(vaddr, raw, _REG_CTX)
-        self._close_window()
+        self._close_window(pfns)
 
     def read_entry(self, slot: int) -> RegistryEntry:
         """Parse the entry stored in ``slot``."""

@@ -162,11 +162,16 @@ class MetadataAtomic(SpecClause):
         if ctx.system is None:
             return []
         vfs = ctx.system.vfs
+        try:
+            # Each directory is read once: a child's probe listing rides
+            # the queue to the turn that walks it.
+            queue = [("/", vfs.readdir("/"))]
+        except FileSystemError as exc:
+            return [f"readdir / failed after recovery: {exc}"]
         details: List[str] = []
-        queue = ["/"]
         visited = 0
         while queue:
-            path = queue.pop(0)
+            path, names = queue.pop(0)
             visited += 1
             if visited > MAX_WALK_DIRS:
                 details.append(
@@ -174,11 +179,6 @@ class MetadataAtomic(SpecClause):
                     "(cycle or runaway tree after recovery)"
                 )
                 break
-            try:
-                names = vfs.readdir(path)
-            except FileSystemError as exc:
-                details.append(f"readdir {path} failed after recovery: {exc}")
-                continue
             for name in names:
                 child = path.rstrip("/") + "/" + name
                 try:
@@ -187,13 +187,13 @@ class MetadataAtomic(SpecClause):
                     details.append(f"stat {child} failed after recovery: {exc}")
                     continue
                 try:
-                    vfs.readdir(child)
+                    listing = vfs.readdir(child)
                 except NotADirectory:
                     continue  # a file: nothing further to walk
                 except FileSystemError as exc:
                     details.append(f"readdir {child} failed after recovery: {exc}")
                     continue
-                queue.append(child)
+                queue.append((child, listing))
         return details
 
 

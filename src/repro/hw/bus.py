@@ -44,7 +44,7 @@ bump, translate*:
   ``map`` / ``unmap`` drop that page's two entries, a flip of the ABOX
   ``kseg_through_tlb`` bit empties both tables.  A protection change
   therefore takes effect on the very next access to that page, and a
-  registry window — every registry frame unprotected and re-protected
+  registry window — the entry's frame unprotected and re-protected
   around one store — costs the next access to the heap, the stack or any
   other cache page nothing.
 * **The miss handler owns every trap.**  A failed probe calls

@@ -85,16 +85,6 @@ class MMU:
         #: a load translation or another page's store translation.
         self.tlb_loads: dict[int, int] = {}
         self.tlb_stores: dict[int, int] = {}
-        #: What :meth:`set_kseg_writable_run` knows about the run it last
-        #: completed: the run itself (a tuple, compared by identity), its
-        #: frames, the table update and soft-TLB keys of a whole-run
-        #: toggle, and the one state every frame of it is in (``None`` =
-        #: not known).  Dies with the MMU at reset.
-        self._run: tuple | None = None
-        self._run_frames: frozenset = frozenset()
-        self._run_tables: dict[bool, dict[int, bool]] = {}
-        self._run_vbases: tuple = ()
-        self._run_writable: bool | None = None
         #: Counts of protection-relevant events, for the evaluation.
         self.stat_protection_traps = 0
         self.stat_pte_toggles = 0
@@ -172,75 +162,18 @@ class MMU:
             self.generation += 1
             if not writable:
                 self.tlb_stores.pop(KSEG_BASE + pfn * self.page_size, None)
-            if pfn in self._run_frames:
-                self._run_writable = None  # the known run is now mixed
             rec = self.recorder
             if rec is not None and rec.enabled:
                 rec.emit("mmu", "kseg-protect", pfn=pfn, writable=writable)
 
     def set_kseg_writable_run(self, pfns, writable: bool) -> None:
-        """Toggle KSEG write permission over a run of frames.
-
-        Observably equal to calling :meth:`set_kseg_writable` on each
-        frame in order: same table, same ``stat_pte_toggles``,
-        ``generation`` moved iff a frame toggled, a :class:`MachineCheck`
-        at the first nonexistent frame with the earlier frames already
-        applied, a re-protected frame's soft-TLB store entry dropped, and
-        — recorder on — one ``mmu/kseg-protect`` event per toggled frame,
-        emitted before the next frame is touched (an armed crash fires
-        from inside ``emit``).
-
-        A window over the registry toggles the same run there and back,
-        so the MMU remembers the run it last completed (a ``tuple`` of
-        distinct frames, recognised by identity) and the state it left
-        every frame in.  With the recorder off, that run toggled to the
-        *other* state is one ``dict.update`` from a table built when the
-        run was first seen — every frame is known to toggle, so the
-        counters move by the run length.  The knowledge is dropped by a
-        :meth:`set_kseg_writable` that toggles one of its frames and by a
-        run that does not complete; the recorder on, any other run, a
-        list, or a state not known takes the per-frame loop.
-        """
-        rec = self.recorder
-        recording = rec is not None and rec.enabled
-        if pfns is self._run and self._run_writable is (not writable) and not recording:
-            self._kseg_writable.update(self._run_tables[writable])
-            if not writable:
-                pop = self.tlb_stores.pop
-                for vbase in self._run_vbases:
-                    pop(vbase, None)
-            self._run_writable = writable
-            self.stat_pte_toggles += len(pfns)
-            self.generation += len(pfns)
-            return
-        self._run_writable = None  # until this run completes
-        table = self._kseg_writable
-        num_pages = self._num_pages
-        page_size = self.page_size
-        tlb_stores = self.tlb_stores
-        toggles = 0
-        try:
-            for pfn in pfns:
-                if not 0 <= pfn < num_pages:
-                    raise MachineCheck(f"kseg protection on nonexistent frame {pfn}")
-                if table.get(pfn, True) != writable:
-                    table[pfn] = writable
-                    toggles += 1
-                    if not writable:
-                        tlb_stores.pop(KSEG_BASE + pfn * page_size, None)
-                    if recording:
-                        rec.emit("mmu", "kseg-protect", pfn=pfn, writable=writable)
-        finally:
-            self.stat_pte_toggles += toggles
-            self.generation += toggles
-        if pfns is not self._run:
-            if type(pfns) is not tuple or len(set(pfns)) != len(pfns):
-                return  # only an immutable run of distinct frames is remembered
-            self._run = pfns
-            self._run_frames = frozenset(pfns)
-            self._run_tables = {flag: dict.fromkeys(pfns, flag) for flag in (True, False)}
-            self._run_vbases = tuple(KSEG_BASE + pfn * page_size for pfn in pfns)
-        self._run_writable = writable
+        """:meth:`set_kseg_writable` on each frame of ``pfns``, in order:
+        a :class:`MachineCheck` at the first nonexistent frame leaves the
+        earlier frames applied, and — recorder on — each toggled frame's
+        ``mmu/kseg-protect`` event is emitted before the next frame is
+        touched (an armed crash fires from inside ``emit``)."""
+        for pfn in pfns:
+            self.set_kseg_writable(pfn, writable)
 
     def kseg_writable(self, pfn: int) -> bool:
         """Current KSEG write permission of a frame (default True)."""

@@ -30,8 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 #: Default ring capacity.  A fault trial emits a few thousand events;
 #: 64k leaves generous headroom without unbounded memory growth.
@@ -99,8 +98,7 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One flight-recorder record.
 
     ``seq`` is a monotone per-recorder sequence number (survives ring
@@ -115,7 +113,7 @@ class Event:
     kind: str
     op: str
     vtime: int
-    payload: Dict[str, Any] = field(default_factory=dict)
+    payload: Dict[str, Any]
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -224,10 +222,11 @@ class FlightRecorder:
         vtime = self._clock.now_ns if self._clock is not None else 0
         if self.static_tags:
             payload = {**self.static_tags, **payload}
-        event = Event(self._seq, kind, op, vtime, payload)
+        seq = self._seq
+        event = Event(seq, kind, op, vtime, payload)
         self._events.append(event)
-        self._seq += 1
-        if self._crash_seq is not None and event.seq == self._crash_seq:
+        self._seq = seq + 1
+        if seq == self._crash_seq:
             hook = self._crash_hook
             self.disarm_crash()  # one-shot: recovery emissions must not re-fire
             hook(event)

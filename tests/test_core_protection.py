@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ProtectionMode, RioConfig, RioFileCache
-from repro.core.registry import FLAG_CHANGING
+from repro.core.registry import ENTRY_SIZE, FLAG_CHANGING, HEADER_SIZE
 from repro.errors import ProtectionTrap
 from repro.fs.cache import IO_CONTEXT
 from repro.fs.types import BLOCK_SIZE, FileId
@@ -210,10 +210,81 @@ class TestGuardBookkeeping:
 
 
 class TestWindowProtocol:
-    """Windows are two plain calls — ``open_*`` then ``close_*`` — and a
-    registry window toggles every registry frame in one MMU operation."""
+    """Windows are two plain calls — ``open_*`` then ``close_*``.  An entry
+    store's registry window opens the frame(s) the entry lies in;
+    ``Registry.format``'s, called with no frames, every registry frame."""
+
+    @staticmethod
+    def _frames_open_during_store(kernel, rio, slot, probe):
+        """Store to ``slot``; report the registry frames found writable
+        mid-store, after calling ``probe()`` with the window open."""
+        protection = rio.protection
+        original = kernel.bus.store
+        opened = []
+
+        def spying_store(vaddr, data, ctx=None):
+            if protection.mode is ProtectionMode.VM_KSEG:
+                opened.extend(p for p in kernel.registry_frames if kernel.mmu.kseg_writable(p))
+            else:
+                opened.extend(p for p in kernel.registry_frames if p not in protection._patched_pfns)
+            probe()
+            original(vaddr, data, ctx)
+
+        kernel.bus.store = spying_store
+        try:
+            rio.registry.update_flags(slot, set_flags=1)
+        finally:
+            kernel.bus.store = original
+        return opened
+
+    @pytest.mark.parametrize("mode", [ProtectionMode.VM_KSEG, ProtectionMode.CODE_PATCHING])
+    def test_entry_window_leaves_the_other_registry_frames_protected(self, mode):
+        """Section 2.1's argument, applied to the registry: while one
+        entry is being written, a wild store to any *other* registry
+        frame still traps."""
+        kernel, rio = make_rio_kernel(mode)
+        first = kernel.registry_frames[0]
+        elsewhere = rio.registry.base_vaddr + 3 * kernel.page_size + 64
+        store = kernel.bus.store
+        traps = []
+
+        def wild_store():
+            with pytest.raises(ProtectionTrap) as trap:
+                store(elsewhere, b"\xff" * 8)
+            traps.append(trap.value.address)
+
+        toggles, windows = kernel.mmu.stat_pte_toggles, rio.protection.stat_windows
+        patch_traps = rio.protection.stat_patch_traps
+        opened = self._frames_open_during_store(kernel, rio, 0, wild_store)
+        assert opened == [first] and traps == [elsewhere]
+        assert rio.protection.stat_windows - windows == 1
+        if mode is ProtectionMode.VM_KSEG:
+            assert kernel.mmu.stat_pte_toggles - toggles == 2  # one frame, there and back
+        else:
+            assert rio.protection.stat_patch_traps - patch_traps == 1  # the patch trap
+        assert rio.registry.read_entry(0).flags == 1
+        with pytest.raises(ProtectionTrap):  # closed again
+            store(rio.registry.entry_vaddr(0), b"\x00" * 8)
+
+    @pytest.mark.parametrize("mode", [ProtectionMode.VM_KSEG, ProtectionMode.CODE_PATCHING])
+    def test_straddling_slot_opens_exactly_two_frames(self, mode):
+        kernel, rio = make_rio_kernel(mode)
+        slot = 169  # region bytes 8176-8223: across the first page edge
+        offset = HEADER_SIZE + slot * ENTRY_SIZE
+        assert offset // kernel.page_size == 0 and (offset + ENTRY_SIZE - 1) // kernel.page_size == 1
+        first = kernel.registry_frames[0]
+        toggles = kernel.mmu.stat_pte_toggles
+        opened = self._frames_open_during_store(kernel, rio, slot, lambda: None)
+        assert opened == [first, first + 1]
+        if mode is ProtectionMode.VM_KSEG:
+            assert kernel.mmu.stat_pte_toggles - toggles == 4
+        assert rio.registry.read_entry(slot).flags == 1
+        for pfn in kernel.registry_frames:
+            with pytest.raises(ProtectionTrap):
+                kernel.bus.store(rio.registry.base_vaddr + (pfn - first) * kernel.page_size, b"\x00")
 
     def test_registry_window_toggles_every_frame_once_each_way(self):
+        """The whole-region form ``Registry.format`` uses."""
         kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG)
         frames = kernel.registry_frames
         toggles, windows = kernel.mmu.stat_pte_toggles, rio.protection.stat_windows
@@ -258,7 +329,10 @@ class TestWindowProtocol:
         with pytest.raises(ProtectionTrap):
             rio.registry.update_flags(slot, set_flags=1)
         kernel.bus.store = original
-        assert all(kernel.mmu.kseg_writable(pfn) for pfn in kernel.registry_frames)
+        # Exactly the entry's frame is left open; the rest never were.
+        assert [pfn for pfn in kernel.registry_frames if kernel.mmu.kseg_writable(pfn)] == [
+            kernel.registry_frames[0]
+        ]
 
     def test_page_window_pairs_by_page_key(self):
         kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG, shadow_metadata=False)
@@ -270,4 +344,5 @@ class TestWindowProtocol:
         toggles = kernel.mmu.stat_pte_toggles
         rio.guard.end_write(page)  # no window open: nothing to close
         assert not kernel.mmu.kseg_writable(page.pfn)
-        assert kernel.mmu.stat_pte_toggles - toggles == 2 * len(kernel.registry_frames) * 2
+        # Two registry updates, each its entry's one frame there and back.
+        assert kernel.mmu.stat_pte_toggles - toggles == 2 * 2

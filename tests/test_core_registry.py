@@ -209,21 +209,25 @@ from repro.errors import ConfigurationError  # noqa: E402
 
 class CountingWindows:
     """A protection manager's registry window, reduced to what the
-    registry sees: KSEG write permission over its frames, and a count."""
+    registry sees: KSEG write permission over the frames it names (all
+    of them when it names none, as ``format`` does), and a count."""
 
     def __init__(self, mmu, pfns):
         self.mmu, self.pfns = mmu, pfns
         self.opened = self.closed = 0
+        self.frames_opened: list[tuple] = []
         mmu.kseg_through_tlb = True
         mmu.set_kseg_writable_run(pfns, False)
 
-    def open_registry_window(self):
+    def open_registry_window(self, pfns=None):
         self.opened += 1
-        self.mmu.set_kseg_writable_run(self.pfns, True)
+        self.frames_opened.append(tuple(self.pfns if pfns is None else pfns))
+        self.mmu.set_kseg_writable_run(self.frames_opened[-1], True)
 
-    def close_registry_window(self):
+    def close_registry_window(self, pfns=None):
         self.closed += 1
-        self.mmu.set_kseg_writable_run(self.pfns, False)
+        assert tuple(self.pfns if pfns is None else pfns) == self.frames_opened[-1]
+        self.mmu.set_kseg_writable_run(self.frames_opened[-1], False)
 
 
 class ReadModifyWriteRegistry(Registry):
@@ -313,6 +317,13 @@ class TestInPlaceUpdates:
         after = registry_state(machine, reg, windows)
         assert [b - a for a, b in zip(before[1], after[1])] == [1, 1, ENTRY_SIZE, ENTRY_SIZE]
         assert (after[2][0] - before[2][0], after[2][1] - before[2][1]) == (1, 1)
+        # ... over the entry's one frame, there and back; slot 169 lies
+        # across the page edge and opens both.
+        assert windows.frames_opened[-1] == (windows.pfns[0],)
+        assert after[2][2] - before[2][2] == 2
+        reg.update_flags(169, set_flags=FLAG_VALID)
+        assert windows.frames_opened[-1] == tuple(windows.pfns)
+        assert machine.mmu.stat_pte_toggles - after[2][2] == 4
         update = [e for e in after[3][len(before[3]):] if e[1] == "registry"]
         assert [(e[2], e[3]) for e in update] == [
             ("update", {"slot": 3, "flags": FLAG_VALID, "phys_addr": 5 * PAGE, "checksum": 0xBEEF})

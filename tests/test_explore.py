@@ -78,8 +78,10 @@ class _FakeVFS:
     def __init__(self, dirs, broken=()):
         self.dirs = dirs
         self.broken = set(broken)
+        self.reads = []
 
     def readdir(self, path):
+        self.reads.append(path)
         if path in self.broken:
             raise FileSystemError(f"torn directory {path}")
         if path in self.dirs:
@@ -101,6 +103,19 @@ class TestMetadataAtomic:
     def test_clean_walk(self):
         vfs = _FakeVFS({"/": ["d", "f"], "/d": ["g"]})
         assert MetadataAtomic().check(ctx(system=SimpleNamespace(vfs=vfs))) == []
+        # Breadth first, each directory listed once (its probe is its read).
+        assert vfs.reads == ["/", "/d", "/f", "/d/g"]
+
+    def test_details_in_walk_order(self):
+        vfs = _FakeVFS({"/": ["a", "b"], "/a": ["x"], "/b": []}, broken=["/a/x", "/b"])
+        assert MetadataAtomic().check(ctx(system=SimpleNamespace(vfs=vfs))) == [
+            "stat /b failed after recovery: unreachable inode /b",
+            "stat /a/x failed after recovery: unreachable inode /a/x",
+        ]
+        vfs = _FakeVFS({}, broken=["/"])
+        assert MetadataAtomic().check(ctx(system=SimpleNamespace(vfs=vfs))) == [
+            "readdir / failed after recovery: torn directory /"
+        ]
 
     def test_skips_without_a_system(self):
         assert MetadataAtomic().check(ctx()) == []

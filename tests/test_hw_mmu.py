@@ -129,7 +129,7 @@ class TestTranslateRange:
 
 class TestKsegRunToggle:
     """``set_kseg_writable_run`` must be observably equal to the loop of
-    ``set_kseg_writable`` it replaces in the registry window."""
+    ``set_kseg_writable`` it stands for."""
 
     @staticmethod
     def _observe(apply, *, record: bool, arm_at: int | None = None):
@@ -206,110 +206,3 @@ class TestKsegRunToggle:
         assert raised == ("RuntimeError", "armed at 3")
         assert table == {1: False, 2: False, 3: False, 5: False}
         assert [e[3]["pfn"] for e in events] == [1, 3]
-
-
-class TestRememberedRun:
-    """The run the MMU last completed toggles as one ``dict.update`` when
-    every frame of it is known to be in the other state.  Nothing about
-    that may be observable: scripts of run toggles, single-frame toggles
-    and other runs must leave what the per-frame loop leaves."""
-
-    RUN = tuple(range(1, 14))  # a registry-sized run: 13 frames
-
-    @staticmethod
-    def _play(script, *, as_loop: bool, record: bool = False):
-        from repro.obs.events import FlightRecorder
-
-        mmu = MMU(PhysicalMemory(16 * PAGE, PAGE))
-        mmu.recorder = FlightRecorder()
-        if record:
-            mmu.recorder.start()
-        seen = []
-        for op, frames, writable in script:
-            # A store entry per writable frame, as a bus would have cached.
-            for pfn in range(16):
-                if mmu.kseg_writable(pfn):
-                    mmu.tlb_stores[KSEG_BASE + pfn * PAGE] = pfn
-            raised = None
-            try:
-                if op == "one":
-                    mmu.set_kseg_writable(frames, writable)
-                elif as_loop:
-                    for pfn in frames:
-                        mmu.set_kseg_writable(pfn, writable)
-                else:
-                    mmu.set_kseg_writable_run(frames, writable)
-            except MachineCheck as exc:
-                raised = str(exc)
-            seen.append((
-                dict(mmu._kseg_writable), mmu.stat_pte_toggles, mmu.generation,
-                sorted(mmu.tlb_stores), raised,
-            ))
-        events = [(e.kind, e.op, dict(e.payload)) for e in mmu.recorder.events()]
-        return seen, events, mmu
-
-    def _same_as_loop(self, script, **kwargs):
-        run, run_events, mmu = self._play(script, as_loop=False, **kwargs)
-        loop, loop_events, _ = self._play(script, as_loop=True, **kwargs)
-        assert run == loop
-        assert run_events == loop_events
-        return run, run_events, mmu
-
-    def test_window_cycles_equal_the_loop(self):
-        run = self.RUN
-        seen, _events, mmu = self._same_as_loop(
-            [("run", run, False)] + [("run", run, True), ("run", run, False)] * 3
-        )
-        assert mmu._run is run and mmu._run_writable is False
-        assert seen[-1][1] == 7 * len(run)  # every call toggled every frame
-        assert seen[-1][3] == [KSEG_BASE + pfn * PAGE for pfn in (0, 14, 15)]
-
-    def test_single_frame_toggle_invalidates(self):
-        run = self.RUN
-        seen, _events, mmu = self._same_as_loop([
-            ("run", run, False),
-            ("run", run, True),
-            ("one", 5, False),  # frame 5 re-protected behind the run's back
-            ("run", run, False),  # must toggle the other twelve only
-            ("run", run, True),
-            ("one", 14, False),  # not a frame of the run: knowledge kept
-            ("run", run, False),
-        ])
-        assert seen[3][1] - seen[2][1] == len(run) - 1
-        assert mmu._run_writable is False
-
-    def test_another_run_invalidates(self):
-        run = self.RUN
-        self._same_as_loop([
-            ("run", run, False),
-            ("run", [3, 4], True),  # a list is never remembered
-            ("run", run, True),
-            ("run", (7, 8, 9), False),  # a different tuple takes the run's place
-            ("run", run, False),
-            ("run", run, True),
-            ("run", run, True),  # same state again: nothing toggles
-        ])
-
-    def test_bad_frame_is_never_remembered(self):
-        run = (1, 2, 99, 3)
-        seen, _events, mmu = self._same_as_loop(
-            [("run", run, False), ("run", run, True), ("run", run, False)]
-        )
-        assert [s[4] for s in seen] == ["kseg protection on nonexistent frame 99"] * 3
-        assert seen[0][0] == {1: False, 2: False}  # earlier frames applied
-        assert mmu._run is None and mmu._run_writable is None
-
-    def test_repeated_frames_are_never_remembered(self):
-        run = (1, 2, 2, 3)
-        self._same_as_loop([("run", run, False), ("run", run, True), ("run", run, False)])
-
-    def test_recorder_on_takes_the_loop(self):
-        run = self.RUN
-        _seen, events, _mmu = self._same_as_loop(
-            [("run", run, False), ("run", run, True)], record=True
-        )
-        assert events == [
-            ("mmu", "kseg-protect", {"pfn": pfn, "writable": writable})
-            for writable in (False, True)
-            for pfn in run
-        ]

@@ -60,9 +60,9 @@ STEP = st.one_of(
 )
 
 
-#: One tuple toggled there and back, as a registry window does: the run
-#: the fast machine's MMU remembers and toggles as one ``dict.update``.
-#: The reference machine toggles it frame by frame.
+#: One run toggled there and back, as a whole-registry window does: by
+#: ``set_kseg_writable_run`` on the fast machine, frame by frame on the
+#: reference machine.
 WINDOW_RUN = tuple(PFNS)
 
 
@@ -158,27 +158,6 @@ def test_reprotect_drops_only_that_pages_store_entry():
     assert bus.stats.tlb_misses == 9
 
 
-def test_remembered_run_reprotect_drops_its_store_entries_only():
-    """The run toggled as one (the MMU remembers the tuple after its first
-    full cycle) invalidates exactly what the per-frame loop would."""
-    machine = build(True, abox=True)
-    mmu, bus = machine.mmu, machine.bus
-    for flag in (False, True, False):
-        mmu.set_kseg_writable_run(WINDOW_RUN, flag)
-    assert mmu._run is WINDOW_RUN and not mmu.tlb_stores
-    bus.store_u64(0, 1)
-    bus.store_u64(KSEG_BASE + 4 * PAGE, 1)  # a frame outside the run
-    kept = dict(mmu.tlb_stores)
-    for _ in range(3):  # a window: open, one store inside, close
-        mmu.set_kseg_writable_run(WINDOW_RUN, True)
-        assert mmu.tlb_stores == kept  # granting drops nothing
-        bus.store_u64(KSEG_BASE + 3 * PAGE, 1)
-        assert mmu.tlb_stores == {**kept, KSEG_BASE + 3 * PAGE: 3}
-        mmu.set_kseg_writable_run(WINDOW_RUN, False)
-        assert mmu.tlb_stores == kept
-        assert_entries_current(machine)
-
-
 def test_rio_prot_write_syscalls_refill_only_reprotected_pages():
     from repro import SystemSpec, build_system
     from repro.perf.systems import spec_for_row
@@ -221,6 +200,10 @@ def test_rio_prot_write_syscalls_refill_only_reprotected_pages():
     for vbase, count in store_misses.items():
         assert count <= 1 + reprotected[vbase], hex(vbase)
     assert len(misses) <= len(load_misses) + len(store_misses) + sum(reprotected.values())
-    # ... which a flush per toggle would blow through: every window
-    # re-protects all the registry frames but stores to one.
-    assert len(misses) < sum(reprotected.values()) // 4
+    # ... which a flush per toggle would blow through.  A registry window
+    # re-protects only the frame it stored to — every slot in use here lies
+    # in the first — so no other registry frame is toggled at all.
+    registry = {KSEG_BASE + pfn * PAGE for pfn in system.kernel.registry_frames}
+    assert registry & reprotected.keys() == {min(registry)}
+    updates = sum(1 for event in system.machine.recorder.events() if event.kind == "registry")
+    assert reprotected[min(registry)] == updates
