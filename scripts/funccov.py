@@ -15,8 +15,18 @@ the cost falls on functions with an arm nothing reaches — 11 min against
 run — untested error and repair arms — and counts those in functions never
 called.  ``--lines FILE[:FIRST-LAST] ...`` narrows the listing.
 
+Production: ``python scripts/funccov.py --prod`` (~10 min) runs the
+production entry points in this process under the same profiler — the
+eight ``bench`` workloads at full size with a traced round's tracer and
+probes, every ``repro`` command with its ``tests/test_cli.py`` arguments
+plus ``--json``, ``--replay``, ``--storm faults``, ``--backend``,
+full-matrix ``chaos`` and ``RIO_FAST_PATH=0`` variants, and
+``examples/*.py`` — all at one job, so pool and shard bodies run here.
+It prints the functions ``.funccov.json`` says tier-1 reaches and no
+entry point did: code only tests call.
+
 In-process only: pool / shard worker children and import-time decorators
-are not traced.  No CI step runs either mode.
+are not traced.  No CI step runs any mode.
 """
 
 from __future__ import annotations
@@ -168,9 +178,121 @@ def _report_lines(only: list) -> None:
     )
 
 
+def _cli_argvs(scenarios: dict, tmp: str) -> list:
+    """Every ``repro`` argv production runs: the tier-1 gate's scenarios
+    at one job, then the variants that gate does not take."""
+    argvs = []
+    for steps in scenarios.values():
+        for argv, _status, _out in steps:
+            argv = [arg.format(tmp=tmp) for arg in argv]
+            if "--jobs" in argv:
+                argv[argv.index("--jobs") + 1] = "1"
+            argvs.append(argv)
+    json_too = ("serve", "loadgen", "cluster", "dissect")
+    argvs += [argv + ["--json"] for argv in argvs if argv[0] in json_too]
+    small = ["--clients", "8", "--ops", "10", "--crashes", "1"]
+    return argvs + [
+        ["serve", *small, "--storm", "faults", "--backend", "tiered"],
+        ["serve", *small, "--storm", "faults", "--faults", "allocation"],
+        ["serve", *small, "--system", "disk", "--repair", "--backend", "local"],
+        ["serve", *small, "--system", "disk", "--backend", "objectstore"],
+        ["cluster", *small, "--storm", "faults", "--backend", "tiered"],
+        ["chaos", "--clients", "4", "--ops", "6", "--crashes", "1"],
+        ["explore", "basic", "--ops", "0", "--json"],
+        ["explore", "basic", "--ops", "0", "--backend", "tiered"],
+        ["explore", "traffic", "--plant-ack-bug", "--clients", "1", "--ops-per-client", "3",
+         "--artifacts", tmp],
+    ]
+
+
+def _prod_runs(tmp: str):
+    """``(label, function, *args)`` per production entry point, imports
+    made lazily so that module bodies run under the profiler too."""
+    import importlib.util
+    import os
+    from unittest import mock
+
+    import bench.workloads as workloads
+    from bench.hostclock import HostClock
+    from bench.layers import run_probes
+    from bench.tracing import Tracer
+    from repro.__main__ import main as repro_main
+    from tests.test_cli import SCENARIOS
+
+    def command(argv):
+        try:
+            repro_main(argv)
+        except SystemExit:
+            pass
+
+    def reference_engine(argv):
+        with mock.patch.dict(os.environ, RIO_FAST_PATH="0"):
+            command(argv)
+
+    def replay(*tail):
+        from repro.explore import ExploreConfig, run_enumeration
+
+        first = run_enumeration(ExploreConfig("basic", ops=0)).boundaries[0].index
+        command(["explore", "basic", "--ops", "0", "--replay", str(first), *tail])
+
+    def example(path):
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main()
+
+    for sizes in workloads.SIZES.values():
+        if "jobs" in sizes:
+            sizes["jobs"] = 1  # fan-out bodies run here, where the profiler is
+    for name in workloads.WORKLOADS:
+        yield f"bench {name}", workloads.run_round, name, 1, workloads.Env(HostClock(), Tracer())
+    yield "bench probes", run_probes
+    for argv in _cli_argvs(SCENARIOS, tmp):
+        yield "repro " + " ".join(argv), command, argv
+    yield "RIO_FAST_PATH=0 repro demo", reference_engine, ["demo"]
+    yield "repro explore --replay", replay
+    yield "repro explore --replay --json", replay, "--json"
+    for path in sorted((REPO / "examples").glob("*.py")):
+        yield f"example {path.name}", example, path
+
+
+def _prod_reached() -> set:
+    """Trace keys of every ``src/repro/`` function a production entry
+    point runs (module docstring)."""
+    import contextlib
+    import io
+    import tempfile
+
+    sys.path[:0] = [str(REPO / "src"), str(REPO)]
+    sys.setprofile(_profile)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            for label, fn, *args in _prod_runs(tmp):
+                print(label, file=sys.stderr)
+                fn(*args)
+    finally:
+        sys.setprofile(None)
+    return {_key(code) for code, tests in _calls.items() if tests is not _foreign}
+
+
+def _report_prod() -> None:
+    tested = json.loads(OUT.read_text())
+    reached = _prod_reached()
+    functions = list(_functions())
+    prod = [(n, ln) for key, n, ln, _ in functions if key in reached]
+    only = [(n, ln) for key, n, ln, _ in functions if key in tested and key not in reached]
+    print(f"\nproduction entry points run {len(prod)} of {len(functions)} functions, "
+          f"{sum(n for _, n in prod)} lines")
+    print(f"reached only by tests: {len(only)} functions, {sum(n for _, n in only)} lines")
+    for name, lines in only:
+        print(f"  {lines:4d}  {name}")
+
+
 def main(argv: list) -> int:
     if argv[:1] == ["--lines"]:
         _report_lines(argv[1:])
+    elif argv[:1] == ["--prod"]:
+        _report_prod()
     else:
         _report_functions()
     return 0

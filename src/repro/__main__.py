@@ -106,10 +106,7 @@ def cmd_forensics(args) -> int:
     )
     from repro.reliability.journal import read_trials
 
-    try:
-        entries = read_trials(args.journal)
-    except FileNotFoundError:
-        raise SystemExit(f"no such journal: {args.journal}")
+    entries = read_trials(args.journal)
 
     wanted = None
     if args.trial:
@@ -390,11 +387,8 @@ def _read_image(path: str) -> bytes:
     verified) or, when the magic is absent, the file's raw bytes."""
     from repro.fs.dissect import IMAGE_MAGIC, ImageFormatError, load_image
 
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(IMAGE_MAGIC))
-    except FileNotFoundError:
-        raise SystemExit(f"no such image: {path}")
+    with open(path, "rb") as fh:
+        head = fh.read(len(IMAGE_MAGIC))
     if head == IMAGE_MAGIC:
         try:
             payload, _meta = load_image(path)
@@ -980,9 +974,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch to one command."""
+    """Parse arguments and dispatch to one command.  A host file the
+    command cannot use (missing, a directory, unwritable) or a checkpoint
+    journal of another campaign ends it with a message, not a traceback."""
+    from repro.reliability.journal import CampaignResumeError
+
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except CampaignResumeError as exc:
+        raise SystemExit(f"cannot resume: {exc}")
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise SystemExit(f"{exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ randomness — the simulated machine clock is the only time source.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -224,17 +223,3 @@ class LocalBackend:
         """Reject keys the protocol cannot represent."""
         if not key or "\n" in key or len(key) > 256:
             raise BackendError(f"malformed backend key {key!r}")
-
-    def digest(self) -> str:
-        """sha256 over the sorted ``key -> sha256(content)`` map.
-
-        The determinism fixture: two stores with identical contents have
-        identical digests regardless of operation history.
-        """
-        h = hashlib.sha256()
-        for key in self.list():
-            h.update(key.encode())
-            h.update(b"\x00")
-            h.update(hashlib.sha256(self._blobs[key]).digest())
-            h.update(b"\n")
-        return h.hexdigest()

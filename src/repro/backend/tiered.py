@@ -502,8 +502,3 @@ class TieredStore:
     def dirty_blocks(self) -> List[int]:
         """The dirty queue, in flush order (observability)."""
         return list(self._dirty)
-
-    def mapped_blocks(self) -> List[int]:
-        """Every block with a remote map entry, sorted."""
-        self._ensure_mirror()
-        return sorted(self._map)

@@ -121,10 +121,6 @@ class RegistryEntry:
         )
 
 
-def _no_window(pfns=None) -> None:
-    """Window operation of a registry whose frames nothing protects."""
-
-
 def capacity_for(region_bytes: int) -> int:
     """How many entries fit in a registry region of this size."""
     return (region_bytes - HEADER_SIZE) // ENTRY_SIZE
@@ -138,7 +134,7 @@ class Registry:
         bus: MemoryBus,
         base_paddr: int,
         region_bytes: int,
-        protection=None,
+        protection,
     ) -> None:
         self.bus = bus
         self.base_paddr = base_paddr
@@ -149,14 +145,10 @@ class Registry:
         # Every registry store happens between these two calls, over the
         # frames it touches (``format``: all of them).  They are the
         # protection manager's ``open_registry_window`` /
-        # ``close_registry_window`` (a registry nothing protects gets
-        # no-ops) and, like them, not exception-safe: a store that crashes
-        # the machine leaves exactly those frames open.
-        if protection is None:
-            self._open_window = self._close_window = _no_window
-        else:
-            self._open_window = protection.open_registry_window
-            self._close_window = protection.close_registry_window
+        # ``close_registry_window`` and, like them, not exception-safe: a
+        # store that crashes the machine leaves exactly those frames open.
+        self._open_window = protection.open_registry_window
+        self._close_window = protection.close_registry_window
         self._page_size = bus.memory.page_size
         self._free_slots: list[int] = list(range(self.capacity - 1, -1, -1))
 

@@ -297,10 +297,6 @@ class SimulatedDisk:
         self._retire(clock.now_ns)
 
     @property
-    def pending_writes(self) -> int:
-        return len(self._pending)
-
-    @property
     def busy_until_ns(self) -> int:
         return self._busy_until_ns
 

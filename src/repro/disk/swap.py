@@ -4,6 +4,11 @@ Section 2.2: "Before the VM and file system are initialized, we dump all of
 physical memory to the swap partition."  The dump is performed by a healthy,
 booting kernel — unlike a crash dump taken by a dying one — so it always
 succeeds; this class provides the bounded disk window it lands in.
+
+Nothing reads the dump back: step 2 of the warm reboot is handed the
+in-memory image (a fidelity note — the paper's user-level restore reads
+the dump from swap, and charging that read would move every recovery's
+virtual time).
 """
 
 from __future__ import annotations
@@ -47,16 +52,3 @@ class SwapPartition:
             # request — never a padded copy of the whole image.
             tail = bytes(image[body:]).ljust(sector_size, b"\x00")
             self.disk.write(self.start_sector + body // sector_size, tail, sync=sync)
-
-    def read_memory_image(self, nbytes: int) -> bytes:
-        """Read back the dumped image (timed, flat).
-
-        Fidelity note: in the paper the user-level restore reads the dump
-        from swap; here step 2 of the warm reboot is handed the in-memory
-        image instead (reading 16 MB back would add virtual time the
-        shipped numbers never charged), so only tests and tools call
-        this."""
-        if nbytes > self.size_bytes:
-            raise ConfigurationError("requested more bytes than swap holds")
-        nsectors = -(-nbytes // self.disk.sector_size)
-        return self.disk.read(self.start_sector, nsectors)[:nbytes]

@@ -18,7 +18,6 @@ from repro.fs.types import (
     FileId,
     FileType,
     ROOT_INO,
-    Whence,
 )
 from repro.fs.ondisk import DirEntry, Inode, Superblock
 from repro.fs.ufs import UFS, UFSParams
@@ -37,7 +36,6 @@ __all__ = [
     "FileId",
     "FileType",
     "ROOT_INO",
-    "Whence",
     "DirEntry",
     "Inode",
     "Superblock",

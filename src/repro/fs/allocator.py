@@ -91,11 +91,3 @@ class BlockAllocator:
                 # consistency check.
                 raise KernelPanic(f"bfree: block {block_no} already free")
             self._set_bit(block_no, False)
-
-    def count_free(self) -> int:
-        sb = self.fs.sb
-        free = 0
-        for block_no in range(sb.data_start, sb.total_blocks):
-            if not self.is_allocated(block_no):
-                free += 1
-        return free

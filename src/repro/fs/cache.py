@@ -57,7 +57,6 @@ class CachePage:
     file_offset: int = 0
     #: Disk block this page belongs at (None until known/allocated).
     disk_block: Optional[int] = None
-    pin_count: int = 0
     write_generation: int = 0
     registry_slot: Optional[int] = None
     #: Metadata class ("super" | "bitmap" | "inode" | "dir" | "indirect" |
@@ -72,14 +71,6 @@ class CachePage:
     #: generations mean ``checksum`` is still that of the frame's content.
     checksum: int = 0
     checksum_gen: int = -1
-
-    def pin(self) -> None:
-        self.pin_count += 1
-
-    def unpin(self) -> None:
-        if self.pin_count <= 0:
-            raise ConfigurationError("unpin of unpinned page")
-        self.pin_count -= 1
 
 
 class CacheGuard:
@@ -203,7 +194,7 @@ class PageCache:
             self._evict_one()
 
     def _evict_one(self) -> None:
-        """Evict the least-recently-used unpinned page.
+        """Evict the least-recently-used page.
 
         When the victim is dirty, a clustered cleaning sweep
         (:meth:`_clean_cluster`) first writes a batch of LRU dirty pages
@@ -216,13 +207,7 @@ class PageCache:
         rather than a synchronous disk write each (the superlinear term
         that collapsed the 64-client file service).
         """
-        victim = None
-        for page in self.pages.values():
-            if page.pin_count == 0:
-                victim = page
-                break
-        if victim is None:
-            raise NoSpace("all cache pages pinned")
+        victim = next(iter(self.pages.values()))
         if victim.dirty:
             self._clean_cluster()
         self.drop(victim)
@@ -231,8 +216,7 @@ class PageCache:
     def _clean_cluster(self) -> None:
         """Write back a batch of LRU dirty pages and wait once.
 
-        Flushes up to ``capacity // EVICT_CLUSTER_FRACTION`` unpinned
-        dirty pages asynchronously in ascending disk-block order (an
+        Flushes up to ``capacity // EVICT_CLUSTER_FRACTION`` dirty pages asynchronously in ascending disk-block order (an
         elevator pass: consecutive blocks coalesce into near-sequential
         transfers), then advances the clock to the last write's
         completion so every flushed page is on the platter — and marked
@@ -243,7 +227,7 @@ class PageCache:
         budget = max(1, self.capacity // self.EVICT_CLUSTER_FRACTION)
         cluster = []
         for page in self.pages.values():
-            if page.pin_count == 0 and page.dirty:
+            if page.dirty:
                 if page.disk_block is None:
                     # No placement: fall through to the strict sync path
                     # so the misconfiguration surfaces exactly as before.
@@ -252,8 +236,6 @@ class PageCache:
                 cluster.append(page)
                 if len(cluster) >= budget:
                     break
-        if not cluster:
-            raise NoSpace("all cache pages pinned")
         self.stat_clean_sweeps += 1
         last_by_dev: dict[int, object] = {}
         for page in sorted(cluster, key=lambda p: (p.dev, p.disk_block)):

@@ -12,7 +12,7 @@ for the FreeBSD UFS layout) and compiles it, once, into a
         uint32 direct[12];
     ''')
     record = SUPERBLOCK.unpack(data)
-    record.magic, record.direct[3], SUPERBLOCK.offset_of("version")
+    record.magic, record.direct[3], SUPERBLOCK.size
 
 An array of records (a directory block, an inode table) is walked with
 :meth:`CStruct.iter_unpack`, which yields each slot's raw field tuple so
@@ -139,10 +139,6 @@ class CStruct:
             if not f.name.startswith("pad"):
                 self._plan.append((f.name, cursor, cursor + width if array else None))
             cursor += width
-
-    def offset_of(self, field_name: str) -> int:
-        """Byte offset of a field within the record."""
-        return self._by_name[field_name].offset
 
     def index_of(self, field_name: str) -> int:
         """Position of a field (its first element, for an array) in the

@@ -32,7 +32,6 @@ class _MemNode:
     children: dict[str, int] = field(default_factory=dict)
     nlink: int = 1
     mtime_ns: int = 0
-    symlink_target: str = ""
 
     @property
     def size(self) -> int:
@@ -89,52 +88,25 @@ class MemoryFileSystem:
             raise FileNotFound(f"inode {ino}")
         return node
 
-    MAX_SYMLINK_DEPTH = 8
-
-    def namei(self, path: str, *, follow: bool = True) -> int:
-        parts = list(self._split_path(path))
+    def _walk(self, parts: list[str], path: str) -> int:
         ino = ROOT_INO
-        index = 0
-        expansions = 0
-        while index < len(parts):
-            part = parts[index]
-            node = self._node(ino)
-            if node.ftype != FileType.DIRECTORY:
-                raise NotADirectory(path)
-            if part not in node.children:
-                raise FileNotFound(path)
-            child = self._node(node.children[part])
-            is_last = index == len(parts) - 1
-            if child.ftype == FileType.SYMLINK and (follow or not is_last):
-                expansions += 1
-                if expansions > self.MAX_SYMLINK_DEPTH:
-                    raise InvalidArgument(f"too many symlinks: {path!r}")
-                target = child.symlink_target
-                remainder = parts[index + 1 :]
-                if target.startswith("/"):
-                    parts = self._split_path(target) + remainder
-                    ino = ROOT_INO
-                else:
-                    parts = [p for p in target.split("/") if p] + remainder
-                index = 0
-                continue
-            ino = child.ino
-            index += 1
-        return ino
-
-    def _parent(self, path: str) -> tuple[_MemNode, str]:
-        parts = self._split_path(path)
-        if not parts:
-            raise InvalidArgument("path refers to the root directory")
-        ino = ROOT_INO
-        for part in parts[:-1]:
+        for part in parts:
             node = self._node(ino)
             if node.ftype != FileType.DIRECTORY:
                 raise NotADirectory(path)
             if part not in node.children:
                 raise FileNotFound(path)
             ino = node.children[part]
-        parent = self._node(ino)
+        return ino
+
+    def namei(self, path: str) -> int:
+        return self._walk(self._split_path(path), path)
+
+    def _parent(self, path: str) -> tuple[_MemNode, str]:
+        parts = self._split_path(path)
+        if not parts:
+            raise InvalidArgument("path refers to the root directory")
+        parent = self._node(self._walk(parts[:-1], path))
         if parent.ftype != FileType.DIRECTORY:
             raise NotADirectory(path)
         return parent, parts[-1]
@@ -183,32 +155,6 @@ class MemoryFileSystem:
         del parent.children[name]
         del self._nodes[node.ino]
         parent.nlink -= 1
-
-    def symlink(self, target: str, link_path: str) -> int:
-        parent, name = self._parent(link_path)
-        if name in parent.children:
-            raise FileExists(link_path)
-        node = self._new_node(FileType.SYMLINK)
-        node.symlink_target = target
-        parent.children[name] = node.ino
-        return node.ino
-
-    def readlink(self, path: str) -> str:
-        node = self._node(self.namei(path, follow=False))
-        if node.ftype != FileType.SYMLINK:
-            raise InvalidArgument(f"not a symlink: {path!r}")
-        return node.symlink_target
-
-    def link(self, existing: str, new_path: str) -> None:
-        ino = self.namei(existing)
-        node = self._node(ino)
-        if node.ftype == FileType.DIRECTORY:
-            raise IsADirectory(existing)
-        parent, name = self._parent(new_path)
-        if name in parent.children:
-            raise FileExists(new_path)
-        node.nlink += 1
-        parent.children[name] = ino
 
     def rename(self, old_path: str, new_path: str) -> None:
         old_parent, old_name = self._parent(old_path)
@@ -280,9 +226,6 @@ class MemoryFileSystem:
 
     def fsync(self, ino: int) -> None:
         pass  # nothing is ever durable
-
-    def sync(self) -> None:
-        pass
 
     def close_hook(self, ino: int) -> None:
         pass

@@ -384,17 +384,6 @@ def _dirent_records(data: bytes | bytearray | memoryview):
     return _DIRENT_FMT.iter_unpack(data if whole == len(data) else data[:whole])
 
 
-def pack_dirents(entries: list[DirEntry], nblocks: int) -> bytes:
-    """Serialize directory entries into ``nblocks`` worth of records."""
-    out = bytearray()
-    for entry in entries:
-        out += entry.to_bytes()
-    capacity = nblocks * BLOCK_SIZE
-    if len(out) > capacity:
-        raise FileSystemError("directory overflow")
-    return bytes(out) + b"\x00" * (capacity - len(out))
-
-
 def parse_dirents(data: bytes) -> list[DirEntry]:
     """Parse every valid record out of directory content bytes."""
     entries = []

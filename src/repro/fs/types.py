@@ -37,12 +37,6 @@ class FileType(enum.IntEnum):
     SYMLINK = 3
 
 
-class Whence(enum.IntEnum):
-    SET = 0
-    CUR = 1
-    END = 2
-
-
 @dataclass(frozen=True)
 class FileId:
     """Identifies a file the way the registry does: device + inode number."""

@@ -492,8 +492,8 @@ class UFS:
     #: Maximum symlink expansions during one resolution (ELOOP guard).
     MAX_SYMLINK_DEPTH = 8
 
-    def namei(self, path: str, *, follow: bool = True) -> int:
-        """Resolve a path to an inode number, following symlinks."""
+    def namei(self, path: str) -> int:
+        """Resolve a path to an inode number, following on-disk symlinks."""
         parts = list(self._split_path(path))
         ino = ROOT_INO
         expansions = 0
@@ -507,8 +507,7 @@ class UFS:
             if child is None:
                 raise FileNotFound(path)
             child_inode = self.iget(child)
-            is_last = index == len(parts) - 1
-            if child_inode.ftype == FileType.SYMLINK and (follow or not is_last):
+            if child_inode.ftype == FileType.SYMLINK:
                 expansions += 1
                 if expansions > self.MAX_SYMLINK_DEPTH:
                     raise InvalidArgument(f"too many symlinks: {path!r}")
@@ -670,7 +669,7 @@ class UFS:
             new_parent.nlink += 1
             self.write_inode(new_parent)
 
-    # -- links ------------------------------------------------------------
+    # -- symlinks ---------------------------------------------------------
 
     def _read_symlink(self, inode: Inode) -> str:
         block = inode.direct[0]
@@ -681,53 +680,6 @@ class UFS:
             return raw.decode()
         except UnicodeDecodeError as exc:
             raise KernelPanic(f"symlink {inode.ino}: garbled target") from exc
-
-    @_fs_op
-    def symlink(self, target: str, link_path: str) -> int:
-        """Create a symbolic link at ``link_path`` pointing to ``target``.
-
-        Like directories, symlink contents live in the buffer cache
-        (section 2: "Directories, symbolic links, inodes, and superblocks
-        are stored in the traditional Unix buffer cache")."""
-        encoded = target.encode()
-        if not 0 < len(encoded) <= BLOCK_SIZE:
-            raise InvalidArgument("symlink target length invalid")
-        parent, name = self.namei_parent(link_path)
-        if self.dir_lookup(parent, name) is not None:
-            raise FileExists(link_path)
-        inode = self.ialloc(FileType.SYMLINK)
-        block = self.bmap(inode, 0, allocate=True)
-        self._fresh_meta_page(block, "dir")
-        self.write_meta(block, 0, encoded, meta_class="dir")
-        inode.size = len(encoded)
-        inode.nlink = 1
-        self.write_inode(inode)
-        self.kernel.preemption_point()
-        self.dir_add(parent, name, inode.ino)
-        return inode.ino
-
-    def readlink(self, path: str) -> str:
-        """Return a symlink's target string (no following)."""
-        ino = self.namei(path, follow=False)
-        inode = self.iget(ino)
-        if inode.ftype != FileType.SYMLINK:
-            raise InvalidArgument(f"not a symlink: {path!r}")
-        return self._read_symlink(inode)
-
-    @_fs_op
-    def link(self, existing: str, new_path: str) -> None:
-        """Create a hard link (same inode, second name)."""
-        ino = self.namei(existing)
-        inode = self.iget(ino)
-        if inode.ftype == FileType.DIRECTORY:
-            raise IsADirectory(existing)
-        parent, name = self.namei_parent(new_path)
-        if self.dir_lookup(parent, name) is not None:
-            raise FileExists(new_path)
-        inode.nlink += 1
-        self.write_inode(inode)
-        self.kernel.preemption_point()
-        self.dir_add(parent, name, inode.ino)
 
     # -- data path ------------------------------------------------------
 
@@ -924,10 +876,6 @@ class UFS:
         """Durability point for one file — dispatched to the policy."""
         self.policy.on_fsync(self, ino)
 
-    def sync(self) -> None:
-        """Whole-fs flush — dispatched to the policy."""
-        self.policy.on_sync(self)
-
     def close_hook(self, ino: int) -> None:
         """Called on fd close — write-through-on-close's moment."""
         self.policy.on_close(self, ino)
@@ -960,11 +908,3 @@ class UFS:
 
     # -- statistics -----------------------------------------------------------
 
-    def statfs(self) -> dict:
-        """Free-space summary (blocks, inodes)."""
-        return {
-            "total_blocks": self.sb.total_blocks,
-            "free_blocks": self.allocator.count_free(),
-            "free_inodes": len(self._free_inos),
-            "block_size": BLOCK_SIZE,
-        }

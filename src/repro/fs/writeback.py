@@ -81,30 +81,20 @@ class WritePolicy:
         fs.flush_metadata(sync=True)
         _drain_backend(fs)
 
-    def on_sync(self, fs) -> None:
-        _emit(fs, "sync", policy=self.name)
-        fs.flush_data(sync=False)
-        fs.flush_metadata(sync=False)
-        _drain_backend(fs)
-
     def periodic(self, fs) -> None:
         """The 30-second update daemon."""
 
 
 class RioPolicy(WritePolicy):
     """No reliability-induced writes at all (section 2.3): files in memory
-    are as permanent as files on disk, so sync and fsync return
-    immediately and nothing is flushed — disk writes happen only when a
-    cache overflows."""
+    are as permanent as files on disk, so fsync returns immediately and
+    nothing is flushed — disk writes happen only when a cache overflows."""
 
     name = "rio"
     data_permanent = "after write, synchronous (memory is stable)"
 
     def on_fsync(self, fs, ino: int) -> None:
         return  # "we modify sync and fsync calls to return immediately"
-
-    def on_sync(self, fs) -> None:
-        return
 
 
 @dataclass

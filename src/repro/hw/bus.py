@@ -66,8 +66,8 @@ bump, translate*:
   type, message and ``address``, because the port is asked about the
   faulting word; the bytes in memory; a moved write generation on every
   frame stored to.
-* **The reference route, untouched,** takes everything else: tracing on,
-  a store checker installed (stores), a page-crossing access,
+* **The reference route, untouched,** takes everything else: a store
+  checker installed (stores), a page-crossing access,
   ``fast_path=False`` — and, in the walkers, the word-by-word bodies do.
   Trap types, messages, ordering and the load / store / byte counters of
   :class:`BusStats` are identical between the two routes.
@@ -76,8 +76,7 @@ bump, translate*:
 from __future__ import annotations
 
 import struct
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import CrashedMachineError
@@ -106,82 +105,6 @@ KERNEL_CONTEXT = AccessContext()
 
 StoreChecker = Callable[[int, int, AccessContext], None]
 
-#: Default bound on the access trace (entries, not bytes).  Long traced
-#: runs drop their oldest records instead of growing without limit.
-DEFAULT_TRACE_CAP = 100_000
-
-
-class TraceRing:
-    """A bounded access trace: drops its oldest entry once ``cap``
-    entries are held, counting the drops in :attr:`dropped`.
-
-    Backed by a ``collections.deque(maxlen=cap)`` so eviction is O(1)
-    (the previous list-based version paid ``del self[0]`` — O(n) — per
-    append once full, taxing exactly the long traced runs the cap
-    exists for).  It is deliberately *not* a list subclass: every
-    mutator is ring-aware (``append``, ``extend``, ``+=``), so nothing
-    can silently bypass the cap or the ``dropped`` accounting, while
-    the list-like reads tests rely on (``len``, iteration, indexing,
-    slicing, ``in``, ``== []``) all keep working.
-    """
-
-    __slots__ = ("cap", "dropped", "_buf")
-
-    def __init__(self, cap: int = DEFAULT_TRACE_CAP) -> None:
-        if cap <= 0:
-            raise ValueError("trace cap must be positive")
-        self.cap = cap
-        self.dropped = 0
-        self._buf: deque = deque(maxlen=cap)
-
-    # -- mutators (all ring-aware) --------------------------------------
-
-    def append(self, item) -> None:
-        if len(self._buf) == self.cap:
-            self.dropped += 1
-        self._buf.append(item)
-
-    def extend(self, items) -> None:
-        for item in items:
-            self.append(item)
-
-    def __iadd__(self, items) -> "TraceRing":
-        self.extend(items)
-        return self
-
-    def clear(self) -> None:
-        self._buf.clear()
-        self.dropped = 0
-
-    # -- list-like reads ------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self):
-        return iter(self._buf)
-
-    def __contains__(self, item) -> bool:
-        return item in self._buf
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._buf)[index]
-        return self._buf[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TraceRing):
-            return list(self._buf) == list(other._buf)
-        if isinstance(other, (list, tuple)):
-            return list(self._buf) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return f"TraceRing({list(self._buf)!r}, cap={self.cap}, dropped={self.dropped})"
-
-
 @dataclass
 class BusStats:
     loads: int = 0
@@ -191,7 +114,6 @@ class BusStats:
     checked_stores: int = 0
     #: Calls of the soft TLB's miss handler (none on the reference route).
     tlb_misses: int = 0
-    trace: TraceRing = field(default_factory=TraceRing)
 
 
 class MemoryBus:
@@ -211,7 +133,6 @@ class MemoryBus:
         #: crash state (``Machine.crashed`` reads and writes it), so the
         #: access paths test it without a call.
         self.crashed = False
-        self._tracing = False
         #: Engage the soft TLB + zero-copy word paths (and, transitively,
         #: the interpreter's predecode engine).  Off = reference path.
         self.fast_path = fast_path
@@ -224,21 +145,6 @@ class MemoryBus:
         #: so a probe is one attribute and one ``dict.get``.
         self._tlb_loads = mmu.tlb_loads
         self._tlb_stores = mmu.tlb_stores
-
-    def enable_tracing(self, enabled: bool = True, cap: int | None = None) -> None:
-        """Record (kind, vaddr, length, procedure) tuples — for tests.
-
-        ``cap`` (entries) re-bounds the trace ring; the default keeps the
-        most recent :data:`DEFAULT_TRACE_CAP` accesses and counts drops in
-        ``stats.trace.dropped``.  Tracing forces every access — including
-        interpreter instruction fetches — down the slow path so the
-        recorded sequence is the reference sequence.
-        """
-        self._tracing = enabled
-        if cap is not None:
-            self.stats.trace = TraceRing(cap)
-        if not enabled:
-            self.stats.trace.clear()
 
     # -- the soft TLB ---------------------------------------------------
 
@@ -263,8 +169,8 @@ class MemoryBus:
     @property
     def flat(self) -> bool:
         """May a caller use the page port?  True when nothing needs to
-        see each access: fast path on, tracing off, no store checker."""
-        return self.fast_path and not self._tracing and self.store_checker is None
+        see each access: fast path on, no store checker."""
+        return self.fast_path and self.store_checker is None
 
     def load_frame(self, vaddr: int) -> bytes | bytearray:
         """Page port, load side: the live frame of the page holding
@@ -317,9 +223,7 @@ class MemoryBus:
         stats = self.stats
         stats.loads += 1
         stats.bytes_loaded += length
-        if self._tracing:
-            stats.trace.append(("load", vaddr, length, ctx.procedure))
-        elif self.fast_path and length:
+        if self.fast_path and length:
             off = vaddr % self._page_size
             if off + length <= self._page_size:
                 pfn = self._tlb_loads.get(vaddr - off)
@@ -333,7 +237,7 @@ class MemoryBus:
 
     def load_u64(self, vaddr: int, ctx: AccessContext = KERNEL_CONTEXT) -> int:
         off = vaddr % self._page_size
-        if self.fast_path and not self._tracing and off <= self._page_size - 8:
+        if self.fast_path and off <= self._page_size - 8:
             if self.crashed:
                 raise CrashedMachineError(_CRASHED)
             stats = self.stats
@@ -346,7 +250,7 @@ class MemoryBus:
         return int.from_bytes(self.load(vaddr, 8, ctx), "little")
 
     def load_u8(self, vaddr: int, ctx: AccessContext = KERNEL_CONTEXT) -> int:
-        if self.fast_path and not self._tracing:
+        if self.fast_path:
             if self.crashed:
                 raise CrashedMachineError(_CRASHED)
             stats = self.stats
@@ -380,9 +284,7 @@ class MemoryBus:
             self.store_checker(vaddr, n, ctx)
         stats.stores += 1
         stats.bytes_stored += n
-        if self._tracing:
-            stats.trace.append(("store", vaddr, n, ctx.procedure))
-        elif self.fast_path and n and self.store_checker is None:
+        if self.fast_path and n and self.store_checker is None:
             off = vaddr % self._page_size
             if off + n <= self._page_size:
                 pfn = self._tlb_stores.get(vaddr - off)
@@ -408,12 +310,7 @@ class MemoryBus:
 
     def store_u64(self, vaddr: int, value: int, ctx: AccessContext = KERNEL_CONTEXT) -> None:
         off = vaddr % self._page_size
-        if (
-            self.fast_path
-            and not self._tracing
-            and self.store_checker is None
-            and off <= self._page_size - 8
-        ):
+        if self.fast_path and self.store_checker is None and off <= self._page_size - 8:
             if self.crashed:
                 raise CrashedMachineError(_CRASHED)
             stats = self.stats
@@ -431,7 +328,7 @@ class MemoryBus:
         self.store(vaddr, (value & _MASK64).to_bytes(8, "little"), ctx)
 
     def store_u8(self, vaddr: int, value: int, ctx: AccessContext = KERNEL_CONTEXT) -> None:
-        if self.fast_path and not self._tracing and self.store_checker is None:
+        if self.fast_path and self.store_checker is None:
             if self.crashed:
                 raise CrashedMachineError(_CRASHED)
             stats = self.stats

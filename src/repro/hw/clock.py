@@ -49,10 +49,6 @@ class Clock:
         """
         self._listeners.append(callback)
 
-    def remove_listener(self, callback: Callable[[int], None]) -> None:
-        if callback in self._listeners:
-            self._listeners.remove(callback)
-
     def _fire(self) -> None:
         for callback in list(self._listeners):
             callback(self._now_ns)

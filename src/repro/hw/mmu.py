@@ -127,10 +127,6 @@ class MMU:
         self.tlb_loads.pop(vbase, None)
         self.tlb_stores.pop(vbase, None)
 
-    def pte_for(self, vpn: int) -> PageTableEntry | None:
-        """The PTE mapped at ``vpn``, if any."""
-        return self._page_table.get(vpn)
-
     def set_writable(self, vpn: int, writable: bool) -> None:
         """Toggle the write-permission bit of a mapped virtual page."""
         pte = self._page_table.get(vpn)

@@ -31,10 +31,9 @@ from repro.isa.analysis.disasm import (
     DisassemblyError,
     Disassembly,
     DisasmLine,
-    disassemble_routine,
     disassemble_words,
 )
-from repro.isa.analysis.lint import Finding, lint_routines, lint_source, lint_words
+from repro.isa.analysis.lint import Finding, lint_words
 from repro.isa.analysis.patch import (
     CodePatcher,
     PatchError,
@@ -60,10 +59,7 @@ __all__ = [
     "Val",
     "ValueAnalysis",
     "build_cfg",
-    "disassemble_routine",
     "disassemble_words",
-    "lint_routines",
-    "lint_source",
     "lint_words",
     "patch_routine",
 ]

@@ -178,20 +178,3 @@ def disassemble_words(
         labels={lbl: index for index, lbl in label_of.items()},
     )
 
-
-def disassemble_routine(text, name: str) -> Disassembly:
-    """Disassemble routine ``name`` out of a loaded :class:`KernelText`.
-
-    Reads the *current* words from simulated memory, so fault-injected
-    corruption surfaces as a :class:`DisassemblyError`.
-    """
-    routine = text.routines[name]
-    words = [
-        text.read_word(routine.start_index + i) for i in range(routine.num_words)
-    ]
-    labels = {
-        lbl: off - routine.start_index
-        for lbl, off in routine.labels.items()
-        if routine.start_index <= off <= routine.start_index + routine.num_words
-    }
-    return disassemble_words(words, labels=labels, name=name)

@@ -39,7 +39,6 @@ from repro.isa.analysis.dataflow import (
 )
 from repro.isa.analysis.disasm import DisassemblyError, disassemble_words
 from repro.isa.analysis.patch import RESERVED_REGS, inst_regs
-from repro.isa.assembler import assemble
 from repro.isa.encoding import REG_NAMES, Op
 from repro.isa.interpreter import PANIC_MESSAGES
 
@@ -196,22 +195,3 @@ def lint_words(
         findings.extend(_PASSES[pass_name](cfg))
     return findings
 
-
-def lint_source(
-    name: str, source: str, passes: Iterable[str] = ALL_PASSES
-) -> list[Finding]:
-    """Assemble one routine source and lint the result."""
-    words, labels = assemble(source)
-    return lint_words(name, words, labels=labels, passes=passes)
-
-
-def lint_routines(sources: dict[str, str] | None = None) -> list[Finding]:
-    """Lint every kernel routine (the shipped set by default)."""
-    if sources is None:
-        from repro.isa.routines import ROUTINE_SOURCES
-
-        sources = ROUTINE_SOURCES
-    findings: list[Finding] = []
-    for name, source in sources.items():
-        findings.extend(lint_source(name, source))
-    return findings

@@ -255,7 +255,3 @@ class CodePatcher:
         )
         self.reports[name] = report
         return new_words, new_labels
-
-    @property
-    def total_added_words(self) -> int:
-        return sum(r.added_words for r in self.reports.values())

@@ -286,15 +286,10 @@ class Interpreter:
         sp: int,
         max_steps: int | None,
     ) -> CallResult:
-        """Pick an engine.  The fast engine requires the bus-level knob,
-        runs only untraced (so traces record the reference fetch/access
-        sequence), and needs word-aligned pages for the predecode index."""
+        """Pick an engine.  The fast engine requires the bus-level knob
+        and needs word-aligned pages for the predecode index."""
         bus = self.bus
-        if (
-            bus.fast_path
-            and not bus._tracing
-            and bus.memory.page_size % WORD_BYTES == 0
-        ):
+        if bus.fast_path and bus.memory.page_size % WORD_BYTES == 0:
             return self._interpret_fast(name, args, ctx, sp, max_steps)
         return self._interpret_ref(name, args, ctx, sp, max_steps)
 

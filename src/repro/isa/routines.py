@@ -11,8 +11,7 @@ mini-ISA:
   checks (``panic #21``/``#22``), spills and reloads registers on the
   kernel stack (so stack bit flips genuinely corrupt pointers and return
   addresses), then copies.
-* ``checksum_block`` — quadword additive checksum used for registry
-  auditing.
+* ``checksum_block`` — a quadword additive checksum.
 * ``sched_tick`` / ``vnode_scan`` — background kernel activity: linked-list
   and hash-chain walks with consistency checks (``panic #31``/``#33``).
   These run constantly between workload operations, giving injected faults
@@ -23,7 +22,9 @@ mini-ISA:
 Each native registered via :func:`build_kernel_text` issues the same bus
 traffic as its assembly and raises the same panics, so a run behaves
 identically whether a routine executes natively (pristine text) or on the
-interpreter (corrupted text) — only speed differs.
+interpreter (corrupted text) — only speed differs.  ``bzero`` and
+``checksum_block`` have no native: no kernel path calls them, so they are
+text the faults land in and the interpreter runs, nothing more.
 """
 
 from __future__ import annotations
@@ -226,23 +227,6 @@ def _bcopy_stores(args: list[int]) -> int:
     return length // 8 + length % 8
 
 
-def _native_bzero(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    dst, length = args[0], args[1]
-    if length:
-        bus.store(dst, b"\x00" * length, ctx)
-    return length
-
-
-def _bzero_steps(args: list[int]) -> int:
-    length = args[1]
-    return 6 + 6 * (length // 8) + 6 * (length % 8)
-
-
-def _bzero_stores(args: list[int]) -> int:
-    length = args[1]
-    return length // 8 + length % 8
-
-
 def _native_cache_copy(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
     hdr, src, off, length = args[0], args[1], args[2], args[3]
     magic = bus.load_u64(hdr + HDR_MAGIC_OFF, ctx)
@@ -268,19 +252,6 @@ def _cache_copy_stores(args: list[int]) -> int:
     return 3 + length // 8 + length % 8
 
 
-def _native_checksum_block(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    addr, length = args[0], args[1]
-    data = bus.load(addr, length - length % 8, ctx) if length >= 8 else b""
-    total = 0
-    for i in range(0, len(data), 8):
-        total = (total + int.from_bytes(data[i : i + 8], "little")) & MASK64
-    return total
-
-
-def _checksum_steps(args: list[int]) -> int:
-    return 4 + 6 * (args[1] // 8)
-
-
 # The two walkers are one loop: ``sched_tick`` is ``vnode_scan`` over a
 # one-slot table with its own magic and panic.  While the bus is ``flat``
 # the loop is a *counted word run*: it takes pages from the bus's page
@@ -295,8 +266,8 @@ def _checksum_steps(args: list[int]) -> int:
 # and known writable until the run ends; a page it has only read is
 # fetched again per access, because a store may yet allocate the frame
 # behind a zero page.  One bus call per word — :func:`_visit_words` and
-# ``bus.load_u64`` — remains the route when the bus is not flat (tracing,
-# a store checker, ``fast_path=False``) or is down, and for a head slot or
+# ``bus.load_u64`` — remains the route when the bus is not flat (a store
+# checker, ``fast_path=False``) or is down, and for a head slot or
 # a node that straddles a page.
 
 _U64 = struct.Struct("<Q")
@@ -384,12 +355,8 @@ def build_kernel_text(transform=None) -> KernelText:
     if transform is not None:
         return text
     text.register_native("bcopy", _native_bcopy, _bcopy_steps, _bcopy_stores)
-    text.register_native("bzero", _native_bzero, _bzero_steps, _bzero_stores)
     text.register_native(
         "cache_copy", _native_cache_copy, _cache_copy_steps, _cache_copy_stores
-    )
-    text.register_native(
-        "checksum_block", _native_checksum_block, _checksum_steps, _const_steps(0)
     )
     text.register_native(
         "sched_tick", _native_sched_tick, _const_steps(120), _const_steps(16)

@@ -160,6 +160,3 @@ class KernelText:
         routine = self.routine_at_index(word_index)
         if routine is not None:
             routine.pristine = False
-
-    def corrupted_routines(self) -> list[str]:
-        return [r.name for r in self.routines.values() if not r.pristine]

@@ -94,11 +94,3 @@ class KernelHeap:
 
     def is_live(self, user: int) -> bool:
         return user in self._live
-
-    @property
-    def live_blocks(self) -> int:
-        return len(self._live)
-
-    @property
-    def free_bytes(self) -> int:
-        return sum(size for _, size in self._free)

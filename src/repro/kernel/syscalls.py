@@ -17,11 +17,8 @@ from repro.errors import (
     BadFileDescriptor,
     CrossDevice,
     FileNotFound,
-    FileSystemError,
-    InvalidArgument,
     SystemCrash,
 )
-from repro.fs.types import Whence
 
 
 @dataclass
@@ -116,26 +113,6 @@ class VFS:
             # (the new kernel boots with a zero batch depth).
             self.kernel.end_batch()
 
-    def run_batch(self, calls: list) -> list:
-        """Execute ``calls`` — ``(method_name, *args)`` tuples — batched.
-
-        Returns one result per call, in order; a call that fails with a
-        file-system error contributes the *exception object* instead of
-        a result and the batch keeps going.  A crash propagates
-        immediately (trailing calls never run).
-        """
-        results = []
-        with self.batch():
-            for name, *args in calls:
-                method = getattr(self, name, None)
-                if method is None or name.startswith("_"):
-                    raise InvalidArgument(f"unknown syscall {name!r}")
-                try:
-                    results.append(method(*args))
-                except FileSystemError as exc:
-                    results.append(exc)
-        return results
-
     # -- file descriptor syscalls ------------------------------------------------
 
     def open(self, path: str, *, create: bool = False, truncate: bool = False) -> int:
@@ -213,23 +190,6 @@ class VFS:
 
         return self._run(body, "pread")
 
-    def lseek(self, fd: int, offset: int, whence: Whence = Whence.SET) -> int:
-        """Move the descriptor offset; returns the new offset."""
-        def body():
-            open_file = self._file(fd)
-            if whence == Whence.SET:
-                new = offset
-            elif whence == Whence.CUR:
-                new = open_file.offset + offset
-            else:
-                new = open_file.fs.size_of(open_file.ino) + offset
-            if new < 0:
-                raise InvalidArgument("negative seek")
-            open_file.offset = new
-            return new
-
-        return self._run(body, "lseek")
-
     def fsync(self, fd: int) -> None:
         """Force the file durable — a real disk wait on conventional
         systems; an immediate return on Rio (memory is stable)."""
@@ -272,24 +232,6 @@ class VFS:
             raise CrossDevice(f"rename across mounts: {old} -> {new}")
         return self._run(lambda: old_fs.rename(old_sub, new_sub), "rename")
 
-    def symlink(self, target: str, link_path: str) -> None:
-        """Create a symbolic link at ``link_path`` pointing to ``target``."""
-        fs, sub = self._resolve(link_path)
-        return self._run(lambda: fs.symlink(target, sub) and None, "symlink")
-
-    def readlink(self, path: str) -> str:
-        """Return a symlink's target without following it."""
-        fs, sub = self._resolve(path)
-        return self._run(lambda: fs.readlink(sub), "readlink")
-
-    def link(self, existing: str, new_path: str) -> None:
-        """Create a hard link (EXDEV across mounts)."""
-        old_fs, old_sub = self._resolve(existing)
-        new_fs, new_sub = self._resolve(new_path)
-        if old_fs is not new_fs:
-            raise CrossDevice(f"link across mounts: {existing} -> {new_path}")
-        return self._run(lambda: old_fs.link(old_sub, new_sub), "link")
-
     def readdir(self, path: str) -> list[str]:
         """List a directory (sorted; "." and ".." omitted)."""
         fs, sub = self._resolve(path)
@@ -304,17 +246,3 @@ class VFS:
         """True when ``path`` resolves."""
         fs, sub = self._resolve(path)
         return self._run(lambda: fs.exists(sub), "exists")
-
-    def sync(self) -> None:
-        """Flush all mounted file systems per their policies."""
-        def body():
-            self.fs.sync()
-            for _, fs in self._mounts:
-                fs.sync()
-
-        return self._run(body, "sync")
-
-    @property
-    def open_fds(self) -> list[int]:
-        """Currently open descriptors (ascending)."""
-        return sorted(self._files)

@@ -238,17 +238,11 @@ class FlightRecorder:
         """Events lost to ring eviction (total emitted minus retained)."""
         return self._seq - len(self._events)
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     def events(self) -> List[Event]:
         return list(self._events)
 
     def to_json_list(self) -> List[Dict[str, Any]]:
         return [ev.to_json_dict() for ev in self._events]
-
-    def digest(self) -> str:
-        return events_digest(self.to_json_list())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "on" if self.enabled else "off"

@@ -60,16 +60,6 @@ class NoDivergence:
 
     reason: str
 
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {"no_divergence": True, "reason": self.reason}
-
-
-def _store_to_json(value) -> Optional[Dict[str, Any]]:
-    """Serialize a first-divergent-store slot (event dict or typed miss)."""
-    if isinstance(value, NoDivergence):
-        return value.to_json_dict()
-    return value
-
 
 def _comparable(event: Dict[str, Any]) -> Tuple[str, str, str]:
     """Diff key for one serialized event: kind, op, canonical payload."""
@@ -133,25 +123,6 @@ class ForensicReport:
     dissect_findings: List[Dict[str, Any]] = field(default_factory=list)
     #: serialized ``DivergenceReport`` comparing fsck and dissect verdicts
     divergence: Optional[Dict[str, Any]] = None
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "system": self.system,
-            "fault": self.fault,
-            "seed": self.seed,
-            "injection": self.injection,
-            "fault_events": self.fault_events,
-            "first_divergence": self.first_divergence,
-            "first_divergent_store": _store_to_json(self.first_divergent_store),
-            "divergence_basis": self.divergence_basis,
-            "crash": self.crash,
-            "detectors": self.detectors,
-            "events_total": self.events_total,
-            "notes": self.notes,
-            "image_sha256": self.image_sha256,
-            "dissect_findings": self.dissect_findings,
-            "divergence": self.divergence,
-        }
 
 
 def _detector_evidence(result: Dict[str, Any]) -> List[str]:

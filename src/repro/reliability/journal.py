@@ -11,7 +11,8 @@ Format — one JSON object per line:
   that shapes the seed schedule (crashes per cell, systems, fault
   types, base seed, attempt bound, config overrides).  Resuming with a
   different fingerprint raises :class:`CampaignResumeError` — silently
-  merging two different campaigns would fabricate results.
+  merging two different campaigns would fabricate results — and so does
+  a damaged header in front of trial lines.
 * **trial** lines: ``{"kind": "trial", "system": ..., "fault": ...,
   "attempt": ..., "seed": ..., "result": {...}, "crc": "xxxxxxxx"}``
   where ``crc`` is the CRC-32 of the rest of the record in canonical
@@ -92,6 +93,11 @@ class CampaignJournal:
         self.path = str(path)
         self.fingerprint = fingerprint
         self.skipped_lines = 0
+        #: :meth:`load` found this campaign's header (else
+        #: :meth:`open_for_append` writes one).
+        self._headed = False
+        #: The file's last line has no newline (a write cut short).
+        self._torn = False
         self._fh: Optional[IO[str]] = None
 
     # -- reading -----------------------------------------------------------
@@ -101,12 +107,16 @@ class CampaignJournal:
 
         Missing file -> empty.  Bad lines are counted in
         ``skipped_lines`` and warned about; their trials simply re-run.
+        Trial records with no valid header to vouch for them raise
+        :class:`CampaignResumeError`: nothing says which campaign they
+        belong to.  A journal with no valid record at all starts afresh.
         """
         entries: dict = {}
         if not os.path.exists(self.path):
             return entries
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
+                self._torn = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -115,9 +125,15 @@ class CampaignJournal:
                     continue
                 if record.get("kind") == "header":
                     self._check_header(record)
+                    self._headed = True
                     continue
                 key = (record["system"], record["fault"], record["attempt"])
                 entries[key] = (record["seed"], record["result"])
+        if entries and not self._headed:
+            raise CampaignResumeError(
+                f"{self.path}: {len(entries)} trial record(s) but no valid header; "
+                "cannot tell which campaign wrote them, refusing to merge"
+            )
         return entries
 
     def _parse_line(self, line: str, lineno: int) -> Optional[dict]:
@@ -166,9 +182,13 @@ class CampaignJournal:
     # -- writing -----------------------------------------------------------
 
     def open_for_append(self) -> None:
-        fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
+        """Open for appending trials, after :meth:`load`; a journal that
+        had no valid header gets one first."""
         self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
+        if self._torn:
+            self._fh.write("\n")  # the next record starts a line of its own
+        if not self._headed:
+            self._headed = True
             header = {
                 "kind": "header",
                 "version": JOURNAL_VERSION,

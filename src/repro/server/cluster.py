@@ -295,17 +295,13 @@ class Shard:
             )
         return verdict
 
-    def events(self) -> List[Dict[str, Any]]:
-        """The shard's flight-recorder stream (empty when untraced)."""
-        return self.system.machine.recorder.to_json_list()
-
     def handle(self, command: str, payload: Any) -> Any:
         """Dispatch one host command (shared by both host kinds)."""
         if command == "step":
             return self.step(payload)
         if command == "session":
             return self.open_session(payload)
-        if command in ("snapshot", "audit", "verdict", "events"):
+        if command in ("snapshot", "audit", "verdict"):
             return getattr(self, command)()
         raise ClusterError(f"unknown shard command {command!r}")
 
@@ -769,16 +765,6 @@ class ClusterService:
                     out.append(self._cross_rename(*payload))
         out.extend(self._dispatch(segment))
         return out
-
-    def drain(self, max_batches: int = 100_000) -> List[Response]:
-        """Pump until the cluster scheduler is empty."""
-        responses: List[Response] = []
-        for _ in range(max_batches):
-            got = self.pump()
-            if not got and self.backlog() == 0:
-                break
-            responses.extend(got)
-        return responses
 
     # -- request translation -------------------------------------------
 

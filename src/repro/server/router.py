@@ -89,13 +89,6 @@ class Router:
             index = 0  # wrap: the ring is a circle
         return self._ring[index][1]
 
-    def spread(self, paths) -> List[int]:
-        """Paths-per-shard histogram (balance diagnostics and tests)."""
-        counts = [0] * self.shards
-        for path in paths:
-            counts[self.shard_for(path)] += 1
-        return counts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Router {self.shards} shards x {self.vnodes} vnodes, "

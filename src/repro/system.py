@@ -67,12 +67,6 @@ class SystemSpec:
     #: Seed of the backend's latency/failure model.
     backend_seed: int = 0
 
-    def describe(self) -> str:
-        rio = "none"
-        if self.rio is not None:
-            rio = f"rio({self.rio.protection.value})"
-        return f"{self.fs_type}/{self.policy}/{rio}"
-
 
 #: Table 1's three systems, by the names every campaign and CLI uses.
 SYSTEM_NAMES = ("disk", "rio_noprot", "rio_prot")
@@ -161,11 +155,11 @@ class System:
         #: :meth:`add_reboot_hook`); services layered on the system use
         #: them to reconstruct state the reboot invalidated.
         self._reboot_hooks: list = []
-        self._boot_stack(first=True)
+        self._boot_stack()
 
     # -- boot ------------------------------------------------------------
 
-    def _boot_stack(self, *, first: bool) -> None:
+    def _boot_stack(self) -> None:
         """Boot a kernel over the (possibly crash-surviving) machine."""
         spec = self.spec
         self.kernel = Kernel(self.machine, replace(spec.kernel))
@@ -266,7 +260,7 @@ class System:
 
             report.remote = fsck_remote(self.backing, batch=True)
 
-        self._boot_stack(first=False)
+        self._boot_stack()
 
         if warm_enabled and report.warm is not None and report.warm.registry_found:
             # Step 2: the user-level restore of dirty UBC pages.

@@ -70,12 +70,6 @@ class DeterministicRandom:
                 return item
         return items[-1]
 
-    def shuffle(self, seq: list) -> None:
-        """Fisher-Yates shuffle in place."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-
     def bytes(self, n: int) -> bytes:
         """Return ``n`` pseudo-random bytes."""
         out = bytearray()

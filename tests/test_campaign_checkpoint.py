@@ -176,3 +176,41 @@ class TestJournalCorruption:
         engine = CampaignEngine(**other, jobs=1, checkpoint=journal)
         with pytest.raises(CampaignResumeError, match="different campaign"):
             engine.run()
+
+    def test_damaged_header_refuses_every_campaign(self, finished_journal):
+        """Trial lines with no valid header cannot be vouched for: a
+        resume refuses them — by this campaign, another one, or the
+        explorer — instead of merging them and writing on headerless."""
+        journal, _, _ = finished_journal
+        lines = open(journal).read().splitlines()
+        lines[0] = lines[0][: len(lines[0]) // 2]
+        damaged = "\n".join(lines) + "\n"
+        open(journal, "w").write(damaged)
+        for campaign in (ONE_CELL, dict(ONE_CELL, base_seed=9999)):
+            engine = CampaignEngine(**campaign, jobs=1, checkpoint=journal)
+            with pytest.warns(JournalWarning), pytest.raises(
+                CampaignResumeError, match="no valid header"
+            ):
+                engine.run()
+        from repro.explore import ExploreConfig, explore
+
+        with pytest.warns(JournalWarning), pytest.raises(
+            CampaignResumeError, match="no valid header"
+        ):
+            explore(ExploreConfig("basic", ops=0), checkpoint=journal)
+        assert open(journal).read() == damaged, "nothing was appended"
+
+    def test_journal_with_no_valid_record_starts_afresh_header_first(self, tmp_path):
+        journal = tmp_path / "ckpt.jsonl"
+        journal.write_text("}}not json{{\n{\"kind\": \"trial\", \"torn")
+        with pytest.warns(JournalWarning):
+            engine = CampaignEngine(**ONE_CELL, jobs=1, checkpoint=str(journal))
+            want = table1_digest(engine.run())
+        assert engine.stats.executed >= 2
+        records = journal.read_text().splitlines()[2:]
+        assert json.loads(records[0])["kind"] == "header"
+        assert all(json.loads(line)["kind"] == "trial" for line in records[1:])
+        with pytest.warns(JournalWarning):
+            engine, table = self.resume(str(journal))
+        assert engine.stats.executed == 0
+        assert table1_digest(table) == want

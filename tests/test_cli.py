@@ -5,7 +5,9 @@ runs here with the arguments (and the output checks) its retired
 ``make`` / CI smoke step used — plus ``--json`` on ``chaos`` and
 ``fsck-remote`` so the reports' wire forms run too — and the last test
 holds the set of commands exercised equal to the set ``main`` registers:
-a new subcommand without a scenario fails tier-1.
+a new subcommand without a scenario fails tier-1.  Host paths a command
+cannot use and journals of another campaign must end in a message, never
+a traceback.
 """
 
 from __future__ import annotations
@@ -120,6 +122,48 @@ def test_explore_prints_a_counterexample_whose_replay_line_reproduces_it(tmp_pat
 
     with pytest.raises(SystemExit, match="event 0 is not a boundary"):
         main(replay[:-1] + ["0"])
+
+
+TABLE1 = ["table1", "--systems", "rio_prot", "--faults", "kernel text"]
+
+#: Every command that takes a host path, with that path as ``{path}``.
+PATH_COMMANDS = [
+    ["dissect", "{path}"],
+    ["load-disk", "{path}"],
+    ["forensics", "{path}"],
+    ["dump-disk", "{path}"],
+    [*TABLE1, "--scale", "1", "--resume", "{path}"],
+    ["explore", "basic", "--ops", "0", "--resume", "{path}"],
+]
+
+
+def refused(argv) -> str:
+    """``main(argv)`` must end in ``SystemExit`` with a message (exit
+    status 1) — any other exception is a traceback — and return it."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert isinstance(exit_info.value.code, str), argv
+    return exit_info.value.code
+
+
+@pytest.mark.parametrize("argv", PATH_COMMANDS, ids=[argv[0] for argv in PATH_COMMANDS])
+def test_unusable_path_exits_with_a_message(argv, tmp_path):
+    """A directory, and a path that does not exist (for a file to be
+    created: one in a directory that does not exist)."""
+    missing = tmp_path / "no" / "such"
+    for path, why in ((tmp_path, "Is a directory"), (missing, "No such file or directory")):
+        assert refused([arg.format(path=path) for arg in argv]) == f"{path}: {why}"
+
+
+def test_foreign_journal_exits_with_a_message(tmp_path, capsys):
+    journal = str(tmp_path / "scale1.jsonl")
+    assert main([*TABLE1, "--scale", "1", "--resume", journal]) == 0
+    assert "different campaign" in refused([*TABLE1, "--scale", "2", "--resume", journal])
+    assert "different campaign" in refused(["explore", "basic", "--ops", "0", "--resume", journal])
+    lines = open(journal).read().splitlines()
+    open(journal, "w").write("\n".join(["{torn"] + lines[1:]) + "\n")
+    with pytest.warns(UserWarning):
+        assert "no valid header" in refused([*TABLE1, "--scale", "1", "--resume", journal])
 
 
 def test_every_registered_subcommand_is_exercised():

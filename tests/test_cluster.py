@@ -39,6 +39,16 @@ from repro.system import build_system, system_spec_for
 LIGHT = LoadSpec(ops_per_client=15, files_per_client=2)
 
 
+def drain(cluster):
+    """Pump until nothing is queued; every response, in order."""
+    responses = []
+    while True:
+        got = cluster.pump()
+        if not got and cluster.backlog() == 0:
+            return responses
+        responses.extend(got)
+
+
 def _drive(cluster, client_ids, requests):
     """Submit raw requests, drain, and index responses by req id."""
     for client_id in client_ids:
@@ -47,7 +57,7 @@ def _drive(cluster, client_ids, requests):
     for request in requests:
         rejection = cluster.submit(request)
         assert rejection is None, rejection
-    for response in cluster.drain():
+    for response in drain(cluster):
         responses[(response.client_id, response.req_id)] = response
     return responses
 
@@ -75,7 +85,9 @@ def test_router_dir_mode_colocates_directories():
 def test_router_hash_mode_scatters_and_balances():
     router = Router(4, mode="hash")
     paths = [f"/srv/c{c:03d}/f{i}" for c in range(64) for i in range(8)]
-    counts = router.spread(paths)
+    counts = [0] * 4
+    for path in paths:
+        counts[router.shard_for(path)] += 1
     assert all(count > 0 for count in counts)
     # Consistent hashing with 64 vnodes/shard: no shard owns more than
     # half of 512 well-mixed keys.
@@ -239,7 +251,7 @@ def test_front_end_admission_rejects_strangers_and_full_queues():
         full = cluster.submit(Request(client_id=0, req_id=depth, op="stat", path="x"))
         assert full.error == "EAGAIN" and full.retryable
         assert cluster.stats.rejected == 2 and cluster.stats.submitted == depth
-        assert len(cluster.drain()) == depth
+        assert len(drain(cluster)) == depth
         assert cluster.submit(Request(client_id=0, req_id=depth + 1, op="stat", path="x")) is None
 
 
@@ -774,7 +786,7 @@ def test_intent_audit_rolls_forward_interrupted_rename():
             Request(client_id=0, req_id=4, op="rename", path=src, new_path=dst)
         )
         with pytest.raises(FrontEndDied):
-            cluster.drain()
+            drain(cluster)
         cluster.rename_hook = None
         assert [i.state for i in cluster.intents.records] == ["copied"]
         audit = cluster.audit_intents()
@@ -825,7 +837,7 @@ def test_intent_audit_rolls_back_unstarted_rename():
             Request(client_id=0, req_id=4, op="rename", path=src, new_path=dst)
         )
         with pytest.raises(FrontEndDied):
-            cluster.drain()
+            drain(cluster)
         cluster.rename_hook = None
         audit = cluster.audit_intents()
         assert audit["rolled_back"] == 1
@@ -890,7 +902,8 @@ def test_cluster_events_carry_shard_tags():
     with cluster:
         clients = [LoadClient(c, seed=3, spec=LIGHT) for c in range(2)]
         run_load(cluster, clients)
-        for shard, events in enumerate(cluster._gather("events")):
+        for shard, host in enumerate(cluster.hosts):
+            events = host.shard.system.machine.recorder.to_json_list()
             assert events, f"shard {shard} recorded nothing"
             assert all(
                 event["payload"].get("shard") == shard for event in events

@@ -1,6 +1,7 @@
 """Tests for the Rio registry: format, entries, post-crash discovery."""
 
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,12 @@ from repro.hw import Machine, MachineConfig
 
 PAGE = 8192
 
+#: A registry no protection manager guards: its windows do nothing.
+UNPROTECTED = SimpleNamespace(
+    open_registry_window=lambda pfns=None: None,
+    close_registry_window=lambda pfns=None: None,
+)
+
 
 @pytest.fixture
 def machine():
@@ -32,7 +39,7 @@ def machine():
 def registry(machine):
     # Registry in the top two frames, as the kernel would place it.
     base = (machine.memory.num_pages - 2) * PAGE
-    reg = Registry(machine.bus, base, 2 * PAGE)
+    reg = Registry(machine.bus, base, 2 * PAGE, UNPROTECTED)
     reg.format()
     return reg
 

@@ -47,10 +47,11 @@ class TestWarmRebootEndToEnd:
     def test_dump_lands_in_swap(self):
         system = rio_system()
         system.crash("boom")
+        image = system.machine.memory.dump_image()
         report = system.reboot()
-        assert report.warm.dumped_bytes == system.machine.memory.size
-        image = system.swap.read_memory_image(64)
-        assert len(image) == 64
+        assert report.warm.dumped_bytes == len(image) == system.machine.memory.size
+        swap = system.swap
+        assert swap.disk.peek(swap.start_sector, len(image) // swap.disk.sector_size) == image
 
     def test_deleted_file_not_resurrected(self):
         system = rio_system()

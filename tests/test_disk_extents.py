@@ -116,7 +116,7 @@ def make_pair(num_sectors: int, sector_size: int = 512):
 
 def assert_same(real: SimulatedDisk, model: SectorDictDisk) -> None:
     assert real.peek(0, real.num_sectors) == model.peek(0, model.n)
-    assert real.pending_writes == len(model.pending)
+    assert len(real._pending) == len(model.pending)
     assert real.busy_until_ns == model.busy_until_ns
     assert real.stats == model.stats
     assert real._clock.now_ns == model.clock.now_ns
@@ -315,7 +315,7 @@ def test_range_and_length_errors_are_the_typed_ones():
     ):
         with pytest.raises(ValueError):
             call()
-    assert not disk._extents and disk.pending_writes == 0 and disk.stats == DiskStats()
+    assert not disk._extents and len(disk._pending) == 0 and disk.stats == DiskStats()
 
 
 # -- sparse payloads: one request, priced by length, stored by content ------------
@@ -539,7 +539,7 @@ def test_sparse_and_flat_length_errors_are_the_same_typed_ones():
     ):
         with pytest.raises(MachineCheck):
             call()
-    assert not disk._extents and disk.pending_writes == 0 and disk.stats == DiskStats()
+    assert not disk._extents and len(disk._pending) == 0 and disk.stats == DiskStats()
     disk.poke(0, SparseBytes(0))
     disk.write(5, SparseBytes(0), sync=True)
     assert not disk._extents and disk.stats.writes == 1 and disk.stats.sectors_written == 0

@@ -4,7 +4,7 @@
   in one namespace — the tutorial cannot drift from the code;
 * every relative link in README.md and docs/*.md resolves;
 * docs/ARCHITECTURE.md names every package under src/repro/;
-* every tier-1 test id DESIGN.md's experiment index names exists;
+* every tier-1 test id and module DESIGN.md's experiment index names exists;
 * the docstring-coverage gate (scripts/check_docstrings.py) passes.
 """
 
@@ -110,6 +110,23 @@ def test_design_experiment_index_names_real_tests():
             ]
             assert found, f"DESIGN.md names {path}{names}, which does not exist"
             scope = found[0].body
+
+
+def test_design_experiment_index_names_real_modules():
+    """The index's "Modules" column is the keep-list a dead-code pass
+    reads, so it may not outlive its modules: every backticked name
+    imports as ``repro.<name>``."""
+    text = (REPO / "DESIGN.md").read_text()
+    section = text[text.index("## 4. Experiment index"):text.index("## 5.")]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    names = {
+        name
+        for row in rows
+        for name in re.findall(r"`([a-z_.]+)`", row.strip("|").split("|")[3])
+    }
+    assert len(names) >= 20, "the Modules column lost its entries"
+    for name in sorted(names):
+        importlib.import_module(f"repro.{name}")
 
 
 def test_docstring_gate():

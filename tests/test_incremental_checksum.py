@@ -319,13 +319,11 @@ class TestMutationAccounting:
         board.memory.unwatch(4)  # idempotent
         assert board.memory._watched == {}
 
-    @pytest.mark.parametrize("route", ["fast", "checker", "tracing", "reference"])
+    @pytest.mark.parametrize("route", ["fast", "checker", "reference"])
     def test_bus_store_inside_one_page(self, board, route):
         bus, memory = board.bus, board.memory
         if route == "checker":
             bus.store_checker = lambda vaddr, length, ctx: None
-        elif route == "tracing":
-            bus.enable_tracing()
         elif route == "reference":
             bus.fast_path = False
         (record,) = _watched(board, 4)

@@ -10,10 +10,7 @@ from repro.isa.analysis import (
     Val,
     ValueAnalysis,
     build_cfg,
-    disassemble_routine,
     disassemble_words,
-    lint_routines,
-    lint_source,
     lint_words,
 )
 from repro.isa.analysis.dataflow import ENTRY, ENTRY_DEFINED
@@ -26,6 +23,29 @@ from repro.isa.text import KernelText
 def disassemble_source(source: str, name: str = "prog"):
     words, labels = assemble(source)
     return disassemble_words(words, labels=labels, name=name)
+
+
+def disassemble_routine(text, name: str):
+    """Disassemble routine ``name`` out of a loaded ``KernelText``, from
+    the words in simulated memory (so corruption surfaces)."""
+    routine = text.routines[name]
+    words = [text.read_word(routine.start_index + i) for i in range(routine.num_words)]
+    labels = {
+        lbl: off - routine.start_index
+        for lbl, off in routine.labels.items()
+        if routine.start_index <= off <= routine.start_index + routine.num_words
+    }
+    return disassemble_words(words, labels=labels, name=name)
+
+
+def lint_source(name: str, source: str, **passes):
+    words, labels = assemble(source)
+    return lint_words(name, words, labels=labels, **passes)
+
+
+def lint_routines():
+    """Every shipped kernel routine, linted."""
+    return [f for name, source in ROUTINE_SOURCES.items() for f in lint_source(name, source)]
 
 
 def cfg_of(source: str):

@@ -85,7 +85,7 @@ class TestKernelHeap:
         heap.kfree(a)
         assert heap.stat_allocs == 2
         assert heap.stat_frees == 1
-        assert heap.live_blocks == 1
+        assert len(heap._live) == 1
 
 
 class TestLocks:

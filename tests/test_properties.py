@@ -43,7 +43,7 @@ class TestHeapProperties:
         for vpn in range(8):
             machine.mmu.map(vpn, vpn)
         heap = KernelHeap(machine.bus, 0, 8 * PAGE)
-        initial_free = heap.free_bytes
+        initial_free = sum(size for _, size in heap._free)
         live: list[tuple[int, int]] = []
         for op, value in script:
             if op == "alloc":
@@ -61,8 +61,8 @@ class TestHeapProperties:
         for addr, _ in live:
             heap.kfree(addr)
         # Invariant: freeing everything recovers all bytes (coalescing).
-        assert heap.free_bytes == initial_free
-        assert heap.live_blocks == 0
+        assert sum(size for _, size in heap._free) == initial_free
+        assert len(heap._live) == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 512), min_size=1, max_size=30))

@@ -7,6 +7,7 @@ campaigns live in test_server_traffic.py.
 import pytest
 
 from repro import RioConfig, SystemSpec, build_system
+from repro.errors import FileNotFound
 from repro.kernel.kernel import BATCH_SYSCALL_OVERHEAD_NS, SYSCALL_OVERHEAD_NS
 from repro.server import (
     AckJournal,
@@ -466,14 +467,16 @@ def test_vfs_batch_prices_prologue_once():
     assert batched >= SYSCALL_OVERHEAD_NS + 7 * BATCH_SYSCALL_OVERHEAD_NS
 
 
-def test_vfs_run_batch_collects_errors():
+def test_vfs_batch_error_propagates_and_closes_the_scope():
     system = rio_system()
-    results = system.vfs.run_batch(
-        [("mkdir", "/d"), ("readdir", "/nope"), ("exists", "/d")]
-    )
-    assert results[0] is None
-    assert isinstance(results[1], Exception)
-    assert results[2] is True
+    vfs, kernel = system.vfs, system.kernel
+    with pytest.raises(FileNotFound):
+        with vfs.batch():
+            vfs.mkdir("/d")
+            vfs.readdir("/nope")
+    assert kernel.stat_batched_syscalls == 1
+    assert vfs.exists("/d")  # the scope is closed: a full-price syscall again
+    assert kernel.stat_batched_syscalls == 1
 
 
 def test_quota_error_importable_and_typed():

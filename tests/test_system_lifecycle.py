@@ -9,9 +9,10 @@ from repro.errors import ConfigurationError
 
 class TestSystemSpec:
     def test_describe(self):
-        assert SystemSpec().describe() == "ufs/ufs/none"
+        spec = SystemSpec()
+        assert (spec.fs_type, spec.policy, spec.rio) == ("ufs", "ufs", None)
         spec = SystemSpec(policy="rio", rio=RioConfig.with_protection())
-        assert spec.describe() == "ufs/rio/rio(vm_kseg)"
+        assert (spec.fs_type, spec.policy, spec.rio.protection.value) == ("ufs", "rio", "vm_kseg")
 
     def test_build_with_overrides(self):
         system = build_system(policy="ufs_delayed", fs_blocks=512)

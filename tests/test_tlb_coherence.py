@@ -115,7 +115,7 @@ def assert_entries_current(machine: Machine) -> None:
                 if write and mmu.kseg_through_tlb:
                     assert mmu.kseg_writable(pfn), f"stale KSEG store entry for frame {pfn}"
             else:
-                pte = mmu.pte_for(vbase // PAGE)
+                pte = mmu._page_table.get(vbase // PAGE)
                 assert pte is not None and pte.pfn == pfn, f"stale entry for {vbase:#x}"
                 assert pte.writable or not write, f"stale store entry for {vbase:#x}"
 

@@ -161,13 +161,6 @@ class TestDeterministicRandom:
         with pytest.raises(ValueError):
             rng.weighted_choice(["a"], [1, 2])
 
-    def test_shuffle_is_permutation(self):
-        rng = DeterministicRandom(9)
-        seq = list(range(30))
-        shuffled = list(seq)
-        rng.shuffle(shuffled)
-        assert sorted(shuffled) == seq
-
     def test_bytes_length(self):
         rng = DeterministicRandom(3)
         for n in (0, 1, 7, 8, 9, 100):

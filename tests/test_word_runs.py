@@ -215,7 +215,7 @@ def run(env, call):
         outcome = (type(exc).__name__, str(exc), getattr(exc, "address", None))
     return SimpleNamespace(
         outcome=outcome,
-        stats=astuple(env.bus.stats)[:-1],  # every field but the (empty) trace
+        stats=astuple(env.bus.stats),
         mmu=(env.mmu.stat_protection_traps, env.mmu.stat_pte_toggles, env.mmu.generation),
         image={pfn: bytes(page) for pfn, page in env.memory._pages.items()},
         moved={pfn for pfn, gen in enumerate(env.memory._page_gens) if gen != gens_before[pfn]},
@@ -340,39 +340,26 @@ def test_crashed_machine_raises_before_counting():
     for call in (("sched_tick", [HEAD]), ("vnode_scan", [TABLE, NBUCKETS])):
         with pytest.raises(CrashedMachineError, match="memory access on crashed machine"):
             env.interp.call(*call)
-    assert astuple(env.bus.stats)[:-1] == (0, 0, 0, 0, 0, 0)
+    assert astuple(env.bus.stats) == (0, 0, 0, 0, 0, 0)
 
 
-@pytest.mark.parametrize("mode", ["tracing", "store_checker", "reference_bus"])
+@pytest.mark.parametrize("mode", ["store_checker", "reference_bus"])
 def test_unflat_bus_takes_the_word_route(mode):
     env = build_env(fast_path=mode != "reference_bus")
     oracle = build_env(fast_path=mode != "reference_bus", oracle=True)
     checked = []
     for e in (env, oracle):
         lay_out(e)
-        if mode == "tracing":
-            e.bus.enable_tracing()
-        elif mode == "store_checker":
+        if mode == "store_checker":
             e.bus.store_checker = lambda vaddr, n, ctx: checked.append((vaddr, n))
     assert not env.bus.flat
     for e in (env, oracle):
         e.interp.call("sched_tick", [HEAD])
         e.interp.call("vnode_scan", [TABLE, NBUCKETS])
-    assert astuple(env.bus.stats)[:-1] == astuple(oracle.bus.stats)[:-1]
-    assert list(env.bus.stats.trace) == list(oracle.bus.stats.trace)
+    assert astuple(env.bus.stats) == astuple(oracle.bus.stats)
     assert env.memory._pages == oracle.memory._pages
     nodes = len(PROCS) + sum(len(chain) for chain in VNODES)
-    if mode == "tracing":
-        # One record per word, in the assembly's order.
-        assert list(env.bus.stats.trace)[:5] == [
-            ("load", HEAD, 8, "kernel"),
-            ("load", PROCS[0], 8, "kernel"),
-            ("load", PROCS[0] + 16, 8, "kernel"),
-            ("store", PROCS[0] + 16, 8, "kernel"),
-            ("load", PROCS[0] + 8, 8, "kernel"),
-        ]
-        assert len(env.bus.stats.trace) == 1 + NBUCKETS + 4 * nodes
-    elif mode == "store_checker":
+    if mode == "store_checker":
         assert env.bus.stats.checked_stores == nodes
         assert checked[: len(PROCS)] == [(n + 16, 8) for n in PROCS]
     else:
