@@ -27,9 +27,11 @@ bench-compare:
 # explore_traffic works in pool children the profiler cannot see, so
 # TRIALS=N profiles every N-th boundary trial in process instead (make
 # profile W=explore_traffic TRIALS=4; add WALL=1 for plain wall-clock ms
-# per trial, no profiler).
+# per trial, no profiler).  MEM=1 asks where peak_rss_mb comes from: the
+# round under tracemalloc, the traced peak of each HostClock bucket (make
+# profile W=tiered_disk MEM=1) — the table to start a memory issue from.
 profile:
-	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample)
+	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample) $(if $(MEM),--memory)
 
 clean:
 	rm -rf .pytest_cache .hypothesis .funccov.json

@@ -46,6 +46,7 @@ import pstats
 import signal
 import sys
 import time
+import tracemalloc
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -161,6 +162,30 @@ def emission_census(config, boundary) -> collections.Counter:
     return collections.Counter(f"{event.kind}/{event.op}" for event in rec.events())
 
 
+def memory_profile(workload: str, seed: int) -> dict:
+    """One round in process under ``tracemalloc``: ``{bucket: highest
+    traced peak in bytes}`` over the ``HostClock`` buckets it laps into."""
+    from bench.hostclock import HostClock
+    from bench.worker import run
+
+    peaks: dict = {}
+    lap = HostClock.lap
+
+    def traced_lap(clock, bucket):
+        peaks[bucket] = max(peaks.get(bucket, 0), tracemalloc.get_traced_memory()[1])
+        lap(clock, bucket)
+        tracemalloc.reset_peak()  # the next bucket starts from what is live now
+
+    HostClock.lap = traced_lap
+    tracemalloc.start()
+    try:
+        run(workload, seed, 1.0, "")
+    finally:
+        tracemalloc.stop()
+        HostClock.lap = lap
+    return peaks
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
@@ -178,6 +203,10 @@ def main(argv=None) -> int:
         help="stack sampler instead of cProfile: self time by innermost repro/ "
         "frame and inclusive time, C time included, no per-call tax",
     )
+    parser.add_argument(
+        "--memory", action="store_true",
+        help="no profiler: the traced memory peak of each HostClock bucket",
+    )
     args = parser.parse_args(argv)
 
     sys.path.insert(0, REPO)
@@ -186,6 +215,12 @@ def main(argv=None) -> int:
 
     require_src()
     seed = derive_seed(args.seed, args.workload)
+    if args.memory:
+        peaks = memory_profile(args.workload, seed)
+        print(f"{args.workload}: traced peak by HostClock bucket")
+        for bucket, peak in sorted(peaks.items(), key=lambda item: -item[1]):
+            print(f"  {bucket:24} {peak / 2**20:8.1f} MiB")
+        return 0 if peaks else 1  # no lap seen: the hook is broken
     profile = StackSampler() if args.sample else cProfile.Profile()
 
     if args.trials:

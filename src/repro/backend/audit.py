@@ -17,13 +17,13 @@ itself disclosed filtered out (:func:`~repro.fs.dissect.second_opinion`).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.backend.common import BackendOutage
 from repro.backend.fsck_remote import RemoteFsckReport, fsck_remote
 from repro.backend.tiered import TieredStore
+from repro.fs.dissect import install, second_opinion
 from repro.fs.types import BLOCK_SIZE
 
 
@@ -91,9 +91,8 @@ def mount_materialized(store: TieredStore):
     return system, report, image
 
 
-def _mount_image(image: bytes):
+def _mount_image(image):
     """Boot a scratch system over an installed raw image (cold path)."""
-    from repro.fs.dissect import install
     from repro.system import SystemSpec, build_system
 
     blocks = len(image) // BLOCK_SIZE
@@ -131,13 +130,10 @@ def remote_recovery_audit(system, journal) -> RemoteCheck:
     except BackendOutage:
         check.deferred = True
         return check
-    check.image_sha256 = hashlib.sha256(image).hexdigest()
-
-    from repro.fs.dissect import second_opinion
-
     scratch, reboot_report = _mount_image(image)
     check.image_fsck_fixes = reboot_report.fsck.fix_count
-    _scan, check.divergence = second_opinion(image, reboot_report.fsck, disclosed=True)
+    scan, check.divergence = second_opinion(image, reboot_report.fsck, disclosed=True)
+    check.image_sha256 = scan.image_sha256
     audit = journal.audit(scratch.vfs)
     check.lost = list(audit.lost)
     return check

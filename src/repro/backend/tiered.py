@@ -66,7 +66,9 @@ from heapq import nsmallest
 from typing import Dict, List, Optional
 
 from repro.backend.common import BackendOutage, LocalBackend, TransientBackendError
+from repro.fs.dissect import image_sha256
 from repro.fs.types import BLOCK_SIZE, SECTORS_PER_BLOCK
+from repro.util.sparse import SparseBytes
 
 #: Key namespaces of the remote schema (see module docstring).
 OBJ_PREFIX = "obj/"
@@ -433,32 +435,32 @@ class TieredStore:
                     self.stats.readahead_fills += 1
         return data
 
-    def materialize(self) -> bytes:
+    def materialize(self) -> SparseBytes:
         """The full device image, reconstructed from the remote tier alone.
 
-        Unmapped blocks come back as zeros — a block with no map entry
-        either was never flushed or holds all-zero content fsck-remote
-        chose not to map, so zeros reconstruct it exactly.  This
-        is the remote-recovery audit's raw material: if the image
+        Unmapped blocks are gaps that read as zeros — a block with no map
+        entry either was never flushed or holds all-zero content
+        fsck-remote chose not to map, so zeros reconstruct it exactly.
+        Each mapped block is its blob, kept as it came from the store: the
+        image costs what the remote tier holds, never the device size.
+        This is the remote-recovery audit's raw material: if the image
         mounts and replays every acknowledged op, the remote tier alone
         is sufficient to honor the promise ledger.
         """
         self._ensure_mirror()
         total_blocks = self.disk.num_sectors // SECTORS_PER_BLOCK
-        image = bytearray(total_blocks * BLOCK_SIZE)
+        runs = []
         for block in range(total_blocks):
             data = self.get_block(block)
             if data is not None:
-                image[block * BLOCK_SIZE:(block + 1) * BLOCK_SIZE] = data
-        return bytes(image)
+                runs.append((block * BLOCK_SIZE, data))
+        return SparseBytes(total_blocks * BLOCK_SIZE, runs)
 
     # -- the seal -------------------------------------------------------
 
     def local_image_sha256(self) -> str:
         """Digest of the entire local device (the seal's local half)."""
-        return hashlib.sha256(
-            bytes(self.disk.peek(0, self.disk.num_sectors))
-        ).hexdigest()
+        return image_sha256(self.disk.snapshot())
 
     def map_digest(self) -> str:
         """Digest of the remote block map (the seal's remote half)."""

@@ -170,6 +170,12 @@ class SimulatedDisk:
             done += take
         return SparseBytes(nbytes, runs)
 
+    def snapshot(self) -> SparseBytes:
+        """The whole platter as a sparse value: what the disk image judges
+        (dissect, the seal, ``dump-disk``) read, at the cost of the
+        materialised extents, never of the device size."""
+        return self._peek_sparse(0, self.num_sectors * self.sector_size)
+
     def poke(self, sector: int, data: bytes | bytearray | memoryview | SparseBytes) -> None:
         """Write sectors without queueing or consuming time (mkfs, tests)."""
         sparse = isinstance(data, SparseBytes)

@@ -105,7 +105,7 @@ class _RunBase:
         self.recovery_error: Optional[str] = None
         self.reboot = None
         self.lost: List[str] = []
-        self.image: Optional[bytes] = None
+        self.image = None  # the recovered disk's (sparse) snapshot
         self.dissect = None
         self.divergence = None
         self.remote = None

@@ -147,16 +147,10 @@ class PageCache:
             return page
         self.stat_misses += 1
         chaos = self.kernel.chaos
-        if (
-            chaos is not None
-            and not self.kernel.locks.any_held()
-            and chaos.should_fail("fail_alloc")
-        ):
+        if chaos is not None and chaos.should_fail("fail_alloc"):
             # Denied before any state changes: no frame, no header, no
-            # cache entry — the request fails cleanly with ENOMEM.  Only
-            # outside lock sections: an exception unwinding through a
-            # held kernel lock leaks it (a crash path), and a critical
-            # section's page grant comes from a reserved pool anyway.
+            # cache entry — the request fails cleanly with ENOMEM (and
+            # releases any kernel lock it unwinds through, like any errno).
             raise OutOfMemory("chaos: page grant denied")
         self._make_room()
         kernel = self.kernel

@@ -15,12 +15,14 @@ shared format code is invisible to both.  This package therefore shares
 
 Public surface:
 
-* :func:`dissect_image` — bytes in, typed :class:`DissectReport` out;
-  never raises on image content;
+* :func:`dissect_image` — an image in (flat ``bytes`` or a disk's
+  sparse snapshot), typed :class:`DissectReport` out; never raises on
+  image content;
 * :func:`second_opinion` / :func:`compare_verdicts` /
   :class:`DivergenceReport` — the fsck-vs-dissect second-opinion protocol;
 * :func:`snapshot` / :func:`install` / :func:`dump_image` /
-  :func:`load_image` — disk images as digest-verified artifacts.
+  :func:`load_image` / :func:`image_sha256` — disk images as
+  digest-verified artifacts.
 """
 
 from repro.fs.dissect.divergence import (

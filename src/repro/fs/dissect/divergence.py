@@ -143,7 +143,7 @@ def compare_verdicts(
     )
 
 
-def second_opinion(image: bytes, fsck, *, disclosed: bool = False):
+def second_opinion(image, fsck, *, disclosed: bool = False):
     """Dissect ``image`` as fsck left it and compare the two verdicts.
 
     ``fsck`` is fsck's report, read by attribute (``unrecoverable``,

@@ -10,8 +10,13 @@ The JSON metadata line carries the canonical SHA-256 of the payload, so
 a loaded image proves it is the image that was dumped — the property the
 campaign journals rely on when they record ``image_sha256`` next to a
 trial's findings.  ``snapshot``/``install`` bridge to any disk-like
-object exposing ``peek``/``poke``/``num_sectors``/``sector_size`` (duck
-typing, so this module stays import-independent of ``repro.disk``).
+object exposing ``snapshot``/``poke``/``num_sectors``/``sector_size``
+(duck typing, so this module stays import-independent of ``repro.disk``).
+
+An image in memory is any bytes-like value with ``len`` and plain
+slicing: flat ``bytes`` (read from a file) or the disk's sparse snapshot,
+which holds only the extents ever written.  Everything here reads it one
+window at a time, so neither hashing nor dumping builds the flat device.
 """
 
 from __future__ import annotations
@@ -21,22 +26,37 @@ import json
 
 IMAGE_MAGIC = b"RIOIMG1\n"
 
+#: Bytes per slice when an image is hashed or written out: one disk
+#: extent, so a slice of a disk snapshot is a view of one run or fresh
+#: zeros, and the transient cost is one extent whatever the device size.
+WINDOW = 64 * 1024
+
 
 class ImageFormatError(Exception):
     """An image file that is not a valid RIOIMG1 container."""
 
 
-def image_sha256(data: bytes) -> str:
-    """The canonical digest of a raw image."""
-    return hashlib.sha256(data).hexdigest()
+def _windows(data):
+    """The image as consecutive slices of at most :data:`WINDOW` bytes."""
+    for start in range(0, len(data), WINDOW):
+        yield data[start : start + WINDOW]
 
 
-def snapshot(disk) -> bytes:
-    """The raw bytes of a simulated disk, committed state only."""
-    return bytes(disk.peek(0, disk.num_sectors))
+def image_sha256(data) -> str:
+    """The canonical digest of a raw image, flat or sparse: sha256 over
+    the same bytes, taken a window at a time."""
+    digest = hashlib.sha256()
+    for window in _windows(data):
+        digest.update(window)
+    return digest.hexdigest()
 
 
-def install(disk, data: bytes) -> None:
+def snapshot(disk):
+    """The whole device as a sparse image (``disk.snapshot()``)."""
+    return disk.snapshot()
+
+
+def install(disk, data) -> None:
     """Write a raw image onto a simulated disk (sizes must match)."""
     expected = disk.num_sectors * disk.sector_size
     if len(data) != expected:
@@ -46,7 +66,7 @@ def install(disk, data: bytes) -> None:
     disk.poke(0, data)
 
 
-def dump_image(path: str, data: bytes, *, sector_size: int = 512, meta: dict | None = None) -> str:
+def dump_image(path: str, data, *, sector_size: int = 512, meta: dict | None = None) -> str:
     """Write an image container to ``path``; returns the payload digest."""
     digest = image_sha256(data)
     header = {
@@ -59,7 +79,8 @@ def dump_image(path: str, data: bytes, *, sector_size: int = 512, meta: dict | N
     with open(path, "wb") as fh:
         fh.write(IMAGE_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(data)
+        for window in _windows(data):
+            fh.write(window)
     return digest
 
 

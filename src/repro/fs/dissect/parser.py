@@ -1,7 +1,7 @@
 """The image walker: superblock -> bitmap -> inodes -> directory tree.
 
-:func:`dissect_image` is the verifier's whole public surface: bytes in,
-:class:`~repro.fs.dissect.findings.DissectReport` out.  It never raises
+:func:`dissect_image` is the verifier's whole public surface: an image
+in, :class:`~repro.fs.dissect.findings.DissectReport` out.  It never raises
 on image content — a corrupt image produces typed findings, an
 internally-inconsistent one produces a bounded number of them, and a
 parser bug degrades to a :data:`FindingKind.PARSER_ERROR` finding rather
@@ -15,18 +15,23 @@ capped (:data:`~repro.fs.dissect.findings.MAX_FINDINGS`).
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.fs.dissect import layout
 from repro.fs.dissect.cstructs import TruncatedRecord
 from repro.fs.dissect.findings import DissectReport, Finding, FindingKind
+from repro.fs.dissect.image import image_sha256
 
 _DIRENT_INO = layout.DIRENT.index_of("ino")
 
 
-def dissect_image(data: bytes) -> DissectReport:
-    """Statically analyze one raw disk image; never raises on content."""
-    report = DissectReport(image_sha256=hashlib.sha256(data).hexdigest())
+def dissect_image(data) -> DissectReport:
+    """Statically analyze one raw disk image; never raises on content.
+
+    ``data`` is any bytes-like value with ``len`` and plain slicing —
+    flat ``bytes`` or a disk's sparse snapshot.  The walk reads it one
+    block at a time, so a sparse image is never flattened: a block inside
+    a materialised extent is a view of it, one in a gap reads as zeros.
+    """
+    report = DissectReport(image_sha256=image_sha256(data))
     try:
         _scan(data, report)
     except Exception as exc:  # a verifier bug must not kill the campaign
@@ -43,7 +48,7 @@ def dissect_image(data: bytes) -> DissectReport:
 # -- scan phases -------------------------------------------------------------
 
 
-def _scan(data: bytes, report: DissectReport) -> None:
+def _scan(data, report: DissectReport) -> None:
     report.blocks_total = len(data) // layout.BLOCK_SIZE
     if len(data) < 2 * layout.BLOCK_SIZE or len(data) % layout.BLOCK_SIZE:
         report.add(

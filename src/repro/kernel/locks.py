@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import KernelPanic, WatchdogTimeout
+from repro.errors import KernelPanic, SystemCrash, WatchdogTimeout
 
 
 class Lock:
@@ -57,9 +57,11 @@ class Lock:
         return self
 
     def __exit__(self, *exc) -> None:
-        # On a crash unwinding through the section, the lock state is moot;
-        # releasing normally keeps non-crash paths balanced.
-        if not isinstance(exc[1], BaseException):
+        # A crash unwinding through the section leaves the lock as the
+        # dying kernel had it; any other exception — an errno
+        # (``FileSystemError``) above all — is an ordinary return path and
+        # releases like one.  Only the elision hook leaks a lock.
+        if not isinstance(exc[1], SystemCrash):
             self.release()
 
 
@@ -85,14 +87,3 @@ class LockManager:
 
     def any_racing(self) -> bool:
         return any(lock.elided for lock in self._locks.values())
-
-    def any_held(self) -> bool:
-        """True while any named lock is held.
-
-        Chaos hooks consult this: an injected error unwinding through a
-        held lock leaks it (exception unwinds model crash paths here),
-        so fault capabilities decline to fire inside lock sections —
-        like a kernel serving critical-section allocations from a
-        reserved pool.
-        """
-        return any(lock.held for lock in self._locks.values())

@@ -200,7 +200,7 @@ class TestTieredStore:
         assert first.ok and not first.sealed and first.repairs > 0
         # Now the remote tier alone reproduces the local image, and a
         # second check rides the seal fast path.
-        materialized = hashlib.sha256(store.materialize()).hexdigest()
+        materialized = hashlib.sha256(bytes(store.materialize())).hexdigest()
         assert materialized == store.local_image_sha256()
         second = fsck_remote(store)
         assert second.sealed and second.ok
@@ -287,7 +287,7 @@ class TestTieredStore:
         assert not store.dirty_blocks()
         assert report.remote is not None and report.remote.ok
         assert report.remote.repairs > 0
-        materialized = hashlib.sha256(store.materialize()).hexdigest()
+        materialized = hashlib.sha256(bytes(store.materialize())).hexdigest()
         assert materialized == store.local_image_sha256()
 
     def test_writeback_policy_drains_at_fsync(self):
@@ -358,7 +358,7 @@ class TestOutageMatrix:
         assert check.ok and check.repairs > 0
         # One batch pass after the heal: the remote tier alone now
         # reproduces the local disk bit for bit.
-        materialized = hashlib.sha256(store.materialize()).hexdigest()
+        materialized = hashlib.sha256(bytes(store.materialize())).hexdigest()
         assert materialized == store.local_image_sha256()
         # fsck-remote and the independent verifier agree about the
         # materialized image after every recovery.

@@ -435,4 +435,4 @@ def test_crash_storm_on_disk_tiered_reconciles_every_recovery(seed):
     assert check.reconcile.ok and check.divergence.agreed and check.error is None
     assert set(check.lost) <= local_lost
     assert check.image_sha256 == system.backing.local_image_sha256()
-    assert hashlib.sha256(system.backing.materialize()).hexdigest() == check.image_sha256
+    assert hashlib.sha256(bytes(system.backing.materialize())).hexdigest() == check.image_sha256

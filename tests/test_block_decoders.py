@@ -118,7 +118,7 @@ def indirect_image() -> bytes:
         system.fs.flush_data(sync=True)
         system.fs.flush_metadata(sync=True)
         system.drain_disks()
-        _INDIRECT_IMAGE = snapshot(system.disk)
+        _INDIRECT_IMAGE = bytes(snapshot(system.disk))
     return _INDIRECT_IMAGE
 
 

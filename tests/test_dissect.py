@@ -63,7 +63,7 @@ def build_flushed_image(system: str = "rio_prot", blocks: int = 128) -> bytearra
     sys_.fs.flush_data(sync=True)
     sys_.fs.flush_metadata(sync=True)
     sys_.drain_disks()
-    return bytearray(snapshot(sys_.disk))
+    return bytearray(bytes(snapshot(sys_.disk)))
 
 
 _BASE_IMAGE: bytearray | None = None

@@ -6,7 +6,9 @@ byte smashes, truncation, garbage — produces typed findings, never an
 exception and never an internal :data:`FindingKind.PARSER_ERROR`.
 
 The corpus is a pure function of the seed, so a failing case is
-reproducible from its parametrized test id alone.
+reproducible from its parametrized test id alone.  Each corrupt image is
+also dissected as a :class:`~repro.util.sparse.SparseBytes` cut at seeded
+offsets — the form a disk snapshot takes — and must read the same.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 import pytest
 
 from repro.fs.dissect import DissectReport, FindingKind, dissect_image
+from repro.util.sparse import SparseBytes
 from tests.test_dissect import build_flushed_image
 
 _BASE: bytes | None = None
@@ -27,6 +30,33 @@ def base_image() -> bytes:
     if _BASE is None:
         _BASE = bytes(build_flushed_image())
     return _BASE
+
+
+def sparsify(flat: bytes, cuts=(), *, tail_run: bool = False) -> SparseBytes:
+    """``flat`` as a sparse value: each stretch between ``cuts`` becomes a
+    run trimmed to its first and last non-zero byte (so runs start and end
+    anywhere, not on blocks), or a gap when it is all zeros.  ``tail_run``
+    carries the last stretch's run to the very end of the image."""
+    bounds = [0, *sorted(set(c for c in cuts if 0 < c < len(flat))), len(flat)]
+    runs = []
+    for start, stop in zip(bounds, bounds[1:]):
+        piece = flat[start:stop]
+        last = tail_run and stop == len(flat)
+        body = piece.lstrip(b"\x00")
+        if not body:
+            if last and piece:
+                runs.append((start, piece))
+            continue
+        first = start + len(piece) - len(body)
+        runs.append((first, flat[first:stop] if last else body.rstrip(b"\x00")))
+    return SparseBytes(len(flat), runs)
+
+
+def sparse_wrapper(data: bytes, seed: int) -> SparseBytes:
+    """``data`` as a disk snapshot might hold it, cut at seeded offsets."""
+    rng = random.Random(seed)
+    cuts = [rng.randrange(len(data) + 1) for _ in range(32)]
+    return sparsify(data, cuts, tail_run=seed % 2 == 1)
 
 
 def corrupt(data: bytes, seed: int) -> bytes:
@@ -68,9 +98,14 @@ def finding_is_not_internal_error(report: DissectReport) -> bool:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_seeded_corruption_never_raises(seed):
-    """dissect never raises and never degrades to PARSER_ERROR."""
-    report = dissect_image(corrupt(base_image(), seed))
+    """dissect never raises and never degrades to PARSER_ERROR — and
+    tells the same story when the image comes sparse."""
+    mutant = corrupt(base_image(), seed)
+    report = dissect_image(mutant)
     assert_well_formed(report)
+    sparse = dissect_image(sparse_wrapper(mutant, seed))
+    assert_well_formed(sparse)
+    assert sparse.to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -100,6 +135,7 @@ def test_same_corrupt_image_scans_identically(seed):
 )
 def test_degenerate_inputs_never_raise(payload):
     assert_well_formed(dissect_image(payload))
+    assert_well_formed(dissect_image(sparse_wrapper(payload, len(payload))))
 
 
 def test_superblock_targeted_fuzz_never_raises():

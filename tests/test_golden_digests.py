@@ -120,8 +120,11 @@ GOLDEN = {
             "509d508ceda8c5b2a6316d4ba29aa311e47d2807dd974a7e7429ae682f30cf7f",
         ],
     },
+    # Re-recorded once (it read 64de0b40... before): a kernel lock now
+    # releases on an errno, so ``fail_alloc`` no longer declines to fire
+    # inside a lock section.  Still 17 fires; which requests they hit moved.
     "chaos": {
-        "digest": "64de0b4008114be460dfe46753d289a02811485b9f6c35abc1f888f852181d38",
+        "digest": "8c59afb19d44b2df1b351eb73c4bbadd8b813f24fc22aa6f7b029ff9d27e6a42",
         "fires": 17,
     },
     "fault_storm": {

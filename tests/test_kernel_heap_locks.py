@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import KernelPanic, NoSpace, WatchdogTimeout
+from repro.errors import FileNotFound, KernelPanic, NoSpace, WatchdogTimeout
+from repro.fs.types import ROOT_INO
 from repro.hw import Machine, MachineConfig
 from repro.kernel.kmalloc import HEADER_BYTES, KernelHeap
 from repro.kernel.locks import LockManager
+from repro.system import build_system, system_spec_for
 
 PAGE = 8192
 
@@ -147,3 +149,61 @@ class TestLocks:
         lock.release()  # balanced: no panic, race window closes
         assert not manager.any_racing()
         assert not lock.held
+
+    def test_an_errno_releases_the_lock_and_a_crash_does_not(self):
+        manager = LockManager()
+        lock = manager.lock("e")
+        with pytest.raises(NoSpace):
+            with lock:
+                raise NoSpace("full")
+        assert not lock.held
+        with pytest.raises(KernelPanic):
+            with lock:
+                raise KernelPanic("dying")
+        assert lock.held  # the crashed kernel's state, as it was
+
+
+class TestAnErrnoInsideALockSection:
+    """The three sections an ordinary errno leaves from.  Each used to leak
+    its lock, so the next op on it deadlocked into a watchdog crash."""
+
+    @staticmethod
+    def held(system) -> list:
+        return sorted(name for name, lock in system.kernel.locks._locks.items() if lock.held)
+
+    def test_ialloc_out_of_inodes(self):
+        system = build_system(system_spec_for("disk"))
+        created = 0
+        with pytest.raises(NoSpace, match="out of inodes"):
+            while True:
+                system.vfs.close(system.vfs.open(f"/f{created}", create=True))
+                created += 1
+        assert created == 508 and self.held(system) == []
+        system.vfs.unlink("/f0")
+        system.vfs.close(system.vfs.open("/again", create=True))
+
+    def test_dir_add_cannot_grow_a_full_directory(self):
+        system = build_system(system_spec_for("disk"))
+        fd = system.vfs.open("/big", create=True)
+        with pytest.raises(NoSpace, match="file system full"):
+            while True:
+                system.vfs.write(fd, b"x" * 8192)
+        system.vfs.close(fd)
+        created = 0
+        with pytest.raises(NoSpace, match="file system full"):  # the root's second block
+            while True:
+                system.vfs.close(system.vfs.open(f"/f{created}", create=True))
+                created += 1
+        assert created > 200 and self.held(system) == []
+        system.vfs.unlink("/big")
+        system.vfs.close(system.vfs.open("/again", create=True))
+        assert system.vfs.exists("/again")
+
+    def test_dir_remove_of_a_missing_name(self):
+        system = build_system(system_spec_for("disk"))
+        fs = system.fs
+        with pytest.raises(FileNotFound):
+            fs.dir_remove(fs.iget(ROOT_INO), "nope")
+        assert self.held(system) == []
+        system.vfs.close(system.vfs.open("/after", create=True))
+        system.vfs.unlink("/after")
