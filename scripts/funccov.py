@@ -23,7 +23,10 @@ plus ``--json``, ``--replay``, ``--storm faults``, ``--backend``,
 full-matrix ``chaos`` and ``RIO_FAST_PATH=0`` variants, and
 ``examples/*.py`` — all at one job, so pool and shard bodies run here.
 It prints the functions ``.funccov.json`` says tier-1 reaches and no
-entry point did: code only tests call.
+entry point did: code only tests call.  ``--prod --lines [FILE[:FIRST-LAST]
+...]`` (~5 min, no ``.funccov.json`` needed) runs the same entry points
+under the line tracer and lists, as ``--lines`` does, the statements
+production never executes.
 
 In-process only: pool / shard worker children and import-time decorators
 are not traced.  No CI step runs any mode.
@@ -97,12 +100,15 @@ def _key(code) -> str:
     return f"{pathlib.Path(code.co_filename).relative_to(REPO)}:{code.co_firstlineno}"
 
 
+def _missed() -> dict:
+    """Trace key of each code object a frame of which ran -> its lines that never did."""
+    return {_key(code): sorted(unseen) for code, unseen in _unseen.items() if unseen != ()}
+
+
 def pytest_sessionfinish(session):
     if session.config.getoption("--funccov-lines"):
         sys.settrace(None)
-        # code object (a frame of it ran) -> the lines of it that never did
-        missed = {_key(code): sorted(unseen) for code, unseen in _unseen.items() if unseen != ()}
-        LINES_OUT.write_text(json.dumps(missed, indent=0, sort_keys=True))
+        LINES_OUT.write_text(json.dumps(_missed(), indent=0, sort_keys=True))
         return
     sys.setprofile(None)
     reached = {_key(code): sorted(tests) for code, tests in _calls.items() if tests is not _foreign}
@@ -148,8 +154,7 @@ def _report_functions() -> None:
             print(f"  {lines:4d}  {name}")
 
 
-def _report_lines(only: list) -> None:
-    missed = json.loads(LINES_OUT.read_text())
+def _report_lines(missed: dict, only: list) -> None:
     wanted = []  # (file suffix, first, last)
     for spec in only:
         path, _, span = spec.partition(":")
@@ -256,28 +261,29 @@ def _prod_runs(tmp: str):
         yield f"example {path.name}", example, path
 
 
-def _prod_reached() -> set:
-    """Trace keys of every ``src/repro/`` function a production entry
-    point runs (module docstring)."""
+def _run_prod(lines: bool) -> None:
+    """Run every production entry point (module docstring) under the
+    call profiler, or under the line tracer when ``lines``."""
     import contextlib
     import io
     import tempfile
 
     sys.path[:0] = [str(REPO / "src"), str(REPO)]
-    sys.setprofile(_profile)
+    hook = sys.settrace if lines else sys.setprofile
+    hook(_trace if lines else _profile)
     try:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
             for label, fn, *args in _prod_runs(tmp):
                 print(label, file=sys.stderr)
                 fn(*args)
     finally:
-        sys.setprofile(None)
-    return {_key(code) for code, tests in _calls.items() if tests is not _foreign}
+        hook(None)
 
 
 def _report_prod() -> None:
     tested = json.loads(OUT.read_text())
-    reached = _prod_reached()
+    _run_prod(lines=False)
+    reached = {_key(code) for code, tests in _calls.items() if tests is not _foreign}
     functions = list(_functions())
     prod = [(n, ln) for key, n, ln, _ in functions if key in reached]
     only = [(n, ln) for key, n, ln, _ in functions if key in tested and key not in reached]
@@ -289,8 +295,11 @@ def _report_prod() -> None:
 
 
 def main(argv: list) -> int:
-    if argv[:1] == ["--lines"]:
-        _report_lines(argv[1:])
+    if argv[:2] == ["--prod", "--lines"]:
+        _run_prod(lines=True)
+        _report_lines(_missed(), argv[2:])
+    elif argv[:1] == ["--lines"]:
+        _report_lines(json.loads(LINES_OUT.read_text()), argv[1:])
     elif argv[:1] == ["--prod"]:
         _report_prod()
     else:

@@ -507,10 +507,12 @@ def cmd_fsck_remote(args) -> int:
     # Phase 2: churn again and crash with the upload queue still dirty.
     # Raising the drain threshold holds the queue: flushes keep landing
     # on the local disk, nothing reaches the object store, the crash
-    # strands every queued upload.
+    # strands every queued upload.  The store's own config comes back
+    # after the crash.
     from dataclasses import replace as _replace
 
-    store.config = _replace(store.config, dirty_threshold=10**9)
+    held = store.config
+    store.config = _replace(held, dirty_threshold=10**9)
     _age_filesystem(system, ops=args.age, seed=args.seed + 1, prefix="/aged2")
     system.settle()
     say(
@@ -518,7 +520,7 @@ def cmd_fsck_remote(args) -> int:
         "upload queue (kernel memory: the queue dies with the machine)"
     )
     system.crash("fsck-remote scenario", kind="forced")
-    store.config = _replace(store.config, dirty_threshold=8)
+    store.config = held
 
     if args.outage:
         store.remote.set_down(True)

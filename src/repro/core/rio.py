@@ -19,7 +19,8 @@ class RioFileCache:
         kernel.init_caches(guard=rio.guard)
 
     A non-Rio (disk-based) system simply skips this object and boots with
-    the null guard.
+    the null guard.  The panic change of section 2.3 is not set here: the
+    owning :class:`~repro.system.System` derives it on every boot.
     """
 
     def __init__(self, kernel, config: RioConfig | None = None) -> None:
@@ -38,11 +39,11 @@ class RioFileCache:
             region_bytes,
             protection=self.protection,
         )
-        self.guard = RioGuard(kernel, self.registry, self.protection, self.config)
+        self.guard = self._make_guard()
         self.registry.format()
         self.protection.install(frames)
-        kernel.reliability_writes_off = self.config.reliability_writes_off
-        if self.config.reliability_writes_off:
-            # "we modify the panic procedure to avoid writing dirty data
-            # back to disk before a crash" (section 2.3).
-            kernel.config.panic_syncs_dirty = False
+
+    def _make_guard(self) -> RioGuard:
+        """The cache guard over this registry and protection (a subclass
+        hook: Phoenix tracks checkpoint state instead)."""
+        return RioGuard(self.kernel, self.registry, self.protection, self.config)

@@ -53,13 +53,11 @@ class DiskRequest:
     kind: str  # "read" | "write"
     sector: int
     nsectors: int
-    submit_ns: int
     start_ns: int
     completion_ns: int
     #: Original contents (writes only); sparse when the payload was.
     old_data: bytes | SparseBytes | None = None
     on_complete: Optional[Callable[["DiskRequest"], None]] = None
-    retired: bool = False
 
 
 @dataclass
@@ -273,7 +271,6 @@ class SimulatedDisk:
             kind="write",
             sector=sector,
             nsectors=count,
-            submit_ns=clock.now_ns,
             start_ns=start,
             completion_ns=completion,
             old_data=self._peek_sparse(pos, nbytes) if sparse else self.peek(sector, count),
@@ -316,7 +313,6 @@ class SimulatedDisk:
         still_pending: list[DiskRequest] = []
         for request in self._pending:
             if request.completion_ns <= now_ns:
-                request.retired = True
                 request.old_data = None
                 if request.on_complete is not None:
                     request.on_complete(request)

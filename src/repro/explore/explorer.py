@@ -194,7 +194,7 @@ def run_boundary_trial(
             f"{observed['kind']}/{observed['op']} on replay"
         )
 
-    ctx = run.context(boundary.index, boundary.kind, boundary.op)
+    ctx = run.context(boundary.index)
     violations = default_spec().check(ctx)
     verdict = BoundaryVerdict(
         boundary=boundary,

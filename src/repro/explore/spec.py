@@ -82,9 +82,6 @@ class CrashContext:
     workload: str
     seed: int
     event_index: int
-    #: Boundary identity, for violation messages.
-    boundary_kind: str = "?"
-    boundary_op: str = "?"
     #: The recovered, live system (namespace walks); None in unit tests.
     system: Any = None
     #: The :class:`repro.system.RebootReport` of the crash recovery.

@@ -173,14 +173,12 @@ class _RunBase:
         self.image = snapshot(self.system.disk)
         self.dissect, self.divergence = second_opinion(self.image, fsck, disclosed=True)
 
-    def context(self, event_index: int, kind: str = "?", op: str = "?") -> CrashContext:
+    def context(self, event_index: int) -> CrashContext:
         self._remote_check()
         return CrashContext(
             workload=self.config.workload,
             seed=self.config.seed,
             event_index=event_index,
-            boundary_kind=kind,
-            boundary_op=op,
             system=self.system,
             reboot=self.reboot,
             recovery_error=self.recovery_error,

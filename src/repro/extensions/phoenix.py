@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from repro.core.config import ProtectionMode, RioConfig
 from repro.core.guard import RioGuard
-from repro.core.protection import ProtectionManager
-from repro.core.registry import FLAG_DIRTY, Registry
+from repro.core.registry import FLAG_DIRTY
+from repro.core.rio import RioFileCache
 from repro.fs.cache import CachePage
 
 
@@ -54,8 +54,10 @@ class PhoenixGuard(RioGuard):
         super().on_detach(page)
 
 
-class PhoenixFileCache:
-    """The Phoenix counterpart to :class:`~repro.core.rio.RioFileCache`.
+class PhoenixFileCache(RioFileCache):
+    """The Phoenix counterpart to :class:`~repro.core.rio.RioFileCache`:
+    the same registry, protection and guard assembly, with the guard
+    swapped for :class:`PhoenixGuard`.
 
     Usage::
 
@@ -67,31 +69,23 @@ class PhoenixFileCache:
     """
 
     def __init__(self, kernel, config: RioConfig | None = None) -> None:
-        self.kernel = kernel
-        # Phoenix protects the *snapshot* version; the live version is
-        # unprotected by design.
-        self.config = config or RioConfig(
-            protection=ProtectionMode.NONE,
-            maintain_checksums=False,
-            shadow_metadata=False,
-        )
-        frames = kernel.registry_frames
-        base_paddr = frames[0] * kernel.page_size
-        self.protection = ProtectionManager(kernel, self.config)
-        self.registry = Registry(
-            kernel.bus,
-            base_paddr,
-            len(frames) * kernel.page_size,
-            protection=self.protection,
-        )
-        self.guard = PhoenixGuard(kernel, self.registry, self.protection, self.config, self)
-        self.registry.format()
-        self.protection.install(frames)
-        kernel.reliability_writes_off = True
-        kernel.config.panic_syncs_dirty = False
         #: page key -> snapshot pfn (the write-protected version).
         self._snapshots: dict[tuple, int] = {}
         self.checkpoints_taken = 0
+        # Phoenix protects the *snapshot* version; the live version is
+        # unprotected by design.
+        super().__init__(
+            kernel,
+            config
+            or RioConfig(
+                protection=ProtectionMode.NONE,
+                maintain_checksums=False,
+                shadow_metadata=False,
+            ),
+        )
+
+    def _make_guard(self) -> PhoenixGuard:
+        return PhoenixGuard(self.kernel, self.registry, self.protection, self.config, self)
 
     # -- checkpointing --------------------------------------------------
 

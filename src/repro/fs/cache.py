@@ -39,7 +39,7 @@ from repro.isa.routines import (
 #: Access context for I/O-path stores (fills from disk).  Indirect
 #: corruption — an I/O procedure called with wrong parameters — flows
 #: through here and is *not* stopped by Rio's protection (section 3.2).
-IO_CONTEXT = AccessContext(procedure="io", is_io_path=True)
+IO_CONTEXT = AccessContext(procedure="io")
 
 
 @dataclass

@@ -91,14 +91,10 @@ _CRASHED = "memory access on crashed machine"
 class AccessContext:
     """Identifies the kernel procedure performing an access.
 
-    ``procedure`` is used for trap attribution in the campaign logs;
-    ``is_io_path`` marks accesses made on behalf of an I/O request — such
-    accesses model *indirect* corruption (section 3.2) and are still
-    honoured by protection windows that the I/O procedure opened.
+    ``procedure`` is used for trap attribution in the campaign logs.
     """
 
     procedure: str = "kernel"
-    is_io_path: bool = False
 
 
 KERNEL_CONTEXT = AccessContext()

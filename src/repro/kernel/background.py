@@ -38,7 +38,6 @@ class BackgroundActivity:
         bcopy_every: int = 4,
     ) -> None:
         self.kernel = kernel
-        self.num_procs = num_procs
         self.num_buckets = num_buckets
         self.bcopy_every = bcopy_every
         ctx = AccessContext(procedure="background_init")

@@ -14,6 +14,7 @@ the machine down.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -57,13 +58,8 @@ class KernelConfig:
     #: its copy path stalled on memory, so the effective per-instruction
     #: cost is well above one cycle.
     ns_per_instruction: float = 20.0
-    #: Charge CPU time at all (reliability campaigns turn this off).
-    charge_time: bool = True
     #: The update daemon's flush interval ("once every 30 seconds").
     update_interval_ns: int = 30 * NS_PER_SEC
-    #: Default Unix panic behaviour: flush dirty buffers on the way down.
-    #: Rio disables this (section 2.3).
-    panic_syncs_dirty: bool = True
 
 
 #: Fixed CPU cost of entering a system call.
@@ -128,7 +124,6 @@ class Kernel:
             self.regions.stack_top(self.page_size),
             ns_per_instruction=self.config.ns_per_instruction,
         )
-        self.klib.charge_time = self.config.charge_time
         self.heap = KernelHeap(
             self.bus, KHEAP_BASE, layout.heap_pages * self.page_size
         )
@@ -140,6 +135,8 @@ class Kernel:
         self.buffer_cache: BufferCache | None = None
         self.ubc: UnifiedBufferCache | None = None
         self.guard: CacheGuard | None = None
+        #: Rio's panic change (section 2.3): the owning System derives it
+        #: on every boot and toggle; False keeps the Unix panic sync.
         self.reliability_writes_off = False
         #: Chaos capability registry, installed (and re-installed on
         #: every boot) by the owning System; ``None`` means calm.
@@ -239,12 +236,24 @@ class Kernel:
 
     # -- data staging (the "user buffer" the kernel copies in from) -------------------
 
+    @contextmanager
+    def uncharged(self):
+        """Charge no CPU time inside the scope (untimed setup phases and
+        administrative flushes); nests, and restores on any exit."""
+        klib = self.klib
+        charged = klib.charge_time
+        klib.charge_time = False
+        try:
+            yield
+        finally:
+            klib.charge_time = charged
+
     def charge_copy(self, nbytes: int) -> None:
         """CPU cost of moving ``nbytes`` through a kernel copy path —
         used for copy-out on reads (copy-in costs come from the ISA data
         plane) and by MFS.  ~1.25 instructions per byte, the 8-byte-loop
         bcopy rate."""
-        if self.config.charge_time and nbytes:
+        if self.klib.charge_time and nbytes:
             self.clock.consume(int(nbytes * 1.25 * self.config.ns_per_instruction))
 
     def stage_data(self, data: bytes) -> int:
@@ -291,7 +300,7 @@ class Kernel:
         let the update daemon fire if its deadline passed."""
         self.machine.require_up()
         self.stat_syscalls += 1
-        if self.config.charge_time:
+        if self.klib.charge_time:
             if self._batch_depth > 0 and self._batch_first_charged:
                 self.stat_batched_syscalls += 1
                 self.clock.consume(BATCH_SYSCALL_OVERHEAD_NS)
@@ -344,11 +353,7 @@ class Kernel:
                 reason=str(exc),
                 panic_code=exc.code if isinstance(exc, KernelPanic) else None,
             )
-        if (
-            self.config.panic_syncs_dirty
-            and not self.reliability_writes_off
-            and kind in _PANIC_PATH_KINDS
-        ):
+        if not self.reliability_writes_off and kind in _PANIC_PATH_KINDS:
             try:
                 if self.buffer_cache is not None:
                     self.buffer_cache.flush_all(sync=False)

@@ -40,7 +40,8 @@ class KLib:
         self.ns_per_instruction = ns_per_instruction
         #: Copy-overrun fault hook: ``hook(length) -> possibly larger length``.
         self.overrun_hook: Optional[Callable[[int], int]] = None
-        #: When False (reliability campaigns), no CPU time is charged.
+        #: The kernel's one CPU-charging switch: instructions here, syscall
+        #: entry and copy-out in the kernel (see :meth:`Kernel.uncharged`).
         self.charge_time = True
         self.stat_instructions = 0
 

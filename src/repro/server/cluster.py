@@ -101,7 +101,8 @@ class KernelSpec:
     system: str = "rio_prot"
     fs_blocks: int = 2048
     inode_blocks: int = 8
-    #: The kernel's :class:`FileService` tunables.
+    #: The kernel's :class:`FileService` tunables; a cluster front-end
+    #: admits with the same queue depth, quantum and fd quota.
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: What fires at a crash point: "forced" (an administrative crash)
     #: or "faults" (one Table 1 ``fault_type`` injection, crashed by a
@@ -499,12 +500,13 @@ class ClusterIntentLog:
 class ClusterFd:
     """Front-end descriptor record: which shard holds the real fd."""
 
-    STALE = -1
-
     cfd: int
     shard: int
     shard_fd: int
     path: str
+    #: A cross-shard rename moved the file to another kernel: only
+    #: ``close`` still reaches ``shard_fd``, to release it.
+    stale: bool = False
 
 
 @dataclass
@@ -521,20 +523,8 @@ class ClusterSession:
 #: imbalance (the scaling curve's enemy at high shard counts).
 _VNODES = 128
 
-#: Front-end admission: per-client queue depth, round-robin quantum and
-#: open-descriptor quota — a single :class:`FileService`'s defaults,
-#: enforced once for the whole cluster.
-_QUEUE_DEPTH = 32
-_QUANTUM = 4
-_MAX_OPEN_FDS = 16
 #: Requests per front-end scheduling batch.
 _BATCH_SIZE = 32
-
-#: What a shard's own service runs with instead: its queue must swallow
-#: a whole front-end batch plus fan-out traffic, and its fd quota is off
-#: because the front-end enforces the real one.
-_SHARD_QUEUE_DEPTH = 512
-_SHARD_MAX_OPEN_FDS = 1_000_000_000
 
 
 @dataclass
@@ -550,16 +540,11 @@ class ClusterConfig(KernelSpec):
     crash_points: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
     def shard_spec(self, shard: int) -> ShardSpec:
-        """Kernel ``shard`` of this cluster: the shared description, the
-        shard-side admission limits, its own crash points — and its own
-        seed, mixed from ``(seed, shard)`` so that no two shards replay
-        one chaos, backend or fault-injection stream."""
+        """Kernel ``shard`` of this cluster: the shared description, its
+        own crash points — and its own seed, mixed from ``(seed, shard)``
+        so that no two shards replay one chaos, backend or
+        fault-injection stream."""
         kernel = {f.name: getattr(self, f.name) for f in fields(KernelSpec)}
-        kernel["service"] = replace(
-            self.service,
-            queue_depth=_SHARD_QUEUE_DEPTH,
-            max_open_fds=_SHARD_MAX_OPEN_FDS,
-        )
         kernel["seed"] = self.seed ^ ((shard + 1) * 0x9E3779B9)
         return ShardSpec(
             **kernel,
@@ -594,7 +579,7 @@ class ClusterService:
         self.router = Router(
             self.config.shards, mode=self.config.router_mode, vnodes=_VNODES
         )
-        self.scheduler = RequestScheduler(_QUEUE_DEPTH)
+        self.scheduler = RequestScheduler(self.config.service.queue_depth)
         self.sessions: Dict[int, ClusterSession] = {}
         self.intents = ClusterIntentLog()
         self.stats = ClusterStats()
@@ -740,7 +725,7 @@ class ClusterService:
         per segment, shards ascending, each shard's responses in its
         service's execution order.
         """
-        batch = self.scheduler.next_batch(_BATCH_SIZE, _QUANTUM)
+        batch = self.scheduler.next_batch(_BATCH_SIZE, self.config.service.quantum)
         if not batch:
             return []
         out: List[Response] = []
@@ -788,7 +773,7 @@ class ClusterService:
                         f"client {request.client_id}: unknown fd {request.fd}"
                     ),
                 )
-            if entry.shard_fd == ClusterFd.STALE:
+            if entry.stale and op != "close":
                 return "local", Response.failure(
                     request,
                     SessionError(
@@ -810,12 +795,13 @@ class ClusterService:
 
         if op == "open":
             path = resolve_path(session.cwd, request.path)
-            if len(session.fds) >= _MAX_OPEN_FDS:
+            quota = self.config.service.max_open_fds
+            if len(session.fds) >= quota:
                 return "local", Response.failure(
                     request,
                     QuotaExceeded(
                         f"client {request.client_id}: open-fd quota "
-                        f"({_MAX_OPEN_FDS}) exhausted"
+                        f"({quota}) exhausted"
                     ),
                 )
             shard = self.router.shard_for(path)
@@ -923,14 +909,14 @@ class ClusterService:
         re-points its own fd table), so the front-end just renames the
         path.  A cross-shard rename moves the bytes to another kernel,
         so descriptors on the source go stale — exactly like a network
-        file system's handle after a cross-server migration.
+        file system's handle after a cross-server migration — and keep
+        their source-shard fd for ``close`` to release.
         """
         for session in self.sessions.values():
             for entry in session.fds.values():
                 if entry.path == old:
                     entry.path = new
-                    if stale:
-                        entry.shard_fd = ClusterFd.STALE
+                    entry.stale = entry.stale or stale
 
     # -- dispatch ------------------------------------------------------
 

@@ -265,7 +265,6 @@ class LoadReport:
     #: (shards run concurrently, so the run is done when it is).
     wall_virtual_ns: int = 0
     latencies_ns: List[int] = field(default_factory=list)
-    per_client: List[ClientStats] = field(default_factory=list)
     #: The target's end-of-run digests (see its ``load_mark``):
     #: ``ack_digest``/``state_digest`` for a :class:`FileService`,
     #: ``cluster_digest``/``intent_digest`` for a cluster.
@@ -338,5 +337,4 @@ def run_load(
         report.retried += stats.retried
         report.rejected += stats.rejected
         report.latencies_ns.extend(stats.latencies_ns)
-        report.per_client.append(stats)
     return report

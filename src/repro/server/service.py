@@ -528,9 +528,11 @@ class FileService:
             return state.cfd
 
         if op == "close":
-            state = session.lookup(request.fd)
-            vfs.close(state.backing_fd)
-            session.drop_fd(state.cfd)
+            state = session.fds.get(request.fd)
+            if state is None or not state.stale:
+                # A stale fd has no kernel fd left: its rebind found the file gone.
+                vfs.close(session.lookup(request.fd).backing_fd)
+            session.drop_fd(request.fd)
             return None
 
         if op == "read":

@@ -9,7 +9,7 @@ path on the new VFS and its offset restored.  On a Rio system every
 acknowledged ``open``'s file is guaranteed to still exist, so rebinding
 is total; on a disk-based system a rebind may find the file gone, and
 the fd is marked stale (:data:`FdState.STALE`) — operations on it fail
-with ``EBADSESSION`` until the client re-opens.
+with ``EBADSESSION``; only ``close`` succeeds, releasing its quota slot.
 """
 
 from __future__ import annotations

@@ -155,6 +155,11 @@ class System:
         #: :meth:`add_reboot_hook`); services layered on the system use
         #: them to reconstruct state the reboot invalidated.
         self._reboot_hooks: list = []
+        #: Footnote 1's administrator toggle (see
+        #: :meth:`enable_reliability_writes`).  It lives here, not in a
+        #: kernel, so it outlives warm reboots: every boot derives the
+        #: write policy and the kernel's panic sync from it.
+        self.reliability_writes_forced = False
         self._boot_stack()
 
     # -- boot ------------------------------------------------------------
@@ -183,12 +188,13 @@ class System:
             guard = self.rio.guard
         else:
             self.rio = None
+        self.kernel.reliability_writes_off = self._reliability_writes_off()
         self.kernel.init_caches(guard)
         if spec.fs_type == "mfs":
             self.fs = MemoryFileSystem(self.kernel, ROOT_DEV)
         else:
             self.kernel.attach_block_device(ROOT_DEV, self.disk)
-            policy = make_policy(spec.policy)
+            policy = self._write_policy()
             if spec.fs_type == "advfs":
                 self.fs = AdvFS(self.kernel, ROOT_DEV, policy)
             elif spec.fs_type == "ufs":
@@ -330,6 +336,21 @@ class System:
         self.fs.flush_metadata(sync=True)
         self.drain_disks()
 
+    def _reliability_writes_off(self) -> bool:
+        """Rio's section 2.3 changes hold unless the administrator forced
+        reliability writes back on."""
+        spec = self.spec
+        rio_off = spec.phoenix or (spec.rio is not None and spec.rio.reliability_writes_off)
+        return rio_off and not self.reliability_writes_forced
+
+    def _write_policy(self):
+        return make_policy("ufs_delayed" if self.reliability_writes_forced else self.spec.policy)
+
+    def _set_reliability_writes(self, forced: bool) -> None:
+        self.reliability_writes_forced = forced
+        self.fs.policy = self._write_policy()
+        self.kernel.reliability_writes_off = self._reliability_writes_off()
+
     def enable_reliability_writes(self) -> None:
         """Administrative toggle (the paper's footnote 1): "a way for a
         system administrator to easily enable and disable reliability disk
@@ -337,25 +358,19 @@ class System:
 
         Flushes everything to disk now and switches to a delayed-write
         policy so data keeps reaching the disk, making it safe to power
-        the machine off (memory contents lost)."""
-        from repro.fs.writeback import make_policy
-
+        the machine off (memory contents lost).  The toggle survives
+        warm reboots until :meth:`disable_reliability_writes`."""
         if self.disk is None:
             return
         self.settle()
-        self.fs.policy = make_policy("ufs_delayed")
-        self.kernel.reliability_writes_off = False
-        self.kernel.config.panic_syncs_dirty = True
+        self._set_reliability_writes(True)
 
     def disable_reliability_writes(self) -> None:
-        """Back to normal Rio operation: memory is the stable store."""
-        from repro.fs.writeback import make_policy
-
-        if self.disk is None or self.spec.rio is None:
+        """Back to the spec's normal operation (on Rio: memory is the
+        stable store)."""
+        if self.disk is None:
             return
-        self.fs.policy = make_policy("rio")
-        self.kernel.reliability_writes_off = True
-        self.kernel.config.panic_syncs_dirty = False
+        self._set_reliability_writes(False)
 
     def drop_caches(self) -> None:
         """Administrative flush-and-invalidate of both caches (no-op for
@@ -364,17 +379,11 @@ class System:
         if self.disk is None:
             return
         kernel = self.kernel
-        charged = kernel.config.charge_time
-        kernel.config.charge_time = False
-        kernel.klib.charge_time = False
-        try:
+        with kernel.uncharged():
             self.settle()
             for cache in (kernel.ubc, kernel.buffer_cache):
                 for page in list(cache.pages.values()):
                     cache.drop(page)
-        finally:
-            kernel.config.charge_time = charged
-            kernel.klib.charge_time = charged
 
 
 def build_system(spec: SystemSpec | None = None, **overrides) -> System:

@@ -125,7 +125,7 @@ class AndrewBenchmark:
                 fd = self.vfs.open(f"{self._copy_dir(d)}/{name}")
                 source = self.vfs.read(fd, _FILE_BYTES)
                 self.vfs.close(fd)
-                if self.kernel.config.charge_time:
+                if self.kernel.klib.charge_time:
                     self.kernel.clock.consume(p.compile_ms_per_file * NS_PER_MS)
                 out = self.vfs.open(
                     f"{p.root}/obj/{name}.d{d}.o".replace("file", "f"), create=True

@@ -54,10 +54,7 @@ class CpRmWorkload:
     def setup(self) -> None:
         """Create the source tree — untimed, like having the Digital Unix
         sources already on disk before the benchmark starts."""
-        charged = self.kernel.config.charge_time
-        self.kernel.config.charge_time = False
-        self.kernel.klib.charge_time = False
-        try:
+        with self.kernel.uncharged():
             rng = DeterministicRandom(self.params.seed)
             self.vfs.mkdir(self.params.src_root)
             for d in range(self.params.dirs):
@@ -68,9 +65,6 @@ class CpRmWorkload:
                     key = (self.params.seed << 20) ^ (d << 10) ^ f
                     self.vfs.write(fd, pattern_bytes(key, 0, self._file_size(rng)))
                     self.vfs.close(fd)
-        finally:
-            self.kernel.config.charge_time = charged
-            self.kernel.klib.charge_time = charged
 
     def run(self) -> CpRmResult:
         clock = self.kernel.clock

@@ -60,10 +60,7 @@ class DebitCreditWorkload:
 
     def setup(self) -> None:
         """Create and populate the accounts table (untimed)."""
-        charged = self.kernel.config.charge_time
-        self.kernel.config.charge_time = False
-        self.kernel.klib.charge_time = False
-        try:
+        with self.kernel.uncharged():
             self.vfs.mkdir("/bank")
             fd = self.vfs.open("/bank/accounts", create=True)
             table = bytearray()
@@ -75,9 +72,6 @@ class DebitCreditWorkload:
             self.vfs.close(fd)
             fd = self.vfs.open("/bank/history", create=True)
             self.vfs.close(fd)
-        finally:
-            self.kernel.config.charge_time = charged
-            self.kernel.klib.charge_time = charged
 
     def _open_files(self) -> None:
         if self._accounts_fd is None:

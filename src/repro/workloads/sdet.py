@@ -73,7 +73,7 @@ class SdetWorkload:
                 fd = self.vfs.open(path)
                 data = self.vfs.read(fd, _FILE_BYTES)
                 self.vfs.close(fd)
-                if self.kernel.config.charge_time:
+                if self.kernel.klib.charge_time:
                     self.kernel.clock.consume(_COMPILE_MS * NS_PER_MS)
                 out = self.vfs.open(f"{home}/prog{f}.o", create=True)
                 obj = data[: len(data) // 2]

@@ -44,6 +44,25 @@ class TestMaintenanceToggle:
         system.vfs.close(fd)
         assert system.disk.stats.writes > 0
 
+    def test_toggle_survives_warm_reboot(self):
+        """An OS crash inside the maintenance window must not switch the
+        toggle off: the file fsync'd after the warm reboot still has to
+        survive the power failure the toggle was enabled for."""
+        system = make_rio()
+        system.enable_reliability_writes()
+        system.crash("OS crash during maintenance")
+        system.reboot()
+        assert system.fs.policy.name == "ufs_delayed"
+        assert not system.kernel.reliability_writes_off
+        fd = system.vfs.open("/after-reboot", create=True)
+        system.vfs.write(fd, b"fsync'd in maintenance mode")
+        system.vfs.fsync(fd)
+        system.crash("power outage")
+        system.reboot(preserve_memory=False)
+        assert system.fs.read(system.fs.namei("/after-reboot"), 0, 32) == (
+            b"fsync'd in maintenance mode"
+        )
+
     def test_disable_restores_rio_behaviour(self):
         system = make_rio()
         system.enable_reliability_writes()

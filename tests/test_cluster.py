@@ -567,6 +567,40 @@ def test_cross_shard_rename_stales_open_descriptors():
         assert stale.error == "EBADSESSION"
 
 
+def test_stale_descriptor_still_closes_and_releases_the_shard_fd():
+    """Closing a descriptor a cross-shard rename staled used to answer
+    ``EBADSESSION``, keep the front-end entry and leak the source shard's
+    fd, so once the quota filled every ``open`` failed ``EQUOTA``."""
+    cluster = ClusterService(ClusterConfig(shards=2, router_mode="hash"))
+    with cluster:
+        cluster.open_session(0)
+        here, there, _, _ = _cross_shard_pair(cluster)
+        req_ids = iter(range(1, 1000))
+
+        def step(**fields):
+            req_id = next(req_ids)
+            request = Request(client_id=0, req_id=req_id, **fields)
+            return _drive(cluster, [0], [request])[(0, req_id)]
+
+        def moved_then_closed(crash_source=False):
+            nonlocal here, there
+            opened = step(op="open", path=here, create=True)
+            assert opened.ok, opened
+            assert step(op="rename", path=here, new_path=there).ok
+            if crash_source:  # its rebind finds the file gone: the shard fd goes stale too
+                source = cluster.router.shard_for(f"/srv/c000/{here}")
+                cluster.hosts[source].shard.system.machine.crash("test", kind="forced")
+            closed = step(op="close", fd=opened.value)
+            assert closed.ok, closed
+            here, there = there, here
+
+        for _ in range(cluster.config.service.max_open_fds + 1):
+            moved_then_closed()
+        moved_then_closed(crash_source=True)
+        assert cluster.sessions[0].fds == {}
+        assert [host.shard.service.sessions.get(0).fds for host in cluster.hosts] == [{}, {}]
+
+
 def test_cross_shard_rename_survives_crash_in_two_phase_window():
     """A source-shard kernel crash between copy and unlink: the shard
     recovers in line, the unlink re-executes, the intent settles."""

@@ -8,13 +8,13 @@ from repro.errors import ProtectionTrap
 from repro.fs.cache import IO_CONTEXT
 from repro.fs.types import BLOCK_SIZE, FileId
 from repro.hw import Machine, MachineConfig
-from repro.kernel import Kernel, KernelConfig
+from repro.kernel import Kernel
 from repro.util.checksum import fletcher32
 
 
 def make_rio_kernel(mode: ProtectionMode, **rio_kw):
     machine = Machine(MachineConfig(memory_bytes=8 * 1024 * 1024, boot_time_ns=0))
-    kernel = Kernel(machine, KernelConfig(charge_time=False))
+    kernel = Kernel(machine)
     rio = RioFileCache(kernel, RioConfig(protection=mode, **rio_kw))
     kernel.init_caches(rio.guard)
     return kernel, rio

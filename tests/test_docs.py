@@ -3,6 +3,7 @@
 * every ``python`` code block in docs/TUTORIAL.md runs, top to bottom,
   in one namespace — the tutorial cannot drift from the code;
 * every relative link in README.md and docs/*.md resolves;
+* docs/*.md total at most 2 200 lines;
 * docs/ARCHITECTURE.md names every package under src/repro/;
 * every tier-1 test id and module DESIGN.md's experiment index names exists;
 * the docstring-coverage gate (scripts/check_docstrings.py) passes.
@@ -51,6 +52,11 @@ def test_relative_links_resolve(path):
         if not target.exists():
             broken.append(link)
     assert not broken, f"{path.name}: broken relative links: {broken}"
+
+
+def test_docs_stay_within_their_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in DOCS.glob("*.md"))
+    assert lines <= 2200, f"docs/*.md total {lines} lines, over the 2200-line budget"
 
 
 def test_every_documented_command_is_registered():

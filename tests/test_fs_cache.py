@@ -8,14 +8,14 @@ from repro.fs.types import BLOCK_SIZE, FileId
 from repro.hw import Machine, MachineConfig
 from repro.hw.mmu import KSEG_BASE
 from repro.isa.routines import HDR_DST_OFF
-from repro.kernel import Kernel, KernelConfig
+from repro.kernel import Kernel
 from repro.util import pattern_bytes
 
 
 @pytest.fixture
 def kernel():
     machine = Machine(MachineConfig(memory_bytes=8 * 1024 * 1024, boot_time_ns=0))
-    k = Kernel(machine, KernelConfig(charge_time=False))
+    k = Kernel(machine)
     k.init_caches()
     return k
 
@@ -121,7 +121,7 @@ class TestEvictionAndFlush:
         from repro.disk import SimulatedDisk
 
         machine = Machine(MachineConfig(memory_bytes=8 * 1024 * 1024, boot_time_ns=0))
-        kernel = Kernel(machine, KernelConfig(charge_time=False))
+        kernel = Kernel(machine)
         kernel.init_caches()
         disk = SimulatedDisk("rz0", 4096)
         machine.attach_disk("rz0", disk)

@@ -441,6 +441,9 @@ def test_stale_fd_after_lossy_recovery():
     assert not response.ok and response.error == "EBADSESSION"
     assert service.sessions.get(0).fds[fd].stale
     assert service.sessions.get(0).fds[fd].backing_fd == FdState.STALE
+    # Only close still works on it, and gives the quota slot back.
+    ok(service, Request(client_id=0, req_id=3, op="close", fd=fd))
+    assert service.sessions.get(0).fds == {}
 
 
 # -- batched syscalls ---------------------------------------------------

@@ -41,7 +41,6 @@ class TestRebootChains:
     def test_rio_spec_flags_propagate(self):
         system = build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection()))
         assert system.kernel.reliability_writes_off
-        assert not system.kernel.config.panic_syncs_dirty
         assert system.kernel.mmu.kseg_through_tlb
 
     def test_reboot_rebuilds_kernel_objects(self):

@@ -203,7 +203,7 @@ class TestCpRm:
         t0 = system.clock.now_ns
         bench.setup()
         assert system.clock.now_ns - t0 < int(0.5e9)
-        assert system.kernel.config.charge_time  # restored afterwards
+        assert system.kernel.klib.charge_time  # restored afterwards
 
     def test_result_format(self):
         from repro.workloads.cp_rm import CpRmResult
