@@ -12,10 +12,12 @@ top functions.
 see, so ``--trials N`` instead runs ``run_boundary_trial`` in process
 over every N-th boundary of the workload's enumeration (the bench sizes
 and seed rule), profiled; ``--wall`` drops the profiler and prints the
-plain wall-clock cost per trial.  Either way it then prints what the
-median-cost trial emitted into the flight recorder, counted by
-``kind/op`` — explore_traffic is the one recorder-on workload, and a
-recorder-path issue should start from those counts.
+plain wall-clock cost per trial.  Either way it then prints the
+median-cost trial's recovery phases in ms (:data:`RECOVERY_PHASES`),
+the dissect memo's hits and misses over the run, and what that trial
+emitted into the flight recorder, counted by ``kind/op`` —
+explore_traffic is the one recorder-on workload, and a recorder-path
+question should start from those counts.
 
 cProfile taxes every Python call and nothing inside C, which shifts the
 shares — and hides exactly the functions that are a few long C calls.
@@ -144,6 +146,65 @@ def explore_trials(seed: int, every: int):
         seed += 1
 
 
+#: The recovery phases ``--trials`` times in every trial: label, module,
+#: and the function (or ``Class.method``) looked up there at call time.
+RECOVERY_PHASES = (
+    ("metadata restore", "repro.system", "dump_and_recover_metadata"),
+    ("fsck", "repro.system", "fsck"),
+    ("mount inode scan", "repro.fs.ufs", "UFS._scan_free_inodes"),
+    ("dissect", "repro.fs.dissect.divergence", "dissect_image"),
+    ("spec check", "repro.explore.spec", "CrashSpec.check"),
+)
+#: Wrapped like a phase, but only its calls are reported: the walks
+#: behind the ``dissect`` phase's calls, the rest being memo hits.
+DISSECT_WALK = ("dissect walk", "repro.fs.dissect.parser", "_dissect")
+
+
+class PhaseTimer:
+    """Wall time per :data:`RECOVERY_PHASES` entry, one dict per trial,
+    and calls per entry over the run: the named functions are wrapped in
+    place while the timer is active."""
+
+    def __init__(self) -> None:
+        self.trials: list[dict] = []
+        self.calls: collections.Counter = collections.Counter()
+
+    def __enter__(self) -> "PhaseTimer":
+        import importlib
+
+        self._undo = []
+        for label, module_name, path in (*RECOVERY_PHASES, DISSECT_WALK):
+            owner = importlib.import_module(module_name)
+            *outer, name = path.split(".")
+            for part in outer:
+                owner = getattr(owner, part)
+            original = getattr(owner, name)
+            setattr(owner, name, self._timed(label, original))
+            self._undo.append((owner, name, original))
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        for owner, name, original in reversed(self._undo):
+            setattr(owner, name, original)
+
+    def _timed(self, label: str, func):
+        def timed(*args, **kwargs):
+            self.calls[label] += 1
+            began = time.perf_counter()
+            try:
+                return func(*args, **kwargs)
+            finally:
+                phases = self.trials[-1]
+                phases[label] = phases.get(label, 0.0) + time.perf_counter() - began
+
+        return timed
+
+    def run(self, func, *args):
+        """Call ``func(*args)`` as one trial."""
+        self.trials.append({})
+        return func(*args)
+
+
 def emission_census(config, boundary) -> collections.Counter:
     """``kind/op`` counts of the events one boundary trial emits: the
     workload up to the armed crash, then the recovery it absorbs."""
@@ -230,18 +291,24 @@ def main(argv=None) -> int:
 
         config, boundaries = explore_trials(seed, args.trials)
         costs = []
-        for boundary in boundaries:
-            began = time.perf_counter()
-            if args.wall:
-                run_boundary_trial(config, boundary)
-            else:
-                profile.runcall(run_boundary_trial, config, boundary)
-            costs.append(time.perf_counter() - began)
+        with PhaseTimer() as phases:
+            for boundary in boundaries:
+                began = time.perf_counter()
+                if args.wall:
+                    phases.run(run_boundary_trial, config, boundary)
+                else:
+                    profile.runcall(phases.run, run_boundary_trial, config, boundary)
+                costs.append(time.perf_counter() - began)
         median_cost, median = sorted(zip(costs, range(len(costs))))[len(costs) // 2]
         print(
             f"{len(costs)} trials: median {median_cost * 1e3:.1f} ms, "
             f"mean {sum(costs) / len(costs) * 1e3:.1f} ms"
         )
+        print("median trial's recovery phases" + ("" if args.wall else " (profiled)"))
+        for label, _module, _path in RECOVERY_PHASES:
+            print(f"  {label:32} {phases.trials[median].get(label, 0.0) * 1e3:8.3f} ms")
+        walks = phases.calls[DISSECT_WALK[0]]
+        print(f"dissect memo: {phases.calls['dissect'] - walks} hits, {walks} misses")
         census = emission_census(config, boundaries[median])
         print(
             f"median trial (boundary {boundaries[median].index}, "

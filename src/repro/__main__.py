@@ -483,6 +483,11 @@ def cmd_fsck_remote(args) -> int:
     from repro.fs.dissect import second_opinion
     from repro.system import build_system, system_spec_for
 
+    if args.outage and args.backend == "local":
+        raise SystemExit(
+            "fsck-remote: --outage needs a store that can go down "
+            "(--backend objectstore or tiered), not --backend local"
+        )
     say = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     spec = system_spec_for(
         args.system,

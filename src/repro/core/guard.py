@@ -27,12 +27,12 @@ content of that range (:func:`~repro.util.checksum.fletcher32_adjust`) —
 bit-identical to checksumming the page again.  The guard does so only
 when the lowest layer proves the range is all that changed:
 
-* at ``begin_write`` the frame's write generation still equals the one
-  recorded when ``page.checksum`` was last computed — nothing touched the
-  frame since, so the stored checksum is the pre-image's — and the range
-  is at most half a page (two partial passes must beat one full pass);
-  the guard then sums the pre-image range and *watches* the frame
-  (:meth:`~repro.hw.memory.PhysicalMemory.watch`);
+* at ``begin_write`` the frame's checksum is known at its current write
+  generation (:meth:`~repro.hw.memory.PhysicalMemory.known_checksum`:
+  nothing touched the frame since it was recorded, so it is the
+  pre-image's) and the range is at most half a page (two partial passes
+  must beat one full pass); the guard then sums the pre-image range and
+  *watches* the frame (:meth:`~repro.hw.memory.PhysicalMemory.watch`);
 * at ``end_write`` the generation moved exactly as often as the frame
   accounted a ranged mutation, and their extent lies inside the range.
   The new sums are read from the frame as it is now, never from the
@@ -41,7 +41,9 @@ when the lowest layer proves the range is all that changed:
 Anything else — a wild store, a flipped bit, an overrun, a copy sent
 astray by a corrupted header pointer, a word-by-word interpreted copy, a
 fill — fails one of those tests and takes the full recompute, which
-absorbs the foreign bytes exactly as it always did.
+absorbs the foreign bytes exactly as it always did.  Either way the
+result is recorded as the frame's known checksum, which is what an
+attach of a recycled frame and the shadow copy of a metadata page reuse.
 """
 
 from __future__ import annotations
@@ -111,40 +113,42 @@ class RioGuard(CacheGuard):
         accounting the frame's mutations."""
         memory = self.kernel.memory
         pfn, page_size = page.pfn, memory.page_size
-        generation = memory.generation(pfn)
-        if 2 * length > page_size or generation != page.checksum_gen:
+        checksum = memory.known_checksum(pfn)
+        if 2 * length > page_size or checksum is None:
             # Not left to a window that never reached ``end_write``.
             self._adjustable.pop(page.key, None)
             return
         lo = offset & ~1  # widened to whole 16-bit words, inside the page
         hi = min(page_size, (offset + length + 1) & ~1)
         pre = fletcher_sums(memory.frame(pfn)[lo:hi])
-        self._adjustable[page.key] = (memory.watch(pfn), generation, lo, hi, pre)
+        self._adjustable[page.key] = (
+            memory.watch(pfn), memory.generation(pfn), lo, hi, pre, checksum
+        )
 
     def _update_checksum(self, page: CachePage) -> None:
         """Make ``page.checksum`` that of the frame as it is now: adjusted
         when the accounting of an open window proves that only the
-        announced range changed, recomputed in full otherwise."""
+        announced range changed, else the frame's known checksum or a
+        full recompute."""
         memory = self.kernel.memory
         pfn = page.pfn
         memory.unwatch(pfn)
-        now = memory.generation(pfn)
         window = self._adjustable.pop(page.key, None)
         if window is not None:
-            (mutations, first, last), generation, lo, hi, pre = window
-            if now - generation != mutations or first < lo or last > hi:
+            (mutations, first, last), generation, lo, hi, pre, checksum = window
+            if memory.generation(pfn) - generation != mutations or first < lo or last > hi:
                 window = None  # (an empty extent, ``(page_size, 0)``, passes)
         if window is None:
             page.checksum = self._page_checksum(page)
         else:
             page.checksum = fletcher32_adjust(
-                page.checksum,
+                checksum,
                 (memory.page_size + 1) >> 1,
                 lo >> 1,
                 pre,
                 fletcher_sums(memory.frame(pfn)[lo:hi]),
             )
-        page.checksum_gen = now
+            memory.record_checksum(pfn, page.checksum)
 
     # -- CacheGuard interface ------------------------------------------------
 
@@ -169,9 +173,7 @@ class RioGuard(CacheGuard):
             # Shadow page: preserve the pre-image and point the registry
             # at it for the duration of the update.
             shadow_pfn = self.kernel.frames.alloc()
-            page_size = self._page_size()
-            memory = self.kernel.memory
-            memory.write(shadow_pfn * page_size, memory.frame(page.pfn))
+            self.kernel.memory.copy_frame(page.pfn, shadow_pfn)
             self._shadows[page.key] = shadow_pfn
             rec = self._recorder
             if rec.enabled:
@@ -180,7 +182,7 @@ class RioGuard(CacheGuard):
                     page=str(page.key), shadow_pfn=shadow_pfn, pfn=page.pfn,
                 )
             self.registry.update_fields(
-                page.registry_slot, phys_addr=shadow_pfn * page_size
+                page.registry_slot, phys_addr=shadow_pfn * self._page_size()
             )
         else:
             self.registry.update_flags(page.registry_slot, set_flags=FLAG_CHANGING)

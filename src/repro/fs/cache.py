@@ -27,7 +27,6 @@ from typing import Callable, Optional
 from repro.errors import ConfigurationError, KernelPanic, NoSpace, OutOfMemory
 from repro.fs.types import BLOCK_SIZE, FileId, SECTORS_PER_BLOCK
 from repro.hw.bus import AccessContext
-from repro.util.checksum import fletcher32
 from repro.isa.routines import (
     CACHE_HDR_MAGIC,
     HDR_BYTES,
@@ -66,11 +65,10 @@ class CachePage:
     #: logs these extents rather than whole 8 KB images.
     journal_extents: list = field(default_factory=list)
     #: Populated by the guard when checksums are maintained: the frame's
-    #: detection checksum, and the frame's write generation
-    #: (``PhysicalMemory.generation``) when it was computed — equal
-    #: generations mean ``checksum`` is still that of the frame's content.
+    #: detection checksum as of the last guarded write (what the registry
+    #: holds; whether it is still the frame's is ``PhysicalMemory``'s
+    #: known checksum to say).
     checksum: int = 0
-    checksum_gen: int = -1
 
 
 class CacheGuard:
@@ -362,7 +360,7 @@ class PageCache:
             rec.emit(
                 "wb", "flush",
                 page=str(page.key), block=page.disk_block,
-                sync=sync, checksum=fletcher32(data),
+                sync=sync, checksum=kernel.memory.page_checksum(page.pfn),
             )
 
         def on_complete(_request) -> None:

@@ -11,9 +11,10 @@ Phases, in the classic order:
    block);
 2. inode scan: clear mangled inodes, clear block pointers that point
    outside the data area, resolve duplicate block claims (first claimant
-   wins), clamp impossible sizes;
+   wins), clamp impossible sizes — a block of the table at a time, free
+   slots never parsed;
 3. directory walk from the root: drop directory entries that reference
-   free or mangled inodes, recompute link counts;
+   free or mangled inodes, recompute link counts — live records only;
 4. orphan inodes (allocated but unreachable) are reconnected into
    ``/lost+found`` (or freed if that fails);
 5. link-count repair;
@@ -37,6 +38,7 @@ from repro.fs.ondisk import (
     Superblock,
     free_dirent_offset,
     indirect_pointers,
+    nonfree_slots,
     scan_dirents,
 )
 from repro.fs.types import (
@@ -145,73 +147,7 @@ def fsck(disk) -> FsckReport:
     raw.sb = sb
 
     # -- phase 2: inode scan ----------------------------------------------------
-    inodes: dict[int, Inode] = {}
-    claimed: dict[int, int] = {}  # block -> first claiming ino
-    for ino in range(1, sb.num_inodes):
-        inode = raw.read_inode(ino)
-        if inode is None:
-            report.fix(f"inode {ino}: mangled; cleared")
-            raw.write_inode(Inode(ino=ino))
-            continue
-        if not inode.is_allocated:
-            continue
-        changed = False
-        if inode.size > MAX_FILE_SIZE:
-            # Reset the size AND drop the block mappings: leaving blocks
-            # mapped beyond the (now zero) end-of-file would be exactly
-            # the size/block-count mismatch the independent verifier
-            # flags on a "repaired" image.
-            inode.size = 0
-            inode.direct = [0] * N_DIRECT
-            inode.indirect = 0
-            report.fix(f"inode {ino}: impossible size; reset and blocks freed")
-            changed = True
-        if inode.indirect and not _valid_data_block(sb, inode.indirect):
-            report.fix(f"inode {ino}: bad indirect pointer {inode.indirect}; cleared")
-            inode.indirect = 0
-            changed = True
-        for slot in range(N_DIRECT):
-            block = inode.direct[slot]
-            if block == 0:
-                continue
-            if not _valid_data_block(sb, block):
-                report.fix(f"inode {ino}: bad block pointer {block}; cleared")
-                inode.direct[slot] = 0
-                changed = True
-            elif block in claimed:
-                report.fix(
-                    f"inode {ino}: block {block} already claimed by inode "
-                    f"{claimed[block]}; cleared"
-                )
-                inode.direct[slot] = 0
-                changed = True
-            else:
-                claimed[block] = ino
-        if inode.indirect:
-            if inode.indirect in claimed:
-                report.fix(f"inode {ino}: indirect block doubly claimed; cleared")
-                inode.indirect = 0
-                changed = True
-            else:
-                claimed[inode.indirect] = ino
-                ind = bytearray(raw.read_block(inode.indirect))
-                ind_changed = False
-                for i, block in enumerate(indirect_pointers(ind)):
-                    if block == 0:
-                        continue
-                    if not _valid_data_block(sb, block) or block in claimed:
-                        report.fix(
-                            f"inode {ino}: bad/duplicate indirect entry {block}; cleared"
-                        )
-                        ind[i * 4 : (i + 1) * 4] = b"\x00\x00\x00\x00"
-                        ind_changed = True
-                    else:
-                        claimed[block] = ino
-                if ind_changed:
-                    raw.write_block(inode.indirect, bytes(ind))
-        if changed:
-            raw.write_inode(inode)
-        inodes[ino] = inode
+    inodes, claimed = _scan_inodes(raw, report)
 
     # -- phases 3+4: directory walk and orphan reconnection ------------------
     # Real fsck iterates: reconnecting an orphaned directory makes a new
@@ -293,6 +229,90 @@ def fsck(disk) -> FsckReport:
     return report
 
 
+def _scan_inodes(raw: _RawFs, report: FsckReport) -> tuple[dict[int, Inode], dict[int, int]]:
+    """Phase 2, the inode scan: ``(allocated inodes by number, block ->
+    first claiming ino)``.  Clears mangled slots and repairs allocated
+    inodes in place; a free slot is skipped unparsed (``nonfree_slots``)."""
+    inodes: dict[int, Inode] = {}
+    claimed: dict[int, int] = {}  # block -> first claiming ino
+    for index in range(raw.sb.inode_blocks):
+        first = index * INODES_PER_BLOCK
+        _, block, _ = raw._table_block(first)
+        for slot in nonfree_slots(block):
+            if first + slot:  # slot 0 of the table is no inode
+                _check_inode(raw, first + slot, inodes, claimed, report)
+    return inodes, claimed
+
+
+def _check_inode(raw: _RawFs, ino: int, inodes, claimed, report: FsckReport) -> None:
+    """Phase 2 for one non-free slot."""
+    sb = raw.sb
+    inode = raw.read_inode(ino)
+    if inode is None:
+        report.fix(f"inode {ino}: mangled; cleared")
+        raw.write_inode(Inode(ino=ino))
+        return
+    if not inode.is_allocated:
+        return
+    changed = False
+    if inode.size > MAX_FILE_SIZE:
+        # Reset the size AND drop the block mappings: leaving blocks
+        # mapped beyond the (now zero) end-of-file would be exactly
+        # the size/block-count mismatch the independent verifier
+        # flags on a "repaired" image.
+        inode.size = 0
+        inode.direct = [0] * N_DIRECT
+        inode.indirect = 0
+        report.fix(f"inode {ino}: impossible size; reset and blocks freed")
+        changed = True
+    if inode.indirect and not _valid_data_block(sb, inode.indirect):
+        report.fix(f"inode {ino}: bad indirect pointer {inode.indirect}; cleared")
+        inode.indirect = 0
+        changed = True
+    for slot in range(N_DIRECT):
+        block = inode.direct[slot]
+        if block == 0:
+            continue
+        if not _valid_data_block(sb, block):
+            report.fix(f"inode {ino}: bad block pointer {block}; cleared")
+            inode.direct[slot] = 0
+            changed = True
+        elif block in claimed:
+            report.fix(
+                f"inode {ino}: block {block} already claimed by inode "
+                f"{claimed[block]}; cleared"
+            )
+            inode.direct[slot] = 0
+            changed = True
+        else:
+            claimed[block] = ino
+    if inode.indirect:
+        if inode.indirect in claimed:
+            report.fix(f"inode {ino}: indirect block doubly claimed; cleared")
+            inode.indirect = 0
+            changed = True
+        else:
+            claimed[inode.indirect] = ino
+            ind = bytearray(raw.read_block(inode.indirect))
+            ind_changed = False
+            for i, block in enumerate(indirect_pointers(ind)):
+                if block == 0:
+                    continue
+                if not _valid_data_block(sb, block) or block in claimed:
+                    report.fix(
+                        f"inode {ino}: bad/duplicate indirect entry {block}; cleared"
+                    )
+                    ind[i * 4 : (i + 1) * 4] = b"\x00\x00\x00\x00"
+                    ind_changed = True
+                else:
+                    claimed[block] = ino
+            if ind_changed:
+                raw.write_block(inode.indirect, bytes(ind))
+    if changed:
+        raw.write_inode(inode)
+    inodes[ino] = inode
+
+
 def _dir_block_list(raw: _RawFs, dinode: Inode) -> list[int]:
     blocks = [b for b in dinode.direct if b and _valid_data_block(raw.sb, b)]
     if dinode.indirect and _valid_data_block(raw.sb, dinode.indirect):
@@ -329,12 +349,11 @@ def _walk_tree(raw: _RawFs, inodes: dict[int, Inode], report: FsckReport):
             block = raw.read_block(block_no)
             data = bytearray(block)  # repaired in place as the scan goes
             block_changed = False
-            for off, ino_word, entry in scan_dirents(block):
+            for off, entry in scan_dirents(block):
                 if entry is None:
-                    if ino_word:
-                        data[off : off + DIRENT_SIZE] = b"\x00" * DIRENT_SIZE
-                        block_changed = True
-                        report.fix(f"dir {dir_ino}: garbled entry cleared")
+                    data[off : off + DIRENT_SIZE] = b"\x00" * DIRENT_SIZE
+                    block_changed = True
+                    report.fix(f"dir {dir_ino}: garbled entry cleared")
                     continue
                 target = inodes.get(entry.ino)
                 if target is None or not target.is_allocated:

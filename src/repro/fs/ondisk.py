@@ -324,6 +324,21 @@ class Inode:
 _FILE_TYPES = {int(t): t for t in FileType}  # raw type byte -> FileType
 _INODE_TAG_FMT = struct.Struct(f"<HB{INODE_SIZE - 3}x")  # one slot's magic, type
 _LIVE_TYPES = frozenset(int(t) for t in FileType if t is not FileType.FREE)
+_FREE_TYPE = int(FileType.FREE)
+_ZERO_INODE = bytes(INODE_SIZE)
+_NONZERO = bytes([0] + [1] * 255)  # translation table: a non-zero byte reads 1
+
+
+def _records_in_use(data: bytes | bytearray | memoryview, size: int) -> int:
+    """Bytes of ``data`` up to the end of the last ``size``-byte record
+    holding a non-zero byte; only zeros follow (one C pass, no step per
+    record)."""
+    if data == bytes(len(data)):  # a never-written block: one compare
+        return 0
+    if isinstance(data, memoryview):  # no translate of its own
+        data = data.tobytes()
+    end = data.translate(_NONZERO).rfind(1) + 1
+    return -(-end // size) * size
 
 
 def allocated_slots(block: bytes | bytearray | memoryview) -> list[bool]:
@@ -334,6 +349,25 @@ def allocated_slots(block: bytes | bytearray | memoryview) -> list[bool]:
         magic == INODE_MAGIC and ftype in _LIVE_TYPES
         for magic, ftype in _INODE_TAG_FMT.iter_unpack(block)
     ]
+
+
+def nonfree_slots(block: bytes | bytearray | memoryview) -> list[int]:
+    """Indices of the inode slots of one inode-table block that a strict
+    decode must look at: every slot but the never-used (all-zero) and the
+    freed (valid magic, FREE type) ones, which are free whatever their
+    other bytes hold.  Nothing past the block's last non-zero byte is
+    unpacked.  fsck's inode pass, a block at a time."""
+    out = []
+    used = _records_in_use(block, INODE_SIZE)
+    for index, (magic, ftype) in enumerate(_INODE_TAG_FMT.iter_unpack(block[:used])):
+        if magic == INODE_MAGIC and ftype == _FREE_TYPE:
+            continue
+        if not magic and not ftype:
+            offset = index * INODE_SIZE
+            if block[offset : offset + INODE_SIZE] == _ZERO_INODE:
+                continue
+        out.append(index)
+    return out
 
 
 @dataclass(frozen=True)
@@ -394,15 +428,16 @@ def parse_dirents(data: bytes) -> list[DirEntry]:
 
 
 def scan_dirents(data: bytes | bytearray | memoryview):
-    """Every whole slot of directory content bytes, in order, as
-    ``(byte offset, ino word, record)``.  ``record`` is None for an empty
-    slot (``ino == 0``) and for one too mangled to interpret — which a
-    repairing caller tells apart by the ino word."""
-    offset = 0
-    for ino, name_len, raw in _dirent_records(data):
-        name = _dirent_name(name_len, raw) if ino else None
-        yield offset, ino, None if name is None else DirEntry(ino=ino, name=name)
+    """Every live slot (``ino != 0``) of directory content bytes, in
+    order, as ``(byte offset, record)``; ``record`` is None for one too
+    mangled to interpret.  Empty slots are skipped, and nothing past the
+    last non-zero byte is unpacked."""
+    offset = -DIRENT_SIZE
+    for ino, name_len, raw in _dirent_records(data[: _records_in_use(data, DIRENT_SIZE)]):
         offset += DIRENT_SIZE
+        if ino:
+            name = _dirent_name(name_len, raw)
+            yield offset, None if name is None else DirEntry(ino=ino, name=name)
 
 
 def free_dirent_offset(data: bytes | bytearray | memoryview) -> int | None:

@@ -15,6 +15,9 @@ from repro.util.checksum import fletcher32
 from repro.util.sparse import SparseBytes
 
 DEFAULT_PAGE_SIZE = 8192  # the paper's 8 KB file-cache page
+#: Fletcher-32 of an all-zero frame of any size: both sums are 0, which
+#: the fold stores as 0xFFFF each.
+ZERO_CHECKSUM = 0xFFFFFFFF
 
 
 class PhysicalMemory:
@@ -38,12 +41,19 @@ class PhysicalMemory:
         #: What every never-written frame reads as (immutable, shared).
         self._zero_page = bytes(page_size)
         #: Per-frame write-generation counters.  Every mutation of a frame
-        #: (``write``, ``fill``, ``flip_bit``, ``erase``, ``load_image``)
-        #: bumps its counter; the interpreter's predecode cache and other
-        #: derived views key their validity on these.  The list identity is
-        #: stable for the lifetime of the object (hot loops hold a direct
-        #: reference), so it is mutated in place, never rebound.
+        #: (``write``, ``copy_frame``, ``fill``, ``flip_bit``, ``erase``,
+        #: ``load_image``) bumps its counter; the interpreter's predecode
+        #: cache and the known checksums key their validity on these.
+        #: The list identity is stable for the lifetime of the object (hot
+        #: loops hold a direct reference), so it is mutated in place,
+        #: never rebound.
         self._page_gens: list[int] = [0] * self.num_pages
+        #: Each frame's known detection checksum, ``pfn -> (generation,
+        #: Fletcher-32)``: the frame's checksum for as long as its
+        #: generation still equals the recorded one, so every mutator
+        #: invalidates it by the bump it already makes.  A never-written
+        #: frame needs no entry (:data:`ZERO_CHECKSUM`).
+        self._checksums: dict[int, tuple[int, int]] = {}
         #: Mutation accounting (see :meth:`watch`): ``pfn -> [mutations,
         #: lo, hi]`` for the frames being watched.  The contract, next to
         #: the generations': *every* mutation bumps the generation; every
@@ -78,7 +88,29 @@ class PhysicalMemory:
         return self._pages.get(pfn, self._zero_page)
 
     def page_checksum(self, pfn: int) -> int:
-        return fletcher32(self.frame(pfn))
+        """Fletcher-32 of frame ``pfn`` as it is now: the known value, or
+        one full pass that then becomes the known value."""
+        checksum = self.known_checksum(pfn)
+        if checksum is None:
+            checksum = fletcher32(self._pages[pfn])
+            self._checksums[pfn] = (self._page_gens[pfn], checksum)
+        return checksum
+
+    def known_checksum(self, pfn: int) -> int | None:
+        """Fletcher-32 of frame ``pfn`` if it is known without a pass over
+        the frame (recorded at its current generation, or never written),
+        else None."""
+        generation = self.generation(pfn)
+        known = self._checksums.get(pfn)
+        if known is not None and known[0] == generation:
+            return known[1]
+        return ZERO_CHECKSUM if pfn not in self._pages else None
+
+    def record_checksum(self, pfn: int, checksum: int) -> None:
+        """Declare ``checksum`` the Fletcher-32 of frame ``pfn`` as it is
+        now — for a caller that derived it without a full pass (the
+        guard's adjusted checksum); the next mutation invalidates it."""
+        self._checksums[pfn] = (self.generation(pfn), checksum)
 
     def generation(self, pfn: int) -> int:
         """Write-generation of frame ``pfn`` (bumped on every mutation)."""
@@ -173,6 +205,15 @@ class PhysicalMemory:
             if watched:
                 self.account(pfn, off, off + take)
             pos += take
+
+    def copy_frame(self, src: int, dst: int) -> None:
+        """Copy frame ``src`` over frame ``dst`` (one :meth:`write`); a
+        checksum known for ``src`` becomes ``dst``'s, at its new
+        generation — the copy is the same bytes."""
+        checksum = self.known_checksum(src)
+        self.write(dst * self.page_size, self.frame(src))
+        if checksum is not None:
+            self.record_checksum(dst, checksum)
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")

@@ -4,16 +4,20 @@ Everything below the helpers is the code of the commit before the block
 decoders, verbatim: the dissect walker that sliced and unpacked one inode
 or directory slot at a time (and one indirect pointer at a time), and
 fsck's directory repair pass that parsed ``DirEntry.from_bytes`` per
-slot.  ``tests/test_block_decoders.py`` runs them beside the shipped code
-and requires equal reports, fix lists and repaired bytes.  Unchanged
-helpers (superblock parse, bitmap check, the raw-disk accessor) are the
-shipped ones.
+slot.  fsck's inode pass is the loop of the commit before it skipped free
+slots: ``read_inode`` on every slot of the table.
+``tests/test_block_decoders.py`` runs them beside the shipped code and
+requires equal reports, fix lists and repaired bytes.  Unchanged helpers
+(superblock parse, bitmap check, the raw-disk accessor) are the shipped
+ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+
+import pytest
 
 from repro.fs.dissect import layout
 from repro.fs.dissect.cstructs import Record, TruncatedRecord
@@ -25,8 +29,8 @@ from repro.fs.dissect.parser import (
     _valid_data_block,
 )
 from repro.fs.fsck import FsckReport, _RawFs
-from repro.fs.ondisk import DIRENT_SIZE, DirEntry, Inode
-from repro.fs.types import BLOCK_SIZE, FileType, PTRS_PER_INDIRECT, ROOT_INO
+from repro.fs.ondisk import DIRENT_SIZE, DirEntry, Inode, indirect_pointers
+from repro.fs.types import BLOCK_SIZE, FileType, MAX_FILE_SIZE, N_DIRECT, PTRS_PER_INDIRECT, ROOT_INO
 
 
 def slot_unpack(cstruct, data) -> Record:
@@ -357,12 +361,90 @@ def _walk_directories(sb, inodes, read_block, report) -> tuple:
     return reachable, references
 
 
-# -- fsck: the directory pass before the block decoders ----------------------
-# (``fsck_per_slot`` swaps these three into the shipped fsck for one run.)
+# -- fsck: the per-slot inode and directory passes ----------------------------
+# (``fsck_per_slot`` swaps these four into the shipped fsck for one run.)
 
 
 def _fsck_valid_data_block(sb, block_no: int) -> bool:
     return sb.data_start <= block_no < sb.total_blocks
+
+
+_valid_data_block = _fsck_valid_data_block  # the name the inode pass below uses
+
+
+def _scan_inodes(raw: _RawFs, report: FsckReport):
+    """fsck's phase 2 as one loop over every slot, ``read_inode`` per
+    slot (free ones included) — the body of the commit before
+    ``nonfree_slots``."""
+    sb = raw.sb
+    inodes: dict[int, Inode] = {}
+    claimed: dict[int, int] = {}  # block -> first claiming ino
+    for ino in range(1, sb.num_inodes):
+        inode = raw.read_inode(ino)
+        if inode is None:
+            report.fix(f"inode {ino}: mangled; cleared")
+            raw.write_inode(Inode(ino=ino))
+            continue
+        if not inode.is_allocated:
+            continue
+        changed = False
+        if inode.size > MAX_FILE_SIZE:
+            # Reset the size AND drop the block mappings: leaving blocks
+            # mapped beyond the (now zero) end-of-file would be exactly
+            # the size/block-count mismatch the independent verifier
+            # flags on a "repaired" image.
+            inode.size = 0
+            inode.direct = [0] * N_DIRECT
+            inode.indirect = 0
+            report.fix(f"inode {ino}: impossible size; reset and blocks freed")
+            changed = True
+        if inode.indirect and not _valid_data_block(sb, inode.indirect):
+            report.fix(f"inode {ino}: bad indirect pointer {inode.indirect}; cleared")
+            inode.indirect = 0
+            changed = True
+        for slot in range(N_DIRECT):
+            block = inode.direct[slot]
+            if block == 0:
+                continue
+            if not _valid_data_block(sb, block):
+                report.fix(f"inode {ino}: bad block pointer {block}; cleared")
+                inode.direct[slot] = 0
+                changed = True
+            elif block in claimed:
+                report.fix(
+                    f"inode {ino}: block {block} already claimed by inode "
+                    f"{claimed[block]}; cleared"
+                )
+                inode.direct[slot] = 0
+                changed = True
+            else:
+                claimed[block] = ino
+        if inode.indirect:
+            if inode.indirect in claimed:
+                report.fix(f"inode {ino}: indirect block doubly claimed; cleared")
+                inode.indirect = 0
+                changed = True
+            else:
+                claimed[inode.indirect] = ino
+                ind = bytearray(raw.read_block(inode.indirect))
+                ind_changed = False
+                for i, block in enumerate(indirect_pointers(ind)):
+                    if block == 0:
+                        continue
+                    if not _valid_data_block(sb, block) or block in claimed:
+                        report.fix(
+                            f"inode {ino}: bad/duplicate indirect entry {block}; cleared"
+                        )
+                        ind[i * 4 : (i + 1) * 4] = b"\x00\x00\x00\x00"
+                        ind_changed = True
+                    else:
+                        claimed[block] = ino
+                if ind_changed:
+                    raw.write_block(inode.indirect, bytes(ind))
+        if changed:
+            raw.write_inode(inode)
+        inodes[ino] = inode
+    return inodes, claimed
 
 
 def _dir_block_list(raw: _RawFs, dinode: Inode) -> list[int]:
@@ -470,11 +552,12 @@ def _insert_dirent(raw: _RawFs, blocks: list[int], entry: DirEntry) -> bool:
     return False
 
 
-def fsck_per_slot(disk, monkeypatch) -> FsckReport:
-    """The shipped ``fsck`` with its directory pass replaced by the
-    per-slot one above."""
+def fsck_per_slot(disk) -> FsckReport:
+    """The shipped ``fsck`` with its inode and directory passes replaced
+    by the per-slot ones above."""
     shipped = sys.modules["repro.fs.fsck"]  # ``repro.fs.fsck`` itself is the function
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shipped, "_scan_inodes", _scan_inodes)
         patch.setattr(shipped, "_dir_block_list", _dir_block_list)
         patch.setattr(shipped, "_walk_tree", _walk_tree)
         patch.setattr(shipped, "_insert_dirent", _insert_dirent)

@@ -15,6 +15,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.disk import SimulatedDisk
 from repro.fs.dissect import dissect_image, install, layout, snapshot
@@ -23,6 +24,9 @@ from repro.fs.fsck import fsck
 from repro.fs.ondisk import (
     BLOCK_SIZE,
     DIRENT_SIZE,
+    INODE_MAGIC,
+    INODE_SIZE,
+    INODES_PER_BLOCK,
     DirEntry,
     Inode,
     CorruptStructure,
@@ -30,7 +34,7 @@ from repro.fs.ondisk import (
     indirect_pointers,
     scan_dirents,
 )
-from repro.fs.types import PTRS_PER_INDIRECT, SECTORS_PER_BLOCK
+from repro.fs.types import FileType, MAX_FILE_SIZE, N_DIRECT, PTRS_PER_INDIRECT, SECTORS_PER_BLOCK
 from repro.reliability.campaign import system_spec_for
 from repro.system import build_system
 from tests.per_slot_oracles import dissect_image_per_slot, fsck_per_slot, slot_unpack
@@ -220,14 +224,18 @@ def test_scan_dirents_equals_from_bytes_slot_by_slot(seed):
     rng = random.Random(seed)
     block = dirent_block(rng)
     ragged = block + b"\x07" * rng.randrange(0, DIRENT_SIZE)
-    for data in (block, bytearray(block), memoryview(block), ragged):
+    free = [off for off in range(0, BLOCK_SIZE, DIRENT_SIZE) if block[off : off + 4] == bytes(4)]
+    live = [off for off in range(0, BLOCK_SIZE, DIRENT_SIZE) if off not in free]
+    # Zeros from the name of the last live slot on: the block's last
+    # non-zero byte is inside that slot's ino word.
+    cut = bytearray(block)
+    cut[live[-1] + 4 :] = bytes(BLOCK_SIZE - live[-1] - 4)
+    for data in (block, bytearray(block), memoryview(block), ragged, bytes(cut), memoryview(cut)):
         got = list(scan_dirents(data))
-        assert [off for off, _, _ in got] == list(range(0, BLOCK_SIZE, DIRENT_SIZE))
-        for off, ino_word, entry in got:
-            slot = bytes(block[off : off + DIRENT_SIZE])
-            assert entry == DirEntry.from_bytes(slot)
-            assert ino_word == int.from_bytes(slot[:4], "little")
-        free = [off for off in range(0, BLOCK_SIZE, DIRENT_SIZE) if block[off : off + 4] == bytes(4)]
+        assert [off for off, _ in got] == live  # empty slots are skipped
+        for off, entry in got:
+            assert entry == DirEntry.from_bytes(bytes(data[off : off + DIRENT_SIZE]))
+    for data in (block, bytearray(block), memoryview(block), ragged):
         assert free_dirent_offset(data) == (free[0] if free else None)
     full = DirEntry(9, "x").to_bytes() * (BLOCK_SIZE // DIRENT_SIZE)
     assert free_dirent_offset(full) is None and free_dirent_offset(b"") is None
@@ -257,15 +265,15 @@ def twin_disks(image: bytes):
     return disks
 
 
-def assert_same_repair(image: bytes, monkeypatch) -> None:
+def assert_same_repair(image: bytes) -> None:
     shipped, oracle = twin_disks(image)
-    got, want = fsck(shipped), fsck_per_slot(oracle, monkeypatch)
+    got, want = fsck(shipped), fsck_per_slot(oracle)
     assert got == want  # fix list in order, counters, verdict flags
     assert snapshot(shipped) == snapshot(oracle)
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_fsck_repairs_smashed_directory_blocks_like_the_per_slot_pass(seed, monkeypatch):
+def test_fsck_repairs_smashed_directory_blocks_like_the_per_slot_pass(seed):
     """Every directory block of the image replaced by a random mix of
     garbled, dangling, NUL-named and over-long slots ('.' and '..' often
     lost with them, so the re-insert path runs too)."""
@@ -288,15 +296,94 @@ def test_fsck_repairs_smashed_directory_blocks_like_the_per_slot_pass(seed, monk
                 keep = rng.choice([0, 2 * DIRENT_SIZE])  # sometimes spare '.' and '..'
                 smashed = dirent_block(rng)
                 image[block * BLOCK_SIZE + keep : (block + 1) * BLOCK_SIZE] = smashed[keep:]
-    assert_same_repair(bytes(image), monkeypatch)
+    assert_same_repair(bytes(image))
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 3))
-def test_fsck_matches_the_per_slot_pass_on_the_fuzz_corpus(seed, monkeypatch):
+def test_fsck_matches_the_per_slot_pass_on_the_fuzz_corpus(seed):
     image = corrupt(base_image(), seed)
     if len(image) != len(base_image()):
         image = image.ljust(len(base_image()), b"\x00")  # a disk has a fixed size
-    assert_same_repair(image, monkeypatch)
+    assert_same_repair(image)
+
+
+def inode_slot(kind: str, rng: random.Random, sb) -> bytes:
+    """One inode-table slot of the given kind (see :func:`smashed_tables`)."""
+    tail = bytearray(rng.randbytes(INODE_SIZE - 3))
+    tail[rng.randrange(len(tail))] |= 1  # garbage is never all zeros
+    if kind == "zero":
+        return bytes(INODE_SIZE)
+    if kind == "zero-tag-garbage":  # magic 0, type 0, not a never-used slot
+        return bytes(3) + tail
+    if kind == "free-garbage":  # freed: valid magic, FREE, anything after
+        return struct.pack("<HB", INODE_MAGIC, 0) + tail
+    if kind == "bad-magic":
+        return struct.pack("<HB", rng.choice([0, 1, INODE_MAGIC ^ 0x100]), rng.randrange(4)) + tail
+    if kind == "bad-type":
+        return struct.pack("<HB", INODE_MAGIC, rng.randrange(4, 256)) + tail
+    pointer = lambda: rng.choice(  # noqa: E731
+        [0, 0, 0, rng.randrange(sb.data_start, sb.total_blocks), 1, sb.total_blocks + 7]
+    )
+    return Inode(
+        ino=0,
+        ftype=rng.choice([FileType.REGULAR, FileType.DIRECTORY, FileType.SYMLINK]),
+        nlink=rng.randrange(4),
+        size=rng.choice([0, 100, 3 * BLOCK_SIZE, MAX_FILE_SIZE + 1]),
+        direct=[pointer() for _ in range(N_DIRECT)],
+        indirect=pointer(),
+    ).to_bytes()
+
+
+SLOT_KINDS = ("zero", "zero-tag-garbage", "free-garbage", "bad-magic", "bad-type", "live")
+HOLE_KINDS = ("hole", "hole-ino-word", "live", "dangling", "garbled", "last-slot")
+
+
+@st.composite
+def smashed_tables(draw) -> bytes:
+    """A clean image whose inode table mixes never-used, freed-with-garbage,
+    bad-magic, bad-type and live slots (with wild pointers, sizes and
+    types), and whose directory blocks have holes punched in them and
+    records added past them — up to the very last slot."""
+    image = bytearray(draw(st.sampled_from([base_image, indirect_image]))())
+    sb = read_sb(image)
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    num_inodes = sb.inode_blocks * INODES_PER_BLOCK
+    for ino in range(1, 16):  # the directory edits first, while the table is clean
+        off = inode_offset(sb, ino)
+        try:
+            inode = Inode.from_bytes(ino, bytes(image[off : off + INODE_SIZE]))
+        except CorruptStructure:
+            continue
+        if inode.ftype != FileType.DIRECTORY:
+            continue
+        for block in [b for b in inode.direct if b]:
+            base = block * BLOCK_SIZE
+            for kind in draw(st.lists(st.sampled_from(HOLE_KINDS), max_size=6)):
+                slot = BLOCK_SIZE // DIRENT_SIZE - 1 if kind == "last-slot" else rng.randrange(8)
+                at = base + slot * DIRENT_SIZE
+                if kind == "hole":
+                    image[at : at + DIRENT_SIZE] = bytes(DIRENT_SIZE)
+                elif kind == "hole-ino-word":  # empty, with a name left behind
+                    image[at : at + 4] = bytes(4)
+                elif kind == "garbled":
+                    image[at : at + DIRENT_SIZE] = struct.pack("<IB", rng.randrange(1, 99), 0) + bytes(27)
+                else:
+                    target = rng.randrange(1, num_inodes) if kind == "dangling" else rng.randrange(1, 16)
+                    image[at : at + DIRENT_SIZE] = DirEntry(target, f"n{rng.randrange(99)}").to_bytes()
+    slots = draw(st.lists(st.integers(1, num_inodes - 1), max_size=24, unique=True))
+    for ino in slots:
+        off = inode_offset(sb, ino)
+        image[off : off + INODE_SIZE] = inode_slot(draw(st.sampled_from(SLOT_KINDS)), rng, sb)
+    return bytes(image)
+
+
+@given(smashed_tables())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fsck_skipping_free_slots_and_holes_repairs_like_the_per_slot_pass(image):
+    """Every fix, in order, and every repaired byte: the shipped fsck
+    (free slots unparsed, empty directory records unvisited) against the
+    loops that looked at every slot."""
+    assert_same_repair(image)
 
 
 def test_fsck_reads_whole_blocks_only():

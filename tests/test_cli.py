@@ -175,6 +175,11 @@ def test_foreign_journal_exits_with_a_message(tmp_path, capsys):
         assert "no valid header" in refused([*TABLE1, "--scale", "1", "--resume", journal])
 
 
+def test_outage_drill_refuses_a_store_that_cannot_go_down():
+    message = refused(["fsck-remote", "--outage", "--backend", "local"])
+    assert "--outage needs a store that can go down" in message and "\n" not in message
+
+
 def test_every_registered_subcommand_is_exercised():
     (subparsers,) = (
         action

@@ -26,6 +26,7 @@ from repro.fs.ondisk import (
     Superblock,
     allocated_slots,
     find_dirent,
+    nonfree_slots,
     parse_dirents,
 )
 from repro.fs.types import BLOCK_SIZE, FileType, N_DIRECT
@@ -273,10 +274,23 @@ class TestInode:
         assert parsed.to_bytes() == packed
 
 
-class TestAllocatedSlots:
-    """The block-at-a-time scan must agree with a per-inode non-strict decode."""
+def _nonfree(ino: int, raw: bytes) -> bool:
+    """fsck's per-slot question: does a strict decode of this slot find
+    anything but a free inode (never used, or freed)?"""
+    if raw == bytes(INODE_SIZE):
+        return False
+    try:
+        return Inode.from_bytes(ino, raw, strict=True).is_allocated
+    except CorruptStructure:
+        return True
 
-    #: Good inodes of every type, a bad magic, a bad type, never-used, noise.
+
+class TestAllocatedSlots:
+    """The block-at-a-time scans must agree with per-inode decodes:
+    non-strict for the mount's free-inode scan, strict for fsck's."""
+
+    #: Good inodes of every type, a bad magic, a bad type, never-used,
+    #: noise behind a FREE tag and behind an all-zero tag, noise.
     slot_st = st.one_of(
         st.sampled_from(list(FileType)).map(lambda t: Inode(ino=0, ftype=t, nlink=1).to_bytes()),
         st.just(b"\xff\xff" + Inode(ino=0, ftype=FileType.REGULAR).to_bytes()[2:]),
@@ -284,6 +298,9 @@ class TestAllocatedSlots:
             lambda t: Inode(ino=0).to_bytes()[:2] + bytes([t]) + bytes(INODE_SIZE - 3)
         ),
         st.just(bytes(INODE_SIZE)),
+        st.binary(min_size=INODE_SIZE - 3, max_size=INODE_SIZE - 3).flatmap(
+            lambda tail: st.sampled_from([Inode(ino=0).to_bytes()[:3] + tail, bytes(3) + tail])
+        ),
         st.binary(min_size=INODE_SIZE, max_size=INODE_SIZE),
     )
 
@@ -292,6 +309,9 @@ class TestAllocatedSlots:
         oracle = [Inode.from_bytes(i, raw, strict=False).is_allocated for i, raw in enumerate(slots)]
         assert allocated_slots(b"".join(slots)) == oracle
         assert allocated_slots(memoryview(bytearray(b"".join(slots)))) == oracle
+        strict = [i for i, raw in enumerate(slots) if _nonfree(i, raw)]
+        assert nonfree_slots(b"".join(slots)) == strict
+        assert nonfree_slots(memoryview(bytearray(b"".join(slots)))) == strict
 
 
 class TestDirEntry:

@@ -1,10 +1,17 @@
 """Tests for PhysicalMemory."""
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MachineCheck
-from repro.hw.memory import PhysicalMemory
+from repro.hw import Machine, MachineConfig
+from repro.hw.bus import AccessContext
+from repro.hw.memory import ZERO_CHECKSUM, PhysicalMemory
+from repro.isa.routines import _walk_chains
+from repro.util.checksum import fletcher32
 
 
 def make_mem(pages=4, page_size=8192):
@@ -175,3 +182,118 @@ class TestReadsDoNotAllocate:
             length = min(length, 8 * PAGE - addr)
             assert mem.read(addr, length) == shadow[addr : addr + length]
         assert set(mem._pages) == touched
+
+
+# -- the known checksum ---------------------------------------------------------
+
+NODE_MAGIC = 0x4E4F4445
+
+
+def _board() -> Machine:
+    """Frames 4, 5 and 6 hold content; virtual pages 0 and 1 map 4 and 5.
+    A one-node chain hangs off the head word at virtual 0 (node at 64)."""
+    machine = Machine(MachineConfig(memory_bytes=16 * PAGE, boot_time_ns=0))
+    machine.mmu.map(0, 4)
+    machine.mmu.map(1, 5)
+    memory, rng = machine.memory, random.Random(4)
+    for pfn in (4, 5, 6):
+        memory.write(pfn * PAGE, rng.randbytes(PAGE))
+    memory.write(4 * PAGE, struct.pack("<Q", 64))
+    memory.write(4 * PAGE + 64, struct.pack("<QQQ", NODE_MAGIC, 0, 41))
+    return machine
+
+
+def _reference(machine: Machine) -> None:
+    machine.bus.fast_path = False
+
+
+def _checker(machine: Machine) -> None:
+    machine.bus.store_checker = lambda vaddr, length, ctx: None
+
+
+#: Every way frame 4 (and for some, 5) changes: ``(setup, mutation)``.
+MUTATORS = {
+    "write": (None, lambda m: m.memory.write(4 * PAGE + 100, b"new bytes")),
+    "write-across-frames": (None, lambda m: m.memory.write(5 * PAGE - 3, b"straddles")),
+    "write_u64": (None, lambda m: m.memory.write_u64(4 * PAGE + 8, 1)),
+    "fill": (None, lambda m: m.memory.fill(4 * PAGE + 8, 16, 0x5A)),
+    "flip_bit": (None, lambda m: m.memory.flip_bit(4 * PAGE + 9, 2)),
+    "erase": (None, lambda m: m.memory.erase()),
+    "load_image": (
+        None, lambda m: m.memory.load_image(random.Random(5).randbytes(m.memory.size))
+    ),
+    "copy_frame": (None, lambda m: m.memory.copy_frame(6, 4)),
+    "bus.store": (None, lambda m: m.bus.store(100, b"new bytes")),
+    "bus.store-across-pages": (None, lambda m: m.bus.store(PAGE - 3, b"straddles")),
+    "bus.store-reference": (_reference, lambda m: m.bus.store(100, b"new bytes")),
+    "bus.store-checker": (_checker, lambda m: m.bus.store(100, b"new bytes")),
+    "bus.store_u64": (None, lambda m: m.bus.store_u64(8, 0x0123456789ABCDEF)),
+    "bus.store_u64-reference": (_reference, lambda m: m.bus.store_u64(8, 0x0123456789ABCDEF)),
+    "bus.store_u8": (None, lambda m: m.bus.store_u8(3, 0x77)),
+    "bus.store_u8-reference": (_reference, lambda m: m.bus.store_u8(3, 0x77)),
+    "bus.store_frame": (None, lambda m: struct.pack_into("<Q", m.bus.store_frame(16), 16, 7)),
+    # The page port as the kernel's walkers use it: one store_frame, then
+    # the counter bumped in place.
+    "page-port-walk": (
+        None, lambda m: _walk_chains(m.bus, 0, 1, NODE_MAGIC, 31, AccessContext())
+    ),
+}
+
+
+class TestKnownChecksum:
+    """``page_checksum`` answers from the frame's known checksum while its
+    generation is unchanged; every mutator moves the generation, so after
+    any of them the answer is the frame's Fletcher-32 again."""
+
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_every_mutator_invalidates_it(self, name):
+        setup, mutate = MUTATORS[name]
+        machine = _board()
+        memory = machine.memory
+        if setup is not None:
+            setup(machine)
+        before = {pfn: memory.page_checksum(pfn) for pfn in (4, 5, 6)}
+        assert all(memory.known_checksum(pfn) == before[pfn] for pfn in before)
+        mutate(machine)
+        after = {pfn: fletcher32(memory.frame(pfn)) for pfn in (4, 5, 6)}
+        assert after[4] != before[4]  # a stale answer would be visible
+        for pfn in (4, 5, 6):
+            assert memory.page_checksum(pfn) == after[pfn], pfn
+
+    def test_a_never_written_frame_is_the_zero_constant(self):
+        memory = make_mem()
+        assert memory.known_checksum(1) == memory.page_checksum(1) == ZERO_CHECKSUM
+        assert ZERO_CHECKSUM == fletcher32(bytes(PAGE)) == fletcher32(b"")
+        assert not memory._pages and not memory._checksums
+        memory.write(PAGE, bytes(4))  # resident now, however zero: not known
+        assert memory.known_checksum(1) is None
+        memory.erase()
+        assert memory.known_checksum(1) == ZERO_CHECKSUM
+        with pytest.raises(MachineCheck):
+            memory.page_checksum(4)
+
+    def test_copy_frame_carries_a_current_checksum(self):
+        memory = _board().memory
+        memory.page_checksum(6)
+        memory.copy_frame(6, 7)
+        assert memory.frame(7) == memory.frame(6)
+        assert memory.known_checksum(7) == fletcher32(memory.frame(7))  # no pass needed
+        memory.copy_frame(8, 7)  # a never-written source: all zeros
+        assert memory.frame(7) == bytes(PAGE) and memory.known_checksum(7) == ZERO_CHECKSUM
+
+    def test_copy_frame_never_carries_a_stale_checksum(self):
+        machine = _board()
+        memory = machine.memory
+        memory.page_checksum(4)
+        memory.page_checksum(7)  # the destination's own, about to be stale too
+        machine.bus.store_u64(8, 0xFEEDFACE)  # frame 4 changes behind the record
+        memory.copy_frame(4, 7)
+        assert memory.known_checksum(7) is None
+        assert memory.page_checksum(7) == fletcher32(memory.frame(4))
+
+    def test_record_checksum_holds_until_the_next_mutation(self):
+        memory = _board().memory
+        memory.record_checksum(4, 0x1234)  # what a caller derived, taken on trust
+        assert memory.page_checksum(4) == 0x1234
+        memory.write(4 * PAGE, b"x")
+        assert memory.page_checksum(4) == fletcher32(memory.frame(4))

@@ -160,6 +160,7 @@ def _play(name: str, fast_path: bool, seed: int, *, adjust: bool, monkeypatch):
             bus.store_u64(page.vaddr + intruder.pop(), 0xDEADBEEF)
         real_end_write(page)
         assert page.checksum == fletcher32(memory.frame(page.pfn)), page.key
+        assert memory.known_checksum(page.pfn) == page.checksum  # recorded, either path
         assert rio.registry.read_entry(page.registry_slot).checksum == page.checksum
         checksums.append((page.key, page.checksum))
 

@@ -12,19 +12,24 @@ same equivalence is ``tests/test_sparse_image.py``.)
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend.audit import remote_recovery_audit
 from repro.disk.device import EXTENT_SECTORS, SimulatedDisk
 from repro.fs.dissect import (
+    Finding,
+    FindingKind,
     dissect_image,
     dump_image,
     image_sha256,
     install,
     load_image,
+    parser,
     snapshot,
 )
 from repro.fs.dissect.image import WINDOW
@@ -69,6 +74,58 @@ def test_sparse_and_flat_images_hash_and_dissect_alike(pair):
     assert bytes(sparse) == flat
     assert image_sha256(sparse) == image_sha256(flat) == hashlib.sha256(flat).hexdigest()
     assert dissect_image(sparse).to_json_dict() == dissect_image(flat).to_json_dict()
+
+
+@contextlib.contextmanager
+def counting_walks():
+    """The images ``dissect_image`` walks (memo misses and flat images)
+    while the block runs."""
+    walks = []
+    walk = parser._dissect
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "_dissect", lambda data: walks.append(data) or walk(data))
+        yield walks
+
+
+@given(sparse_images())
+@settings(max_examples=40, deadline=None)
+def test_a_memo_hit_is_a_fresh_scan_the_caller_owns(pair):
+    """A sparse image seen before is not walked again: the hit equals a
+    walk of the flat image (which bypasses the memo), and a caller
+    scribbling on its report changes no later answer."""
+    sparse, flat = pair
+    with counting_walks() as walks:
+        first = dissect_image(sparse)
+        walks.clear()
+        again = dissect_image(SparseBytes(len(sparse), list(sparse.runs())))  # same runs, new value
+        assert walks == []
+        fresh = dissect_image(flat)
+        dissect_image(flat)
+        assert len(walks) == 2  # flat: walked every time
+    assert again.to_json() == first.to_json() == fresh.to_json()
+    again.findings.append(Finding(FindingKind.PARSER_ERROR, "image", "scribbled"))
+    again.walk_completed = not again.walk_completed
+    again.inodes_scanned += 1
+    first.findings.clear()
+    assert dissect_image(sparse).to_json() == fresh.to_json()
+
+
+def test_the_memo_is_bounded_and_forgets_the_least_recent():
+    images = [
+        SparseBytes(2 * BLOCK_SIZE, [(BLOCK_SIZE, seed.to_bytes(2, "little"))])
+        for seed in range(1, parser.MEMO_CAPACITY + 3)
+    ]
+    for image in images[: parser.MEMO_CAPACITY]:
+        dissect_image(image)
+    dissect_image(images[0])  # now the most recently used
+    for image in images[parser.MEMO_CAPACITY :]:
+        dissect_image(image)
+    assert len(parser._memo) == parser.MEMO_CAPACITY
+    with counting_walks() as walks:
+        dissect_image(images[0])  # kept
+        dissect_image(images[1])  # the least recently used: dropped, walked again
+    assert len(walks) == 1 and walks[0] is images[1]
+    assert len(parser._memo) == parser.MEMO_CAPACITY
 
 
 def multi_window_image() -> tuple[SparseBytes, bytes]:
