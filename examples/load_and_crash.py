@@ -36,8 +36,8 @@ def main() -> None:
 
     rio = run_traffic_campaign(storm("rio_prot"))
     print(format_traffic_report(rio))
-    assert rio.crashes_observed == CRASHES
-    assert rio.lost_acks == 0 and rio.ok
+    assert rio.verdict["crashes_observed"] == CRASHES
+    assert rio.verdict["lost_acks"] == 0 and rio.ok
 
     print()
     disk = run_traffic_campaign(storm("disk"))
@@ -45,9 +45,9 @@ def main() -> None:
 
     print()
     print("the contrast:")
-    print(f"  rio_prot : {rio.load.acked} acks, {rio.lost_acks} lost")
-    print(f"  disk     : {disk.load.acked} acks, {disk.lost_acks} lost")
-    if disk.lost_acks > 0:
+    print(f"  rio_prot : {rio.load.acked} acks, {rio.verdict['lost_acks']} lost")
+    print(f"  disk     : {disk.load.acked} acks, {disk.verdict['lost_acks']} lost")
+    if disk.verdict["lost_acks"] > 0:
         print("  the disk system broke its durability promises; Rio kept every one")
 
 

@@ -438,12 +438,23 @@ def _age_filesystem(system, *, ops: int, seed: int, prefix: str = "/aged") -> No
         system.vfs.close(fd)
 
 
+def _build_system(args, **overrides):
+    """The ``--system`` / ``--blocks`` stack; a file system too small
+    for mkfs ends the command with mkfs's message."""
+    from repro.errors import InvalidArgument
+    from repro.system import build_system, system_spec_for
+
+    try:
+        return build_system(system_spec_for(args.system, fs_blocks=args.blocks, **overrides))
+    except InvalidArgument as exc:
+        raise SystemExit(f"mkfs --blocks {args.blocks}: {exc}")
+
+
 def cmd_dump_disk(args) -> int:
     """Build a file system, optionally age it, flush, and dump the image."""
     from repro.fs.dissect import dump_image, snapshot
-    from repro.system import build_system, system_spec_for
 
-    system = build_system(system_spec_for(args.system, fs_blocks=args.blocks))
+    system = _build_system(args)
     if args.age:
         _age_filesystem(system, ops=args.age, seed=args.seed)
     # Only a fully flushed image is expected to parse clean: on Rio the
@@ -481,7 +492,6 @@ def cmd_fsck_remote(args) -> int:
     from repro.backend.audit import mount_materialized
     from repro.backend.fsck_remote import fsck_remote
     from repro.fs.dissect import second_opinion
-    from repro.system import build_system, system_spec_for
 
     if args.outage and args.backend == "local":
         raise SystemExit(
@@ -489,13 +499,7 @@ def cmd_fsck_remote(args) -> int:
             "(--backend objectstore or tiered), not --backend local"
         )
     say = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    spec = system_spec_for(
-        args.system,
-        fs_blocks=args.blocks,
-        backend=args.backend,
-        backend_seed=args.seed,
-    )
-    system = build_system(spec)
+    system = _build_system(args, backend=args.backend, backend_seed=args.seed)
     store = system.backing
 
     # Phase 1: seeded churn, drained and sealed — the healthy baseline.
@@ -606,24 +610,38 @@ def cmd_load_disk(args) -> int:
     return 0 if divergence.agreed else 1
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_system_flag(parser) -> None:
+    from repro.system import SYSTEM_NAMES
+
     parser.add_argument(
         "--system",
         default="rio_prot",
-        help="disk | rio_noprot | rio_prot (default rio_prot)",
+        choices=SYSTEM_NAMES,
+        help="the system under test (default rio_prot)",
     )
 
 
 def _add_load_flags(parser, *, pipeline: bool = True) -> None:
     """The flags ``serve``/``loadgen``/``cluster``/``chaos`` share."""
     _add_system_flag(parser)
-    parser.add_argument("--clients", type=int, default=16, help="concurrent clients")
+    parser.add_argument("--clients", type=_positive_int, default=16, help="concurrent clients")
     parser.add_argument(
         "--ops", type=int, default=30, help="programs per client (default 30)"
     )
     if pipeline:
         parser.add_argument(
-            "--pipeline", type=int, default=4, help="requests each client keeps in flight"
+            "--pipeline",
+            type=_positive_int,
+            default=4,
+            help="requests each client keeps in flight",
         )
     else:
         parser.set_defaults(pipeline=4)
@@ -740,7 +758,7 @@ def _flags_loadgen(p) -> None:
 def _flags_cluster(p) -> None:
     _add_load_flags(p)
     _add_storm_flags(p, crashes=0)
-    p.add_argument("--shards", type=int, default=2, help="kernel shards (default 2)")
+    p.add_argument("--shards", type=_positive_int, default=2, help="kernel shards (default 2)")
     p.add_argument(
         "--jobs",
         type=int,
@@ -779,11 +797,14 @@ def _flags_chaos(p) -> None:
 
 
 def _flags_explore(p) -> None:
+    from repro.explore import WORKLOAD_NAMES
+
     p.add_argument(
         "workload",
         nargs="?",
         default="basic",
-        help="basic | traffic (default basic)",
+        choices=WORKLOAD_NAMES,
+        help="the workload to sweep (default basic)",
     )
     _add_system_flag(p)
     p.add_argument("--seed", type=int, default=1, help="workload seed")
@@ -795,7 +816,7 @@ def _flags_explore(p) -> None:
         "report at any N)",
     )
     p.add_argument("--ops", type=int, default=8, help="basic: seeded write rounds (default 8)")
-    p.add_argument("--clients", type=int, default=2, help="traffic: clients (default 2)")
+    p.add_argument("--clients", type=_positive_int, default=2, help="traffic: clients (default 2)")
     p.add_argument(
         "--ops-per-client",
         type=int,

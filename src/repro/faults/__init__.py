@@ -21,7 +21,8 @@ consequences unfold as the workload executes the corrupted code.
 
 A second, orthogonal fault family lives in
 :mod:`repro.faults.capabilities`: debugfs-style *chaos capabilities*
-(allocation failure, queue overflow, disk-full, slow IO, fail-Nth) with
+(allocation failure, queue overflow, disk-full, slow IO, fail-Nth,
+object-store failure and outage) declared by :class:`ChaosSpec`s, with
 probability/interval/times knobs and per-client/session/routine scoping,
 aimed at the service tier rather than kernel text.
 """
@@ -32,9 +33,9 @@ from repro.faults.capabilities import (
     CAPABILITY_NAMES,
     REQUEST_SCOPED,
     ChaosCapability,
-    ChaosContext,
     ChaosRegistry,
     ChaosScope,
+    ChaosSpec,
 )
 
 __all__ = [
@@ -45,7 +46,7 @@ __all__ = [
     "CAPABILITY_NAMES",
     "REQUEST_SCOPED",
     "ChaosCapability",
-    "ChaosContext",
     "ChaosRegistry",
     "ChaosScope",
+    "ChaosSpec",
 ]

@@ -67,36 +67,26 @@ CAPABILITY_NAMES = (
 REQUEST_SCOPED = frozenset({"fail_alloc", "fail_disk_full", "fail_nth_syscall"})
 
 
-@dataclass
-class ChaosContext:
-    """Where the system currently is: which client/session/routine.
-
-    Pushed by the file service around each request's execution (see
-    :meth:`ChaosRegistry.request_scope`); hook sites may override single
-    fields (the admission hook passes the client explicitly because no
-    request is executing yet).
-    """
-
-    client: Optional[int] = None
-    session: Optional[int] = None
-    routine: Optional[str] = None
-
-
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class ChaosScope:
-    """What a capability is restricted to; ``None`` fields match anything.
+    """Who is executing, or whom a capability is restricted to.
 
-    ``client`` is a client id, ``session`` a session sequence number
-    (one per :meth:`SessionManager.open_session`, surviving warm
-    reboots), ``routine`` a request op name (``"write"``, ``"mkdir"``,
-    ...).
+    As the ambient request identity it is pushed by the file service
+    around each request's execution (see :meth:`ChaosRegistry.request_scope`);
+    hook sites may override single fields (the admission hook passes the
+    client explicitly because no request is executing yet).  As the base
+    of a :class:`ChaosSpec` it is the capability's restriction, where
+    ``None`` matches anything.  ``client`` is a client id, ``session`` a
+    session sequence number (one per :meth:`SessionManager.open_session`,
+    surviving warm reboots), ``routine`` a request op name (``"write"``,
+    ``"mkdir"``, ...).
     """
 
     client: Optional[int] = None
     session: Optional[int] = None
     routine: Optional[str] = None
 
-    def matches(self, ctx: Optional[ChaosContext]) -> bool:
+    def matches(self, ctx: Optional["ChaosScope"]) -> bool:
         """True when every constrained field equals the context's."""
         if ctx is None:
             return self.client is None and self.session is None and self.routine is None
@@ -107,19 +97,23 @@ class ChaosScope:
         )
 
 
-@dataclass
-class ChaosCapability:
-    """One armed fault capability with its knobs and counters.
+@dataclass(frozen=True)
+class ChaosSpec(ChaosScope):
+    """One capability arming: its name, knobs and scope, declared once.
 
     Knob semantics mirror the Linux fault-injection attributes:
 
     * ``probability`` — percent chance an otherwise-eligible call fires;
     * ``interval`` — only every ``interval``-th eligible call may fire;
-    * ``times`` — remaining fires (``-1`` = unlimited; reaching 0
+    * ``times`` — fires allowed (``-1`` = unlimited; spending them
       exhausts the capability);
     * ``nth`` — ``fail_nth_syscall`` only: the Nth scope-matched call
       fires, once per ``(client, session)`` counter;
     * ``factor`` — ``slow_io`` only: service-time multiplier.
+
+    The scope fields (``client``, ``session``, ``routine``) are
+    keyword-only.  A spec rejects knob values outside their domains when
+    it is built.
     """
 
     name: str
@@ -128,17 +122,8 @@ class ChaosCapability:
     times: int = -1
     nth: int = 0
     factor: float = 8.0
-    scope: ChaosScope = field(default_factory=ChaosScope)
-    #: Scope-matched evaluations and actual fires (observability; the
-    #: per-client split backs the scope-isolation tests).
-    calls: int = 0
-    fires: int = 0
-    fires_by_client: Dict[Optional[int], int] = field(default_factory=dict)
-    _nth_counts: Dict[tuple, int] = field(default_factory=dict)
-    _rng: Optional[DeterministicRandom] = None
 
-    def validate(self) -> None:
-        """Reject knob values outside their documented domains."""
+    def __post_init__(self) -> None:
         if self.name not in CAPABILITY_NAMES:
             raise ConfigurationError(f"unknown chaos capability {self.name!r}")
         if not 0 <= self.probability <= 100:
@@ -152,34 +137,48 @@ class ChaosCapability:
         if self.factor <= 0:
             raise ConfigurationError("factor must be positive")
 
-    @property
-    def exhausted(self) -> bool:
-        """True once a bounded ``times`` budget has been spent."""
-        return self.times == 0
 
-    def evaluate(self, ctx: Optional[ChaosContext]) -> bool:
+@dataclass
+class ChaosCapability:
+    """One armed :class:`ChaosSpec` with its PRNG and counters."""
+
+    spec: ChaosSpec
+    rng: DeterministicRandom
+    #: Fires still allowed (``-1`` = unlimited; 0 = exhausted).
+    times_left: int = field(init=False)
+    #: Scope-matched evaluations and actual fires (observability; the
+    #: per-client split backs the scope-isolation tests).
+    calls: int = 0
+    fires: int = 0
+    fires_by_client: Dict[Optional[int], int] = field(default_factory=dict)
+    _nth_counts: Dict[tuple, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.times_left = self.spec.times
+
+    def evaluate(self, ctx: Optional[ChaosScope]) -> bool:
         """Decide whether this capability fires for ``ctx``.
 
         Counters advance only on scope-matched evaluations, so a
         capability scoped to client A is a pure function of client A's
         call stream — client B's traffic cannot perturb it.
         """
-        if self.exhausted or not self.scope.matches(ctx):
+        spec = self.spec
+        if self.times_left == 0 or not spec.matches(ctx):
             return False
         self.calls += 1
-        if self.nth > 0:
+        if spec.nth > 0:
             key = (ctx.client, ctx.session) if ctx is not None else (None, None)
             count = self._nth_counts.get(key, 0) + 1
             self._nth_counts[key] = count
-            if count != self.nth:
+            if count != spec.nth:
                 return False
-        elif self.interval > 1 and self.calls % self.interval != 0:
+        elif spec.interval > 1 and self.calls % spec.interval != 0:
             return False
-        if self.probability < 100:
-            if self._rng is None or self._rng.randrange(100) >= self.probability:
-                return False
-        if self.times > 0:
-            self.times -= 1
+        if spec.probability < 100 and self.rng.randrange(100) >= spec.probability:
+            return False
+        if self.times_left > 0:
+            self.times_left -= 1
         self.fires += 1
         client = ctx.client if ctx is not None else None
         self.fires_by_client[client] = self.fires_by_client.get(client, 0) + 1
@@ -188,10 +187,10 @@ class ChaosCapability:
     def snapshot(self) -> dict:
         """JSON-safe counter summary for reports and digests."""
         return {
-            "capability": self.name,
+            "capability": self.spec.name,
             "calls": self.calls,
             "fires": self.fires,
-            "times_left": self.times,
+            "times_left": self.times_left,
             "fires_by_client": {
                 str(client): count
                 for client, count in sorted(
@@ -215,40 +214,21 @@ class ChaosRegistry:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._caps: Dict[str, List[ChaosCapability]] = {}
-        self._context: List[ChaosContext] = []
+        self._context: List[ChaosScope] = []
         self._armed = 0
         self._calm = 0
 
     # -- arming --------------------------------------------------------
 
-    def enable(
-        self,
-        name: str,
-        *,
-        probability: int = 100,
-        interval: int = 1,
-        times: int = -1,
-        nth: int = 0,
-        factor: float = 8.0,
-        client: Optional[int] = None,
-        session: Optional[int] = None,
-        routine: Optional[str] = None,
-    ) -> ChaosCapability:
-        """Arm one capability; multiple arms of one name may coexist
-        with different scopes (the *matrix* of the module name)."""
+    def enable(self, name: str, **knobs) -> ChaosCapability:
+        """Arm ``ChaosSpec(name, **knobs)``; multiple arms of one name may
+        coexist with different scopes (the *matrix* of the module name)."""
         cap = ChaosCapability(
-            name=name,
-            probability=probability,
-            interval=interval,
-            times=times,
-            nth=nth,
-            factor=factor,
-            scope=ChaosScope(client=client, session=session, routine=routine),
-        )
-        cap.validate()
-        cap._rng = DeterministicRandom(
-            self.seed ^ (sum(ord(c) << i for i, c in enumerate(name)) * 0x9E3779B9)
-            ^ (self._armed * 0x85EBCA6B)
+            ChaosSpec(name, **knobs),
+            DeterministicRandom(
+                self.seed ^ (sum(ord(c) << i for i, c in enumerate(name)) * 0x9E3779B9)
+                ^ (self._armed * 0x85EBCA6B)
+            ),
         )
         self._armed += 1
         self._caps.setdefault(name, []).append(cap)
@@ -261,23 +241,16 @@ class ChaosRegistry:
     # -- ambient context -----------------------------------------------
 
     @contextmanager
-    def request_scope(
-        self,
-        *,
-        client: Optional[int] = None,
-        session: Optional[int] = None,
-        routine: Optional[str] = None,
-    ):
-        """Push the executing request's identity for the hooks below it."""
-        self._context.append(
-            ChaosContext(client=client, session=session, routine=routine)
-        )
+    def request_scope(self, **identity):
+        """Push the executing request's identity (:class:`ChaosScope`
+        fields) for the hooks below it."""
+        self._context.append(ChaosScope(**identity))
         try:
             yield
         finally:
             self._context.pop()
 
-    def current_context(self) -> Optional[ChaosContext]:
+    def current_context(self) -> Optional[ChaosScope]:
         """The innermost active request context, or ``None``."""
         return self._context[-1] if self._context else None
 
@@ -300,11 +273,11 @@ class ChaosRegistry:
 
     def _effective_context(
         self, client: Optional[int], routine: Optional[str]
-    ) -> Optional[ChaosContext]:
+    ) -> Optional[ChaosScope]:
         ctx = self.current_context()
         if client is None and routine is None:
             return ctx
-        return ChaosContext(
+        return ChaosScope(
             client=client if client is not None else (ctx.client if ctx else None),
             session=ctx.session if ctx else None,
             routine=routine if routine is not None else (ctx.routine if ctx else None),
@@ -343,7 +316,7 @@ class ChaosRegistry:
         ctx = self.current_context()
         for cap in caps:
             if cap.evaluate(ctx):
-                service_ns = int(service_ns * cap.factor)
+                service_ns = int(service_ns * cap.spec.factor)
         return service_ns
 
     # -- observability -------------------------------------------------

@@ -46,8 +46,6 @@ from repro.reliability.chaos import (
     DEFAULT_MATRIX,
     ChaosCampaignConfig,
     ChaosCampaignResult,
-    ChaosSpec,
-    ChaosTrialResult,
     format_chaos_report,
     run_chaos_campaign,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "DEFAULT_MATRIX",
     "ChaosCampaignConfig",
     "ChaosCampaignResult",
-    "ChaosSpec",
-    "ChaosTrialResult",
     "format_chaos_report",
     "run_chaos_campaign",
     "PropagationSummary",

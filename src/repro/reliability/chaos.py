@@ -23,36 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
+from repro.faults import ChaosSpec
 from repro.reliability.pool import ParallelMap
 from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
-
-
-@dataclass(frozen=True)
-class ChaosSpec:
-    """One capability arming, in wire-safe form.
-
-    Field names match :meth:`ChaosRegistry.enable` exactly, so a spec's
-    dict form is the enable call's kwargs; a tuple of these dicts is
-    what :attr:`TrafficConfig.chaos` carries across process boundaries.
-    """
-
-    name: str
-    probability: int = 100
-    interval: int = 1
-    times: int = -1
-    nth: int = 0
-    factor: float = 8.0
-    client: Optional[int] = None
-    session: Optional[int] = None
-    routine: Optional[str] = None
-
-    def to_json_dict(self) -> dict:
-        """The enable-kwargs dict (JSON-safe)."""
-        return asdict(self)
 
 
 #: The default capability matrix: one trial per capability plus a calm
@@ -84,48 +61,13 @@ class ChaosCampaignConfig:
 
 
 @dataclass
-class ChaosTrialResult:
-    """One trial's SLO summary (wire-safe)."""
-
-    trial: str
-    capabilities: Tuple[str, ...] = ()
-    acked: int = 0
-    failed: int = 0
-    rejected: int = 0
-    retried: int = 0
-    lost_acks: int = 0
-    crashes_observed: int = 0
-    recoveries: int = 0
-    recovery_ns: int = 0
-    chaos_fires: int = 0
-    chaos_snapshot: List[dict] = field(default_factory=list)
-    p50_ns: int = 0
-    p99_ns: int = 0
-    throughput_ops_per_vsec: float = 0.0
-    ack_digest: str = ""
-    state_digest: str = ""
-    ok: bool = False
-
-    def to_json_dict(self) -> dict:
-        """JSON-safe form shipped back from trial workers."""
-        data = asdict(self)
-        data["capabilities"] = list(self.capabilities)
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChaosTrialResult":
-        """Rebuild a trial result from its wire form."""
-        data = dict(data)
-        data["capabilities"] = tuple(data.get("capabilities", ()))
-        return cls(**data)
-
-
-@dataclass
 class ChaosCampaignResult:
     """The whole matrix's outcome."""
 
     config: ChaosCampaignConfig
-    trials: List[ChaosTrialResult] = field(default_factory=list)
+    #: One dict per trial that ran, in matrix order (see
+    #: :func:`_chaos_trial_entry` for its keys).
+    trials: List[dict] = field(default_factory=list)
     digest: str = ""
     quarantined: List = field(default_factory=list)
 
@@ -135,30 +77,26 @@ class ChaosCampaignResult:
         return (
             not self.quarantined
             and len(self.trials) == len(self.config.matrix)
-            and all(trial.ok for trial in self.trials)
+            and all(trial["ok"] for trial in self.trials)
         )
 
     @property
     def total_fires(self) -> int:
         """Capability fires summed over the matrix."""
-        return sum(trial.chaos_fires for trial in self.trials)
+        return sum(trial["chaos_fires"] for trial in self.trials)
 
     def compute_digest(self) -> str:
         """sha256 over every trial's identity-bearing fields, in matrix
         order — the bit-identical-at-any-jobs/engine fixture."""
         h = hashlib.sha256()
+        keys = (
+            "trial", "ack_digest", "state_digest", "chaos_fires", "chaos_snapshot",
+            "lost_acks", "crashes_observed",
+        )
         for trial in self.trials:
             h.update(
                 json.dumps(
-                    {
-                        "trial": trial.trial,
-                        "ack_digest": trial.ack_digest,
-                        "state_digest": trial.state_digest,
-                        "chaos_fires": trial.chaos_fires,
-                        "chaos_snapshot": trial.chaos_snapshot,
-                        "lost_acks": trial.lost_acks,
-                        "crashes_observed": trial.crashes_observed,
-                    },
+                    {key: trial[key] for key in keys},
                     sort_keys=True,
                     separators=(",", ":"),
                 ).encode()
@@ -171,7 +109,7 @@ class ChaosCampaignResult:
         return {
             "digest": self.digest,
             "ok": self.ok,
-            "trials": [trial.to_json_dict() for trial in self.trials],
+            "trials": self.trials,
             "quarantined": self.quarantined,
         }
 
@@ -195,16 +133,7 @@ def run_chaos_campaign(config: ChaosCampaignConfig) -> ChaosCampaignResult:
         "repro.reliability.chaos:_chaos_trial_entry", jobs=config.base.jobs
     )
     tasks = [
-        (
-            trial,
-            {
-                "trial": trial,
-                "config": replace(
-                    config.base,
-                    chaos=tuple(spec.to_json_dict() for spec in specs),
-                ),
-            },
-        )
+        (trial, {"trial": trial, "config": replace(config.base, chaos=specs)})
         for trial, specs in config.matrix
     ]
     raw = pmap.run(tasks)
@@ -215,9 +144,18 @@ def run_chaos_campaign(config: ChaosCampaignConfig) -> ChaosCampaignResult:
             # A worker died on this trial (quarantined by the engine).
             result.quarantined.append(trial)
             continue
-        result.trials.append(ChaosTrialResult.from_json_dict(summary))
+        result.trials.append(summary)
     result.digest = result.compute_digest()
     return result
+
+
+#: What a trial reports of its :class:`~repro.server.LoadReport` and of
+#: its kernel's :meth:`~repro.server.Shard.verdict`.
+_LOAD_KEYS = ("acked", "failed", "rejected", "retried", "throughput_ops_per_vsec")
+_VERDICT_KEYS = (
+    "lost_acks", "crashes_observed", "recoveries", "recovery_ns", "chaos_fires",
+    "chaos_snapshot",
+)
 
 
 def _chaos_trial_entry(payload: dict) -> dict:
@@ -230,27 +168,18 @@ def _chaos_trial_entry(payload: dict) -> dict:
     """
     config = payload["config"]
     result = run_traffic_campaign(config)
-    load = result.load
-    return ChaosTrialResult(
-        trial=payload["trial"],
-        capabilities=tuple(sorted({spec["name"] for spec in config.chaos})),
-        acked=load.acked,
-        failed=load.failed,
-        rejected=load.rejected,
-        retried=load.retried,
-        lost_acks=result.lost_acks,
-        crashes_observed=result.crashes_observed,
-        recoveries=result.recoveries,
-        recovery_ns=result.recovery_ns,
-        chaos_fires=result.chaos_fires,
-        chaos_snapshot=list(result.chaos_snapshot),
-        p50_ns=load.latency_percentile(0.50),
-        p99_ns=load.latency_percentile(0.99),
-        throughput_ops_per_vsec=load.throughput_ops_per_vsec,
-        ack_digest=result.ack_digest,
-        state_digest=result.state_digest,
-        ok=result.ok,
-    ).to_json_dict()
+    load, verdict = result.load, result.verdict
+    return {
+        "trial": payload["trial"],
+        "capabilities": sorted({spec.name for spec in config.chaos}),
+        **{key: getattr(load, key) for key in _LOAD_KEYS},
+        **{key: verdict[key] for key in _VERDICT_KEYS},
+        "p50_ns": load.latency_percentile(0.50),
+        "p99_ns": load.latency_percentile(0.99),
+        "ack_digest": result.ack_digest,
+        "state_digest": result.state_digest,
+        "ok": result.ok,
+    }
 
 
 def format_chaos_report(result: ChaosCampaignResult) -> str:
@@ -267,9 +196,9 @@ def format_chaos_report(result: ChaosCampaignResult) -> str:
     ]
     for trial in result.trials:
         lines.append(
-            f"  {trial.trial:<18} {trial.chaos_fires:>5} {trial.acked:>6} "
-            f"{trial.p50_ns / 1e6:>8.2f} {trial.p99_ns / 1e6:>8.2f} "
-            f"{trial.recovery_ns / 1e6:>11.2f} {trial.lost_acks:>4}"
+            f"  {trial['trial']:<18} {trial['chaos_fires']:>5} {trial['acked']:>6} "
+            f"{trial['p50_ns'] / 1e6:>8.2f} {trial['p99_ns'] / 1e6:>8.2f} "
+            f"{trial['recovery_ns'] / 1e6:>11.2f} {trial['lost_acks']:>4}"
         )
     lines += [
         "",

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.faults import FaultType
+from repro.faults import ChaosSpec, FaultType
 from repro.fs.ondisk import INODES_PER_BLOCK
 from repro.server import (
     ClusterConfig,
@@ -82,10 +82,8 @@ class TrafficConfig:
     #: backend armed the campaign reconciles the remote tier at every
     #: storm recovery and finishes with the remote-only audit.
     backend: Optional[str] = None
-    #: Chaos capability specs to arm — a tuple of JSON-safe dicts whose
-    #: keys match :meth:`ChaosRegistry.enable` (``name`` plus knobs and
-    #: scope fields).  Empty means no chaos.
-    chaos: tuple = ()
+    #: Chaos capabilities to arm on every kernel.  Empty means no chaos.
+    chaos: Tuple[ChaosSpec, ...] = ()
     #: Kernel shards behind a consistent-hash router, or None for one
     #: kernel served alone.  A cluster's storm rolls: the schedule is
     #: staggered so one shard is down at a time.
@@ -103,59 +101,25 @@ class TrafficConfig:
 class TrafficResult:
     """What one traffic campaign observed.
 
-    The per-kernel fields are folded from :attr:`kernels` by
-    :func:`_fold`: one kernel's verdict as it stands; several kernels'
-    counters summed, verdict booleans ``all()``-ed, lists concatenated in
-    shard order.  What does neither — the final image hash, the
-    remote-only audit, the remote tier's stats — is one kernel's fact and
-    stays in :attr:`kernels` when there are several.
+    Every per-kernel fact is a key of :meth:`Shard.verdict`, declared
+    there once: :attr:`kernels` holds each kernel's verdict in shard
+    order and :attr:`verdict` is their fold (:func:`fold_verdicts`).
     """
 
     config: TrafficConfig
     #: :meth:`Shard.verdict` of every kernel, in shard order.
     kernels: List[dict] = field(default_factory=list)
-    crashes_observed: int = 0
-    recoveries: int = 0
-    faults_injected: int = 0
-    watchdog_fired: int = 0
-    lost_acks: int = 0
-    repaired_acks: int = 0
-    rebinds: int = 0
-    rebind_failures: int = 0
-    transparent_retries: int = 0
-    #: The final durability audit, of every kernel.
-    final_audit_ok: bool = False
-    #: Virtual time spent in recovery (reboot + audit), summed.
-    recovery_ns: int = 0
-    #: Total chaos capability fires, and the per-capability snapshot
-    #: (:meth:`ChaosRegistry.snapshot`) when chaos was armed.
-    chaos_fires: int = 0
-    chaos_snapshot: list = field(default_factory=list)
     load: LoadReport = field(default_factory=LoadReport)
-    #: Independent-verifier second opinions: one dissect scan after each
-    #: storm recovery (post-fsck) plus one of the final flushed image.
-    dissect_scans: int = 0
-    dissect_divergences: int = 0
-    divergence_details: list = field(default_factory=list)
-    final_image_sha256: str = ""
-    final_dissect_findings: int = 0
-    final_dissect_clean: bool = False
-    #: Remote tier (set only when ``config.backend`` is armed): storm
-    #: recoveries that reconciled the object store, repairs they
-    #: applied, deferred reconciles, and the final remote-only audit
-    #: (a :meth:`~repro.backend.audit.RemoteCheck.to_json_dict`).
-    remote_reconciles: int = 0
-    remote_repairs: int = 0
-    remote_deferred: int = 0
-    remote_audit: Optional[dict] = None
-    #: :meth:`TieredStats.to_json_dict` snapshot (uploads, dedup hits...)
-    #: with the link's :class:`BackendStats` under ``"link"``.
-    remote_stats: Optional[dict] = None
     #: Cluster only: the cross-shard rename intent audit
     #: (:meth:`ClusterService.audit_intents`) and the cluster digest
     #: taken after it.
     intent_audit: Optional[dict] = None
     cluster_digest: str = ""
+
+    @property
+    def verdict(self) -> dict:
+        """The kernels' verdicts as one (see :func:`fold_verdicts`)."""
+        return fold_verdicts(self.kernels)
 
     @property
     def remote_ok(self) -> bool:
@@ -169,12 +133,14 @@ class TrafficResult:
     @property
     def failed_checks(self) -> List[str]:
         """Names of the checks behind :attr:`ok` that did not hold."""
+        verdict = self.verdict
         intents_ok = self.intent_audit is None or bool(self.intent_audit.get("ok"))
         checks = (
-            ("lost acks", self.lost_acks == 0),
-            ("final audit", self.final_audit_ok),
+            ("lost acks", verdict["lost_acks"] == 0),
+            ("final audit", verdict["final_audit_ok"]),
             ("remote audit", self.remote_ok),
             ("intent audit", intents_ok),
+            ("clients unfinished", self.load.unfinished == 0),
         )
         return [name for name, held in checks if not held]
 
@@ -182,7 +148,7 @@ class TrafficResult:
     def ok(self) -> bool:
         """The zero-lost-acks guarantee, including the final audit (plus
         the remote-only audit when a backend is armed, and the settled
-        intent log on a cluster)."""
+        intent log on a cluster), over a load that ran to completion."""
         return not self.failed_checks
 
     @property
@@ -195,24 +161,11 @@ class TrafficResult:
         """Digest of the expected post-run state (single service)."""
         return self.load.digests.get("state_digest", "")
 
-    #: Attributes the JSON report carries verbatim.
-    _VERBATIM_KEYS = (
-        "crashes_observed", "recoveries", "lost_acks", "transparent_retries",
-        "faults_injected", "watchdog_fired", "repaired_acks", "rebinds",
-        "rebind_failures", "recovery_ns", "chaos_fires", "chaos_snapshot",
-        "ack_digest", "state_digest", "dissect_scans", "dissect_divergences",
-        "divergence_details", "final_image_sha256", "final_dissect_findings",
-        "final_dissect_clean",
-    )
-
     def to_json_dict(self) -> dict:
-        """JSON-serializable summary (drops the live objects).
-
-        Remote-tier keys appear only when ``config.backend`` is armed,
-        so backend-less campaigns (and the chaos digests derived from
-        them) serialize exactly as before; the cluster keys (the
-        per-kernel verdicts among them) only when ``config.shards`` is
-        set.
+        """JSON-serializable summary: the config's axes, the load, and
+        every key of :attr:`verdict` (``remote_*`` only with a backend);
+        the cluster keys (the per-kernel verdicts among them) only when
+        ``config.shards`` is set.
         """
         config, load = self.config, self.load
         data = {
@@ -226,13 +179,15 @@ class TrafficResult:
             "rejected": load.rejected,
             "throughput_ops_per_vsec": load.throughput_ops_per_vsec,
             "wall_virtual_ns": load.wall_virtual_ns,
+            "ack_digest": self.ack_digest,
+            "state_digest": self.state_digest,
             "ok": self.ok,
+            **self.verdict,
         }
-        data.update({key: getattr(self, key) for key in self._VERBATIM_KEYS})
+        # The final audit is in ``ok``; a cluster reports it by name.
+        final_audit_ok = data.pop("final_audit_ok")
         if config.backend is not None:
-            data["backend"] = config.backend
-            for key in ("reconciles", "repairs", "deferred", "ok", "audit", "stats"):
-                data[f"remote_{key}"] = getattr(self, f"remote_{key}")
+            data.update(backend=config.backend, remote_ok=self.remote_ok)
         if config.shards is not None:
             intents = self.intent_audit or {}
             data.update(
@@ -241,7 +196,7 @@ class TrafficResult:
                 router_mode=config.router_mode,
                 jobs=config.jobs,
                 cross_renames=intents.get("intents", 0),
-                shard_audits_ok=self.final_audit_ok,
+                shard_audits_ok=final_audit_ok,
                 intent_audit=dict(intents),
                 cluster_digest=self.cluster_digest,
                 kernels=self.kernels,
@@ -249,19 +204,31 @@ class TrafficResult:
         return data
 
 
-def _fold(values: list):
-    """One per-kernel fact over all kernels (see :class:`TrafficResult`);
-    None where several kernels' facts neither sum nor concatenate."""
-    first = values[0]
-    if len(values) == 1:
-        return first
-    if isinstance(first, bool):
-        return all(values)
-    if isinstance(first, int):
-        return sum(values)
-    if isinstance(first, list):
-        return [item for value in values for item in value]
-    return None
+def fold_verdicts(kernels: List[dict]) -> dict:
+    """Several kernels' :meth:`Shard.verdict` as one.
+
+    One kernel's verdict stands as it is.  Over several, each key is
+    folded by the type of its value: ints summed, bools ``all()``-ed,
+    lists concatenated in shard order.  A string or dict — the final
+    image hash, the remote-only audit, the remote tier's stats — is one
+    kernel's fact: it stays in ``kernels`` and reads ``""`` or ``None``
+    in the fold.
+    """
+    if len(kernels) == 1:
+        return dict(kernels[0])
+    folded = {}
+    for key in kernels[0]:
+        values = [kernel[key] for kernel in kernels]
+        first = values[0]
+        if isinstance(first, bool):
+            folded[key] = all(values)
+        elif isinstance(first, int):
+            folded[key] = sum(values)
+        elif isinstance(first, list):
+            folded[key] = [item for value in values for item in value]
+        else:
+            folded[key] = "" if isinstance(first, str) else None
+    return folded
 
 
 def rolling_crash_points(config: TrafficConfig) -> Dict[int, Tuple[int, ...]]:
@@ -362,19 +329,15 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
             result.kernels = cluster.verdicts()
             result.intent_audit = cluster.audit_intents()
             result.cluster_digest = cluster.cluster_digest()
-    for key in result.kernels[0]:
-        folded = _fold([verdict[key] for verdict in result.kernels])
-        if folded is not None:
-            setattr(result, key, folded)
     return result
 
 
 def format_traffic_report(result: TrafficResult) -> str:
     """Human-readable summary of one traffic campaign."""
-    config, load = result.config, result.load
+    config, load, verdict = result.config, result.load, result.verdict
     clustered = config.shards is not None
     intents = result.intent_audit or {}
-    remote = result.remote_audit or {}
+    remote = verdict.get("remote_audit") or {}
     links = [(kernel.get("remote_stats") or {}).get("link", {}) for kernel in result.kernels]
     link = {
         key: sum(stats.get(key, 0) for stats in links)
@@ -393,39 +356,39 @@ def format_traffic_report(result: TrafficResult) -> str:
         (
             "storm",
             f"rolling, {config.crashes} crashes/shard "
-            f"({result.crashes_observed} observed, {result.recoveries} recoveries)",
+            f"({verdict['crashes_observed']} observed, {verdict['recoveries']} recoveries)",
         )
         if clustered
-        else ("crashes", f"{result.crashes_observed} observed / {config.crashes} requested"),
+        else ("crashes", f"{verdict['crashes_observed']} observed / {config.crashes} requested"),
         config.storm == "faults"
         and (
             "faults",
-            f"{result.faults_injected} injected ({config.fault_type.value}), "
-            f"watchdog fired {result.watchdog_fired}",
+            f"{verdict['faults_injected']} injected ({config.fault_type.value}), "
+            f"watchdog fired {verdict['watchdog_fired']}",
         ),
         config.chaos
         and (
             "chaos",
-            ",".join(sorted({cap["name"] for cap in config.chaos}))
-            + f": {result.chaos_fires} fires",
+            ",".join(sorted({cap.name for cap in config.chaos}))
+            + f": {verdict['chaos_fires']} fires",
         ),
         (
             "acked",
             f"{load.acked} (failed {load.failed}, rejected {load.rejected}, "
             f"retried {load.retried})",
         ),
-        ("transparent", f"{result.transparent_retries} requests re-run across crashes"),
+        ("transparent", f"{verdict['transparent_retries']} requests re-run across crashes"),
         (
             "cross renames",
             f"{intents.get('intents', 0)} (rolled forward "
             f"{intents.get('rolled_forward', 0)}, back {intents.get('rolled_back', 0)})",
         )
         if clustered
-        else ("rebinds", f"{result.rebinds} fds re-bound, {result.rebind_failures} stale"),
+        else ("rebinds", f"{verdict['rebinds']} fds re-bound, {verdict['rebind_failures']} stale"),
         (
             "lost acks",
-            f"{result.lost_acks}"
-            + (f"  (repaired {result.repaired_acks})" if result.repaired_acks else ""),
+            f"{verdict['lost_acks']}"
+            + (f"  (repaired {verdict['repaired_acks']})" if verdict["repaired_acks"] else ""),
         ),
         (
             "throughput",
@@ -443,20 +406,20 @@ def format_traffic_report(result: TrafficResult) -> str:
         not clustered
         and (
             "dissect",
-            f"{result.dissect_scans} scans, {result.dissect_divergences} fsck "
+            f"{verdict['dissect_scans']} scans, {verdict['dissect_divergences']} fsck "
             "divergences, final image "
             + (
                 "CLEAN"
-                if result.final_dissect_clean
-                else f"{result.final_dissect_findings} findings"
+                if verdict["final_dissect_clean"]
+                else f"{verdict['final_dissect_findings']} findings"
             )
-            + f" ({result.final_image_sha256[:16]})",
+            + f" ({verdict['final_image_sha256'][:16]})",
         ),
         config.backend is not None
         and (
             "remote tier",
-            f"backend={config.backend}: {result.remote_reconciles} reconciles "
-            f"({result.remote_repairs} repairs, {result.remote_deferred} deferred), "
+            f"backend={config.backend}: {verdict['remote_reconciles']} reconciles "
+            f"({verdict['remote_repairs']} repairs, {verdict['remote_deferred']} deferred), "
             "final audit "
             + ("OK" if result.remote_ok else "FAILED")
             + (
@@ -478,7 +441,7 @@ def format_traffic_report(result: TrafficResult) -> str:
             else "FAILED: " + ", ".join(result.failed_checks),
         ),
         *(("intent audit", detail) for detail in intents.get("violations", [])[:5]),
-        *(("divergence", detail) for detail in result.divergence_details[:5]),
+        *(("divergence", detail) for detail in verdict["divergence_details"][:5]),
     ]
     title = "cluster traffic campaign" if clustered else "traffic-under-faults campaign"
     return "\n".join(

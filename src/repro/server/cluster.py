@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
-from repro.faults import ChaosRegistry, FaultType
+from repro.faults import ChaosRegistry, ChaosSpec, FaultType
 from repro.server.protocol import (
     Backpressure,
     QuotaExceeded,
@@ -113,8 +113,8 @@ class KernelSpec:
     #: Tiered backing store behind the disk ("local" | "objectstore" |
     #: "tiered"), or None for the single-tier stack.
     backend: Optional[str] = None
-    #: Chaos capabilities to arm: :meth:`ChaosRegistry.enable` kwargs.
-    chaos: tuple = ()
+    #: Chaos capabilities to arm.
+    chaos: Tuple[ChaosSpec, ...] = ()
     #: What the chaos registry, the backend's latency model and the
     #: fault injector draw from.
     seed: int = 1
@@ -160,7 +160,7 @@ class Shard:
         if spec.chaos:
             registry = ChaosRegistry(seed=spec.seed)
             for capability in spec.chaos:
-                registry.enable(**dict(capability))
+                registry.enable(**asdict(capability))
             self.system.install_chaos(registry)
         # The service's session-rebind hook registers before the second
         # opinion below, and its /srv mkdir is journaled.
@@ -216,11 +216,7 @@ class Shard:
             "clock_ns": self.system.clock.now_ns,
             "ack_digest": self.service.journal.ack_digest(),
             "state_digest": self.service.journal.state_digest(),
-            "journal_entries": len(self.service.journal),
-            "executed": stats.executed,
             "acked": stats.acked,
-            "failed": stats.failed,
-            "crashes_detected": stats.crashes_detected,
             "recoveries": stats.recoveries,
             "transparent_retries": stats.transparent_retries,
             "lost_acks": stats.lost_acks,
@@ -240,7 +236,10 @@ class Shard:
 
     def verdict(self) -> Dict[str, Any]:
         """Judge the finished run: counters, the final durability audit,
-        the second opinions, the remote-only audit (JSON-safe).
+        the second opinions, the remote-only audit (JSON-safe).  Every
+        per-kernel result fact is declared here and nowhere else; a
+        campaign folds several kernels' verdicts by the rules of
+        :func:`~repro.reliability.traffic.fold_verdicts`.
 
         Unlike :meth:`snapshot` and :meth:`audit` this *flushes* the
         file system — mid-run the Rio disk is legitimately stale, so
@@ -267,9 +266,12 @@ class Shard:
             "rebind_failures": sum(session.rebind_failures for session in sessions),
             "transparent_retries": stats.transparent_retries,
             "final_audit_ok": final.ok,
+            # Virtual time spent in recovery (reboot + audit).
             "recovery_ns": stats.recovery_ns,
             "chaos_fires": sum(capability["fires"] for capability in chaos),
             "chaos_snapshot": chaos,
+            # Independent-verifier second opinions: one dissect scan
+            # after each storm recovery (post-fsck) plus the final image.
             "dissect_scans": len(opinions) + 1,
             "dissect_divergences": sum(1 for d in opinions if not d.agreed),
             "divergence_details": [line for d in opinions for line in d.details],
@@ -289,6 +291,7 @@ class Shard:
                 remote_repairs=sum(r.repairs for r in reconciles),
                 remote_deferred=sum(1 for r in reconciles if r.deferred),
                 remote_audit=remote_recovery_audit(system, service.journal).to_json_dict(),
+                # The tiered store's stats, the link's under "link".
                 remote_stats={
                     **system.backing.stats.to_json_dict(),
                     "link": system.backing.remote.stats.to_json_dict(),

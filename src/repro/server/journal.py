@@ -98,9 +98,6 @@ class AckJournal:
         #: Paths whose absence is promised (acked unlink/rmdir/rename-from).
         self.absent: Set[str] = set()
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     # -- recording acknowledgements -----------------------------------
 
     def record(

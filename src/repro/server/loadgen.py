@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.errors import ConfigurationError
 from repro.server.protocol import Request, Response
 from repro.util.prng import DeterministicRandom, pattern_bytes
 
@@ -61,6 +62,11 @@ class LoadSpec:
     max_file_bytes: int = 16 * 1024
     #: Requests a client keeps in flight at once.
     pipeline: int = 4
+
+    def __post_init__(self) -> None:
+        if self.pipeline < 1:
+            # A client that may keep nothing in flight never submits.
+            raise ConfigurationError(f"pipeline must be >= 1, got {self.pipeline}")
 
 
 #: The program mix and its relative weights.
@@ -261,6 +267,8 @@ class LoadReport:
     retried: int = 0
     rejected: int = 0
     rounds: int = 0
+    #: Clients not done when ``max_rounds`` ran out (0: the load finished).
+    unfinished: int = 0
     #: Elapsed virtual time; behind a cluster, the slowest shard's
     #: (shards run concurrently, so the run is done when it is).
     wall_virtual_ns: int = 0
@@ -325,6 +333,8 @@ def run_load(
         if idle and target.scheduler.backlog() == 0:
             if all(client.done for client in clients):
                 break
+    else:
+        report.unfinished = sum(1 for client in clients if not client.done)
     report.rounds = rounds
     clocks, report.digests = target.load_mark()
     report.wall_virtual_ns = max(

@@ -388,9 +388,9 @@ class TestTrafficRemote:
             )
         )
         assert result.ok and result.remote_ok
-        assert result.remote_reconciles == 1
-        assert result.remote_audit["ok"]
-        assert result.remote_stats["uploads"] > 0
+        assert result.verdict["remote_reconciles"] == 1
+        assert result.verdict["remote_audit"]["ok"]
+        assert result.verdict["remote_stats"]["uploads"] > 0
         data = result.to_json_dict()
         assert data["backend"] == "tiered" and data["remote_ok"]
 
@@ -441,9 +441,8 @@ class TestTrafficRemote:
         hot, ref = run(True), run(False)
         assert hot.ack_digest == ref.ack_digest
         assert hot.state_digest == ref.state_digest
-        assert (
-            hot.remote_audit["image_sha256"] == ref.remote_audit["image_sha256"]
-        )
+        images = [result.verdict["remote_audit"]["image_sha256"] for result in (hot, ref)]
+        assert images[0] == images[1]
 
     def test_audit_remote_raises_on_outage(self):
         """With the store unreachable the remote audit defers (never
@@ -491,11 +490,11 @@ class TestTierCost:
         assert virt[None] <= virt["tiered"] < virt["objectstore"]
         assert virt["tiered"] - virt[None] < virt["objectstore"] - virt["tiered"]
         for backend in ("objectstore", "tiered"):
-            assert grid[backend].remote_stats["uploads"] > 0
-        link = grid["tiered"].remote_stats["link"]
+            assert grid[backend].verdict["remote_stats"]["uploads"] > 0
+        link = grid["tiered"].verdict["remote_stats"]["link"]
         assert link["posted_writes"] > 0
         assert link["waited_ns"] < link["service_ns"]
-        link = grid["objectstore"].remote_stats["link"]
+        link = grid["objectstore"].verdict["remote_stats"]["link"]
         assert link["posted_writes"] == 0
         assert link["waited_ns"] == link["service_ns"]
 

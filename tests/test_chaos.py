@@ -12,10 +12,9 @@ invariants) live here too.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import ChaosRegistry
+from repro.faults import ChaosRegistry, ChaosSpec
 from repro.reliability import (
     ChaosCampaignConfig,
-    ChaosSpec,
     TrafficConfig,
     format_chaos_report,
     rolling_crash_points,
@@ -114,17 +113,22 @@ def test_slow_io_multiplies_service_time():
 
 
 def test_bad_knobs_are_rejected():
+    cases = [
+        ("no_such_capability", {}),
+        ("fail_queue", {"probability": 101}),
+        ("fail_queue", {"interval": 0}),
+        ("fail_queue", {"times": -2}),
+        ("fail_nth_syscall", {"nth": -1}),
+        ("slow_io", {"factor": 0}),
+    ]
     registry = ChaosRegistry()
-    with pytest.raises(ConfigurationError):
-        registry.enable("no_such_capability")
-    with pytest.raises(ConfigurationError):
-        registry.enable("fail_queue", probability=101)
-    with pytest.raises(ConfigurationError):
-        registry.enable("fail_queue", interval=0)
-    with pytest.raises(ConfigurationError):
-        registry.enable("fail_queue", times=-2)
-    with pytest.raises(ConfigurationError):
-        registry.enable("slow_io", factor=0)
+    for name, knobs in cases:
+        with pytest.raises(ConfigurationError):
+            ChaosSpec(name, **knobs)
+        # ``enable`` builds the same spec, so it refuses the same knobs.
+        with pytest.raises(ConfigurationError):
+            registry.enable(name, **knobs)
+    assert registry.capabilities() == []
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +278,23 @@ def _small_campaign(ops_per_client=10, **overrides):
 def test_matrix_zero_lost_acks_and_every_capability_wired():
     result = run_chaos_campaign(_small_campaign(seed=11, clients=6, ops_per_client=16))
     assert result.ok
-    assert [t.trial for t in result.trials] == [
+    assert [t["trial"] for t in result.trials] == [
         "baseline", "fail_alloc", "fail_queue", "fail_disk_full",
         "slow_io", "fail_nth_syscall",
     ]
-    by_name = {t.trial: t for t in result.trials}
-    assert by_name["baseline"].chaos_fires == 0
+    by_name = {t["trial"]: t for t in result.trials}
+    assert by_name["baseline"]["chaos_fires"] == 0
     for trial in result.trials:
-        assert trial.lost_acks == 0
-        assert trial.crashes_observed == 1
-        assert trial.recovery_ns > 0
+        assert trial["lost_acks"] == 0
+        assert trial["crashes_observed"] == 1
+        assert trial["recovery_ns"] > 0
         # Every armed capability actually struck: the hooks are wired,
         # not decorative.
-        assert trial.chaos_fires > 0 or trial.trial == "baseline", trial.trial
+        assert trial["chaos_fires"] > 0 or trial["trial"] == "baseline", trial["trial"]
     # slow_io stretches IO but denies nothing, so nothing fails.
-    assert by_name["slow_io"].chaos_fires > 0
-    assert by_name["slow_io"].failed == 0
-    assert by_name["slow_io"].p99_ns >= by_name["baseline"].p99_ns
+    assert by_name["slow_io"]["chaos_fires"] > 0
+    assert by_name["slow_io"]["failed"] == 0
+    assert by_name["slow_io"]["p99_ns"] >= by_name["baseline"]["p99_ns"]
     report = format_chaos_report(result)
     assert "ZERO LOST ACKS UNDER CHAOS" in report
 
@@ -325,11 +329,11 @@ def test_chaos_scoped_to_one_client_never_fires_for_another():
             crashes=1,
             seed=5,
             load=LoadSpec(ops_per_client=12),
-            chaos=(ChaosSpec("fail_nth_syscall", nth=3, times=2, client=1).to_json_dict(),),
+            chaos=(ChaosSpec("fail_nth_syscall", nth=3, times=2, client=1),),
         )
     )
-    assert result.ok and result.lost_acks == 0
-    (snap,) = result.chaos_snapshot
+    assert result.ok and result.verdict["lost_acks"] == 0
+    (snap,) = result.verdict["chaos_snapshot"]
     assert snap["fires"] > 0
     assert set(snap["fires_by_client"]) == {"1"}
 
@@ -355,11 +359,11 @@ def test_adversarial_seeds_lose_no_acks(seed, spec):
             crashes=1,
             seed=seed,
             load=LoadSpec(ops_per_client=12),
-            chaos=(spec.to_json_dict(),),
+            chaos=(spec,),
         )
     )
     assert result.ok
-    assert result.lost_acks == 0
+    assert result.verdict["lost_acks"] == 0
 
 
 def test_times_budget_exhausts_end_to_end():
@@ -370,10 +374,10 @@ def test_times_budget_exhausts_end_to_end():
             crashes=1,
             seed=5,
             load=LoadSpec(ops_per_client=12),
-            chaos=(ChaosSpec("slow_io", times=3).to_json_dict(),),
+            chaos=(ChaosSpec("slow_io", times=3),),
         )
     )
     assert result.ok
-    (snap,) = result.chaos_snapshot
+    (snap,) = result.verdict["chaos_snapshot"]
     assert snap["fires"] == 3
     assert snap["times_left"] == 0

@@ -180,6 +180,37 @@ def test_outage_drill_refuses_a_store_that_cannot_go_down():
     assert "--outage needs a store that can go down" in message and "\n" not in message
 
 
+#: Arguments argparse itself refuses: an unknown system or workload, a
+#: count below one (``--pipeline 0`` used to spin through ``run_load``'s
+#: round cap and report success with nothing acked).
+BAD_ARGUMENTS = [
+    *(
+        [name, "--system", "bogus"]
+        for name in ("serve", "loadgen", "cluster", "chaos", "explore", "fsck-remote")
+    ),
+    ["dump-disk", "out.img", "--system", "bogus"],
+    ["explore", "bogus"],
+    ["cluster", "--shards", "0"],
+    ["serve", "--clients", "0"],
+    ["loadgen", "--clients", "2", "--ops", "3", "--pipeline", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+def test_a_bad_argument_is_a_one_line_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2, argv
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith(f"repro {argv[0]}: error: argument "), error
+
+
+@pytest.mark.parametrize("argv", [["dump-disk", "{tmp}/small.img"], ["fsck-remote"]])
+def test_a_file_system_too_small_for_mkfs_exits_with_its_message(argv, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--blocks", "4"]
+    assert refused(argv) == "mkfs --blocks 4: file system too small for its metadata"
+
+
 def test_every_registered_subcommand_is_exercised():
     (subparsers,) = (
         action

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.faults import ChaosSpec
 from repro.obs.events import FlightRecorder
 from repro.server import (
     ClusterConfig,
@@ -342,8 +343,8 @@ def test_rolling_storm_loses_nothing_and_acks_match_calm():
     calm = _campaign(crashes=0)
     storm = _campaign(crashes=2)
     assert storm.ok, storm.to_json_dict()
-    assert storm.lost_acks == 0
-    assert storm.recoveries >= 2
+    assert storm.verdict["lost_acks"] == 0
+    assert storm.verdict["recoveries"] >= 2
     assert storm.load.acked == calm.load.acked
     # Crash transparency means the acknowledged history is identical —
     # digest and all — not merely the same size.
@@ -487,7 +488,7 @@ def _fill_shard(cluster, shard, first_req_id):
     [
         pytest.param(dict(fs_blocks=192), "ENOSPC", False, id="destination-full"),
         pytest.param(
-            dict(chaos=(dict(name="fail_nth_syscall", routine="read", nth=2, times=1),)),
+            dict(chaos=(ChaosSpec("fail_nth_syscall", routine="read", nth=2, times=1),)),
             "ECHAOS", True, id="source-read-denied",
         ),
     ],
@@ -758,7 +759,7 @@ def test_hash_router_clean_run_reports_zero_lost_acks():
             load=LoadSpec(ops_per_client=16),
         )
     )
-    assert result.crashes_observed == 0 and result.lost_acks == 0
+    assert result.verdict["crashes_observed"] == 0 and result.verdict["lost_acks"] == 0
     assert result.intent_audit["intents"] == 20
     assert result.intent_audit["ok"], result.intent_audit["violations"]
     assert result.ok and result.failed_checks == []
@@ -767,23 +768,17 @@ def test_hash_router_clean_run_reports_zero_lost_acks():
 
 def test_verdict_names_the_audit_that_failed():
     from repro.reliability import format_traffic_report
-    from repro.reliability.traffic import TrafficResult
 
-    result = TrafficResult(
-        config=TrafficConfig(shards=2, clients=2, router_mode="hash"),
-        final_audit_ok=True,
-        intent_audit={
-            "intents": 1,
-            "ok": False,
-            "violations": ["intent 0: destination /srv/c000/x missing after completion"],
-        },
+    violation = "intent 0: destination /srv/c000/x missing after completion"
+    result = replace(
+        _campaign(), intent_audit={"intents": 1, "ok": False, "violations": [violation]}
     )
     assert not result.ok and result.failed_checks == ["intent audit"]
     report = format_traffic_report(result)
     assert "verdict         FAILED: intent audit" in report
-    assert "intent 0: destination /srv/c000/x missing after completion" in report
+    assert violation in report
     assert "ACKS LOST" not in report
-    result.lost_acks = 2
+    result.kernels[1]["lost_acks"] = 2
     assert result.failed_checks == ["lost acks", "intent audit"]
 
 

@@ -786,10 +786,10 @@ class TestSecondOpinionEndToEnd:
         )
         assert result.ok
         # One scan per storm recovery plus the final flushed-image scan.
-        assert result.dissect_scans >= 2
-        assert result.dissect_divergences == 0, result.divergence_details
-        assert result.final_dissect_clean, result.final_dissect_findings
-        assert len(result.final_image_sha256) == 64
+        assert result.verdict["dissect_scans"] >= 2
+        assert result.verdict["dissect_divergences"] == 0, result.verdict["divergence_details"]
+        assert result.verdict["final_dissect_clean"], result.verdict["final_dissect_findings"]
+        assert len(result.verdict["final_image_sha256"]) == 64
         blob = result.to_json_dict()
         assert blob["final_dissect_clean"] is True
-        assert blob["dissect_scans"] == result.dissect_scans
+        assert blob["dissect_scans"] == result.verdict["dissect_scans"]

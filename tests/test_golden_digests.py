@@ -28,6 +28,7 @@ from collections import Counter
 import pytest
 
 from repro.explore import ExploreConfig, explore, run_enumeration
+from repro.faults import ChaosSpec
 from repro.faults.types import FaultType
 from repro.fs.fsck import LOST_FOUND_INO, FsckReport
 from repro.fs.ondisk import INODES_PER_BLOCK, INODE_SIZE, Inode
@@ -57,6 +58,7 @@ GOLDEN = {
         "virtual_ns": 101061389695,
         "recovery_ns": 101008872700,
         "final_image_sha256": "0646460c8e88a5a97591c88837cd356db8adfe37fb60a8b5266a4dc98019ba73",
+        "report_sha256": "7d54609b4f78116922679b3994a456c30b979a7eb9e1ab4777482c251a2b8674",
     },
     "table1": "48c199392bbb89bfee45487615c7bc7726e23c2ed0c9670d806a5f141891a90e",
     # ``local`` and ``objectstore`` wait for every remote request: recorded
@@ -97,6 +99,7 @@ GOLDEN = {
             "acked": 90,
             "recoveries": 2,
             "intents": 0,
+            "report_sha256": "4bca774b3ca9211a57426a392084b98c1130306627331ef28af68604d9db25fc",
         },
         "hash": {
             "cluster_digest": "6d14b06b976f5236c883ac1c2625fd15cd62fd8c44326fda832ac4997c582046",
@@ -105,6 +108,7 @@ GOLDEN = {
             "acked": 90,
             "recoveries": 2,
             "intents": 1,
+            "report_sha256": "cbc91399a37fcd576f2f171d1f9c07ef2577dd4fbd842dd5b20ac9f19c6b9e23",
         },
     },
     # New in PR 20 (the parent refused the combination), acknowledged.
@@ -119,6 +123,7 @@ GOLDEN = {
             "14d2f012e558169bf6536dda583f2d8ddce2304658d5484925d411c5065f1504",
             "509d508ceda8c5b2a6316d4ba29aa311e47d2807dd974a7e7429ae682f30cf7f",
         ],
+        "report_sha256": "94d6cf15de0aef9e96b6016d8f3ff1cd02e7b6722ba5ffb5ac369c6ac42b240c",
     },
     # Re-recorded once (it read 64de0b40... before): a kernel lock now
     # releases on an errno, so ``fail_alloc`` no longer declines to fire
@@ -126,6 +131,7 @@ GOLDEN = {
     "chaos": {
         "digest": "8c59afb19d44b2df1b351eb73c4bbadd8b813f24fc22aa6f7b029ff9d27e6a42",
         "fires": 17,
+        "report_sha256": "d675bdc7d25f627ef64f687eab6ba3e9fe5303c98c5c06035fea1595c9f9d6a3",
     },
     "fault_storm": {
         "ack_digest": "de6b6c5f0cfcc1341ae18ed95e80a41d32b71b664fc90bfd0c7ccef75fe04d03",
@@ -133,6 +139,7 @@ GOLDEN = {
         "faults_injected": 2,
         "watchdog_fired": 0,
         "virtual_ns": 67191435155,
+        "report_sha256": "5d51397c3e155b2e4980a93e8a91b6259a6b719b95069eeafc27fe6a6b4cc7b4",
     },
     "repair": {
         "ack_digest": "0ccc74a21fa1ee1852dec73120e86f5298897196588dd628533729063e6af273",
@@ -140,6 +147,7 @@ GOLDEN = {
         "repaired_acks": 24,
         "final_audit_ok": True,
         "virtual_ns": 63755514070,
+        "report_sha256": "b9a60d7619fbcc13e6e3a64aacb16cee89eb646f4d211171fb02cbd63c60e3d8",
     },
     "boot": {
         "cold": {
@@ -175,6 +183,15 @@ BOOT_BUS = {"cold": (34, 201), "warm_unchecked": (54, 219), "warm_fsck": (54, 21
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _report_sha(result, drop: tuple = ()) -> str:
+    """sha256 of the result's whole JSON report, minus the ``drop`` keys.
+
+    Every ``report_sha256`` value was recorded on 8de18e1, before the
+    report became one fold of the kernels' :meth:`Shard.verdict`."""
+    report = {key: value for key, value in result.to_json_dict().items() if key not in drop}
+    return _sha(json.dumps(report, sort_keys=True).encode())
 
 
 # -- observations (also run by hand on a parent checkout to re-capture) ------
@@ -220,8 +237,9 @@ def observe_traffic() -> dict:
         "ack_digest": result.ack_digest,
         "state_digest": result.state_digest,
         "virtual_ns": result.load.wall_virtual_ns,
-        "recovery_ns": result.recovery_ns,
-        "final_image_sha256": result.final_image_sha256,
+        "recovery_ns": result.verdict["recovery_ns"],
+        "final_image_sha256": result.verdict["final_image_sha256"],
+        "report_sha256": _report_sha(result),
     }
 
 
@@ -237,9 +255,9 @@ def observe_backend(flavour: str) -> dict:
     return {
         "ack_digest": result.ack_digest,
         "state_digest": result.state_digest,
-        "remote_image_sha256": result.remote_audit["image_sha256"],
+        "remote_image_sha256": result.verdict["remote_audit"]["image_sha256"],
         "virtual_ns": result.load.wall_virtual_ns,
-        "uploads": result.remote_stats["uploads"],
+        "uploads": result.verdict["remote_stats"]["uploads"],
     }
 
 
@@ -262,8 +280,9 @@ def observe_cluster(router_mode: str) -> dict:
         "intent_digest": result.load.digests["intent_digest"],
         "virtual_ns": result.load.wall_virtual_ns,
         "acked": result.load.acked,
-        "recoveries": result.recoveries,
+        "recoveries": result.verdict["recoveries"],
         "intents": result.intent_audit["intents"],
+        "report_sha256": _report_sha(result),
     }
 
 
@@ -275,23 +294,25 @@ def observe_composed(jobs: int) -> dict:
             shards=2, clients=6, crashes=1, seed=11, router_mode="hash", jobs=jobs,
             storm="faults", watchdog_budget=20, backend="tiered", repair=True,
             chaos=(
-                {"name": "slow_io", "interval": 6, "times": 20},
-                {"name": "fail_nth_syscall", "nth": 9, "times": 4},
+                ChaosSpec("slow_io", interval=6, times=20),
+                ChaosSpec("fail_nth_syscall", nth=9, times=4),
             ),
             load=LIGHT,
         )
     )
-    assert result.ok and result.lost_acks == 0
+    assert result.ok and result.verdict["lost_acks"] == 0
     for kernel in result.kernels:  # the object store alone rebuilds the image
         assert kernel["remote_audit"]["image_sha256"] == kernel["final_image_sha256"]
     return {
         "cluster_digest": result.cluster_digest,
         "virtual_ns": result.load.wall_virtual_ns,
         "acked": result.load.acked,
-        "recoveries": result.recoveries,
-        "faults_injected": result.faults_injected,
+        "recoveries": result.verdict["recoveries"],
+        "faults_injected": result.verdict["faults_injected"],
         "chaos_fires": [kernel["chaos_fires"] for kernel in result.kernels],
         "final_images": [kernel["final_image_sha256"] for kernel in result.kernels],
+        # ``jobs`` is the one report key that names the fan-out.
+        "report_sha256": _report_sha(result, drop=("jobs",)),
     }
 
 
@@ -305,7 +326,11 @@ def observe_chaos() -> dict:
         )
     )
     assert result.ok
-    return {"digest": result.digest, "fires": result.total_fires}
+    return {
+        "digest": result.digest,
+        "fires": result.total_fires,
+        "report_sha256": _report_sha(result),
+    }
 
 
 def observe_fault_storm() -> dict:
@@ -320,9 +345,10 @@ def observe_fault_storm() -> dict:
     return {
         "ack_digest": result.ack_digest,
         "state_digest": result.state_digest,
-        "faults_injected": result.faults_injected,
-        "watchdog_fired": result.watchdog_fired,
+        "faults_injected": result.verdict["faults_injected"],
+        "watchdog_fired": result.verdict["watchdog_fired"],
         "virtual_ns": result.load.wall_virtual_ns,
+        "report_sha256": _report_sha(result),
     }
 
 
@@ -336,10 +362,11 @@ def observe_repair() -> dict:
     )
     return {
         "ack_digest": result.ack_digest,
-        "lost_acks": result.lost_acks,
-        "repaired_acks": result.repaired_acks,
-        "final_audit_ok": result.final_audit_ok,
+        "lost_acks": result.verdict["lost_acks"],
+        "repaired_acks": result.verdict["repaired_acks"],
+        "final_audit_ok": result.verdict["final_audit_ok"],
         "virtual_ns": result.load.wall_virtual_ns,
+        "report_sha256": _report_sha(result),
     }
 
 

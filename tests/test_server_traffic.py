@@ -8,9 +8,15 @@ engine.
 
 import pytest
 
-from repro.faults import FaultType
-from repro.reliability import TrafficConfig, format_traffic_report, run_traffic_campaign
-from repro.server import FileService, LoadClient, LoadSpec, run_load
+from repro.errors import ConfigurationError
+from repro.faults import ChaosSpec, FaultType
+from repro.reliability import (
+    TrafficConfig,
+    TrafficResult,
+    format_traffic_report,
+    run_traffic_campaign,
+)
+from repro.server import FileService, LoadClient, LoadSpec, Shard, ShardSpec, run_load
 from repro.system import build_system, system_spec_for
 
 
@@ -25,7 +31,7 @@ def digest_tuple(result):
         result.load.acked,
         result.load.rounds,
         result.load.wall_virtual_ns,
-        result.crashes_observed,
+        result.verdict["crashes_observed"],
     )
 
 
@@ -33,13 +39,13 @@ def test_sixteen_clients_three_crashes_zero_lost_acks():
     result = run_traffic_campaign(
         TrafficConfig(system="rio_prot", clients=16, crashes=3, seed=1, load=small_load())
     )
-    assert result.crashes_observed == 3
-    assert result.recoveries == 3
-    assert result.lost_acks == 0
-    assert result.final_audit_ok
+    assert result.verdict["crashes_observed"] == 3
+    assert result.verdict["recoveries"] == 3
+    assert result.verdict["lost_acks"] == 0
+    assert result.verdict["final_audit_ok"]
     assert result.ok
     assert result.load.acked > 16 * 12
-    assert result.rebind_failures == 0
+    assert result.verdict["rebind_failures"] == 0
     report = format_traffic_report(result)
     assert "ZERO LOST ACKS" in report
     # The storm's cost is tail latency, not lost work.
@@ -91,10 +97,10 @@ def test_fault_storm_recovers_cleanly():
             load=small_load(15),
         )
     )
-    assert result.faults_injected >= 1
+    assert result.verdict["faults_injected"] >= 1
     # Every crash that happened was recovered with nothing lost.
-    assert result.recoveries == result.crashes_observed
-    assert result.lost_acks == 0 and result.final_audit_ok
+    assert result.verdict["recoveries"] == result.verdict["crashes_observed"]
+    assert result.verdict["lost_acks"] == 0 and result.verdict["final_audit_ok"]
 
 
 def test_disk_system_loses_acks_and_repair_heals():
@@ -108,15 +114,15 @@ def test_disk_system_loses_acks_and_repair_heals():
     rio = run_traffic_campaign(
         TrafficConfig(repair=False, system="rio_prot", **{k: v for k, v in config.items() if k != "system"})
     )
-    assert rio.lost_acks == 0 and rio.ok
-    assert lossy.lost_acks > 0 and not lossy.ok
+    assert rio.verdict["lost_acks"] == 0 and rio.ok
+    assert lossy.verdict["lost_acks"] > 0 and not lossy.ok
 
     repaired = run_traffic_campaign(TrafficConfig(repair=True, **config))
-    assert repaired.repaired_acks > 0
+    assert repaired.verdict["repaired_acks"] > 0
     # Repair reports the loss (honesty) but heals the state: the final
     # audit runs against the repaired file system and comes back clean.
-    assert repaired.lost_acks > 0
-    assert repaired.final_audit_ok
+    assert repaired.verdict["lost_acks"] > 0
+    assert repaired.verdict["final_audit_ok"]
 
 
 def test_unknown_storm_rejected():
@@ -170,7 +176,7 @@ def test_full_inode_table_fails_opens_instead_of_livelocking():
 @pytest.mark.parametrize(
     "axis, took_effect",
     [
-        (dict(chaos=({"name": "slow_io"},)), lambda kernel: kernel["chaos_fires"] > 0),
+        (dict(chaos=(ChaosSpec("slow_io"),)), lambda kernel: kernel["chaos_fires"] > 0),
         (
             dict(backend="tiered"),
             lambda kernel: kernel["remote_audit"]["ok"]
@@ -196,8 +202,59 @@ def test_cluster_axis_takes_effect_on_every_shard(axis, took_effect):
     )
     assert len(result.kernels) == 2
     assert all(took_effect(kernel) for kernel in result.kernels), result.kernels
-    assert result.recoveries == result.crashes_observed >= 2
-    assert result.final_audit_ok
+    assert result.verdict["recoveries"] == result.verdict["crashes_observed"] >= 2
+    assert result.verdict["final_audit_ok"]
     # Only the disk policy loses acknowledged work (and owns up to it).
-    assert (result.lost_acks > 0) == (result.config.system == "disk")
-    assert result.repaired_acks == result.lost_acks
+    assert (result.verdict["lost_acks"] > 0) == (result.config.system == "disk")
+    assert result.verdict["repaired_acks"] == result.verdict["lost_acks"]
+
+
+def test_two_kernels_fold_by_the_rules():
+    """A two-shard run's verdict is its kernels' verdicts folded: ints
+    summed, bools ``all()``-ed, lists concatenated in shard order; a
+    string or dict is one kernel's fact and reads empty in the fold."""
+    result = run_traffic_campaign(
+        TrafficConfig(
+            shards=2, clients=6, crashes=1, seed=4, load=small_load(10), backend="tiered",
+            chaos=(ChaosSpec("slow_io", interval=6, times=20),),
+        )
+    )
+    first, second = result.kernels
+    verdict = result.verdict
+    assert verdict.keys() == first.keys() == second.keys()
+    assert verdict["recoveries"] == first["recoveries"] + second["recoveries"] == 2
+    assert verdict["chaos_fires"] == first["chaos_fires"] + second["chaos_fires"] > 0
+    assert verdict["final_audit_ok"] and verdict["final_dissect_clean"]
+    assert verdict["chaos_snapshot"] == first["chaos_snapshot"] + second["chaos_snapshot"]
+    assert len(verdict["chaos_snapshot"]) == 2
+    for key in ("final_image_sha256", "remote_audit", "remote_stats"):
+        assert first[key] and second[key] and first[key] != second[key]
+    assert verdict["final_image_sha256"] == ""
+    assert verdict["remote_audit"] is None and verdict["remote_stats"] is None
+    for key, value in verdict.items():
+        a, b = first[key], second[key]
+        if isinstance(a, bool):
+            assert value == (a and b), key
+        elif isinstance(a, (int, list)):
+            assert value == a + b, key
+        else:
+            assert value == ("" if isinstance(a, str) else None), key
+    # One kernel that fails a check fails the fold.
+    second["final_dissect_clean"] = False
+    assert not result.verdict["final_dissect_clean"]
+    second["final_audit_ok"] = False
+    assert result.failed_checks == ["final audit"]
+
+
+def test_a_load_that_never_finishes_fails_the_run():
+    # ``pipeline=0`` used to spin a run through ``run_load``'s round cap
+    # with nothing acked and report success.
+    with pytest.raises(ConfigurationError, match="pipeline"):
+        LoadSpec(pipeline=0)
+    shard = Shard(ShardSpec(fs_blocks=512))
+    clients = [LoadClient(c, seed=3, spec=small_load(12)) for c in range(2)]
+    load = run_load(shard.service, clients, max_rounds=3)
+    assert load.unfinished == 2
+    result = TrafficResult(TrafficConfig(clients=2), kernels=[shard.verdict()], load=load)
+    assert not result.ok and result.failed_checks == ["clients unfinished"]
+    assert "FAILED: clients unfinished" in format_traffic_report(result)
