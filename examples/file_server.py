@@ -18,7 +18,7 @@ very request it died inside — the clients never see the crash.
 Run:  python examples/file_server.py
 """
 
-from repro import RioConfig, SystemSpec, build_system
+from repro import SystemSpec, build_system
 from repro.server import FileService, Request, ServiceConfig
 from repro.util.prng import pattern_bytes
 
@@ -48,9 +48,7 @@ class Client:
 
 
 def main() -> None:
-    system = build_system(
-        SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=1024)
-    )
+    system = build_system(SystemSpec("rio_prot", fs_blocks=1024))
     service = FileService(system, ServiceConfig())
     mail = Client(service, MAIL)
     src = Client(service, SRC)

@@ -10,7 +10,7 @@ A tour of the machinery the other examples treat as a black box:
 Run:  python examples/inspect_rio.py
 """
 
-from repro import RioConfig, SystemSpec, build_system
+from repro import SystemSpec, build_system
 from repro.errors import ProtectionTrap
 
 
@@ -29,7 +29,7 @@ def show_registry(system, label: str) -> None:
 
 
 def main() -> None:
-    system = build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection()))
+    system = build_system(SystemSpec("rio_prot"))
     vfs = system.vfs
 
     print("== 1. The registry tracks every file cache buffer ==")

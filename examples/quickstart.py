@@ -8,13 +8,11 @@ without a single reliability-induced disk write.
 Run:  python examples/quickstart.py
 """
 
-from repro import RioConfig, SystemSpec, build_system
+from repro import SystemSpec, build_system
 
 
 def main() -> None:
-    system = build_system(
-        SystemSpec(policy="rio", rio=RioConfig.with_protection())
-    )
+    system = build_system(SystemSpec("rio_prot"))
     vfs = system.vfs
 
     print("== Rio quickstart ==")

@@ -10,7 +10,7 @@ speed, and a crash still loses nothing that committed.
 Run:  python examples/transaction_processing.py
 """
 
-from repro import RioConfig, SystemSpec, build_system
+from repro import SystemSpec, build_system
 from repro.workloads.debit_credit import DebitCreditParams, DebitCreditWorkload
 
 PARAMS = DebitCreditParams(accounts=64, transactions=200)
@@ -31,8 +31,8 @@ def run(label: str, spec: SystemSpec) -> None:
 
 def main() -> None:
     print("== Debit/credit with synchronous commit on every transaction ==")
-    rio = run("Rio (protection on)", SystemSpec(policy="rio", rio=RioConfig.with_protection()))
-    run("UFS write-through", SystemSpec(policy="wt_write"))
+    rio = run("Rio (protection on)", SystemSpec("rio_prot"))
+    run("UFS write-through", SystemSpec("wt_write"))
 
     print("\n== Crash after the full run: Rio's commits were real ==")
     rio.crash("power stayed on; the kernel did not")

@@ -11,9 +11,10 @@ Table 2 (performance).
 
 Quick start::
 
-    from repro import SystemSpec, build_system, RioConfig
+    from repro import SystemSpec, build_system
 
-    system = build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection()))
+    # A system under test is a name in repro.system.SYSTEMS.
+    system = build_system(SystemSpec("rio_prot"))
     fd = system.vfs.open("/hello", create=True)
     system.vfs.write(fd, b"files in memory, safe as disk")
     system.vfs.close(fd)

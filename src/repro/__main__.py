@@ -15,9 +15,9 @@ import sys
 
 def cmd_demo(_args) -> int:
     """The quickstart: write, crash, warm reboot, read back."""
-    from repro import RioConfig, SystemSpec, build_system
+    from repro import SystemSpec, build_system
 
-    system = build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection()))
+    system = build_system(SystemSpec("rio_prot"))
     fd = system.vfs.open("/demo", create=True)
     system.vfs.write(fd, b"memory, surviving a crash")
     system.vfs.close(fd)
@@ -56,7 +56,7 @@ def cmd_table1(args) -> int:
     from repro.faults.types import ALL_FAULT_TYPES
     from repro.reliability import SYSTEM_NAMES, CampaignEngine, format_table1
 
-    crashes = max(1, args.scale)
+    crashes = args.scale
     systems = tuple(args.systems.split(",")) if args.systems else SYSTEM_NAMES
     unknown = [s for s in systems if s not in SYSTEM_NAMES]
     if unknown:
@@ -263,7 +263,7 @@ def cmd_serve(args) -> int:
 
     config = _traffic_config(
         args,
-        crashes=max(0, args.crashes),
+        crashes=args.crashes,
         storm=args.storm,
         repair=args.repair,
         backend=args.backend,
@@ -294,7 +294,7 @@ def cmd_chaos(args) -> int:
     )
 
     config = ChaosCampaignConfig(
-        base=_traffic_config(args, crashes=max(0, args.crashes), jobs=args.jobs)
+        base=_traffic_config(args, crashes=args.crashes, jobs=args.jobs)
     )
     if args.trials:
         wanted = [name.strip() for name in args.trials.split(",")]
@@ -618,6 +618,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_system_flag(parser) -> None:
     from repro.system import SYSTEM_NAMES
 
@@ -634,7 +642,7 @@ def _add_load_flags(parser, *, pipeline: bool = True) -> None:
     _add_system_flag(parser)
     parser.add_argument("--clients", type=_positive_int, default=16, help="concurrent clients")
     parser.add_argument(
-        "--ops", type=int, default=30, help="programs per client (default 30)"
+        "--ops", type=_non_negative_int, default=30, help="programs per client (default 30)"
     )
     if pipeline:
         parser.add_argument(
@@ -658,7 +666,7 @@ def _add_storm_flags(parser, *, crashes: int | None) -> None:
     else:
         parser.add_argument(
             "--crashes",
-            type=int,
+            type=_non_negative_int,
             default=crashes,
             help=f"mid-traffic crashes per kernel (default {crashes})",
         )
@@ -690,10 +698,10 @@ def _add_storm_flags(parser, *, crashes: int | None) -> None:
 
 
 def _flags_table1(p) -> None:
-    p.add_argument("--scale", type=int, default=2, help="crashes per cell (paper: 50)")
+    p.add_argument("--scale", type=_positive_int, default=2, help="crashes per cell (paper: 50)")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the campaign engine (default 1: in process; "
         "the same table, bit for bit, at any N)",
@@ -761,7 +769,7 @@ def _flags_cluster(p) -> None:
     p.add_argument("--shards", type=_positive_int, default=2, help="kernel shards (default 2)")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="1: all shards in-process; >1: one worker process per shard "
         "(identical digests either way)",
@@ -778,13 +786,13 @@ def _flags_chaos(p) -> None:
     _add_load_flags(p, pipeline=False)
     p.add_argument(
         "--crashes",
-        type=int,
+        type=_non_negative_int,
         default=2,
         help="forced crashes per trial (default 2; 0 = no storm)",
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the trial fan-out (identical digests at any N)",
     )
@@ -810,16 +818,18 @@ def _flags_explore(p) -> None:
     p.add_argument("--seed", type=int, default=1, help="workload seed")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for the sweep (default 1: serial; identical "
         "report at any N)",
     )
-    p.add_argument("--ops", type=int, default=8, help="basic: seeded write rounds (default 8)")
+    p.add_argument(
+        "--ops", type=_non_negative_int, default=8, help="basic: seeded write rounds (default 8)"
+    )
     p.add_argument("--clients", type=_positive_int, default=2, help="traffic: clients (default 2)")
     p.add_argument(
         "--ops-per-client",
-        type=int,
+        type=_non_negative_int,
         default=4,
         help="traffic: programs per client (default 4)",
     )
@@ -868,7 +878,7 @@ def _flags_dump_disk(p) -> None:
     p.add_argument("--blocks", type=int, default=256, help="file system size in 8 KB blocks")
     p.add_argument(
         "--age",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="OPS",
         help="seeded churn operations to run before dumping (default 0)",
@@ -891,7 +901,7 @@ def _flags_fsck_remote(p) -> None:
     p.add_argument("--blocks", type=int, default=256, help="file system size in 8 KB blocks")
     p.add_argument(
         "--age",
-        type=int,
+        type=_non_negative_int,
         default=25,
         metavar="OPS",
         help="seeded churn operations per phase (default 25)",

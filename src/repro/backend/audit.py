@@ -96,7 +96,7 @@ def _mount_image(image):
     from repro.system import SystemSpec, build_system
 
     blocks = len(image) // BLOCK_SIZE
-    system = build_system(SystemSpec(fs_type="ufs", policy="ufs", fs_blocks=blocks))
+    system = build_system(SystemSpec("ufs", fs_blocks=blocks))
     system.crash("remote-tier audit mount", kind="audit")
     install(system.disk, image)
     report = system.reboot(preserve_memory=False)
@@ -119,8 +119,7 @@ def remote_recovery_audit(system, journal) -> RemoteCheck:
         return RemoteCheck(error="system has no backing store installed")
     check = RemoteCheck()
     try:
-        if system.disk is not None:
-            system.settle()
+        system.settle()
         store.drain_uploads()
         check.reconcile = fsck_remote(store, batch=True, force=True)
         if check.reconcile.deferred:

@@ -22,26 +22,13 @@ class ProtectionMode(enum.Enum):
 
 @dataclass
 class RioConfig:
-    """Toggles mapping to the paper's design points (section 2.3)."""
+    """What the Rio cache itself reads (section 2.3).  Warm reboot and the
+    write-off of reliability disk writes are not options: every system
+    with a Rio cache has both (see :data:`repro.system.SYSTEMS`)."""
 
     protection: ProtectionMode = ProtectionMode.VM_KSEG
-    #: Keep the registry and perform warm reboots.
-    warm_reboot: bool = True
-    #: Turn off reliability-induced disk writes (bwrite/bawrite -> bdwrite,
-    #: sync/fsync return immediately, panic does not flush).
-    reliability_writes_off: bool = True
     #: Atomic metadata updates via shadow pages (section 2.3, third change).
     shadow_metadata: bool = True
     #: Maintain per-buffer detection checksums in the registry (the
     #: experimental apparatus of section 3.2; off for performance runs).
     maintain_checksums: bool = True
-
-    @classmethod
-    def without_protection(cls, **overrides) -> "RioConfig":
-        """The paper's "Rio without protection" system."""
-        return cls(protection=ProtectionMode.NONE, **overrides)
-
-    @classmethod
-    def with_protection(cls, **overrides) -> "RioConfig":
-        """The paper's "Rio with protection" system."""
-        return cls(protection=ProtectionMode.VM_KSEG, **overrides)

@@ -15,7 +15,7 @@ class RioFileCache:
     Usage::
 
         kernel = Kernel(machine)
-        rio = RioFileCache(kernel, RioConfig.with_protection())
+        rio = RioFileCache(kernel, RioConfig())
         kernel.init_caches(guard=rio.guard)
 
     A non-Rio (disk-based) system simply skips this object and boots with

@@ -24,7 +24,7 @@ job count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CrashedMachineError, FileSystemError, SystemCrash
@@ -93,12 +93,10 @@ class _RunBase:
 
     def __init__(self, config: ExploreConfig) -> None:
         self.config = config
-        spec = system_spec_for(config.system, fs_blocks=config.fs_blocks)
-        if config.backend is not None:
-            spec = replace(
-                spec, backend=config.backend, backend_seed=config.seed
-            )
-        self.system = build_system(spec)
+        self.system = build_system(system_spec_for(
+            config.system, fs_blocks=config.fs_blocks,
+            backend=config.backend, backend_seed=config.seed,
+        ))
         self.recorder = self.system.machine.recorder
         self.crashed = False
         self.completed = False
@@ -127,7 +125,7 @@ class _RunBase:
         ``backend/*`` boundaries at all.  Gated on the backend so runs
         without one replay today's event streams byte for byte.
         """
-        if self.system.backing is None or self.system.disk is None:
+        if self.system.backing is None:
             return
         self.system.settle()
         self.system.backing.drain_uploads()
@@ -166,12 +164,11 @@ class _RunBase:
         location (``second_opinion(..., disclosed=True)``), in which case
         the two judges agree and only the full report records the defect.
         """
-        fsck = self.reboot.fsck
-        if self.system.disk is None or fsck is None:
-            return
         self.system.settle()
         self.image = snapshot(self.system.disk)
-        self.dissect, self.divergence = second_opinion(self.image, fsck, disclosed=True)
+        self.dissect, self.divergence = second_opinion(
+            self.image, self.reboot.fsck, disclosed=True
+        )
 
     def context(self, event_index: int) -> CrashContext:
         self._remote_check()

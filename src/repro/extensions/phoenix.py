@@ -68,7 +68,7 @@ class PhoenixFileCache(RioFileCache):
         phoenix.checkpoint()     # called periodically (or from a daemon)
     """
 
-    def __init__(self, kernel, config: RioConfig | None = None) -> None:
+    def __init__(self, kernel) -> None:
         #: page key -> snapshot pfn (the write-protected version).
         self._snapshots: dict[tuple, int] = {}
         self.checkpoints_taken = 0
@@ -76,8 +76,7 @@ class PhoenixFileCache(RioFileCache):
         # unprotected by design.
         super().__init__(
             kernel,
-            config
-            or RioConfig(
+            RioConfig(
                 protection=ProtectionMode.NONE,
                 maintain_checksums=False,
                 shadow_metadata=False,

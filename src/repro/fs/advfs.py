@@ -48,8 +48,6 @@ def _record_sectors(length: int) -> int:
 class AdvFS(UFS):
     """UFS with journaled metadata."""
 
-    fs_type = "advfs"
-
     def __init__(self, kernel, dev: int, policy=None) -> None:
         super().__init__(kernel, dev, policy or AdvFSPolicy())
         self._epoch = 1

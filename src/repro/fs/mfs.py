@@ -41,12 +41,9 @@ class _MemNode:
 class MemoryFileSystem:
     """A purely memory-resident file system with the UFS operation surface."""
 
-    fs_type = "mfs"
-
-    def __init__(self, kernel, dev: int, policy=None) -> None:
+    def __init__(self, kernel, dev: int) -> None:
         self.kernel = kernel
         self.dev = dev
-        self.policy = policy  # accepted for interface parity; unused
         self._nodes: dict[int, _MemNode] = {}
         self._next_ino = ROOT_INO
         self.mounted = False

@@ -109,8 +109,6 @@ def _fs_op(method):
 class UFS:
     """A mounted UFS instance."""
 
-    fs_type = "ufs"
-
     def __init__(self, kernel, dev: int, policy: WritePolicy | None = None) -> None:
         self.kernel = kernel
         self.dev = dev

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.kernel import KernelConfig
 from repro.perf.systems import TABLE2_KEYS, spec_for_row
 from repro.system import SystemSpec, build_system
 from repro.workloads.andrew import AndrewBenchmark, AndrewParams
@@ -48,8 +49,6 @@ class WorkloadResult:
 
 
 def _collect_disk_stats(system) -> dict:
-    if system.disk is None:
-        return {}
     stats = system.disk.stats
     return {
         "reads": stats.reads,
@@ -68,20 +67,16 @@ def run_workload(
 ) -> WorkloadResult:
     """Build the system and run one workload on it."""
     # Perf runs need room for source + destination trees on disk.
-    spec = spec_for_row(system_key, SystemSpec(fs_blocks=2048))
-    spec = replace(
-        spec, kernel=replace(spec.kernel, update_interval_ns=_UPDATE_INTERVAL_NS)
-    )
-    system = build_system(spec)
+    base = SystemSpec(fs_blocks=2048, kernel=KernelConfig(update_interval_ns=_UPDATE_INTERVAL_NS))
+    system = build_system(spec_for_row(system_key, base))
     vfs, kernel = system.vfs, system.kernel
 
-    if system_key == "mfs":
+    mount = system.row.mfs_mount
+    if mount:
         # Benchmark targets live on the memory file system.
-        cp_rm_params = replace(
-            cp_rm_params or CpRmParams(), dst_root="/mfs/dst"
-        )
-        sdet_params = replace(sdet_params or SdetParams(), root="/mfs/sdet")
-        andrew_params = replace(andrew_params or AndrewParams(), root="/mfs/andrew")
+        cp_rm_params = replace(cp_rm_params or CpRmParams(), dst_root=f"{mount}/dst")
+        sdet_params = replace(sdet_params or SdetParams(), root=f"{mount}/sdet")
+        andrew_params = replace(andrew_params or AndrewParams(), root=f"{mount}/andrew")
 
     if workload == "cp_rm":
         bench = CpRmWorkload(vfs, kernel, cp_rm_params)

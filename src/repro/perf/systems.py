@@ -1,10 +1,9 @@
-"""The eight rows of Table 2 as SystemSpecs."""
+"""The eight rows of Table 2: their labels, and their SystemSpecs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core import ProtectionMode, RioConfig
 from repro.system import SystemSpec
 
 
@@ -38,45 +37,10 @@ TABLE2_KEYS = tuple(s.key for s in TABLE2_SYSTEMS)
 
 
 def spec_for_row(key: str, base: SystemSpec | None = None) -> SystemSpec:
-    """The SystemSpec for one Table 2 row.
+    """The SystemSpec for one Table 2 row (any name of
+    :data:`repro.system.SYSTEMS`; unknown names raise ``ValueError``).
 
     Performance runs disable the detection checksums (experimental
     apparatus of the reliability study, not part of the measured system).
     """
-    base = base or SystemSpec()
-    if key == "mfs":
-        # Root stays disk-backed (the source tree must come off a disk,
-        # as on the paper's testbed); the benchmark target is the MFS
-        # mounted at /mfs.
-        return replace(
-            base, fs_type="ufs", policy="ufs_delayed", rio=None, mfs_mount="/mfs"
-        )
-    if key == "advfs":
-        return replace(base, fs_type="advfs", policy="advfs", rio=None)
-    if key in ("ufs_delayed", "ufs", "wt_close", "wt_write"):
-        return replace(base, fs_type="ufs", policy=key, rio=None)
-    if key == "rio_noprot":
-        return replace(
-            base,
-            fs_type="ufs",
-            policy="rio",
-            rio=RioConfig(protection=ProtectionMode.NONE, maintain_checksums=False),
-        )
-    if key == "rio_prot":
-        return replace(
-            base,
-            fs_type="ufs",
-            policy="rio",
-            rio=RioConfig(protection=ProtectionMode.VM_KSEG, maintain_checksums=False),
-        )
-    if key == "rio_patch":
-        # The code-patching ablation (section 2.1's 20-50% penalty).
-        return replace(
-            base,
-            fs_type="ufs",
-            policy="rio",
-            rio=RioConfig(
-                protection=ProtectionMode.CODE_PATCHING, maintain_checksums=False
-            ),
-        )
-    raise KeyError(f"unknown Table 2 row {key!r}")
+    return replace(base or SystemSpec(), name=key, checksums=False)

@@ -252,8 +252,6 @@ def dissect_second_opinion(system, reboot, result: CrashTestResult) -> None:
     """
     from repro.fs.dissect import second_opinion, snapshot
 
-    if system.disk is None or reboot.fsck is None:
-        return
     report, divergence = second_opinion(snapshot(system.disk), reboot.fsck)
     result.image_sha256 = report.image_sha256
     result.dissect_findings = [f.to_json_dict() for f in report.findings]
@@ -376,11 +374,10 @@ def run_crash_test(
     # Second opinion before any detection I/O can dirty the caches: the
     # independent dissect verifier walks the image exactly as fsck left it.
     dissect_second_opinion(system, reboot, result)
-    if reboot.fsck is not None:
-        result.fsck_fixes = reboot.fsck.fix_count
-        if reboot.fsck.unrecoverable:
-            result.recovery_failed = True
-            return finish(result)
+    result.fsck_fixes = reboot.fsck.fix_count
+    if reboot.fsck.unrecoverable:
+        result.recovery_failed = True
+        return finish(result)
     if reboot.warm is not None:
         result.checksum_mismatches = len(reboot.warm.checksum_mismatches)
 

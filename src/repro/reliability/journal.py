@@ -71,19 +71,7 @@ def read_trials(path: str) -> dict:
     ``{(system, fault, attempt): (seed, result_dict)}`` with the same
     last-wins dedup and corrupt-line skipping as :meth:`CampaignJournal.load`.
     """
-    reader = CampaignJournal(path, fingerprint={})
-    entries: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = reader._parse_line(line, lineno)
-            if record is None or record.get("kind") == "header":
-                continue
-            key = (record["system"], record["fault"], record["attempt"])
-            entries[key] = (record["seed"], record["result"])
-    return entries
+    return CampaignJournal(path, fingerprint={})._read(check_header=False)
 
 
 class CampaignJournal:
@@ -111,24 +99,9 @@ class CampaignJournal:
         :class:`CampaignResumeError`: nothing says which campaign they
         belong to.  A journal with no valid record at all starts afresh.
         """
-        entries: dict = {}
         if not os.path.exists(self.path):
-            return entries
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                self._torn = not line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
-                record = self._parse_line(line, lineno)
-                if record is None:
-                    continue
-                if record.get("kind") == "header":
-                    self._check_header(record)
-                    self._headed = True
-                    continue
-                key = (record["system"], record["fault"], record["attempt"])
-                entries[key] = (record["seed"], record["result"])
+            return {}
+        entries = self._read(check_header=True)
         if entries and not self._headed:
             raise CampaignResumeError(
                 f"{self.path}: {len(entries)} trial record(s) but no valid header; "
@@ -136,7 +109,33 @@ class CampaignJournal:
             )
         return entries
 
-    def _parse_line(self, line: str, lineno: int) -> Optional[dict]:
+    def _read(self, *, check_header: bool) -> dict:
+        """Every usable trial line, last one per key wins; a header is
+        validated against the fingerprint when ``check_header``."""
+        entries: dict = {}
+        with open(self.path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                self._torn = not raw.endswith(b"\n")
+                if not raw.strip():
+                    continue
+                record = self._parse_line(raw, lineno)
+                if record is None:
+                    continue
+                if record.get("kind") == "header":
+                    if check_header:
+                        self._check_header(record)
+                        self._headed = True
+                    continue
+                key = (record["system"], record["fault"], record["attempt"])
+                entries[key] = (record["seed"], record["result"])
+        return entries
+
+    def _parse_line(self, raw: bytes, lineno: int) -> Optional[dict]:
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            self._skip(lineno, "not UTF-8 (a write torn inside a character?)")
+            return None
         try:
             record = json.loads(line)
         except ValueError:
@@ -176,7 +175,7 @@ class CampaignJournal:
             f"{self.path}:{lineno}: skipping corrupt checkpoint line ({why}); "
             "the trial will re-run",
             JournalWarning,
-            stacklevel=4,
+            stacklevel=5,
         )
 
     # -- writing -----------------------------------------------------------

@@ -148,15 +148,11 @@ class Shard:
     """
 
     def __init__(self, spec: ShardSpec) -> None:
-        system_spec = system_spec_for(
-            spec.system, fs_blocks=spec.fs_blocks, inode_blocks=spec.inode_blocks
-        )
-        if spec.backend is not None:
-            system_spec = replace(
-                system_spec, backend=spec.backend, backend_seed=spec.seed
-            )
         self.spec = spec
-        self.system = build_system(system_spec)
+        self.system = build_system(system_spec_for(
+            spec.system, fs_blocks=spec.fs_blocks, inode_blocks=spec.inode_blocks,
+            backend=spec.backend, backend_seed=spec.seed,
+        ))
         if spec.chaos:
             registry = ChaosRegistry(seed=spec.seed)
             for capability in spec.chaos:

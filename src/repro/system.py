@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.core import RioConfig, RioFileCache
+from repro.core import ProtectionMode, RioConfig, RioFileCache
 from repro.core.warm_reboot import (
     WarmRebootReport,
     dump_and_recover_metadata,
     restore_ubc,
 )
 from repro.disk import DiskParameters, SimulatedDisk, SwapPartition
-from repro.errors import ConfigurationError
 from repro.fs.advfs import AdvFS, advfs_recover
 from repro.fs.fsck import FsckReport, fsck
 from repro.fs.mfs import MemoryFileSystem
@@ -35,31 +34,65 @@ from repro.kernel import Kernel, KernelConfig
 from repro.kernel.syscalls import VFS
 
 ROOT_DEV = 0
+#: AdvFS's log region, in 8 KB blocks.
+JOURNAL_BLOCKS = 32
+#: The cache of the section 6 Phoenix comparison (see :class:`SystemRow`).
+PHOENIX = "phoenix"
+
+
+@dataclass(frozen=True)
+class SystemRow:
+    """The shape of one system under test: root file system, write
+    policy, memory cache and extra mounts."""
+
+    #: Write policy name (see repro.fs.writeback).
+    policy: str = "rio"
+    #: Rio's protection mode, :data:`PHOENIX`, or None for a system whose
+    #: memory does not survive a crash.  A row with a cache warm-reboots
+    #: and has footnote 1's reliability writes off.
+    cache: ProtectionMode | str | None = None
+    fs: type = UFS
+    #: Where a memory file system is mounted (Table 2's MFS row: source
+    #: tree on the disk-backed root, benchmark target in RAM).
+    mfs_mount: Optional[str] = None
+
+
+#: Every system this repository runs, by the name campaigns, benchmarks,
+#: the CLI and tests call it.  ``disk`` (Table 1) and ``ufs`` (Table 2)
+#: are one system.
+SYSTEMS = {
+    "disk": SystemRow("ufs"),
+    "ufs": SystemRow("ufs"),
+    "ufs_delayed": SystemRow("ufs_delayed"),
+    "advfs": SystemRow("advfs", fs=AdvFS),
+    "wt_close": SystemRow("wt_close"),
+    "wt_write": SystemRow("wt_write"),
+    "mfs": SystemRow("ufs_delayed", mfs_mount="/mfs"),
+    "rio_noprot": SystemRow(cache=ProtectionMode.NONE),
+    "rio_prot": SystemRow(cache=ProtectionMode.VM_KSEG),
+    "rio_patch": SystemRow(cache=ProtectionMode.CODE_PATCHING),
+    "phoenix": SystemRow(cache=PHOENIX),
+}
+
+#: Table 1's three systems (described in :mod:`repro.reliability.campaign`).
+SYSTEM_NAMES = ("disk", "rio_noprot", "rio_prot")
 
 
 @dataclass
 class SystemSpec:
     """Everything needed to build a system under test."""
 
-    #: "ufs" | "advfs" | "mfs"
-    fs_type: str = "ufs"
-    #: Write policy name (see repro.fs.writeback); ignored for mfs.
-    policy: str = "ufs"
-    #: Rio configuration, or None for a plain disk-based system.
-    rio: Optional[RioConfig] = None
+    #: A key of :data:`SYSTEMS`; an unknown name raises ``ValueError``.
+    name: str = "ufs"
+    #: Rio keeps per-buffer detection checksums (Table 1's apparatus;
+    #: Table 2's rows turn them off).
+    checksums: bool = True
     machine: MachineConfig = field(default_factory=MachineConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
     disk: DiskParameters = field(default_factory=DiskParameters)
     #: Root file system size in 8 KB blocks.
     fs_blocks: int = 1024
     inode_blocks: int = 8
-    journal_blocks: int = 32
-    #: Mount an additional memory file system at this path prefix
-    #: (Table 2's MFS row: source tree on disk, benchmark target in RAM).
-    mfs_mount: Optional[str] = None
-    #: Build a Phoenix-style checkpointing cache instead of Rio (the
-    #: related-work comparison of section 6); implies the rio policy.
-    phoenix: bool = False
     #: Tiered backing store behind the root disk: "local" |
     #: "objectstore" | "tiered" (see :mod:`repro.backend`), or None for
     #: the classic single-tier stack (zero behavior change).
@@ -67,25 +100,15 @@ class SystemSpec:
     #: Seed of the backend's latency/failure model.
     backend_seed: int = 0
 
-
-#: Table 1's three systems, by the names every campaign and CLI uses.
-SYSTEM_NAMES = ("disk", "rio_noprot", "rio_prot")
+    def __post_init__(self) -> None:
+        if self.name not in SYSTEMS:
+            raise ValueError(f"unknown system {self.name!r}; know {tuple(SYSTEMS)}")
 
 
 def system_spec_for(name: str, **overrides) -> SystemSpec:
-    """The SystemSpec for one of Table 1's three systems (described in
-    :mod:`repro.reliability.campaign`); ``overrides`` are SystemSpec
+    """The SystemSpec for a named system; ``overrides`` are SystemSpec
     fields.  Unknown names raise ``ValueError``."""
-    if name == "disk":
-        rio = None
-    elif name == "rio_noprot":
-        rio = RioConfig.without_protection()
-    elif name == "rio_prot":
-        rio = RioConfig.with_protection()
-    else:
-        raise ValueError(f"unknown system {name!r}; know {SYSTEM_NAMES}")
-    policy = "ufs" if rio is None else "rio"
-    return SystemSpec(fs_type="ufs", policy=policy, rio=rio, **overrides)
+    return SystemSpec(name, **overrides)
 
 
 @dataclass
@@ -107,30 +130,24 @@ class System:
 
     def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
+        self.row = row = SYSTEMS[spec.name]
         self.machine = Machine(replace(spec.machine))
-        self.disk: Optional[SimulatedDisk] = None
-        self.swap: Optional[SwapPartition] = None
-        if spec.fs_type != "mfs":
-            self.disk = SimulatedDisk(
-                "rz0",
-                spec.fs_blocks * SECTORS_PER_BLOCK,
-                replace(spec.disk),
-            )
-            self.machine.attach_disk("rz0", self.disk)
-            swap_sectors = (
-                spec.machine.memory_bytes // 512 + 2 * SECTORS_PER_BLOCK
-            )
-            swap_disk = SimulatedDisk("rz1", swap_sectors, replace(spec.disk))
-            self.machine.attach_disk("rz1", swap_disk)
-            self.swap = SwapPartition(swap_disk, 0, swap_sectors)
-            UFS.mkfs(
-                self.disk,
-                UFSParams(
-                    total_blocks=spec.fs_blocks,
-                    inode_blocks=spec.inode_blocks,
-                    journal_blocks=spec.journal_blocks if spec.fs_type == "advfs" else 0,
-                ),
-            )
+        self.disk = SimulatedDisk(
+            "rz0", spec.fs_blocks * SECTORS_PER_BLOCK, replace(spec.disk)
+        )
+        self.machine.attach_disk("rz0", self.disk)
+        swap_sectors = spec.machine.memory_bytes // 512 + 2 * SECTORS_PER_BLOCK
+        swap_disk = SimulatedDisk("rz1", swap_sectors, replace(spec.disk))
+        self.machine.attach_disk("rz1", swap_disk)
+        self.swap = SwapPartition(swap_disk, 0, swap_sectors)
+        UFS.mkfs(
+            self.disk,
+            UFSParams(
+                total_blocks=spec.fs_blocks,
+                inode_blocks=spec.inode_blocks,
+                journal_blocks=JOURNAL_BLOCKS if row.fs is AdvFS else 0,
+            ),
+        )
         self.kernel: Optional[Kernel] = None
         self.rio: Optional[RioFileCache] = None
         self.fs = None
@@ -140,7 +157,7 @@ class System:
         #: Tiered backing store behind the root disk, or None (see
         #: :meth:`install_backend`).
         self.backing = None
-        if spec.backend is not None and self.disk is not None:
+        if spec.backend is not None:
             from repro.backend import make_backing_store
 
             self.install_backend(
@@ -175,38 +192,28 @@ class System:
         # machine (that is the point), so each new kernel is re-pointed
         # at the same store object.
         self.kernel.backing = self.backing
+        row = self.row
+        self.rio = self.phoenix = None
         guard = None
-        self.phoenix = None
-        if spec.phoenix:
+        if row.cache == PHOENIX:
             from repro.extensions.phoenix import PhoenixFileCache
 
             self.phoenix = PhoenixFileCache(self.kernel)
-            self.rio = None
             guard = self.phoenix.guard
-        elif spec.rio is not None:
-            self.rio = RioFileCache(self.kernel, spec.rio)
+        elif row.cache is not None:
+            config = RioConfig(protection=row.cache, maintain_checksums=spec.checksums)
+            self.rio = RioFileCache(self.kernel, config)
             guard = self.rio.guard
-        else:
-            self.rio = None
         self.kernel.reliability_writes_off = self._reliability_writes_off()
         self.kernel.init_caches(guard)
-        if spec.fs_type == "mfs":
-            self.fs = MemoryFileSystem(self.kernel, ROOT_DEV)
-        else:
-            self.kernel.attach_block_device(ROOT_DEV, self.disk)
-            policy = self._write_policy()
-            if spec.fs_type == "advfs":
-                self.fs = AdvFS(self.kernel, ROOT_DEV, policy)
-            elif spec.fs_type == "ufs":
-                self.fs = UFS(self.kernel, ROOT_DEV, policy)
-            else:
-                raise ConfigurationError(f"unknown fs type {spec.fs_type!r}")
+        self.kernel.attach_block_device(ROOT_DEV, self.disk)
+        self.fs = row.fs(self.kernel, ROOT_DEV, self._write_policy())
         self.fs.mount()
         mounts = {}
-        if spec.mfs_mount and spec.fs_type != "mfs":
+        if row.mfs_mount:
             mfs = MemoryFileSystem(self.kernel, dev=ROOT_DEV + 1)
             mfs.mount()
-            mounts[spec.mfs_mount] = mfs
+            mounts[row.mfs_mount] = mfs
         self.vfs = VFS(self.kernel, self.fs, mounts)
 
     # -- crash and reboot ----------------------------------------------------
@@ -235,11 +242,7 @@ class System:
             self.backing.on_machine_crash(down_ns)
 
         image = entries = None
-        warm_enabled = (
-            (self.spec.phoenix or (self.spec.rio is not None and self.spec.rio.warm_reboot))
-            and preserve_memory
-            and self.swap is not None
-        )
+        warm_enabled = self.row.cache is not None and preserve_memory
         if warm_enabled:
             # Step 1 (before any kernel state is rebuilt): dump memory to
             # swap and restore metadata to disk from the registry.
@@ -252,10 +255,9 @@ class System:
             )
             report.warm = warm
 
-        if self.spec.fs_type == "advfs":
+        if self.row.fs is AdvFS:
             report.journal_records_applied = advfs_recover(self.disk)
-        if self.disk is not None:
-            report.fsck = fsck(self.disk)
+        report.fsck = fsck(self.disk)
         if self.backing is not None:
             # Remote-tier fsck follows the local one: the surviving
             # local disk is the authority, and the object store is
@@ -339,12 +341,10 @@ class System:
     def _reliability_writes_off(self) -> bool:
         """Rio's section 2.3 changes hold unless the administrator forced
         reliability writes back on."""
-        spec = self.spec
-        rio_off = spec.phoenix or (spec.rio is not None and spec.rio.reliability_writes_off)
-        return rio_off and not self.reliability_writes_forced
+        return self.row.cache is not None and not self.reliability_writes_forced
 
     def _write_policy(self):
-        return make_policy("ufs_delayed" if self.reliability_writes_forced else self.spec.policy)
+        return make_policy("ufs_delayed" if self.reliability_writes_forced else self.row.policy)
 
     def _set_reliability_writes(self, forced: bool) -> None:
         self.reliability_writes_forced = forced
@@ -360,24 +360,18 @@ class System:
         policy so data keeps reaching the disk, making it safe to power
         the machine off (memory contents lost).  The toggle survives
         warm reboots until :meth:`disable_reliability_writes`."""
-        if self.disk is None:
-            return
         self.settle()
         self._set_reliability_writes(True)
 
     def disable_reliability_writes(self) -> None:
         """Back to the spec's normal operation (on Rio: memory is the
         stable store)."""
-        if self.disk is None:
-            return
         self._set_reliability_writes(False)
 
     def drop_caches(self) -> None:
-        """Administrative flush-and-invalidate of both caches (no-op for
-        MFS).  Used by benchmarks to start a timed phase cold, the way the
-        paper's runs started with the source tree on disk only."""
-        if self.disk is None:
-            return
+        """Administrative flush-and-invalidate of both caches.  Used by
+        benchmarks to start a timed phase cold, the way the paper's runs
+        started with the source tree on disk only."""
         kernel = self.kernel
         with kernel.uncharged():
             self.settle()

@@ -1,12 +1,10 @@
 """Tests for footnote 1: the administrative reliability-writes toggle."""
 
-from repro import RioConfig, SystemSpec, build_system
+from repro import SystemSpec, build_system
 
 
 def make_rio():
-    return build_system(
-        SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-    )
+    return build_system(SystemSpec("rio_prot", fs_blocks=512))
 
 
 class TestMaintenanceToggle:

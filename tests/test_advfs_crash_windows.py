@@ -9,7 +9,7 @@ from repro.system import SystemSpec, build_system
 
 @pytest.fixture
 def system():
-    return build_system(SystemSpec(fs_type="advfs", policy="advfs", fs_blocks=512))
+    return build_system(SystemSpec("advfs", fs_blocks=512))
 
 
 class TestJournalCrashWindows:

@@ -117,6 +117,21 @@ class TestJournalCorruption:
         assert engine.stats.executed == 1, "exactly the damaged trial re-runs"
         assert table1_digest(table) == want
 
+    def test_torn_multibyte_tail_skipped_and_rerun(self, finished_journal):
+        """A write cut short inside a UTF-8 character is a torn line like
+        any other, not a ``UnicodeDecodeError``."""
+        journal, want, _ = finished_journal
+        lines = open(journal, "rb").read().splitlines()
+        record = json.loads(lines[-1])
+        record["note"] = "café"
+        raw = json.dumps(record, ensure_ascii=False).encode()
+        torn = raw[: raw.index("é".encode()) + 1]  # first byte of two
+        open(journal, "wb").write(b"\n".join(lines[:-1] + [torn]))
+        with pytest.warns(JournalWarning, match="not UTF-8"):
+            engine, table = self.resume(journal)
+        assert engine.stats.executed == 1, "exactly the torn trial re-runs"
+        assert table1_digest(table) == want
+
     def test_bad_checksum_skipped_and_rerun(self, finished_journal):
         journal, want, _ = finished_journal
         lines = open(journal).read().splitlines()

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 
 import pytest
 
 from repro.__main__ import COMMANDS, build_parser, main
+from repro.reliability import JournalWarning
 
 EXPLORE = ["explore", "basic", "--ops", "0", "--jobs", "2", "--resume", "{tmp}/explore.jsonl"]
 
@@ -175,13 +177,32 @@ def test_foreign_journal_exits_with_a_message(tmp_path, capsys):
         assert "no valid header" in refused([*TABLE1, "--scale", "1", "--resume", journal])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--scale", "1", "--systems", "disk", "--faults", "pointer",
+         "--resume", "{path}"],
+        ["explore", "basic", "--ops", "0", "--resume", "{path}"],
+        ["forensics", "{path}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_journal_of_random_bytes_is_corrupt_lines(argv, tmp_path):
+    """Lines that are not UTF-8 are skipped with a warning, as every
+    other corrupt line is; their trials re-run."""
+    path = tmp_path / "random.jsonl"
+    path.write_bytes(random.Random(7).randbytes(1000))
+    with pytest.warns(JournalWarning, match="not UTF-8"):
+        assert main([arg.format(path=path) for arg in argv]) == 0
+
+
 def test_outage_drill_refuses_a_store_that_cannot_go_down():
     message = refused(["fsck-remote", "--outage", "--backend", "local"])
     assert "--outage needs a store that can go down" in message and "\n" not in message
 
 
 #: Arguments argparse itself refuses: an unknown system or workload, a
-#: count below one (``--pipeline 0`` used to spin through ``run_load``'s
+#: count out of range (``--pipeline 0`` used to spin through ``run_load``'s
 #: round cap and report success with nothing acked).
 BAD_ARGUMENTS = [
     *(
@@ -193,6 +214,12 @@ BAD_ARGUMENTS = [
     ["cluster", "--shards", "0"],
     ["serve", "--clients", "0"],
     ["loadgen", "--clients", "2", "--ops", "3", "--pipeline", "0"],
+    # A count out of range is refused, never clamped or run as given.
+    ["table1", "--scale", "0", "--jobs", "0", "--systems", "disk", "--faults", "pointer"],
+    ["table1", "--scale", "1", "--jobs", "0", "--systems", "disk", "--faults", "pointer"],
+    ["serve", "--clients", "2", "--ops", "2", "--crashes", "-1"],
+    ["explore", "basic", "--ops", "-1"],
+    ["dump-disk", "out.img", "--age", "-5"],
 ]
 
 

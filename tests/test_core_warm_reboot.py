@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import RioConfig
 from repro.errors import ProtectionTrap
 from repro.fs.types import BLOCK_SIZE
 from repro.system import SystemSpec, build_system
@@ -10,7 +9,7 @@ from repro.util import pattern_bytes
 
 
 def rio_system(**kw):
-    return build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection(), **kw))
+    return build_system(SystemSpec("rio_prot", **kw))
 
 
 class TestWarmRebootEndToEnd:
@@ -75,22 +74,9 @@ class TestWarmRebootEndToEnd:
         assert report.warm is None or not report.warm.registry_found
         assert not system.vfs.exists("/volatile")
 
-    def test_write_avoidance_without_warm_reboot_is_data_loss(self):
-        """DESIGN.md D4: reliability writes off and no warm reboot —
-        the two mechanisms only work together."""
-        system = build_system(
-            SystemSpec(policy="rio", rio=RioConfig.with_protection(warm_reboot=False))
-        )
-        fd = system.vfs.open("/precious", create=True)
-        system.vfs.write(fd, b"only copy")
-        system.vfs.close(fd)
-        system.crash("boom")
-        system.reboot()
-        assert not system.vfs.exists("/precious")
-
     def test_warm_reboot_without_rio_registry(self):
         """A non-Rio system has no registry: reboot is fsck-only."""
-        system = build_system(SystemSpec(policy="ufs"))
+        system = build_system(SystemSpec("ufs"))
         system.crash("boom")
         report = system.reboot()
         assert report.warm is None
@@ -139,10 +125,9 @@ class TestWarmRebootEndToEnd:
         intact page corrupt, and campaigns, the explorer and forensics all
         read that list."""
         if kind == "phoenix":
-            system = build_system(SystemSpec(policy="rio", phoenix=True))
+            system = build_system(SystemSpec("phoenix"))
         else:
-            rio = RioConfig.with_protection(maintain_checksums=kind == "rio")
-            system = build_system(SystemSpec(policy="rio", rio=rio))
+            system = build_system(SystemSpec("rio_prot", checksums=kind == "rio"))
         fd = system.vfs.open("/f", create=True)
         system.vfs.write(fd, b"x" * 20 * 1024)
         if kind == "phoenix":

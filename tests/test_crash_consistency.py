@@ -10,28 +10,19 @@ shares no code with fsck or the kernel it judges.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import RioConfig
 from repro.fs.dissect import dissect_image, snapshot
 from repro.system import SystemSpec, build_system
 from repro.workloads.memtest import MemTest, MemTestParams
 
 FAST_MEMTEST = MemTestParams(max_files=10, max_file_bytes=32 * 1024, max_io_bytes=4096)
 
-CONFIGS = {
-    "ufs": SystemSpec(policy="ufs", fs_blocks=512),
-    "ufs_delayed": SystemSpec(policy="ufs_delayed", fs_blocks=512),
-    "wt_write": SystemSpec(policy="wt_write", fs_blocks=512),
-    "advfs": SystemSpec(fs_type="advfs", policy="advfs", fs_blocks=512),
-    "rio": SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512),
-    "rio_noprot": SystemSpec(
-        policy="rio", rio=RioConfig.without_protection(), fs_blocks=512
-    ),
-}
+#: The systems whose recovery chains (fsck, journal replay, warm reboot)
+#: each property below judges.
+CONFIGS = ("ufs", "ufs_delayed", "wt_write", "advfs", "rio_prot", "rio_noprot")
 
 
 def crash_recover_validate(config_name: str, seed: int, crash_after: int):
-    spec = CONFIGS[config_name]
-    system = build_system(spec)
+    system = build_system(SystemSpec(config_name, fs_blocks=512))
     memtest = MemTest(system.vfs, seed, FAST_MEMTEST)
     memtest.setup()
     for _ in range(crash_after):
@@ -44,7 +35,7 @@ def crash_recover_validate(config_name: str, seed: int, crash_after: int):
 
 class TestValidatorBaseline:
     def test_fresh_fs_is_consistent(self):
-        system = build_system(SystemSpec(policy="ufs", fs_blocks=512))
+        system = build_system(SystemSpec("ufs", fs_blocks=512))
         system.fs.unmount()
         assert dissect_image(snapshot(system.disk)).clean
 
@@ -52,7 +43,7 @@ class TestValidatorBaseline:
         from repro.fs.ondisk import INODE_SIZE
         from repro.fs.types import SECTORS_PER_BLOCK
 
-        system = build_system(SystemSpec(policy="ufs", fs_blocks=512))
+        system = build_system(SystemSpec("ufs", fs_blocks=512))
         ino = system.fs.create("/x")
         system.fs.unmount()
         # Plant damage: clear the root dirent's target inode on disk.
@@ -105,7 +96,7 @@ class TestRioStrongConsistency:
     def test_every_completed_op_survives(self, seed, crash_after):
         from repro.workloads.memtest import MemTestModel, verify_against_model
 
-        system, memtest, report = crash_recover_validate("rio", seed, crash_after)
+        system, memtest, report = crash_recover_validate("rio_prot", seed, crash_after)
         assert report.clean, report.findings[:8]
         model, in_flight = MemTestModel.replay(seed, memtest.progress, FAST_MEMTEST)
         problems = verify_against_model(system.fs, model, in_flight)

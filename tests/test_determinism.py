@@ -6,7 +6,7 @@ campaigns would not be replayable and EXPERIMENTS.md numbers would not be
 regenerable.
 """
 
-from repro import RioConfig, SystemSpec, build_system
+from repro import SystemSpec, build_system
 from repro.perf import run_workload
 from repro.workloads.cp_rm import CpRmParams
 from repro.workloads.sdet import SdetParams, SdetWorkload
@@ -22,7 +22,7 @@ class TestPerfDeterminism:
 
     def test_sdet_deterministic(self):
         def run():
-            system = build_system(SystemSpec(policy="wt_close", fs_blocks=1024))
+            system = build_system(SystemSpec("wt_close", fs_blocks=1024))
             return SdetWorkload(
                 system.vfs, system.kernel, SdetParams(scripts=2, files_per_script=3)
             ).run()
@@ -33,9 +33,7 @@ class TestPerfDeterminism:
 class TestCrashDeterminism:
     def test_identical_crash_and_recovery(self):
         def run():
-            system = build_system(
-                SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-            )
+            system = build_system(SystemSpec("rio_prot", fs_blocks=512))
             from repro.workloads.memtest import MemTest
 
             memtest = MemTest(system.vfs, 99)
@@ -56,9 +54,7 @@ class TestCrashDeterminism:
 
     def test_memory_images_bit_identical(self):
         def image():
-            system = build_system(
-                SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-            )
+            system = build_system(SystemSpec("rio_prot", fs_blocks=512))
             fd = system.vfs.open("/x", create=True)
             system.vfs.write(fd, b"deterministic bytes")
             system.vfs.close(fd)

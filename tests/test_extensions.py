@@ -3,7 +3,6 @@ workload, and the section-5 memory-board transplant."""
 
 import pytest
 
-from repro.core import RioConfig
 from repro.hw import Machine, MachineConfig
 from repro.system import SystemSpec, build_system
 from repro.workloads.debit_credit import (
@@ -16,7 +15,7 @@ from repro.workloads.debit_credit import (
 
 class TestPhoenix:
     def make(self):
-        return build_system(SystemSpec(policy="rio", phoenix=True, fs_blocks=512))
+        return build_system(SystemSpec("phoenix", fs_blocks=512))
 
     def test_checkpointed_data_survives(self):
         system = self.make()
@@ -42,9 +41,7 @@ class TestPhoenix:
         assert not system.vfs.exists("/lost")
 
     def test_rio_keeps_the_same_write_phoenix_loses(self):
-        rio = build_system(
-            SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-        )
+        rio = build_system(SystemSpec("rio_prot", fs_blocks=512))
         phoenix = self.make()
         phoenix.phoenix.checkpoint()
         for system in (rio, phoenix):
@@ -98,11 +95,11 @@ class TestPhoenix:
 
 
 class TestDebitCredit:
-    def make(self, policy, rio=None):
-        return build_system(SystemSpec(policy=policy, rio=rio, fs_blocks=512))
+    def make(self, name):
+        return build_system(SystemSpec(name, fs_blocks=512))
 
     def test_transactions_update_balances(self):
-        system = self.make("rio", RioConfig.with_protection())
+        system = self.make("rio_prot")
         bench = DebitCreditWorkload(
             system.vfs, system.kernel, DebitCreditParams(accounts=16, transactions=40)
         )
@@ -120,7 +117,7 @@ class TestDebitCredit:
     def test_rio_commits_faster_than_write_through(self):
         """The paper's motivation: synchronous commits at memory speed."""
         params = DebitCreditParams(accounts=32, transactions=60)
-        rio = self.make("rio", RioConfig.with_protection())
+        rio = self.make("rio_prot")
         wt = self.make("wt_write")
         bench_rio = DebitCreditWorkload(rio.vfs, rio.kernel, params)
         bench_rio.setup()
@@ -136,18 +133,18 @@ class TestDebitCredit:
         "the overhead of Rio's protection mechanism ... is negligible" —
         in-kernel toggles, page-sized windows.  Virtual time."""
         seconds = {}
-        for rio in (RioConfig.without_protection(), RioConfig.with_protection()):
-            system = self.make("rio", rio)
+        for name in ("rio_noprot", "rio_prot"):
+            system = self.make(name)
             bench = DebitCreditWorkload(
                 system.vfs, system.kernel, DebitCreditParams(accounts=32, transactions=60)
             )
             bench.setup()
-            seconds[rio.protection] = bench.run().seconds
+            seconds[name] = bench.run().seconds
         unprotected, protected = seconds.values()
         assert protected / unprotected - 1.0 < 0.03
 
     def test_committed_transactions_survive_crash_on_rio(self):
-        system = self.make("rio", RioConfig.with_protection())
+        system = self.make("rio_prot")
         bench = DebitCreditWorkload(
             system.vfs, system.kernel, DebitCreditParams(accounts=8, transactions=25)
         )
@@ -172,9 +169,7 @@ class TestMemoryBoardTransplant:
         """Section 5: "If the system board fails, it should be possible to
         move the memory board to a different system without losing power
         or data."""
-        system = build_system(
-            SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-        )
+        system = build_system(SystemSpec("rio_prot", fs_blocks=512))
         fd = system.vfs.open("/on-the-board", create=True)
         system.vfs.write(fd, b"moved with the DIMMs")
         system.vfs.close(fd)

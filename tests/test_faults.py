@@ -12,7 +12,7 @@ from repro.system import SystemSpec, build_system
 
 @pytest.fixture
 def system():
-    return build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+    return build_system(SystemSpec("ufs_delayed", fs_blocks=512))
 
 
 def injector_for(system, seed=1, **params):
@@ -165,8 +165,8 @@ class TestHookFaults:
 
 class TestDeterminism:
     def test_same_seed_same_mutations(self, system):
-        a = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
-        b = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+        a = build_system(SystemSpec("ufs_delayed", fs_blocks=512))
+        b = build_system(SystemSpec("ufs_delayed", fs_blocks=512))
         rec_a = FaultInjector(a.kernel, 77).inject(FaultType.KERNEL_TEXT)
         rec_b = FaultInjector(b.kernel, 77).inject(FaultType.KERNEL_TEXT)
         assert rec_a.details == rec_b.details

@@ -10,12 +10,20 @@ from repro.system import SystemSpec, build_system
 
 @pytest.fixture
 def advfs_system():
-    return build_system(SystemSpec(fs_type="advfs", policy="advfs", fs_blocks=512))
+    return build_system(SystemSpec("advfs", fs_blocks=512))
 
 
 @pytest.fixture
 def mfs_system():
-    return build_system(SystemSpec(fs_type="mfs"))
+    """Table 2's MFS row: a disk-backed root with a memory file system
+    mounted at ``/mfs``."""
+    return build_system(SystemSpec("mfs"))
+
+
+def mounted_mfs(system):
+    """The memory file system itself (its paths are mount-relative)."""
+    (fs,) = [fs for prefix, fs in system.vfs._mounts if prefix == "/mfs"]
+    return fs
 
 
 class TestAdvFSJournal:
@@ -115,26 +123,37 @@ class TestAdvFSJournal:
 class TestMemoryFileSystem:
     def test_basic_io(self, mfs_system):
         vfs = mfs_system.vfs
-        fd = vfs.open("/f", create=True)
+        fd = vfs.open("/mfs/f", create=True)
         vfs.write(fd, b"memory resident")
         vfs.close(fd)
-        fd = vfs.open("/f")
+        fd = vfs.open("/mfs/f")
         assert vfs.read(fd, 32) == b"memory resident"
 
     def test_no_disk_io_at_all(self, mfs_system):
-        assert mfs_system.disk is None
+        """Operations under ``/mfs`` move no counter of either disk."""
+        vfs = mfs_system.vfs
+        disks = mfs_system.machine.disks.values()
+        before = [vars(disk.stats).copy() for disk in disks]
+        vfs.mkdir("/mfs/d")
+        fd = vfs.open("/mfs/d/f", create=True)
+        vfs.write(fd, b"x" * 100_000)
+        vfs.close(fd)
+        vfs.rename("/mfs/d/f", "/mfs/d/g")
+        vfs.unlink("/mfs/d/g")
+        mfs_system.drain_disks()
+        assert [vars(disk.stats) for disk in disks] == before
 
     def test_directories(self, mfs_system):
         vfs = mfs_system.vfs
-        vfs.mkdir("/d")
-        vfs.mkdir("/d/e")
-        fd = vfs.open("/d/e/f", create=True)
+        vfs.mkdir("/mfs/d")
+        vfs.mkdir("/mfs/d/e")
+        fd = vfs.open("/mfs/d/e/f", create=True)
         vfs.close(fd)
-        assert vfs.readdir("/d") == ["e"]
-        assert vfs.readdir("/d/e") == ["f"]
+        assert vfs.readdir("/mfs/d") == ["e"]
+        assert vfs.readdir("/mfs/d/e") == ["f"]
 
     def test_errors(self, mfs_system):
-        fs = mfs_system.fs
+        fs = mounted_mfs(mfs_system)
         fs.mkdir("/d")
         fs.create("/d/x")
         with pytest.raises(FileExists):
@@ -147,7 +166,7 @@ class TestMemoryFileSystem:
             fs.rmdir("/d")
 
     def test_rename(self, mfs_system):
-        fs = mfs_system.fs
+        fs = mounted_mfs(mfs_system)
         ino = fs.create("/a")
         fs.write(ino, 0, b"body")
         fs.rename("/a", "/b")
@@ -155,14 +174,14 @@ class TestMemoryFileSystem:
         assert fs.read(fs.namei("/b"), 0, 8) == b"body"
 
     def test_sparse_write(self, mfs_system):
-        fs = mfs_system.fs
+        fs = mounted_mfs(mfs_system)
         ino = fs.create("/sparse")
         fs.write(ino, 100, b"tail")
         assert fs.read(ino, 0, 4) == b"\x00" * 4
         assert fs.size_of(ino) == 104
 
     def test_truncate(self, mfs_system):
-        fs = mfs_system.fs
+        fs = mounted_mfs(mfs_system)
         ino = fs.create("/t")
         fs.write(ino, 0, b"0123456789")
         fs.truncate(ino, 4)
@@ -170,16 +189,16 @@ class TestMemoryFileSystem:
 
     def test_nothing_survives_crash(self, mfs_system):
         vfs = mfs_system.vfs
-        fd = vfs.open("/gone", create=True)
+        fd = vfs.open("/mfs/gone", create=True)
         vfs.write(fd, b"poof")
         vfs.close(fd)
         mfs_system.crash("power button")
         mfs_system.reboot()
-        assert not mfs_system.vfs.exists("/gone")
+        assert not mfs_system.vfs.exists("/mfs/gone")
 
     def test_write_charges_cpu_time(self, mfs_system):
         clock = mfs_system.clock
-        fd = mfs_system.vfs.open("/cpu", create=True)
+        fd = mfs_system.vfs.open("/mfs/cpu", create=True)
         t0 = clock.now_ns
         mfs_system.vfs.write(fd, b"x" * 100_000)
         assert clock.now_ns > t0
@@ -187,7 +206,7 @@ class TestMemoryFileSystem:
 
 class TestMfsMount:
     def test_mfs_mounted_alongside_ufs(self):
-        system = build_system(SystemSpec(policy="ufs_delayed", mfs_mount="/mfs"))
+        system = build_system(SystemSpec("mfs"))
         vfs = system.vfs
         fd = vfs.open("/ondisk", create=True)
         vfs.write(fd, b"ufs file")
@@ -203,7 +222,7 @@ class TestMfsMount:
     def test_rename_across_mounts_rejected(self):
         from repro.errors import CrossDevice
 
-        system = build_system(SystemSpec(policy="ufs_delayed", mfs_mount="/mfs"))
+        system = build_system(SystemSpec("mfs"))
         fd = system.vfs.open("/a", create=True)
         system.vfs.close(fd)
         with pytest.raises(CrossDevice):

@@ -11,7 +11,7 @@ from repro.system import SystemSpec, build_system
 
 @pytest.fixture
 def system():
-    s = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+    s = build_system(SystemSpec("ufs_delayed", fs_blocks=512))
     return s
 
 
@@ -321,7 +321,7 @@ class TestRepairArmsAgainstTheSecondOpinion:
         instead of blessing a tree nothing is reachable in."""
         from repro.errors import NoSpace
 
-        system = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=64))
+        system = build_system(SystemSpec("ufs_delayed", fs_blocks=64))
         fill = system.fs.create("/fill")
         with pytest.raises(NoSpace):
             for index in range(64):

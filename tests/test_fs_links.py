@@ -7,7 +7,6 @@ through the VFS, under a Unix write policy and under Rio.
 
 import pytest
 
-from repro.core import RioConfig
 from repro.errors import FileNotFound, InvalidArgument
 from repro.fs.dissect import dissect_image, snapshot
 from repro.fs.types import FileType
@@ -19,10 +18,8 @@ from tests.ondisk_links import plant_hard_link, plant_symlink
 @pytest.fixture(params=["ufs", "rio"])
 def system(request):
     if request.param == "rio":
-        return build_system(
-            SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-        )
-    return build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+        return build_system(SystemSpec("rio_prot", fs_blocks=512))
+    return build_system(SystemSpec("ufs_delayed", fs_blocks=512))
 
 
 def make_file(vfs, path: str, data: bytes = b"") -> None:
@@ -118,9 +115,7 @@ class TestSymlinks:
 
 class TestLinksAcrossCrash:
     def test_links_survive_rio_warm_reboot(self):
-        system = build_system(
-            SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-        )
+        system = build_system(SystemSpec("rio_prot", fs_blocks=512))
         make_file(system.vfs, "/file", b"linked data")
         plant_hard_link(system.fs, "/file", "/hard")
         plant_symlink(system.fs, "/file", "/soft")
@@ -132,7 +127,7 @@ class TestLinksAcrossCrash:
         assert system.fs.stat("/file").nlink == 2
 
     def test_fs_with_links_validates(self):
-        system = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+        system = build_system(SystemSpec("ufs_delayed", fs_blocks=512))
         make_file(system.vfs, "/f")
         plant_hard_link(system.fs, "/f", "/g")
         plant_symlink(system.fs, "/f", "/s")

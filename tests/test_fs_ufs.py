@@ -28,7 +28,7 @@ def free_space(fs) -> dict:
 
 @pytest.fixture
 def system():
-    return build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+    return build_system(SystemSpec("ufs_delayed", fs_blocks=512))
 
 
 @pytest.fixture

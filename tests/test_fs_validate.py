@@ -12,7 +12,7 @@ from tests.ondisk_links import plant_hard_link, plant_symlink
 
 @pytest.fixture
 def system():
-    s = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+    s = build_system(SystemSpec("ufs_delayed", fs_blocks=512))
     return s
 
 

@@ -7,17 +7,17 @@ from repro.fs.writeback import WRITE_POLICIES, make_policy
 from repro.system import SystemSpec, build_system
 
 
-def make(policy: str, **kw):
-    return build_system(SystemSpec(policy=policy, fs_blocks=512, **kw))
+def make(name: str):
+    return build_system(SystemSpec(name, fs_blocks=512))
 
 
-def durable(policy: str, actions) -> bool:
+def durable(name: str, actions, *, warm: bool = True) -> bool:
     """Run ``actions`` against a fresh system, crash it, reboot, and
     report whether '/probe' survived with the expected content."""
-    system = make(policy)
+    system = make(name)
     actions(system)
     system.crash("policy probe")
-    system.reboot()
+    system.reboot(preserve_memory=warm)
     if not system.fs.exists("/probe"):
         return False
     return system.fs.read(system.fs.namei("/probe"), 0, 64) == b"probe data"
@@ -97,11 +97,11 @@ class TestDurabilitySemantics:
     def test_rio_without_warm_reboot_loses_data(self):
         """The Rio *policy* alone (reliability writes off) is unsafe
         without the warm reboot — this is what distinguishes Rio from
-        simply disabling writes."""
-        assert not durable("rio", write_probe)
+        simply disabling writes (DESIGN.md D4): a cold reboot loses it."""
+        assert not durable("rio_prot", write_probe, warm=False)
 
     def test_rio_policy_fsync_is_noop(self):
-        system = make("rio")
+        system = make("rio_prot")
         fd = system.vfs.open("/probe", create=True)
         system.vfs.write(fd, b"probe data")
         system.vfs.fsync(fd)
@@ -130,7 +130,7 @@ class TestSyncWriteCounts:
         assert count_sync("wt_write") > count_sync("wt_close")
 
     def test_rio_never_writes(self):
-        system = make("rio", rio=None)
+        system = make("rio_prot")
         fd = system.vfs.open("/f", create=True)
         system.vfs.write(fd, b"data" * 1000)
         system.vfs.fsync(fd)

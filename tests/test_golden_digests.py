@@ -14,8 +14,9 @@ same on the ``disk`` policy behind each backend flavour (remote image and
 upload count too; see the note on ``GOLDEN["backend"]``), the service
 tier's other axes (a two-shard cluster under each router, the chaos
 matrix, a fault storm, a repairing ``disk`` run; see ``GOLDEN["cluster"]``),
-a Table 1 campaign — plus the two pieces of boot state the bulk boot
-scans rebuild: the free-inode list and the registry region's bytes.
+a Table 1 campaign, every named system's shape — plus the two pieces of
+boot state the bulk boot scans rebuild: the free-inode list and the
+registry region's bytes.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ from collections import Counter
 import pytest
 
 from repro.explore import ExploreConfig, explore, run_enumeration
+from repro.errors import FileNotFound
 from repro.faults import ChaosSpec
 from repro.faults.types import FaultType
 from repro.fs.fsck import LOST_FOUND_INO, FsckReport
 from repro.fs.ondisk import INODES_PER_BLOCK, INODE_SIZE, Inode
 from repro.fs.types import FileType, ROOT_INO, SECTORS_PER_BLOCK
-from repro.reliability.campaign import system_spec_for
+from repro.perf.systems import TABLE2_KEYS, spec_for_row
+from repro.reliability.campaign import SYSTEM_NAMES, system_spec_for
 from repro.reliability.chaos import ChaosCampaignConfig, run_chaos_campaign
 from repro.reliability.report import run_table1_campaign, table1_digest
 from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
 from repro.server import LoadSpec
-from repro.system import build_system
+from repro.system import SystemSpec, build_system
 
 GOLDEN = {
     # The two stream digests were re-recorded in PR 24 (the parent, 29dae24,
@@ -169,6 +172,25 @@ GOLDEN = {
             "now_ns": 67027768540,
             "fsck_fixes": "9f7c2dab1a5364de9ce2e2da55653237b06be83a5a322cc667e98145a22bdbc7",
         },
+    },
+    # Each system the two tables name: its shape (file system, policy,
+    # mounts, cache config, footnote 1's write-off, disk and swap sizes)
+    # and one write-crash-reboot run, recorded on c5a0f0f.  ``table1/disk``
+    # and ``table2/ufs`` are one system.
+    "systems": {
+        "table1/disk": "5012c4ed8f85652944bf18c7cc002ce6ef2757ab853028e676540687974438bf",
+        "table1/rio_noprot": "44eaa9ef670d94bdcc409d98581fd641fa37d36031e4a434bee2696dc0fa767a",
+        "table1/rio_prot": "cc97f50779d93e8f002fb0318197cc94bfb3b9e65c425250d20a03273ee5e7f9",
+        "table2/mfs": "00fcc4fd7bccde8c997f9543e843e343de21fb866387bb2a58ec016e259931f9",
+        "table2/ufs_delayed": "8597b0b2d56b9c4ae14d1c6296f6f438f2eedd758d5241c075ff5b426967927c",
+        "table2/advfs": "5c929b94b532539147677d9bf40a8d3a801f32862655a7af189392edd158dd3b",
+        "table2/ufs": "5012c4ed8f85652944bf18c7cc002ce6ef2757ab853028e676540687974438bf",
+        "table2/wt_close": "f87f05af02d27ee9c679ff885b00551f8398407c022cb36f0353a80c4404c229",
+        "table2/wt_write": "2220fe7318c41db0de2f6451d0cba786e06cf16478cbb6fb06a0ece66ca68b60",
+        "table2/rio_noprot": "03dc06926f11ff63198dea0337b5b4dd44a3f3e02670849ec783fc0c0b762fb9",
+        "table2/rio_prot": "08e0db44699cba3449ac9b318e58a776b73b5a64c4a8541e893a674f5246ea52",
+        "table2/rio_patch": "9da7c821654fccd128553304cec20942730c7939ccc2e703d268c190e628aa21",
+        "phoenix": "088d016917a526e9785073624005913b05879f42e0f2e9b1b3cb078da3f9d2bb",
     },
 }
 
@@ -452,6 +474,50 @@ def observe_boot(monkeypatch) -> dict:
     return out
 
 
+def _system_specs() -> dict:
+    """Every name the two tables build: Table 1's three (detection
+    checksums on), Table 2's eight plus the ``rio_patch`` ablation
+    (checksums off), and the section 6 ``phoenix`` comparison."""
+    specs = {f"table1/{name}": system_spec_for(name) for name in SYSTEM_NAMES}
+    for key in TABLE2_KEYS + ("rio_patch",):
+        specs[f"table2/{key}"] = spec_for_row(key)
+    specs["phoenix"] = SystemSpec("phoenix")
+    return specs
+
+
+def observe_system(spec) -> str:
+    """The shape one spec builds plus one short write-crash-reboot run."""
+    system = build_system(spec)
+    cache = system.rio or system.phoenix
+    config = cache and cache.config
+    shape = {
+        "fs": type(system.fs).__name__,
+        "policy": system.fs.policy.name,
+        "mounts": [[prefix, type(fs).__name__] for prefix, fs in system.vfs._mounts],
+        "cache": config
+        and [config.protection.value, config.maintain_checksums, config.shadow_metadata],
+        "reliability_writes_off": system.kernel.reliability_writes_off,
+        "disk_sectors": system.disk.num_sectors,
+        "swap_sectors": system.swap.num_sectors,
+    }
+    fd = system.vfs.open("/golden", create=True)
+    system.vfs.write(fd, b"survivor" * 100)
+    system.vfs.close(fd)
+    system.crash("golden: system shape")
+    report = system.reboot()
+    try:
+        survived = system.fs.read(system.fs.namei("/golden"), 0, 800) == b"survivor" * 100
+    except FileNotFound:
+        survived = False
+    shape["run"] = {
+        "registry_found": report.warm and report.warm.registry_found,
+        "survived": survived,
+        "fsck_fixes": len(report.fsck.fixes),
+        "now_ns": system.clock.now_ns,
+    }
+    return _sha(json.dumps(shape, sort_keys=True).encode())
+
+
 # -- the assertions ------------------------------------------------------------
 
 
@@ -516,3 +582,8 @@ def test_boot_state_matches_parent(monkeypatch):
     observed = observe_boot(monkeypatch)
     assert {phase: state.pop("bus") for phase, state in observed.items()} == BOOT_BUS
     assert observed == GOLDEN["boot"]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["systems"]))
+def test_system_shapes_match_parent(key):
+    assert observe_system(_system_specs()[key]) == GOLDEN["systems"][key]

@@ -15,7 +15,7 @@ from repro.system import SystemSpec, build_system
 
 @pytest.fixture
 def system():
-    return build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+    return build_system(SystemSpec("ufs_delayed", fs_blocks=512))
 
 
 @pytest.fixture
@@ -141,11 +141,7 @@ class TestKernelServices:
         assert system.disk.stats.writes > writes_before
 
     def test_go_down_no_sync_when_reliability_writes_off(self):
-        from repro.core import RioConfig
-
-        system = build_system(
-            SystemSpec(policy="rio", rio=RioConfig.with_protection(), fs_blocks=512)
-        )
+        system = build_system(SystemSpec("rio_prot", fs_blocks=512))
         fd = system.vfs.open("/dirty", create=True)
         system.vfs.write(fd, b"stays in memory")
         writes_before = system.disk.stats.writes

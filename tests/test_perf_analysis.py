@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import WriteAgeTrace, mttf_table, mttf_years, write_age_survival
 from repro.analysis.mttf import PAPER_RATES
-from repro.core import ProtectionMode, RioConfig
+from repro.core import ProtectionMode
 from repro.perf import (
     TABLE2_SYSTEMS,
     Table2,
@@ -13,7 +13,7 @@ from repro.perf import (
     run_workload,
     spec_for_row,
 )
-from repro.system import SystemSpec, build_system
+from repro.system import build_system
 from repro.workloads.andrew import AndrewParams
 from repro.workloads.cp_rm import CpRmParams
 from repro.workloads.sdet import SdetParams
@@ -33,17 +33,16 @@ class TestSystemRows:
             assert spec is not None
 
     def test_code_patching_ablation_row(self):
-        from repro.core import ProtectionMode
-
-        spec = spec_for_row("rio_patch")
-        assert spec.rio.protection is ProtectionMode.CODE_PATCHING
+        system = build_system(spec_for_row("rio_patch"))
+        assert system.rio.config.protection is ProtectionMode.CODE_PATCHING
 
     def test_unknown_row(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             spec_for_row("ext4")
 
     def test_perf_specs_disable_checksums(self):
-        assert spec_for_row("rio_prot").rio.maintain_checksums is False
+        assert spec_for_row("rio_prot").checksums is False
+        assert build_system(spec_for_row("rio_prot")).rio.config.maintain_checksums is False
 
 
 class TestRunner:
@@ -80,20 +79,15 @@ class TestRunner:
         (That check elision narrows it is pinned on step counts in
         ``test_isa_patch.py``.)"""
         seconds = {}
-        for mode in ProtectionMode:
-            system = build_system(
-                SystemSpec(
-                    policy="rio",
-                    rio=RioConfig(protection=mode, maintain_checksums=False),
-                )
-            )
+        for row in ("rio_noprot", "rio_prot", "rio_patch"):
+            system = build_system(spec_for_row(row))
             start = system.clock.now_ns
             fd = system.vfs.open("/stores", create=True)
             payload = bytes(range(256)) * 32
             for i in range(64):
                 system.vfs.pwrite(fd, payload, i * len(payload))
             system.vfs.close(fd)
-            seconds[mode] = system.clock.now_ns - start
+            seconds[system.rio.config.protection] = system.clock.now_ns - start
         base = seconds[ProtectionMode.NONE]
         # The TLB method is essentially free (paper: ~0%) ...
         assert seconds[ProtectionMode.VM_KSEG] / base - 1.0 < 0.02

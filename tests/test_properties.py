@@ -197,7 +197,7 @@ class TestUfsAgainstOracle:
     def test_namespace_and_content_agree(self, script):
         from repro.util import pattern_bytes
 
-        system = build_system(SystemSpec(policy="ufs_delayed", fs_blocks=512))
+        system = build_system(SystemSpec("ufs_delayed", fs_blocks=512))
         fs = system.fs
         oracle: dict[str, bytes] = {}
         dirs: set[str] = set()

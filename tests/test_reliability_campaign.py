@@ -17,6 +17,7 @@ from repro.reliability import (
     system_spec_for,
 )
 from repro.reliability.report import Table1
+from repro.system import build_system
 
 
 class TestSystemSpecs:
@@ -24,13 +25,13 @@ class TestSystemSpecs:
         assert SYSTEM_NAMES == ("disk", "rio_noprot", "rio_prot")
 
     def test_disk_system_has_no_rio(self):
-        assert system_spec_for("disk").rio is None
+        assert build_system(system_spec_for("disk")).rio is None
 
     def test_rio_systems(self):
         from repro.core import ProtectionMode
 
-        assert system_spec_for("rio_noprot").rio.protection is ProtectionMode.NONE
-        assert system_spec_for("rio_prot").rio.protection is ProtectionMode.VM_KSEG
+        for name, mode in (("rio_noprot", ProtectionMode.NONE), ("rio_prot", ProtectionMode.VM_KSEG)):
+            assert build_system(system_spec_for(name)).rio.config.protection is mode
 
     def test_unknown_system(self):
         with pytest.raises(ValueError):

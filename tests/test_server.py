@@ -6,7 +6,7 @@ campaigns live in test_server_traffic.py.
 
 import pytest
 
-from repro import RioConfig, SystemSpec, build_system
+from repro import SystemSpec, build_system
 from repro.errors import FileNotFound
 from repro.kernel.kernel import BATCH_SYSCALL_OVERHEAD_NS, SYSCALL_OVERHEAD_NS
 from repro.server import (
@@ -23,9 +23,7 @@ from repro.server.session import FdState, resolve_path
 
 
 def rio_system(**overrides):
-    return build_system(
-        SystemSpec(policy="rio", rio=RioConfig.with_protection(), **overrides)
-    )
+    return build_system(SystemSpec("rio_prot", **overrides))
 
 
 def make_service(**config):
@@ -431,7 +429,7 @@ def test_stale_fd_after_lossy_recovery():
     # On a delayed-write disk system a file created just before the
     # crash is gone afterwards; its fd must go stale, not silently
     # point at air.
-    service = FileService(build_system(SystemSpec(policy="ufs_delayed")), ServiceConfig())
+    service = FileService(build_system(SystemSpec("ufs_delayed")), ServiceConfig())
     system = service.system
     service.open_session(0)
     fd = ok(service, Request(client_id=0, req_id=1, op="open", path="f", create=True)).value

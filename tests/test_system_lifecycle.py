@@ -1,35 +1,68 @@
 """Tests for system assembly and odds and ends across modules."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import RioConfig, SystemSpec, build_system
 from repro.core import ProtectionMode
-from repro.errors import ConfigurationError
+from repro.fs.ufs import UFS
 
 
 class TestSystemSpec:
     def test_describe(self):
-        spec = SystemSpec()
-        assert (spec.fs_type, spec.policy, spec.rio) == ("ufs", "ufs", None)
-        spec = SystemSpec(policy="rio", rio=RioConfig.with_protection())
-        assert (spec.fs_type, spec.policy, spec.rio.protection.value) == ("ufs", "rio", "vm_kseg")
+        system = build_system(SystemSpec())
+        assert (system.spec.name, type(system.fs), system.fs.policy.name) == ("ufs", UFS, "ufs")
+        assert system.rio is None
+        system = build_system(SystemSpec("rio_prot"))
+        assert system.fs.policy.name == "rio"
+        assert system.rio.config.protection is ProtectionMode.VM_KSEG
 
     def test_build_with_overrides(self):
-        system = build_system(policy="ufs_delayed", fs_blocks=512)
-        assert system.spec.policy == "ufs_delayed"
+        system = build_system(name="ufs_delayed", fs_blocks=512)
+        assert system.fs.policy.name == "ufs_delayed"
 
     def test_build_with_spec_and_overrides(self):
-        base = SystemSpec(policy="ufs")
+        base = SystemSpec("ufs")
         system = build_system(base, fs_blocks=512)
         assert system.spec.fs_blocks == 512
         assert base.fs_blocks != 512  # the original spec is untouched
 
     def test_unknown_fs_type(self):
-        with pytest.raises(ConfigurationError):
-            build_system(SystemSpec(fs_type="zfs"))
+        with pytest.raises(ValueError, match="unknown system 'zfs'"):
+            SystemSpec("zfs")
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"policy": "wt_write", "rio": RioConfig()},  # Rio under write-through
+            {"phoenix": True, "rio": RioConfig()},  # rio silently ignored
+            {"fs_type": "advfs", "policy": "rio", "rio": RioConfig()},  # Rio over AdvFS
+        ],
+        ids=["rio-under-wt_write", "phoenix-and-rio", "rio-over-advfs"],
+    )
+    def test_a_system_nobody_runs_cannot_be_described(self, knobs):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            SystemSpec(**knobs)
+
+    def test_every_named_system_has_a_disk_and_keeps_its_backend(self):
+        """MFS is Table 2's row (root on disk, /mfs in RAM): every system
+        has a disk and swap, so a backend is installed, never dropped."""
+        system = build_system(SystemSpec("mfs", backend="tiered"))
+        assert system.disk is not None and system.swap is not None
+        assert system.backing is not None
+
+    def test_a_spec_is_a_name_plus_sizes_and_seeds(self):
+        assert [f.name for f in fields(SystemSpec)] == [
+            "name", "checksums", "machine", "kernel", "disk",
+            "fs_blocks", "inode_blocks", "backend", "backend_seed",
+        ]
+        assert [f.name for f in fields(RioConfig)] == [
+            "protection", "shadow_metadata", "maintain_checksums",
+        ]
 
     def test_specs_are_isolated_across_systems(self):
-        spec = SystemSpec(policy="ufs")
+        spec = SystemSpec("ufs")
         a = build_system(spec)
         b = build_system(spec)
         fd = a.vfs.open("/only-in-a", create=True)
@@ -39,12 +72,12 @@ class TestSystemSpec:
 
 class TestRebootChains:
     def test_rio_spec_flags_propagate(self):
-        system = build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection()))
+        system = build_system(SystemSpec("rio_prot"))
         assert system.kernel.reliability_writes_off
         assert system.kernel.mmu.kseg_through_tlb
 
     def test_reboot_rebuilds_kernel_objects(self):
-        system = build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection()))
+        system = build_system(SystemSpec("rio_prot"))
         old_kernel, old_vfs = system.kernel, system.vfs
         system.crash("x")
         system.reboot()
@@ -52,14 +85,14 @@ class TestRebootChains:
         assert system.vfs is not old_vfs
 
     def test_clock_continues_across_reboot(self):
-        system = build_system(SystemSpec(policy="ufs"))
+        system = build_system(SystemSpec("ufs"))
         t0 = system.clock.now_ns
         system.crash("x")
         system.reboot()
         assert system.clock.now_ns > t0  # boot time + recovery I/O
 
     def test_cold_then_warm_cycles(self):
-        system = build_system(SystemSpec(policy="rio", rio=RioConfig.with_protection()))
+        system = build_system(SystemSpec("rio_prot"))
         fd = system.vfs.open("/a", create=True)
         system.vfs.write(fd, b"a")
         system.vfs.close(fd)
@@ -74,7 +107,7 @@ class TestRebootChains:
         assert system.vfs.exists("/b")
 
     def test_mount_count_increments(self):
-        system = build_system(SystemSpec(policy="ufs"))
+        system = build_system(SystemSpec("ufs"))
         first = system.fs.sb.mount_count
         system.crash("x")
         system.reboot()
@@ -83,11 +116,8 @@ class TestRebootChains:
 
 class TestCodePatchingSystem:
     def test_full_stack_with_code_patching(self):
-        spec = SystemSpec(
-            policy="rio",
-            rio=RioConfig(protection=ProtectionMode.CODE_PATCHING),
-        )
-        system = build_system(spec)
+        system = build_system(SystemSpec("rio_patch"))
+        assert system.rio.config.protection is ProtectionMode.CODE_PATCHING
         fd = system.vfs.open("/patched", create=True)
         system.vfs.write(fd, b"guarded by store checks")
         system.vfs.close(fd)

@@ -20,7 +20,7 @@ from repro.workloads import (
 
 @pytest.fixture
 def system():
-    return build_system(SystemSpec(policy="ufs_delayed", fs_blocks=1024))
+    return build_system(SystemSpec("ufs_delayed", fs_blocks=1024))
 
 
 class TestMemTestModel:
@@ -222,13 +222,13 @@ class TestSdet:
 
     def test_more_scripts_take_longer(self, system):
         light = SdetWorkload(
-            build_system(SystemSpec(policy="ufs", fs_blocks=1024)).vfs,
+            build_system(SystemSpec("ufs", fs_blocks=1024)).vfs,
             system.kernel,
             SdetParams(scripts=1, files_per_script=3),
         )
         # Build two separate systems so timings are independent.
-        s1 = build_system(SystemSpec(policy="ufs", fs_blocks=1024))
-        s2 = build_system(SystemSpec(policy="ufs", fs_blocks=1024))
+        s1 = build_system(SystemSpec("ufs", fs_blocks=1024))
+        s2 = build_system(SystemSpec("ufs", fs_blocks=1024))
         t1 = SdetWorkload(s1.vfs, s1.kernel, SdetParams(scripts=1, files_per_script=4)).run()
         t2 = SdetWorkload(s2.vfs, s2.kernel, SdetParams(scripts=4, files_per_script=4)).run()
         assert t2 > t1
