@@ -258,7 +258,8 @@ def _emit(result, args, formatter) -> int:
 def cmd_serve(args) -> int:
     """``serve``: the file service under a crash storm; ``loadgen``: the
     same deterministic load with no storm; ``cluster``: ``serve`` behind
-    a sharded front-end.  Exit 1 if any ack was lost."""
+    a sharded front-end.  Exit 1 if any check failed: an ack lost, or a
+    storm that fired fewer crashes than ``--crashes`` on some kernel."""
     from repro.reliability import format_traffic_report, run_traffic_campaign
 
     config = _traffic_config(
@@ -269,7 +270,12 @@ def cmd_serve(args) -> int:
         backend=args.backend,
     )
     if args.faults:
-        config.fault_type = _parse_fault_types(args.faults)[0]
+        if args.storm != "faults":
+            raise SystemExit("--faults names the fault of --storm faults; add --storm faults")
+        fault_types = _parse_fault_types(args.faults)
+        if len(fault_types) != 1:
+            raise SystemExit(f"--faults takes one fault type, got {len(fault_types)}")
+        (config.fault_type,) = fault_types
     storm = f"{config.crashes} {config.storm} crash(es)"
     if args.command == "cluster":
         config.shards, config.router_mode, config.jobs = args.shards, args.router, args.jobs
@@ -657,36 +663,35 @@ def _add_load_flags(parser, *, pipeline: bool = True) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _add_storm_flags(parser, *, crashes: int | None) -> None:
-    """The storm flags ``serve``, ``loadgen`` and ``cluster`` share;
-    ``crashes`` is the command's ``--crashes`` default (None: no flag,
-    never a crash)."""
-    if crashes is None:
-        parser.set_defaults(crashes=0)
-    else:
-        parser.add_argument(
-            "--crashes",
-            type=_non_negative_int,
-            default=crashes,
-            help=f"mid-traffic crashes per kernel (default {crashes})",
-        )
+def _add_storm_flags(parser, *, crashes: int) -> None:
+    """The storm flags ``serve`` and ``cluster`` share; ``crashes`` is
+    the command's ``--crashes`` default."""
+    parser.add_argument(
+        "--crashes",
+        type=_non_negative_int,
+        default=crashes,
+        help=f"mid-traffic crashes per kernel (default {crashes})",
+    )
     parser.add_argument(
         "--storm",
         default="forced",
         choices=("forced", "faults"),
-        help="crash storm flavour (loadgen never crashes; a cluster's storm "
-        "rolls, one shard down at a time)",
+        help="crash storm flavour (a cluster's storm rolls, one shard down at a time)",
     )
     parser.add_argument(
         "--faults",
         default=None,
-        help='fault type for --storm faults, e.g. "kernel stack"',
+        help='the one fault type of --storm faults, e.g. "kernel stack"',
     )
     parser.add_argument(
         "--repair",
         action="store_true",
         help="re-apply lost journal entries during recovery (for disk runs)",
     )
+    _add_backend_flag(parser)
+
+
+def _add_backend_flag(parser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
@@ -759,8 +764,10 @@ def _flags_serve(p) -> None:
 
 
 def _flags_loadgen(p) -> None:
+    """``serve`` with no storm: the storm flags would do nothing."""
     _add_load_flags(p)
-    _add_storm_flags(p, crashes=None)
+    _add_backend_flag(p)
+    p.set_defaults(crashes=0, storm="forced", faults=None, repair=False)
 
 
 def _flags_cluster(p) -> None:

@@ -20,8 +20,6 @@ stay bit-identical across ``--jobs`` and execution engines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.backend.audit import (
     RemoteCheck,
     mount_materialized,
@@ -35,21 +33,14 @@ from repro.backend.common import (
     TransientBackendError,
 )
 from repro.backend.fsck_remote import RemoteFsckReport, fsck_remote
-from repro.backend.objectstore import ObjectStoreBackend, ObjectStoreConfig
+from repro.backend.objectstore import ObjectStoreBackend
 from repro.backend.tiered import TieredConfig, TieredStats, TieredStore
 
 #: The names ``--backend`` accepts (None / omitted means no remote tier).
 BACKEND_NAMES = ("local", "objectstore", "tiered")
 
 
-def make_backing_store(
-    name: str,
-    *,
-    disk,
-    clock=None,
-    seed: int = 0,
-    config: Optional[TieredConfig] = None,
-) -> TieredStore:
+def make_backing_store(name: str, *, disk, clock=None, seed: int = 0) -> TieredStore:
     """Build the named backing-store flavor over ``disk``.
 
     * ``local`` — write-through (threshold 1) over the free in-process
@@ -62,13 +53,13 @@ def make_backing_store(
     """
     if name == "local":
         remote = LocalBackend(clock=clock)
-        cfg = config or TieredConfig(dirty_threshold=1, readahead=0)
+        cfg = TieredConfig(dirty_threshold=1, readahead=0)
     elif name == "objectstore":
-        remote = ObjectStoreBackend(ObjectStoreConfig(seed=seed), clock=clock)
-        cfg = config or TieredConfig(dirty_threshold=1)
+        remote = ObjectStoreBackend(seed=seed, clock=clock)
+        cfg = TieredConfig(dirty_threshold=1)
     elif name == "tiered":
-        remote = ObjectStoreBackend(ObjectStoreConfig(seed=seed), clock=clock)
-        cfg = config or TieredConfig()
+        remote = ObjectStoreBackend(seed=seed, clock=clock)
+        cfg = TieredConfig()
     else:
         raise ValueError(f"unknown backend {name!r}; know {BACKEND_NAMES}")
     return TieredStore(disk, remote, clock=clock, config=cfg)
@@ -81,7 +72,6 @@ __all__ = [
     "BackendStats",
     "LocalBackend",
     "ObjectStoreBackend",
-    "ObjectStoreConfig",
     "RemoteCheck",
     "RemoteFsckReport",
     "TieredConfig",

@@ -6,17 +6,16 @@ Everything a real object store does to you, deterministically:
   latency plus payload-size over bandwidth, plus a seeded jitter draw,
   taken on the link's timeline in virtual time (the only clock in the
   repo; :mod:`repro.backend.common` says who waits for it);
-* **transient failures** — a seeded percentage of requests raise
-  :class:`TransientBackendError` (the retryable 5xx of the model);
 * **outage windows** — :meth:`set_down` / :meth:`fail_for` make every
   request raise :class:`BackendOutage` until the store is brought back
   (or the window's virtual deadline passes);
-* **chaos hooks** — an installed
+* **failures, through chaos** — an installed
   :class:`~repro.faults.capabilities.ChaosRegistry` is consulted per
   request: ``backend_outage`` fires an outage rejection,
-  ``backend_fail`` a transient failure, and ``slow_io`` stretches the
+  ``backend_fail`` a transient failure (:class:`TransientBackendError`,
+  the retryable 5xx of the model), and ``slow_io`` stretches the
   service time through the same :meth:`ChaosRegistry.io_service_ns`
-  path the disks use — so the existing chaos campaign knobs compose
+  path the disks use — so the chaos campaign's capabilities compose
   with the remote tier unchanged.
 
 Same seed, same call stream → same failures at the same requests and
@@ -25,37 +24,26 @@ the same nanoseconds of service, on either execution engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.backend.common import BackendOutage, LocalBackend, TransientBackendError
+from repro.hw.clock import NS_PER_SEC
 from repro.util.prng import DeterministicRandom
 
 
+#: Flat per-request service cost (ns); the round-trip floor.
+LATENCY_NS = 2_000_000
+#: Payload transfer rate (bytes per virtual second).
+BANDWIDTH_BYTES_PER_SEC = 20_000_000
 #: Upper bound of the seeded uniform per-request jitter (ns).
 JITTER_NS = 500_000
 
 
-@dataclass(frozen=True)
-class ObjectStoreConfig:
-    """The deterministic performance/failure model of one object store."""
-
-    #: Flat per-request service cost (ns); the round-trip floor.
-    latency_ns: int = 2_000_000
-    #: Payload transfer rate (bytes per virtual second).
-    bandwidth_bytes_per_sec: int = 20_000_000
-    #: Percent of requests that fail retryably (0 = reliable).
-    transient_fail_pct: int = 0
-    #: Seed for the jitter/failure PRNG.
-    seed: int = 0
-
-
 class ObjectStoreBackend(LocalBackend):
-    """Blob map behind a seeded latency, bandwidth and failure model."""
+    """Blob map behind a seeded latency, bandwidth and outage model;
+    ``seed`` drives the jitter draws."""
 
-    def __init__(self, config: ObjectStoreConfig | None = None, *, clock=None) -> None:
+    def __init__(self, *, seed: int = 0, clock=None) -> None:
         super().__init__(clock=clock)
-        self.config = config or ObjectStoreConfig()
-        self._rng = DeterministicRandom(self.config.seed ^ 0x0B15C0DE)
+        self._rng = DeterministicRandom(seed ^ 0x0B15C0DE)
         self._down = False
         self._down_until_ns: int | None = None
 
@@ -91,8 +79,8 @@ class ObjectStoreBackend(LocalBackend):
         """Outage/failure checks, then the service time of the request.
 
         Evaluated when the request is issued, in a fixed order (outage,
-        chaos outage, chaos fail, seeded fail, jitter draw) so the PRNG
-        draw sequence is a pure function of the call stream.
+        chaos outage, chaos fail, jitter draw) so the PRNG draw sequence
+        is a pure function of the call stream.
         """
         if self.down:
             self.stats.outage_rejections += 1
@@ -104,15 +92,7 @@ class ObjectStoreBackend(LocalBackend):
         if chaos is not None and chaos.should_fail("backend_fail"):
             self.stats.transient_errors += 1
             raise TransientBackendError("chaos: transient backend failure")
-        config = self.config
-        if config.transient_fail_pct and (
-            self._rng.randrange(100) < config.transient_fail_pct
-        ):
-            self.stats.transient_errors += 1
-            raise TransientBackendError("seeded transient backend failure")
-        service = config.latency_ns
-        if nbytes and config.bandwidth_bytes_per_sec:
-            service += (nbytes * 1_000_000_000) // config.bandwidth_bytes_per_sec
+        service = LATENCY_NS + nbytes * NS_PER_SEC // BANDWIDTH_BYTES_PER_SEC
         service += self._rng.randrange(JITTER_NS)
         if chaos is not None:
             service = chaos.io_service_ns(service)

@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError, NoSpace
 from repro.hw.bus import AccessContext, MemoryBus
+from repro.hw.memory import PAGE_SIZE
 from repro.hw.mmu import KSEG_BASE
 
 REGISTRY_MAGIC = 0x52494F5245470001  # "RIOREG" v1
@@ -269,7 +270,7 @@ class Registry:
 # -- post-crash access (raw memory image, no kernel required) -----------------
 
 
-def find_registry_in_image(image, page_size: int) -> tuple[int, int] | None:
+def find_registry_in_image(image) -> tuple[int, int] | None:
     """Locate the registry in a raw memory image.
 
     ``image`` is anything with ``len`` and ``bytes``-style slicing: flat
@@ -281,7 +282,7 @@ def find_registry_in_image(image, page_size: int) -> tuple[int, int] | None:
     between it and the end of memory is corruption, not a registry.
     """
     size = len(image)
-    for offset in range(size - page_size, -1, -page_size):
+    for offset in range(size - PAGE_SIZE, -1, -PAGE_SIZE):
         header = image[offset : offset + _HEADER_FMT.size]
         if len(header) < _HEADER_FMT.size:
             continue

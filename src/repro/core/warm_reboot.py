@@ -92,7 +92,7 @@ def dump_and_recover_metadata(
     if rec.enabled:
         rec.emit("reboot", "dump", bytes=report.dumped_bytes)
 
-    location = find_registry_in_image(image, machine.memory.page_size)
+    location = find_registry_in_image(image)
     if location is None:
         if rec.enabled:
             rec.emit("reboot", "registry-scan", found=False)

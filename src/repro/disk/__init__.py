@@ -14,12 +14,12 @@ Three properties of real disks matter to the paper and are modelled here:
   be corrupted": the sector in flight at crash time is scrambled.
 """
 
-from repro.disk.model import DiskParameters
+from repro.disk.model import SECTOR_SIZE
 from repro.disk.device import DiskRequest, DiskStats, SimulatedDisk
 from repro.disk.swap import SwapPartition
 
 __all__ = [
-    "DiskParameters",
+    "SECTOR_SIZE",
     "DiskRequest",
     "DiskStats",
     "SimulatedDisk",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, MachineCheck
-from repro.disk.model import DiskParameters
+from repro.disk.model import SECTOR_SIZE, service_ns
 from repro.hw.clock import Clock
 from repro.util.sparse import SparseBytes
 
@@ -44,6 +44,9 @@ from repro.util.sparse import SparseBytes
 #: dump is a few hundred slice copies, while a sparse image (mkfs, a few
 #: files, the backup superblock in the last block) stays a few extents.
 EXTENT_SECTORS = 128
+EXTENT_BYTES = EXTENT_SECTORS * SECTOR_SIZE
+#: Stands in for every unmaterialised extent on the read side.
+_ZERO_EXTENT = bytes(EXTENT_BYTES)
 
 
 @dataclass
@@ -78,20 +81,14 @@ class DiskStats:
 class SimulatedDisk:
     """A sector-addressed disk with virtual-time service and crash tears."""
 
-    def __init__(
-        self,
-        name: str,
-        num_sectors: int,
-        params: DiskParameters | None = None,
-    ) -> None:
+    #: Bytes per sector (:data:`~repro.disk.model.SECTOR_SIZE`), for
+    #: readers that take any disk-shaped object.
+    sector_size = SECTOR_SIZE
+
+    def __init__(self, name: str, num_sectors: int) -> None:
         self.name = name
-        self.params = params or DiskParameters()
         self.num_sectors = num_sectors
-        self.sector_size = self.params.sector_size
-        self._extent_bytes = EXTENT_SECTORS * self.sector_size
         self._extents: dict[int, bytearray] = {}
-        #: Stands in for every unmaterialised extent on the read side.
-        self._zero_extent = bytes(self._extent_bytes)
         self._clock: Clock | None = None
         self._pending: list[DiskRequest] = []
         self._busy_until_ns = 0
@@ -104,7 +101,7 @@ class SimulatedDisk:
 
     def _service_ns(self, nbytes: int, *, sequential: bool) -> int:
         """Model service time, stretched by ``slow_io`` chaos if armed."""
-        service = self.params.service_ns(nbytes, sequential=sequential)
+        service = service_ns(nbytes, sequential=sequential)
         if self.chaos is not None:
             service = self.chaos.io_service_ns(service)
         return service
@@ -133,7 +130,7 @@ class SimulatedDisk:
     def _spans(self, pos: int, nbytes: int):
         """``(extent index, offset, length)`` of each piece of the byte
         run ``[pos, pos + nbytes)``, cut at extent boundaries."""
-        size = self._extent_bytes
+        size = EXTENT_BYTES
         index, off = divmod(pos, size)
         while nbytes > 0:
             take = min(nbytes, size - off)
@@ -145,11 +142,11 @@ class SimulatedDisk:
     def peek(self, sector: int, count: int) -> bytes:
         """Read sectors without consuming virtual time."""
         self._check_range(sector, count)
-        nbytes = count * self.sector_size
-        extents, zeros = self._extents, self._zero_extent
+        nbytes = count * SECTOR_SIZE
+        extents, zeros = self._extents, _ZERO_EXTENT
         parts = [
             memoryview(extents.get(index, zeros))[off : off + take]
-            for index, off, take in self._spans(sector * self.sector_size, nbytes)
+            for index, off, take in self._spans(sector * SECTOR_SIZE, nbytes)
         ]
         if len(parts) > 1 and all(part.obj is zeros for part in parts):
             # A long never-written run (the first dump's ``old_data``):
@@ -172,17 +169,17 @@ class SimulatedDisk:
         """The whole platter as a sparse value: what the disk image judges
         (dissect, the seal, ``dump-disk``) read, at the cost of the
         materialised extents, never of the device size."""
-        return self._peek_sparse(0, self.num_sectors * self.sector_size)
+        return self._peek_sparse(0, self.num_sectors * SECTOR_SIZE)
 
     def poke(self, sector: int, data: bytes | bytearray | memoryview | SparseBytes) -> None:
         """Write sectors without queueing or consuming time (mkfs, tests)."""
         sparse = isinstance(data, SparseBytes)
         if not sparse:
             data = memoryview(data).cast("B")
-        if len(data) % self.sector_size:
+        if len(data) % SECTOR_SIZE:
             raise ValueError("poke data must be whole sectors")
-        self._check_range(sector, len(data) // self.sector_size)
-        (self._store_sparse if sparse else self._store)(sector * self.sector_size, data)
+        self._check_range(sector, len(data) // SECTOR_SIZE)
+        (self._store_sparse if sparse else self._store)(sector * SECTOR_SIZE, data)
 
     def _store(self, pos: int, view: memoryview) -> None:
         """Copy ``view`` onto the platter from byte ``pos``."""
@@ -194,7 +191,7 @@ class SimulatedDisk:
             if extent is None:
                 if bytes(chunk) == bytes(take):
                     continue  # zeros over zeros
-                extent = self._extents[index] = bytearray(self._extent_bytes)
+                extent = self._extents[index] = bytearray(EXTENT_BYTES)
             extent[off : off + take] = chunk
 
     def _store_sparse(self, pos: int, payload: SparseBytes) -> None:
@@ -202,7 +199,7 @@ class SimulatedDisk:
         bytes; a gap does nothing to an unmaterialised extent, drops a
         materialised one it wholly covers (it reads as zeros again) and
         zero-fills in place the part of one it partly covers."""
-        size, extents = self._extent_bytes, self._extents
+        size, extents = EXTENT_BYTES, self._extents
         for start, stop in payload.gaps():
             start += pos
             stop += pos
@@ -232,7 +229,7 @@ class SimulatedDisk:
         clock = self._require_clock()
         start = max(clock.now_ns, self._busy_until_ns)
         service = self._service_ns(
-            count * self.sector_size, sequential=self._sequential_with(sector)
+            count * SECTOR_SIZE, sequential=self._sequential_with(sector)
         )
         completion = start + service
         self.stats.reads += 1
@@ -256,15 +253,15 @@ class SimulatedDisk:
         if not sparse:
             data = memoryview(data).cast("B")
         nbytes = len(data)
-        if nbytes % self.sector_size:
+        if nbytes % SECTOR_SIZE:
             raise ValueError("write data must be whole sectors")
-        count = nbytes // self.sector_size
+        count = nbytes // SECTOR_SIZE
         self._check_range(sector, count)
-        pos = sector * self.sector_size
+        pos = sector * SECTOR_SIZE
         clock = self._require_clock()
         start = max(clock.now_ns, self._busy_until_ns)
         service = self._service_ns(
-            count * self.sector_size, sequential=self._sequential_with(sector)
+            count * SECTOR_SIZE, sequential=self._sequential_with(sector)
         )
         completion = start + service
         request = DiskRequest(
@@ -349,14 +346,14 @@ class SimulatedDisk:
         done = min(request.nsectors, max(0, int(request.nsectors * fraction)))
         # Sectors beyond the head position retain their old contents.
         if done + 1 < request.nsectors:
-            tail = request.old_data[(done + 1) * self.sector_size :]
+            tail = request.old_data[(done + 1) * SECTOR_SIZE :]
             self.poke(request.sector + done + 1, tail)
         if done < request.nsectors:
             # The sector under the head is torn: a deterministic scramble
             # that matches neither the old nor the new contents.
             new = self.peek(request.sector + done, 1)
-            old = request.old_data[done * self.sector_size : (done + 1) * self.sector_size]
-            half = self.sector_size // 2
+            old = request.old_data[done * SECTOR_SIZE : (done + 1) * SECTOR_SIZE]
+            half = SECTOR_SIZE // 2
             torn = bytes(b ^ 0xA5 for b in new[:half]) + bytes(old[half:])
             self.poke(request.sector + done, torn)
             self.stats.torn_sectors += 1

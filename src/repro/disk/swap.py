@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.disk.device import SimulatedDisk
+from repro.disk.model import SECTOR_SIZE
 from repro.util.sparse import SparseBytes
 
 
@@ -27,12 +28,13 @@ class SwapPartition:
         self.disk = disk
         self.start_sector = start_sector
         self.num_sectors = num_sectors
-        self.size_bytes = num_sectors * disk.sector_size
+        self.size_bytes = num_sectors * SECTOR_SIZE
 
-    def dump_memory_image(
-        self, image: bytes | bytearray | memoryview | SparseBytes, *, sync: bool = True
-    ) -> None:
-        """Write a physical-memory image to swap (timed, like the real dump)."""
+    def dump_memory_image(self, image: bytes | bytearray | memoryview | SparseBytes) -> None:
+        """Write a physical-memory image to swap: one synchronous,
+        timed request, like the real dump.  Memory is whole pages and a
+        page is whole sectors, so an image that is not whole sectors is
+        refused, as is one larger than the partition."""
         if not isinstance(image, SparseBytes):
             image = memoryview(image).cast("B")
         nbytes = len(image)
@@ -40,15 +42,9 @@ class SwapPartition:
             raise ConfigurationError(
                 f"memory image ({nbytes} B) exceeds swap ({self.size_bytes} B)"
             )
-        sector_size = self.disk.sector_size
-        body = nbytes - nbytes % sector_size
-        if body:
-            whole = image if body == nbytes else image[:body]
-            self.disk.write(self.start_sector, whole, sync=sync)
-        if body < nbytes:
-            # A ragged image (none of the shipped geometries produces
-            # one: memory is whole pages, pages are whole sectors) pads
-            # only its tail sector, written as a second, sequential
-            # request — never a padded copy of the whole image.
-            tail = bytes(image[body:]).ljust(sector_size, b"\x00")
-            self.disk.write(self.start_sector + body // sector_size, tail, sync=sync)
+        if nbytes % SECTOR_SIZE:
+            raise ConfigurationError(
+                f"memory image ({nbytes} B) is not whole {SECTOR_SIZE}-byte sectors"
+            )
+        if nbytes:
+            self.disk.write(self.start_sector, image, sync=True)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.disk.model import SECTOR_SIZE
+
 #: File system block size — one block per 8 KB file-cache page, as in the
 #: paper ("40 bytes of information are needed for each 8 KB file cache page").
 BLOCK_SIZE = 8192
 
-#: Disk sectors per file system block (512-byte sectors).
-SECTORS_PER_BLOCK = BLOCK_SIZE // 512
+#: Disk sectors per file system block.
+SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
 #: Inode number of the root directory (inode 0 is reserved/invalid,
 #: inode 1 is the lost+found anchor by convention).

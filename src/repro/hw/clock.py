@@ -20,8 +20,8 @@ NS_PER_SEC = 1_000_000_000
 class Clock:
     """A monotonically advancing virtual clock with nanosecond resolution."""
 
-    def __init__(self, start_ns: int = 0) -> None:
-        self._now_ns = start_ns
+    def __init__(self) -> None:
+        self._now_ns = 0
         self._listeners: list[Callable[[int], None]] = []
 
     @property

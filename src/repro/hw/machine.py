@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.errors import CrashedMachineError
 from repro.hw.bus import MemoryBus
 from repro.hw.clock import Clock, NS_PER_SEC
-from repro.hw.memory import DEFAULT_PAGE_SIZE, PhysicalMemory
+from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import MMU
 from repro.obs.events import FlightRecorder
 
@@ -30,13 +30,13 @@ from repro.obs.events import FlightRecorder
 class MachineConfig:
     """Sizing knobs for the simulated workstation.
 
-    The paper's machines had 128 MB with an 80 MB UBC; the defaults here
-    are scaled down so campaigns run quickly, and every experiment accepts
-    a config to scale back up.
+    The paper's machines had 128 MB with an 80 MB UBC; the default here
+    is scaled down so campaigns run quickly.  Every system under test
+    runs the default; the hardware tests size bare machines smaller.
+    The page size is not a knob: it is :data:`~repro.hw.memory.PAGE_SIZE`.
     """
 
     memory_bytes: int = 16 * 1024 * 1024
-    page_size: int = DEFAULT_PAGE_SIZE
     #: Virtual time a (re)boot consumes before the system is usable.
     boot_time_ns: int = 30 * NS_PER_SEC
     #: Engage the hot-path execution engine (soft TLB + zero-copy word
@@ -78,12 +78,9 @@ class Machine:
     ) -> None:
         self.config = config or MachineConfig()
         self.clock = clock or Clock()
-        if memory is not None and (
-            memory.size != self.config.memory_bytes
-            or memory.page_size != self.config.page_size
-        ):
+        if memory is not None and memory.size != self.config.memory_bytes:
             raise ValueError("transplanted memory board does not fit this machine")
-        self.memory = memory or PhysicalMemory(self.config.memory_bytes, self.config.page_size)
+        self.memory = memory or PhysicalMemory(self.config.memory_bytes)
         self.disks: dict[str, object] = {}
         self.crash_log: list[CrashRecord] = []
         #: The flight recorder (see :mod:`repro.obs`): one per machine,

@@ -14,7 +14,9 @@ from repro.errors import MachineCheck
 from repro.util.checksum import fletcher32
 from repro.util.sparse import SparseBytes
 
-DEFAULT_PAGE_SIZE = 8192  # the paper's 8 KB file-cache page
+#: The Alpha's 8 KB page, the same size as the file system block: the
+#: paper's one machine, so the one page size every frame has.
+PAGE_SIZE = 8192
 #: Fletcher-32 of an all-zero frame of any size: both sums are 0, which
 #: the fold stores as 0xFFFF each.
 ZERO_CHECKSUM = 0xFFFFFFFF
@@ -31,15 +33,18 @@ class PhysicalMemory:
     access (e.g. the crash-dump path and corruption detectors).
     """
 
-    def __init__(self, size: int, page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        if size <= 0 or page_size <= 0 or size % page_size:
+    #: Frame size in bytes (:data:`PAGE_SIZE`), for readers that hold
+    #: a board rather than the module.
+    page_size = PAGE_SIZE
+
+    def __init__(self, size: int) -> None:
+        if size <= 0 or size % PAGE_SIZE:
             raise ValueError("memory size must be a positive multiple of page size")
         self.size = size
-        self.page_size = page_size
-        self.num_pages = size // page_size
+        self.num_pages = size // PAGE_SIZE
         self._pages: dict[int, bytearray] = {}
         #: What every never-written frame reads as (immutable, shared).
-        self._zero_page = bytes(page_size)
+        self._zero_page = bytes(PAGE_SIZE)
         #: Per-frame write-generation counters.  Every mutation of a frame
         #: (``write``, ``copy_frame``, ``fill``, ``flip_bit``, ``erase``,
         #: ``load_image``) bumps its counter; the interpreter's predecode
@@ -76,7 +81,7 @@ class PhysicalMemory:
             raise MachineCheck(f"physical frame {pfn} out of range")
         store = self._pages.get(pfn)
         if store is None:
-            store = bytearray(self.page_size)
+            store = bytearray(PAGE_SIZE)
             self._pages[pfn] = store
         return store
 
@@ -127,7 +132,7 @@ class PhysicalMemory:
         only inside this range" from "something else touched it"."""
         if not 0 <= pfn < self.num_pages:
             raise MachineCheck(f"physical frame {pfn} out of range")
-        record = self._watched[pfn] = [0, self.page_size, 0]
+        record = self._watched[pfn] = [0, PAGE_SIZE, 0]
         return record
 
     def unwatch(self, pfn: int) -> None:
@@ -168,16 +173,15 @@ class PhysicalMemory:
         resident frames and the shared zero page.
         """
         self._check_range(addr, length)
-        page_size = self.page_size
-        pfn, off = divmod(addr, page_size)
+        pfn, off = divmod(addr, PAGE_SIZE)
         pages, zero = self._pages, self._zero_page
-        if off + length <= page_size:  # common case: one frame
+        if off + length <= PAGE_SIZE:  # common case: one frame
             return bytes(pages.get(pfn, zero)[off : off + length])
         parts = []
         while length > 0:
-            take = min(length, page_size - off)
+            take = min(length, PAGE_SIZE - off)
             store = pages.get(pfn, zero)
-            parts.append(store if take == page_size else memoryview(store)[off : off + take])
+            parts.append(store if take == PAGE_SIZE else memoryview(store)[off : off + take])
             length -= take
             pfn += 1
             off = 0
@@ -196,8 +200,8 @@ class PhysicalMemory:
         gens, watched = self._page_gens, self._watched
         pos = 0
         while pos < n:
-            pfn, off = divmod(addr + pos, self.page_size)
-            take = min(n - pos, self.page_size - off)
+            pfn, off = divmod(addr + pos, PAGE_SIZE)
+            take = min(n - pos, PAGE_SIZE - off)
             self.page(pfn)[off : off + take] = (
                 data if pos == 0 and take == n else data[pos : pos + take]
             )
@@ -211,7 +215,7 @@ class PhysicalMemory:
         checksum known for ``src`` becomes ``dst``'s, at its new
         generation — the copy is the same bytes."""
         checksum = self.known_checksum(src)
-        self.write(dst * self.page_size, self.frame(src))
+        self.write(dst * PAGE_SIZE, self.frame(src))
         if checksum is not None:
             self.record_checksum(dst, checksum)
 
@@ -240,10 +244,9 @@ class PhysicalMemory:
         snapshot stays what memory held now whatever is written later —
         the booting kernel reuses these frames before the user-level
         restore reads the image."""
-        page_size = self.page_size
         return SparseBytes(
             self.size,
-            [(pfn * page_size, bytes(store)) for pfn, store in sorted(self._pages.items())],
+            [(pfn * PAGE_SIZE, bytes(store)) for pfn, store in sorted(self._pages.items())],
         )
 
     def dump_image(self) -> bytes:
@@ -273,6 +276,6 @@ class PhysicalMemory:
         self._check_range(addr, 1)
         if not 0 <= bit < 8:
             raise ValueError("bit index out of range")
-        pfn, off = divmod(addr, self.page_size)
+        pfn, off = divmod(addr, PAGE_SIZE)
         self.page(pfn)[off] ^= 1 << bit
         self._page_gens[pfn] += 1

@@ -33,7 +33,7 @@ from repro.isa.encoding import (
 )
 from repro.isa.assembler import AssemblyError, assemble
 from repro.isa.text import KernelText, Routine
-from repro.isa.interpreter import Interpreter, InterpreterLimits
+from repro.isa.interpreter import Interpreter
 
 __all__ = [
     "Instruction",
@@ -47,5 +47,4 @@ __all__ = [
     "KernelText",
     "Routine",
     "Interpreter",
-    "InterpreterLimits",
 ]

@@ -205,11 +205,9 @@ class _HaltSignal(Exception):
     """Internal: the fast engine's HALT-at-sentinel unwind."""
 
 
-@dataclass
-class InterpreterLimits:
-    """Execution guards.  ``max_steps`` is the software watchdog."""
-
-    max_steps: int = 500_000
+#: The software watchdog: instructions one call may execute before it
+#: is declared hung (a call may pass a tighter ``max_steps``).
+MAX_STEPS = 500_000
 
 
 @dataclass
@@ -223,15 +221,9 @@ class CallResult:
 class Interpreter:
     """Runs kernel routines, natively when pristine, interpreted otherwise."""
 
-    def __init__(
-        self,
-        bus: MemoryBus,
-        text: KernelText,
-        limits: InterpreterLimits | None = None,
-    ) -> None:
+    def __init__(self, bus: MemoryBus, text: KernelText) -> None:
         self.bus = bus
         self.text = text
-        self.limits = limits or InterpreterLimits()
         #: When True, even pristine routines are interpreted (used by tests
         #: and the code-patching overhead bench).
         self.force_interpret = False
@@ -286,10 +278,8 @@ class Interpreter:
         sp: int,
         max_steps: int | None,
     ) -> CallResult:
-        """Pick an engine.  The fast engine requires the bus-level knob
-        and needs word-aligned pages for the predecode index."""
-        bus = self.bus
-        if bus.fast_path and bus.memory.page_size % WORD_BYTES == 0:
+        """Pick an engine: the bus-level knob decides."""
+        if self.bus.fast_path:
             return self._interpret_fast(name, args, ctx, sp, max_steps)
         return self._interpret_ref(name, args, ctx, sp, max_steps)
 
@@ -309,7 +299,7 @@ class Interpreter:
         sentinel = self.text.sentinel_vaddr
         regs[26] = sentinel
         pc = self.text.entry_vaddr(name)
-        budget = max_steps if max_steps is not None else self.limits.max_steps
+        budget = max_steps if max_steps is not None else MAX_STEPS
         steps = 0
         stores = 0
 
@@ -687,7 +677,7 @@ class Interpreter:
         st[0] = ctx
         st[1] = sentinel
         pc = self.text.entry_vaddr(name)
-        budget = max_steps if max_steps is not None else self.limits.max_steps
+        budget = max_steps if max_steps is not None else MAX_STEPS
         steps = 0
         fetches = 0
         stores_before = stats.stores

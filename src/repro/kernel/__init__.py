@@ -9,7 +9,7 @@ flips and allocation faults corrupt real state with mechanistic
 consequences.
 """
 
-from repro.kernel.layout import FramePool, KernelLayout
+from repro.kernel.layout import FramePool
 from repro.kernel.kmalloc import KernelHeap
 from repro.kernel.locks import Lock, LockManager
 from repro.kernel.klib import KLib
@@ -17,7 +17,6 @@ from repro.kernel.kernel import Kernel, KernelConfig
 
 __all__ = [
     "FramePool",
-    "KernelLayout",
     "KernelHeap",
     "Lock",
     "LockManager",

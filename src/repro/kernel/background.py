@@ -18,6 +18,12 @@ from repro.isa.routines import PROC_MAGIC, VNODE_MAGIC
 
 PROC_NODE_BYTES = 32
 VNODE_BYTES = 32
+#: Procs on the run queue, vnode hash buckets, vnodes per chain.
+NUM_PROCS = 8
+NUM_BUCKETS = 8
+VNODES_PER_BUCKET = 2
+#: Every this-many ticks, one background bcopy (network / IPC traffic).
+BCOPY_EVERY = 4
 
 # Who a tick's accesses are attributed to (contexts are read-only labels).
 _CONTEXT_SWITCH = AccessContext(procedure="context_switch")
@@ -29,25 +35,16 @@ _NET_SOFTINTR = AccessContext(procedure="net_softintr")
 class BackgroundActivity:
     """Builds and exercises the background kernel data structures."""
 
-    def __init__(
-        self,
-        kernel,
-        num_procs: int = 8,
-        num_buckets: int = 8,
-        vnodes_per_bucket: int = 2,
-        bcopy_every: int = 4,
-    ) -> None:
+    def __init__(self, kernel) -> None:
         self.kernel = kernel
-        self.num_buckets = num_buckets
-        self.bcopy_every = bcopy_every
         ctx = AccessContext(procedure="background_init")
         heap = kernel.heap
         bus = kernel.bus
 
         # Run queue: singly-linked list of proc structs.
         self.runqueue_head = heap.kmalloc(8)
-        proc_addrs = [heap.kmalloc(PROC_NODE_BYTES) for _ in range(num_procs)]
-        bus.store_u64(self.runqueue_head, proc_addrs[0] if proc_addrs else 0, ctx)
+        proc_addrs = [heap.kmalloc(PROC_NODE_BYTES) for _ in range(NUM_PROCS)]
+        bus.store_u64(self.runqueue_head, proc_addrs[0], ctx)
         for i, addr in enumerate(proc_addrs):
             bus.store_u64(addr, PROC_MAGIC, ctx)
             nxt = proc_addrs[i + 1] if i + 1 < len(proc_addrs) else 0
@@ -55,10 +52,10 @@ class BackgroundActivity:
             bus.store_u64(addr + 16, 0, ctx)
 
         # Vnode hash table: buckets of singly-linked chains.
-        self.vnode_table = heap.kmalloc(8 * num_buckets)
-        for bucket in range(num_buckets):
+        self.vnode_table = heap.kmalloc(8 * NUM_BUCKETS)
+        for bucket in range(NUM_BUCKETS):
             prev = 0
-            for _ in range(vnodes_per_bucket):
+            for _ in range(VNODES_PER_BUCKET):
                 node = heap.kmalloc(VNODE_BYTES)
                 bus.store_u64(node, VNODE_MAGIC, ctx)
                 bus.store_u64(node + 8, prev, ctx)
@@ -95,7 +92,7 @@ class BackgroundActivity:
         runqueue_head = bus.load_u64(self.saved_context, _CONTEXT_SWITCH)
         vnode_table = bus.load_u64(self.saved_context + 8, _CONTEXT_SWITCH)
         klib.sched_tick(runqueue_head, _SCHED_TICK)
-        klib.vnode_scan(vnode_table, self.num_buckets, _VNODE_SCAN)
-        if self.bcopy_every and self.ticks_run % self.bcopy_every == 0:
+        klib.vnode_scan(vnode_table, NUM_BUCKETS, _VNODE_SCAN)
+        if self.ticks_run % BCOPY_EVERY == 0:
             klib.bcopy(self.scratch_src, self.scratch_dst, 160, _NET_SOFTINTR)
         self.ticks_run += 1

@@ -15,7 +15,7 @@ the machine down.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     ConfigurationError,
@@ -30,34 +30,38 @@ from repro.fs.cache import BufferCache, CacheGuard, UnifiedBufferCache
 from repro.fs.types import BLOCK_SIZE
 from repro.hw.clock import NS_PER_SEC
 from repro.hw.machine import Machine
+from repro.hw.memory import PAGE_SIZE
 from repro.isa.interpreter import Interpreter
 from repro.isa.routines import build_kernel_text
 from repro.kernel.background import BackgroundActivity
-from repro.kernel.klib import KLib
+from repro.kernel.klib import NS_PER_INSTRUCTION, KLib
 from repro.kernel.kmalloc import KernelHeap
 from repro.kernel.layout import (
+    HEAP_PAGES,
     KBUF_BASE,
     KHEAP_BASE,
     KSTACK_BASE,
     KSTAGE_BASE,
     KTEXT_BASE,
+    REGISTRY_PAGES,
+    STACK_PAGES,
+    STAGING_PAGES,
     FramePool,
-    KernelLayout,
     Regions,
+    buffer_cache_pages,
 )
 from repro.kernel.locks import LockManager
+
+
+#: One frame holds one file system block: the registry's unit is the
+#: "8 KB file cache page" (section 2.2).
+assert PAGE_SIZE == BLOCK_SIZE
 
 
 @dataclass
 class KernelConfig:
     """Kernel-wide tunables."""
 
-    layout: KernelLayout = field(default_factory=KernelLayout)
-    #: CPU cost model: virtual nanoseconds per interpreted instruction.
-    #: ~50 effective MIPS: the paper's 175 MHz Alpha 21064 spent much of
-    #: its copy path stalled on memory, so the effective per-instruction
-    #: cost is well above one cycle.
-    ns_per_instruction: float = 20.0
     #: The update daemon's flush interval ("once every 30 seconds").
     update_interval_ns: int = 30 * NS_PER_SEC
 
@@ -90,43 +94,32 @@ class Kernel:
     def __init__(self, machine: Machine, config: KernelConfig | None = None) -> None:
         self.machine = machine
         self.config = config or KernelConfig()
-        self.page_size = machine.memory.page_size
-        if self.page_size != BLOCK_SIZE:
-            raise ConfigurationError("kernel requires page size == fs block size")
+        self.page_size = PAGE_SIZE
         self.memory = machine.memory
         self.mmu = machine.mmu
         self.bus = machine.bus
         self.clock = machine.clock
         #: Flight recorder convenience handle (see :mod:`repro.obs`).
         self.recorder = machine.recorder
-        self.config.layout.validate(self.page_size)
 
-        layout = self.config.layout
         # Reserve enough top-of-memory frames that the registry can hold
         # one entry per physical page (every page could be a file buffer).
         from repro.core.registry import ENTRY_SIZE, HEADER_SIZE
 
         needed = -(-(HEADER_SIZE + self.memory.num_pages * ENTRY_SIZE) // self.page_size)
-        registry_pages = max(layout.registry_pages, needed)
+        registry_pages = max(REGISTRY_PAGES, needed)
         self.frames = FramePool(
             self.memory.num_pages, reserved_top=registry_pages
         )
         self.regions = Regions(registry_frames=self.frames.top_frames())
         self._boot_text()
-        self._boot_region("heap_frames", KHEAP_BASE, layout.heap_pages)
-        self._boot_region("stack_frames", KSTACK_BASE, layout.stack_pages)
-        self._boot_region("staging_frames", KSTAGE_BASE, layout.staging_pages)
+        self._boot_region("heap_frames", KHEAP_BASE, HEAP_PAGES)
+        self._boot_region("stack_frames", KSTACK_BASE, STACK_PAGES)
+        self._boot_region("staging_frames", KSTAGE_BASE, STAGING_PAGES)
 
         self.interp = Interpreter(self.bus, self.text)
-        self.klib = KLib(
-            self.interp,
-            self.clock,
-            self.regions.stack_top(self.page_size),
-            ns_per_instruction=self.config.ns_per_instruction,
-        )
-        self.heap = KernelHeap(
-            self.bus, KHEAP_BASE, layout.heap_pages * self.page_size
-        )
+        self.klib = KLib(self.interp, self.clock, self.regions.stack_top())
+        self.heap = KernelHeap(self.bus, KHEAP_BASE, HEAP_PAGES * self.page_size)
         self.locks = LockManager()
         self.background = BackgroundActivity(self)
 
@@ -204,8 +197,7 @@ class Kernel:
     def init_caches(self, guard: CacheGuard | None = None) -> None:
         """Create the buffer cache and UBC, optionally Rio-guarded."""
         self.guard = guard or CacheGuard()
-        layout = self.config.layout
-        meta_capacity = layout.resolve_buffer_cache_pages(self.frames.num_frames)
+        meta_capacity = buffer_cache_pages(self.frames.num_frames)
         self.buffer_cache = BufferCache(
             self, meta_capacity, KBUF_BASE, self.guard
         )
@@ -254,7 +246,7 @@ class Kernel:
         plane) and by MFS.  ~1.25 instructions per byte, the 8-byte-loop
         bcopy rate."""
         if self.klib.charge_time and nbytes:
-            self.clock.consume(int(nbytes * 1.25 * self.config.ns_per_instruction))
+            self.clock.consume(int(nbytes * 1.25 * NS_PER_INSTRUCTION))
 
     def stage_data(self, data: bytes) -> int:
         """Place user data in the staging region; returns its kernel vaddr.

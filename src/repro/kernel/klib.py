@@ -23,21 +23,19 @@ from repro.hw.bus import AccessContext, KERNEL_CONTEXT
 from repro.hw.clock import Clock
 from repro.isa.interpreter import CallResult, Interpreter
 
+#: CPU cost model: virtual nanoseconds per interpreted instruction.
+#: ~50 effective MIPS: the paper's 175 MHz Alpha 21064 spent much of its
+#: copy path stalled on memory, so the effective per-instruction cost is
+#: well above one cycle.
+NS_PER_INSTRUCTION = 20.0
 
 class KLib:
     """Kernel library routines over the interpreter."""
 
-    def __init__(
-        self,
-        interpreter: Interpreter,
-        clock: Clock,
-        stack_top: int,
-        ns_per_instruction: float = 10.0,
-    ) -> None:
+    def __init__(self, interpreter: Interpreter, clock: Clock, stack_top: int) -> None:
         self.interp = interpreter
         self.clock = clock
         self.stack_top = stack_top
-        self.ns_per_instruction = ns_per_instruction
         #: Copy-overrun fault hook: ``hook(length) -> possibly larger length``.
         self.overrun_hook: Optional[Callable[[int], int]] = None
         #: The kernel's one CPU-charging switch: instructions here, syscall
@@ -58,7 +56,7 @@ class KLib:
         steps = result.steps
         self.stat_instructions += steps
         if self.charge_time and steps:
-            self.clock.consume(int(steps * self.ns_per_instruction))
+            self.clock.consume(int(steps * NS_PER_INSTRUCTION))
         return result
 
     # -- public routines -------------------------------------------------------

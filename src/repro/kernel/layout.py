@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, NoSpace
+from repro.hw.memory import PAGE_SIZE
 
 # Kernel virtual region bases (all page-aligned for 8 KB pages).
 KTEXT_BASE = 0x0001_0000
@@ -23,39 +24,25 @@ KSTAGE_BASE = 0x0300_0000
 KBUF_BASE = 0x0400_0000
 
 
-@dataclass
-class KernelLayout:
-    """Page counts for each fixed kernel region."""
+# Page counts of the fixed kernel regions.
+HEAP_PAGES = 48
+STACK_PAGES = 4
+STAGING_PAGES = 16
+#: Floor of the registry frames reserved at the top of physical memory
+#: (the kernel reserves more when one entry per frame needs them).
+REGISTRY_PAGES = 4
 
-    heap_pages: int = 48
-    stack_pages: int = 4
-    staging_pages: int = 16
-    #: Buffer cache capacity (metadata pages).  ``None`` (the default)
-    #: auto-sizes it to an eighth of physical memory, floored at 48
-    #: pages — "usually only a few megabytes" in Digital Unix, scaled
-    #: with the machine so a many-client metadata working set does not
-    #: thrash a fixed-size cache.  Set an explicit page count to pin it.
-    buffer_cache_pages: int | None = None
-    #: Registry frames reserved at the top of physical memory.
-    registry_pages: int = 4
+#: Buffer cache sizing: an eighth of physical memory, floored at 48
+#: pages — "usually only a few megabytes" in Digital Unix, scaled with
+#: the machine so a many-client metadata working set does not thrash a
+#: fixed-size cache.
+BUFFER_CACHE_MIN_PAGES = 48
+BUFFER_CACHE_MEMORY_FRACTION = 8
 
-    #: Auto-sizing floor and memory fraction for the buffer cache.
-    BUFFER_CACHE_MIN_PAGES = 48
-    BUFFER_CACHE_MEMORY_FRACTION = 8
 
-    def resolve_buffer_cache_pages(self, num_frames: int) -> int:
-        """Buffer cache capacity for a machine with ``num_frames`` frames."""
-        if self.buffer_cache_pages is not None:
-            return self.buffer_cache_pages
-        return max(
-            self.BUFFER_CACHE_MIN_PAGES,
-            num_frames // self.BUFFER_CACHE_MEMORY_FRACTION,
-        )
-
-    def validate(self, page_size: int) -> None:
-        for base in (KTEXT_BASE, KHEAP_BASE, KSTACK_BASE, KSTAGE_BASE, KBUF_BASE):
-            if base % page_size:
-                raise ConfigurationError("region base not page aligned")
+def buffer_cache_pages(num_frames: int) -> int:
+    """Buffer cache capacity (metadata pages) for ``num_frames`` frames."""
+    return max(BUFFER_CACHE_MIN_PAGES, num_frames // BUFFER_CACHE_MEMORY_FRACTION)
 
 
 class FramePool:
@@ -112,6 +99,6 @@ class Regions:
     staging_frames: list[int] = field(default_factory=list)
     registry_frames: list[int] = field(default_factory=list)
 
-    def stack_top(self, page_size: int) -> int:
+    def stack_top(self) -> int:
         """Initial stack pointer (stacks grow down; a small redzone is left)."""
-        return KSTACK_BASE + len(self.stack_frames) * page_size - 64
+        return KSTACK_BASE + len(self.stack_frames) * PAGE_SIZE - 64

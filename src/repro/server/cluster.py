@@ -62,6 +62,7 @@ from repro.server.router import Router
 from repro.server.scheduler import RequestScheduler
 from repro.server.service import (
     HOME_PREFIX,
+    MAX_OPEN_FDS,
     CrashPoints,
     FaultStorm,
     FileService,
@@ -794,13 +795,12 @@ class ClusterService:
 
         if op == "open":
             path = resolve_path(session.cwd, request.path)
-            quota = self.config.service.max_open_fds
-            if len(session.fds) >= quota:
+            if len(session.fds) >= MAX_OPEN_FDS:
                 return "local", Response.failure(
                     request,
                     QuotaExceeded(
                         f"client {request.client_id}: open-fd quota "
-                        f"({quota}) exhausted"
+                        f"({MAX_OPEN_FDS}) exhausted"
                     ),
                 )
             shard = self.router.shard_for(path)

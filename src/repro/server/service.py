@@ -40,6 +40,8 @@ from repro.server.session import Session, SessionManager
 
 #: Directory under which per-client homes are created.
 HOME_PREFIX = "/srv"
+#: Per-client open-descriptor quota (QuotaExceeded beyond it).
+MAX_OPEN_FDS = 16
 
 
 @dataclass
@@ -52,8 +54,6 @@ class ServiceConfig:
     batch_size: int = 16
     #: Max requests one client contributes per round-robin visit.
     quantum: int = 4
-    #: Per-client open-descriptor quota (QuotaExceeded beyond it).
-    max_open_fds: int = 16
     #: Re-apply lost journal entries during the post-crash audit.
     #: Pointless on Rio (nothing is ever lost); it lets the service
     #: degrade gracefully on disk-backed systems instead of lying.
@@ -514,15 +514,14 @@ class FileService:
         op = request.op
 
         if op == "open":
-            if len(session.fds) >= self.config.max_open_fds:
+            if len(session.fds) >= MAX_OPEN_FDS:
                 raise QuotaExceeded(
-                    f"client {session.client_id}: "
-                    f"open-fd quota ({self.config.max_open_fds}) exhausted"
+                    f"client {session.client_id}: open-fd quota ({MAX_OPEN_FDS}) exhausted"
                 )
             path = session.resolve(request.path)
             existed = vfs.exists(path)
             backing = vfs.open(path, create=request.create)
-            state = session.add_fd(path, backing, self.config.max_open_fds)
+            state = session.add_fd(path, backing)
             if request.create and not existed:
                 self.journal.record(session.client_id, request.req_id, "open", path)
             return state.cfd

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import FileNotFound
-from repro.server.protocol import QuotaExceeded, SessionError
+from repro.server.protocol import SessionError
 
 
 def resolve_path(cwd: str, path: str) -> str:
@@ -91,12 +91,9 @@ class Session:
             )
         return state
 
-    def add_fd(self, path: str, backing_fd: int, limit: int) -> FdState:
-        """Allocate a client fd for ``path``; enforces the open-fd quota."""
-        if len(self.fds) >= limit:
-            raise QuotaExceeded(
-                f"client {self.client_id}: open-fd quota ({limit}) exhausted"
-            )
+    def add_fd(self, path: str, backing_fd: int) -> FdState:
+        """Allocate a client fd for ``path`` (the caller enforces the
+        open-fd quota before it opens the backing file)."""
         state = FdState(cfd=self.next_cfd, path=path, backing_fd=backing_fd)
         self.fds[state.cfd] = state
         self.next_cfd += 1

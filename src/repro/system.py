@@ -22,14 +22,14 @@ from repro.core.warm_reboot import (
     dump_and_recover_metadata,
     restore_ubc,
 )
-from repro.disk import DiskParameters, SimulatedDisk, SwapPartition
+from repro.disk import SECTOR_SIZE, SimulatedDisk, SwapPartition
 from repro.fs.advfs import AdvFS, advfs_recover
 from repro.fs.fsck import FsckReport, fsck
 from repro.fs.mfs import MemoryFileSystem
 from repro.fs.types import SECTORS_PER_BLOCK
 from repro.fs.ufs import UFS, UFSParams
 from repro.fs.writeback import make_policy
-from repro.hw import Machine, MachineConfig
+from repro.hw import Machine
 from repro.kernel import Kernel, KernelConfig
 from repro.kernel.syscalls import VFS
 
@@ -87,9 +87,7 @@ class SystemSpec:
     #: Rio keeps per-buffer detection checksums (Table 1's apparatus;
     #: Table 2's rows turn them off).
     checksums: bool = True
-    machine: MachineConfig = field(default_factory=MachineConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
-    disk: DiskParameters = field(default_factory=DiskParameters)
     #: Root file system size in 8 KB blocks.
     fs_blocks: int = 1024
     inode_blocks: int = 8
@@ -131,13 +129,11 @@ class System:
     def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
         self.row = row = SYSTEMS[spec.name]
-        self.machine = Machine(replace(spec.machine))
-        self.disk = SimulatedDisk(
-            "rz0", spec.fs_blocks * SECTORS_PER_BLOCK, replace(spec.disk)
-        )
+        self.machine = Machine()
+        self.disk = SimulatedDisk("rz0", spec.fs_blocks * SECTORS_PER_BLOCK)
         self.machine.attach_disk("rz0", self.disk)
-        swap_sectors = spec.machine.memory_bytes // 512 + 2 * SECTORS_PER_BLOCK
-        swap_disk = SimulatedDisk("rz1", swap_sectors, replace(spec.disk))
+        swap_sectors = self.machine.memory.size // SECTOR_SIZE + 2 * SECTORS_PER_BLOCK
+        swap_disk = SimulatedDisk("rz1", swap_sectors)
         self.machine.attach_disk("rz1", swap_disk)
         self.swap = SwapPartition(swap_disk, 0, swap_sectors)
         UFS.mkfs(

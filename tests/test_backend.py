@@ -26,7 +26,6 @@ from repro.backend import (
     BackendOutage,
     LocalBackend,
     ObjectStoreBackend,
-    ObjectStoreConfig,
     TieredConfig,
     TieredStore,
     TransientBackendError,
@@ -35,6 +34,7 @@ from repro.backend import (
 from repro.backend.audit import mount_materialized, remote_recovery_audit
 from repro.backend.fsck_remote import fsck_remote
 from repro.backend.tiered import content_hash, obj_key
+from repro.faults.capabilities import ChaosRegistry
 from repro.fs.types import SECTORS_PER_BLOCK
 from repro.hw.clock import Clock
 from repro.reliability import TrafficConfig, run_traffic_campaign
@@ -117,7 +117,7 @@ class TestBackendProtocol:
 
     def test_objectstore_charges_virtual_time(self):
         clock = Clock()
-        store = ObjectStoreBackend(ObjectStoreConfig(seed=4))
+        store = ObjectStoreBackend(seed=4)
         store.attach(clock)
         before = clock.now_ns
         store.put("obj/x", b"y" * BLOCK)
@@ -128,7 +128,7 @@ class TestBackendProtocol:
         assert clock.now_ns - after_put > after_put - before
 
     def test_objectstore_outage_hides_absence(self):
-        store = ObjectStoreBackend(ObjectStoreConfig(seed=4))
+        store = ObjectStoreBackend(seed=4)
         store.attach(Clock())
         store.set_down(True)
         with pytest.raises(BackendOutage):
@@ -141,7 +141,7 @@ class TestBackendProtocol:
 
     def test_objectstore_fail_for_expires_with_clock(self):
         clock = Clock()
-        store = ObjectStoreBackend(ObjectStoreConfig(seed=4))
+        store = ObjectStoreBackend(seed=4)
         store.attach(clock)
         store.fail_for(10_000_000)
         with pytest.raises(BackendOutage):
@@ -151,11 +151,14 @@ class TestBackendProtocol:
         assert store.get("obj/x") == b"y"
 
     def test_objectstore_transients_are_seeded(self):
+        """``backend_fail`` draws from the registry's seed: the same seed
+        fails the same requests, another seed others."""
+
         def pattern(seed):
-            store = ObjectStoreBackend(
-                ObjectStoreConfig(seed=seed, transient_fail_pct=30)
-            )
+            store = ObjectStoreBackend(seed=seed)
             store.attach(Clock())
+            store.chaos = ChaosRegistry(seed)
+            store.chaos.enable("backend_fail", probability=30)
             out = []
             for i in range(40):
                 try:
@@ -163,12 +166,26 @@ class TestBackendProtocol:
                     out.append("ok")
                 except TransientBackendError:
                     out.append("fail")
+            assert store.stats.transient_errors == out.count("fail")
             return out
 
         first = pattern(9)
         assert first == pattern(9)
         assert "fail" in first and "ok" in first
         assert first != pattern(10)
+
+    def test_objectstore_chaos_outage_rejects_and_takes_no_link_time(self):
+        """``backend_outage`` rejects the request it fires on as an
+        outage, before the link is priced; the next request goes through."""
+        store = ObjectStoreBackend(seed=4)
+        store.attach(Clock())
+        store.chaos = ChaosRegistry(4)
+        store.chaos.enable("backend_outage", times=1)
+        with pytest.raises(BackendOutage, match="chaos"):
+            store.put("obj/x", b"y")
+        assert store.stats.outage_rejections == 1 and store.stats.service_ns == 0
+        store.put("obj/x", b"y")
+        assert store.get("obj/x") == b"y"
 
     def test_make_backing_store_flavours(self):
         from repro.disk.device import SimulatedDisk

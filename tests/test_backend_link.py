@@ -28,11 +28,11 @@ from repro.backend import (
     BackendOutage,
     BackendStats,
     ObjectStoreBackend,
-    ObjectStoreConfig,
     TransientBackendError,
 )
 from repro.backend.audit import remote_recovery_audit
-from repro.backend.objectstore import JITTER_NS
+from repro.backend.objectstore import BANDWIDTH_BYTES_PER_SEC, JITTER_NS, LATENCY_NS
+from repro.faults.capabilities import ChaosRegistry
 from repro.hw.clock import NS_PER_SEC, Clock
 from repro.reliability.campaign import system_spec_for
 from repro.server import AckJournal, CrashPoints, FileService, LoadClient, LoadSpec, run_load
@@ -44,9 +44,9 @@ class LinkModel:
     """Reference model: every write ever issued as ``(completion_ns, key,
     data or None)``; a crash keeps the entries that completed by then."""
 
-    def __init__(self, config: ObjectStoreConfig, clock: Clock) -> None:
-        self.config, self.clock = config, clock
-        self.rng = DeterministicRandom(config.seed ^ 0x0B15C0DE)
+    def __init__(self, seed: int, chaos: ChaosRegistry | None, clock: Clock) -> None:
+        self.chaos, self.clock = chaos, clock
+        self.rng = DeterministicRandom(seed ^ 0x0B15C0DE)
         self.base: dict[str, bytes] = {}
         self.log: list[tuple[int, str, bytes | None]] = []
         self.link_free_ns, self.down, self.stats = 0, False, BackendStats()
@@ -61,16 +61,16 @@ class LinkModel:
         return out
 
     def _issue(self, nbytes: int, wait: bool) -> int:
-        config, stats = self.config, self.stats
+        stats = self.stats
         if self.down:
             stats.outage_rejections += 1
             raise BackendOutage("down")
-        if config.transient_fail_pct and self.rng.randrange(100) < config.transient_fail_pct:
+        if self.chaos is not None and self.chaos.should_fail("backend_fail"):
             stats.transient_errors += 1
-            raise TransientBackendError("seeded")
-        service = config.latency_ns + self.rng.randrange(JITTER_NS)
+            raise TransientBackendError("chaos")
+        service = LATENCY_NS + self.rng.randrange(JITTER_NS)
         if nbytes:
-            service += nbytes * NS_PER_SEC // config.bandwidth_bytes_per_sec
+            service += nbytes * NS_PER_SEC // BANDWIDTH_BYTES_PER_SEC
         now = self.clock.now_ns
         done = self.link_free_ns = max(now, self.link_free_ns) + service
         stats.service_ns += service
@@ -125,9 +125,21 @@ class LinkModel:
         return [done for done, _, _ in self.log if done > self.clock.now_ns]
 
 
+def failing(seed: int, fail_pct: int) -> ChaosRegistry | None:
+    """A registry arming ``backend_fail`` at ``fail_pct`` percent (None
+    at 0); two calls with one seed take the same decisions."""
+    if not fail_pct:
+        return None
+    chaos = ChaosRegistry(seed)
+    chaos.enable("backend_fail", probability=fail_pct)
+    return chaos
+
+
 def make_pair(seed: int = 4, fail_pct: int = 0):
-    config = ObjectStoreConfig(seed=seed, transient_fail_pct=fail_pct)
-    return ObjectStoreBackend(config, clock=Clock()), LinkModel(config, Clock())
+    """The store and the model, each failing through its own twin registry."""
+    real = ObjectStoreBackend(seed=seed, clock=Clock())
+    real.chaos = failing(seed, fail_pct)
+    return real, LinkModel(seed, failing(seed, fail_pct), Clock())
 
 
 def assert_same(real: ObjectStoreBackend, model: LinkModel) -> None:
@@ -234,10 +246,10 @@ def test_read_behind_posted_writes_waits_for_them_and_sees_them():
     real.delete("obj/gone", sync=False)
     assert clock.now_ns == start  # posted: nobody waited
     queued_until = real.link_free_ns
-    assert queued_until > start + 3 * real.config.latency_ns
+    assert queued_until > start + 3 * LATENCY_NS
     assert real.get("obj/a") == b"new" * 1000
     # The read started only when the last posted write had landed...
-    assert clock.now_ns == real.link_free_ns > queued_until + real.config.latency_ns
+    assert clock.now_ns == real.link_free_ns > queued_until + LATENCY_NS
     assert real.stats.waited_ns == clock.now_ns  # ...and the machine with it
     # ...so a crash now severs nothing.
     assert real.sever(clock.now_ns) == 0
@@ -270,10 +282,10 @@ def test_admission_is_decided_when_a_request_is_issued():
     assert "obj/late" in real._blobs
 
 
-#: Which of 40 puts fail at ``seed=9, transient_fail_pct=30`` — recorded
-#: on the parent commit (``test_objectstore_transients_are_seeded``'s
-#: store); posting must not move a single draw.
-SEED_9_FAILURES = [4, 5, 7, 8, 11, 12, 14, 15, 18, 20, 21, 23, 25, 27, 36, 38, 39]
+#: Which of 40 puts fail at ``seed=9`` under ``backend_fail`` armed at
+#: 30 percent on a ``ChaosRegistry(9)`` — recorded before the store lost
+#: its own seeded-failure knob; posting must not move a single draw.
+SEED_9_FAILURES = [1, 5, 7, 8, 9, 10, 12, 13, 14, 15, 21, 28, 33, 34, 35, 39]
 
 
 @pytest.mark.parametrize("sync", [True, False])
@@ -288,7 +300,7 @@ def test_seeded_draws_do_not_depend_on_who_waits(sync):
             assert real.stats.service_ns == before  # no link time taken
         before = real.stats.service_ns
     assert failed == SEED_9_FAILURES
-    assert real.stats.service_ns == 50_909_828  # jitter draws: the parent's sum
+    assert real.stats.service_ns == 53_903_378  # jitter draws: the recorded sum
 
 
 # -- (e)-(f) posted batches through a whole system -------------------------------

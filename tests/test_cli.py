@@ -201,6 +201,48 @@ def test_outage_drill_refuses_a_store_that_cannot_go_down():
     assert "--outage needs a store that can go down" in message and "\n" not in message
 
 
+#: Storms that fire fewer crash points than asked for on some kernel:
+#: too little traffic for five crashes; one client whose ops all land on
+#: one of two shards.  Exit 1, never a pass over a storm that never came.
+SHORT_STORMS = [
+    ["serve", "--clients", "1", "--ops", "0", "--crashes", "5"],
+    ["cluster", "--clients", "1", "--ops", "1", "--crashes", "2", "--shards", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SHORT_STORMS, ids=lambda argv: argv[0])
+def test_a_short_storm_fails(argv, capsys):
+    assert main(argv) == 1
+    assert "FAILED: storm short" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["serve", "--clients", "2", "--ops", "2", "--faults", "pointer"], "add --storm faults"),
+        (
+            ["cluster", "--clients", "2", "--ops", "2", "--crashes", "1", "--storm", "faults",
+             "--faults", "kernel text,pointer"],
+            "one fault type, got 2",
+        ),
+    ],
+    ids=["faults-without-faults-storm", "two-fault-types"],
+)
+def test_a_storm_flag_that_would_do_nothing_is_refused(argv, why):
+    message = refused(argv)
+    assert why in message and "\n" not in message
+
+
+def test_loadgen_takes_no_storm_flags(capsys):
+    """``loadgen`` never crashes: it keeps ``--backend`` only."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["loadgen", "--clients", "2", "--ops", "2", "--storm", "faults", "--faults",
+              "pointer", "--repair"])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error == "repro: error: unrecognized arguments: --storm faults --faults pointer --repair"
+
+
 #: Arguments argparse itself refuses: an unknown system or workload, a
 #: count out of range (``--pipeline 0`` used to spin through ``run_load``'s
 #: round cap and report success with nothing acked).

@@ -30,6 +30,7 @@ from repro.server import (
     Router,
     run_load,
 )
+from repro.server.service import MAX_OPEN_FDS
 from repro.reliability import (
     TrafficConfig,
     rolling_crash_points,
@@ -595,7 +596,7 @@ def test_stale_descriptor_still_closes_and_releases_the_shard_fd():
             assert closed.ok, closed
             here, there = there, here
 
-        for _ in range(cluster.config.service.max_open_fds + 1):
+        for _ in range(MAX_OPEN_FDS + 1):
             moved_then_closed()
         moved_then_closed(crash_source=True)
         assert cluster.sessions[0].fds == {}

@@ -132,7 +132,7 @@ class TestFormat:
         assert machine.bus.stats.stores - stores == 1 + size // PAGE  # header + pages
         region = machine.memory.read(base, size)
         entries_end = HEADER_SIZE + registry.capacity * ENTRY_SIZE
-        assert find_registry_in_image(machine.memory.dump_image(), PAGE) == (base, registry.capacity)
+        assert find_registry_in_image(machine.memory.dump_image()) == (base, registry.capacity)
         assert region[HEADER_SIZE:entries_end] == bytes(entries_end - HEADER_SIZE)
         assert region[entries_end:] == b"\xa5" * (size - entries_end)  # slack: not ours
         assert registry.valid_entries() == []
@@ -174,7 +174,7 @@ class TestPostCrashDiscovery:
 
     def test_find_in_image(self, machine, registry):
         image = machine.memory.dump_image()
-        found = find_registry_in_image(image, PAGE)
+        found = find_registry_in_image(image)
         assert found is not None
         base, capacity = found
         assert base == registry.base_paddr
@@ -193,7 +193,7 @@ class TestPostCrashDiscovery:
     def test_no_registry_in_scrubbed_memory(self, machine, registry):
         machine.memory.erase()  # PC-style reset
         image = machine.memory.dump_image()
-        assert find_registry_in_image(image, PAGE) is None
+        assert find_registry_in_image(image) is None
 
     def test_survives_machine_reset(self, machine, registry):
         """The registry is memory contents, so an Alpha-style reset keeps it."""

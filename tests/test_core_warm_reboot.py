@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.disk.model import service_ns, transfer_ns
 from repro.errors import ProtectionTrap
 from repro.fs.types import BLOCK_SIZE
 from repro.system import SystemSpec, build_system
@@ -183,8 +184,8 @@ class TestWarmRebootCost:
         dump = swap_disk.stats.busy_ns - swap_busy
         memory_bytes = system.machine.memory.size
         assert report.warm.dumped_bytes == memory_bytes
-        assert dump == swap_disk.params.service_ns(memory_bytes, sequential=False)
-        assert dump >= swap_disk.params.transfer_ns(memory_bytes) == 3_200_000_000
+        assert dump == service_ns(memory_bytes, sequential=False)
+        assert dump >= transfer_ns(memory_bytes) == 3_200_000_000
         restore = total - boot - dump
         assert 0 < restore < dump < boot
         assert boot == 30_000_000_000 and boot + dump > 0.95 * total

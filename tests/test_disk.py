@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.disk import DiskParameters, SimulatedDisk, SwapPartition
+from repro.disk import SECTOR_SIZE as SS, SimulatedDisk, SwapPartition
+from repro.disk.model import service_ns
 from repro.errors import ConfigurationError, MachineCheck
 from repro.hw.clock import Clock, NS_PER_MS
 
-SS = 512
 
-
-def make_disk(sectors=1024, clock=None, **params):
-    disk = SimulatedDisk("test", sectors, DiskParameters(**params))
+def make_disk(sectors=1024, clock=None):
+    disk = SimulatedDisk("test", sectors)
     disk.attach(clock or Clock())
     return disk
 
@@ -79,9 +78,8 @@ class TestTiming:
         assert sequential_cost < random_cost
 
     def test_service_time_scales_with_size(self):
-        params = DiskParameters()
-        small = params.service_ns(SS, sequential=False)
-        large = params.service_ns(64 * SS, sequential=False)
+        small = service_ns(SS, sequential=False)
+        large = service_ns(64 * SS, sequential=False)
         assert large > small
 
     def test_drain_completes_all(self):
@@ -186,18 +184,14 @@ class TestSwapPartition:
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     @pytest.mark.parametrize("nbytes", [100, 50 * SS + 37])
-    def test_non_aligned_image_pads_only_its_tail_sector(self, wrap, nbytes):
+    def test_refuses_an_image_that_is_not_whole_sectors(self, wrap, nbytes):
+        """Memory is whole pages and a page is whole sectors: a ragged
+        image is refused, as an oversized one is, and writes nothing."""
         disk = make_disk(sectors=4096)
         swap = SwapPartition(disk, start_sector=1024, num_sectors=2048)
-        nsectors = -(-nbytes // SS)
-        disk.poke(1024, b"\xee" * (nsectors + 1) * SS)  # stale swap contents
-        image = (bytes(range(1, 256)) * 200)[:nbytes]
-        swap.dump_memory_image(wrap(image))
-        on_disk = disk.peek(1024, nsectors + 1)
-        assert on_disk[:nbytes] == image
-        assert on_disk[nbytes : nsectors * SS] == bytes(nsectors * SS - nbytes)
-        assert on_disk[nsectors * SS :] == b"\xee" * SS  # nothing past the tail sector
-        assert disk.stats.sectors_written == nsectors
+        with pytest.raises(ConfigurationError, match="whole"):
+            swap.dump_memory_image(wrap((bytes(range(1, 256)) * 200)[:nbytes]))
+        assert disk.stats.writes == 0 and disk.peek(1024, 51) == bytes(51 * SS)
 
     def test_rejects_oversized_image(self):
         disk = make_disk(sectors=64)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.disk import DiskParameters, SimulatedDisk
+from repro.disk import SECTOR_SIZE, SimulatedDisk
 from repro.disk.device import EXTENT_SECTORS, DiskStats
+from repro.disk.model import service_ns
 from repro.errors import MachineCheck
 from repro.hw.clock import Clock
 
@@ -24,8 +25,8 @@ from repro.hw.clock import Clock
 class SectorDictDisk:
     """Reference model: a dict of single sectors and a list of queued writes."""
 
-    def __init__(self, num_sectors: int, params: DiskParameters, clock: Clock) -> None:
-        self.n, self.params, self.clock, self.ss = num_sectors, params, clock, params.sector_size
+    def __init__(self, num_sectors: int, clock: Clock) -> None:
+        self.n, self.clock, self.ss = num_sectors, clock, SECTOR_SIZE
         self.sectors: dict[int, bytes] = {}
         self.pending: list[tuple[int, int, int, bytes]] = []  # start, done, sector, old
         self.busy_until_ns, self.head, self.stats = 0, None, DiskStats()
@@ -56,7 +57,7 @@ class SectorDictDisk:
         self._check(sector, count)
         now = self.clock.now_ns
         start = max(now, self.busy_until_ns)
-        service = self.params.service_ns(len(data), sequential=self.head == sector)
+        service = service_ns(len(data), sequential=self.head == sector)
         self.pending.append((start, start + service, sector, self.peek(sector, count)))
         self.poke(sector, data)
         self.busy_until_ns, self.head = start + service, sector + count
@@ -106,11 +107,10 @@ def payload(seed: int, sector: int, count: int, ss: int) -> bytes:
     )
 
 
-def make_pair(num_sectors: int, sector_size: int = 512):
-    params = DiskParameters(sector_size=sector_size)
-    real = SimulatedDisk("real", num_sectors, params)
+def make_pair(num_sectors: int):
+    real = SimulatedDisk("real", num_sectors)
     real.attach(Clock())
-    model = SectorDictDisk(num_sectors, params, Clock())
+    model = SectorDictDisk(num_sectors, Clock())
     return real, model
 
 
@@ -136,7 +136,7 @@ def both(real, model, call):
 
 # -- random programs -----------------------------------------------------------
 
-SS = 64  # small sectors keep whole-platter comparison cheap; extents scale with it
+SS = SECTOR_SIZE
 SECTORS = 2 * EXTENT_SECTORS + 37  # two whole extents and a partial third
 
 #: Mostly near an extent edge (where a slice copy can slip), sometimes
@@ -168,7 +168,7 @@ step_st = st.one_of(
 @given(program=st.lists(step_st, min_size=1, max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_extent_store_matches_sector_dict_model(program):
-    real, model = make_pair(SECTORS, SS)
+    real, model = make_pair(SECTORS)
     for step in program:
         op = step[0]
         if op == "poke":
@@ -387,7 +387,7 @@ def steer_crash(real, model, head: int, count: int) -> None:
 @given(program=st.lists(sparse_step_st, min_size=1, max_size=30))
 @settings(max_examples=150, deadline=None)
 def test_sparse_payloads_match_flat_writes_on_the_sector_dict_model(program):
-    real, model = make_pair(SECTORS, SS)
+    real, model = make_pair(SECTORS)
     for step in program:
         op = step[0]
         if op == "flat":
@@ -428,11 +428,11 @@ def test_sparse_payloads_match_flat_writes_on_the_sector_dict_model(program):
         assert_same_with_old_data(real, model)
 
 
-def dump_pair(resident, *, sector_size=512, extents=16):
+def dump_pair(resident, *, extents=16):
     """Twin disks and a sparse 'memory image' over all of them whose
     resident 'frames' (``{offset: bytes}``) are the only content."""
-    real, model = make_pair(extents * EXTENT_SECTORS, sector_size)
-    image = SparseBytes(extents * EXTENT_SECTORS * sector_size, sorted(resident.items()))
+    real, model = make_pair(extents * EXTENT_SECTORS)
+    image = SparseBytes(extents * EXTENT_SECTORS * SECTOR_SIZE, sorted(resident.items()))
     return real, model, image
 
 
@@ -444,7 +444,7 @@ def test_a_sparse_dump_is_one_request_priced_by_its_length():
     assert_same(real, model)
     assert real.stats.writes == real.stats.sync_writes == 1
     assert real.stats.sectors_written == real.num_sectors
-    assert real.stats.busy_ns == real.params.service_ns(len(image), sequential=False)
+    assert real.stats.busy_ns == service_ns(len(image), sequential=False)
     assert real._clock.now_ns == real.busy_until_ns == real.stats.sync_wait_ns
     assert sorted(real._extents) == [3, 9]  # what is resident, not what exists
 

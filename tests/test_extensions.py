@@ -177,7 +177,7 @@ class TestMemoryBoardTransplant:
 
         # Pull the board and seat it in a replacement chassis.
         board = system.machine.memory
-        replacement = Machine(MachineConfig(**vars(system.spec.machine)), memory=board)
+        replacement = Machine(system.machine.config, memory=board)
         replacement.crashed = True  # arrives in crashed state, pre-reset
         system.machine = replacement
         # The disks move too (they are external peripherals).

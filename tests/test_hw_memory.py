@@ -9,23 +9,23 @@ from hypothesis import given, strategies as st
 from repro.errors import MachineCheck
 from repro.hw import Machine, MachineConfig
 from repro.hw.bus import AccessContext
-from repro.hw.memory import ZERO_CHECKSUM, PhysicalMemory
+from repro.hw.memory import PAGE_SIZE, ZERO_CHECKSUM, PhysicalMemory
 from repro.isa.routines import _walk_chains
 from repro.util.checksum import fletcher32
 
 
-def make_mem(pages=4, page_size=8192):
-    return PhysicalMemory(pages * page_size, page_size)
+def make_mem(pages=4):
+    return PhysicalMemory(pages * PAGE_SIZE)
 
 
 class TestConstruction:
     def test_rejects_non_multiple_size(self):
         with pytest.raises(ValueError):
-            PhysicalMemory(8192 + 1, 8192)
+            PhysicalMemory(PAGE_SIZE + 1)
 
     def test_rejects_zero_size(self):
         with pytest.raises(ValueError):
-            PhysicalMemory(0, 8192)
+            PhysicalMemory(0)
 
     def test_page_count(self):
         assert make_mem(pages=4).num_pages == 4
@@ -42,7 +42,7 @@ class TestReadWrite:
         assert mem.read(10, 9) == b"hello rio"
 
     def test_cross_page_write(self):
-        mem = make_mem(page_size=8192)
+        mem = make_mem()
         data = bytes(range(256)) * 80  # 20480 bytes, spans 3 pages
         mem.write(4000, data)
         assert mem.read(4000, len(data)) == data

@@ -11,7 +11,7 @@ PAGE = 8192
 
 @pytest.fixture
 def mmu():
-    return MMU(PhysicalMemory(8 * PAGE, PAGE))
+    return MMU(PhysicalMemory(8 * PAGE))
 
 
 class TestMappedTranslation:
@@ -135,7 +135,7 @@ class TestKsegRunToggle:
     def _observe(apply, *, record: bool, arm_at: int | None = None):
         from repro.obs.events import FlightRecorder
 
-        mmu = MMU(PhysicalMemory(8 * PAGE, PAGE))
+        mmu = MMU(PhysicalMemory(8 * PAGE))
         mmu.recorder = FlightRecorder()
         mmu.set_kseg_writable(2, False)  # a pre-existing mix of states
         mmu.set_kseg_writable(5, False)

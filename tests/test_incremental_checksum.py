@@ -108,8 +108,12 @@ def test_adjust_of_an_odd_sized_buffer_tail():
 # -- (b) the guard, differentially ----------------------------------------------
 
 
-def _build(name: str, fast_path: bool):
-    system = build_system(system_spec_for(name, machine=MachineConfig(fast_path=fast_path)))
+def _build(name: str, fast_path: bool, monkeypatch):
+    """The named system on the chosen engine (``RIO_FAST_PATH``, the one
+    engine switch, read when the machine is built)."""
+    monkeypatch.setenv("RIO_FAST_PATH", "1" if fast_path else "0")
+    system = build_system(system_spec_for(name))
+    assert system.machine.bus.fast_path is fast_path
     vfs = system.vfs
     fd = vfs.open("/victim", create=True)
     vfs.write(fd, random.Random(1).randbytes(3 * PAGE))
@@ -135,7 +139,7 @@ def _play(name: str, fast_path: bool, seed: int, *, adjust: bool, monkeypatch):
     if not adjust:  # every window takes the full recompute, as before
         monkeypatch.setattr(RioGuard, "_watch_range", lambda self, page, offset, length: None)
 
-    system = _build(name, fast_path)
+    system = _build(name, fast_path, monkeypatch)
     kernel, rio = system.kernel, system.rio
     memory, bus, guard = kernel.memory, kernel.bus, rio.guard
     protected = name == "rio_prot"
@@ -280,11 +284,11 @@ def test_guard_adjust_equals_full_recompute(name, fast_path, seed, monkeypatch):
         assert adjusted[key] == recomputed[key], key
 
 
-def test_wild_store_is_reported_unless_a_later_write_launders_it():
+def test_wild_store_is_reported_unless_a_later_write_launders_it(monkeypatch):
     """Detection semantics are what they were: a wild store into an idle
     page is a checksum mismatch at the warm reboot; one into a page that a
     legitimate write re-checksums afterwards is absorbed."""
-    system = _build("rio_noprot", True)
+    system = _build("rio_noprot", True, monkeypatch)
     kernel = system.kernel
     reported, laundered, _ = [p for p in kernel.ubc.pages.values() if p.file_id is not None][:3]
     for page in (reported, laundered):

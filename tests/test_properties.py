@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.fs.types import BLOCK_SIZE
 from repro.hw import Machine, MachineConfig
 from repro.hw.clock import Clock
-from repro.disk import DiskParameters, SimulatedDisk
+from repro.disk import SimulatedDisk
 from repro.kernel.kmalloc import KernelHeap
 from repro.isa.assembler import assemble
 from repro.isa.encoding import decode
@@ -95,7 +95,7 @@ class TestDiskCrashProperties:
     )
     def test_crash_leaves_old_new_or_single_torn(self, n_writes, crash_frac, data):
         clock = Clock()
-        disk = SimulatedDisk("p", 256, DiskParameters())
+        disk = SimulatedDisk("p", 256)
         disk.attach(clock)
         old = {s: bytes([s & 0xFF]) * 512 for s in range(64)}
         for s, content in old.items():
@@ -126,7 +126,7 @@ class TestDiskCrashProperties:
     @given(st.integers(1, 10))
     def test_drain_makes_everything_durable(self, n_writes):
         clock = Clock()
-        disk = SimulatedDisk("p", 256, DiskParameters())
+        disk = SimulatedDisk("p", 256)
         disk.attach(clock)
         for i in range(n_writes):
             disk.write(i * 4, bytes([i]) * 512, sync=False)

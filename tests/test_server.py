@@ -19,6 +19,7 @@ from repro.server import (
     ServiceConfig,
     SessionError,
 )
+from repro.server.service import MAX_OPEN_FDS
 from repro.server.session import FdState, resolve_path
 
 
@@ -84,11 +85,11 @@ def test_unknown_session_and_unknown_fd_are_fatal():
 
 
 def test_open_fd_quota():
-    service = make_service(max_open_fds=2)
+    service = make_service()
     service.open_session(0)
-    ok(service, Request(client_id=0, req_id=1, op="open", path="a", create=True))
-    ok(service, Request(client_id=0, req_id=2, op="open", path="b", create=True))
-    service.submit(Request(client_id=0, req_id=3, op="open", path="c", create=True))
+    for i in range(MAX_OPEN_FDS):
+        ok(service, Request(client_id=0, req_id=i + 1, op="open", path=f"f{i}", create=True))
+    service.submit(Request(client_id=0, req_id=99, op="open", path="over", create=True))
     [response] = service.drain()
     assert not response.ok and response.error == "EQUOTA" and response.retryable
 

@@ -255,6 +255,6 @@ def test_a_load_that_never_finishes_fails_the_run():
     clients = [LoadClient(c, seed=3, spec=small_load(12)) for c in range(2)]
     load = run_load(shard.service, clients, max_rounds=3)
     assert load.unfinished == 2
-    result = TrafficResult(TrafficConfig(clients=2), kernels=[shard.verdict()], load=load)
+    result = TrafficResult(TrafficConfig(clients=2, crashes=0), kernels=[shard.verdict()], load=load)
     assert not result.ok and result.failed_checks == ["clients unfinished"]
     assert "FAILED: clients unfinished" in format_traffic_report(result)

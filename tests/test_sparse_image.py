@@ -24,7 +24,7 @@ from repro.core.registry import (
     find_registry_in_image,
     read_entries_from_image,
 )
-from repro.errors import MachineCheck
+from repro.errors import ConfigurationError, MachineCheck
 from repro.hw.memory import PhysicalMemory
 from repro.server import FileService, Request
 from repro.system import build_system, system_spec_for
@@ -154,7 +154,7 @@ class TestSnapshot:
     def test_every_slice_equals_the_flat_dump_and_later_writes_do_not_show(
         self, mutations, slices, later
     ):
-        mem = PhysicalMemory(SIZE, PAGE)
+        mem = PhysicalMemory(SIZE)
         for op in mutations:
             mutate(mem, op)
         snap, flat = mem.snapshot(), mem.dump_image()
@@ -172,7 +172,7 @@ class TestSnapshot:
             assert resident <= set(mem._pages)  # taking it evicted nothing
 
     def test_taking_a_snapshot_allocates_no_frame(self):
-        mem = PhysicalMemory(64 * PAGE, PAGE)
+        mem = PhysicalMemory(64 * PAGE)
         mem.write(5 * PAGE + 1, b"x")
         gens = list(mem._page_gens)
         snap = mem.snapshot()
@@ -262,7 +262,7 @@ def test_second_dump_over_a_first_keeps_swap_small():
 @pytest.mark.parametrize("nbytes", [50 * 512, 100, 50 * 512 + 37])
 def test_swap_takes_a_sparse_image_like_the_flat_one(nbytes):
     """Whole sectors: one request carrying the sparse value itself.  A
-    ragged length: the same body + padded-tail pair of requests as flat."""
+    ragged length: both are refused the same way, and nothing is written."""
     from repro.disk import SimulatedDisk, SwapPartition
     from repro.hw.clock import Clock
 
@@ -276,13 +276,17 @@ def test_swap_takes_a_sparse_image_like_the_flat_one(nbytes):
         disk.attach(Clock())
         disk.poke(1024, b"\xee" * (60 * 512))  # stale swap contents
         swap = SwapPartition(disk, start_sector=1024, num_sectors=2048)
-        swap.dump_memory_image(image)
-        assert disk.peek(1024, -(-nbytes // 512))[:nbytes] == flat
+        if nbytes % 512:
+            with pytest.raises(ConfigurationError, match="whole"):
+                swap.dump_memory_image(image)
+        else:
+            swap.dump_memory_image(image)
+            assert disk.peek(1024, nbytes // 512) == flat
         disks.append(disk)
     sparse_disk, flat_disk = disks
     assert sparse_disk.peek(0, 4096) == flat_disk.peek(0, 4096)
     assert sparse_disk.stats == flat_disk.stats and sparse_disk.busy_until_ns == flat_disk.busy_until_ns
-    assert sparse_disk.stats.writes == (1 if nbytes % 512 == 0 or nbytes < 512 else 2)
+    assert sparse_disk.stats.writes == (0 if nbytes % 512 else 1)
 
 
 # -- a corrupted registry is outside input ------------------------------------------------
@@ -315,7 +319,7 @@ class TestCorruptedRegistry:
         header = struct.pack("<QIIQ", REGISTRY_MAGIC, 1 << 20, ENTRY_SIZE, registry.base_paddr)
         system.machine.memory.write(registry.base_paddr, header)
         for image in (system.machine.memory.snapshot(), system.machine.memory.dump_image()):
-            assert find_registry_in_image(image, PAGE) is None
+            assert find_registry_in_image(image) is None
             with pytest.raises(struct.error):  # asked directly, it still says so
                 read_entries_from_image(image, registry.base_paddr, 1 << 20)
         system.crash("wild store over the header")
@@ -327,12 +331,12 @@ class TestCorruptedRegistry:
     def test_largest_capacity_that_fits_is_still_found(self):
         system, registry, _, _ = noprot_with_dirty_metadata()
         image = system.machine.memory.snapshot()
-        assert find_registry_in_image(image, PAGE) == (registry.base_paddr, registry.capacity)
+        assert find_registry_in_image(image) == (registry.base_paddr, registry.capacity)
         room = (len(image) - registry.base_paddr - HEADER_SIZE) // ENTRY_SIZE
         for capacity, found in ((room, True), (room + 1, False)):
             header = struct.pack("<QIIQ", REGISTRY_MAGIC, capacity, ENTRY_SIZE, registry.base_paddr)
             system.machine.memory.write(registry.base_paddr, header)
-            location = find_registry_in_image(system.machine.memory.snapshot(), PAGE)
+            location = find_registry_in_image(system.machine.memory.snapshot())
             assert (location == (registry.base_paddr, capacity)) is found
 
     @pytest.mark.parametrize(

@@ -7,6 +7,9 @@ import pytest
 from repro import RioConfig, SystemSpec, build_system
 from repro.core import ProtectionMode
 from repro.fs.ufs import UFS
+from repro.hw import MachineConfig
+from repro.kernel import KernelConfig
+from repro.server import ServiceConfig
 
 
 class TestSystemSpec:
@@ -54,11 +57,23 @@ class TestSystemSpec:
 
     def test_a_spec_is_a_name_plus_sizes_and_seeds(self):
         assert [f.name for f in fields(SystemSpec)] == [
-            "name", "checksums", "machine", "kernel", "disk",
+            "name", "checksums", "kernel",
             "fs_blocks", "inode_blocks", "backend", "backend_seed",
         ]
         assert [f.name for f in fields(RioConfig)] == [
             "protection", "shadow_metadata", "maintain_checksums",
+        ]
+
+    def test_what_else_is_settable_is_pinned(self):
+        """The paper's one machine is constants (page and sector size,
+        kernel layout, instruction cost, fd quota); a new knob here is a
+        deliberate edit of this list."""
+        assert [f.name for f in fields(MachineConfig)] == [
+            "memory_bytes", "boot_time_ns", "fast_path",
+        ]
+        assert [f.name for f in fields(KernelConfig)] == ["update_interval_ns"]
+        assert [f.name for f in fields(ServiceConfig)] == [
+            "queue_depth", "batch_size", "quantum", "repair_on_recover", "ack_before_execute",
         ]
 
     def test_specs_are_isolated_across_systems(self):
