@@ -34,5 +34,5 @@ profile:
 	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample) $(if $(MEM),--memory)
 
 clean:
-	rm -rf .pytest_cache .hypothesis .funccov.json
+	rm -rf .pytest_cache .hypothesis .funccov*.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -9,10 +9,10 @@ The pieces (one module each):
 
 * :mod:`repro.server.protocol` — requests, responses, and the typed
   error taxonomy (retryable vs. fatal) of the admission layer.
-* :mod:`repro.server.session` — per-client sessions: fd tables and
-  working directories, *reconstructed* after a warm reboot (the backing
-  kernel fd table dies with the kernel; the session layer re-opens and
-  re-seeks every file).
+* :mod:`repro.server.session` — per-client sessions: a fixed home
+  directory and an fd table, *reconstructed* after a warm reboot (the
+  backing kernel fd table dies with the kernel; the session layer
+  re-opens every file).
 * :mod:`repro.server.journal` — the acknowledged-write journal and the
   per-request durability audit: no acknowledged operation may ever be
   lost across a crash, and the audit proves it.
@@ -40,7 +40,6 @@ from repro.server.protocol import (
     Request,
     Response,
     ServerError,
-    ServiceDown,
     SessionError,
 )
 from repro.server.session import FdState, Session, SessionManager
@@ -72,7 +71,6 @@ __all__ = [
     "Request",
     "Response",
     "ServerError",
-    "ServiceDown",
     "SessionError",
     "FdState",
     "Session",

@@ -7,8 +7,8 @@ disk, file system — wrapped in its own crash-transparent
 recovered by that shard's warm reboot (requeue, reboot, journal audit,
 session rebind) while every other shard keeps serving.  The front-end
 is deliberately thin: it owns the cluster-wide admission queues and the
-fair scheduler, resolves paths against per-client working directories,
-routes every request to its shard through the deterministic
+fair scheduler, resolves paths against per-client homes, routes every
+request to its shard through the deterministic
 :class:`~repro.server.router.Router`, and translates client file
 descriptors to shard descriptors.  All shard state — caches, journals,
 fd tables — lives shard-side.
@@ -31,9 +31,9 @@ destination's own ack journal covers them), then unlink the source
 :meth:`ClusterService.audit_intents` replays the log after recovery:
 a ``done`` intent must hold (destination present, source absent), an
 interrupted one is rolled forward from the ``copied`` state or rolled
-back from ``begin``.  The 13-op protocol has no ``link``, so hard
-links across shards do not arise; the day the protocol grows one, it
-must take the same intent-log route.
+back from ``begin``.  The protocol has no ``link``, so hard links
+across shards do not arise; the day the protocol grows one, it must
+take the same intent-log route.
 
 Process death is *not* in scope: Rio's stable store is the machine's
 memory, which lives inside the shard process.  Killing the process is
@@ -56,19 +56,19 @@ from repro.server.protocol import (
     QuotaExceeded,
     Request,
     Response,
+    ServerError,
     SessionError,
 )
 from repro.server.router import Router
 from repro.server.scheduler import RequestScheduler
 from repro.server.service import (
-    HOME_PREFIX,
     MAX_OPEN_FDS,
     CrashPoints,
     FaultStorm,
     FileService,
     ServiceConfig,
 )
-from repro.server.session import resolve_path
+from repro.server.session import home_dir, resolve_path
 from repro.system import build_system, system_spec_for
 
 #: Reserved client id for cluster-internal traffic (fan-out sub-requests
@@ -511,10 +511,11 @@ class ClusterFd:
 
 @dataclass
 class ClusterSession:
-    """A client's front-end state: cwd plus the cluster fd table."""
+    """A client's front-end state: its home plus the cluster fd table."""
 
     client_id: int
-    cwd: str
+    #: Fixed when the session opens (:func:`~repro.server.session.home_dir`).
+    home: str
     fds: Dict[int, ClusterFd] = field(default_factory=dict)
     next_cfd: int = 3
 
@@ -660,7 +661,7 @@ class ClusterService:
     def _ensure_sessions_sync(self, client_id: int, shards) -> None:
         """Open the client's session on the given shards, synchronously.
 
-        The barriers (fan-out, chdir, cross-shard rename) touch shards
+        The barriers (fan-out, cross-shard rename) touch shards
         the client may never have been routed to; the shard-side
         session open also creates the client's home directory, which
         those operations resolve under.
@@ -678,8 +679,7 @@ class ClusterService:
         created lazily, on the first request routed to each shard)."""
         if client_id in self.sessions:
             return self.sessions[client_id]
-        home = f"{HOME_PREFIX}/c{client_id:03d}"
-        session = ClusterSession(client_id=client_id, cwd=home)
+        session = ClusterSession(client_id=client_id, home=home_dir(client_id))
         self.sessions[client_id] = session
         return session
 
@@ -719,11 +719,13 @@ class ClusterService:
 
         Single-shard requests are grouped per shard and the groups run
         concurrently (each shard's pipe serializes its own stream);
-        fan-out operations, cross-shard renames and ``chdir`` are
-        barriers — the open groups are collected first, then the
-        barrier runs synchronously.  Response order is deterministic:
-        per segment, shards ascending, each shard's responses in its
-        service's execution order.
+        fan-out operations and cross-shard renames are barriers — the
+        open groups are collected first, then the barrier runs
+        synchronously.  A request the front-end refuses (unknown op or
+        fd, a path that does not resolve, the fd quota) is answered on
+        the spot and takes nothing else in the batch with it.  Response
+        order is deterministic: per segment, shards ascending, each
+        shard's responses in its service's execution order.
         """
         batch = self.scheduler.next_batch(_BATCH_SIZE, self.config.service.quantum)
         if not batch:
@@ -731,11 +733,13 @@ class ClusterService:
         out: List[Response] = []
         segment: List[Tuple[int, Request, Optional[Callable]]] = []
         for request in batch:
-            kind, payload = self._translate(request)
-            if kind == "local":
+            try:
+                kind, payload = self._translate(request)
+            except ServerError as exc:
                 self.stats.local_failures += 1
-                out.append(payload)
-            elif kind == "shard":
+                out.append(Response.failure(request, exc))
+                continue
+            if kind == "shard":
                 self.stats.routed += 1
                 segment.append(payload)
             else:
@@ -743,9 +747,7 @@ class ClusterService:
                 segment = []
                 if kind == "fanout":
                     self.stats.fanouts += 1
-                    out.append(self._fanout(payload))
-                elif kind == "chdir":
-                    out.append(self._chdir(payload))
+                    out.append(self._fanout(*payload))
                 else:  # "xrename"
                     out.append(self._cross_rename(*payload))
         out.extend(self._dispatch(segment))
@@ -757,9 +759,10 @@ class ClusterService:
         """Classify one client request into a dispatch plan item.
 
         Returns ``(kind, payload)`` where kind is ``"shard"`` (a
-        translated single-shard request plus its response finisher),
-        ``"fanout"``/``"chdir"``/``"xrename"`` (barriers), or
-        ``"local"`` (answered front-side, usually an error).
+        translated single-shard request plus its response finisher) or
+        a barrier, ``"fanout"``/``"xrename"``; every path is resolved
+        here, once.  Raises :class:`ServerError` for a request the
+        front-end answers itself.
         """
         session = self.sessions[request.client_id]
         op = request.op
@@ -767,19 +770,11 @@ class ClusterService:
         if op in ("read", "write", "fsync", "truncate", "close"):
             entry = session.fds.get(request.fd) if request.fd is not None else None
             if entry is None:
-                return "local", Response.failure(
-                    request,
-                    SessionError(
-                        f"client {request.client_id}: unknown fd {request.fd}"
-                    ),
-                )
+                raise SessionError(f"client {request.client_id}: unknown fd {request.fd}")
             if entry.stale and op != "close":
-                return "local", Response.failure(
-                    request,
-                    SessionError(
-                        f"client {request.client_id}: fd {request.fd} went "
-                        "stale across a cross-shard rename"
-                    ),
+                raise SessionError(
+                    f"client {request.client_id}: fd {request.fd} went "
+                    "stale across a cross-shard rename"
                 )
             translated = replace(request, fd=entry.shard_fd)
             finisher = None
@@ -794,14 +789,11 @@ class ClusterService:
             return "shard", (entry.shard, translated, finisher)
 
         if op == "open":
-            path = resolve_path(session.cwd, request.path)
+            path = resolve_path(session.home, request.path)
             if len(session.fds) >= MAX_OPEN_FDS:
-                return "local", Response.failure(
-                    request,
-                    QuotaExceeded(
-                        f"client {request.client_id}: open-fd quota "
-                        f"({MAX_OPEN_FDS}) exhausted"
-                    ),
+                raise QuotaExceeded(
+                    f"client {request.client_id}: open-fd quota "
+                    f"({MAX_OPEN_FDS}) exhausted"
                 )
             shard = self.router.shard_for(path)
             translated = replace(request, path=path)
@@ -833,15 +825,15 @@ class ClusterService:
             # Dir mode colocates a directory's files on the shard owning
             # its key, and directory shells replicate everywhere — so
             # that one shard holds the complete listing.  No fan-out.
-            path = resolve_path(session.cwd, request.path)
+            path = resolve_path(session.home, request.path)
             shard = self.router.shard_for_key(path)
             return "shard", (shard, replace(request, path=path), None)
 
-        if op in ("mkdir", "rmdir", "readdir"):
-            return "fanout", request
+        if op in ("mkdir", "readdir"):
+            return "fanout", (request, resolve_path(session.home, request.path), None)
 
         if op in ("stat", "unlink"):
-            path = resolve_path(session.cwd, request.path)
+            path = resolve_path(session.home, request.path)
             shard = self.router.shard_for(path)
             finisher = None
             if op == "unlink":
@@ -854,10 +846,10 @@ class ClusterService:
             return "shard", (shard, replace(request, path=path), finisher)
 
         if op == "rename":
-            old = resolve_path(session.cwd, request.path)
-            new = resolve_path(session.cwd, request.new_path)
+            old = resolve_path(session.home, request.path)
+            new = resolve_path(session.home, request.new_path)
             if old in self._dirs:
-                return "fanout", request
+                return "fanout", (request, old, new)
             src = self.router.shard_for(old)
             dst = self.router.shard_for(new)
             if src == dst:
@@ -872,12 +864,7 @@ class ClusterService:
                 return "shard", (src, translated, finisher)
             return "xrename", (request, old, new, src, dst)
 
-        if op == "chdir":
-            return "chdir", request
-
-        return "local", Response.failure(
-            request, SessionError(f"unknown op {request.op!r}")
-        )
+        raise SessionError(f"unknown op {request.op!r}")
 
     def _namespace_changed(
         self, *, removed: Optional[str] = None, created: Optional[str] = None
@@ -960,38 +947,31 @@ class ClusterService:
             host.cast("step", [self._internal_request(op, path=path, new_path=new_path)])
         return [host.collect()[0] for host in self.hosts]
 
-    def _fanout(self, request: Request) -> Response:
-        """Run mkdir/rmdir, a directory rename (and hash-mode readdir) on
-        every shard.
+    def _fanout(self, request: Request, path: str, new: Optional[str]) -> Response:
+        """Run mkdir, a directory rename (to ``new``) or hash-mode readdir
+        of the resolved ``path`` on every shard.
 
         Directory *shells* are replicated: a directory exists on every
         shard so any shard can hold files under it.  ``readdir`` is
         the union of every shard's view; ``mkdir`` succeeds only when
         every shard succeeded (the shards' directory sets only move in
         lock step, so a split verdict indicates real divergence and is
-        surfaced as the lowest shard's error).  ``rmdir`` probes every
-        shard's listing *first* and only deletes once all report empty
-        — a one-shot fan-out would strip the shells from the empty
-        shards while the shard holding files refuses, leaving the
-        directory sets diverged.  A directory ``rename`` probes the same
-        way and moves only an empty shell: what lives under a populated
-        one is placed by its *path*, so renaming the shells would leave
-        every entry on a shard the new name no longer routes to —
-        ``EXDEV``, as for any move the kernels cannot do in place.
+        surfaced as the lowest shard's error).  A directory ``rename``
+        probes every shard's listing *first* and moves only an empty
+        shell: what lives under a populated one is placed by its *path*,
+        so renaming the shells would leave every entry on a shard the
+        new name no longer routes to — ``EXDEV``, as for any move the
+        kernels cannot do in place.
         """
-        session = self.sessions[request.client_id]
-        path = resolve_path(session.cwd, request.path)
-        new = resolve_path(session.cwd, request.new_path) if request.op == "rename" else None
         self._ensure_sessions_sync(request.client_id, range(self.config.shards))
-        if request.op in ("rmdir", "rename"):
+        if request.op == "rename":
             probes = self._fanout_step("readdir", path)
             failed = [r for r in probes if not r.ok]
             if failed:
                 return self._merged_failure(request, failed[0])
             blocked = [r for r in probes if r.value]
             if blocked:
-                error = "ENOTEMPTY" if request.op == "rmdir" else "EXDEV"
-                return Response.answer(request, error=error, timed_by=blocked[0])
+                return Response.answer(request, error="EXDEV", timed_by=blocked[0])
         subs = self._fanout_step(request.op, path, new)
         slowest = max(subs, key=lambda r: r.latency_ns)
         failed = [r for r in subs if not r.ok]
@@ -1001,8 +981,6 @@ class ClusterService:
         if request.op == "mkdir":
             self._namespace_changed(created=path)
             self._dirs.add(path)
-        elif request.op == "rmdir":
-            self._dirs.discard(path)
         elif request.op == "rename":
             self._namespace_changed(removed=path, created=new)
             self._dirs.discard(path)
@@ -1010,19 +988,6 @@ class ClusterService:
         else:  # readdir
             value = sorted(set().union(*(sub.value or [] for sub in subs)))
         return Response.answer(request, value=value, timed_by=slowest)
-
-    def _chdir(self, request: Request) -> Response:
-        """Resolve and validate a chdir front-side (cwd is front-end
-        state; shard sessions always receive absolute paths)."""
-        session = self.sessions[request.client_id]
-        path = resolve_path(session.cwd, request.path)
-        shard = self.router.shard_for(path)
-        self._ensure_sessions_sync(request.client_id, (shard,))
-        probe = self._internal_step(shard, self._internal_request("stat", path=path))
-        if probe.ok and probe.value.get("exists"):
-            session.cwd = path
-            return Response.answer(request, value=path, timed_by=probe)
-        return Response.answer(request, error="ENOENT", timed_by=probe)
 
     # -- the hard case: cross-shard rename ------------------------------
 

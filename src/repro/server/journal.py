@@ -10,7 +10,7 @@ service's promise ledger.  It keeps two views of the same history:
 * the **expected state**: the journal replayed into an in-memory model
   of every path the service has touched — final bytes per file, the
   set of directories, the set of paths whose *absence* was promised
-  (acknowledged unlink/rmdir not followed by a re-create).
+  (acknowledged unlink or rename-from not followed by a re-create).
 
 After a crash and warm reboot, :meth:`AckJournal.audit` replays the
 expected state against the recovered file system: every journaled file
@@ -95,7 +95,7 @@ class AckJournal:
         self.entries: List[AckEntry] = []
         self.files: Dict[str, bytearray] = {}
         self.dirs: Set[str] = set()
-        #: Paths whose absence is promised (acked unlink/rmdir/rename-from).
+        #: Paths whose absence is promised (acked unlink/rename-from).
         self.absent: Set[str] = set()
 
     # -- recording acknowledgements -----------------------------------
@@ -150,9 +150,6 @@ class AckJournal:
         elif op == "mkdir":
             self.dirs.add(path)
             self.absent.discard(path)
-        elif op == "rmdir":
-            self.dirs.discard(path)
-            self.absent.add(path)
         elif op == "unlink":
             self.files.pop(path, None)
             self.absent.add(path)
@@ -256,9 +253,6 @@ class AckJournal:
         elif op == "unlink":
             if not vfs.exists(path):
                 self.files.pop(path, None)
-        elif op == "rmdir":
-            if not vfs.exists(path):
-                self.dirs.discard(path)
         elif op == "rename":
             new = inflight.get("new_path")
             if new and not vfs.exists(path) and vfs.exists(new):
@@ -339,6 +333,8 @@ class AckJournal:
                         vfs.unlink(path)
                         report.repaired += 1
                     except FileSystemError:
+                        # A directory: a renamed one's old name is
+                        # promised absent too.
                         try:
                             vfs.rmdir(path)
                             report.repaired += 1

@@ -4,12 +4,11 @@ Each :class:`LoadClient` is a seeded PRNG state machine producing a
 stream of small *programs* — a write, a read, an fsync, a close/unlink/
 re-create cycle, a rename — against its own session home.  Clients
 pipeline a few requests at a time, resubmit on retryable errors
-(backpressure, quota, the machine being down mid-recovery), and count
-every acknowledgement.  Because both the clients and the scheduler are
-pure functions of their seeds, one ``(seed, clients, ops)`` triple
-produces one ack log, bit for bit, crash storms included — the
-determinism the traffic campaign asserts across runs *and* across
-execution engines.
+(backpressure, quota, chaos denials), and count every
+acknowledgement.  Because both the clients and the scheduler are pure
+functions of their seeds, one ``(seed, clients, ops)`` triple produces
+one ack log, bit for bit, crash storms included — the determinism the
+traffic campaign asserts across runs *and* across execution engines.
 
 :func:`run_load` is the one driver loop — behind ``repro loadgen``,
 ``repro serve``, ``repro cluster``, the traffic campaign and the
@@ -36,7 +35,7 @@ from repro.util.prng import DeterministicRandom, pattern_bytes
 #: execute first; the retried rename then replaces the fresh file while
 #: the client keeps writing through its fd — acknowledged writes land
 #: in a dead inode and the run's zero-lost-acks audit rightly fails.
-NAMESPACE_OPS = frozenset({"open", "close", "unlink", "rename", "mkdir", "rmdir"})
+NAMESPACE_OPS = frozenset({"open", "close", "unlink", "rename", "mkdir"})
 
 
 def percentile(values: List[int], fraction: float) -> int:

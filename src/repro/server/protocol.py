@@ -1,8 +1,8 @@
 """Requests, responses, and the service's typed error taxonomy.
 
 The admission layer distinguishes *retryable* conditions — a full queue,
-an exhausted quota, a machine that is down mid-recovery — from genuine
-failures (bad descriptor, missing file).  Clients are expected to
+an exhausted quota, a chaos denial — from genuine failures (bad
+descriptor, missing file).  Clients are expected to
 resubmit on retryable errors and to treat everything else as the final
 outcome of the request.  Error names follow errno tradition where one
 fits and invent one (``EAGAIN``-style) where it does not.
@@ -15,8 +15,10 @@ from typing import Any, Optional
 
 from repro.errors import ReproError
 
-#: Operations a request may carry.  Mutating ops (journaled on ack) are
-#: marked in :data:`MUTATING_OPS`.
+#: Operations a request may carry — exactly the ones some sender uses.
+#: Mutating ops (journaled on ack) are marked in :data:`MUTATING_OPS`.
+#: Reads and writes are positional: a request without ``offset`` is
+#: refused (``EBADSESSION``), as is an op not listed here.
 OPS = (
     "open",      # path, create -> client fd
     "close",     # fd
@@ -25,18 +27,14 @@ OPS = (
     "fsync",     # fd
     "truncate",  # fd
     "mkdir",     # path
-    "rmdir",     # path
     "unlink",    # path
     "rename",    # path, new_path
     "readdir",   # path -> [names]
     "stat",      # path -> exists/size facts
-    "chdir",     # path (session working directory)
 )
 
 #: Ops that change durable state and therefore enter the ack journal.
-MUTATING_OPS = frozenset(
-    {"open", "write", "truncate", "mkdir", "rmdir", "unlink", "rename"}
-)
+MUTATING_OPS = frozenset({"open", "write", "truncate", "mkdir", "unlink", "rename"})
 
 
 class ServerError(ReproError):
@@ -59,22 +57,10 @@ class Backpressure(ServerError):
 
 
 class QuotaExceeded(ServerError):
-    """A per-client quota (open fds, queued bytes) is exhausted."""
+    """The client's open-fd quota (``MAX_OPEN_FDS``) is exhausted."""
 
     retryable = True
     code = "EQUOTA"
-
-
-class ServiceDown(ServerError):
-    """The kernel crashed while the request was in flight.
-
-    The request was *not* acknowledged; nothing about it is durable.
-    Resubmit once the service has recovered (the service recovers
-    automatically before the next batch is scheduled).
-    """
-
-    retryable = True
-    code = "EDOWN"
 
 
 class ChaosInjected(ServerError):
@@ -104,8 +90,7 @@ class Request:
     ``client_id``/``req_id`` identify the request (``req_id`` is a
     per-client monotone counter — acks are journaled under it); ``op``
     is one of :data:`OPS` and the remaining fields are that op's
-    arguments.  Paths are resolved against the session's working
-    directory when relative.
+    arguments.  Relative paths are resolved against the session's home.
     """
 
     client_id: int

@@ -35,11 +35,9 @@ from repro.server.protocol import (
     SessionError,
 )
 from repro.server.scheduler import RequestScheduler
-from repro.server.session import Session, SessionManager
+from repro.server.session import HOME_PREFIX, Session, SessionManager, home_dir
 
 
-#: Directory under which per-client homes are created.
-HOME_PREFIX = "/srv"
 #: Per-client open-descriptor quota (QuotaExceeded beyond it).
 MAX_OPEN_FDS = 16
 
@@ -165,6 +163,16 @@ class FaultStorm(CrashPoints):
         self._armed_kernel = self.system.kernel
 
 
+def _positional(request: Request) -> int:
+    """A read's or write's offset: the protocol keeps no cursor, so a
+    request without one is malformed."""
+    if request.offset is None:
+        raise SessionError(
+            f"client {request.client_id}: {request.op} without an offset"
+        )
+    return request.offset
+
+
 class FileService:
     """A concurrent multi-client file service over one simulated system."""
 
@@ -214,13 +222,13 @@ class FileService:
         """
         if client_id in self.sessions.sessions:
             return self.sessions.get(client_id)
-        home = f"{HOME_PREFIX}/c{client_id:03d}"
+        home = home_dir(client_id)
         try:
             self.system.vfs.mkdir(home)
         except FileExists:
             pass
         self.journal.record(client_id, 0, "mkdir", home)
-        session = self.sessions.open_session(client_id, cwd=home)
+        session = self.sessions.open_session(client_id)
         rec = self.system.machine.recorder
         if rec.enabled:
             rec.emit("server", "session-open", client=client_id, home=home)
@@ -435,9 +443,7 @@ class FileService:
             if state is not None:
                 info["path"] = state.path
                 if request.op == "write":
-                    info["offset"] = (
-                        request.offset if request.offset is not None else state.offset
-                    )
+                    info["offset"] = request.offset
                     info["length"] = len(request.data or b"")
         elif request.path is not None:
             info["path"] = session.resolve(request.path)
@@ -457,9 +463,9 @@ class FileService:
         try:
             session = self.sessions.get(request.client_id)
             state = session.lookup(request.fd)
+            offset = _positional(request)
         except ServerError:
             return None
-        offset = request.offset if request.offset is not None else state.offset
         data = request.data or b""
         self.journal.record(
             session.client_id, request.req_id, "write",
@@ -536,15 +542,11 @@ class FileService:
 
         if op == "read":
             state = session.lookup(request.fd)
-            offset = request.offset if request.offset is not None else state.offset
-            data = vfs.pread(state.backing_fd, request.length or 0, offset)
-            if request.offset is None:
-                state.offset = offset + len(data)
-            return data
+            return vfs.pread(state.backing_fd, request.length or 0, _positional(request))
 
         if op == "write":
             state = session.lookup(request.fd)
-            offset = request.offset if request.offset is not None else state.offset
+            offset = _positional(request)
             data = request.data or b""
             vfs.pwrite(state.backing_fd, data, offset)
             if journal:
@@ -552,8 +554,6 @@ class FileService:
                     session.client_id, request.req_id, "write",
                     state.path, offset=offset, data=data,
                 )
-            if request.offset is None:
-                state.offset = offset + len(data)
             return len(data)
 
         if op == "fsync":
@@ -567,19 +567,12 @@ class FileService:
             self.journal.record(
                 session.client_id, request.req_id, "truncate", state.path
             )
-            state.offset = 0
             return None
 
         if op == "mkdir":
             path = session.resolve(request.path)
             vfs.mkdir(path)
             self.journal.record(session.client_id, request.req_id, "mkdir", path)
-            return None
-
-        if op == "rmdir":
-            path = session.resolve(request.path)
-            vfs.rmdir(path)
-            self.journal.record(session.client_id, request.req_id, "rmdir", path)
             return None
 
         if op == "unlink":
@@ -621,12 +614,5 @@ class FileService:
             except FileNotFound:
                 return {"exists": False}
             return {"exists": True, "size": node.size}
-
-        if op == "chdir":
-            path = session.resolve(request.path)
-            if not vfs.exists(path):
-                raise FileNotFound(path)
-            session.cwd = path
-            return path
 
         raise SessionError(f"unknown op {request.op!r}")

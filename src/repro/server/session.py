@@ -1,15 +1,16 @@
-"""Per-client sessions: fd tables and working directories.
+"""Per-client sessions: a fixed home directory and an fd table.
 
 A session's client-visible file descriptors are *server* state layered
-over the kernel's: each client fd maps to a path, a session-tracked
-offset, and a backing kernel fd.  The kernel fd table does not survive
-a crash (the VFS is rebuilt by the reboot), so after a warm reboot the
-session layer *reconstructs* itself: every client fd is re-opened by
-path on the new VFS and its offset restored.  On a Rio system every
-acknowledged ``open``'s file is guaranteed to still exist, so rebinding
-is total; on a disk-based system a rebind may find the file gone, and
-the fd is marked stale (:data:`FdState.STALE`) — operations on it fail
-with ``EBADSESSION``; only ``close`` succeeds, releasing its quota slot.
+over the kernel's: each client fd maps to a path and a backing kernel
+fd (reads and writes are positional, so there is no cursor to keep).
+The kernel fd table does not survive a crash (the VFS is rebuilt by the
+reboot), so after a warm reboot the session layer *reconstructs*
+itself: every client fd is re-opened by path on the new VFS.  On a Rio
+system every acknowledged ``open``'s file is guaranteed to still exist,
+so rebinding is total; on a disk-based system a rebind may find the
+file gone, and the fd is marked stale (:data:`FdState.STALE`) —
+operations on it fail with ``EBADSESSION``; only ``close`` succeeds,
+releasing its quota slot.
 """
 
 from __future__ import annotations
@@ -21,14 +22,23 @@ from repro.errors import FileNotFound
 from repro.server.protocol import SessionError
 
 
-def resolve_path(cwd: str, path: str) -> str:
-    """Resolve ``path`` against ``cwd`` into a normalized absolute path.
+#: Directory under which per-client homes are created.
+HOME_PREFIX = "/srv"
+
+
+def home_dir(client_id: int) -> str:
+    """The home of ``client_id``: every relative path it sends resolves here."""
+    return f"{HOME_PREFIX}/c{client_id:03d}"
+
+
+def resolve_path(home: str, path: str) -> str:
+    """Resolve ``path`` against ``home`` into a normalized absolute path.
 
     Supports ``.`` and ``..`` components; never escapes the root.
     """
     if not path:
         raise SessionError("empty path")
-    combined = path if path.startswith("/") else f"{cwd}/{path}"
+    combined = path if path.startswith("/") else f"{home}/{path}"
     parts: list[str] = []
     for part in combined.split("/"):
         if part in ("", "."):
@@ -50,7 +60,6 @@ class FdState:
 
     cfd: int
     path: str
-    offset: int = 0
     backing_fd: int = 0
 
     @property
@@ -61,10 +70,11 @@ class FdState:
 
 @dataclass
 class Session:
-    """One client's connection state: working directory plus fd table."""
+    """One client's connection state: its home plus its fd table."""
 
     client_id: int
-    cwd: str = "/"
+    #: Fixed when the session opens (:func:`home_dir`).
+    home: str
     fds: Dict[int, FdState] = field(default_factory=dict)
     next_cfd: int = 3
     #: Monotone session sequence number assigned at open (1, 2, ...),
@@ -77,8 +87,8 @@ class Session:
     rebind_failures: int = 0
 
     def resolve(self, path: str) -> str:
-        """Resolve a request path against this session's cwd."""
-        return resolve_path(self.cwd, path)
+        """Resolve a request path against this session's home."""
+        return resolve_path(self.home, path)
 
     def lookup(self, cfd: Optional[int]) -> FdState:
         """Return the fd record or raise a non-retryable session error."""
@@ -117,11 +127,13 @@ class SessionManager:
         self.sessions: Dict[int, Session] = {}
         self._next_seq = 1
 
-    def open_session(self, client_id: int, cwd: str = "/") -> Session:
+    def open_session(self, client_id: int) -> Session:
         """Create (or return) the session for ``client_id``."""
         if client_id in self.sessions:
             return self.sessions[client_id]
-        session = Session(client_id=client_id, cwd=cwd, session_seq=self._next_seq)
+        session = Session(
+            client_id=client_id, home=home_dir(client_id), session_seq=self._next_seq
+        )
         self._next_seq += 1
         self.sessions[client_id] = session
         return session
@@ -135,8 +147,8 @@ class SessionManager:
     def rebind_all(self, vfs, recorder) -> tuple[int, int]:
         """Reconstruct every session's fd table on a fresh VFS.
 
-        Re-opens each client fd's path and keeps the session offset
-        (session ops are positional, so no seek is replayed).  Returns
+        Re-opens each client fd's path (reads and writes carry their
+        own offsets, so there is no cursor to restore).  Returns
         ``(rebound, failed)`` counts; failures mark the fd stale rather
         than raising — the owning client decides whether to re-open.
         """

@@ -30,6 +30,7 @@ from repro.server import (
     Router,
     run_load,
 )
+from repro.server.protocol import OPS
 from repro.server.service import MAX_OPEN_FDS
 from repro.reliability import (
     TrafficConfig,
@@ -174,7 +175,7 @@ def test_readdir_fans_out_and_merges_sorted_union():
         assert listing.value == ["alpha", "beta", "gamma"]
 
 
-# -- directories: rmdir, chdir, rename ----------------------------------
+# -- directories, and requests outside the protocol -------------------
 
 ROUTER_MODES = pytest.mark.parametrize("mode", Router.MODES)
 
@@ -185,61 +186,56 @@ def _shells(cluster, path):
     return [probe.value["exists"] for probe in probes]
 
 
-@ROUTER_MODES
-def test_rmdir_probes_every_shard_before_it_removes_any_shell(mode):
-    with ClusterService(ClusterConfig(shards=3, router_mode=mode)) as cluster:
+def _ack_digests(cluster):
+    return [snap["ack_digest"] for snap in cluster.snapshots()]
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        Request(client_id=0, req_id=2, op="chdir", path="d"),
+        Request(client_id=0, req_id=2, op="rmdir", path="d"),
+        Request(client_id=0, req_id=2, op="read", fd=3, length=1),
+        Request(client_id=0, req_id=2, op="write", fd=3, data=b"x"),
+    ],
+    ids=["chdir", "rmdir", "read-without-offset", "write-without-offset"],
+)
+def test_requests_outside_the_protocol_are_refused_unjournaled(request_):
+    with ClusterService(ClusterConfig(shards=2)) as cluster:
         setup = _drive(
             cluster,
             [0],
             [
                 Request(client_id=0, req_id=1, op="mkdir", path="d"),
-                Request(client_id=0, req_id=2, op="open", path="d/f", create=True),
-                Request(client_id=0, req_id=3, op="rmdir", path="d"),
+                Request(client_id=0, req_id=9, op="open", path="f", create=True),
             ],
         )
-        assert setup[(0, 1)].ok and setup[(0, 2)].ok
-        refused = setup[(0, 3)]
-        assert not refused.ok and refused.error == "ENOTEMPTY"
-        # One shard holds the file; the shells on the other two survive.
-        assert _shells(cluster, "/srv/c000/d") == [True, True, True]
-
-        emptied = _drive(
-            cluster,
-            [0],
-            [
-                Request(client_id=0, req_id=4, op="close", fd=setup[(0, 2)].value),
-                Request(client_id=0, req_id=5, op="unlink", path="d/f"),
-                Request(client_id=0, req_id=6, op="rmdir", path="d"),
-                Request(client_id=0, req_id=7, op="rmdir", path="d"),
-            ],
-        )
-        assert emptied[(0, 6)].ok
-        assert _shells(cluster, "/srv/c000/d") == [False, False, False]
-        assert emptied[(0, 7)].error == "ENOENT"
-        assert all(audit["ok"] for audit in cluster.audits())
+        assert setup[(0, 1)].ok and setup[(0, 9)].value == 3
+        journaled = _ack_digests(cluster)
+        [refused] = _drive(cluster, [0], [request_]).values()
+        assert not refused.ok and refused.error == "EBADSESSION" and not refused.retryable
+        assert _ack_digests(cluster) == journaled
+        assert _shells(cluster, "/srv/c000/d") == [True, True]
+        assert cluster.sessions[0].home == "/srv/c000"
 
 
 @ROUTER_MODES
-def test_chdir_is_front_end_state_checked_against_the_owning_shard(mode):
-    with ClusterService(ClusterConfig(shards=3, router_mode=mode)) as cluster:
+@pytest.mark.parametrize("op", ["stat", "mkdir"])
+def test_a_malformed_request_takes_nothing_else_in_its_batch_with_it(mode, op):
+    """A path that does not resolve is refused at the front-end, in the
+    same batch as — and without losing — another client's request."""
+    with ClusterService(ClusterConfig(shards=2, router_mode=mode)) as cluster:
         responses = _drive(
             cluster,
-            [0],
+            [0, 1],
             [
-                Request(client_id=0, req_id=1, op="mkdir", path="d"),
-                Request(client_id=0, req_id=2, op="chdir", path="d"),
-                Request(client_id=0, req_id=3, op="open", path="f", create=True),
-                Request(client_id=0, req_id=4, op="chdir", path="nowhere"),
-                Request(client_id=0, req_id=5, op="stat", path="f"),
+                Request(client_id=1, req_id=1, op="mkdir", path="ok"),
+                Request(client_id=0, req_id=1, op=op, path=None),
             ],
         )
-        assert responses[(0, 2)].ok and responses[(0, 2)].value == "/srv/c000/d"
-        assert responses[(0, 3)].ok
-        assert responses[(0, 4)].error == "ENOENT"
-        assert cluster.sessions[0].cwd == "/srv/c000/d"
-        assert responses[(0, 5)].value == {"exists": True, "size": 0}
-        owner = cluster.router.shard_for("/srv/c000/d/f")
-        assert _shells(cluster, "/srv/c000/d/f") == [s == owner for s in range(3)]
+        assert responses[(0, 1)].error == "EBADSESSION"
+        assert responses[(1, 1)].ok
+        assert cluster.backlog() == 0 and cluster.stats.local_failures == 1
 
 
 def test_front_end_admission_rejects_strangers_and_full_queues():
@@ -781,6 +777,29 @@ def test_verdict_names_the_audit_that_failed():
     assert "ACKS LOST" not in report
     result.kernels[1]["lost_acks"] = 2
     assert result.failed_checks == ["lost acks", "intent audit"]
+
+
+def test_every_op_in_the_protocol_has_a_sender(monkeypatch):
+    """The golden 2-shard hash run sends every op the protocol admits,
+    and every read and write names its offset."""
+    from tests.test_golden_digests import LIGHT as GOLDEN_LIGHT
+
+    seen = []
+    dispatch = FileService._dispatch
+
+    def recording(self, request, session, *, journal):
+        seen.append(request)
+        return dispatch(self, request, session, journal=journal)
+
+    monkeypatch.setattr(FileService, "_dispatch", recording)
+    result = run_traffic_campaign(
+        TrafficConfig(
+            shards=2, clients=6, crashes=1, seed=11, router_mode="hash", load=GOLDEN_LIGHT
+        )
+    )
+    assert result.ok
+    assert {request.op for request in seen} == set(OPS)
+    assert all(r.offset is not None for r in seen if r.op in ("read", "write"))
 
 
 def test_intent_audit_rolls_forward_interrupted_rename():

@@ -60,7 +60,7 @@ def test_sessions_get_homes_and_private_fd_spaces():
     service = make_service()
     a = service.open_session(1)
     b = service.open_session(2)
-    assert a.cwd == "/srv/c001" and b.cwd == "/srv/c002"
+    assert a.home == "/srv/c001" and b.home == "/srv/c002"
     assert service.system.vfs.exists("/srv/c001")
 
     fd_a = ok(service, Request(client_id=1, req_id=1, op="open", path="f", create=True)).value
@@ -94,41 +94,28 @@ def test_open_fd_quota():
     assert not response.ok and response.error == "EQUOTA" and response.retryable
 
 
-def test_rmdir_refuses_a_populated_directory_and_removes_an_empty_one():
+@pytest.mark.parametrize(
+    "request_",
+    [
+        Request(client_id=0, req_id=2, op="chdir", path="d"),
+        Request(client_id=0, req_id=2, op="rmdir", path="d"),
+        Request(client_id=0, req_id=2, op="read", fd=3, length=1),
+        Request(client_id=0, req_id=2, op="write", fd=3, data=b"x"),
+    ],
+    ids=["chdir", "rmdir", "read-without-offset", "write-without-offset"],
+)
+def test_requests_outside_the_protocol_are_refused_unjournaled(request_):
     service = make_service()
     service.open_session(0)
     ok(service, Request(client_id=0, req_id=1, op="mkdir", path="d"))
-    fd = ok(service, Request(client_id=0, req_id=2, op="open", path="d/f", create=True)).value
-    service.submit(Request(client_id=0, req_id=3, op="rmdir", path="d"))
+    assert ok(service, Request(client_id=0, req_id=9, op="open", path="f", create=True)).value == 3
+    journaled = len(service.journal.entries)
+    service.submit(request_)
     [refused] = service.drain()
-    assert not refused.ok and refused.error == "ENOTEMPTY" and not refused.retryable
-    assert service.system.vfs.exists("/srv/c000/d/f")
-    assert "/srv/c000/d" in service.journal.dirs
-
-    ok(service, Request(client_id=0, req_id=4, op="close", fd=fd))
-    ok(service, Request(client_id=0, req_id=5, op="unlink", path="d/f"))
-    ok(service, Request(client_id=0, req_id=6, op="rmdir", path="d"))
-    assert not service.system.vfs.exists("/srv/c000/d")
-    assert "/srv/c000/d" in service.journal.absent
-    assert "/srv/c000/d" not in service.journal.dirs
-    assert service.audit().ok
-
-
-def test_chdir_moves_the_base_of_relative_paths():
-    service = make_service()
-    service.open_session(0)
-    ok(service, Request(client_id=0, req_id=1, op="mkdir", path="d"))
-    moved = ok(service, Request(client_id=0, req_id=2, op="chdir", path="d"))
-    assert moved.value == "/srv/c000/d" == service.sessions.get(0).cwd
-    ok(service, Request(client_id=0, req_id=3, op="open", path="f", create=True))
-    assert service.system.vfs.exists("/srv/c000/d/f")
-
-    service.submit(Request(client_id=0, req_id=4, op="chdir", path="nowhere"))
-    [missing] = service.drain()
-    assert not missing.ok and missing.error == "ENOENT"
-    assert service.sessions.get(0).cwd == "/srv/c000/d"
-    ok(service, Request(client_id=0, req_id=5, op="chdir", path=".."))
-    assert service.sessions.get(0).cwd == "/srv/c000"
+    assert not refused.ok and refused.error == "EBADSESSION" and not refused.retryable
+    assert len(service.journal.entries) == journaled
+    assert service.system.vfs.exists("/srv/c000/d")
+    assert service.sessions.get(0).home == "/srv/c000"
 
 
 # -- scheduler ----------------------------------------------------------
@@ -412,12 +399,11 @@ def test_rebind_restores_offsets_across_crash():
     system = service.system
     service.open_session(0)
     fd = ok(service, Request(client_id=0, req_id=1, op="open", path="f", create=True)).value
-    # Sequential write (no offset) advances the session offset.
-    ok(service, Request(client_id=0, req_id=2, op="write", fd=fd, data=b"12345"))
+    ok(service, Request(client_id=0, req_id=2, op="write", fd=fd, offset=0, data=b"12345"))
 
     system.machine.crash("offsets", kind="forced")
-    # Sequential read after recovery continues where the client left off.
-    service.submit(Request(client_id=0, req_id=3, op="write", fd=fd, data=b"678"))
+    # The rebound fd takes the next positional write where it says.
+    service.submit(Request(client_id=0, req_id=3, op="write", fd=fd, offset=5, data=b"678"))
     [w] = service.drain()
     assert w.ok
     read = ok(service, Request(client_id=0, req_id=4, op="read", fd=fd, offset=0, length=8))
