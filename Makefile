@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench-compare profile clean
+.PHONY: install test bench-compare bench-same profile clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -19,6 +19,13 @@ test:
 bench-compare:
 	$(PY) -m bench --compare $(OLD) $(NEW)
 
+# The same two files must describe the same simulation: every workload's
+# digest, virtual times and simulated per-layer counts exactly equal
+# (make bench-same OLD=BENCH_12.json NEW=BENCH_13.json).  Exits 1 on any
+# difference.
+bench-same:
+	$(PY) scripts/same_simulation.py $(OLD) $(NEW)
+
 # Where one bench workload's host time goes: a round in process under
 # cProfile, self time by module and by function (make profile
 # W=serve_storm).  SAMPLE=1 swaps cProfile for the ITIMER_PROF stack
@@ -30,6 +37,8 @@ bench-compare:
 # per trial, no profiler).  MEM=1 asks where peak_rss_mb comes from: the
 # round under tracemalloc, the traced peak of each HostClock bucket (make
 # profile W=tiered_disk MEM=1) — the table to start a memory issue from.
+# Every mode but MEM=1 also prints "background walks: N of M ticks": the
+# kernel's background walkers that walked rather than replayed a plan.
 profile:
 	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample) $(if $(MEM),--memory)
 

@@ -19,6 +19,11 @@ emitted into the flight recorder, counted by ``kind/op`` —
 explore_traffic is the one recorder-on workload, and a recorder-path
 question should start from those counts.
 
+Every mode but ``--memory`` also prints ``background walks: N of M
+ticks``: of the M background walker calls the process made, the N that
+ran the counted word walk rather than replaying its last plan.  Work in
+pool children or shard processes is not counted.
+
 cProfile taxes every Python call and nothing inside C, which shifts the
 shares — and hides exactly the functions that are a few long C calls.
 ``--sample`` runs the same round (or ``--trials``) under a stack sampler
@@ -160,6 +165,40 @@ RECOVERY_PHASES = (
 DISSECT_WALK = ("dissect walk", "repro.fs.dissect.parser", "_dissect")
 
 
+class WalkCounter:
+    """Counts the background walker calls (``routines._run_chains``) and
+    the word walks among them (``routines._walk_chains``), wrapped in
+    place while active; the rest replayed a plan."""
+
+    def __init__(self) -> None:
+        self.calls: collections.Counter = collections.Counter()
+
+    def __enter__(self) -> "WalkCounter":
+        from repro.isa import routines
+
+        self._undo = []
+        for name in ("_run_chains", "_walk_chains"):
+            original = getattr(routines, name)
+            setattr(routines, name, self._counted(name, original))
+            self._undo.append((routines, name, original))
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        for owner, name, original in self._undo:
+            setattr(owner, name, original)
+
+    def _counted(self, name: str, func):
+        def counted(*args):
+            self.calls[name] += 1
+            return func(*args)
+
+        return counted
+
+    def report(self) -> None:
+        walks, ticks = self.calls["_walk_chains"], self.calls["_run_chains"]
+        print(f"background walks: {walks} of {ticks} ticks")
+
+
 class PhaseTimer:
     """Wall time per :data:`RECOVERY_PHASES` entry, one dict per trial,
     and calls per entry over the run: the named functions are wrapped in
@@ -283,6 +322,7 @@ def main(argv=None) -> int:
             print(f"  {bucket:24} {peak / 2**20:8.1f} MiB")
         return 0 if peaks else 1  # no lap seen: the hook is broken
     profile = StackSampler() if args.sample else cProfile.Profile()
+    walks = WalkCounter()
 
     if args.trials:
         if args.workload != "explore_traffic":
@@ -291,7 +331,7 @@ def main(argv=None) -> int:
 
         config, boundaries = explore_trials(seed, args.trials)
         costs = []
-        with PhaseTimer() as phases:
+        with PhaseTimer() as phases, walks:
             for boundary in boundaries:
                 began = time.perf_counter()
                 if args.wall:
@@ -307,8 +347,9 @@ def main(argv=None) -> int:
         print("median trial's recovery phases" + ("" if args.wall else " (profiled)"))
         for label, _module, _path in RECOVERY_PHASES:
             print(f"  {label:32} {phases.trials[median].get(label, 0.0) * 1e3:8.3f} ms")
-        walks = phases.calls[DISSECT_WALK[0]]
-        print(f"dissect memo: {phases.calls['dissect'] - walks} hits, {walks} misses")
+        misses = phases.calls[DISSECT_WALK[0]]
+        print(f"dissect memo: {phases.calls['dissect'] - misses} hits, {misses} misses")
+        walks.report()
         census = emission_census(config, boundaries[median])
         print(
             f"median trial (boundary {boundaries[median].index}, "
@@ -321,8 +362,10 @@ def main(argv=None) -> int:
     else:
         from bench.worker import run
 
-        record = profile.runcall(run, args.workload, seed, 1.0, "")
+        with walks:
+            record = profile.runcall(run, args.workload, seed, 1.0, "")
         print(f"{args.workload}: {record['ops']} ops, timed {record['timed_wall_s']:.2f} s wall")
+        walks.report()
     if args.sample:
         profile.report(args.top)
         return 0 if profile.samples else 1  # no samples: the sampler is broken

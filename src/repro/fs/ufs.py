@@ -457,9 +457,18 @@ class UFS:
                     return
             # Directory full: grow it by one block.
             file_block = dinode.size // BLOCK_SIZE
+            indirect = dinode.indirect
             block_no = self.bmap(dinode, file_block, allocate=True)
-            self._fresh_meta_page(block_no, "dir")
-            self.write_meta(block_no, 0, record, meta_class="dir")
+            try:
+                self._fresh_meta_page(block_no, "dir")
+                self.write_meta(block_no, 0, record, meta_class="dir")
+            except FileSystemError:
+                # The grown inode is never written: give back what bmap took.
+                self._revert_block_alloc(dinode, file_block, 0, block_no)
+                if dinode.indirect != indirect:
+                    with self._housekeeping():
+                        self.bfree(dinode.indirect)
+                raise
             dinode.size += BLOCK_SIZE
             self.write_inode(dinode)
 
@@ -550,10 +559,14 @@ class UFS:
         # Careful ordering (section 2.3): initialise the inode *before*
         # the directory entry that makes it reachable.
         inode = self.ialloc(FileType.REGULAR)
-        inode.nlink = 1
-        self.write_inode(inode)
-        self.kernel.preemption_point()
-        self.dir_add(parent, name, inode.ino)
+        try:
+            inode.nlink = 1
+            self.write_inode(inode)
+            self.kernel.preemption_point()
+            self.dir_add(parent, name, inode.ino)
+        except FileSystemError:
+            self._discard_unnamed(inode)
+            raise
         return inode.ino
 
     @_fs_op
@@ -563,19 +576,23 @@ class UFS:
         if self.dir_lookup(parent, name) is not None:
             raise FileExists(path)
         inode = self.ialloc(FileType.DIRECTORY)
-        block = self.bmap(inode, 0, allocate=True)
-        self._fresh_meta_page(block, "dir")
-        self.write_meta(
-            block,
-            0,
-            DirEntry(inode.ino, ".").to_bytes() + DirEntry(parent.ino, "..").to_bytes(),
-            meta_class="dir",
-        )
-        inode.size = BLOCK_SIZE
-        inode.nlink = 2
-        self.write_inode(inode)
-        self.kernel.preemption_point()
-        self.dir_add(parent, name, inode.ino)
+        try:
+            block = self.bmap(inode, 0, allocate=True)
+            self._fresh_meta_page(block, "dir")
+            self.write_meta(
+                block,
+                0,
+                DirEntry(inode.ino, ".").to_bytes() + DirEntry(parent.ino, "..").to_bytes(),
+                meta_class="dir",
+            )
+            inode.size = BLOCK_SIZE
+            inode.nlink = 2
+            self.write_inode(inode)
+            self.kernel.preemption_point()
+            self.dir_add(parent, name, inode.ino)
+        except FileSystemError:
+            self._discard_unnamed(inode)
+            raise
         parent.nlink += 1
         self.write_inode(parent)
         return inode.ino
@@ -716,6 +733,7 @@ class UFS:
         ubc = self.kernel.ubc
         pos = 0
         allocated = False
+        indirect = inode.indirect
         try:
             while pos < len(data):
                 cursor = offset + pos
@@ -749,6 +767,11 @@ class UFS:
                 inode.size = max(inode.size, offset + pos)
                 inode.mtime_ns = self.kernel.clock.now_ns
                 self.write_inode(inode, defer=not allocated)
+            elif inode.indirect != indirect:
+                # Nothing landed, so no inode write names the indirect
+                # block this write took: give it back.
+                with self._housekeeping():
+                    self.bfree(inode.indirect)
             raise
         inode.size = max(inode.size, offset + len(data))
         inode.mtime_ns = self.kernel.clock.now_ns
@@ -757,19 +780,31 @@ class UFS:
         self.write_inode(inode, defer=not allocated)
         return len(data)
 
+    def _housekeeping(self):
+        """Fault injection calmed: error-path cleanup is kernel
+        housekeeping, not a request to deny."""
+        chaos = self.kernel.chaos
+        return chaos.calm() if chaos is not None else nullcontext()
+
+    def _discard_unnamed(self, inode: Inode) -> None:
+        """Give back a new inode, and any block it took, when its create
+        is denied before a directory entry names it — else both stay
+        allocated with nothing reaching them."""
+        with self._housekeeping():
+            self._free_file_blocks(inode)
+            self.ifree(inode)
+
     def _revert_block_alloc(
         self, inode: Inode, file_block: int, pre_block: int, disk_block: int
     ) -> None:
         """Undo one :meth:`bmap` allocation a failed write cannot use.
 
         Restores the block pointer to ``pre_block`` and frees the fresh
-        block.  Runs with fault injection calmed: error-path cleanup is
-        kernel housekeeping, not a request to deny.
+        block, in :meth:`_housekeeping`.
         """
         if disk_block == pre_block:
             return
-        chaos = self.kernel.chaos
-        with chaos.calm() if chaos is not None else nullcontext():
+        with self._housekeeping():
             if file_block < N_DIRECT:
                 inode.direct[file_block] = pre_block
             else:

@@ -65,7 +65,9 @@ bump, translate*:
   (the faulting access counted, nothing after it); the trap itself,
   type, message and ``address``, because the port is asked about the
   faulting word; the bytes in memory; a moved write generation on every
-  frame stored to.
+  frame stored to.  A walk over an unchanged structure replays the plan
+  the last clean walk left in :attr:`MemoryBus.walk_plans`: the same two
+  probes, one slice store, one :meth:`MemoryBus.settle`.
 * **The reference route, untouched,** takes everything else: a store
   checker installed (stores), a page-crossing access,
   ``fast_path=False`` — and, in the walkers, the word-by-word bodies do.
@@ -141,6 +143,10 @@ class MemoryBus:
         #: so a probe is one attribute and one ``dict.get``.
         self._tlb_loads = mmu.tlb_loads
         self._tlb_stores = mmu.tlb_stores
+        #: The counted word runs' replay plans, by head slot
+        #: (``isa/routines.py``).  Each boot builds a fresh bus, so no
+        #: plan outlives the boot that recorded it.
+        self.walk_plans: dict = {}
 
     # -- the soft TLB ---------------------------------------------------
 

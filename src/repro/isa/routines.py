@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.errors import KernelPanic
+from repro.errors import KernelPanic, SystemCrash
 from repro.hw.bus import AccessContext, MemoryBus
 from repro.isa.interpreter import PANIC_MESSAGES
 from repro.isa.text import KernelText
@@ -269,9 +269,70 @@ def _cache_copy_stores(args: list[int]) -> int:
 # ``bus.load_u64`` — remains the route when the bus is not flat (a store
 # checker, ``fast_path=False``) or is down, and for a head slot or
 # a node that straddles a page.
+#
+# A walk repeats itself: the kernel walks the same nodes on every syscall
+# and its only effect is one more on each counter.  So a clean run whose
+# slots and nodes are aligned words of one page, no counter doubling as
+# another counter or as a word the walk follows, leaves a plan
+# (:class:`_WalkPlan`) on the bus, and the next call for the same slot
+# replays it while the page still holds the bytes the plan recorded
+# (:func:`_run_chains`): the walk reads nothing else, so whichever frame
+# the page maps to now, the walk would do the same there.  The walk took
+# exactly two probes of that page — a load at the first slot, a store at
+# the first node's counter — and so does the replay, which then adds 1 to
+# every counter lane at once.  Anything else, a changed byte, a counter
+# about to wrap, runs the walk, which records afresh.
 
 _U64 = struct.Struct("<Q")
 _NODE = struct.Struct("<QQQ")  # magic, next, counter
+
+
+class _WalkPlan:
+    """The known effect of a clean counted walk over one page.
+
+    ``image`` is ``frame[lo:hi]`` as the walk left it (``value`` the same
+    bytes as a little-endian int), ``lanes`` holds a 1 in every counter's
+    lane and ``headroom`` counts the replays before some counter wraps.
+    """
+
+    __slots__ = (
+        "magic", "nslots", "lo", "hi", "image", "value", "lanes",
+        "headroom", "store_at", "first_loads", "counts",
+    )
+
+
+def _record_plan(bus, slot, nslots, magic, nodes, frame, loads, stores) -> None:
+    """Leave the plan of the walk that just ran clean, or drop the old one."""
+    page_size = bus.memory.page_size
+    base = slot - slot % page_size
+    counters = {node + 16 for node in nodes}
+    followed = {slot + 8 * i for i in range(nslots)} | set(nodes)
+    followed |= {node + 8 for node in nodes}
+    if (
+        not nodes
+        or slot % 8
+        or slot + 8 * nslots > base + page_size
+        or any(node % 8 or not base <= node <= base + page_size - _NODE.size for node in nodes)
+        or len(counters) < len(nodes)
+        or not counters.isdisjoint(followed)
+    ):
+        bus.walk_plans.pop(slot, None)
+        return
+    lo = min(slot, min(nodes)) - base
+    hi = max(slot + 8 * nslots, max(nodes) + _NODE.size) - base
+    plan = _WalkPlan()
+    plan.magic, plan.nslots, plan.lo, plan.hi = magic, nslots, lo, hi
+    plan.image = bytes(frame[lo:hi])
+    plan.value = int.from_bytes(plan.image, "little")
+    plan.lanes = sum(1 << 8 * (counter - base - lo) for counter in counters)
+    plan.headroom = min(MASK64 - _U64.unpack_from(frame, c - base)[0] for c in counters)
+    plan.store_at = nodes[0] + 16
+    # The head words up to the first full one, then that node's magic and
+    # counter: what the walk had issued when it stored for the first time.
+    first = next(i for i in range(nslots) if _U64.unpack_from(frame, slot - base + 8 * i)[0])
+    plan.first_loads = first + 3
+    plan.counts = (loads, stores, 8 * loads, 8 * stores)
+    bus.walk_plans[slot] = plan
 
 
 def _visit_words(bus: MemoryBus, node: int, magic: int, code: int, ctx: AccessContext) -> int:
@@ -285,7 +346,8 @@ def _visit_words(bus: MemoryBus, node: int, magic: int, code: int, ctx: AccessCo
 def _walk_chains(
     bus: MemoryBus, slot: int, nslots: int, magic: int, code: int, ctx: AccessContext
 ) -> int:
-    """Walk the chain hanging off each of ``nslots`` head words at ``slot``."""
+    """Walk the chain hanging off each of ``nslots`` head words at ``slot``;
+    a clean run leaves its plan (:func:`_record_plan`)."""
     # On a downed machine the first access goes to the bus, which raises.
     flat = bus.flat and not bus.crashed
     load_frame, store_frame = bus.load_frame, bus.store_frame
@@ -296,6 +358,9 @@ def _walk_chains(
     held_base = -1  # virtual base of the page last stored to, and its frame
     held = None
     loads = stores = 0
+    nodes = []  # the nodes the walk visited, for its plan ...
+    planned = flat  # ... as long as the page port read every word
+    head_slot = slot
     try:
         for _ in range(nslots):
             off = slot % page_size
@@ -303,10 +368,12 @@ def _walk_chains(
                 loads += 1
                 node = _U64.unpack_from(load_frame(slot), off)[0]
             else:
+                planned = False
                 node = bus.load_u64(slot, ctx)
             while node:
                 off = node % page_size
                 if flat and off <= node_room:
+                    nodes.append(node)
                     stored_here = node - off == held_base
                     loads += 1  # ldq magic
                     frame = held if stored_here else load_frame(node)
@@ -322,20 +389,55 @@ def _walk_chains(
                     loads += 1  # ldq next
                     node = nxt
                 else:
+                    planned = False
                     node = _visit_words(bus, node, magic, code, ctx)
             slot += 8
     finally:
         if loads:
             bus.settle(loads, stores, 8 * loads, 8 * stores)
+    if planned:
+        _record_plan(bus, head_slot, nslots, magic, nodes, held, loads, stores)
+    return 0
+
+
+def _run_chains(
+    bus: MemoryBus, slot: int, nslots: int, magic: int, code: int, ctx: AccessContext
+) -> int:
+    """:func:`_walk_chains`, or the replay of the plan its last clean run
+    at ``slot`` left, while that plan still holds."""
+    plan = bus.walk_plans.get(slot)
+    if (
+        plan is None or plan.magic != magic or plan.nslots != nslots or not plan.headroom
+        or not bus.flat or bus.crashed
+    ):
+        return _walk_chains(bus, slot, nslots, magic, code, ctx)
+    try:
+        frame = bus.load_frame(slot)
+    except SystemCrash:
+        bus.settle(1, 0, 8, 0)  # the first head word
+        raise
+    lo, hi = plan.lo, plan.hi
+    if frame[lo:hi] != plan.image:
+        return _walk_chains(bus, slot, nslots, magic, code, ctx)
+    try:
+        bus.store_frame(plan.store_at)
+    except SystemCrash:
+        loads = plan.first_loads
+        bus.settle(loads, 1, 8 * loads, 8)
+        raise
+    plan.value = value = plan.value + plan.lanes
+    plan.image = frame[lo:hi] = value.to_bytes(hi - lo, "little")
+    plan.headroom -= 1
+    bus.settle(*plan.counts)
     return 0
 
 
 def _native_sched_tick(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    return _walk_chains(bus, args[0], 1, PROC_MAGIC, 31, ctx)
+    return _run_chains(bus, args[0], 1, PROC_MAGIC, 31, ctx)
 
 
 def _native_vnode_scan(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    return _walk_chains(bus, args[0], args[1], VNODE_MAGIC, 33, ctx)
+    return _run_chains(bus, args[0], args[1], VNODE_MAGIC, 33, ctx)
 
 
 def _const_steps(value: int):

@@ -145,6 +145,9 @@ class TrafficResult:
             ("intent audit", intents_ok),
             ("clients unfinished", self.load.unfinished == 0),
             ("storm short", all(kernel[fired] >= config.crashes for kernel in self.kernels)),
+            # The independent verifier: every post-recovery scan agreed
+            # with fsck and the final flushed image dissects clean.
+            ("dissect", verdict["dissect_divergences"] == 0 and verdict["final_dissect_clean"]),
         )
         return [name for name, held in checks if not held]
 

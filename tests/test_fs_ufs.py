@@ -10,7 +10,10 @@ from repro.errors import (
     IsADirectory,
     NoSpace,
     NotADirectory,
+    OutOfMemory,
 )
+from repro.fs.dissect import dissect_image, snapshot
+from repro.fs.ondisk import DIRENT_SIZE
 from repro.fs.types import BLOCK_SIZE, N_DIRECT
 from repro.system import SystemSpec, build_system
 from repro.util import pattern_bytes
@@ -310,3 +313,78 @@ class TestPartialWrite:
         fs.write(victim, 8 * BLOCK_SIZE, tail)
         assert fs.read(victim, 2 * BLOCK_SIZE, 6 * BLOCK_SIZE) == b"\x00" * (6 * BLOCK_SIZE)
         assert fs.read(victim, 8 * BLOCK_SIZE, BLOCK_SIZE) == tail
+
+    def test_failed_first_chunk_gives_back_a_fresh_indirect_block(self, system):
+        fs = system.fs
+        big = fs.create("/big")
+        fs.write(big, 0, b"\x01" * (N_DIRECT * BLOCK_SIZE))
+        fs.write(fs.create("/one"), 0, b"\x02" * BLOCK_SIZE)
+        self._fill_disk(fs)
+        fs.unlink("/one")
+        before = free_space(fs)
+        # The one free block becomes /big's indirect block; its data block
+        # then finds none.
+        with pytest.raises(NoSpace):
+            fs.write(big, N_DIRECT * BLOCK_SIZE, b"\x03" * BLOCK_SIZE)
+        assert free_space(fs) == before
+        system.settle()
+        assert dissect_image(snapshot(system.disk)).clean
+
+
+class TestDeniedCreate:
+    """A ``create`` or ``mkdir`` denied part-way gives back what it took:
+    the free counts stay put and the flushed image dissects clean."""
+
+    @pytest.fixture
+    def full(self, system):
+        """``/d`` with a full first block, then a full disk but for the
+        one block ``/one`` gives back."""
+        fs = system.fs
+        fs.mkdir("/d")
+        for i in range(BLOCK_SIZE // DIRENT_SIZE - 2):  # past "." and ".."
+            fs.create(f"/d/f{i}")
+        one = fs.create("/one")
+        fs.write(one, 0, b"\x01" * BLOCK_SIZE)
+        TestPartialWrite._fill_disk(None, fs)
+        fs.unlink("/one")
+        return system
+
+    @pytest.mark.parametrize(
+        "op, path, spare",
+        [
+            ("create", "/d/x", 0),  # the inode, then no block to grow /d
+            ("mkdir", "/x", 0),  # the inode, then no block of its own
+            ("mkdir", "/d/x", 1),  # the inode and the last block, then none for /d
+        ],
+    )
+    def test_denied_part_way_leaks_nothing(self, full, op, path, spare):
+        fs = full.fs
+        if not spare:
+            fs.write(fs.create("/last"), 0, b"\x02" * BLOCK_SIZE)
+        before = free_space(fs)
+        assert before["free_blocks"] == spare
+        with pytest.raises(NoSpace):
+            getattr(fs, op)(path)
+        assert free_space(fs) == before
+        with pytest.raises(FileNotFound):
+            fs.namei(path)
+        full.settle()
+        assert dissect_image(snapshot(full.disk)).clean
+
+    @pytest.mark.parametrize("op, path", [("create", "/d/x"), ("mkdir", "/x")])
+    def test_denied_page_grant_gives_back_the_fresh_block(self, full, op, path, monkeypatch):
+        fs = full.fs
+        fs.unlink("/filler")
+        before = free_space(fs)
+
+        def denied(block_no, meta_class):
+            raise OutOfMemory("page grant denied")
+
+        # The block /d grows by, or the new directory's own, has no page.
+        monkeypatch.setattr(fs, "_fresh_meta_page", denied)
+        with pytest.raises(OutOfMemory):
+            getattr(fs, op)(path)
+        monkeypatch.undo()
+        assert free_space(fs) == before
+        full.settle()
+        assert dissect_image(snapshot(full.disk)).clean

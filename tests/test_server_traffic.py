@@ -243,7 +243,24 @@ def test_two_kernels_fold_by_the_rules():
     second["final_dissect_clean"] = False
     assert not result.verdict["final_dissect_clean"]
     second["final_audit_ok"] = False
-    assert result.failed_checks == ["final audit"]
+    assert result.failed_checks == ["final audit", "dissect"]
+
+
+def test_the_independent_verifier_can_fail_the_run():
+    shard = Shard(ShardSpec(fs_blocks=512))
+    clients = [LoadClient(c, seed=3, spec=small_load(6)) for c in range(2)]
+    load = run_load(shard.service, clients)
+    result = TrafficResult(TrafficConfig(clients=2, crashes=0), kernels=[shard.verdict()], load=load)
+    assert result.ok, result.failed_checks
+    kernel = result.kernels[0]
+    # One post-recovery scan that disagreed with fsck ...
+    kernel["dissect_divergences"] = 1
+    assert result.failed_checks == ["dissect"]
+    # ... or a final flushed image that does not dissect clean.
+    kernel["dissect_divergences"] = 0
+    kernel["final_dissect_clean"] = False
+    assert result.failed_checks == ["dissect"]
+    assert "FAILED: dissect" in format_traffic_report(result)
 
 
 def test_a_load_that_never_finishes_fails_the_run():

@@ -14,6 +14,11 @@ MMU's counters, the memory image, which frames' write generations moved,
 and the recorder's trap events.  A third machine interprets the assembly
 the natives stand for, which pins the same data traffic from the other
 side (and is the only side that can cut a cycle, by ``max_steps``).
+
+The counted run replays a clean walk's plan while its page holds the same
+bytes, so the same comparison also runs over sequences of ticks with
+corruptions, protection flips and remaps landing *between* them: a plan
+recorded on one tick meets a changed structure on the next.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import SystemSpec, build_system
 from repro.errors import CrashedMachineError, KernelPanic, SystemCrash, WatchdogTimeout
 from repro.hw import Machine, MachineConfig
 from repro.hw.mmu import KSEG_BASE
-from repro.isa import Interpreter
+from repro.isa import Interpreter, routines
 from repro.isa.interpreter import PANIC_MESSAGES
 from repro.isa.routines import PROC_MAGIC, VNODE_MAGIC, build_kernel_text
 
@@ -190,13 +196,18 @@ CALL = st.one_of(
 )
 
 
+def prepare_word(env, kind, word, arg) -> None:
+    """Apply one :data:`CORRUPTION` to ``env``."""
+    if kind == "set":
+        poke(env, word, arg)
+    else:
+        env.memory.flip_bit(word + arg // 8, arg % 8)
+
+
 def prepare(env, corruptions, protection) -> None:
     lay_out(env)
-    for kind, word, arg in corruptions:
-        if kind == "set":
-            poke(env, word, arg)
-        else:
-            env.memory.flip_bit(word + arg // 8, arg % 8)
+    for corruption in corruptions:
+        prepare_word(env, *corruption)
     for vpn in protection["readonly_vpns"]:
         env.mmu.set_writable(vpn, False)
     for pfn in protection["readonly_pfns"]:
@@ -233,6 +244,37 @@ def data_loads(stats) -> int:
     return (bytes_loaded - 4 * loads) // 4
 
 
+def tick(envs, call) -> bool:
+    """Run ``call`` on the :func:`build_envs` and compare them; False once
+    the machine would be down (or only the interpreter can cut the walk)."""
+    counted, words, asm_fast, asm_ref = envs
+    asm, ref = run(asm_fast, call), run(asm_ref, call)
+    assert (asm.outcome, asm.stats[:5], asm.image, asm.traps) == (
+        ref.outcome, ref.stats[:5], ref.image, ref.traps,
+    )
+    if asm.outcome[0] == WatchdogTimeout.__name__:
+        return False  # a cycle: only the interpreter has a step budget to cut it
+    a, b = run(counted, call), run(words, call)
+    assert vars(a) == vars(b)
+    # ... and both are the assembly's data traffic.
+    assert (a.outcome, a.image, a.moved, a.traps) == (
+        asm.outcome, asm.image, asm.moved, asm.traps,
+    )
+    assert (data_loads(a.stats), a.stats[1], a.stats[3]) == (
+        data_loads(asm.stats), asm.stats[1], asm.stats[3],
+    )
+    return a.outcome[0] == "ok"
+
+
+def build_envs():
+    """The counted run, the word-walk oracle, and the assembly interpreted
+    on the fast and the reference engine."""
+    return (
+        build_env(), build_env(oracle=True),
+        build_env(interpret=True), build_env(fast_path=False, interpret=True),
+    )
+
+
 @given(
     corruptions=st.lists(CORRUPTION, max_size=4),
     protection=PROTECTION,
@@ -240,29 +282,175 @@ def data_loads(stats) -> int:
 )
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_counted_run_is_the_word_walk(corruptions, protection, calls):
-    counted, words = build_env(), build_env(oracle=True)
-    asm_fast, asm_ref = build_env(interpret=True), build_env(fast_path=False, interpret=True)
-    envs = (counted, words, asm_fast, asm_ref)
+    envs = build_envs()
     for env in envs:
         prepare(env, corruptions, protection)
     for call in calls:
-        asm, ref = run(asm_fast, call), run(asm_ref, call)
-        assert (asm.outcome, asm.stats[:5], asm.image, asm.traps) == (
-            ref.outcome, ref.stats[:5], ref.image, ref.traps,
-        )
-        if asm.outcome[0] == WatchdogTimeout.__name__:
-            return  # a cycle: only the interpreter has a step budget to cut it
-        a, b = run(counted, call), run(words, call)
-        assert vars(a) == vars(b)
-        # ... and both are the assembly's data traffic.
-        assert (a.outcome, a.image, a.moved, a.traps) == (
-            asm.outcome, asm.image, asm.moved, asm.traps,
-        )
-        assert (data_loads(a.stats), a.stats[1], a.stats[3]) == (
-            data_loads(asm.stats), asm.stats[1], asm.stats[3],
-        )
-        if a.outcome[0] != "ok":
-            return  # the machine would be down
+        if not tick(envs, call):
+            return
+
+
+# -- replays: a plan recorded on one tick meets a changed structure on the next
+
+#: The clean calls, which replay whenever their structure lies in one page.
+REPEAT = st.sampled_from([("sched_tick", HEAD), ("vnode_scan", TABLE, NBUCKETS)])
+
+#: A free frame a heap page's bytes are copied to before it is remapped there.
+CLONE_PFN = 70
+
+#: What can land between two ticks: a corrupted word, a protection flip,
+#: a remap of a heap page (to another frame, back home, or away, or to a
+#: copy of its own frame).
+BETWEEN = st.one_of(
+    CORRUPTION,
+    st.tuples(
+        st.just("writable"), st.integers(HEAP_VPN, HEAP_VPN + 1), st.booleans()
+    ),
+    st.tuples(
+        st.just("kseg_writable"), st.sampled_from([HEAP_VPN, KSEG_ONLY_PFN]), st.booleans()
+    ),
+    st.tuples(st.just("abox"), st.booleans(), st.just(None)),
+    st.tuples(
+        st.just("map"), st.integers(HEAP_VPN, HEAP_VPN + 1),
+        st.sampled_from([HEAP_VPN, HEAP_VPN + 1, HEAP_VPN + 2, KSEG_ONLY_PFN]),
+    ),
+    st.tuples(st.just("unmap"), st.integers(HEAP_VPN, HEAP_VPN + 1), st.just(None)),
+    st.tuples(st.just("clone"), st.integers(HEAP_VPN, HEAP_VPN + 1), st.just(None)),
+)
+
+
+def one_page(env) -> None:
+    """Cut every chain at the heap's first page: both structures then lie
+    in one page, which is what a plan needs."""
+    poke(env, PROCS[-2] + 8, 0)
+    for chain in VNODES:
+        poke(env, chain[0] + 8, 0)
+
+
+def land(env, kind, target, arg) -> None:
+    """Apply one :data:`BETWEEN` step to ``env``."""
+    if kind in ("set", "flip"):
+        prepare_word(env, kind, target, arg)
+    elif kind == "writable" and target in env.mmu._page_table:
+        env.mmu.set_writable(target, arg)
+    elif kind == "kseg_writable":
+        env.mmu.set_kseg_writable(target, arg)
+    elif kind == "abox":
+        env.mmu.kseg_through_tlb = target
+    elif kind == "map":
+        env.mmu.map(target, arg)
+    elif kind == "unmap":
+        env.mmu.unmap(target)
+    elif kind == "clone" and target in env.mmu._page_table:
+        pfn = env.mmu._page_table[target].pfn
+        env.memory.write(CLONE_PFN * PAGE, env.memory.read(pfn * PAGE, PAGE))
+        env.mmu.map(target, CLONE_PFN)
+
+
+@given(
+    cut=st.booleans(),
+    corruptions=st.lists(CORRUPTION, max_size=2),
+    ticks=st.lists(
+        st.tuples(st.one_of(REPEAT, REPEAT, REPEAT, CALL), st.lists(BETWEEN, max_size=2)),
+        min_size=4,
+        max_size=8,
+    ),
+)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_replay_is_the_word_walk_across_ticks(cut, corruptions, ticks):
+    envs = build_envs()
+    no_protection = {"abox": False, "readonly_vpns": set(), "readonly_pfns": set()}
+    for env in envs:
+        prepare(env, [], no_protection)
+        if cut:
+            one_page(env)
+        for corruption in corruptions:
+            prepare_word(env, *corruption)
+    for call, between in ticks:
+        if not tick(envs, call):
+            return
+        for step in between:
+            for env in envs:
+                land(env, *step)
+
+
+def count_walks(monkeypatch) -> list:
+    """Record the slot of every word walk (a replay is not one)."""
+    walks = []
+    walk = routines._walk_chains
+
+    def counted(bus, slot, *args):
+        walks.append(slot)
+        return walk(bus, slot, *args)
+
+    monkeypatch.setattr(routines, "_walk_chains", counted)
+    return walks
+
+
+def test_unchanged_structures_replay(monkeypatch):
+    walks = count_walks(monkeypatch)
+    envs = build_envs()
+    for env in envs:
+        lay_out(env)
+        one_page(env)
+    for call in (("sched_tick", HEAD), ("vnode_scan", TABLE, NBUCKETS)):
+        for _ in range(4):
+            assert tick(envs, call)
+    # One walk each records the plan; the next three ticks replay it.
+    assert walks == [HEAD, TABLE]
+    assert envs[0].memory.read_u64(PROCS[0] + 16) == 4
+    # The run queue's plan spans the table's head words, which the vnode
+    # walks left alone; theirs spans the procs' counters, which a run queue
+    # tick moves: the vnode table is walked again.
+    for call in (("sched_tick", HEAD), ("vnode_scan", TABLE, NBUCKETS)):
+        assert tick(envs, call)
+    assert walks == [HEAD, TABLE, TABLE]
+
+
+def test_a_replay_that_traps_counts_what_the_walk_issued(monkeypatch):
+    walks = count_walks(monkeypatch)
+    envs = build_envs()
+    for env in envs:
+        lay_out(env)
+        one_page(env)
+        poke(env, TABLE, 0)  # bucket 0 empty: the first store follows two head words
+    assert tick(envs, ("vnode_scan", TABLE, NBUCKETS))
+    for env in envs:
+        env.mmu.set_writable(HEAP_VPN, False)
+    assert not tick(envs, ("vnode_scan", TABLE, NBUCKETS))
+    assert walks == [TABLE]
+    assert envs[0].bus.stats.loads == (NBUCKETS + 3 * 3) + (2 + 2)
+
+
+def test_counter_about_to_wrap_takes_the_walk(monkeypatch):
+    walks = count_walks(monkeypatch)
+    envs = build_envs()
+    for env in envs:
+        lay_out(env)
+        one_page(env)
+        poke(env, PROCS[1] + 16, (1 << 64) - 3)
+    for _ in range(4):
+        assert tick(envs, ("sched_tick", HEAD))
+    # Tick 2 replays the counter to one short of 2**64; tick 3 may not
+    # replay past it, walks, and wraps it; tick 4 replays again.
+    assert walks == [HEAD, HEAD]
+    assert envs[0].memory.read_u64(PROCS[1] + 16) == 1
+
+
+def test_no_plan_survives_a_reboot():
+    system = build_system(SystemSpec("rio_prot"))
+    vfs = system.vfs
+    fd = vfs.open("/f", create=True)
+    vfs.write(fd, b"x" * 100)
+    vfs.close(fd)
+    bus = system.machine.bus
+    plans = dict(bus.walk_plans)
+    background = system.kernel.background
+    assert set(plans) == {background.runqueue_head, background.vnode_table}
+    system.crash("test")
+    system.reboot()
+    assert system.machine.bus is not bus
+    assert not set(map(id, system.machine.bus.walk_plans.values())) & set(map(id, plans.values()))
 
 
 # -- explicit cases -----------------------------------------------------------
