@@ -15,7 +15,7 @@ Capabilities and their hook sites:
 ===================  ====================================================
 ``fail_alloc``       buffer-cache page grant (:meth:`PageCache.get` miss
                      path) raises ``ENOMEM`` before any state changes
-``fail_queue``       scheduler admission raises :class:`Backpressure`
+``fail_queue``       one kernel's admission raises :class:`Backpressure`
 ``fail_disk_full``   block allocator raises ``ENOSPC``
 ``slow_io``          disk service time is multiplied by ``factor``
 ``fail_nth_syscall`` the Nth request a scope executes fails retryably

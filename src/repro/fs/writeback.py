@@ -61,9 +61,6 @@ class WritePolicy:
     """Base policy: every hook is a no-op; subclasses override."""
 
     name = "base"
-    data_permanent = "undefined"
-    #: True if metadata updates are written synchronously in place.
-    sync_metadata = False
 
     def on_data_write(self, fs, ino: int, page, offset: int, length: int) -> None:
         """Called after each file-data write lands in the UBC."""
@@ -91,7 +88,6 @@ class RioPolicy(WritePolicy):
     nothing is flushed — disk writes happen only when a cache overflows."""
 
     name = "rio"
-    data_permanent = "after write, synchronous (memory is stable)"
 
     def on_fsync(self, fs, ino: int) -> None:
         return  # "we modify sync and fsync calls to return immediately"
@@ -109,8 +105,6 @@ class UFSDefaultPolicy(WritePolicy):
     "to enforce ordering constraints" [Ganger94]."""
 
     name = "ufs"
-    data_permanent = "data: after 64 KB, asynchronous; metadata: synchronous"
-    sync_metadata = True
     ASYNC_THRESHOLD = 64 * 1024
     #: FFS orders crash-critical metadata (inodes, directories, indirect
     #: blocks) with synchronous writes; free-map updates may be delayed.
@@ -151,7 +145,6 @@ class DelayedPolicy(WritePolicy):
     seconds of both data and metadata"."""
 
     name = "ufs_delayed"
-    data_permanent = "after 0-30 seconds, asynchronous"
 
     def periodic(self, fs) -> None:
         _emit(fs, "periodic", policy=self.name)
@@ -163,7 +156,6 @@ class WriteThroughOnClosePolicy(UFSDefaultPolicy):
     """UFS plus an fsync on every close: data permanent at close time."""
 
     name = "wt_close"
-    data_permanent = "after close, synchronous"
 
     def on_close(self, fs, ino: int) -> None:
         fs.flush_file(ino, sync=True)
@@ -177,7 +169,6 @@ class WriteThroughOnWritePolicy(UFSDefaultPolicy):
     disk-based configuration whose reliability matches Rio's."""
 
     name = "wt_write"
-    data_permanent = "after write, synchronous"
 
     def on_data_write(self, fs, ino: int, page, offset: int, length: int) -> None:
         fs.flush_page_sync(page)
@@ -195,7 +186,6 @@ class AdvFSPolicy(WritePolicy):
     like the no-order system."""
 
     name = "advfs"
-    data_permanent = "after 0-30 seconds, asynchronous (metadata logged)"
 
     def on_metadata_pages(self, fs, pages) -> None:
         for page in pages:

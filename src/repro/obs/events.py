@@ -158,10 +158,6 @@ class FlightRecorder:
         self._seq = 0
         self._crash_seq: Optional[int] = None
         self._crash_hook = None
-        #: Constant key/values merged into every event's payload —
-        #: e.g. the cluster sets ``{"shard": shard_id}`` so merged
-        #: multi-shard streams stay attributable.  Empty costs nothing.
-        self.static_tags: Dict[str, Any] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -220,8 +216,6 @@ class FlightRecorder:
         if not self.enabled:
             return
         vtime = self._clock.now_ns if self._clock is not None else 0
-        if self.static_tags:
-            payload = {**self.static_tags, **payload}
         seq = self._seq
         event = Event(seq, kind, op, vtime, payload)
         self._events.append(event)

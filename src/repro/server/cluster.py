@@ -4,14 +4,14 @@ One :class:`ClusterService` owns N *shards*.  Each shard is a complete
 :class:`~repro.system.System` — its own machine, kernel, Rio cache,
 disk, file system — wrapped in its own crash-transparent
 :class:`~repro.server.FileService`, so a kernel crash on one shard is
-recovered by that shard's warm reboot (requeue, reboot, journal audit,
-session rebind) while every other shard keeps serving.  The front-end
+recovered by that shard's warm reboot (reboot, journal audit, session
+rebind, re-execute) while every other shard keeps serving.  The front-end
 is deliberately thin: it owns the cluster-wide admission queues and the
-fair scheduler, resolves paths against per-client homes, routes every
-request to its shard through the deterministic
-:class:`~repro.server.router.Router`, and translates client file
-descriptors to shard descriptors.  All shard state — caches, journals,
-fd tables — lives shard-side.
+one fair scheduler (a shard runs each batch in the order sent), resolves
+paths against per-client homes, routes every request to its shard
+through the deterministic :class:`~repro.server.router.Router`, and
+translates client file descriptors to shard descriptors.  All shard
+state — caches, journals, fd tables — lives shard-side.
 
 Shards run either in-process (:class:`InlineShardHost`, ``jobs=1``) or
 each in its own worker process (:class:`ProcessShardHost`, ``jobs>1``)
@@ -49,7 +49,7 @@ import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults import ChaosRegistry, ChaosSpec, FaultType
 from repro.server.protocol import (
     Backpressure,
@@ -102,8 +102,8 @@ class KernelSpec:
     system: str = "rio_prot"
     fs_blocks: int = 2048
     inode_blocks: int = 8
-    #: The kernel's :class:`FileService` tunables; a cluster front-end
-    #: admits with the same queue depth, quantum and fd quota.
+    #: The kernel's :class:`FileService` tunables; on a cluster only the
+    #: front-end reads ``queue_depth`` and ``quantum``.
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: What fires at a crash point: "forced" (an administrative crash)
     #: or "faults" (one Table 1 ``fault_type`` injection, crashed by a
@@ -119,8 +119,6 @@ class KernelSpec:
     #: What the chaos registry, the backend's latency model and the
     #: fault injector draw from.
     seed: int = 1
-    #: Start the flight recorder (shard-tagged events behind a cluster).
-    trace_events: bool = False
 
 
 @dataclass
@@ -140,12 +138,12 @@ class Shard:
     :meth:`verdict` — the single service of ``repro serve`` and every
     kernel of a cluster alike.
 
-    ``step`` is the whole shard-facing API: submit a batch of
-    translated requests and drain them to completion.  A configured
-    crash point firing mid-step is absorbed by the shard's own
-    :class:`FileService` — the dying request is requeued exactly as
-    ``requeue_front`` always has, the warm reboot runs in line, and the
-    step returns a response for every submitted request regardless.
+    ``step`` is the whole shard-facing API: execute a batch of
+    translated requests, in the order the front-end scheduled them, to
+    completion.  A configured crash point firing mid-step is absorbed
+    by the shard's own :class:`FileService` — the warm reboot runs in
+    line, ``step`` re-executes the dying request and the rest of the
+    batch, and returns a response for every request regardless.
     """
 
     def __init__(self, spec: ShardSpec) -> None:
@@ -175,11 +173,6 @@ class Shard:
         self._second_opinions: List[Any] = []
         self._remote_reconciles: List[Any] = []
         self.system.add_reboot_hook(self._second_opinion)
-        if spec.trace_events:
-            recorder = self.system.machine.recorder
-            if spec.shard_id is not None:
-                recorder.static_tags["shard"] = spec.shard_id
-            recorder.start()
 
     def _second_opinion(self, system, report) -> None:
         """Reboot hook: dissect the image fsck has just blessed — the one
@@ -196,13 +189,21 @@ class Shard:
         self.service.open_session(client_id)
 
     def step(self, requests: List[Request]) -> List[Response]:
-        """Submit ``requests`` and drain them; one response each."""
-        responses: List[Response] = []
+        """Execute ``requests`` in the given order; one response each.
+
+        The front-end has admitted and scheduled them already, so they
+        are stamped and counted here, not queued again.  What a crash
+        leaves unexecuted — the dying request first — runs again after
+        the in-line recovery, until nothing is left.
+        """
+        now = self.system.clock.now_ns
         for request in requests:
-            rejection = self.service.submit(request)
-            if rejection is not None:
-                responses.append(rejection)
-        responses.extend(self.service.drain())
+            request.submitted_ns = now
+        self.service.stats.submitted += len(requests)
+        responses: List[Response] = []
+        while requests:
+            done, requests = self.service.run_batch(requests)
+            responses.extend(done)
         return responses
 
     def snapshot(self) -> Dict[str, Any]:
@@ -520,10 +521,6 @@ class ClusterSession:
     next_cfd: int = 3
 
 
-#: Virtual ring points per shard; more points, less arc-length
-#: imbalance (the scaling curve's enemy at high shard counts).
-_VNODES = 128
-
 #: Requests per front-end scheduling batch.
 _BATCH_SIZE = 32
 
@@ -539,6 +536,13 @@ class ClusterConfig(KernelSpec):
     router_mode: str = "dir"
     #: The storm schedule: shard id -> executed-count crash points.
     crash_points: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # ``fail_queue`` strikes a kernel's admission; a shard has none.
+        if any(capability.name == "fail_queue" for capability in self.chaos):
+            raise ConfigurationError(
+                "fail_queue has no hook on a cluster: shards do no admission"
+            )
 
     def shard_spec(self, shard: int) -> ShardSpec:
         """Kernel ``shard`` of this cluster: the shared description, its
@@ -577,9 +581,7 @@ class ClusterService:
 
     def __init__(self, config: Optional[ClusterConfig] = None, *, jobs: int = 1) -> None:
         self.config = config or ClusterConfig()
-        self.router = Router(
-            self.config.shards, mode=self.config.router_mode, vnodes=_VNODES
-        )
+        self.router = Router(self.config.shards, mode=self.config.router_mode)
         self.scheduler = RequestScheduler(self.config.service.queue_depth)
         self.sessions: Dict[int, ClusterSession] = {}
         self.intents = ClusterIntentLog()
@@ -1057,9 +1059,8 @@ class ClusterService:
         source intact and hands the client that step's error.  Phase 2
         unlinks the source (acknowledged into the *source* shard's
         journal) and marks the intent ``done``.  A shard crash inside
-        either phase is recovered by that shard in line — the
-        sub-request is requeued and re-executed — so the phases always
-        complete; the intent log exists to make the window *auditable*
+        either phase is recovered by that shard in line — its ``step``
+        re-executes the sub-request — so the phases always complete; the intent log exists to make the window *auditable*
         and to drive roll-forward/back if the front-end is ever
         interrupted between phases (:meth:`audit_intents`).
         """

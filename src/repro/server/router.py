@@ -1,9 +1,10 @@
 """Deterministic request routing for the multi-kernel cluster.
 
 The router maps every *resolved, absolute* path to exactly one shard.
-It is a classic consistent-hash ring: each shard contributes ``vnodes``
-virtual points hashed onto a 64-bit circle, and a path lands on the
-shard owning the first point at or clockwise of the path key's hash.
+It is a classic consistent-hash ring: each shard contributes
+:data:`VNODES` virtual points hashed onto a 64-bit circle, and a path
+lands on the shard owning the first point at or clockwise of the path
+key's hash.
 The hash is :func:`hashlib.blake2b` over the key bytes — never Python's
 builtin ``hash()``, whose per-process salt would make routing differ
 between runs and between shard worker processes.
@@ -22,7 +23,7 @@ Two key modes:
   cross-shard ``rename`` an everyday event, which is exactly why the
   cluster test suite runs in this mode.
 
-Routing is a pure function of ``(shards, vnodes, mode, path)``: the
+Routing is a pure function of ``(shards, mode, path)``: the
 front-end and every shard worker process agree on placement without
 any coordination, and one seed produces one request stream per shard,
 bit for bit — the property the cluster digest tests pin down.
@@ -33,6 +34,10 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from typing import List, Tuple
+
+#: Virtual ring points per shard; more points, less arc-length
+#: imbalance (the scaling curve's enemy at high shard counts).
+VNODES = 128
 
 
 def _hash64(key: str) -> int:
@@ -47,19 +52,16 @@ class Router:
 
     MODES = ("dir", "hash")
 
-    def __init__(self, shards: int, *, mode: str = "dir", vnodes: int = 64) -> None:
+    def __init__(self, shards: int, *, mode: str = "dir") -> None:
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
-        if vnodes <= 0:
-            raise ValueError(f"vnodes must be positive, got {vnodes}")
         if mode not in self.MODES:
             raise ValueError(f"unknown router mode {mode!r}; know {self.MODES}")
         self.shards = shards
         self.mode = mode
-        self.vnodes = vnodes
         points: List[Tuple[int, int]] = []
         for shard in range(shards):
-            for vnode in range(vnodes):
+            for vnode in range(VNODES):
                 points.append((_hash64(f"shard-{shard}/vnode-{vnode}"), shard))
         points.sort()
         self._ring = points
@@ -91,6 +93,6 @@ class Router:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Router {self.shards} shards x {self.vnodes} vnodes, "
+            f"<Router {self.shards} shards x {VNODES} vnodes, "
             f"mode={self.mode}>"
         )

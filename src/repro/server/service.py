@@ -194,9 +194,9 @@ class FileService:
         #: bring the kernel down mid-traffic.
         self.before_execute: Optional[Callable[[int], None]] = None
         self.last_audit: Optional[AuditReport] = None
-        #: The request the last mid-request crash interrupted.  The pump
-        #: re-executes that very object after recovery, so identity tells
-        #: :meth:`_dispatch` that what it runs is a retry across a crash.
+        #: The request the last mid-request crash interrupted.  The next
+        #: batch re-executes that very object after recovery, so identity
+        #: tells :meth:`_dispatch` that what it runs is a retry across a crash.
         self._interrupted: Optional[Request] = None
         system.add_reboot_hook(self._on_reboot)
         try:
@@ -264,31 +264,41 @@ class FileService:
     # -- the pump ------------------------------------------------------
 
     def pump(self) -> List[Response]:
-        """Execute one scheduled batch; returns its responses.
+        """Execute the scheduler's next batch; returns its responses.
+        What a crash left unexecuted goes back to the front of its
+        queues in order, so the dying request runs first next time."""
+        batch = self.scheduler.next_batch(self.config.batch_size, self.config.quantum)
+        responses, unexecuted = self.run_batch(batch)
+        self.scheduler.requeue_front(unexecuted)
+        return responses
+
+    def run_batch(self, batch: List[Request]) -> Tuple[List[Response], List[Request]]:
+        """Execute ``batch`` in the given order; returns its responses
+        and the requests a crash left unexecuted.
 
         The batch runs inside a :meth:`VFS.batch` scope (the fixed
         syscall prologue is charged once at full price, then at the
         batched rate).  A crash mid-batch is absorbed here: completed
         requests keep their (already journaled) acknowledgements, while
-        the dying request and the batch's unstarted remainder return to
-        the front of their queues in order — the client never sees the
-        crash, only the recovery latency: the warm reboot, audit and
-        session re-bind all happen before this call returns.
+        the dying request and the batch's unstarted remainder come back
+        as ``unexecuted``, in order — the client never sees the crash,
+        only the recovery latency: the warm reboot, audit and session
+        re-bind all happen before this call returns.
         """
         if self.system.machine.crashed:
             # The machine went down outside any batch (an administrative
             # crash, a storm firing between pumps).  Recover first.
             self.stats.crashes_detected += 1
             self.recover(None)
-        batch = self.scheduler.next_batch(self.config.batch_size, self.config.quantum)
-        if not batch:
-            return []
         responses: List[Response] = []
+        unexecuted: List[Request] = []
+        if not batch:
+            return responses, unexecuted
         inflight: Optional[dict] = None
         rec = self.system.machine.recorder
         vfs = self.system.vfs
-        #: The client has (or will get, when pump returns) the current
-        #: request's response.
+        #: The client has (or will get, when run_batch returns) the
+        #: current request's response.
         answered = False
 
         def ack(request: Request, value: Any) -> None:
@@ -332,7 +342,7 @@ class FileService:
                             # unexcused and the post-crash audit reports
                             # the lost ack.
                             inflight = {}
-                            self.scheduler.requeue_front(batch[index + 1:])
+                            unexecuted = batch[index + 1:]
                             break
                         # Crash transparency: the dying request was not
                         # acknowledged, so it is simply re-executed after
@@ -344,7 +354,7 @@ class FileService:
                         inflight = self._describe_inflight(request)
                         self._interrupted = request
                         self.stats.transparent_retries += 1
-                        self.scheduler.requeue_front(batch[index:])
+                        unexecuted = batch[index:]
                         break
                     except (ServerError, FileSystemError) as exc:
                         if not answered:
@@ -359,9 +369,10 @@ class FileService:
         if inflight is not None:
             self.stats.crashes_detected += 1
             if rec.enabled:
-                rec.emit("server", "crash-detected", backlog=self.scheduler.backlog())
+                backlog = self.scheduler.backlog() + len(unexecuted)
+                rec.emit("server", "crash-detected", backlog=backlog)
             self.recover(inflight)
-        return responses
+        return responses, unexecuted
 
     def drain(self, max_batches: int = 100_000) -> List[Response]:
         """Pump until every queue is empty; returns all responses."""
@@ -455,8 +466,8 @@ class FileService:
         """The ``ack_before_execute`` planted bug: promise, then do.
 
         Journals a write before a single byte reaches the cache and
-        returns the byte count it promised (the pump answers the client
-        and emits the ack event on the spot), or ``None`` when the
+        returns the byte count it promised (:meth:`run_batch` answers
+        the client and emits the ack event on the spot), or ``None`` when the
         request cannot be resolved (bad session/fd — it then takes the
         normal path and fails honestly).
         """
@@ -478,8 +489,8 @@ class FileService:
 
         Raises :class:`ServerError` subtypes for service-level
         failures, file-system errors for POSIX failures, and lets
-        crashes propagate to :meth:`pump`.  ``journal=False`` skips the
-        write-path journal append (the ``ack_before_execute`` planted
+        crashes propagate to :meth:`run_batch`.  ``journal=False`` skips
+        the write-path journal append (the ``ack_before_execute`` planted
         bug already recorded the promise before calling here).
 
         When a chaos registry is installed, execution runs inside a

@@ -17,8 +17,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.faults import ChaosSpec
-from repro.obs.events import FlightRecorder
 from repro.server import (
     ClusterConfig,
     ClusterError,
@@ -28,6 +28,8 @@ from repro.server import (
     LoadSpec,
     Request,
     Router,
+    Shard,
+    ShardSpec,
     run_load,
 )
 from repro.server.protocol import OPS
@@ -92,8 +94,8 @@ def test_router_hash_mode_scatters_and_balances():
     for path in paths:
         counts[router.shard_for(path)] += 1
     assert all(count > 0 for count in counts)
-    # Consistent hashing with 64 vnodes/shard: no shard owns more than
-    # half of 512 well-mixed keys.
+    # Consistent hashing with VNODES points per shard: no shard owns
+    # more than half of 512 well-mixed keys.
     assert max(counts) < len(paths) // 2
     # And one directory's files really do scatter.
     assert len({router.shard_for(f"/srv/c000/f{i}") for i in range(8)}) > 1
@@ -102,8 +104,6 @@ def test_router_hash_mode_scatters_and_balances():
 def test_router_rejects_bad_config():
     with pytest.raises(ValueError):
         Router(0)
-    with pytest.raises(ValueError):
-        Router(2, vnodes=0)
     with pytest.raises(ValueError):
         Router(2, mode="range")
 
@@ -927,33 +927,32 @@ def test_dead_shard_worker_is_a_typed_error():
     assert multiprocessing.active_children() == []
 
 
-# -- observability -----------------------------------------------------
+# -- one scheduler: a shard executes the front-end's batch as given ---
 
 
-def test_flight_recorder_static_tags_merge_into_payloads():
-    recorder = FlightRecorder()
-    recorder.static_tags["shard"] = 3
-    recorder.start()
-    recorder.emit("server", "ack", client=1)
-    recorder.emit("server", "crash-detected")
-    events = recorder.events()
-    assert all(event.payload["shard"] == 3 for event in events)
-    assert events[0].payload["client"] == 1
-    # Explicit payload keys win over static tags.
-    recorder.emit("server", "ack", shard=9)
-    assert recorder.events()[-1].payload["shard"] == 9
+def test_shard_step_executes_the_given_order():
+    # Six requests from one client, more than a quantum, then one from
+    # another: a second round robin would answer client 1's fifth.
+    shard = Shard(ShardSpec())
+    for client_id in (0, 1):
+        shard.open_session(client_id)
+    given = [
+        Request(client_id=0, req_id=n, op="mkdir", path=f"d{n}") for n in range(1, 7)
+    ] + [Request(client_id=1, req_id=1, op="mkdir", path="d1")]
+    journaled = len(shard.service.journal.entries)
+    responses = shard.step(given)
+    assert all(response.ok for response in responses)
+    order = [(request.client_id, request.req_id) for request in given]
+    assert [(r.client_id, r.req_id) for r in responses] == order
+    entries = shard.service.journal.entries[journaled:]
+    assert [(e.client_id, e.req_id) for e in entries] == order
+    assert shard.service.stats.submitted == len(given)
 
 
-def test_cluster_events_carry_shard_tags():
-    cluster = ClusterService(
-        ClusterConfig(shards=2, router_mode="dir", trace_events=True)
-    )
-    with cluster:
-        clients = [LoadClient(c, seed=3, spec=LIGHT) for c in range(2)]
-        run_load(cluster, clients)
-        for shard, host in enumerate(cluster.hosts):
-            events = host.shard.system.machine.recorder.to_json_list()
-            assert events, f"shard {shard} recorded nothing"
-            assert all(
-                event["payload"].get("shard") == shard for event in events
-            )
+def test_fail_queue_is_refused_on_a_cluster():
+    # A shard does no admission, so the capability would never strike.
+    fail_queue = (ChaosSpec("fail_queue", times=1),)
+    with pytest.raises(ConfigurationError, match="fail_queue"):
+        ClusterConfig(shards=2, chaos=fail_queue)
+    with pytest.raises(ConfigurationError, match="fail_queue"):
+        run_traffic_campaign(TrafficConfig(shards=2, clients=2, chaos=fail_queue))

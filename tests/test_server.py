@@ -282,6 +282,33 @@ def test_crash_mid_batch_retries_in_order():
     assert service.stats.lost_acks == 0
 
 
+def test_crash_mid_pump_requeues_the_dying_request_first():
+    service = make_service(batch_size=3, quantum=4)
+    system = service.system
+    service.open_session(0)
+    fd = ok(service, Request(client_id=0, req_id=1, op="open", path="f", create=True)).value
+    for req_id in (2, 3, 4, 5):  # one batch of three, one request left queued
+        data = b"w%d" % req_id
+        service.submit(Request(client_id=0, req_id=req_id, op="write", fd=fd, offset=0, data=data))
+    state = {"n": 0}
+
+    def storm(_executed):
+        state["n"] += 1
+        if state["n"] == 2:
+            system.machine.crash("mid-batch", kind="forced")
+
+    service.before_execute = storm
+    system.machine.recorder.start()
+    assert [r.req_id for r in service.pump()] == [2]
+    service.before_execute = None
+    [detected] = [e for e in system.machine.recorder.events() if e.op == "crash-detected"]
+    # Still queued (5) plus the requeued remainder (3, 4).
+    assert detected.payload["backlog"] == 3
+    assert [r.req_id for r in service.drain()] == [3, 4, 5]
+    read = ok(service, Request(client_id=0, req_id=6, op="read", fd=fd, offset=0, length=2))
+    assert read.value == b"w5"
+
+
 def crash_at_next_preemption_point(system):
     """Arm a one-shot machine crash at the kernel's next preemption point
     — inside ``UFS.rename`` that is exactly between ``dir_add`` (new name
