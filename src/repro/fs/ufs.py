@@ -15,6 +15,13 @@ metadata updates within an operation are committed in update order
 (inode initialised before the directory entry that names it; directory
 entry removed before the inode is freed), and fsck can repair the
 orphans/leaks a badly-timed crash leaves behind.
+
+An errno is not a crash: an operation denied by one leaves nothing
+behind or finishes.  Each runs in an :class:`_OpRecord` holding the
+inverse of every inode, block and block pointer it took, which an errno
+runs newest first; past its ``commit()`` it runs calm and cannot be
+denied.  Only the short write keeps part of its work, its written
+prefix.  A crash runs no inverses: fsck owns crash debris.
 """
 
 from __future__ import annotations
@@ -94,12 +101,52 @@ class UFSParams:
         )
 
 
+class _OpRecord:
+    """One operation's undo record: the inverses of what it has taken
+    (``ialloc``, ``balloc`` and ``bmap``'s pointer stores push them)."""
+
+    def __init__(self, fs: "UFS") -> None:
+        self.fs = fs
+        self.inverses: list = []
+        self.calm = None
+
+    def keep(self) -> None:
+        """What the operation has taken so far stays."""
+        self.inverses.clear()
+
+    def commit(self) -> None:
+        """:meth:`keep`, then run the rest of the operation calm: it
+        cannot be denied, so it finishes."""
+        self.keep()
+        if self.calm is None:
+            self.calm = self.fs._housekeeping()
+            self.calm.__enter__()
+
+    def undo(self) -> None:
+        """Give back what was not kept, newest first, calm."""
+        inverses, self.inverses = self.inverses, []
+        with self.fs._housekeeping():
+            for inverse in reversed(inverses):
+                inverse()
+
+
 def _fs_op(method):
-    """Wrap a public operation: commit touched metadata on success."""
+    """Wrap a public operation in an :class:`_OpRecord`: an errno gives
+    back what the operation took, success commits its touched metadata.
+    A crash gives back nothing, the same split as ``Lock.__exit__``."""
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        result = method(self, *args, **kwargs)
+        op = self._op = _OpRecord(self)
+        try:
+            result = method(self, *args, **kwargs)
+        except FileSystemError:
+            op.undo()
+            raise
+        finally:
+            self._op = None
+            if op.calm is not None:
+                op.calm.__exit__(None, None, None)
         self._commit_metadata()
         return result
 
@@ -118,6 +165,8 @@ class UFS:
         self.allocator: BlockAllocator | None = None
         self._free_inos: list[int] = []
         self._meta_touched: list[CachePage] = []
+        #: The running operation's undo record (None between operations).
+        self._op: _OpRecord | None = None
         self.mounted = False
 
     # ------------------------------------------------------------------
@@ -286,6 +335,11 @@ class UFS:
         if page not in self._meta_touched:
             self._meta_touched.append(page)
 
+    def _on_undo(self, inverse, *args, **kwargs) -> None:
+        """Record how the running operation gives back what it takes."""
+        if self._op is not None:
+            self._op.inverses.append(functools.partial(inverse, *args, **kwargs))
+
     def _commit_metadata(self) -> None:
         """End of operation: hand the dirtied metadata pages, in update
         order, to the write policy."""
@@ -337,9 +391,11 @@ class UFS:
             if not self._free_inos:
                 raise NoSpace("out of inodes")
             ino = self._free_inos.pop()
+            self._on_undo(self._free_inos.append, ino)
             old = self._iget_raw(ino, strict=False)
             inode = Inode(ino=ino, ftype=ftype, nlink=0, generation=old.generation + 1)
             inode.mtime_ns = self.kernel.clock.now_ns
+            self._on_undo(self.write_inode, Inode(ino=ino, generation=inode.generation))
             self.write_inode(inode)
             return inode
 
@@ -355,7 +411,9 @@ class UFS:
 
     def balloc(self) -> int:
         """Allocate a data block (the allocator takes the bitmap lock)."""
-        return self.allocator.alloc()
+        block = self.allocator.alloc()
+        self._on_undo(self.bfree, block)
+        return block
 
     def bfree(self, block_no: int) -> None:
         """Free a data block (the allocator takes the bitmap lock)."""
@@ -373,6 +431,7 @@ class UFS:
             block = inode.direct[file_block]
             if block == 0 and allocate:
                 block = self.balloc()
+                self._on_undo(inode.direct.__setitem__, file_block, 0)
                 inode.direct[file_block] = block
             return block
         index = file_block - N_DIRECT
@@ -380,31 +439,33 @@ class UFS:
             if not allocate:
                 return 0
             inode.indirect = self.balloc()
+            self._on_undo(setattr, inode, "indirect", 0)
             self._fresh_meta_page(inode.indirect, "indirect")
         raw = self.read_meta(inode.indirect, index * 4, 4, meta_class="indirect")
         block = int.from_bytes(raw, "little")
         if block == 0 and allocate:
             block = self.balloc()
-            self.write_meta(
-                inode.indirect, index * 4, block.to_bytes(4, "little"), meta_class="indirect"
-            )
+            slot = inode.indirect, index * 4
+            self._on_undo(self.write_meta, *slot, bytes(4), meta_class="indirect")
+            self.write_meta(*slot, block.to_bytes(4, "little"), meta_class="indirect")
         return block
 
     def _file_blocks(self, inode: Inode) -> list[int]:
-        """All allocated data blocks of a file, in file order."""
+        """Every block a file holds: its data blocks in file order, then
+        its indirect block."""
         blocks = [b for b in inode.direct if b]
         if inode.indirect:
             raw = self.read_meta(inode.indirect, 0, BLOCK_SIZE, meta_class="indirect")
             blocks += [b for b in indirect_pointers(raw) if b]
+            blocks.append(inode.indirect)
         return blocks
 
-    def _free_file_blocks(self, inode: Inode) -> None:
+    def _drop_file(self, inode: Inode) -> None:
+        """The last name is gone: drop the pages, blocks and inode."""
+        self.kernel.ubc.invalidate_file(FileId(self.dev, inode.ino))
         for block in self._file_blocks(inode):
             self.bfree(block)
-        if inode.indirect:
-            self.bfree(inode.indirect)
-        inode.direct = [0] * N_DIRECT
-        inode.indirect = 0
+        self.ifree(inode)
 
     # ------------------------------------------------------------------
     # directories
@@ -456,19 +517,9 @@ class UFS:
                     self.write_meta(block_no, off, record, meta_class="dir")
                     return
             # Directory full: grow it by one block.
-            file_block = dinode.size // BLOCK_SIZE
-            indirect = dinode.indirect
-            block_no = self.bmap(dinode, file_block, allocate=True)
-            try:
-                self._fresh_meta_page(block_no, "dir")
-                self.write_meta(block_no, 0, record, meta_class="dir")
-            except FileSystemError:
-                # The grown inode is never written: give back what bmap took.
-                self._revert_block_alloc(dinode, file_block, 0, block_no)
-                if dinode.indirect != indirect:
-                    with self._housekeeping():
-                        self.bfree(dinode.indirect)
-                raise
+            block_no = self.bmap(dinode, dinode.size // BLOCK_SIZE, allocate=True)
+            self._fresh_meta_page(block_no, "dir")
+            self.write_meta(block_no, 0, record, meta_class="dir")
             dinode.size += BLOCK_SIZE
             self.write_inode(dinode)
 
@@ -559,14 +610,10 @@ class UFS:
         # Careful ordering (section 2.3): initialise the inode *before*
         # the directory entry that makes it reachable.
         inode = self.ialloc(FileType.REGULAR)
-        try:
-            inode.nlink = 1
-            self.write_inode(inode)
-            self.kernel.preemption_point()
-            self.dir_add(parent, name, inode.ino)
-        except FileSystemError:
-            self._discard_unnamed(inode)
-            raise
+        inode.nlink = 1
+        self.write_inode(inode)
+        self.kernel.preemption_point()
+        self.dir_add(parent, name, inode.ino)
         return inode.ino
 
     @_fs_op
@@ -576,23 +623,16 @@ class UFS:
         if self.dir_lookup(parent, name) is not None:
             raise FileExists(path)
         inode = self.ialloc(FileType.DIRECTORY)
-        try:
-            block = self.bmap(inode, 0, allocate=True)
-            self._fresh_meta_page(block, "dir")
-            self.write_meta(
-                block,
-                0,
-                DirEntry(inode.ino, ".").to_bytes() + DirEntry(parent.ino, "..").to_bytes(),
-                meta_class="dir",
-            )
-            inode.size = BLOCK_SIZE
-            inode.nlink = 2
-            self.write_inode(inode)
-            self.kernel.preemption_point()
-            self.dir_add(parent, name, inode.ino)
-        except FileSystemError:
-            self._discard_unnamed(inode)
-            raise
+        block = self.bmap(inode, 0, allocate=True)
+        self._fresh_meta_page(block, "dir")
+        dots = DirEntry(inode.ino, ".").to_bytes() + DirEntry(parent.ino, "..").to_bytes()
+        self.write_meta(block, 0, dots, meta_class="dir")
+        inode.size = BLOCK_SIZE
+        inode.nlink = 2
+        self.write_inode(inode)
+        self.kernel.preemption_point()
+        self.dir_add(parent, name, inode.ino)
+        self._op.commit()
         parent.nlink += 1
         self.write_inode(parent)
         return inode.ino
@@ -608,13 +648,12 @@ class UFS:
         if inode.ftype == FileType.DIRECTORY:
             raise IsADirectory(path)
         # Careful ordering: unname first, then free.
+        self._op.commit()
         self.dir_remove(parent, name)
         self.kernel.preemption_point()
         inode.nlink -= 1
         if inode.nlink <= 0:
-            self.kernel.ubc.invalidate_file(FileId(self.dev, ino))
-            self._free_file_blocks(inode)
-            self.ifree(inode)
+            self._drop_file(inode)
         else:
             self.write_inode(inode)
 
@@ -631,10 +670,10 @@ class UFS:
         entries = [e for e in self.dir_entries(inode) if e.name not in (".", "..")]
         if entries:
             raise DirectoryNotEmpty(path)
+        self._op.commit()
         self.dir_remove(parent, name)
         self.kernel.preemption_point()
-        self._free_file_blocks(inode)
-        self.ifree(inode)
+        self._drop_file(inode)
         parent.nlink -= 1
         self.write_inode(parent)
 
@@ -654,18 +693,18 @@ class UFS:
             target = self.iget(existing)
             if target.ftype == FileType.DIRECTORY:
                 raise IsADirectory(new_path)
+            self._op.commit()
             self.dir_remove(new_parent, new_name)
             target.nlink -= 1
             if target.nlink <= 0:
-                self.kernel.ubc.invalidate_file(FileId(self.dev, existing))
-                self._free_file_blocks(target)
-                self.ifree(target)
+                self._drop_file(target)
             else:
                 self.write_inode(target)
         # Add the new name before removing the old: a crash in between
         # leaves an extra hard link, which fsck can repair; the reverse
         # order could lose the file entirely.
         self.dir_add(new_parent, new_name, ino)
+        self._op.commit()
         self.kernel.preemption_point()
         if new_parent.ino == old_parent.ino:
             # dir_add may have grown the directory; re-read for remove.
@@ -731,16 +770,15 @@ class UFS:
         if offset + len(data) > MAX_FILE_SIZE:
             raise InvalidArgument("write beyond maximum file size")
         ubc = self.kernel.ubc
+        op = self._op
         pos = 0
         allocated = False
-        indirect = inode.indirect
         try:
             while pos < len(data):
                 cursor = offset + pos
                 file_block, in_off = divmod(cursor, BLOCK_SIZE)
                 take = min(BLOCK_SIZE - in_off, len(data) - pos)
-                pre_block = self.bmap(inode, file_block)
-                disk_block = pre_block
+                pre_block = self.bmap(inode, file_block)  # 0: a hole, zero-filled
                 disk_block = self.bmap(inode, file_block, allocate=True)
                 if disk_block != pre_block:
                     allocated = True
@@ -750,28 +788,17 @@ class UFS:
                 ubc.write_into(page, in_off, data[pos : pos + take], IO_CONTEXT)
                 self.policy.on_data_write(self, ino, page, cursor, take)
                 pos += take
+                op.keep()
         except FileSystemError:
-            # A mid-write error (allocation refused: no space, no page
-            # frame) must leave a well-defined *partial* write, not
-            # debris.  Every failure point sits before the failing
-            # chunk's bytes land, so: revert that chunk's fresh block
-            # (its pointer may already be on disk via the indirect
-            # block, and a freed-then-reused block holds stale bytes
-            # that a later size-extending write would resurrect —
-            # bytes the acknowledgement audit never saw), then commit
-            # the fully-written prefix so it is visible, exactly what
-            # POSIX reports as a short write.  Crashes are not caught:
-            # their debris is the point, and fsck owns it.
-            self._revert_block_alloc(inode, file_block, pre_block, disk_block)
+            # The POSIX short write: give back the failing chunk's blocks
+            # first (named, a freed block would resurrect stale bytes on
+            # a later extending write), then make the prefix visible.
             if pos:
+                op.undo()
+                op.commit()
                 inode.size = max(inode.size, offset + pos)
                 inode.mtime_ns = self.kernel.clock.now_ns
                 self.write_inode(inode, defer=not allocated)
-            elif inode.indirect != indirect:
-                # Nothing landed, so no inode write names the indirect
-                # block this write took: give it back.
-                with self._housekeeping():
-                    self.bfree(inode.indirect)
             raise
         inode.size = max(inode.size, offset + len(data))
         inode.mtime_ns = self.kernel.clock.now_ns
@@ -785,36 +812,6 @@ class UFS:
         housekeeping, not a request to deny."""
         chaos = self.kernel.chaos
         return chaos.calm() if chaos is not None else nullcontext()
-
-    def _discard_unnamed(self, inode: Inode) -> None:
-        """Give back a new inode, and any block it took, when its create
-        is denied before a directory entry names it — else both stay
-        allocated with nothing reaching them."""
-        with self._housekeeping():
-            self._free_file_blocks(inode)
-            self.ifree(inode)
-
-    def _revert_block_alloc(
-        self, inode: Inode, file_block: int, pre_block: int, disk_block: int
-    ) -> None:
-        """Undo one :meth:`bmap` allocation a failed write cannot use.
-
-        Restores the block pointer to ``pre_block`` and frees the fresh
-        block, in :meth:`_housekeeping`.
-        """
-        if disk_block == pre_block:
-            return
-        with self._housekeeping():
-            if file_block < N_DIRECT:
-                inode.direct[file_block] = pre_block
-            else:
-                self.write_meta(
-                    inode.indirect,
-                    (file_block - N_DIRECT) * 4,
-                    pre_block.to_bytes(4, "little"),
-                    meta_class="indirect",
-                )
-            self.bfree(disk_block)
 
     def read(self, ino: int, offset: int, length: int) -> bytes:
         """Read file bytes via the UBC (holes read as zeros)."""
@@ -838,15 +835,18 @@ class UFS:
         return bytes(out)
 
     @_fs_op
-    def truncate(self, ino: int, size: int = 0) -> None:
+    def truncate(self, ino: int) -> None:
         """Truncate to zero: free all blocks, drop cached pages."""
-        if size != 0:
-            raise InvalidArgument("only truncate-to-zero is supported")
         inode = self.iget(ino)
         if inode.ftype != FileType.REGULAR:
             raise IsADirectory(f"inode {ino}")
+        blocks = self._file_blocks(inode)  # the last step that may be denied
+        self._op.commit()
         self.kernel.ubc.invalidate_file(FileId(self.dev, ino))
-        self._free_file_blocks(inode)
+        for block in blocks:
+            self.bfree(block)
+        inode.direct = [0] * N_DIRECT
+        inode.indirect = 0
         inode.size = 0
         inode.mtime_ns = self.kernel.clock.now_ns
         self.write_inode(inode)
@@ -938,6 +938,3 @@ class UFS:
     def write_by_ino(self, ino: int, offset: int, data: bytes) -> int:
         """Warm-reboot restore interface: by-inode write."""
         return self.write(ino, offset, data)
-
-    # -- statistics -----------------------------------------------------------
-

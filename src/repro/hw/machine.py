@@ -145,10 +145,6 @@ class Machine:
         ``preserve_memory=True`` is the Alpha behaviour that warm reboot
         requires; ``False`` models PCs that scrub RAM during reset.
         """
-        if preserve_memory and not self.crashed and self.reset_count == 0:
-            # A first boot on a fresh machine is fine; subsequent resets
-            # normally follow a crash but an administrative reboot is legal.
-            pass
         self.reset_count += 1
         if not preserve_memory:
             self.memory.erase()

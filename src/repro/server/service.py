@@ -498,11 +498,12 @@ class FileService:
         and op name, and the ``fail_nth_syscall`` capability is
         evaluated here — *before* dispatch — so a denied request fails
         retryably without touching any state.  A deep chaos denial
-        (page grant or block allocation refused mid-op) can leave a
-        *partially applied* unacknowledged mutation; that partial state
-        is outside the promise, so the journal model adopts the request's
-        actual effect — exactly the crash-in-flight reconciliation —
-        before the failure is surfaced.
+        (page grant or block allocation refused mid-op) leaves nothing
+        behind, or the op finishes calm (``slow_io`` suspended too);
+        only a short write leaves a *partially applied* unacknowledged
+        mutation.  That prefix is outside the promise, so the journal
+        model adopts the request's actual effect — exactly the
+        crash-in-flight reconciliation — before the failure is surfaced.
         """
         session = self.sessions.get(request.client_id)
         if self.chaos is None:

@@ -6,6 +6,7 @@
 * docs/*.md total at most 2 200 lines;
 * docs/ARCHITECTURE.md names every package under src/repro/;
 * every tier-1 test id and module DESIGN.md's experiment index names exists;
+* every backticked ``test_*`` name in EXPERIMENTS.md is a test that exists;
 * the docstring-coverage gate (scripts/check_docstrings.py) passes.
 """
 
@@ -116,6 +117,23 @@ def test_design_experiment_index_names_real_tests():
             ]
             assert found, f"DESIGN.md names {path}{names}, which does not exist"
             scope = found[0].body
+
+
+def test_experiments_names_real_tests():
+    """EXPERIMENTS.md points each claim at its tier-1 home: every
+    backticked ``test_*`` name there is a ``def`` under tests/."""
+    spans = re.findall(r"`([^`]+)`", (REPO / "EXPERIMENTS.md").read_text())
+    named = {
+        name for span in spans for name in re.findall(r"(?<![\w/])(test_\w+)\b(?!\.py)", span)
+    }
+    assert named, "EXPERIMENTS.md lost its test names"
+    defined = {
+        node.name
+        for path in (REPO / "tests").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not named - defined, f"EXPERIMENTS.md names missing tests: {sorted(named - defined)}"
 
 
 def test_design_experiment_index_names_real_modules():

@@ -12,9 +12,10 @@ from repro.errors import (
     NotADirectory,
     OutOfMemory,
 )
+from repro.faults.capabilities import ChaosRegistry
 from repro.fs.dissect import dissect_image, snapshot
-from repro.fs.ondisk import DIRENT_SIZE
-from repro.fs.types import BLOCK_SIZE, N_DIRECT
+from repro.fs.ondisk import DIRENT_SIZE, INODES_PER_BLOCK, indirect_pointers
+from repro.fs.types import BLOCK_SIZE, N_DIRECT, FileType
 from repro.system import SystemSpec, build_system
 from repro.util import pattern_bytes
 
@@ -388,3 +389,175 @@ class TestDeniedCreate:
         assert free_space(fs) == before
         full.settle()
         assert dissect_image(snapshot(full.disk)).clean
+
+
+def held_blocks(fs, ino) -> int:
+    """Blocks one file holds: its data blocks and its indirect block."""
+    inode = fs.iget(ino)
+    held = sum(1 for b in inode.direct if b)
+    if inode.indirect:
+        raw = fs.read_meta(inode.indirect, 0, BLOCK_SIZE, meta_class="indirect")
+        held += 1 + sum(1 for b in indirect_pointers(raw) if b)
+    return held
+
+
+def namespace(fs) -> dict:
+    """Every path in the tree with the inode it names."""
+    names = {}
+
+    def walk(ino, prefix):
+        for entry in fs.dir_entries(fs.iget(ino)):
+            if entry.name in (".", ".."):
+                continue
+            path = prefix + entry.name
+            names[path] = entry.ino
+            if fs.iget(entry.ino).ftype == FileType.DIRECTORY:
+                walk(entry.ino, path + "/")
+
+    walk(fs.namei("/"), "/")
+    return names
+
+
+def _write(path, file_block, blocks):
+    def op(fs):
+        fs.write(fs.namei(path), file_block * BLOCK_SIZE, b"\x5a" * (blocks * BLOCK_SIZE))
+
+    return op
+
+
+def _ino_op(name, path):
+    return lambda fs: getattr(fs, name)(fs.namei(path))
+
+
+def _path_op(name, *paths):
+    return lambda fs: getattr(fs, name)(*paths)
+
+
+class TestFailNth:
+    """Every faultable call of every op shape, failed one at a time.
+
+    On ``rio_prot`` with cold caches, the n-th ``fail_alloc`` (a page
+    grant) or ``fail_disk_full`` (a block allocation) evaluation of one
+    op is denied, for n = 1, 2, ... until the op makes fewer than n.  A
+    denied op leaves nothing behind (a write may keep its prefix, the
+    POSIX short write): the free counts and the namespace are as before,
+    no lock is held, and the flushed image dissects clean.
+    """
+
+    #: op shape -> (needs the full directory ``/full``, the op, the file
+    #: a denied write may keep its prefix in).
+    SHAPES = {
+        "create": (False, _path_op("create", "/new"), None),
+        "create_grow": (True, _path_op("create", "/full/new"), None),
+        "mkdir": (False, _path_op("mkdir", "/new"), None),
+        "mkdir_grow": (True, _path_op("mkdir", "/full/new"), None),
+        "unlink_direct": (False, _path_op("unlink", "/small"), None),
+        "unlink_indirect": (False, _path_op("unlink", "/big"), None),
+        "rmdir": (False, _path_op("rmdir", "/empty"), None),
+        "rename": (False, _path_op("rename", "/src", "/moved"), None),
+        "rename_over_direct": (False, _path_op("rename", "/src", "/small"), None),
+        "rename_over_indirect": (False, _path_op("rename", "/src", "/big"), None),
+        "rename_into_full": (True, _path_op("rename", "/src", "/full/src"), None),
+        "rename_in_full": (True, _path_op("rename", "/full/f0", "/full/new"), None),
+        "rename_dir": (False, _path_op("rename", "/dir", "/other/dir"), None),
+        "write_direct": (False, _write("/src", 0, 3), "/src"),
+        "write_indirect": (False, _write("/small", N_DIRECT - 1, 3), "/small"),
+        "truncate": (False, _ino_op("truncate", "/big"), None),
+    }
+
+    @staticmethod
+    def build(full: bool):
+        system = build_system(SystemSpec("rio_prot", fs_blocks=256))
+        fs = system.fs
+        fs.write(fs.create("/small"), 0, b"\x01" * BLOCK_SIZE)
+        fs.write(fs.create("/big"), 0, b"\x02" * ((N_DIRECT + 2) * BLOCK_SIZE))
+        fs.write(fs.create("/src"), 0, b"")
+        fs.mkdir("/empty")
+        fs.mkdir("/dir")
+        fs.create("/dir/inner")
+        fs.mkdir("/other")
+        fs.mkdir("/pad")
+        while fs._free_inos[-1] < INODES_PER_BLOCK:  # new inodes: a cold table block
+            fs.create(f"/pad/p{fs._free_inos[-1]}")
+        if full:
+            fs.mkdir("/full")
+            for i in range(BLOCK_SIZE // DIRENT_SIZE - 2):  # past "." and ".."
+                fs.create(f"/full/f{i}")
+        system.settle()
+        return system
+
+    def trial(self, shape: str, capability: str, n: int):
+        """Run one trial; returns (the capability's calls, violations)."""
+        full, op, written = self.SHAPES[shape]
+        system = self.build(full)
+        fs = system.fs
+        before = (free_space(fs), namespace(fs))
+        held = held_blocks(fs, fs.namei(written)) if written else 0
+        system.drop_caches()
+        registry = ChaosRegistry()
+        cap = registry.enable(capability, interval=n, times=1)
+        system.install_chaos(registry)
+        denied = None
+        with registry.request_scope(client=0):
+            try:
+                op(fs)
+            except (NoSpace, OutOfMemory) as exc:
+                denied = exc
+        problems = []
+        if cap.fires and denied is None:
+            problems.append("denied op returned success")
+        if denied is not None:
+            free, names = free_space(fs), namespace(fs)
+            kept = held_blocks(fs, fs.namei(written)) - held if written else 0
+            expected = dict(before[0], free_blocks=before[0]["free_blocks"] - kept)
+            if free != expected:
+                problems.append(f"free counts {free} != {expected}")
+            if names != before[1]:
+                problems.append("namespace changed")
+        held_locks = sorted(name for name, lock in system.kernel.locks._locks.items() if lock.held)
+        if held_locks:
+            problems.append(f"locks held: {held_locks}")
+        system.settle()
+        report = dissect_image(snapshot(system.disk))
+        if not report.clean:
+            problems.append(f"dissect: {sorted({f.kind.value for f in report.findings})}")
+        return cap.calls, problems
+
+    def test_every_denial_leaves_nothing_behind(self):
+        trials, violations = 0, {}
+        for shape in self.SHAPES:
+            for capability in ("fail_alloc", "fail_disk_full"):
+                n = 1
+                while True:
+                    calls, problems = self.trial(shape, capability, n)
+                    if calls < n:
+                        break
+                    trials += 1
+                    if problems:
+                        violations[(shape, capability, n)] = problems
+                    n += 1
+        assert trials > 0
+        assert violations == {}, f"{len(violations)} of {trials} trials: {violations}"
+
+
+@pytest.mark.parametrize("name", ["rio_prot", "ufs_delayed"])
+def test_denied_truncate_keeps_the_file(name):
+    """A truncate denied its first page grant raises before it drops a
+    dirty page: the size and the bytes are what they were."""
+    system = build_system(SystemSpec(name, fs_blocks=256))
+    fs = system.fs
+    ino = fs.create("/big")
+    old = pattern_bytes(0x7C0D, 0, (N_DIRECT + 2) * BLOCK_SIZE)
+    fs.write(ino, 0, old)
+    system.settle()
+    new = pattern_bytes(0x5EED, 0, len(old))
+    fs.write(ino, 0, new)  # dirty UBC pages over the flushed ones
+    cache = system.kernel.buffer_cache
+    cache.drop(cache.lookup(("meta", fs.dev, fs.iget(ino).indirect)))
+    registry = ChaosRegistry()
+    registry.enable("fail_alloc", times=1)
+    system.install_chaos(registry)
+    with registry.request_scope(client=0), pytest.raises(OutOfMemory):
+        fs.truncate(ino)
+    assert fs.size_of(ino) == len(new)
+    assert fs.read(ino, 0, len(new)) == new
