@@ -65,7 +65,7 @@ def cmd_table1(args) -> int:
     if args.trace_corruptions and args.resume is None:
         raise SystemExit(
             "--trace-corruptions needs --resume PATH: the per-trial traces "
-            "are written next to the checkpoint journal"
+            "are kept in the checkpoint journal"
         )
     print(
         f"running the Table 1 campaign ({crashes} crashes/cell; paper used 50) "
@@ -93,7 +93,13 @@ def cmd_table1(args) -> int:
     if not engine.complete:
         print("campaign incomplete; re-run with --resume to continue", file=sys.stderr)
         return 3
-    return 0
+    short = engine.short_cells
+    for system, fault, got, attempts in short:
+        print(
+            f"short cell {system}/{fault}: {got} of {crashes} crashes after {attempts} attempts",
+            file=sys.stderr,
+        )
+    return 1 if short else 0
 
 
 def cmd_forensics(args) -> int:
@@ -592,7 +598,7 @@ def cmd_load_disk(args) -> int:
     """Install an image onto a fresh disk, fsck it, and cross-check with
     the independent verifier; exit 1 when their verdicts diverge."""
     from repro.disk.device import SimulatedDisk
-    from repro.fs.dissect import install, second_opinion
+    from repro.fs.dissect import dissect_image, install, second_opinion, snapshot
     from repro.fs.dissect.layout import SECTOR_SIZE
     from repro.fs.fsck import fsck
 
@@ -604,10 +610,10 @@ def cmd_load_disk(args) -> int:
     disk = SimulatedDisk("image", num_sectors=len(payload) // SECTOR_SIZE)
     install(disk, payload)
     report = fsck(disk)
-    # Dissect the payload, not the disk: fsck repaired that in place and
-    # would have hidden the evidence.
-    scan, divergence = second_opinion(payload, report)
-    print(scan.format())
+    # The evidence is the payload's scan (fsck repaired the disk in place);
+    # the verdicts are judged on the disk as fsck left it.
+    print(dissect_image(payload).format())
+    _scan, divergence = second_opinion(snapshot(disk), report)
     print(
         f"fsck: {report.fix_count} fix(es), "
         + ("UNRECOVERABLE" if report.unrecoverable else "file system recovered")
@@ -731,8 +737,8 @@ def _flags_table1(p) -> None:
     p.add_argument(
         "--trace-corruptions",
         action="store_true",
-        help="record flight-recorder streams for every trial and write "
-        "per-corrupting-trial JSONL traces next to the --resume journal",
+        help="record flight-recorder streams for every trial in the --resume "
+        "journal, for repro forensics",
     )
 
 
@@ -937,7 +943,13 @@ def _flags_fsck_remote(p) -> None:
 #: ``add_flags`` is None for a command that takes no arguments.
 COMMANDS = (
     ("demo", "the quickstart: write, crash, warm reboot, read back", None, cmd_demo),
-    ("table1", "run the reliability campaign (Table 1) and print it", _flags_table1, cmd_table1),
+    (
+        "table1",
+        "run the reliability campaign (Table 1) and print it (exit 1 if a cell "
+        "ends short of its target, 3 if incomplete)",
+        _flags_table1,
+        cmd_table1,
+    ),
     (
         "forensics",
         "per-trial crash forensics over a traced table1 journal: injection -> "

@@ -13,22 +13,19 @@ Every trial is a pure function of its :class:`CrashTestConfig`, and the
 campaign's seed schedule (:func:`repro.reliability.report.seed_for`) is
 a pure function of ``(base_seed, cell, attempt)``.  The only sequential
 coupling is the *stopping rule*: a cell stops once it has counted
-``crashes_per_cell`` crashes, so whether attempt ``k`` counts depends on
-the outcomes of attempts ``0..k-1``.  The engine therefore:
-
-1. runs attempts **speculatively** out of order across workers (bounded
-   per cell by a speculation window sized to the crashes still needed);
-2. buffers finished results per ``(cell, attempt)``;
-3. **merges** each cell's buffer in attempt order, re-evaluating the
-   stopping rule before consuming each attempt;
-4. discards (as "wasted speculation") any buffered attempt past the
-   point where the cell stopped.
-
-The merged :class:`Table1` is then identical for any job count and any
-completion order; ``results`` lists stay in attempt order via
-``CampaignCell.record(..., order=attempt)``.  ``jobs=1`` takes the same
-schedule on the pool's in-process mode, so configs and results still
-round-trip through JSON and exercise the identical wire format.
+``crashes_per_cell`` crashes or used ``crashes_per_cell *
+max_attempts_factor`` attempts.  The engine therefore runs each cell in
+**batches**: a cell submits one attempt per crash it still needs (capped
+by the attempts it has left), starting at its first unconsumed attempt,
+and forms its next batch only once every attempt of this one has landed
+and been consumed in attempt order.  A trial counts at most one crash,
+so a batch reaches the stopping point only on its last attempt: no trial
+past a cell's stopping point is ever run, at any job count, and the
+merged :class:`Table1` is the one a one-at-a-time loop builds.  The
+cells' batches share the pool, so the workers stay busy while any cell
+has trials in flight.  ``jobs=1`` takes the same schedule on the pool's
+in-process mode, so configs and results still round-trip through JSON
+and exercise the identical wire format.
 
 Checkpoint / resume
 -------------------
@@ -54,8 +51,6 @@ differ between runs — the trial genuinely could not be run.)
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -82,7 +77,6 @@ class EngineStats(PoolStats):
     ``worker_crashes`` and ``quarantined`` are counted by the pool."""
 
     from_checkpoint: int = 0  #: trials satisfied from the journal
-    wasted_speculation: int = 0  #: run (or in flight) past the cell's stopping point
     checkpoint_lines_skipped: int = 0  #: corrupt journal lines skipped
     wall_seconds: float = 0.0
 
@@ -96,10 +90,17 @@ class _CellState:
     cell: CampaignCell
     target: int
     max_attempts: int
-    next_attempt: int = 0  #: next attempt index not yet scheduled
-    merged_upto: int = 0  #: attempts consumed by the attempt-order merge
-    done: bool = False  #: the stopping rule has fired
-    buffer: dict = field(default_factory=dict)  #: attempt -> CrashTestResult
+    batch_end: int = 0  #: one past the last attempt of the current batch
+    buffer: dict = field(default_factory=dict)  #: attempt -> result landed ahead of its turn
+
+    @property
+    def consumed(self) -> int:
+        return len(self.cell.results)
+
+    @property
+    def done(self) -> bool:
+        """The stopping rule has fired."""
+        return self.cell.crashes >= self.target or self.consumed >= self.max_attempts
 
     def key(self, attempt: int) -> TrialKey:
         return (self.system, self.fault_type.value, attempt)
@@ -115,10 +116,6 @@ def run_trial_json(config_dict: dict) -> dict:
 
 class CampaignEngine:
     """One campaign invocation; see the module docstring for design."""
-
-    #: Speculative attempts scheduled per crash still needed (the paper
-    #: discards "about half" of runs, so 2x is the natural oversubscription).
-    speculation = 2
 
     def __init__(
         self,
@@ -149,8 +146,8 @@ class CampaignEngine:
         self.stats = EngineStats()
         self.complete = False
         self.table = Table1(crashes_per_cell=crashes_per_cell)
-        self._cells = [
-            _CellState(
+        self._cells = {
+            (system, fault.value): _CellState(
                 system=system,
                 fault_type=fault,
                 cell=self.table.cell(system, fault),
@@ -159,13 +156,11 @@ class CampaignEngine:
             )
             for system in self.systems
             for fault in self.fault_types
-        ]
+        }
         self._cache: dict = {}
         self._journal: Optional[CampaignJournal] = None
         self._pool: Optional[WorkerPool] = None
-        self._outstanding: dict = {}  # key -> (cell state, attempt)
-        self._scheduled_exec = 0
-        self._rr = 0
+        self._submitted = 0  #: trials handed to the pool (the max_trials budget)
         self._t0 = 0.0
         self._last_progress = 0.0
 
@@ -182,27 +177,32 @@ class CampaignEngine:
             "repro.reliability.engine:run_trial_json", self.jobs, self._say, self.stats
         )
         try:
-            while not all(cs.done for cs in self._cells):
-                self._dispatch()
-                if not self._outstanding:
-                    if not self._may_execute():
-                        break  # the max_trials budget is spent
-                    # nothing in flight and nothing dispatchable: the
-                    # remaining cells completed from cache in _dispatch
-                    continue
+            for cs in self._cells.values():
+                self._advance(cs)
+            while self._pool.pending:
                 for event in self._pool.next_events():
-                    self._merge(self._land(*event))
+                    self._land(*event)
                 self._emit_progress()
         finally:
             self._pool.close()
             if self._journal is not None:
                 self._journal.close()
         self.stats.wall_seconds = time.monotonic() - self._t0
-        self.complete = all(cs.done for cs in self._cells)
+        self.complete = all(cs.done for cs in self._cells.values())
         self._emit_progress(force=True)
         return self.table
 
-    # -- trials: identity, cache, merge ------------------------------------
+    @property
+    def short_cells(self) -> list:
+        """``(system, fault value, crashes, attempts)`` for each cell that
+        used every attempt below its target."""
+        return [
+            (cs.system, cs.fault_type.value, cs.cell.crashes, cs.consumed)
+            for cs in self._cells.values()
+            if cs.done and cs.cell.crashes < cs.target
+        ]
+
+    # -- trials: identity, cache, landing ----------------------------------
 
     def _fingerprint(self) -> dict:
         overrides = {}
@@ -257,76 +257,10 @@ class CampaignEngine:
             )
             return None
 
-    def _may_execute(self) -> bool:
-        return self.max_trials is None or self._scheduled_exec < self.max_trials
-
-    def _merge(self, cs: _CellState) -> None:
-        """Consume buffered attempts in attempt order.
-
-        The stopping rule — ``cell.crashes < N and attempt < N * factor``
-        — is checked before consuming each attempt, so the cutoff lands
-        on the same attempt index whatever order results arrived in.
-        """
-        was_done = cs.done
-        while True:
-            if not (cs.cell.crashes < cs.target and cs.merged_upto < cs.max_attempts):
-                cs.done = True
-                break
-            result = cs.buffer.pop(cs.merged_upto, None)
-            if result is None:
-                break
-            self._write_trace_artifact(cs, cs.merged_upto, result)
-            cs.cell.record(result, order=cs.merged_upto)
-            cs.merged_upto += 1
-        if cs.done and not was_done:
-            self.stats.wasted_speculation += len(cs.buffer)
-            cs.buffer.clear()
-            for key, (other, _attempt) in list(self._outstanding.items()):
-                if other is cs:
-                    del self._outstanding[key]
-                    self._pool.cancel(key)
-                    self.stats.wasted_speculation += 1
-            self._emit_cell_line(cs)
-
-    def _write_trace_artifact(
-        self, cs: _CellState, attempt: int, result: CrashTestResult
-    ) -> None:
-        """Drop a per-corrupting-trial JSONL trace next to the journal.
-
-        Written only for consumed (attempt-order-merged) trials that were
-        traced, crashed, *and* corrupted — one ``<checkpoint>.traces/
-        <system>__<fault>__<attempt>.jsonl`` each, a header line followed
-        by one serialized event per line.  ``repro forensics`` reads
-        these back to build per-trial reports.
-        """
-        if (
-            self.checkpoint is None
-            or result.trace_events is None
-            or not result.crashed
-            or not result.corrupted
-        ):
-            return
-        outdir = self.checkpoint + ".traces"
-        os.makedirs(outdir, exist_ok=True)
-        fault = cs.fault_type.value.replace(" ", "_").replace("/", "_")
-        path = os.path.join(outdir, f"{cs.system}__{fault}__{attempt}.jsonl")
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "kind": "trace-header",
-                "system": cs.system,
-                "fault": cs.fault_type.value,
-                "attempt": attempt,
-                "seed": result.config.seed,
-                "event_digest": result.event_digest,
-            }
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            for ev in result.trace_events:
-                fh.write(json.dumps(ev, sort_keys=True, separators=(",", ":")) + "\n")
-
-    def _land(self, kind: str, key: TrialKey, payload: Optional[dict]) -> _CellState:
+    def _land(self, kind: str, key: TrialKey, payload: Optional[dict]) -> None:
         """One pool event: journal the trial's result and hand it to its
-        cell's buffer; returns the cell."""
-        cs, attempt = self._outstanding.pop(key)
+        cell."""
+        cs, attempt = self._cells[key[:2]], key[2]
         if kind == "quarantined":
             # The trial killed every worker that tried it: record a
             # synthetic discarded outcome so the campaign can finish
@@ -342,47 +276,34 @@ class CampaignEngine:
         if self._journal is not None:
             self._journal.append_trial(key, result.config.seed, result.to_json_dict())
         cs.buffer[attempt] = result
-        return cs
-
-    def _submit(self, cs: _CellState, attempt: int) -> None:
-        self._scheduled_exec += 1
-        self._outstanding[cs.key(attempt)] = (cs, attempt)
-        self._pool.submit(cs.key(attempt), self._config_json(cs, attempt))
+        self._advance(cs)
 
     # -- the schedule -----------------------------------------------------
 
-    def _next_task(self) -> Optional[tuple]:
-        """Round-robin over incomplete cells, bounded by each cell's
-        speculation window."""
-        n = len(self._cells)
-        for i in range(n):
-            cs = self._cells[(self._rr + i) % n]
-            if cs.done or cs.next_attempt >= cs.max_attempts:
-                continue
-            window = max(self.speculation * (cs.target - cs.cell.crashes), 1)
-            if cs.next_attempt - cs.merged_upto >= window:
-                continue
-            attempt = cs.next_attempt
-            cs.next_attempt += 1
-            self._rr = (self._rr + i + 1) % n
-            return cs, attempt
-        return None
-
-    def _dispatch(self) -> None:
-        while len(self._outstanding) < self.jobs + 2:
-            task = self._next_task()
-            if task is None:
+    def _advance(self, cs: _CellState) -> None:
+        """Consume the cell's landed attempts in attempt order and, once
+        its batch is all in, form the next one: one attempt per crash
+        still needed, capped by the attempts left, so only the batch's
+        last attempt can reach the stopping point.  A journaled attempt
+        is taken instead of run, so a batch may complete at once."""
+        while True:
+            while cs.consumed in cs.buffer:
+                cs.cell.record(cs.buffer.pop(cs.consumed))
+            if cs.consumed < cs.batch_end:
+                return  # waiting on the pool, or on a spent max_trials budget
+            if cs.done:
+                self._emit_cell_line(cs)
                 return
-            cs, attempt = task
-            cached = self._take_cached(cs, attempt)
-            if cached is not None:
-                self.stats.from_checkpoint += 1
-                cs.buffer[attempt] = cached
-                self._merge(cs)
-                continue
-            if not self._may_execute():
-                return
-            self._submit(cs, attempt)
+            start = cs.batch_end
+            cs.batch_end += min(cs.target - cs.cell.crashes, cs.max_attempts - start)
+            for attempt in range(start, cs.batch_end):
+                cached = self._take_cached(cs, attempt)
+                if cached is not None:
+                    self.stats.from_checkpoint += 1
+                    cs.buffer[attempt] = cached
+                elif self.max_trials is None or self._submitted < self.max_trials:
+                    self._submitted += 1
+                    self._pool.submit(cs.key(attempt), self._config_json(cs, attempt))
 
     # -- progress ----------------------------------------------------------
 
@@ -407,10 +328,11 @@ class CampaignEngine:
         if not force and now - self._last_progress < self.progress_interval_s:
             return
         self._last_progress = now
-        crashes = sum(cs.cell.crashes for cs in self._cells)
-        target = sum(cs.target for cs in self._cells)
-        discarded = sum(cs.cell.discarded for cs in self._cells)
-        diverged = sum(cs.cell.divergences for cs in self._cells)
+        cells = self._cells.values()
+        crashes = sum(cs.cell.crashes for cs in cells)
+        target = sum(cs.target for cs in cells)
+        discarded = sum(cs.cell.discarded for cs in cells)
+        diverged = sum(cs.cell.divergences for cs in cells)
         self._say(
             f"[engine] {crashes}/{target} crashes counted, {discarded} discarded, "
             + (f"{diverged} fsck/dissect divergences, " if diverged else "")
@@ -425,12 +347,12 @@ class CampaignEngine:
             return "?"
         throughput = self.stats.executed / elapsed  # trials/s, all workers
         remaining = 0.0
-        for cs in self._cells:
+        for cs in self._cells.values():
             if cs.done:
                 continue
             needed = cs.target - cs.cell.crashes
             rate = (
-                cs.cell.crashes / cs.merged_upto if cs.merged_upto else 0.5
+                cs.cell.crashes / cs.consumed if cs.consumed else 0.5
             )  # paper: "about half the time" a run survives and is discarded
-            remaining += min(needed / max(rate, 0.1), cs.max_attempts - cs.merged_upto)
+            remaining += min(needed / max(rate, 0.1), cs.max_attempts - cs.consumed)
         return f"~{remaining / throughput:.0f}s"

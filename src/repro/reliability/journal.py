@@ -25,9 +25,8 @@ its original line was damaged appends a fresh record that supersedes it.
 
 **Line order is free.**  Trials are appended as workers deliver them,
 so two journals of one campaign list the same consumed trials in
-different orders, and either may also hold speculative trials that
-landed past a cell's stopping point (a resume never asks for those).
-A journal is read as a map from trial key to result, never as a log.
+different orders.  A journal is read as a map from trial key to
+result, never as a log.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ are all the same thing to the host: a *named pure function*
 (``"module.path:function"``) applied to a keyed, JSON-safe payload.
 :class:`WorkerPool` runs such tasks on worker processes and is the only
 code here that starts a process, writes a claim slot, polls liveness or
-tears a pool down.  Its two clients are the speculative Table 1
+tears a pool down.  Its two clients are the batching Table 1
 scheduler (:class:`repro.reliability.engine.CampaignEngine`) and
 :class:`ParallelMap`, the plain keyed map the crash-point explorer and
 the chaos matrix fan through.
@@ -156,7 +156,7 @@ class WorkerPool:
 
     @property
     def pending(self) -> int:
-        """Tasks submitted and not yet done, quarantined or cancelled."""
+        """Tasks submitted and not yet done or quarantined."""
         return len(self._pending)
 
     def submit(self, key, payload) -> None:
@@ -164,12 +164,6 @@ class WorkerPool:
         self._pending[key] = payload
         if self._fn is None:
             self._put(key)
-
-    def cancel(self, key) -> None:
-        """The caller no longer wants ``key``'s result.  A worker may
-        still run it (that counts in ``stats.executed``), but it yields
-        no event and a death while holding it is not charged to it."""
-        self._pending.pop(key, None)
 
     def next_events(self) -> list:
         """Wait for the next result — at most ``poll_s`` — and return
@@ -189,7 +183,7 @@ class WorkerPool:
             raise CampaignWorkerError(f"worker exception on task {key}: {result}")
         self.stats.executed += 1
         if key not in self._pending:
-            return []  # cancelled, or a retry raced its original: result unneeded
+            return []  # a retry raced its original: result unneeded
         del self._pending[key]
         return [("done", key, result)]
 

@@ -9,7 +9,6 @@ in the paper ("this happens about half the time").
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -39,28 +38,11 @@ class CampaignCell:
     #: about the post-recovery image (see ``repro.fs.dissect``).
     divergences: int = 0
     crash_kinds: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
-    #: Ordering keys parallel to ``results`` (``record``'s ``order``);
-    #: plain appends sort after every keyed insert.
-    _order_keys: list = field(default_factory=list, repr=False)
+    results: list = field(default_factory=list)  #: in attempt order
 
-    def record(self, result: CrashTestResult, order: Optional[int] = None) -> None:
-        """Count one finished trial.
-
-        ``order`` is the trial's position in the campaign's seed
-        schedule (the attempt index).  The engine records results as
-        workers deliver them — possibly out of order — and the key keeps
-        ``results`` in attempt order, so formatted tables and digests
-        match bit-for-bit at every job count.  The counters are
-        order-independent sums.
-        """
-        if order is None:
-            self.results.append(result)
-            self._order_keys.append(float("inf"))
-        else:
-            at = bisect.bisect_right(self._order_keys, order)
-            self.results.insert(at, result)
-            self._order_keys.insert(at, order)
+    def record(self, result: CrashTestResult) -> None:
+        """Count one finished trial; trials arrive in attempt order."""
+        self.results.append(result)
         if result.discarded:
             self.discarded += 1
             return

@@ -196,6 +196,33 @@ def test_a_journal_of_random_bytes_is_corrupt_lines(argv, tmp_path):
         assert main([arg.format(path=path) for arg in argv]) == 0
 
 
+def test_a_cell_short_of_its_target_fails_table1(capsys):
+    """A cell that used every attempt below its target is named, and the
+    finished campaign exits 1 (an unfinished one still exits 3)."""
+    argv = ["table1", "--scale", "1", "--systems", "rio_noprot", "--faults", "kernel stack"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "short cell rio_noprot/kernel stack: 0 of 1 crashes after 5 attempts" in err
+
+
+def test_load_disk_judges_the_disk_fsck_repaired(tmp_path, capsys):
+    """fsck repairs the installed image in place; the agreement check
+    dissects the repaired disk, not the damaged payload."""
+    from repro import SystemSpec, build_system
+    from repro.fs.dissect import snapshot
+
+    system = build_system(SystemSpec("ufs", fs_blocks=64))
+    system.settle()
+    image = bytearray(bytes(snapshot(system.disk)))
+    image[8192:16384] = random.Random(3).randbytes(8192)
+    path = tmp_path / "scrambled.img"
+    path.write_bytes(bytes(image))
+    assert main(["load-disk", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "bitmap_disagreement" in out, "the payload's findings stay the evidence"
+    assert "fsck: 1 fix(es)" in out and "fsck and dissect agree" in out
+
+
 def test_outage_drill_refuses_a_store_that_cannot_go_down():
     message = refused(["fsck-remote", "--outage", "--backend", "local"])
     assert "--outage needs a store that can go down" in message and "\n" not in message

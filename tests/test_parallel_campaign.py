@@ -73,8 +73,7 @@ class TestEquivalence:
         table = engine.run()
         assert table1_digest(table) == want
         assert engine.complete
-        # Speculation may run extra trials but never changes the table:
-        # at least one executed trial per counted crash, possibly more.
+        # At least one executed trial per counted crash.
         assert engine.stats.executed >= table.total_crashes("disk") + table.total_crashes(
             "rio_noprot"
         ) + table.total_crashes("rio_prot")
@@ -118,10 +117,17 @@ class TestEquivalence:
         assert table1_digest(table3) == want
         assert resumed_again.stats.executed == 0, "a finished campaign must resume for free"
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_no_trial_runs_past_a_stopping_point(self, jobs):
+        """Every trial the engine runs is one the table consumes."""
+        engine = CampaignEngine(**MINI_CAMPAIGN, jobs=jobs)
+        table = engine.run()
+        consumed = sum(len(cell.results) for cell in table.cells.values())
+        stats = engine.stats
+        assert stats.executed + len(stats.quarantined) == consumed - stats.from_checkpoint
 
     def test_journals_agree_on_every_consumed_trial(self, tmp_path):
-        """Line order and speculation past a cell's stopping point are
-        free; the trials the table consumed are not."""
+        """Line order is free; the trials the table consumed are not."""
         entries = {}
         for jobs in (1, 4):
             journal = str(tmp_path / f"jobs{jobs}.jsonl")

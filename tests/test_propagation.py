@@ -80,8 +80,8 @@ class TestUninjectedCrashes:
             config=config, crashed=True, crash_kind="machine_check",
             ops_run=50, injected_at_op=40,
         )
-        cell.record(uninjected, order=0)
-        cell.record(normal, order=1)
+        cell.record(uninjected)
+        cell.record(normal)
         summary = summarize_propagation(table, "rio_prot")
         assert summary.uninjected[FaultType.POINTER] == 1
         assert summary.incubation_ops[FaultType.POINTER] == [10]

@@ -73,23 +73,14 @@ class TestCampaignCellRecord:
         assert cell.protection_trap_saves == 1
         assert cell.corruptions == 0
 
-    def test_order_key_restores_serial_order(self):
+    def test_results_keep_record_order(self):
         cell = CampaignCell("disk", FaultType.KERNEL_TEXT)
-        second = make_result(crashed=True, crash_kind="panic")
         first = make_result(discarded=True)
-        cell.record(second, order=1)
-        cell.record(first, order=0)
+        second = make_result(crashed=True, crash_kind="panic")
+        cell.record(first)
+        cell.record(second)
         assert cell.results == [first, second]
-        # Counters are order-independent.
         assert cell.crashes == 1 and cell.discarded == 1
-
-    def test_plain_appends_sort_after_keyed_inserts(self):
-        cell = CampaignCell("disk", FaultType.KERNEL_TEXT)
-        tail = make_result(discarded=True)
-        cell.record(tail)
-        head = make_result(crashed=True)
-        cell.record(head, order=0)
-        assert cell.results == [head, tail]
 
 
 def build_sample_table() -> Table1:

@@ -1,7 +1,7 @@
 """The one claim-slot worker pool, exercised from both of its clients.
 
 ``tests/test_parallel_campaign.py::TestWorkerDeath`` covers worker
-death under the speculative Table 1 scheduler.  This module covers the
+death under the batching Table 1 scheduler.  This module covers the
 other client — :class:`ParallelMap`, the path the crash-point explorer,
 the chaos matrix and the ``explore_traffic`` benchmark run — plus the
 pool-level contracts both share: a task that *raises* aborts with the
