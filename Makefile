@@ -38,7 +38,9 @@ bench-same:
 # round under tracemalloc, the traced peak of each HostClock bucket (make
 # profile W=tiered_disk MEM=1) — the table to start a memory issue from.
 # Every mode but MEM=1 also prints "background walks: N of M ticks": the
-# kernel's background walkers that walked rather than replayed a plan.
+# kernel's background walkers that walked rather than replayed a plan; and
+# "registry stores: N of M took the layered route": the entry stores that
+# did not apply their known effect.
 profile:
 	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample) $(if $(MEM),--memory)
 

@@ -21,8 +21,11 @@ question should start from those counts.
 
 Every mode but ``--memory`` also prints ``background walks: N of M
 ticks``: of the M background walker calls the process made, the N that
-ran the counted word walk rather than replaying its last plan.  Work in
-pool children or shard processes is not counted.
+ran the counted word walk rather than replaying its last plan; and
+``registry stores: N of M took the layered route``: of the M registry
+entry stores, the N that did not apply their known effect
+(``Registry._apply_known_effect``).  Work in pool children or shard
+processes is not counted.
 
 cProfile taxes every Python call and nothing inside C, which shifts the
 shares — and hides exactly the functions that are a few long C calls.
@@ -165,38 +168,70 @@ RECOVERY_PHASES = (
 DISSECT_WALK = ("dissect walk", "repro.fs.dissect.parser", "_dissect")
 
 
-class WalkCounter:
-    """Counts the background walker calls (``routines._run_chains``) and
-    the word walks among them (``routines._walk_chains``), wrapped in
-    place while active; the rest replayed a plan."""
+def wrap_in_place(targets, wrap) -> list:
+    """Replace each ``(label, module, function or Class.method)`` of
+    ``targets`` by ``wrap(label, original)``; returns what
+    :func:`unwrap` needs to put the originals back."""
+    import importlib
+
+    undo = []
+    for label, module_name, path in targets:
+        owner = importlib.import_module(module_name)
+        *outer, name = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        original = getattr(owner, name)
+        setattr(owner, name, wrap(label, original))
+        undo.append((owner, name, original))
+    return undo
+
+
+def unwrap(undo) -> None:
+    for owner, name, original in reversed(undo):
+        setattr(owner, name, original)
+
+
+class CallCounter:
+    """Counts, while active, the calls of :data:`COUNTED` — wrapped in
+    place — and how many of them returned a true value."""
+
+    #: ``(label, module, function or Class.method)``: the background
+    #: walker calls and the word walks among them (the rest replayed a
+    #: plan); the registry's entry stores that applied their known effect
+    #: (a true return) and those that took the layered route.
+    COUNTED = (
+        ("ticks", "repro.isa.routines", "_run_chains"),
+        ("walks", "repro.isa.routines", "_walk_chains"),
+        ("known", "repro.core.registry", "Registry._apply_known_effect"),
+        ("layered", "repro.core.registry", "Registry._store_fields"),
+    )
 
     def __init__(self) -> None:
         self.calls: collections.Counter = collections.Counter()
+        self.true: collections.Counter = collections.Counter()
 
-    def __enter__(self) -> "WalkCounter":
-        from repro.isa import routines
-
-        self._undo = []
-        for name in ("_run_chains", "_walk_chains"):
-            original = getattr(routines, name)
-            setattr(routines, name, self._counted(name, original))
-            self._undo.append((routines, name, original))
+    def __enter__(self) -> "CallCounter":
+        self._undo = wrap_in_place(self.COUNTED, self._counted)
         return self
 
     def __exit__(self, *_exc) -> None:
-        for owner, name, original in self._undo:
-            setattr(owner, name, original)
+        unwrap(self._undo)
 
-    def _counted(self, name: str, func):
-        def counted(*args):
-            self.calls[name] += 1
-            return func(*args)
+    def _counted(self, label: str, func):
+        def counted(*args, **kwargs):
+            self.calls[label] += 1
+            result = func(*args, **kwargs)
+            if result:
+                self.true[label] += 1
+            return result
 
         return counted
 
     def report(self) -> None:
-        walks, ticks = self.calls["_walk_chains"], self.calls["_run_chains"]
-        print(f"background walks: {walks} of {ticks} ticks")
+        calls = self.calls
+        print(f"background walks: {calls['walks']} of {calls['ticks']} ticks")
+        stores = calls["layered"] + self.true["known"]
+        print(f"registry stores: {calls['layered']} of {stores} took the layered route")
 
 
 class PhaseTimer:
@@ -209,22 +244,11 @@ class PhaseTimer:
         self.calls: collections.Counter = collections.Counter()
 
     def __enter__(self) -> "PhaseTimer":
-        import importlib
-
-        self._undo = []
-        for label, module_name, path in (*RECOVERY_PHASES, DISSECT_WALK):
-            owner = importlib.import_module(module_name)
-            *outer, name = path.split(".")
-            for part in outer:
-                owner = getattr(owner, part)
-            original = getattr(owner, name)
-            setattr(owner, name, self._timed(label, original))
-            self._undo.append((owner, name, original))
+        self._undo = wrap_in_place((*RECOVERY_PHASES, DISSECT_WALK), self._timed)
         return self
 
     def __exit__(self, *_exc) -> None:
-        for owner, name, original in reversed(self._undo):
-            setattr(owner, name, original)
+        unwrap(self._undo)
 
     def _timed(self, label: str, func):
         def timed(*args, **kwargs):
@@ -322,7 +346,7 @@ def main(argv=None) -> int:
             print(f"  {bucket:24} {peak / 2**20:8.1f} MiB")
         return 0 if peaks else 1  # no lap seen: the hook is broken
     profile = StackSampler() if args.sample else cProfile.Profile()
-    walks = WalkCounter()
+    counter = CallCounter()
 
     if args.trials:
         if args.workload != "explore_traffic":
@@ -331,7 +355,7 @@ def main(argv=None) -> int:
 
         config, boundaries = explore_trials(seed, args.trials)
         costs = []
-        with PhaseTimer() as phases, walks:
+        with PhaseTimer() as phases, counter:
             for boundary in boundaries:
                 began = time.perf_counter()
                 if args.wall:
@@ -349,7 +373,7 @@ def main(argv=None) -> int:
             print(f"  {label:32} {phases.trials[median].get(label, 0.0) * 1e3:8.3f} ms")
         misses = phases.calls[DISSECT_WALK[0]]
         print(f"dissect memo: {phases.calls['dissect'] - misses} hits, {misses} misses")
-        walks.report()
+        counter.report()
         census = emission_census(config, boundaries[median])
         print(
             f"median trial (boundary {boundaries[median].index}, "
@@ -362,10 +386,10 @@ def main(argv=None) -> int:
     else:
         from bench.worker import run
 
-        with walks:
+        with counter:
             record = profile.runcall(run, args.workload, seed, 1.0, "")
         print(f"{args.workload}: {record['ops']} ops, timed {record['timed_wall_s']:.2f} s wall")
-        walks.report()
+        counter.report()
     if args.sample:
         profile.report(args.top)
         return 0 if profile.samples else 1  # no samples: the sampler is broken

@@ -26,6 +26,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.config import ProtectionMode
 from repro.errors import ConfigurationError, NoSpace
 from repro.hw.bus import AccessContext, MemoryBus
 from repro.hw.memory import PAGE_SIZE
@@ -122,6 +123,22 @@ class RegistryEntry:
         )
 
 
+def _edit(stored: tuple, set_flags: int, clear_flags: int, changes) -> list:
+    """A stored record edited for a read-modify-write: the pad zeroed (as
+    :meth:`RegistryEntry.to_bytes` writes it), the flag bits set and
+    cleared, then each field of ``changes`` (by name, from
+    :data:`ENTRY_FIELDS`) replaced, a ``None`` disk block stored as
+    :data:`NO_DISK_BLOCK`."""
+    record = list(stored)
+    record[_PAD] = 0
+    record[_FLAGS] = (record[_FLAGS] | set_flags) & ~clear_flags
+    for name, value in changes.items():
+        record[_FIELD_INDEX[name]] = value
+    if record[_DISK_BLOCK] is None:
+        record[_DISK_BLOCK] = NO_DISK_BLOCK
+    return record
+
+
 def capacity_for(region_bytes: int) -> int:
     """How many entries fit in a registry region of this size."""
     return (region_bytes - HEADER_SIZE) // ENTRY_SIZE
@@ -143,6 +160,7 @@ class Registry:
         self.capacity = capacity_for(region_bytes)
         if self.capacity <= 0:
             raise ConfigurationError("registry region too small")
+        self._entries_vaddr = KSEG_BASE + base_paddr + HEADER_SIZE
         # Every registry store happens between these two calls, over the
         # frames it touches (``format``: all of them).  They are the
         # protection manager's ``open_registry_window`` /
@@ -150,6 +168,14 @@ class Registry:
         # store that crashes the machine leaves exactly those frames open.
         self._open_window = protection.open_registry_window
         self._close_window = protection.close_registry_window
+        # What a store's known effect reads and bumps (``_apply_known_effect``).
+        # ``_kseg``: True under VM_KSEG, False under NONE, None — never the
+        # known effect — under CODE_PATCHING or for a window object that
+        # declares no mode (a test double).
+        self._protection = protection
+        mode = getattr(protection, "mode", None)
+        self._kseg = {ProtectionMode.VM_KSEG: True, ProtectionMode.NONE: False}.get(mode)
+        self._mmu = bus.mmu
         self._page_size = bus.memory.page_size
         self._free_slots: list[int] = list(range(self.capacity - 1, -1, -1))
 
@@ -162,7 +188,7 @@ class Registry:
     def entry_vaddr(self, slot: int) -> int:
         if not 0 <= slot < self.capacity:
             raise ConfigurationError(f"registry slot {slot} out of range")
-        return self.base_vaddr + HEADER_SIZE + slot * ENTRY_SIZE
+        return self._entries_vaddr + slot * ENTRY_SIZE
 
     # -- initialisation --------------------------------------------------------
 
@@ -203,12 +229,16 @@ class Registry:
 
     def write_entry(self, entry: RegistryEntry) -> None:
         """Serialize an entry through the protection window."""
-        self._store_fields(entry.slot, self.entry_vaddr(entry.slot), entry.fields())
+        vaddr = self.entry_vaddr(entry.slot)
+        fields = entry.fields()
+        if not self._apply_known_effect(vaddr, fields):
+            self._store_fields(entry.slot, vaddr, fields)
 
     def _store_fields(self, slot: int, vaddr: int, fields) -> None:
-        """Every entry store: pack the record, emit ``registry/update``,
-        then one window — over the frame the entry lies in, two when the
-        slot straddles a page edge — around one 48-byte bus store."""
+        """The layered route of every entry store: pack the record, emit
+        ``registry/update``, then one window — over the frame the entry
+        lies in, two when the slot straddles a page edge — around one
+        48-byte bus store."""
         raw = _ENTRY_FMT.pack(*fields)
         rec = self.bus.recorder
         if rec is not None and rec.enabled:
@@ -225,26 +255,92 @@ class Registry:
         self.bus.store(vaddr, raw, _REG_CTX)
         self._close_window(pfns)
 
+    def _apply_known_effect(
+        self, vaddr: int, record, set_flags: int = 0, clear_flags: int = 0, changes=None
+    ) -> bool:
+        """Apply one entry store as its known net effect, if nothing can
+        observe the inside of its window; return whether it did (when
+        not, nothing has moved and the caller takes the layered route).
+
+        ``record`` is the whole new record, or None for a read-modify-write
+        of the stored one (:func:`_edit` with the other arguments;
+        ``changes`` maps field names to values).
+
+        Nothing can observe the window when the machine is up, the bus is
+        :attr:`~repro.hw.bus.MemoryBus.flat`, the flight recorder is off
+        (so no ``emit`` — where the explorer's armed crashes fire — runs
+        between the window's open and close), the entry lies inside one
+        frame, and either the mode is ``NONE`` with KSEG bypassing the
+        TLB, or it is ``VM_KSEG`` with KSEG through the TLB and the frame
+        protected, at rest.  The layered route then cannot trap, and all
+        it leaves behind is what this adds: the bus load's and store's
+        counts and TLB misses and the load's TLB entry, one
+        ``stat_windows``, the 48 bytes, one write generation on the frame
+        (and its watch accounting) and, under ``VM_KSEG``, the frame's
+        toggle there and back — two ``stat_pte_toggles``, two
+        ``mmu.generation`` bumps, the KSEG table as it was, and no store
+        TLB entry (a protected frame has none, and the close drops the
+        one the store cached).
+        """
+        bus = self.bus
+        if bus.crashed or not bus.fast_path or bus.store_checker is not None:
+            return False
+        rec = bus.recorder
+        if rec is not None and rec.enabled:
+            return False
+        pfn, off = divmod(vaddr - KSEG_BASE, self._page_size)
+        mmu = self._mmu
+        kseg = self._kseg
+        if (
+            off > self._page_size - ENTRY_SIZE
+            or kseg is None
+            or mmu.kseg_through_tlb is not kseg
+            or (kseg and mmu.kseg_writable(pfn))
+        ):
+            return False
+        stats, memory = bus.stats, bus.memory
+        vbase = vaddr - off
+        if record is None:  # the one 48-byte load
+            stats.loads += 1
+            stats.bytes_loaded += ENTRY_SIZE
+            if vbase not in mmu.tlb_loads:
+                stats.tlb_misses += 1
+                mmu.tlb_loads[vbase] = pfn
+            stored = _ENTRY_FMT.unpack_from(memory.frame(pfn), off)
+            record = _edit(stored, set_flags, clear_flags, changes)
+        raw = _ENTRY_FMT.pack(*record)
+        self._protection.stat_windows += 1
+        stats.stores += 1
+        stats.bytes_stored += ENTRY_SIZE
+        if kseg:
+            if mmu.tlb_stores.pop(vbase, None) is None:
+                stats.tlb_misses += 1
+            mmu.stat_pte_toggles += 2
+            mmu.generation += 2
+        elif vbase not in mmu.tlb_stores:
+            stats.tlb_misses += 1
+            mmu.tlb_stores[vbase] = pfn
+        memory.page(pfn)[off : off + ENTRY_SIZE] = raw
+        memory._page_gens[pfn] += 1
+        if memory._watched:
+            memory.account(pfn, off, off + ENTRY_SIZE)
+        return True
+
     def read_entry(self, slot: int) -> RegistryEntry:
         """Parse the entry stored in ``slot``."""
         return RegistryEntry.from_bytes(
             slot, self.bus.load(self.entry_vaddr(slot), ENTRY_SIZE, _REG_CTX)
         )
 
-    # Read-modify-write in place: one 48-byte load, the unpacked record
-    # edited by index, one pack, one store — no RegistryEntry on the way.
-
-    def _load_fields(self, vaddr: int) -> list:
-        fields = list(_ENTRY_FMT.unpack(self.bus.load(vaddr, ENTRY_SIZE, _REG_CTX)))
-        fields[_PAD] = 0  # as RegistryEntry.to_bytes writes it
-        return fields
+    # Read-modify-write in place: the stored record edited by index and
+    # stored again, no RegistryEntry on the way — as its known effect, or
+    # on the layered route.
 
     def update_flags(self, slot: int, *, set_flags: int = 0, clear_flags: int = 0) -> None:
         """Read-modify-write of an entry's flag bits."""
         vaddr = self.entry_vaddr(slot)
-        fields = self._load_fields(vaddr)
-        fields[_FLAGS] = (fields[_FLAGS] | set_flags) & ~clear_flags
-        self._store_fields(slot, vaddr, fields)
+        if not self._apply_known_effect(vaddr, None, set_flags, clear_flags, {}):
+            self._update_layered(slot, vaddr, set_flags, clear_flags, {})
 
     def update_fields(self, slot: int, /, **fields) -> None:
         """Read-modify-write of stored entry fields, by name: any of
@@ -255,12 +351,16 @@ class Registry:
         if not fields.keys() <= _FIELD_INDEX.keys():
             unknown = next(name for name in fields if name not in _FIELD_INDEX)
             raise ConfigurationError(f"no registry field {unknown!r}")
-        record = self._load_fields(vaddr)
-        for name, value in fields.items():
-            record[_FIELD_INDEX[name]] = value
-        if record[_DISK_BLOCK] is None:
-            record[_DISK_BLOCK] = NO_DISK_BLOCK
-        self._store_fields(slot, vaddr, record)
+        if not self._apply_known_effect(vaddr, None, 0, 0, fields):
+            self._update_layered(slot, vaddr, 0, 0, fields)
+
+    def _update_layered(
+        self, slot: int, vaddr: int, set_flags: int, clear_flags: int, changes: dict
+    ) -> None:
+        """The layered route of a read-modify-write: one 48-byte load, the
+        record edited, the layered store."""
+        stored = _ENTRY_FMT.unpack(self.bus.load(vaddr, ENTRY_SIZE, _REG_CTX))
+        self._store_fields(slot, vaddr, _edit(stored, set_flags, clear_flags, changes))
 
     def valid_entries(self) -> list[RegistryEntry]:
         """All entries with the VALID flag set."""

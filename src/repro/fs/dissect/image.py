@@ -88,7 +88,9 @@ def load_image(path: str) -> tuple[bytes, dict]:
     """Read an image container; returns ``(payload, metadata)``.
 
     Raises :class:`ImageFormatError` on a bad magic line, undecodable
-    metadata, a short payload, or a digest mismatch.
+    metadata (not UTF-8 JSON, a ``num_bytes`` that is not a non-negative
+    integer, a ``sha256`` that is not a string), a short payload, or a
+    digest mismatch.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(IMAGE_MAGIC))
@@ -96,16 +98,19 @@ def load_image(path: str) -> tuple[bytes, dict]:
             raise ImageFormatError(f"{path}: not a RIOIMG1 container")
         meta_line = fh.readline()
         try:
-            meta = json.loads(meta_line)
-        except json.JSONDecodeError as exc:
+            meta = json.loads(meta_line.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both
             raise ImageFormatError(f"{path}: bad metadata line: {exc}") from None
         if not isinstance(meta, dict) or "num_bytes" not in meta or "sha256" not in meta:
             raise ImageFormatError(f"{path}: metadata missing num_bytes/sha256")
-        data = fh.read(meta["num_bytes"])
-    if len(data) != meta["num_bytes"]:
-        raise ImageFormatError(
-            f"{path}: payload truncated ({len(data)} of {meta['num_bytes']} bytes)"
-        )
+        num_bytes = meta["num_bytes"]
+        if type(num_bytes) is not int or num_bytes < 0:
+            raise ImageFormatError(f"{path}: num_bytes {num_bytes!r} is not a byte count")
+        if not isinstance(meta["sha256"], str):
+            raise ImageFormatError(f"{path}: sha256 {meta['sha256']!r} is not a hex digest")
+        data = fh.read(num_bytes)
+    if len(data) != num_bytes:
+        raise ImageFormatError(f"{path}: payload truncated ({len(data)} of {num_bytes} bytes)")
     digest = image_sha256(data)
     if digest != meta["sha256"]:
         raise ImageFormatError(

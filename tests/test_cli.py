@@ -166,6 +166,14 @@ def test_unusable_path_exits_with_a_message(argv, tmp_path):
         assert refused([arg.format(path=path) for arg in argv]) == f"{path}: {why}"
 
 
+@pytest.mark.parametrize("command", ["dissect", "load-disk"])
+def test_malformed_image_metadata_exits_with_a_message(command, tmp_path):
+    path = tmp_path / "bad.rio"
+    path.write_bytes(b"RIOIMG1\n" + b'{"num_bytes": 1.5, "sha256": 5}\n')
+    message = refused([command, str(path)])
+    assert message.startswith(f"bad image container {path}:") and "\n" not in message
+
+
 def test_foreign_journal_exits_with_a_message(tmp_path, capsys):
     journal = str(tmp_path / "scale1.jsonl")
     assert main([*TABLE1, "--scale", "1", "--resume", journal]) == 0

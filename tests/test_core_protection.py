@@ -212,15 +212,22 @@ class TestGuardBookkeeping:
 class TestWindowProtocol:
     """Windows are two plain calls — ``open_*`` then ``close_*``.  An entry
     store's registry window opens the frame(s) the entry lies in;
-    ``Registry.format``'s, called with no frames, every registry frame."""
+    ``Registry.format``'s, called with no frames, every registry frame.
+
+    The tests that replace ``bus.store`` to look inside an entry's window
+    start the flight recorder first: with it off nothing runs between the
+    open and the close, so the store takes its known effect and never
+    calls ``bus.store``; with it on, it takes the layered route."""
 
     @staticmethod
     def _frames_open_during_store(kernel, rio, slot, probe):
-        """Store to ``slot``; report the registry frames found writable
-        mid-store, after calling ``probe()`` with the window open."""
+        """Store to ``slot`` on the layered route; report the registry
+        frames found writable mid-store, after calling ``probe()`` with
+        the window open."""
         protection = rio.protection
         original = kernel.bus.store
         opened = []
+        kernel.recorder.start()
 
         def spying_store(vaddr, data, ctx=None):
             if protection.mode is ProtectionMode.VM_KSEG:
@@ -321,6 +328,7 @@ class TestWindowProtocol:
         kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG)
         slot = rio.registry.alloc_slot()
         original = kernel.bus.store
+        kernel.recorder.start()  # the layered route (class docstring)
 
         def dying_store(vaddr, data, ctx=None):
             raise ProtectionTrap("machine dies mid-store", address=vaddr)

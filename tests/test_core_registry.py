@@ -1,10 +1,13 @@
 """Tests for the Rio registry: format, entries, post-crash discovery."""
 
+import dataclasses
 import struct
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.config import ProtectionMode, RioConfig
+from repro.core.protection import ProtectionManager
 from repro.core.registry import (
     ENTRY_SIZE,
     FLAG_CHANGING,
@@ -305,6 +308,103 @@ def apply_update(machine, reg, update):
             reg.update_flags(slot, set_flags=args[0])
 
 
+# -- the known effect against the layered route --------------------------------
+
+
+def managed_registry(cls, mode, layered=False):
+    """A registry in the top two frames under a real protection manager
+    in ``mode``, installed, recorder off; ``layered`` forces every store
+    onto the layered route by replacing the known-effect step."""
+    machine = Machine(MachineConfig(memory_bytes=32 * PAGE, boot_time_ns=0))
+    pfns = [machine.memory.num_pages - 2, machine.memory.num_pages - 1]
+    kernel = SimpleNamespace(mmu=machine.mmu, recorder=machine.recorder)
+    protection = ProtectionManager(kernel, RioConfig(protection=mode))
+    reg = cls(machine.bus, pfns[0] * PAGE, 2 * PAGE, protection=protection)
+    reg.format()
+    protection.install(pfns)
+    if layered:
+        reg._apply_known_effect = lambda *args: False
+    return machine, reg, protection
+
+
+def observable_state(machine, reg, protection):
+    """Everything a registry store can move, and the clock it must not."""
+    mmu, memory = machine.mmu, machine.memory
+    return (
+        machine.clock.now_ns,
+        memory.read(reg.base_paddr, reg.region_bytes),
+        dataclasses.astuple(machine.bus.stats),
+        (mmu.stat_pte_toggles, mmu.generation, mmu.kseg_through_tlb),
+        (dict(mmu.tlb_loads), dict(mmu.tlb_stores), dict(mmu._kseg_writable)),
+        list(memory._page_gens),
+        {pfn: list(record) for pfn, record in memory._watched.items()},
+        protection.stat_windows,
+        list(reg._free_slots),
+        [(e.kind, e.op, dict(e.payload)) for e in machine.recorder.events()],
+    )
+
+
+def entry_frame(reg, slot):
+    return (reg.base_paddr + HEADER_SIZE + slot * ENTRY_SIZE) // PAGE
+
+
+def perturb_or_update(machine, reg, protection, step):
+    """Apply one step; return what it returned or raised."""
+    op, slot, *args = step
+    try:
+        if op == "flip":  # a wild bit in an entry, pad included
+            entry = reg.base_paddr + HEADER_SIZE + slot * ENTRY_SIZE
+            machine.memory.flip_bit(entry + args[0], args[1])
+        elif op == "window":  # a frame left writable, or closed again
+            pfns = (entry_frame(reg, slot),)
+            (protection.open_registry_window if args[0] else protection.close_registry_window)(pfns)
+        elif op == "recorder":
+            machine.recorder.start() if args[0] else machine.recorder.stop()
+        elif op == "kseg_through_tlb":
+            machine.mmu.kseg_through_tlb = args[0]
+        elif op == "watch":
+            machine.memory.watch(entry_frame(reg, slot))
+        elif op == "crash":
+            if args[0]:
+                machine.crash("test")
+            else:
+                machine.crashed = False  # back up, memory and MMU as they were
+        elif op == "reference_bus":
+            machine.bus.fast_path = not args[0]
+        elif op == "store_checker":  # what CODE_PATCHING installs
+            machine.bus.store_checker = (lambda vaddr, length, ctx: None) if args[0] else None
+        elif op == "free_slot":
+            reg.free_slot(slot)
+        elif op == "read_entry":
+            return reg.read_entry(slot)
+        else:
+            apply_update(machine, reg, step)
+    except Exception as exc:  # both twins must fail alike
+        return type(exc), str(exc)
+    return None
+
+
+BOOLS = st.booleans()
+PAD = st.integers(ENTRY_SIZE - 4, ENTRY_SIZE - 1)  # the pad's bytes within an entry
+STORE = st.one_of(
+    UPDATE.filter(lambda update: update[0] != "crash_at_event"),
+    st.tuples(st.just("free_slot"), SLOTS),
+)
+PERTURBATION = st.one_of(
+    st.tuples(st.just("read_entry"), SLOTS),
+    st.tuples(st.just("flip"), SLOTS, st.integers(0, ENTRY_SIZE - 1) | PAD, st.integers(0, 7)),
+    st.tuples(st.just("window"), SLOTS, BOOLS),
+    st.tuples(st.just("recorder"), SLOTS, BOOLS),
+    st.tuples(st.just("kseg_through_tlb"), SLOTS, BOOLS),
+    st.tuples(st.just("watch"), SLOTS),
+    st.tuples(st.just("crash"), SLOTS, BOOLS),
+    st.tuples(st.just("reference_bus"), SLOTS, BOOLS),
+    st.tuples(st.just("store_checker"), SLOTS, BOOLS),
+)
+#: A store, after none, one or two perturbations.
+STEPS = st.tuples(st.lists(PERTURBATION, max_size=2), STORE)
+
+
 class TestInPlaceUpdates:
     @given(updates=st.lists(UPDATE, min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -363,3 +463,48 @@ class TestInPlaceUpdates:
         assert set(ENTRY_FIELDS) == {
             "phys_addr", "dev", "ino", "file_offset", "size", "flags", "disk_block", "checksum",
         }
+
+    @pytest.mark.parametrize("mode", [ProtectionMode.VM_KSEG, ProtectionMode.NONE])
+    @given(steps=st.lists(STEPS, min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_known_effect_same_as_the_layered_route(self, mode, steps):
+        """An entry store that nothing can observe applies its known net
+        effect; against a twin on the layered route — the decode →
+        ``setattr`` → ``write_entry`` oracle, its known effect replaced —
+        every observable bit agrees after every step, between
+        perturbations that move stores off the known effect and back."""
+        known = managed_registry(Registry, mode)
+        layered = managed_registry(ReadModifyWriteRegistry, mode, layered=True)
+        assert observable_state(*known) == observable_state(*layered)
+        for perturbations, store in steps:
+            for step in (*perturbations, store):
+                outcome = perturb_or_update(*known, step)
+                assert outcome == perturb_or_update(*layered, step), step
+                assert observable_state(*known) == observable_state(*layered), step
+
+    @pytest.mark.parametrize("mode", [ProtectionMode.VM_KSEG, ProtectionMode.NONE])
+    @pytest.mark.parametrize(
+        "perturbation, known",
+        [
+            (None, True),
+            (("recorder", 0, True), False),
+            (("kseg_through_tlb", 0, False), "NONE"),
+            (("kseg_through_tlb", 0, True), "VM_KSEG"),
+            (("window", 0, True), "NONE"),  # the frame left writable
+            (("crash", 0, True), False),
+            (("reference_bus", 0, True), False),
+            (("store_checker", 0, True), False),
+        ],
+    )
+    @pytest.mark.parametrize("slot", [0, 169])
+    def test_the_route_is_chosen_from_observable_state(self, mode, perturbation, known, slot):
+        """Slot 169 straddles a page edge: always layered."""
+        machine, reg, protection = managed_registry(Registry, mode)
+        if perturbation is not None:
+            perturb_or_update(machine, reg, protection, perturbation)
+        taken = []
+        apply = reg._apply_known_effect
+        reg._apply_known_effect = lambda *args: taken.append(apply(*args)) or taken[-1]
+        perturb_or_update(machine, reg, protection, ("update_flags", slot, FLAG_DIRTY, 0))
+        expected = known is True or known == mode.name
+        assert taken == [expected and slot != 169]

@@ -21,6 +21,7 @@ from repro.fs.dissect import (
     Finding,
     FindingKind,
     ImageFormatError,
+    IMAGE_MAGIC,
     MAX_FINDINGS,
     compare_verdicts,
     dissect_image,
@@ -606,6 +607,29 @@ class TestImageContainer:
         path = tmp_path / "disk.rio"
         path.write_bytes(b"NOTANIMG" + b"\x00" * 100)
         with pytest.raises(ImageFormatError):
+            load_image(str(path))
+
+    @pytest.mark.parametrize(
+        "meta, why",
+        [
+            (b"\xff\xfe{}", "bad metadata line"),  # not UTF-8
+            (b'{"num_bytes": 1.5, "sha256": "%s"}', "num_bytes 1.5 "),
+            (b'{"num_bytes": "1", "sha256": "%s"}', "num_bytes '1' "),
+            (b'{"num_bytes": -1, "sha256": "%s"}', "num_bytes -1 "),
+            (b'{"num_bytes": true, "sha256": "%s"}', "num_bytes True "),
+            (b'{"num_bytes": 1, "sha256": 5}', "sha256 5 "),
+        ],
+        ids=["not-utf8", "float-size", "string-size", "negative-size", "bool-size", "int-digest"],
+    )
+    def test_malformed_metadata_is_rejected(self, tmp_path, meta, why):
+        """Each used to escape as a UnicodeDecodeError or a TypeError, be
+        reported as a truncated payload (-1), or load (``true``: one byte,
+        whose digest the line records)."""
+        path = tmp_path / "disk.rio"
+        if b"%s" in meta:
+            meta = meta % image_sha256(b"\x00").encode()
+        path.write_bytes(IMAGE_MAGIC + meta + b"\n\x00")
+        with pytest.raises(ImageFormatError, match=why):
             load_image(str(path))
 
     def test_install_size_mismatch_is_rejected(self, image):
