@@ -223,13 +223,8 @@ def cmd_analyze(args) -> int:
                 print(f"  {finding}")
         else:
             print("lint: clean")
-        _, _, report = patch_routine(name, words, labels, optimize=not args.naive)
-        print(
-            f"patch: {report.stores} stores, {report.checked} checked "
-            f"({report.spilled} spilled), {report.elided_stack} elided (stack), "
-            f"{report.elided_rewalk} elided (rewalk); "
-            f"+{report.added_words} words"
-        )
+        _, _, report = patch_routine(name, words, labels)
+        print(f"patch: {report.stores} stores checked; +{report.added_words} words")
         print()
     return 0
 
@@ -761,7 +756,6 @@ def _flags_forensics(p) -> None:
 
 def _flags_analyze(p) -> None:
     p.add_argument("routine", nargs="?", help="routine name (default: all)")
-    p.add_argument("--naive", action="store_true", help="show the unoptimized patch plan")
 
 
 def _flags_serve(p) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import CrashedMachineError, SystemCrash
 from repro.faults.types import FaultType
 from repro.hw.clock import NS_PER_MS
 from repro.isa.encoding import (
@@ -319,7 +318,7 @@ class FaultInjector:
         if self._clock_hooked:
             return
         self._clock_hooked = True
-        self.kernel.clock.on_advance(self._process_pending_frees)
+        self.kernel.clock.on_advance(self._process_pending_frees, kernel=True)
 
     def _process_pending_frees(self, now_ns: int) -> None:
         if self.kernel.machine.crashed or not self._pending_frees:
@@ -333,12 +332,7 @@ class FaultInjector:
                 rec = self.kernel.recorder
                 if rec.enabled:
                     rec.emit("fault", "premature-free", addr=addr)
-                try:
-                    self.kernel.heap.kfree(addr)  # the premature free
-                except (SystemCrash, CrashedMachineError):
-                    raise
-                except Exception:
-                    pass
+                self.kernel.heap.kfree(addr)  # the premature free
 
     def _inject_copy_overrun(self, record: InjectionRecord) -> None:
         """bcopy occasionally copies more than asked.  Overrun length

@@ -23,6 +23,7 @@ class Clock:
     def __init__(self) -> None:
         self._now_ns = 0
         self._listeners: list[Callable[[int], None]] = []
+        self._kernel_listeners: list[Callable[[int], None]] = []
 
     @property
     def now_ns(self) -> int:
@@ -41,13 +42,27 @@ class Clock:
             self._now_ns = t_ns
             self._fire()
 
-    def on_advance(self, callback: Callable[[int], None]) -> None:
+    def on_advance(self, callback: Callable[[int], None], *, kernel: bool = False) -> None:
         """Register ``callback(now_ns)`` invoked after every advance.
 
-        Used by polled daemons (e.g. the 30-second ``update`` flush daemon)
-        to notice that their deadline has passed.
+        Two things listen: a disk retires its queued requests as time
+        passes (:meth:`repro.disk.device.Disk.attach`), and the allocation
+        fault frees a block once its delay is due (``kernel=True``).  A
+        disk's listener lasts as long as the disk; one a kernel arms dies
+        with that kernel — :meth:`Machine.reset <repro.hw.machine.Machine.reset>`
+        calls :meth:`drop_kernel_listeners` before the boot advances the
+        clock.  (The 30-second ``update`` daemon is no listener: it polls
+        at syscall entry, ``Kernel.syscall_entered``.)
         """
         self._listeners.append(callback)
+        if kernel:
+            self._kernel_listeners.append(callback)
+
+    def drop_kernel_listeners(self) -> None:
+        """Forget every listener registered with ``kernel=True``."""
+        dropped = self._kernel_listeners
+        self._listeners = [cb for cb in self._listeners if cb not in dropped]
+        self._kernel_listeners = []
 
     def _fire(self) -> None:
         for callback in list(self._listeners):

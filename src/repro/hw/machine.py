@@ -154,6 +154,7 @@ class Machine:
         self._power_on_cpu()
         for disk in self.disks.values():
             disk.reset()
+        self.clock.drop_kernel_listeners()  # the old kernel's, not the disks'
         self.clock.consume(self.config.boot_time_ns)
 
     def require_up(self) -> None:

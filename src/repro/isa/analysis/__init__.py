@@ -7,11 +7,11 @@ The pipeline layers, bottom to top:
   reassemblable output;
 * :mod:`~repro.isa.analysis.cfg` — basic blocks and the control-flow
   graph;
-* :mod:`~repro.isa.analysis.dataflow` — reaching definitions, liveness
-  and a symbolic value analysis (with stack-slot tracking);
+* :mod:`~repro.isa.analysis.dataflow` — reaching definitions and a
+  symbolic value analysis (with stack-slot tracking);
 * :mod:`~repro.isa.analysis.patch` — the real code-patching pass: an
-  address check injected before every store, with liveness-chosen
-  scratch registers and dataflow-proven check elision;
+  address check, around a spilled scratch register, injected before
+  every store;
 * :mod:`~repro.isa.analysis.lint` — consistency checks over the same IR,
   printed per routine by ``repro analyze`` and held clean over the
   shipped text by tier-1.
@@ -20,13 +20,7 @@ See ``docs/INTERNALS.md`` ("ISA static analysis & code patching").
 """
 
 from repro.isa.analysis.cfg import CFG, BasicBlock, build_cfg
-from repro.isa.analysis.dataflow import (
-    Liveness,
-    ReachingDefs,
-    RewalkAnalysis,
-    Val,
-    ValueAnalysis,
-)
+from repro.isa.analysis.dataflow import ReachingDefs, Val, ValueAnalysis
 from repro.isa.analysis.disasm import (
     DisassemblyError,
     Disassembly,
@@ -38,7 +32,6 @@ from repro.isa.analysis.patch import (
     CodePatcher,
     PatchError,
     RoutinePatchReport,
-    StoreDecision,
     patch_routine,
 )
 
@@ -50,12 +43,9 @@ __all__ = [
     "Disassembly",
     "DisassemblyError",
     "Finding",
-    "Liveness",
     "PatchError",
     "ReachingDefs",
-    "RewalkAnalysis",
     "RoutinePatchReport",
-    "StoreDecision",
     "Val",
     "ValueAnalysis",
     "build_cfg",

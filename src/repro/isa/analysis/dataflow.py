@@ -1,7 +1,7 @@
-"""Register dataflow over the CFG: reaching definitions, liveness, and a
-symbolic value analysis.
+"""Register dataflow over the CFG: reaching definitions and a symbolic
+value analysis, the two questions :mod:`~repro.isa.analysis.lint` asks.
 
-All three are classic iterative fixpoint analyses.  Routines are tiny
+Both are classic iterative fixpoint analyses.  Routines are tiny
 (tens of words), so results are materialized per instruction rather than
 per block — callers index by word offset.
 
@@ -36,10 +36,6 @@ ENTRY = -1
 #: return address (ra), the patch descriptor pointer (gp), the stack
 #: pointer (sp), and the hardwired zero.
 ENTRY_DEFINED = frozenset({16, 17, 18, 19, 20, 21, 26, 29, 30, 31})
-
-#: Registers assumed read after return: the return value, the
-#: callee-saved registers + frame pointer, the return address and sp.
-DEFAULT_EXIT_LIVE = frozenset({0, 9, 10, 11, 12, 13, 14, 15, 26, 30})
 
 
 def inst_uses(inst: Instruction) -> set[int]:
@@ -116,61 +112,6 @@ class ReachingDefs:
     def defs_of(self, index: int, reg: int) -> set[int]:
         """Definition sites of ``reg`` that reach instruction ``index``."""
         return {site for r, site in self.before[index] if r == reg}
-
-
-# ---------------------------------------------------------------------------
-# Liveness
-# ---------------------------------------------------------------------------
-
-
-class Liveness:
-    """Backward liveness; ``live_in[i]`` is the set of registers whose
-    current value may still be read at or after instruction ``i``."""
-
-    def __init__(self, cfg: CFG, exit_live: frozenset = DEFAULT_EXIT_LIVE) -> None:
-        self.cfg = cfg
-        lines = cfg.dis.lines
-        exit_set = set(exit_live) - {31}
-
-        def transfer(live: set, start: int, end: int) -> set:
-            out = set(live)
-            for i in range(end - 1, start - 1, -1):
-                inst = lines[i].inst
-                target = inst_def(inst)
-                if target is not None:
-                    out.discard(target)
-                out |= inst_uses(inst)
-            return out
-
-        block_out: dict[int, set] = {s: set() for s in cfg.blocks}
-        changed = True
-        while changed:
-            changed = False
-            for start, block in cfg.blocks.items():
-                acc = set(exit_set) if block.terminates or not block.succs else set()
-                for succ in block.succs:
-                    acc |= transfer(
-                        block_out[succ], cfg.blocks[succ].start, cfg.blocks[succ].end
-                    )
-                if acc != block_out[start]:
-                    block_out[start] = acc
-                    changed = True
-
-        self.live_in: list[set] = [set() for _ in lines]
-        for start, block in cfg.blocks.items():
-            live = set(block_out[start])
-            for i in range(block.end - 1, block.start - 1, -1):
-                inst = lines[i].inst
-                target = inst_def(inst)
-                if target is not None:
-                    live.discard(target)
-                live |= inst_uses(inst)
-                self.live_in[i] = set(live)
-
-    def dead_at(self, index: int) -> set[int]:
-        """Registers whose value is provably unused at instruction ``index``
-        (safe for an inserted sequence to clobber)."""
-        return set(range(31)) - self.live_in[index]
 
 
 # ---------------------------------------------------------------------------
@@ -331,113 +272,3 @@ class ValueAnalysis:
         if reg == 31:
             return Val(None, 0)
         return self.before[index].get(reg)
-
-    def store_target(self, index: int) -> Val | None:
-        """The symbolic effective address of the store at ``index``."""
-        inst = self.cfg.dis.lines[index].inst
-        if inst.op not in STORE_OPS:
-            return None
-        base = self.value_before(index, inst.rb)
-        return None if base is None else base + sext16(inst.imm)
-
-
-# ---------------------------------------------------------------------------
-# Rewalk analysis (check-elision support)
-# ---------------------------------------------------------------------------
-
-
-class RewalkAnalysis:
-    """Tracks, per register, the highest store displacement already checked
-    against the protection threshold through the *current* register value.
-
-    The inserted address check is one-sided — it traps when the effective
-    address is at or above the threshold — so once a store through ``r``
-    at displacement ``d`` has executed (checked, or itself elided), any
-    later store through the same pointer at an effective address *no
-    higher* needs no check: had it been in the protected range, the
-    earlier store would already have trapped.  ``lda r, k(r)`` walks the
-    pointer and shifts the certified displacement by ``-k``; any other
-    write to ``r`` discards it.
-
-    ``ceiling_before[i][r]`` is the certified displacement (relative to
-    the value of ``r`` at instruction ``i``), when one exists on every
-    path.
-    """
-
-    def __init__(self, cfg: CFG) -> None:
-        self.cfg = cfg
-        lines = cfg.dis.lines
-
-        def transfer_one(state: dict, inst: Instruction) -> dict:
-            state = dict(state)
-            op = inst.op
-            if op in STORE_OPS and inst.rb != 31:
-                disp = sext16(inst.imm)
-                prior = state.get(inst.rb)
-                state[inst.rb] = disp if prior is None else max(prior, disp)
-            if op is Op.JSR:
-                return {}
-            target = inst_def(inst)
-            if target is not None:
-                if op is Op.LDA and inst.ra == inst.rb and inst.ra in state:
-                    state[inst.ra] -= sext16(inst.imm)
-                else:
-                    state.pop(target, None)
-            return state
-
-        def transfer_block(state: dict, start: int, end: int) -> dict:
-            for i in range(start, end):
-                state = transfer_one(state, lines[i].inst)
-            return state
-
-        def join(a: dict | None, b: dict | None) -> dict | None:
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return {r: min(a[r], b[r]) for r in a.keys() & b.keys()}
-
-        block_in: dict[int, dict | None] = {s: None for s in cfg.blocks}
-        block_in[cfg.entry] = {}
-        changed = True
-        while changed:
-            changed = False
-            for start, block in cfg.blocks.items():
-                acc: dict | None = {} if start == cfg.entry else None
-                for pred in block.preds:
-                    if block_in[pred] is None:
-                        continue
-                    pred_block = cfg.blocks[pred]
-                    acc = join(
-                        acc,
-                        transfer_block(
-                            dict(block_in[pred]), pred_block.start, pred_block.end
-                        ),
-                    )
-                prev = block_in[start]
-                if acc is not None and prev is not None:
-                    # Widening: a ceiling that keeps descending (a pointer
-                    # walked upward around a loop) never stabilizes — drop it.
-                    acc = {r: v for r, v in acc.items() if not (r in prev and v < prev[r])}
-                if acc is not None and acc != prev:
-                    block_in[start] = acc
-                    changed = True
-
-        self.ceiling_before: list[dict] = [{} for _ in lines]
-        for start, block in cfg.blocks.items():
-            state = block_in[start]
-            if state is None:
-                continue
-            state = dict(state)
-            for i in range(block.start, block.end):
-                self.ceiling_before[i] = dict(state)
-                state = transfer_one(state, lines[i].inst)
-
-    def covered(self, index: int) -> bool:
-        """True when the store at ``index`` is dominated by an equal-or-
-        higher store through the same pointer."""
-        inst = self.cfg.dis.lines[index].inst
-        if inst.op not in STORE_OPS or inst.rb == 31:
-            return False
-        ceiling = self.ceiling_before[index].get(inst.rb)
-        return ceiling is not None and sext16(inst.imm) <= ceiling

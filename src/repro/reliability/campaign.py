@@ -366,9 +366,11 @@ def run_crash_test(
         return finish(result)
 
     # -- recovery ----------------------------------------------------------
+    # A recovery that crashes or fails a file-system check is the trial's
+    # outcome; any other exception is the harness's own fault and escapes.
     try:
         reboot = system.reboot()
-    except Exception:
+    except (SystemCrash, FileSystemError):
         result.recovery_failed = True
         return finish(result)
     # Second opinion before any detection I/O can dirty the caches: the

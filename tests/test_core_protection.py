@@ -75,9 +75,9 @@ class TestCodePatching:
     def test_patched_text_installed(self):
         kernel, rio = make_rio_kernel(ProtectionMode.CODE_PATCHING)
         pm = rio.protection
-        # Every routine was rewritten; checked stores carry inline checks.
+        # Every routine was rewritten; every store carries an inline check.
         assert set(pm.patch_reports) == set(kernel.text.routines)
-        assert sum(r.checked for r in pm.patch_reports.values()) > 0
+        assert sum(r.stores for r in pm.patch_reports.values()) > 0
         # Patched text has no native fast paths: everything interprets.
         for routine in kernel.text.routines.values():
             assert routine.native is None

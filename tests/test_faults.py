@@ -119,6 +119,23 @@ class TestHookFaults:
         system.clock.consume(300_000_000)  # 300 ms: the "thread" wakes
         assert not heap.is_live(addr2) or not heap.is_live(addr)
 
+    def test_pending_free_dies_with_its_kernel(self, system):
+        """A premature free still pending at the crash belongs to the dead
+        kernel: the reboot neither runs it nor keeps its clock listener,
+        and the disks' listeners stay."""
+        injector = injector_for(
+            system, kmalloc_interval=(1, 1), premature_free_delay_ms=(200, 200)
+        )
+        injector.inject(FaultType.ALLOCATION)
+        system.kernel.heap.kmalloc(64)  # arms a free due in 200 ms
+        armed = list(system.clock._listeners)
+        assert injector._process_pending_frees in armed
+        system.crash("a free is pending")
+        system.reboot()  # the 30 s boot passes the free's due time
+        assert system.clock._listeners == [
+            cb for cb in armed if cb != injector._process_pending_frees
+        ]
+
     def test_copy_overrun_inflates_length(self, system):
         injector = injector_for(system, bcopy_interval=(1, 1))
         injector.inject(FaultType.COPY_OVERRUN)

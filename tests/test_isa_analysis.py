@@ -4,9 +4,7 @@ import pytest
 
 from repro.isa.analysis import (
     DisassemblyError,
-    Liveness,
     ReachingDefs,
-    RewalkAnalysis,
     Val,
     ValueAnalysis,
     build_cfg,
@@ -178,38 +176,11 @@ class TestReachingDefs:
         assert rd.defs_of(4, 1) == {1, 3}
 
 
-class TestLiveness:
-    def test_result_register_live_to_exit(self):
-        cfg = cfg_of("bis a0, zero, v0\nret")
-        lv = Liveness(cfg)
-        assert 0 not in lv.dead_at(1)  # v0 is part of the exit contract
-
-    def test_scratch_dead_after_last_use(self):
-        cfg = cfg_of("lda t0, 5(zero)\naddq t0, a0, v0\nret")
-        lv = Liveness(cfg)
-        assert 1 in lv.dead_at(2)  # t0 never read again
-        assert 1 not in lv.dead_at(1)  # about to be read
-
-    def test_loop_carried_register_stays_live(self):
-        cfg = cfg_of(
-            """
-        loop:
-            beq a0, done
-            lda a0, -1(a0)
-            br loop
-        done:
-            ret
-        """
-        )
-        lv = Liveness(cfg)
-        assert 16 not in lv.dead_at(1)  # a0 read at the loop head next trip
-
-
 class TestValueAnalysis:
     def test_stack_pointer_tracked_through_frame(self):
         cfg = cfg_of("lda sp, -32(sp)\nstq ra, 0(sp)\nlda sp, 32(sp)\nret")
         va = ValueAnalysis(cfg)
-        assert va.store_target(1) == Val(30, -32)
+        assert va.value_before(1, 30) == Val(30, -32)  # the stq's base
         assert va.value_before(3, 30) == Val(30, 0)
 
     def test_spill_reload_recovers_value(self):
@@ -234,50 +205,6 @@ class TestValueAnalysis:
         )
         va = ValueAnalysis(cfg)
         assert va.value_before(4, 1) is None
-
-
-class TestRewalkAnalysis:
-    def test_descending_rewalk_covered(self):
-        cfg = cfg_of(
-            "stq zero, 16(a0)\nstq zero, 8(a0)\nstq zero, 0(a0)\nret"
-        )
-        rw = RewalkAnalysis(cfg)
-        assert not rw.covered(0)  # first touch certifies
-        assert rw.covered(1)
-        assert rw.covered(2)
-
-    def test_higher_displacement_not_covered(self):
-        cfg = cfg_of("stq zero, 0(a0)\nstq zero, 8(a0)\nret")
-        rw = RewalkAnalysis(cfg)
-        assert not rw.covered(1)
-
-    def test_pointer_shift_adjusts_ceiling(self):
-        # After the base advances by 8, offset 8 from the old base is 0.
-        cfg = cfg_of("stq zero, 8(a0)\nlda a0, 8(a0)\nstq zero, 0(a0)\nret")
-        rw = RewalkAnalysis(cfg)
-        assert rw.covered(2)
-
-    def test_clobbered_base_kills_certification(self):
-        cfg = cfg_of("stq zero, 8(a0)\nldq a0, 0(a1)\nstq zero, 0(a0)\nret")
-        rw = RewalkAnalysis(cfg)
-        assert not rw.covered(2)
-
-    def test_ascending_loop_converges_uncovered(self):
-        # The widening case: the walked pointer ascends each trip.
-        cfg = cfg_of(
-            """
-        loop:
-            beq a1, done
-            stq zero, 0(a0)
-            lda a0, 8(a0)
-            lda a1, -1(a1)
-            br loop
-        done:
-            ret
-        """
-        )
-        rw = RewalkAnalysis(cfg)
-        assert not rw.covered(1)
 
 
 class TestLint:

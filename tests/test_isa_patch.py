@@ -1,4 +1,4 @@
-"""Tests for the binary code patcher: correctness, traps, elision, overhead."""
+"""Tests for the binary code patcher: correctness, traps, coverage, overhead."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.isa.analysis import (
     patch_routine,
 )
 from repro.isa.assembler import assemble
+from repro.isa.encoding import BRANCH_OPS, REG_NAMES, sext16
 from repro.isa.interpreter import PATCH_TRAP_CODE, Interpreter
 from repro.isa.routines import ROUTINE_SOURCES, build_kernel_text
 from repro.isa.text import KernelText
@@ -39,6 +40,25 @@ def make_env(sources, threshold=1 << 62, transform=None):
 
 def run(interp, name, args):
     return interp.call(name, list(args), sp=15 * PAGE)
+
+
+def spilled_check(store):
+    """The words that must precede ``store`` in patched text, assembled
+    from source: spill, threshold check, reload."""
+    s = "t10" if store.rb == 25 else "t11"
+    words, _ = assemble(
+        f"""
+            stq {s}, -8(sp)
+            ldq {s}, 0(gp)
+            lda at, {sext16(store.imm)}({REG_NAMES[store.rb]})
+            cmpult at, {s}, {s}
+            bne {s}, ok
+            panic #{PATCH_TRAP_CODE}
+        ok:
+            ldq {s}, -8(sp)
+        """
+    )
+    return words
 
 
 class TestPatchedBehaviour:
@@ -110,64 +130,27 @@ class TestTrap:
             run(interp, "bcopy", [HEAP, threshold + 5, 3])
         assert exc.value.address == threshold + 5
 
-    def test_naive_patch_traps_too(self):
-        machine, interp = make_env(
-            ROUTINE_SOURCES, transform=CodePatcher(optimize=False)
-        )
-        machine.bus.store_u64(DESCRIPTOR, HEAP + 4096)
-        machine.memory.write(HEAP, b"w" * 16)
-        with pytest.raises(ProtectionTrap):
-            run(interp, "bcopy", [HEAP, HEAP + 4200, 16])
-
 
 class TestElision:
-    def test_cache_copy_prologue_spills_elided(self):
-        words, labels = assemble(ROUTINE_SOURCES["cache_copy"])
-        _, _, report = patch_routine("cache_copy", words, labels)
-        assert report.stores == 5
-        assert report.elided_stack == 3  # the ra/a0/a1 frame spills
-        assert report.checked == 2
-        assert report.spilled == 0  # dead scratch registers were found
+    """Nothing is elided: every store pays the full check sequence."""
 
-    def test_rewalk_elision_on_descending_stores(self):
-        source = """
-            stq zero, 16(a0)
-            stq zero, 8(a0)
-            stq zero, 0(a0)
-            ret
-        """
-        words, labels = assemble(source)
-        _, _, report = patch_routine("rewalker", words, labels)
-        assert report.elided_rewalk == 2
-        assert report.checked == 1
-
-    def test_elision_reduces_added_words(self):
+    def test_every_store_is_checked(self):
         for name, source in ROUTINE_SOURCES.items():
             words, labels = assemble(source)
-            _, _, opt = patch_routine(name, words, labels, optimize=True)
-            _, _, naive = patch_routine(name, words, labels, optimize=False)
-            assert opt.added_words <= naive.added_words
-        # And strictly fewer where there are stores at all.
-        words, labels = assemble(ROUTINE_SOURCES["cache_copy"])
-        _, _, opt = patch_routine("cache_copy", words, labels, optimize=True)
-        _, _, naive = patch_routine("cache_copy", words, labels, optimize=False)
-        assert opt.added_words < naive.added_words
-
-    def test_optimized_executes_fewer_steps_than_naive(self):
-        steps = {}
-        for optimize in (True, False):
-            machine, interp = make_env(
-                ROUTINE_SOURCES, transform=CodePatcher(optimize=optimize)
-            )
-            machine.memory.write(HEAP, bytes(200))
-            hdr = HEAP + 2048
-            machine.bus.store_u64(hdr + 0, 0x7B0F)
-            machine.bus.store_u64(hdr + 8, HEAP + 4096)
-            machine.bus.store_u64(hdr + 16, 4096)
-            steps[optimize] = run(
-                interp, "cache_copy", [hdr, HEAP, 0, 200]
-            ).steps
-        assert steps[True] < steps[False]
+            new_words, _, report = patch_routine(name, words, labels)
+            lines = disassemble_words(words, labels=labels, name=name).lines
+            assert report.stores == sum(line.inst.is_store for line in lines)
+            assert report.added_words == 7 * report.stores
+            pos = 0
+            for line in lines:
+                if line.inst.is_store:
+                    check = spilled_check(line.inst)
+                    assert new_words[pos : pos + 7] == check, (name, line.index)
+                    pos += 7
+                if line.inst.op not in BRANCH_OPS:  # branches are relocated
+                    assert new_words[pos] == line.word, (name, line.index)
+                pos += 1
+            assert pos == len(new_words)
 
     def test_unpatched_is_fastest(self):
         plain_machine, plain_interp = make_env(ROUTINE_SOURCES)
@@ -183,12 +166,9 @@ class TestElision:
 
 class TestRewrite:
     @pytest.mark.parametrize("name", sorted(ROUTINE_SOURCES))
-    @pytest.mark.parametrize("optimize", [True, False])
-    def test_patched_text_disassembles_strictly(self, name, optimize):
+    def test_patched_text_disassembles_strictly(self, name):
         words, labels = assemble(ROUTINE_SOURCES[name])
-        new_words, new_labels, _ = patch_routine(
-            name, words, labels, optimize=optimize
-        )
+        new_words, new_labels, _ = patch_routine(name, words, labels)
         dis = disassemble_words(new_words, labels=new_labels, name=name)
         rewords, _ = assemble(dis.source)
         assert rewords == new_words
@@ -204,11 +184,11 @@ class TestRewrite:
         """
         words, labels = assemble(source)
         new_words, new_labels, report = patch_routine("jumpy", words, labels)
-        assert report.checked == 2
+        assert report.stores == 2
         dis = disassemble_words(new_words, labels=new_labels, name="jumpy")
-        # 'out' points at the head of the second check sequence (ldq),
-        # not at the store itself.
-        assert dis.lines[new_labels["out"]].text.startswith("ldq")
+        # 'out' points at the head of the second check sequence (the
+        # scratch spill), not at the store itself.
+        assert dis.lines[new_labels["out"]].text == "stq t11, -8(sp)"
 
     def test_panic_code_is_the_trap_code(self):
         words, labels = assemble("stq zero, 0(a0)\nret")

@@ -76,7 +76,7 @@ class TestRunner:
         under each protection mode on otherwise identical Rio systems.
         Under CODE_PATCHING the kernel text really is rewritten and
         interpreted, so the overhead is the extra instructions executed.
-        (That check elision narrows it is pinned on step counts in
+        (That every store pays a check is pinned in
         ``test_isa_patch.py``.)"""
         seconds = {}
         for row in ("rio_noprot", "rio_prot", "rio_patch"):

@@ -287,9 +287,8 @@ class TestAnalysisProperties:
     @given(
         data=st.binary(min_size=1, max_size=512),
         offset=st.integers(0, 96),
-        optimize=st.booleans(),
     )
-    def test_patched_kernel_text_is_behaviour_identical(self, data, offset, optimize):
+    def test_patched_kernel_text_is_behaviour_identical(self, data, offset):
         """A memtest-style copy through plain and patched text ends with
         byte-identical memory and return values."""
         from repro.isa import Interpreter, KernelText
@@ -297,7 +296,7 @@ class TestAnalysisProperties:
 
         heap = 8 * PAGE
         outcomes = []
-        for transform in (None, CodePatcher(optimize=optimize)):
+        for transform in (None, CodePatcher()):
             machine = Machine(MachineConfig(memory_bytes=64 * PAGE, boot_time_ns=0))
             text = KernelText(ROUTINE_SOURCES, transform=transform)
             text.load(machine.memory, PAGE, PAGE)

@@ -47,6 +47,19 @@ class TestSingleRuns:
         assert result.crash_kind
         assert result.memtest_progress > 0
 
+    def test_trapped_allocation_fault_recovers_uncorrupted(self):
+        # Table 1's first rio_prot/allocation trial: the protection trap
+        # stops the kernel with a premature free still pending.  That free
+        # died with its kernel, so the warm reboot recovers a clean cache.
+        result = run_crash_test(
+            CrashTestConfig(
+                system="rio_prot", fault_type=FaultType.ALLOCATION, seed=187601001
+            )
+        )
+        assert result.protection_trap
+        assert not result.recovery_failed
+        assert not result.corrupted
+
     def test_deterministic_given_seed(self):
         config = dict(system="rio_noprot", fault_type=FaultType.POINTER, seed=8)
         a = run_crash_test(CrashTestConfig(**config))
