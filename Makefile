@@ -40,7 +40,8 @@ bench-same:
 # Every mode but MEM=1 also prints "background walks: N of M ticks": the
 # kernel's background walkers that walked rather than replayed a plan; and
 # "registry stores: N of M took the layered route": the entry stores that
-# did not apply their known effect.
+# did not apply their known effect; and "clock: N of M advances woke the
+# listeners": the virtual-clock advances that reached a listener's deadline.
 profile:
 	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample) $(if $(MEM),--memory)
 

@@ -24,8 +24,11 @@ ticks``: of the M background walker calls the process made, the N that
 ran the counted word walk rather than replaying its last plan; and
 ``registry stores: N of M took the layered route``: of the M registry
 entry stores, the N that did not apply their known effect
-(``Registry._apply_known_effect``).  Work in pool children or shard
-processes is not counted.
+(``Registry._apply_known_effect``); and ``clock: N of M advances woke
+the listeners``: of the M advances of a virtual clock (every
+``consume``, every ``advance_to`` that moves it), the N that reached a
+listener's deadline.  Work in pool children or shard processes is not
+counted.
 
 cProfile taxes every Python call and nothing inside C, which shifts the
 shares — and hides exactly the functions that are a few long C calls.
@@ -198,12 +201,16 @@ class CallCounter:
     #: ``(label, module, function or Class.method)``: the background
     #: walker calls and the word walks among them (the rest replayed a
     #: plan); the registry's entry stores that applied their known effect
-    #: (a true return) and those that took the layered route.
+    #: (a true return) and those that took the layered route; the clock's
+    #: advances and the wakes among them.
     COUNTED = (
         ("ticks", "repro.isa.routines", "_run_chains"),
         ("walks", "repro.isa.routines", "_walk_chains"),
         ("known", "repro.core.registry", "Registry._apply_known_effect"),
         ("layered", "repro.core.registry", "Registry._store_fields"),
+        ("consume", "repro.hw.clock", "Clock.consume"),
+        ("advance_to", "repro.hw.clock", "Clock.advance_to"),
+        ("wakes", "repro.hw.clock", "Clock._fire"),
     )
 
     def __init__(self) -> None:
@@ -219,7 +226,9 @@ class CallCounter:
 
     def _counted(self, label: str, func):
         def counted(*args, **kwargs):
-            self.calls[label] += 1
+            # An advance_to into the past is no advance.
+            if label != "advance_to" or args[1] > args[0].now_ns:
+                self.calls[label] += 1
             result = func(*args, **kwargs)
             if result:
                 self.true[label] += 1
@@ -232,6 +241,8 @@ class CallCounter:
         print(f"background walks: {calls['walks']} of {calls['ticks']} ticks")
         stores = calls["layered"] + self.true["known"]
         print(f"registry stores: {calls['layered']} of {stores} took the layered route")
+        advances = calls["consume"] + calls["advance_to"]
+        print(f"clock: {calls['wakes']} of {advances} advances woke the listeners")
 
 
 class PhaseTimer:

@@ -31,6 +31,7 @@ returning, which is why write-through file systems are slow in Table 2.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -90,7 +91,10 @@ class SimulatedDisk:
         self.num_sectors = num_sectors
         self._extents: dict[int, bytearray] = {}
         self._clock: Clock | None = None
-        self._pending: list[DiskRequest] = []
+        #: Queued writes in issue order.  Their completion times never
+        #: decrease (each starts at ``max(now, busy_until)``), so the due
+        #: ones are always a prefix.
+        self._pending: deque[DiskRequest] = deque()
         self._busy_until_ns = 0
         self._last_sector_end: int | None = None
         self.stats = DiskStats()
@@ -110,7 +114,7 @@ class SimulatedDisk:
 
     def attach(self, clock: Clock) -> None:
         self._clock = clock
-        clock.on_advance(self._on_clock_advance)
+        clock.on_advance(self._retire)
 
     def _require_clock(self) -> Clock:
         if self._clock is None:
@@ -276,6 +280,7 @@ class SimulatedDisk:
         # Visible to subsequent reads immediately.
         (self._store_sparse if sparse else self._store)(pos, data)
         self._pending.append(request)
+        clock.wake_at(self._pending[0].completion_ns)
         self._busy_until_ns = completion
         self._note_position(sector, count)
         self.stats.writes += 1
@@ -284,7 +289,7 @@ class SimulatedDisk:
         if sync:
             self.stats.sync_writes += 1
             self.stats.sync_wait_ns += completion - clock.now_ns
-            clock.advance_to(completion)  # retires via the clock listener
+            clock.advance_to(completion)  # retires at the clock's deadline
         else:
             self.stats.async_writes += 1
         return request
@@ -293,8 +298,8 @@ class SimulatedDisk:
         """Block until every queued write is on the platter."""
         clock = self._require_clock()
         if self._pending:
-            clock.advance_to(max(r.completion_ns for r in self._pending))
-        self._retire(clock.now_ns)
+            clock.advance_to(self._pending[-1].completion_ns)
+        self._retire(clock.now_ns)  # a zero-time request: due but no advance
 
     @property
     def busy_until_ns(self) -> int:
@@ -302,20 +307,17 @@ class SimulatedDisk:
 
     # -- retirement and crash handling ----------------------------------------
 
-    def _on_clock_advance(self, now_ns: int) -> None:
-        if self._pending:
-            self._retire(now_ns)
-
     def _retire(self, now_ns: int) -> None:
-        still_pending: list[DiskRequest] = []
-        for request in self._pending:
-            if request.completion_ns <= now_ns:
-                request.old_data = None
-                if request.on_complete is not None:
-                    request.on_complete(request)
-            else:
-                still_pending.append(request)
-        self._pending = still_pending
+        """The clock listener: retire the due prefix of the queue in
+        order, then re-arm for the new head's completion."""
+        pending = self._pending
+        while pending and pending[0].completion_ns <= now_ns:
+            request = pending.popleft()
+            request.old_data = None
+            if request.on_complete is not None:
+                request.on_complete(request)
+        if pending:
+            self._clock.wake_at(pending[0].completion_ns)
 
     def crash(self) -> None:
         """Resolve the queue as of the crash instant (see module docstring)."""
@@ -336,7 +338,7 @@ class SimulatedDisk:
         if in_flight is not None:
             self._tear(in_flight, now)
             self.stats.lost_writes += 1
-        self._pending = []
+        self._pending.clear()
         self._busy_until_ns = now
 
     def _tear(self, request: DiskRequest, now_ns: int) -> None:
@@ -360,7 +362,7 @@ class SimulatedDisk:
 
     def reset(self) -> None:
         """Power-cycle the controller: the queue is gone, the platter stays."""
-        self._pending = []
+        self._pending.clear()
         self._last_sector_end = None
         if self._clock is not None:
             self._busy_until_ns = self._clock.now_ns

@@ -311,6 +311,7 @@ class FaultInjector:
             due = self.kernel.clock.now_ns + delay_ms * NS_PER_MS
             self._pending_frees.append((due, addr))
             self._ensure_clock_hook()
+            self.kernel.clock.wake_at(due)
 
         self.kernel.heap.alloc_hook = hook
 
@@ -321,12 +322,16 @@ class FaultInjector:
         self.kernel.clock.on_advance(self._process_pending_frees, kernel=True)
 
     def _process_pending_frees(self, now_ns: int) -> None:
-        if self.kernel.machine.crashed or not self._pending_frees:
+        """The clock listener: make the frees that are due, then re-arm
+        for the earliest one left."""
+        pending = self._pending_frees
+        if not pending:
             return
-        due = [item for item in self._pending_frees if item[0] <= now_ns]
-        if not due:
-            return
-        self._pending_frees = [item for item in self._pending_frees if item[0] > now_ns]
+        due = [] if self.kernel.machine.crashed else [i for i in pending if i[0] <= now_ns]
+        if due:
+            self._pending_frees = pending = [i for i in pending if i[0] > now_ns]
+        if pending:
+            self.kernel.clock.wake_at(min(due_ns for due_ns, _ in pending))
         for _, addr in due:
             if self.kernel.heap.is_live(addr):
                 rec = self.kernel.recorder

@@ -147,9 +147,7 @@ class ValueAnalysis:
     """Forward symbolic evaluation; ``None`` is the unknown (top) value.
 
     Results: ``before[i]`` maps register -> :class:`Val` for every
-    register with a known symbolic value just before instruction ``i``;
-    ``slots_before[i]`` maps entry-sp-relative byte offsets of stack
-    slots to the value spilled there.
+    register with a known symbolic value just before instruction ``i``.
     """
 
     def __init__(self, cfg: CFG) -> None:
@@ -257,7 +255,6 @@ class ValueAnalysis:
                     changed = True
 
         self.before: list[dict] = [{} for _ in lines]
-        self.slots_before: list[dict] = [{} for _ in lines]
         for start, block in cfg.blocks.items():
             state = block_in[start]
             if state is None:  # unreachable block: nothing known
@@ -265,7 +262,6 @@ class ValueAnalysis:
             regs, slots = state
             for i in range(block.start, block.end):
                 self.before[i] = dict(regs)
-                self.slots_before[i] = dict(slots)
                 regs, slots = transfer_one(regs, slots, lines[i].inst)
 
     def value_before(self, index: int, reg: int) -> Val | None:

@@ -42,7 +42,7 @@ from repro.isa.encoding import (
     sext16,
     to_signed64,
 )
-from repro.isa.text import KernelText, WORD_BYTES
+from repro.isa.text import KernelText, Routine, WORD_BYTES
 
 #: The PANIC code the code patcher plants behind its address checks: not a
 #: consistency failure but Rio's protection firing, so the interpreter
@@ -242,6 +242,25 @@ class Interpreter:
         #: Per-call cell read by the dispatch closures: [ctx, sentinel].
         self._st: list = [KERNEL_CONTEXT, 0]
 
+    def run(
+        self,
+        name: str,
+        args: list[int],
+        ctx: AccessContext = KERNEL_CONTEXT,
+        sp: int = 0,
+        max_steps: int | None = None,
+    ) -> tuple[int, int]:
+        """Invoke routine ``name``; ``(value, steps)``, what the kernel
+        charges for.  A pristine routine's native call builds nothing
+        else: no :class:`CallResult`, no store count."""
+        routine = self._routine(name, args)
+        if self._runs_native(routine):
+            steps_fn = routine.steps_fn
+            value = routine.native(self.bus, args, ctx) & MASK64
+            return value, steps_fn(args) if steps_fn else 0
+        result = self._interpret(name, args, ctx, sp, max_steps)
+        return result.value, result.steps
+
     def call(
         self,
         name: str,
@@ -250,7 +269,16 @@ class Interpreter:
         sp: int = 0,
         max_steps: int | None = None,
     ) -> CallResult:
-        """Invoke routine ``name`` with up to six integer arguments."""
+        """:meth:`run` with the store count and the engine that ran it."""
+        args = list(args)
+        routine = self._routine(name, args)
+        if not self._runs_native(routine):
+            return self._interpret(name, args, ctx, sp, max_steps)
+        value, steps = self.run(name, args, ctx, sp, max_steps)
+        stores = routine.stores_fn(args) if routine.stores_fn else 0
+        return CallResult(value=value, steps=steps, stores=stores, interpreted=False)
+
+    def _routine(self, name: str, args: list[int]) -> Routine:
         try:
             routine = self.text.routines[name]
         except KeyError:
@@ -258,15 +286,14 @@ class Interpreter:
             raise ConfigurationError(
                 f"unknown kernel routine {name!r}; known routines: {known}"
             ) from None
-        args = list(args)
         if len(args) > 6:
             raise ValueError("at most 6 register arguments supported")
-        if routine.pristine and routine.native is not None and not self.force_interpret:
-            value = routine.native(self.bus, args, ctx)
-            steps = routine.steps_fn(args) if routine.steps_fn else 0
-            stores = routine.stores_fn(args) if routine.stores_fn else 0
-            return CallResult(value=value & MASK64, steps=steps, stores=stores, interpreted=False)
-        return self._interpret(name, args, ctx, sp, max_steps)
+        return routine
+
+    def _runs_native(self, routine: Routine) -> bool:
+        """The one rule for native versus interpreted: a pristine routine
+        with a native body runs it, unless every call is interpreted."""
+        return routine.pristine and routine.native is not None and not self.force_interpret
 
     # -- the interpreter proper ------------------------------------------
 

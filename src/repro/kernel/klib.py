@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro.hw.bus import AccessContext, KERNEL_CONTEXT
 from repro.hw.clock import Clock
-from repro.isa.interpreter import CallResult, Interpreter
+from repro.isa.interpreter import Interpreter
 
 #: CPU cost model: virtual nanoseconds per interpreted instruction.
 #: ~50 effective MIPS: the paper's 175 MHz Alpha 21064 spent much of its
@@ -51,13 +51,12 @@ class KLib:
         args: list[int],
         ctx: AccessContext,
         max_steps: int | None = None,
-    ) -> CallResult:
-        result = self.interp.call(name, args, ctx=ctx, sp=self.stack_top, max_steps=max_steps)
-        steps = result.steps
+    ) -> int:
+        value, steps = self.interp.run(name, args, ctx, self.stack_top, max_steps)
         self.stat_instructions += steps
         if self.charge_time and steps:
             self.clock.consume(int(steps * NS_PER_INSTRUCTION))
-        return result
+        return value
 
     # -- public routines -------------------------------------------------------
 
@@ -71,7 +70,7 @@ class KLib:
         """Copy ``length`` bytes — possibly more, if an overrun fault fires."""
         if self.overrun_hook is not None:
             length = self.overrun_hook(length)
-        return self._run("bcopy", [src, dst, length], ctx).value
+        return self._run("bcopy", [src, dst, length], ctx)
 
     def cache_copy(
         self,
@@ -82,7 +81,7 @@ class KLib:
         ctx: AccessContext = KERNEL_CONTEXT,
     ) -> int:
         """Copy through a buffer header (magic + bounds checked in the ISA)."""
-        return self._run("cache_copy", [hdr, src, offset, length], ctx).value
+        return self._run("cache_copy", [hdr, src, offset, length], ctx)
 
     def sched_tick(self, head_ptr: int, ctx: AccessContext = KERNEL_CONTEXT) -> None:
         self._run("sched_tick", [head_ptr], ctx, max_steps=100_000)

@@ -4,8 +4,7 @@ A campaign trial, a crash-point boundary trial and a chaos matrix row
 are all the same thing to the host: a *named pure function*
 (``"module.path:function"``) applied to a keyed, JSON-safe payload.
 :class:`WorkerPool` runs such tasks on worker processes and is the only
-code here that starts a process, writes a claim slot, polls liveness or
-tears a pool down.  Its two clients are the batching Table 1
+code here that starts a process, talks to one or tears a pool down.  Its two clients are the batching Table 1
 scheduler (:class:`repro.reliability.engine.CampaignEngine`) and
 :class:`ParallelMap`, the plain keyed map the crash-point explorer and
 the chaos matrix fan through.
@@ -13,9 +12,12 @@ the chaos matrix fan through.
 Worker death
 ------------
 
-A worker that dies mid-task (OOM-kill, SIGKILL, a bug that takes down
-the interpreter) is detected by liveness polling; the task it held is
-retried once on a fresh worker.  If it kills a second worker it is
+Each worker has its own duplex pipe: the pool sends it one task at a
+time and it sends the result back, so the pool always knows which task
+a worker holds and no lock is shared between workers.  A worker that
+dies mid-task (OOM-kill, SIGKILL, a bug that takes down the interpreter)
+shows as end-of-file on its pipe, or a message cut short; the task it
+held is retried once on a fresh worker.  If it kills a second worker it is
 **quarantined**: the pool reports it as such, lists the key in
 ``stats.quarantined`` and moves on, so one worker-killer cannot stall a
 sweep forever.  A task that *raises* is a deterministic bug, not a
@@ -28,9 +30,9 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
-import queue as queue_mod
-import time
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Iterator, Optional
 
 
@@ -46,7 +48,7 @@ class PoolStats:
     feeds back into task outcomes)."""
 
     executed: int = 0  #: tasks actually run to a result
-    worker_crashes: int = 0  #: worker deaths (and in-flight losses) observed
+    worker_crashes: int = 0  #: worker deaths that cost a task its run
     quarantined: list = field(default_factory=list)  #: keys given up on
 
 
@@ -55,7 +57,7 @@ def _test_kill_hook(key) -> None:
 
     ``RIO_ENGINE_TEST_KILL=system|fault value|attempt|times|counter_dir``
     kills the worker (hard, no cleanup) the first ``times`` times the
-    task keyed ``(system, fault value, attempt)`` is claimed; the
+    task keyed ``(system, fault value, attempt)`` reaches a worker; the
     cross-process count lives in ``counter_dir`` because each death
     spawns a fresh worker.
     """
@@ -82,33 +84,29 @@ def _resolve(fn_path: str) -> Callable[[Any], Any]:
     return getattr(importlib.import_module(module_name), func_name)
 
 
-def _worker_loop(fn_path: str, task_q, result_q, claim_slot) -> None:
-    """Worker process body: claim a task, run it, ship the result home.
-
-    The claim-slot write *precedes* execution so the pool knows which
-    task a dead worker was holding.  The loop never returns: the pool
-    terminates its workers when it closes.
-    """
+def _worker_loop(fn_path: str, conn) -> None:
+    """Worker process body: take a task from the pipe, run it, send the
+    result back.  The loop never returns: the pool terminates its
+    workers when it closes."""
     fn = _resolve(fn_path)
     while True:
-        task_id, key, payload = task_q.get()
-        claim_slot.value = task_id
+        key, payload = conn.recv()
         _test_kill_hook(key)
         try:
-            result_q.put(("done", key, fn(payload)))
+            conn.send(("done", fn(payload)))
         except Exception as exc:  # ship the bug home, don't hang
-            result_q.put(("fail", key, f"{type(exc).__name__}: {exc}"))
+            conn.send(("fail", f"{type(exc).__name__}: {exc}"))
 
 
 class WorkerPool:
-    """A claim-slot process pool over one named pure function.
+    """A process pool over one named pure function, one pipe per worker.
 
     ``submit(key, payload)`` queues a task; :meth:`next_events` blocks
     for the next thing that happened and returns it as ``(kind, key,
     result)`` tuples, ``kind`` being ``"done"`` or ``"quarantined"``
-    (``result`` is then ``None``).  Worker death, tasks lost in flight
-    and retry-once-then-quarantine are decided in here, once; a task
-    that raises surfaces as :class:`CampaignWorkerError`.
+    (``result`` is then ``None``).  Worker death and
+    retry-once-then-quarantine are decided in here, once; a task that
+    raises surfaces as :class:`CampaignWorkerError`.
 
     ``jobs == 1`` starts no process: each :meth:`next_events` call runs
     the oldest pending task in-process, through the same imported
@@ -116,14 +114,11 @@ class WorkerPool:
     identical wire format (and an exception propagates as itself).
     """
 
-    #: Worker deaths (or in-flight losses) tolerated per task before quarantine.
+    #: Worker deaths tolerated per task before quarantine.
     retry_limit = 1
-    #: Seconds :meth:`next_events` waits for a result before it checks
-    #: that the workers are still alive.
+    #: Seconds :meth:`next_events` waits for a result before it returns
+    #: an empty list.
     poll_s = 0.2
-    #: Seconds without any result after which a pending task that is
-    #: neither queued nor claimed is taken to be lost.
-    lost_task_s = 5.0
 
     def __init__(
         self,
@@ -137,20 +132,15 @@ class WorkerPool:
         self._say = say if say is not None else (lambda line: None)
         self._pending: dict = {}  # key -> payload (kept for the retry)
         self._strikes: dict = {}  # key -> worker deaths charged to it
-        self._tid_key: dict = {}  # task id (what a claim slot holds) -> key
-        #: ``(process, claim slot)`` per live worker.  The slot is a shared
-        #: ``Value('i')`` holding the id of the task the worker last
-        #: claimed.  Shared memory, not a queue message: a queue put is
-        #: flushed by a background feeder thread, so a worker killed right
-        #: after claiming could die with the claim unsent — the claim-slot
-        #: write is synchronous and survives any death.
-        self._workers: list = []
-        self._last_activity = time.monotonic()
+        self._queued: deque = deque()  # keys waiting for an idle worker
+        #: The pool's end of each live worker's pipe -> that worker's
+        #: process; ``_held`` maps a busy worker's pipe to its task's key.
+        self._workers: dict = {}
+        self._held: dict = {}
         #: The task function itself when running in-process, else ``None``.
         self._fn = _resolve(fn_path) if jobs <= 1 else None
         if self._fn is None:
             self._ctx = multiprocessing.get_context()
-            self._task_q, self._result_q = self._ctx.Queue(), self._ctx.Queue()
             for _ in range(jobs):
                 self._spawn()
 
@@ -163,10 +153,11 @@ class WorkerPool:
         """Queue one task; ``key`` must be hashable and unique while pending."""
         self._pending[key] = payload
         if self._fn is None:
-            self._put(key)
+            self._queued.append(key)
+            self._dispatch()
 
     def next_events(self) -> list:
-        """Wait for the next result — at most ``poll_s`` — and return
+        """Wait for the next results — at most ``poll_s`` — and return
         what happened; an empty list on a quiet poll.  Call it only
         while tasks are :attr:`pending`."""
         if self._fn is not None:
@@ -174,76 +165,67 @@ class WorkerPool:
             result = self._fn(self._pending.pop(key))
             self.stats.executed += 1
             return [("done", key, result)]
-        try:
-            kind, key, result = self._result_q.get(timeout=self.poll_s)
-        except queue_mod.Empty:
-            return self._reap()
-        self._last_activity = time.monotonic()
-        if kind == "fail":
-            raise CampaignWorkerError(f"worker exception on task {key}: {result}")
-        self.stats.executed += 1
-        if key not in self._pending:
-            return []  # a retry raced its original: result unneeded
-        del self._pending[key]
-        return [("done", key, result)]
+        events: list = []
+        for conn in wait(list(self._workers), timeout=self.poll_s):
+            key = self._held.pop(conn, None)
+            try:
+                kind, result = conn.recv()
+            except (EOFError, OSError):  # died, maybe mid-message
+                self._bury(conn)
+                if key is not None:
+                    events += self._strike(key)
+                continue
+            if kind == "fail":
+                raise CampaignWorkerError(f"worker exception on task {key}: {result}")
+            self.stats.executed += 1
+            del self._pending[key]
+            events.append(("done", key, result))
+        self._dispatch()
+        return events
 
     def close(self) -> None:
         """Tear the pool down; never waits on a worker mid-task."""
         if self._fn is not None:
             return
-        for proc, _slot in self._workers:
+        for proc in self._workers.values():
             if proc.is_alive():
                 proc.terminate()
-        for proc, _slot in self._workers:
+        for conn, proc in self._workers.items():
             proc.join(timeout=2)
-        for q in (self._task_q, self._result_q):
-            q.cancel_join_thread()
-            q.close()
+            conn.close()
 
     # -- pool internals ----------------------------------------------------
 
     def _spawn(self) -> None:
-        claim_slot = self._ctx.Value("i", -1)
+        conn, worker_end = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(self.fn_path, self._task_q, self._result_q, claim_slot),
+            args=(self.fn_path, worker_end),
             daemon=True,
             name="rio-pool-worker",
         )
         proc.start()
-        self._workers.append((proc, claim_slot))
+        worker_end.close()  # the worker's copy alone: its death reads as EOF
+        self._workers[conn] = proc
 
-    def _put(self, key) -> None:
-        task_id = len(self._tid_key)
-        self._tid_key[task_id] = key
-        self._task_q.put((task_id, key, self._pending[key]))
-        self._last_activity = time.monotonic()
+    def _bury(self, conn) -> None:
+        """Replace the dead worker behind ``conn``."""
+        self._workers.pop(conn).join(timeout=2)
+        conn.close()
+        self._spawn()
 
-    def _reap(self) -> list:
-        """A quiet poll: replace dead workers, strike the tasks they
-        held, and sweep for tasks lost in flight."""
-        events: list = []
-        for worker in [w for w in self._workers if not w[0].is_alive()]:
-            self._workers.remove(worker)
-            key = self._tid_key.get(worker[1].value)  # -1 (idle) maps to None
-            if key in self._pending:
-                events += self._strike(key, "worker died")
-            self._spawn()
-        if (
-            self._pending
-            and time.monotonic() - self._last_activity > self.lost_task_s
-            and self._task_q.empty()
-        ):
-            # Pending but neither queued nor claimed by a live worker: a
-            # worker died between the queue get and the claim-slot write,
-            # or with a finished result still in its queue feeder thread.
-            claimed = {self._tid_key.get(slot.value) for _proc, slot in self._workers}
-            for key in [k for k in self._pending if k not in claimed]:
-                events += self._strike(key, "task lost in flight")
-            self._last_activity = time.monotonic()
-        return events
+    def _dispatch(self) -> None:
+        """Hand queued tasks to idle workers, one each."""
+        idle = [conn for conn in self._workers if conn not in self._held]
+        while idle and self._queued:
+            conn, key = idle.pop(), self._queued.popleft()
+            self._held[conn] = key
+            try:
+                conn.send((key, self._pending[key]))
+            except OSError:
+                pass  # a dead worker: its pipe reads EOF at the next wait
 
-    def _strike(self, key, why: str) -> list:
+    def _strike(self, key) -> list:
         """One worker death charged to ``key``: requeue it up to
         ``retry_limit`` times, then quarantine — give up on it instead
         of relaunching a worker-killer forever."""
@@ -251,10 +233,10 @@ class WorkerPool:
         count = self._strikes[key] = self._strikes.get(key, 0) + 1
         label = "/".join(map(str, key)) if isinstance(key, tuple) else str(key)
         if count <= self.retry_limit:
-            self._say(f"{why} on {label} (worker_crashed); retrying once")
-            self._put(key)
+            self._say(f"worker died on {label} (worker_crashed); retrying once")
+            self._queued.append(key)
             return []
-        self._say(f"{why} again on {label}; quarantining the task")
+        self._say(f"worker died again on {label}; quarantining the task")
         self.stats.quarantined.append(key)
         del self._pending[key]
         return [("quarantined", key, None)]

@@ -6,8 +6,11 @@ entry per sector — with the queue, retirement, rollback and tear rules
 restated independently, so a slip at an extent boundary (a copy that
 stops one sector short, a tear that lands in the wrong extent) cannot be
 shared by both sides.  Random programs run against both; platter bytes,
-queue state, the clock and every ``DiskStats`` field must agree after
-every step.
+queue state, the clock, every ``DiskStats`` field and every completion
+(its order and the virtual time it ran at) must agree after every step.
+The model retires by scanning its whole list whenever its clock wakes
+it; the real disk pops the due prefix of a queue whose completion times
+must never decrease.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ class SectorDictDisk:
         self.sectors: dict[int, bytes] = {}
         self.pending: list[tuple[int, int, int, bytes]] = []  # start, done, sector, old
         self.busy_until_ns, self.head, self.stats = 0, None, DiskStats()
+        self.completed: list[tuple[int, int, int, int]] = []  # start, done, sector, now
         clock.on_advance(self._retire)
 
     def _check(self, sector: int, count: int) -> None:
@@ -59,6 +63,7 @@ class SectorDictDisk:
         start = max(now, self.busy_until_ns)
         service = service_ns(len(data), sequential=self.head == sector)
         self.pending.append((start, start + service, sector, self.peek(sector, count)))
+        self.clock.wake_at(start + service)
         self.poke(sector, data)
         self.busy_until_ns, self.head = start + service, sector + count
         self.stats.writes += 1
@@ -72,7 +77,10 @@ class SectorDictDisk:
             self.stats.async_writes += 1
 
     def _retire(self, now_ns: int) -> None:
+        self.completed += [(*r[:3], now_ns) for r in self.pending if r[1] <= now_ns]
         self.pending = [r for r in self.pending if r[1] > now_ns]
+        if self.pending:
+            self.clock.wake_at(min(done for _, done, _, _ in self.pending))
 
     def drain(self) -> None:
         if self.pending:
@@ -107,8 +115,24 @@ def payload(seed: int, sector: int, count: int, ss: int) -> bytes:
     )
 
 
+class LoggedDisk(SimulatedDisk):
+    """The real disk, logging each write's ``on_complete`` call."""
+
+    def __init__(self, name: str, num_sectors: int) -> None:
+        super().__init__(name, num_sectors)
+        self.completed: list[tuple[int, int, int, int]] = []  # start, done, sector, now
+
+    def write(self, sector, data, *, sync):
+        return super().write(sector, data, sync=sync, on_complete=self._log)
+
+    def _log(self, request) -> None:
+        self.completed.append(
+            (request.start_ns, request.completion_ns, request.sector, self._clock.now_ns)
+        )
+
+
 def make_pair(num_sectors: int):
-    real = SimulatedDisk("real", num_sectors)
+    real = LoggedDisk("real", num_sectors)
     real.attach(Clock())
     model = SectorDictDisk(num_sectors, Clock())
     return real, model
@@ -120,6 +144,9 @@ def assert_same(real: SimulatedDisk, model: SectorDictDisk) -> None:
     assert real.busy_until_ns == model.busy_until_ns
     assert real.stats == model.stats
     assert real._clock.now_ns == model.clock.now_ns
+    assert real.completed == model.completed
+    done = [request.completion_ns for request in real._pending]
+    assert done == sorted(done)
 
 
 def both(real, model, call):
@@ -260,6 +287,24 @@ def test_overlapping_queued_writes_roll_back_in_order_across_a_boundary():
     assert_same(real, model)
     assert real.peek(base, 16) == original  # oldest surviving contents
     assert real.stats.lost_writes == 4 and real.stats.torn_sectors == 1
+
+
+def test_queued_writes_retire_one_at_a_time_as_time_passes():
+    """Each advance past one more completion retires exactly that write:
+    the queue re-arms the clock for its new head after every wake."""
+    real, model = make_pair(4 * EXTENT_SECTORS)
+    for disk in (real, model):
+        for n, sector in enumerate((0, EXTENT_SECTORS - 2, 3 * EXTENT_SECTORS)):
+            disk.write(sector, payload(n, sector, 4, 512), sync=False)
+    for request in list(real._pending):
+        real._clock.advance_to(request.completion_ns - 1)
+        model.clock.advance_to(request.completion_ns - 1)
+        assert_same(real, model)
+        real._clock.consume(1)
+        model.clock.consume(1)
+        assert_same(real, model)
+        assert real.completed[-1][:3] == (request.start_ns, request.completion_ns, request.sector)
+    assert len(real.completed) == 3 and not real._pending
 
 
 def test_zero_ranges_read_as_zeros_and_materialise_nothing():

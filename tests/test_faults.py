@@ -119,6 +119,22 @@ class TestHookFaults:
         system.clock.consume(300_000_000)  # 300 ms: the "thread" wakes
         assert not heap.is_live(addr2) or not heap.is_live(addr)
 
+    def test_each_pending_free_wakes_at_its_own_due_time(self, system):
+        """A free armed while another is pending is made at its own due
+        time: the listener re-arms for what is left after each wake."""
+        injector = injector_for(
+            system, kmalloc_interval=(1, 1), premature_free_delay_ms=(200, 200)
+        )
+        injector.inject(FaultType.ALLOCATION)
+        heap, clock = system.kernel.heap, system.clock
+        first = heap.kmalloc(64)  # freed at +200 ms
+        clock.consume(100_000_000)
+        second = heap.kmalloc(64)  # freed at +300 ms
+        clock.consume(150_000_000)
+        assert not heap.is_live(first) and heap.is_live(second)
+        clock.consume(100_000_000)
+        assert not heap.is_live(second)
+
     def test_pending_free_dies_with_its_kernel(self, system):
         """A premature free still pending at the crash belongs to the dead
         kernel: the reboot neither runs it nor keeps its clock listener,

@@ -128,13 +128,30 @@ class TestMachineLifecycle:
 
 class TestClock:
     def test_consume_and_listeners(self, machine):
-        ticks = []
-        machine.clock.on_advance(ticks.append)
-        machine.clock.consume(500)
-        machine.clock.advance_to(2000)
-        machine.clock.advance_to(1000)  # in the past: no-op
-        assert ticks == [500, 2000]
-        assert machine.clock.now_ns == 2000
+        """A listener runs at the first advance that reaches a deadline it
+        asked for, once; it re-arms itself for more."""
+        clock, ticks = machine.clock, []
+        t0 = clock.now_ns
+        clock.on_advance(ticks.append)
+        clock.consume(500)
+        assert ticks == []  # registered, but no deadline yet
+        clock.wake_at(t0 + 2000)
+        clock.consume(500)
+        clock.advance_to(t0 + 1999)
+        assert ticks == []
+        clock.advance_to(t0 + 2500)  # passes the deadline
+        clock.consume(0)
+        clock.advance_to(t0 + 3000)
+        assert ticks == [t0 + 2500]  # woken once: the deadline is spent
+        clock.wake_at(t0 + 3000)  # already reached: the next advance wakes it
+        clock.advance_to(t0 + 1000)  # in the past: no advance, no wake
+        clock.consume(0)
+        assert ticks == [t0 + 2500, t0 + 3000]
+        clock.wake_at(t0 + 5000)
+        clock.wake_at(t0 + 4000)  # the earliest deadline wins
+        clock.advance_to(t0 + 4000)
+        assert ticks == [t0 + 2500, t0 + 3000, t0 + 4000]
+        assert clock.now_ns == t0 + 4000
 
     def test_negative_consume_rejected(self, machine):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The one claim-slot worker pool, exercised from both of its clients.
+"""The one worker pool, exercised from both of its clients.
 
 ``tests/test_parallel_campaign.py::TestWorkerDeath`` covers worker
 death under the batching Table 1 scheduler.  This module covers the
@@ -6,13 +6,16 @@ other client — :class:`ParallelMap`, the path the crash-point explorer,
 the chaos matrix and the ``explore_traffic`` benchmark run — plus the
 pool-level contracts both share: a task that *raises* aborts with the
 key named, results stream as they land (so an interrupted explorer
-sweep keeps what finished), and no worker outlives its pool.
+sweep keeps what finished), a worker's death is seen at once, and no
+worker outlives its pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
+import signal
 
 import pytest
 
@@ -21,7 +24,7 @@ import repro.reliability.engine as engine
 from repro.__main__ import main
 from repro.explore import ExploreConfig, explore
 from repro.faults import FaultType
-from repro.reliability import CampaignEngine, CampaignWorkerError, ParallelMap
+from repro.reliability import CampaignEngine, CampaignWorkerError, ParallelMap, WorkerPool
 from repro.reliability.journal import read_trials
 from repro.workloads.memtest import MemTestParams
 
@@ -46,12 +49,24 @@ def clean_sweep():
 
 
 def victim_of(report) -> int:
-    """The sweep's first task, so the worker that claims it has finished
-    nothing yet.  (A worker killed mid-sweep can also take its previous
-    task's still-buffered result down with it; the pool recovers that
-    through the lost-in-flight sweep, but it counts as a second crash
-    and costs the 5 s window.)"""
+    """The sweep's first task."""
     return report.verdicts[0].boundary.index
+
+
+@contextlib.contextmanager
+def finishes_within(seconds: float):
+    """Fail, rather than hang, a block that runs longer than ``seconds``."""
+
+    def overrun(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParallelMap:
@@ -74,6 +89,32 @@ class TestParallelMap:
         stream = ParallelMap(TASK, jobs=2).stream([(n, {"n": n}) for n in range(50)])
         next(stream)
         stream.close()
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerDeath:
+    def test_a_kill_right_after_a_shipped_result_never_stalls_the_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """Fifty runs, each killing the worker that takes task 5 -- by
+        then that worker has shipped a result -- must each finish in a
+        few seconds with every result in: a dead worker holds no lock
+        another needs, and its death is seen as soon as it happens."""
+        tasks = [(("t", "x", n), {"n": n}) for n in range(8)]
+        for run in range(50):
+            monkeypatch.setenv("RIO_ENGINE_TEST_KILL", f"t|x|5|1|{tmp_path / str(run)}")
+            pool, landed = WorkerPool(TASK, jobs=2), {}
+            try:
+                with finishes_within(3.0):
+                    for key, payload in tasks:
+                        pool.submit(key, payload)
+                    while pool.pending:
+                        for kind, key, result in pool.next_events():
+                            landed[key] = (kind, result)
+            finally:
+                pool.close()
+            assert landed == {key: ("done", {"n": p["n"], "sq": p["n"] ** 2}) for key, p in tasks}
+            assert pool.stats.worker_crashes == 1 and pool.stats.quarantined == []
         assert multiprocessing.active_children() == []
 
 
