@@ -20,8 +20,10 @@ explore_traffic is the one recorder-on workload, and a recorder-path
 question should start from those counts.
 
 Every mode but ``--memory`` also prints ``background walks: N of M
-ticks``: of the M background walker calls the process made, the N that
-ran the counted word walk rather than replaying its last plan; and
+ticks (B boots)``: of the M background walker calls the process made,
+the N that walked their structure rather than replaying the last walk's
+plan, and the B kernels it booted (a clean boot walks each of its two
+structures once); and
 ``registry stores: N of M took the layered route``: of the M registry
 entry stores, the N that did not apply their known effect
 (``Registry._apply_known_effect``); and ``clock: N of M advances woke
@@ -199,13 +201,14 @@ class CallCounter:
     place — and how many of them returned a true value."""
 
     #: ``(label, module, function or Class.method)``: the background
-    #: walker calls and the word walks among them (the rest replayed a
-    #: plan); the registry's entry stores that applied their known effect
-    #: (a true return) and those that took the layered route; the clock's
-    #: advances and the wakes among them.
+    #: walker calls and the walks among them (the rest replayed a plan),
+    #: and the kernels booted; the registry's entry stores that applied
+    #: their known effect (a true return) and those that took the layered
+    #: route; the clock's advances and the wakes among them.
     COUNTED = (
         ("ticks", "repro.isa.routines", "_run_chains"),
         ("walks", "repro.isa.routines", "_walk_chains"),
+        ("boots", "repro.kernel.kernel", "Kernel.__init__"),
         ("known", "repro.core.registry", "Registry._apply_known_effect"),
         ("layered", "repro.core.registry", "Registry._store_fields"),
         ("consume", "repro.hw.clock", "Clock.consume"),
@@ -238,7 +241,10 @@ class CallCounter:
 
     def report(self) -> None:
         calls = self.calls
-        print(f"background walks: {calls['walks']} of {calls['ticks']} ticks")
+        print(
+            f"background walks: {calls['walks']} of {calls['ticks']} ticks"
+            f" ({calls['boots']} boots)"
+        )
         stores = calls["layered"] + self.true["known"]
         print(f"registry stores: {calls['layered']} of {stores} took the layered route")
         advances = calls["consume"] + calls["advance_to"]

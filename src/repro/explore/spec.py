@@ -82,7 +82,8 @@ class CrashContext:
     workload: str
     seed: int
     event_index: int
-    #: The recovered, live system (namespace walks); None in unit tests.
+    #: The recovered, live system (namespace walks); None in unit tests
+    #: and when the reboot left the machine down.
     system: Any = None
     #: The :class:`repro.system.RebootReport` of the crash recovery.
     reboot: Any = None

@@ -176,7 +176,7 @@ class _RunBase:
             workload=self.config.workload,
             seed=self.config.seed,
             event_index=event_index,
-            system=self.system,
+            system=None if self.system.machine.crashed else self.system,
             reboot=self.reboot,
             recovery_error=self.recovery_error,
             lost=list(self.lost),
@@ -304,9 +304,11 @@ class _BasicRun(_RunBase):
         self.completed = True
 
     def _recover(self) -> None:
+        # Table 1's rule: a recovery that crashes or fails a file-system
+        # check is the trial's outcome; anything else is a harness fault.
         try:
             self.reboot = self.system.reboot()
-        except Exception as exc:
+        except (SystemCrash, FileSystemError) as exc:
             self.recovery_error = f"reboot failed: {type(exc).__name__}: {exc}"
             return
         self._scan_disk()
@@ -371,7 +373,7 @@ class _TrafficRun(_RunBase):
             else:
                 try:
                     self.reboot = self.system.reboot()
-                except Exception as exc:
+                except (SystemCrash, FileSystemError) as exc:
                     self.recovery_error = (
                         f"reboot failed: {type(exc).__name__}: {exc}"
                     )

@@ -58,19 +58,14 @@ bump, translate*:
   :meth:`MemoryBus.store_frame`, :meth:`MemoryBus.settle`) hands a caller
   the live frame behind a virtual address through the same tables and
   the same miss handler, and takes the caller's own access counts
-  afterwards.  The kernel's native walkers (``isa/routines.py``) are
-  built on it: they no longer make one bus call per word.  What they
-  preserve is everything that could be seen when they did — the
-  load/store/byte totals, also when the walk ends in a trap or panic
-  (the faulting access counted, nothing after it); the trap itself,
-  type, message and ``address``, because the port is asked about the
-  faulting word; the bytes in memory; a moved write generation on every
-  frame stored to.  A walk over an unchanged structure replays the plan
-  the last clean walk left in :attr:`MemoryBus.walk_plans`: the same two
-  probes, one slice store, one :meth:`MemoryBus.settle`.
+  afterwards.  Its users: the interpreter's fast engine settles its
+  instruction fetches, and a background walk over an unchanged
+  structure (``isa/routines.py``) replays the plan the last clean walk
+  left in :attr:`MemoryBus.walk_plans` — the walk's first two probes,
+  one slice store, one :meth:`MemoryBus.settle`.
 * **The reference route, untouched,** takes everything else: a store
   checker installed (stores), a page-crossing access,
-  ``fast_path=False`` — and, in the walkers, the word-by-word bodies do.
+  ``fast_path=False``.
   Trap types, messages, ordering and the load / store / byte counters of
   :class:`BusStats` are identical between the two routes.
 """
@@ -143,7 +138,7 @@ class MemoryBus:
         #: so a probe is one attribute and one ``dict.get``.
         self._tlb_loads = mmu.tlb_loads
         self._tlb_stores = mmu.tlb_stores
-        #: The counted word runs' replay plans, by head slot
+        #: The background walks' replay plans, by head slot
         #: (``isa/routines.py``).  Each boot builds a fresh bus, so no
         #: plan outlives the boot that recorded it.
         self.walk_plans: dict = {}
@@ -180,9 +175,9 @@ class MemoryBus:
 
         Same soft TLB, same miss handler — hence the same MachineCheck,
         raised for ``vaddr`` itself — as :meth:`load_u64`, but no crash
-        guard and no stats: a counted word run (``isa/routines.py``)
-        guards first, counts each access where its assembly issues it
-        and hands the totals to :meth:`settle`.  Only while :attr:`flat`.
+        guard and no stats: the caller (a walk's plan and its replay,
+        ``isa/routines.py``) guards first, counts its accesses and hands
+        the totals to :meth:`settle`.  Only while :attr:`flat`.
         """
         off = vaddr % self._page_size
         pfn = self._tlb_loads.get(vaddr - off)

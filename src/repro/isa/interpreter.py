@@ -210,6 +210,12 @@ class _HaltSignal(Exception):
 MAX_STEPS = 500_000
 
 
+def watchdog(name: str, budget: int) -> WatchdogTimeout:
+    """The hang every engine raises when ``name`` would run instruction
+    ``budget + 1``."""
+    return WatchdogTimeout(f"watchdog: {name} exceeded {budget} steps")
+
+
 @dataclass
 class CallResult:
     value: int
@@ -248,7 +254,7 @@ class Interpreter:
         args: list[int],
         ctx: AccessContext = KERNEL_CONTEXT,
         sp: int = 0,
-        max_steps: int | None = None,
+        max_steps: int = MAX_STEPS,
     ) -> tuple[int, int]:
         """Invoke routine ``name``; ``(value, steps)``, what the kernel
         charges for.  A pristine routine's native call builds nothing
@@ -256,7 +262,7 @@ class Interpreter:
         routine = self._routine(name, args)
         if self._runs_native(routine):
             steps_fn = routine.steps_fn
-            value = routine.native(self.bus, args, ctx) & MASK64
+            value = routine.native(self.bus, args, ctx, max_steps) & MASK64
             return value, steps_fn(args) if steps_fn else 0
         result = self._interpret(name, args, ctx, sp, max_steps)
         return result.value, result.steps
@@ -267,7 +273,7 @@ class Interpreter:
         args: list[int] | tuple[int, ...] = (),
         ctx: AccessContext = KERNEL_CONTEXT,
         sp: int = 0,
-        max_steps: int | None = None,
+        max_steps: int = MAX_STEPS,
     ) -> CallResult:
         """:meth:`run` with the store count and the engine that ran it."""
         args = list(args)
@@ -303,12 +309,12 @@ class Interpreter:
         args: list[int],
         ctx: AccessContext,
         sp: int,
-        max_steps: int | None,
+        budget: int,
     ) -> CallResult:
         """Pick an engine: the bus-level knob decides."""
         if self.bus.fast_path:
-            return self._interpret_fast(name, args, ctx, sp, max_steps)
-        return self._interpret_ref(name, args, ctx, sp, max_steps)
+            return self._interpret_fast(name, args, ctx, sp, budget)
+        return self._interpret_ref(name, args, ctx, sp, budget)
 
     def _interpret_ref(
         self,
@@ -316,7 +322,7 @@ class Interpreter:
         args: list[int],
         ctx: AccessContext,
         sp: int,
-        max_steps: int | None,
+        budget: int,
     ) -> CallResult:
         regs = [0] * 32
         for i, arg in enumerate(args):
@@ -326,7 +332,6 @@ class Interpreter:
         sentinel = self.text.sentinel_vaddr
         regs[26] = sentinel
         pc = self.text.entry_vaddr(name)
-        budget = max_steps if max_steps is not None else MAX_STEPS
         steps = 0
         stores = 0
 
@@ -336,7 +341,7 @@ class Interpreter:
 
         while True:
             if steps >= budget:
-                raise WatchdogTimeout(f"watchdog: {name} exceeded {budget} steps")
+                raise watchdog(name, budget)
             steps += 1
             if pc % WORD_BYTES:
                 raise MachineCheck(f"unaligned instruction fetch at {pc:#x}")
@@ -671,7 +676,7 @@ class Interpreter:
         args: list[int],
         ctx: AccessContext,
         sp: int,
-        max_steps: int | None,
+        budget: int,
     ) -> CallResult:
         """The hot path: predecoded pages + dispatch table.
 
@@ -704,7 +709,6 @@ class Interpreter:
         st[0] = ctx
         st[1] = sentinel
         pc = self.text.entry_vaddr(name)
-        budget = max_steps if max_steps is not None else MAX_STEPS
         steps = 0
         fetches = 0
         stores_before = stats.stores
@@ -718,7 +722,7 @@ class Interpreter:
         try:
             while True:
                 if steps >= budget:
-                    raise WatchdogTimeout(f"watchdog: {name} exceeded {budget} steps")
+                    raise watchdog(name, budget)
                 steps += 1
                 if pc & 3:
                     raise MachineCheck(f"unaligned instruction fetch at {pc:#x}")

@@ -19,10 +19,14 @@ mini-ISA:
   system, where most faults crash the machine without going anywhere near
   the file cache.
 
-Each native registered via :func:`build_kernel_text` issues the same bus
-traffic as its assembly and raises the same panics, so a run behaves
+Each native registered via :func:`build_kernel_text` leaves the same
+memory and raises the same panics as its assembly, so a run behaves
 identically whether a routine executes natively (pristine text) or on the
-interpreter (corrupted text) — only speed differs.  ``bzero`` and
+interpreter (corrupted text) — only speed differs.  The walkers issue the
+assembly's bus traffic word for word and stop at its watchdog; the copies
+issue one ranged load and one ranged store (``stores_fn`` models the
+assembly's count) and ignore the step budget: their longest, a page plus
+an overrun, is some 12 000 of a call's 500 000 steps.  ``bzero`` and
 ``checksum_block`` have no native: no kernel path calls them, so they are
 text the faults land in and the interpreter runs, nothing more.
 """
@@ -33,7 +37,7 @@ import struct
 
 from repro.errors import KernelPanic, SystemCrash
 from repro.hw.bus import AccessContext, MemoryBus
-from repro.isa.interpreter import PANIC_MESSAGES
+from repro.isa.interpreter import PANIC_MESSAGES, watchdog
 from repro.isa.text import KernelText
 
 CACHE_HDR_MAGIC = 0x7B0F
@@ -210,7 +214,7 @@ MASK64 = (1 << 64) - 1
 # -- native fast paths -------------------------------------------------------
 
 
-def _native_bcopy(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
+def _native_bcopy(bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int) -> int:
     src, dst, length = args[0], args[1], args[2]
     if length:
         bus.store(dst, bus.load(src, length, ctx), ctx)
@@ -227,7 +231,9 @@ def _bcopy_stores(args: list[int]) -> int:
     return length // 8 + length % 8
 
 
-def _native_cache_copy(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
+def _native_cache_copy(
+    bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int
+) -> int:
     hdr, src, off, length = args[0], args[1], args[2], args[3]
     magic = bus.load_u64(hdr + HDR_MAGIC_OFF, ctx)
     if magic != CACHE_HDR_MAGIC:
@@ -253,42 +259,36 @@ def _cache_copy_stores(args: list[int]) -> int:
 
 
 # The two walkers are one loop: ``sched_tick`` is ``vnode_scan`` over a
-# one-slot table with its own magic and panic.  While the bus is ``flat``
-# the loop is a *counted word run*: it takes pages from the bus's page
-# port, reads a node with one unpack and bumps its counter with one
-# ``pack_into`` on the frame, counts every access at the program point
-# where the assembly issues it (so a MachineCheck, ProtectionTrap or panic
-# leaves the counts of the word-by-word walk: the faulting access counted,
-# nothing after it) and settles the totals on the way out.  The page port
-# is asked about the faulting word's own address, so each trap is
-# ``MMU.translate``'s own.  The one frame the run holds on to is the page
-# it last stored to — allocated, so it is the live frame for loads too,
-# and known writable until the run ends; a page it has only read is
-# fetched again per access, because a store may yet allocate the frame
-# behind a zero page.  One bus call per word — :func:`_visit_words` and
-# ``bus.load_u64`` — remains the route when the bus is not flat (a store
-# checker, ``fast_path=False``) or is down, and for a head slot or
-# a node that straddles a page.
+# one-slot table with its own magic, panic and instruction layout.  The
+# walk makes one bus call per word in the assembly's order and counts its
+# instructions against the call's step budget, so a chain a fault bent
+# into a cycle ends in the interpreter's watchdog after the same accesses
+# (the kernel is still charged ``steps_fn``'s constant).
 #
-# A walk repeats itself: the kernel walks the same nodes on every syscall
-# and its only effect is one more on each counter.  So a clean run whose
-# slots and nodes are aligned words of one page, no counter doubling as
-# another counter or as a word the walk follows, leaves a plan
-# (:class:`_WalkPlan`) on the bus, and the next call for the same slot
-# replays it while the page still holds the bytes the plan recorded
-# (:func:`_run_chains`): the walk reads nothing else, so whichever frame
-# the page maps to now, the walk would do the same there.  The walk took
-# exactly two probes of that page — a load at the first slot, a store at
-# the first node's counter — and so does the replay, which then adds 1 to
-# every counter lane at once.  Anything else, a changed byte, a counter
-# about to wrap, runs the walk, which records afresh.
+# A walk repeats itself: its only effect is one more on each counter.  So
+# a clean walk on a flat bus whose slots and nodes are aligned words of
+# one page, no counter doubling as another counter or as a word the walk
+# follows, leaves a plan (:class:`_WalkPlan`) on the bus, and the next
+# call for the same slot replays it while the page still holds the bytes
+# the plan recorded (:func:`_run_chains`): the walk reads nothing else,
+# so on whichever frame the page maps to now it would do the same.  The
+# walk's first two probes of that page — a load at the first slot, a
+# store at the first node's counter — are the replay's, which then adds 1
+# to every counter lane at once.  Anything else, a changed byte, a
+# counter about to wrap, runs the walk, which records afresh.
 
 _U64 = struct.Struct("<Q")
-_NODE = struct.Struct("<QQQ")  # magic, next, counter
+_NODE_BYTES = 24  # magic, next, counter
+
+#: ``(routine, magic, panic code, lead, follow, tail)``: the instructions
+#: the assembly executes before each head-word load, after it, and after
+#: the last chain's closing branch (``ret`` and the sentinel ``halt``).
+_SCHED_TICK = ("sched_tick", PROC_MAGIC, 31, 0, 1, 2)
+_VNODE_SCAN = ("vnode_scan", VNODE_MAGIC, 33, 4, 0, 6)
 
 
 class _WalkPlan:
-    """The known effect of a clean counted walk over one page.
+    """The known effect of a clean walk over one page.
 
     ``image`` is ``frame[lo:hi]`` as the walk left it (``value`` the same
     bytes as a little-endian int), ``lanes`` holds a 1 in every counter's
@@ -296,12 +296,12 @@ class _WalkPlan:
     """
 
     __slots__ = (
-        "magic", "nslots", "lo", "hi", "image", "value", "lanes",
+        "magic", "nslots", "steps", "lo", "hi", "image", "value", "lanes",
         "headroom", "store_at", "first_loads", "counts",
     )
 
 
-def _record_plan(bus, slot, nslots, magic, nodes, frame, loads, stores) -> None:
+def _record_plan(bus, slot, nslots, magic, nodes, steps) -> None:
     """Leave the plan of the walk that just ran clean, or drop the old one."""
     page_size = bus.memory.page_size
     base = slot - slot % page_size
@@ -309,19 +309,21 @@ def _record_plan(bus, slot, nslots, magic, nodes, frame, loads, stores) -> None:
     followed = {slot + 8 * i for i in range(nslots)} | set(nodes)
     followed |= {node + 8 for node in nodes}
     if (
-        not nodes
+        not bus.flat
+        or not nodes
         or slot % 8
         or slot + 8 * nslots > base + page_size
-        or any(node % 8 or not base <= node <= base + page_size - _NODE.size for node in nodes)
+        or any(node % 8 or not base <= node <= base + page_size - _NODE_BYTES for node in nodes)
         or len(counters) < len(nodes)
         or not counters.isdisjoint(followed)
     ):
         bus.walk_plans.pop(slot, None)
         return
+    frame = bus.load_frame(slot)  # the walk loaded this word: a TLB hit
     lo = min(slot, min(nodes)) - base
-    hi = max(slot + 8 * nslots, max(nodes) + _NODE.size) - base
+    hi = max(slot + 8 * nslots, max(nodes) + _NODE_BYTES) - base
     plan = _WalkPlan()
-    plan.magic, plan.nslots, plan.lo, plan.hi = magic, nslots, lo, hi
+    plan.magic, plan.nslots, plan.steps, plan.lo, plan.hi = magic, nslots, steps, lo, hi
     plan.image = bytes(frame[lo:hi])
     plan.value = int.from_bytes(plan.image, "little")
     plan.lanes = sum(1 << 8 * (counter - base - lo) for counter in counters)
@@ -331,86 +333,66 @@ def _record_plan(bus, slot, nslots, magic, nodes, frame, loads, stores) -> None:
     # counter: what the walk had issued when it stored for the first time.
     first = next(i for i in range(nslots) if _U64.unpack_from(frame, slot - base + 8 * i)[0])
     plan.first_loads = first + 3
+    loads, stores = nslots + 3 * len(nodes), len(nodes)
     plan.counts = (loads, stores, 8 * loads, 8 * stores)
     bus.walk_plans[slot] = plan
 
 
-def _visit_words(bus: MemoryBus, node: int, magic: int, code: int, ctx: AccessContext) -> int:
-    """Check and bump one node, one bus call per word; returns ``next``."""
-    if bus.load_u64(node, ctx) != magic:
+def _visit_words(bus, node, magic, code, ctx, room, routine, budget) -> int:
+    """Check and bump one node, one bus call per word; returns ``next``.
+
+    ``room`` is what is left of the budget at the node's loop test: its
+    instructions load the magic 2nd, panic or load the counter 5th,
+    store 7th and load ``next`` 8th, of 9."""
+    if room < 2:
+        raise watchdog(routine, budget)
+    node_magic = bus.load_u64(node, ctx)
+    if room < 5:
+        raise watchdog(routine, budget)
+    if node_magic != magic:
         raise KernelPanic(PANIC_MESSAGES[code], code=code)
-    bus.store_u64(node + 16, bus.load_u64(node + 16, ctx) + 1, ctx)
+    count = bus.load_u64(node + 16, ctx)
+    if room < 7:
+        raise watchdog(routine, budget)
+    bus.store_u64(node + 16, count + 1, ctx)
+    if room < 8:
+        raise watchdog(routine, budget)
     return bus.load_u64(node + 8, ctx)
 
 
-def _walk_chains(
-    bus: MemoryBus, slot: int, nslots: int, magic: int, code: int, ctx: AccessContext
-) -> int:
+def _walk_chains(bus, slot, nslots, walker, ctx, budget) -> int:
     """Walk the chain hanging off each of ``nslots`` head words at ``slot``;
     a clean run leaves its plan (:func:`_record_plan`)."""
-    # On a downed machine the first access goes to the bus, which raises.
-    flat = bus.flat and not bus.crashed
-    load_frame, store_frame = bus.load_frame, bus.store_frame
-    unpack_node, pack_word = _NODE.unpack_from, _U64.pack_into
-    page_size = bus.memory.page_size
-    word_room = page_size - 8
-    node_room = page_size - _NODE.size
-    held_base = -1  # virtual base of the page last stored to, and its frame
-    held = None
-    loads = stores = 0
-    nodes = []  # the nodes the walk visited, for its plan ...
-    planned = flat  # ... as long as the page port read every word
-    head_slot = slot
-    try:
-        for _ in range(nslots):
-            off = slot % page_size
-            if flat and off <= word_room:
-                loads += 1
-                node = _U64.unpack_from(load_frame(slot), off)[0]
-            else:
-                planned = False
-                node = bus.load_u64(slot, ctx)
-            while node:
-                off = node % page_size
-                if flat and off <= node_room:
-                    nodes.append(node)
-                    stored_here = node - off == held_base
-                    loads += 1  # ldq magic
-                    frame = held if stored_here else load_frame(node)
-                    node_magic, nxt, count = unpack_node(frame, off)
-                    if node_magic != magic:
-                        raise KernelPanic(PANIC_MESSAGES[code], code=code)
-                    loads += 1  # ldq counter
-                    stores += 1  # stq counter
-                    if not stored_here:
-                        held = frame = store_frame(node + 16)
-                        held_base = node - off
-                    pack_word(frame, off + 16, (count + 1) & MASK64)
-                    loads += 1  # ldq next
-                    node = nxt
-                else:
-                    planned = False
-                    node = _visit_words(bus, node, magic, code, ctx)
-            slot += 8
-    finally:
-        if loads:
-            bus.settle(loads, stores, 8 * loads, 8 * stores)
-    if planned:
-        _record_plan(bus, head_slot, nslots, magic, nodes, held, loads, stores)
+    routine, magic, code, lead, follow, tail = walker
+    steps = 0
+    nodes = []
+    for head in range(slot, slot + 8 * nslots, 8):
+        steps += lead + 1
+        if steps > budget:
+            raise watchdog(routine, budget)
+        node = bus.load_u64(head, ctx)
+        steps += follow
+        while node:
+            nodes.append(node)
+            node = _visit_words(bus, node, magic, code, ctx, budget - steps, routine, budget)
+            steps += 9
+        steps += 1  # the loop test that finds the chain's end
+    steps += tail
+    if steps > budget:
+        raise watchdog(routine, budget)
+    _record_plan(bus, slot, nslots, magic, nodes, steps)
     return 0
 
 
-def _run_chains(
-    bus: MemoryBus, slot: int, nslots: int, magic: int, code: int, ctx: AccessContext
-) -> int:
+def _run_chains(bus, slot, nslots, walker, ctx, budget) -> int:
     """:func:`_walk_chains`, or the replay of the plan its last clean run
     at ``slot`` left, while that plan still holds."""
     plan = bus.walk_plans.get(slot)
     if (
-        plan is None or plan.magic != magic or plan.nslots != nslots or not plan.headroom
-        or not bus.flat or bus.crashed
+        plan is None or plan.magic != walker[1] or plan.nslots != nslots or not plan.headroom
+        or plan.steps > budget or not bus.flat or bus.crashed
     ):
-        return _walk_chains(bus, slot, nslots, magic, code, ctx)
+        return _walk_chains(bus, slot, nslots, walker, ctx, budget)
     try:
         frame = bus.load_frame(slot)
     except SystemCrash:
@@ -418,7 +400,7 @@ def _run_chains(
         raise
     lo, hi = plan.lo, plan.hi
     if frame[lo:hi] != plan.image:
-        return _walk_chains(bus, slot, nslots, magic, code, ctx)
+        return _walk_chains(bus, slot, nslots, walker, ctx, budget)
     try:
         bus.store_frame(plan.store_at)
     except SystemCrash:
@@ -432,12 +414,12 @@ def _run_chains(
     return 0
 
 
-def _native_sched_tick(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    return _run_chains(bus, args[0], 1, PROC_MAGIC, 31, ctx)
+def _native_sched_tick(bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int) -> int:
+    return _run_chains(bus, args[0], 1, _SCHED_TICK, ctx, budget)
 
 
-def _native_vnode_scan(bus: MemoryBus, args: list[int], ctx: AccessContext) -> int:
-    return _run_chains(bus, args[0], args[1], VNODE_MAGIC, 33, ctx)
+def _native_vnode_scan(bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int) -> int:
+    return _run_chains(bus, args[0], args[1], _VNODE_SCAN, ctx, budget)
 
 
 def _const_steps(value: int):

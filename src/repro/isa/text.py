@@ -23,7 +23,8 @@ from repro.isa.encoding import Instruction, decode, encode
 
 WORD_BYTES = 4
 
-#: Signature of a native fast-path: ``native(bus, args, ctx) -> return value``.
+#: Signature of a native fast-path: ``native(bus, args, ctx, budget) -> return
+#: value``, ``budget`` being the call's step budget (its ``max_steps``).
 NativeFn = Callable[..., int]
 #: Signature of cost estimators: ``fn(args) -> count``.
 CostFn = Callable[[list[int]], int]

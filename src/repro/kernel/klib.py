@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from repro.hw.bus import AccessContext, KERNEL_CONTEXT
 from repro.hw.clock import Clock
-from repro.isa.interpreter import Interpreter
+from repro.isa.interpreter import MAX_STEPS, Interpreter
 
 #: CPU cost model: virtual nanoseconds per interpreted instruction.
 #: ~50 effective MIPS: the paper's 175 MHz Alpha 21064 spent much of its
@@ -50,7 +50,7 @@ class KLib:
         name: str,
         args: list[int],
         ctx: AccessContext,
-        max_steps: int | None = None,
+        max_steps: int = MAX_STEPS,
     ) -> int:
         value, steps = self.interp.run(name, args, ctx, self.stack_top, max_steps)
         self.stat_instructions += steps

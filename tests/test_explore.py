@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import FileSystemError, NotADirectory
+from repro.errors import FileSystemError, NotADirectory, SystemCrash
 from repro.explore import (
     Boundary,
     CrashContext,
@@ -30,6 +30,7 @@ from repro.explore import (
     default_spec,
     enumerate_boundaries,
     explore,
+    run_boundary_trial,
     run_enumeration,
 )
 from repro.explore.spec import (
@@ -39,6 +40,7 @@ from repro.explore.spec import (
     RecoverySucceeds,
     ShadowPagesNeverTorn,
 )
+from repro.system import System
 
 
 def ctx(**kwargs) -> CrashContext:
@@ -233,6 +235,35 @@ class TestEnumeration:
         ):
             assert census[key] > 0, f"lost the {key} boundary kind"
         assert "wb/flush" not in census
+
+
+class TestRecoveryRule:
+    def test_a_harness_error_in_reboot_escapes_the_trial(self, monkeypatch):
+        """Table 1's rule: only a crash or a file-system error out of the
+        reboot is the trial's outcome (a ``recovery_error``, hence a
+        violation); any other exception is the harness's and escapes."""
+        config = ExploreConfig(workload="basic", ops=0)
+        boundary = run_enumeration(config).boundaries[0]
+
+        def broken_reboot(self, **kwargs):
+            raise RuntimeError("harness bug")
+
+        monkeypatch.setattr(System, "reboot", broken_reboot)
+        with pytest.raises(RuntimeError, match="harness bug"):
+            run_boundary_trial(config, boundary)
+
+    def test_a_reboot_that_crashes_is_a_violation(self, monkeypatch):
+        config = ExploreConfig(workload="basic", ops=0)
+        boundary = run_enumeration(config).boundaries[0]
+
+        def crashing_reboot(self, **kwargs):
+            raise SystemCrash("reboot crashed")
+
+        monkeypatch.setattr(System, "reboot", crashing_reboot)
+        verdict = run_boundary_trial(config, boundary)
+        assert [(v.clause, v.detail) for v in verdict.violations] == [
+            ("recovery-succeeds", "recovery failed: reboot failed: SystemCrash: reboot crashed")
+        ]
 
 
 @pytest.mark.slow

@@ -10,7 +10,8 @@ from repro.errors import MachineCheck
 from repro.hw import Machine, MachineConfig
 from repro.hw.bus import AccessContext
 from repro.hw.memory import PAGE_SIZE, ZERO_CHECKSUM, PhysicalMemory
-from repro.isa.routines import _walk_chains
+from repro.isa.interpreter import MAX_STEPS
+from repro.isa.routines import PROC_MAGIC, _native_sched_tick
 from repro.util.checksum import fletcher32
 
 
@@ -186,8 +187,6 @@ class TestReadsDoNotAllocate:
 
 # -- the known checksum ---------------------------------------------------------
 
-NODE_MAGIC = 0x4E4F4445
-
 
 def _board() -> Machine:
     """Frames 4, 5 and 6 hold content; virtual pages 0 and 1 map 4 and 5.
@@ -199,7 +198,7 @@ def _board() -> Machine:
     for pfn in (4, 5, 6):
         memory.write(pfn * PAGE, rng.randbytes(PAGE))
     memory.write(4 * PAGE, struct.pack("<Q", 64))
-    memory.write(4 * PAGE + 64, struct.pack("<QQQ", NODE_MAGIC, 0, 41))
+    memory.write(4 * PAGE + 64, struct.pack("<QQQ", PROC_MAGIC, 0, 41))
     return machine
 
 
@@ -209,6 +208,10 @@ def _reference(machine: Machine) -> None:
 
 def _checker(machine: Machine) -> None:
     machine.bus.store_checker = lambda vaddr, length, ctx: None
+
+
+def _walk(machine: Machine) -> None:
+    _native_sched_tick(machine.bus, [0], AccessContext(), MAX_STEPS)
 
 
 #: Every way frame 4 (and for some, 5) changes: ``(setup, mutation)``.
@@ -232,11 +235,10 @@ MUTATORS = {
     "bus.store_u8": (None, lambda m: m.bus.store_u8(3, 0x77)),
     "bus.store_u8-reference": (_reference, lambda m: m.bus.store_u8(3, 0x77)),
     "bus.store_frame": (None, lambda m: struct.pack_into("<Q", m.bus.store_frame(16), 16, 7)),
-    # The page port as the kernel's walkers use it: one store_frame, then
+    # The page port as the kernel's walkers use it: the second walk over
+    # an unchanged chain replays the first one's plan, one store_frame and
     # the counter bumped in place.
-    "page-port-walk": (
-        None, lambda m: _walk_chains(m.bus, 0, 1, NODE_MAGIC, 31, AccessContext())
-    ),
+    "page-port-walk": (_walk, _walk),
 }
 
 

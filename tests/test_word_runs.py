@@ -1,21 +1,21 @@
-"""Differential proof that the counted word runs of ``isa/routines.py``
-(the native ``sched_tick`` / ``vnode_scan`` walkers on the bus's page
-port) are the one-bus-call-per-word walk they replaced.
+"""Differential proof that the native ``sched_tick`` / ``vnode_scan``
+walkers of ``isa/routines.py`` — a word-by-word walk, or the replay of
+the plan its last clean run left — are the assembly they stand for.
 
 Hypothesis builds a run queue and a vnode table on the heap, corrupts
 them — bit flips in magic / next / counter words, pointers sent to
 unmapped addresses, past the end of KSEG, into protected frames that
 carry a matching magic, into kernel text, onto nodes that straddle a page
-edge, onto head words and other nodes' counters — and runs each walker on
-twin machines: one on the counted run, one on the word-by-word bodies
-kept below as the oracle.  Everything observable must agree: result or
-exception (type, message, ``address``), every ``BusStats`` field, the
-MMU's counters, the memory image, which frames' write generations moved,
-and the recorder's trap events.  A third machine interprets the assembly
-the natives stand for, which pins the same data traffic from the other
-side (and is the only side that can cut a cycle, by ``max_steps``).
+edge, onto head words and other nodes' counters, back up their own chain
+— and runs each walker on twin machines: one on the native as the kernel
+runs it, one that walks on every call and never replays.  Everything
+observable must agree: result or exception (type, message, ``address``),
+every ``BusStats`` field, the MMU's counters, the memory image, which
+frames' write generations moved, and the recorder's trap events.  A third
+machine interprets the assembly, which pins the same data traffic from
+the other side, also where the step budget cuts a cycle.
 
-The counted run replays a clean walk's plan while its page holds the same
+The native replays a clean walk's plan while its page holds the same
 bytes, so the same comparison also runs over sequences of ticks with
 corruptions, protection flips and remaps landing *between* them: a plan
 recorded on one tick meets a changed structure on the next.
@@ -23,7 +23,9 @@ recorded on one tick meets a changed structure on the next.
 
 from __future__ import annotations
 
+import signal
 import struct
+from contextlib import contextmanager
 from dataclasses import astuple
 from types import SimpleNamespace
 
@@ -31,11 +33,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import SystemSpec, build_system
-from repro.errors import CrashedMachineError, KernelPanic, SystemCrash, WatchdogTimeout
+from repro.errors import CrashedMachineError, SystemCrash, WatchdogTimeout
 from repro.hw import Machine, MachineConfig
 from repro.hw.mmu import KSEG_BASE
 from repro.isa import Interpreter, routines
-from repro.isa.interpreter import PANIC_MESSAGES
 from repro.isa.routines import PROC_MAGIC, VNODE_MAGIC, build_kernel_text
 
 PAGE = 8192
@@ -47,35 +48,6 @@ TEXT = 1 * PAGE
 #: A frame no virtual page maps: reachable through KSEG only.
 KSEG_ONLY_PFN = 60
 MAX_STEPS = 5_000
-
-# -- the oracle: the walkers as they were, one bus call per word -------------
-
-
-def _oracle_sched_tick(bus, args, ctx):
-    load_u64, store_u64 = bus.load_u64, bus.store_u64
-    node = load_u64(args[0], ctx)
-    while node:
-        if load_u64(node, ctx) != PROC_MAGIC:
-            raise KernelPanic(PANIC_MESSAGES[31], code=31)
-        store_u64(node + 16, load_u64(node + 16, ctx) + 1, ctx)
-        node = load_u64(node + 8, ctx)
-    return 0
-
-
-def _oracle_vnode_scan(bus, args, ctx):
-    load_u64, store_u64 = bus.load_u64, bus.store_u64
-    table, nbuckets = args[0], args[1]
-    for bucket in range(nbuckets):
-        node = load_u64(table + 8 * bucket, ctx)
-        while node:
-            if load_u64(node, ctx) != VNODE_MAGIC:
-                raise KernelPanic(PANIC_MESSAGES[33], code=33)
-            store_u64(node + 16, load_u64(node + 16, ctx) + 1, ctx)
-            node = load_u64(node + 8, ctx)
-    return 0
-
-
-ORACLES = {"sched_tick": _oracle_sched_tick, "vnode_scan": _oracle_vnode_scan}
 
 # -- the machines ------------------------------------------------------------
 
@@ -94,7 +66,7 @@ STRADDLERS = [HEAP + PAGE - 16, HEAP + PAGE - 12, HEAP + 2 * PAGE - 4]
 ALL_NODES = PROCS + [n for chain in VNODES for n in chain] + STRADDLERS
 
 
-def build_env(fast_path: bool = True, oracle: bool = False, interpret: bool = False):
+def build_env(fast_path: bool = True, replays: bool = True, interpret: bool = False):
     machine = Machine(
         MachineConfig(memory_bytes=MEMORY_PAGES * PAGE, boot_time_ns=0, fast_path=fast_path)
     )
@@ -104,14 +76,11 @@ def build_env(fast_path: bool = True, oracle: bool = False, interpret: bool = Fa
         machine.mmu.map(1 + i, 1 + i, writable=False)
     for i in range(HEAP_PAGES):
         machine.mmu.map(HEAP_VPN + i, HEAP_VPN + i)
-    if oracle:
-        for name, native in ORACLES.items():
-            text.routines[name].native = native
     interp = Interpreter(machine.bus, text)
     interp.force_interpret = interpret
     return SimpleNamespace(
         machine=machine, bus=machine.bus, mmu=machine.mmu, memory=machine.memory,
-        text=text, interp=interp,
+        text=text, interp=interp, replays=replays,
     )
 
 
@@ -171,9 +140,18 @@ VALUES = st.one_of(
     st.sampled_from([PROC_MAGIC, VNODE_MAGIC, PROC_MAGIC ^ 1, (1 << 64) - 1, 1, 0]),
 )
 
+#: A next word sent back up its own chain: a cycle the step budget ends.
+LOOPS = [
+    (node + 8, chain[j])
+    for chain in (PROCS, *VNODES)
+    for i, node in enumerate(chain)
+    for j in range(i + 1)
+]
+
 CORRUPTION = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(WORDS), VALUES),
     st.tuples(st.just("flip"), st.sampled_from(WORDS), st.integers(0, 63)),
+    st.sampled_from(LOOPS).map(lambda loop: ("set", *loop)),
 )
 
 PROTECTION = st.fixed_dictionaries(
@@ -216,14 +194,17 @@ def prepare(env, corruptions, protection) -> None:
     env.machine.recorder.start()
 
 
-def run(env, call):
+def run(env, call, max_steps=MAX_STEPS):
     name, *args = call
+    if not env.replays:
+        env.bus.walk_plans.clear()  # the walk, on every call
     gens_before = list(env.memory._page_gens)
     try:
-        result = env.interp.call(name, args, max_steps=MAX_STEPS)
+        result = env.interp.call(name, args, max_steps=max_steps)
         outcome = ("ok", result.value)
     except (SystemCrash, CrashedMachineError) as exc:
         outcome = (type(exc).__name__, str(exc), getattr(exc, "address", None))
+    env.outcome = outcome
     return SimpleNamespace(
         outcome=outcome,
         stats=astuple(env.bus.stats),
@@ -244,17 +225,15 @@ def data_loads(stats) -> int:
     return (bytes_loaded - 4 * loads) // 4
 
 
-def tick(envs, call) -> bool:
+def tick(envs, call, max_steps=MAX_STEPS) -> bool:
     """Run ``call`` on the :func:`build_envs` and compare them; False once
-    the machine would be down (or only the interpreter can cut the walk)."""
+    the machine would be down."""
     counted, words, asm_fast, asm_ref = envs
-    asm, ref = run(asm_fast, call), run(asm_ref, call)
+    asm, ref = run(asm_fast, call, max_steps), run(asm_ref, call, max_steps)
     assert (asm.outcome, asm.stats[:5], asm.image, asm.traps) == (
         ref.outcome, ref.stats[:5], ref.image, ref.traps,
     )
-    if asm.outcome[0] == WatchdogTimeout.__name__:
-        return False  # a cycle: only the interpreter has a step budget to cut it
-    a, b = run(counted, call), run(words, call)
+    a, b = run(counted, call, max_steps), run(words, call, max_steps)
     assert vars(a) == vars(b)
     # ... and both are the assembly's data traffic.
     assert (a.outcome, a.image, a.moved, a.traps) == (
@@ -267,10 +246,10 @@ def tick(envs, call) -> bool:
 
 
 def build_envs():
-    """The counted run, the word-walk oracle, and the assembly interpreted
-    on the fast and the reference engine."""
+    """The native as the kernel runs it, the native walking on every call,
+    and the assembly interpreted on the fast and the reference engine."""
     return (
-        build_env(), build_env(oracle=True),
+        build_env(), build_env(replays=False),
         build_env(interpret=True), build_env(fast_path=False, interpret=True),
     )
 
@@ -374,13 +353,33 @@ def test_replay_is_the_word_walk_across_ticks(cut, corruptions, ticks):
                 land(env, *step)
 
 
-def count_walks(monkeypatch) -> list:
-    """Record the slot of every word walk (a replay is not one)."""
+@pytest.mark.parametrize("call", [("sched_tick", HEAD), ("vnode_scan", TABLE, NBUCKETS)])
+@pytest.mark.parametrize("panics", [False, True], ids=["clean", "panics"])
+def test_every_budget_stops_the_walk_where_the_assembly_stops(call, panics):
+    """From 67, past either clean walk's steps (32, 66), down to 0: the
+    native completes, panics or stops at the watchdog where the assembly
+    does, after the same accesses — and replays only within its budget."""
+    envs = build_envs()
+    for env in envs:
+        lay_out(env)
+        one_page(env)
+        if panics:
+            poke(env, PROCS[2] if call[0] == "sched_tick" else VNODES[-1][0], 0)
+    outcomes = set()
+    for budget in range(67, -1, -1):
+        tick(envs, call, budget)
+        outcomes.add(envs[0].outcome[0])
+    assert outcomes == {"KernelPanic" if panics else "ok", "WatchdogTimeout"}
+
+
+def count_walks(monkeypatch, env) -> list:
+    """Record the slot of every walk on ``env`` (a replay is not one)."""
     walks = []
     walk = routines._walk_chains
 
     def counted(bus, slot, *args):
-        walks.append(slot)
+        if bus is env.bus:
+            walks.append(slot)
         return walk(bus, slot, *args)
 
     monkeypatch.setattr(routines, "_walk_chains", counted)
@@ -388,8 +387,8 @@ def count_walks(monkeypatch) -> list:
 
 
 def test_unchanged_structures_replay(monkeypatch):
-    walks = count_walks(monkeypatch)
     envs = build_envs()
+    walks = count_walks(monkeypatch, envs[0])
     for env in envs:
         lay_out(env)
         one_page(env)
@@ -408,8 +407,8 @@ def test_unchanged_structures_replay(monkeypatch):
 
 
 def test_a_replay_that_traps_counts_what_the_walk_issued(monkeypatch):
-    walks = count_walks(monkeypatch)
     envs = build_envs()
+    walks = count_walks(monkeypatch, envs[0])
     for env in envs:
         lay_out(env)
         one_page(env)
@@ -423,8 +422,8 @@ def test_a_replay_that_traps_counts_what_the_walk_issued(monkeypatch):
 
 
 def test_counter_about_to_wrap_takes_the_walk(monkeypatch):
-    walks = count_walks(monkeypatch)
     envs = build_envs()
+    walks = count_walks(monkeypatch, envs[0])
     for env in envs:
         lay_out(env)
         one_page(env)
@@ -453,12 +452,97 @@ def test_no_plan_survives_a_reboot():
     assert not set(map(id, system.machine.bus.walk_plans.values())) & set(map(id, plans.values()))
 
 
+def _counting(calls, key, fn):
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("name", ["rio_prot", "rio_noprot", "ufs"])
+def test_a_boot_walks_each_structure_once(monkeypatch, name):
+    """Every background tick calls both walkers; on an unchanged structure
+    all but the boot's first call of each replay its plan."""
+    calls = {"walk": 0, "run": 0}
+    for key, attr in (("walk", "_walk_chains"), ("run", "_run_chains")):
+        monkeypatch.setattr(routines, attr, _counting(calls, key, getattr(routines, attr)))
+    system = build_system(SystemSpec(name))
+    kernels = []
+
+    def files(first, count):
+        for i in range(first, first + count):
+            fd = system.vfs.open(f"/f{i}", create=True)
+            system.vfs.write(fd, b"x" * 100)
+            system.vfs.close(fd)
+        kernels.append(system.kernel)
+
+    files(0, 100)
+    assert calls["walk"] == 2
+    system.crash("test")
+    system.reboot()
+    files(100, 50)
+    assert calls["walk"] == 4
+    assert calls["run"] == 2 * sum(k.background.ticks_run for k in kernels)
+    assert kernels[0] is not kernels[1]
+
+
+@contextmanager
+def deadline(seconds: int = 3):
+    """Fail, rather than hang, a walk that never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the walk had not returned after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def cyclic_kernel(walker: str, interpret: bool):
+    """A booted ``rio_prot`` kernel whose run queue's second proc, or the
+    first vnode chain's second vnode, points back to the node before it."""
+    system = build_system(SystemSpec("rio_prot"))
+    kernel = system.kernel
+    bus, background = kernel.bus, kernel.background
+    head = background.runqueue_head if walker == "sched_tick" else background.vnode_table
+    first = bus.load_u64(head)
+    bus.store_u64(bus.load_u64(first + 8) + 8, first)
+    kernel.interp.force_interpret = interpret
+    return system, head
+
+
+@pytest.mark.parametrize("walker", ["sched_tick", "vnode_scan"])
+def test_a_cyclic_chain_ends_in_the_watchdog(walker):
+    seen = []
+    for interpret in (False, True):
+        system, head = cyclic_kernel(walker, interpret)
+        klib, bus = system.kernel.klib, system.machine.bus
+        call = klib.sched_tick if walker == "sched_tick" else klib.vnode_scan
+        args = (head,) if walker == "sched_tick" else (head, 8)
+        before = astuple(bus.stats)
+        with deadline(), pytest.raises(WatchdogTimeout) as caught:
+            call(*args)
+        stats = [after - b for after, b in zip(astuple(bus.stats), before)]
+        seen.append((
+            str(caught.value), data_loads(stats), stats[1], stats[3],
+            dict(system.machine.memory._pages),
+        ))
+    native, asm = seen
+    assert native[0] == f"watchdog: {walker} exceeded 100000 steps"
+    assert native == asm
+
+
 # -- explicit cases -----------------------------------------------------------
 
 
 def twin(call, corruptions=(), protection=None):
     protection = protection or {"abox": False, "readonly_vpns": set(), "readonly_pfns": set()}
-    counted, words = build_env(), build_env(oracle=True)
+    counted, words = build_env(), build_env(replays=False)
     out = []
     for env in (counted, words):
         prepare(env, list(corruptions), protection)
@@ -534,7 +618,7 @@ def test_crashed_machine_raises_before_counting():
 @pytest.mark.parametrize("mode", ["store_checker", "reference_bus"])
 def test_unflat_bus_takes_the_word_route(mode):
     env = build_env(fast_path=mode != "reference_bus")
-    oracle = build_env(fast_path=mode != "reference_bus", oracle=True)
+    oracle = build_env(fast_path=mode != "reference_bus", replays=False)
     checked = []
     for e in (env, oracle):
         lay_out(e)
