@@ -37,9 +37,11 @@ bench-same:
 # per trial, no profiler).  MEM=1 asks where peak_rss_mb comes from: the
 # round under tracemalloc, the traced peak of each HostClock bucket (make
 # profile W=tiered_disk MEM=1) — the table to start a memory issue from.
-# Every mode but MEM=1 also prints "background walks: N of M ticks (B
-# boots)": the kernel's background walkers that walked rather than
-# replayed a plan, two per clean boot; and
+# Every mode but MEM=1 also prints "kernel steps: N charged — sched_tick
+# a, vnode_scan b, cache_copy c, bcopy d": the instructions each kernel
+# routine charged to virtual CPU time, natively or interpreted; and
+# "background walks: N of M ticks (B boots)": the kernel's background
+# walkers that walked rather than replayed a plan, two per clean boot; and
 # "registry stores: N of M took the layered route": the entry stores that
 # did not apply their known effect; and "clock: N of M advances woke the
 # listeners": the virtual-clock advances that reached a listener's deadline.

@@ -19,7 +19,10 @@ emitted into the flight recorder, counted by ``kind/op`` —
 explore_traffic is the one recorder-on workload, and a recorder-path
 question should start from those counts.
 
-Every mode but ``--memory`` also prints ``background walks: N of M
+Every mode but ``--memory`` also prints ``kernel steps: N charged —
+sched_tick a, vnode_scan b, cache_copy c, bcopy d``: the instructions
+the kernel's routine calls charged to virtual CPU time (20 ns each), by
+routine, whichever route ran them; ``background walks: N of M
 ticks (B boots)``: of the M background walker calls the process made,
 the N that walked their structure rather than replaying the last walk's
 plan, and the B kernels it booted (a clean boot walks each of its two
@@ -198,7 +201,8 @@ def unwrap(undo) -> None:
 
 class CallCounter:
     """Counts, while active, the calls of :data:`COUNTED` — wrapped in
-    place — and how many of them returned a true value."""
+    place — and how many of them returned a true value, and sums the
+    steps the calls of :data:`CHARGED` charged, by routine."""
 
     #: ``(label, module, function or Class.method)``: the background
     #: walker calls and the walks among them (the rest replayed a plan),
@@ -216,12 +220,20 @@ class CallCounter:
         ("wakes", "repro.hw.clock", "Clock._fire"),
     )
 
+    #: The kernel's routine calls (``KLib._run``), whose charged steps
+    #: are summed per routine.
+    CHARGED = (("steps", "repro.kernel.klib", "KLib._run"),)
+    #: The routines the kernel calls, in the order the tally prints them.
+    ROUTINES = ("sched_tick", "vnode_scan", "cache_copy", "bcopy")
+
     def __init__(self) -> None:
         self.calls: collections.Counter = collections.Counter()
         self.true: collections.Counter = collections.Counter()
+        self.steps: collections.Counter = collections.Counter()
 
     def __enter__(self) -> "CallCounter":
         self._undo = wrap_in_place(self.COUNTED, self._counted)
+        self._undo += wrap_in_place(self.CHARGED, self._charged)
         return self
 
     def __exit__(self, *_exc) -> None:
@@ -239,7 +251,19 @@ class CallCounter:
 
         return counted
 
+    def _charged(self, _label: str, func):
+        def charged(klib, name, *args, **kwargs):
+            before = klib.stat_instructions
+            result = func(klib, name, *args, **kwargs)
+            if klib.charge_time:
+                self.steps[name] += klib.stat_instructions - before
+            return result
+
+        return charged
+
     def report(self) -> None:
+        by_routine = ", ".join(f"{name} {self.steps[name]}" for name in self.ROUTINES)
+        print(f"kernel steps: {sum(self.steps.values())} charged — {by_routine}")
         calls = self.calls
         print(
             f"background walks: {calls['walks']} of {calls['ticks']} ticks"

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import CrashedMachineError, FileSystemError, SystemCrash
+from repro.errors import CrashedMachineError, FileSystemError, ReproError, SystemCrash
 from repro.fs.dissect import second_opinion, snapshot
 from repro.reliability.campaign import system_spec_for
 from repro.server.journal import AckJournal
@@ -140,10 +140,11 @@ class _RunBase:
         if journal is None:
             return
         from repro.backend.audit import RemoteCheck, remote_recovery_audit
+        from repro.backend.common import BackendError
 
         try:
             self.remote = remote_recovery_audit(self.system, journal)
-        except Exception as exc:  # the spec turns this into a violation
+        except (ReproError, BackendError) as exc:  # the spec makes it a violation
             self.remote = RemoteCheck(
                 error=f"remote audit failed: {type(exc).__name__}: {exc}"
             )

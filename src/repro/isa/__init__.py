@@ -19,8 +19,8 @@ as legitimate stores.
 
 For speed, routines whose text is *pristine* (never touched by the fault
 injector) may execute via registered native equivalents that issue the
-same bus traffic; any routine whose text has been mutated always runs on
-the interpreter.
+same bus traffic and return the same step count; any routine whose text
+has been mutated always runs on the interpreter.
 """
 
 from repro.isa.encoding import (

@@ -220,7 +220,6 @@ def watchdog(name: str, budget: int) -> WatchdogTimeout:
 class CallResult:
     value: int
     steps: int
-    stores: int
     interpreted: bool
 
 
@@ -256,16 +255,14 @@ class Interpreter:
         sp: int = 0,
         max_steps: int = MAX_STEPS,
     ) -> tuple[int, int]:
-        """Invoke routine ``name``; ``(value, steps)``, what the kernel
-        charges for.  A pristine routine's native call builds nothing
-        else: no :class:`CallResult`, no store count."""
+        """Invoke routine ``name``; ``(value, steps)``, ``steps`` being the
+        instructions executed, which the kernel charges for.  A native
+        returns the count its assembly would have, so the charge does
+        not depend on the route."""
         routine = self._routine(name, args)
         if self._runs_native(routine):
-            steps_fn = routine.steps_fn
-            value = routine.native(self.bus, args, ctx, max_steps) & MASK64
-            return value, steps_fn(args) if steps_fn else 0
-        result = self._interpret(name, args, ctx, sp, max_steps)
-        return result.value, result.steps
+            return routine.native(self.bus, args, ctx, max_steps)
+        return self._interpret(name, args, ctx, sp, max_steps)
 
     def call(
         self,
@@ -275,14 +272,11 @@ class Interpreter:
         sp: int = 0,
         max_steps: int = MAX_STEPS,
     ) -> CallResult:
-        """:meth:`run` with the store count and the engine that ran it."""
+        """:meth:`run` with the engine that ran it."""
         args = list(args)
-        routine = self._routine(name, args)
-        if not self._runs_native(routine):
-            return self._interpret(name, args, ctx, sp, max_steps)
+        interpreted = not self._runs_native(self._routine(name, args))
         value, steps = self.run(name, args, ctx, sp, max_steps)
-        stores = routine.stores_fn(args) if routine.stores_fn else 0
-        return CallResult(value=value, steps=steps, stores=stores, interpreted=False)
+        return CallResult(value=value, steps=steps, interpreted=interpreted)
 
     def _routine(self, name: str, args: list[int]) -> Routine:
         try:
@@ -310,8 +304,8 @@ class Interpreter:
         ctx: AccessContext,
         sp: int,
         budget: int,
-    ) -> CallResult:
-        """Pick an engine: the bus-level knob decides."""
+    ) -> tuple[int, int]:
+        """Pick an engine: the bus-level knob decides.  ``(value, steps)``."""
         if self.bus.fast_path:
             return self._interpret_fast(name, args, ctx, sp, budget)
         return self._interpret_ref(name, args, ctx, sp, budget)
@@ -323,7 +317,7 @@ class Interpreter:
         ctx: AccessContext,
         sp: int,
         budget: int,
-    ) -> CallResult:
+    ) -> tuple[int, int]:
         regs = [0] * 32
         for i, arg in enumerate(args):
             regs[16 + i] = arg & MASK64
@@ -333,7 +327,6 @@ class Interpreter:
         regs[26] = sentinel
         pc = self.text.entry_vaddr(name)
         steps = 0
-        stores = 0
 
         def set_reg(index: int, value: int) -> None:
             if index != 31:
@@ -355,7 +348,7 @@ class Interpreter:
 
             if op is Op.HALT:
                 if pc == sentinel:
-                    return CallResult(value=regs[0], steps=steps, stores=stores, interpreted=True)
+                    return regs[0], steps
                 raise KernelPanic(PANIC_MESSAGES[99], code=99)
 
             if op is Op.NOP:
@@ -383,11 +376,9 @@ class Interpreter:
             elif op is Op.STB:
                 addr = (regs[inst.rb] + sext16(inst.imm)) & MASK64
                 self.bus.store(addr, bytes([regs[inst.ra] & 0xFF]), ctx)
-                stores += 1
             elif op is Op.STQ:
                 addr = (regs[inst.rb] + sext16(inst.imm)) & MASK64
                 self.bus.store(addr, regs[inst.ra].to_bytes(8, "little"), ctx)
-                stores += 1
             elif op is Op.ADDQ:
                 set_reg(inst.rc, regs[inst.ra] + regs[inst.rb])
             elif op is Op.SUBQ:
@@ -677,11 +668,11 @@ class Interpreter:
         ctx: AccessContext,
         sp: int,
         budget: int,
-    ) -> CallResult:
+    ) -> tuple[int, int]:
         """The hot path: predecoded pages + dispatch table.
 
         Observable behaviour is bit-identical to :meth:`_interpret_ref`:
-        same return values, step and store counts, ``BusStats`` totals
+        same return values and step counts, ``BusStats`` totals
         (fetch loads are batched into the stats on exit), and the same
         trap types, messages and ordering.  Fetch validity is re-checked
         every instruction against the MMU and frame generation counters,
@@ -692,7 +683,6 @@ class Interpreter:
         bus = self.bus
         memory = bus.memory
         mmu = bus.mmu
-        stats = bus.stats
         dispatch = self._dispatch
         if dispatch is None:
             dispatch = self._dispatch = self._build_dispatch()
@@ -711,7 +701,6 @@ class Interpreter:
         pc = self.text.entry_vaddr(name)
         steps = 0
         fetches = 0
-        stores_before = stats.stores
         page_gens = memory._page_gens
         page_lo = 0
         page_hi = 0
@@ -744,12 +733,7 @@ class Interpreter:
                 entry = entries[(pc - page_lo) >> 2]
                 pc = dispatch[entry[0]](entry, pc + 4)
         except _HaltSignal:
-            return CallResult(
-                value=regs[0],
-                steps=steps,
-                stores=stats.stores - stores_before,
-                interpreted=True,
-            )
+            return regs[0], steps
         finally:
             # The reference engine pays one 4-byte bus load per fetch;
             # settle the identical totals in one batch (also on the

@@ -20,15 +20,16 @@ mini-ISA:
   the file cache.
 
 Each native registered via :func:`build_kernel_text` leaves the same
-memory and raises the same panics as its assembly, so a run behaves
-identically whether a routine executes natively (pristine text) or on the
-interpreter (corrupted text) — only speed differs.  The walkers issue the
-assembly's bus traffic word for word and stop at its watchdog; the copies
-issue one ranged load and one ranged store (``stores_fn`` models the
-assembly's count) and ignore the step budget: their longest, a page plus
-an overrun, is some 12 000 of a call's 500 000 steps.  ``bzero`` and
-``checksum_block`` have no native: no kernel path calls them, so they are
-text the faults land in and the interpreter runs, nothing more.
+memory, raises the same panics and returns the same step count as its
+assembly, so a run behaves identically whether a routine executes natively
+(pristine text) or on the interpreter (corrupted text) — only host speed
+differs.  The walkers issue the assembly's bus traffic word for word and
+stop at its watchdog; the copies issue one ranged load and one ranged
+store, count their steps in closed form and ignore the step budget: their
+longest, a page plus an overrun, is some 12 000 of a call's 500 000
+steps.  ``bzero`` and ``checksum_block`` have no native: no kernel path
+calls them, so they are text the faults land in and the interpreter
+runs, nothing more.
 """
 
 from __future__ import annotations
@@ -212,28 +213,24 @@ MASK64 = (1 << 64) - 1
 
 
 # -- native fast paths -------------------------------------------------------
+#
+# Each returns ``(value, steps)``.  A copy's steps are the assembly's fixed
+# instructions (the sentinel ``halt`` among them), 8 per quadword and 7
+# per tail byte.
 
 
-def _native_bcopy(bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int) -> int:
+def _native_bcopy(
+    bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int
+) -> tuple[int, int]:
     src, dst, length = args[0], args[1], args[2]
     if length:
         bus.store(dst, bus.load(src, length, ctx), ctx)
-    return length
-
-
-def _bcopy_steps(args: list[int]) -> int:
-    length = args[2]
-    return 6 + 8 * (length // 8) + 7 * (length % 8)
-
-
-def _bcopy_stores(args: list[int]) -> int:
-    length = args[2]
-    return length // 8 + length % 8
+    return length, 7 + 8 * (length // 8) + 7 * (length % 8)
 
 
 def _native_cache_copy(
     bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int
-) -> int:
+) -> tuple[int, int]:
     hdr, src, off, length = args[0], args[1], args[2], args[3]
     magic = bus.load_u64(hdr + HDR_MAGIC_OFF, ctx)
     if magic != CACHE_HDR_MAGIC:
@@ -244,26 +241,15 @@ def _native_cache_copy(
         raise KernelPanic(PANIC_MESSAGES[22], code=22)
     if length:
         bus.store((dst_base + off) & MASK64, bus.load(src, length, ctx), ctx)
-    return length
-
-
-def _cache_copy_steps(args: list[int]) -> int:
-    length = args[3]
-    return 20 + 8 * (length // 8) + 7 * (length % 8)
-
-
-def _cache_copy_stores(args: list[int]) -> int:
-    length = args[3]
-    # The register spills in the prologue are stores too.
-    return 3 + length // 8 + length % 8
+    return length, 25 + 8 * (length // 8) + 7 * (length % 8)
 
 
 # The two walkers are one loop: ``sched_tick`` is ``vnode_scan`` over a
 # one-slot table with its own magic, panic and instruction layout.  The
 # walk makes one bus call per word in the assembly's order and counts its
 # instructions against the call's step budget, so a chain a fault bent
-# into a cycle ends in the interpreter's watchdog after the same accesses
-# (the kernel is still charged ``steps_fn``'s constant).
+# into a cycle ends in the interpreter's watchdog after the same accesses,
+# and a walk that ends returns the count the kernel is charged.
 #
 # A walk repeats itself: its only effect is one more on each counter.  So
 # a clean walk on a flat bus whose slots and nodes are aligned words of
@@ -362,7 +348,8 @@ def _visit_words(bus, node, magic, code, ctx, room, routine, budget) -> int:
 
 def _walk_chains(bus, slot, nslots, walker, ctx, budget) -> int:
     """Walk the chain hanging off each of ``nslots`` head words at ``slot``;
-    a clean run leaves its plan (:func:`_record_plan`)."""
+    returns the steps the assembly executes, and a clean run leaves its
+    plan (:func:`_record_plan`)."""
     routine, magic, code, lead, follow, tail = walker
     steps = 0
     nodes = []
@@ -381,7 +368,7 @@ def _walk_chains(bus, slot, nslots, walker, ctx, budget) -> int:
     if steps > budget:
         raise watchdog(routine, budget)
     _record_plan(bus, slot, nslots, magic, nodes, steps)
-    return 0
+    return steps
 
 
 def _run_chains(bus, slot, nslots, walker, ctx, budget) -> int:
@@ -411,19 +398,19 @@ def _run_chains(bus, slot, nslots, walker, ctx, budget) -> int:
     plan.image = frame[lo:hi] = value.to_bytes(hi - lo, "little")
     plan.headroom -= 1
     bus.settle(*plan.counts)
-    return 0
+    return plan.steps
 
 
-def _native_sched_tick(bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int) -> int:
-    return _run_chains(bus, args[0], 1, _SCHED_TICK, ctx, budget)
+def _native_sched_tick(
+    bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int
+) -> tuple[int, int]:
+    return 0, _run_chains(bus, args[0], 1, _SCHED_TICK, ctx, budget)
 
 
-def _native_vnode_scan(bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int) -> int:
-    return _run_chains(bus, args[0], args[1], _VNODE_SCAN, ctx, budget)
-
-
-def _const_steps(value: int):
-    return lambda args: value
+def _native_vnode_scan(
+    bus: MemoryBus, args: list[int], ctx: AccessContext, budget: int
+) -> tuple[int, int]:
+    return 0, _run_chains(bus, args[0], args[1], _VNODE_SCAN, ctx, budget)
 
 
 def build_kernel_text(transform=None) -> KernelText:
@@ -438,14 +425,8 @@ def build_kernel_text(transform=None) -> KernelText:
     text = KernelText(ROUTINE_SOURCES, transform=transform)
     if transform is not None:
         return text
-    text.register_native("bcopy", _native_bcopy, _bcopy_steps, _bcopy_stores)
-    text.register_native(
-        "cache_copy", _native_cache_copy, _cache_copy_steps, _cache_copy_stores
-    )
-    text.register_native(
-        "sched_tick", _native_sched_tick, _const_steps(120), _const_steps(16)
-    )
-    text.register_native(
-        "vnode_scan", _native_vnode_scan, _const_steps(400), _const_steps(32)
-    )
+    text.register_native("bcopy", _native_bcopy)
+    text.register_native("cache_copy", _native_cache_copy)
+    text.register_native("sched_tick", _native_sched_tick)
+    text.register_native("vnode_scan", _native_vnode_scan)
     return text

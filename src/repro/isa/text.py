@@ -23,11 +23,11 @@ from repro.isa.encoding import Instruction, decode, encode
 
 WORD_BYTES = 4
 
-#: Signature of a native fast-path: ``native(bus, args, ctx, budget) -> return
-#: value``, ``budget`` being the call's step budget (its ``max_steps``).
-NativeFn = Callable[..., int]
-#: Signature of cost estimators: ``fn(args) -> count``.
-CostFn = Callable[[list[int]], int]
+#: Signature of a native fast-path: ``native(bus, args, ctx, budget) ->
+#: (value, steps)``, ``budget`` being the call's step budget (its
+#: ``max_steps``), ``value`` the 64-bit word the assembly leaves in ``v0``
+#: and ``steps`` the instructions it executes.
+NativeFn = Callable[..., tuple[int, int]]
 
 
 @dataclass
@@ -39,8 +39,6 @@ class Routine:
     num_words: int
     pristine: bool = True
     native: Optional[NativeFn] = None
-    steps_fn: Optional[CostFn] = None
-    stores_fn: Optional[CostFn] = None
     labels: dict[str, int] = field(default_factory=dict)
 
     def contains_index(self, word_index: int) -> bool:
@@ -78,24 +76,15 @@ class KernelText:
 
     # -- construction -----------------------------------------------------
 
-    def register_native(
-        self,
-        name: str,
-        native: NativeFn,
-        steps_fn: CostFn,
-        stores_fn: CostFn,
-    ) -> None:
+    def register_native(self, name: str, native: NativeFn) -> None:
         """Attach a native fast-path to a routine.
 
         The native function must issue the *same bus stores* as the
-        assembly (possibly batched) so protection semantics are identical;
-        ``steps_fn``/``stores_fn`` report the instruction and store counts
-        the interpreted version would have executed, for the cost model.
+        assembly (possibly batched) so protection semantics are identical,
+        and return the step count the interpreted version would have
+        executed, which is what the kernel charges.
         """
-        routine = self.routines[name]
-        routine.native = native
-        routine.steps_fn = steps_fn
-        routine.stores_fn = stores_fn
+        self.routines[name].native = native
 
     @property
     def size_bytes(self) -> int:

@@ -23,6 +23,7 @@ from repro.errors import (
     KernelPanic,
     MachineCheck,
     ProtectionTrap,
+    ReproError,
     SystemCrash,
     WatchdogTimeout,
 )
@@ -346,6 +347,10 @@ class Kernel:
                 panic_code=exc.code if isinstance(exc, KernelPanic) else None,
             )
         if not self.reliability_writes_off and kind in _PANIC_PATH_KINDS:
+            # Imported here: a kernel that never syncs on the way down never
+            # loads the backend package.
+            from repro.backend.common import BackendError
+
             try:
                 if self.buffer_cache is not None:
                     self.buffer_cache.flush_all(sync=False)
@@ -354,6 +359,6 @@ class Kernel:
                 # The flushes are queued asynchronously; whichever have not
                 # reached the platter when machine.crash() resolves the disk
                 # queue are lost or torn — a dying kernel's sync is racy.
-            except Exception:
+            except (ReproError, BackendError):
                 pass  # a dying kernel's sync often fails part way
         self.machine.crash(str(exc), kind=kind)

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.backend import BackendError
 from repro.errors import FileSystemError, NotADirectory, SystemCrash
 from repro.explore import (
     Boundary,
@@ -251,6 +252,30 @@ class TestRecoveryRule:
         monkeypatch.setattr(System, "reboot", broken_reboot)
         with pytest.raises(RuntimeError, match="harness bug"):
             run_boundary_trial(config, boundary)
+
+    @pytest.mark.parametrize(
+        "error", [BackendError("store lost"), RuntimeError("harness bug")],
+        ids=["backend", "harness"],
+    )
+    def test_only_a_simulated_failure_in_the_remote_audit_is_a_violation(
+        self, monkeypatch, error
+    ):
+        """The same rule for the remote-tier audit after the reboot."""
+        config = ExploreConfig(workload="basic", ops=0, backend="local")
+        boundary = run_enumeration(config).boundaries[0]
+
+        def audit(system, journal):
+            raise error
+
+        monkeypatch.setattr("repro.backend.audit.remote_recovery_audit", audit)
+        if isinstance(error, RuntimeError):
+            with pytest.raises(RuntimeError, match="harness bug"):
+                run_boundary_trial(config, boundary)
+        else:
+            verdict = run_boundary_trial(config, boundary)
+            assert [v.detail for v in verdict.violations] == [
+                "remote audit error: remote audit failed: BackendError: store lost"
+            ]
 
     def test_a_reboot_that_crashes_is_a_violation(self, monkeypatch):
         config = ExploreConfig(workload="basic", ops=0)

@@ -62,7 +62,7 @@ def observe(env, name, args):
     """Run a call and capture every observable output as plain data."""
     try:
         result = env.interp.call(name, args, sp=env.stack_top, max_steps=20_000)
-        outcome = ("ok", result.value, result.steps, result.stores, result.interpreted)
+        outcome = ("ok", result.value, result.steps, result.interpreted)
     except SystemCrash as exc:
         outcome = ("crash", type(exc).__name__, str(exc))
     stats = env.bus.stats

@@ -44,6 +44,15 @@ from repro.server import LoadSpec
 from repro.system import SystemSpec, build_system
 
 GOLDEN = {
+    # Every virtual time below, and every image, registry, report, stream
+    # and Table 1 digest that embeds one, was re-recorded when the native
+    # routines began returning the steps their assembly executes instead
+    # of a side table's estimate.  Each new value is what the parent
+    # (832ea1f) produces with every routine interpreted
+    # (``Interpreter.force_interpret`` on in every interpreter); the ack,
+    # state, cluster and intent digests, counts and ``table2/rio_patch``
+    # (no natives) did not move.
+    #
     # The two stream digests were re-recorded in PR 24 (the parent, 29dae24,
     # read ae88c6a6... / 2361fa07... over 2 042 events): a registry window
     # opens the entry's frame, not all thirteen, so 1 584 ``mmu/kseg-protect``
@@ -51,19 +60,19 @@ GOLDEN = {
     # is what that may not move, recorded on that parent and unchanged here.
     "explore": {
         "boundaries": 146,
-        "enumeration_digest": "2388dc04514053c66e2f34933bb0918223dd8bd79984c0842ed4a0c4cb53f08b",
-        "report_digest": "269eb0f416ea5f5671b968d6a0c7c9d3ab7ba51e21672bca001a5a23e5694080",
-        "projection_digest": "b7ed6b8e3644f9ed65a49d2b166a9bd207bd77d7d75d6ef9c30ba238453203db",
+        "enumeration_digest": "3794503a54a09800ffc3aede5a9bf5a57d0a97e69e26318871fc060c3aca93b0",
+        "report_digest": "82505fba1a1f2ec17225dba6c4aed72a5b68aebb962f82dfda2f7b49758a3da3",
+        "projection_digest": "3987585353cf4fdfd059b9ca11a1871933dd3f07f7536ecf60bb47e47dfe08db",
     },
     "traffic": {
         "ack_digest": "2cda5709683f86b1f61d804586e309545ba3def72a2e46c7954b61518ed411cb",
         "state_digest": "f2cd5034670b26abd15a24780ec96e0c5509e1384e63cf176e40a4a54767081a",
-        "virtual_ns": 101061389695,
-        "recovery_ns": 101008872700,
-        "final_image_sha256": "0646460c8e88a5a97591c88837cd356db8adfe37fb60a8b5266a4dc98019ba73",
-        "report_sha256": "7d54609b4f78116922679b3994a456c30b979a7eb9e1ab4777482c251a2b8674",
+        "virtual_ns": 101058207675,
+        "recovery_ns": 101006931340,
+        "final_image_sha256": "0a7651daa6951401339a88f43ba9b8c8e21e2c6253f0429a50d869d90a1d3c9b",
+        "report_sha256": "0112294092f85338d5cbaa3aa76d7e42a51f32a3af1e99ff67582ac523438bb9",
     },
-    "table1": "48c199392bbb89bfee45487615c7bc7726e23c2ed0c9670d806a5f141891a90e",
+    "table1": "51abbd87e7fbc64e8153d76f973916be4e386e2ae6eb929ed6f4474a1c08e635",
     # ``local`` and ``objectstore`` wait for every remote request: recorded
     # on the parent of PR 18 (4c934b9) and unmoved by it — the oracle that
     # the link charges a waited request exactly what ``clock.consume`` did.
@@ -73,22 +82,22 @@ GOLDEN = {
         "local": {
             "ack_digest": "2c58669d9f3bf38581ff536a95e31469de2fcf5a6a90d2c22af402cffa90172d",
             "state_digest": "acfcc21394b689efef384f5b5a48d0b460e317769cdcad56f2bca315ca56d281",
-            "remote_image_sha256": "5b27ba09ee3c331736b7071a6ec1f882123d97455bb1821603f53beba06aaf12",
-            "virtual_ns": 31784987970,
+            "remote_image_sha256": "141a259892eb2774dd62591afaa3d36949dd206c59651998f5e0cbd1c6847630",
+            "virtual_ns": 31784178290,
             "uploads": 147,
         },
         "objectstore": {
             "ack_digest": "2c58669d9f3bf38581ff536a95e31469de2fcf5a6a90d2c22af402cffa90172d",
             "state_digest": "acfcc21394b689efef384f5b5a48d0b460e317769cdcad56f2bca315ca56d281",
-            "remote_image_sha256": "cc6a8a0301a81fdfc8576fcda2952900997a35fb1b12c46482c93e330c7f8c06",
-            "virtual_ns": 32870368819,
+            "remote_image_sha256": "0ef39d84b68fabbf8dd4192e370a842a3a9cf13d6821ba3f23444fbb04da664b",
+            "virtual_ns": 32869559139,
             "uploads": 147,
         },
         "tiered": {
             "ack_digest": "2c58669d9f3bf38581ff536a95e31469de2fcf5a6a90d2c22af402cffa90172d",
             "state_digest": "acfcc21394b689efef384f5b5a48d0b460e317769cdcad56f2bca315ca56d281",
-            "remote_image_sha256": "89f994dd0509e519f83e59517d3d498e5caeb2c949855ea4a806be88df891de2",
-            "virtual_ns": 32008023075,
+            "remote_image_sha256": "b8d62873e2520fd83cc7158ce9947b7b81ab85ac01758098b8b8fde221193406",
+            "virtual_ns": 32007218275,
             "uploads": 75,
         },
     },
@@ -98,20 +107,20 @@ GOLDEN = {
         "dir": {
             "cluster_digest": "0073682890b18126680910fb557d4eac9953c8b65d986be7ae2ccf6e9eadef97",
             "intent_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "virtual_ns": 33525975165,
+            "virtual_ns": 33525443565,
             "acked": 90,
             "recoveries": 2,
             "intents": 0,
-            "report_sha256": "4bca774b3ca9211a57426a392084b98c1130306627331ef28af68604d9db25fc",
+            "report_sha256": "7af47db609a7d41e083a9efb848426a1374b5e055540f0969a5025ecbcb3ebc4",
         },
         "hash": {
             "cluster_digest": "6d14b06b976f5236c883ac1c2625fd15cd62fd8c44326fda832ac4997c582046",
             "intent_digest": "21f201213ae3c534a68317b1c7b4be36de3d2475c17cee0cb2b93b8de235c037",
-            "virtual_ns": 33534891015,
+            "virtual_ns": 33534513155,
             "acked": 90,
             "recoveries": 2,
             "intents": 1,
-            "report_sha256": "cbc91399a37fcd576f2f171d1f9c07ef2577dd4fbd842dd5b20ac9f19c6b9e23",
+            "report_sha256": "d0ac7d8ccf7c90a2e3b8fd15dab995e1ffaeaedaee80b7d17b24be14b9a28e5d",
         },
     },
     # New in PR 20 (the parent refused the combination), acknowledged.
@@ -121,16 +130,16 @@ GOLDEN = {
     # (the tiered link's busy time moves); digests and acks are unchanged.
     "composed": {
         "cluster_digest": "835f9344b89c8d811c93d67a1e1b0415364abf79661618e14c229f6189d4d33e",
-        "virtual_ns": 34006249976,
+        "virtual_ns": 34005757436,
         "acked": 90,
         "recoveries": 2,
         "faults_injected": 2,
         "chaos_fires": [8, 6],
         "final_images": [
-            "14d2f012e558169bf6536dda583f2d8ddce2304658d5484925d411c5065f1504",
-            "509d508ceda8c5b2a6316d4ba29aa311e47d2807dd974a7e7429ae682f30cf7f",
+            "2209ccd83e2da3ce5f9afcb251fd0c35be3f5e81196621f2ee7591776c02a1c4",
+            "be88fba02f7714f54d2fed08f8449dd8fdf935d06b4468b6c29e96f461aaa391",
         ],
-        "report_sha256": "ce2e6340f2ae599e1bdda66a5794427dcd41ae3c22f1fb0f5ef523cbbc253263",
+        "report_sha256": "47d1d13a7e4bf0a59bf604ed7cda3577a7c77df9e361fec30a520bb1d392796f",
     },
     # Re-recorded once (it read 64de0b40... before): a kernel lock now
     # releases on an errno, so ``fail_alloc`` no longer declines to fire
@@ -147,42 +156,42 @@ GOLDEN = {
     "chaos": {
         "digest": "30152b3a2f207f0152df2191a74b1c116013fbfde57fe8de0a3be6fabe00829f",
         "fires": 17,
-        "report_sha256": "afafe071d86b011e4d308b4c1411219f37df5261b5c906a60c136d49c801081f",
+        "report_sha256": "f850edd34a257e22180fb748df5283548b79eefb848395508d48b1841762dd94",
     },
     "fault_storm": {
         "ack_digest": "de6b6c5f0cfcc1341ae18ed95e80a41d32b71b664fc90bfd0c7ccef75fe04d03",
         "state_digest": "6471bcc4542d73739301997df1af7dfbc81ca836e95a09286e77642eb99ec125",
         "faults_injected": 2,
         "watchdog_fired": 0,
-        "virtual_ns": 67191435155,
-        "report_sha256": "5d51397c3e155b2e4980a93e8a91b6259a6b719b95069eeafc27fe6a6b4cc7b4",
+        "virtual_ns": 67189713895,
+        "report_sha256": "5cc534c3ae5a00d769bd326bc25c16bf65689b1f147d3d59adefab0439b2e6f1",
     },
     "repair": {
         "ack_digest": "0ccc74a21fa1ee1852dec73120e86f5298897196588dd628533729063e6af273",
         "lost_acks": 24,
         "repaired_acks": 24,
         "final_audit_ok": True,
-        "virtual_ns": 63755514070,
-        "report_sha256": "b9a60d7619fbcc13e6e3a64aacb16cee89eb646f4d211171fb02cbd63c60e3d8",
+        "virtual_ns": 63753574130,
+        "report_sha256": "44fcdefbe888fb1908c098d768d77c7080a915eb444f7cac2a404d0312d9c5ab",
     },
     "boot": {
         "cold": {
             "free_inodes": 508,
             "free_inodes_sha256": "c621ee140f6c5a75b59dc00b59adea07fc819a4115d9667b19305d998c844c32",
             "registry_sha256": "b7305e32ca59e54302147cb52c381665db6a930ce9d24bb5120863c581754448",
-            "now_ns": 138426740,
+            "now_ns": 138426840,
         },
         "warm_unchecked": {
             "free_inodes": 505,
             "free_inodes_sha256": "cefe907d204d7a3c5377df0341bf04e676a4d2005f101bf87c1b396e5d6a9e27",
-            "registry_sha256": "e248fd133bd19c4fb2700fd9c0a7177a9825ce8d2b8e4ae21e0711fd8d0a0817",
-            "now_ns": 33613844200,
+            "registry_sha256": "20e0f1d0f3b798702f8d6c9a9eff3d799b16619b5f410a4aa0527baae722433e",
+            "now_ns": 33613826060,
         },
         "warm_fsck": {
             "free_inodes": 505,
             "free_inodes_sha256": "cefe907d204d7a3c5377df0341bf04e676a4d2005f101bf87c1b396e5d6a9e27",
-            "registry_sha256": "dee5ccbb8e6db0601ebfcc0d576f4f4a7cede346f12c0b629562aadceb2e64f0",
-            "now_ns": 67027768540,
+            "registry_sha256": "6ff0edc13ae4684ddc6efbde60db15fdda8157be4a84365acb9727a0dbe994b4",
+            "now_ns": 67027735940,
             "fsck_fixes": "9f7c2dab1a5364de9ce2e2da55653237b06be83a5a322cc667e98145a22bdbc7",
         },
     },
@@ -191,22 +200,22 @@ GOLDEN = {
     # and one write-crash-reboot run, recorded on c5a0f0f.  ``table1/disk``
     # and ``table2/ufs`` are one system.
     "systems": {
-        "table1/disk": "5012c4ed8f85652944bf18c7cc002ce6ef2757ab853028e676540687974438bf",
-        "table1/rio_noprot": "44eaa9ef670d94bdcc409d98581fd641fa37d36031e4a434bee2696dc0fa767a",
-        "table1/rio_prot": "cc97f50779d93e8f002fb0318197cc94bfb3b9e65c425250d20a03273ee5e7f9",
-        "table2/mfs": "00fcc4fd7bccde8c997f9543e843e343de21fb866387bb2a58ec016e259931f9",
-        "table2/ufs_delayed": "8597b0b2d56b9c4ae14d1c6296f6f438f2eedd758d5241c075ff5b426967927c",
-        "table2/advfs": "5c929b94b532539147677d9bf40a8d3a801f32862655a7af189392edd158dd3b",
-        "table2/ufs": "5012c4ed8f85652944bf18c7cc002ce6ef2757ab853028e676540687974438bf",
-        "table2/wt_close": "f87f05af02d27ee9c679ff885b00551f8398407c022cb36f0353a80c4404c229",
-        "table2/wt_write": "2220fe7318c41db0de2f6451d0cba786e06cf16478cbb6fb06a0ece66ca68b60",
-        "table2/rio_noprot": "03dc06926f11ff63198dea0337b5b4dd44a3f3e02670849ec783fc0c0b762fb9",
-        "table2/rio_prot": "08e0db44699cba3449ac9b318e58a776b73b5a64c4a8541e893a674f5246ea52",
+        "table1/disk": "243837b2a73ba2968bfb4e7ccf87b98460107820afbf58bd44cbc2dc39a3562f",
+        "table1/rio_noprot": "7a4265a5ce7ca111eb5d3ebdfa11d439e3dd46d0756749ea25c6f1288175ff97",
+        "table1/rio_prot": "4e0937d6cf2e2ae8372080f2f7220ef50922bc5938c29e72468e75d1df2884a6",
+        "table2/mfs": "7f0b2cf8ef5f142c5f8702a6bf7fe3d5880857f4f06127fddd324c03eb7b94f4",
+        "table2/ufs_delayed": "6389eaf005e417b6b047039f2a2e56a36365b1dd51218992ce026421d7c648ab",
+        "table2/advfs": "aeb04e5cb4bdd7745346990b3ce8889ae512549a47575921d2c49d45bcb2e0aa",
+        "table2/ufs": "243837b2a73ba2968bfb4e7ccf87b98460107820afbf58bd44cbc2dc39a3562f",
+        "table2/wt_close": "b0af84ed9c60bc0723cfa8541bb53cddfad9f22e4d3230912f48a7da2947a036",
+        "table2/wt_write": "ee9623dccffe0aef1f29bdae556d31f461e0fa2fd8bd384c1bcf49ff86b185a3",
+        "table2/rio_noprot": "3fde7f539ca19a194c21ec55ac28e81741b909dd64674ab29746dbf256ea2922",
+        "table2/rio_prot": "122565a5f081216bea133de31410baf0777849a0a764cc6fc8f6b56f13d27724",
         # Re-recorded when the patcher stopped eliding checks: every store
         # now pays the spilled check, so only the run's ``now_ns`` moves
         # (33 613 907 540 -> 33 614 006 780).
         "table2/rio_patch": "0f08436e4905c63ed41dacdaa75f324034211fd0f4f8318bd5aa0b07dd87ad2c",
-        "phoenix": "088d016917a526e9785073624005913b05879f42e0f2e9b1b3cb078da3f9d2bb",
+        "phoenix": "c6a92d3e917b5aa8c37d75613c44b54f233987e5589854b01f7d8bff67176934",
     },
 }
 

@@ -6,6 +6,7 @@ values, same panics) — they may only differ in speed.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import (
     IllegalInstruction,
@@ -15,6 +16,8 @@ from repro.errors import (
     SystemCrash,
     WatchdogTimeout,
 )
+from repro.fs.dissect import image_sha256, snapshot
+from repro.isa import Interpreter
 from repro.isa.encoding import Instruction, Op, decode
 from repro.isa.routines import (
     CACHE_HDR_MAGIC,
@@ -24,6 +27,7 @@ from repro.isa.routines import (
     PROC_MAGIC,
     VNODE_MAGIC,
 )
+from repro.system import SystemSpec, build_system
 from repro.util import pattern_bytes
 
 
@@ -31,6 +35,24 @@ def write_header(env, hdr_addr, dst, size):
     env.bus.store_u64(hdr_addr + HDR_MAGIC_OFF, CACHE_HDR_MAGIC)
     env.bus.store_u64(hdr_addr + HDR_DST_OFF, dst)
     env.bus.store_u64(hdr_addr + HDR_SIZE_OFF, size)
+
+
+#: Copy lengths: short ones, a page and its neighbours, and a page plus
+#: the longest copy overrun (4 KB).
+LENGTHS = st.one_of(st.integers(0, 300), st.sampled_from([8191, 8192, 8193, 8192 + 4096]))
+#: One ``env`` serves every example: a copy's steps do not depend on the
+#: bytes it copies, and each example sets the engine it runs on.
+FIXTURE_REUSE = [HealthCheck.function_scoped_fixture]
+
+
+def assert_same_steps(env, name, args):
+    """The kernel is charged the same for ``name`` natively as interpreted."""
+    env.interp.force_interpret = False
+    native = env.interp.call(name, args, sp=env.stack_top)
+    env.interp.force_interpret = True
+    interpreted = env.interp.call(name, args, sp=env.stack_top)
+    assert (native.interpreted, interpreted.interpreted) == (False, True)
+    assert native.steps == interpreted.steps
 
 
 class TestBcopy:
@@ -57,23 +79,11 @@ class TestBcopy:
         env.interp.call("bcopy", [env.heap, env.heap + 0x3000, 123], sp=env.stack_top)
         assert env.bus.load(env.heap + 0x3000, 123) == native_result == data
 
-    def test_step_estimate_matches_interpreter(self, env):
-        """The native cost formula must match real interpreted step counts."""
-        for length in (0, 5, 8, 17, 64):
-            env.interp.force_interpret = True
-            interpreted = env.interp.call(
-                "bcopy", [env.heap, env.heap + 0x1000, length], sp=env.stack_top
-            )
-            env.interp.force_interpret = False
-            native = env.interp.call("bcopy", [env.heap, env.heap + 0x1000, length])
-            assert abs(native.steps - interpreted.steps) <= 4, length
-
-    def test_store_count_matches(self, env):
-        env.interp.force_interpret = True
-        interpreted = env.interp.call("bcopy", [env.heap, env.heap + 0x1000, 29], sp=env.stack_top)
-        env.interp.force_interpret = False
-        native = env.interp.call("bcopy", [env.heap, env.heap + 0x1000, 29])
-        assert native.stores == interpreted.stores
+    @given(length=LENGTHS)
+    @settings(max_examples=60, deadline=None, suppress_health_check=FIXTURE_REUSE)
+    def test_step_estimate_matches_interpreter(self, env, length):
+        """The native's step count is the assembly's, exactly."""
+        assert_same_steps(env, "bcopy", [env.heap, env.heap + 0x4000, length])
 
     @pytest.mark.parametrize("interpreted", [False, True])
     def test_protected_destination_traps(self, env, interpreted):
@@ -132,6 +142,13 @@ class TestCacheCopy:
         with pytest.raises(KernelPanic, match="beyond buffer end"):
             env.interp.call("cache_copy", [hdr, env.heap + 0x1000, 64, 128], sp=env.stack_top)
 
+    @given(offset=st.integers(0, 4096), length=LENGTHS)
+    @settings(max_examples=60, deadline=None, suppress_health_check=FIXTURE_REUSE)
+    def test_step_count_matches_interpreter(self, env, offset, length):
+        hdr = env.heap
+        write_header(env, hdr, env.heap + 0x8000, 0x8000)
+        assert_same_steps(env, "cache_copy", [hdr, env.heap + 0x1000, offset, length])
+
     def test_corrupted_dst_pointer_goes_wild(self, env):
         """A heap bit flip in the header's destination field redirects the
         copy — the classic direct-corruption path of section 3.2."""
@@ -183,6 +200,25 @@ class TestBackgroundRoutines:
         env.interp.force_interpret = interpreted
         env.interp.call("vnode_scan", [table, 2], sp=env.stack_top)
         assert env.bus.load_u64(node + 16) == 8
+
+    @pytest.mark.parametrize("nodes", [0, 1, 8])
+    def test_sched_tick_steps_match_interpreter(self, env, nodes):
+        """A walk, then a replay of its plan: each charged as the assembly."""
+        head_ptr, _addrs = self.build_runqueue(env, nodes)
+        for _ in range(2):
+            assert_same_steps(env, "sched_tick", [head_ptr])
+
+    @pytest.mark.parametrize("chains", [(), (0,), (2, 0, 1), (2,) * 8])
+    def test_vnode_scan_steps_match_interpreter(self, env, chains):
+        table = env.heap + 0x8000
+        for bucket, length in enumerate(chains):
+            nodes = [env.heap + 0x8100 + 0x100 * bucket + 32 * i for i in range(length)]
+            env.bus.store_u64(table + 8 * bucket, nodes[0] if nodes else 0)
+            for i, node in enumerate(nodes):
+                env.bus.store_u64(node, VNODE_MAGIC)
+                env.bus.store_u64(node + 8, nodes[i + 1] if i + 1 < length else 0)
+        for _ in range(2):
+            assert_same_steps(env, "vnode_scan", [table, len(chains)])
 
 
 class TestChecksumBlock:
@@ -272,3 +308,37 @@ class TestFaultedExecution:
         env.text.write_instruction(idx, Instruction(opcode=Op.HALT, ra=31, rb=31))
         with pytest.raises(KernelPanic, match="unexpected halt"):
             env.interp.call("bzero", [env.heap, 8], sp=env.stack_top)
+
+
+def test_a_run_costs_the_same_on_either_route(monkeypatch):
+    """A write-crash-reboot run on ``rio_noprot`` reaches the same virtual
+    time and state when every routine of every kernel it boots runs on the
+    interpreter: a native is charged what its assembly executes."""
+
+    def write_crash_reboot():
+        system = build_system(SystemSpec("rio_noprot", fs_blocks=512))
+        fd = system.vfs.open("/kept", create=True)
+        system.vfs.write(fd, pattern_bytes(5, 0, 20_000))
+        system.vfs.close(fd)
+        system.vfs.mkdir("/d")
+        system.crash("route check")
+        system.reboot()
+        return (
+            system.clock.now_ns,
+            system.fs.read(system.fs.namei("/kept"), 0, 20_000),
+            image_sha256(snapshot(system.disk)),
+            system.machine.memory.read(
+                system.rio.registry.base_paddr, system.rio.registry.region_bytes
+            ),
+        )
+
+    native = write_crash_reboot()
+    init = Interpreter.__init__
+
+    def interpreting(self, *args):
+        init(self, *args)
+        self.force_interpret = True
+
+    monkeypatch.setattr(Interpreter, "__init__", interpreting)
+    assert write_crash_reboot() == native
+    assert native[1] == pattern_bytes(5, 0, 20_000)

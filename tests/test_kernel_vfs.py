@@ -8,6 +8,7 @@ from repro.errors import (
     FileNotFound,
     InvalidArgument,
     KernelPanic,
+    MachineCheck,
     SystemCrash,
 )
 from repro.system import SystemSpec, build_system
@@ -147,3 +148,24 @@ class TestKernelServices:
         writes_before = system.disk.stats.writes
         system.kernel.go_down(KernelPanic("die"))
         assert system.disk.stats.writes == writes_before
+
+    @pytest.mark.parametrize(
+        "error", [MachineCheck("sector out of range"), RuntimeError("harness bug")],
+        ids=["simulated", "harness"],
+    )
+    def test_only_a_simulated_failure_ends_the_dying_sync_quietly(
+        self, system, monkeypatch, error
+    ):
+        """The racy sync on the way down may fail part way, as a simulated
+        failure; any other exception is a harness bug and escapes."""
+
+        def flush_all(sync):
+            raise error
+
+        monkeypatch.setattr(system.kernel.buffer_cache, "flush_all", flush_all)
+        if isinstance(error, MachineCheck):
+            system.kernel.go_down(KernelPanic("die"))
+            assert system.machine.crashed
+        else:
+            with pytest.raises(RuntimeError, match="harness bug"):
+                system.kernel.go_down(KernelPanic("die"))

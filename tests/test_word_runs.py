@@ -9,11 +9,12 @@ carry a matching magic, into kernel text, onto nodes that straddle a page
 edge, onto head words and other nodes' counters, back up their own chain
 — and runs each walker on twin machines: one on the native as the kernel
 runs it, one that walks on every call and never replays.  Everything
-observable must agree: result or exception (type, message, ``address``),
-every ``BusStats`` field, the MMU's counters, the memory image, which
-frames' write generations moved, and the recorder's trap events.  A third
-machine interprets the assembly, which pins the same data traffic from
-the other side, also where the step budget cuts a cycle.
+observable must agree: result and step count or exception (type, message,
+``address``), every ``BusStats`` field, the MMU's counters, the memory
+image, which frames' write generations moved, and the recorder's trap
+events.  A third machine interprets the assembly, which pins the same
+data traffic and step count from the other side, also where the step
+budget cuts a cycle.
 
 The native replays a clean walk's plan while its page holds the same
 bytes, so the same comparison also runs over sequences of ticks with
@@ -201,7 +202,7 @@ def run(env, call, max_steps=MAX_STEPS):
     gens_before = list(env.memory._page_gens)
     try:
         result = env.interp.call(name, args, max_steps=max_steps)
-        outcome = ("ok", result.value)
+        outcome = ("ok", result.value, result.steps)
     except (SystemCrash, CrashedMachineError) as exc:
         outcome = (type(exc).__name__, str(exc), getattr(exc, "address", None))
     env.outcome = outcome
@@ -235,7 +236,7 @@ def tick(envs, call, max_steps=MAX_STEPS) -> bool:
     )
     a, b = run(counted, call, max_steps), run(words, call, max_steps)
     assert vars(a) == vars(b)
-    # ... and both are the assembly's data traffic.
+    # ... and both are the assembly: its step count and its data traffic.
     assert (a.outcome, a.image, a.moved, a.traps) == (
         asm.outcome, asm.image, asm.moved, asm.traps,
     )
@@ -555,7 +556,8 @@ def twin(call, corruptions=(), protection=None):
 def test_clean_walk_counts_every_word():
     a, env = twin(("sched_tick", HEAD))
     nodes = len(PROCS)
-    assert a.outcome == ("ok", 0)
+    # Head load and ``lda``, 9 per node, the closing loop test, ``ret``, ``halt``.
+    assert a.outcome == ("ok", 0, 2 + 9 * nodes + 3)
     assert a.stats[:4] == (1 + 3 * nodes, nodes, 8 * (1 + 3 * nodes), 8 * nodes)
     assert a.moved == {HEAP_VPN, HEAP_VPN + 1}
     assert [env.memory.read_u64(n + 16) for n in PROCS] == [i + 1 for i in range(nodes)]
@@ -585,7 +587,7 @@ def test_counter_store_aliasing_the_head_word_is_read_back_live():
         ("sched_tick", HEAD),
         [("set", PROCS[0] + 8, HEAD - 16), ("set", HEAD - 16, PROC_MAGIC), ("set", HEAD - 8, 0)],
     )
-    assert a.outcome == ("ok", 0)
+    assert a.outcome[:2] == ("ok", 0)
     assert env.memory.read_u64(HEAD) == PROCS[0] + 1
 
 
@@ -595,7 +597,7 @@ def test_straddling_node_takes_the_word_route_and_walks_on():
         [("set", PROCS[0] + 8, STRADDLERS[0]), ("set", STRADDLERS[0] + 8, PROCS[1])],
     )
     assert not a.traps
-    assert a.outcome == ("ok", 0)
+    assert a.outcome == ("ok", 0, 2 + 9 * (len(PROCS) + 1) + 3)
     assert env.memory.read_u64(STRADDLERS[0] + 16) == 2
     assert a.stats[0] == 1 + 3 * (len(PROCS) + 1)
 
