@@ -44,7 +44,10 @@ bench-same:
 # walkers that walked rather than replayed a plan, two per clean boot; and
 # "registry stores: N of M took the layered route": the entry stores that
 # did not apply their known effect; and "clock: N of M advances woke the
-# listeners": the virtual-clock advances that reached a listener's deadline.
+# listeners": the virtual-clock advances that reached a listener's deadline;
+# and "file pages: N lookups returned M pages of P cached": what
+# flush_file and invalidate_file read through the per-file page index,
+# against the pages a scan of the cache would have visited.
 profile:
 	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample) $(if $(MEM),--memory)
 

@@ -201,8 +201,9 @@ def unwrap(undo) -> None:
 
 class CallCounter:
     """Counts, while active, the calls of :data:`COUNTED` — wrapped in
-    place — and how many of them returned a true value, and sums the
-    steps the calls of :data:`CHARGED` charged, by routine."""
+    place — and how many of them returned a true value, sums the
+    steps the calls of :data:`CHARGED` charged, by routine, and the pages
+    the calls of :data:`FILE_PAGES` returned against the pages cached."""
 
     #: ``(label, module, function or Class.method)``: the background
     #: walker calls and the walks among them (the rest replayed a plan),
@@ -225,15 +226,20 @@ class CallCounter:
     CHARGED = (("steps", "repro.kernel.klib", "KLib._run"),)
     #: The routines the kernel calls, in the order the tally prints them.
     ROUTINES = ("sched_tick", "vnode_scan", "cache_copy", "bcopy")
+    #: A file's cached pages, found through the cache's per-file index:
+    #: what ``flush_file`` and ``invalidate_file`` read.
+    FILE_PAGES = (("file pages", "repro.fs.cache", "PageCache.file_pages"),)
 
     def __init__(self) -> None:
         self.calls: collections.Counter = collections.Counter()
         self.true: collections.Counter = collections.Counter()
         self.steps: collections.Counter = collections.Counter()
+        self.pages = {"returned": 0, "cached": 0}
 
     def __enter__(self) -> "CallCounter":
         self._undo = wrap_in_place(self.COUNTED, self._counted)
         self._undo += wrap_in_place(self.CHARGED, self._charged)
+        self._undo += wrap_in_place(self.FILE_PAGES, self._paged)
         return self
 
     def __exit__(self, *_exc) -> None:
@@ -261,6 +267,16 @@ class CallCounter:
 
         return charged
 
+    def _paged(self, label: str, func):
+        def paged(cache, *args, **kwargs):
+            self.calls[label] += 1
+            result = func(cache, *args, **kwargs)
+            self.pages["returned"] += len(result)
+            self.pages["cached"] += len(cache.pages)
+            return result
+
+        return paged
+
     def report(self) -> None:
         by_routine = ", ".join(f"{name} {self.steps[name]}" for name in self.ROUTINES)
         print(f"kernel steps: {sum(self.steps.values())} charged — {by_routine}")
@@ -273,6 +289,10 @@ class CallCounter:
         print(f"registry stores: {calls['layered']} of {stores} took the layered route")
         advances = calls["consume"] + calls["advance_to"]
         print(f"clock: {calls['wakes']} of {advances} advances woke the listeners")
+        print(
+            f"file pages: {calls['file pages']} lookups returned"
+            f" {self.pages['returned']} pages of {self.pages['cached']} cached"
+        )
 
 
 class PhaseTimer:

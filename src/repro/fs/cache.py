@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import count
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, KernelPanic, NoSpace, OutOfMemory
@@ -41,9 +43,12 @@ from repro.isa.routines import (
 IO_CONTEXT = AccessContext(procedure="io")
 
 
-@dataclass
+@dataclass(eq=False)
 class CachePage:
-    """One cached 8 KB page (a metadata block or a file data page)."""
+    """One cached 8 KB page (a metadata block or a file data page).
+
+    Compared and hashed by identity: two pages are the same page only
+    when they are the same object (``live is page``)."""
 
     key: tuple
     kind: str  # "meta" | "data"
@@ -69,6 +74,13 @@ class CachePage:
     #: holds; whether it is still the frame's is ``PhysicalMemory``'s
     #: known checksum to say).
     checksum: int = 0
+    #: When the page was last attached or hit: its place in the cache's
+    #: LRU order (see :meth:`PageCache.file_pages`).
+    lru_stamp: int = 0
+
+
+#: Sort key putting pages in LRU order, least recently used first.
+_lru_order = attrgetter("lru_stamp")
 
 
 class CacheGuard:
@@ -91,7 +103,7 @@ class CacheGuard:
         pass
 
     def on_placement_changed(self, page: CachePage) -> None:
-        """File id / offset / disk block of the page changed."""
+        """The disk block of the page changed."""
 
 
 class PageCache:
@@ -104,6 +116,10 @@ class PageCache:
         self.capacity = capacity
         self.guard = guard or CacheGuard()
         self.pages: "OrderedDict[tuple, CachePage]" = OrderedDict()
+        #: Each file's pages by key: what :meth:`file_pages` reads, so that
+        #: flushing or dropping one file costs what the file holds.
+        self._file_index: dict[FileId, dict[tuple, CachePage]] = {}
+        self._stamps = count(1)
         self.stat_hits = 0
         self.stat_misses = 0
         self.stat_evictions = 0
@@ -126,6 +142,7 @@ class PageCache:
         page = self.pages.get(key)
         if page is not None:
             self.pages.move_to_end(key)
+            page.lru_stamp = next(self._stamps)
         return page
 
     def get(
@@ -169,8 +186,12 @@ class PageCache:
             file_id=file_id,
             file_offset=file_offset,
             disk_block=disk_block,
+            lru_stamp=next(self._stamps),
         )
         self.pages[key] = page
+        if file_id is not None:
+            # The one place a page gets its file: it joins the index here.
+            self._file_index.setdefault(file_id, {})[key] = page
         self.guard.on_attach(page)
         if loader is not None:
             loader(page)
@@ -242,6 +263,11 @@ class PageCache:
         """Detach a page without writing it anywhere."""
         self.guard.on_detach(page)
         self.pages.pop(page.key, None)
+        owned = self._file_index.get(page.file_id)
+        if owned is not None:
+            owned.pop(page.key, None)
+            if not owned:
+                del self._file_index[page.file_id]
         self._release_vaddr(page)
         self.kernel.heap.kfree(page.hdr_addr)
         self.kernel.frames.free(page.pfn)
@@ -318,20 +344,9 @@ class PageCache:
             page.dirty = dirty
             self.guard.on_dirty_changed(page)
 
-    def set_placement(
-        self,
-        page: CachePage,
-        *,
-        file_id: Optional[FileId] = None,
-        file_offset: Optional[int] = None,
-        disk_block: Optional[int] = None,
-    ) -> None:
-        if file_id is not None:
-            page.file_id = file_id
-        if file_offset is not None:
-            page.file_offset = file_offset
-        if disk_block is not None:
-            page.disk_block = disk_block
+    def set_placement(self, page: CachePage, *, disk_block: int) -> None:
+        """Place the page at ``disk_block``; its file is fixed at attach."""
+        page.disk_block = disk_block
         self.guard.on_placement_changed(page)
 
     # -- write-back ------------------------------------------------------------
@@ -394,9 +409,16 @@ class PageCache:
             self.flush_page(page, sync=sync)
         return len(dirty)
 
+    def file_pages(self, file_id: FileId) -> list[CachePage]:
+        """The pages of one file, least recently used first: the order in
+        which a scan of :attr:`pages` meets them, at the cost of the
+        file's pages rather than the cache's."""
+        owned = self._file_index.get(file_id)
+        return sorted(owned.values(), key=_lru_order) if owned else []
+
     def invalidate_file(self, file_id: FileId) -> None:
         """Drop every page belonging to a (deleted) file."""
-        for page in [p for p in self.pages.values() if p.file_id == file_id]:
+        for page in self.file_pages(file_id):
             self.drop(page)
 
 

@@ -66,6 +66,8 @@ _SB_HEADER_FMT = struct.Struct("<IHH" + "I" * 9 + "BBBB" + "I" + "12x")
 _SB_SUMMARY_FMT = struct.Struct("<HBxIII")
 _INODE_FMT = struct.Struct("<HBxHxxQQ" + "I" * N_DIRECT + "II")
 _DIRENT_FMT = struct.Struct("<IB27s")
+#: Where a record's name-length byte sits (after the 4-byte ``ino``).
+_DIRENT_LEN_OFF = 4
 _INDIRECT_FMT = struct.Struct(f"<{PTRS_PER_INDIRECT}I")
 
 assert _SB_HEADER_FMT.size == REGION_SUMMARY_OFFSET
@@ -456,22 +458,28 @@ def indirect_pointers(block: bytes | bytearray | memoryview) -> tuple[int, ...]:
     return _INDIRECT_FMT.unpack_from(block)
 
 
-def find_dirent(data: bytes, name: str) -> tuple[int, DirEntry] | None:
+def find_dirent(data: bytes | bytearray, name: str) -> tuple[int, DirEntry] | None:
     """``(byte offset, record)`` of the first valid record named ``name``
     in directory content bytes, or None.
 
-    Compares the encoded name and builds a :class:`DirEntry` only for the
-    hit.  A record equal to a well-formed encoded name is itself valid
-    (length in range, no NUL, decodable), and a mangled one matches
-    nothing, so the outcome is that of parsing every record first.
+    ``bytes.find`` looks for the length byte and encoded name together; a
+    hit counts only at a length byte's place in a whole record with a
+    non-zero ``ino``, else the search resumes one byte on.  A record equal
+    to a well-formed encoded name is itself valid (length in range, no
+    NUL, decodable), and a mangled one matches nothing, so the outcome is
+    that of parsing every record first.
     """
     want = name.encode()
     size = len(want)
     if not 0 < size <= MAX_NAME or b"\x00" in want:
         return None
-    offset = 0
-    for ino, name_len, raw in _dirent_records(data):
-        if ino and name_len == size and raw[:size] == want:
-            return offset, DirEntry(ino=ino, name=name)
-        offset += DIRENT_SIZE
+    needle = bytes([size]) + want
+    whole = len(data) - len(data) % DIRENT_SIZE
+    at = data.find(needle, _DIRENT_LEN_OFF, whole)
+    while at >= 0:
+        if at % DIRENT_SIZE == _DIRENT_LEN_OFF:
+            ino = int.from_bytes(data[at - _DIRENT_LEN_OFF : at], "little")
+            if ino:
+                return at - _DIRENT_LEN_OFF, DirEntry(ino=ino, name=name)
+        at = data.find(needle, at + 1, whole)
     return None

@@ -164,7 +164,9 @@ class UFS:
         self.sb: Superblock | None = None
         self.allocator: BlockAllocator | None = None
         self._free_inos: list[int] = []
-        self._meta_touched: list[CachePage] = []
+        #: The metadata pages the running operation dirtied, in update
+        #: order (a dict used as an insertion-ordered set).
+        self._meta_touched: dict[CachePage, None] = {}
         #: The running operation's undo record (None between operations).
         self._op: _OpRecord | None = None
         self.mounted = False
@@ -332,8 +334,7 @@ class UFS:
             self._touch_meta(page)
 
     def _touch_meta(self, page: CachePage) -> None:
-        if page not in self._meta_touched:
-            self._meta_touched.append(page)
+        self._meta_touched[page] = None
 
     def _on_undo(self, inverse, *args, **kwargs) -> None:
         """Record how the running operation gives back what it takes."""
@@ -343,7 +344,7 @@ class UFS:
     def _commit_metadata(self) -> None:
         """End of operation: hand the dirtied metadata pages, in update
         order, to the write policy."""
-        pages, self._meta_touched = self._meta_touched, []
+        pages, self._meta_touched = self._meta_touched, {}
         if pages:
             self.policy.on_metadata_pages(self, pages)
 
@@ -884,9 +885,8 @@ class UFS:
 
     def flush_file(self, ino: int, *, sync: bool) -> None:
         """Write one file's dirty data pages to disk."""
-        file_id = FileId(self.dev, ino)
         ubc = self.kernel.ubc
-        for page in [p for p in ubc.pages.values() if p.file_id == file_id and p.dirty]:
+        for page in [p for p in ubc.file_pages(FileId(self.dev, ino)) if p.dirty]:
             ubc.flush_page(page, sync=sync)
 
     def flush_data(self, *, sync: bool) -> None:

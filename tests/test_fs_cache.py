@@ -1,14 +1,16 @@
 """Tests for the page cache layer (buffer cache + UBC)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, KernelPanic
-from repro.fs.cache import IO_CONTEXT
+from repro.fs.cache import IO_CONTEXT, PageCache
 from repro.fs.types import BLOCK_SIZE, FileId
 from repro.hw import Machine, MachineConfig
 from repro.hw.mmu import KSEG_BASE
 from repro.isa.routines import HDR_DST_OFF
 from repro.kernel import Kernel
+from repro.system import SystemSpec, build_system
 from repro.util import pattern_bytes
 
 
@@ -116,20 +118,21 @@ class TestUBC:
         assert ubc.lookup(("data", 0, 12, 0)) is other
 
 
+def make_disk_kernel():
+    from repro.disk import SimulatedDisk
+
+    machine = Machine(MachineConfig(memory_bytes=8 * 1024 * 1024, boot_time_ns=0))
+    kernel = Kernel(machine)
+    kernel.init_caches()
+    disk = SimulatedDisk("rz0", 4096)
+    machine.attach_disk("rz0", disk)
+    kernel.attach_block_device(0, disk)
+    return kernel, disk
+
+
 class TestEvictionAndFlush:
-    def make_disk_kernel(self):
-        from repro.disk import SimulatedDisk
-
-        machine = Machine(MachineConfig(memory_bytes=8 * 1024 * 1024, boot_time_ns=0))
-        kernel = Kernel(machine)
-        kernel.init_caches()
-        disk = SimulatedDisk("rz0", 4096)
-        machine.attach_disk("rz0", disk)
-        kernel.attach_block_device(0, disk)
-        return kernel, disk
-
     def test_flush_writes_to_disk_block(self):
-        kernel, disk = self.make_disk_kernel()
+        kernel, disk = make_disk_kernel()
         ubc = kernel.ubc
         page = ubc.get(("data", 0, 5, 0), disk_block=20)
         payload = pattern_bytes(9, 0, 100)
@@ -145,7 +148,7 @@ class TestEvictionAndFlush:
             kernel.ubc.flush_page(page, sync=True)
 
     def test_async_flush_clears_dirty_on_completion(self):
-        kernel, disk = self.make_disk_kernel()
+        kernel, disk = make_disk_kernel()
         ubc = kernel.ubc
         page = ubc.get(("data", 0, 6, 0), disk_block=30)
         ubc.write_into(page, 0, b"async", IO_CONTEXT)
@@ -155,7 +158,7 @@ class TestEvictionAndFlush:
         assert not page.dirty
 
     def test_redirtied_page_stays_dirty_after_stale_completion(self):
-        kernel, disk = self.make_disk_kernel()
+        kernel, disk = make_disk_kernel()
         ubc = kernel.ubc
         page = ubc.get(("data", 0, 7, 0), disk_block=31)
         ubc.write_into(page, 0, b"first", IO_CONTEXT)
@@ -165,7 +168,7 @@ class TestEvictionAndFlush:
         assert page.dirty  # the completion must not mark the newer data clean
 
     def test_eviction_flushes_dirty_lru(self):
-        kernel, disk = self.make_disk_kernel()
+        kernel, disk = make_disk_kernel()
         ubc = kernel.ubc
         ubc.capacity = 2
         first = ubc.get(("data", 0, 8, 0), disk_block=40)
@@ -175,3 +178,96 @@ class TestEvictionAndFlush:
         assert ubc.lookup(("data", 0, 8, 0)) is None
         assert disk.peek(40 * 16, 1)[:8] == b"evict me"
 
+
+def _scan(cache, file_id):
+    """The oracle of :meth:`PageCache.file_pages`: a scan of every cached
+    page, in the cache's LRU order."""
+    return [p for p in cache.pages.values() if p.file_id == file_id]
+
+
+class TestFileIndex:
+    """``file_pages`` is the scan, order included, after every step."""
+
+    INOS = (1, 2, 3)
+    _page = st.tuples(st.sampled_from(INOS), st.integers(0, 3))
+    step_st = st.one_of(
+        st.tuples(st.just("get"), _page),
+        st.tuples(st.just("lookup"), _page),
+        st.tuples(st.just("drop"), _page),
+        st.tuples(st.just("dirty"), _page),
+        st.tuples(st.just("invalidate"), st.sampled_from(INOS)),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(step_st, min_size=1, max_size=40))
+    def test_index_is_the_scan(self, steps):
+        kernel, _disk = make_disk_kernel()
+        ubc = kernel.ubc
+        ubc.capacity = 5  # small enough that attaches evict, dirty or not
+        for op, arg in steps:
+            if op == "invalidate":
+                ubc.invalidate_file(FileId(0, arg))
+            else:
+                ino, block = arg
+                key = ("data", 0, ino, block)
+                if op == "get":
+                    ubc.get(key, file_id=FileId(0, ino), disk_block=100 + 8 * ino + block)
+                elif op == "lookup":
+                    ubc.lookup(key)
+                elif (page := ubc.pages.get(key)) is not None:
+                    if op == "drop":
+                        ubc.drop(page)
+                    else:
+                        ubc.write_into(page, 8 * block, b"dirty", IO_CONTEXT)
+            for ino in self.INOS:
+                assert ubc.file_pages(FileId(0, ino)) == _scan(ubc, FileId(0, ino))
+
+    def test_flush_file_writes_as_the_scan_did(self, monkeypatch):
+        """On a ``wt_close`` system, the disk writes ``flush_file`` issues
+        — sector and sync, in order — are those of the scan it replaced."""
+        from repro.fs.ufs import UFS
+
+        flush_file = UFS.flush_file
+
+        def run():
+            system = build_system(SystemSpec("wt_close", fs_blocks=512))
+            disk = system.fs.disk
+            write, issued, inside = disk.write, [], []
+
+            def recording_write(sector, data, *, sync, on_complete=None):
+                if inside:
+                    issued.append((sector, sync))
+                return write(sector, data, sync=sync, on_complete=on_complete)
+
+            def traced_flush_file(fs, ino, *, sync):
+                inside.append(ino)
+                try:
+                    flush_file(fs, ino, sync=sync)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(disk, "write", recording_write)
+            monkeypatch.setattr(UFS, "flush_file", traced_flush_file)
+            vfs = system.vfs
+            for n in range(4):
+                fd = vfs.open(f"/f{n}", create=True)
+                # Out of order, then a hit: LRU order is neither the
+                # file-offset nor the disk-block order.
+                for block in (2, 0, 3, 1):
+                    vfs.pwrite(fd, pattern_bytes(n, block, 3000), block * BLOCK_SIZE + 100)
+                vfs.pread(fd, 10, 100)
+                vfs.fsync(fd)
+                vfs.pwrite(fd, b"again", 3 * BLOCK_SIZE)
+                vfs.pwrite(fd, b"again", 0)
+                if n % 2:
+                    vfs.ftruncate(fd)
+                    vfs.pwrite(fd, b"short", 0)
+                vfs.close(fd)
+            vfs.unlink("/f0")
+            return issued, system.clock.now_ns
+
+        indexed = run()
+        monkeypatch.setattr(PageCache, "file_pages", _scan)
+        scanned = run()
+        assert len(indexed[0]) > 16
+        assert indexed == scanned

@@ -423,3 +423,36 @@ class TestDirentScans:
         data = bytes(bad_len) + bytes(spans_nul) + good
         assert parse_dirents(data) == [DirEntry(7, "ab")]
         assert find_dirent(data, "ab") == (2 * DIRENT_SIZE, DirEntry(7, "ab"))
+
+    def test_full_block(self):
+        """A whole 8 KiB block: hits in a middle and the last slot are the
+        slotwise oracle's, and a name no record holds misses."""
+        names = [f"n{i}" for i in range(BLOCK_SIZE // DIRENT_SIZE)]
+        data = b"".join(DirEntry(i + 1, name).to_bytes() for i, name in enumerate(names))
+        oracle = self._slotwise(data)
+        for slot in (150, len(names) - 1):
+            assert find_dirent(data, names[slot]) == oracle[slot]
+        assert find_dirent(data, "n") is None
+
+    def test_decoys_before_the_hit(self):
+        """The length byte and name appear first where no live record's
+        length byte sits; only the real record after them is found."""
+        needle = b"\x02ab"
+        real = DirEntry(9, "ab").to_bytes()
+        decoys = {
+            # Inside another record's name field.
+            "in a name": DirEntry(3, "zzzzzzz\x02abzz").to_bytes(),
+            # Straddling two records.
+            "unaligned": bytes(DIRENT_SIZE - 2) + needle + bytes(DIRENT_SIZE - 1),
+            # At a length byte, but of a free (ino 0) record.
+            "free record": bytes(4) + needle + bytes(DIRENT_SIZE - 4 - len(needle)),
+        }
+        for label, decoy in decoys.items():
+            assert needle in decoy, label
+            assert find_dirent(decoy + real, "ab") == (len(decoy), DirEntry(9, "ab")), label
+        # A ragged tail holds what would be a live record were it whole.
+        tail = (7).to_bytes(4, "little") + needle
+        assert find_dirent(bytes(DIRENT_SIZE) + tail, "ab") is None
+        assert find_dirent(bytes(DIRENT_SIZE) + tail + real[len(tail):], "ab") == (
+            DIRENT_SIZE, DirEntry(7, "ab"),
+        )
