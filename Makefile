@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench-compare bench-same profile clean
+.PHONY: install test bench-compare bench-same profile keep-list clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -50,6 +50,15 @@ bench-same:
 # against the pages a scan of the cache would have visited.
 profile:
 	$(PY) scripts/profile_workload.py $(W) $(if $(TRIALS),--trials $(TRIALS)) $(if $(WALL),--wall) $(if $(SAMPLE),--sample) $(if $(MEM),--memory)
+
+# What only tests run, and why each survivor stays: tier-1 under the call
+# profiler (writes .funccov.json, ~6 min), then every production entry
+# point under it (~10 min).  Exits 1 when a function reached only by
+# tests has no class in scripts/funccov.py's KEEP table, or an entry of
+# that table matches nothing.
+keep-list:
+	$(PY) -m pytest -q -p scripts.funccov
+	$(PY) scripts/funccov.py --prod
 
 clean:
 	rm -rf .pytest_cache .hypothesis .funccov*.json

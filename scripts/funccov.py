@@ -23,7 +23,10 @@ plus ``--json``, ``--replay``, ``--storm faults``, ``--backend``,
 full-matrix ``chaos`` and ``RIO_FAST_PATH=0`` variants, and
 ``examples/*.py`` — all at one job, so pool and shard bodies run here.
 It prints the functions ``.funccov.json`` says tier-1 reaches and no
-entry point did: code only tests call.  ``--prod --lines [FILE[:FIRST-LAST]
+entry point did — code only tests call — each with its class from
+:data:`KEEP`, and exits 1 when one has no class or an entry of that table
+matches none of them (``make keep-list`` runs both steps).
+``--prod --lines [FILE[:FIRST-LAST]
 ...]`` (~5 min, no ``.funccov.json`` needed) runs the same entry points
 under the line tracer and lists, as ``--lines`` does, the statements
 production never executes.
@@ -38,11 +41,56 @@ import ast
 import json
 import pathlib
 import sys
+from fnmatch import fnmatchcase
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src" / "repro")
 OUT = REPO / ".funccov.json"
 LINES_OUT = REPO / ".funccov.lines.json"
+
+#: Why a function that tier-1 reaches and no production entry point runs
+#: stays in ``src/``: one of these classes ...
+ISA = "ISA handler that corrupted kernel text can reach"
+POOL = "runs only in a pool or shard process"
+ARM = "fault or repair arm"
+ORACLE = "oracle or tooling accessor"
+CLAIM = "paper claim with no command yet"
+MFS = "MFS's VFS interface"
+
+#: ... per ``(path glob under src/repro/, qualified-name glob, class)``.
+#: ``--prod`` prints each such function's class and exits 1 when one has
+#: none, or when an entry matches none of them (its function went, or
+#: production runs it now).
+KEEP = (
+    ("isa/interpreter.py", "Interpreter._build_dispatch.h_*", ISA),
+    ("reliability/pool.py", "WorkerPool.*", POOL),
+    ("server/cluster.py", "ProcessShardHost.*", POOL),
+    ("backend/objectstore.py", "ObjectStoreBackend.fail_for", ARM),
+    # The allocation fault's deferred frees, and the heap check they make.
+    ("faults/injector.py", "FaultInjector._ensure_clock_hook", ARM),
+    ("faults/injector.py", "FaultInjector._process_pending_frees", ARM),
+    ("kernel/kmalloc.py", "KernelHeap.is_live", ARM),
+    ("fs/fsck.py", "_claimed_blocks", ARM),
+    # A trial that crashed before its fault was injected.
+    ("reliability/propagation.py", "PropagationSummary.add_uninjected", ARM),
+    ("reliability/journal.py", "CampaignJournal._skip", ARM),
+    ("server/cluster.py", "ClusterService._merged_failure", ARM),
+    # No call creates a symlink, but a loaded or corrupted image can hold one.
+    ("fs/ufs.py", "UFS._read_symlink", ARM),
+    ("disk/device.py", "SimulatedDisk.busy_until_ns", ORACLE),
+    ("fs/ondisk.py", "DirEntry.from_bytes", ORACLE),
+    ("hw/memory.py", "PhysicalMemory.dump_image", ORACLE),
+    ("obs/events.py", "FlightRecorder.events", ORACLE),
+    ("util/sparse.py", "SparseBytes.__*__", ORACLE),
+    ("analysis/write_age.py", "*", f"{CLAIM}: section 1's write-age survival"),
+    ("extensions/phoenix.py", "*", f"{CLAIM}: section 6's Phoenix"),
+    ("fs/advfs.py", "*", f"{CLAIM}: AdvFS crash recovery"),
+    ("fs/writeback.py", "AdvFSPolicy.on_fsync", f"{CLAIM}: AdvFS crash recovery"),
+    ("fs/cache.py", "PageCache._evict_one", f"{CLAIM}: section 2.3's write on cache overflow"),
+    ("fs/cache.py", "PageCache._clean_cluster", f"{CLAIM}: section 2.3's write on cache overflow"),
+    ("system.py", "System.*reliability_writes", f"{CLAIM}: footnote 1's maintenance toggle"),
+    ("fs/mfs.py", "*", MFS),
+)
 
 _foreign: set = set()  # every code object outside SRC shares this one
 _calls: dict = {}  # code object -> test files that called it
@@ -116,13 +164,23 @@ def pytest_sessionfinish(session):
 
 
 def _functions():
-    """Every ``def`` under ``src/repro/``: (trace key, display name, lines, node)."""
+    """Every ``def`` under ``src/repro/``: (trace key, display name, lines,
+    node); the display name is ``path:line Class.method``."""
     for path in sorted(pathlib.Path(SRC).rglob("*.py")):
         rel = path.relative_to(REPO)
-        for node in ast.walk(ast.parse(path.read_text())):
+        found = []
+        stack = [("", ast.parse(path.read_text()))]
+        while stack:
+            outer, node = stack.pop()
+            inner = outer
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{outer}{node.name}."
+            stack += [(inner, child) for child in ast.iter_child_nodes(node)]
             if isinstance(node, ast.FunctionDef) and node.name not in ("__repr__", "__str__"):
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                yield f"{rel}:{first}", f"{rel}:{node.lineno} {node.name}", node.end_lineno - first + 1, node
+                found.append((f"{rel}:{first}", f"{rel}:{node.lineno} {inner[:-1]}",
+                              node.end_lineno - first + 1, node))
+        yield from sorted(found, key=lambda row: row[3].lineno)
 
 
 def _statements(function):
@@ -280,7 +338,18 @@ def _run_prod(lines: bool) -> None:
         hook(None)
 
 
-def _report_prod() -> None:
+def _keep_class(name: str, used: set) -> str:
+    """The class of the first :data:`KEEP` entry matching the display
+    name ``src/repro/PATH:LINE QUALNAME`` (``""``: none), recording the
+    entries that match in ``used``."""
+    path, _, rest = name.partition(":")
+    path, qualname = path.removeprefix("src/repro/"), rest.split(" ", 1)[1]
+    hits = [i for i, (p, f, _) in enumerate(KEEP) if fnmatchcase(path, p) and fnmatchcase(qualname, f)]
+    used.update(hits)
+    return KEEP[hits[0]][2] if hits else ""
+
+
+def _report_prod() -> int:
     tested = json.loads(OUT.read_text())
     _run_prod(lines=False)
     reached = {_key(code) for code, tests in _calls.items() if tests is not _foreign}
@@ -290,8 +359,18 @@ def _report_prod() -> None:
     print(f"\nproduction entry points run {len(prod)} of {len(functions)} functions, "
           f"{sum(n for _, n in prod)} lines")
     print(f"reached only by tests: {len(only)} functions, {sum(n for _, n in only)} lines")
+    used: set = set()
+    unclassed = 0
     for name, lines in only:
-        print(f"  {lines:4d}  {name}")
+        keep = _keep_class(name, used)
+        unclassed += not keep
+        print(f"  {lines:4d}  {name}  [{keep or 'NO CLASS'}]")
+    stale = [entry for i, entry in enumerate(KEEP) if i not in used]
+    for path, function, _ in stale:
+        print(f"KEEP entry matches no function reached only by tests: {path} {function}")
+    if unclassed:
+        print(f"{unclassed} function(s) reached only by tests have no class in KEEP")
+    return 1 if unclassed or stale else 0
 
 
 def main(argv: list) -> int:
@@ -301,7 +380,7 @@ def main(argv: list) -> int:
     elif argv[:1] == ["--lines"]:
         _report_lines(json.loads(LINES_OUT.read_text()), argv[1:])
     elif argv[:1] == ["--prod"]:
-        _report_prod()
+        return _report_prod()
     else:
         _report_functions()
     return 0

@@ -42,8 +42,11 @@ instead: ``signal.setitimer(ITIMER_PROF)`` interrupts every millisecond of
 CPU time and the handler walks the stack, charging *self* time to the
 innermost frame under ``src/repro/`` (C calls made from it included; a
 stack with no such frame goes to its innermost frame) and *inclusive*
-time to every function on the stack.  Nothing is taxed per call.  The
-kernel's timer tick bounds the rate (250 samples per CPU second here,
+time to every function on the stack.  A sample whose stack is inside
+``bench/hostclock.py`` — ``HostClock``'s calibration slices, run between
+laps and outside the timed work (13 % of ``table2_disk``'s samples on a
+2-vCPU host) — is counted, printed and left out of every share.  Nothing
+is taxed per call.  The kernel's timer tick bounds the rate (250 samples per CPU second here,
 whatever interval is asked for), and a signal is handled at the next
 bytecode that checks for one — a call or a loop's back-edge — so a long C
 operation can be charged a line, rarely a frame, late.
@@ -98,22 +101,29 @@ class StackSampler:
     def __init__(self, interval: float = 0.001) -> None:
         self.interval = interval
         self.samples = 0
+        #: Samples taken inside ``bench/hostclock.py``: ``HostClock``'s
+        #: calibration slices, which run between laps, outside the timed
+        #: work, and are left out of every share.
+        self.calibration_samples = 0
         self.cpu_s = 0.0
         self.self_samples: collections.Counter = collections.Counter()
         self.inclusive_samples: collections.Counter = collections.Counter()
 
     def _sample(self, _signum, frame) -> None:
-        self.samples += 1
         innermost = owner = None
         on_stack = set()
         while frame is not None:
             code = frame.f_code
+            if code.co_filename.endswith("bench/hostclock.py"):
+                self.calibration_samples += 1
+                return
             if innermost is None:
                 innermost = code
             if owner is None and "/src/repro/" in code.co_filename:
                 owner = code
             on_stack.add(code)
             frame = frame.f_back
+        self.samples += 1
         self.self_samples[owner or innermost] += 1
         self.inclusive_samples.update(on_stack)
 
@@ -133,7 +143,10 @@ class StackSampler:
         """Self time by innermost ``repro/`` frame, then inclusive time."""
         total = self.samples or 1
         # The kernel's timer tick, not the interval asked for, sets the rate.
-        print(f"{self.samples} samples over {self.cpu_s:.2f} s of CPU time")
+        print(
+            f"{self.samples} samples over {self.cpu_s:.2f} s of CPU time "
+            f"({self.calibration_samples} in HostClock's calibration slices dropped)"
+        )
         for title, table in (("self", self.self_samples), ("inclusive", self.inclusive_samples)):
             print(f"\n{title}")
             for code, count in table.most_common(top):

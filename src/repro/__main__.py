@@ -54,7 +54,14 @@ def _parse_fault_types(text: str):
 def cmd_table1(args) -> int:
     """Run the Table 1 reliability campaign."""
     from repro.faults.types import ALL_FAULT_TYPES
-    from repro.reliability import SYSTEM_NAMES, CampaignEngine, format_table1
+    from repro.reliability import (
+        SYSTEM_NAMES,
+        CampaignEngine,
+        format_propagation,
+        format_table1,
+        summarize_propagation,
+        table1_digest,
+    )
 
     crashes = args.scale
     systems = tuple(args.systems.split(",")) if args.systems else SYSTEM_NAMES
@@ -84,6 +91,10 @@ def cmd_table1(args) -> int:
     )
     table = engine.run()
     print(format_table1(table, systems=systems))
+    for system in systems:
+        print(f"\nFault propagation on {system} (footnote 2):")
+        print(format_propagation(summarize_propagation(table, system)))
+    print(f"\ntable1 digest: {table1_digest(table)}")
     stats = engine.stats
     print(
         f"({stats.executed} trials run, {stats.from_checkpoint} from checkpoint, "
@@ -155,12 +166,10 @@ def cmd_forensics(args) -> int:
             print(f"=== {label}: no event trace (campaign ran without "
                   "--trace-corruptions); skipping ===\n")
             continue
-        baseline = None
-        if not args.no_baseline:
-            config = CrashTestConfig.from_json_dict(result["config"])
-            # ops_run + 1 so the baseline fully executes the operation
-            # the faulted run died inside.
-            baseline = run_baseline_trace(config, result.get("ops_run", 0) + 1)
+        config = CrashTestConfig.from_json_dict(result["config"])
+        # ops_run + 1 so the baseline fully executes the operation the
+        # faulted run died inside.
+        baseline = run_baseline_trace(config, result.get("ops_run", 0) + 1)
         report = build_forensic_report(result, events, baseline)
         print(f"=== {label} ===")
         print(format_forensic_report(report))
@@ -172,14 +181,23 @@ def cmd_forensics(args) -> int:
 
 
 def cmd_table2(_args) -> int:
-    """Run the Table 2 performance grid and its ratio summary."""
-    from repro.perf import Table2, format_table2, ratio_summary, run_table2
+    """Run the Table 2 performance grid, its ratio summary and section
+    2.1's code-patching cost."""
+    from repro.perf import (
+        Table2,
+        format_store_dense,
+        format_table2,
+        ratio_summary,
+        run_store_dense,
+        run_table2,
+    )
     from repro.perf.report import format_ratio_summary
 
     table = Table2(results=run_table2())
     print(format_table2(table))
     print()
     print(format_ratio_summary(ratio_summary(table)))
+    print(format_store_dense(run_store_dense()))
     return 0
 
 
@@ -745,12 +763,6 @@ def _flags_forensics(p) -> None:
         metavar="SYSTEM/FAULT/ATTEMPT",
         help='one trial to report on, e.g. "rio_noprot/kernel_text/3" '
         "(default: every corrupting trial)",
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the injection-suppressed baseline re-run and use the "
-        "documented heuristic attribution instead",
     )
 
 

@@ -99,9 +99,6 @@ class RegistryEntry:
             self.flags, disk_block, self.checksum, 0,
         )
 
-    def to_bytes(self) -> bytes:
-        return _ENTRY_FMT.pack(*self.fields())
-
     @classmethod
     def from_bytes(cls, slot: int, data: bytes) -> "RegistryEntry":
         return cls.from_fields(slot, _ENTRY_FMT.unpack_from(data))

@@ -147,7 +147,7 @@ def restore_ubc(fs, image, entries: list[RegistryEntry], report: WarmRebootRepor
     """Step 2: the user-level restore of dirty UBC pages.
 
     ``fs`` must provide ``inode_exists(ino)``, ``inode_size(ino)`` and
-    ``write_by_ino(ino, offset, data)`` — the by-inode equivalents of the
+    ``write(ino, offset, data)`` — the by-inode equivalents of the
     open/write syscalls the paper's restore process uses.
     """
     invalid = []
@@ -171,7 +171,7 @@ def restore_ubc(fs, image, entries: list[RegistryEntry], report: WarmRebootRepor
             continue
         length = min(entry.size, size - entry.file_offset)
         data = image[entry.phys_addr : entry.phys_addr + length]
-        fs.write_by_ino(entry.ino, entry.file_offset, data)
+        fs.write(entry.ino, entry.file_offset, data)
         report.ubc_restored += 1
     rec = fs.kernel.recorder
     if rec.enabled:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import count
-from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, KernelPanic, NoSpace, OutOfMemory
@@ -74,13 +72,6 @@ class CachePage:
     #: holds; whether it is still the frame's is ``PhysicalMemory``'s
     #: known checksum to say).
     checksum: int = 0
-    #: When the page was last attached or hit: its place in the cache's
-    #: LRU order (see :meth:`PageCache.file_pages`).
-    lru_stamp: int = 0
-
-
-#: Sort key putting pages in LRU order, least recently used first.
-_lru_order = attrgetter("lru_stamp")
 
 
 class CacheGuard:
@@ -116,10 +107,10 @@ class PageCache:
         self.capacity = capacity
         self.guard = guard or CacheGuard()
         self.pages: "OrderedDict[tuple, CachePage]" = OrderedDict()
-        #: Each file's pages by key: what :meth:`file_pages` reads, so that
-        #: flushing or dropping one file costs what the file holds.
-        self._file_index: dict[FileId, dict[tuple, CachePage]] = {}
-        self._stamps = count(1)
+        #: Each file's pages by key, in the LRU order of :attr:`pages`: what
+        #: :meth:`file_pages` reads, so that flushing or dropping one file
+        #: costs what the file holds.
+        self._file_index: dict[FileId, OrderedDict[tuple, CachePage]] = {}
         self.stat_hits = 0
         self.stat_misses = 0
         self.stat_evictions = 0
@@ -142,7 +133,9 @@ class PageCache:
         page = self.pages.get(key)
         if page is not None:
             self.pages.move_to_end(key)
-            page.lru_stamp = next(self._stamps)
+            owned = self._file_index.get(page.file_id)
+            if owned is not None:
+                owned.move_to_end(key)
         return page
 
     def get(
@@ -186,12 +179,11 @@ class PageCache:
             file_id=file_id,
             file_offset=file_offset,
             disk_block=disk_block,
-            lru_stamp=next(self._stamps),
         )
         self.pages[key] = page
         if file_id is not None:
             # The one place a page gets its file: it joins the index here.
-            self._file_index.setdefault(file_id, {})[key] = page
+            self._file_index.setdefault(file_id, OrderedDict())[key] = page
         self.guard.on_attach(page)
         if loader is not None:
             loader(page)
@@ -414,7 +406,7 @@ class PageCache:
         which a scan of :attr:`pages` meets them, at the cost of the
         file's pages rather than the cache's."""
         owned = self._file_index.get(file_id)
-        return sorted(owned.values(), key=_lru_order) if owned else []
+        return list(owned.values()) if owned else []
 
     def invalidate_file(self, file_id: FileId) -> None:
         """Drop every page belonging to a (deleted) file."""

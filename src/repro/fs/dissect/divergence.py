@@ -51,10 +51,6 @@ class DivergenceReport:
             "details": list(self.details),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DivergenceReport":
-        return cls(**data)
-
     def format(self) -> str:
         """One-paragraph human-readable summary."""
         if self.agreed:

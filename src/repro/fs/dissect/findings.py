@@ -79,15 +79,6 @@ class Finding:
             data["block"] = self.block
         return data
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Finding":
-        return cls(
-            kind=FindingKind(data["kind"]),
-            where=data["where"],
-            detail=data["detail"],
-            block=data.get("block"),
-        )
-
     def __str__(self) -> str:
         return f"[{self.kind.value}] {self.where}: {self.detail}"
 
@@ -142,12 +133,6 @@ class DissectReport:
             "directories_walked": self.directories_walked,
             "findings_dropped": self.findings_dropped,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DissectReport":
-        report = cls(**{k: v for k, v in data.items() if k != "findings"})
-        report.findings = [Finding.from_json_dict(f) for f in data["findings"]]
-        return report
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, no whitespace)."""

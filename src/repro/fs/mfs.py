@@ -55,9 +55,6 @@ class MemoryFileSystem:
         self.kernel.register_filesystem(self.dev, self)
         self.mounted = True
 
-    def unmount(self) -> None:
-        self.mounted = False
-
     def _new_node(self, ftype: FileType) -> _MemNode:
         node = _MemNode(ino=self._next_ino, ftype=ftype)
         self._next_ino += 1

@@ -229,7 +229,7 @@ class UFS:
         return sb
 
     # ------------------------------------------------------------------
-    # mount / unmount
+    # mount
     # ------------------------------------------------------------------
 
     @_fs_op
@@ -244,17 +244,6 @@ class UFS:
         self._write_superblock()
         self.kernel.register_filesystem(self.dev, self)
         self.mounted = True
-
-    def unmount(self) -> None:
-        """Administrative unmount: flush everything regardless of policy."""
-        self.flush_data(sync=True)
-        self.flush_metadata(sync=True)
-        self.sb.clean = True
-        self._write_superblock()
-        self._commit_metadata()
-        self.flush_metadata(sync=True)
-        self.disk.drain()
-        self.mounted = False
 
     def _write_superblock(self) -> None:
         self.write_meta(0, 0, self.sb.to_bytes(), meta_class="super")
@@ -934,7 +923,3 @@ class UFS:
     def inode_size(self, ino: int) -> int:
         """Warm-reboot restore interface: size of an inode."""
         return self._iget_raw(ino, strict=False).size
-
-    def write_by_ino(self, ino: int, offset: int, data: bytes) -> int:
-        """Warm-reboot restore interface: by-inode write."""
-        return self.write(ino, offset, data)

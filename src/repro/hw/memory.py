@@ -46,8 +46,8 @@ class PhysicalMemory:
         #: What every never-written frame reads as (immutable, shared).
         self._zero_page = bytes(PAGE_SIZE)
         #: Per-frame write-generation counters.  Every mutation of a frame
-        #: (``write``, ``copy_frame``, ``fill``, ``flip_bit``, ``erase``,
-        #: ``load_image``) bumps its counter; the interpreter's predecode
+        #: (``write``, ``copy_frame``, ``flip_bit``, ``erase``) bumps its
+        #: counter; the interpreter's predecode
         #: cache and the known checksums key their validity on these.
         #: The list identity is stable for the lifetime of the object (hot
         #: loops hold a direct reference), so it is mutated in place,
@@ -219,22 +219,6 @@ class PhysicalMemory:
         if checksum is not None:
             self.record_checksum(dst, checksum)
 
-    def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, (value & (1 << 64) - 1).to_bytes(8, "little"))
-
-    def read_u32(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 4), "little")
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def fill(self, addr: int, length: int, value: int = 0) -> None:
-        self._check_range(addr, length)
-        self.write(addr, bytes([value & 0xFF]) * length)
-
     # -- whole-image operations ----------------------------------------
 
     def snapshot(self) -> SparseBytes:
@@ -253,11 +237,6 @@ class PhysicalMemory:
         """The full memory image as flat ``bytes`` (tests and tools; the
         recovery path takes :meth:`snapshot`)."""
         return self.read(0, self.size)
-
-    def load_image(self, image: bytes) -> None:
-        if len(image) != self.size:
-            raise ValueError("image size mismatch")
-        self.write(0, image)
 
     def erase(self) -> None:
         """Zero all of memory — models a PC-style reset that loses contents.

@@ -19,6 +19,7 @@ from repro.obs.events import (
 )
 from repro.obs.forensics import (
     ForensicReport,
+    MissingBaseline,
     NoDivergence,
     build_forensic_report,
     first_divergence,
@@ -33,6 +34,7 @@ __all__ = [
     "events_digest",
     "is_boundary",
     "ForensicReport",
+    "MissingBaseline",
     "NoDivergence",
     "build_forensic_report",
     "first_divergence",

@@ -17,9 +17,9 @@ the faulted trial's op count) and diffs the two event streams:
   kernel state (a cache write, a page flush, a registry update, or a
   trap that *stopped* such a store).
 
-Without a baseline a documented heuristic applies: the first store-class
-event after the injection marker, or the crash event itself when the
-trial died in a trap before touching the cache.
+A trial with an injection is attributed only against its baseline
+(:class:`MissingBaseline` otherwise); a stream with no injection — the
+crash-point explorer's counterexamples — needs none.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.errors import ReproError
 
 #: Kinds that only the injected run can contain (filtered before diffing).
 INJECTOR_KINDS = ("trial", "fault")
@@ -44,6 +46,11 @@ STORE_EVENT_KEYS = {
     ("registry", "update"),
     ("shadow", "end-write"),
 }
+
+
+class MissingBaseline(ReproError):
+    """A trial with an injection was handed over without its clean
+    baseline: there is nothing to diff it against."""
 
 
 @dataclass(frozen=True)
@@ -106,12 +113,12 @@ class ForensicReport:
     injection: Optional[Dict[str, Any]]
     #: serialized ``fault`` events: what the injector actually did
     fault_events: List[Dict[str, Any]]
-    #: first event differing from the clean baseline (or heuristic pick)
+    #: first event differing from the clean baseline
     first_divergence: Optional[Dict[str, Any]]
     #: first store-class event at/after the divergence, or a typed
     #: :class:`NoDivergence` naming why none exists (never a bare None)
     first_divergent_store: Any
-    #: "baseline-diff" | "heuristic" | "none"
+    #: "baseline-diff" | "none"
     divergence_basis: str
     crash: Optional[Dict[str, Any]]
     detectors: List[str]
@@ -171,7 +178,8 @@ def build_forensic_report(
 
     ``result`` is a ``CrashTestResult.to_json_dict()`` dict (must carry
     its ``config``), ``events`` the trial's serialized event stream,
-    ``baseline`` the optional injection-suppressed re-run's stream.
+    ``baseline`` the injection-suppressed re-run's stream — required when
+    ``events`` hold an injection (:class:`MissingBaseline`).
     Pure function of its inputs — unit-testable on synthetic streams.
     """
     config = result.get("config") or {}
@@ -209,24 +217,9 @@ def build_forensic_report(
             )
             notes.append(no_divergence_reason)
     elif injection is not None:
-        basis = "heuristic"
-        notes.append(
-            "no baseline: first store-class event after the injection marker "
-            "(the rigorous attribution needs a clean re-run diff)"
-        )
-        start = events.index(injection) + 1
-        trap = next(
-            (
-                e
-                for e in events[start:]
-                if e["kind"] == "trap" and (e["kind"], e["op"]) in STORE_EVENT_KEYS
-            ),
-            None,
-        )
-        divergent_store = trap or _first_store_at_or_after(events, start)
-        divergence = divergent_store
-        no_divergence_reason = (
-            "no store-class event recorded after the injection marker"
+        raise MissingBaseline(
+            f"trial {config.get('system', '?')}/{config.get('fault_type', '?')} "
+            "has an injection but no baseline to diff it against"
         )
     else:
         # No fault was ever injected — e.g. a crash-point-explorer trial

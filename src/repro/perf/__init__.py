@@ -7,17 +7,19 @@ timed on the virtual clock.
 """
 
 from repro.perf.systems import TABLE2_SYSTEMS, Table2System, spec_for_row
-from repro.perf.runner import WorkloadResult, run_workload, run_table2
-from repro.perf.report import Table2, format_table2, ratio_summary
+from repro.perf.runner import WorkloadResult, run_store_dense, run_workload, run_table2
+from repro.perf.report import Table2, format_store_dense, format_table2, ratio_summary
 
 __all__ = [
     "TABLE2_SYSTEMS",
     "Table2System",
     "spec_for_row",
     "WorkloadResult",
+    "run_store_dense",
     "run_workload",
     "run_table2",
     "Table2",
+    "format_store_dense",
     "format_table2",
     "ratio_summary",
 ]

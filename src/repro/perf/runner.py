@@ -112,6 +112,24 @@ def run_workload(
     raise KeyError(f"unknown workload {workload!r}; know {WORKLOAD_NAMES}")
 
 
+def run_store_dense() -> dict:
+    """Section 2.1 in numbers: virtual ns of 64 8 KB ``pwrite``s to one
+    file on a freshly built Rio with no protection, the TLB method and
+    code patching, ``{row: ns}``.  Under code patching the kernel text is
+    rewritten and interpreted, so its extra cost is the checks it executes."""
+    payload = bytes(range(256)) * 32
+    elapsed = {}
+    for row in ("rio_noprot", "rio_prot", "rio_patch"):
+        system = build_system(spec_for_row(row))
+        start = system.clock.now_ns
+        fd = system.vfs.open("/stores", create=True)
+        for i in range(64):
+            system.vfs.pwrite(fd, payload, i * len(payload))
+        system.vfs.close(fd)
+        elapsed[row] = system.clock.now_ns - start
+    return elapsed
+
+
 def run_table2(
     systems: tuple = TABLE2_KEYS,
     workloads: tuple = WORKLOAD_NAMES,

@@ -21,14 +21,6 @@ from dataclasses import dataclass, field
 from repro.faults.types import FaultType
 from repro.reliability.report import Table1
 
-CRASH_KIND_LABELS = {
-    "machine_check": "illegal address (machine check)",
-    "panic": "consistency check (panic)",
-    "illegal_instruction": "illegal instruction",
-    "watchdog": "hang (watchdog)",
-    "protection_trap": "Rio protection trap",
-}
-
 
 @dataclass
 class PropagationSummary:

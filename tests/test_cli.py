@@ -28,7 +28,9 @@ EXPLORE = ["explore", "basic", "--ops", "0", "--jobs", "2", "--resume", "{tmp}/e
 SCENARIOS = {
     "demo": [(["demo"], 0, ["recovered: b'memory, surviving a crash'"])],
     "mttf": [(["mttf"], 0, ["MTTF at one crash per two months"])],
-    "table2": [(["table2"], 0, ["Rio with protection", "Headline ratios"])],
+    "table2": [
+        (["table2"], 0, ["Rio with protection", "Headline ratios", "Section 2.1, 64 x 8 KB"])
+    ],
     "analyze": [
         (["analyze", "bcopy"], 0, ["=== bcopy", "lint: clean", "patch:"]),
         (["analyze", "no_such_routine"], 2, ["unknown routine"]),
@@ -43,11 +45,6 @@ SCENARIOS = {
             ["Table 1"],
         ),
         (["forensics", "{tmp}/campaign.jsonl"], 0, ["first divergent store"]),
-        (
-            ["forensics", "{tmp}/campaign.jsonl", "--trial", "disk/pointer/0", "--no-baseline"],
-            0,
-            ["=== disk/pointer/0 ==="],
-        ),
     ],
     "serve": [(["serve", "--clients", "16", "--crashes", "3"], 0, ["ZERO LOST ACKS"])],
     # The second step runs out of inodes: an errno inside a kernel lock
@@ -172,6 +169,19 @@ def test_malformed_image_metadata_exits_with_a_message(command, tmp_path):
     path.write_bytes(b"RIOIMG1\n" + b'{"num_bytes": 1.5, "sha256": 5}\n')
     message = refused([command, str(path)])
     assert message.startswith(f"bad image container {path}:") and "\n" not in message
+
+
+def test_table1_prints_propagation_and_one_digest_at_every_job_count(capsys):
+    """Footnote 2's matrix for each system, then the digest of the whole
+    table — the same line at one job and at two."""
+    digests = []
+    for jobs in ("1", "2"):
+        argv = ["table1", "--scale", "1", "--systems", "disk", "--faults", "pointer"]
+        assert main(argv + ["--jobs", jobs]) == 0
+        out = capsys.readouterr().out
+        assert "Fault propagation on disk (footnote 2):\nFault Type" in out
+        digests += [line for line in out.splitlines() if line.startswith("table1 digest: ")]
+    assert len(digests) == 2 and digests[0] == digests[1]
 
 
 def test_foreign_journal_exits_with_a_message(tmp_path, capsys):

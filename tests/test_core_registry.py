@@ -17,6 +17,7 @@ from repro.core.registry import (
     HEADER_SIZE,
     Registry,
     RegistryEntry,
+    _ENTRY_FMT,
     capacity_for,
     find_registry_in_image,
     read_entries_from_image,
@@ -60,18 +61,19 @@ class TestEntryCodec:
             disk_block=77,
             checksum=0xABCD1234,
         )
-        parsed = RegistryEntry.from_bytes(3, entry.to_bytes())
+        parsed = RegistryEntry.from_bytes(3, _ENTRY_FMT.pack(*entry.fields()))
         assert parsed == entry
 
     def test_entry_size_is_48_bytes(self):
         """The paper says ~40 bytes per 8 KB page; ours is 48."""
         assert ENTRY_SIZE == 48
-        assert len(RegistryEntry(slot=0).to_bytes()) == 48
+        assert _ENTRY_FMT.size == 48
         assert ENTRY_SIZE <= 64 and ENTRY_SIZE / 8192 < 0.01  # 0.59 % of the page
 
     def test_none_disk_block_roundtrip(self):
         entry = RegistryEntry(slot=0, flags=FLAG_VALID, disk_block=None)
-        assert RegistryEntry.from_bytes(0, entry.to_bytes()).disk_block is None
+        packed = _ENTRY_FMT.pack(*entry.fields())
+        assert RegistryEntry.from_bytes(0, packed).disk_block is None
 
     def test_flag_properties(self):
         entry = RegistryEntry(slot=0, flags=FLAG_VALID | FLAG_META | FLAG_CHANGING)
@@ -446,10 +448,10 @@ class TestInPlaceUpdates:
         vaddr = registry.entry_vaddr(2)
         machine.bus.store(vaddr + ENTRY_SIZE - 4, b"\xff\xff\xff\xff")
         registry.update_flags(2, set_flags=FLAG_VALID)
-        expected = RegistryEntry(slot=2, flags=FLAG_VALID, disk_block=0).to_bytes()
+        expected = _ENTRY_FMT.pack(*RegistryEntry(slot=2, flags=FLAG_VALID, disk_block=0).fields())
         assert machine.bus.load(vaddr, ENTRY_SIZE) == expected
 
-    @pytest.mark.parametrize("bad", [{"slot": 5}, {"valid": True}, {"to_bytes": 1}, {"ino": 1, "pad": 0}])
+    @pytest.mark.parametrize("bad", [{"slot": 5}, {"valid": True}, {"fields": 1}, {"ino": 1, "pad": 0}])
     def test_only_stored_fields_are_accepted(self, machine, registry, bad):
         """Any attribute of ``RegistryEntry`` used to pass: ``slot=5`` was
         a ``setattr`` away from storing the entry into slot 5, and

@@ -36,7 +36,7 @@ def crash_recover_validate(config_name: str, seed: int, crash_after: int):
 class TestValidatorBaseline:
     def test_fresh_fs_is_consistent(self):
         system = build_system(SystemSpec("ufs", fs_blocks=512))
-        system.fs.unmount()
+        system.settle()
         assert dissect_image(snapshot(system.disk)).clean
 
     def test_validator_catches_planted_damage(self):
@@ -45,7 +45,7 @@ class TestValidatorBaseline:
 
         system = build_system(SystemSpec("ufs", fs_blocks=512))
         ino = system.fs.create("/x")
-        system.fs.unmount()
+        system.settle()
         # Plant damage: clear the root dirent's target inode on disk.
         sb = system.fs.sb
         block = sb.inode_start + ino // (8192 // INODE_SIZE)

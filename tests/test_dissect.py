@@ -9,6 +9,7 @@ the kernel-side serializers it exists to double-check.
 from __future__ import annotations
 
 import ast
+import json
 import pathlib
 import struct
 
@@ -497,14 +498,16 @@ class TestParser:
 class TestReports:
     def test_finding_json_roundtrip(self):
         finding = Finding(FindingKind.BAD_POINTER, "inode 7", "points at 999", block=999)
-        assert Finding.from_json_dict(finding.to_json_dict()) == finding
+        assert json.loads(json.dumps(finding.to_json_dict())) == {
+            "kind": "bad_pointer", "where": "inode 7", "detail": "points at 999", "block": 999,
+        }
 
     def test_report_json_roundtrip(self, image):
         image[0:4] = b"\x00\x00\x00\x00"
         report = dissect_image(bytes(image))
-        back = DissectReport.from_json_dict(report.to_json_dict())
-        assert back.to_json() == report.to_json()
-        assert back.findings == report.findings
+        back = json.loads(report.to_json())
+        assert back == report.to_json_dict()
+        assert back["findings"] == [f.to_json_dict() for f in report.findings] != []
 
     def test_format_mentions_verdict(self, image):
         assert "CLEAN" in dissect_image(bytes(image)).format()
@@ -570,8 +573,8 @@ class TestDivergence:
         verdict = compare_verdicts(
             fsck_unrecoverable=False, fsck_fix_count=0, report=self._dirty_report()
         )
-        back = DivergenceReport.from_json_dict(verdict.to_json_dict())
-        assert back == verdict
+        back = json.loads(json.dumps(verdict.to_json_dict()))
+        assert DivergenceReport(**back) == verdict
         assert "DIVERGENCE" in verdict.format()
 
 

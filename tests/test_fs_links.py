@@ -131,6 +131,6 @@ class TestLinksAcrossCrash:
         make_file(system.vfs, "/f")
         plant_hard_link(system.fs, "/f", "/g")
         plant_symlink(system.fs, "/f", "/s")
-        system.fs.unmount()
+        system.settle()
         report = dissect_image(snapshot(system.disk))
         assert report.clean, report.findings

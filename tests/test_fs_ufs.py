@@ -229,7 +229,7 @@ class TestDurability:
         fs = system.fs
         ino = fs.create("/durable")
         fs.write(ino, 0, b"must hit the platter")
-        fs.unmount()
+        system.settle()
         system.crash("after unmount")
         system.reboot()
         ino = system.fs.namei("/durable")

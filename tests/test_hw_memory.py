@@ -64,17 +64,17 @@ class TestReadWrite:
 
     def test_u64_roundtrip(self):
         mem = make_mem()
-        mem.write_u64(64, 0xDEADBEEFCAFEF00D)
-        assert mem.read_u64(64) == 0xDEADBEEFCAFEF00D
+        mem.write(64, (0xDEADBEEFCAFEF00D).to_bytes(8, "little"))
+        assert int.from_bytes(mem.read(64, 8), "little") == 0xDEADBEEFCAFEF00D
 
     def test_u32_roundtrip(self):
         mem = make_mem()
-        mem.write_u32(12, 0x12345678)
-        assert mem.read_u32(12) == 0x12345678
+        mem.write(12, (0x12345678).to_bytes(4, "little"))
+        assert int.from_bytes(mem.read(12, 4), "little") == 0x12345678
 
     def test_fill(self):
         mem = make_mem()
-        mem.fill(100, 50, 0xAB)
+        mem.write(100, b"\xab" * 50)
         assert mem.read(100, 50) == b"\xab" * 50
         assert mem.read(99, 1) == b"\x00"
 
@@ -91,12 +91,8 @@ class TestImageOps:
         mem.write(100, b"persist me")
         image = mem.dump_image()
         fresh = make_mem(pages=2)
-        fresh.load_image(image)
+        fresh.write(0, image)
         assert fresh.read(100, 10) == b"persist me"
-
-    def test_load_image_size_mismatch(self):
-        with pytest.raises(ValueError):
-            make_mem(pages=2).load_image(b"\x00" * 10)
 
     def test_erase_models_pc_reset(self):
         mem = make_mem()
@@ -144,7 +140,7 @@ class TestReadsDoNotAllocate:
         assert mem.read(7 * PAGE - 3, 2 * PAGE + 6) == bytes(2 * PAGE + 6)
         assert mem.read(9 * PAGE, 16) == bytes(16)
         assert mem.page_checksum(11) == mem.page_checksum(12)
-        assert mem.read_u64(13 * PAGE) == 0
+        assert mem.read(13 * PAGE, 8) == bytes(8)
         assert sorted(mem._pages) == [5]
         assert [mem.generation(pfn) for pfn in range(64)] == gens
 
@@ -218,12 +214,12 @@ def _walk(machine: Machine) -> None:
 MUTATORS = {
     "write": (None, lambda m: m.memory.write(4 * PAGE + 100, b"new bytes")),
     "write-across-frames": (None, lambda m: m.memory.write(5 * PAGE - 3, b"straddles")),
-    "write_u64": (None, lambda m: m.memory.write_u64(4 * PAGE + 8, 1)),
-    "fill": (None, lambda m: m.memory.fill(4 * PAGE + 8, 16, 0x5A)),
+    "write_u64": (None, lambda m: m.memory.write(4 * PAGE + 8, (1).to_bytes(8, "little"))),
+    "fill": (None, lambda m: m.memory.write(4 * PAGE + 8, b"\x5a" * 16)),
     "flip_bit": (None, lambda m: m.memory.flip_bit(4 * PAGE + 9, 2)),
     "erase": (None, lambda m: m.memory.erase()),
     "load_image": (
-        None, lambda m: m.memory.load_image(random.Random(5).randbytes(m.memory.size))
+        None, lambda m: m.memory.write(0, random.Random(5).randbytes(m.memory.size))
     ),
     "copy_frame": (None, lambda m: m.memory.copy_frame(6, 4)),
     "bus.store": (None, lambda m: m.bus.store(100, b"new bytes")),

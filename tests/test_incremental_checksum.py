@@ -349,12 +349,12 @@ class TestMutationAccounting:
         memory = board.memory
         first, second = _watched(board, 4, 5)
         memory.write(4 * PAGE + PAGE - 4, b"abcdefgh")  # across two frames
-        memory.write_u64(4 * PAGE + 8, 1)
-        memory.write_u32(5 * PAGE + 100, 1)
-        memory.fill(5 * PAGE + 200, 56)
+        memory.write(4 * PAGE + 8, (1).to_bytes(8, "little"))
+        memory.write(5 * PAGE + 100, (1).to_bytes(4, "little"))
+        memory.write(5 * PAGE + 200, bytes(56))
         assert first == [2, 8, PAGE]
         assert second == [3, 0, 256]
-        memory.load_image(bytes(memory.size))
+        memory.write(0, bytes(memory.size))
         assert first == [3, 0, PAGE] and second == [4, 0, PAGE]
         assert memory.generation(4) == 3 and memory.generation(5) == 4
 

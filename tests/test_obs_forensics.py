@@ -3,7 +3,7 @@
 The recorder tests cover the lifecycle (disabled by default, start/stop,
 ring eviction with dropped accounting); the forensics tests run the
 report builder on small *synthetic* event streams so every attribution
-path — baseline diff, heuristic, crash stand-in, no injection — is
+path — baseline diff, crash stand-in, no injection — is
 exercised without running a campaign.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from repro.obs import (
     DEFAULT_EVENT_CAP,
     FlightRecorder,
+    MissingBaseline,
     NoDivergence,
     build_forensic_report,
     events_digest,
@@ -180,17 +181,13 @@ class TestForensicReportBuilder:
         assert "registry checksums: 1 mismatched slot(s)" in text
         assert "protection trap" in text
 
-    def test_heuristic_without_baseline(self):
-        report = build_forensic_report(RESULT, FAULTED, None)
-        assert report.divergence_basis == "heuristic"
-        # First store-class event after the injection marker (which may
-        # pre-date the true divergence — that is why it is a heuristic).
-        assert report.first_divergent_store["payload"]["page"] == "a"
-        assert any("no baseline" in n for n in report.notes)
+    def test_injection_without_baseline_is_refused(self):
+        with pytest.raises(MissingBaseline, match="rio_prot/pointer"):
+            build_forensic_report(RESULT, FAULTED, None)
 
     def test_crash_stands_in_when_no_store_event(self):
         stream = [FAULTED[0], FAULTED[1], FAULTED[2], FAULTED[6]]
-        report = build_forensic_report(RESULT, stream, None)
+        report = build_forensic_report(RESULT, stream, BASELINE)
         assert report.first_divergent_store["kind"] == "crash"
         assert any("stands in" in n for n in report.notes)
 

@@ -10,6 +10,7 @@ from repro.perf import (
     Table2,
     format_table2,
     ratio_summary,
+    run_store_dense,
     run_workload,
     spec_for_row,
 )
@@ -78,21 +79,12 @@ class TestRunner:
         interpreted, so the overhead is the extra instructions executed.
         (That every store pays a check is pinned in
         ``test_isa_patch.py``.)"""
-        seconds = {}
-        for row in ("rio_noprot", "rio_prot", "rio_patch"):
-            system = build_system(spec_for_row(row))
-            start = system.clock.now_ns
-            fd = system.vfs.open("/stores", create=True)
-            payload = bytes(range(256)) * 32
-            for i in range(64):
-                system.vfs.pwrite(fd, payload, i * len(payload))
-            system.vfs.close(fd)
-            seconds[system.rio.config.protection] = system.clock.now_ns - start
-        base = seconds[ProtectionMode.NONE]
+        elapsed = run_store_dense()
+        base = elapsed["rio_noprot"]
         # The TLB method is essentially free (paper: ~0%) ...
-        assert seconds[ProtectionMode.VM_KSEG] / base - 1.0 < 0.02
+        assert elapsed["rio_prot"] / base - 1.0 < 0.02
         # ... code patching lands in or near the paper's 20-50%.
-        assert 0.10 <= seconds[ProtectionMode.CODE_PATCHING] / base - 1.0 <= 0.80
+        assert 0.10 <= elapsed["rio_patch"] / base - 1.0 <= 0.80
 
     def test_unknown_workload(self):
         with pytest.raises(KeyError):

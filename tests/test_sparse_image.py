@@ -21,6 +21,7 @@ from repro.core.registry import (
     ENTRY_SIZE,
     HEADER_SIZE,
     REGISTRY_MAGIC,
+    _ENTRY_FMT,
     find_registry_in_image,
     read_entries_from_image,
 )
@@ -134,7 +135,7 @@ def mutate(mem: PhysicalMemory, op) -> None:
     if op[0] == "write":
         mem.write(op[1], op[2][: SIZE - op[1]])
     elif op[0] == "fill":
-        mem.fill(op[1], min(op[2], SIZE - op[1]), op[3])
+        mem.write(op[1], bytes([op[3] & 0xFF]) * min(op[2], SIZE - op[1]))
     elif op[0] == "flip":
         mem.flip_bit(op[1], op[2])
     elif op[0] == "erase":
@@ -309,7 +310,8 @@ def noprot_with_dirty_metadata():
 def wild_store(system, registry, entry) -> None:
     """Rewrite one entry the way a wild store would: raw memory, no window."""
     system.machine.memory.write(
-        registry.base_paddr + HEADER_SIZE + entry.slot * ENTRY_SIZE, entry.to_bytes()
+        registry.base_paddr + HEADER_SIZE + entry.slot * ENTRY_SIZE,
+        _ENTRY_FMT.pack(*entry.fields()),
     )
 
 

@@ -79,7 +79,7 @@ class _FakeFs:
     def inode_size(self, ino):
         return self.sizes[ino]
 
-    def write_by_ino(self, ino, offset, data):
+    def write(self, ino, offset, data):
         self.writes.append((ino, offset, len(data)))
         return len(data)
 

@@ -87,7 +87,12 @@ def build_env(fast_path: bool = True, replays: bool = True, interpret: bool = Fa
 
 def poke(env, vaddr: int, value: int) -> None:
     """Hardware-level write of one heap word (identity-mapped heap)."""
-    env.memory.write_u64(vaddr, value)
+    env.memory.write(vaddr, (value & (1 << 64) - 1).to_bytes(8, "little"))
+
+
+def peek(env, addr: int) -> int:
+    """Hardware-level read of one word."""
+    return int.from_bytes(env.memory.read(addr, 8), "little")
 
 
 def lay_out(env) -> None:
@@ -398,7 +403,7 @@ def test_unchanged_structures_replay(monkeypatch):
             assert tick(envs, call)
     # One walk each records the plan; the next three ticks replay it.
     assert walks == [HEAD, TABLE]
-    assert envs[0].memory.read_u64(PROCS[0] + 16) == 4
+    assert peek(envs[0], PROCS[0] + 16) == 4
     # The run queue's plan spans the table's head words, which the vnode
     # walks left alone; theirs spans the procs' counters, which a run queue
     # tick moves: the vnode table is walked again.
@@ -434,7 +439,7 @@ def test_counter_about_to_wrap_takes_the_walk(monkeypatch):
     # Tick 2 replays the counter to one short of 2**64; tick 3 may not
     # replay past it, walks, and wraps it; tick 4 replays again.
     assert walks == [HEAD, HEAD]
-    assert envs[0].memory.read_u64(PROCS[1] + 16) == 1
+    assert peek(envs[0], PROCS[1] + 16) == 1
 
 
 def test_no_plan_survives_a_reboot():
@@ -560,7 +565,7 @@ def test_clean_walk_counts_every_word():
     assert a.outcome == ("ok", 0, 2 + 9 * nodes + 3)
     assert a.stats[:4] == (1 + 3 * nodes, nodes, 8 * (1 + 3 * nodes), 8 * nodes)
     assert a.moved == {HEAP_VPN, HEAP_VPN + 1}
-    assert [env.memory.read_u64(n + 16) for n in PROCS] == [i + 1 for i in range(nodes)]
+    assert [peek(env, n + 16) for n in PROCS] == [i + 1 for i in range(nodes)]
 
 
 def test_store_into_a_protected_frame_with_a_matching_magic():
@@ -576,7 +581,7 @@ def test_store_into_a_protected_frame_with_a_matching_magic():
     # head, node 0 (3 loads, 1 store), then magic + counter loads and the
     # store that trapped — counted, not performed.
     assert a.stats[:2] == (1 + 3 + 2, 2)
-    assert env.memory.read_u64(KSEG_ONLY_PFN * PAGE + 16) == 5
+    assert peek(env, KSEG_ONLY_PFN * PAGE + 16) == 5
     assert a.traps == [("trap", "kseg", {"pfn": KSEG_ONLY_PFN, "address": target + 16})]
 
 
@@ -588,7 +593,7 @@ def test_counter_store_aliasing_the_head_word_is_read_back_live():
         [("set", PROCS[0] + 8, HEAD - 16), ("set", HEAD - 16, PROC_MAGIC), ("set", HEAD - 8, 0)],
     )
     assert a.outcome[:2] == ("ok", 0)
-    assert env.memory.read_u64(HEAD) == PROCS[0] + 1
+    assert peek(env, HEAD) == PROCS[0] + 1
 
 
 def test_straddling_node_takes_the_word_route_and_walks_on():
@@ -598,7 +603,7 @@ def test_straddling_node_takes_the_word_route_and_walks_on():
     )
     assert not a.traps
     assert a.outcome == ("ok", 0, 2 + 9 * (len(PROCS) + 1) + 3)
-    assert env.memory.read_u64(STRADDLERS[0] + 16) == 2
+    assert peek(env, STRADDLERS[0] + 16) == 2
     assert a.stats[0] == 1 + 3 * (len(PROCS) + 1)
 
 
