@@ -25,7 +25,9 @@ full-matrix ``chaos`` and ``RIO_FAST_PATH=0`` variants, and
 It prints the functions ``.funccov.json`` says tier-1 reaches and no
 entry point did — code only tests call — each with its class from
 :data:`KEEP`, and exits 1 when one has no class or an entry of that table
-matches none of them (``make keep-list`` runs both steps).
+matches none of them (``make keep-list`` runs both steps).  A paper
+claim is not a class: a claim prints from a ``repro`` command, or its
+code leaves ``src/``.
 ``--prod --lines [FILE[:FIRST-LAST]
 ...]`` (~5 min, no ``.funccov.json`` needed) runs the same entry points
 under the line tracer and lists, as ``--lines`` does, the statements
@@ -54,7 +56,6 @@ ISA = "ISA handler that corrupted kernel text can reach"
 POOL = "runs only in a pool or shard process"
 ARM = "fault or repair arm"
 ORACLE = "oracle or tooling accessor"
-CLAIM = "paper claim with no command yet"
 MFS = "MFS's VFS interface"
 
 #: ... per ``(path glob under src/repro/, qualified-name glob, class)``.
@@ -82,13 +83,6 @@ KEEP = (
     ("hw/memory.py", "PhysicalMemory.dump_image", ORACLE),
     ("obs/events.py", "FlightRecorder.events", ORACLE),
     ("util/sparse.py", "SparseBytes.__*__", ORACLE),
-    ("analysis/write_age.py", "*", f"{CLAIM}: section 1's write-age survival"),
-    ("extensions/phoenix.py", "*", f"{CLAIM}: section 6's Phoenix"),
-    ("fs/advfs.py", "*", f"{CLAIM}: AdvFS crash recovery"),
-    ("fs/writeback.py", "AdvFSPolicy.on_fsync", f"{CLAIM}: AdvFS crash recovery"),
-    ("fs/cache.py", "PageCache._evict_one", f"{CLAIM}: section 2.3's write on cache overflow"),
-    ("fs/cache.py", "PageCache._clean_cluster", f"{CLAIM}: section 2.3's write on cache overflow"),
-    ("system.py", "System.*reliability_writes", f"{CLAIM}: footnote 1's maintenance toggle"),
     ("fs/mfs.py", "*", MFS),
 )
 

@@ -14,23 +14,52 @@ import sys
 
 
 def cmd_demo(_args) -> int:
-    """The quickstart: write, crash, warm reboot, read back."""
+    """The quickstart: write, crash, warm reboot, read back; then
+    footnote 1's toggle through a power loss (a cold reboot), an AdvFS
+    journal replay, and section 2.2's warm-reboot cost."""
     from repro import SystemSpec, build_system
+    from repro.errors import FileNotFound
+    from repro.perf.report import format_warm_reboot
+    from repro.perf.runner import run_warm_reboot
 
-    system = build_system(SystemSpec("rio_prot"))
-    fd = system.vfs.open("/demo", create=True)
-    system.vfs.write(fd, b"memory, surviving a crash")
-    system.vfs.close(fd)
-    print(f"wrote /demo with {system.disk.stats.writes} disk writes")
-    system.crash("demo crash")
-    report = system.reboot()
-    print(
-        f"warm reboot: {report.warm.ubc_restored} file pages restored, "
-        f"{report.fsck.fix_count} fsck fixes"
-    )
-    data = system.fs.read(system.fs.namei("/demo"), 0, 64)
-    print(f"recovered: {data!r}")
-    return 0 if data == b"memory, surviving a crash" else 1
+    def crashed(name, data, *, fsync=False, toggle=False, warm=True):
+        """Write /demo on a fresh ``name`` system, crash, reboot: the disk
+        writes before the crash, the reboot's report, what /demo reads."""
+        system = build_system(SystemSpec(name))
+        fd = system.vfs.open("/demo", create=True)
+        system.vfs.write(fd, data)
+        if fsync:
+            system.vfs.fsync(fd)
+        system.vfs.close(fd)
+        writes = system.disk.stats.writes
+        if toggle:
+            system.enable_reliability_writes()
+        system.crash("demo crash")
+        report = system.reboot(preserve_memory=warm)
+        if toggle:
+            system.disable_reliability_writes()  # maintenance over
+        try:
+            return writes, report, system.fs.read(system.fs.namei("/demo"), 0, 64)
+        except FileNotFound:
+            return writes, report, "FileNotFound"
+
+    data = b"memory, surviving a crash"
+    writes, report, quick = crashed("rio_prot", data)
+    print(f"wrote /demo with {writes} disk writes")
+    print(f"warm reboot: {report.warm.ubc_restored} file pages restored, "
+          f"{report.fsck.fix_count} fsck fixes")
+    print(f"recovered: {quick!r}")
+    kept = crashed("rio_prot", data, toggle=True, warm=False)[2]
+    lost = crashed("rio_prot", data, warm=False)[2]
+    print(f"footnote 1, power lost (cold reboot): with reliability writes on recovered {kept!r}; "
+          f"without them {lost}")
+    _, advfs, logged = crashed("advfs", data, fsync=True)
+    print(f"AdvFS, fsync then crash: journal replay applied {advfs.journal_records_applied} "
+          f"records, {advfs.fsck.fix_count} fsck fixes, recovered {logged!r}")
+    warm, split = run_warm_reboot()
+    print(format_warm_reboot(split))
+    fixes = report.fsck.fix_count + advfs.fsck.fix_count + warm.fsck.fix_count
+    return 0 if quick == kept == logged == data and lost == "FileNotFound" and not fixes else 1
 
 
 def _parse_fault_types(text: str):
@@ -181,23 +210,18 @@ def cmd_forensics(args) -> int:
 
 
 def cmd_table2(_args) -> int:
-    """Run the Table 2 performance grid, its ratio summary and section
-    2.1's code-patching cost."""
-    from repro.perf import (
-        Table2,
-        format_store_dense,
-        format_table2,
-        ratio_summary,
-        run_store_dense,
-        run_table2,
-    )
-    from repro.perf.report import format_ratio_summary
+    """Run the Table 2 performance grid, its ratio summary, section 2.1's
+    code-patching cost, section 2.3's cache overflow and section 6's
+    debit/credit commit rates."""
+    from repro.perf import report, runner
 
-    table = Table2(results=run_table2())
-    print(format_table2(table))
+    table = report.Table2(results=runner.run_table2())
+    print(report.format_table2(table))
     print()
-    print(format_ratio_summary(ratio_summary(table)))
-    print(format_store_dense(run_store_dense()))
+    print(report.format_ratio_summary(report.ratio_summary(table)))
+    print(report.format_store_dense(runner.run_store_dense()))
+    print(report.format_overflow(runner.run_overflow()))
+    print(report.format_debit_credit(runner.run_debit_credit()))
     return 0
 
 

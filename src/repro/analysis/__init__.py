@@ -1,6 +1,5 @@
-"""Analysis helpers: the MTTF model and write-age statistics."""
+"""Analysis helpers: the section 3.3 MTTF model."""
 
 from repro.analysis.mttf import mttf_years, mttf_table
-from repro.analysis.write_age import WriteAgeTrace, write_age_survival
 
-__all__ = ["mttf_years", "mttf_table", "WriteAgeTrace", "write_age_survival"]
+__all__ = ["mttf_years", "mttf_table"]

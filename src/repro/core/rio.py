@@ -39,11 +39,6 @@ class RioFileCache:
             region_bytes,
             protection=self.protection,
         )
-        self.guard = self._make_guard()
+        self.guard = RioGuard(kernel, self.registry, self.protection, self.config)
         self.registry.format()
         self.protection.install(frames)
-
-    def _make_guard(self) -> RioGuard:
-        """The cache guard over this registry and protection (a subclass
-        hook: Phoenix tracks checkpoint state instead)."""
-        return RioGuard(self.kernel, self.registry, self.protection, self.config)

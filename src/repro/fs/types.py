@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.disk.model import SECTOR_SIZE
 
@@ -39,12 +39,10 @@ class FileType(enum.IntEnum):
     SYMLINK = 3
 
 
-@dataclass(frozen=True)
-class FileId:
-    """Identifies a file the way the registry does: device + inode number."""
+class FileId(NamedTuple):
+    """Identifies a file the way the registry does: device + inode number.
+
+    A tuple, so that the page cache's per-file index hashes it in C."""
 
     dev: int
     ino: int
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.dev}:{self.ino}"

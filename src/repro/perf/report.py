@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.registry import ENTRY_SIZE
 from repro.perf.runner import WORKLOAD_NAMES
 from repro.perf.systems import TABLE2_SYSTEMS
 
@@ -106,4 +107,35 @@ def format_store_dense(elapsed: dict) -> str:
         "Section 2.1, 64 x 8 KB pwrites over Rio without protection: "
         f"TLB protection {tlb:+.2f} % (paper: ~0 %), "
         f"code patching {patch:+.1f} % (paper: 20-50 %)"
+    )
+
+
+def format_overflow(run: dict) -> str:
+    """One line from :func:`repro.perf.runner.run_overflow`."""
+    return (
+        f"Section 2.3, {run['pages']} x 8 KB writes into one file past the {run['capacity']}-page "
+        f"UBC on Rio with protection: {run['writes']} disk writes from {run['sweeps']} overflow "
+        f"sweep, {run['evictions']} evictions (paper: Rio writes to disk only on overflow)"
+    )
+
+
+def format_debit_credit(results: dict) -> str:
+    """One line from :func:`repro.perf.runner.run_debit_credit`."""
+    rio, wt = results["rio_prot"], results["wt_write"]
+    cost = (rio.seconds / results["rio_noprot"].seconds - 1.0) * 100
+    return (
+        f"Section 6, debit/credit ({rio.transactions} commits): Rio {rio.tps:.1f} tps, "
+        f"write-through {wt.tps:.1f} tps ({rio.tps / wt.tps:.0f}x); "
+        f"protection {cost:+.1f} % (paper: expose-page 7 %)"
+    )
+
+
+def format_warm_reboot(split: dict) -> str:
+    """One line from :func:`repro.perf.runner.run_warm_reboot`'s split,
+    with the registry's entry size."""
+    s = {key: ns / 1e9 for key, ns in split.items()}
+    return (
+        f"Section 2.2, warm reboot with 2 MB dirty: {s['total']:.1f} s = {s['reset']:.0f} s reset "
+        f"+ {s['dump']:.2f} s dump + {s['restore']:.1f} s restore; a {ENTRY_SIZE} B registry "
+        "entry per 8 KB page (paper: 40 B)"
     )

@@ -14,8 +14,10 @@ from typing import Optional
 from repro.kernel import KernelConfig
 from repro.perf.systems import TABLE2_KEYS, spec_for_row
 from repro.system import SystemSpec, build_system
+from repro.util import pattern_bytes
 from repro.workloads.andrew import AndrewBenchmark, AndrewParams
 from repro.workloads.cp_rm import CpRmParams, CpRmWorkload
+from repro.workloads.debit_credit import DebitCreditWorkload
 from repro.workloads.sdet import SdetParams, SdetWorkload
 
 WORKLOAD_NAMES = ("cp_rm", "sdet", "andrew")
@@ -27,6 +29,9 @@ WORKLOAD_NAMES = ("cp_rm", "sdet", "andrew")
 #: would degenerate.  The ratio of run length to flush interval, not the
 #: absolute 30 s, is what Table 2 exercises.
 _UPDATE_INTERVAL_NS = 1_000_000_000
+
+#: One 8 KB page of the section 2.1 and 2.3 runs.
+_PAYLOAD = bytes(range(256)) * 32
 
 
 @dataclass
@@ -46,16 +51,6 @@ class WorkloadResult:
         if self.cp_seconds is not None:
             return f"{fmt(self.seconds)} ({fmt(self.cp_seconds)}+{fmt(self.rm_seconds)})"
         return fmt(self.seconds)
-
-
-def _collect_disk_stats(system) -> dict:
-    stats = system.disk.stats
-    return {
-        "reads": stats.reads,
-        "writes": stats.writes,
-        "sync_writes": stats.sync_writes,
-        "sectors_written": stats.sectors_written,
-    }
 
 
 def run_workload(
@@ -82,34 +77,22 @@ def run_workload(
         bench = CpRmWorkload(vfs, kernel, cp_rm_params)
         bench.setup()
         system.drop_caches()  # the timed phase starts with a cold cache
-        result = bench.run()
-        return WorkloadResult(
-            system=system_key,
-            workload=workload,
-            seconds=result.total_seconds,
-            cp_seconds=result.cp_seconds,
-            rm_seconds=result.rm_seconds,
-            disk_stats=_collect_disk_stats(system),
+        split = bench.run()
+        result = WorkloadResult(
+            system_key, workload, split.total_seconds, split.cp_seconds, split.rm_seconds
         )
-    if workload == "sdet":
-        bench = SdetWorkload(vfs, kernel, sdet_params)
-        seconds = bench.run()
-        return WorkloadResult(
-            system=system_key,
-            workload=workload,
-            seconds=seconds,
-            disk_stats=_collect_disk_stats(system),
-        )
-    if workload == "andrew":
+    elif workload == "sdet":
+        result = WorkloadResult(system_key, workload, SdetWorkload(vfs, kernel, sdet_params).run())
+    elif workload == "andrew":
         bench = AndrewBenchmark(vfs, kernel, andrew_params)
-        seconds = bench.run()
-        return WorkloadResult(
-            system=system_key,
-            workload=workload,
-            seconds=seconds,
-            disk_stats=_collect_disk_stats(system),
-        )
-    raise KeyError(f"unknown workload {workload!r}; know {WORKLOAD_NAMES}")
+        result = WorkloadResult(system_key, workload, bench.run())
+    else:
+        raise KeyError(f"unknown workload {workload!r}; know {WORKLOAD_NAMES}")
+    stats = system.disk.stats
+    result.disk_stats = {
+        name: getattr(stats, name) for name in ("reads", "writes", "sync_writes", "sectors_written")
+    }
+    return result
 
 
 def run_store_dense() -> dict:
@@ -117,17 +100,63 @@ def run_store_dense() -> dict:
     file on a freshly built Rio with no protection, the TLB method and
     code patching, ``{row: ns}``.  Under code patching the kernel text is
     rewritten and interpreted, so its extra cost is the checks it executes."""
-    payload = bytes(range(256)) * 32
     elapsed = {}
     for row in ("rio_noprot", "rio_prot", "rio_patch"):
         system = build_system(spec_for_row(row))
         start = system.clock.now_ns
         fd = system.vfs.open("/stores", create=True)
         for i in range(64):
-            system.vfs.pwrite(fd, payload, i * len(payload))
+            system.vfs.pwrite(fd, _PAYLOAD, i * len(_PAYLOAD))
         system.vfs.close(fd)
         elapsed[row] = system.clock.now_ns - start
     return elapsed
+
+
+def run_overflow() -> dict:
+    """Section 2.3 in numbers: 1 800 8 KB writes into one file on Rio
+    with protection over a 4 096-block file system (the default 1 024
+    blocks fit in the UBC), so that only cache overflow writes: the
+    UBC's capacity, sweeps and evictions, and the disk's writes."""
+    pages = 1800
+    system = build_system(spec_for_row("rio_prot", SystemSpec(fs_blocks=4096)))
+    fd = system.vfs.open("/overflow", create=True)
+    for _ in range(pages):
+        system.vfs.write(fd, _PAYLOAD)
+    system.vfs.close(fd)
+    ubc = system.kernel.ubc
+    return {"pages": pages, "capacity": ubc.capacity, "writes": system.disk.stats.writes,
+            "sweeps": ubc.stat_clean_sweeps, "evictions": ubc.stat_evictions}
+
+
+def run_debit_credit() -> dict:
+    """Section 6's debit/credit workload, default parameters (one fsync
+    per commit), per row: ``{row: DebitCreditResult}``."""
+    results = {}
+    for row in ("rio_noprot", "rio_prot", "wt_write"):
+        system = build_system(spec_for_row(row))
+        bench = DebitCreditWorkload(system.vfs, system.kernel)
+        bench.setup()
+        results[row] = bench.run()
+    return results
+
+
+def run_warm_reboot() -> tuple:
+    """Section 2.2 in numbers: 2 MB dirty on Rio (16 files of 128 KB), a
+    crash and the warm reboot: its report, and its virtual ns as the
+    reset (``boot_time_ns``), the dump (the swap disk's busy time) and
+    the restore (the rest), ``{"total", "reset", "dump", "restore"}``."""
+    system = build_system(SystemSpec("rio_prot"))
+    for i in range(16):
+        fd = system.vfs.open(f"/file{i:03d}", create=True)
+        system.vfs.write(fd, pattern_bytes(i, 0, 128 * 1024))
+        system.vfs.close(fd)
+    system.crash("section 2.2")
+    swap = system.swap.disk.stats
+    began, busy = system.clock.now_ns, swap.busy_ns
+    report = system.reboot()
+    total, dump = system.clock.now_ns - began, swap.busy_ns - busy
+    reset = system.machine.config.boot_time_ns
+    return report, {"total": total, "reset": reset, "dump": dump, "restore": total - reset - dump}
 
 
 def run_table2(

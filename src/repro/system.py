@@ -36,8 +36,6 @@ from repro.kernel.syscalls import VFS
 ROOT_DEV = 0
 #: AdvFS's log region, in 8 KB blocks.
 JOURNAL_BLOCKS = 32
-#: The cache of the section 6 Phoenix comparison (see :class:`SystemRow`).
-PHOENIX = "phoenix"
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,10 @@ class SystemRow:
 
     #: Write policy name (see repro.fs.writeback).
     policy: str = "rio"
-    #: Rio's protection mode, :data:`PHOENIX`, or None for a system whose
-    #: memory does not survive a crash.  A row with a cache warm-reboots
-    #: and has footnote 1's reliability writes off.
-    cache: ProtectionMode | str | None = None
+    #: Rio's protection mode, or None for a system whose memory does not
+    #: survive a crash.  A row with a cache warm-reboots and has footnote
+    #: 1's reliability writes off.
+    cache: ProtectionMode | None = None
     fs: type = UFS
     #: Where a memory file system is mounted (Table 2's MFS row: source
     #: tree on the disk-backed root, benchmark target in RAM).
@@ -71,7 +69,6 @@ SYSTEMS = {
     "rio_noprot": SystemRow(cache=ProtectionMode.NONE),
     "rio_prot": SystemRow(cache=ProtectionMode.VM_KSEG),
     "rio_patch": SystemRow(cache=ProtectionMode.CODE_PATCHING),
-    "phoenix": SystemRow(cache=PHOENIX),
 }
 
 #: Table 1's three systems (described in :mod:`repro.reliability.campaign`).
@@ -189,14 +186,9 @@ class System:
         # at the same store object.
         self.kernel.backing = self.backing
         row = self.row
-        self.rio = self.phoenix = None
+        self.rio = None
         guard = None
-        if row.cache == PHOENIX:
-            from repro.extensions.phoenix import PhoenixFileCache
-
-            self.phoenix = PhoenixFileCache(self.kernel)
-            guard = self.phoenix.guard
-        elif row.cache is not None:
+        if row.cache is not None:
             config = RioConfig(protection=row.cache, maintain_checksums=spec.checksums)
             self.rio = RioFileCache(self.kernel, config)
             guard = self.rio.guard
@@ -247,7 +239,7 @@ class System:
             # every intact page would be reported corrupt.
             image, entries, warm = dump_and_recover_metadata(
                 self.machine, self.swap, {ROOT_DEV: self.disk},
-                audit=(self.phoenix or self.rio).config.maintain_checksums,
+                audit=self.rio.config.maintain_checksums,
             )
             report.warm = warm
 

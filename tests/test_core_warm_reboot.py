@@ -5,6 +5,8 @@ import pytest
 from repro.disk.model import service_ns, transfer_ns
 from repro.errors import ProtectionTrap
 from repro.fs.types import BLOCK_SIZE
+from repro.hw import MachineConfig
+from repro.perf.runner import run_warm_reboot
 from repro.system import SystemSpec, build_system
 from repro.util import pattern_bytes
 
@@ -119,20 +121,15 @@ class TestWarmRebootEndToEnd:
         report = system.reboot()
         assert page.registry_slot in report.warm.checksum_mismatches
 
-    @pytest.mark.parametrize("kind", ["rio", "rio-no-checksums", "phoenix"])
+    @pytest.mark.parametrize("kind", ["rio", "rio-no-checksums"])
     def test_audit_only_where_checksums_were_maintained(self, kind):
-        """A cache that keeps no checksums (every Rio row of Table 2,
-        Phoenix) stores 0 in each entry: auditing those reported every
-        intact page corrupt, and campaigns, the explorer and forensics all
-        read that list."""
-        if kind == "phoenix":
-            system = build_system(SystemSpec("phoenix"))
-        else:
-            system = build_system(SystemSpec("rio_prot", checksums=kind == "rio"))
+        """A cache that keeps no checksums (every Rio row of Table 2)
+        stores 0 in each entry: auditing those reported every intact page
+        corrupt, and campaigns, the explorer and forensics all read that
+        list."""
+        system = build_system(SystemSpec("rio_prot", checksums=kind == "rio"))
         fd = system.vfs.open("/f", create=True)
         system.vfs.write(fd, b"x" * 20 * 1024)
-        if kind == "phoenix":
-            system.phoenix.checkpoint()
         system.crash("boom")
         warm = system.reboot().warm
         assert warm.valid_entries >= 3
@@ -165,30 +162,19 @@ class TestWarmRebootCost:
     of memory and a registry-driven restore, and costs exactly that."""
 
     def test_two_megabytes_dirty_breakdown(self):
-        system = rio_system()
-        for i in range(16):
-            fd = system.vfs.open(f"/file{i:03d}", create=True)
-            system.vfs.write(fd, pattern_bytes(i, 0, 128 * 1024))
-            system.vfs.close(fd)
-        system.crash("boom")
-        swap_disk = system.swap.disk
-        began, swap_busy = system.clock.now_ns, swap_disk.stats.busy_ns
-        report = system.reboot()
-        total = system.clock.now_ns - began
+        report, split = run_warm_reboot()
         assert report.warm.ubc_restored >= 16
         assert report.fsck.fix_count == 0
         # The reset, then one request that carries all of memory to swap
         # (16 MiB at 5 MiB/s: 3.2 s of transfer), then the restore —
         # metadata to disk, fsck, mount, dirty pages through the fs.
-        boot = system.machine.config.boot_time_ns
-        dump = swap_disk.stats.busy_ns - swap_busy
-        memory_bytes = system.machine.memory.size
+        memory_bytes = MachineConfig().memory_bytes
         assert report.warm.dumped_bytes == memory_bytes
-        assert dump == service_ns(memory_bytes, sequential=False)
-        assert dump >= transfer_ns(memory_bytes) == 3_200_000_000
-        restore = total - boot - dump
-        assert 0 < restore < dump < boot
-        assert boot == 30_000_000_000 and boot + dump > 0.95 * total
+        assert split["dump"] == service_ns(memory_bytes, sequential=False)
+        assert split["dump"] >= transfer_ns(memory_bytes) == 3_200_000_000
+        assert 0 < split["restore"] < split["dump"] < split["reset"]
+        assert split["reset"] == 30_000_000_000
+        assert split["reset"] + split["dump"] > 0.95 * split["total"]
 
 
 class TestRepeatedCrashes:

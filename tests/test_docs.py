@@ -7,6 +7,7 @@
 * docs/ARCHITECTURE.md names every package under src/repro/;
 * every tier-1 test id and module DESIGN.md's experiment index names exists;
 * every backticked ``test_*`` name in EXPERIMENTS.md is a test that exists;
+* every ``Regenerate:`` line in EXPERIMENTS.md is a ``repro`` command;
 * the docstring-coverage gate (scripts/check_docstrings.py) passes.
 """
 
@@ -134,6 +135,22 @@ def test_experiments_names_real_tests():
         if isinstance(node, ast.FunctionDef)
     }
     assert not named - defined, f"EXPERIMENTS.md names missing tests: {sorted(named - defined)}"
+
+
+def test_every_regenerate_line_is_a_repro_command():
+    """A claim regenerates with a command, not a test run: each
+    ``Regenerate:`` line of EXPERIMENTS.md names a registered ``python -m
+    repro`` subcommand and no pytest node id."""
+    from repro.__main__ import COMMANDS
+
+    registered = {name for name, *_ in COMMANDS}
+    text = (REPO / "EXPERIMENTS.md").read_text()
+    lines = [line for line in text.splitlines() if line.startswith("Regenerate:")]
+    assert len(lines) >= 6, "EXPERIMENTS.md lost its Regenerate lines"
+    for line in lines:
+        commands = re.findall(r"python -m repro ([a-z][a-z0-9-]*)", line)
+        assert commands and set(commands) <= registered, line
+        assert "pytest" not in line and "::" not in line, line
 
 
 def test_design_experiment_index_names_real_modules():

@@ -1,5 +1,5 @@
-"""Tests for extensions: Phoenix checkpointing, the debit/credit
-workload, and the section-5 memory-board transplant."""
+"""Tests for the debit/credit workload and the section-5 memory-board
+transplant."""
 
 import pytest
 
@@ -11,87 +11,6 @@ from repro.workloads.debit_credit import (
     RECORD,
     RECORD_SIZE,
 )
-
-
-class TestPhoenix:
-    def make(self):
-        return build_system(SystemSpec("phoenix", fs_blocks=512))
-
-    def test_checkpointed_data_survives(self):
-        system = self.make()
-        fd = system.vfs.open("/kept", create=True)
-        system.vfs.write(fd, b"checkpointed")
-        system.vfs.close(fd)
-        system.phoenix.checkpoint()
-        system.crash("boom")
-        system.reboot()
-        assert system.vfs.exists("/kept")
-        assert system.fs.read(system.fs.namei("/kept"), 0, 16) == b"checkpointed"
-
-    def test_post_checkpoint_writes_lost(self):
-        """The paper's contrast #1: Phoenix does not ensure the
-        reliability of every write."""
-        system = self.make()
-        system.phoenix.checkpoint()
-        fd = system.vfs.open("/lost", create=True)
-        system.vfs.write(fd, b"since checkpoint")
-        system.vfs.close(fd)
-        system.crash("boom")
-        system.reboot()
-        assert not system.vfs.exists("/lost")
-
-    def test_rio_keeps_the_same_write_phoenix_loses(self):
-        rio = build_system(SystemSpec("rio_prot", fs_blocks=512))
-        phoenix = self.make()
-        phoenix.phoenix.checkpoint()
-        for system in (rio, phoenix):
-            fd = system.vfs.open("/recent", create=True)
-            system.vfs.write(fd, b"last second")
-            system.vfs.close(fd)
-            system.crash("boom")
-            system.reboot()
-        assert rio.vfs.exists("/recent")
-        assert not phoenix.vfs.exists("/recent")
-
-    def test_phoenix_holds_double_copies(self):
-        """The paper's contrast #2: multiple copies of modified pages."""
-        system = self.make()
-        fd = system.vfs.open("/pages", create=True)
-        system.vfs.write(fd, b"x" * 32768)
-        system.vfs.close(fd)
-        assert system.phoenix.snapshot_frames == 0  # Rio-like before checkpoint
-        captured = system.phoenix.checkpoint()
-        assert captured > 0
-        assert system.phoenix.snapshot_frames == captured
-
-    def test_recheckpoint_frees_obsolete_snapshots(self):
-        system = self.make()
-        fd = system.vfs.open("/f", create=True)
-        system.vfs.write(fd, b"v1")
-        system.vfs.close(fd)
-        system.phoenix.checkpoint()
-        free_after_first = system.kernel.frames.free_count
-        fd = system.vfs.open("/f")
-        system.vfs.pwrite(fd, b"v2", 0)
-        system.vfs.close(fd)
-        system.phoenix.checkpoint()
-        # Same pages captured again: obsolete snapshots freed, so the
-        # frame count is (approximately) stable rather than growing.
-        assert system.kernel.frames.free_count == free_after_first
-
-    def test_latest_checkpoint_wins(self):
-        system = self.make()
-        fd = system.vfs.open("/versioned", create=True)
-        system.vfs.write(fd, b"first version ")
-        system.vfs.close(fd)
-        system.phoenix.checkpoint()
-        fd = system.vfs.open("/versioned")
-        system.vfs.pwrite(fd, b"SECOND version", 0)
-        system.vfs.close(fd)
-        system.phoenix.checkpoint()
-        system.crash("boom")
-        system.reboot()
-        assert system.fs.read(system.fs.namei("/versioned"), 0, 14) == b"SECOND version"
 
 
 class TestDebitCredit:

@@ -41,7 +41,7 @@ from repro.reliability.chaos import ChaosCampaignConfig, run_chaos_campaign
 from repro.reliability.report import run_table1_campaign, table1_digest
 from repro.reliability.traffic import TrafficConfig, run_traffic_campaign
 from repro.server import LoadSpec
-from repro.system import SystemSpec, build_system
+from repro.system import build_system
 
 GOLDEN = {
     # Every virtual time below, and every image, registry, report, stream
@@ -215,7 +215,6 @@ GOLDEN = {
         # now pays the spilled check, so only the run's ``now_ns`` moves
         # (33 613 907 540 -> 33 614 006 780).
         "table2/rio_patch": "0f08436e4905c63ed41dacdaa75f324034211fd0f4f8318bd5aa0b07dd87ad2c",
-        "phoenix": "c6a92d3e917b5aa8c37d75613c44b54f233987e5589854b01f7d8bff67176934",
     },
 }
 
@@ -502,19 +501,17 @@ def observe_boot(monkeypatch) -> dict:
 def _system_specs() -> dict:
     """Every name the two tables build: Table 1's three (detection
     checksums on), Table 2's eight plus the ``rio_patch`` ablation
-    (checksums off), and the section 6 ``phoenix`` comparison."""
+    (checksums off)."""
     specs = {f"table1/{name}": system_spec_for(name) for name in SYSTEM_NAMES}
     for key in TABLE2_KEYS + ("rio_patch",):
         specs[f"table2/{key}"] = spec_for_row(key)
-    specs["phoenix"] = SystemSpec("phoenix")
     return specs
 
 
 def observe_system(spec) -> str:
     """The shape one spec builds plus one short write-crash-reboot run."""
     system = build_system(spec)
-    cache = system.rio or system.phoenix
-    config = cache and cache.config
+    config = system.rio and system.rio.config
     shape = {
         "fs": type(system.fs).__name__,
         "policy": system.fs.policy.name,

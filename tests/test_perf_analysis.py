@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import WriteAgeTrace, mttf_table, mttf_years, write_age_survival
+from repro.analysis import mttf_table, mttf_years
 from repro.analysis.mttf import PAPER_RATES
 from repro.core import ProtectionMode
 from repro.perf import (
@@ -149,43 +149,3 @@ class TestMttf:
     def test_validates_crashes(self):
         with pytest.raises(ValueError):
             mttf_years(1, 0)
-
-
-class TestWriteAge:
-    def test_overwrite_kills_old_data(self):
-        trace = WriteAgeTrace()
-        trace.record_write("f", 0, 100, now_ns=0)
-        trace.record_write("f", 0, 100, now_ns=int(5e9))
-        # At 10s, the first extent died at 5s; the second is alive.
-        frac = trace.survival_fraction(6.0, end_ns=int(20e9))
-        assert frac == pytest.approx(0.5)
-
-    def test_delete_kills_all_extents(self):
-        trace = WriteAgeTrace()
-        trace.record_write("f", 0, 100, now_ns=0)
-        trace.record_write("f", 200, 100, now_ns=0)
-        trace.record_delete("f", now_ns=int(1e9))
-        assert trace.survival_fraction(2.0, end_ns=int(100e9)) == 0.0
-
-    def test_young_writes_not_judged(self):
-        trace = WriteAgeTrace()
-        trace.record_write("f", 0, 100, now_ns=int(99e9))
-        # Only 1s old at end: too young for a 30s judgement.
-        assert trace.survival_fraction(30.0, end_ns=int(100e9)) == 0.0
-
-    def test_survival_curve_shape(self):
-        trace = WriteAgeTrace()
-        for i in range(10):
-            trace.record_write(f"f{i}", 0, 1000, now_ns=0)
-        for i in range(4):
-            trace.record_delete(f"f{i}", now_ns=int(10e9))
-        curve = write_age_survival(trace, end_ns=int(1000e9), ages=(5, 15))
-        assert curve[5] == pytest.approx(1.0)
-        assert curve[15] == pytest.approx(0.6)
-
-    def test_bytes_dead_within(self):
-        trace = WriteAgeTrace()
-        trace.record_write("f", 0, 500, now_ns=0)
-        trace.record_delete("f", now_ns=int(3e9))
-        assert trace.bytes_dead_within(5.0) == 500
-        assert trace.bytes_dead_within(1.0) == 0
