@@ -34,7 +34,11 @@ bench-same:
 # explore_traffic works in pool children the profiler cannot see, so
 # TRIALS=N profiles every N-th boundary trial in process instead (make
 # profile W=explore_traffic TRIALS=4; add WALL=1 for plain wall-clock ms
-# per trial, no profiler).  MEM=1 asks where peak_rss_mb comes from: the
+# per trial, no profiler), then prints the median trial's wall time split
+# at its armed crash ("to the crash X ms, after it Y ms"), its recovery
+# phases, and the emission census of a fully recorded re-run of it (a
+# sweep's trial records only up to its crash: the armed event's hook
+# stops the recorder).  MEM=1 asks where peak_rss_mb comes from: the
 # round under tracemalloc, the traced peak of each HostClock bucket (make
 # profile W=tiered_disk MEM=1) — the table to start a memory issue from.
 # Every mode but MEM=1 also prints "kernel steps: N charged — sched_tick

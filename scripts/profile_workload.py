@@ -13,9 +13,12 @@ see, so ``--trials N`` instead runs ``run_boundary_trial`` in process
 over every N-th boundary of the workload's enumeration (the bench sizes
 and seed rule), profiled; ``--wall`` drops the profiler and prints the
 plain wall-clock cost per trial.  Either way it then prints the
-median-cost trial's recovery phases in ms (:data:`RECOVERY_PHASES`),
-the dissect memo's hits and misses over the run, and what that trial
-emitted into the flight recorder, counted by ``kind/op`` —
+median-cost trial's wall time split at its armed crash (``to the crash
+X ms, after it Y ms``: the build and the recorded run, then recovery and
+the checks, with the recorder off), its recovery phases in ms
+(:data:`RECOVERY_PHASES`), the dissect memo's hits and misses over the
+run, and what a fully recorded re-run of that trial emits into the
+flight recorder, counted by ``kind/op`` (:func:`emission_census`) —
 explore_traffic is the one recorder-on workload, and a recorder-path
 question should start from those counts.
 
@@ -187,6 +190,8 @@ RECOVERY_PHASES = (
 #: Wrapped like a phase, but only its calls are reported: the walks
 #: behind the ``dissect`` phase's calls, the rest being memo hits.
 DISSECT_WALK = ("dissect walk", "repro.fs.dissect.parser", "_dissect")
+#: Wrapped so the armed crash's hook stamps the moment it fires.
+ARMED_CRASH = ("crash", "repro.obs.events", "FlightRecorder.arm_crash")
 
 
 def wrap_in_place(targets, wrap) -> list:
@@ -310,15 +315,19 @@ class CallCounter:
 
 class PhaseTimer:
     """Wall time per :data:`RECOVERY_PHASES` entry, one dict per trial,
-    and calls per entry over the run: the named functions are wrapped in
-    place while the timer is active."""
+    calls per entry over the run, and each trial's wall time split at its
+    first armed crash: the named functions are wrapped in place while the
+    timer is active."""
 
     def __init__(self) -> None:
         self.trials: list[dict] = []
         self.calls: collections.Counter = collections.Counter()
+        #: ``(to the crash, after it)`` in seconds, one pair per trial.
+        self.splits: list[tuple] = []
 
     def __enter__(self) -> "PhaseTimer":
         self._undo = wrap_in_place((*RECOVERY_PHASES, DISSECT_WALK), self._timed)
+        self._undo += wrap_in_place((ARMED_CRASH,), self._armed)
         return self
 
     def __exit__(self, *_exc) -> None:
@@ -336,15 +345,36 @@ class PhaseTimer:
 
         return timed
 
+    def _armed(self, label: str, arm_crash):
+        def arm(recorder, seq, hook):
+            def stamped(event):
+                self.trials[-1].setdefault(label, time.perf_counter())
+                return hook(event)
+
+            return arm_crash(recorder, seq, stamped)
+
+        return arm
+
     def run(self, func, *args):
         """Call ``func(*args)`` as one trial."""
-        self.trials.append({})
-        return func(*args)
+        phases: dict = {}
+        self.trials.append(phases)
+        began = time.perf_counter()
+        try:
+            return func(*args)
+        finally:
+            ended = time.perf_counter()
+            crashed = phases.pop(ARMED_CRASH[0], ended)
+            self.splits.append((crashed - began, ended - crashed))
 
 
 def emission_census(config, boundary) -> collections.Counter:
-    """``kind/op`` counts of the events one boundary trial emits: the
-    workload up to the armed crash, then the recovery it absorbs."""
+    """``kind/op`` counts of the events a fully recorded re-run of one
+    boundary trial emits: the workload up to the armed crash, then the
+    recovery it absorbs.  A sweep's trial records only those up to the
+    crash — the armed event's hook stops the recorder — so the census is
+    what the recorder costs a trial that records everything, as the
+    re-run of a violating trial does."""
     from repro.errors import SystemCrash
     from repro.explore.workloads import build_run
 
@@ -441,6 +471,11 @@ def main(argv=None) -> int:
         print(
             f"{len(costs)} trials: median {median_cost * 1e3:.1f} ms, "
             f"mean {sum(costs) / len(costs) * 1e3:.1f} ms"
+        )
+        to_crash, after = phases.splits[median]
+        print(
+            f"median trial's wall time: to the crash {to_crash * 1e3:.1f} ms, "
+            f"after it {after * 1e3:.1f} ms" + ("" if args.wall else " (profiled)")
         )
         print("median trial's recovery phases" + ("" if args.wall else " (profiled)"))
         for label, _module, _path in RECOVERY_PHASES:

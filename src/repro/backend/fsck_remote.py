@@ -256,7 +256,7 @@ def _check(store: TieredStore, report: RemoteFsckReport, *, batch: bool, force: 
         local_hash = content_hash(data)
         mapped = store._map.get(block)
         if mapped is None:
-            if any(data):
+            if data.count(0) != len(data):  # not all zero
                 report.unmapped_blocks += 1
                 report.findings.append(
                     f"block {block}: local content never uploaded"

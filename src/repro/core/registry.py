@@ -57,6 +57,10 @@ _FLAGS = _FIELD_INDEX["flags"]
 _DISK_BLOCK = _FIELD_INDEX["disk_block"]
 _CHECKSUM = _FIELD_INDEX["checksum"]
 _PAD = len(ENTRY_FIELDS)
+#: Byte offset of the flag word (little-endian: its low byte) in an entry.
+_FLAGS_OFFSET = struct.calcsize(_ENTRY_FMT.format[: _FLAGS + 1])
+#: ``bytes.translate`` table: a flag word's low byte to 1 if VALID is set, else 0.
+_VALID_BIT = bytes(1 if b & FLAG_VALID else 0 for b in range(256))
 
 _REG_CTX = AccessContext(procedure="registry_update")
 
@@ -396,13 +400,20 @@ def find_registry_in_image(image) -> tuple[int, int] | None:
 
 def read_entries_from_image(image, base_offset: int, capacity: int) -> list[RegistryEntry]:
     """Decode all valid entries from a raw memory image (flat or sparse,
-    see :func:`find_registry_in_image`)."""
+    see :func:`find_registry_in_image`).
+
+    Only VALID slots are unpacked: the low byte of every entry's flag
+    word, read with one strided slice and reduced to its VALID bit,
+    is searched for the slots to decode."""
     start = base_offset + HEADER_SIZE
     region = image[start : start + capacity * ENTRY_SIZE]
     if len(region) != capacity * ENTRY_SIZE:
         raise struct.error("registry entries extend past the memory image")
+    valid = bytes(region[_FLAGS_OFFSET::ENTRY_SIZE]).translate(_VALID_BIT)
     entries = []
-    for slot, fields in enumerate(_ENTRY_FMT.iter_unpack(region)):
-        if fields[5] & FLAG_VALID:  # flags
-            entries.append(RegistryEntry.from_fields(slot, fields))
+    slot = valid.find(1)
+    while slot >= 0:
+        fields = _ENTRY_FMT.unpack_from(region, slot * ENTRY_SIZE)
+        entries.append(RegistryEntry.from_fields(slot, fields))
+        slot = valid.find(1, slot + 1)
     return entries

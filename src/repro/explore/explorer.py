@@ -159,10 +159,34 @@ def run_boundary_trial(
 ) -> BoundaryVerdict:
     """Re-run the workload, crash at ``boundary``, check the spec.
 
+    The trial records only up to its crash: the armed event's hook stops
+    the recorder, so recovery and the checks run with it off.  A
+    violating trial with an ``artifact_dir`` is run once more, fully
+    recorded — the forensic report reads the whole stream — and that
+    run, which must reach the same verdict, writes the counterexample
+    artifacts.
+
     Raises :class:`ExploreError` on a determinism breach — the armed
-    event never re-occurring, or re-occurring as a different
-    ``kind/op`` than the enumeration recorded.
+    event never re-occurring, re-occurring as a different ``kind/op``
+    than the enumeration recorded, or the recorded re-run disagreeing.
     """
+    verdict, _ = _trial(config, boundary, record_all=False)
+    if not (verdict.violations and artifact_dir):
+        return verdict
+    recorded, run = _trial(config, boundary, record_all=True)
+    if recorded.canonical_json_dict() != verdict.canonical_json_dict():
+        raise ExploreError(
+            f"determinism breach: boundary {boundary.index} "
+            f"({boundary.key()}) reached a different verdict when fully recorded"
+        )
+    _dump_counterexample(config, boundary, run, recorded, artifact_dir)
+    return recorded
+
+
+def _trial(config: ExploreConfig, boundary: Boundary, record_all: bool):
+    """One crash at ``boundary``: ``(verdict, run)``.  ``record_all``
+    records every event of the run; otherwise the recorder stops at the
+    crash."""
     run = build_run(config)
     rec = run.recorder
     rec.start(cap=config.event_cap)
@@ -170,6 +194,8 @@ def run_boundary_trial(
 
     def crash_hook(event) -> None:
         observed["kind"], observed["op"] = event.kind, event.op
+        if not record_all:
+            rec.stop()
         raise SystemCrash(
             f"explorer: armed crash at boundary {boundary.index} "
             f"({event.kind}/{event.op})"
@@ -194,25 +220,22 @@ def run_boundary_trial(
             f"{observed['kind']}/{observed['op']} on replay"
         )
 
-    ctx = run.context(boundary.index)
-    violations = default_spec().check(ctx)
     verdict = BoundaryVerdict(
         boundary=boundary,
         fired=True,
         crashed=run.crashed,
         completed=run.completed,
-        violations=violations,
+        violations=default_spec().check(run.context(boundary.index)),
         image_sha256=run.dissect.image_sha256 if run.dissect is not None else None,
     )
-    if violations and artifact_dir:
-        _dump_counterexample(config, boundary, run, rec, verdict, artifact_dir)
-    return verdict
+    return verdict, run
 
 
 def _dump_counterexample(
-    config: ExploreConfig, boundary: Boundary, run, rec, verdict, artifact_dir: str
+    config: ExploreConfig, boundary: Boundary, run, verdict, artifact_dir: str
 ) -> None:
-    """Drop the violating trial's image + forensics next to the report.
+    """Drop the violating trial's image + forensics next to the report
+    (``run`` recorded every event).
 
     The image is a standard ``RIOIMG1`` container (``repro dissect``
     reads it back); the text report is the flight-recorder forensic
@@ -252,7 +275,7 @@ def _dump_counterexample(
         if run.divergence is not None
         else None,
     }
-    forensic = build_forensic_report(synthetic_result, rec.to_json_list())
+    forensic = build_forensic_report(synthetic_result, run.recorder.to_json_list())
     lines = [
         format_forensic_report(forensic),
         "",

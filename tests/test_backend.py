@@ -222,6 +222,24 @@ class TestTieredStore:
         second = fsck_remote(store)
         assert second.sealed and second.ok
 
+    def test_a_block_nonzero_only_in_its_last_byte_is_unmapped(self):
+        """Pass 1 skips all-zero unmapped blocks; one set byte at the
+        very end is content, reported and uploaded."""
+        system = _tiered_system()
+        store = system.backing
+        assert fsck_remote(store, batch=True).ok
+        block = next(
+            b for b in range(store.disk.num_sectors // SECTORS_PER_BLOCK)
+            if b not in store._map
+            and not any(store.disk.peek(b * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK))
+        )
+        assert fsck_remote(store, force=True).unmapped_blocks == 0
+        store.disk.poke(block * SECTORS_PER_BLOCK, bytes(BLOCK - 1) + b"\x01")
+        report = fsck_remote(store, batch=True, force=True)
+        assert report.unmapped_blocks == 1
+        assert report.findings == [f"block {block}: local content never uploaded"]
+        assert store._map[block] == content_hash(bytes(BLOCK - 1) + b"\x01")
+
     def test_dedup_refcounts(self):
         system = _tiered_system()
         store = system.backing

@@ -5,6 +5,7 @@ import struct
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ProtectionMode, RioConfig
 from repro.core.protection import ProtectionManager
@@ -18,6 +19,8 @@ from repro.core.registry import (
     Registry,
     RegistryEntry,
     _ENTRY_FMT,
+    _FLAGS,
+    _FLAGS_OFFSET,
     capacity_for,
     find_registry_in_image,
     read_entries_from_image,
@@ -177,6 +180,42 @@ class TestPostCrashDiscovery:
         with pytest.raises(struct.error):  # a capacity the image cannot hold
             read_entries_from_image(image, registry.base_paddr, registry.capacity + 1)
 
+    @given(
+        flags=st.lists(
+            st.one_of(
+                st.integers(0, 2**32 - 1),  # any flag word
+                st.integers(1, 2**24 - 1).map(lambda high: high << 8),  # high bytes, no VALID
+                st.sampled_from([FLAG_VALID, FLAG_VALID | FLAG_DIRTY | FLAG_META, 0]),
+            ),
+            max_size=40,
+        ),
+        filler=st.binary(min_size=ENTRY_SIZE, max_size=ENTRY_SIZE),
+        base=st.integers(0, 3),
+        short=st.integers(0, ENTRY_SIZE),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_valid_slot_search_matches_the_per_slot_loop(self, flags, filler, base, short):
+        """The strided search over the flag words' low bytes decodes
+        exactly the entries the per-slot loop did, in slot order, and a
+        region the image cannot hold still raises ``struct.error``."""
+        records = []
+        for slot, word in enumerate(flags):
+            record = bytearray(filler)
+            record[0] ^= slot & 0xFF  # entries differ from one another
+            struct.pack_into("<I", record, _FLAGS_OFFSET, word)
+            records.append(bytes(record))
+        image = bytes(base * 7) + bytes(HEADER_SIZE) + b"".join(records)
+        start = base * 7 + HEADER_SIZE
+        oracle = [
+            RegistryEntry.from_fields(slot, fields)
+            for slot, fields in enumerate(_ENTRY_FMT.iter_unpack(image[start:]))
+            if fields[_FLAGS] & FLAG_VALID
+        ]
+        assert read_entries_from_image(image, base * 7, len(flags)) == oracle
+        if short:
+            with pytest.raises(struct.error):
+                read_entries_from_image(image[: len(image) - short], base * 7, len(flags) or 1)
+
     def test_find_in_image(self, machine, registry):
         image = machine.memory.dump_image()
         found = find_registry_in_image(image)
@@ -213,7 +252,6 @@ class TestPostCrashDiscovery:
 
 # -- in-place read-modify-write ------------------------------------------------
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.registry import ENTRY_FIELDS, NO_DISK_BLOCK  # noqa: E402
 from repro.errors import ConfigurationError  # noqa: E402

@@ -9,6 +9,9 @@ Three layers:
 * **Enumeration** — the boundary extractor over hand-built streams, and
   the golden cross-engine check: both execution engines enumerate the
   identical boundary list (same digest, same census) for one seed.
+* **The stopped trial** — a sweep's trial, whose recorder stops at the
+  crash, against a fully recorded trial on sampled boundaries: same
+  verdict, same virtual time.
 * **End to end** — a full sweep of the small basic workload: 100%
   coverage, zero violations on the clean rio_prot kernel, a serial
   report digest identical to the ``--jobs 4`` digest, and a checkpoint
@@ -41,6 +44,7 @@ from repro.explore.spec import (
     RecoverySucceeds,
     ShadowPagesNeverTorn,
 )
+from repro.explore.explorer import _trial
 from repro.system import System
 
 
@@ -289,6 +293,54 @@ class TestRecoveryRule:
         assert [(v.clause, v.detail) for v in verdict.violations] == [
             ("recovery-succeeds", "recovery failed: reboot failed: SystemCrash: reboot crashed")
         ]
+
+
+#: The configurations the stopped trial is checked on: each system the
+#: spec distinguishes, the tiered backend, the planted ack bug (whose
+#: ack boundaries violate) and the traffic workload on the disk policy.
+STOPPED_CONFIGS = [
+    ExploreConfig("basic", "rio_prot", ops=2),
+    ExploreConfig("basic", "disk", ops=2),
+    ExploreConfig("basic", "rio_noprot", ops=2),
+    ExploreConfig("basic", backend="tiered", ops=0),
+    ExploreConfig("traffic", clients=1, ops_per_client=3, plant_ack_bug=True),
+    ExploreConfig("traffic", "disk", clients=1, ops_per_client=2),
+]
+
+
+def sampled_boundaries(config, stride_picks: int = 3):
+    """The last boundary of every kind, plus ``stride_picks`` spread
+    over the whole run."""
+    boundaries = run_enumeration(config).boundaries
+    by_kind = {}
+    for boundary in boundaries:
+        by_kind.setdefault(boundary.key(), []).append(boundary)
+    picks = {b.index: b for b in boundaries[:: max(1, len(boundaries) // stride_picks)]}
+    picks.update((group[-1].index, group[-1]) for group in by_kind.values())
+    return [picks[index] for index in sorted(picks)]
+
+
+class TestStoppedTrial:
+    @pytest.mark.parametrize(
+        "config", STOPPED_CONFIGS,
+        ids=lambda c: f"{c.workload}-{c.system}-{c.backend or 'local'}"
+        + ("-ackbug" if c.plant_ack_bug else ""),
+    )
+    def test_the_sweep_trial_matches_a_fully_recorded_trial(self, config):
+        """The recorder off after the crash moves registry stores onto
+        their known-effect route and skips every emission; neither may
+        change what the trial concludes or the virtual time it reaches."""
+        violating = 0
+        for boundary in sampled_boundaries(config):
+            stopped, stopped_run = _trial(config, boundary, record_all=False)
+            recorded, recorded_run = _trial(config, boundary, record_all=True)
+            assert stopped.canonical_json_dict() == recorded.canonical_json_dict()
+            assert stopped_run.system.clock.now_ns == recorded_run.system.clock.now_ns
+            assert stopped_run.recorder.events()[-1].seq == boundary.index  # the armed event
+            assert recorded_run.recorder.events()[-1].seq > boundary.index
+            violating += bool(stopped.violations)
+        if config.plant_ack_bug or config.system == "disk" and config.workload == "basic":
+            assert violating, "the sample lost the violating boundaries"
 
 
 @pytest.mark.slow

@@ -13,6 +13,8 @@ The contract under test:
 * replaying that pair reproduces the identical violation and dumps a
   byte-identical post-recovery image (``RIOIMG1``, read back and
   digest-checked here);
+* a sweep's trial, whose recorder stops at the crash, writes the same
+  artifact bytes as a fully recorded trial of the same boundary;
 * the identical sweep **without** the planted bug is violation-free —
   the counterexample is the bug's, not the harness's.
 """
@@ -31,6 +33,7 @@ from repro.explore import (
     run_boundary_trial,
     run_enumeration,
 )
+from repro.explore.explorer import _dump_counterexample, _trial
 from repro.fs.dissect import load_image
 
 BUGGED = ExploreConfig(
@@ -94,6 +97,22 @@ class TestPlantedBugIsFound:
         assert "acked-data-durable" in report_text
         assert replay_command(BUGGED, boundary.index) in report_text
         assert "--plant-ack-bug" in report_text  # the hint must reproduce
+
+    def test_artifacts_match_a_fully_recorded_trial(self, bug_verdicts, tmp_path):
+        """The forensic report reads the whole event stream, which a
+        sweep's trial no longer records past the crash: a violating trial
+        re-runs fully recorded before it writes, so its image and report
+        are byte for byte those of a trial recorded end to end."""
+        boundary = next(b for b, v in bug_verdicts if v.violations)
+        swept = run_boundary_trial(BUGGED, boundary, artifact_dir=str(tmp_path / "sweep"))
+        recorded, run = _trial(BUGGED, boundary, record_all=True)
+        _dump_counterexample(BUGGED, boundary, run, recorded, str(tmp_path / "recorded"))
+        assert swept.canonical_json_dict() == recorded.canonical_json_dict()
+        for path, oracle in (
+            (swept.artifact_image, recorded.artifact_image),
+            (swept.artifact_report, recorded.artifact_report),
+        ):
+            assert open(path, "rb").read() == open(oracle, "rb").read()
 
     def test_replay_command_rebuilds_the_config_it_names(self):
         """The printed line parsed by the real CLI gives back the config:

@@ -13,7 +13,9 @@ worker outlives its pool.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
+import os
 import multiprocessing
 import signal
 
@@ -38,6 +40,21 @@ def _square_or_raise(payload: dict) -> dict:
 
 
 TASK = f"{__name__}:_square_or_raise"
+
+
+def _count_then_litter(payload: dict) -> dict:
+    """Report what the collector tracks in this worker as the task
+    starts -- what the tasks before it left behind -- then leave a ring
+    of ``n`` lists behind: cyclic garbage that lives long enough to be
+    promoted out of the youngest generation, as a trial's object graph is."""
+    tracked = len(gc.get_objects())
+    ring = [[] for _ in range(payload["n"])]
+    for node, successor in zip(ring, ring[1:] + ring[:1]):
+        node.append(successor)
+    return {"pid": os.getpid(), "tracked": tracked}
+
+
+LITTER = f"{__name__}:_count_then_litter"
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +107,27 @@ class TestParallelMap:
         next(stream)
         stream.close()
         assert multiprocessing.active_children() == []
+
+
+class TestWorkerHeap:
+    def test_a_worker_keeps_only_live_data(self):
+        """After its first task a worker's tracked objects stay flat:
+        each task's cyclic garbage is collected before the next task,
+        rather than piling up until a full collection."""
+        pool = WorkerPool(LITTER, jobs=2)
+        try:
+            for n in range(16):
+                pool.submit(n, {"n": 20_000})
+            by_worker: dict = {}
+            while pool.pending:
+                for _kind, key, result in pool.next_events():
+                    by_worker.setdefault(result["pid"], []).append((key, result["tracked"]))
+        finally:
+            pool.close()
+        assert max(len(counts) for counts in by_worker.values()) >= 3
+        for counts in by_worker.values():
+            after_tasks = [tracked for _key, tracked in sorted(counts)[1:]]
+            assert len(set(after_tasks)) <= 1, after_tasks
 
 
 class TestWorkerDeath:
