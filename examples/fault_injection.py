@@ -11,7 +11,7 @@ Run:  python examples/fault_injection.py
 """
 
 from repro.faults import FaultType
-from repro.reliability import format_table1, run_table1_campaign
+from repro.reliability import CampaignEngine, format_table1
 
 CRASHES_PER_CELL = 3
 FAULTS = (FaultType.KERNEL_TEXT, FaultType.COPY_OVERRUN, FaultType.SYNCHRONIZATION)
@@ -20,11 +20,11 @@ FAULTS = (FaultType.KERNEL_TEXT, FaultType.COPY_OVERRUN, FaultType.SYNCHRONIZATI
 def main() -> None:
     print("== Miniature Table 1 campaign ==")
     print(f"({CRASHES_PER_CELL} counted crashes per cell, 3 systems, {len(FAULTS)} fault types)\n")
-    table = run_table1_campaign(
+    table = CampaignEngine(
         crashes_per_cell=CRASHES_PER_CELL,
         fault_types=FAULTS,
         progress=lambda line: print("  " + line),
-    )
+    ).run()
     print()
     print(format_table1(table))
     print()

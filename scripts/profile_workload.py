@@ -376,14 +376,14 @@ def emission_census(config, boundary) -> collections.Counter:
     what the recorder costs a trial that records everything, as the
     re-run of a violating trial does."""
     from repro.errors import SystemCrash
-    from repro.explore.workloads import build_run
+    from repro.explore.workloads import EVENT_CAP, build_run
 
     def crash(event) -> None:
         raise SystemCrash(f"census: armed crash at boundary {boundary.index}")
 
     run = build_run(config)
     rec = run.recorder
-    rec.start(cap=config.event_cap)
+    rec.start(cap=EVENT_CAP)
     rec.arm_crash(boundary.index, crash)
     run.execute()
     rec.stop()

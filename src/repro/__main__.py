@@ -145,11 +145,7 @@ def cmd_table1(args) -> int:
 def cmd_forensics(args) -> int:
     """Per-trial crash forensics over a traced campaign journal."""
     from repro.obs import build_forensic_report, format_forensic_report
-    from repro.reliability.campaign import (
-        CrashTestConfig,
-        CrashTestResult,
-        run_baseline_trace,
-    )
+    from repro.reliability.campaign import CrashTestResult, run_baseline_trace
     from repro.reliability.journal import read_trials
 
     entries = read_trials(args.journal)
@@ -174,12 +170,15 @@ def cmd_forensics(args) -> int:
             system != wanted[0] or norm(fault) != norm(wanted[1]) or attempt != wanted[2]
         ):
             continue
+        label = "/".join(map(str, key))
         _seed, result = entries[key]
-        if wanted is None and not (
-            result.get("crashed") and CrashTestResult.from_json_dict(result).corrupted
-        ):
+        try:
+            trial = CrashTestResult.from_json_dict(result)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SystemExit(f"{args.journal}: trial {label} does not decode: {exc}")
+        if wanted is None and not (trial.crashed and trial.corrupted):
             continue
-        selected.append((key, result))
+        selected.append((label, result, trial))
 
     if wanted is not None and not selected:
         raise SystemExit(f"trial {args.trial!r} not found in {args.journal}")
@@ -188,17 +187,15 @@ def cmd_forensics(args) -> int:
         return 0
 
     reported = 0
-    for key, result in selected:
-        label = "/".join(map(str, key))
+    for label, result, trial in selected:
         events = result.get("trace_events")
         if events is None:
             print(f"=== {label}: no event trace (campaign ran without "
                   "--trace-corruptions); skipping ===\n")
             continue
-        config = CrashTestConfig.from_json_dict(result["config"])
         # ops_run + 1 so the baseline fully executes the operation the
         # faulted run died inside.
-        baseline = run_baseline_trace(config, result.get("ops_run", 0) + 1)
+        baseline = run_baseline_trace(trial.config, trial.ops_run + 1)
         report = build_forensic_report(result, events, baseline)
         print(f"=== {label} ===")
         print(format_forensic_report(report))
@@ -735,10 +732,12 @@ def _add_storm_flags(parser, *, crashes: int) -> None:
 
 
 def _add_backend_flag(parser) -> None:
+    from repro.backend import BACKEND_NAMES
+
     parser.add_argument(
         "--backend",
         default=None,
-        choices=("local", "objectstore", "tiered"),
+        choices=BACKEND_NAMES,
         help="tiered backing store behind the disk (default: none); adds "
         "remote-tier reconciles at every recovery plus the final "
         "remote-only audit",
@@ -807,6 +806,8 @@ def _flags_loadgen(p) -> None:
 
 
 def _flags_cluster(p) -> None:
+    from repro.server.router import Router
+
     _add_load_flags(p)
     _add_storm_flags(p, crashes=0)
     p.add_argument("--shards", type=_positive_int, default=2, help="kernel shards (default 2)")
@@ -820,7 +821,7 @@ def _flags_cluster(p) -> None:
     p.add_argument(
         "--router",
         default="dir",
-        choices=("dir", "hash"),
+        choices=Router.MODES,
         help="routing key: parent directory (colocates) or full path (scatters)",
     )
 
@@ -848,6 +849,7 @@ def _flags_chaos(p) -> None:
 
 
 def _flags_explore(p) -> None:
+    from repro.backend import BACKEND_NAMES
     from repro.explore import WORKLOAD_NAMES
 
     p.add_argument(
@@ -884,7 +886,7 @@ def _flags_explore(p) -> None:
     p.add_argument(
         "--backend",
         default=None,
-        choices=("local", "objectstore", "tiered"),
+        choices=BACKEND_NAMES,
         help="tiered backing store: enumerates backend/upload and "
         "backend/commit boundaries and arms the remote-tier spec clause",
     )
@@ -934,11 +936,13 @@ def _flags_load_disk(p) -> None:
 
 
 def _flags_fsck_remote(p) -> None:
+    from repro.backend import BACKEND_NAMES
+
     _add_system_flag(p)
     p.add_argument(
         "--backend",
         default="tiered",
-        choices=("local", "objectstore", "tiered"),
+        choices=BACKEND_NAMES,
         help="backing-store flavour (default tiered)",
     )
     p.add_argument("--blocks", type=int, default=256, help="file system size in 8 KB blocks")

@@ -44,7 +44,7 @@ from repro.reliability.journal import CampaignJournal
 
 from repro.explore.boundaries import Boundary, boundary_census, enumerate_boundaries
 from repro.explore.spec import SpecViolation, default_spec
-from repro.explore.workloads import ExploreConfig, build_run
+from repro.explore.workloads import EVENT_CAP, ExploreConfig, build_run
 
 
 class ExploreError(RuntimeError):
@@ -67,7 +67,7 @@ def run_enumeration(config: ExploreConfig) -> EnumerationResult:
     """Run the workload once, cleanly, and enumerate every boundary."""
     run = build_run(config)
     rec = run.recorder
-    rec.start(cap=config.event_cap)
+    rec.start(cap=EVENT_CAP)
     run.execute()
     rec.stop()
     if run.crashed or not run.completed:
@@ -79,8 +79,8 @@ def run_enumeration(config: ExploreConfig) -> EnumerationResult:
     if rec.dropped:
         raise ExploreError(
             f"enumeration stream lost {rec.dropped} event(s) to ring "
-            f"eviction; raise event_cap (currently {config.event_cap}) so "
-            "boundary indices cover the whole run"
+            f"eviction (ring capacity {EVENT_CAP}); boundary indices would "
+            "not cover the whole run"
         )
     events = rec.to_json_list()
     return EnumerationResult(
@@ -189,7 +189,7 @@ def _trial(config: ExploreConfig, boundary: Boundary, record_all: bool):
     crash."""
     run = build_run(config)
     rec = run.recorder
-    rec.start(cap=config.event_cap)
+    rec.start(cap=EVENT_CAP)
     observed: Dict[str, str] = {}
 
     def crash_hook(event) -> None:
@@ -516,27 +516,17 @@ def replay(
 # -- rendering ---------------------------------------------------------------
 
 
-#: ExploreConfig fields ``repro explore`` has no flag for; every other
-#: field ``name`` is the flag ``--name`` (underscores dashed) and the
-#: workload is the positional.
-_NO_FLAG = ("fs_blocks", "event_cap")
-
-
 def replay_command(config: ExploreConfig, event_index: int) -> str:
     """The ``repro explore`` argument string that replays one
     counterexample — every non-default config knob spelled out, so the
-    printed command is the complete replayable identity.  A config the
-    command line cannot express raises instead of printing a lie."""
+    printed command is the complete replayable identity.  The workload
+    is the positional; every other field ``name`` is the flag ``--name``
+    (underscores dashed)."""
     parts = [config.workload]
     for f in fields(ExploreConfig):
         value = getattr(config, f.name)
         if f.name == "workload" or (value == f.default and f.name not in ("system", "seed")):
             continue
-        if f.name in _NO_FLAG:
-            raise ExploreError(
-                f"{f.name}={value!r} has no `repro explore` flag: "
-                "this run cannot be replayed from the command line"
-            )
         flag = "--" + f.name.replace("_", "-")
         parts.append(flag if value is True else f"{flag} {value}")
     parts.append(f"--replay {event_index}")

@@ -40,6 +40,11 @@ from repro.explore.spec import CrashContext
 
 WORKLOAD_NAMES = ("basic", "traffic")
 
+#: File-system size of every explored system, in blocks.
+FS_BLOCKS = 192
+#: Recorder ring capacity; enumeration requires zero eviction.
+EVENT_CAP = 1 << 20
+
 
 @dataclass(frozen=True)
 class ExploreConfig:
@@ -50,7 +55,6 @@ class ExploreConfig:
     #: exploring "disk" is allowed and is expected to violate durability).
     system: str = "rio_prot"
     seed: int = 1
-    fs_blocks: int = 192
     #: basic: seeded write rounds between the fixed prologue/epilogue.
     ops: int = 8
     #: traffic: clients and programs per client.
@@ -64,8 +68,6 @@ class ExploreConfig:
     #: enumeration also yields ``backend/upload``/``backend/commit``
     #: boundaries and the spec's remote-tier clause engages.
     backend: Optional[str] = None
-    #: Recorder ring capacity; enumeration requires zero eviction.
-    event_cap: int = 1 << 20
 
     def to_json_dict(self) -> Dict[str, Any]:
         """Wire form (worker payloads, checkpoint fingerprints)."""
@@ -73,13 +75,11 @@ class ExploreConfig:
             "workload": self.workload,
             "system": self.system,
             "seed": self.seed,
-            "fs_blocks": self.fs_blocks,
             "ops": self.ops,
             "clients": self.clients,
             "ops_per_client": self.ops_per_client,
             "plant_ack_bug": self.plant_ack_bug,
             "backend": self.backend,
-            "event_cap": self.event_cap,
         }
 
     @classmethod
@@ -94,7 +94,7 @@ class _RunBase:
     def __init__(self, config: ExploreConfig) -> None:
         self.config = config
         self.system = build_system(system_spec_for(
-            config.system, fs_blocks=config.fs_blocks,
+            config.system, fs_blocks=FS_BLOCKS,
             backend=config.backend, backend_seed=config.seed,
         ))
         self.recorder = self.system.machine.recorder

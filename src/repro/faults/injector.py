@@ -5,10 +5,10 @@ the workload runs corrupted code.  "Unless otherwise stated, we inject 20
 faults for each run to increase the chances that a fault will be
 triggered."
 
-Where the simulation's scale differs from the paper's hardware, the knobs
-in :class:`FaultParams` compensate and say so:
+Where the simulation's scale differs from the paper's hardware, the
+constants below compensate and say so:
 
-* hook intervals (kmalloc / bcopy / locks) default far below the paper's
+* hook intervals (kmalloc / bcopy / locks) sit far below the paper's
   every-1000-4000-calls because a simulated run executes far fewer calls
   before its operation budget than a real kernel executes in 15 seconds;
 * heap and stack bit flips are biased toward *live* bytes (allocated
@@ -48,25 +48,20 @@ _OFF_BY_ONE_SWAPS = {
 _CONDITIONAL_BRANCHES = frozenset(BRANCH_OPS) - {Op.BR}
 
 
-@dataclass
-class FaultParams:
-    """Tuning knobs for the injector."""
-
-    #: Faults injected per run for the text/data mutation types.
-    faults_per_run: int = 20
-    #: Premature-free interval: one fault every N kmalloc calls.  (The
-    #: paper used every 1000-4000 malloc calls ≈ one firing per 15 s run;
-    #: this interval yields a comparable one-to-few firings per simulated
-    #: run.)
-    kmalloc_interval: tuple = (40, 160)
-    #: Premature-free delay, as in the paper: "sleeps 0-256 ms".
-    premature_free_delay_ms: tuple = (0, 256)
-    #: Copy-overrun interval: one fault every N bcopy calls.
-    bcopy_interval: tuple = (100, 400)
-    #: Lock-elision interval: one fault every N lock operations.
-    lock_interval: tuple = (20, 80)
-    #: Live-stack window (bytes below the stack top) for stack bit flips.
-    stack_window: int = 512
+#: Faults injected per run for the text/data mutation types.
+FAULTS_PER_RUN = 20
+#: Premature-free interval: one fault every N kmalloc calls.  (The paper
+#: used every 1000-4000 malloc calls ≈ one firing per 15 s run; this
+#: interval yields a comparable one-to-few firings per simulated run.)
+KMALLOC_INTERVAL = (40, 160)
+#: Premature-free delay, as in the paper: "sleeps 0-256 ms".
+PREMATURE_FREE_DELAY_MS = (0, 256)
+#: Copy-overrun interval: one fault every N bcopy calls.
+BCOPY_INTERVAL = (100, 400)
+#: Lock-elision interval: one fault every N lock operations.
+LOCK_INTERVAL = (20, 80)
+#: Live-stack window (bytes below the stack top) for stack bit flips.
+STACK_WINDOW = 512
 
 
 @dataclass
@@ -83,10 +78,9 @@ class InjectionRecord:
 class FaultInjector:
     """Arms one fault type against a kernel."""
 
-    def __init__(self, kernel, seed: int, params: FaultParams | None = None) -> None:
+    def __init__(self, kernel, seed: int) -> None:
         self.kernel = kernel
         self.rng = DeterministicRandom(seed)
-        self.params = params or FaultParams()
         self._pending_frees: list[tuple[int, int]] = []  # (due_ns, addr)
         self._clock_hooked = False
 
@@ -124,7 +118,7 @@ class FaultInjector:
 
     def _inject_text_flips(self, record: InjectionRecord) -> None:
         text = self.kernel.text
-        for _ in range(self.params.faults_per_run):
+        for _ in range(FAULTS_PER_RUN):
             index = self.rng.randint(1, len(text.words) - 1)  # skip sentinel
             bit = self.rng.randrange(32)
             word = text.read_word(index) ^ (1 << bit)
@@ -141,7 +135,7 @@ class FaultInjector:
 
     def _inject_heap_flips(self, record: InjectionRecord) -> None:
         spans = self._live_heap_targets()
-        for _ in range(self.params.faults_per_run):
+        for _ in range(FAULTS_PER_RUN):
             if not spans:
                 return
             vaddr, size = spans[self.rng.randrange(len(spans))]
@@ -153,9 +147,8 @@ class FaultInjector:
 
     def _inject_stack_flips(self, record: InjectionRecord) -> None:
         stack_top = self.kernel.klib.stack_top
-        window = self.params.stack_window
-        for _ in range(self.params.faults_per_run):
-            vaddr = stack_top - self.rng.randint(1, window)
+        for _ in range(FAULTS_PER_RUN):
+            vaddr = stack_top - self.rng.randint(1, STACK_WINDOW)
             paddr = self.kernel.mmu.translate(vaddr, write=False)
             bit = self.rng.randrange(8)
             self.kernel.memory.flip_bit(paddr, bit)
@@ -175,7 +168,7 @@ class FaultInjector:
         candidates = self._instruction_indices(predicate)
         if not candidates:
             return
-        for _ in range(self.params.faults_per_run):
+        for _ in range(FAULTS_PER_RUN):
             index = self.rng.choice(candidates)
             inst = self.kernel.text.read_instruction(index)
             mutated = mutate(inst)
@@ -254,7 +247,7 @@ class FaultInjector:
                     prologue.append(index)
         if not prologue:
             return
-        for _ in range(self.params.faults_per_run):
+        for _ in range(FAULTS_PER_RUN):
             index = self.rng.choice(prologue)
             record.add(f"initialization: NOP at word {index}")
             text.write_instruction(index, nop)
@@ -271,7 +264,7 @@ class FaultInjector:
                 candidates.append(index)
         if not candidates:
             return
-        for _ in range(self.params.faults_per_run):
+        for _ in range(FAULTS_PER_RUN):
             use_index = self.rng.choice(candidates)
             base = text.read_instruction(use_index).rb
             routine = text.routine_at_index(use_index)
@@ -299,7 +292,7 @@ class FaultInjector:
     def _inject_allocation(self, record: InjectionRecord) -> None:
         """kmalloc occasionally starts a "thread" that sleeps 0-256 ms and
         then prematurely frees the new block."""
-        interval = self.rng.randint(*self.params.kmalloc_interval)
+        interval = self.rng.randint(*KMALLOC_INTERVAL)
         record.add(f"allocation fault armed: every {interval} kmallocs")
         counter = [0]
 
@@ -307,7 +300,7 @@ class FaultInjector:
             counter[0] += 1
             if counter[0] % interval:
                 return
-            delay_ms = self.rng.randint(*self.params.premature_free_delay_ms)
+            delay_ms = self.rng.randint(*PREMATURE_FREE_DELAY_MS)
             due = self.kernel.clock.now_ns + delay_ms * NS_PER_MS
             self._pending_frees.append((due, addr))
             self._ensure_clock_hook()
@@ -343,7 +336,7 @@ class FaultInjector:
         """bcopy occasionally copies more than asked.  Overrun length
         distribution straight from the paper: 50% one byte, 44% 2-1024
         bytes, 6% 2-4 KB."""
-        interval = self.rng.randint(*self.params.bcopy_interval)
+        interval = self.rng.randint(*BCOPY_INTERVAL)
         record.add(f"copy overrun armed: every {interval} bcopys")
         counter = [0]
 
@@ -367,7 +360,7 @@ class FaultInjector:
 
     def _inject_synchronization(self, record: InjectionRecord) -> None:
         """Lock acquire/release occasionally returns without doing it."""
-        interval = self.rng.randint(*self.params.lock_interval)
+        interval = self.rng.randint(*LOCK_INTERVAL)
         record.add(f"lock elision armed: p=1/{interval} per lock op")
         rng = self.rng.fork(0x10CC)
 

@@ -24,7 +24,6 @@ from repro.reliability.report import (
     CampaignCell,
     Table1,
     format_table1,
-    run_table1_campaign,
     seed_for,
     table1_digest,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "CampaignCell",
     "Table1",
     "format_table1",
-    "run_table1_campaign",
     "seed_for",
     "table1_digest",
     "CampaignEngine",

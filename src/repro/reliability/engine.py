@@ -50,7 +50,6 @@ differ between runs — the trial genuinely could not be run.)
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -61,7 +60,6 @@ from repro.reliability.campaign import (
     CrashTestConfig,
     CrashTestResult,
     SYSTEM_NAMES,
-    _params_to_json,
     run_crash_test,
 )
 from repro.reliability.journal import CampaignJournal, JournalWarning, TrialKey
@@ -205,20 +203,13 @@ class CampaignEngine:
     # -- trials: identity, cache, landing ----------------------------------
 
     def _fingerprint(self) -> dict:
-        overrides = {}
-        for key, value in sorted(self.config_overrides.items()):
-            if dataclasses.is_dataclass(value):
-                value = _params_to_json(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            overrides[key] = value
         return {
             "crashes_per_cell": self.crashes_per_cell,
             "systems": list(self.systems),
             "fault_types": [f.value for f in self.fault_types],
             "base_seed": self.base_seed,
             "max_attempts_factor": self.max_attempts_factor,
-            "config_overrides": overrides,
+            "config_overrides": self.config_overrides,
         }
 
     def _config_json(self, cs: _CellState, attempt: int) -> dict:

@@ -6,7 +6,7 @@ interrupted campaign resumes without re-running completed work.
 
 Format — one JSON object per line:
 
-* line 1, the **header**: ``{"kind": "header", "version": 1,
+* line 1, the **header**: ``{"kind": "header", "version": 2,
   "fingerprint": {...}}``.  The fingerprint captures every parameter
   that shapes the seed schedule (crashes per cell, systems, fault
   types, base seed, attempt bound, config overrides).  Resuming with a
@@ -37,7 +37,7 @@ import warnings
 import zlib
 from typing import IO, Optional
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: A trial's identity within one campaign: (system, fault value, attempt).
 TrialKey = tuple

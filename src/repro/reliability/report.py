@@ -1,4 +1,4 @@
-"""Table 1 assembly: run campaigns and format the results.
+"""Table 1 assembly: tally campaign trials and format the results.
 
 "We conducted 50 tests for each fault category for each of the three
 systems (disk, Rio without protection, Rio with protection); this
@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
-from repro.faults.types import ALL_FAULT_TYPES, FaultType
+from repro.faults.types import FaultType
 from repro.reliability.campaign import CrashTestResult, SYSTEM_NAMES
 
 SYSTEM_LABELS = {
@@ -139,34 +138,6 @@ def seed_for(base_seed: int, system: str, fault_type: FaultType, attempt: int) -
     which worker runs it or when.
     """
     return base_seed + hash_cell(system, fault_type) * 10_000 + attempt
-
-
-def run_table1_campaign(
-    crashes_per_cell: int = 10,
-    systems: tuple = SYSTEM_NAMES,
-    fault_types: tuple = ALL_FAULT_TYPES,
-    base_seed: int = 1000,
-    max_attempts_factor: int = 5,
-    config_overrides: Optional[dict] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Table1:
-    """Run the full campaign in process: the engine at ``jobs=1``.
-
-    ``crashes_per_cell`` is the number of *counted* crashes per cell (the
-    paper used 50); discarded runs do not count but do consume attempts,
-    bounded by ``crashes_per_cell * max_attempts_factor``.
-    """
-    from repro.reliability.engine import CampaignEngine  # engine imports this module
-
-    return CampaignEngine(
-        crashes_per_cell=crashes_per_cell,
-        systems=systems,
-        fault_types=fault_types,
-        base_seed=base_seed,
-        max_attempts_factor=max_attempts_factor,
-        config_overrides=config_overrides,
-        progress=progress,
-    ).run()
 
 
 def hash_cell(system: str, fault_type: FaultType) -> int:

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 from repro.util.prng import DeterministicRandom, pattern_bytes
 
+#: Where the generated source tree lives.
+SRC_ROOT = "/src"
+
 
 @dataclass
 class CpRmParams:
-    src_root: str = "/src"
     dst_root: str = "/dst"
     dirs: int = 16
     files_per_dir: int = 8
@@ -56,9 +58,9 @@ class CpRmWorkload:
         sources already on disk before the benchmark starts."""
         with self.kernel.uncharged():
             rng = DeterministicRandom(self.params.seed)
-            self.vfs.mkdir(self.params.src_root)
+            self.vfs.mkdir(SRC_ROOT)
             for d in range(self.params.dirs):
-                dir_path = f"{self.params.src_root}/dir{d:03d}"
+                dir_path = f"{SRC_ROOT}/dir{d:03d}"
                 self.vfs.mkdir(dir_path)
                 for f in range(self.params.files_per_dir):
                     fd = self.vfs.open(f"{dir_path}/file{f:03d}", create=True)
@@ -78,10 +80,10 @@ class CpRmWorkload:
     def _copy_tree(self) -> None:
         p = self.params
         self.vfs.mkdir(p.dst_root)
-        for d in sorted(self.vfs.readdir(p.src_root)):
+        for d in sorted(self.vfs.readdir(SRC_ROOT)):
             self.vfs.mkdir(f"{p.dst_root}/{d}")
-            for name in sorted(self.vfs.readdir(f"{p.src_root}/{d}")):
-                src = self.vfs.open(f"{p.src_root}/{d}/{name}")
+            for name in sorted(self.vfs.readdir(f"{SRC_ROOT}/{d}")):
+                src = self.vfs.open(f"{SRC_ROOT}/{d}/{name}")
                 dst = self.vfs.open(f"{p.dst_root}/{d}/{name}", create=True)
                 while True:
                     chunk = self.vfs.read(src, 64 * 1024)

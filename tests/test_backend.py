@@ -561,7 +561,6 @@ class TestExploreBackend:
             system="rio_prot",
             seed=3,
             ops=1,
-            fs_blocks=96,
             backend="tiered",
         )
         enumeration = run_enumeration(config)
@@ -585,7 +584,6 @@ class TestExploreBackend:
             system="disk",
             seed=3,
             ops=2,
-            fs_blocks=96,
             backend="tiered",
         )
         serial = explore(config, jobs=1)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.__main__ import COMMANDS, build_parser, main
 from repro.reliability import JournalWarning
+from repro.reliability.journal import _crc
 
 EXPLORE = ["explore", "basic", "--ops", "0", "--jobs", "2", "--resume", "{tmp}/explore.jsonl"]
 
@@ -218,6 +219,27 @@ def test_foreign_journal_exits_with_a_message(tmp_path, capsys):
     open(journal, "w").write("\n".join(["{torn"] + lines[1:]) + "\n")
     with pytest.warns(UserWarning):
         assert "no valid header" in refused([*TABLE1, "--scale", "1", "--resume", journal])
+
+
+def test_a_journal_of_an_older_version_exits_with_a_message(tmp_path):
+    """A journal whose trial configs carry keys this version does not
+    know (version 1 had five more) is refused by ``--resume`` on its
+    header and by ``forensics`` on its first trial, in one line each."""
+    journal = tmp_path / "old.jsonl"
+    assert main([*TABLE1, "--scale", "1", "--resume", str(journal)]) == 0
+    header, *trials = [json.loads(line) for line in journal.read_text().splitlines()]
+    header["version"] = 1
+    for record in trials:
+        record["result"]["config"]["sim_budget_s"] = 600.0
+        record["crc"] = _crc(record)
+    journal.write_text("".join(json.dumps(r) + "\n" for r in [header, *trials]))
+    for argv in (TABLE1 + ["--scale", "1"], ["explore", "basic", "--ops", "0"]):
+        message = refused([*argv, "--resume", str(journal)])
+        assert message.startswith("cannot resume: ") and "journal version 1" in message
+    assert refused(["forensics", str(journal)]) == (
+        f"{journal}: trial rio_prot/kernel text/0 does not decode: "
+        "unknown trial config key(s) ['sim_budget_s']"
+    )
 
 
 @pytest.mark.parametrize(

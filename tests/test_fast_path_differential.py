@@ -26,7 +26,7 @@ from repro.faults.types import FaultType
 from repro.hw import Machine, MachineConfig
 from repro.isa import Interpreter
 from repro.isa.routines import build_kernel_text
-from repro.reliability.report import run_table1_campaign, table1_digest
+from repro.reliability import CampaignEngine, table1_digest
 
 
 def build_env(fast_path: bool) -> SimpleNamespace:
@@ -477,11 +477,11 @@ def test_campaign_digest_identical(monkeypatch):
     digests = {}
     for flag in ("1", "0"):
         monkeypatch.setenv("RIO_FAST_PATH", flag)
-        table = run_table1_campaign(
+        table = CampaignEngine(
             crashes_per_cell=2,
             systems=("rio_prot",),
             fault_types=(FaultType.KERNEL_TEXT, FaultType.POINTER),
             base_seed=1000,
-        )
+        ).run()
         digests[flag] = table1_digest(table)
     assert digests["1"] == digests["0"]

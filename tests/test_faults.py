@@ -3,9 +3,13 @@ mechanistically and produce the right class of consequences."""
 
 import pytest
 
-from repro.errors import SystemCrash, WatchdogTimeout
+from repro.errors import KernelPanic, SystemCrash, WatchdogTimeout
 from repro.faults import FAULT_CATEGORIES, FaultInjector, FaultType
-from repro.faults.injector import FaultParams
+from repro.faults.injector import (
+    BCOPY_INTERVAL,
+    KMALLOC_INTERVAL,
+    STACK_WINDOW,
+)
 from repro.isa.encoding import Op
 from repro.system import SystemSpec, build_system
 
@@ -15,8 +19,40 @@ def system():
     return build_system(SystemSpec("ufs_delayed", fs_blocks=512))
 
 
-def injector_for(system, seed=1, **params):
-    return FaultInjector(system.kernel, seed, FaultParams(**params))
+def injector_for(system, seed=1):
+    return FaultInjector(system.kernel, seed)
+
+
+def arm_premature_free(injector, heap):
+    """kmalloc until the allocation fault arms a premature free (it
+    fires once every interval, at most ``KMALLOC_INTERVAL[1]`` calls);
+    returns the new ``(due_ns, addr)``."""
+    armed = len(injector._pending_frees)
+    for _ in range(KMALLOC_INTERVAL[1]):
+        heap.kmalloc(64)
+        if len(injector._pending_frees) > armed:
+            return injector._pending_frees[-1]
+    raise AssertionError("the allocation fault never fired")
+
+
+def overruns(hook, count):
+    """The first ``count`` inflations the overrun hook makes of a
+    zero-length copy."""
+    extras = []
+    while len(extras) < count:
+        extra = hook(0)
+        if extra:
+            extras.append(extra)
+    return extras
+
+
+def lock_ops_until_crash(lock, limit=10_000):
+    """Acquire and release until an elided lock op brings the kernel down."""
+    with pytest.raises(SystemCrash) as crash:
+        for _ in range(limit):
+            lock.acquire()
+            lock.release()
+    return crash.value
 
 
 class TestTaxonomy:
@@ -106,44 +142,41 @@ class TestDataFlips:
         top = system.kernel.klib.stack_top
         for detail in record.details:
             addr = int(detail.split()[1], 16)
-            assert top - 512 <= addr < top
+            assert top - STACK_WINDOW <= addr < top
 
 
 class TestHookFaults:
     def test_allocation_fault_prematurely_frees(self, system):
-        injector = injector_for(system, kmalloc_interval=(2, 2))
+        injector = injector_for(system)
         injector.inject(FaultType.ALLOCATION)
         heap = system.kernel.heap
-        addr = heap.kmalloc(64)
-        addr2 = heap.kmalloc(64)  # every 2nd alloc arms a premature free
-        system.clock.consume(300_000_000)  # 300 ms: the "thread" wakes
-        assert not heap.is_live(addr2) or not heap.is_live(addr)
+        due, addr = arm_premature_free(injector, heap)
+        assert heap.is_live(addr)
+        system.clock.consume(due - system.clock.now_ns + 1)  # the "thread" wakes
+        assert not heap.is_live(addr)
 
     def test_each_pending_free_wakes_at_its_own_due_time(self, system):
         """A free armed while another is pending is made at its own due
         time: the listener re-arms for what is left after each wake."""
-        injector = injector_for(
-            system, kmalloc_interval=(1, 1), premature_free_delay_ms=(200, 200)
-        )
+        injector = injector_for(system)
         injector.inject(FaultType.ALLOCATION)
         heap, clock = system.kernel.heap, system.clock
-        first = heap.kmalloc(64)  # freed at +200 ms
-        clock.consume(100_000_000)
-        second = heap.kmalloc(64)  # freed at +300 ms
-        clock.consume(150_000_000)
+        (first_due, first), (second_due, second) = sorted(
+            [arm_premature_free(injector, heap), arm_premature_free(injector, heap)]
+        )
+        assert clock.now_ns < first_due < second_due
+        clock.consume(first_due - clock.now_ns)
         assert not heap.is_live(first) and heap.is_live(second)
-        clock.consume(100_000_000)
+        clock.consume(second_due - clock.now_ns)
         assert not heap.is_live(second)
 
     def test_pending_free_dies_with_its_kernel(self, system):
         """A premature free still pending at the crash belongs to the dead
         kernel: the reboot neither runs it nor keeps its clock listener,
         and the disks' listeners stay."""
-        injector = injector_for(
-            system, kmalloc_interval=(1, 1), premature_free_delay_ms=(200, 200)
-        )
+        injector = injector_for(system)
         injector.inject(FaultType.ALLOCATION)
-        system.kernel.heap.kmalloc(64)  # arms a free due in 200 ms
+        arm_premature_free(injector, system.kernel.heap)
         armed = list(system.clock._listeners)
         assert injector._process_pending_frees in armed
         system.crash("a free is pending")
@@ -153,18 +186,17 @@ class TestHookFaults:
         ]
 
     def test_copy_overrun_inflates_length(self, system):
-        injector = injector_for(system, bcopy_interval=(1, 1))
+        injector = injector_for(system)
         injector.inject(FaultType.COPY_OVERRUN)
         hook = system.kernel.klib.overrun_hook
         assert hook is not None
-        inflated = hook(100)
-        assert inflated > 100
+        lengths = [hook(100) for _ in range(BCOPY_INTERVAL[1])]
+        assert max(lengths) > 100
 
     def test_overrun_distribution_matches_paper(self, system):
-        injector = injector_for(system, seed=9, bcopy_interval=(1, 1))
+        injector = injector_for(system, seed=9)
         injector.inject(FaultType.COPY_OVERRUN)
-        hook = system.kernel.klib.overrun_hook
-        extras = [hook(0) for _ in range(2000)]
+        extras = overruns(system.kernel.klib.overrun_hook, 2000)
         one_byte = sum(1 for e in extras if e == 1) / len(extras)
         small = sum(1 for e in extras if 2 <= e <= 1024) / len(extras)
         big = sum(1 for e in extras if e > 1024) / len(extras)
@@ -173,27 +205,15 @@ class TestHookFaults:
         assert 0.02 <= big <= 0.12        # paper: 6%
 
     def test_synchronization_elides_lock_ops(self, system):
-        injector = injector_for(system, lock_interval=(2, 2))
+        injector = injector_for(system)
         injector.inject(FaultType.SYNCHRONIZATION)
-        lock = system.kernel.locks.lock("probe")
-        outcomes = []
-        for _ in range(64):
-            try:
-                lock.acquire()
-                lock.release()
-            except SystemCrash as exc:
-                outcomes.append(type(exc).__name__)
-                break
-        assert outcomes and outcomes[0] in ("WatchdogTimeout", "KernelPanic")
+        crash = lock_ops_until_crash(system.kernel.locks.lock("probe"))
+        assert isinstance(crash, (WatchdogTimeout, KernelPanic))
 
     def test_synchronization_deadlock_is_watchdog(self, system):
-        injector = injector_for(system, seed=2, lock_interval=(2, 3))
+        injector = injector_for(system, seed=2)
         injector.inject(FaultType.SYNCHRONIZATION)
-        lock = system.kernel.locks.lock("dl")
-        with pytest.raises(SystemCrash):
-            for _ in range(200):
-                lock.acquire()
-                lock.release()
+        lock_ops_until_crash(system.kernel.locks.lock("dl"))
 
 
 class TestDeterminism:

@@ -1,16 +1,16 @@
 """One table at every job count: the campaign engine's defining property.
 
-A 3-system × 3-fault mini-campaign is run once through
-``run_table1_campaign`` (the engine in process; the absolute oracle is
-the digest pinned in ``test_golden_digests.py``) and then through the
-engine at ``jobs=1``, ``jobs=4``, and with a forced mid-campaign
-interruption and resume.  Every variant must produce a ``Table1`` whose
-canonical digest — every cell's crashes, corruptions, trap saves,
-discards, and per-trial results, in attempt order — is the same.
+A 3-system × 3-fault mini-campaign is run once through the engine in
+process (the absolute oracle is the digest pinned in
+``test_golden_digests.py``) and then again at ``jobs=1``, ``jobs=4``,
+and with a forced mid-campaign interruption and resume.  Every variant
+must produce a ``Table1`` whose canonical digest — every cell's crashes,
+corruptions, trap saves, discards, and per-trial results, in attempt
+order — is the same.
 
-The trial configs are shrunk (small memTest, tight post-injection
-budget) so the whole module stays in tier-1 time; equivalence does not
-depend on trial size.
+The trials are shrunk (a tight post-injection operation budget) so the
+whole module stays in tier-1 time; equivalence does not depend on trial
+size.
 """
 
 import os
@@ -19,13 +19,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.faults import FaultType
-from repro.reliability import (
-    CampaignEngine,
-    run_table1_campaign,
-    table1_digest,
-)
+from repro.reliability import CampaignEngine, table1_digest
 from repro.reliability.journal import read_trials
-from repro.workloads.memtest import MemTestParams
 
 MINI_CAMPAIGN = dict(
     crashes_per_cell=1,
@@ -33,15 +28,7 @@ MINI_CAMPAIGN = dict(
     fault_types=(FaultType.KERNEL_TEXT, FaultType.KERNEL_STACK, FaultType.POINTER),
     base_seed=4200,
     max_attempts_factor=3,
-    config_overrides=dict(
-        max_ops_after_injection=80,
-        sim_budget_s=30.0,
-        andrew_copies=1,
-        inject_after_ops=(5, 15),
-        memtest=MemTestParams(
-            max_files=8, max_dirs=2, max_file_bytes=16 * 1024, max_io_bytes=4 * 1024
-        ),
-    ),
+    config_overrides=dict(max_ops_after_injection=80),
 )
 
 #: One cheap single-cell campaign for the worker-death tests.
@@ -57,7 +44,7 @@ ONE_CELL = dict(
 
 @pytest.fixture(scope="module")
 def serial_oracle():
-    table = run_table1_campaign(**MINI_CAMPAIGN)
+    table = CampaignEngine(**MINI_CAMPAIGN).run()
     return table, table1_digest(table)
 
 
@@ -170,7 +157,7 @@ class TestCli:
 class TestWorkerDeath:
     @pytest.fixture()
     def oracle_one_cell(self):
-        table = run_table1_campaign(**ONE_CELL)
+        table = CampaignEngine(**ONE_CELL).run()
         return table1_digest(table)
 
     def test_killed_worker_retries_and_output_is_unchanged(

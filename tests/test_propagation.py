@@ -1,7 +1,7 @@
 """Tests for the fault-propagation analysis (footnote 2, implemented)."""
 
 from repro.faults import FaultType
-from repro.reliability import run_table1_campaign
+from repro.reliability import CampaignEngine
 from repro.reliability.propagation import (
     PropagationSummary,
     format_propagation,
@@ -92,12 +92,12 @@ class TestUninjectedCrashes:
 
 class TestEndToEnd:
     def test_campaign_propagation(self):
-        table = run_table1_campaign(
+        table = CampaignEngine(
             crashes_per_cell=2,
             systems=("rio_prot",),
             fault_types=(FaultType.KERNEL_TEXT, FaultType.SYNCHRONIZATION),
             base_seed=1300,
-        )
+        ).run()
         summary = summarize_propagation(table, "rio_prot")
         assert sum(summary.matrix.values()) == 4
         text = format_propagation(summary)
@@ -105,12 +105,12 @@ class TestEndToEnd:
         assert "median ops" in text
 
     def test_incubation_uses_injection_offset(self):
-        table = run_table1_campaign(
+        table = CampaignEngine(
             crashes_per_cell=1,
             systems=("rio_prot",),
             fault_types=(FaultType.SYNCHRONIZATION,),
             base_seed=1400,
-        )
+        ).run()
         summary = summarize_propagation(table, "rio_prot")
         (ops_list,) = summary.incubation_ops.values()
         cell = table.cell("rio_prot", FaultType.SYNCHRONIZATION)

@@ -9,11 +9,11 @@ import pytest
 from repro.analysis import mttf_table
 from repro.faults import FaultType
 from repro.reliability import (
+    CampaignEngine,
     CrashTestConfig,
     SYSTEM_NAMES,
     format_table1,
     run_crash_test,
-    run_table1_campaign,
     system_spec_for,
 )
 from repro.reliability.report import Table1
@@ -119,24 +119,24 @@ class TestSingleRuns:
 
 class TestMiniCampaign:
     def test_small_campaign_structure(self):
-        table = run_table1_campaign(
+        table = CampaignEngine(
             crashes_per_cell=2,
             systems=("rio_prot",),
             fault_types=(FaultType.KERNEL_TEXT, FaultType.SOURCE_REG),
             base_seed=500,
-        )
+        ).run()
         assert table.total_crashes("rio_prot") == 4
         cell = table.cell("rio_prot", FaultType.KERNEL_TEXT)
         assert cell.crashes == 2
         assert cell.crash_kinds
 
     def test_format_table1(self):
-        table = run_table1_campaign(
+        table = CampaignEngine(
             crashes_per_cell=1,
             systems=("rio_prot",),
             fault_types=(FaultType.KERNEL_TEXT,),
             base_seed=600,
-        )
+        ).run()
         text = format_table1(table, systems=("rio_prot",))
         assert "kernel text" in text
         assert "Total" in text
@@ -152,12 +152,12 @@ class TestMiniCampaign:
 
     @pytest.fixture(scope="class")
     def disk_table(self):
-        return run_table1_campaign(
+        return CampaignEngine(
             crashes_per_cell=2,
             systems=("disk",),
             fault_types=(FaultType.KERNEL_TEXT, FaultType.DELETE_BRANCH),
             base_seed=700,
-        )
+        ).run()
 
     def test_unique_crash_messages_counted(self, disk_table):
         assert disk_table.unique_crash_messages() >= 1

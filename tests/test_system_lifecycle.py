@@ -1,14 +1,18 @@
 """Tests for system assembly and odds and ends across modules."""
 
+import inspect
 from dataclasses import fields
 
 import pytest
 
 from repro import RioConfig, SystemSpec, build_system
 from repro.core import ProtectionMode
+from repro.explore import ExploreConfig
+from repro.faults import FaultInjector
 from repro.fs.ufs import UFS
 from repro.hw import MachineConfig
 from repro.kernel import KernelConfig
+from repro.reliability import CrashTestConfig
 from repro.server import ServiceConfig
 
 
@@ -66,8 +70,9 @@ class TestSystemSpec:
 
     def test_what_else_is_settable_is_pinned(self):
         """The paper's one machine is constants (page and sector size,
-        kernel layout, instruction cost, fd quota); a new knob here is a
-        deliberate edit of this list."""
+        kernel layout, instruction cost, fd quota), and so is its crash
+        trial (workload mix, injection window, fault rates, budget); a
+        new knob here is a deliberate edit of this list."""
         assert [f.name for f in fields(MachineConfig)] == [
             "memory_bytes", "boot_time_ns", "fast_path",
         ]
@@ -75,6 +80,15 @@ class TestSystemSpec:
         assert [f.name for f in fields(ServiceConfig)] == [
             "queue_depth", "batch_size", "quantum", "repair_on_recover", "ack_before_execute",
         ]
+        assert [f.name for f in fields(CrashTestConfig)] == [
+            "system", "fault_type", "seed", "max_ops_after_injection", "keep_system",
+            "trace_events",
+        ]
+        assert [f.name for f in fields(ExploreConfig)] == [
+            "workload", "system", "seed", "ops", "clients", "ops_per_client",
+            "plant_ack_bug", "backend",
+        ]
+        assert list(inspect.signature(FaultInjector).parameters) == ["kernel", "seed"]
 
     def test_specs_are_isolated_across_systems(self):
         spec = SystemSpec("ufs")

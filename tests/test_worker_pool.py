@@ -28,7 +28,6 @@ from repro.explore import ExploreConfig, explore
 from repro.faults import FaultType
 from repro.reliability import CampaignEngine, CampaignWorkerError, ParallelMap, WorkerPool
 from repro.reliability.journal import read_trials
-from repro.workloads.memtest import MemTestParams
 
 BASIC = ExploreConfig("basic", ops=0)
 
@@ -176,7 +175,7 @@ class TestTaskThatRaises:
             crashes_per_cell=1,
             systems=("rio_prot",),
             fault_types=(FaultType.KERNEL_TEXT,),
-            config_overrides=dict(memtest=MemTestParams(max_files=8, max_dirs=2)),
+            config_overrides=dict(max_ops_after_injection=80),
             jobs=2,
         )
         with pytest.raises(

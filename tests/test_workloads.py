@@ -4,6 +4,7 @@ import pytest
 
 from repro.system import SystemSpec, build_system
 from repro.util import pattern_bytes
+from repro.workloads.andrew import COMPILE_MS_PER_FILE
 from repro.workloads import (
     AndrewBenchmark,
     AndrewParams,
@@ -172,10 +173,10 @@ class TestAndrew:
         assert len(objs) == 6
 
     def test_compile_phase_dominated_by_cpu(self, system):
-        params = AndrewParams(dirs=2, files_per_dir=3, compile_ms_per_file=200)
+        params = AndrewParams(dirs=2, files_per_dir=3)
         bench = AndrewBenchmark(system.vfs, system.kernel, params)
         bench.run()
-        assert bench.phase_times["compile"] >= 6 * 0.2
+        assert bench.phase_times["compile"] >= 6 * COMPILE_MS_PER_FILE / 1000
 
     def test_ops_stream_is_usable(self, system):
         bench = AndrewBenchmark(system.vfs, system.kernel, AndrewParams(dirs=1, files_per_dir=2))
