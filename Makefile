@@ -7,8 +7,8 @@ PY ?= python
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
 
-# Tier-1, the one gate: every `repro` subcommand, the kernel-text lint,
-# the docstring gate, the tutorial and the examples are tests in it.
+# Tier-1, the one gate: every `repro` subcommand, the routine-source
+# assertions, the docstring gate, the tutorial and the examples are tests in it.
 test:
 	$(PY) -m pytest tests/
 

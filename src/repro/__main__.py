@@ -113,7 +113,7 @@ def cmd_table1(args) -> int:
         crashes_per_cell=crashes,
         systems=systems,
         fault_types=fault_types,
-        config_overrides={"trace_events": True} if args.trace_corruptions else None,
+        trace_events=args.trace_corruptions,
         jobs=args.jobs,
         checkpoint=args.resume,
         progress=lambda line: print("  " + line, file=sys.stderr),
@@ -234,8 +234,8 @@ def cmd_mttf(_args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Static analysis of kernel routines: disassembly, CFG, lint, patch plan."""
-    from repro.isa.analysis import build_cfg, disassemble_words, lint_words, patch_routine
+    """Kernel routines as the code patcher sees them: disassembly and patch size."""
+    from repro.isa.analysis import disassemble_words, patch_routine
     from repro.isa.assembler import assemble
     from repro.isa.routines import ROUTINE_SOURCES
 
@@ -246,22 +246,8 @@ def cmd_analyze(args) -> int:
         return 2
     for name in names:
         words, labels = assemble(ROUTINE_SOURCES[name])
-        dis = disassemble_words(words, labels=labels, name=name)
-        cfg = build_cfg(dis)
-        print(f"=== {name} ({len(words)} words, {len(cfg.blocks)} blocks) ===")
-        print(dis.source, end="")
-        print("blocks:")
-        for block in cfg.blocks.values():
-            succs = ", ".join(str(s) for s in sorted(block.succs)) or "-"
-            term = "  [terminates]" if block.terminates else ""
-            print(f"  [{block.start:3d}..{block.end:3d})  succs: {succs}{term}")
-        findings = lint_words(name, words, labels=labels)
-        if findings:
-            print("lint:")
-            for finding in findings:
-                print(f"  {finding}")
-        else:
-            print("lint: clean")
+        print(f"=== {name} ({len(words)} words) ===")
+        print(disassemble_words(words, labels=labels, name=name).source, end="")
         _, _, report = patch_routine(name, words, labels)
         print(f"patch: {report.stores} stores checked; +{report.added_words} words")
         print()
@@ -995,8 +981,8 @@ COMMANDS = (
     ("mttf", "the section 3.3 MTTF illustration from the paper's rates", None, cmd_mttf),
     (
         "analyze",
-        "static analysis of the kernel text: disassembly, CFG, lint findings "
-        "and the code-patching plan for one routine (or all)",
+        "the kernel text as section 2.1's code patcher sees it: disassembly "
+        "and patch size for one routine (or all)",
         _flags_analyze,
         cmd_analyze,
     ),

@@ -4,9 +4,8 @@ Where :func:`decode` is deliberately lenient (fault-corrupted words must
 still execute, or crash, the way hardware would), the disassembler is the
 opposite: it refuses words that are not the canonical encoding of an
 assemblable statement.  That strictness is what makes it useful — the
-static-analysis pipeline (CFG, dataflow, patching, lint) only reasons
-about text it can faithfully round-trip, and ``DisassemblyError`` on
-kernel text is itself a corruption signal.
+code patcher only rewrites text it can faithfully round-trip, and
+``DisassemblyError`` on kernel text is itself a corruption signal.
 
 Round-trip guarantee: for any assembled routine,
 ``assemble(disassemble_words(words, labels).source) == (words, labels)``
@@ -54,10 +53,6 @@ class Disassembly:
     name: str
     lines: list[DisasmLine]
     labels: dict[str, int]  #: label name -> word index
-
-    @property
-    def num_words(self) -> int:
-        return len(self.lines)
 
     @property
     def source(self) -> str:

@@ -34,13 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.isa.analysis.dataflow import inst_def, inst_uses
 from repro.isa.analysis.disasm import disassemble_words
-from repro.isa.encoding import BRANCH_OPS, Instruction, Op, encode, sext16
+from repro.isa.encoding import (
+    BRANCH_OPS,
+    LOAD_OPS,
+    OPERATE_OPS,
+    STORE_OPS,
+    Instruction,
+    Op,
+    encode,
+    sext16,
+)
 from repro.isa.interpreter import PATCH_TRAP_CODE
 
 #: Registers the check sequences use implicitly; routines must not touch
-#: them (they never do — lint enforces it).
+#: them (:func:`patch_routine` raises :class:`PatchError` on any that does).
 RESERVED_REGS = frozenset({28, 29})
 
 
@@ -133,10 +141,27 @@ def patch_routine(
     return new_words, new_labels, report
 
 
+def inst_uses(inst: Instruction) -> set[int]:
+    """Registers an instruction reads (the hardwired zero excluded)."""
+    op = inst.op
+    uses: set[int] = set()
+    if op in OPERATE_OPS:
+        uses = {inst.ra, inst.rb}
+    elif op in (Op.LDA, *LOAD_OPS):
+        uses = {inst.rb}
+    elif op in STORE_OPS:
+        uses = {inst.ra, inst.rb}
+    elif op in BRANCH_OPS and op is not Op.BR:
+        uses = {inst.ra}
+    elif op in (Op.JSR, Op.RET):
+        uses = {inst.rb}
+    return uses - {31}
+
+
 def inst_regs(inst: Instruction) -> set[int]:
     """Every register an instruction names (reads or writes)."""
-    regs = set(inst_uses(inst))
-    target = inst_def(inst)
+    regs = inst_uses(inst)
+    target = inst.writes_register()
     if target is not None:
         regs.add(target)
     return regs

@@ -122,7 +122,8 @@ class CampaignEngine:
         fault_types: tuple = ALL_FAULT_TYPES,
         base_seed: int = 1000,
         max_attempts_factor: int = 5,
-        config_overrides: Optional[dict] = None,
+        max_ops_after_injection: int = CrashTestConfig.max_ops_after_injection,
+        trace_events: bool = False,
         jobs: int = 1,
         checkpoint: Optional[str] = None,
         max_trials: Optional[int] = None,
@@ -134,7 +135,8 @@ class CampaignEngine:
         self.fault_types = tuple(fault_types)
         self.base_seed = base_seed
         self.max_attempts_factor = max_attempts_factor
-        self.config_overrides = dict(config_overrides or {})
+        self.max_ops_after_injection = max_ops_after_injection
+        self.trace_events = trace_events
         self.jobs = max(1, jobs)
         self.checkpoint = checkpoint
         self.max_trials = max_trials
@@ -209,7 +211,8 @@ class CampaignEngine:
             "fault_types": [f.value for f in self.fault_types],
             "base_seed": self.base_seed,
             "max_attempts_factor": self.max_attempts_factor,
-            "config_overrides": self.config_overrides,
+            "max_ops_after_injection": self.max_ops_after_injection,
+            "trace_events": self.trace_events,
         }
 
     def _config_json(self, cs: _CellState, attempt: int) -> dict:
@@ -218,7 +221,8 @@ class CampaignEngine:
             system=cs.system,
             fault_type=cs.fault_type,
             seed=seed,
-            **self.config_overrides,
+            max_ops_after_injection=self.max_ops_after_injection,
+            trace_events=self.trace_events,
         )
         return config.to_json_dict()
 

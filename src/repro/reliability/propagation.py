@@ -112,14 +112,15 @@ def format_propagation(summary: PropagationSummary) -> str:
         {fault for (fault, _) in summary.matrix}, key=lambda f: list(FaultType).index(f)
     )
     width = 22
-    header = "Fault Type".ljust(width) + "".join(k.ljust(18) for k in kinds)
+    col = max(len(k) for k in kinds) + 2
+    header = "Fault Type".ljust(width) + "".join(k.ljust(col) for k in kinds)
     header += "corrupted".rjust(10) + "median ops".rjust(12)
     lines = [header, "-" * len(header)]
     for fault in fault_types:
         row = fault.value.ljust(width)
         for kind in kinds:
             count = summary.matrix.get((fault, kind), 0)
-            row += (str(count) if count else ".").ljust(18)
+            row += (str(count) if count else ".").ljust(col)
         row += str(summary.corruptions.get(fault, 0)).rjust(10)
         row += str(summary.median_incubation(fault)).rjust(12)
         lines.append(row)

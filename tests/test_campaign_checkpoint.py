@@ -28,7 +28,7 @@ ONE_CELL = dict(
     fault_types=(FaultType.KERNEL_TEXT,),
     base_seed=7100,
     max_attempts_factor=3,
-    config_overrides=FAST,
+    **FAST,
 )
 
 
@@ -174,6 +174,14 @@ class TestJournalCorruption:
     def test_mismatched_campaign_refuses_to_resume(self, finished_journal):
         journal, _, _ = finished_journal
         other = dict(ONE_CELL, base_seed=9999)
+        engine = CampaignEngine(**other, jobs=1, checkpoint=journal)
+        with pytest.raises(CampaignResumeError, match="different campaign"):
+            engine.run()
+
+    def test_other_op_budget_refuses_to_resume(self, finished_journal):
+        """Trials run under another post-injection budget are other trials."""
+        journal, _, _ = finished_journal
+        other = dict(ONE_CELL, max_ops_after_injection=81)
         engine = CampaignEngine(**other, jobs=1, checkpoint=journal)
         with pytest.raises(CampaignResumeError, match="different campaign"):
             engine.run()

@@ -58,7 +58,11 @@ SCENARIOS = {
         )
     ],
     "analyze": [
-        (["analyze", "bcopy"], 0, ["=== bcopy", "lint: clean", "patch:"]),
+        (
+            ["analyze", "bcopy"],
+            0,
+            ["=== bcopy (18 words) ===\n    bis a2, zero, v0", "patch: 2 stores checked; +14 words"],
+        ),
         (["analyze", "no_such_routine"], 2, ["unknown routine"]),
     ],
     # A traced 2-job campaign (disk/pointer corrupts within its first

@@ -28,7 +28,7 @@ MINI_CAMPAIGN = dict(
     fault_types=(FaultType.KERNEL_TEXT, FaultType.KERNEL_STACK, FaultType.POINTER),
     base_seed=4200,
     max_attempts_factor=3,
-    config_overrides=dict(max_ops_after_injection=80),
+    max_ops_after_injection=80,
 )
 
 #: One cheap single-cell campaign for the worker-death tests.
@@ -38,7 +38,7 @@ ONE_CELL = dict(
     fault_types=(FaultType.KERNEL_TEXT,),
     base_seed=4200,
     max_attempts_factor=3,
-    config_overrides=MINI_CAMPAIGN["config_overrides"],
+    max_ops_after_injection=MINI_CAMPAIGN["max_ops_after_injection"],
 )
 
 

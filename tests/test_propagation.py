@@ -61,6 +61,19 @@ class TestSummary:
         assert "1 crashed trial(s) with no fault injected" in text
 
 
+    def test_format_header_keeps_long_kinds_apart(self):
+        """``illegal_instruction`` is 19 characters: a fixed 18-wide
+        column ran it into the next label."""
+        summary = PropagationSummary()
+        summary.add(FaultType.KERNEL_TEXT, "illegal_instruction", 3, False)
+        summary.add(FaultType.KERNEL_TEXT, "machine_check", 5, False)
+        header, rule, row = format_propagation(summary).splitlines()
+        assert header.split() == [
+            "Fault", "Type", "illegal_instruction", "machine_check", "corrupted", "median", "ops",
+        ]
+        assert row.split() == ["kernel", "text", "1", "1", "0", "3"]
+
+
 class TestUninjectedCrashes:
     def test_summarize_excludes_uninjected_trials(self):
         """A trial that crashed before its injection point (e.g. a latent

@@ -12,7 +12,7 @@ from repro.faults import FaultInjector
 from repro.fs.ufs import UFS
 from repro.hw import MachineConfig
 from repro.kernel import KernelConfig
-from repro.reliability import CrashTestConfig
+from repro.reliability import CampaignEngine, CrashTestConfig
 from repro.server import ServiceConfig
 
 
@@ -89,6 +89,11 @@ class TestSystemSpec:
             "plant_ack_bug", "backend",
         ]
         assert list(inspect.signature(FaultInjector).parameters) == ["kernel", "seed"]
+        assert list(inspect.signature(CampaignEngine).parameters) == [
+            "crashes_per_cell", "systems", "fault_types", "base_seed", "max_attempts_factor",
+            "max_ops_after_injection", "trace_events", "jobs", "checkpoint", "max_trials",
+            "progress", "progress_interval_s",
+        ]
 
     def test_specs_are_isolated_across_systems(self):
         spec = SystemSpec("ufs")

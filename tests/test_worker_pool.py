@@ -175,7 +175,7 @@ class TestTaskThatRaises:
             crashes_per_cell=1,
             systems=("rio_prot",),
             fault_types=(FaultType.KERNEL_TEXT,),
-            config_overrides=dict(max_ops_after_injection=80),
+            max_ops_after_injection=80,
             jobs=2,
         )
         with pytest.raises(
