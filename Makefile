@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench-compare bench-same profile keep-list clean
+.PHONY: install test table1 bench-compare bench-same profile keep-list clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -11,6 +11,15 @@ install:
 # assertions, the docstring gate, the tutorial and the examples are tests in it.
 test:
 	$(PY) -m pytest tests/
+
+# Table 1 at the paper's scale (50 crashes per cell) into the tracked
+# RESULTS_table1.json that README and EXPERIMENTS quote and
+# tests/test_docs.py holds them to.  About 10 minutes on 2 workers; CI
+# does not run it.  The journal (gitignored) resumes an interrupted run,
+# and re-running over a finished one rewrites the file byte for byte.
+TABLE1_JOURNAL ?= .table1.jsonl
+table1:
+	PYTHONPATH=src $(PY) -m repro table1 --scale 50 --jobs 2 --resume $(TABLE1_JOURNAL) --json > RESULTS_table1.json
 
 # Diff two tracked trajectories of the repository benchmark
 # (BENCH_<pr>.json at the repo root, written by `python3 -m bench

@@ -81,7 +81,9 @@ def _parse_fault_types(text: str):
 
 
 def cmd_table1(args) -> int:
-    """Run the Table 1 reliability campaign."""
+    """Run the Table 1 reliability campaign: the table, footnote 2's
+    propagation per system, section 3.3's MTTF and the digest — or, with
+    ``--json``, the summary ``RESULTS_table1.json`` holds."""
     from repro.faults.types import ALL_FAULT_TYPES
     from repro.reliability import (
         SYSTEM_NAMES,
@@ -91,6 +93,7 @@ def cmd_table1(args) -> int:
         summarize_propagation,
         table1_digest,
     )
+    from repro.reliability.report import format_mttf
 
     crashes = args.scale
     systems = tuple(args.systems.split(",")) if args.systems else SYSTEM_NAMES
@@ -107,7 +110,8 @@ def cmd_table1(args) -> int:
         f"running the Table 1 campaign ({crashes} crashes/cell; paper used 50) "
         f"on {args.jobs} worker(s)"
         + (f", checkpointing to {args.resume}" if args.resume else "")
-        + " ..."
+        + " ...",
+        file=sys.stderr,
     )
     engine = CampaignEngine(
         crashes_per_cell=crashes,
@@ -118,12 +122,17 @@ def cmd_table1(args) -> int:
         checkpoint=args.resume,
         progress=lambda line: print("  " + line, file=sys.stderr),
     )
-    table = engine.run()
-    print(format_table1(table, systems=systems))
-    for system in systems:
-        print(f"\nFault propagation on {system} (footnote 2):")
-        print(format_propagation(summarize_propagation(table, system)))
-    print(f"\ntable1 digest: {table1_digest(table)}")
+
+    def text(table) -> str:
+        lines = [format_table1(table, systems=systems)]
+        for system in systems:
+            lines.append(f"\nFault propagation on {system} (footnote 2):")
+            lines.append(format_propagation(summarize_propagation(table, system)))
+        lines.append("\n" + format_mttf(table, systems))
+        lines.append(f"\ntable1 digest: {table1_digest(table)}")
+        return "\n".join(lines)
+
+    status = _emit(engine.run(), args, text)
     stats = engine.stats
     print(
         f"({stats.executed} trials run, {stats.from_checkpoint} from checkpoint, "
@@ -133,13 +142,12 @@ def cmd_table1(args) -> int:
     if not engine.complete:
         print("campaign incomplete; re-run with --resume to continue", file=sys.stderr)
         return 3
-    short = engine.short_cells
-    for system, fault, got, attempts in short:
+    for system, fault, got, attempts in engine.table.short_cells():
         print(
             f"short cell {system}/{fault}: {got} of {crashes} crashes after {attempts} attempts",
             file=sys.stderr,
         )
-    return 1 if short else 0
+    return status
 
 
 def cmd_forensics(args) -> int:
@@ -222,17 +230,6 @@ def cmd_table2(_args) -> int:
     return 0
 
 
-def cmd_mttf(_args) -> int:
-    """Print the section 3.3 MTTF illustration."""
-    from repro.analysis import mttf_table
-    from repro.analysis.mttf import PAPER_RATES
-
-    print("MTTF at one crash per two months (paper's Table 1 rates):")
-    for name, years in mttf_table(PAPER_RATES).items():
-        print(f"  {name:11s}: {years:5.1f} years")
-    return 0
-
-
 def cmd_analyze(args) -> int:
     """Kernel routines as the code patcher sees them: disassembly and patch size."""
     from repro.isa.analysis import disassemble_words, patch_routine
@@ -271,7 +268,7 @@ def _traffic_config(args, **fields):
 
 def _emit(result, args, formatter) -> int:
     """Print ``result`` as JSON (``--json``) or through ``formatter``;
-    the exit status is the result's zero-lost-acks verdict."""
+    the exit status is the result's verdict (``result.ok``)."""
     if args.json:
         import json
 
@@ -369,23 +366,21 @@ def cmd_explore(args) -> int:
             verdict = replay(config, args.replay, artifact_dir=args.artifacts)
         except ExploreError as exc:
             raise SystemExit(str(exc))
-        if args.json:
-            import json
 
-            print(json.dumps(verdict.to_json_dict(), indent=2, sort_keys=True))
-        else:
-            print(
+        def text(verdict) -> str:
+            lines = [
                 f"replayed {config.workload} seed {config.seed} "
                 f"event {args.replay} ({verdict.boundary.key()}): "
                 + ("spec holds" if verdict.ok else "SPEC VIOLATED")
-            )
-            for violation in verdict.violations:
-                print(f"  [{violation.clause}] {violation.detail}")
+            ]
+            lines += [f"  [{v.clause}] {v.detail}" for v in verdict.violations]
             if verdict.artifact_image:
-                print(f"  image: {verdict.artifact_image}")
+                lines.append(f"  image: {verdict.artifact_image}")
             if verdict.artifact_report:
-                print(f"  forensics: {verdict.artifact_report}")
-        return 0 if verdict.ok else 1
+                lines.append(f"  forensics: {verdict.artifact_report}")
+            return "\n".join(lines)
+
+        return _emit(verdict, args, text)
     print(
         f"exploring {config.workload} on {config.system} "
         f"(seed {config.seed}, {args.jobs} job(s)) ...",
@@ -762,6 +757,7 @@ def _flags_table1(p) -> None:
         help="record flight-recorder streams for every trial in the --resume "
         "journal, for repro forensics",
     )
+    p.add_argument("--json", action="store_true", help="machine-readable summary")
 
 
 def _flags_forensics(p) -> None:
@@ -978,7 +974,6 @@ COMMANDS = (
         cmd_forensics,
     ),
     ("table2", "run the performance grid (Table 2) and its ratio summary", None, cmd_table2),
-    ("mttf", "the section 3.3 MTTF illustration from the paper's rates", None, cmd_mttf),
     (
         "analyze",
         "the kernel text as section 2.1's code patcher sees it: disassembly "

@@ -42,15 +42,13 @@ s3ql refusing to fsck an unreachable bucket.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List
 
-from repro.backend.common import BackendOutage, TransientBackendError
+from repro.backend.common import BackendOutage
 from repro.backend.tiered import (
-    MAX_RETRIES,
     OBJ_PREFIX,
     REF_PREFIX,
-    RETRY_BACKOFF_NS,
     TieredStore,
     content_hash,
     obj_key,
@@ -95,22 +93,7 @@ class RemoteFsckReport:
 
     def to_json_dict(self) -> Dict[str, object]:
         """JSON-safe wire form (digest material)."""
-        return {
-            "batch": self.batch,
-            "force": self.force,
-            "sealed": self.sealed,
-            "deferred": self.deferred,
-            "scanned_blocks": self.scanned_blocks,
-            "stale_maps": self.stale_maps,
-            "missing_objects": self.missing_objects,
-            "unmapped_blocks": self.unmapped_blocks,
-            "orphan_objects": self.orphan_objects,
-            "refcount_drift": self.refcount_drift,
-            "repairs": self.repairs,
-            "needs_batch": self.needs_batch,
-            "unrepaired": self.unrepaired,
-            "findings": list(self.findings),
-        }
+        return asdict(self)
 
     def format(self) -> str:
         """Human-readable transcript (the CLI's output)."""
@@ -138,27 +121,6 @@ class RemoteFsckReport:
         return "\n".join(lines)
 
 
-def _with_retries(store: TieredStore, op: Callable[[], object]) -> object:
-    """Run one remote operation with the store's retry budget.
-
-    Transient failures retry with clock-charged backoff; exhaustion
-    degrades to :class:`BackendOutage` so the whole check defers
-    instead of half-repairing.
-    """
-    attempts = 0
-    while True:
-        try:
-            return op()
-        except BackendOutage:
-            raise
-        except TransientBackendError:
-            attempts += 1
-            if attempts > MAX_RETRIES:
-                raise BackendOutage("remote fsck exhausted its retry budget")
-            if store.clock is not None:
-                store.clock.consume(RETRY_BACKOFF_NS << (attempts - 1))
-
-
 def fsck_remote(
     store: TieredStore, *, batch: bool = False, force: bool = False
 ) -> RemoteFsckReport:
@@ -184,10 +146,10 @@ def fsck_remote(
 def _check(store: TieredStore, report: RemoteFsckReport, *, batch: bool, force: bool) -> None:
     """The scan/repair body; raises :class:`BackendOutage` to defer."""
     remote = store.remote
-    _with_retries(store, store._ensure_mirror)
+    store.with_retries(store._ensure_mirror)
 
     if not force and not store.dirty_blocks():
-        seal = _with_retries(store, store.read_seal)
+        seal = store.with_retries(store.read_seal)
         if seal is not None and seal == store.seal_payload():
             report.sealed = True
             return
@@ -196,7 +158,7 @@ def _check(store: TieredStore, report: RemoteFsckReport, *, batch: bool, force: 
     report.scanned_blocks = total_blocks
     obj_hashes = {
         key[len(OBJ_PREFIX):]
-        for key in _with_retries(store, lambda: remote.list(OBJ_PREFIX))
+        for key in store.with_retries(lambda: remote.list(OBJ_PREFIX))
     }
 
     # Pass 0: reconcile refcounts against the map mirror FIRST.  Later
@@ -209,7 +171,7 @@ def _check(store: TieredStore, report: RemoteFsckReport, *, batch: bool, force: 
         referenced[digest] = referenced.get(digest, 0) + 1
     stored_refs = {
         key[len(REF_PREFIX):]
-        for key in _with_retries(store, lambda: remote.list(REF_PREFIX))
+        for key in store.with_retries(lambda: remote.list(REF_PREFIX))
     }
     for digest in sorted(set(referenced) | stored_refs):
         true_count = referenced.get(digest, 0)
@@ -222,14 +184,14 @@ def _check(store: TieredStore, report: RemoteFsckReport, *, batch: bool, force: 
                     f"ref {digest[:16]}: counts a blob that does not exist"
                 )
                 if batch:
-                    _with_retries(store, lambda d=digest: remote.delete(ref_key(d)))
+                    store.with_retries(lambda d=digest: remote.delete(ref_key(d)))
                     report.repairs += 1
                 else:
                     report.needs_batch += 1
             continue
         stored = None
         if digest in stored_refs:
-            raw = _with_retries(store, lambda d=digest: remote.get(ref_key(d)))
+            raw = store.with_retries(lambda d=digest: remote.get(ref_key(d)))
             stored = int(raw.decode("ascii"))
         if stored != true_count:
             report.refcount_drift += 1
@@ -237,11 +199,8 @@ def _check(store: TieredStore, report: RemoteFsckReport, *, batch: bool, force: 
                 f"ref {digest[:16]}: stored {stored} but {true_count} "
                 "map entries reference it"
             )
-            _with_retries(
-                store,
-                lambda d=digest, c=true_count: remote.put(
-                    ref_key(d), str(c).encode("ascii")
-                ),
+            store.with_retries(
+                lambda d=digest, c=true_count: remote.put(ref_key(d), str(c).encode("ascii"))
             )
             report.repairs += 1
     store._refs = dict(referenced)
@@ -283,21 +242,21 @@ def _check(store: TieredStore, report: RemoteFsckReport, *, batch: bool, force: 
     live = set(store._map.values())
     current_objs = {
         key[len(OBJ_PREFIX):]
-        for key in _with_retries(store, lambda: remote.list(OBJ_PREFIX))
+        for key in store.with_retries(lambda: remote.list(OBJ_PREFIX))
     }
     for digest in sorted(current_objs - live):
         report.orphan_objects += 1
         report.findings.append(f"object {digest[:16]}: orphaned (unreferenced)")
         if batch:
-            _with_retries(store, lambda d=digest: remote.delete(obj_key(d)))
-            _with_retries(store, lambda d=digest: remote.delete(ref_key(d)))
+            store.with_retries(lambda d=digest: remote.delete(obj_key(d)))
+            store.with_retries(lambda d=digest: remote.delete(ref_key(d)))
             report.repairs += 1
         else:
             report.needs_batch += 1
 
     # Reconciled (as far as consent allowed): seal when fully clean.
     if report.needs_batch == 0 and report.unrepaired == 0 and not store.dirty_blocks():
-        _with_retries(store, store.write_seal)
+        store.with_retries(store.write_seal)
 
 
 def _repair_upload(

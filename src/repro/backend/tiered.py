@@ -63,7 +63,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import partial
 from heapq import nsmallest
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.backend.common import BackendOutage, LocalBackend, TransientBackendError
 from repro.fs.dissect import image_sha256
@@ -102,8 +102,8 @@ def content_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-#: Retries per upload on :class:`TransientBackendError` before the block
-#: is deferred to the next drain.
+#: Retries per remote operation on :class:`TransientBackendError` before
+#: it degrades to an outage (an upload's block waits for the next drain).
 MAX_RETRIES = 3
 #: Virtual-time backoff charged per retry (doubles per attempt).
 RETRY_BACKOFF_NS = 1_000_000
@@ -318,8 +318,11 @@ class TieredStore:
             self.stats.unchanged_skips += 1
             return True
         try:
-            fresh_blob = self._commit_with_retries(
-                block, digest, data, old, force, sync
+            # The transaction is idempotent (absolute refcount values are
+            # recomputed from the unchanged mirror), so a retry after a
+            # partial failure simply re-issues the same puts.
+            fresh_blob = self.with_retries(
+                lambda: self._commit_once(block, digest, data, old, force, sync), upload=True
             )
         except BackendOutage:
             self.stats.outage_deferrals += 1
@@ -330,30 +333,26 @@ class TieredStore:
             self.stats.dedup_hits += 1
         return True
 
-    def _commit_with_retries(
-        self, block: int, digest: str, data: bytes, old: Optional[str],
-        force: bool, sync: bool,
-    ) -> bool:
-        """Retry loop around one upload transaction.
+    def with_retries(self, op: Callable[[], object], *, upload: bool = False) -> object:
+        """Run one remote operation under the retry budget.
 
-        The transaction is idempotent (absolute refcount values are
-        recomputed from the unchanged mirror), so a retry after a
-        partial failure simply re-issues the same puts.  Retry budget
-        exhausted degrades to an outage: defer, never drop.
+        A transient failure retries after a clock-charged backoff that
+        doubles per attempt; an exhausted budget degrades to
+        :class:`BackendOutage` — defer, never drop.  Only ``upload``
+        retries count in ``stats.retries``.
         """
         attempts = 0
         while True:
             try:
-                return self._commit_once(block, digest, data, old, force, sync)
+                return op()
             except BackendOutage:
                 raise
             except TransientBackendError:
                 attempts += 1
-                self.stats.retries += 1
+                if upload:
+                    self.stats.retries += 1
                 if attempts > MAX_RETRIES:
-                    raise BackendOutage(
-                        f"upload of block {block} exhausted {MAX_RETRIES} retries"
-                    )
+                    raise BackendOutage(f"remote operation exhausted {MAX_RETRIES} retries")
                 if self.clock is not None:
                     self.clock.consume(RETRY_BACKOFF_NS << (attempts - 1))
 

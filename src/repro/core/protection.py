@@ -122,6 +122,19 @@ class ProtectionManager:
 
     # -- public interface used by the guard ------------------------------------
 
+    def guards(self, address: int | None) -> bool:
+        """Does ``address`` lie in a page this mechanism write-protects —
+        a UBC or registry frame (only Rio write-protects KSEG frames) or a
+        buffer cache page?  A trap anywhere else, such as the read-only
+        kernel text every system maps, stops a store but saves no file."""
+        if self.mode is ProtectionMode.NONE or address is None:
+            return False
+        if address >= KSEG_BASE:
+            return True
+        cache = self.kernel.buffer_cache
+        page_size = self.kernel.page_size
+        return 0 <= address - cache.base_vaddr < cache.capacity * page_size
+
     def protect_page(self, page: CachePage) -> None:
         self._set_page_protected(page, True)
 

@@ -15,7 +15,7 @@ which is what makes every counterexample replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List
 
 from repro.obs.events import is_boundary
@@ -36,12 +36,12 @@ class Boundary:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """Wire form (checkpoint journals, worker payloads)."""
-        return {"index": self.index, "kind": self.kind, "op": self.op}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "Boundary":
         """Inverse of :meth:`to_json_dict`."""
-        return cls(index=data["index"], kind=data["kind"], op=data["op"])
+        return cls(**data)
 
 
 def enumerate_boundaries(events: List[Dict[str, Any]]) -> List[Boundary]:

@@ -37,7 +37,7 @@ context may have no live system at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import FileSystemError, NotADirectory
@@ -61,13 +61,7 @@ class SpecViolation:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """Wire form (verdict serialization, checkpoint journals)."""
-        return {
-            "clause": self.clause,
-            "detail": self.detail,
-            "event_index": self.event_index,
-            "seed": self.seed,
-            "workload": self.workload,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "SpecViolation":

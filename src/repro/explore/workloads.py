@@ -24,7 +24,7 @@ job count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CrashedMachineError, FileSystemError, ReproError, SystemCrash
@@ -71,16 +71,7 @@ class ExploreConfig:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """Wire form (worker payloads, checkpoint fingerprints)."""
-        return {
-            "workload": self.workload,
-            "system": self.system,
-            "seed": self.seed,
-            "ops": self.ops,
-            "clients": self.clients,
-            "ops_per_client": self.ops_per_client,
-            "plant_ack_bug": self.plant_ack_bug,
-            "backend": self.backend,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "ExploreConfig":

@@ -18,7 +18,7 @@ To preserve the verifier's independence this module never imports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.fs.dissect.findings import DissectReport
 from repro.fs.dissect.parser import dissect_image
@@ -41,15 +41,7 @@ class DivergenceReport:
     details: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "agreed": self.agreed,
-            "fsck_consistent": self.fsck_consistent,
-            "dissect_clean": self.dissect_clean,
-            "fsck_fix_count": self.fsck_fix_count,
-            "dissect_finding_count": self.dissect_finding_count,
-            "image_sha256": self.image_sha256,
-            "details": list(self.details),
-        }
+        return asdict(self)
 
     def format(self) -> str:
         """One-paragraph human-readable summary."""

@@ -17,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import FileSystemError, KernelPanic, SystemCrash
+from repro.errors import FileSystemError, KernelPanic, ProtectionTrap, SystemCrash
 from repro.faults import FaultInjector, FaultType
 from repro.hw.clock import NS_PER_SEC
 # SYSTEM_NAMES / system_spec_for live in repro.system; re-exported here
@@ -66,18 +66,13 @@ class CrashTestConfig:
 
     def to_json_dict(self) -> dict:
         """A pure-JSON description (the fault type as its value)."""
-        data = {
-            "system": self.system,
-            "fault_type": self.fault_type.value,
-            "seed": self.seed,
-            "max_ops_after_injection": self.max_ops_after_injection,
-            "keep_system": self.keep_system,
-        }
+        data = dataclasses.asdict(self)
+        data["fault_type"] = self.fault_type.value
         # Only serialized when set, so untraced configs — and therefore
         # table1_digest over untraced campaigns — are byte-identical to
         # what they were before the flight recorder existed.
-        if self.trace_events:
-            data["trace_events"] = True
+        if not self.trace_events:
+            del data["trace_events"]
         return data
 
     @classmethod
@@ -111,8 +106,9 @@ class CrashTestResult:
     checksum_mismatches: int = 0
     static_copy_mismatch: bool = False
     recovery_failed: bool = False
-    #: True when the crash *was* the protection trap — a prevented
-    #: corruption (the paper recorded eight of these).
+    #: True when the crash was a protection trap on a page Rio guards —
+    #: a prevented corruption (the paper recorded eight of these).  A
+    #: trap on kernel text is a crash of that kind but no save.
     protection_trap: bool = False
     fsck_fixes: int = 0
     #: Serialized flight-recorder event stream (list of JSON dicts) and
@@ -323,7 +319,12 @@ def run_crash_test(
             result.crash_kind = (
                 system.machine.crash_log[-1].kind if system.machine.crash_log else "panic"
             )
-            result.protection_trap = result.crash_kind == "protection_trap"
+            result.protection_trap = (
+                result.crash_kind == "protection_trap"
+                and isinstance(crash, ProtectionTrap)
+                and system.rio is not None
+                and system.rio.protection.guards(crash.address)
+            )
             if isinstance(crash, KernelPanic):
                 result.panic_code = crash.code
             break

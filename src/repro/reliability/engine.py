@@ -192,16 +192,6 @@ class CampaignEngine:
         self._emit_progress(force=True)
         return self.table
 
-    @property
-    def short_cells(self) -> list:
-        """``(system, fault value, crashes, attempts)`` for each cell that
-        used every attempt below its target."""
-        return [
-            (cs.system, cs.fault_type.value, cs.cell.crashes, cs.consumed)
-            for cs in self._cells.values()
-            if cs.done and cs.cell.crashes < cs.target
-        ]
-
     # -- trials: identity, cache, landing ----------------------------------
 
     def _fingerprint(self) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from repro.__main__ import COMMANDS, build_parser, main
 from repro.reliability import JournalWarning
 from repro.reliability.journal import _crc
 
+REPO = pathlib.Path(__file__).parent.parent
 EXPLORE = ["explore", "basic", "--ops", "0", "--jobs", "2", "--resume", "{tmp}/explore.jsonl"]
 
 #: scenario -> steps ``(argv, exit status, substrings of stdout)``, run in
@@ -42,7 +44,6 @@ SCENARIOS = {
             ],
         )
     ],
-    "mttf": [(["mttf"], 0, ["MTTF at one crash per two months"])],
     "table2": [
         (
             ["table2"],
@@ -72,7 +73,7 @@ SCENARIOS = {
             ["table1", "--scale", "2", "--jobs", "2", "--systems", "disk", "--faults", "pointer",
              "--resume", "{tmp}/campaign.jsonl", "--trace-corruptions"],
             0,
-            ["Table 1"],
+            ["table1 digest: "],
         ),
         (["forensics", "{tmp}/campaign.jsonl"], 0, ["first divergent store"]),
     ],
@@ -202,16 +203,30 @@ def test_malformed_image_metadata_exits_with_a_message(command, tmp_path):
 
 
 def test_table1_prints_propagation_and_one_digest_at_every_job_count(capsys):
-    """Footnote 2's matrix for each system, then the digest of the whole
-    table — the same line at one job and at two."""
+    """Footnote 2's matrix for each system, section 3.3's MTTF, then the
+    digest of the whole table — the same line at one job and at two, and
+    in the ``--json`` summary, whose keys are those of the recorded
+    ``RESULTS_table1.json``."""
+    argv = ["table1", "--scale", "1", "--systems", "disk", "--faults", "pointer"]
     digests = []
     for jobs in ("1", "2"):
-        argv = ["table1", "--scale", "1", "--systems", "disk", "--faults", "pointer"]
         assert main(argv + ["--jobs", jobs]) == 0
         out = capsys.readouterr().out
         assert "Fault propagation on disk (footnote 2):\nFault Type" in out
+        assert "\nMTTF at one crash per two months: disk " in out
         digests += [line for line in out.splitlines() if line.startswith("table1 digest: ")]
     assert len(digests) == 2 and digests[0] == digests[1]
+
+    assert main(argv + ["--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert digests[0] == f"table1 digest: {summary['table1_digest']}"
+
+    def keys(summary):
+        system = next(iter(summary["systems"].values()))
+        return sorted(summary), sorted(summary["cells"][0]), sorted(system), sorted(system["paper"])
+
+    recorded = json.loads((REPO / "RESULTS_table1.json").read_text())
+    assert keys(summary) == keys(recorded)
 
 
 def test_foreign_journal_exits_with_a_message(tmp_path, capsys):

@@ -8,6 +8,8 @@
 * every tier-1 test id and module DESIGN.md's experiment index names exists;
 * every backticked ``test_*`` name in EXPERIMENTS.md is a test that exists;
 * every ``Regenerate:`` line in EXPERIMENTS.md is a ``repro`` command;
+* every Table 1, trap-save and section 3.3 MTTF number README.md,
+  EXPERIMENTS.md and DESIGN.md quote is RESULTS_table1.json's;
 * the docstring-coverage gate (scripts/check_docstrings.py) passes.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 import pathlib
 import re
 
@@ -168,6 +171,74 @@ def test_design_experiment_index_names_real_modules():
     assert len(names) >= 20, "the Modules column lost its entries"
     for name in sorted(names):
         importlib.import_module(f"repro.{name}")
+
+
+#: How the docs name each Table 1 system in their MTTF sentences.
+MTTF_LABELS = {"disk": "disk", "rio_noprot": "Rio −P", "rio_prot": "Rio +P"}
+
+
+def _section(text: str, heading: str) -> str:
+    start = text.index(heading)
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def test_table1_numbers_are_the_recorded_run():
+    """Table 1 has one home, ``RESULTS_table1.json`` (``make table1``):
+    each total, interval, trap-save count, row count and MTTF the docs
+    quote is formatted from it, and EXPERIMENTS' Table 1 section states
+    no ``corruptions / crashes`` pair the file does not hold."""
+    results = json.loads((REPO / "RESULTS_table1.json").read_text())
+    readme, design, experiments = (
+        (REPO / name).read_text() for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+    )
+    # Compared with line breaks and indents folded to single spaces.
+    table1, mttf = (" ".join(_section(experiments, h).split()) for h in ("## Table 1", "## §3.3"))
+    readme, design = (" ".join(text.split()) for text in (readme, design))
+
+    def total(corruptions: int, crashes: int) -> str:
+        return f"{corruptions} / {crashes} ({100 * corruptions / crashes:.1f} %)"
+
+    pairs = set()
+    for system, totals in results["systems"].items():
+        paper = totals["paper"]
+        measured = total(totals["corruptions"], totals["crashes"])
+        low, high = totals["rate_ci95"]
+        assert f"{measured}, 95 % CI {100 * low:.1f}–{100 * high:.1f} %" in table1, system
+        assert total(paper["corruptions"], paper["crashes"]) in table1, system
+        assert measured in readme, system
+        label = MTTF_LABELS[system]
+        for years in (totals["mttf_years"], paper["mttf_years"]):
+            assert f"{label} {years:.1f} yr" in mttf, (system, years)
+        assert f"{label} {totals['mttf_years']:.1f} yr" in design, system
+        pairs |= {
+            (totals["corruptions"], totals["crashes"]),
+            (paper["corruptions"], paper["crashes"]),
+        }
+    quoted = {(int(a), int(b)) for a, b in re.findall(r"(\d+) / (\d+)", table1)}
+    assert quoted <= pairs, f"EXPERIMENTS' Table 1 quotes {sorted(quoted - pairs)}"
+
+    cells = results["cells"]
+    trapped = results["systems"]["rio_prot"]["trap_saves"]
+    saves = sorted(
+        (-c["protection_trap_saves"], c["fault_type"])
+        for c in cells
+        if c["system"] == "rio_prot" and c["protection_trap_saves"]
+    )
+    by_fault = ", ".join(f"{fault} {-n}" for n, fault in saves)
+    assert f"| {trapped} ({by_fault}) |" in table1
+    assert f"{trapped} trap saves" in readme and f"{trapped} trap saves" in design
+    for fault in dict.fromkeys(c["fault_type"] for c in cells if c["corruptions"]):
+        row = " · ".join(str(c["corruptions"]) for c in cells if c["fault_type"] == fault)
+        assert f"{fault} {row}" in table1, fault
+    assert f"{len(results['divergences'])} fsck/dissect divergences" in table1
+    discarded = sum(c["discarded"] for c in cells)
+    attempts = discarded + sum(c["crashes"] for c in cells)
+    assert f"{discarded:,} of {attempts:,} injected runs".replace(",", " ") in table1
+    by_fault = {}
+    for c in cells:
+        by_fault[c["fault_type"]] = by_fault.get(c["fault_type"], 0) + c["discarded"]
+    (a, m), (b, n), (c, k) = sorted(by_fault.items(), key=lambda kv: -kv[1])[:3]
+    assert f"{a} {m}, {b} {n} and {c} {k}" in table1
 
 
 def test_docstring_gate():

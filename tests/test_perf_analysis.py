@@ -1,9 +1,7 @@
-"""Tests for the Table 2 harness and the analysis helpers."""
+"""Tests for the Table 2 harness and section 3.3's MTTF model."""
 
 import pytest
 
-from repro.analysis import mttf_table, mttf_years
-from repro.analysis.mttf import PAPER_RATES
 from repro.core import ProtectionMode
 from repro.perf import (
     TABLE2_SYSTEMS,
@@ -14,6 +12,7 @@ from repro.perf import (
     run_workload,
     spec_for_row,
 )
+from repro.reliability.report import PAPER_RATES, mttf_years
 from repro.system import build_system
 from repro.workloads.andrew import AndrewParams
 from repro.workloads.cp_rm import CpRmParams
@@ -138,7 +137,7 @@ class TestMttf:
     def test_paper_numbers(self):
         """Crash every 2 months: disk 7/650 -> ~15.5 yr, Rio-P 10/650 ->
         ~10.8 yr (the paper rounds to 15 and 11)."""
-        table = mttf_table(PAPER_RATES)
+        table = {name: mttf_years(*rates) for name, rates in PAPER_RATES.items()}
         assert table["disk"] == pytest.approx(15.47, abs=0.05)
         assert table["rio_noprot"] == pytest.approx(10.83, abs=0.05)
         assert table["rio_prot"] == pytest.approx(27.08, abs=0.05)

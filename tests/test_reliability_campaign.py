@@ -6,8 +6,10 @@ exercise single runs and a miniature campaign to validate the machinery.
 
 import pytest
 
-from repro.analysis import mttf_table
 from repro.faults import FaultType
+from repro.hw.memory import PAGE_SIZE
+from repro.hw.mmu import KSEG_BASE
+from repro.kernel.layout import KTEXT_BASE
 from repro.reliability import (
     CampaignEngine,
     CrashTestConfig,
@@ -16,7 +18,7 @@ from repro.reliability import (
     run_crash_test,
     system_spec_for,
 )
-from repro.reliability.report import Table1
+from repro.reliability.report import Table1, mttf_years
 from repro.system import build_system
 
 
@@ -59,6 +61,27 @@ class TestSingleRuns:
         assert result.protection_trap
         assert not result.recovery_failed
         assert not result.corrupted
+
+    def test_a_trap_on_kernel_text_saves_nothing(self):
+        # Table 1's disk/source reg. trial that read "[1 trapped]": the wild
+        # store hits the kernel text every system maps read-only.  It is a
+        # crash of kind protection_trap, but no file page was at stake.
+        result = run_crash_test(
+            CrashTestConfig(system="disk", fault_type=FaultType.SOURCE_REG, seed=216341037)
+        )
+        assert result.crash_kind == "protection_trap"
+        assert result.crash_reason == f"store to protected vpn {KTEXT_BASE // PAGE_SIZE}"
+        assert not result.protection_trap
+
+    def test_only_rio_pages_are_guarded(self):
+        system = build_system(system_spec_for("rio_prot"))
+        protection, cache = system.rio.protection, system.kernel.buffer_cache
+        assert protection.guards(KSEG_BASE + system.kernel.registry_frames[0] * PAGE_SIZE)
+        assert protection.guards(cache.base_vaddr)
+        assert not protection.guards(cache.base_vaddr + cache.capacity * PAGE_SIZE)
+        assert not protection.guards(KTEXT_BASE) and not protection.guards(None)
+        unprotected = build_system(system_spec_for("rio_noprot")).rio.protection
+        assert not unprotected.guards(cache.base_vaddr)
 
     def test_deterministic_given_seed(self):
         config = dict(system="rio_noprot", fault_type=FaultType.POINTER, seed=8)
@@ -174,5 +197,5 @@ class TestMiniCampaign:
         assert {"panic", "machine_check"} <= kinds
         assert disk_table.corruption_rate("disk") < 0.20
         crashes = disk_table.total_crashes("disk")
-        mttf = mttf_table({"disk": (disk_table.total_corruptions("disk"), crashes)})
+        mttf = {"disk": mttf_years(disk_table.total_corruptions("disk"), crashes)}
         assert crashes == 4 and mttf["disk"] > 0.3

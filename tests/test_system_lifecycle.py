@@ -167,9 +167,3 @@ class TestCli:
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
         assert "recovered" in out
-
-    def test_mttf_command(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["mttf"]) == 0
-        assert "years" in capsys.readouterr().out
