@@ -55,8 +55,9 @@ bench-same:
 # routine charged to virtual CPU time, natively or interpreted; and
 # "background walks: N of M ticks (B boots)": the kernel's background
 # walkers that walked rather than replayed a plan, two per clean boot; and
-# "registry stores: N of M took the layered route": the entry stores that
-# did not apply their known effect; and "clock: N of M advances woke the
+# "registry stores: N of M took the layered route, S per guarded write (W
+# writes)": the entry stores that did not apply their known effect, and all
+# of them over the guarded cache writes; and "clock: N of M advances woke the
 # listeners": the virtual-clock advances that reached a listener's deadline;
 # and "file pages: N lookups returned M pages of P cached": what
 # flush_file and invalidate_file read through the per-file page index,

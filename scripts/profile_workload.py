@@ -30,9 +30,11 @@ ticks (B boots)``: of the M background walker calls the process made,
 the N that walked their structure rather than replaying the last walk's
 plan, and the B kernels it booted (a clean boot walks each of its two
 structures once); and
-``registry stores: N of M took the layered route``: of the M registry
-entry stores, the N that did not apply their known effect
-(``Registry._apply_known_effect``); and ``clock: N of M advances woke
+``registry stores: N of M took the layered route, S per guarded write
+(W writes)``: of the M registry entry stores — each store of a batch
+counted — the N that did not apply their known effect
+(``Registry._apply_known_effect``), and M over the W guarded cache
+writes (``RioGuard.begin_write``); and ``clock: N of M advances woke
 the listeners``: of the M advances of a virtual clock (every
 ``consume``, every ``advance_to`` that moves it), the N that reached a
 listener's deadline.  Work in pool children or shard processes is not
@@ -219,26 +221,29 @@ def unwrap(undo) -> None:
 
 class CallCounter:
     """Counts, while active, the calls of :data:`COUNTED` — wrapped in
-    place — and how many of them returned a true value, sums the
+    place — and the stores the batches of :data:`KNOWN` applied, sums the
     steps the calls of :data:`CHARGED` charged, by routine, and the pages
     the calls of :data:`FILE_PAGES` returned against the pages cached."""
 
     #: ``(label, module, function or Class.method)``: the background
     #: walker calls and the walks among them (the rest replayed a plan),
-    #: and the kernels booted; the registry's entry stores that applied
-    #: their known effect (a true return) and those that took the layered
-    #: route; the clock's advances and the wakes among them.
+    #: and the kernels booted; the registry's entry stores that took the
+    #: layered route, and the guarded writes (their windows); the clock's
+    #: advances and the wakes among them.
     COUNTED = (
         ("ticks", "repro.isa.routines", "_run_chains"),
         ("walks", "repro.isa.routines", "_walk_chains"),
         ("boots", "repro.kernel.kernel", "Kernel.__init__"),
-        ("known", "repro.core.registry", "Registry._apply_known_effect"),
         ("layered", "repro.core.registry", "Registry._store_fields"),
+        ("guarded writes", "repro.core.guard", "RioGuard.begin_write"),
         ("consume", "repro.hw.clock", "Clock.consume"),
         ("advance_to", "repro.hw.clock", "Clock.advance_to"),
         ("wakes", "repro.hw.clock", "Clock._fire"),
     )
 
+    #: The registry's known-effect batches: a true return applied the
+    #: batch's stores (its record, then each of its edits).
+    KNOWN = (("known", "repro.core.registry", "Registry._apply_known_effect"),)
     #: The kernel's routine calls (``KLib._run``), whose charged steps
     #: are summed per routine.
     CHARGED = (("steps", "repro.kernel.klib", "KLib._run"),)
@@ -250,12 +255,12 @@ class CallCounter:
 
     def __init__(self) -> None:
         self.calls: collections.Counter = collections.Counter()
-        self.true: collections.Counter = collections.Counter()
         self.steps: collections.Counter = collections.Counter()
         self.pages = {"returned": 0, "cached": 0}
 
     def __enter__(self) -> "CallCounter":
         self._undo = wrap_in_place(self.COUNTED, self._counted)
+        self._undo += wrap_in_place(self.KNOWN, self._known)
         self._undo += wrap_in_place(self.CHARGED, self._charged)
         self._undo += wrap_in_place(self.FILE_PAGES, self._paged)
         return self
@@ -268,12 +273,18 @@ class CallCounter:
             # An advance_to into the past is no advance.
             if label != "advance_to" or args[1] > args[0].now_ns:
                 self.calls[label] += 1
-            result = func(*args, **kwargs)
-            if result:
-                self.true[label] += 1
-            return result
+            return func(*args, **kwargs)
 
         return counted
+
+    def _known(self, label: str, func):
+        def known(registry, slot, vaddr, record, edits):
+            applied = func(registry, slot, vaddr, record, edits)
+            if applied:
+                self.calls[label] += len(edits) + (record is not None)
+            return applied
+
+        return known
 
     def _charged(self, _label: str, func):
         def charged(klib, name, *args, **kwargs):
@@ -303,8 +314,13 @@ class CallCounter:
             f"background walks: {calls['walks']} of {calls['ticks']} ticks"
             f" ({calls['boots']} boots)"
         )
-        stores = calls["layered"] + self.true["known"]
-        print(f"registry stores: {calls['layered']} of {stores} took the layered route")
+        stores = calls["layered"] + calls["known"]
+        writes = calls["guarded writes"]
+        per_write = f"{stores / writes:.2f}" if writes else "-"
+        print(
+            f"registry stores: {calls['layered']} of {stores} took the layered route,"
+            f" {per_write} per guarded write ({writes} writes)"
+        )
         advances = calls["consume"] + calls["advance_to"]
         print(f"clock: {calls['wakes']} of {advances} advances woke the listeners")
         print(

@@ -1,22 +1,29 @@
 """RioGuard: wires the registry, protection and shadow paging into the
 page caches via the :class:`~repro.fs.cache.CacheGuard` interface.
 
-Per cache event:
+Per cache event, one registry call (:meth:`Registry.update`) and only
+the bookkeeping something reads:
 
 * **attach** — allocate a registry slot, record (physical address, file
   id, offset, size, disk block), protect the page.
 * **begin write** — open a protection window.  For metadata pages with
   shadowing on, copy the page to a shadow frame and atomically point the
   registry entry at the shadow (the pre-image), so a crash mid-update
-  recovers a consistent version (section 2.3).  For data pages, set the
-  CHANGING flag — blocks being modified at crash time "cannot be
-  identified as corrupt or intact by the checksum mechanism".
-* **end write** — bring the detection checksum up to date, point the
-  registry back at the (now updated) original, clear CHANGING, close the
-  window.
+  recovers a consistent version (section 2.3).  For data pages, with
+  detection checksums on, set the CHANGING flag — blocks being modified
+  at crash time "cannot be identified as corrupt or intact by the
+  checksum mechanism".
+* **end write** — point the registry back at the (now updated)
+  original; with detection checksums on, bring the checksum up to date
+  and clear CHANGING (two stores, one batch); close the window.
 * **dirty / placement changes** — keep the registry entry current.  "Registry
   information changes relatively infrequently during normal operation, so
   the overhead of maintaining it is low."
+
+CHANGING and the stored checksum have one reader, the warm reboot's
+checksum audit, which runs only when checksums are maintained
+(``System.reboot``); with them off the guard stores neither, and a data
+page's write costs the registry nothing.
 
 The detection checksum costs what the write touched
 -----------------------------------------------------
@@ -55,6 +62,7 @@ from repro.core.registry import (
     FLAG_DIRTY,
     FLAG_META,
     FLAG_VALID,
+    NO_CHANGES,
     Registry,
     RegistryEntry,
 )
@@ -62,6 +70,11 @@ from repro.errors import ConfigurationError
 from repro.fs.cache import CacheGuard, CachePage
 from repro.fs.types import BLOCK_SIZE
 from repro.util.checksum import fletcher32_adjust, fletcher_sums
+
+#: The one-edit batches of the flag-only callbacks (:meth:`Registry.update`).
+_SET_CHANGING = ((FLAG_CHANGING, 0, NO_CHANGES),)
+_SET_DIRTY = ((FLAG_DIRTY, 0, NO_CHANGES),)
+_CLEAR_DIRTY = ((0, FLAG_DIRTY, NO_CHANGES),)
 
 
 class RioGuard(CacheGuard):
@@ -80,11 +93,10 @@ class RioGuard(CacheGuard):
         #: sums)`` of an open window whose checksum can be adjusted.
         self._adjustable: dict[tuple, tuple] = {}
         self._recorder = kernel.recorder
+        self._page_size = kernel.page_size
+        self._checksums = config.maintain_checksums
 
     # -- helpers ----------------------------------------------------------
-
-    def _page_size(self) -> int:
-        return self.kernel.page_size
 
     def _entry_for(self, page: CachePage) -> RegistryEntry:
         flags = FLAG_VALID
@@ -94,11 +106,11 @@ class RioGuard(CacheGuard):
             flags |= FLAG_META
         return RegistryEntry(
             slot=page.registry_slot,
-            phys_addr=page.pfn * self._page_size(),
+            phys_addr=page.pfn * self._page_size,
             dev=page.dev,
             ino=page.file_id.ino if page.file_id else 0,
             file_offset=page.file_offset,
-            size=self._page_size(),
+            size=self._page_size,
             flags=flags,
             disk_block=page.disk_block,
             checksum=page.checksum,
@@ -154,7 +166,7 @@ class RioGuard(CacheGuard):
 
     def on_attach(self, page: CachePage) -> None:
         page.registry_slot = self.registry.alloc_slot()
-        if self.config.maintain_checksums:
+        if self._checksums:
             self._update_checksum(page)  # no window yet: a full pass
         self.registry.write_entry(self._entry_for(page))
         self.protection.protect_page(page)
@@ -181,18 +193,18 @@ class RioGuard(CacheGuard):
                     "shadow", "begin-write",
                     page=str(page.key), shadow_pfn=shadow_pfn, pfn=page.pfn,
                 )
-            self.registry.update_fields(
-                page.registry_slot, phys_addr=shadow_pfn * self._page_size()
+            self.registry.update(
+                page.registry_slot, ((0, 0, {"phys_addr": shadow_pfn * self._page_size}),)
             )
-        else:
-            self.registry.update_flags(page.registry_slot, set_flags=FLAG_CHANGING)
-        if self.config.maintain_checksums:
+        elif self._checksums:
+            self.registry.update(page.registry_slot, _SET_CHANGING)
+        if self._checksums:
             # Last, so the watch sees the caller's stores and not the
             # registry's (which go to other frames anyway).
             self._watch_range(page, offset, length)
 
     def end_write(self, page: CachePage) -> None:
-        if self.config.maintain_checksums:
+        if self._checksums:
             self._update_checksum(page)
         rec = self._recorder
         if rec.enabled:
@@ -207,15 +219,16 @@ class RioGuard(CacheGuard):
         shadow_pfn = self._shadows.pop(page.key, None)
         if shadow_pfn is not None:
             # Atomically point the registry back at the updated original.
-            self.registry.update_fields(
-                page.registry_slot,
-                phys_addr=page.pfn * self._page_size(),
-                checksum=page.checksum,
-            )
+            changes = {"phys_addr": page.pfn * self._page_size}
+            if self._checksums:
+                changes["checksum"] = page.checksum
+            self.registry.update(page.registry_slot, ((0, 0, changes),))
             self.kernel.frames.free(shadow_pfn)
-        else:
-            self.registry.update_fields(page.registry_slot, checksum=page.checksum)
-            self.registry.update_flags(page.registry_slot, clear_flags=FLAG_CHANGING)
+        elif self._checksums:
+            self.registry.update(
+                page.registry_slot,
+                ((0, 0, {"checksum": page.checksum}), (0, FLAG_CHANGING, NO_CHANGES)),
+            )
         opened = self._open_windows.pop(page.key, None)
         if opened is not None:
             self.protection.close_page_window(opened)
@@ -223,18 +236,15 @@ class RioGuard(CacheGuard):
     def on_dirty_changed(self, page: CachePage) -> None:
         if page.registry_slot is None:
             return
-        if page.dirty:
-            self.registry.update_flags(page.registry_slot, set_flags=FLAG_DIRTY)
-        else:
-            self.registry.update_flags(page.registry_slot, clear_flags=FLAG_DIRTY)
+        self.registry.update(page.registry_slot, _SET_DIRTY if page.dirty else _CLEAR_DIRTY)
 
     def on_placement_changed(self, page: CachePage) -> None:
         if page.registry_slot is None:
             return
-        self.registry.update_fields(
-            page.registry_slot,
-            dev=page.dev,
-            ino=page.file_id.ino if page.file_id else 0,
-            file_offset=page.file_offset,
-            disk_block=page.disk_block,
-        )
+        placement = {
+            "dev": page.dev,
+            "ino": page.file_id.ino if page.file_id else 0,
+            "file_offset": page.file_offset,
+            "disk_block": page.disk_block,
+        }
+        self.registry.update(page.registry_slot, ((0, 0, placement),))

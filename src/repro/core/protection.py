@@ -48,6 +48,8 @@ class ProtectionManager:
         self._registry_pfns: tuple[int, ...] = ()
         #: The machine's flight recorder (fixed per kernel).
         self._recorder = kernel.recorder
+        self._mmu = kernel.mmu
+        self._page_size = kernel.mmu.page_size
         # Code-patching bookkeeping: which pages are currently protected.
         self._patched_vpns: set[int] = set()
         self._patched_pfns: set[int] = set()
@@ -155,11 +157,51 @@ class ProtectionManager:
         rec = self._recorder
         if rec.enabled:
             rec.emit("prot", "page-window", page=str(page.key), kind=page.kind)
-        self.unprotect_page(page)
+            self.unprotect_page(page)
+        else:
+            self._toggle_page(page, True)
 
     def close_page_window(self, page: CachePage) -> None:
         """Close the window :meth:`open_page_window` opened over ``page``."""
-        self.protect_page(page)
+        if self._recorder.enabled:
+            self.protect_page(page)
+        else:
+            self._toggle_page(page, False)
+
+    def _toggle_page(self, page: CachePage, writable: bool) -> None:
+        """A page window's toggle as its known effect, with the recorder
+        off (the MMU emits nothing): under ``VM_KSEG`` the frame's KSEG
+        bit (a data page) or the PTE's write bit (a metadata page) set
+        here, with the toggle count, the translation generation and —
+        when write permission goes — the store TLB entry, exactly as
+        :meth:`~repro.hw.mmu.MMU.set_kseg_writable` /
+        :meth:`~repro.hw.mmu.MMU.set_writable` would.  An unmapped page
+        and the other modes take those calls."""
+        if self.mode is not ProtectionMode.VM_KSEG:
+            self._set_page_protected(page, not writable)
+            return
+        mmu = self._mmu
+        if page.kind == "data":
+            table = mmu._kseg_writable
+            pfn = page.pfn
+            if table.get(pfn, True) == writable:
+                return
+            table[pfn] = writable
+            vbase = KSEG_BASE + pfn * self._page_size
+        else:
+            vbase = page.vaddr
+            pte = mmu._page_table.get(vbase // self._page_size)
+            if pte is None or not pte.valid:
+                self._set_page_protected(page, not writable)  # the MachineCheck
+                return
+            if pte.writable == writable:
+                return
+            pte.writable = writable
+            vbase -= vbase % self._page_size
+        mmu.stat_pte_toggles += 1
+        mmu.generation += 1
+        if not writable:
+            mmu.tlb_stores.pop(vbase, None)
 
     def open_registry_window(self, pfns=None) -> None:
         """Open a write window over the registry frames ``pfns`` — the one

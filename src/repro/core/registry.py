@@ -46,8 +46,8 @@ _HEADER_FMT = struct.Struct("<QIIQ")  # magic, capacity, entry_size, base_paddr
 _ENTRY_FMT = struct.Struct("<QIIQIIQII")
 # phys_addr, dev, ino, file_offset, size, flags, disk_block, checksum, pad
 
-#: The stored fields of an entry, in ``_ENTRY_FMT`` order — what
-#: :meth:`Registry.update_fields` accepts.
+#: The stored fields of an entry, in ``_ENTRY_FMT`` order — what an edit
+#: of :meth:`Registry.update` may change.
 ENTRY_FIELDS = (
     "phys_addr", "dev", "ino", "file_offset", "size", "flags", "disk_block", "checksum",
 )
@@ -138,6 +138,19 @@ def _edit(stored: tuple, set_flags: int, clear_flags: int, changes) -> list:
     if record[_DISK_BLOCK] is None:
         record[_DISK_BLOCK] = NO_DISK_BLOCK
     return record
+
+
+#: The ``changes`` of an edit that replaces no field (never mutated).
+NO_CHANGES: dict = {}
+
+
+def _emit_update(rec, slot: int, record) -> None:
+    """The ``registry/update`` event announcing the store of ``record``."""
+    rec.emit(
+        "registry", "update",
+        slot=slot, flags=record[_FLAGS],
+        phys_addr=record[_PHYS_ADDR], checksum=record[_CHECKSUM],
+    )
 
 
 def capacity_for(region_bytes: int) -> int:
@@ -232,7 +245,7 @@ class Registry:
         """Serialize an entry through the protection window."""
         vaddr = self.entry_vaddr(entry.slot)
         fields = entry.fields()
-        if not self._apply_known_effect(vaddr, fields):
+        if not self._apply_known_effect(entry.slot, vaddr, fields, ()):
             self._store_fields(entry.slot, vaddr, fields)
 
     def _store_fields(self, slot: int, vaddr: int, fields) -> None:
@@ -243,11 +256,7 @@ class Registry:
         raw = _ENTRY_FMT.pack(*fields)
         rec = self.bus.recorder
         if rec is not None and rec.enabled:
-            rec.emit(
-                "registry", "update",
-                slot=slot, flags=fields[_FLAGS],
-                phys_addr=fields[_PHYS_ADDR], checksum=fields[_CHECKSUM],
-            )
+            _emit_update(rec, slot, fields)
         paddr = vaddr - KSEG_BASE
         first = paddr // self._page_size
         last = (paddr + ENTRY_SIZE - 1) // self._page_size
@@ -256,38 +265,41 @@ class Registry:
         self.bus.store(vaddr, raw, _REG_CTX)
         self._close_window(pfns)
 
-    def _apply_known_effect(
-        self, vaddr: int, record, set_flags: int = 0, clear_flags: int = 0, changes=None
-    ) -> bool:
-        """Apply one entry store as its known net effect, if nothing can
-        observe the inside of its window; return whether it did (when
-        not, nothing has moved and the caller takes the layered route).
+    def _apply_known_effect(self, slot: int, vaddr: int, record, edits) -> bool:
+        """Apply a batch of entry stores as their known net effect, if
+        nothing can observe the inside of their windows; return whether
+        it did (when not, nothing has moved and the caller takes the
+        layered route, store by store).
 
-        ``record`` is the whole new record, or None for a read-modify-write
-        of the stored one (:func:`_edit` with the other arguments;
-        ``changes`` maps field names to values).
+        The batch is ``record`` — a whole new record, one store with no
+        load — unless None, then each of ``edits``: one read-modify-write
+        of the record as the store before it left it (:func:`_edit`).
+        ``k`` stores and the loads among them leave exactly what ``k``
+        separate layered stores would.
 
-        Nothing can observe the window when the machine is up, the bus is
-        :attr:`~repro.hw.bus.MemoryBus.flat`, the flight recorder is off
-        (so no ``emit`` — where the explorer's armed crashes fire — runs
-        between the window's open and close), the entry lies inside one
+        Nothing can observe a window when the machine is up, the bus is
+        :attr:`~repro.hw.bus.MemoryBus.flat`, the entry lies inside one
         frame, and either the mode is ``NONE`` with KSEG bypassing the
         TLB, or it is ``VM_KSEG`` with KSEG through the TLB and the frame
-        protected, at rest.  The layered route then cannot trap, and all
-        it leaves behind is what this adds: the bus load's and store's
-        counts and TLB misses and the load's TLB entry, one
+        protected, at rest — and no crash is armed at any event the
+        stores announce.  A store announces ``registry/update``,
+        ``prot/registry-window`` and, under ``VM_KSEG``, its frame's two
+        ``mmu/kseg-protect`` toggles; with the flight recorder on they are
+        emitted here, in that order and with those payloads (the clock
+        does not move inside a store).  The layered route then cannot
+        trap, and all it leaves behind is what this adds, per store: the
+        bus load's (for an edit) and store's counts, one
         ``stat_windows``, the 48 bytes, one write generation on the frame
         (and its watch accounting) and, under ``VM_KSEG``, the frame's
         toggle there and back — two ``stat_pte_toggles``, two
         ``mmu.generation`` bumps, the KSEG table as it was, and no store
         TLB entry (a protected frame has none, and the close drops the
-        one the store cached).
+        one the store cached, so each store misses).  The loads miss at
+        most once, as do the stores under ``NONE``: the first caches the
+        translation the others hit.
         """
         bus = self.bus
         if bus.crashed or not bus.fast_path or bus.store_checker is not None:
-            return False
-        rec = bus.recorder
-        if rec is not None and rec.enabled:
             return False
         pfn, off = divmod(vaddr - KSEG_BASE, self._page_size)
         mmu = self._mmu
@@ -299,32 +311,57 @@ class Registry:
             or (kseg and mmu.kseg_writable(pfn))
         ):
             return False
-        stats, memory = bus.stats, bus.memory
+        loads = len(edits)
+        stores = loads + (record is not None)
+        rec = bus.recorder
+        recording = rec is not None and rec.enabled
+        if recording and rec.armed_within(stores * (4 if kseg else 2)):
+            return False
+        memory = bus.memory
+        frame = memory.page(pfn)
+        try:  # each record packed before anything moves
+            if record is None:
+                records = []
+                record = _ENTRY_FMT.unpack_from(frame, off)
+                for set_flags, clear_flags, changes in edits:
+                    record = _edit(record, set_flags, clear_flags, changes)
+                    raw = _ENTRY_FMT.pack(*record)
+                    records.append(record)
+            else:
+                raw = _ENTRY_FMT.pack(*record)
+                records = (record,)
+        except struct.error:  # the layered route fails at the same store
+            return False
+        stats = bus.stats
         vbase = vaddr - off
-        if record is None:  # the one 48-byte load
-            stats.loads += 1
-            stats.bytes_loaded += ENTRY_SIZE
+        if loads:
+            stats.loads += loads
+            stats.bytes_loaded += loads * ENTRY_SIZE
             if vbase not in mmu.tlb_loads:
                 stats.tlb_misses += 1
                 mmu.tlb_loads[vbase] = pfn
-            stored = _ENTRY_FMT.unpack_from(memory.frame(pfn), off)
-            record = _edit(stored, set_flags, clear_flags, changes)
-        raw = _ENTRY_FMT.pack(*record)
-        self._protection.stat_windows += 1
-        stats.stores += 1
-        stats.bytes_stored += ENTRY_SIZE
+        self._protection.stat_windows += stores
+        stats.stores += stores
+        stats.bytes_stored += stores * ENTRY_SIZE
         if kseg:
-            if mmu.tlb_stores.pop(vbase, None) is None:
-                stats.tlb_misses += 1
-            mmu.stat_pte_toggles += 2
-            mmu.generation += 2
+            stats.tlb_misses += stores - (mmu.tlb_stores.pop(vbase, None) is not None)
+            mmu.stat_pte_toggles += 2 * stores
+            mmu.generation += 2 * stores
         elif vbase not in mmu.tlb_stores:
             stats.tlb_misses += 1
             mmu.tlb_stores[vbase] = pfn
-        memory.page(pfn)[off : off + ENTRY_SIZE] = raw
-        memory._page_gens[pfn] += 1
+        if recording:
+            for record in records:
+                _emit_update(rec, slot, record)
+                rec.emit("prot", "registry-window")
+                if kseg:
+                    rec.emit("mmu", "kseg-protect", pfn=pfn, writable=True)
+                    rec.emit("mmu", "kseg-protect", pfn=pfn, writable=False)
+        frame[off : off + ENTRY_SIZE] = raw
+        memory._page_gens[pfn] += stores
         if memory._watched:
-            memory.account(pfn, off, off + ENTRY_SIZE)
+            for _ in range(stores):
+                memory.account(pfn, off, off + ENTRY_SIZE)
         return True
 
     def read_entry(self, slot: int) -> RegistryEntry:
@@ -337,31 +374,25 @@ class Registry:
     # stored again, no RegistryEntry on the way — as its known effect, or
     # on the layered route.
 
-    def update_flags(self, slot: int, *, set_flags: int = 0, clear_flags: int = 0) -> None:
-        """Read-modify-write of an entry's flag bits."""
+    def update(self, slot: int, edits) -> None:
+        """Read-modify-writes of one entry, in order: each of ``edits`` is
+        ``(set_flags, clear_flags, changes)`` — the flag bits set and
+        cleared, then the stored fields of ``changes`` replaced, by name
+        (any of :data:`ENTRY_FIELDS`; ``disk_block=None`` stores
+        :data:`NO_DISK_BLOCK`) — and costs one 48-byte load and one store,
+        applied as one batch when nothing can observe it
+        (:meth:`_apply_known_effect`).  A field outside
+        :data:`ENTRY_FIELDS` is a :class:`ConfigurationError` and changes
+        nothing."""
         vaddr = self.entry_vaddr(slot)
-        if not self._apply_known_effect(vaddr, None, set_flags, clear_flags, {}):
-            self._update_layered(slot, vaddr, set_flags, clear_flags, {})
-
-    def update_fields(self, slot: int, /, **fields) -> None:
-        """Read-modify-write of stored entry fields, by name: any of
-        :data:`ENTRY_FIELDS` (``disk_block=None`` stores
-        :data:`NO_DISK_BLOCK`); anything else is a
-        :class:`ConfigurationError` and changes nothing."""
-        vaddr = self.entry_vaddr(slot)
-        if not fields.keys() <= _FIELD_INDEX.keys():
-            unknown = next(name for name in fields if name not in _FIELD_INDEX)
-            raise ConfigurationError(f"no registry field {unknown!r}")
-        if not self._apply_known_effect(vaddr, None, 0, 0, fields):
-            self._update_layered(slot, vaddr, 0, 0, fields)
-
-    def _update_layered(
-        self, slot: int, vaddr: int, set_flags: int, clear_flags: int, changes: dict
-    ) -> None:
-        """The layered route of a read-modify-write: one 48-byte load, the
-        record edited, the layered store."""
-        stored = _ENTRY_FMT.unpack(self.bus.load(vaddr, ENTRY_SIZE, _REG_CTX))
-        self._store_fields(slot, vaddr, _edit(stored, set_flags, clear_flags, changes))
+        for _set, _clear, changes in edits:
+            if not changes.keys() <= _FIELD_INDEX.keys():
+                unknown = next(name for name in changes if name not in _FIELD_INDEX)
+                raise ConfigurationError(f"no registry field {unknown!r}")
+        if edits and not self._apply_known_effect(slot, vaddr, None, edits):
+            for set_flags, clear_flags, changes in edits:
+                stored = _ENTRY_FMT.unpack(self.bus.load(vaddr, ENTRY_SIZE, _REG_CTX))
+                self._store_fields(slot, vaddr, _edit(stored, set_flags, clear_flags, changes))
 
     def valid_entries(self) -> list[RegistryEntry]:
         """All entries with the VALID flag set."""

@@ -198,6 +198,11 @@ class FlightRecorder:
         self._crash_seq = seq
         self._crash_hook = hook
 
+    def armed_within(self, count: int) -> bool:
+        """Is a crash armed at one of the next ``count`` events?"""
+        crash = self._crash_seq
+        return crash is not None and 0 <= crash - self._seq < count
+
     def disarm_crash(self) -> None:
         """Remove any armed crash point (idempotent)."""
         self._crash_seq = None

@@ -19,6 +19,11 @@ _PIECE_BYTES = 1 << 16
 #: 0x0000FFFF repeated: selects the even 16-bit words into 32-bit lanes.
 _EVEN_WORDS = int.from_bytes(b"\xff\xff\x00\x00" * (_PIECE_BYTES // 4), "little")
 _LANE_MODULUS = (1 << 32) - 1
+#: A piece longer than this is folded before its two reductions (below
+#: about 1 KB a fold costs more than the division it saves) ...
+_SHORT_BYTES = 1024
+#: ... to at most this many bits.
+_FOLD_BITS = 1024
 
 
 def fletcher_sums(data: bytes | bytearray | memoryview) -> tuple[int, int]:
@@ -40,15 +45,41 @@ def fletcher_sums(data: bytes | bytearray | memoryview) -> tuple[int, int]:
 
     A handful of big-integer operations per piece, all in C, no step per
     word; a piece that starts at word ``base`` adds ``base * s + t``.
+    A division by either modulus, two 30-bit digits wide, costs far more
+    than a shift, a mask and an add, so a long piece is first *folded*
+    (:func:`_fold`): split at a bit ``h`` and the high part added back
+    with the weight ``2**h`` has — 1 for the lanes when ``h`` is a
+    multiple of 32, ``1 + (h/16)*M`` modulo ``M*M`` for ``X`` when ``h``
+    is a multiple of 16 — until it is short.
     """
     buf = memoryview(data).cast("B")  # contiguous input is read in place
     total_s = total_t = 0
     for start in range(0, len(buf), _PIECE_BYTES):
-        x = int.from_bytes(buf[start : start + _PIECE_BYTES], "little")
-        s = ((x & _EVEN_WORDS) + ((x >> 16) & _EVEN_WORDS)) % _LANE_MODULUS
+        piece = buf[start : start + _PIECE_BYTES]
+        x = int.from_bytes(piece, "little")
+        lanes = (x & _EVEN_WORDS) + ((x >> 16) & _EVEN_WORDS)
+        if len(piece) > _SHORT_BYTES:
+            lanes = _fold(lanes, 32)
+            x = _fold(x, 16)
+        s = lanes % _LANE_MODULUS
         total_t += (start >> 1) * s + (x - s) % _M_SQUARED // _M
         total_s += s
     return total_s % _M, total_t % _M
+
+
+def _fold(x: int, align: int) -> int:
+    """``x`` made at most :data:`_FOLD_BITS` bits long, its residue kept
+    — modulo ``2**32 - 1`` for ``align`` 32, modulo ``M*M`` for
+    ``align`` 16: halves split at a multiple ``h`` of ``align`` bits, the
+    high half added back times ``2**h``'s residue.  A short value (a
+    page of zeros, say) is not touched."""
+    bits = x.bit_length()
+    while bits > _FOLD_BITS:
+        h = bits // (2 * align) * align
+        weight = 1 if align == 32 else (1 + (h >> 4) * _M) % _M_SQUARED
+        x = (x & ((1 << h) - 1)) + (x >> h) * weight
+        bits = x.bit_length()
+    return x
 
 
 def fletcher32(data: bytes | bytearray | memoryview) -> int:

@@ -1,6 +1,9 @@
 """Tests for the protection manager and the Rio guard."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ProtectionMode, RioConfig, RioFileCache
 from repro.core.registry import ENTRY_SIZE, FLAG_CHANGING, HEADER_SIZE
@@ -9,6 +12,8 @@ from repro.fs.cache import IO_CONTEXT
 from repro.fs.types import BLOCK_SIZE, FileId
 from repro.hw import Machine, MachineConfig
 from repro.kernel import Kernel
+from repro.system import SystemSpec, build_system
+from repro.util import pattern_bytes
 from repro.util.checksum import fletcher32
 
 
@@ -171,6 +176,30 @@ class TestGuardBookkeeping:
         entry = rio.registry.read_entry(page.registry_slot)
         assert entry.flags & FLAG_CHANGING
 
+    def test_crash_mid_write_without_checksums_stores_nothing(self):
+        """The twin above with detection off: CHANGING's one reader, the
+        checksum audit, does not run, so the write sets no CHANGING bit
+        and stores nothing in the registry — and the warm reboot still
+        restores the page."""
+        system = build_system(SystemSpec("rio_prot", checksums=False))
+        payload = pattern_bytes(5, 0, BLOCK_SIZE + 9)
+        fd = system.vfs.open("/mid", create=True)
+        system.vfs.write(fd, payload)
+        system.vfs.close(fd)
+        kernel, rio = system.kernel, system.rio
+        page = next(p for p in kernel.ubc.pages.values() if p.dirty)
+        region = (rio.registry.base_paddr, rio.registry.region_bytes)
+        registry, stores = kernel.memory.read(*region), kernel.bus.stats.stores
+        rio.guard.begin_write(page)  # ... and the machine dies here
+        assert kernel.mmu.kseg_writable(page.pfn)  # the window is open
+        assert kernel.memory.read(*region) == registry
+        assert kernel.bus.stats.stores == stores
+        assert not rio.registry.read_entry(page.registry_slot).changing
+        system.crash("mid-write")
+        report = system.reboot()
+        assert report.warm.registry_found and report.warm.changing_entries == 0
+        assert system.vfs.read(system.vfs.open("/mid"), len(payload) + 1) == payload
+
     def test_shadow_preserves_preimage_during_meta_write(self):
         kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG, shadow_metadata=True)
         cache = kernel.buffer_cache
@@ -215,9 +244,16 @@ class TestWindowProtocol:
     ``Registry.format``'s, called with no frames, every registry frame.
 
     The tests that replace ``bus.store`` to look inside an entry's window
-    start the flight recorder first: with it off nothing runs between the
-    open and the close, so the store takes its known effect and never
-    calls ``bus.store``; with it on, it takes the layered route."""
+    arm a crash point (one whose hook does nothing) at the store's first
+    event: a store that nothing can observe takes its known effect and
+    never calls ``bus.store``; one whose events include the armed one
+    takes the layered route."""
+
+    @staticmethod
+    def _layered_next_store(kernel):
+        rec = kernel.recorder
+        rec.start()
+        rec.arm_crash(0, lambda event: None)
 
     @staticmethod
     def _frames_open_during_store(kernel, rio, slot, probe):
@@ -227,7 +263,7 @@ class TestWindowProtocol:
         protection = rio.protection
         original = kernel.bus.store
         opened = []
-        kernel.recorder.start()
+        TestWindowProtocol._layered_next_store(kernel)
 
         def spying_store(vaddr, data, ctx=None):
             if protection.mode is ProtectionMode.VM_KSEG:
@@ -239,7 +275,7 @@ class TestWindowProtocol:
 
         kernel.bus.store = spying_store
         try:
-            rio.registry.update_flags(slot, set_flags=1)
+            rio.registry.update(slot, ((1, 0, {}),))
         finally:
             kernel.bus.store = original
         return opened
@@ -318,7 +354,7 @@ class TestWindowProtocol:
     def test_unprotected_mode_still_counts_windows(self):
         kernel, rio = make_rio_kernel(ProtectionMode.NONE)
         before = rio.protection.stat_windows
-        rio.registry.update_flags(rio.registry.alloc_slot(), set_flags=1)
+        rio.registry.update(rio.registry.alloc_slot(), ((1, 0, {}),))
         assert rio.protection.stat_windows - before == 1
         assert kernel.mmu.stat_pte_toggles == 0
 
@@ -328,14 +364,14 @@ class TestWindowProtocol:
         kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG)
         slot = rio.registry.alloc_slot()
         original = kernel.bus.store
-        kernel.recorder.start()  # the layered route (class docstring)
+        self._layered_next_store(kernel)  # the layered route (class docstring)
 
         def dying_store(vaddr, data, ctx=None):
             raise ProtectionTrap("machine dies mid-store", address=vaddr)
 
         kernel.bus.store = dying_store
         with pytest.raises(ProtectionTrap):
-            rio.registry.update_flags(slot, set_flags=1)
+            rio.registry.update(slot, ((1, 0, {}),))
         kernel.bus.store = original
         # Exactly the entry's frame is left open; the rest never were.
         assert [pfn for pfn in kernel.registry_frames if kernel.mmu.kseg_writable(pfn)] == [
@@ -354,3 +390,81 @@ class TestWindowProtocol:
         assert not kernel.mmu.kseg_writable(page.pfn)
         # Two registry updates, each its entry's one frame there and back.
         assert kernel.mmu.stat_pte_toggles - toggles == 2 * 2
+
+
+# -- one batched step per guard callback, against store by store ---------------
+
+
+def guard_state(kernel, rio):
+    """Everything the guard's bookkeeping moves."""
+    mmu, memory, registry = kernel.mmu, kernel.memory, rio.registry
+    return (
+        dataclasses.astuple(kernel.bus.stats),
+        dict(mmu.tlb_loads), dict(mmu.tlb_stores), dict(mmu._kseg_writable),
+        {vpn: pte.writable for vpn, pte in mmu._page_table.items()},
+        (mmu.stat_pte_toggles, mmu.generation, rio.protection.stat_windows),
+        memory.read(registry.base_paddr, registry.region_bytes),
+        list(memory._page_gens),
+    )
+
+
+def guard_step(kernel, step):
+    """Drive one cache event; return what it raised, if anything."""
+    op, kind, index, arg = step
+    cache = kernel.ubc if kind == "data" else kernel.buffer_cache
+    key = ("data", 0, 2 + index, 0) if kind == "data" else ("meta", 0, 2 + index)
+    file_id = FileId(0, 2 + index) if kind == "data" else None
+    try:
+        page = cache.get(key, file_id=file_id)
+        if op == "write":
+            data = bytes([arg & 0xFF]) * (1 + arg % 700)
+            cache.write_into(page, arg % (BLOCK_SIZE - len(data)), data, IO_CONTEXT)
+        elif op == "fill":
+            cache.fill(page, bytes([arg & 0xFF]) * BLOCK_SIZE)
+        elif op == "dirty":
+            cache.set_dirty(page, bool(arg & 1))
+        elif op == "place":
+            cache.set_placement(page, disk_block=arg)
+        elif op == "wild":  # a store outside any window: traps when protected
+            kernel.bus.store(page.vaddr + arg % BLOCK_SIZE, b"\xa5", IO_CONTEXT)
+        else:
+            cache.drop(page)
+    except ProtectionTrap as exc:
+        return str(exc)
+    return None
+
+
+GUARD_STEP = st.tuples(
+    st.sampled_from(["write", "write", "fill", "dirty", "place", "wild", "drop"]),
+    st.sampled_from(["data", "meta"]),
+    st.integers(0, 3),
+    st.integers(0, 1 << 20),
+)
+
+
+class TestBatchedGuard:
+    @pytest.mark.parametrize(
+        "mode", [ProtectionMode.VM_KSEG, ProtectionMode.NONE, ProtectionMode.CODE_PATCHING]
+    )
+    @given(
+        shadow=st.booleans(), checksums=st.booleans(),
+        steps=st.lists(GUARD_STEP, min_size=1, max_size=12),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batched_callbacks_equal_store_by_store(self, mode, shadow, checksums, steps):
+        """Each callback's registry edits applied as one known-effect
+        batch, and its page window toggled in line, leave exactly what
+        the same stores leave one at a time on the layered route and the
+        windows through the MMU's calls."""
+        config = dict(shadow_metadata=shadow, maintain_checksums=checksums)
+        batched = make_rio_kernel(mode, **config)
+        layered = make_rio_kernel(mode, **config)
+        kernel, rio = layered
+        rio.registry._apply_known_effect = lambda *args: False
+        rio.protection._toggle_page = (
+            lambda page, writable: rio.protection._set_page_protected(page, not writable)
+        )
+        assert guard_state(*batched) == guard_state(*layered)
+        for step in steps:
+            assert guard_step(batched[0], step) == guard_step(kernel, step), step
+            assert guard_state(*batched) == guard_state(*layered), step

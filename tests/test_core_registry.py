@@ -106,15 +106,15 @@ class TestLiveRegistry:
     def test_update_flags(self, registry):
         slot = registry.alloc_slot()
         registry.write_entry(RegistryEntry(slot=slot, flags=FLAG_VALID))
-        registry.update_flags(slot, set_flags=FLAG_DIRTY | FLAG_CHANGING)
-        registry.update_flags(slot, clear_flags=FLAG_CHANGING)
+        registry.update(slot, ((FLAG_DIRTY | FLAG_CHANGING, 0, {}),))
+        registry.update(slot, ((0, FLAG_CHANGING, {}),))
         entry = registry.read_entry(slot)
         assert entry.dirty and not entry.changing and entry.valid
 
     def test_update_fields(self, registry):
         slot = registry.alloc_slot()
         registry.write_entry(RegistryEntry(slot=slot, flags=FLAG_VALID))
-        registry.update_fields(slot, ino=9, disk_block=123)
+        registry.update(slot, ((0, 0, {"ino": 9, "disk_block": 123}),))
         entry = registry.read_entry(slot)
         assert entry.ino == 9 and entry.disk_block == 123
 
@@ -281,18 +281,15 @@ class CountingWindows:
 
 
 class ReadModifyWriteRegistry(Registry):
-    """The oracle: ``update_*`` as decode, ``setattr``, ``write_entry``."""
+    """The oracle: ``update`` as decode, ``setattr``, ``write_entry``."""
 
-    def update_flags(self, slot, *, set_flags=0, clear_flags=0):
-        entry = self.read_entry(slot)
-        entry.flags = (entry.flags | set_flags) & ~clear_flags
-        self.write_entry(entry)
-
-    def update_fields(self, slot, /, **fields):
-        entry = self.read_entry(slot)
-        for name, value in fields.items():
-            setattr(entry, name, value)
-        self.write_entry(entry)
+    def update(self, slot, edits):
+        for set_flags, clear_flags, changes in edits:
+            entry = self.read_entry(slot)
+            entry.flags = (entry.flags | set_flags) & ~clear_flags
+            for name, value in changes.items():
+                setattr(entry, name, value)
+            self.write_entry(entry)
 
 
 def protected_registry(cls):
@@ -326,6 +323,16 @@ UPDATE = st.one_of(
     st.tuples(st.just("update_flags"), SLOTS, st.integers(0, 15), st.integers(0, 15)),
     st.tuples(st.just("update_fields"), SLOTS, st.fixed_dictionaries({}, optional=FIELD_VALUES)),
     st.tuples(st.just("crash_at_event"), SLOTS, st.integers(0, 15)),
+    st.tuples(  # one batch of read-modify-writes
+        st.just("update"), SLOTS,
+        st.lists(
+            st.tuples(
+                st.integers(0, 15), st.integers(0, 15),
+                st.fixed_dictionaries({}, optional=FIELD_VALUES),
+            ),
+            min_size=1, max_size=3,
+        ),
+    ),
 )
 
 
@@ -334,9 +341,11 @@ def apply_update(machine, reg, update):
     if op == "write_entry":
         reg.write_entry(RegistryEntry(slot=slot, **args[0]))
     elif op == "update_flags":
-        reg.update_flags(slot, set_flags=args[0], clear_flags=args[1])
+        reg.update(slot, ((args[0], args[1], {}),))
     elif op == "update_fields":
-        reg.update_fields(slot, **args[0])
+        reg.update(slot, ((0, 0, args[0]),))
+    elif op == "update":
+        reg.update(slot, args[0])
     else:
         # Armed at the registry/update event: the machine dies after the
         # event and before the window opens, so nothing is stored.
@@ -345,7 +354,7 @@ def apply_update(machine, reg, update):
 
         machine.recorder.arm_crash(len(machine.recorder.events()), die)
         with pytest.raises(RuntimeError, match="armed at registry/update"):
-            reg.update_flags(slot, set_flags=args[0])
+            reg.update(slot, ((args[0], 0, {}),))
 
 
 # -- the known effect against the layered route --------------------------------
@@ -400,6 +409,11 @@ def perturb_or_update(machine, reg, protection, step):
             (protection.open_registry_window if args[0] else protection.close_registry_window)(pfns)
         elif op == "recorder":
             machine.recorder.start() if args[0] else machine.recorder.stop()
+        elif op == "arm":  # recording, a crash armed args[0] events ahead; it does nothing
+            rec = machine.recorder
+            if not rec.enabled:
+                rec.start()
+            rec.arm_crash(rec.dropped + len(rec.events()) + args[0], lambda event: None)
         elif op == "kseg_through_tlb":
             machine.mmu.kseg_through_tlb = args[0]
         elif op == "watch":
@@ -435,6 +449,7 @@ PERTURBATION = st.one_of(
     st.tuples(st.just("flip"), SLOTS, st.integers(0, ENTRY_SIZE - 1) | PAD, st.integers(0, 7)),
     st.tuples(st.just("window"), SLOTS, BOOLS),
     st.tuples(st.just("recorder"), SLOTS, BOOLS),
+    st.tuples(st.just("arm"), SLOTS, st.integers(0, 9)),
     st.tuples(st.just("kseg_through_tlb"), SLOTS, BOOLS),
     st.tuples(st.just("watch"), SLOTS),
     st.tuples(st.just("crash"), SLOTS, BOOLS),
@@ -460,7 +475,7 @@ class TestInPlaceUpdates:
         machine, reg, windows = protected_registry(Registry)
         reg.write_entry(RegistryEntry(slot=3, ino=7, flags=FLAG_VALID, disk_block=None))
         before = registry_state(machine, reg, windows)
-        reg.update_fields(3, phys_addr=5 * PAGE, checksum=0xBEEF, disk_block=12)
+        reg.update(3, ((0, 0, {"phys_addr": 5 * PAGE, "checksum": 0xBEEF, "disk_block": 12}),))
         after = registry_state(machine, reg, windows)
         assert [b - a for a, b in zip(before[1], after[1])] == [1, 1, ENTRY_SIZE, ENTRY_SIZE]
         assert (after[2][0] - before[2][0], after[2][1] - before[2][1]) == (1, 1)
@@ -468,7 +483,7 @@ class TestInPlaceUpdates:
         # across the page edge and opens both.
         assert windows.frames_opened[-1] == (windows.pfns[0],)
         assert after[2][2] - before[2][2] == 2
-        reg.update_flags(169, set_flags=FLAG_VALID)
+        reg.update(169, ((FLAG_VALID, 0, {}),))
         assert windows.frames_opened[-1] == tuple(windows.pfns)
         assert machine.mmu.stat_pte_toggles - after[2][2] == 4
         update = [e for e in after[3][len(before[3]):] if e[1] == "registry"]
@@ -478,14 +493,14 @@ class TestInPlaceUpdates:
         assert reg.read_entry(3) == RegistryEntry(
             slot=3, phys_addr=5 * PAGE, ino=7, flags=FLAG_VALID, disk_block=12, checksum=0xBEEF
         )
-        reg.update_fields(3, disk_block=None)
+        reg.update(3, ((0, 0, {"disk_block": None}),))
         raw = machine.memory.read(reg.base_paddr + HEADER_SIZE + 3 * ENTRY_SIZE, ENTRY_SIZE)
         assert struct.unpack_from("<Q", raw, 32)[0] == NO_DISK_BLOCK
 
     def test_stale_pad_bytes_are_rewritten_as_zero(self, machine, registry):
         vaddr = registry.entry_vaddr(2)
         machine.bus.store(vaddr + ENTRY_SIZE - 4, b"\xff\xff\xff\xff")
-        registry.update_flags(2, set_flags=FLAG_VALID)
+        registry.update(2, ((FLAG_VALID, 0, {}),))
         expected = _ENTRY_FMT.pack(*RegistryEntry(slot=2, flags=FLAG_VALID, disk_block=0).fields())
         assert machine.bus.load(vaddr, ENTRY_SIZE) == expected
 
@@ -497,7 +512,7 @@ class TestInPlaceUpdates:
         registry.write_entry(RegistryEntry(slot=1, ino=42, flags=FLAG_VALID))
         image, stats = machine.memory.dump_image(), (machine.bus.stats.loads, machine.bus.stats.stores)
         with pytest.raises(ConfigurationError, match="no registry field"):
-            registry.update_fields(1, **bad)
+            registry.update(1, ((0, 0, bad),))
         assert machine.memory.dump_image() == image
         assert (machine.bus.stats.loads, machine.bus.stats.stores) == stats
         assert set(ENTRY_FIELDS) == {
@@ -527,7 +542,9 @@ class TestInPlaceUpdates:
         "perturbation, known",
         [
             (None, True),
-            (("recorder", 0, True), False),
+            (("recorder", 0, True), True),  # its events emitted alongside
+            (("arm", 0, 1), False),  # a crash armed at the store's window
+            (("arm", 0, 3), "NONE"),  # ... at its close: NONE has none
             (("kseg_through_tlb", 0, False), "NONE"),
             (("kseg_through_tlb", 0, True), "VM_KSEG"),
             (("window", 0, True), "NONE"),  # the frame left writable
@@ -538,7 +555,9 @@ class TestInPlaceUpdates:
     )
     @pytest.mark.parametrize("slot", [0, 169])
     def test_the_route_is_chosen_from_observable_state(self, mode, perturbation, known, slot):
-        """Slot 169 straddles a page edge: always layered."""
+        """Slot 169 straddles a page edge: always layered.  A store whose
+        events include an armed crash's is too; the recorder alone is not
+        a reason."""
         machine, reg, protection = managed_registry(Registry, mode)
         if perturbation is not None:
             perturb_or_update(machine, reg, protection, perturbation)

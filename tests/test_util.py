@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util import DeterministicRandom, fletcher32, pattern_bytes
+from repro.util.checksum import fletcher_sums
 from repro.util.prng import _splitmix64
 
 MASK64 = (1 << 64) - 1
@@ -106,6 +107,28 @@ class TestFletcher32:
             flipped = bytearray(data)
             flipped[length // 2] ^= 0x04
             assert fletcher32(flipped) == fletcher32_oracle(flipped) != expected
+
+    @pytest.mark.parametrize(
+        "length",
+        # Either side of the fold's 1 KB cut and its 1024-bit target, a
+        # page, the 64 KiB piece, a second piece just past the cut.
+        [127, 128, 129, 1023, 1024, 1025, 1026, 2047, 2049, 8191, 8192, 8193,
+         65535, 65536, 65537, 65536 + 1025, 131073],
+    )
+    @pytest.mark.parametrize("fill", [b"\xff", None])
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_the_fold_keeps_both_sums(self, length, fill, start):
+        """``fletcher_sums`` folds a long piece before dividing; against
+        the word loop of its two sums, over any alignment of the input."""
+        data = fill * (start + length) if fill else DeterministicRandom(length).bytes(start + length)
+        view = memoryview(data)[start:]
+        words = [
+            int.from_bytes(bytes(view[i : i + 2]).ljust(2, b"\x00"), "little")
+            for i in range(0, length, 2)
+        ]
+        expected = (sum(words) % 0xFFFF, sum(i * w for i, w in enumerate(words)) % 0xFFFF)
+        assert fletcher_sums(view) == expected
+        assert fletcher32(view) == fletcher32_oracle(view)
 
     def test_zero_residues_read_ffff(self):
         """The carry fold never yields 0 from a 0xFFFF start."""
