@@ -17,6 +17,10 @@ test:
 # tests/test_docs.py holds them to.  About 10 minutes on 2 workers; CI
 # does not run it.  The journal (gitignored) resumes an interrupted run,
 # and re-running over a finished one rewrites the file byte for byte.
+# repro table1 exits 1 when a cell ends short or fsck and dissect disagree
+# on a trial (each named on stderr), so this target fails while the file
+# lists a divergence (six today, ROADMAP item 2); the file is still
+# written in full.
 TABLE1_JOURNAL ?= .table1.jsonl
 table1:
 	PYTHONPATH=src $(PY) -m repro table1 --scale 50 --jobs 2 --resume $(TABLE1_JOURNAL) --json > RESULTS_table1.json

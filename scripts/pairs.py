@@ -16,9 +16,13 @@ speeds up or slows down during the session does not favour either side.
 
 Per end-to-end metric of ``BENCHMARK.json`` it prints both medians, both
 interquartile ranges, the change of the median, in how many pairs the
-new tree was better, and whether the gap between the medians is wider
+new tree was better, whether the gap between the medians is wider
 than the old tree's IQR — the least a change must show before it is
-told apart from run-to-run spread on this host.  ``--control`` runs the
+told apart from run-to-run spread on this host — and whether a gain may
+be claimed: at least ten pairs, the new tree won nine tenths of them
+(ties count for neither) and its median is better by more than that
+IQR.  ``peak_rss_mb`` gets a caveat line: it differs between two fresh
+copies of one tree, so its wins are no evidence of a change.  ``--control`` runs the
 old tree against a second copy of itself: the spread each metric has
 when nothing changed, measured rather than assumed.  ``--tier1`` times
 the test suite (``python -m pytest -x -q``) in pairs the same way.
@@ -114,7 +118,7 @@ def report(metrics: list, old_runs: list, new_runs: list, labels: tuple) -> None
     """One line per ``(name, better)`` of ``metrics`` (module docstring)."""
     print(
         f"{'metric':16} {labels[0] + ' median':>14} {'IQR':>9} {labels[1] + ' median':>14}"
-        f" {'IQR':>9} {'change':>8} {'wins':>6}  gap > {labels[0]} IQR"
+        f" {'IQR':>9} {'change':>8} {'wins':>6}  gap > {labels[0]} IQR  claim"
     )
     for name, better in metrics:
         old = [run[name] for run in old_runs]
@@ -124,11 +128,20 @@ def report(metrics: list, old_runs: list, new_runs: list, labels: tuple) -> None
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         change = (new_median - old_median) / old_median if old_median else 0.0
         spread = iqr(old)
+        wide = abs(new_median - old_median) > spread
+        claim = (
+            len(old) >= 10
+            and 10 * wins >= 9 * len(old)
+            and sign * (new_median - old_median) > spread
+        )
         print(
             f"{name:16} {old_median:14.6g} {spread:9.3g} {new_median:14.6g} {iqr(new):9.3g}"
-            f" {change:+8.2%} {wins:3d}/{len(old):<2d}  "
-            + ("yes" if abs(new_median - old_median) > spread else "no")
+            f" {change:+8.2%} {wins:3d}/{len(old):<2d}  {'yes' if wide else 'no':14}"
+            f" {'yes' if claim else 'no'}"
         )
+        if name == "peak_rss_mb":
+            print(f"{'':16} (--control moved it in 10/10 pairs between two copies of one"
+                  " tree: its wins are no evidence of a change)")
 
 
 def main(argv=None) -> int:

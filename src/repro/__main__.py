@@ -147,6 +147,11 @@ def cmd_table1(args) -> int:
             f"short cell {system}/{fault}: {got} of {crashes} crashes after {attempts} attempts",
             file=sys.stderr,
         )
+    for system, fault, seed in engine.table.divergent_trials():
+        print(
+            f"divergence {system}/{fault}/{seed}: fsck repaired an image dissect finds damaged",
+            file=sys.stderr,
+        )
     return status
 
 
@@ -962,7 +967,8 @@ COMMANDS = (
     (
         "table1",
         "run the reliability campaign (Table 1) and print it (exit 1 if a cell "
-        "ends short of its target, 3 if incomplete)",
+        "ends short of its target or fsck and dissect disagree on a trial, 3 if "
+        "incomplete)",
         _flags_table1,
         cmd_table1,
     ),

@@ -87,8 +87,6 @@ class RioGuard(CacheGuard):
         self.config = config
         #: page key -> shadow_pfn for in-flight shadowed metadata writes.
         self._shadows: dict[tuple, int] = {}
-        #: page key -> the page whose protection window is open.
-        self._open_windows: dict[tuple, CachePage] = {}
         #: page key -> ``(watch record, generation, lo, hi, pre-image
         #: sums)`` of an open window whose checksum can be adjusted.
         self._adjustable: dict[tuple, tuple] = {}
@@ -180,7 +178,6 @@ class RioGuard(CacheGuard):
 
     def begin_write(self, page: CachePage, offset: int = 0, length: int = BLOCK_SIZE) -> None:
         self.protection.open_page_window(page)
-        self._open_windows[page.key] = page
         if page.kind == "meta" and self.config.shadow_metadata:
             # Shadow page: preserve the pre-image and point the registry
             # at it for the duration of the update.
@@ -229,9 +226,7 @@ class RioGuard(CacheGuard):
                 page.registry_slot,
                 ((0, 0, {"checksum": page.checksum}), (0, FLAG_CHANGING, NO_CHANGES)),
             )
-        opened = self._open_windows.pop(page.key, None)
-        if opened is not None:
-            self.protection.close_page_window(opened)
+        self.protection.close_page_window(page)
 
     def on_dirty_changed(self, page: CachePage) -> None:
         if page.registry_slot is None:

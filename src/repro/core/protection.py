@@ -14,10 +14,17 @@ Three modes:
   :mod:`repro.isa.analysis.patch`) and executes on the interpreter, at a
   cost of a few extra instructions per store (measured at 20-50% overall
   slowdown in the paper).  The inline check guards the *fixed* protected
-  region — the registry frames sequestered at the top of physical memory;
-  pages whose protection toggles dynamically (cache pages inside write
-  windows) are enforced by the bus store-checker, standing in for the
-  patched kernel's protected-page table lookup.
+  region — the registry frames sequestered at the top of physical memory.
+  A KSEG store to a frame whose protection toggles (a UBC page inside or
+  outside its window) is checked by the bus store-checker against the
+  MMU's KSEG table, standing in for the patched kernel's protected-page
+  table lookup.  A mapped buffer cache page needs no check: it traps on
+  its PTE bit, as under ``VM_KSEG`` — the paper patches code only because
+  KSEG bypasses the TLB.
+
+In both protecting modes the MMU's tables — the KSEG table and the PTE
+write bits — are the one record of what is write-protected, and the
+MMU's setters the one way to change it.
 
 In every mode, legitimate file cache writes happen inside *windows*: the
 page is made writable, written, and re-protected.  "The only time a file
@@ -50,9 +57,6 @@ class ProtectionManager:
         self._recorder = kernel.recorder
         self._mmu = kernel.mmu
         self._page_size = kernel.mmu.page_size
-        # Code-patching bookkeeping: which pages are currently protected.
-        self._patched_vpns: set[int] = set()
-        self._patched_pfns: set[int] = set()
         #: Per-routine reports from the binary rewriting pass.
         self.patch_reports: dict[str, RoutinePatchReport] = {}
         #: The inline checks' threshold: lowest KSEG address of the
@@ -85,8 +89,8 @@ class ProtectionManager:
         routine thereafter executes on the interpreter — there are no
         natives for patched text), publishes the protection threshold in
         a descriptor quadword the interpreter hands to each call in
-        ``gp``, and keeps the bus store-checker for the dynamically
-        protected cache pages.
+        ``gp``, and installs the bus store-checker for the UBC frames,
+        whose protection toggles.
         """
         kernel = self.kernel
         patcher = CodePatcher()
@@ -102,25 +106,19 @@ class ProtectionManager:
 
     # -- primitive protection toggles ---------------------------------------
 
-    def _set_pfn_protected(self, pfn: int, protected: bool) -> None:
-        if self.mode is ProtectionMode.VM_KSEG:
-            self.kernel.mmu.set_kseg_writable(pfn, not protected)
-        elif self.mode is ProtectionMode.CODE_PATCHING:
-            (self._patched_pfns.add if protected else self._patched_pfns.discard)(pfn)
-
-    def _set_vpn_protected(self, vpn: int, protected: bool) -> None:
-        if self.mode is ProtectionMode.VM_KSEG:
-            self.kernel.mmu.set_writable(vpn, not protected)
-        elif self.mode is ProtectionMode.CODE_PATCHING:
-            (self._patched_vpns.add if protected else self._patched_vpns.discard)(vpn)
-
     def _set_page_protected(self, page: CachePage, protected: bool) -> None:
+        """A UBC page is its frame's KSEG bit, a buffer cache page its PTE's
+        write bit."""
         if self.mode is ProtectionMode.NONE:
             return
         if page.kind == "data":
-            self._set_pfn_protected(page.pfn, protected)
+            self._mmu.set_kseg_writable(page.pfn, not protected)
         else:
-            self._set_vpn_protected(page.vaddr // self.kernel.page_size, protected)
+            self._mmu.set_writable(page.vaddr // self._page_size, not protected)
+
+    def _set_frames_protected(self, pfns, protected: bool) -> None:
+        if self.mode is not ProtectionMode.NONE:
+            self._mmu.set_kseg_writable_run(pfns, not protected)
 
     # -- public interface used by the guard ------------------------------------
 
@@ -157,51 +155,12 @@ class ProtectionManager:
         rec = self._recorder
         if rec.enabled:
             rec.emit("prot", "page-window", page=str(page.key), kind=page.kind)
-            self.unprotect_page(page)
-        else:
-            self._toggle_page(page, True)
+        self._set_page_protected(page, False)
 
     def close_page_window(self, page: CachePage) -> None:
-        """Close the window :meth:`open_page_window` opened over ``page``."""
-        if self._recorder.enabled:
-            self.protect_page(page)
-        else:
-            self._toggle_page(page, False)
-
-    def _toggle_page(self, page: CachePage, writable: bool) -> None:
-        """A page window's toggle as its known effect, with the recorder
-        off (the MMU emits nothing): under ``VM_KSEG`` the frame's KSEG
-        bit (a data page) or the PTE's write bit (a metadata page) set
-        here, with the toggle count, the translation generation and —
-        when write permission goes — the store TLB entry, exactly as
-        :meth:`~repro.hw.mmu.MMU.set_kseg_writable` /
-        :meth:`~repro.hw.mmu.MMU.set_writable` would.  An unmapped page
-        and the other modes take those calls."""
-        if self.mode is not ProtectionMode.VM_KSEG:
-            self._set_page_protected(page, not writable)
-            return
-        mmu = self._mmu
-        if page.kind == "data":
-            table = mmu._kseg_writable
-            pfn = page.pfn
-            if table.get(pfn, True) == writable:
-                return
-            table[pfn] = writable
-            vbase = KSEG_BASE + pfn * self._page_size
-        else:
-            vbase = page.vaddr
-            pte = mmu._page_table.get(vbase // self._page_size)
-            if pte is None or not pte.valid:
-                self._set_page_protected(page, not writable)  # the MachineCheck
-                return
-            if pte.writable == writable:
-                return
-            pte.writable = writable
-            vbase -= vbase % self._page_size
-        mmu.stat_pte_toggles += 1
-        mmu.generation += 1
-        if not writable:
-            mmu.tlb_stores.pop(vbase, None)
+        """Close the window over ``page``; the MMU's setters are idempotent,
+        so closing a page that has no window open changes nothing."""
+        self._set_page_protected(page, True)
 
     def open_registry_window(self, pfns=None) -> None:
         """Open a write window over the registry frames ``pfns`` — the one
@@ -217,43 +176,24 @@ class ProtectionManager:
         """Re-protect the frames :meth:`open_registry_window` opened."""
         self._set_frames_protected(self._registry_pfns if pfns is None else pfns, True)
 
-    def _set_frames_protected(self, pfns, protected: bool) -> None:
-        if self.mode is ProtectionMode.VM_KSEG:
-            self.kernel.mmu.set_kseg_writable_run(pfns, not protected)
-        elif self.mode is ProtectionMode.CODE_PATCHING:
-            if protected:
-                self._patched_pfns.update(pfns)
-            else:
-                self._patched_pfns.difference_update(pfns)
-
     # -- the code-patching store checker -------------------------------------------
 
     def _check_store(self, vaddr: int, length: int, ctx: AccessContext) -> None:
-        """The check compiled in front of every kernel store: is the target
-        inside the file cache (or registry) without a window open?"""
-        page_size = self.kernel.page_size
-        if vaddr >= KSEG_BASE:
-            paddr = vaddr - KSEG_BASE
-            first = paddr // page_size
-            last = (paddr + max(length, 1) - 1) // page_size
-            for pfn in range(first, last + 1):
-                if pfn in self._patched_pfns:
-                    self.stat_patch_traps += 1
-                    rec = self._recorder
-                    if rec.enabled:
-                        rec.emit("trap", "patch", pfn=pfn, address=vaddr)
-                    raise ProtectionTrap(
-                        f"code patch: store to protected frame {pfn}", address=vaddr
-                    )
-        else:
-            first = vaddr // page_size
-            last = (vaddr + max(length, 1) - 1) // page_size
-            for vpn in range(first, last + 1):
-                if vpn in self._patched_vpns:
-                    self.stat_patch_traps += 1
-                    rec = self._recorder
-                    if rec.enabled:
-                        rec.emit("trap", "patch", vpn=vpn, address=vaddr)
-                    raise ProtectionTrap(
-                        f"code patch: store to protected page {vpn}", address=vaddr
-                    )
+        """The check compiled in front of every kernel store: does a KSEG
+        store reach a frame the MMU's KSEG table protects — a UBC page or
+        registry frame without a window open?  Any other store is the
+        MMU's to check."""
+        if vaddr < KSEG_BASE:
+            return
+        paddr = vaddr - KSEG_BASE
+        page_size = self._page_size
+        kseg_writable = self._mmu.kseg_writable
+        for pfn in range(paddr // page_size, (paddr + max(length, 1) - 1) // page_size + 1):
+            if not kseg_writable(pfn):
+                self.stat_patch_traps += 1
+                rec = self._recorder
+                if rec.enabled:
+                    rec.emit("trap", "patch", pfn=pfn, address=vaddr)
+                raise ProtectionTrap(
+                    f"code patch: store to protected frame {pfn}", address=vaddr
+                )

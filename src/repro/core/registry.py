@@ -184,11 +184,12 @@ class Registry:
         self._close_window = protection.close_registry_window
         # What a store's known effect reads and bumps (``_apply_known_effect``).
         # ``_kseg``: True under VM_KSEG, False under NONE, None — never the
-        # known effect — under CODE_PATCHING or for a window object that
-        # declares no mode (a test double).
+        # known effect — under CODE_PATCHING or a ``mode`` of None (a test
+        # double's window).
         self._protection = protection
-        mode = getattr(protection, "mode", None)
-        self._kseg = {ProtectionMode.VM_KSEG: True, ProtectionMode.NONE: False}.get(mode)
+        self._kseg = {ProtectionMode.VM_KSEG: True, ProtectionMode.NONE: False}.get(
+            protection.mode
+        )
         self._mmu = bus.mmu
         self._page_size = bus.memory.page_size
         self._free_slots: list[int] = list(range(self.capacity - 1, -1, -1))

@@ -17,7 +17,9 @@ and both are modelled here:
 
 A third mode, *code patching*, for CPUs that cannot force KSEG through the
 TLB, is implemented at the bus/interpreter level (see
-:mod:`repro.core.protection`), not here.
+:mod:`repro.core.protection`), not here; it keeps its protected frames in
+the same KSEG table, which its store checker reads through
+:meth:`MMU.kseg_writable` since the CPU itself never does.
 """
 
 from __future__ import annotations

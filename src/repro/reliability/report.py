@@ -119,10 +119,21 @@ class Table1:
             if cell.crashes < self.crashes_per_cell
         ]
 
+    def divergent_trials(self) -> list:
+        """``(system, fault value, seed)`` of each trial whose recovered
+        image fsck called repaired and dissect still found damaged."""
+        return [
+            (cell.system, cell.fault_type.value, result.config.seed)
+            for cell in self.sorted_cells()
+            for result in cell.results
+            if result.diverged
+        ]
+
     @property
     def ok(self) -> bool:
-        """Every cell reached its target."""
-        return not self.short_cells()
+        """Every cell reached its target, and fsck and dissect agreed on
+        every recovered image."""
+        return not self.short_cells() and not self.divergent_trials()
 
     def to_json_dict(self) -> dict:
         """The run's summary — what ``repro table1 --json`` prints and
@@ -136,11 +147,8 @@ class Table1:
             "cells": [cell.to_json_dict() for cell in self.sorted_cells()],
             "systems": {system: self._system_totals(system) for system in systems},
             "divergences": [
-                {"system": cell.system, "fault_type": cell.fault_type.value,
-                 "seed": result.config.seed}
-                for cell in self.sorted_cells()
-                for result in cell.results
-                if result.diverged
+                {"system": system, "fault_type": fault, "seed": seed}
+                for system, fault, seed in self.divergent_trials()
             ],
             "short_cells": [
                 {"system": system, "fault_type": fault, "crashes": crashes, "attempts": attempts}

@@ -280,8 +280,9 @@ def rolling_crash_points(config: TrafficConfig) -> Dict[int, Tuple[int, ...]]:
     return points
 
 
-def _cluster_inode_blocks(config: TrafficConfig) -> int:
-    """Per-shard inode area, sized for the clients.
+def _inode_blocks(config: TrafficConfig) -> int:
+    """Each kernel's inode area, sized for the clients: a lone kernel's
+    and every cluster shard's alike.
 
     Every client owns a home directory (replicated nowhere — it lives
     on the shards its session touches) plus ``files_per_client`` files
@@ -305,6 +306,7 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
     kernel = dict(
         system=config.system,
         fs_blocks=config.fs_blocks,
+        inode_blocks=_inode_blocks(config),
         service=ServiceConfig(repair_on_recover=config.repair),
         storm=config.storm,
         fault_type=config.fault_type,
@@ -329,7 +331,6 @@ def run_traffic_campaign(config: TrafficConfig) -> TrafficResult:
             **kernel,
             shards=config.shards,
             router_mode=config.router_mode,
-            inode_blocks=_cluster_inode_blocks(config),
             crash_points=rolling_crash_points(config),
         )
         with ClusterService(cluster_config, jobs=config.jobs) as cluster:

@@ -78,14 +78,15 @@ SCENARIOS = {
         (["forensics", "{tmp}/campaign.jsonl"], 0, ["first divergent store"]),
     ],
     "serve": [(["serve", "--clients", "16", "--crashes", "3"], 0, ["ZERO LOST ACKS"])],
-    # The second step runs out of inodes: an errno inside a kernel lock
-    # section used to leak the lock and deadlock the next op into a crash.
+    # The second step's 96 clients need more than the default eight inode
+    # blocks: a lone kernel is sized for its clients as a shard is, so no
+    # request fails (it used to run out of inodes).
     "loadgen": [
         (["loadgen", "--clients", "4", "--ops", "6"], 0, ["ZERO LOST ACKS"]),
         (
             ["loadgen", "--clients", "96", "--ops", "12", "--system", "disk"],
             0,
-            ["0 observed / 0 requested", "lost acks       0\n", "ZERO LOST ACKS"],
+            ["0 observed / 0 requested", "(failed 0,", "lost acks       0\n", "ZERO LOST ACKS"],
         ),
     ],
     # A fault storm on a tiered backend, through worker processes.
@@ -287,6 +288,28 @@ def test_a_cell_short_of_its_target_fails_table1(capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "short cell rio_noprot/kernel stack: 0 of 1 crashes after 5 attempts" in err
+
+
+def test_a_divergent_trial_fails_table1(capsys, monkeypatch):
+    """A trial whose recovered image fsck called repaired and dissect
+    still finds damaged is named by its config, and the run exits 1."""
+    from repro.reliability.campaign import CrashTestResult
+
+    argv = ["table1", "--scale", "1", "--systems", "disk", "--faults", "pointer", "--json"]
+    assert main(argv) == 0
+    [crashed] = [
+        cell["crashes"] for cell in json.loads(capsys.readouterr().out)["cells"]
+    ]
+    assert crashed == 1
+    monkeypatch.setattr(CrashTestResult, "diverged", property(lambda result: result.crashed))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    [divergence] = json.loads(captured.out)["divergences"]
+    assert divergence["system"] == "disk" and divergence["fault_type"] == "pointer"
+    assert (
+        f"divergence disk/pointer/{divergence['seed']}: "
+        "fsck repaired an image dissect finds damaged"
+    ) in captured.err.splitlines()
 
 
 def test_load_disk_judges_the_disk_fsck_repaired(tmp_path, capsys):

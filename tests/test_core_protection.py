@@ -12,6 +12,7 @@ from repro.fs.cache import IO_CONTEXT
 from repro.fs.types import BLOCK_SIZE, FileId
 from repro.hw import Machine, MachineConfig
 from repro.kernel import Kernel
+from repro.kernel.layout import KTEXT_BASE
 from repro.system import SystemSpec, build_system
 from repro.util import pattern_bytes
 from repro.util.checksum import fletcher32
@@ -118,6 +119,47 @@ class TestCodePatching:
         page = kernel.buffer_cache.get(("meta", 0, 1))
         with pytest.raises(ProtectionTrap):
             kernel.bus.store(page.vaddr, b"wild")
+
+
+class TestCodePatchingTrapRoutes:
+    """Which mechanism stops a wild store under ``CODE_PATCHING``: the
+    patch check for a KSEG frame (KSEG bypasses the TLB), the MMU for a
+    mapped page — and only a page Rio write-protects counts as a save."""
+
+    @staticmethod
+    def _wild_store(patched, vaddr):
+        """The trap's message, the (patch, MMU) trap counts it added, and
+        whether the trapped address counts as a save."""
+        kernel, rio = patched
+        before = (rio.protection.stat_patch_traps, kernel.mmu.stat_protection_traps)
+        with pytest.raises(ProtectionTrap) as trap:
+            kernel.bus.store(vaddr, b"wild")
+        assert trap.value.address == vaddr
+        after = (rio.protection.stat_patch_traps, kernel.mmu.stat_protection_traps)
+        routes = tuple(b - a for a, b in zip(before, after))
+        return str(trap.value), routes, rio.protection.guards(vaddr)
+
+    @pytest.fixture
+    def patched(self):
+        return make_rio_kernel(ProtectionMode.CODE_PATCHING)
+
+    def test_a_ubc_frame_is_a_patch_trap(self, patched):
+        page = patched[0].ubc.get(("data", 0, 1, 0))
+        assert self._wild_store(patched, page.vaddr) == (
+            f"code patch: store to protected frame {page.pfn}", (1, 0), True
+        )
+
+    def test_a_buffer_cache_page_is_an_mmu_trap(self, patched):
+        page = patched[0].buffer_cache.get(("meta", 0, 1))
+        vpn = page.vaddr // BLOCK_SIZE
+        assert self._wild_store(patched, page.vaddr) == (
+            f"store to protected vpn {vpn}", (0, 1), True
+        )
+
+    def test_kernel_text_is_an_mmu_trap_and_no_save(self, patched):
+        assert self._wild_store(patched, KTEXT_BASE) == (
+            f"store to protected vpn {KTEXT_BASE // BLOCK_SIZE}", (0, 1), False
+        )
 
 
 class TestNoProtection:
@@ -260,16 +302,12 @@ class TestWindowProtocol:
         """Store to ``slot`` on the layered route; report the registry
         frames found writable mid-store, after calling ``probe()`` with
         the window open."""
-        protection = rio.protection
         original = kernel.bus.store
         opened = []
         TestWindowProtocol._layered_next_store(kernel)
 
         def spying_store(vaddr, data, ctx=None):
-            if protection.mode is ProtectionMode.VM_KSEG:
-                opened.extend(p for p in kernel.registry_frames if kernel.mmu.kseg_writable(p))
-            else:
-                opened.extend(p for p in kernel.registry_frames if p not in protection._patched_pfns)
+            opened.extend(p for p in kernel.registry_frames if kernel.mmu.kseg_writable(p))
             probe()
             original(vaddr, data, ctx)
 
@@ -301,9 +339,8 @@ class TestWindowProtocol:
         opened = self._frames_open_during_store(kernel, rio, 0, wild_store)
         assert opened == [first] and traps == [elsewhere]
         assert rio.protection.stat_windows - windows == 1
-        if mode is ProtectionMode.VM_KSEG:
-            assert kernel.mmu.stat_pte_toggles - toggles == 2  # one frame, there and back
-        else:
+        assert kernel.mmu.stat_pte_toggles - toggles == 2  # one frame, there and back
+        if mode is ProtectionMode.CODE_PATCHING:
             assert rio.protection.stat_patch_traps - patch_traps == 1  # the patch trap
         assert rio.registry.read_entry(0).flags == 1
         with pytest.raises(ProtectionTrap):  # closed again
@@ -319,8 +356,7 @@ class TestWindowProtocol:
         toggles = kernel.mmu.stat_pte_toggles
         opened = self._frames_open_during_store(kernel, rio, slot, lambda: None)
         assert opened == [first, first + 1]
-        if mode is ProtectionMode.VM_KSEG:
-            assert kernel.mmu.stat_pte_toggles - toggles == 4
+        assert kernel.mmu.stat_pte_toggles - toggles == 4
         assert rio.registry.read_entry(slot).flags == 1
         for pfn in kernel.registry_frames:
             with pytest.raises(ProtectionTrap):
@@ -340,14 +376,18 @@ class TestWindowProtocol:
         assert rio.protection.stat_windows - windows == 1
 
     def test_code_patching_registry_window(self):
+        """Code patching keeps its protected frames in the MMU's KSEG
+        table, which the CPU itself never consults (KSEG bypasses the
+        TLB): the store checker does."""
         kernel, rio = make_rio_kernel(ProtectionMode.CODE_PATCHING)
-        frames = set(kernel.registry_frames)
-        assert frames <= rio.protection._patched_pfns
+        frames = kernel.registry_frames
+        assert not kernel.mmu.kseg_through_tlb
+        assert not any(kernel.mmu.kseg_writable(pfn) for pfn in frames)
         rio.protection.open_registry_window()
-        assert not frames & rio.protection._patched_pfns
+        assert all(kernel.mmu.kseg_writable(pfn) for pfn in frames)
         kernel.bus.store(rio.registry.base_vaddr + 64, b"\x00" * 8)  # no trap
         rio.protection.close_registry_window()
-        assert frames <= rio.protection._patched_pfns
+        assert not any(kernel.mmu.kseg_writable(pfn) for pfn in frames)
         with pytest.raises(ProtectionTrap):
             kernel.bus.store(rio.registry.base_vaddr + 64, b"\x00" * 8)
 
@@ -378,7 +418,9 @@ class TestWindowProtocol:
             kernel.registry_frames[0]
         ]
 
-    def test_page_window_pairs_by_page_key(self):
+    def test_a_stray_end_write_changes_no_protection(self):
+        """``end_write`` closes the window over the page it is given; the
+        MMU's setters are idempotent, so a second one toggles nothing."""
         kernel, rio = make_rio_kernel(ProtectionMode.VM_KSEG, shadow_metadata=False)
         page = kernel.ubc.get(("data", 0, 1, 0), file_id=FileId(0, 1))
         rio.guard.begin_write(page)
@@ -453,17 +495,13 @@ class TestBatchedGuard:
     @settings(max_examples=25, deadline=None)
     def test_batched_callbacks_equal_store_by_store(self, mode, shadow, checksums, steps):
         """Each callback's registry edits applied as one known-effect
-        batch, and its page window toggled in line, leave exactly what
-        the same stores leave one at a time on the layered route and the
-        windows through the MMU's calls."""
+        batch leave exactly what the same stores leave one at a time on
+        the layered route."""
         config = dict(shadow_metadata=shadow, maintain_checksums=checksums)
         batched = make_rio_kernel(mode, **config)
         layered = make_rio_kernel(mode, **config)
         kernel, rio = layered
         rio.registry._apply_known_effect = lambda *args: False
-        rio.protection._toggle_page = (
-            lambda page, writable: rio.protection._set_page_protected(page, not writable)
-        )
         assert guard_state(*batched) == guard_state(*layered)
         for step in steps:
             assert guard_step(batched[0], step) == guard_step(kernel, step), step

@@ -30,8 +30,10 @@ from repro.hw import Machine, MachineConfig
 
 PAGE = 8192
 
-#: A registry no protection manager guards: its windows do nothing.
+#: A registry no protection manager guards: its windows do nothing, and
+#: its ``mode`` of None sends every store down the layered route.
 UNPROTECTED = SimpleNamespace(
+    mode=None,
     open_registry_window=lambda pfns=None: None,
     close_registry_window=lambda pfns=None: None,
 )
@@ -260,7 +262,11 @@ from repro.errors import ConfigurationError  # noqa: E402
 class CountingWindows:
     """A protection manager's registry window, reduced to what the
     registry sees: KSEG write permission over the frames it names (all
-    of them when it names none, as ``format`` does), and a count."""
+    of them when it names none, as ``format`` does), and a count.  Its
+    ``mode`` of None keeps every store on the layered route, through
+    these calls."""
+
+    mode = None
 
     def __init__(self, mmu, pfns):
         self.mmu, self.pfns = mmu, pfns

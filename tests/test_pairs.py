@@ -47,9 +47,39 @@ def test_runs_alternate_over_fresh_copies(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "w (seed 7, 5 s): " in out and "4 of 4 pairs" in out
     ops = next(line for line in out.splitlines() if line.startswith("host_ops_per_s"))
-    assert ops.split()[-2:] == ["4/4", "yes"]  # new wins every pair, past old's IQR
+    assert ops.split()[-3:] == ["4/4", "yes", "no"]  # past old's IQR, but under ten pairs
     setup = next(line for line in out.splitlines() if line.startswith("setup_s"))
-    assert setup.split()[-2:] == ["0/4", "no"]
+    assert setup.split()[-3:] == ["0/4", "no", "no"]
+
+
+@pytest.mark.parametrize("old, new, better, columns", [
+    # Nine of ten pairs won, the gap past the old IQR: a gain may be claimed.
+    ([10, 11, 10, 11, 10, 11, 10, 11, 10, 11], [13, 14, 13, 14, 13, 14, 13, 14, 13, 9],
+     "higher", ["9/10", "yes", "yes"]),
+    # Eight of ten: the gap alone is not a claim.
+    ([10, 11, 10, 11, 10, 11, 10, 11, 10, 11], [13, 14, 13, 14, 13, 14, 13, 14, 9, 9],
+     "higher", ["8/10", "yes", "no"]),
+    # Every pair won, but inside the old runs' spread.
+    ([10, 20] * 5, [11, 21] * 5, "higher", ["10/10", "no", "no"]),
+    # Lower is better: a drop is the win, a rise past the IQR is no claim.
+    ([5] * 10, [4] * 10, "lower", ["10/10", "yes", "yes"]),
+    ([5] * 10, [6] * 10, "lower", ["0/10", "yes", "no"]),
+    # Nine pairs, all won: too few to claim.
+    ([5] * 9, [4] * 9, "lower", ["9/9", "yes", "no"]),
+])
+def test_claim_column_is_ten_pairs_nine_tenths_won_and_past_the_iqr(old, new, better, columns, capsys):
+    runs = ([{"m": value} for value in old], [{"m": value} for value in new])
+    pairs.report([("m", better)], *runs, ("old", "new"))
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.endswith("claim") and line.split()[-3:] == columns
+
+
+def test_peak_rss_carries_its_caveat(capsys):
+    runs = [{"peak_rss_mb": 29.3, "setup_s": 1.0}] * 3
+    pairs.report([("peak_rss_mb", "lower"), ("setup_s", "lower")], runs, runs, ("old", "new"))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("peak_rss_mb") and "no evidence of a change" in lines[2]
+    assert lines[3].startswith("setup_s") and len(lines) == 4
 
 
 def test_control_and_failed_runs(tmp_path, monkeypatch, capsys):

@@ -275,3 +275,14 @@ def test_a_load_that_never_finishes_fails_the_run():
     result = TrafficResult(TrafficConfig(clients=2, crashes=0), kernels=[shard.verdict()], load=load)
     assert not result.ok and result.failed_checks == ["clients unfinished"]
     assert "FAILED: clients unfinished" in format_traffic_report(result)
+
+
+def test_a_lone_kernel_gets_the_inode_area_a_shard_would():
+    """One inode-sizing rule for a kernel served alone and for each shard:
+    96 clients' homes and files overflow the default eight inode blocks
+    (512 inodes), where seven requests of this load used to fail with ENOSPC."""
+    result = run_traffic_campaign(
+        TrafficConfig(system="disk", clients=96, crashes=0, seed=1, load=small_load(12))
+    )
+    assert result.ok, result.to_json_dict()
+    assert result.load.failed == 0 and result.load.acked > 0
