@@ -22,10 +22,11 @@ told apart from run-to-run spread on this host — and whether a gain may
 be claimed: at least ten pairs, the new tree won nine tenths of them
 (ties count for neither) and its median is better by more than that
 IQR.  ``peak_rss_mb`` gets a caveat line: it differs between two fresh
-copies of one tree, so its wins are no evidence of a change.  ``--control`` runs the
-old tree against a second copy of itself: the spread each metric has
-when nothing changed, measured rather than assumed.  ``--tier1`` times
-the test suite (``python -m pytest -x -q``) in pairs the same way.
+copies of one tree, so its wins are no evidence of a change.
+``--control`` runs the old tree against a second copy of itself: the
+spread each metric has when nothing changed, measured rather than
+assumed.  ``--tier1`` times the test suite (``python -m pytest -x -q``)
+in pairs the same way.
 
 Pairs from one session only: between sessions the host's speed moves
 by more than most changes do.  Exits 1 if a run failed or reported

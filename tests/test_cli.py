@@ -80,7 +80,7 @@ SCENARIOS = {
     "serve": [(["serve", "--clients", "16", "--crashes", "3"], 0, ["ZERO LOST ACKS"])],
     # The second step's 96 clients need more than the default eight inode
     # blocks: a lone kernel is sized for its clients as a shard is, so no
-    # request fails (it used to run out of inodes).
+    # request fails.
     "loadgen": [
         (["loadgen", "--clients", "4", "--ops", "6"], 0, ["ZERO LOST ACKS"]),
         (

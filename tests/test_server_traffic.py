@@ -280,7 +280,8 @@ def test_a_load_that_never_finishes_fails_the_run():
 def test_a_lone_kernel_gets_the_inode_area_a_shard_would():
     """One inode-sizing rule for a kernel served alone and for each shard:
     96 clients' homes and files overflow the default eight inode blocks
-    (512 inodes), where seven requests of this load used to fail with ENOSPC."""
+    (512 inodes), so a lone kernel sized by that default fails requests of
+    this load with ENOSPC."""
     result = run_traffic_campaign(
         TrafficConfig(system="disk", clients=96, crashes=0, seed=1, load=small_load(12))
     )
